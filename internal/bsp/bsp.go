@@ -12,9 +12,6 @@ package bsp
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"cyclops/internal/aggregate"
 	"cyclops/internal/cluster"
@@ -22,8 +19,8 @@ import (
 	"cyclops/internal/graph"
 	"cyclops/internal/metrics"
 	"cyclops/internal/obs"
-	"cyclops/internal/obs/span"
 	"cyclops/internal/partition"
+	"cyclops/internal/superstep"
 	"cyclops/internal/transport"
 )
 
@@ -156,7 +153,7 @@ type Engine[V, M any] struct {
 	ctxs []*Context[V, M]
 
 	tr    transport.Interface[envelope[M]]
-	inj   *fault.Injector[envelope[M]]
+	inj   superstep.Injector // nil without a FaultPlan
 	agg   *aggregate.Registry
 	trace *metrics.Trace
 	model metrics.CostModel
@@ -208,10 +205,10 @@ func New[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[V, M]) (*Engin
 	if err != nil {
 		return nil, fmt.Errorf("bsp: transport: %w", err)
 	}
-	var inj *fault.Injector[envelope[M]]
+	var inj superstep.Injector
 	if cfg.FaultPlan != nil {
-		inj = fault.Wrap(tr, *cfg.FaultPlan)
-		tr = inj
+		wrapped := fault.Wrap(tr, *cfg.FaultPlan)
+		tr, inj = wrapped, wrapped
 	}
 	e := &Engine[V, M]{
 		g:      g,
@@ -423,48 +420,11 @@ func (c *Context[V, M]) AggregateValue(name string) (float64, bool) {
 
 // Run executes supersteps until termination and returns the trace. A fresh
 // engine starts at superstep 0; a Restored engine continues from its
-// checkpointed superstep.
+// checkpointed superstep. The loop, fan-out, recovery and hook emission are
+// internal/superstep's; what follows is Hama's four phase bodies, in Hama's
+// order PRS → CMP → SND → SYN.
 func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 	workers := e.cfg.Cluster.Workers()
-	hooks := e.cfg.Hooks
-	// runStart anchors span offsets; runWall accumulates the accounted run
-	// duration (sum of superstep walls), so the closing run span reconciles
-	// with timings.csv totals by construction.
-	runStart := time.Now()
-	var runWall time.Duration
-	if hooks != nil {
-		e.runSeq++
-		hooks.OnRunStart(obs.RunInfo{
-			Engine:   e.trace.Engine,
-			Workers:  workers,
-			Vertices: e.g.NumVertices(),
-			Edges:    e.g.NumEdges(),
-			// Replicas and ReplicaValueBytes stay zero: Hama has no
-			// replicated view — it pays in message buffers instead, which is
-			// exactly the memory trade Table 4/5 compares.
-			EdgeCut:          int64(e.assign.EdgeCut(e.g)),
-			PartitionBalance: e.assign.Balance(),
-		})
-		hooks.OnSpanStart(obs.RunSpan(e.runSeq, 0))
-	}
-	stopReason := obs.ReasonMaxSupersteps
-
-	// prevComm anchors the per-superstep traffic deltas; starting from the
-	// current snapshot keeps deltas correct across resumed runs.
-	var prevComm transport.MatrixSnapshot
-	if hooks != nil {
-		prevComm = e.tr.Matrix().Snapshot()
-	}
-
-	// Cumulative per-vertex heat counters (hooks on only): messages sent and
-	// compute units, by vertex. Each vertex is computed only by its owner's
-	// goroutine, so the worker fan-out below stays race-free.
-	var heatMsgs, heatUnits []int64
-	if hooks != nil {
-		heatMsgs = make([]int64, e.g.NumVertices())
-		heatUnits = make([]int64, e.g.NumVertices())
-	}
-
 	if !e.primed {
 		// Establish round 0 so the first superstep's drain has markers to
 		// consume on round-based transports.
@@ -473,411 +433,212 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		}
 		e.primed = true
 	}
-	maxRecoveries := e.cfg.MaxRecoveries
-	if maxRecoveries <= 0 {
-		maxRecoveries = 3
-	}
-	recoveries := 0
-
-	// Per-superstep bookkeeping, hoisted out of the loop: every slot is
-	// overwritten each step, so one allocation serves the whole run.
-	recvCounts := make([]int64, workers)
-	recvBatches := make([]int64, workers)
-	computeUnits := make([]int64, workers)
-	activeCounts := make([]int64, workers)
-	sendCounts := make([]int64, workers)
+	k := superstep.New(superstep.Config{
+		Name: "bsp", Workers: workers, Vertices: e.g.NumVertices(),
+		Hooks: e.cfg.Hooks, Link: e.tr, Injector: e.inj, Trace: e.trace,
+		Step: &e.step, RunSeq: &e.runSeq, MaxSupersteps: e.cfg.MaxSupersteps,
+		CheckpointEvery: e.cfg.CheckpointEvery, MaxRecoveries: e.cfg.MaxRecoveries,
+		Info: func() obs.RunInfo {
+			return obs.RunInfo{
+				Engine:   e.trace.Engine,
+				Workers:  workers,
+				Vertices: e.g.NumVertices(),
+				Edges:    e.g.NumEdges(),
+				// Replicas and ReplicaValueBytes stay zero: Hama has no
+				// replicated view — it pays in message buffers instead, which
+				// is exactly the memory trade Table 4/5 compares. Its heat
+				// rows' replica-sync column stays zero for the same reason.
+				EdgeCut:          int64(e.assign.EdgeCut(e.g)),
+				PartitionBalance: e.assign.Balance(),
+			}
+		},
+		Owner: func(v int) int { return e.assign.Of[v] },
+	})
+	// WorkerStats.Sent reports logical sends; the span stream weighs Send
+	// spans by the post-combiner envelopes that actually hit the wire.
+	k.Wire = make([]int64, workers)
+	changed := make([]int64, workers)
+	redundant := make([]int64, workers)
 	partials := make([]aggregate.Values, workers)
-	resids := make([][]float64, workers)
-	outs := make([][][]envelope[M], workers)
-	wireCounts := make([]int64, workers)
-	var parseDur, computeDur, sendDur []time.Duration
-	var serNs0, serNs []int64
-	var delivs [][]span.Delivery
-	if hooks != nil {
-		parseDur = make([]time.Duration, workers)
-		computeDur = make([]time.Duration, workers)
-		sendDur = make([]time.Duration, workers)
-		serNs0 = make([]int64, workers)
-		serNs = make([]int64, workers)
-		delivs = make([][]span.Delivery, workers)
+	var residuals []float64
+	var sentTotal int64
+
+	// PRS: drain the locked global in-queue, group messages per vertex,
+	// reactivate recipients. One thread per worker, as in Hama.
+	parse := func(w int) {
+		batches := e.tr.Drain(w)
+		var recv int64
+		for _, batch := range batches {
+			recv += int64(len(batch))
+			for _, env := range batch {
+				e.inbox[env.Dst] = append(e.inbox[env.Dst], env.Msg)
+				e.halted[env.Dst] = false
+			}
+		}
+		k.Drained(w, recv, int64(len(batches)))
 	}
 
-	for e.step < e.cfg.MaxSupersteps {
-		if e.inj != nil {
-			e.inj.BeginStep(e.step)
+	// CMP: run Compute on active vertices, one thread per worker.
+	compute := func(w int) {
+		// Reuse the persistent context: out buffers keep their capacity (PRS
+		// consumed last step's batches before this barrier), the combiner
+		// table resets by stamp advance, and the aggregate map is rebuilt
+		// because Fold consumed it.
+		ctx := e.ctxs[w]
+		ctx.local = make(aggregate.Values)
+		ctx.resid = ctx.resid[:0]
+		ctx.stamp++
+		for to := range ctx.out {
+			ctx.out[to] = ctx.out[to][:0]
 		}
-		stats := metrics.StepStats{Step: e.step}
-		// Span bookkeeping (nil when hooks are off, so the hot path only
-		// pays the existing nil checks): per-worker phase durations, the
-		// drained batch provenance, and the wire-serialisation deltas.
-		sd := obs.StepSpanData{Run: e.runSeq, Step: e.step}
-		if hooks != nil {
-			hooks.OnSuperstepStart(e.step)
-			sd.StepStart = time.Since(runStart)
-			hooks.OnSpanStart(obs.StepSpan(e.runSeq, e.step, sd.StepStart))
-			// Tag this superstep's sends with its causal context; receivers
-			// drain them next superstep and link Deliver spans back to the
-			// sender's Send span.
-			for w := 0; w < workers; w++ {
-				e.tr.Tag(w, span.Context{Run: e.runSeq, Step: int32(e.step), Worker: int32(w)})
-			}
-		}
-
-		// PRS: drain the locked global in-queue, group messages per vertex,
-		// reactivate recipients. One thread per worker, as in Hama.
-		if hooks != nil {
-			sd.ParseStart = time.Since(runStart)
-		}
-		start := time.Now()
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				pt := time.Now()
-				batches := e.tr.Drain(w)
-				recvBatches[w] = int64(len(batches))
-				var recv int64
-				for _, batch := range batches {
-					recv += int64(len(batch))
-					for _, env := range batch {
-						e.inbox[env.Dst] = append(e.inbox[env.Dst], env.Msg)
-						e.halted[env.Dst] = false
-					}
-				}
-				recvCounts[w] = recv
-				if parseDur != nil {
-					parseDur[w] = time.Since(pt)
-					delivs[w] = e.tr.LastDeliveries(w)
-				}
-			}(w)
-		}
-		wg.Wait()
-		stats.Durations[metrics.Parse] = time.Since(start)
-		if hooks != nil {
-			hooks.OnPhase(e.step, metrics.Parse, stats.Durations[metrics.Parse])
-		}
-
-		// Audit: every envelope the previous SND put on the wire must have
-		// arrived. The count is wire-level (post-Combiner), so it is exact.
-		var violations []obs.Violation
-		if e.cfg.Audit && e.auditPrevSent >= 0 {
-			var delivered int64
-			for _, r := range recvCounts {
-				delivered += r
-			}
-			if delivered != e.auditPrevSent {
-				violations = append(violations, obs.Violation{
-					Engine: e.trace.Engine,
-					Step:   e.step,
-					Worker: -1,
-					Vertex: -1,
-					Kind:   obs.ViolationMessageConservation,
-					Detail: fmt.Sprintf(
-						"superstep %d delivered %d envelopes but superstep %d put %d on the wire",
-						e.step, delivered, e.step-1, e.auditPrevSent),
-				})
-			}
-		}
-
-		// CMP: run Compute on active vertices, one thread per worker.
-		if hooks != nil {
-			sd.ComputeStart = time.Since(runStart)
-		}
-		start = time.Now()
-		var active, changed, sentTotal, redundant atomic.Int64
-		var computeMax, sendMax int64
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				ct := time.Now()
-				// Reuse the persistent context: out buffers keep their
-				// capacity (PRS consumed last step's batches before this
-				// barrier), the combiner table resets by stamp advance, and
-				// the aggregate map is rebuilt because Fold consumed it.
-				ctx := e.ctxs[w]
-				ctx.local = make(aggregate.Values)
-				ctx.resid = ctx.resid[:0]
-				ctx.stamp++
-				for to := range ctx.out {
-					ctx.out[to] = ctx.out[to][:0]
-				}
-				var units, computed, changedW, sent, redundantW int64
-				for _, v := range e.owned[w] {
-					msgs := e.inbox[v]
-					if e.halted[v] && len(msgs) == 0 {
-						continue
-					}
-					ctx.vid = v
-					ctx.changed = false
-					before := ctx.sent
-					e.prog.Compute(ctx, msgs)
-					e.inbox[v] = msgs[:0]
-					computed++
-					units += int64(len(msgs)) + int64(e.g.OutDegree(v))
-					vsent := ctx.sent - before
-					sent += vsent
-					if heatMsgs != nil {
-						heatMsgs[v] += vsent
-						heatUnits[v] += int64(len(msgs)) + int64(e.g.OutDegree(v))
-					}
-					if ctx.changed {
-						changedW++
-					} else {
-						redundantW += vsent
-					}
-				}
-				computeUnits[w] = units
-				activeCounts[w] = computed
-				sendCounts[w] = sent
-				partials[w] = ctx.local
-				resids[w] = ctx.resid
-				outs[w] = ctx.out
-				active.Add(computed)
-				changed.Add(changedW)
-				sentTotal.Add(sent)
-				redundant.Add(redundantW)
-				if computeDur != nil {
-					computeDur[w] = time.Since(ct)
-				}
-			}(w)
-		}
-		wg.Wait()
-		for w := 0; w < workers; w++ {
-			if computeUnits[w] > computeMax {
-				computeMax = computeUnits[w]
-			}
-			if sendCounts[w] > sendMax {
-				sendMax = sendCounts[w]
-			}
-		}
-		stats.Durations[metrics.Compute] = time.Since(start)
-		if hooks != nil {
-			hooks.OnPhase(e.step, metrics.Compute, stats.Durations[metrics.Compute])
-		}
-
-		// SND: flush per-worker bundles through the transport. Senders from
-		// all workers contend on each receiver's global queue lock.
-		if hooks != nil {
-			sd.SendStart = time.Since(runStart)
-			for w := 0; w < workers; w++ {
-				serNs0[w] = e.tr.SerializeNanos(w)
-			}
-		}
-		start = time.Now()
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				st := time.Now()
-				var wire int64
-				for to, batch := range outs[w] {
-					wire += int64(len(batch))
-					e.tr.Send(w, to, batch)
-				}
-				e.tr.FinishRound(w)
-				wireCounts[w] = wire
-				if sendDur != nil {
-					sendDur[w] = time.Since(st)
-				}
-			}(w)
-		}
-		wg.Wait()
-		if hooks != nil {
-			for w := 0; w < workers; w++ {
-				serNs[w] = e.tr.SerializeNanos(w) - serNs0[w]
-			}
-		}
-		if e.cfg.Audit {
-			e.auditPrevSent = 0
-			for _, n := range wireCounts {
-				e.auditPrevSent += n
-			}
-		}
-		stats.Durations[metrics.Send] = time.Since(start)
-		if hooks != nil {
-			hooks.OnPhase(e.step, metrics.Send, stats.Durations[metrics.Send])
-		}
-
-		// SYN: barrier — fold aggregates, decide termination, checkpoint.
-		start = time.Now()
-		e.agg.Fold(partials)
-		stats.Active = active.Load()
-		stats.Changed = changed.Load()
-		stats.Messages = sentTotal.Load()
-		stats.RedundantMessages = redundant.Load()
-		if e.cfg.Residual != nil {
-			var all []float64
-			for _, rs := range resids {
-				all = append(all, rs...)
-			}
-			stats.SetResiduals(all)
-		}
-		stats.ComputeUnitsMax = computeMax
-		stats.SendMax = sendMax
-		stats.RecvMax = nextRecvMax(outs, workers)
-		stats.ModelNanos = e.model.StepCost(
-			computeMax, sendMax, stats.RecvMax,
-			1, 1, workers, !e.cfg.PerSenderQueues, e.model.FlatBarrier(workers))
-		stats.Durations[metrics.Sync] = time.Since(start)
-		e.trace.Append(stats)
-		if hooks != nil {
-			hooks.OnPhase(e.step, metrics.Sync, stats.Durations[metrics.Sync])
-			for w := 0; w < workers; w++ {
-				hooks.OnWorkerStats(obs.WorkerStats{
-					Step:         e.step,
-					Worker:       w,
-					ComputeUnits: computeUnits[w],
-					Sent:         sendCounts[w],
-					Received:     recvCounts[w],
-					Active:       activeCounts[w],
-					QueueDepth:   recvBatches[w],
-				})
-			}
-			cur := e.tr.Matrix().Snapshot()
-			commDelta := cur.Sub(prevComm)
-			hooks.OnCommMatrix(e.step, commDelta)
-			prevComm = cur
-			for _, v := range violations {
-				hooks.OnViolation(v)
-			}
-			// Heat: Hama has no replicated view, so the replica-sync column
-			// stays nil/zero; its boundary messages are the full §3.4 cost.
-			hooks.OnHeat(obs.HeatStepData{
-				Step:       e.step,
-				Partitions: obs.BuildHeatPartitions(e.step, commDelta, activeCounts, computeUnits, nil),
-				Hot: obs.TopHotVertices(heatMsgs, heatUnits,
-					func(v int) int { return e.assign.Of[v] }, obs.DefaultHotK),
-			})
-			hooks.OnSuperstepEnd(e.step, stats)
-			// Wall is the sum of the four phase durations — exactly what
-			// timings.csv records for the step — so critpath.csv columns
-			// reconcile with it by construction.
-			sd.Wall = stats.Durations[metrics.Parse] + stats.Durations[metrics.Compute] +
-				stats.Durations[metrics.Send] + stats.Durations[metrics.Sync]
-			runWall += sd.Wall
-			sd.Parse = parseDur
-			sd.Compute = computeDur
-			sd.Send = sendDur
-			sd.SerializeNs = serNs
-			sd.Units = computeUnits
-			sd.Sent = wireCounts
-			sd.Recv = recvCounts
-			sd.Deliveries = delivs
-			obs.EmitStepSpans(hooks, sd)
-		}
-		// Fault check at the barrier, before anything from this superstep is
-		// persisted: a transient transport fault rolls the run back to the
-		// latest checkpoint (§3.6) and replays; anything else fails the run.
-		if err := e.tr.Err(); err != nil {
-			if transport.IsTransient(err) && e.cfg.Recover != nil && recoveries < maxRecoveries {
-				st, lerr := e.cfg.Recover()
-				if lerr != nil {
-					if hooks != nil {
-						hooks.OnSpanEnd(obs.RunSpan(e.runSeq, runWall))
-						hooks.OnConverged(e.step, obs.ReasonFault)
-					}
-					return e.trace, fmt.Errorf("bsp: recovery: load checkpoint: %w", lerr)
-				}
-				faultStep := e.step
-				if e.inj != nil {
-					e.inj.Heal()
-				}
-				if rerr := e.Restore(st); rerr != nil {
-					if hooks != nil {
-						hooks.OnSpanEnd(obs.RunSpan(e.runSeq, runWall))
-						hooks.OnConverged(e.step, obs.ReasonFault)
-					}
-					return e.trace, fmt.Errorf("bsp: recovery: %w", rerr)
-				}
-				recoveries++
-				if hooks != nil {
-					hooks.OnRecovery(obs.RecoveryEvent{
-						Engine:    e.trace.Engine,
-						Step:      faultStep,
-						ResumedAt: e.step,
-						Attempt:   recoveries,
-						Cause:     err.Error(),
-					})
-				}
+		var units, computed, changedW, sent, redundantW int64
+		for _, v := range e.owned[w] {
+			msgs := e.inbox[v]
+			if e.halted[v] && len(msgs) == 0 {
 				continue
 			}
-			if hooks != nil {
-				hooks.OnSpanEnd(obs.RunSpan(e.runSeq, runWall))
-				hooks.OnConverged(e.step, obs.ReasonFault)
+			ctx.vid = v
+			ctx.changed = false
+			before := ctx.sent
+			e.prog.Compute(ctx, msgs)
+			e.inbox[v] = msgs[:0]
+			computed++
+			vunits := int64(len(msgs)) + int64(e.g.OutDegree(v))
+			units += vunits
+			vsent := ctx.sent - before
+			sent += vsent
+			if k.HeatMsgs != nil {
+				// Each vertex is computed only by its owner's goroutine.
+				k.HeatMsgs[v] += vsent
+				k.HeatUnits[v] += vunits
 			}
-			return e.trace, fmt.Errorf("bsp: transport: %w", err)
-		}
-
-		if len(violations) > 0 {
-			if hooks != nil {
-				hooks.OnSpanEnd(obs.RunSpan(e.runSeq, runWall))
-				hooks.OnConverged(e.step, obs.ReasonAuditFailed)
+			if ctx.changed {
+				changedW++
+			} else {
+				redundantW += vsent
 			}
-			return e.trace, fmt.Errorf("bsp: %w", &obs.AuditError{Violations: violations})
 		}
+		k.Units[w], k.Active[w], k.Sent[w] = units, computed, sent
+		changed[w], redundant[w] = changedW, redundantW
+		partials[w] = ctx.local
+	}
 
-		if e.cfg.CheckpointEvery > 0 && e.cfg.Checkpoints != nil &&
-			(e.step+1)%e.cfg.CheckpointEvery == 0 {
-			if err := e.cfg.Checkpoints(e.snapshot()); err != nil {
-				if hooks != nil {
-					hooks.OnSpanEnd(obs.RunSpan(e.runSeq, runWall))
-					hooks.OnConverged(e.step, obs.ReasonFault)
+	// SND: flush per-worker bundles through the transport. Senders from all
+	// workers contend on each receiver's global queue lock.
+	send := func(w int) {
+		var wire int64
+		for to, batch := range e.ctxs[w].out {
+			wire += int64(len(batch))
+			e.tr.Send(w, to, batch)
+		}
+		e.tr.FinishRound(w)
+		k.Wire[w] = wire
+	}
+
+	ps := superstep.PhaseSet{
+		Step: func() []obs.Violation {
+			k.Phase(metrics.Parse, parse)
+			violations := e.auditConservation(k.Recv)
+			k.Phase(metrics.Compute, compute)
+			k.Phase(metrics.Send, send)
+			if e.cfg.Audit {
+				e.auditPrevSent = 0
+				for _, n := range k.Wire {
+					e.auditPrevSent += n
 				}
-				return e.trace, fmt.Errorf("bsp: checkpoint at step %d: %w", e.step, err)
 			}
+			return violations
+		},
+		// SYN: barrier — fold aggregates and account the superstep.
+		Sync: func(stats *metrics.StepStats) {
+			e.agg.Fold(partials)
+			residuals = residuals[:0]
+			for w := 0; w < workers; w++ {
+				stats.Active += k.Active[w]
+				stats.Changed += changed[w]
+				stats.Messages += k.Sent[w]
+				stats.RedundantMessages += redundant[w]
+				stats.ComputeUnitsMax = max(stats.ComputeUnitsMax, k.Units[w])
+				stats.SendMax = max(stats.SendMax, k.Sent[w])
+				residuals = append(residuals, e.ctxs[w].resid...)
+			}
+			sentTotal = stats.Messages
+			if e.cfg.Residual != nil {
+				stats.SetResiduals(residuals)
+			}
+			stats.RecvMax = e.nextRecvMax()
+			stats.ModelNanos = e.model.StepCost(
+				stats.ComputeUnitsMax, stats.SendMax, stats.RecvMax,
+				1, 1, workers, !e.cfg.PerSenderQueues, e.model.FlatBarrier(workers))
+		},
+		Checkpoint: func() error {
+			if e.cfg.Checkpoints == nil {
+				return nil
+			}
+			return e.cfg.Checkpoints(e.snapshot())
+		},
+		OnStep: func(step int) {
+			if e.cfg.OnStep != nil {
+				e.cfg.OnStep(step, e)
+			}
+		},
+		// Nothing sent and nobody awake ends the run; any message in flight
+		// reactivates at least one vertex.
+		Pending: func() int64 { return e.countActive() + min(sentTotal, 1) },
+		Halt: func(step int, pending int64) bool {
+			return e.cfg.Halt != nil && e.cfg.Halt(step, e.agg.Value, pending)
+		},
+	}
+	if e.cfg.Recover != nil {
+		ps.Recover = func() error {
+			st, err := e.cfg.Recover()
+			if err != nil {
+				return fmt.Errorf("load checkpoint: %w", err)
+			}
+			return e.Restore(st)
 		}
-		if e.cfg.OnStep != nil {
-			e.cfg.OnStep(e.step, e)
-		}
+	}
+	return e.trace, k.Run(ps)
+}
 
-		nextActive := e.countActive() + pendingEstimate(sentTotal.Load())
-		if sentTotal.Load() == 0 && e.countActive() == 0 {
-			e.step++
-			stopReason = obs.ReasonNoActive
-			break
-		}
-		if e.cfg.Halt != nil && e.cfg.Halt(e.step, e.agg.Value, nextActive) {
-			e.step++
-			stopReason = obs.ReasonHalt
-			break
-		}
-		e.step++
+// auditConservation checks (Audit on) that every envelope the previous SND
+// put on the wire arrived at this PRS. The count is wire-level
+// (post-Combiner), so it is exact.
+func (e *Engine[V, M]) auditConservation(recv []int64) []obs.Violation {
+	if !e.cfg.Audit || e.auditPrevSent < 0 {
+		return nil
 	}
-	if hooks != nil {
-		hooks.OnSpanEnd(obs.RunSpan(e.runSeq, runWall))
-		hooks.OnConverged(e.step, stopReason)
+	var delivered int64
+	for _, r := range recv {
+		delivered += r
 	}
-	if err := e.tr.Err(); err != nil {
-		return e.trace, fmt.Errorf("bsp: transport: %w", err)
+	if delivered == e.auditPrevSent {
+		return nil
 	}
-	return e.trace, nil
+	return []obs.Violation{{
+		Engine: e.trace.Engine,
+		Step:   e.step,
+		Worker: -1,
+		Vertex: -1,
+		Kind:   obs.ViolationMessageConservation,
+		Detail: fmt.Sprintf(
+			"superstep %d delivered %d envelopes but superstep %d put %d on the wire",
+			e.step, delivered, e.step-1, e.auditPrevSent),
+	}}
 }
 
 // nextRecvMax estimates the max messages any worker will receive next
 // superstep from this superstep's outgoing bundles.
-func nextRecvMax[M any](outs [][][]envelope[M], workers int) int64 {
+func (e *Engine[V, M]) nextRecvMax() int64 {
 	var recvMax int64
-	for to := 0; to < workers; to++ {
+	for to := range e.ctxs {
 		var recv int64
-		for from := 0; from < workers; from++ {
-			if outs[from] != nil {
-				recv += int64(len(outs[from][to]))
-			}
+		for _, ctx := range e.ctxs {
+			recv += int64(len(ctx.out[to]))
 		}
-		if recv > recvMax {
-			recvMax = recv
-		}
+		recvMax = max(recvMax, recv)
 	}
 	return recvMax
-}
-
-func pendingEstimate(sent int64) int64 {
-	if sent > 0 {
-		return 1 // at least one vertex will be reactivated
-	}
-	return 0
 }
 
 func (e *Engine[V, M]) countActive() int64 {

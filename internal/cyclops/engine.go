@@ -29,6 +29,7 @@ import (
 	"cyclops/internal/metrics"
 	"cyclops/internal/obs"
 	"cyclops/internal/partition"
+	"cyclops/internal/superstep"
 	"cyclops/internal/transport"
 )
 
@@ -181,7 +182,7 @@ type Engine[V, M any] struct {
 	assign  *partition.Assignment
 	ws      []*workerState[V, M]
 	tr      transport.Interface[syncMsg[M]]
-	inj     *fault.Injector[syncMsg[M]]
+	inj     superstep.Injector // nil without a FaultPlan
 	agg     *aggregate.Registry
 	trace   *metrics.Trace
 	model   metrics.CostModel
@@ -223,10 +224,10 @@ func New[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[V, M]) (*Engin
 	if err != nil {
 		return nil, fmt.Errorf("cyclops: transport: %w", err)
 	}
-	var inj *fault.Injector[syncMsg[M]]
+	var inj superstep.Injector
 	if cfg.FaultPlan != nil {
-		inj = fault.Wrap(tr, *cfg.FaultPlan)
-		tr = inj
+		wrapped := fault.Wrap(tr, *cfg.FaultPlan)
+		tr, inj = wrapped, wrapped
 	}
 
 	name := "cyclops"

@@ -9,13 +9,10 @@ package cyclops_test
 //
 //	go test ./internal/cyclops/ -run='^$' -bench=BenchmarkHooks -count=5
 //
-// Also asserts (as a plain test) that a full PageRank run fires the hook
-// sequence engines promise: one OnRunStart, per-step start/phases/worker
-// stats/end, one OnConverged.
+// The hook sequence itself is asserted for every engine in one table,
+// internal/superstep's TestHookSequenceOnRealRuns.
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,11 +21,9 @@ import (
 	"cyclops/internal/cyclops"
 	"cyclops/internal/gen"
 	"cyclops/internal/graph"
-	"cyclops/internal/metrics"
 	"cyclops/internal/obs"
 	"cyclops/internal/obs/span"
 	"cyclops/internal/partition"
-	"cyclops/internal/transport"
 )
 
 func benchGraph(b *testing.B) *graph.Graph {
@@ -117,116 +112,6 @@ func BenchmarkAuditOn(b *testing.B) {
 	}
 }
 
-// countingHooks records how often each hook fires, and tracks span pairing:
-// every span announced open must be closed by the time the run returns.
-type countingHooks struct {
-	runStarts, stepStarts, phases, workerStats, stepEnds, converged atomic.Int64
-	commSteps, commMessages, violations, heatSteps                  atomic.Int64
-	spanStarts, spanEnds                                            atomic.Int64
-	lastReason                                                      string
-	lastStats                                                       metrics.StepStats
-
-	spanMu    sync.Mutex
-	openSpans map[int64]bool
-}
-
-func (c *countingHooks) OnRunStart(obs.RunInfo) { c.runStarts.Add(1) }
-func (c *countingHooks) OnSuperstepStart(int)   { c.stepStarts.Add(1) }
-func (c *countingHooks) OnPhase(int, metrics.Phase, time.Duration) {
-	c.phases.Add(1)
-}
-func (c *countingHooks) OnWorkerStats(obs.WorkerStats) { c.workerStats.Add(1) }
-func (c *countingHooks) OnCommMatrix(_ int, delta transport.MatrixSnapshot) {
-	c.commSteps.Add(1)
-	c.commMessages.Add(delta.TotalMessages())
-}
-func (c *countingHooks) OnViolation(obs.Violation)    { c.violations.Add(1) }
-func (c *countingHooks) OnHeat(obs.HeatStepData)      { c.heatSteps.Add(1) }
-func (c *countingHooks) OnRecovery(obs.RecoveryEvent) {}
-func (c *countingHooks) OnSpanStart(s span.Span) {
-	c.spanStarts.Add(1)
-	c.spanMu.Lock()
-	if c.openSpans == nil {
-		c.openSpans = make(map[int64]bool)
-	}
-	c.openSpans[s.ID] = true
-	c.spanMu.Unlock()
-}
-func (c *countingHooks) OnSpanEnd(s span.Span) {
-	c.spanEnds.Add(1)
-	c.spanMu.Lock()
-	delete(c.openSpans, s.ID)
-	c.spanMu.Unlock()
-}
-func (c *countingHooks) OnSuperstepEnd(_ int, s metrics.StepStats) {
-	c.stepEnds.Add(1)
-	c.lastStats = s
-}
-func (c *countingHooks) OnConverged(_ int, reason string) {
-	c.converged.Add(1)
-	c.lastReason = reason
-}
-
-func TestHookSequenceOnRealRun(t *testing.T) {
-	g, _, err := gen.Dataset("wiki", 0.02, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &countingHooks{}
-	runPR(t, g, c)
-
-	steps := c.stepEnds.Load()
-	if c.runStarts.Load() != 1 || c.converged.Load() != 1 {
-		t.Fatalf("run span: %d starts, %d converged; want 1/1",
-			c.runStarts.Load(), c.converged.Load())
-	}
-	if steps == 0 || c.stepStarts.Load() != steps {
-		t.Fatalf("superstep span: %d starts vs %d ends", c.stepStarts.Load(), steps)
-	}
-	// Cyclops times CMP, SND, PRS(recv) and SYN each superstep.
-	if c.phases.Load() != 4*steps {
-		t.Fatalf("phases: %d, want 4 per %d supersteps", c.phases.Load(), steps)
-	}
-	// Flat(2,2) = 4 workers, one stats record each per superstep.
-	if c.workerStats.Load() != 4*steps {
-		t.Fatalf("worker stats: %d, want 4 per %d supersteps", c.workerStats.Load(), steps)
-	}
-	// One traffic-matrix delta per superstep; a clean run has no violations.
-	if c.commSteps.Load() != steps {
-		t.Fatalf("comm matrices: %d, want 1 per %d supersteps", c.commSteps.Load(), steps)
-	}
-	// One heat record per superstep, paired with OnSuperstepStart on every path.
-	if c.heatSteps.Load() != steps {
-		t.Fatalf("heat records: %d, want 1 per %d supersteps", c.heatSteps.Load(), steps)
-	}
-	if c.violations.Load() != 0 {
-		t.Fatalf("violations on a clean run: %d", c.violations.Load())
-	}
-	if c.lastReason != obs.ReasonHalt && c.lastReason != obs.ReasonNoActive &&
-		c.lastReason != obs.ReasonMaxSupersteps {
-		t.Fatalf("unknown termination reason %q", c.lastReason)
-	}
-	if c.lastStats.Active < 0 {
-		t.Fatalf("bogus final step stats: %+v", c.lastStats)
-	}
-	// Span stream: one run span plus one per superstep announced open, and
-	// every open span closed by run end (the hookbalance contract).
-	if c.spanStarts.Load() != steps+1 {
-		t.Fatalf("span starts: %d, want %d (run + one per superstep)", c.spanStarts.Load(), steps+1)
-	}
-	// Per step and worker: Parse, Compute, Serialize, Send, BarrierWait (5),
-	// plus the superstep span; Deliver spans and the run span come on top.
-	if min := steps*(4*5+1) + 1; c.spanEnds.Load() < min {
-		t.Fatalf("span ends: %d, want at least %d", c.spanEnds.Load(), min)
-	}
-	c.spanMu.Lock()
-	open := len(c.openSpans)
-	c.spanMu.Unlock()
-	if open != 0 {
-		t.Fatalf("%d spans still open after the run returned", open)
-	}
-}
-
 // BenchmarkSpanOverhead prices the causal span stream on the gate experiment
 // shape. The "nil" case is the default path (hook sites reduce to nil checks
 // and must stay allocation-free on the span account — there is no span code
@@ -274,7 +159,7 @@ func BenchmarkHeatOverhead(b *testing.B) {
 // TestSpanEmissionZeroAlloc pins the other half of the overhead contract:
 // assembling and emitting a superstep's spans allocates nothing — every span
 // is a value passed through the Hooks interface, so the only cost with hooks
-// enabled is the per-superstep bookkeeping slices the engines allocate.
+// enabled is the per-run bookkeeping the superstep kernel allocates.
 func TestSpanEmissionZeroAlloc(t *testing.T) {
 	const workers = 4
 	d := obs.StepSpanData{

@@ -12,8 +12,6 @@ package gas
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -22,7 +20,7 @@ import (
 	"cyclops/internal/graph"
 	"cyclops/internal/metrics"
 	"cyclops/internal/obs"
-	"cyclops/internal/obs/span"
+	"cyclops/internal/superstep"
 	"cyclops/internal/transport"
 )
 
@@ -135,10 +133,6 @@ type Config[V, G any] struct {
 	Cluster       cluster.Config
 	Partitioner   EdgePartitioner // default RandomVertexCut
 	MaxSupersteps int
-	// Equal suppresses apply pushes for unchanged values when set. The real
-	// PowerGraph always pushes (its mirrors need the value for gather), so
-	// leaving it nil reproduces the paper's message counts.
-	Equal func(a, b V) bool
 	// Residual maps a master's previous and newly applied values to a scalar
 	// distance (|Δ| for scalar algorithms). When set, each superstep's
 	// StepStats carries the quantiles of this distribution over all Apply
@@ -341,7 +335,7 @@ type Engine[V, G any] struct {
 	cfg   Config[V, G]
 	ws    []*workerState[V, G]
 	tr    transport.Interface[gasMsg[V, G]]
-	inj   *fault.Injector[gasMsg[V, G]]
+	inj   superstep.Injector // nil without a FaultPlan
 	trace *metrics.Trace
 	model metrics.CostModel
 
@@ -383,10 +377,10 @@ func New[V, G any](g *graph.Graph, prog Program[V, G], cfg Config[V, G]) (*Engin
 	if err != nil {
 		return nil, fmt.Errorf("gas: transport: %w", err)
 	}
-	var inj *fault.Injector[gasMsg[V, G]]
+	var inj superstep.Injector
 	if cfg.FaultPlan != nil {
-		inj = fault.Wrap(tr, *cfg.FaultPlan)
-		tr = inj
+		wrapped := fault.Wrap(tr, *cfg.FaultPlan)
+		tr, inj = wrapped, wrapped
 	}
 	e := &Engine[V, G]{
 		g:           g,
@@ -574,89 +568,17 @@ func (e *Engine[V, G]) Values() []V {
 }
 
 // Run executes synchronous GAS supersteps until no master is active or the
-// superstep budget is exhausted.
+// superstep budget is exhausted. The loop, fan-out, recovery and hook emission
+// are internal/superstep's; what follows is PowerGraph's five message rounds,
+// all timed as one CMP phase, and the SYN bookkeeping.
 func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
-	k := e.cfg.Cluster.Workers()
-	hooks := e.cfg.Hooks
-	// runStart anchors span offsets; runWall accumulates the accounted run
-	// duration (sum of superstep walls), so the closing run span reconciles
-	// with timings.csv totals by construction.
-	runStart := time.Now()
-	var runWall time.Duration
-	if hooks != nil {
-		e.runSeq++
-		hooks.OnRunStart(obs.RunInfo{
-			Engine:   e.trace.Engine,
-			Workers:  k,
-			Vertices: e.g.NumVertices(),
-			Edges:    e.g.NumEdges(),
-			Replicas: e.mirrors,
-			// Every mirror caches its master's value V, so the vertex-cut's
-			// replicated-value memory is mirrors × sizeof(V) — the GAS side
-			// of the Table 4/5 memory comparison.
-			ReplicaValueBytes: e.mirrors * int64(unsafe.Sizeof(*new(V))),
-			WorkerReplicas:    append([]int64(nil), e.mirrorsPerW...),
-			// EdgeCut stays zero: under a vertex-cut every edge is
-			// worker-local by construction; the partition quality lives in
-			// the mirror counts and the edge balance instead.
-			PartitionBalance: e.edgeBalance(),
-		})
-		hooks.OnSpanStart(obs.RunSpan(e.runSeq, 0))
-	}
-	stopReason := obs.ReasonMaxSupersteps
-
-	// prevComm anchors the per-superstep traffic deltas; starting from the
-	// current snapshot keeps deltas correct across resumed runs.
-	var prevComm transport.MatrixSnapshot
-	if hooks != nil {
-		prevComm = e.tr.Matrix().Snapshot()
-	}
-
-	maxRecoveries := e.cfg.MaxRecoveries
-	if maxRecoveries <= 0 {
-		maxRecoveries = 3
-	}
-	recoveries := 0
-
-	// Steady-state scratch, allocated once and reused every superstep. The
-	// per-worker counters are cleared at the top of each step; the inbound
-	// buffer only holds the transport's freshly drained batch slices; the
-	// residual rows reset with [:0]. Nothing downstream retains any of it.
-	inbound := make([][][]gasMsg[V, G], k)
-	var residPerW [][]float64
-	var resAll []float64
-	if e.cfg.Residual != nil {
-		residPerW = make([][]float64, k)
-	}
-	var sentPerW, unitsPerW, recvPerW, batchPerW, activePerW, syncPerW []int64
-	var busyPerW, sendBusy, computeDur []time.Duration
-	var serNs0, serNs []int64
-	var delivs [][]span.Delivery
-	if hooks != nil {
-		sentPerW = make([]int64, k)
-		unitsPerW = make([]int64, k)
-		recvPerW = make([]int64, k)
-		batchPerW = make([]int64, k)
-		activePerW = make([]int64, k)
-		syncPerW = make([]int64, k)
-		busyPerW = make([]time.Duration, k)
-		sendBusy = make([]time.Duration, k)
-		computeDur = make([]time.Duration, k)
-		serNs0 = make([]int64, k)
-		serNs = make([]int64, k)
-		delivs = make([][]span.Delivery, k)
-	}
-
-	// Cumulative per-vertex heat counters (hooks on only), all attributed at
-	// the vertex's master worker: every round either runs at the master
+	workers := e.cfg.Cluster.Workers()
+	// masterOf maps a vertex to the worker holding its master: heat is
+	// attributed there, since every round either runs at the master
 	// (request/apply/scatter emission) or drains into it (partials,
-	// activation returns), so each entry has exactly one writer per round.
-	// masterOf maps a vertex to the worker holding its master.
-	var heatMsgs, heatUnits []int64
+	// activation returns) — one writer per vertex entry per round.
 	var masterOf []int32
-	if hooks != nil {
-		heatMsgs = make([]int64, e.g.NumVertices())
-		heatUnits = make([]int64, e.g.NumVertices())
+	if e.cfg.Hooks != nil {
 		masterOf = make([]int32, e.g.NumVertices())
 		for w, ws := range e.ws {
 			for s := range ws.verts {
@@ -666,536 +588,356 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 			}
 		}
 	}
+	k := superstep.New(superstep.Config{
+		Name: "gas", Workers: workers, Vertices: e.g.NumVertices(),
+		Hooks: e.cfg.Hooks, Link: e.tr, Injector: e.inj, Trace: e.trace,
+		Step: &e.step, RunSeq: &e.runSeq, MaxSupersteps: e.cfg.MaxSupersteps,
+		CheckpointEvery: e.cfg.CheckpointEvery, MaxRecoveries: e.cfg.MaxRecoveries,
+		Info: func() obs.RunInfo {
+			return obs.RunInfo{
+				Engine:   e.trace.Engine,
+				Workers:  workers,
+				Vertices: e.g.NumVertices(),
+				Edges:    e.g.NumEdges(),
+				Replicas: e.mirrors,
+				// Every mirror caches its master's value V, so the vertex-cut's
+				// replicated-value memory is mirrors × sizeof(V) — the GAS side
+				// of the Table 4/5 memory comparison.
+				ReplicaValueBytes: e.mirrors * int64(unsafe.Sizeof(*new(V))),
+				WorkerReplicas:    append([]int64(nil), e.mirrorsPerW...),
+				// EdgeCut stays zero: under a vertex-cut every edge is
+				// worker-local by construction; the partition quality lives in
+				// the mirror counts and the edge balance instead.
+				PartitionBalance: e.edgeBalance(),
+			}
+		},
+		Owner: func(v int) int { return int(masterOf[v]) },
+	})
 
-	for e.step < e.cfg.MaxSupersteps {
-		if e.inj != nil {
-			e.inj.BeginStep(e.step)
-		}
-		e.epoch++
-		stats := metrics.StepStats{Step: e.step}
-		var msgs, computeUnits atomic.Int64
-		var active int64
-		// Span bookkeeping (zeroed when hooks are on): all five GAS rounds of
-		// a superstep fold into one Compute span per worker, with the send
-		// share split out from the per-round busy time.
-		sd := obs.StepSpanData{Run: e.runSeq, Step: e.step}
-		if hooks != nil {
-			clear(sentPerW)
-			clear(unitsPerW)
-			clear(recvPerW)
-			clear(batchPerW)
-			clear(activePerW)
-			clear(syncPerW)
-			clear(busyPerW)
-			clear(sendBusy)
-			for w := range delivs {
-				delivs[w] = delivs[w][:0]
-			}
-		}
-		for w, ws := range e.ws {
-			for s := range ws.verts {
-				if ws.verts[s].master && ws.verts[s].active {
-					active++
-					if activePerW != nil {
-						activePerW[w]++
-					}
-				}
-			}
-		}
-		if active == 0 {
-			stopReason = obs.ReasonNoActive
-			break
-		}
-		stats.Active = active
-		if hooks != nil {
-			hooks.OnSuperstepStart(e.step)
-			sd.StepStart = time.Since(runStart)
-			hooks.OnSpanStart(obs.StepSpan(e.runSeq, e.step, sd.StepStart))
-			sd.ComputeStart = time.Since(runStart)
-			sd.SendStart = sd.ComputeStart // the five rounds interleave send and compute
-			// Tag this superstep's messages with its causal context; each
-			// round's drain links Deliver spans back to the sender's Send
-			// span (all five rounds drain within the step).
-			for w := 0; w < k; w++ {
-				e.tr.Tag(w, span.Context{Run: e.runSeq, Step: int32(e.step), Worker: int32(w)})
-				serNs0[w] = e.tr.SerializeNanos(w)
-			}
-		}
+	// Steady-state scratch, allocated once and reused every superstep: the
+	// inbound buffer only holds the transport's freshly drained batch slices,
+	// the residual rows reset with [:0]. Nothing downstream retains any of it.
+	inbound := make([][][]gasMsg[V, G], workers)
+	residPerW := make([][]float64, workers)
+	var resAll []float64
+	var active int64
 
-		cmpStart := time.Now()
-
-		// Round 1 — gather requests: masters ask mirrors for partials.
-		e.parallelTimed(k, busyPerW, func(w int) {
-			ws := e.ws[w]
-			out := resetOut(ws.outA)
-			for s := range ws.verts {
-				lv := &ws.verts[s]
-				if !lv.master || !lv.active {
-					continue
-				}
-				mirs := ws.mirrors.Row(s)
-				for _, m := range mirs {
-					out[m.worker] = append(out[m.worker], gasMsg[V, G]{Kind: kindGatherReq, Slot: m.slot})
-				}
-				if heatMsgs != nil {
-					heatMsgs[lv.id] += int64(len(mirs))
-				}
-			}
-			sent := e.flush(w, out, &msgs, sendBusy)
-			if sentPerW != nil {
-				sentPerW[w] += sent
-			}
-		})
-
-		// Round 2 — mirrors compute partial gathers and reply; masters add
-		// their own local partials. Draining is a separate barrier so a fast
-		// worker's replies cannot race into a slow worker's request drain.
-		e.drainAll(inbound, recvPerW, batchPerW, busyPerW, delivs)
-		epoch := e.epoch
-		e.parallelTimed(k, busyPerW, func(w int) {
-			ws := e.ws[w]
-			out := resetOut(ws.outB)
-			units := int64(0)
-			gatherLocal := func(s int32) (G, bool) {
-				var sum G
-				has := false
-				for _, edge := range ws.inEdges.Row(int(s)) {
-					src := &ws.verts[edge.srcSlot]
-					gv := e.prog.Gather(src.id, src.cache, edge.weight)
-					units++
-					if !has {
-						sum, has = gv, true
-					} else {
-						sum = e.prog.Sum(sum, gv)
-					}
-				}
-				return sum, has
-			}
-			for _, batch := range inbound[w] {
-				for _, m := range batch {
-					if m.Kind != kindGatherReq {
-						panic(fmt.Sprintf("gas: unexpected kind %d in gather round", m.Kind))
-					}
-					lv := &ws.verts[m.Slot]
-					sum, has := gatherLocal(m.Slot)
-					out[lv.masterWorker] = append(out[lv.masterWorker],
-						gasMsg[V, G]{Kind: kindGatherPartial, Slot: lv.masterSlot, Acc: sum, Has: has})
-				}
-			}
-			// Masters gather locally, stamping their accumulator slots live
-			// for this epoch (replacing the per-step masterSlot → partial map).
-			for s := range ws.verts {
-				lv := &ws.verts[s]
-				if !lv.master || !lv.active {
-					continue
-				}
-				sum, has := gatherLocal(int32(s))
-				ws.accVal[s] = sum
-				ws.accHas[s] = has
-				ws.accStamp[s] = epoch
-			}
-			sent := e.flush(w, out, &msgs, sendBusy)
-			if sentPerW != nil {
-				sentPerW[w] += sent
-				unitsPerW[w] += units
-			}
-			computeUnits.Add(units)
-		})
-
-		// Round 3 — masters fold partials, apply, and push new values to
-		// mirrors.
-		e.drainAll(inbound, recvPerW, batchPerW, busyPerW, delivs)
-		e.parallelTimed(k, busyPerW, func(w int) {
-			ws := e.ws[w]
-			if residPerW != nil {
-				residPerW[w] = residPerW[w][:0]
-			}
-			for _, batch := range inbound[w] {
-				for _, m := range batch {
-					if m.Kind != kindGatherPartial {
-						panic("gas: unexpected kind in apply round")
-					}
-					if heatMsgs != nil {
-						// Partials arrive only at the master's worker, so the
-						// attribution stays single-writer.
-						heatMsgs[ws.verts[m.Slot].id]++
-					}
-					if !m.Has {
-						continue
-					}
-					if ws.accStamp[m.Slot] != epoch {
-						ws.accStamp[m.Slot] = epoch
-						ws.accVal[m.Slot] = m.Acc
-						ws.accHas[m.Slot] = true
-					} else if !ws.accHas[m.Slot] {
-						ws.accVal[m.Slot] = m.Acc
-						ws.accHas[m.Slot] = true
-					} else {
-						ws.accVal[m.Slot] = e.prog.Sum(ws.accVal[m.Slot], m.Acc)
-					}
-				}
-			}
-			out := resetOut(ws.outA)
-			// Ascending-slot sweep over the stamped accumulators — the same
-			// visit order the old sorted-map iteration produced, so the
-			// per-step message series stay byte-identical.
-			for s := range ws.verts {
-				if ws.accStamp[s] != epoch {
-					continue
-				}
-				lv := &ws.verts[s]
-				newVal, activate := e.prog.Apply(lv.id, lv.cache, ws.accVal[s], ws.accHas[s], e.step)
-				if residPerW != nil {
-					residPerW[w] = append(residPerW[w], e.cfg.Residual(lv.cache, newVal))
-				}
-				lv.cache = newVal
-				ws.scat[s] = activate
-				ws.scatStamp[s] = epoch
-				mirs := ws.mirrors.Row(s)
-				for _, m := range mirs {
-					out[m.worker] = append(out[m.worker], gasMsg[V, G]{Kind: kindApplyPush, Slot: m.slot, Val: newVal})
-				}
-				if heatMsgs != nil {
-					heatMsgs[lv.id] += int64(len(mirs))
-					// The vertex's gather scanned its full in-edge set,
-					// wherever those edges live — its global in-degree.
-					heatUnits[lv.id] += int64(e.g.InDegree(lv.id))
-				}
-			}
-			sent := e.flush(w, out, &msgs, sendBusy)
-			if sentPerW != nil {
-				sentPerW[w] += sent
-				// Round 3's out queues hold only apply pushes — the mirror
-				// value maintenance that is GAS's replica-sync traffic.
-				syncPerW[w] += sent
-			}
-		})
-
-		// Round 4 — mirrors refresh caches; masters send scatter requests.
-		e.drainAll(inbound, recvPerW, batchPerW, busyPerW, delivs)
-		e.parallelTimed(k, busyPerW, func(w int) {
-			ws := e.ws[w]
-			for _, batch := range inbound[w] {
-				for _, m := range batch {
-					if m.Kind != kindApplyPush {
-						panic("gas: unexpected kind in push round")
-					}
-					ws.verts[m.Slot].cache = m.Val
-				}
-			}
-			out := resetOut(ws.outB)
-			for s := range ws.verts {
-				if ws.scatStamp[s] != epoch || !ws.scat[s] {
-					continue
-				}
-				mirs := ws.mirrors.Row(s)
-				for _, m := range mirs {
-					out[m.worker] = append(out[m.worker], gasMsg[V, G]{Kind: kindScatterReq, Slot: m.slot})
-				}
-				if heatMsgs != nil {
-					heatMsgs[ws.verts[s].id] += int64(len(mirs))
-				}
-			}
-			sent := e.flush(w, out, &msgs, sendBusy)
-			if sentPerW != nil {
-				sentPerW[w] += sent
-			}
-		})
-
-		// Round 5 — scatter: mirrors (and masters locally) activate the
-		// local copies' out-neighbors; remote activations return to the
-		// masters of the activated vertices.
-		//
-		// ws.nextActive is only written by worker w's goroutine in each of
-		// the two sequential rounds below, so no locking is needed.
-		e.drainAll(inbound, recvPerW, batchPerW, busyPerW, delivs)
-		e.parallelTimed(k, busyPerW, func(w int) {
-			ws := e.ws[w]
-			out := resetOut(ws.outA)
-			// PowerGraph batches activation returns: at most one activate
-			// message per (activated vertex, worker) pair per superstep —
-			// the epoch stamp replaces the per-step dedup map.
-			activateLocalOuts := func(s int32) {
-				for _, dst := range ws.outSlots.Row(int(s)) {
-					dlv := &ws.verts[dst]
-					if dlv.master {
-						ws.nextActive[dst] = true
-					} else if ws.queuedStamp[dst] != epoch {
-						ws.queuedStamp[dst] = epoch
-						out[dlv.masterWorker] = append(out[dlv.masterWorker],
-							gasMsg[V, G]{Kind: kindActivate, Slot: dlv.masterSlot})
-					}
-				}
-			}
-			for _, batch := range inbound[w] {
-				for _, m := range batch {
-					if m.Kind != kindScatterReq {
-						panic("gas: unexpected kind in scatter round")
-					}
-					activateLocalOuts(m.Slot)
-				}
-			}
-			for s := range ws.verts {
-				if ws.scatStamp[s] == epoch && ws.scat[s] {
-					activateLocalOuts(int32(s))
-				}
-			}
-			sent := e.flush(w, out, &msgs, sendBusy)
-			if sentPerW != nil {
-				sentPerW[w] += sent
-			}
-		})
-
-		// Final drain: deliver activation returns to masters.
-		e.drainAll(inbound, recvPerW, batchPerW, busyPerW, delivs)
-		e.parallelTimed(k, busyPerW, func(w int) {
-			ws := e.ws[w]
-			for _, batch := range inbound[w] {
-				for _, m := range batch {
-					if m.Kind != kindActivate {
-						panic("gas: unexpected kind in activation drain")
-					}
-					if heatMsgs != nil {
-						// Activation returns land at the master's worker.
-						heatMsgs[ws.verts[m.Slot].id]++
-					}
-					ws.nextActive[m.Slot] = true
-				}
-			}
-		})
-		stats.Durations[metrics.Compute] = time.Since(cmpStart)
-		if hooks != nil {
-			hooks.OnPhase(e.step, metrics.Compute, stats.Durations[metrics.Compute])
-		}
-
-		// Audit: round 4 refreshed every applied master's mirrors, and
-		// unapplied masters did not change — so every mirror must now equal
-		// its master exactly.
-		var violations []obs.Violation
-		if e.cfg.Audit {
-			violations = e.auditMirrors()
-		}
-
-		// Barrier bookkeeping: set next activation and clear the flags for
-		// the next superstep.
-		synStart := time.Now()
-		for w := 0; w < k; w++ {
-			ws := e.ws[w]
-			for s := range ws.verts {
-				if ws.verts[s].master {
-					ws.verts[s].active = ws.nextActive[s]
-				}
-				ws.nextActive[s] = false
-			}
-		}
-		stats.Durations[metrics.Sync] = time.Since(synStart)
-
-		stats.Messages = msgs.Load()
-		if residPerW != nil {
-			resAll = resAll[:0]
-			for _, rs := range residPerW {
-				resAll = append(resAll, rs...)
-			}
-			stats.SetResiduals(resAll)
-		}
-		stats.ComputeUnitsMax = computeUnits.Load() / int64(k)
-		stats.SendMax = msgs.Load() / int64(k)
-		stats.RecvMax = msgs.Load() / int64(k)
-		stats.ModelNanos = e.model.StepCost(
-			stats.ComputeUnitsMax, stats.SendMax, stats.RecvMax,
-			e.cfg.Cluster.Threads, 1, k, true, e.model.FlatBarrier(k))
-		e.trace.Append(stats)
-		if hooks != nil {
-			hooks.OnPhase(e.step, metrics.Sync, stats.Durations[metrics.Sync])
-			for w := 0; w < k; w++ {
-				hooks.OnWorkerStats(obs.WorkerStats{
-					Step:         e.step,
-					Worker:       w,
-					ComputeUnits: unitsPerW[w],
-					Sent:         sentPerW[w],
-					Received:     recvPerW[w],
-					Active:       activePerW[w],
-					QueueDepth:   batchPerW[w],
-				})
-			}
-			cur := e.tr.Matrix().Snapshot()
-			commDelta := cur.Sub(prevComm)
-			hooks.OnCommMatrix(e.step, commDelta)
-			prevComm = cur
-			for _, v := range violations {
-				hooks.OnViolation(v)
-			}
-			hooks.OnHeat(obs.HeatStepData{
-				Step:       e.step,
-				Partitions: obs.BuildHeatPartitions(e.step, commDelta, activePerW, unitsPerW, syncPerW),
-				Hot: obs.TopHotVertices(heatMsgs, heatUnits,
-					func(v int) int { return int(masterOf[v]) }, obs.DefaultHotK),
-			})
-			hooks.OnSuperstepEnd(e.step, stats)
-			// Wall is the sum of the phase durations — exactly what
-			// timings.csv records for the step — so critpath.csv columns
-			// reconcile with it by construction. Compute is the per-worker
-			// busy time across all five rounds minus its send share.
-			sd.Wall = stats.Durations[metrics.Parse] + stats.Durations[metrics.Compute] +
-				stats.Durations[metrics.Send] + stats.Durations[metrics.Sync]
-			runWall += sd.Wall
-			for w := 0; w < k; w++ {
-				computeDur[w] = busyPerW[w] - sendBusy[w]
-				if computeDur[w] < 0 {
-					computeDur[w] = 0
-				}
-				serNs[w] = e.tr.SerializeNanos(w) - serNs0[w]
-			}
-			sd.Compute = computeDur
-			sd.Send = sendBusy
-			sd.SerializeNs = serNs
-			sd.Units = unitsPerW
-			sd.Sent = sentPerW
-			sd.Recv = recvPerW
-			sd.Deliveries = delivs
-			obs.EmitStepSpans(hooks, sd)
-		}
-		// Fault check at the barrier, before anything from this superstep is
-		// persisted: a transient transport fault rolls the run back to the
-		// latest checkpoint and replays (mirrors rebuilt from masters, the
-		// vertex-cut analogue of §3.6); anything else fails the run.
-		if err := e.tr.Err(); err != nil {
-			if transport.IsTransient(err) && e.cfg.Recover != nil && recoveries < maxRecoveries {
-				st, lerr := e.cfg.Recover()
-				if lerr != nil {
-					if hooks != nil {
-						hooks.OnSpanEnd(obs.RunSpan(e.runSeq, runWall))
-						hooks.OnConverged(e.step, obs.ReasonFault)
-					}
-					return e.trace, fmt.Errorf("gas: recovery: load checkpoint: %w", lerr)
-				}
-				faultStep := e.step
-				if e.inj != nil {
-					e.inj.Heal()
-				}
-				if rerr := e.Restore(st); rerr != nil {
-					if hooks != nil {
-						hooks.OnSpanEnd(obs.RunSpan(e.runSeq, runWall))
-						hooks.OnConverged(e.step, obs.ReasonFault)
-					}
-					return e.trace, fmt.Errorf("gas: recovery: %w", rerr)
-				}
-				recoveries++
-				if hooks != nil {
-					hooks.OnRecovery(obs.RecoveryEvent{
-						Engine:    e.trace.Engine,
-						Step:      faultStep,
-						ResumedAt: e.step,
-						Attempt:   recoveries,
-						Cause:     err.Error(),
-					})
-				}
+	// flush sends worker w's per-destination batches and closes its
+	// communication round so the next drain can proceed. The five rounds
+	// interleave send and compute, so the send share of each worker's busy
+	// time is booked here and the kernel splits it out of the Compute span.
+	sendBusy := k.Busy[metrics.Send]
+	flush := func(w int, out [][]gasMsg[V, G]) int64 {
+		t0 := time.Now()
+		var sent int64
+		for to, batch := range out {
+			if len(batch) == 0 {
 				continue
 			}
-			if hooks != nil {
-				hooks.OnSpanEnd(obs.RunSpan(e.runSeq, runWall))
-				hooks.OnConverged(e.step, obs.ReasonFault)
-			}
-			return e.trace, fmt.Errorf("gas: transport: %w", err)
+			sent += int64(len(batch))
+			e.tr.Send(w, to, batch)
 		}
-		if len(violations) > 0 {
-			if hooks != nil {
-				hooks.OnSpanEnd(obs.RunSpan(e.runSeq, runWall))
-				hooks.OnConverged(e.step, obs.ReasonAuditFailed)
-			}
-			return e.trace, fmt.Errorf("gas: %w", &obs.AuditError{Violations: violations})
+		e.tr.FinishRound(w)
+		k.Sent[w] += sent
+		if sendBusy != nil {
+			sendBusy[w] += time.Since(t0)
 		}
-		if e.cfg.CheckpointEvery > 0 && e.cfg.Checkpoints != nil &&
-			(e.step+1)%e.cfg.CheckpointEvery == 0 {
-			if err := e.cfg.Checkpoints(e.snapshot()); err != nil {
-				if hooks != nil {
-					hooks.OnSpanEnd(obs.RunSpan(e.runSeq, runWall))
-					hooks.OnConverged(e.step, obs.ReasonFault)
+		return sent
+	}
+	// drain empties every worker's queue behind a barrier of its own, so a
+	// fast worker's next-round sends can never race into a slow worker's
+	// current-round processing.
+	drain := func(w int) {
+		inbound[w] = e.tr.Drain(w) //lint:allow bufretain inbound is the round-scoped buffer, overwritten by the next drain before the batches are reused
+		var n int64
+		for _, b := range inbound[w] {
+			n += int64(len(b))
+		}
+		k.Drained(w, n, int64(len(inbound[w])))
+	}
+
+	// Round 1 — gather requests: masters ask mirrors for partials.
+	gatherReq := func(w int) {
+		ws := e.ws[w]
+		out := resetOut(ws.outA)
+		for s := range ws.verts {
+			lv := &ws.verts[s]
+			if !lv.master || !lv.active {
+				continue
+			}
+			mirs := ws.mirrors.Row(s)
+			for _, m := range mirs {
+				out[m.worker] = append(out[m.worker], gasMsg[V, G]{Kind: kindGatherReq, Slot: m.slot})
+			}
+			if k.HeatMsgs != nil {
+				k.HeatMsgs[lv.id] += int64(len(mirs))
+			}
+		}
+		flush(w, out)
+	}
+
+	// Round 2 — mirrors compute partial gathers and reply; masters add their
+	// own local partials, stamping their accumulator slots live for this
+	// epoch.
+	gather := func(w int) {
+		ws, epoch := e.ws[w], e.epoch
+		out := resetOut(ws.outB)
+		var units int64
+		gatherLocal := func(s int32) (G, bool) {
+			var sum G
+			has := false
+			for _, edge := range ws.inEdges.Row(int(s)) {
+				src := &ws.verts[edge.srcSlot]
+				gv := e.prog.Gather(src.id, src.cache, edge.weight)
+				units++
+				if !has {
+					sum, has = gv, true
+				} else {
+					sum = e.prog.Sum(sum, gv)
 				}
-				return e.trace, fmt.Errorf("gas: checkpoint at step %d: %w", e.step, err)
+			}
+			return sum, has
+		}
+		for _, batch := range inbound[w] {
+			for _, m := range batch {
+				expectKind(m.Kind, kindGatherReq, "gather")
+				lv := &ws.verts[m.Slot]
+				sum, has := gatherLocal(m.Slot)
+				out[lv.masterWorker] = append(out[lv.masterWorker],
+					gasMsg[V, G]{Kind: kindGatherPartial, Slot: lv.masterSlot, Acc: sum, Has: has})
 			}
 		}
-		if e.cfg.OnStep != nil {
-			e.cfg.OnStep(e.step, e)
-		}
-		e.step++
-	}
-	if hooks != nil {
-		hooks.OnSpanEnd(obs.RunSpan(e.runSeq, runWall))
-		hooks.OnConverged(e.step, stopReason)
-	}
-	if err := e.tr.Err(); err != nil {
-		return e.trace, fmt.Errorf("gas: transport: %w", err)
-	}
-	return e.trace, nil
-}
-
-// drainAll drains every worker's queue behind a barrier, so messages of the
-// next round can never race into the current round's processing, filling the
-// caller's reusable inbound buffer. recvPerW and batchPerW, when non-nil,
-// accumulate per-worker receive counts for the observation hooks (each slot
-// is written only by its own worker).
-func (e *Engine[V, G]) drainAll(dst [][][]gasMsg[V, G], recvPerW, batchPerW []int64,
-	busy []time.Duration, delivs [][]span.Delivery) {
-	e.parallelTimed(len(dst), busy, func(w int) {
-		dst[w] = e.tr.Drain(w) //lint:allow bufretain dst is the caller's round-scoped inbound buffer, overwritten by the next drainAll before the batches are reused
-		if delivs != nil {
-			// Merge this round's batch provenance; five rounds drain per
-			// superstep and LastDeliveries only covers the latest.
-			delivs[w] = span.MergeDeliveries(delivs[w], e.tr.LastDeliveries(w))
-		}
-		if recvPerW != nil {
-			for _, b := range dst[w] {
-				recvPerW[w] += int64(len(b))
+		for s := range ws.verts {
+			lv := &ws.verts[s]
+			if !lv.master || !lv.active {
+				continue
 			}
-			batchPerW[w] += int64(len(dst[w]))
+			ws.accVal[s], ws.accHas[s] = gatherLocal(int32(s))
+			ws.accStamp[s] = epoch
 		}
-	})
-}
+		k.Units[w] += units
+		flush(w, out)
+	}
 
-// parallel runs fn for every worker concurrently and waits.
-func (e *Engine[V, G]) parallel(k int, fn func(w int)) {
-	e.parallelTimed(k, nil, fn)
-}
-
-// parallelTimed is parallel with per-worker busy-time accounting for the
-// span stream; busy may be nil (hooks off).
-func (e *Engine[V, G]) parallelTimed(k int, busy []time.Duration, fn func(w int)) {
-	var wg sync.WaitGroup
-	for w := 0; w < k; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			t0 := time.Now()
-			fn(w)
-			if busy != nil {
-				busy[w] += time.Since(t0)
+	// Round 3 — masters fold partials, apply, and push new values to mirrors.
+	apply := func(w int) {
+		ws, epoch := e.ws[w], e.epoch
+		residPerW[w] = residPerW[w][:0]
+		for _, batch := range inbound[w] {
+			for _, m := range batch {
+				expectKind(m.Kind, kindGatherPartial, "apply")
+				if k.HeatMsgs != nil {
+					// Partials arrive only at the master's worker, so the
+					// attribution stays single-writer.
+					k.HeatMsgs[ws.verts[m.Slot].id]++
+				}
+				if !m.Has {
+					continue
+				}
+				if ws.accStamp[m.Slot] != epoch || !ws.accHas[m.Slot] {
+					ws.accStamp[m.Slot] = epoch
+					ws.accVal[m.Slot] = m.Acc
+					ws.accHas[m.Slot] = true
+				} else {
+					ws.accVal[m.Slot] = e.prog.Sum(ws.accVal[m.Slot], m.Acc)
+				}
 			}
-		}(w)
+		}
+		out := resetOut(ws.outA)
+		// Ascending-slot sweep over the stamped accumulators — a fixed visit
+		// order, so the per-step message series stay byte-identical.
+		for s := range ws.verts {
+			if ws.accStamp[s] != epoch {
+				continue
+			}
+			lv := &ws.verts[s]
+			newVal, activate := e.prog.Apply(lv.id, lv.cache, ws.accVal[s], ws.accHas[s], e.step)
+			if e.cfg.Residual != nil {
+				residPerW[w] = append(residPerW[w], e.cfg.Residual(lv.cache, newVal))
+			}
+			lv.cache = newVal
+			ws.scat[s] = activate
+			ws.scatStamp[s] = epoch
+			mirs := ws.mirrors.Row(s)
+			for _, m := range mirs {
+				out[m.worker] = append(out[m.worker], gasMsg[V, G]{Kind: kindApplyPush, Slot: m.slot, Val: newVal})
+			}
+			if k.HeatMsgs != nil {
+				k.HeatMsgs[lv.id] += int64(len(mirs))
+				// The vertex's gather scanned its full in-edge set, wherever
+				// those edges live — its global in-degree.
+				k.HeatUnits[lv.id] += int64(e.g.InDegree(lv.id))
+			}
+		}
+		// This round's out queues hold only apply pushes — the mirror value
+		// maintenance that is GAS's replica-sync traffic.
+		k.Sync[w] += flush(w, out)
 	}
-	wg.Wait()
+
+	// Round 4 — mirrors refresh caches; masters send scatter requests.
+	scatterReq := func(w int) {
+		ws, epoch := e.ws[w], e.epoch
+		for _, batch := range inbound[w] {
+			for _, m := range batch {
+				expectKind(m.Kind, kindApplyPush, "push")
+				ws.verts[m.Slot].cache = m.Val
+			}
+		}
+		out := resetOut(ws.outB)
+		for s := range ws.verts {
+			if ws.scatStamp[s] != epoch || !ws.scat[s] {
+				continue
+			}
+			mirs := ws.mirrors.Row(s)
+			for _, m := range mirs {
+				out[m.worker] = append(out[m.worker], gasMsg[V, G]{Kind: kindScatterReq, Slot: m.slot})
+			}
+			if k.HeatMsgs != nil {
+				k.HeatMsgs[ws.verts[s].id] += int64(len(mirs))
+			}
+		}
+		flush(w, out)
+	}
+
+	// Round 5 — scatter: mirrors (and masters locally) activate the local
+	// copies' out-neighbors; remote activations return to the masters of the
+	// activated vertices. ws.nextActive is only written by worker w's
+	// goroutine in this round and the next, so no locking is needed.
+	scatter := func(w int) {
+		ws, epoch := e.ws[w], e.epoch
+		out := resetOut(ws.outA)
+		// PowerGraph batches activation returns: at most one activate message
+		// per (activated vertex, worker) pair per superstep — the epoch stamp
+		// is the dedup set.
+		activateLocalOuts := func(s int32) {
+			for _, dst := range ws.outSlots.Row(int(s)) {
+				dlv := &ws.verts[dst]
+				if dlv.master {
+					ws.nextActive[dst] = true
+				} else if ws.queuedStamp[dst] != epoch {
+					ws.queuedStamp[dst] = epoch
+					out[dlv.masterWorker] = append(out[dlv.masterWorker],
+						gasMsg[V, G]{Kind: kindActivate, Slot: dlv.masterSlot})
+				}
+			}
+		}
+		for _, batch := range inbound[w] {
+			for _, m := range batch {
+				expectKind(m.Kind, kindScatterReq, "scatter")
+				activateLocalOuts(m.Slot)
+			}
+		}
+		for s := range ws.verts {
+			if ws.scatStamp[s] == epoch && ws.scat[s] {
+				activateLocalOuts(int32(s))
+			}
+		}
+		flush(w, out)
+	}
+
+	// Final drain: deliver activation returns to masters.
+	activation := func(w int) {
+		ws := e.ws[w]
+		for _, batch := range inbound[w] {
+			for _, m := range batch {
+				expectKind(m.Kind, kindActivate, "activation")
+				if k.HeatMsgs != nil {
+					// Activation returns land at the master's worker.
+					k.HeatMsgs[ws.verts[m.Slot].id]++
+				}
+				ws.nextActive[m.Slot] = true
+			}
+		}
+	}
+	rounds := []func(w int){gatherReq, drain, gather, drain, apply, drain,
+		scatterReq, drain, scatter, drain, activation}
+
+	ps := superstep.PhaseSet{
+		// gas decides termination before announcing a superstep: it counts
+		// the active masters at the top and stops when there are none.
+		Begin: func() bool {
+			// The epoch stamps the workers' dense superstep scratch; advancing
+			// it here covers replays after recovery too.
+			e.epoch++
+			active = 0
+			for w, ws := range e.ws {
+				var n int64
+				for s := range ws.verts {
+					if ws.verts[s].master && ws.verts[s].active {
+						n++
+					}
+				}
+				k.Active[w] = n
+				active += n
+			}
+			return active > 0
+		},
+		Step: func() []obs.Violation {
+			k.Phase(metrics.Compute, rounds...)
+			if !e.cfg.Audit {
+				return nil
+			}
+			// Round 4 refreshed every applied master's mirrors, and unapplied
+			// masters did not change — so every mirror must now equal its
+			// master exactly.
+			return e.auditMirrors()
+		},
+		// SYN: set next activation, clear the flags, account the superstep.
+		Sync: func(stats *metrics.StepStats) {
+			resAll = resAll[:0]
+			var units int64
+			for w, ws := range e.ws {
+				for s := range ws.verts {
+					if ws.verts[s].master {
+						ws.verts[s].active = ws.nextActive[s]
+					}
+					ws.nextActive[s] = false
+				}
+				stats.Messages += k.Sent[w]
+				units += k.Units[w]
+				resAll = append(resAll, residPerW[w]...)
+			}
+			stats.Active = active
+			if e.cfg.Residual != nil {
+				stats.SetResiduals(resAll)
+			}
+			stats.ComputeUnitsMax = units / int64(workers)
+			stats.SendMax = stats.Messages / int64(workers)
+			stats.RecvMax = stats.Messages / int64(workers)
+			stats.ModelNanos = e.model.StepCost(
+				stats.ComputeUnitsMax, stats.SendMax, stats.RecvMax,
+				e.cfg.Cluster.Threads, 1, workers, true, e.model.FlatBarrier(workers))
+		},
+		Checkpoint: func() error {
+			if e.cfg.Checkpoints == nil {
+				return nil
+			}
+			return e.cfg.Checkpoints(e.snapshot())
+		},
+		OnStep: func(step int) {
+			if e.cfg.OnStep != nil {
+				e.cfg.OnStep(step, e)
+			}
+		},
+	}
+	if e.cfg.Recover != nil {
+		ps.Recover = func() error {
+			st, err := e.cfg.Recover()
+			if err != nil {
+				return fmt.Errorf("load checkpoint: %w", err)
+			}
+			return e.Restore(st)
+		}
+	}
+	return e.trace, k.Run(ps)
 }
 
-// flush sends per-destination batches, counts messages, and closes the
-// worker's communication round so the next drain can proceed. It returns
-// the number of messages sent.
-func (e *Engine[V, G]) flush(from int, out [][]gasMsg[V, G], msgs *atomic.Int64,
-	sendBusy []time.Duration) int64 {
-	t0 := time.Now()
-	var sent int64
-	for to, batch := range out {
-		if len(batch) == 0 {
-			continue
-		}
-		sent += int64(len(batch))
-		e.tr.Send(from, to, batch)
+// expectKind panics on a message of the wrong kind: the rounds are barriers,
+// so a stray kind means the round protocol itself broke.
+func expectKind(got, want int8, round string) {
+	if got != want {
+		panic(fmt.Sprintf("gas: unexpected kind %d in %s round", got, round))
 	}
-	msgs.Add(sent)
-	e.tr.FinishRound(from)
-	if sendBusy != nil {
-		sendBusy[from] += time.Since(t0)
-	}
-	return sent
 }
 
 // resetOut truncates every per-destination batch to zero length, keeping the

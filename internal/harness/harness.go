@@ -283,13 +283,6 @@ func RunWorkload(engine, algo string, g *graph.Graph, cc cluster.Config,
 	return r, err
 }
 
-func finish(r *RunResult, wall time.Duration) {
-	r.Wall = wall
-	r.ModelMs = r.Trace.ModelTime() / 1e6
-	r.Messages = r.Trace.TotalMessages()
-	r.Supersteps = len(r.Trace.Steps)
-}
-
 // ---------------------------------------------------------------------------
 // Table rendering helpers.
 

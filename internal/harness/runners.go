@@ -10,13 +10,36 @@ import (
 	"cyclops/internal/cyclops"
 	"cyclops/internal/gas"
 	"cyclops/internal/graph"
+	"cyclops/internal/metrics"
 	"cyclops/internal/partition"
+	"cyclops/internal/transport"
 )
 
 // The engine runners instantiate the right generic engine/program pair for
 // each Table 1 workload. ALS hyper-parameters follow the SYN-GL setup at
 // laptop scale (d=8, λ=0.05), SSSP uses source 0, CD caps at cdIters rounds
 // (synchronous label propagation may legitimately oscillate).
+
+// runEngine runs a constructed engine and books what every engine reports
+// the same way — trace, transport counters, wall time and the totals derived
+// from the trace — leaving each caller only its engine-specific fields.
+func runEngine(r *RunResult, e interface {
+	Run() (*metrics.Trace, error)
+	TransportStats() transport.Snapshot
+}) error {
+	start := time.Now()
+	trace, err := e.Run()
+	if err != nil {
+		return err
+	}
+	r.Trace = trace
+	r.Transport = e.TransportStats()
+	r.Wall = time.Since(start)
+	r.ModelMs = trace.ModelTime() / 1e6
+	r.Messages = trace.TotalMessages()
+	r.Supersteps = len(trace.Steps)
+	return nil
+}
 
 func alsConfig(users, sweeps int) algorithms.ALSConfig {
 	return algorithms.ALSConfig{Users: users, D: 8, Lambda: 0.05, Sweeps: sweeps}
@@ -52,15 +75,10 @@ func runHama(algo string, g *graph.Graph, cc cluster.Config,
 		if err != nil {
 			return r, err
 		}
-		start := time.Now()
-		trace, err := e.Run()
-		if err != nil {
+		if err := runEngine(&r, e); err != nil {
 			return r, err
 		}
-		r.Trace = trace
-		r.Transport = e.TransportStats()
 		r.Values = append([]float64(nil), e.Values()...)
-		finish(&r, time.Since(start))
 	case "SSSP":
 		e, err := bsp.New[float64, float64](g, algorithms.SSSPBSP{Source: 0},
 			bsp.Config[float64, float64]{
@@ -74,15 +92,10 @@ func runHama(algo string, g *graph.Graph, cc cluster.Config,
 		if err != nil {
 			return r, err
 		}
-		start := time.Now()
-		trace, err := e.Run()
-		if err != nil {
+		if err := runEngine(&r, e); err != nil {
 			return r, err
 		}
-		r.Trace = trace
-		r.Transport = e.TransportStats()
 		r.Values = append([]float64(nil), e.Values()...)
-		finish(&r, time.Since(start))
 	case "CD":
 		e, err := bsp.New[int64, int64](g, algorithms.CDBSP{},
 			bsp.Config[int64, int64]{
@@ -97,15 +110,10 @@ func runHama(algo string, g *graph.Graph, cc cluster.Config,
 		if err != nil {
 			return r, err
 		}
-		start := time.Now()
-		trace, err := e.Run()
-		if err != nil {
+		if err := runEngine(&r, e); err != nil {
 			return r, err
 		}
-		r.Trace = trace
-		r.Transport = e.TransportStats()
 		r.Values = int64sToFloats(e.Values())
-		finish(&r, time.Since(start))
 	case "ALS":
 		cfg := alsConfig(p.alsUsers, p.alsSweeps)
 		e, err := bsp.New[[]float64, algorithms.ALSMsg](g, algorithms.ALSBSP{Cfg: cfg},
@@ -120,14 +128,9 @@ func runHama(algo string, g *graph.Graph, cc cluster.Config,
 		if err != nil {
 			return r, err
 		}
-		start := time.Now()
-		trace, err := e.Run()
-		if err != nil {
+		if err := runEngine(&r, e); err != nil {
 			return r, err
 		}
-		r.Trace = trace
-		r.Transport = e.TransportStats()
-		finish(&r, time.Since(start))
 	default:
 		return r, fmt.Errorf("harness: unknown algorithm %q", algo)
 	}
@@ -163,17 +166,12 @@ func runCyclops(algo string, g *graph.Graph, cc cluster.Config,
 		if err != nil {
 			return r, err
 		}
-		start := time.Now()
-		trace, err := e.Run()
-		if err != nil {
+		if err := runEngine(&r, e); err != nil {
 			return r, err
 		}
-		r.Trace = trace
-		r.Transport = e.TransportStats()
 		r.Values = e.Values()
 		r.Replication = e.ReplicationFactor()
 		r.Ingress = e.Ingress()
-		finish(&r, time.Since(start))
 	case "SSSP":
 		e, err := cyclops.New[float64, float64](g, algorithms.SSSPCyclops{Source: 0},
 			cyclops.Config[float64, float64]{
@@ -187,17 +185,12 @@ func runCyclops(algo string, g *graph.Graph, cc cluster.Config,
 		if err != nil {
 			return r, err
 		}
-		start := time.Now()
-		trace, err := e.Run()
-		if err != nil {
+		if err := runEngine(&r, e); err != nil {
 			return r, err
 		}
-		r.Trace = trace
-		r.Transport = e.TransportStats()
 		r.Values = e.Values()
 		r.Replication = e.ReplicationFactor()
 		r.Ingress = e.Ingress()
-		finish(&r, time.Since(start))
 	case "CD":
 		e, err := cyclops.New[int64, int64](g, algorithms.CDCyclops{},
 			cyclops.Config[int64, int64]{
@@ -211,17 +204,12 @@ func runCyclops(algo string, g *graph.Graph, cc cluster.Config,
 		if err != nil {
 			return r, err
 		}
-		start := time.Now()
-		trace, err := e.Run()
-		if err != nil {
+		if err := runEngine(&r, e); err != nil {
 			return r, err
 		}
-		r.Trace = trace
-		r.Transport = e.TransportStats()
 		r.Values = int64sToFloats(e.Values())
 		r.Replication = e.ReplicationFactor()
 		r.Ingress = e.Ingress()
-		finish(&r, time.Since(start))
 	case "ALS":
 		cfg := alsConfig(p.alsUsers, p.alsSweeps)
 		e, err := cyclops.New[[]float64, []float64](g, algorithms.ALSCyclops{Cfg: cfg},
@@ -236,16 +224,11 @@ func runCyclops(algo string, g *graph.Graph, cc cluster.Config,
 		if err != nil {
 			return r, err
 		}
-		start := time.Now()
-		trace, err := e.Run()
-		if err != nil {
+		if err := runEngine(&r, e); err != nil {
 			return r, err
 		}
-		r.Trace = trace
-		r.Transport = e.TransportStats()
 		r.Replication = e.ReplicationFactor()
 		r.Ingress = e.Ingress()
-		finish(&r, time.Since(start))
 	default:
 		return r, fmt.Errorf("harness: unknown algorithm %q", algo)
 	}
@@ -280,16 +263,11 @@ func runGASWithCut(algo string, g *graph.Graph, cc cluster.Config,
 		if err != nil {
 			return r, err
 		}
-		start := time.Now()
-		trace, err := e.Run()
-		if err != nil {
+		if err := runEngine(&r, e); err != nil {
 			return r, err
 		}
-		r.Trace = trace
-		r.Transport = e.TransportStats()
 		r.Values = algorithms.Ranks(e.Values())
 		r.Replication = e.ReplicationFactor()
-		finish(&r, time.Since(start))
 	case "SSSP":
 		e, err := gas.New[float64, float64](g, algorithms.SSSPGAS{Source: 0},
 			gas.Config[float64, float64]{
@@ -303,16 +281,11 @@ func runGASWithCut(algo string, g *graph.Graph, cc cluster.Config,
 		if err != nil {
 			return r, err
 		}
-		start := time.Now()
-		trace, err := e.Run()
-		if err != nil {
+		if err := runEngine(&r, e); err != nil {
 			return r, err
 		}
-		r.Trace = trace
-		r.Transport = e.TransportStats()
 		r.Values = e.Values()
 		r.Replication = e.ReplicationFactor()
-		finish(&r, time.Since(start))
 	default:
 		return r, fmt.Errorf("harness: algorithm %q not implemented on the GAS engine", algo)
 	}

@@ -36,12 +36,14 @@ var Determinism = &analysis.Analyzer{
 }
 
 // determinismScope lists the package-path prefixes the analyzer polices: the
-// three engines plus the transport. Everything these packages emit lands in
-// messages, recorder series or checkpoints.
+// three engines, the superstep kernel that runs them, and the transport.
+// Everything these packages emit lands in messages, recorder series or
+// checkpoints.
 var determinismScope = []string{
 	"cyclops/internal/cyclops",
 	"cyclops/internal/bsp",
 	"cyclops/internal/gas",
+	"cyclops/internal/superstep",
 	"cyclops/internal/transport",
 }
 
@@ -123,8 +125,8 @@ func checkDeterminismCall(pass *analysis.Pass, call *ast.CallExpr, stack []ast.N
 }
 
 // legalTimeNow reports whether a time.Now call stays inside the quarantine:
-// either every use of the variable it initializes is a time.Since argument
-// (the phase-timer idiom), or the value flows directly into a socket
+// either every use of the variable or unexported field it initializes is a
+// time.Since argument (the phase-timer idiom), or the value flows directly into a socket
 // deadline (SetDeadline family), which affects I/O scheduling but never a
 // recorded value.
 func legalTimeNow(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node) bool {
@@ -141,7 +143,10 @@ func legalTimeNow(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node) boo
 			}
 		}
 	}
-	// start := time.Now() where start is only ever consumed by time.Since.
+	// start := time.Now() where start is only ever consumed by time.Since. A
+	// local timer is checked over its function; an unexported struct field
+	// (k.runStart = time.Now(), read by other methods) over the whole package,
+	// which is every place that can name it.
 	if len(stack) < 2 {
 		return false
 	}
@@ -149,47 +154,59 @@ func legalTimeNow(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node) boo
 	if !ok || len(assign.Lhs) != 1 || len(assign.Rhs) != 1 || assign.Rhs[0] != call {
 		return false
 	}
-	id, ok := assign.Lhs[0].(*ast.Ident)
-	if !ok {
-		return false
+	var obj types.Object
+	var scope []ast.Node
+	switch lhs := assign.Lhs[0].(type) {
+	case *ast.Ident:
+		obj = pass.TypesInfo.Defs[lhs]
+		if obj == nil {
+			obj = pass.TypesInfo.Uses[lhs] // plain `=` re-assignment of an existing timer var
+		}
+		if fn := enclosingFunc(stack); fn != nil {
+			scope = []ast.Node{funcBody(fn)}
+		}
+	case *ast.SelectorExpr:
+		if v, ok := pass.TypesInfo.Uses[lhs.Sel].(*types.Var); ok && v.IsField() && !v.Exported() {
+			obj = v
+			for _, f := range pass.Files {
+				scope = append(scope, f)
+			}
+		}
 	}
-	obj := pass.TypesInfo.Defs[id]
-	if obj == nil {
-		obj = pass.TypesInfo.Uses[id] // plain `=` re-assignment of an existing timer var
-	}
-	if obj == nil {
-		return false
-	}
-	fn := enclosingFunc(stack)
-	if fn == nil {
+	if obj == nil || len(scope) == 0 {
 		return false
 	}
 	onlySince := true
-	analysis.WithStack(funcBody(fn), func(n ast.Node, s []ast.Node) bool {
-		use, ok := n.(*ast.Ident)
-		if !ok || pass.TypesInfo.Uses[use] != obj {
-			return true
-		}
-		// The use is legal iff it is the argument of a time.Since call.
-		legal := false
-		if len(s) >= 2 {
-			// s[len(s)-1] is the ident; the call is its parent.
-			if c, ok := s[len(s)-2].(*ast.CallExpr); ok && len(c.Args) == 1 && c.Args[0] == n {
+	for _, root := range scope {
+		analysis.WithStack(root, func(n ast.Node, s []ast.Node) bool {
+			use, ok := n.(*ast.Ident)
+			if !ok || pass.TypesInfo.Uses[use] != obj {
+				return true
+			}
+			// ref names the timer: the ident itself, or the x.f selector
+			// around a field's ident.
+			ref, s := ast.Node(use), s[:len(s)-1]
+			if sel, ok := s[len(s)-1].(*ast.SelectorExpr); ok && sel.Sel == use {
+				ref, s = sel, s[:len(s)-1]
+			}
+			// The use is legal iff it is the argument of a time.Since call...
+			legal := false
+			if c, ok := s[len(s)-1].(*ast.CallExpr); ok && len(c.Args) == 1 && c.Args[0] == ref {
 				if cf := calleeFunc(pass.TypesInfo, c); cf != nil &&
 					funcPkgPath(cf) == "time" && cf.Name() == "Since" {
 					legal = true
 				}
 			}
-			// Re-arming the timer (`start = time.Now()`) writes, not reads.
-			if a, ok := s[len(s)-2].(*ast.AssignStmt); ok && len(a.Lhs) == 1 && a.Lhs[0] == n {
+			// ...or re-arms the timer (`start = time.Now()`): a write, not a read.
+			if a, ok := s[len(s)-1].(*ast.AssignStmt); ok && len(a.Lhs) == 1 && a.Lhs[0] == ref {
 				legal = true
 			}
-		}
-		if !legal {
-			onlySince = false
-		}
-		return true
-	})
+			if !legal {
+				onlySince = false
+			}
+			return true
+		})
+	}
 	return onlySince
 }
 

@@ -14,6 +14,8 @@ import (
 type stepStats struct {
 	Durations [4]time.Duration
 	Started   time.Time
+	runStart  time.Time // timer field: only ever fed to time.Since
+	leaked    time.Time
 }
 
 type deadliner struct{}
@@ -31,6 +33,16 @@ func quarantinedTiming(s *stepStats) {
 	s.Durations[1] = time.Since(start)
 }
 
+// fieldTimer is the same idiom with the timer in an unexported field, armed
+// in one function and read in another: legal, because every use in the
+// package is a time.Since argument.
+func fieldTimer(s *stepStats) {
+	s.runStart = time.Now()
+	sinceRun(s)
+}
+
+func sinceRun(s *stepStats) { s.Durations[2] = time.Since(s.runStart) }
+
 // deadlines are I/O scheduling, not recorded values: legal.
 func deadlines(d deadliner) {
 	_ = d.SetReadDeadline(time.Now().Add(time.Second))
@@ -38,6 +50,8 @@ func deadlines(d deadliner) {
 
 func leaks(s *stepStats) {
 	s.Started = time.Now() // want `time.Now escapes the timings quarantine`
+	s.leaked = time.Now()  // want `time.Now escapes the timings quarantine`
+	fmt.Println(s.leaked)  // the leak: a field read that is not a time.Since argument
 	start := time.Now()    // want `time.Now escapes the timings quarantine`
 	fmt.Println(start)     // the leak: the timer value escapes to output
 	t2 := time.Now()

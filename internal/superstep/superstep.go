@@ -1,0 +1,350 @@
+// Package superstep is the one run loop under the bsp, cyclops and gas
+// engines. What the paper contributes lives inside each engine's PRS / CMP /
+// SND / SYN phase bodies; everything around them is written here once: the
+// OnRunStart…OnConverged bracketing, the superstep loop, the per-worker
+// fan-out with wall and busy timing, the barrier-time fault → restore →
+// replay protocol of §3.6, audit failure, checkpoint cadence, and the single
+// point that turns a superstep's counters into worker stats, traffic-matrix
+// delta, heat rows and causal spans. DESIGN.md §4.1 is the contract.
+package superstep
+
+import (
+	"fmt"
+	"sync"
+	"time"
+
+	"cyclops/internal/metrics"
+	"cyclops/internal/obs"
+	"cyclops/internal/obs/span"
+	"cyclops/internal/transport"
+)
+
+// Link is the non-generic half of transport.Interface.
+type Link interface {
+	Tag(from int, sc span.Context)
+	SerializeNanos(from int) int64
+	Matrix() *transport.Matrix
+	LastDeliveries(to int) []span.Delivery
+	Err() error
+}
+
+// Injector is the part of fault.Injector the kernel drives.
+type Injector interface {
+	BeginStep(step int)
+	Heal()
+}
+
+// Config is what an engine knows about a run before its first superstep.
+type Config struct {
+	Name              string // prefixes the run's errors: "bsp", "cyclops", "gas"
+	Workers, Vertices int
+	Hooks             obs.Hooks // nil: observation off, no span or heat bookkeeping
+	Link              Link
+	Injector          Injector // nil unless the engine runs under a fault plan
+	Trace             *metrics.Trace
+	// Step is the engine's superstep counter: the kernel advances it, a
+	// restore rewinds it. RunSeq numbers the engine's observed runs (the span
+	// stream's Run id), so a restored engine's second Run stays distinct.
+	Step            *int
+	RunSeq          *int64
+	MaxSupersteps   int
+	CheckpointEvery int
+	MaxRecoveries   int                // recovery attempts per run; default 3
+	Info            func() obs.RunInfo // for OnRunStart; only called with Hooks set
+	Owner           func(v int) int    // vertex → its master's worker (hot-set rows)
+}
+
+// PhaseSet is what an engine supplies per Run, built once: closures over its
+// own state and the Kernel's Counters. Only Step and Sync are required.
+type PhaseSet struct {
+	// Begin runs at the top of a superstep, after the injector is armed and
+	// before the superstep is announced; false ends the run (ReasonNoActive).
+	// gas decides here; bsp and cyclops after the barrier, through Pending.
+	Begin func() bool
+	// Step runs the superstep's parallel phases through Kernel.Phase, in the
+	// engine's own order, filling Counters; it returns what its auditor found.
+	Step func() []obs.Violation
+	// Sync is the barrier's sequential bookkeeping, timed as the SYN phase:
+	// fold aggregates, swap activation, fill stats.
+	Sync func(stats *metrics.StepStats)
+	// Checkpoint snapshots the engine into its sink (every CheckpointEvery
+	// supersteps); Recover loads the latest one and restores the engine,
+	// rewinding *Config.Step — nil means any transport fault fails the run.
+	Checkpoint func() error
+	Recover    func() error
+	// OnStep runs after each barrier, once the superstep is known good.
+	OnStep func(step int)
+	// Pending reports how many vertices are due next superstep; zero ends
+	// the run with ReasonNoActive. Halt is the engine's extra test on top.
+	Pending func() int64
+	Halt    func(step int, pending int64) bool
+}
+
+// Counters is a run's scratch block: phase bodies write slot w from worker
+// w's goroutine, the kernel zeroes the per-worker rows at the top of each
+// superstep and reads them after the barrier.
+type Counters struct {
+	Units   []int64 // edges scanned in compute
+	Active  []int64 // vertices that computed
+	Sent    []int64 // messages sent (logical)
+	Recv    []int64 // messages drained (see Kernel.Drained)
+	Batches []int64 // batches drained
+	Sync    []int64 // replica-sync share of Sent (heat column)
+	// Wire, when an engine allocates (and fills) it, replaces Sent as the span
+	// stream's send weight (bsp: post-combiner envelopes).
+	Wire []int64
+	// HeatMsgs and HeatUnits are cumulative per-vertex counters, nil with
+	// Hooks off. Each vertex has one writer per phase round.
+	HeatMsgs, HeatUnits []int64
+	// Busy[p][w] is worker w's time inside phase p's rounds, nil with Hooks
+	// off. An engine that sends inside its Compute rounds (gas) books that
+	// share into Busy[metrics.Send] itself; the kernel splits it back out.
+	Busy [metrics.Sync][]time.Duration
+}
+
+// Kernel runs one engine Run. Build it with New, then call Run once.
+type Kernel struct {
+	Counters
+	cfg  Config
+	slab []int64 // backs the six always-present Counters rows
+
+	runStart time.Time
+	runWall  time.Duration
+	stats    metrics.StepStats
+	sd       obs.StepSpanData
+	ran      [metrics.Sync]bool          // phases run this superstep
+	starts   [metrics.Sync]time.Duration // and their offsets from runStart
+	serNs0   []int64
+	prevComm transport.MatrixSnapshot
+}
+
+// New allocates a run's scratch; the loop allocates no bookkeeping after it.
+func New(cfg Config) *Kernel {
+	k := &Kernel{cfg: cfg}
+	n := cfg.Workers
+	k.slab = make([]int64, 6*n)
+	row := func(i int) []int64 { return k.slab[i*n : (i+1)*n : (i+1)*n] }
+	k.Units, k.Active, k.Sent, k.Recv, k.Batches, k.Sync = row(0), row(1), row(2), row(3), row(4), row(5)
+	if cfg.Hooks != nil {
+		k.HeatMsgs = make([]int64, cfg.Vertices)
+		k.HeatUnits = make([]int64, cfg.Vertices)
+		for p := range k.Busy {
+			k.Busy[p] = make([]time.Duration, n)
+		}
+		k.serNs0 = make([]int64, n)
+		k.sd.SerializeNs = make([]int64, n)
+		k.sd.Deliveries = make([][]span.Delivery, n)
+	}
+	return k
+}
+
+// Drained books one Drain by worker w — call it from w's goroutine right
+// after the Drain, before the next one invalidates its provenance.
+func (k *Kernel) Drained(w int, msgs, batches int64) {
+	k.Recv[w] += msgs
+	k.Batches[w] += batches
+	if k.cfg.Hooks != nil {
+		k.sd.Deliveries[w] = span.MergeDeliveries(k.sd.Deliveries[w], k.cfg.Link.LastDeliveries(w))
+	}
+}
+
+// Phase runs each round on every worker behind its own barrier, times the
+// whole as phase p and reports it. Call it from PhaseSet.Step only.
+func (k *Kernel) Phase(p metrics.Phase, rounds ...func(w int)) {
+	if k.cfg.Hooks != nil {
+		k.ran[p] = true
+		k.starts[p] = time.Since(k.runStart)
+	}
+	start := time.Now()
+	for _, fn := range rounds {
+		Fan(k.cfg.Workers, k.Busy[p], fn)
+	}
+	k.stats.Durations[p] = time.Since(start)
+	if k.cfg.Hooks != nil {
+		k.cfg.Hooks.OnPhase(k.stats.Step, p, k.stats.Durations[p])
+	}
+}
+
+// Fan runs fn(0..n-1) concurrently and waits — the one place a superstep
+// spawns goroutines: Phase's workers, and the stripes inside one (cyclops' T
+// threads and R receivers). busy, when non-nil, accumulates time inside fn.
+func Fan(n int, busy []time.Duration, fn func(i int)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			defer wg.Done()
+			t0 := time.Now()
+			fn(i)
+			if busy != nil {
+				busy[i] += time.Since(t0)
+			}
+		}(i)
+	}
+	wg.Wait()
+}
+
+// Run executes supersteps until the phase set stops, MaxSupersteps is
+// reached, or a fault, audit violation or checkpoint failure ends the run.
+// Every exit is a break to the single return, past OnSpanEnd and OnConverged.
+func (k *Kernel) Run(ps PhaseSet) error {
+	cfg, h, step := &k.cfg, k.cfg.Hooks, k.cfg.Step
+	// runStart anchors span offsets; runWall accumulates the sum of superstep
+	// walls, so the closing run span reconciles with timings.csv totals.
+	k.runStart = time.Now()
+	if h != nil {
+		*cfg.RunSeq++
+		k.sd.Run = *cfg.RunSeq
+		h.OnRunStart(cfg.Info())
+		h.OnSpanStart(obs.RunSpan(k.sd.Run, 0))
+		// Anchored at the current snapshot, deltas stay correct on resumed runs.
+		k.prevComm = cfg.Link.Matrix().Snapshot()
+	}
+	maxRecoveries, recoveries := cfg.MaxRecoveries, 0
+	if cfg.MaxRecoveries <= 0 {
+		maxRecoveries = 3
+	}
+	reason, err := obs.ReasonMaxSupersteps, error(nil)
+	for *step < cfg.MaxSupersteps {
+		if cfg.Injector != nil {
+			cfg.Injector.BeginStep(*step)
+		}
+		k.stats = metrics.StepStats{Step: *step}
+		clear(k.slab)
+		if ps.Begin != nil && !ps.Begin() {
+			reason = obs.ReasonNoActive
+			break
+		}
+		if h != nil {
+			h.OnSuperstepStart(*step)
+			k.sd.StepStart = time.Since(k.runStart)
+			h.OnSpanStart(obs.StepSpan(k.sd.Run, *step, k.sd.StepStart))
+			k.beginSpans(*step)
+		}
+		violations := ps.Step()
+		start := time.Now()
+		ps.Sync(&k.stats)
+		k.stats.Durations[metrics.Sync] = time.Since(start)
+		cfg.Trace.Append(k.stats)
+		if h != nil {
+			h.OnPhase(*step, metrics.Sync, k.stats.Durations[metrics.Sync])
+			for w := 0; w < cfg.Workers; w++ {
+				h.OnWorkerStats(obs.WorkerStats{Step: *step, Worker: w,
+					ComputeUnits: k.Units[w], Sent: k.Sent[w], Received: k.Recv[w],
+					Active: k.Active[w], QueueDepth: k.Batches[w]})
+			}
+			cur := cfg.Link.Matrix().Snapshot()
+			delta := cur.Sub(k.prevComm)
+			h.OnCommMatrix(*step, delta)
+			k.prevComm = cur
+			for _, v := range violations {
+				h.OnViolation(v)
+			}
+			h.OnHeat(obs.HeatStepData{Step: *step,
+				Partitions: obs.BuildHeatPartitions(*step, delta, k.Active, k.Units, k.Sync),
+				Hot:        obs.TopHotVertices(k.HeatMsgs, k.HeatUnits, cfg.Owner, obs.DefaultHotK)})
+			h.OnSuperstepEnd(*step, k.stats)
+			k.endSpans()
+			obs.EmitStepSpans(h, k.sd)
+		}
+		// Fault check at the barrier, before anything from this superstep is
+		// persisted: a transient transport fault rolls the run back to the
+		// latest checkpoint (§3.6) and replays; anything else fails the run.
+		if ferr := cfg.Link.Err(); ferr != nil {
+			if !transport.IsTransient(ferr) || ps.Recover == nil || recoveries >= maxRecoveries {
+				reason, err = obs.ReasonFault, fmt.Errorf("%s: transport: %w", cfg.Name, ferr)
+				break
+			}
+			faultStep := *step
+			if cfg.Injector != nil {
+				cfg.Injector.Heal()
+			}
+			if rerr := ps.Recover(); rerr != nil {
+				reason, err = obs.ReasonFault, fmt.Errorf("%s: recovery: %w", cfg.Name, rerr)
+				break
+			}
+			recoveries++
+			if h != nil {
+				h.OnRecovery(obs.RecoveryEvent{Engine: cfg.Trace.Engine, Step: faultStep,
+					ResumedAt: *step, Attempt: recoveries, Cause: ferr.Error()})
+			}
+			continue
+		}
+		if len(violations) > 0 {
+			reason, err = obs.ReasonAuditFailed, fmt.Errorf("%s: %w", cfg.Name, &obs.AuditError{Violations: violations})
+			break
+		}
+		if ps.Checkpoint != nil && cfg.CheckpointEvery > 0 && (*step+1)%cfg.CheckpointEvery == 0 {
+			if cerr := ps.Checkpoint(); cerr != nil {
+				reason, err = obs.ReasonFault, fmt.Errorf("%s: checkpoint at step %d: %w", cfg.Name, *step, cerr)
+				break
+			}
+		}
+		if ps.OnStep != nil {
+			ps.OnStep(*step)
+		}
+		if ps.Pending != nil {
+			if pending := ps.Pending(); pending == 0 {
+				reason = obs.ReasonNoActive
+			} else if ps.Halt != nil && ps.Halt(*step, pending) {
+				reason = obs.ReasonHalt
+			}
+		}
+		*step++
+		if reason != obs.ReasonMaxSupersteps {
+			break // the phase set stopped the run
+		}
+	}
+	if h != nil {
+		h.OnSpanEnd(obs.RunSpan(k.sd.Run, k.runWall))
+		h.OnConverged(*step, reason)
+	}
+	if ferr := cfg.Link.Err(); err == nil && ferr != nil {
+		err = fmt.Errorf("%s: transport: %w", cfg.Name, ferr)
+	}
+	return err
+}
+
+// beginSpans resets the superstep's span bookkeeping and tags its sends, so
+// the receive side can link Deliver spans back to the sender's Send span.
+func (k *Kernel) beginSpans(step int) {
+	k.sd.Step = step
+	k.ran, k.starts = [metrics.Sync]bool{}, [metrics.Sync]time.Duration{}
+	for p := range k.Busy {
+		clear(k.Busy[p])
+	}
+	for w := 0; w < k.cfg.Workers; w++ {
+		k.sd.Deliveries[w] = k.sd.Deliveries[w][:0]
+		k.cfg.Link.Tag(w, span.Context{Run: k.sd.Run, Step: int32(step), Worker: int32(w)})
+		k.serNs0[w] = k.cfg.Link.SerializeNanos(w)
+	}
+}
+
+// endSpans completes the superstep's span data. Wall is the sum of the phase
+// durations — exactly what timings.csv records — so critpath.csv reconciles.
+func (k *Kernel) endSpans() {
+	sd, d := &k.sd, &k.stats.Durations
+	sd.Wall = d[metrics.Parse] + d[metrics.Compute] + d[metrics.Send] + d[metrics.Sync]
+	k.runWall += sd.Wall
+	sd.ParseStart, sd.ComputeStart = k.starts[metrics.Parse], k.starts[metrics.Compute]
+	sd.SendStart = k.starts[metrics.Send]
+	sd.Parse, sd.Compute, sd.Send = nil, k.Busy[metrics.Compute], k.Busy[metrics.Send]
+	if k.ran[metrics.Parse] {
+		sd.Parse = k.Busy[metrics.Parse]
+	}
+	if !k.ran[metrics.Send] {
+		// No Send phase: the engine sent inside its Compute rounds and booked
+		// that share itself; split it back out.
+		sd.SendStart = sd.ComputeStart
+		for w := range sd.Compute {
+			sd.Compute[w] = max(sd.Compute[w]-sd.Send[w], 0)
+		}
+	}
+	for w := range sd.SerializeNs {
+		sd.SerializeNs[w] = k.cfg.Link.SerializeNanos(w) - k.serNs0[w]
+	}
+	sd.Units, sd.Recv, sd.Sent = k.Units, k.Recv, k.Sent
+	if k.Wire != nil {
+		sd.Sent = k.Wire
+	}
+}

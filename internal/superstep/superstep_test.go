@@ -1,0 +1,403 @@
+package superstep_test
+
+// The kernel in isolation: a fake link, a fake injector and a scripted phase
+// set, no graph and no engine. These pin what the three engines rely on —
+// the hook grammar, the audit/checkpoint failure exits, and the §3.6
+// fault → heal → restore → replay protocol with its recovery budget.
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"cyclops/internal/metrics"
+	"cyclops/internal/obs"
+	"cyclops/internal/obs/span"
+	"cyclops/internal/superstep"
+	"cyclops/internal/transport"
+)
+
+// fakeLink is a transport whose only behaviour is the error the test plants.
+type fakeLink struct {
+	matrix *transport.Matrix
+	err    error
+}
+
+func (l *fakeLink) Tag(int, span.Context)              {}
+func (l *fakeLink) SerializeNanos(int) int64           { return 0 }
+func (l *fakeLink) Matrix() *transport.Matrix          { return l.matrix }
+func (l *fakeLink) LastDeliveries(int) []span.Delivery { return nil }
+func (l *fakeLink) Err() error                         { return l.err }
+
+// eventLog records every hook call (and, through the rig, every injector and
+// closure call) as one short string, in order.
+type eventLog struct {
+	events     []string
+	recoveries []obs.RecoveryEvent
+}
+
+func (l *eventLog) add(format string, args ...any) {
+	l.events = append(l.events, fmt.Sprintf(format, args...))
+}
+
+func (l *eventLog) count(prefix string) int {
+	n := 0
+	for _, e := range l.events {
+		if strings.HasPrefix(e, prefix) {
+			n++
+		}
+	}
+	return n
+}
+
+func (l *eventLog) index(event string) int {
+	for i, e := range l.events {
+		if e == event {
+			return i
+		}
+	}
+	return -1
+}
+
+func (l *eventLog) OnRunStart(obs.RunInfo)    { l.add("run-start") }
+func (l *eventLog) OnSuperstepStart(step int) { l.add("step-start %d", step) }
+func (l *eventLog) OnSpanStart(s span.Span)   { l.add("span-start %s %d", s.Kind, s.Step) }
+func (l *eventLog) OnSpanEnd(s span.Span) {
+	if s.Kind == span.Run || s.Kind == span.Superstep {
+		l.add("span-end %s %d", s.Kind, s.Step)
+	}
+}
+func (l *eventLog) OnPhase(step int, p metrics.Phase, _ time.Duration) { l.add("phase %d %s", step, p) }
+func (l *eventLog) OnWorkerStats(ws obs.WorkerStats) {
+	l.add("worker %d %d units=%d", ws.Step, ws.Worker, ws.ComputeUnits)
+}
+func (l *eventLog) OnCommMatrix(step int, _ transport.MatrixSnapshot) { l.add("comm %d", step) }
+func (l *eventLog) OnViolation(v obs.Violation)                       { l.add("violation %d", v.Step) }
+func (l *eventLog) OnHeat(d obs.HeatStepData)                         { l.add("heat %d", d.Step) }
+func (l *eventLog) OnSuperstepEnd(step int, _ metrics.StepStats)      { l.add("step-end %d", step) }
+func (l *eventLog) OnRecovery(e obs.RecoveryEvent) {
+	l.add("recovery")
+	l.recoveries = append(l.recoveries, e)
+}
+func (l *eventLog) OnConverged(step int, reason string) { l.add("converged %d %s", step, reason) }
+
+// rig is a kernel over fakes. Its phase set runs bsp's PRS → CMP → SND order
+// with trivial bodies, stays "pending" forever, and restores to superstep 0;
+// tests override the members they script.
+type rig struct {
+	log    *eventLog
+	link   *fakeLink
+	step   int
+	runSeq int64
+	k      *superstep.Kernel
+	ps     superstep.PhaseSet
+}
+
+func (r *rig) BeginStep(step int) { r.log.add("arm %d", step) }
+func (r *rig) Heal()              { r.log.add("heal"); r.link.err = nil }
+
+func newRig(maxSteps int, tune func(*superstep.Config)) *rig {
+	const workers = 2
+	r := &rig{log: &eventLog{}, link: &fakeLink{matrix: transport.NewMatrix(workers)}}
+	cfg := superstep.Config{
+		Name: "fake", Workers: workers, Vertices: 4, Hooks: r.log, Link: r.link, Injector: r,
+		Trace: &metrics.Trace{Engine: "fake", Workers: workers},
+		Step:  &r.step, RunSeq: &r.runSeq, MaxSupersteps: maxSteps,
+		Info:  func() obs.RunInfo { return obs.RunInfo{Engine: "fake", Workers: workers} },
+		Owner: func(v int) int { return v % workers },
+	}
+	if tune != nil {
+		tune(&cfg)
+	}
+	r.k = superstep.New(cfg)
+	body := func(w int) { r.k.Units[w] += int64(w + 1) }
+	r.ps = superstep.PhaseSet{
+		Step: func() []obs.Violation {
+			r.k.Phase(metrics.Parse, body)
+			r.k.Phase(metrics.Compute, body)
+			r.k.Phase(metrics.Send, body)
+			return nil
+		},
+		Sync:    func(stats *metrics.StepStats) { stats.Active = 1 },
+		Pending: func() int64 { return 1 },
+		Recover: func() error { r.log.add("restore"); r.step = 0; return nil },
+	}
+	return r
+}
+
+func (r *rig) run() error { return r.k.Run(r.ps) }
+
+func TestHookGrammarOnCleanRun(t *testing.T) {
+	r := newRig(2, nil)
+	if err := r.run(); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	want = append(want, "run-start", "span-start run -1")
+	for step := 0; step < 2; step++ {
+		want = append(want,
+			fmt.Sprintf("arm %d", step),
+			fmt.Sprintf("step-start %d", step),
+			fmt.Sprintf("span-start superstep %d", step),
+			fmt.Sprintf("phase %d PRS", step),
+			fmt.Sprintf("phase %d CMP", step),
+			fmt.Sprintf("phase %d SND", step),
+			fmt.Sprintf("phase %d SYN", step),
+			// Three rounds each added w+1: the per-worker rows are zeroed
+			// between supersteps, not between phases.
+			fmt.Sprintf("worker %d 0 units=3", step),
+			fmt.Sprintf("worker %d 1 units=6", step),
+			fmt.Sprintf("comm %d", step),
+			fmt.Sprintf("heat %d", step),
+			fmt.Sprintf("step-end %d", step),
+			fmt.Sprintf("span-end superstep %d", step),
+		)
+	}
+	want = append(want, "span-end run -1", "converged 2 "+obs.ReasonMaxSupersteps)
+	if got := strings.Join(r.log.events, "\n"); got != strings.Join(want, "\n") {
+		t.Fatalf("hook sequence:\n%s\nwant:\n%s", got, strings.Join(want, "\n"))
+	}
+	if r.runSeq != 1 || r.step != 2 {
+		t.Fatalf("runSeq=%d step=%d, want 1 and 2", r.runSeq, r.step)
+	}
+}
+
+func TestPendingAndHaltStopAfterTheBarrier(t *testing.T) {
+	r := newRig(10, nil)
+	r.ps.Pending = func() int64 { return int64(1 - r.step) } // nothing due after superstep 1
+	if err := r.run(); err != nil {
+		t.Fatal(err)
+	}
+	if r.log.index("converged 2 "+obs.ReasonNoActive) < 0 {
+		t.Fatalf("want no-active after superstep 1:\n%s", strings.Join(r.log.events, "\n"))
+	}
+
+	r = newRig(10, nil)
+	r.ps.Halt = func(step int, pending int64) bool { return step == 2 && pending == 1 }
+	if err := r.run(); err != nil {
+		t.Fatal(err)
+	}
+	if r.log.index("converged 3 "+obs.ReasonHalt) < 0 {
+		t.Fatalf("want halt after superstep 2:\n%s", strings.Join(r.log.events, "\n"))
+	}
+}
+
+func TestBeginStopsBeforeAnnouncing(t *testing.T) {
+	r := newRig(10, nil)
+	r.ps.Pending = nil
+	r.ps.Begin = func() bool { return r.step < 1 }
+	if err := r.run(); err != nil {
+		t.Fatal(err)
+	}
+	// Superstep 1 was armed but never announced, and the counter did not move.
+	if r.log.index("arm 1") < 0 || r.log.index("step-start 1") >= 0 ||
+		r.log.index("converged 1 "+obs.ReasonNoActive) < 0 {
+		t.Fatalf("hook sequence:\n%s", strings.Join(r.log.events, "\n"))
+	}
+}
+
+func TestAuditViolationFailsTheRun(t *testing.T) {
+	r := newRig(5, nil)
+	step := r.ps.Step
+	r.ps.Step = func() []obs.Violation {
+		step()
+		if r.step == 1 {
+			return []obs.Violation{{Step: 1, Kind: obs.ViolationReplicaDesync}, {Step: 1, Kind: obs.ViolationDoubleDelivery}}
+		}
+		return nil
+	}
+	err := r.run()
+	var ae *obs.AuditError
+	if !errors.As(err, &ae) || len(ae.Violations) != 2 || !strings.HasPrefix(err.Error(), "fake: ") {
+		t.Fatalf("want a wrapped *obs.AuditError with 2 violations, got %v", err)
+	}
+	log := r.log
+	if log.count("violation 1") != 2 || log.count("span-end run") != 1 || log.count("converged") != 1 {
+		t.Fatalf("hook sequence:\n%s", strings.Join(log.events, "\n"))
+	}
+	// The violating superstep still reports in full before the run closes.
+	end, converged := log.index("step-end 1"), log.index("converged 1 "+obs.ReasonAuditFailed)
+	if end < 0 || converged != len(log.events)-1 || log.index("span-end run -1") != converged-1 {
+		t.Fatalf("hook sequence:\n%s", strings.Join(log.events, "\n"))
+	}
+}
+
+func TestCheckpointCadenceAndSinkError(t *testing.T) {
+	var taken []int
+	sinkErr := errors.New("disk full")
+	r := newRig(10, func(c *superstep.Config) { c.CheckpointEvery = 2 })
+	r.ps.Checkpoint = func() error {
+		taken = append(taken, r.step)
+		if r.step == 3 {
+			return sinkErr
+		}
+		return nil
+	}
+	err := r.run()
+	if !errors.Is(err, sinkErr) || !strings.Contains(err.Error(), "fake: checkpoint at step 3") {
+		t.Fatalf("want the wrapped sink error, got %v", err)
+	}
+	if fmt.Sprint(taken) != "[1 3]" {
+		t.Fatalf("checkpoints at supersteps %v, want [1 3]", taken)
+	}
+	if r.log.index("converged 3 "+obs.ReasonFault) != len(r.log.events)-1 {
+		t.Fatalf("hook sequence:\n%s", strings.Join(r.log.events, "\n"))
+	}
+}
+
+// transientAt plants a transient transport error while superstep `at` runs,
+// every time it runs until `times` is used up.
+func (r *rig) transientAt(at, times int) {
+	step := r.ps.Step
+	r.ps.Step = func() []obs.Violation {
+		if r.step == at && times > 0 {
+			times--
+			r.link.err = &transport.Error{Op: "send", Peer: 1, Retryable: true, Err: errors.New("dropped")}
+		}
+		return step()
+	}
+}
+
+func TestTransientFaultHealsRestoresAndReplays(t *testing.T) {
+	r := newRig(4, nil)
+	r.transientAt(2, 1)
+	if err := r.run(); err != nil {
+		t.Fatal(err)
+	}
+	log := r.log
+	heal, restore, recovery := log.index("heal"), log.index("restore"), log.index("recovery")
+	if heal < 0 || !(heal < restore && restore < recovery) {
+		t.Fatalf("want heal < restore < recovery:\n%s", strings.Join(log.events, "\n"))
+	}
+	if len(log.recoveries) != 1 {
+		t.Fatalf("%d recoveries, want 1", len(log.recoveries))
+	}
+	got := log.recoveries[0]
+	if got.Engine != "fake" || got.Step != 2 || got.ResumedAt != 0 || got.Attempt != 1 ||
+		got.Replayed() != 3 || !strings.Contains(got.Cause, "dropped") {
+		t.Fatalf("recovery event %+v", got)
+	}
+	// The faulty superstep still reported in full, then the run replayed from
+	// superstep 0 and went on to finish.
+	if log.count("step-end 2") != 2 || log.count("step-start 0") != 2 || log.count("step-end 3") != 1 {
+		t.Fatalf("replay:\n%s", strings.Join(log.events, "\n"))
+	}
+	if log.index("converged 4 "+obs.ReasonMaxSupersteps) != len(log.events)-1 {
+		t.Fatalf("hook sequence:\n%s", strings.Join(log.events, "\n"))
+	}
+}
+
+func TestRecoveryBudgetExhausted(t *testing.T) {
+	for _, tc := range []struct {
+		name               string
+		configured, budget int
+	}{
+		{"default", 0, 3},
+		{"negative-means-default", -1, 3},
+		{"explicit", 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(4, func(c *superstep.Config) { c.MaxRecoveries = tc.configured })
+			r.transientAt(1, 100) // faults on every replay
+			err := r.run()
+			var te *transport.Error
+			if !errors.As(err, &te) || !strings.HasPrefix(err.Error(), "fake: transport: ") {
+				t.Fatalf("want the wrapped transport error, got %v", err)
+			}
+			if got := r.log.count("restore"); got != tc.budget {
+				t.Fatalf("%d Recover calls, want %d", got, tc.budget)
+			}
+			if got := len(r.log.recoveries); got != tc.budget || r.log.recoveries[got-1].Attempt != tc.budget {
+				t.Fatalf("recovery events %+v, want %d", r.log.recoveries, tc.budget)
+			}
+			if r.log.index("converged 1 "+obs.ReasonFault) != len(r.log.events)-1 || r.log.count("span-end run") != 1 {
+				t.Fatalf("hook sequence:\n%s", strings.Join(r.log.events, "\n"))
+			}
+		})
+	}
+}
+
+func TestUnrecoverableFaults(t *testing.T) {
+	fatal := &transport.Error{Op: "send", Peer: -1, Err: transport.ErrClosed}
+	transient := &transport.Error{Op: "send", Peer: 1, Retryable: true, Err: errors.New("dropped")}
+	restoreFailed := errors.New("checkpoint shape does not match engine")
+	for _, tc := range []struct {
+		name    string
+		planted error
+		recover func(r *rig) func() error
+		want    string
+		calls   int
+	}{
+		{"fatal-error-never-recovers", fatal, nil, "fake: transport: ", 0},
+		{"no-recover-configured", transient, func(*rig) func() error { return nil }, "fake: transport: ", 0},
+		{"restore-fails", transient, func(r *rig) func() error {
+			return func() error { r.log.add("restore"); return restoreFailed }
+		}, "fake: recovery: ", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(4, nil)
+			if tc.recover != nil {
+				r.ps.Recover = tc.recover(r)
+			}
+			step := r.ps.Step
+			r.ps.Step = func() []obs.Violation { r.link.err = tc.planted; return step() }
+			err := r.run()
+			if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+				t.Fatalf("error %v, want prefix %q", err, tc.want)
+			}
+			if got := r.log.count("restore"); got != tc.calls {
+				t.Fatalf("%d Recover calls, want %d", got, tc.calls)
+			}
+			if r.log.count("recovery") != 0 || r.log.index("converged 0 "+obs.ReasonFault) != len(r.log.events)-1 {
+				t.Fatalf("hook sequence:\n%s", strings.Join(r.log.events, "\n"))
+			}
+		})
+	}
+}
+
+// TestFoldedSendShare pins the gas asymmetry: a phase set with no Send phase
+// that books its send share itself gets no Parse spans, and its Compute span
+// is the round time minus that share.
+func TestFoldedSendShare(t *testing.T) {
+	spans := &spanLog{eventLog: &eventLog{}}
+	r := newRig(1, func(c *superstep.Config) { c.Hooks = spans })
+	round := func(w int) {
+		time.Sleep(2 * time.Millisecond)
+		r.k.Busy[metrics.Send][w] += time.Millisecond
+	}
+	r.ps.Step = func() []obs.Violation { r.k.Phase(metrics.Compute, round, round); return nil }
+	if err := r.run(); err != nil {
+		t.Fatal(err)
+	}
+	if spans.kinds[span.Parse] != 0 || spans.kinds[span.Compute] != 2 || spans.kinds[span.Send] != 2 {
+		t.Fatalf("span kinds %v", spans.kinds)
+	}
+	for _, s := range spans.spans {
+		switch s.Kind {
+		case span.Send:
+			if s.Dur != 2*time.Millisecond {
+				t.Fatalf("send span %v, want the 2ms the rounds booked", s.Dur)
+			}
+		case span.Compute:
+			if s.Dur < 2*time.Millisecond {
+				t.Fatalf("compute span %v, want ≥ 4ms of rounds minus the 2ms send share", s.Dur)
+			}
+		}
+	}
+}
+
+type spanLog struct {
+	*eventLog
+	kinds map[span.Kind]int
+	spans []span.Span
+}
+
+func (l *spanLog) OnSpanEnd(s span.Span) {
+	if l.kinds == nil {
+		l.kinds = map[span.Kind]int{}
+	}
+	l.kinds[s.Kind]++
+	l.spans = append(l.spans, s)
+}
