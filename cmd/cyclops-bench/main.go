@@ -14,12 +14,10 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"cyclops/internal/fault"
 	"cyclops/internal/harness"
@@ -74,20 +72,6 @@ func main() {
 			fatal(fmt.Errorf("-comm %s: %w", *commCSV, err))
 		}
 	}
-	var rec *obs.Recorder
-	if *record != "" {
-		var err error
-		if rec, err = obs.NewRecorder(*record); err != nil {
-			fatal(fmt.Errorf("-record %s: %w", *record, err))
-		}
-		rec.SetMeta(obs.RunMeta{
-			Seed:              *seed,
-			Scale:             *scale,
-			Machines:          *mach,
-			WorkersPerMachine: *workers,
-		})
-	}
-
 	o := harness.Options{
 		Scale:             *scale,
 		Seed:              *seed,
@@ -108,79 +92,22 @@ func main() {
 	}
 
 	// Live observability: a tracer narrates supersteps (to stderr when
-	// -verbose, ring-buffer-only otherwise), a collector feeds /metrics, a
-	// comm tracker accumulates the traffic matrix and a skew profiler folds
-	// worker stats into imbalance coefficients. With no flags set, Hooks
-	// stays nil and engines keep their fast path.
-	var hookList []obs.Hooks
-	var tracer *obs.Tracer
-	topts := obs.TracerOptions{SlowFactor: *slowPhase}
-	if *verbose {
-		tracer = obs.NewTracer(os.Stderr, topts)
-	} else if *debugAddr != "" {
-		tracer = obs.NewTracer(nil, topts)
+	// -verbose, ring-buffer-only otherwise), a collector feeds /metrics and
+	// one run log backs the traffic matrix, the skew profiles, the flight
+	// record and the live endpoints. With no flags set, Hooks stays nil and
+	// engines keep their fast path.
+	sess, err := obs.Setup(obs.Options{
+		Prog: "cyclops-bench", Stderr: os.Stderr,
+		Verbose: *verbose, DebugAddr: *debugAddr, SlowPhase: *slowPhase,
+		ProfileDir: *profDir, RecordDir: *record, Comm: *commCSV != "", Skew: *skew,
+		Meta: obs.RunMeta{Seed: *seed, Scale: *scale, Machines: *mach, WorkersPerMachine: *workers},
+	})
+	if err != nil {
+		fatal(err)
 	}
-	if tracer != nil {
-		hookList = append(hookList, tracer)
-	}
-	var reg *obs.Registry
-	if *debugAddr != "" {
-		reg = obs.NewRegistry()
-		obs.RegisterRuntime(reg)
-		hookList = append(hookList, obs.NewCollector(reg))
-	}
-	var comm *obs.CommTracker
-	if *commCSV != "" || *debugAddr != "" {
-		comm = obs.NewCommTracker()
-		hookList = append(hookList, comm)
-	}
-	var skewProf *obs.SkewProfiler
-	if *skew {
-		skewProf = obs.NewSkewProfiler(reg) // reg may be nil: report-only mode
-		hookList = append(hookList, skewProf)
-	}
-	var spans *obs.SpanTracker
-	var mem *obs.MemTracker
-	var heat *obs.HeatTracker
-	if *debugAddr != "" {
-		spans = obs.NewSpanTracker()
-		hookList = append(hookList, spans)
-		mem = obs.NewMemTracker()
-		hookList = append(hookList, mem)
-		heat = obs.NewHeatTracker()
-		hookList = append(hookList, heat)
-	}
-	var harvester *obs.Harvester
-	if *profDir != "" {
-		var err error
-		if harvester, err = obs.NewHarvester(*profDir, obs.HarvesterOptions{}); err != nil {
-			fatal(fmt.Errorf("-profile-dir %s: %w", *profDir, err))
-		}
-		hookList = append(hookList, harvester)
-		harvester.Start()
-		defer harvester.Stop()
-	}
-	if rec != nil {
-		if harvester != nil {
-			rec.SetProfileSource(harvester.Dir(), harvester.Files)
-		}
-		hookList = append(hookList, rec)
-	}
-	if *debugAddr != "" {
-		srv, err := obs.Serve(*debugAddr, reg, tracer.Ring(), comm, *record, spans, *profDir, mem, heat)
-		if err != nil {
-			fatal(err)
-		}
-		// Shutdown (not Close) so an in-flight /metrics scrape racing the
-		// process exit still completes.
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			srv.Shutdown(ctx) //nolint:errcheck // best-effort drain on exit
-		}()
-		fmt.Fprintf(os.Stderr, "cyclops-bench: diagnostics at %s\n", srv.URL())
-	}
-	o.Hooks = obs.Multi(hookList...)
+	defer sess.Close()
+	o.Hooks = sess.Hooks
+	rec, tracer := sess.Recorder, sess.Tracer
 
 	var traces []*metrics.Trace
 	if *traceCSV != "" {
@@ -253,9 +180,9 @@ func main() {
 		}
 		fmt.Printf("wrote %d run traces to %s\n", len(traces), *traceCSV)
 	}
-	if skewProf != nil {
+	if *skew {
 		fmt.Println("\nskew profiles (imbalance = max/mean across workers, peak over supersteps):")
-		for _, rep := range skewProf.Reports() {
+		for _, rep := range sess.Log.SkewReports() {
 			fmt.Println(" ", rep)
 		}
 	}
@@ -264,7 +191,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := comm.WriteCSV(f); err != nil {
+		if err := sess.Log.WriteCommCSV(f); err != nil {
 			f.Close()
 			fatal(err)
 		}

@@ -48,7 +48,7 @@ func realMain(args []string, stdout, stderr *os.File) int {
 			// Bumped whenever the analyzer set or semantics change: go vet
 			// keys its result cache on this line, and a stale cache would
 			// silently skip the new checks.
-			fmt.Fprintln(stdout, "cyclops-lint version 2 (stdlib go/analysis suite)")
+			fmt.Fprintln(stdout, "cyclops-lint version 3 (stdlib go/analysis suite)")
 			return 0
 		case args[0] == "-flags":
 			fmt.Fprintln(stdout, "[]")

@@ -59,12 +59,15 @@ func TestListAnalyzers(t *testing.T) {
 		t.Fatalf("-list exit = %d, want 0", code)
 	}
 	for _, name := range []string{
-		"determinism", "transporterr", "atomicmix", "hookbalance", "sendlocked",
+		"determinism", "transporterr", "atomicmix", "sendlocked",
 		"bufretain", "codecsym", "slotaddr", "allocfree",
 	} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output lacks analyzer %q:\n%s", name, out)
 		}
+	}
+	if n := strings.Count(strings.TrimSpace(out), "\n") + 1; n != 8 {
+		t.Errorf("-list names %d analyzers, want eight:\n%s", n, out)
 	}
 }
 

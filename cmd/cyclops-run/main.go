@@ -11,7 +11,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -19,7 +18,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"cyclops/internal/aggregate"
 	"cyclops/internal/algorithms"
@@ -92,13 +90,28 @@ func cliMain(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("-comm %s: %w", *commCSV, err)
 		}
 	}
-	var rec *obs.Recorder
-	if *record != "" {
-		var err error
-		if rec, err = obs.NewRecorder(*record); err != nil {
-			return fmt.Errorf("-record %s: %w", *record, err)
-		}
+	// Live observability (opt-in): -verbose narrates supersteps on stderr;
+	// -debug-addr additionally serves /metrics, /trace, /comm and
+	// /debug/pprof while the run advances; -comm and -skew collect the
+	// traffic matrix and the imbalance profile without a server.
+	sess, err := obs.Setup(obs.Options{
+		Prog: "cyclops-run", Stderr: stderr,
+		Verbose: *verbose, DebugAddr: *debugAddr, SlowPhase: *slowPhase,
+		ProfileDir: *profDir, RecordDir: *record, Comm: *commCSV != "", Skew: *skewFlag,
+		Meta: obs.RunMeta{
+			Algorithm:         *algo,
+			Dataset:           datasetLabel(*dsName, *graphFile),
+			Partitioner:       *partName,
+			Seed:              *seed,
+			Scale:             *scale,
+			Machines:          *machines,
+			WorkersPerMachine: *workers,
+		},
+	})
+	if err != nil {
+		return err
 	}
+	defer sess.Close()
 
 	g, err := loadGraph(*dsName, *graphFile, *scale, *seed, *loaders)
 	if err != nil {
@@ -122,98 +135,15 @@ func cliMain(args []string, stdout, stderr io.Writer) error {
 	}
 	defer cleanup()
 
-	// Live observability (opt-in): -verbose narrates supersteps on stderr;
-	// -debug-addr additionally serves /metrics, /trace, /comm and
-	// /debug/pprof while the run advances; -comm and -skew collect the
-	// traffic matrix and the imbalance profile without a server.
-	var hookList []obs.Hooks
-	var tracer *obs.Tracer
-	topts := obs.TracerOptions{SlowFactor: *slowPhase}
-	if *verbose {
-		tracer = obs.NewTracer(stderr, topts)
-	} else if *debugAddr != "" {
-		tracer = obs.NewTracer(nil, topts)
-	}
-	if tracer != nil {
-		hookList = append(hookList, tracer)
-	}
-	var reg *obs.Registry
-	if *debugAddr != "" {
-		reg = obs.NewRegistry()
-		obs.RegisterRuntime(reg)
-		hookList = append(hookList, obs.NewCollector(reg))
-	}
-	var comm *obs.CommTracker
-	if *commCSV != "" || *debugAddr != "" {
-		comm = obs.NewCommTracker()
-		hookList = append(hookList, comm)
-	}
-	var spans *obs.SpanTracker
-	var mem *obs.MemTracker
-	var heat *obs.HeatTracker
-	if *debugAddr != "" {
-		spans = obs.NewSpanTracker()
-		hookList = append(hookList, spans)
-		mem = obs.NewMemTracker()
-		hookList = append(hookList, mem)
-		heat = obs.NewHeatTracker()
-		hookList = append(hookList, heat)
-	}
-	var harvester *obs.Harvester
-	if *profDir != "" {
-		var err error
-		if harvester, err = obs.NewHarvester(*profDir, obs.HarvesterOptions{}); err != nil {
-			return fmt.Errorf("-profile-dir %s: %w", *profDir, err)
-		}
-		hookList = append(hookList, harvester)
-		harvester.Start()
-		defer harvester.Stop()
-	}
-	var skew *obs.SkewProfiler
-	if *skewFlag {
-		skew = obs.NewSkewProfiler(reg) // reg may be nil: report-only mode
-		hookList = append(hookList, skew)
-	}
-	if rec != nil {
-		rec.SetMeta(obs.RunMeta{
-			Algorithm:         *algo,
-			Dataset:           datasetLabel(*dsName, *graphFile),
-			Partitioner:       *partName,
-			Seed:              *seed,
-			Scale:             *scale,
-			Machines:          *machines,
-			WorkersPerMachine: *workers,
-		})
-		if harvester != nil {
-			rec.SetProfileSource(harvester.Dir(), harvester.Files)
-		}
-		hookList = append(hookList, rec)
-	}
-	if *debugAddr != "" {
-		srv, err := obs.Serve(*debugAddr, reg, tracer.Ring(), comm, *record, spans, *profDir, mem, heat)
-		if err != nil {
-			return err
-		}
-		// Shutdown (not Close) so an in-flight /metrics scrape racing the
-		// process exit still completes.
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			srv.Shutdown(ctx) //nolint:errcheck // best-effort drain on exit
-		}()
-		fmt.Fprintf(stderr, "cyclops-run: diagnostics at %s\n", srv.URL())
-	}
-	hooks := obs.Multi(hookList...)
-
 	values, summary, trace, err := run(*engine, *algo, g, cc, part, *eps, *steps,
-		graph.ID(*source), hooks, *audit, fo)
+		graph.ID(*source), sess.Hooks, *audit, fo)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(stdout, summary)
 	printTop(stdout, values, *top)
-	if skew != nil {
-		for _, rep := range skew.Reports() {
+	if *skewFlag {
+		for _, rep := range sess.Log.SkewReports() {
 			if err := rep.WriteTable(stdout); err != nil {
 				return err
 			}
@@ -228,12 +158,12 @@ func cliMain(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stdout, "wrote trace to", *traceCSV)
 	}
 	if *commCSV != "" {
-		if err := writeFile(*commCSV, comm.WriteCSV); err != nil {
+		if err := writeFile(*commCSV, sess.Log.WriteCommCSV); err != nil {
 			return err
 		}
 		fmt.Fprintln(stdout, "wrote traffic matrix to", *commCSV)
 	}
-	if rec != nil {
+	if rec := sess.Recorder; rec != nil {
 		if err := rec.Err(); err != nil {
 			return err
 		}

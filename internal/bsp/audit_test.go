@@ -16,16 +16,16 @@ import (
 	"cyclops/internal/obs"
 )
 
-// auditLog records OnViolation calls.
+// auditLog keeps every record's violations.
 type auditLog struct {
 	obs.Nop
 	mu  sync.Mutex
 	got []obs.Violation
 }
 
-func (l *auditLog) OnViolation(v obs.Violation) {
+func (l *auditLog) OnSuperstep(rec *obs.StepRecord) {
 	l.mu.Lock()
-	l.got = append(l.got, v)
+	l.got = append(l.got, rec.Violations...)
 	l.mu.Unlock()
 }
 
@@ -73,7 +73,7 @@ func checkConservationViolation(t *testing.T, err error, log *auditLog, wantStep
 			v, obs.ViolationMessageConservation, wantStep)
 	}
 	if vs := log.violations(); len(vs) == 0 || vs[0].Kind != obs.ViolationMessageConservation {
-		t.Fatalf("OnViolation never saw the conservation violation: %v", vs)
+		t.Fatalf("no record carried the conservation violation: %v", vs)
 	}
 }
 

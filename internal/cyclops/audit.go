@@ -50,7 +50,7 @@ func (e *Engine[V, M]) auditDeliveries(w int, batches [][]syncMsg[M]) []obs.Viol
 		}
 	}
 	// Emit double-delivery violations in slot order: the violation list feeds
-	// OnViolation events and the audit error, which replay comparison expects
+	// StepRecord.Violations and the audit error, which replay comparison expects
 	// to be stable run to run.
 	dup := make([]int32, 0, len(seen))
 	for slot := range seen {

@@ -62,16 +62,16 @@ func (p fixedPart) Partition(_ *graph.Graph, k int) (*partition.Assignment, erro
 	return &partition.Assignment{K: k, Of: append([]int(nil), p.of...)}, nil
 }
 
-// violationLog records OnViolation calls.
+// violationLog keeps every record's violations.
 type violationLog struct {
 	obs.Nop
 	mu  sync.Mutex
 	got []obs.Violation
 }
 
-func (l *violationLog) OnViolation(v obs.Violation) {
+func (l *violationLog) OnSuperstep(rec *obs.StepRecord) {
 	l.mu.Lock()
-	l.got = append(l.got, v)
+	l.got = append(l.got, rec.Violations...)
 	l.mu.Unlock()
 }
 
@@ -150,7 +150,7 @@ func TestAuditCatchesReplicaDesync(t *testing.T) {
 		t.Fatalf("violation = %+v, want replica-desync of vertex 0 at worker 1, step 3", v)
 	}
 	if log.kinds()[obs.ViolationReplicaDesync] == 0 {
-		t.Fatalf("OnViolation never fired: %v", log.kinds())
+		t.Fatalf("no record carried a violation: %v", log.kinds())
 	}
 	// The tracer must have rendered the violation as a structured event.
 	if !strings.Contains(trace.String(), `"msg":"invariant-violation"`) ||

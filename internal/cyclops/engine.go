@@ -94,7 +94,7 @@ type Config[V, M any] struct {
 	// engine verifies that every replica equals its master's published value,
 	// that each replica received at most one sync message, and that no
 	// message targeted a master slot (§3.4's unidirectional-communication
-	// invariants). Violations are reported through Hooks.OnViolation and
+	// invariants). Violations are reported in the obs.StepRecord and
 	// fail the run with an *obs.AuditError. Off by default: auditing scans
 	// every replica each superstep.
 	Audit bool

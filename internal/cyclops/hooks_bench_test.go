@@ -7,7 +7,7 @@ package cyclops_test
 // Hooks:obs.Nop{} bounds that cost from above — the Nop run *takes* every
 // call and still measures the same loop.
 //
-//	go test ./internal/cyclops/ -run='^$' -bench=BenchmarkHooks -count=5
+//	go test ./internal/cyclops/ -run='^$' -bench=BenchmarkObserverOverhead -benchmem -count=5
 //
 // The hook sequence itself is asserted for every engine in one table,
 // internal/superstep's TestHookSequenceOnRealRuns.
@@ -56,26 +56,6 @@ func runPRAudit(tb testing.TB, g *graph.Graph, hooks obs.Hooks, audit bool) {
 	}
 }
 
-// BenchmarkHooksNil is the default path: Hooks == nil, hook sites reduce to
-// one nil-check each.
-func BenchmarkHooksNil(b *testing.B) {
-	g := benchGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runPR(b, g, nil)
-	}
-}
-
-// BenchmarkHooksNop takes every hook call through a do-nothing observer — an
-// upper bound on the dispatch overhead the hook points add.
-func BenchmarkHooksNop(b *testing.B) {
-	g := benchGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runPR(b, g, obs.Nop{})
-	}
-}
-
 // BenchmarkHooksTracer prices the full ring-only tracer, for context (this
 // is what -debug-addr without -verbose costs).
 func BenchmarkHooksTracer(b *testing.B) {
@@ -89,7 +69,7 @@ func BenchmarkHooksTracer(b *testing.B) {
 
 // BenchmarkAuditOff prices the default Audit=false path. The auditor adds
 // one branch per superstep and one per receive phase when disabled, so this
-// must stay within noise of BenchmarkHooksNil (the PR 1 baseline, which also
+// must stay within noise of BenchmarkObserverOverhead/dense/nil (which also
 // already includes the transport's per-peer matrix counting — two atomic
 // adds per batch).
 func BenchmarkAuditOff(b *testing.B) {
@@ -112,54 +92,60 @@ func BenchmarkAuditOn(b *testing.B) {
 	}
 }
 
-// BenchmarkSpanOverhead prices the causal span stream on the gate experiment
-// shape. The "nil" case is the default path (hook sites reduce to nil checks
-// and must stay allocation-free on the span account — there is no span code
-// on that path at all); "tracker" takes the full emission through a
-// SpanTracker, which the CI perf gate bounds at <2% over nil.
-func BenchmarkSpanOverhead(b *testing.B) {
-	g := benchGraph(b)
-	b.Run("nil", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			runPR(b, g, nil)
+// BenchmarkObserverOverhead prices the one emission every observer hangs off,
+// on two shapes: "dense" is the gate experiment's (PageRank on wiki@0.05, 30
+// supersteps of real work) and "sparse" is many near-empty supersteps (SSSP
+// over a 32×256 lattice, a few hundred barriers with a frontier of dozens),
+// where the per-barrier fixed cost is all there is. "nil" is the default path
+// (hook sites reduce to nil checks; no record, span or heat bookkeeping is even
+// allocated); "nop" takes every call and fills the record; "log" adds the
+// store's copy-out and view evaluation; "recorder" adds the flush to disk.
+func BenchmarkObserverOverhead(b *testing.B) {
+	wiki, lattice := benchGraph(b), gen.Road(32, 256, 0, 1)
+	shapes := []struct {
+		name string
+		run  func(tb testing.TB, hooks obs.Hooks)
+	}{
+		{"dense", func(tb testing.TB, hooks obs.Hooks) { runPR(tb, wiki, hooks) }},
+		{"sparse", func(tb testing.TB, hooks obs.Hooks) {
+			e, err := cyclops.New[float64, float64](lattice, algorithms.SSSPCyclops{Source: 0},
+				cyclops.Config[float64, float64]{Cluster: cluster.Flat(2, 1), Partitioner: partition.Range{},
+					MaxSupersteps: lattice.NumVertices() + 1, Hooks: hooks})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if _, err := e.Run(); err != nil {
+				tb.Fatal(err)
+			}
+		}},
+	}
+	for _, shape := range shapes {
+		recorder, err := obs.NewRecorder(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("tracker", func(b *testing.B) {
-		b.ReportAllocs()
-		tracker := obs.NewSpanTracker()
-		for i := 0; i < b.N; i++ {
-			runPR(b, g, tracker)
+		for _, o := range []struct {
+			name  string
+			hooks obs.Hooks
+		}{{"nil", nil}, {"nop", obs.Nop{}}, {"log", obs.NewLog()}, {"recorder", recorder}} {
+			b.Run(shape.name+"/"+o.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					shape.run(b, o.hooks)
+				}
+			})
 		}
-	})
-}
-
-// BenchmarkHeatOverhead prices the heat observatory on the gate experiment
-// shape. "nil" is the default path (the per-vertex heat counters are not even
-// allocated); "tracker" routes every superstep's heat record — per-partition
-// rows plus the exact top-k hot-vertex scan — through a HeatTracker. The CI
-// perf gate bounds tracker at <2% over nil.
-func BenchmarkHeatOverhead(b *testing.B) {
-	g := benchGraph(b)
-	b.Run("nil", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			runPR(b, g, nil)
+		if err := recorder.Err(); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("tracker", func(b *testing.B) {
-		b.ReportAllocs()
-		tracker := obs.NewHeatTracker()
-		for i := 0; i < b.N; i++ {
-			runPR(b, g, tracker)
-		}
-	})
+	}
 }
 
 // TestSpanEmissionZeroAlloc pins the other half of the overhead contract:
-// assembling and emitting a superstep's spans allocates nothing — every span
-// is a value passed through the Hooks interface, so the only cost with hooks
-// enabled is the per-run bookkeeping the superstep kernel allocates.
+// turning a superstep's measurements into spans allocates nothing beyond what
+// the destination needs to grow — every span is a value appended to a slice
+// the consumer reuses, so the only cost with hooks enabled is the per-run
+// bookkeeping the superstep kernel allocates.
 func TestSpanEmissionZeroAlloc(t *testing.T) {
 	const workers = 4
 	d := obs.StepSpanData{
@@ -177,10 +163,13 @@ func TestSpanEmissionZeroAlloc(t *testing.T) {
 		d.Deliveries[w] = []span.Delivery{{From: (w + 1) % workers,
 			Ctx: span.Context{Run: 1, Step: 3, Worker: int32((w + 1) % workers)}, Msgs: 7}}
 	}
-	h := obs.Hooks(obs.Nop{})
+	spans := obs.AppendStepSpans(nil, d)
+	if want := workers*6 + 1; len(spans) != want {
+		t.Fatalf("%d spans for %d workers, want %d", len(spans), workers, want)
+	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		obs.EmitStepSpans(h, d)
+		spans = obs.AppendStepSpans(spans[:0], d)
 	}); allocs != 0 {
-		t.Fatalf("EmitStepSpans allocates %.1f objects per superstep; want 0", allocs)
+		t.Fatalf("AppendStepSpans allocates %.1f objects per superstep; want 0", allocs)
 	}
 }

@@ -10,8 +10,8 @@ import (
 
 // Comm is the communication observatory: the per-worker counterpart of
 // Table 4's traffic totals and Figure 10(3)'s messages-per-superstep series.
-// It runs PageRank on gweb under all three engines with a traffic-matrix
-// tracker and a skew profiler attached, prints each engine's worker×worker
+// It runs PageRank on gweb under all three engines with a run log attached,
+// prints each engine's worker×worker
 // egress/ingress breakdown, and cross-checks the accumulated matrix against
 // the transport's raw wire counters — they must agree exactly, message for
 // message and byte for byte.
@@ -23,16 +23,15 @@ func Comm(o Options, w io.Writer) error {
 		return err
 	}
 	for _, engine := range []string{"hama", "cyclops", "powergraph"} {
-		comm := obs.NewCommTracker()
-		skew := obs.NewSkewProfiler(nil)
+		log := obs.NewLog()
 		p := ctx.params
-		p.hooks = obs.Multi(o.Hooks, comm, skew)
+		p.hooks = obs.Multi(o.Hooks, log)
 		r, err := RunWorkload(engine, "PR", ctx.graph, o.flat(), partition.Hash{}, p)
 		if err != nil {
 			return err
 		}
 
-		cum := comm.Cumulative()
+		cum := log.Cumulative()
 		fmt.Fprintf(w, "\n-- %s: %d supersteps, %d msgs / %d bytes on the wire\n",
 			r.Engine, r.Supersteps, cum.TotalMessages(), cum.TotalBytes())
 		if cum.TotalMessages() != r.Transport.Messages || cum.TotalBytes() != r.Transport.Bytes {
@@ -48,7 +47,7 @@ func Comm(o Options, w io.Writer) error {
 		}
 		t.write(w)
 
-		for _, rep := range skew.Reports() {
+		for _, rep := range log.SkewReports() {
 			fmt.Fprintln(w, rep.String())
 		}
 	}

@@ -1,8 +1,8 @@
 package harness
 
 // Acceptance test for the traffic matrix: on multi-worker runs of all three
-// engines, the per-superstep deltas the engines emit through OnCommMatrix
-// must accumulate to exactly the transport's raw wire counters — same
+// engines, the per-superstep deltas the kernel puts in each StepRecord must
+// accumulate in the run log to exactly the transport's raw wire counters — same
 // message count, same byte count, no sampling, no estimation. Also checks
 // that Options.Audit threads through every runner without breaking a clean
 // run.
@@ -22,9 +22,9 @@ func TestCommMatrixMatchesTransportStats(t *testing.T) {
 	}
 	for _, engine := range []string{"hama", "cyclops", "powergraph"} {
 		t.Run(engine, func(t *testing.T) {
-			comm := obs.NewCommTracker()
+			log := obs.NewLog()
 			p := ctx.params
-			p.hooks = comm
+			p.hooks = log
 			p.audit = true // a clean run must stay clean under audit
 			r, err := RunWorkload(engine, "PR", ctx.graph, o.flat(), partition.Hash{}, p)
 			if err != nil {
@@ -34,7 +34,7 @@ func TestCommMatrixMatchesTransportStats(t *testing.T) {
 				t.Fatal("run did no supersteps")
 			}
 
-			cum := comm.Cumulative()
+			cum := log.Cumulative()
 			if cum.Workers != o.flat().Workers() {
 				t.Fatalf("matrix has %d workers, cluster has %d", cum.Workers, o.flat().Workers())
 			}

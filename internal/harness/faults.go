@@ -51,7 +51,7 @@ func Faults(o Options, w io.Writer) error {
 	tb := newTable("engine", "steps", "steps+replay", "recoveries", "replayed",
 		"msgs", "msgs faulted", "extra msgs", "values")
 	for _, engine := range []string{"hama", "cyclops", "powergraph"} {
-		out, err := runFaulted(engine, g, cc, o.Eps, *plan)
+		out, err := runFaulted(engine, g, cc, o, *plan)
 		if err != nil {
 			return fmt.Errorf("faults: %s: %w", engine, err)
 		}
@@ -80,7 +80,8 @@ type faultOutcome struct {
 	equal                 bool
 }
 
-// recoveryStats counts OnRecovery events.
+// recoveryStats counts OnRecovery events, next to whatever observers the
+// caller installed.
 type recoveryStats struct {
 	obs.Nop
 	recoveries, replayed int
@@ -95,7 +96,7 @@ func (r *recoveryStats) OnRecovery(e obs.RecoveryEvent) {
 // compares their final values exactly: recovery restores a barrier
 // checkpoint and replays deterministic supersteps, so even floating-point
 // results must match to the last bit.
-func runFaulted(engine string, g *graph.Graph, cc cluster.Config, eps float64,
+func runFaulted(engine string, g *graph.Graph, cc cluster.Config, o Options,
 	plan fault.Plan) (faultOutcome, error) {
 
 	dir, err := os.MkdirTemp("", "cyclops-faults-*")
@@ -105,23 +106,25 @@ func runFaulted(engine string, g *graph.Graph, cc cluster.Config, eps float64,
 	defer os.RemoveAll(dir)
 	switch engine {
 	case "hama":
-		return faultsHama(g, cc, eps, plan, dir)
+		return faultsHama(g, cc, o, plan, dir)
 	case "cyclops":
-		return faultsCyclops(g, cc, eps, plan, dir)
+		return faultsCyclops(g, cc, o, plan, dir)
 	case "powergraph":
-		return faultsGAS(g, cc, eps, plan, dir)
+		return faultsGAS(g, cc, o, plan, dir)
 	}
 	return faultOutcome{}, fmt.Errorf("unknown engine %q", engine)
 }
 
-func faultsHama(g *graph.Graph, cc cluster.Config, eps float64, plan fault.Plan,
+func faultsHama(g *graph.Graph, cc cluster.Config, o Options, plan fault.Plan,
 	dir string) (faultOutcome, error) {
 
+	eps := o.Eps
 	build := func(pl *fault.Plan, every int, rec *recoveryStats) (*bsp.Engine[float64, float64], error) {
 		cfg := bsp.Config[float64, float64]{
 			Cluster: cc, Partitioner: partition.Hash{}, MaxSupersteps: 200,
 			Halt:  haltForPR(g.NumVertices(), eps),
 			Equal: func(a, b float64) bool { return abs64(a-b) < eps },
+			Hooks: o.Hooks,
 		}
 		if pl != nil {
 			cfg.FaultPlan = pl
@@ -133,7 +136,7 @@ func faultsHama(g *graph.Graph, cc cluster.Config, eps float64, plan fault.Plan,
 				s, _, err := checkpoint.LoadLatest[bsp.State[float64, float64]](dir)
 				return s, err
 			}
-			cfg.Hooks = rec
+			cfg.Hooks = obs.Multi(o.Hooks, rec)
 		}
 		return bsp.New[float64, float64](g, algorithms.PageRankBSP{Eps: eps}, cfg)
 	}
@@ -167,13 +170,15 @@ func faultsHama(g *graph.Graph, cc cluster.Config, eps float64, plan fault.Plan,
 	}, nil
 }
 
-func faultsCyclops(g *graph.Graph, cc cluster.Config, eps float64, plan fault.Plan,
+func faultsCyclops(g *graph.Graph, cc cluster.Config, o Options, plan fault.Plan,
 	dir string) (faultOutcome, error) {
 
+	eps := o.Eps
 	build := func(pl *fault.Plan, every int, rec *recoveryStats) (*cyclops.Engine[float64, float64], error) {
 		cfg := cyclops.Config[float64, float64]{
 			Cluster: cc, Partitioner: partition.Hash{}, MaxSupersteps: 200,
 			Equal: func(a, b float64) bool { return abs64(a-b) < eps },
+			Hooks: o.Hooks,
 		}
 		if pl != nil {
 			cfg.FaultPlan = pl
@@ -185,7 +190,7 @@ func faultsCyclops(g *graph.Graph, cc cluster.Config, eps float64, plan fault.Pl
 				s, _, err := checkpoint.LoadLatest[cyclops.State[float64, float64]](dir)
 				return s, err
 			}
-			cfg.Hooks = rec
+			cfg.Hooks = obs.Multi(o.Hooks, rec)
 		}
 		return cyclops.New[float64, float64](g, algorithms.PageRankCyclops{Eps: eps}, cfg)
 	}
@@ -219,13 +224,14 @@ func faultsCyclops(g *graph.Graph, cc cluster.Config, eps float64, plan fault.Pl
 	}, nil
 }
 
-func faultsGAS(g *graph.Graph, cc cluster.Config, eps float64, plan fault.Plan,
+func faultsGAS(g *graph.Graph, cc cluster.Config, o Options, plan fault.Plan,
 	dir string) (faultOutcome, error) {
 
 	maxSteps := 200
 	build := func(pl *fault.Plan, every int, rec *recoveryStats) (*gas.Engine[algorithms.PRValue, float64], error) {
 		cfg := gas.Config[algorithms.PRValue, float64]{
 			Cluster: cc, Partitioner: gas.RandomVertexCut{}, MaxSupersteps: maxSteps,
+			Hooks: o.Hooks,
 		}
 		if pl != nil {
 			cfg.FaultPlan = pl
@@ -237,10 +243,10 @@ func faultsGAS(g *graph.Graph, cc cluster.Config, eps float64, plan fault.Plan,
 				s, _, err := checkpoint.LoadLatest[gas.State[algorithms.PRValue]](dir)
 				return s, err
 			}
-			cfg.Hooks = rec
+			cfg.Hooks = obs.Multi(o.Hooks, rec)
 		}
 		return gas.New[algorithms.PRValue, float64](g,
-			algorithms.NewPageRankGAS(g, maxSteps, eps), cfg)
+			algorithms.NewPageRankGAS(g, maxSteps, o.Eps), cfg)
 	}
 
 	base, err := build(nil, 0, nil)

@@ -205,23 +205,23 @@ func defaultParams(o Options) runParams {
 	}
 }
 
-// memTracker samples heap usage at barriers.
-type memTracker struct {
+// heapTracker samples heap usage at barriers.
+type heapTracker struct {
 	active bool
 	peak   uint64
 	gcs0   uint32
 	pause0 uint64
 }
 
-// newMemTracker starts heap tracking for one run. forceGC runs a full
+// newHeapTracker starts heap tracking for one run. forceGC runs a full
 // collection before the baseline sample so HeapPeak measures this run's
 // allocations rather than the previous run's garbage — but the forced cycle
 // itself perturbs GC telemetry (it inflates NumGC/PauseTotalNs ambient state
 // and resets the pacer), so it is opt-in: only experiments that compare
 // heap peaks across engines (Table 2) ask for it, and its cost lands before
 // gcs0/pause0 are sampled so the run's own GC deltas stay clean.
-func newMemTracker(active, forceGC bool) *memTracker {
-	t := &memTracker{active: active}
+func newHeapTracker(active, forceGC bool) *heapTracker {
+	t := &heapTracker{active: active}
 	if active {
 		if forceGC {
 			runtime.GC()
@@ -234,7 +234,7 @@ func newMemTracker(active, forceGC bool) *memTracker {
 	return t
 }
 
-func (t *memTracker) sample() {
+func (t *heapTracker) sample() {
 	if !t.active {
 		return
 	}
@@ -245,7 +245,7 @@ func (t *memTracker) sample() {
 	}
 }
 
-func (t *memTracker) finish(r *RunResult) {
+func (t *heapTracker) finish(r *RunResult) {
 	if !t.active {
 		return
 	}

@@ -49,7 +49,7 @@ func runHama(algo string, g *graph.Graph, cc cluster.Config,
 	part partition.Partitioner, p runParams) (RunResult, error) {
 
 	r := RunResult{Engine: "hama", Config: cc}
-	mem := newMemTracker(p.trackMemory, p.forceGC)
+	mem := newHeapTracker(p.trackMemory, p.forceGC)
 	switch algo {
 	case "PR":
 		e, err := bsp.New[float64, float64](g, algorithms.PageRankBSP{Eps: p.eps},
@@ -145,7 +145,7 @@ func runCyclops(algo string, g *graph.Graph, cc cluster.Config,
 	if cc.Normalize().Threads > 1 || cc.Normalize().Receivers > 1 {
 		r.Engine = "cyclopsmt"
 	}
-	mem := newMemTracker(p.trackMemory, p.forceGC)
+	mem := newHeapTracker(p.trackMemory, p.forceGC)
 	switch algo {
 	case "PR":
 		e, err := cyclops.New[float64, float64](g, algorithms.PageRankCyclops{Eps: p.eps},

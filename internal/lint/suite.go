@@ -3,9 +3,8 @@
 // invariants this repo otherwise checks at runtime — the paper's §3.4
 // unidirectional master→replica sync contract, §3.6 replay determinism (the
 // flight recorder's byte-identical-run gate), the PR 4 typed transport-error
-// taxonomy, the observability layer's begin/end hook pairing, and the PR 9
-// hot-path contracts (arena buffer reuse, codec wire exactness, CSR slot
-// addressing, and the 0 allocs/op steady state).
+// taxonomy, and the PR 9 hot-path contracts (arena buffer reuse, codec wire
+// exactness, CSR slot addressing, and the 0 allocs/op steady state).
 //
 // Each analyzer is documented in its own file and mapped to the contract it
 // enforces in internal/lint/README.md. Intentional exceptions are annotated
@@ -30,10 +29,7 @@ import (
 // Import paths of the repo packages whose contracts the analyzers encode.
 // The analysistest suites reproduce these paths under testdata/src, so the
 // same package-identity checks hold in golden tests and production runs.
-const (
-	transportPkgPath = "cyclops/internal/transport"
-	obsPkgPath       = "cyclops/internal/obs"
-)
+const transportPkgPath = "cyclops/internal/transport"
 
 // Analyzers returns the full cyclops-lint suite in stable order.
 func Analyzers() []*analysis.Analyzer {
@@ -41,7 +37,6 @@ func Analyzers() []*analysis.Analyzer {
 		Determinism,
 		TransportErr,
 		AtomicMix,
-		HookBalance,
 		SendLocked,
 		BufRetain,
 		CodecSym,

@@ -20,10 +20,10 @@ import (
 // When an engine's Config.Audit flag is set, the engine verifies its own
 // variant of these invariants after each SYN phase (Hama audits message
 // conservation, GAS audits mirror coherence) and reports breaches as
-// Violation values through Hooks.OnViolation; the run then fails with an
+// Violation values in the StepRecord; the run then fails with an
 // *AuditError.
 
-// Violation kinds reported through Hooks.OnViolation.
+// Violation kinds reported in StepRecord.Violations.
 const (
 	// ViolationReplicaDesync: a replica's view value differs from its
 	// master's after SYN (Cyclops invariant 1).

@@ -1,9 +1,8 @@
 package obs
 
 import (
-	"fmt"
 	"runtime"
-	"sync"
+	"strconv"
 	"time"
 
 	"cyclops/internal/metrics"
@@ -75,9 +74,11 @@ type Collector struct {
 	recoveries  *Counter
 	replayed    *Counter
 
-	egressMu sync.Mutex
-	egress   []int64 // cumulative per-worker sent messages, latest run
-	ingress  []int64 // cumulative per-worker received messages, latest run
+	// Touched by hook calls only, i.e. from the coordinator goroutine.
+	egress  []int64         // cumulative per-worker sent messages, latest run
+	ingress []int64         // cumulative per-worker received messages, latest run
+	heat    []HeatPartition // scratch: a record's heat rows
+	spans   []span.Span     // scratch: a record's spans, counted by kind
 }
 
 // NewCollector registers the standard engine metrics on reg and returns the
@@ -149,13 +150,16 @@ func (c *Collector) WatchTransport(fn func() transport.Snapshot) {
 		func() float64 { return float64(fn().Reconnects) })
 }
 
-// OnRunStart implements Hooks.
+// OnRunStart implements Hooks: the per-run gauges restart here.
 func (c *Collector) OnRunStart(info RunInfo) {
 	c.runs.Inc()
 	c.workers.Set(float64(info.Workers))
 	if info.Vertices > 0 {
 		c.replication.Set(float64(info.Replicas) / float64(info.Vertices))
 	}
+	c.skew("replicas", imbalance(info.WorkerReplicas))
+	c.egress = make([]int64, info.Workers)
+	c.ingress = make([]int64, info.Workers)
 }
 
 // OnSuperstepStart implements Hooks.
@@ -163,40 +167,34 @@ func (c *Collector) OnSuperstepStart(step int) {
 	c.stepGauge.Set(float64(step))
 }
 
-// OnSpanStart implements Hooks (only completed spans are counted).
-func (c *Collector) OnSpanStart(span.Span) {}
-
-// OnSpanEnd implements Hooks: counts completed spans by kind.
-func (c *Collector) OnSpanEnd(s span.Span) {
-	c.reg.LabeledCounter(MetricSpans,
-		"Completed causal spans, by kind.", "kind", s.Kind.String()).Inc()
-}
-
 // OnPhase implements Hooks.
 func (c *Collector) OnPhase(step int, phase metrics.Phase, d time.Duration) {
 	c.phase.Observe(phase.String(), d.Seconds())
 }
 
-// OnWorkerStats implements Hooks (per-worker data feeds the tracer; the
-// registry keeps aggregate series only).
-func (c *Collector) OnWorkerStats(WorkerStats) {}
+// OnSuperstep implements Hooks: folds the record's aggregates into the
+// registry. Per-worker rows feed the tracer and the full per-partition rows
+// stay on /heat; the registry keeps aggregate series, each worker's cumulative
+// egress and ingress, and the two heat aggregates worth a live gauge.
+func (c *Collector) OnSuperstep(rec *StepRecord) {
+	s := &rec.Stats
+	c.supersteps.Inc()
+	c.active.Set(float64(s.Active))
+	c.changed.Set(float64(s.Changed))
+	c.messages.Add(float64(s.Messages))
+	c.redundant.Add(float64(s.RedundantMessages))
 
-// OnCommMatrix implements Hooks: exports each worker's cumulative egress and
-// ingress message counts of the current run as labelled gauges.
-func (c *Collector) OnCommMatrix(step int, delta transport.MatrixSnapshot) {
-	c.egressMu.Lock()
-	if step == 0 || len(c.egress) != delta.Workers {
-		c.egress = make([]int64, delta.Workers)
-		c.ingress = make([]int64, delta.Workers)
-	}
-	for w, v := range delta.Egress() {
-		c.egress[w] += v
-	}
-	for w, v := range delta.Ingress() {
-		c.ingress[w] += v
-	}
-	for w := range c.egress {
-		label := fmt.Sprintf("%d", w)
+	c.heat = rec.AppendHeat(c.heat[:0])
+	var boundary, sync int64
+	for w, p := range c.heat {
+		boundary += p.OutBoundary
+		sync += p.ReplicaSync
+		if w >= len(c.egress) {
+			continue // a record wider than its run announced
+		}
+		c.egress[w] += p.OutInterior + p.OutBoundary
+		c.ingress[w] += p.InInterior + p.InBoundary
+		label := strconv.Itoa(w)
 		c.reg.LabeledGauge(MetricWorkerEgress,
 			"Messages sent by each worker, cumulative over the latest run.",
 			"worker", label).Set(float64(c.egress[w]))
@@ -204,38 +202,41 @@ func (c *Collector) OnCommMatrix(step int, delta transport.MatrixSnapshot) {
 			"Messages received by each worker, cumulative over the latest run.",
 			"worker", label).Set(float64(c.ingress[w]))
 	}
-	c.egressMu.Unlock()
-}
-
-// OnViolation implements Hooks: counts auditor findings by kind.
-func (c *Collector) OnViolation(v Violation) {
-	c.reg.LabeledCounter(MetricAuditViolations,
-		"Replica-invariant violations found by the auditor, by kind.",
-		"kind", v.Kind).Inc()
-}
-
-// OnHeat implements Hooks: exports the superstep's boundary-message share
-// and replica-sync volume — the two heat aggregates worth a live gauge; the
-// full per-partition rows stay on /heat.
-func (c *Collector) OnHeat(d HeatStepData) {
-	var boundary, sync int64
-	for _, p := range d.Partitions {
-		boundary += p.OutBoundary
-		sync += p.ReplicaSync
-	}
 	c.reg.Gauge(MetricHeatBoundary,
 		"Messages that crossed a partition boundary in the latest superstep.").Set(float64(boundary))
 	c.reg.Gauge(MetricHeatReplicaSync,
 		"Replica/mirror synchronisation messages in the latest superstep.").Set(float64(sync))
+	c.spans = AppendStepSpans(c.spans[:0], rec.Spans)
+	var kinds [span.Deliver + 1]float64
+	for i := range c.spans {
+		kinds[c.spans[i].Kind]++
+	}
+	for kind, n := range kinds {
+		if n > 0 {
+			c.spanCount(span.Kind(kind), n)
+		}
+	}
+	for _, v := range rec.Violations {
+		c.reg.LabeledCounter(MetricAuditViolations,
+			"Replica-invariant violations found by the auditor, by kind.",
+			"kind", v.Kind).Inc()
+	}
+	sk := rec.Skew()
+	c.skew("compute", sk.Compute)
+	c.skew("sent", sk.Sent)
+	c.skew("received", sk.Received)
+	c.skew("active", sk.Active)
 }
 
-// OnSuperstepEnd implements Hooks.
-func (c *Collector) OnSuperstepEnd(step int, s metrics.StepStats) {
-	c.supersteps.Inc()
-	c.active.Set(float64(s.Active))
-	c.changed.Set(float64(s.Changed))
-	c.messages.Add(float64(s.Messages))
-	c.redundant.Add(float64(s.RedundantMessages))
+func (c *Collector) skew(metric string, v float64) {
+	c.reg.LabeledGauge(MetricSkew,
+		"Per-superstep load imbalance, max/mean across workers (1 = balanced).",
+		"metric", metric).Set(v)
+}
+
+func (c *Collector) spanCount(kind span.Kind, n float64) {
+	c.reg.LabeledCounter(MetricSpans,
+		"Completed causal spans, by kind.", "kind", kind.String()).Add(n)
 }
 
 // OnRecovery implements Hooks.
@@ -244,10 +245,11 @@ func (c *Collector) OnRecovery(e RecoveryEvent) {
 	c.replayed.Add(float64(e.Replayed()))
 }
 
-// OnConverged implements Hooks.
-func (c *Collector) OnConverged(step int, reason string) {
+// OnRunEnd implements Hooks.
+func (c *Collector) OnRunEnd(e RunEnd) {
+	c.spanCount(span.Run, 1)
 	c.reg.LabeledCounter(MetricRunsDone,
-		"Engine runs completed, by termination reason.", "reason", reason).Inc()
+		"Engine runs completed, by termination reason.", "reason", e.Reason).Inc()
 }
 
 // RegisterRuntime adds process-level gauges (goroutines, heap) to reg —

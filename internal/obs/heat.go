@@ -13,15 +13,10 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-
-	"cyclops/internal/transport"
 )
 
 // HeatPartition is one worker's heat row for one superstep. All fields are
@@ -60,51 +55,36 @@ type HotVertex struct {
 	Units int64 `json:"units"`
 }
 
-// HeatStepData is one superstep's heat payload, assembled at the barrier by
-// every engine and fanned out through Hooks.OnHeat.
-type HeatStepData struct {
-	Step int `json:"step"`
-	// Partitions holds one row per worker, in worker order.
-	Partitions []HeatPartition `json:"partitions"`
-	// Hot is the cumulative top-k hot-vertex set as of this superstep,
-	// ordered by Msgs descending, then vertex id ascending — a total order,
-	// so the set is byte-identical across same-seed runs even under ties.
-	Hot []HotVertex `json:"hot"`
-}
-
-// DefaultHotK is the hot-set size engines track: large enough to expose the
-// power-law head Fig 11 cares about, small enough to scan per barrier.
+// DefaultHotK is the hot-set size: large enough to expose the power-law head
+// Fig 11 cares about.
 const DefaultHotK = 16
 
-// BuildHeatPartitions derives a superstep's heat rows from the superstep's
-// traffic-matrix delta and the engine's per-worker counters. The diagonal of
-// the delta is interior traffic; everything off-diagonal is boundary. active,
-// units and sync are indexed by worker; sync may be nil (no replicated view).
-func BuildHeatPartitions(step int, delta transport.MatrixSnapshot, active, units, sync []int64) []HeatPartition {
-	n := len(active)
-	rows := make([]HeatPartition, n)
-	for w := 0; w < n; w++ {
-		r := HeatPartition{Step: step, Worker: w, Active: active[w], ComputeUnits: units[w]}
-		if w < len(delta.Messages) {
-			diag := delta.Messages[w][w]
-			r.OutInterior, r.InInterior = diag, diag
-			for t, v := range delta.Messages[w] {
+// AppendHeat appends the superstep's heat rows to dst, one per worker in
+// worker order. The diagonal of the traffic delta is interior traffic;
+// everything off-diagonal is boundary.
+func (r *StepRecord) AppendHeat(dst []HeatPartition) []HeatPartition {
+	msgs := r.Comm.Messages
+	for w := range r.Active {
+		row := HeatPartition{Step: r.Step, Worker: w, Active: r.Active[w], ComputeUnits: r.Units[w]}
+		if w < len(msgs) {
+			row.OutInterior, row.InInterior = msgs[w][w], msgs[w][w]
+			for t, v := range msgs[w] {
 				if t != w {
-					r.OutBoundary += v
+					row.OutBoundary += v
 				}
 			}
-			for f := range delta.Messages {
+			for f := range msgs {
 				if f != w {
-					r.InBoundary += delta.Messages[f][w]
+					row.InBoundary += msgs[f][w]
 				}
 			}
 		}
-		if sync != nil {
-			r.ReplicaSync = sync[w]
+		if r.Sync != nil {
+			row.ReplicaSync = r.Sync[w]
 		}
-		rows[w] = r
+		dst = append(dst, row)
 	}
-	return rows
+	return dst
 }
 
 // TopHotVertices scans cumulative per-vertex counters and returns the exact
@@ -166,31 +146,46 @@ func EncodeHeatCSV(rows []HeatPartition) []byte {
 	return []byte(b.String())
 }
 
-// ParseHeatCSV reads heat.csv back. Strict: the header and every row must
-// match the schema exactly, so Encode/Parse round-trips byte-for-byte.
-func ParseHeatCSV(blob []byte) ([]HeatPartition, error) {
+// parseIntCSV reads a CSV of integer columns back. Strict: the header and
+// every row's width must match exactly, so Encode/Parse round-trips
+// byte-for-byte.
+func parseIntCSV(blob []byte, name, header string) ([][]int64, error) {
 	lines := strings.Split(strings.TrimSuffix(string(blob), "\n"), "\n")
-	if len(lines) == 0 || lines[0] != HeatCSVHeader {
-		return nil, fmt.Errorf("obs: not a heat.csv (header %q)", lines[0])
+	if lines[0] != header {
+		return nil, fmt.Errorf("obs: not a %s (header %q)", name, lines[0])
 	}
-	var rows []HeatPartition
+	width := strings.Count(header, ",") + 1
+	rows := make([][]int64, 0, len(lines)-1)
 	for ln, line := range lines[1:] {
 		f := strings.Split(line, ",")
-		if len(f) != 9 {
-			return nil, fmt.Errorf("obs: heat.csv row %d has %d fields, want 9", ln+2, len(f))
+		if len(f) != width {
+			return nil, fmt.Errorf("obs: %s row %d has %d fields, want %d", name, ln+2, len(f), width)
 		}
-		var vals [9]int64
+		vals := make([]int64, width)
 		for i, s := range f {
 			v, err := strconv.ParseInt(s, 10, 64)
 			if err != nil {
-				return nil, fmt.Errorf("obs: heat.csv row %d field %d: %w", ln+2, i+1, err)
+				return nil, fmt.Errorf("obs: %s row %d field %d: %w", name, ln+2, i+1, err)
 			}
 			vals[i] = v
 		}
+		rows = append(rows, vals)
+	}
+	return rows, nil
+}
+
+// ParseHeatCSV reads heat.csv back.
+func ParseHeatCSV(blob []byte) ([]HeatPartition, error) {
+	table, err := parseIntCSV(blob, "heat.csv", HeatCSVHeader)
+	if err != nil {
+		return nil, err
+	}
+	var rows []HeatPartition
+	for _, v := range table {
 		rows = append(rows, HeatPartition{
-			Step: int(vals[0]), Worker: int(vals[1]), Active: vals[2],
-			ComputeUnits: vals[3], OutInterior: vals[4], OutBoundary: vals[5],
-			InInterior: vals[6], InBoundary: vals[7], ReplicaSync: vals[8],
+			Step: int(v[0]), Worker: int(v[1]), Active: v[2],
+			ComputeUnits: v[3], OutInterior: v[4], OutBoundary: v[5],
+			InInterior: v[6], InBoundary: v[7], ReplicaSync: v[8],
 		})
 	}
 	return rows, nil
@@ -214,118 +209,16 @@ func EncodeHotsetCSV(hot []HotVertex) []byte {
 // ParseHotsetCSV reads hotset.csv back, verifying the rank column is the
 // contiguous 1..n sequence the encoder wrote.
 func ParseHotsetCSV(blob []byte) ([]HotVertex, error) {
-	lines := strings.Split(strings.TrimSuffix(string(blob), "\n"), "\n")
-	if len(lines) == 0 || lines[0] != HotsetCSVHeader {
-		return nil, fmt.Errorf("obs: not a hotset.csv (header %q)", lines[0])
+	table, err := parseIntCSV(blob, "hotset.csv", HotsetCSVHeader)
+	if err != nil {
+		return nil, err
 	}
 	var hot []HotVertex
-	for ln, line := range lines[1:] {
-		f := strings.Split(line, ",")
-		if len(f) != 5 {
-			return nil, fmt.Errorf("obs: hotset.csv row %d has %d fields, want 5", ln+2, len(f))
+	for i, v := range table {
+		if v[0] != int64(i+1) {
+			return nil, fmt.Errorf("obs: hotset.csv row %d has rank %d, want %d", i+2, v[0], i+1)
 		}
-		var vals [5]int64
-		for i, s := range f {
-			v, err := strconv.ParseInt(s, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("obs: hotset.csv row %d field %d: %w", ln+2, i+1, err)
-			}
-			vals[i] = v
-		}
-		if vals[0] != int64(ln+1) {
-			return nil, fmt.Errorf("obs: hotset.csv row %d has rank %d, want %d", ln+2, vals[0], ln+1)
-		}
-		hot = append(hot, HotVertex{Vertex: vals[1], Worker: int(vals[2]), Msgs: vals[3], Units: vals[4]})
+		hot = append(hot, HotVertex{Vertex: v[1], Worker: int(v[2]), Msgs: v[3], Units: v[4]})
 	}
 	return hot, nil
-}
-
-// HeatTracker accumulates the heat stream for the live /heat endpoint.
-type HeatTracker struct {
-	Nop // no-op for the hook points the tracker does not consume
-
-	mu     sync.Mutex
-	engine string
-	rows   []HeatPartition
-	hot    []HotVertex
-	done   bool
-}
-
-// NewHeatTracker returns an empty tracker.
-func NewHeatTracker() *HeatTracker { return &HeatTracker{} }
-
-// OnRunStart implements Hooks: a new run resets the accumulated heat.
-func (t *HeatTracker) OnRunStart(info RunInfo) {
-	t.mu.Lock()
-	t.engine = info.Engine
-	t.rows = nil
-	t.hot = nil
-	t.done = false
-	t.mu.Unlock()
-}
-
-// OnHeat implements Hooks: appends the superstep's rows and replaces the
-// cumulative hot set.
-func (t *HeatTracker) OnHeat(d HeatStepData) {
-	t.mu.Lock()
-	t.rows = append(t.rows, d.Partitions...)
-	t.hot = append(t.hot[:0], d.Hot...)
-	t.mu.Unlock()
-}
-
-// OnConverged implements Hooks.
-func (t *HeatTracker) OnConverged(int, string) {
-	t.mu.Lock()
-	t.done = true
-	t.mu.Unlock()
-}
-
-// Rows returns a copy of the accumulated heat rows.
-func (t *HeatTracker) Rows() []HeatPartition {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]HeatPartition(nil), t.rows...)
-}
-
-// Hot returns a copy of the latest cumulative hot-vertex set.
-func (t *HeatTracker) Hot() []HotVertex {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]HotVertex(nil), t.hot...)
-}
-
-// heatJSON is the /heat JSON envelope.
-type heatJSON struct {
-	Engine     string          `json:"engine"`
-	Done       bool            `json:"done"`
-	Partitions []HeatPartition `json:"partitions"`
-	Hot        []HotVertex     `json:"hot"`
-}
-
-// ServeHTTP serves the accumulated heat: JSON by default, heat.csv rows with
-// ?format=csv (append the hotset with ?format=hotcsv).
-func (t *HeatTracker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	t.mu.Lock()
-	payload := heatJSON{
-		Engine:     t.engine,
-		Done:       t.done,
-		Partitions: append([]HeatPartition(nil), t.rows...),
-		Hot:        append([]HotVertex(nil), t.hot...),
-	}
-	t.mu.Unlock()
-	serveFormat(w, r, map[string]formatVariant{
-		"json": {contentType: "application/json", render: func(w http.ResponseWriter) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(payload)
-		}},
-		"csv": {contentType: "text/csv", render: func(w http.ResponseWriter) error {
-			_, err := w.Write(EncodeHeatCSV(payload.Partitions))
-			return err
-		}},
-		"hotcsv": {contentType: "text/csv", render: func(w http.ResponseWriter) error {
-			_, err := w.Write(EncodeHotsetCSV(payload.Hot))
-			return err
-		}},
-	})
 }

@@ -1,15 +1,11 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"net/http"
 	"runtime/metrics"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 
 	intmetrics "cyclops/internal/metrics"
 )
@@ -26,7 +22,7 @@ import (
 // memPhases is the number of attributable superstep phases (PRS/CMP/SND/SYN).
 const memPhases = int(intmetrics.Sync) + 1
 
-// memMetricNames are the runtime/metrics samples one MemSnap reads, batched
+// memMetricNames are the runtime/metrics samples one memSnap reads, batched
 // into a single metrics.Read call.
 var memMetricNames = []string{
 	"/gc/heap/allocs:bytes",
@@ -37,46 +33,16 @@ var memMetricNames = []string{
 	"/sched/pauses/total/gc:seconds",
 }
 
-// MemSnap is one point-in-time sample of the allocation counters. The first
-// three fields are cumulative since process start (deltas between snapshots
-// attribute allocation to an interval); the last three are instantaneous.
-type MemSnap struct {
-	AllocBytes   uint64 // cumulative heap bytes allocated
-	AllocObjects uint64 // cumulative heap objects allocated
-	GCCycles     uint64 // cumulative completed GC cycles
-	PauseNs      int64  // cumulative GC stop-the-world pause (approx, from histogram)
-	HeapGoal     uint64 // current GC pacer heap goal
-	HeapLive     uint64 // current live heap object bytes
-}
-
-// MemSampler reads the allocation counters via runtime/metrics. It reuses one
-// sample buffer, so a Sample costs one metrics.Read and no allocation; it is
-// not safe for concurrent use (each consumer owns its own sampler, called
-// from the coordinator goroutine like every other hook).
-type MemSampler struct {
-	samples []metrics.Sample
-}
-
-// NewMemSampler prepares a sampler for the memory-observatory metric set.
-func NewMemSampler() *MemSampler {
-	s := &MemSampler{samples: make([]metrics.Sample, len(memMetricNames))}
-	for i, name := range memMetricNames {
-		s.samples[i].Name = name
-	}
-	return s
-}
-
-// Sample reads all counters in one batch.
-func (s *MemSampler) Sample() MemSnap {
-	metrics.Read(s.samples)
-	return MemSnap{
-		AllocBytes:   memUint64(s.samples[0]),
-		AllocObjects: memUint64(s.samples[1]),
-		GCCycles:     memUint64(s.samples[2]),
-		HeapGoal:     memUint64(s.samples[3]),
-		HeapLive:     memUint64(s.samples[4]),
-		PauseNs:      histogramNanos(s.samples[5]),
-	}
+// memSnap is one point-in-time sample of the allocation counters. The first
+// four fields are cumulative since process start (deltas between snapshots
+// attribute allocation to an interval); the last two are instantaneous.
+type memSnap struct {
+	allocBytes   uint64 // cumulative heap bytes allocated
+	allocObjects uint64 // cumulative heap objects allocated
+	gcCycles     uint64 // cumulative completed GC cycles
+	pauseNs      int64  // cumulative GC stop-the-world pause (approx, from histogram)
+	heapGoal     uint64 // current GC pacer heap goal
+	heapLive     uint64 // current live heap object bytes
 }
 
 func memUint64(s metrics.Sample) uint64 {
@@ -130,22 +96,41 @@ type MemStep struct {
 	HeapLive     uint64            `json:"heap_live_bytes"`
 }
 
-// memAttrib turns hook boundaries into MemSteps. It is the shared attribution
-// core of the Recorder (mem.csv) and the MemTracker (/mem endpoint); callers
-// provide their own locking.
+// memAttrib turns hook boundaries into MemSteps for the Log, which provides
+// the locking. It reads the counters via runtime/metrics into one reused
+// sample buffer, so a sample costs one metrics.Read and no allocation.
 type memAttrib struct {
-	sampler   *MemSampler
-	stepBase  MemSnap // sample at superstep start
-	phaseBase MemSnap // sample at the last phase boundary
+	samples   []metrics.Sample
+	stepBase  memSnap // sample at superstep start
+	phaseBase memSnap // sample at the last phase boundary
 	cur       MemStep
 	open      bool
 }
 
-func newMemAttrib() *memAttrib { return &memAttrib{sampler: NewMemSampler()} }
+func newMemAttrib() *memAttrib {
+	a := &memAttrib{samples: make([]metrics.Sample, len(memMetricNames))}
+	for i, name := range memMetricNames {
+		a.samples[i].Name = name
+	}
+	return a
+}
+
+// sample reads all counters in one batch.
+func (a *memAttrib) sample() memSnap {
+	metrics.Read(a.samples)
+	return memSnap{
+		allocBytes:   memUint64(a.samples[0]),
+		allocObjects: memUint64(a.samples[1]),
+		gcCycles:     memUint64(a.samples[2]),
+		heapGoal:     memUint64(a.samples[3]),
+		heapLive:     memUint64(a.samples[4]),
+		pauseNs:      histogramNanos(a.samples[5]),
+	}
+}
 
 // startStep opens a superstep: both baselines move to now.
 func (a *memAttrib) startStep(step int) {
-	snap := a.sampler.Sample()
+	snap := a.sample()
 	a.stepBase, a.phaseBase = snap, snap
 	a.cur = MemStep{Step: step}
 	a.open = true
@@ -157,9 +142,9 @@ func (a *memAttrib) phase(p intmetrics.Phase) {
 	if !a.open || int(p) < 0 || int(p) >= memPhases {
 		return
 	}
-	snap := a.sampler.Sample()
-	a.cur.PhaseBytes[p] += snap.AllocBytes - a.phaseBase.AllocBytes
-	a.cur.PhaseObjects[p] += snap.AllocObjects - a.phaseBase.AllocObjects
+	snap := a.sample()
+	a.cur.PhaseBytes[p] += snap.allocBytes - a.phaseBase.allocBytes
+	a.cur.PhaseObjects[p] += snap.allocObjects - a.phaseBase.allocObjects
 	a.phaseBase = snap
 }
 
@@ -168,13 +153,13 @@ func (a *memAttrib) endStep() MemStep {
 	if !a.open {
 		return MemStep{}
 	}
-	snap := a.sampler.Sample()
-	a.cur.StepBytes = snap.AllocBytes - a.stepBase.AllocBytes
-	a.cur.StepObjects = snap.AllocObjects - a.stepBase.AllocObjects
-	a.cur.GCCycles = snap.GCCycles - a.stepBase.GCCycles
-	a.cur.GCPauseNs = snap.PauseNs - a.stepBase.PauseNs
-	a.cur.HeapGoal = snap.HeapGoal
-	a.cur.HeapLive = snap.HeapLive
+	snap := a.sample()
+	a.cur.StepBytes = snap.allocBytes - a.stepBase.allocBytes
+	a.cur.StepObjects = snap.allocObjects - a.stepBase.allocObjects
+	a.cur.GCCycles = snap.gcCycles - a.stepBase.gcCycles
+	a.cur.GCPauseNs = snap.pauseNs - a.stepBase.pauseNs
+	a.cur.HeapGoal = snap.heapGoal
+	a.cur.HeapLive = snap.heapLive
 	a.open = false
 	return a.cur
 }
@@ -259,91 +244,4 @@ func ParseMemCSV(blob []byte) ([]MemStep, error) {
 		out = append(out, s)
 	}
 	return out, nil
-}
-
-// MemTracker is a Hooks that keeps the current run's memory telemetry in
-// memory for the live /mem endpoint (the Recorder persists the same rows as
-// mem.csv). It retains the last run's steps after OnConverged so /mem stays
-// useful between runs.
-type MemTracker struct {
-	Nop
-
-	mu     sync.Mutex
-	attrib *memAttrib
-	engine string
-	steps  []MemStep
-	done   bool
-}
-
-// NewMemTracker creates an empty tracker.
-func NewMemTracker() *MemTracker { return &MemTracker{attrib: newMemAttrib()} }
-
-// OnRunStart implements Hooks: resets the telemetry for a new run.
-func (t *MemTracker) OnRunStart(info RunInfo) {
-	t.mu.Lock()
-	t.engine = info.Engine
-	t.steps = t.steps[:0]
-	t.done = false
-	t.mu.Unlock()
-}
-
-// OnSuperstepStart implements Hooks.
-func (t *MemTracker) OnSuperstepStart(step int) {
-	t.mu.Lock()
-	t.attrib.startStep(step)
-	t.mu.Unlock()
-}
-
-// OnPhase implements Hooks.
-func (t *MemTracker) OnPhase(step int, phase intmetrics.Phase, d time.Duration) {
-	t.mu.Lock()
-	t.attrib.phase(phase)
-	t.mu.Unlock()
-}
-
-// OnSuperstepEnd implements Hooks.
-func (t *MemTracker) OnSuperstepEnd(step int, stats intmetrics.StepStats) {
-	t.mu.Lock()
-	t.steps = append(t.steps, t.attrib.endStep())
-	t.mu.Unlock()
-}
-
-// OnConverged implements Hooks.
-func (t *MemTracker) OnConverged(step int, reason string) {
-	t.mu.Lock()
-	t.done = true
-	t.mu.Unlock()
-}
-
-// Steps returns a copy of the recorded steps so far.
-func (t *MemTracker) Steps() []MemStep {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]MemStep(nil), t.steps...)
-}
-
-// memJSON is the /mem response envelope.
-type memJSON struct {
-	Engine string    `json:"engine"`
-	Done   bool      `json:"done"`
-	Steps  []MemStep `json:"steps"`
-}
-
-// ServeHTTP implements the /mem endpoint: JSON by default, mem.csv with
-// ?format=csv.
-func (t *MemTracker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	t.mu.Lock()
-	resp := memJSON{Engine: t.engine, Done: t.done, Steps: append([]MemStep(nil), t.steps...)}
-	t.mu.Unlock()
-	serveFormat(w, r, map[string]formatVariant{
-		"json": {contentType: "application/json", render: func(w http.ResponseWriter) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(resp)
-		}},
-		"csv": {contentType: "text/csv; charset=utf-8", render: func(w http.ResponseWriter) error {
-			_, err := w.Write(EncodeMemCSV(resp.Steps))
-			return err
-		}},
-	})
 }

@@ -15,12 +15,14 @@ import (
 	"time"
 
 	"cyclops/internal/metrics"
-	"cyclops/internal/obs/span"
 	"cyclops/internal/transport"
 )
 
 // RunInfo describes a run as it starts.
 type RunInfo struct {
+	// Run numbers the engine's observed runs from 1 — the Run id of every span
+	// of this run, so a restored engine's second Run stays distinct.
+	Run int64
 	// Engine is the engine's trace name ("hama", "cyclops", "cyclopsmt",
 	// "powergraph").
 	Engine string
@@ -38,8 +40,8 @@ type RunInfo struct {
 	// bytes); zero for engines without replicas.
 	ReplicaValueBytes int64
 	// WorkerReplicas is the per-worker replica/mirror placement (len ==
-	// Workers); nil for engines without a replicated view. It feeds the skew
-	// profiler's replica-imbalance coefficient.
+	// Workers); nil for engines without a replicated view. It feeds the
+	// replica-imbalance coefficient of the skew profile.
 	WorkerReplicas []int64
 	// EdgeCut is the number of edges whose endpoints land on different
 	// workers under the run's partitioning — the load-time quality the paper's
@@ -52,25 +54,50 @@ type RunInfo struct {
 	PartitionBalance float64
 }
 
-// WorkerStats is one worker's share of one superstep — the per-worker
-// visibility needed to spot stragglers and skewed partitions live.
-type WorkerStats struct {
-	Step   int
-	Worker int
-	// ComputeUnits is the number of edges scanned in the compute phase.
-	ComputeUnits int64
-	// Sent and Received count this worker's messages this superstep.
-	Sent     int64
-	Received int64
-	// Active is the number of this worker's vertices that computed this
-	// superstep.
-	Active int64
-	// QueueDepth is the number of inbound batches drained this superstep
-	// (a proxy for receive-side pressure).
-	QueueDepth int64
+// StepRecord is one superstep as the kernel saw it: the single value emitted
+// after the barrier, from which skew coefficients, heat rows, the span stream
+// and the hot set are views a consumer computes if it wants them. The record and everything it points at is the kernel's per-run
+// scratch, overwritten by the next superstep — valid only during the
+// OnSuperstep call. A consumer copies what it keeps.
+type StepRecord struct {
+	Step  int
+	Stats metrics.StepStats
+	// Per-worker rows, indexed by worker — the per-worker visibility needed to
+	// spot stragglers and skewed partitions live: edges scanned in compute,
+	// vertices that computed, messages sent and received, batches drained (a
+	// proxy for receive-side pressure), and the replica-sync share of Sent
+	// (all zero without a replicated view).
+	Units, Active, Sent, Recv, Batches, Sync []int64
+	// Comm is the worker×worker traffic of this superstep. Summing a run's
+	// records reproduces the transport's cumulative Matrix — and therefore its
+	// Stats totals — exactly.
+	Comm transport.MatrixSnapshot
+	// Violations is what the replica-invariant auditor found (engines with
+	// Config.Audit enabled); the run fails with an AuditError after this
+	// record is delivered.
+	Violations []Violation
+	// Spans is the superstep's span measurements; AppendStepSpans turns it
+	// into the canonical span stream.
+	Spans StepSpanData
+	// HeatMsgs and HeatUnits are the cumulative per-vertex counters behind the
+	// Hot view; Owner maps a vertex to its master's worker.
+	HeatMsgs, HeatUnits []int64
+	Owner               func(v int) int
 }
 
-// Termination reasons passed to OnConverged.
+// Skew is the imbalance view: max/mean across workers of each per-worker row.
+func (r *StepRecord) Skew() SkewStep {
+	return SkewStep{Step: r.Step, Compute: imbalance(r.Units), Sent: imbalance(r.Sent),
+		Received: imbalance(r.Recv), Active: imbalance(r.Active)}
+}
+
+// Hot is the cumulative top-k hot-vertex view as of this superstep. It scans
+// every vertex, so consumers evaluate it at a bounded rate, never per barrier.
+func (r *StepRecord) Hot() []HotVertex {
+	return TopHotVertices(r.HeatMsgs, r.HeatUnits, r.Owner, DefaultHotK)
+}
+
+// Termination reasons reported by RunEnd.
 const (
 	ReasonNoActive      = "no-active"      // no vertex is active
 	ReasonHalt          = "halt"           // the Halt function fired
@@ -78,6 +105,20 @@ const (
 	ReasonAuditFailed   = "audit-failed"   // the replica-invariant auditor found a breach
 	ReasonFault         = "fault"          // an unrecoverable transport/worker fault
 )
+
+// RunEnd describes a run as it terminates.
+type RunEnd struct {
+	// Step is the engine's superstep counter at exit; Reason one of the
+	// Reason* constants.
+	Step   int
+	Reason string
+	// Wall is the sum of the run's superstep walls — the run span's duration,
+	// so it reconciles with the timings.csv totals.
+	Wall time.Duration
+	// Hot is the run's final cumulative top-k hot-vertex set, built once for
+	// this event; consumers share it read-only.
+	Hot []HotVertex
+}
 
 // RecoveryEvent describes one checkpoint recovery (§3.6): a transient
 // transport/worker fault observed at superstep Step's barrier, rolled back to
@@ -100,9 +141,14 @@ type RecoveryEvent struct {
 // superstep plus everything since the checkpoint.
 func (e RecoveryEvent) Replayed() int { return e.Step - e.ResumedAt + 1 }
 
-// Hooks observes an engine run. Implementations must be safe for calls from
-// the engine's coordinator goroutine; OnWorkerStats may be called once per
-// worker per superstep (always from the coordinator, between barriers).
+// Hooks observes an engine run. Every call comes from the engine's
+// coordinator goroutine, between barriers, in the grammar
+//
+//	OnRunStart { OnSuperstepStart OnPhase* OnSuperstep [OnRecovery] }* OnRunEnd
+//
+// which the superstep kernel makes structural: the run pair brackets a loop
+// that may return freely, and nothing between OnSuperstepStart and
+// OnSuperstep can fail.
 //
 // All engines treat a nil Hooks as "disabled": the only cost on the hot path
 // is a nil-check.
@@ -111,47 +157,23 @@ type Hooks interface {
 	OnRunStart(info RunInfo)
 	// OnSuperstepStart fires at the top of each superstep.
 	OnSuperstepStart(step int)
-	// OnSpanStart fires when a causal span opens: the run span after
-	// OnRunStart and each superstep span after OnSuperstepStart. Only spans
-	// whose end is not yet known are announced — completed per-worker phase
-	// spans arrive through OnSpanEnd alone, emitted post-barrier from the
-	// coordinator in deterministic worker order.
-	OnSpanStart(s span.Span)
-	// OnSpanEnd fires when a span completes, with its final duration and
-	// weights. Every OnSpanStart is matched by an OnSpanEnd on all return
-	// paths (cyclops-lint's hookbalance analyzer enforces the pairing).
-	OnSpanEnd(s span.Span)
-	// OnPhase fires after each timed phase of a superstep.
+	// OnPhase fires after each timed phase of a superstep, at the phase
+	// boundary itself: allocation attribution samples there, and the
+	// slow-phase detector warns at the phase rather than at the barrier.
 	OnPhase(step int, phase metrics.Phase, d time.Duration)
-	// OnWorkerStats fires once per worker after the superstep's barriers.
-	OnWorkerStats(ws WorkerStats)
-	// OnCommMatrix fires once per superstep (before OnSuperstepEnd) with the
-	// worker×worker traffic delta of that superstep. Summing the deltas of a
-	// run reproduces the transport's cumulative Matrix — and therefore its
-	// Stats totals — exactly.
-	OnCommMatrix(step int, delta transport.MatrixSnapshot)
-	// OnViolation fires once per invariant violation found by the
-	// replica-invariant auditor (engines with Config.Audit enabled). The run
-	// fails with an AuditError after the violating superstep's hooks.
-	OnViolation(v Violation)
-	// OnHeat fires once per superstep (between the barrier and
-	// OnSuperstepEnd) with the superstep's per-partition heat rows and the
-	// cumulative top-k hot-vertex set. Every field is a deterministic count;
-	// like OnSuperstepStart, each started superstep reports heat on all
-	// return paths (cyclops-lint's hookbalance analyzer enforces the
-	// pairing).
-	OnHeat(d HeatStepData)
-	// OnSuperstepEnd fires with the superstep's aggregate statistics.
-	OnSuperstepEnd(step int, stats metrics.StepStats)
+	// OnSuperstep fires once per superstep after the barrier with everything
+	// the kernel knows about it. rec is valid only during the call.
+	OnSuperstep(rec *StepRecord)
 	// OnRecovery fires after the engine has restored a checkpoint in
 	// response to a transient fault, before the replay resumes.
 	OnRecovery(e RecoveryEvent)
-	// OnConverged fires once when the run terminates.
-	OnConverged(step int, reason string)
+	// OnRunEnd fires once when the run terminates, on every exit path.
+	OnRunEnd(e RunEnd)
 }
 
 // Nop is a Hooks that does nothing. Engines treat nil and Nop identically;
-// Nop exists so overhead can be benchmarked with the hook calls *taken*.
+// Nop exists so overhead can be benchmarked with the hook calls *taken*, and
+// so partial observers can embed it.
 type Nop struct{}
 
 // OnRunStart implements Hooks.
@@ -160,35 +182,17 @@ func (Nop) OnRunStart(RunInfo) {}
 // OnSuperstepStart implements Hooks.
 func (Nop) OnSuperstepStart(int) {}
 
-// OnSpanStart implements Hooks.
-func (Nop) OnSpanStart(span.Span) {}
-
-// OnSpanEnd implements Hooks.
-func (Nop) OnSpanEnd(span.Span) {}
-
 // OnPhase implements Hooks.
 func (Nop) OnPhase(int, metrics.Phase, time.Duration) {}
 
-// OnWorkerStats implements Hooks.
-func (Nop) OnWorkerStats(WorkerStats) {}
-
-// OnCommMatrix implements Hooks.
-func (Nop) OnCommMatrix(int, transport.MatrixSnapshot) {}
-
-// OnViolation implements Hooks.
-func (Nop) OnViolation(Violation) {}
-
-// OnHeat implements Hooks.
-func (Nop) OnHeat(HeatStepData) {}
-
-// OnSuperstepEnd implements Hooks.
-func (Nop) OnSuperstepEnd(int, metrics.StepStats) {}
+// OnSuperstep implements Hooks.
+func (Nop) OnSuperstep(*StepRecord) {}
 
 // OnRecovery implements Hooks.
 func (Nop) OnRecovery(RecoveryEvent) {}
 
-// OnConverged implements Hooks.
-func (Nop) OnConverged(int, string) {}
+// OnRunEnd implements Hooks.
+func (Nop) OnRunEnd(RunEnd) {}
 
 // multi fans hook calls out to several observers.
 type multi []Hooks
@@ -224,51 +228,15 @@ func (m multi) OnSuperstepStart(step int) {
 	}
 }
 
-func (m multi) OnSpanStart(s span.Span) {
-	for _, h := range m {
-		h.OnSpanStart(s)
-	}
-}
-
-func (m multi) OnSpanEnd(s span.Span) {
-	for _, h := range m {
-		h.OnSpanEnd(s)
-	}
-}
-
 func (m multi) OnPhase(step int, phase metrics.Phase, d time.Duration) {
 	for _, h := range m {
 		h.OnPhase(step, phase, d)
 	}
 }
 
-func (m multi) OnWorkerStats(ws WorkerStats) {
+func (m multi) OnSuperstep(rec *StepRecord) {
 	for _, h := range m {
-		h.OnWorkerStats(ws)
-	}
-}
-
-func (m multi) OnCommMatrix(step int, delta transport.MatrixSnapshot) {
-	for _, h := range m {
-		h.OnCommMatrix(step, delta)
-	}
-}
-
-func (m multi) OnViolation(v Violation) {
-	for _, h := range m {
-		h.OnViolation(v)
-	}
-}
-
-func (m multi) OnHeat(d HeatStepData) {
-	for _, h := range m {
-		h.OnHeat(d)
-	}
-}
-
-func (m multi) OnSuperstepEnd(step int, stats metrics.StepStats) {
-	for _, h := range m {
-		h.OnSuperstepEnd(step, stats)
+		h.OnSuperstep(rec)
 	}
 }
 
@@ -278,8 +246,8 @@ func (m multi) OnRecovery(e RecoveryEvent) {
 	}
 }
 
-func (m multi) OnConverged(step int, reason string) {
+func (m multi) OnRunEnd(e RunEnd) {
 	for _, h := range m {
-		h.OnConverged(step, reason)
+		h.OnRunEnd(e)
 	}
 }

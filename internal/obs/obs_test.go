@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"cyclops/internal/metrics"
+	"cyclops/internal/obs/span"
+	"cyclops/internal/transport"
 )
 
 func TestRingEvictsOldest(t *testing.T) {
@@ -49,13 +52,14 @@ func TestTracerEmitsJSONL(t *testing.T) {
 	tr.OnRunStart(RunInfo{Engine: "cyclops", Workers: 4, Vertices: 100, Edges: 400, Replicas: 37})
 	tr.OnSuperstepStart(0)
 	tr.OnPhase(0, metrics.Compute, 3*time.Millisecond)
-	tr.OnWorkerStats(WorkerStats{Step: 0, Worker: 1, ComputeUnits: 10, Sent: 5, Received: 2})
-	tr.OnSuperstepEnd(0, metrics.StepStats{Step: 0, Active: 100, Messages: 37})
-	tr.OnConverged(1, ReasonNoActive)
+	tr.OnSuperstep(&StepRecord{Step: 0, Stats: metrics.StepStats{Step: 0, Active: 100, Messages: 37},
+		Units: []int64{10}, Sent: []int64{5}, Recv: []int64{2}, Active: []int64{100}, Batches: []int64{1},
+		Violations: []Violation{{Engine: "cyclops", Kind: ViolationReplicaDesync}}})
+	tr.OnRunEnd(RunEnd{Step: 1, Reason: ReasonNoActive})
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 6 {
-		t.Fatalf("got %d event lines, want 6:\n%s", len(lines), buf.String())
+	if len(lines) != 8 {
+		t.Fatalf("got %d event lines, want 8:\n%s", len(lines), buf.String())
 	}
 	// Every line must be valid JSON with msg + span fields.
 	msgs := make([]string, 0, len(lines))
@@ -69,15 +73,16 @@ func TestTracerEmitsJSONL(t *testing.T) {
 		}
 		msgs = append(msgs, ev["msg"].(string))
 	}
-	want := []string{"run-start", "superstep-start", "phase", "worker", "superstep", "run-end"}
+	want := []string{"run-start", "superstep-start", "phase", "worker", "comm",
+		"invariant-violation", "superstep", "run-end"}
 	for i, w := range want {
 		if msgs[i] != w {
 			t.Errorf("event %d = %q, want %q", i, msgs[i], w)
 		}
 	}
 	// The ring must hold the same events.
-	if tr.Ring().Len() != 6 {
-		t.Errorf("ring holds %d events, want 6", tr.Ring().Len())
+	if tr.Ring().Len() != 8 {
+		t.Errorf("ring holds %d events, want 8", tr.Ring().Len())
 	}
 }
 
@@ -190,9 +195,11 @@ func TestCollectorFoldsSteps(t *testing.T) {
 	c.OnRunStart(RunInfo{Engine: "cyclops", Workers: 4, Vertices: 100, Replicas: 250})
 	c.OnSuperstepStart(0)
 	c.OnPhase(0, metrics.Compute, time.Millisecond)
-	c.OnSuperstepEnd(0, metrics.StepStats{Active: 100, Changed: 90, Messages: 40, RedundantMessages: 3})
-	c.OnSuperstepEnd(1, metrics.StepStats{Active: 50, Changed: 20, Messages: 10})
-	c.OnConverged(2, ReasonNoActive)
+	c.OnSuperstep(&StepRecord{Stats: metrics.StepStats{Active: 100, Changed: 90, Messages: 40, RedundantMessages: 3},
+		Units: []int64{30, 10, 0, 0}, Sync: []int64{5, 6, 0, 0},
+		Violations: []Violation{{Kind: ViolationDoubleDelivery}}})
+	c.OnSuperstep(&StepRecord{Step: 1, Stats: metrics.StepStats{Active: 50, Changed: 20, Messages: 10}})
+	c.OnRunEnd(RunEnd{Step: 2, Reason: ReasonNoActive})
 
 	var buf bytes.Buffer
 	reg.WriteTo(&buf)
@@ -204,9 +211,118 @@ func TestCollectorFoldsSteps(t *testing.T) {
 		MetricRedundant + " 3",
 		MetricReplication + " 2.5",
 		MetricRunsDone + `{reason="no-active"} 1`,
+		MetricAuditViolations + `{kind="double-delivery"} 1`,
+		MetricSpans + `{kind="superstep"} 2`,
+		MetricSpans + `{kind="run"} 1`,
+		MetricSkew + `{metric="compute"} 1`, // the latest superstep was idle: balanced
+		MetricHeatReplicaSync + " 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("collector output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestCollectorPerRunGaugesResetOnRunStart pins the signal the "cumulative
+// over the latest run" egress/ingress gauges restart on: the run start — not
+// superstep 0, which a restored engine's second Run never sees and a recovery
+// that rewinds to it sees mid-run.
+func TestCollectorPerRunGaugesResetOnRunStart(t *testing.T) {
+	reg := NewRegistry()
+	c := NewCollector(reg)
+	egress0 := func() float64 {
+		return reg.LabeledGauge(MetricWorkerEgress, "", "worker", "0").Value()
+	}
+	step := func(n int) *StepRecord {
+		return &StepRecord{Step: n, Active: []int64{1, 1}, Units: []int64{1, 1},
+			Comm: transport.MatrixSnapshot{Workers: 2,
+				Messages: [][]int64{{1, 4}, {2, 0}}, Bytes: [][]int64{{8, 32}, {16, 0}}}}
+	}
+
+	c.OnRunStart(RunInfo{Engine: "cyclops", Workers: 2})
+	c.OnSuperstep(step(0))
+	c.OnSuperstep(step(1))
+	// A recovery rewinds to superstep 0: the replay adds to the run's totals.
+	c.OnRecovery(RecoveryEvent{Step: 1, ResumedAt: 0, Attempt: 1})
+	c.OnSuperstep(step(0))
+	if got := egress0(); got != 15 {
+		t.Errorf("egress after a replay from superstep 0 = %v, want 15 (three supersteps of 5)", got)
+	}
+	c.OnRunEnd(RunEnd{Step: 2, Reason: ReasonHalt})
+
+	// A restored engine's second Run starts past superstep 0.
+	c.OnRunStart(RunInfo{Engine: "cyclops", Workers: 2})
+	c.OnSuperstep(step(7))
+	if got := egress0(); got != 5 {
+		t.Errorf("egress in a second run starting at superstep 7 = %v, want 5", got)
+	}
+	if got := reg.LabeledGauge(MetricWorkerIngress, "", "worker", "1").Value(); got != 4 {
+		t.Errorf("ingress of worker 1 = %v, want 4", got)
+	}
+}
+
+// TestImbalanceFinite pins the edge cases the skew coefficients must survive:
+// every input shape yields a finite value, and the degenerate shapes —
+// no workers, one worker, uniformly idle — are all "balanced" (exactly 1).
+func TestImbalanceFinite(t *testing.T) {
+	cases := []struct {
+		name string
+		xs   []int64
+		want float64
+	}{
+		{"nil", nil, 1},
+		{"empty", []int64{}, 1},
+		{"single-worker", []int64{42}, 1},
+		{"single-worker-idle", []int64{0}, 1},
+		{"all-zero", []int64{0, 0, 0, 0}, 1},
+		{"balanced", []int64{5, 5, 5, 5}, 1},
+		{"skewed", []int64{10, 0, 0, 0}, 4},
+		{"negative-sum", []int64{-3, 1}, 1},
+	}
+	for _, c := range cases {
+		got := imbalance(c.xs)
+		if math.IsNaN(got) || math.IsInf(got, 0) {
+			t.Errorf("imbalance(%s) = %v; must be finite", c.name, got)
+		}
+		if got != c.want {
+			t.Errorf("imbalance(%s) = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestLogSpanRingBound: a Log on its own keeps at most spanLimit spans,
+// discarding the oldest; a Recorder's Log keeps the whole stream, because
+// spans.csv is written from it.
+func TestLogSpanRingBound(t *testing.T) {
+	busy := []time.Duration{time.Microsecond, time.Microsecond}
+	rec := &StepRecord{Spans: StepSpanData{Run: 1, Compute: busy, Send: busy,
+		Units: []int64{1, 1}, Sent: []int64{1, 1}, Recv: []int64{0, 0}, Deliveries: make([][]span.Delivery, 2)}}
+	const perStep = 2*4 + 1
+	steps := spanLimit/perStep + 10
+
+	ring, all := NewLog(), NewLog()
+	all.allSpans = true
+	for _, l := range []*Log{ring, all} {
+		l.OnRunStart(RunInfo{Run: 1, Engine: "ring", Workers: 2})
+		for s := 0; s < steps; s++ {
+			rec.Step, rec.Spans.Step = s, s
+			l.OnSuperstep(rec)
+			if !l.allSpans && len(l.spans) > spanLimit {
+				t.Fatalf("superstep %d: %d spans held, bound is %d", s, len(l.spans), spanLimit)
+			}
+		}
+	}
+	if n := len(all.spans); n != steps*perStep {
+		t.Errorf("unbounded log holds %d spans, want %d", n, steps*perStep)
+	}
+	// The ring dropped its oldest half once and still ends on the newest span.
+	if n := len(ring.spans); n >= steps*perStep || n < spanLimit/2 {
+		t.Errorf("ring holds %d spans", n)
+	}
+	if last := ring.spans[len(ring.spans)-1]; last.Kind != span.Superstep || last.Step != steps-1 {
+		t.Errorf("ring's newest span = %+v", last)
+	}
+	if first := ring.spans[0]; first.Step == 0 {
+		t.Errorf("ring still holds superstep 0: %+v", first)
 	}
 }

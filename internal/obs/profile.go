@@ -158,8 +158,8 @@ func (h *Harvester) OnSuperstepStart(step int) {
 	h.setLabels(engine, step)
 }
 
-// OnConverged implements Hooks: clears the coordinator's labels.
-func (h *Harvester) OnConverged(int, string) {
+// OnRunEnd implements Hooks: clears the coordinator's labels.
+func (h *Harvester) OnRunEnd(RunEnd) {
 	rpprof.SetGoroutineLabels(context.Background())
 }
 
@@ -175,20 +175,20 @@ func (h *Harvester) loop() {
 	for {
 		select {
 		case <-h.stop:
-			h.finalRound()
+			// A run shorter than the capture interval would otherwise end with
+			// an empty harvest, so Stop always leaves at least one heap
+			// snapshot and an index.json behind. The CPU window is skipped —
+			// there is nothing left to sample.
+			h.round(false)
 			return
 		case <-tick.C:
 		}
-		h.captureRound()
+		h.round(true)
 	}
 }
 
-// finalRound runs at Stop: a run shorter than the capture interval would
-// otherwise end with an empty harvest, so the harvester always leaves at
-// least one heap snapshot and an index.json behind. The CPU window is
-// skipped — stop has already been requested, so there is nothing left to
-// sample.
-func (h *Harvester) finalRound() {
+// round harvests one heap snapshot and, with cpu set, one CPU window first.
+func (h *Harvester) round(cpu bool) {
 	h.mu.Lock()
 	h.seq++
 	seq := h.seq
@@ -196,51 +196,31 @@ func (h *Harvester) finalRound() {
 	h.mu.Unlock()
 	step := h.step.Load()
 
-	heap := ProfileCapture{Seq: seq, Kind: "heap",
-		File: fmt.Sprintf("heap-%04d.pprof", seq), Engine: engine, Step: step}
-	if err := h.captureHeap(filepath.Join(h.dir, heap.File)); err != nil {
-		heap.Error = err.Error()
-	}
-	h.mu.Lock()
-	h.index = append(h.index, heap)
-	h.rotateLocked()
-	if err := h.writeIndexLocked(); err != nil && h.err == nil {
-		h.err = err
-	}
-	h.mu.Unlock()
-}
-
-// captureRound harvests one CPU window and one heap snapshot.
-func (h *Harvester) captureRound() {
-	h.mu.Lock()
-	h.seq++
-	seq := h.seq
-	engine := h.engine
-	h.mu.Unlock()
-	step := h.step.Load()
-
-	cpu := ProfileCapture{Seq: seq, Kind: "cpu",
-		File: fmt.Sprintf("cpu-%04d.pprof", seq), Engine: engine, Step: step}
-	if err := h.captureCPU(filepath.Join(h.dir, cpu.File)); err != nil {
-		cpu.Error = err.Error()
+	var caps []ProfileCapture
+	if cpu {
+		c := ProfileCapture{Seq: seq, Kind: "cpu",
+			File: fmt.Sprintf("cpu-%04d.pprof", seq), Engine: engine, Step: step}
+		if err := h.captureCPU(filepath.Join(h.dir, c.File)); err != nil {
+			c.Error = err.Error()
+		}
+		caps = append(caps, c)
 	}
 	heap := ProfileCapture{Seq: seq, Kind: "heap",
 		File: fmt.Sprintf("heap-%04d.pprof", seq), Engine: engine, Step: step}
 	if err := h.captureHeap(filepath.Join(h.dir, heap.File)); err != nil {
 		heap.Error = err.Error()
 	}
+	caps = append(caps, heap)
 
 	h.mu.Lock()
-	h.index = append(h.index, cpu, heap)
+	h.index = append(h.index, caps...)
 	h.rotateLocked()
 	if err := h.writeIndexLocked(); err != nil && h.err == nil {
 		h.err = err
 	}
-	if h.err == nil {
-		if cpu.Error != "" {
-			h.err = fmt.Errorf("obs: cpu capture %d: %s", seq, cpu.Error)
-		} else if heap.Error != "" {
-			h.err = fmt.Errorf("obs: heap capture %d: %s", seq, heap.Error)
+	for _, c := range caps {
+		if c.Error != "" && h.err == nil {
+			h.err = fmt.Errorf("obs: %s capture %d: %s", c.Kind, seq, c.Error)
 		}
 	}
 	h.mu.Unlock()

@@ -26,7 +26,7 @@ func TestHarvesterCapturesAndRotates(t *testing.T) {
 		h.OnSuperstepStart(step)
 		time.Sleep(25 * time.Millisecond)
 	}
-	h.OnConverged(4, "halt")
+	h.OnRunEnd(obs.RunEnd{Step: 4, Reason: obs.ReasonHalt})
 	h.Stop()
 	if err := h.Err(); err != nil {
 		t.Fatalf("harvester error: %v", err)

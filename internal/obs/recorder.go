@@ -10,12 +10,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
-	"cyclops/internal/metrics"
 	"cyclops/internal/obs/span"
-	"cyclops/internal/transport"
 )
 
 // Manifest is a recorded run's identity and totals — the header of a flight
@@ -105,62 +102,25 @@ type RunMeta struct {
 	WorkersPerMachine int
 }
 
-// seriesHeader is the column set of a record's series.csv: one row per
-// superstep, deterministic for a fixed run configuration — byte-identical
-// across same-seed runs (scheduling-independent counts, model costs and
-// residual quantiles; no wall-clock). Phase wall times go to timings.csv.
-var seriesHeader = []string{
-	"step", "active", "changed", "messages", "redundant_messages",
-	"redundant_ratio", "payload_bytes", "wire_bytes", "compute_units_max",
-	"send_max", "recv_max",
-	"residual_n", "residual_p50", "residual_p90", "residual_max",
-	"skew_compute", "skew_sent", "skew_recv", "skew_active",
-	"replicas", "replica_value_bytes", "model_ns",
-}
-
-// timingsHeader is the column set of timings.csv: the measured per-phase wall
-// durations, kept apart from series.csv so machine noise never touches the
-// deterministic artifact.
-var timingsHeader = []string{"step", "prs_ns", "cmp_ns", "snd_ns", "syn_ns", "wall_ns"}
-
-// Recorder is a Hooks consumer that turns every engine run into a durable run
-// directory under its root: manifest.json (identity + totals), series.csv
-// (deterministic per-superstep series) and timings.csv (wall-clock phase
-// durations). One Recorder handles many consecutive runs — each
-// OnRunStart/OnConverged pair becomes run-NNN-<engine>.
+// Recorder is the Log plus a flush at run end: every engine run becomes a
+// durable run directory under its root — manifest.json (identity + totals),
+// the deterministic series.csv, spans.csv, heat.csv and hotset.csv, and the
+// quarantined timings.csv, mem.csv and critpath.csv. One Recorder handles many
+// consecutive runs — each OnRunStart/OnRunEnd pair becomes run-NNN-<engine>.
+// Its Log is the store a diagnostics server reads while the run advances.
 type Recorder struct {
-	Nop
-
+	*Log
 	root string
 
-	mu        sync.Mutex
+	// harvester, when profiling accompanies the runs, lets finished manifests
+	// index the captures retained at that point. Set before the first run.
+	harvester *Harvester
+
+	// Guarded by Log.mu.
 	seq       int
 	meta      RunMeta
-	cur       *recording
 	manifests []Manifest
 	err       error
-
-	profileDir string
-	profiles   func() []string
-}
-
-// recording is one run in flight.
-type recording struct {
-	manifest Manifest
-	start    time.Time
-	steps    []metrics.StepStats
-	wall     []time.Duration // wall duration per superstep (start→end)
-	stepAt   time.Time
-	pending  map[int][]WorkerStats
-	skew     []SkewStep
-	msgs     []int64 // per-step comm-matrix message deltas
-	bytes    []int64
-	wire     []int64     // per-step comm-matrix wire-byte deltas
-	spans    []span.Span // completed causal spans, in emission order
-	mem      *memAttrib  // per-phase allocation attribution → mem.csv
-	memSteps []MemStep
-	heat     []HeatPartition // per-partition heat rows → heat.csv
-	hot      []HotVertex     // final cumulative top-k hot set → hotset.csv
 }
 
 // NewRecorder creates the record root (if needed), verifies it is writable,
@@ -170,7 +130,8 @@ func NewRecorder(root string) (*Recorder, error) {
 	if err := EnsureWritableDir(root); err != nil {
 		return nil, fmt.Errorf("obs: record dir: %w", err)
 	}
-	r := &Recorder{root: root}
+	r := &Recorder{Log: NewLog(), root: root}
+	r.allSpans = true
 	entries, err := os.ReadDir(root)
 	if err != nil {
 		return nil, fmt.Errorf("obs: record dir: %w", err)
@@ -190,9 +151,6 @@ func NewRecorder(root string) (*Recorder, error) {
 	return r, nil
 }
 
-// Dir returns the record root.
-func (r *Recorder) Dir() string { return r.root }
-
 // SetMeta sets the run context stamped into subsequent manifests.
 func (r *Recorder) SetMeta(m RunMeta) {
 	r.mu.Lock()
@@ -205,23 +163,6 @@ func (r *Recorder) SetMeta(m RunMeta) {
 func (r *Recorder) SetExperiment(id string) {
 	r.mu.Lock()
 	r.meta.Experiment = id
-	r.mu.Unlock()
-}
-
-// SetAlgorithm updates only the algorithm label.
-func (r *Recorder) SetAlgorithm(algo string) {
-	r.mu.Lock()
-	r.meta.Algorithm = algo
-	r.mu.Unlock()
-}
-
-// SetProfileSource connects a profiling harvester (its capture directory and
-// a retained-files listing, typically Harvester.Dir and Harvester.Files) so
-// finished manifests index the captures that accompanied the run.
-func (r *Recorder) SetProfileSource(dir string, files func() []string) {
-	r.mu.Lock()
-	r.profileDir = dir
-	r.profiles = files
 	r.mu.Unlock()
 }
 
@@ -240,11 +181,14 @@ func (r *Recorder) Manifests() []Manifest {
 	return append([]Manifest(nil), r.manifests...)
 }
 
-// OnRunStart implements Hooks: opens a new run directory.
-func (r *Recorder) OnRunStart(info RunInfo) {
+// OnRunEnd implements Hooks: closes the Log's run, stamps the manifest and
+// writes the run directory.
+func (r *Recorder) OnRunEnd(e RunEnd) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.end(e)
 	r.seq++
+	info := r.info
 	m := Manifest{
 		Run:               fmt.Sprintf("run-%03d-%s", r.seq, info.Engine),
 		Experiment:        r.meta.Experiment,
@@ -260,9 +204,14 @@ func (r *Recorder) OnRunStart(info RunInfo) {
 		Vertices:          info.Vertices,
 		Edges:             info.Edges,
 		Replicas:          info.Replicas,
+		Supersteps:        len(r.steps),
+		StopReason:        e.Reason,
+		Recoveries:        r.recoveries,
+		Replayed:          r.replayed,
 		ReplicaValueBytes: info.ReplicaValueBytes,
 		EdgeCut:           info.EdgeCut,
 		PartitionBalance:  info.PartitionBalance,
+		WallNanos:         int64(time.Since(r.started)),
 		GoVersion:         runtime.Version(),
 		GitRev:            gitRev(),
 	}
@@ -276,209 +225,60 @@ func (r *Recorder) OnRunStart(info RunInfo) {
 		m.ReplicaWorkerMed = sorted[n/2]
 		m.ReplicaWorkerMax = sorted[n-1]
 	}
-	r.cur = &recording{
-		manifest: m,
-		start:    time.Now(),
-		pending:  make(map[int][]WorkerStats),
-		mem:      newMemAttrib(),
+	for _, s := range r.steps {
+		m.Messages += s.msgs
+		m.Bytes += s.bytes
+		m.WireBytes += s.wire
+		m.ModelNanos += s.stats.ModelNanos
 	}
-}
-
-// OnSuperstepStart implements Hooks.
-func (r *Recorder) OnSuperstepStart(step int) {
-	r.mu.Lock()
-	if r.cur != nil {
-		r.cur.stepAt = time.Now()
-		r.cur.mem.startStep(step)
+	if h := r.harvester; h != nil {
+		m.ProfileDir, m.Profiles = h.Dir(), strings.Join(h.Files(), ",")
 	}
-	r.mu.Unlock()
-}
-
-// OnPhase implements Hooks: attributes the allocation since the previous
-// phase boundary to the phase that just ended (→ mem.csv, quarantined).
-func (r *Recorder) OnPhase(step int, phase metrics.Phase, d time.Duration) {
-	r.mu.Lock()
-	if r.cur != nil {
-		r.cur.mem.phase(phase)
-	}
-	r.mu.Unlock()
-}
-
-// OnWorkerStats implements Hooks: buffers per-worker shares for the skew
-// coefficients, like the SkewProfiler.
-func (r *Recorder) OnWorkerStats(ws WorkerStats) {
-	r.mu.Lock()
-	if r.cur != nil {
-		r.cur.pending[ws.Step] = append(r.cur.pending[ws.Step], ws)
-	}
-	r.mu.Unlock()
-}
-
-// OnCommMatrix implements Hooks: accumulates the superstep's traffic totals.
-func (r *Recorder) OnCommMatrix(step int, delta transport.MatrixSnapshot) {
-	r.mu.Lock()
-	if r.cur != nil {
-		r.cur.msgs = append(r.cur.msgs, delta.TotalMessages())
-		r.cur.bytes = append(r.cur.bytes, delta.TotalBytes())
-		r.cur.wire = append(r.cur.wire, delta.TotalWireBytes())
-	}
-	r.mu.Unlock()
-}
-
-// OnSuperstepEnd implements Hooks: folds the superstep into the series.
-func (r *Recorder) OnSuperstepEnd(step int, stats metrics.StepStats) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.cur
-	if c == nil {
+	if err := r.write(m); err != nil {
+		if r.err == nil {
+			r.err = fmt.Errorf("obs: record %s: %w", m.Run, err)
+		}
 		return
 	}
-	c.steps = append(c.steps, stats)
-	c.memSteps = append(c.memSteps, c.mem.endStep())
-	if c.stepAt.IsZero() {
-		c.wall = append(c.wall, 0)
-	} else {
-		c.wall = append(c.wall, time.Since(c.stepAt))
-	}
-	shares := c.pending[step]
-	delete(c.pending, step)
-	compute := make([]int64, len(shares))
-	sent := make([]int64, len(shares))
-	recv := make([]int64, len(shares))
-	active := make([]int64, len(shares))
-	for i, ws := range shares {
-		compute[i] = ws.ComputeUnits
-		sent[i] = ws.Sent
-		recv[i] = ws.Received
-		active[i] = ws.Active
-	}
-	c.skew = append(c.skew, SkewStep{
-		Step:     step,
-		Compute:  imbalance(compute),
-		Sent:     imbalance(sent),
-		Received: imbalance(recv),
-		Active:   imbalance(active),
-	})
+	r.manifests = append(r.manifests, m)
 }
 
-// OnHeat implements Hooks: appends the superstep's per-partition rows and
-// keeps the latest cumulative hot set (the engines emit the run-so-far top-k
-// each barrier, so the last one is the run's final hot set).
-func (r *Recorder) OnHeat(d HeatStepData) {
-	r.mu.Lock()
-	if r.cur != nil {
-		r.cur.heat = append(r.cur.heat, d.Partitions...)
-		r.cur.hot = d.Hot
-	}
-	r.mu.Unlock()
-}
-
-// OnSpanEnd implements Hooks: appends the completed span to the run's
-// stream. Emission order is deterministic (the engines emit post-barrier in
-// worker order), so spans.csv inherits the byte-identical guarantee.
-func (r *Recorder) OnSpanEnd(s span.Span) {
-	r.mu.Lock()
-	if r.cur != nil {
-		r.cur.spans = append(r.cur.spans, s)
-	}
-	r.mu.Unlock()
-}
-
-// OnRecovery implements Hooks: counts the rollback in the manifest. The
-// replayed supersteps appear again in series.csv — the flight record shows
-// the replay, which is what makes a recovered run diffable against its
-// fault-free twin.
-func (r *Recorder) OnRecovery(e RecoveryEvent) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.cur == nil {
-		return
-	}
-	r.cur.manifest.Recoveries++
-	r.cur.manifest.Replayed += e.Replayed()
-}
-
-// OnConverged implements Hooks: stamps totals and writes the run directory.
-func (r *Recorder) OnConverged(step int, reason string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.cur
-	r.cur = nil
-	if c == nil {
-		return
-	}
-	m := &c.manifest
-	m.Supersteps = len(c.steps)
-	m.StopReason = reason
-	for _, n := range c.msgs {
-		m.Messages += n
-	}
-	for _, n := range c.bytes {
-		m.Bytes += n
-	}
-	for _, n := range c.wire {
-		m.WireBytes += n
-	}
-	for _, s := range c.steps {
-		m.ModelNanos += s.ModelNanos
-	}
-	m.WallNanos = int64(time.Since(c.start))
-	if r.profiles != nil {
-		m.ProfileDir = r.profileDir
-		m.Profiles = strings.Join(r.profiles(), ",")
-	}
-	if err := r.write(c); err != nil && r.err == nil {
-		r.err = err
-		return
-	}
-	r.manifests = append(r.manifests, *m)
-}
-
-// write materialises one recording as a run directory. The data files are
+// write materialises the Log's run as a run directory. The data files are
 // written first and manifest.json last — atomically, via temp + fsync +
 // rename — because the /runs endpoint (and ReadManifests generally) treats
 // the manifest's presence as "this run is complete": a listing racing an
 // in-progress flush either sees the whole run or none of it, never a
 // half-written manifest or a manifest whose series is still missing.
-func (r *Recorder) write(c *recording) error {
-	dir := filepath.Join(r.root, c.manifest.Run)
+// timings.csv, mem.csv and critpath.csv carry machine-dependent columns, so
+// the perf gate reads but never exact-compares them; the others are counts
+// only — byte-identical across same-seed runs.
+func (r *Recorder) write(m Manifest) error {
+	dir := filepath.Join(r.root, m.Run)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("obs: record %s: %w", c.manifest.Run, err)
+		return err
 	}
-	if err := os.WriteFile(filepath.Join(dir, "series.csv"), c.seriesCSV(), 0o644); err != nil {
-		return fmt.Errorf("obs: record %s: %w", c.manifest.Run, err)
+	// One file at a time, so only one rendering is alive at once.
+	var err error
+	put := func(name string, blob []byte) {
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dir, name), blob, 0o644)
+		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, "timings.csv"), c.timingsCSV(), 0o644); err != nil {
-		return fmt.Errorf("obs: record %s: %w", c.manifest.Run, err)
-	}
-	// mem.csv is quarantined like timings.csv: allocation and GC columns are
-	// machine-dependent, so the perf gate reads but never exact-compares them.
-	if err := os.WriteFile(filepath.Join(dir, "mem.csv"), EncodeMemCSV(c.memSteps), 0o644); err != nil {
-		return fmt.Errorf("obs: record %s: %w", c.manifest.Run, err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "spans.csv"), span.EncodeCSV(c.spans), 0o644); err != nil {
-		return fmt.Errorf("obs: record %s: %w", c.manifest.Run, err)
-	}
-	critpath := span.EncodeCritPathCSV(span.CriticalPath(c.spans))
-	if err := os.WriteFile(filepath.Join(dir, "critpath.csv"), critpath, 0o644); err != nil {
-		return fmt.Errorf("obs: record %s: %w", c.manifest.Run, err)
-	}
-	// heat.csv and hotset.csv are deterministic like series.csv: counts only,
-	// no wall-clock — byte-identical across same-seed runs.
-	if err := os.WriteFile(filepath.Join(dir, "heat.csv"), EncodeHeatCSV(c.heat), 0o644); err != nil {
-		return fmt.Errorf("obs: record %s: %w", c.manifest.Run, err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "hotset.csv"), EncodeHotsetCSV(c.hot), 0o644); err != nil {
-		return fmt.Errorf("obs: record %s: %w", c.manifest.Run, err)
-	}
-	blob, err := json.MarshalIndent(c.manifest, "", "  ")
+	put("series.csv", r.seriesCSV())
+	put("timings.csv", r.timingsCSV())
+	put("mem.csv", EncodeMemCSV(r.mem))
+	put("spans.csv", span.EncodeCSV(r.spans))
+	put("critpath.csv", span.EncodeCritPathCSV(span.CriticalPath(r.spans)))
+	put("heat.csv", EncodeHeatCSV(r.heat))
+	put("hotset.csv", EncodeHotsetCSV(r.hot))
 	if err != nil {
-		return fmt.Errorf("obs: record %s: %w", c.manifest.Run, err)
+		return err
 	}
-	if err := atomicWriteFile(filepath.Join(dir, "manifest.json"), append(blob, '\n')); err != nil {
-		return fmt.Errorf("obs: record %s: %w", c.manifest.Run, err)
+	blob, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return err
 	}
-	return nil
+	return atomicWriteFile(filepath.Join(dir, "manifest.json"), append(blob, '\n'))
 }
 
 // atomicWriteFile writes path so readers only ever observe the old content
@@ -506,77 +306,6 @@ func atomicWriteFile(path string, blob []byte) error {
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
-}
-
-func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-func (c *recording) seriesCSV() []byte {
-	var b strings.Builder
-	b.WriteString(strings.Join(seriesHeader, ","))
-	b.WriteByte('\n')
-	for i, s := range c.steps {
-		var msgBytes, wireBytes int64
-		if i < len(c.bytes) {
-			msgBytes = c.bytes[i]
-		}
-		if i < len(c.wire) {
-			wireBytes = c.wire[i]
-		}
-		skew := SkewStep{Compute: 1, Sent: 1, Received: 1, Active: 1}
-		if i < len(c.skew) {
-			skew = c.skew[i]
-		}
-		cols := []string{
-			strconv.Itoa(s.Step),
-			strconv.FormatInt(s.Active, 10),
-			strconv.FormatInt(s.Changed, 10),
-			strconv.FormatInt(s.Messages, 10),
-			strconv.FormatInt(s.RedundantMessages, 10),
-			ftoa(s.RedundantRatio()),
-			strconv.FormatInt(msgBytes, 10),
-			strconv.FormatInt(wireBytes, 10),
-			strconv.FormatInt(s.ComputeUnitsMax, 10),
-			strconv.FormatInt(s.SendMax, 10),
-			strconv.FormatInt(s.RecvMax, 10),
-			strconv.FormatInt(s.ResidualN, 10),
-			ftoa(s.ResidualP50),
-			ftoa(s.ResidualP90),
-			ftoa(s.ResidualMax),
-			ftoa(skew.Compute),
-			ftoa(skew.Sent),
-			ftoa(skew.Received),
-			ftoa(skew.Active),
-			strconv.FormatInt(c.manifest.Replicas, 10),
-			strconv.FormatInt(c.manifest.ReplicaValueBytes, 10),
-			ftoa(s.ModelNanos),
-		}
-		b.WriteString(strings.Join(cols, ","))
-		b.WriteByte('\n')
-	}
-	return []byte(b.String())
-}
-
-func (c *recording) timingsCSV() []byte {
-	var b strings.Builder
-	b.WriteString(strings.Join(timingsHeader, ","))
-	b.WriteByte('\n')
-	for i, s := range c.steps {
-		var wall time.Duration
-		if i < len(c.wall) {
-			wall = c.wall[i]
-		}
-		cols := []string{
-			strconv.Itoa(s.Step),
-			strconv.FormatInt(s.Durations[metrics.Parse].Nanoseconds(), 10),
-			strconv.FormatInt(s.Durations[metrics.Compute].Nanoseconds(), 10),
-			strconv.FormatInt(s.Durations[metrics.Send].Nanoseconds(), 10),
-			strconv.FormatInt(s.Durations[metrics.Sync].Nanoseconds(), 10),
-			strconv.FormatInt(wall.Nanoseconds(), 10),
-		}
-		b.WriteString(strings.Join(cols, ","))
-		b.WriteByte('\n')
-	}
-	return []byte(b.String())
 }
 
 // ReadManifests loads the manifests of every run-* directory under root,

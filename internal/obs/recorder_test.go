@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -26,15 +27,31 @@ import (
 	"cyclops/internal/obs/span"
 )
 
-// recordOne runs one engine over g with a fresh Recorder in dir and returns
-// the run's manifest.
-func recordOne(t *testing.T, dir, engine string, g *graph.Graph) obs.Manifest {
+// heatCounters keeps a copy of the latest record's cumulative per-vertex heat
+// counters; after the last barrier nothing moves them, so what it holds when
+// the run ends are the final counters.
+type heatCounters struct {
+	obs.Nop
+	msgs, units []int64
+	owner       func(v int) int
+}
+
+func (c *heatCounters) OnSuperstep(rec *obs.StepRecord) {
+	c.msgs = append(c.msgs[:0], rec.HeatMsgs...)
+	c.units = append(c.units[:0], rec.HeatUnits...)
+	c.owner = rec.Owner
+}
+
+// recordOne runs one engine over g with a fresh Recorder in dir (plus any
+// extra observers) and returns the run's manifest.
+func recordOne(t *testing.T, dir, engine string, g *graph.Graph, extra ...obs.Hooks) obs.Manifest {
 	t.Helper()
-	rec, err := obs.NewRecorder(dir)
+	recorder, err := obs.NewRecorder(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.SetMeta(obs.RunMeta{Experiment: "test", Algorithm: "PR", Dataset: "wiki",
+	rec := obs.Multi(append([]obs.Hooks{recorder}, extra...)...)
+	recorder.SetMeta(obs.RunMeta{Experiment: "test", Algorithm: "PR", Dataset: "wiki",
 		Partitioner: "hash", Seed: 1, Scale: 0.02, Machines: 2, WorkersPerMachine: 2})
 	cc := cluster.Flat(2, 2)
 	abs := func(x float64) float64 {
@@ -80,10 +97,10 @@ func recordOne(t *testing.T, dir, engine string, g *graph.Graph) obs.Manifest {
 	default:
 		t.Fatalf("unknown engine %q", engine)
 	}
-	if err := rec.Err(); err != nil {
+	if err := recorder.Err(); err != nil {
 		t.Fatal(err)
 	}
-	ms := rec.Manifests()
+	ms := recorder.Manifests()
 	if len(ms) != 1 {
 		t.Fatalf("recorded %d manifests, want 1", len(ms))
 	}
@@ -231,7 +248,8 @@ func TestRecorderDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			dirA, dirB := t.TempDir(), t.TempDir()
-			ma := recordOne(t, dirA, engine, g)
+			final := &heatCounters{}
+			ma := recordOne(t, dirA, engine, g, final)
 			mb := recordOne(t, dirB, engine, g)
 
 			a, err := os.ReadFile(filepath.Join(dirA, ma.Run, "series.csv"))
@@ -316,6 +334,11 @@ func TestRecorderDeterminism(t *testing.T) {
 				if h.Worker < 0 || h.Worker >= ma.Workers {
 					t.Errorf("hot vertex %d attributed to worker %d of %d", h.Vertex, h.Worker, ma.Workers)
 				}
+			}
+			// The hot set is no longer built per barrier: the one the run-end
+			// event brings must be the exact top-k over the final counters.
+			if want := obs.TopHotVertices(final.msgs, final.units, final.owner, obs.DefaultHotK); !reflect.DeepEqual(hot, want) {
+				t.Errorf("hotset.csv is not the top-k of the final counters:\ngot  %+v\nwant %+v", hot, want)
 			}
 
 			// critpath.csv quarantines durations in its _ns columns; the

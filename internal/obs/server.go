@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -19,10 +18,8 @@ import (
 // advance, so a stuck or slow run can be inspected instead of silently
 // spinning.
 type Server struct {
-	reg  *Registry
-	ring *Ring
-	ln   net.Listener
-	srv  *http.Server
+	ln  net.Listener
+	srv *http.Server
 }
 
 // formatVariant is one rendering a handler offers under ?format=.
@@ -54,11 +51,24 @@ func serveFormat(w http.ResponseWriter, r *http.Request, variants map[string]for
 	v.render(w) //nolint:errcheck // best-effort HTTP response
 }
 
-// NewMux builds the diagnostics routes. reg, ring, comm, spans, mem and heat
-// may each be nil and runsDir/profileDir empty; the corresponding endpoint
-// then reports 404.
-func NewMux(reg *Registry, ring *Ring, comm *CommTracker, runsDir string,
-	spans *SpanTracker, profileDir string, mem *MemTracker, heat *HeatTracker) *http.ServeMux {
+// Sources is what the diagnostics server reads from. Any field may be left
+// zero; the corresponding endpoints then report 404.
+type Sources struct {
+	Registry *Registry // /metrics
+	Ring     *Ring     // /trace
+	// Log backs /comm (the worker×worker traffic matrix), /mem (per-superstep,
+	// per-phase allocation telemetry), /heat (per-partition rows and the hot
+	// set) and /spans (the live causal-span waterfall) of the latest run.
+	Log *Log
+	// RunsDir is a Recorder's root: /runs lists the recorded manifests as JSON
+	// and /runs/<run>/<file> serves the flight-record artifacts.
+	RunsDir string
+	// ProfileDir is a Harvester's directory: /profiles serves its index.json
+	// and the rotated pprof captures.
+	ProfileDir string
+}
+
+func (src Sources) mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -67,50 +77,29 @@ func NewMux(reg *Registry, ring *Ring, comm *CommTracker, runsDir string,
 		}
 		fmt.Fprint(w, "cyclops diagnostics\n\n/metrics\n/trace\n/comm\n/mem\n/heat\n/spans\n/runs\n/profiles\n/debug/pprof/\n")
 	})
-	if reg != nil {
+	if reg := src.Registry; reg != nil {
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 			reg.WriteTo(w)
 		})
 	}
-	if ring != nil {
+	if ring := src.Ring; ring != nil {
 		mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			ring.WriteTo(w)
 		})
 	}
-	if comm != nil {
-		mux.Handle("/comm", comm)
+	if log := src.Log; log != nil {
+		mux.HandleFunc("/comm", log.ServeComm)
+		mux.HandleFunc("/mem", log.ServeMem)
+		mux.HandleFunc("/heat", log.ServeHeat)
+		mux.HandleFunc("/spans", log.ServeSpans)
 	}
-	if mem != nil {
-		// /mem is the live memory observatory: per-superstep, per-phase
-		// allocation telemetry of the latest run, JSON by default,
-		// ?format=csv for the mem.csv rendering.
-		mux.Handle("/mem", mem)
-	}
-	if heat != nil {
-		// /heat is the live heat observatory: per-partition interior/boundary
-		// traffic and replica-sync rows plus the cumulative top-k hot-vertex
-		// set, JSON by default, ?format=csv for heat.csv rows, ?format=hotcsv
-		// for the hot set.
-		mux.Handle("/heat", heat)
-	}
-	if spans != nil {
-		// /spans is the live causal-span waterfall: JSON by default,
-		// ?format=text for the plain-text rendering, ?step=N to focus one
-		// superstep.
-		mux.Handle("/spans", spans)
-	}
-	if profileDir != "" {
-		// /profiles serves the continuous-profiling harvest: index.json and
-		// the rotated pprof captures.
-		mux.Handle("/profiles/", http.StripPrefix("/profiles/", http.FileServer(http.Dir(profileDir))))
+	if src.ProfileDir != "" {
+		mux.Handle("/profiles/", http.StripPrefix("/profiles/", http.FileServer(http.Dir(src.ProfileDir))))
 		mux.Handle("/profiles", http.RedirectHandler("/profiles/index.json", http.StatusTemporaryRedirect))
 	}
-	if runsDir != "" {
-		// /runs lists the recorded runs' manifests as JSON; /runs/<run>/<file>
-		// serves the flight-record artifacts (manifest.json, series.csv,
-		// timings.csv) straight from the record directory.
+	if runsDir := src.RunsDir; runsDir != "" {
 		mux.HandleFunc("/runs", func(w http.ResponseWriter, r *http.Request) {
 			ms, err := ReadManifests(runsDir)
 			if err != nil {
@@ -121,9 +110,7 @@ func NewMux(reg *Registry, ring *Ring, comm *CommTracker, runsDir string,
 				ms = []Manifest{}
 			}
 			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			enc.Encode(ms) //nolint:errcheck // best-effort HTTP response
+			writeJSON(w, ms) //nolint:errcheck // best-effort HTTP response
 		})
 		files := http.StripPrefix("/runs/", http.FileServer(http.Dir(runsDir)))
 		mux.HandleFunc("/runs/", func(w http.ResponseWriter, r *http.Request) {
@@ -146,22 +133,15 @@ func NewMux(reg *Registry, ring *Ring, comm *CommTracker, runsDir string,
 
 // Serve starts the diagnostics server on addr (e.g. "localhost:6060", or
 // ":0" for an ephemeral port) and returns immediately; requests are handled
-// on a background goroutine until Close or Shutdown. runsDir may be empty
-// (no /runs endpoint).
-func Serve(addr string, reg *Registry, ring *Ring, comm *CommTracker, runsDir string,
-	spans *SpanTracker, profileDir string, mem *MemTracker, heat *HeatTracker) (*Server, error) {
+// on a background goroutine until Close or Shutdown.
+func Serve(addr string, src Sources) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
 	s := &Server{
-		reg:  reg,
-		ring: ring,
-		ln:   ln,
-		srv: &http.Server{
-			Handler:           NewMux(reg, ring, comm, runsDir, spans, profileDir, mem, heat),
-			ReadHeaderTimeout: 10 * time.Second,
-		},
+		ln:  ln,
+		srv: &http.Server{Handler: src.mux(), ReadHeaderTimeout: 10 * time.Second},
 	}
 	go s.srv.Serve(ln) //nolint:errcheck // Serve always returns on Close
 	return s, nil

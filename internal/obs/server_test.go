@@ -25,7 +25,6 @@ import (
 	"cyclops/internal/cluster"
 	"cyclops/internal/cyclops"
 	"cyclops/internal/gen"
-	"cyclops/internal/metrics"
 	"cyclops/internal/obs"
 	"cyclops/internal/obs/span"
 )
@@ -39,8 +38,8 @@ type gate struct {
 	release chan struct{}
 }
 
-func (g *gate) OnSuperstepEnd(step int, _ metrics.StepStats) {
-	if step == g.at {
+func (g *gate) OnSuperstep(rec *obs.StepRecord) {
+	if rec.Step == g.at {
 		close(g.reached)
 		<-g.release
 	}
@@ -61,7 +60,7 @@ func TestServerLiveDuringRun(t *testing.T) {
 	reg := obs.NewRegistry()
 	obs.RegisterRuntime(reg)
 	collector := obs.NewCollector(reg)
-	comm := obs.NewCommTracker()
+	log := obs.NewLog()
 	gt := &gate{at: 2, reached: make(chan struct{}), release: make(chan struct{})}
 	recDir := t.TempDir()
 	rec, err := obs.NewRecorder(recDir)
@@ -69,8 +68,7 @@ func TestServerLiveDuringRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	heat := obs.NewHeatTracker()
-	srv, err := obs.Serve("127.0.0.1:0", reg, tracer.Ring(), comm, recDir, obs.NewSpanTracker(), "", obs.NewMemTracker(), heat)
+	srv, err := obs.Serve("127.0.0.1:0", obs.Sources{Registry: reg, Ring: tracer.Ring(), Log: log, RunsDir: recDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +78,7 @@ func TestServerLiveDuringRun(t *testing.T) {
 		cyclops.Config[float64, float64]{
 			Cluster:       cluster.Flat(2, 2),
 			MaxSupersteps: 20,
-			Hooks:         obs.Multi(tracer, collector, comm, rec, heat, gt),
+			Hooks:         obs.Multi(tracer, collector, log, rec, gt),
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -247,6 +245,47 @@ func TestServerLiveDuringRun(t *testing.T) {
 		}
 	})
 
+	t.Run("mem", func(t *testing.T) {
+		var doc struct {
+			Engine string        `json:"engine"`
+			Done   bool          `json:"done"`
+			Steps  []obs.MemStep `json:"steps"`
+		}
+		if err := json.Unmarshal([]byte(get(t, srv.URL()+"/mem", "application/json")), &doc); err != nil {
+			t.Fatalf("invalid /mem JSON: %v", err)
+		}
+		if doc.Engine != "cyclops" || doc.Done || len(doc.Steps) != 3 || doc.Steps[2].Step != 2 {
+			t.Errorf("/mem shape: engine=%q done=%v steps=%d", doc.Engine, doc.Done, len(doc.Steps))
+		}
+		csv := get(t, srv.URL()+"/mem?format=csv", "text/csv")
+		if steps, err := obs.ParseMemCSV([]byte(csv)); err != nil || len(steps) != 3 {
+			t.Errorf("/mem?format=csv: %d rows, err %v", len(steps), err)
+		}
+	})
+
+	t.Run("spans", func(t *testing.T) {
+		var doc struct {
+			Engine   string          `json:"engine"`
+			Open     []span.Span     `json:"open"`
+			CritPath []span.StepPath `json:"critpath"`
+			Spans    []span.Span     `json:"spans"`
+		}
+		if err := json.Unmarshal([]byte(get(t, srv.URL()+"/spans", "application/json")), &doc); err != nil {
+			t.Fatalf("invalid /spans JSON: %v", err)
+		}
+		// Three supersteps closed, the run span still open, no run span in the
+		// completed stream yet.
+		if doc.Engine != "cyclops" || len(doc.CritPath) != 3 || len(doc.Open) != 1 || doc.Open[0].Kind != span.Run {
+			t.Errorf("/spans shape: engine=%q critpath=%d open=%+v", doc.Engine, len(doc.CritPath), doc.Open)
+		}
+		if n := len(doc.Spans); n < 3*(4*4+1) || doc.Spans[n-1].Kind != span.Superstep || doc.Spans[n-1].Step != 2 {
+			t.Errorf("/spans stream: %d spans", n)
+		}
+		if text := get(t, srv.URL()+"/spans?format=text&step=1", "text/plain"); !strings.Contains(text, "superstep 1") {
+			t.Errorf("/spans?format=text&step=1:\n%s", text)
+		}
+	})
+
 	t.Run("pprof", func(t *testing.T) {
 		get(t, srv.URL()+"/debug/pprof/", "")
 		get(t, srv.URL()+"/debug/pprof/goroutine?debug=1", "")
@@ -319,8 +358,8 @@ func TestRunsListsOnlyCompleteRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := obs.Serve("127.0.0.1:0", obs.NewRegistry(), obs.NewRing(4),
-		obs.NewCommTracker(), recDir, nil, "", nil, nil)
+	srv, err := obs.Serve("127.0.0.1:0", obs.Sources{Registry: obs.NewRegistry(), Ring: obs.NewRing(4),
+		Log: obs.NewLog(), RunsDir: recDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,14 +423,14 @@ func TestRunsListsOnlyCompleteRuns(t *testing.T) {
 	// flush them, maximising the window a racing scrape could hit.
 	const runs = 40
 	for r := 0; r < runs; r++ {
-		rec.OnRunStart(obs.RunInfo{Engine: "synthetic", Workers: 2, Vertices: 10, Edges: 20})
+		rec.OnRunStart(obs.RunInfo{Run: 1, Engine: "synthetic", Workers: 2, Vertices: 10, Edges: 20})
 		for s := 0; s < 3; s++ {
 			rec.OnSuperstepStart(s)
-			rec.OnSpanEnd(span.Span{ID: int64(s + 1), Kind: span.Compute, Step: s, Units: 5})
-			rec.OnSpanEnd(span.Span{ID: int64(s + 100), Kind: span.Superstep, Step: s, Dur: time.Millisecond})
-			rec.OnSuperstepEnd(s, metrics.StepStats{Step: s, Active: 1})
+			sr := stepRecord(s, []int64{5, 5}, []int64{1, 1}, []int64{1, 1}, []int64{1, 0})
+			sr.Stats.Active = 1
+			rec.OnSuperstep(sr)
 		}
-		rec.OnConverged(2, "halt")
+		rec.OnRunEnd(obs.RunEnd{Step: 2, Reason: obs.ReasonHalt, Wall: 3 * time.Millisecond})
 	}
 	close(stop)
 	wg.Wait()
@@ -416,7 +455,7 @@ func TestRunsListsOnlyCompleteRuns(t *testing.T) {
 
 // TestServeEphemeralPort keeps ":0" usable for tests and CLIs.
 func TestServeEphemeralPort(t *testing.T) {
-	srv, err := obs.Serve("127.0.0.1:0", obs.NewRegistry(), obs.NewRing(4), obs.NewCommTracker(), "", nil, "", nil, nil)
+	srv, err := obs.Serve("127.0.0.1:0", obs.Sources{Registry: obs.NewRegistry(), Ring: obs.NewRing(4), Log: obs.NewLog()})
 	if err != nil {
 		t.Fatal(err)
 	}

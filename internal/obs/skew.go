@@ -4,31 +4,17 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
-
-	"cyclops/internal/metrics"
 )
 
-// SkewProfiler folds the per-worker WorkerStats stream into per-superstep
-// imbalance coefficients: max/mean across workers of compute units, sent and
-// received messages, and active vertices, plus the static replica-placement
-// imbalance from RunInfo.WorkerReplicas. A coefficient of 1.0 means
-// perfectly balanced; k means the most loaded worker carries k× the average
-// — the quantity behind the paper's load-balance discussion (Fig 10(3)
-// per-worker) and Ammar & Özsu's per-worker breakdown methodology.
-//
-// When built with a Registry, the latest coefficients are also exported on
-// /metrics as cyclops_skew_imbalance{metric=...}.
-type SkewProfiler struct {
-	Nop // no-op for the hook points the profiler does not consume
-
-	reg *Registry
-
-	mu      sync.Mutex
-	cur     *SkewReport
-	pending map[int][]WorkerStats // step → per-worker stats not yet folded
-	reports []SkewReport
-}
+// The skew profile: per-superstep imbalance coefficients — max/mean across
+// workers of compute units, sent and received messages, and active vertices
+// (StepRecord.Skew) — plus the static replica-placement imbalance from
+// RunInfo.WorkerReplicas. A coefficient of 1.0 means perfectly balanced; k
+// means the most loaded worker carries k× the average — the quantity behind
+// the paper's load-balance discussion (Fig 10(3) per-worker) and Ammar &
+// Özsu's per-worker breakdown methodology. The Log keeps one SkewReport per
+// run; the Collector exports the latest coefficients on /metrics as
+// cyclops_skew_imbalance{metric=...}.
 
 // SkewStep holds one superstep's imbalance coefficients (max/mean across
 // workers; 1.0 when the superstep had no such load at all).
@@ -48,12 +34,6 @@ type SkewReport struct {
 	// workers); 1.0 for engines without a replicated view.
 	Replicas float64
 	Steps    []SkewStep
-}
-
-// NewSkewProfiler returns a profiler. reg may be nil; when set, the latest
-// coefficients are exported as gauges.
-func NewSkewProfiler(reg *Registry) *SkewProfiler {
-	return &SkewProfiler{reg: reg}
 }
 
 // imbalance is max/mean over xs; 1 when the values sum to zero (a uniformly
@@ -79,94 +59,6 @@ func imbalance(xs []int64) float64 {
 		return 1
 	}
 	return float64(max) / mean
-}
-
-// OnRunStart implements Hooks: opens a new report.
-func (p *SkewProfiler) OnRunStart(info RunInfo) {
-	p.mu.Lock()
-	p.cur = &SkewReport{
-		Engine:   info.Engine,
-		Workers:  info.Workers,
-		Replicas: imbalance(info.WorkerReplicas),
-	}
-	p.pending = make(map[int][]WorkerStats)
-	p.mu.Unlock()
-	p.gauge("replicas", p.cur.Replicas)
-}
-
-// OnWorkerStats implements Hooks: buffers one worker's share of a superstep.
-func (p *SkewProfiler) OnWorkerStats(ws WorkerStats) {
-	p.mu.Lock()
-	if p.pending != nil {
-		p.pending[ws.Step] = append(p.pending[ws.Step], ws)
-	}
-	p.mu.Unlock()
-}
-
-// OnSuperstepEnd implements Hooks: folds the superstep's buffered worker
-// stats into one SkewStep.
-func (p *SkewProfiler) OnSuperstepEnd(step int, _ metrics.StepStats) {
-	p.mu.Lock()
-	if p.cur == nil {
-		p.mu.Unlock()
-		return
-	}
-	stats := p.pending[step]
-	delete(p.pending, step)
-	compute := make([]int64, len(stats))
-	sent := make([]int64, len(stats))
-	recv := make([]int64, len(stats))
-	active := make([]int64, len(stats))
-	for i, ws := range stats {
-		compute[i] = ws.ComputeUnits
-		sent[i] = ws.Sent
-		recv[i] = ws.Received
-		active[i] = ws.Active
-	}
-	st := SkewStep{
-		Step:     step,
-		Compute:  imbalance(compute),
-		Sent:     imbalance(sent),
-		Received: imbalance(recv),
-		Active:   imbalance(active),
-	}
-	p.cur.Steps = append(p.cur.Steps, st)
-	p.mu.Unlock()
-
-	p.gauge("compute", st.Compute)
-	p.gauge("sent", st.Sent)
-	p.gauge("received", st.Received)
-	p.gauge("active", st.Active)
-}
-
-// OnConverged implements Hooks: closes the report.
-func (p *SkewProfiler) OnConverged(int, string) {
-	p.mu.Lock()
-	if p.cur != nil {
-		p.reports = append(p.reports, *p.cur)
-		p.cur = nil
-		p.pending = nil
-	}
-	p.mu.Unlock()
-}
-
-func (p *SkewProfiler) gauge(metric string, v float64) {
-	if p.reg != nil {
-		p.reg.LabeledGauge(MetricSkew,
-			"Per-superstep load imbalance, max/mean across workers (1 = balanced).",
-			"metric", metric).Set(v)
-	}
-}
-
-// Reports returns the completed runs' skew profiles.
-func (p *SkewProfiler) Reports() []SkewReport {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := append([]SkewReport(nil), p.reports...)
-	if p.cur != nil { // a run in flight still has a partial report
-		out = append(out, *p.cur)
-	}
-	return out
 }
 
 // maxSteps reduces a report's steps element-wise to their maxima.

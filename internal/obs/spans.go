@@ -1,38 +1,31 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
-	"net/http"
-	"strconv"
-	"sync"
 	"time"
 
 	"cyclops/internal/obs/span"
 )
 
-// This file is the obs side of causal span tracing: the helpers the engines
-// use to emit a canonical span stream through Hooks, and the SpanTracker that
-// keeps the live stream for the /spans endpoint.
+// This file is the obs side of causal span tracing: the span measurements a
+// StepRecord carries and the pure function that turns them into the canonical
+// span stream. The Log keeps the stream for /spans and spans.csv.
 
 // RunSpan builds an engine run's root span; dur is zero while the run is
-// open. Engines emit it through OnSpanStart next to OnRunStart and through
-// OnSpanEnd next to every OnConverged.
+// open. A consumer appends the closed one from the RunEnd event.
 func RunSpan(run int64, dur time.Duration) span.Span {
 	return span.Span{ID: span.RunID(), Run: run, Step: -1, Worker: -1, From: -1,
 		Kind: span.Run, Dur: dur}
 }
 
-// StepSpan builds a superstep's span as announced open at the superstep top;
-// start is the superstep's monotonic offset from the run start.
+// StepSpan builds a superstep's span while it is still open; start is the
+// superstep's monotonic offset from the run start.
 func StepSpan(run int64, step int, start time.Duration) span.Span {
 	return span.Span{ID: span.StepID(step), Parent: span.RunID(), Run: run,
 		Step: step, Worker: -1, From: -1, Kind: span.Superstep, Start: start}
 }
 
-// StepSpanData is one superstep's span measurements, assembled by an engine's
-// coordinator after the superstep's barriers. Per-worker slices are indexed
-// by worker id.
+// StepSpanData is one superstep's span measurements, assembled by the kernel
+// after the superstep's barriers. Per-worker slices are indexed by worker id.
 type StepSpanData struct {
 	Run  int64
 	Step int
@@ -64,13 +57,14 @@ type StepSpanData struct {
 	Deliveries [][]span.Delivery
 }
 
-// EmitStepSpans turns one superstep's measurements into the canonical span
-// stream: for each worker in ascending order its Deliver spans, then Parse
-// (when present), Compute, Serialize, Send and BarrierWait, and finally the
-// Superstep span itself. The order, IDs and parent links depend only on
+// AppendStepSpans appends one superstep's measurements to dst as the canonical
+// span stream: for each worker in ascending order its Deliver spans, then
+// Parse (when present), Compute, Serialize, Send and BarrierWait, and finally
+// the Superstep span itself. The order, IDs and parent links depend only on
 // deterministic quantities, so the structure of the stream is byte-identical
-// across same-seed runs; only Start/Dur carry wall clock.
-func EmitStepSpans(h Hooks, d StepSpanData) {
+// across same-seed runs; only Start/Dur carry wall clock. It reads d and
+// allocates only what dst needs to grow.
+func AppendStepSpans(dst []span.Span, d StepSpanData) []span.Span {
 	stepID := span.StepID(d.Step)
 	var totalUnits, totalSent int64
 	for w := range d.Compute {
@@ -83,20 +77,20 @@ func EmitStepSpans(h Hooks, d StepSpanData) {
 			if dl.Ctx.Tagged() {
 				parent = span.SendID(int(dl.Ctx.Step), dl.From)
 			}
-			h.OnSpanEnd(span.Span{ID: span.ID(span.Deliver, d.Step, w, dl.From),
+			dst = append(dst, span.Span{ID: span.ID(span.Deliver, d.Step, w, dl.From),
 				Parent: parent, Run: d.Run, Step: d.Step, Worker: w, From: dl.From,
 				Kind: span.Deliver, Msgs: dl.Msgs, Start: deliverStart})
 		}
 		var busy time.Duration
 		if d.Parse != nil {
 			busy += d.Parse[w]
-			h.OnSpanEnd(span.Span{ID: span.ID(span.Parse, d.Step, w, -1),
+			dst = append(dst, span.Span{ID: span.ID(span.Parse, d.Step, w, -1),
 				Parent: stepID, Run: d.Run, Step: d.Step, Worker: w, From: -1,
 				Kind: span.Parse, Msgs: d.Recv[w], Start: d.ParseStart, Dur: d.Parse[w]})
 		}
 		busy += d.Compute[w]
 		totalUnits += d.Units[w]
-		h.OnSpanEnd(span.Span{ID: span.ID(span.Compute, d.Step, w, -1),
+		dst = append(dst, span.Span{ID: span.ID(span.Compute, d.Step, w, -1),
 			Parent: stepID, Run: d.Run, Step: d.Step, Worker: w, From: -1,
 			Kind: span.Compute, Units: d.Units[w], Start: d.ComputeStart, Dur: d.Compute[w]})
 		var ser time.Duration
@@ -109,126 +103,22 @@ func EmitStepSpans(h Hooks, d StepSpanData) {
 		}
 		busy += d.Send[w]
 		totalSent += d.Sent[w]
-		h.OnSpanEnd(span.Span{ID: span.ID(span.Serialize, d.Step, w, -1),
+		dst = append(dst, span.Span{ID: span.ID(span.Serialize, d.Step, w, -1),
 			Parent: span.SendID(d.Step, w), Run: d.Run, Step: d.Step, Worker: w, From: -1,
 			Kind: span.Serialize, Start: d.SendStart, Dur: ser})
-		h.OnSpanEnd(span.Span{ID: span.SendID(d.Step, w),
+		dst = append(dst, span.Span{ID: span.SendID(d.Step, w),
 			Parent: stepID, Run: d.Run, Step: d.Step, Worker: w, From: -1,
 			Kind: span.Send, Msgs: d.Sent[w], Start: d.SendStart, Dur: sendDur})
 		wait := d.Wall - busy
 		if wait < 0 {
 			wait = 0
 		}
-		h.OnSpanEnd(span.Span{ID: span.ID(span.BarrierWait, d.Step, w, -1),
+		dst = append(dst, span.Span{ID: span.ID(span.BarrierWait, d.Step, w, -1),
 			Parent: stepID, Run: d.Run, Step: d.Step, Worker: w, From: -1,
 			Kind: span.BarrierWait, Start: d.StepStart, Dur: wait})
 	}
-	h.OnSpanEnd(span.Span{ID: stepID, Parent: span.RunID(), Run: d.Run,
+	dst = append(dst, span.Span{ID: stepID, Parent: span.RunID(), Run: d.Run,
 		Step: d.Step, Worker: -1, From: -1, Kind: span.Superstep,
 		Units: totalUnits, Msgs: totalSent, Start: d.StepStart, Dur: d.Wall})
-}
-
-// spanLimit bounds the SpanTracker's in-memory stream; the oldest half is
-// discarded when it fills (the flight recorder keeps the durable copy).
-const spanLimit = 1 << 17
-
-// SpanTracker keeps the live span stream of the current run for the /spans
-// endpoint: currently open spans (run and superstep) and the completed spans,
-// with the critical-path attribution computed on demand.
-type SpanTracker struct {
-	Nop
-
-	mu      sync.Mutex
-	run     int64
-	engine  string
-	open    []span.Span
-	spans   []span.Span
-	dropped int
-}
-
-// NewSpanTracker builds an empty tracker.
-func NewSpanTracker() *SpanTracker { return &SpanTracker{} }
-
-// OnRunStart implements Hooks: resets the stream for the new run.
-func (t *SpanTracker) OnRunStart(info RunInfo) {
-	t.mu.Lock()
-	t.run++
-	t.engine = info.Engine
-	t.open = t.open[:0]
-	t.spans = t.spans[:0]
-	t.dropped = 0
-	t.mu.Unlock()
-}
-
-// OnSpanStart implements Hooks.
-func (t *SpanTracker) OnSpanStart(s span.Span) {
-	t.mu.Lock()
-	t.open = append(t.open, s)
-	t.mu.Unlock()
-}
-
-// OnSpanEnd implements Hooks.
-func (t *SpanTracker) OnSpanEnd(s span.Span) {
-	t.mu.Lock()
-	for i := range t.open {
-		if t.open[i].ID == s.ID {
-			t.open = append(t.open[:i], t.open[i+1:]...)
-			break
-		}
-	}
-	if len(t.spans) >= spanLimit {
-		half := len(t.spans) / 2
-		t.dropped += half
-		t.spans = append(t.spans[:0], t.spans[half:]...)
-	}
-	t.spans = append(t.spans, s)
-	t.mu.Unlock()
-}
-
-// Snapshot returns the current run id and copies of the open and completed
-// spans.
-func (t *SpanTracker) Snapshot() (run int64, engine string, open, done []span.Span) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.run, t.engine, append([]span.Span(nil), t.open...), append([]span.Span(nil), t.spans...)
-}
-
-// ServeHTTP renders the span stream: JSON by default (open spans, completed
-// spans, per-superstep critical path), a plain-text waterfall with
-// ?format=text. ?step=N restricts the completed spans to one superstep.
-func (t *SpanTracker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	run, engine, open, done := t.Snapshot()
-	if stepQ := r.URL.Query().Get("step"); stepQ != "" {
-		step, err := strconv.Atoi(stepQ)
-		if err != nil {
-			http.Error(w, "bad step", http.StatusBadRequest)
-			return
-		}
-		filtered := done[:0:0]
-		for _, s := range done {
-			if s.Step == step {
-				filtered = append(filtered, s)
-			}
-		}
-		done = filtered
-	}
-	serveFormat(w, r, map[string]formatVariant{
-		"text": {contentType: "text/plain; charset=utf-8", render: func(w http.ResponseWriter) error {
-			fmt.Fprintf(w, "run %d engine %s: %d completed spans, %d open\n\n",
-				run, engine, len(done), len(open))
-			span.WriteWaterfall(w, done)
-			return nil
-		}},
-		"json": {contentType: "application/json", render: func(w http.ResponseWriter) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(struct {
-				Run      int64           `json:"run"`
-				Engine   string          `json:"engine"`
-				Open     []span.Span     `json:"open"`
-				CritPath []span.StepPath `json:"critpath"`
-				Spans    []span.Span     `json:"spans"`
-			}{Run: run, Engine: engine, Open: open, CritPath: span.CriticalPath(done), Spans: done})
-		}},
-	})
+	return dst
 }

@@ -2,14 +2,13 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"log/slog"
 	"sync"
 	"time"
 
 	"cyclops/internal/metrics"
-	"cyclops/internal/obs/span"
-	"cyclops/internal/transport"
 )
 
 // TracerOptions tunes a Tracer.
@@ -145,23 +144,17 @@ func (t *Tracer) OnRunStart(info RunInfo) {
 
 // OnSuperstepStart implements Hooks.
 func (t *Tracer) OnSuperstepStart(step int) {
+	run, engine := t.ident()
 	t.log.Debug("superstep-start", "span", "superstep",
-		"run", t.run(), "engine", t.engineName(), "step", step)
+		"run", run, "engine", engine, "step", step)
 }
-
-// OnSpanStart implements Hooks. The causal span stream has its own consumers
-// (SpanTracker, Recorder); the tracer narrates runs and supersteps already,
-// so it stays quiet here rather than doubling every event.
-func (t *Tracer) OnSpanStart(span.Span) {}
-
-// OnSpanEnd implements Hooks.
-func (t *Tracer) OnSpanEnd(span.Span) {}
 
 // OnPhase implements Hooks: logs the phase duration and runs the slow-phase
 // detector against the phase's trailing mean.
 func (t *Tracer) OnPhase(step int, phase metrics.Phase, d time.Duration) {
+	run, engine := t.ident()
 	t.log.Debug("phase", "span", "phase",
-		"run", t.run(), "engine", t.engineName(), "step", step,
+		"run", run, "engine", engine, "step", step,
 		"phase", phase.String(), "ns", d.Nanoseconds())
 
 	if t.opts.SlowFactor <= 1 {
@@ -175,8 +168,6 @@ func (t *Tracer) OnPhase(step int, phase metrics.Phase, d time.Duration) {
 	}
 	n, mean := win.count(), win.mean()
 	win.observe(d)
-	run := t.runSeq
-	engine := t.engine
 	t.mu.Unlock()
 
 	if n >= t.opts.SlowMinSamples && mean > 0 &&
@@ -189,42 +180,36 @@ func (t *Tracer) OnPhase(step int, phase metrics.Phase, d time.Duration) {
 	}
 }
 
-// OnWorkerStats implements Hooks.
-func (t *Tracer) OnWorkerStats(ws WorkerStats) {
-	t.log.Debug("worker", "span", "superstep",
-		"run", t.run(), "engine", t.engineName(), "step", ws.Step,
-		"worker", ws.Worker, "compute_units", ws.ComputeUnits,
-		"sent", ws.Sent, "received", ws.Received,
-		"queue_depth", ws.QueueDepth)
-}
-
-// OnCommMatrix implements Hooks: logs the superstep's traffic totals and
-// per-worker egress at Debug (the full matrix is the /comm endpoint's job;
-// the trace keeps the compact row sums).
-func (t *Tracer) OnCommMatrix(step int, delta transport.MatrixSnapshot) {
-	t.log.Debug("comm", "span", "superstep",
-		"run", t.run(), "engine", t.engineName(), "step", step,
-		"messages", delta.TotalMessages(), "bytes", delta.TotalBytes(),
-		"egress", delta.Egress(), "ingress", delta.Ingress())
-}
-
-// OnViolation implements Hooks: an audited invariant was breached — this is
-// a correctness event, logged at Error with every structured field.
-func (t *Tracer) OnViolation(v Violation) {
-	t.log.Error("invariant-violation", "span", "superstep",
-		"run", t.run(), "engine", v.Engine, "step", v.Step,
-		"worker", v.Worker, "vertex", v.Vertex,
-		"kind", v.Kind, "detail", v.Detail)
-}
-
-// OnHeat implements Hooks. The tracer narrates aggregates, not per-partition
-// rows — the heat stream is the HeatTracker's and recorder's to render.
-func (t *Tracer) OnHeat(HeatStepData) {}
-
-// OnSuperstepEnd implements Hooks.
-func (t *Tracer) OnSuperstepEnd(step int, s metrics.StepStats) {
+// OnSuperstep implements Hooks: narrates the record — per-worker shares and
+// the traffic delta's totals and row sums at Debug (the full matrix is the
+// /comm endpoint's job, heat rows and spans the Log's), each audited-invariant
+// breach at Error with every structured field (a correctness event), and the
+// superstep's aggregates at Info.
+func (t *Tracer) OnSuperstep(rec *StepRecord) {
+	run, engine := t.ident()
+	step := rec.Step
+	if t.log.Enabled(context.Background(), slog.LevelDebug) {
+		for w := range rec.Units {
+			t.log.Debug("worker", "span", "superstep",
+				"run", run, "engine", engine, "step", step,
+				"worker", w, "compute_units", rec.Units[w],
+				"sent", rec.Sent[w], "received", rec.Recv[w],
+				"queue_depth", rec.Batches[w])
+		}
+		t.log.Debug("comm", "span", "superstep",
+			"run", run, "engine", engine, "step", step,
+			"messages", rec.Comm.TotalMessages(), "bytes", rec.Comm.TotalBytes(),
+			"egress", rec.Comm.Egress(), "ingress", rec.Comm.Ingress())
+	}
+	for _, v := range rec.Violations {
+		t.log.Error("invariant-violation", "span", "superstep",
+			"run", run, "engine", v.Engine, "step", v.Step,
+			"worker", v.Worker, "vertex", v.Vertex,
+			"kind", v.Kind, "detail", v.Detail)
+	}
+	s := &rec.Stats
 	t.log.Info("superstep", "span", "superstep",
-		"run", t.run(), "engine", t.engineName(), "step", step,
+		"run", run, "engine", engine, "step", step,
 		"active", s.Active, "changed", s.Changed,
 		"messages", s.Messages, "redundant", s.RedundantMessages,
 		"prs_ns", s.Durations[metrics.Parse].Nanoseconds(),
@@ -236,14 +221,15 @@ func (t *Tracer) OnSuperstepEnd(step int, s metrics.StepStats) {
 // OnRecovery implements Hooks: a fault was absorbed by checkpoint rollback —
 // the run survives, but degraded, so it logs at Warn.
 func (t *Tracer) OnRecovery(e RecoveryEvent) {
+	run, _ := t.ident()
 	t.log.Warn("recovery", "span", "run",
-		"run", t.run(), "engine", e.Engine, "step", e.Step,
+		"run", run, "engine", e.Engine, "step", e.Step,
 		"resumed_at", e.ResumedAt, "replayed", e.Replayed(),
 		"attempt", e.Attempt, "cause", e.Cause)
 }
 
-// OnConverged implements Hooks: closes the run span.
-func (t *Tracer) OnConverged(step int, reason string) {
+// OnRunEnd implements Hooks: closes the run span.
+func (t *Tracer) OnRunEnd(e RunEnd) {
 	t.mu.Lock()
 	elapsed := time.Duration(0)
 	if !t.start.IsZero() {
@@ -253,20 +239,15 @@ func (t *Tracer) OnConverged(step int, reason string) {
 	engine := t.engine
 	t.mu.Unlock()
 	t.log.Info("run-end", "span", "run",
-		"run", run, "engine", engine, "step", step,
-		"reason", reason, "elapsed_ns", elapsed.Nanoseconds())
+		"run", run, "engine", engine, "step", e.Step,
+		"reason", e.Reason, "elapsed_ns", elapsed.Nanoseconds())
 }
 
-func (t *Tracer) run() int64 {
+// ident reports the run being narrated.
+func (t *Tracer) ident() (run int64, engine string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.runSeq
-}
-
-func (t *Tracer) engineName() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.engine
+	return t.runSeq, t.engine
 }
 
 // ringWriter splits handler output into lines and appends them to the ring.

@@ -277,7 +277,8 @@ type Options struct {
 	// AllocTol is the relative tolerance for allocs_per_superstep (default
 	// 0.25). Allocation counts are quarantined telemetry — GC scheduling and
 	// the Go version move them — so the band is wide: the gate exists to
-	// catch order-of-magnitude allocation regressions, not noise.
+	// catch order-of-magnitude allocation regressions, not noise. Only a rise
+	// beyond it regresses; a drop of any size passes.
 	AllocTol float64
 }
 
@@ -413,10 +414,11 @@ func Diff(old, new Baseline, opts Options) Result {
 			res.Deltas = append(res.Deltas,
 				exact(k, "replica_value_bytes", float64(o.ReplicaValueBytes), float64(n.ReplicaValueBytes)))
 		}
-		// Allocation counts are quarantined: banded, never exact.
+		// Allocation counts are quarantined: banded, never exact — and the
+		// band is one-sided, because allocating less is not a regression.
 		if o.AllocsPerStep != 0 && n.AllocsPerStep != 0 {
 			res.Deltas = append(res.Deltas,
-				banded(k, "allocs_per_superstep", o.AllocsPerStep, n.AllocsPerStep, opts.AllocTol))
+				capped(k, "allocs_per_superstep", o.AllocsPerStep, n.AllocsPerStep, opts.AllocTol))
 		}
 	}
 	return res
@@ -446,6 +448,12 @@ func banded(run, metric string, old, new, tol float64) Delta {
 	r := rel(old, new)
 	return Delta{Run: run, Metric: metric, Old: old, New: new,
 		Rel: r, Regression: math.Abs(r) > tol}
+}
+
+// capped is the one-sided band: only a rise beyond tol regresses.
+func capped(run, metric string, old, new, tol float64) Delta {
+	r := rel(old, new)
+	return Delta{Run: run, Metric: metric, Old: old, New: new, Rel: r, Regression: r > tol}
 }
 
 func fnum(v float64) string {

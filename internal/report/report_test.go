@@ -84,6 +84,48 @@ func TestDiffModelBand(t *testing.T) {
 	}
 }
 
+// TestDiffAllocBand: allocs_per_superstep is capped, not banded — a rise beyond
+// the tolerance regresses, a drop of any size does not (an optimisation must
+// not need a regenerated baseline to pass) — while model_ms stays two-sided.
+func TestDiffAllocBand(t *testing.T) {
+	withAllocs := func(scale float64) Baseline {
+		b := baseline()
+		for i := range b.Entries {
+			b.Entries[i].AllocsPerStep = 1000 * scale
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name  string
+		scale float64
+		ok    bool
+	}{
+		{"rise-within-band", 1.20, true},
+		{"rise-beyond-band", 1.30, false},
+		{"drop-beyond-band", 0.50, true},
+		{"drop-to-almost-nothing", 0.01, true},
+	} {
+		res := Diff(withAllocs(1), withAllocs(tc.scale), Options{})
+		if res.OK() != tc.ok {
+			t.Errorf("%s: OK() = %v, want %v (%v)", tc.name, res.OK(), tc.ok, res.Err())
+		}
+		for _, d := range res.Regressions() {
+			if d.Metric != "allocs_per_superstep" {
+				t.Errorf("%s: unexpected regression %+v", tc.name, d)
+			}
+		}
+	}
+	if res := Diff(withAllocs(1), withAllocs(1.10), Options{AllocTol: 0.05}); res.OK() {
+		t.Error("10% allocation rise passed under a 5% tolerance")
+	}
+
+	faster := baseline()
+	faster.Entries[0].ModelMs *= 0.90
+	if regs := Diff(baseline(), faster, Options{}).Regressions(); len(regs) != 1 || regs[0].Metric != "model_ms" {
+		t.Errorf("a 10%% model_ms drop must still flag (two-sided band): %v", regs)
+	}
+}
+
 func TestDiffUnmatchedRuns(t *testing.T) {
 	cur := baseline()
 	cur.Entries = cur.Entries[:2] // cyclopsmt run vanished

@@ -2,7 +2,7 @@ package superstep_test
 
 // The engines through the kernel: every engine, on a clean run, with its
 // auditor on, and through a seeded fault plan with recovery, must speak the
-// same begin/end hook grammar — differing only in the phase order each engine
+// same six-event hook grammar — differing only in the phase order each engine
 // reports (DESIGN.md §4.1).
 
 import (
@@ -21,24 +21,23 @@ import (
 	"cyclops/internal/metrics"
 	"cyclops/internal/obs"
 	"cyclops/internal/obs/span"
-	"cyclops/internal/transport"
 )
 
-// grammarHooks checks nesting as events arrive and counts them for the
-// per-run totals. Hooks are only called from the coordinator, so no locking.
+// grammarHooks checks the six-event grammar as events arrive and counts them
+// for the per-run totals. Hooks are only called from the coordinator, so no
+// locking.
 type grammarHooks struct {
-	t      *testing.T
-	phases []metrics.Phase // the engine's OnPhase order within a superstep
+	t       *testing.T
+	workers int
+	phases  []metrics.Phase // the engine's OnPhase order within a superstep
 
-	inRun, inStep, heatSeen bool
-	phaseAt                 int
-	runStarts, converged    int
-	steps, workerStats      int
-	commSteps, violations   int
-	recoveries              int
-	spanStarts, spanEnds    int
-	open                    map[int64]int // span id → announced-open count
-	reason                  string
+	inRun, inStep      bool
+	phaseAt            int
+	runStarts, runEnds int
+	steps, violations  int
+	recoveries, spans  int
+	end                obs.RunEnd
+	scratch            []span.Span
 }
 
 func (g *grammarHooks) errorf(format string, args ...any) {
@@ -46,9 +45,9 @@ func (g *grammarHooks) errorf(format string, args ...any) {
 	g.t.Errorf(format, args...)
 }
 
-func (g *grammarHooks) OnRunStart(obs.RunInfo) {
-	if g.inRun {
-		g.errorf("OnRunStart inside a run")
+func (g *grammarHooks) OnRunStart(info obs.RunInfo) {
+	if g.inRun || info.Run != 1 || info.Workers != g.workers {
+		g.errorf("OnRunStart(%+v): inRun=%v", info, g.inRun)
 	}
 	g.inRun = true
 	g.runStarts++
@@ -58,7 +57,7 @@ func (g *grammarHooks) OnSuperstepStart(step int) {
 	if !g.inRun || g.inStep {
 		g.errorf("OnSuperstepStart(%d): inRun=%v inStep=%v", step, g.inRun, g.inStep)
 	}
-	g.inStep, g.heatSeen, g.phaseAt = true, false, 0
+	g.inStep, g.phaseAt = true, 0
 }
 
 func (g *grammarHooks) OnPhase(step int, p metrics.Phase, _ time.Duration) {
@@ -68,33 +67,34 @@ func (g *grammarHooks) OnPhase(step int, p metrics.Phase, _ time.Duration) {
 	g.phaseAt++
 }
 
-func (g *grammarHooks) OnWorkerStats(ws obs.WorkerStats) {
+func (g *grammarHooks) OnSuperstep(rec *obs.StepRecord) {
 	if !g.inStep || g.phaseAt != len(g.phases) {
-		g.errorf("OnWorkerStats(%d) before the superstep's phases finished", ws.Step)
+		g.errorf("OnSuperstep(%d): inStep=%v after %d of %d phases", rec.Step, g.inStep, g.phaseAt, len(g.phases))
 	}
-	g.workerStats++
-}
-
-func (g *grammarHooks) OnCommMatrix(step int, _ transport.MatrixSnapshot) {
-	if !g.inStep {
-		g.errorf("OnCommMatrix(%d) outside a superstep", step)
+	for _, row := range [][]int64{rec.Units, rec.Active, rec.Sent, rec.Recv, rec.Batches, rec.Sync} {
+		if len(row) != g.workers {
+			g.errorf("OnSuperstep(%d): a per-worker row has %d entries, want %d", rec.Step, len(row), g.workers)
+		}
 	}
-	g.commSteps++
-}
-
-func (g *grammarHooks) OnViolation(obs.Violation) { g.violations++ }
-
-func (g *grammarHooks) OnHeat(d obs.HeatStepData) {
-	if !g.inStep || g.heatSeen {
-		g.errorf("OnHeat(%d): inStep=%v heatSeen=%v", d.Step, g.inStep, g.heatSeen)
+	if rec.Comm.Workers != g.workers || rec.Stats.Step != rec.Step || rec.Spans.Step != rec.Step {
+		g.errorf("OnSuperstep(%d): comm %d×%d, stats step %d, span step %d",
+			rec.Step, rec.Comm.Workers, rec.Comm.Workers, rec.Stats.Step, rec.Spans.Step)
 	}
-	g.heatSeen = true
-}
-
-func (g *grammarHooks) OnSuperstepEnd(step int, _ metrics.StepStats) {
-	if !g.inStep || !g.heatSeen {
-		g.errorf("OnSuperstepEnd(%d): inStep=%v heatSeen=%v", step, g.inStep, g.heatSeen)
+	// The views: per superstep and worker at least Compute, Serialize, Send
+	// and BarrierWait, closed by the superstep span itself; one heat row per
+	// worker; a hot set within bounds.
+	g.scratch = obs.AppendStepSpans(g.scratch[:0], rec.Spans)
+	if n := len(g.scratch); n < g.workers*4+1 || g.scratch[n-1].Kind != span.Superstep {
+		g.errorf("OnSuperstep(%d): %d spans, want at least %d ending in the superstep span", rec.Step, n, g.workers*4+1)
 	}
+	if rows := rec.AppendHeat(nil); len(rows) != g.workers {
+		g.errorf("OnSuperstep(%d): %d heat rows", rec.Step, len(rows))
+	}
+	if hot := rec.Hot(); len(hot) > obs.DefaultHotK {
+		g.errorf("OnSuperstep(%d): hot set of %d", rec.Step, len(hot))
+	}
+	g.spans += len(g.scratch)
+	g.violations += len(rec.Violations)
 	g.inStep = false
 	g.steps++
 }
@@ -106,28 +106,13 @@ func (g *grammarHooks) OnRecovery(e obs.RecoveryEvent) {
 	g.recoveries++
 }
 
-func (g *grammarHooks) OnSpanStart(s span.Span) {
-	if g.open == nil {
-		g.open = map[int64]int{}
-	}
-	g.open[s.ID]++
-	g.spanStarts++
-}
-
-func (g *grammarHooks) OnSpanEnd(s span.Span) {
-	if g.open[s.ID] > 0 {
-		g.open[s.ID]--
-	}
-	g.spanEnds++
-}
-
-func (g *grammarHooks) OnConverged(_ int, reason string) {
+func (g *grammarHooks) OnRunEnd(e obs.RunEnd) {
 	if !g.inRun || g.inStep {
-		g.errorf("OnConverged: inRun=%v inStep=%v", g.inRun, g.inStep)
+		g.errorf("OnRunEnd: inRun=%v inStep=%v", g.inRun, g.inStep)
 	}
 	g.inRun = false
-	g.converged++
-	g.reason = reason
+	g.runEnds++
+	g.end = e
 }
 
 // scenario is one column of the table: how the run is perturbed.
@@ -231,17 +216,16 @@ func TestHookSequenceOnRealRuns(t *testing.T) {
 				if sc.name == "faults" {
 					sc.plan = seededPlan(t, eng.cc.Workers())
 				}
-				h := &grammarHooks{t: t, phases: eng.phases}
+				workers := eng.cc.Workers()
+				h := &grammarHooks{t: t, workers: workers, phases: eng.phases}
 				if err := eng.run(g, eng.cc, sc, h); err != nil {
 					t.Fatal(err)
 				}
-				workers := eng.cc.Workers()
-				if h.runStarts != 1 || h.converged != 1 || h.inRun {
-					t.Fatalf("run bracket: %d starts, %d converged", h.runStarts, h.converged)
+				if h.runStarts != 1 || h.runEnds != 1 || h.inRun {
+					t.Fatalf("run bracket: %d starts, %d ends", h.runStarts, h.runEnds)
 				}
-				if h.steps == 0 || h.commSteps != h.steps || h.workerStats != workers*h.steps {
-					t.Fatalf("%d supersteps, %d comm matrices, %d worker stats (%d workers)",
-						h.steps, h.commSteps, h.workerStats, workers)
+				if h.steps == 0 || h.spans < h.steps*(workers*4+1) {
+					t.Fatalf("%d supersteps, %d spans (%d workers)", h.steps, h.spans, workers)
 				}
 				if h.violations != 0 {
 					t.Fatalf("%d violations on a consistent run", h.violations)
@@ -249,25 +233,15 @@ func TestHookSequenceOnRealRuns(t *testing.T) {
 				if (sc.plan != nil) != (h.recoveries > 0) {
 					t.Fatalf("%d recoveries with plan=%v", h.recoveries, sc.plan != nil)
 				}
-				switch h.reason {
+				switch h.end.Reason {
 				case obs.ReasonHalt, obs.ReasonNoActive, obs.ReasonMaxSupersteps:
 				default:
-					t.Fatalf("termination reason %q", h.reason)
+					t.Fatalf("termination reason %q", h.end.Reason)
 				}
-				// One run span plus one per announced superstep; per superstep
-				// and worker at least Compute, Serialize, Send and BarrierWait,
-				// plus the superstep span itself; everything announced open
-				// is closed by the time Run returns.
-				if h.spanStarts != h.steps+1 {
-					t.Fatalf("span starts: %d, want %d", h.spanStarts, h.steps+1)
-				}
-				if min := h.steps*(workers*4+1) + 1; h.spanEnds < min {
-					t.Fatalf("span ends: %d, want at least %d", h.spanEnds, min)
-				}
-				for id, n := range h.open {
-					if n != 0 {
-						t.Fatalf("span %#x still open %d× after the run returned", id, n)
-					}
+				// The run-end event closes the run span over the accounted wall
+				// and brings the final hot set.
+				if h.end.Wall <= 0 || len(h.end.Hot) == 0 || len(h.end.Hot) > obs.DefaultHotK {
+					t.Fatalf("run end %+v", h.end)
 				}
 			})
 		}

@@ -1,11 +1,11 @@
 // Package superstep is the one run loop under the bsp, cyclops and gas
 // engines. What the paper contributes lives inside each engine's PRS / CMP /
 // SND / SYN phase bodies; everything around them is written here once: the
-// OnRunStart…OnConverged bracketing, the superstep loop, the per-worker
-// fan-out with wall and busy timing, the barrier-time fault → restore →
-// replay protocol of §3.6, audit failure, checkpoint cadence, and the single
-// point that turns a superstep's counters into worker stats, traffic-matrix
-// delta, heat rows and causal spans. DESIGN.md §4.1 is the contract.
+// OnRunStart…OnRunEnd bracket, the superstep loop, the per-worker fan-out with
+// wall and busy timing, the barrier-time fault → restore → replay protocol of
+// §3.6, audit failure, checkpoint cadence, and the single point that hands a
+// superstep's counters, traffic-matrix delta and span measurements to the
+// observers as one obs.StepRecord. DESIGN.md §4.1 is the contract.
 package superstep
 
 import (
@@ -111,11 +111,13 @@ type Kernel struct {
 	runStart time.Time
 	runWall  time.Duration
 	stats    metrics.StepStats
-	sd       obs.StepSpanData
+	// rec is the one value observers get per superstep, reused across the run;
+	// its per-worker rows alias Counters. nil with Hooks off.
+	rec      *obs.StepRecord
 	ran      [metrics.Sync]bool          // phases run this superstep
 	starts   [metrics.Sync]time.Duration // and their offsets from runStart
 	serNs0   []int64
-	prevComm transport.MatrixSnapshot
+	prevComm transport.MatrixSnapshot // cumulative traffic at the last barrier
 }
 
 // New allocates a run's scratch; the loop allocates no bookkeeping after it.
@@ -132,8 +134,10 @@ func New(cfg Config) *Kernel {
 			k.Busy[p] = make([]time.Duration, n)
 		}
 		k.serNs0 = make([]int64, n)
-		k.sd.SerializeNs = make([]int64, n)
-		k.sd.Deliveries = make([][]span.Delivery, n)
+		k.rec = &obs.StepRecord{Units: k.Units, Active: k.Active, Sent: k.Sent, Recv: k.Recv,
+			Batches: k.Batches, Sync: k.Sync, HeatMsgs: k.HeatMsgs, HeatUnits: k.HeatUnits, Owner: cfg.Owner}
+		k.rec.Spans.SerializeNs = make([]int64, n)
+		k.rec.Spans.Deliveries = make([][]span.Delivery, n)
 	}
 	return k
 }
@@ -144,7 +148,8 @@ func (k *Kernel) Drained(w int, msgs, batches int64) {
 	k.Recv[w] += msgs
 	k.Batches[w] += batches
 	if k.cfg.Hooks != nil {
-		k.sd.Deliveries[w] = span.MergeDeliveries(k.sd.Deliveries[w], k.cfg.Link.LastDeliveries(w))
+		sd := &k.rec.Spans
+		sd.Deliveries[w] = span.MergeDeliveries(sd.Deliveries[w], k.cfg.Link.LastDeliveries(w))
 	}
 }
 
@@ -185,26 +190,46 @@ func Fan(n int, busy []time.Duration, fn func(i int)) {
 }
 
 // Run executes supersteps until the phase set stops, MaxSupersteps is
-// reached, or a fault, audit violation or checkpoint failure ends the run.
-// Every exit is a break to the single return, past OnSpanEnd and OnConverged.
+// reached, or a fault, audit violation or checkpoint failure ends the run. It
+// is the run bracket: loop may return from anywhere and OnRunEnd still fires.
 func (k *Kernel) Run(ps PhaseSet) error {
-	cfg, h, step := &k.cfg, k.cfg.Hooks, k.cfg.Step
-	// runStart anchors span offsets; runWall accumulates the sum of superstep
-	// walls, so the closing run span reconciles with timings.csv totals.
-	k.runStart = time.Now()
-	if h != nil {
-		*cfg.RunSeq++
-		k.sd.Run = *cfg.RunSeq
-		h.OnRunStart(cfg.Info())
-		h.OnSpanStart(obs.RunSpan(k.sd.Run, 0))
-		// Anchored at the current snapshot, deltas stay correct on resumed runs.
-		k.prevComm = cfg.Link.Matrix().Snapshot()
+	k.begin()
+	reason, err := k.loop(ps)
+	if h := k.cfg.Hooks; h != nil {
+		h.OnRunEnd(obs.RunEnd{Step: *k.cfg.Step, Reason: reason, Wall: k.runWall, Hot: k.rec.Hot()})
 	}
+	if ferr := k.cfg.Link.Err(); err == nil && ferr != nil {
+		err = fmt.Errorf("%s: transport: %w", k.cfg.Name, ferr)
+	}
+	return err
+}
+
+// begin opens the run. runStart anchors span offsets; runWall accumulates the
+// sum of superstep walls, so the run span reconciles with timings.csv totals.
+func (k *Kernel) begin() {
+	cfg := &k.cfg
+	k.runStart = time.Now()
+	if cfg.Hooks == nil {
+		return
+	}
+	*cfg.RunSeq++
+	k.rec.Spans.Run = *cfg.RunSeq
+	info := cfg.Info()
+	info.Run = *cfg.RunSeq
+	cfg.Hooks.OnRunStart(info)
+	// Anchored at the current snapshot, deltas stay correct on resumed runs.
+	k.prevComm = cfg.Link.Matrix().Snapshot()
+	k.rec.Comm = k.prevComm.Clone()
+}
+
+// loop is the superstep loop; it returns why the run stopped. Between
+// OnSuperstepStart and OnSuperstep there is no exit, so the pair cannot break.
+func (k *Kernel) loop(ps PhaseSet) (reason string, err error) {
+	cfg, h, step := &k.cfg, k.cfg.Hooks, k.cfg.Step
 	maxRecoveries, recoveries := cfg.MaxRecoveries, 0
 	if cfg.MaxRecoveries <= 0 {
 		maxRecoveries = 3
 	}
-	reason, err := obs.ReasonMaxSupersteps, error(nil)
 	for *step < cfg.MaxSupersteps {
 		if cfg.Injector != nil {
 			cfg.Injector.BeginStep(*step)
@@ -212,13 +237,10 @@ func (k *Kernel) Run(ps PhaseSet) error {
 		k.stats = metrics.StepStats{Step: *step}
 		clear(k.slab)
 		if ps.Begin != nil && !ps.Begin() {
-			reason = obs.ReasonNoActive
-			break
+			return obs.ReasonNoActive, nil
 		}
 		if h != nil {
 			h.OnSuperstepStart(*step)
-			k.sd.StepStart = time.Since(k.runStart)
-			h.OnSpanStart(obs.StepSpan(k.sd.Run, *step, k.sd.StepStart))
 			k.beginSpans(*step)
 		}
 		violations := ps.Step()
@@ -228,40 +250,24 @@ func (k *Kernel) Run(ps PhaseSet) error {
 		cfg.Trace.Append(k.stats)
 		if h != nil {
 			h.OnPhase(*step, metrics.Sync, k.stats.Durations[metrics.Sync])
-			for w := 0; w < cfg.Workers; w++ {
-				h.OnWorkerStats(obs.WorkerStats{Step: *step, Worker: w,
-					ComputeUnits: k.Units[w], Sent: k.Sent[w], Received: k.Recv[w],
-					Active: k.Active[w], QueueDepth: k.Batches[w]})
-			}
-			cur := cfg.Link.Matrix().Snapshot()
-			delta := cur.Sub(k.prevComm)
-			h.OnCommMatrix(*step, delta)
-			k.prevComm = cur
-			for _, v := range violations {
-				h.OnViolation(v)
-			}
-			h.OnHeat(obs.HeatStepData{Step: *step,
-				Partitions: obs.BuildHeatPartitions(*step, delta, k.Active, k.Units, k.Sync),
-				Hot:        obs.TopHotVertices(k.HeatMsgs, k.HeatUnits, cfg.Owner, obs.DefaultHotK)})
-			h.OnSuperstepEnd(*step, k.stats)
+			k.rec.Step, k.rec.Stats, k.rec.Violations = *step, k.stats, violations
+			cfg.Link.Matrix().Advance(k.prevComm, k.rec.Comm)
 			k.endSpans()
-			obs.EmitStepSpans(h, k.sd)
+			h.OnSuperstep(k.rec)
 		}
 		// Fault check at the barrier, before anything from this superstep is
 		// persisted: a transient transport fault rolls the run back to the
 		// latest checkpoint (§3.6) and replays; anything else fails the run.
 		if ferr := cfg.Link.Err(); ferr != nil {
 			if !transport.IsTransient(ferr) || ps.Recover == nil || recoveries >= maxRecoveries {
-				reason, err = obs.ReasonFault, fmt.Errorf("%s: transport: %w", cfg.Name, ferr)
-				break
+				return obs.ReasonFault, fmt.Errorf("%s: transport: %w", cfg.Name, ferr)
 			}
 			faultStep := *step
 			if cfg.Injector != nil {
 				cfg.Injector.Heal()
 			}
 			if rerr := ps.Recover(); rerr != nil {
-				reason, err = obs.ReasonFault, fmt.Errorf("%s: recovery: %w", cfg.Name, rerr)
-				break
+				return obs.ReasonFault, fmt.Errorf("%s: recovery: %w", cfg.Name, rerr)
 			}
 			recoveries++
 			if h != nil {
@@ -271,51 +277,44 @@ func (k *Kernel) Run(ps PhaseSet) error {
 			continue
 		}
 		if len(violations) > 0 {
-			reason, err = obs.ReasonAuditFailed, fmt.Errorf("%s: %w", cfg.Name, &obs.AuditError{Violations: violations})
-			break
+			return obs.ReasonAuditFailed, fmt.Errorf("%s: %w", cfg.Name, &obs.AuditError{Violations: violations})
 		}
 		if ps.Checkpoint != nil && cfg.CheckpointEvery > 0 && (*step+1)%cfg.CheckpointEvery == 0 {
 			if cerr := ps.Checkpoint(); cerr != nil {
-				reason, err = obs.ReasonFault, fmt.Errorf("%s: checkpoint at step %d: %w", cfg.Name, *step, cerr)
-				break
+				return obs.ReasonFault, fmt.Errorf("%s: checkpoint at step %d: %w", cfg.Name, *step, cerr)
 			}
 		}
 		if ps.OnStep != nil {
 			ps.OnStep(*step)
 		}
+		stop := ""
 		if ps.Pending != nil {
 			if pending := ps.Pending(); pending == 0 {
-				reason = obs.ReasonNoActive
+				stop = obs.ReasonNoActive
 			} else if ps.Halt != nil && ps.Halt(*step, pending) {
-				reason = obs.ReasonHalt
+				stop = obs.ReasonHalt
 			}
 		}
 		*step++
-		if reason != obs.ReasonMaxSupersteps {
-			break // the phase set stopped the run
+		if stop != "" {
+			return stop, nil // the phase set stopped the run
 		}
 	}
-	if h != nil {
-		h.OnSpanEnd(obs.RunSpan(k.sd.Run, k.runWall))
-		h.OnConverged(*step, reason)
-	}
-	if ferr := cfg.Link.Err(); err == nil && ferr != nil {
-		err = fmt.Errorf("%s: transport: %w", cfg.Name, ferr)
-	}
-	return err
+	return obs.ReasonMaxSupersteps, nil
 }
 
 // beginSpans resets the superstep's span bookkeeping and tags its sends, so
 // the receive side can link Deliver spans back to the sender's Send span.
 func (k *Kernel) beginSpans(step int) {
-	k.sd.Step = step
+	sd := &k.rec.Spans
+	sd.Step, sd.StepStart = step, time.Since(k.runStart)
 	k.ran, k.starts = [metrics.Sync]bool{}, [metrics.Sync]time.Duration{}
 	for p := range k.Busy {
 		clear(k.Busy[p])
 	}
 	for w := 0; w < k.cfg.Workers; w++ {
-		k.sd.Deliveries[w] = k.sd.Deliveries[w][:0]
-		k.cfg.Link.Tag(w, span.Context{Run: k.sd.Run, Step: int32(step), Worker: int32(w)})
+		sd.Deliveries[w] = sd.Deliveries[w][:0]
+		k.cfg.Link.Tag(w, span.Context{Run: sd.Run, Step: int32(step), Worker: int32(w)})
 		k.serNs0[w] = k.cfg.Link.SerializeNanos(w)
 	}
 }
@@ -323,7 +322,7 @@ func (k *Kernel) beginSpans(step int) {
 // endSpans completes the superstep's span data. Wall is the sum of the phase
 // durations — exactly what timings.csv records — so critpath.csv reconciles.
 func (k *Kernel) endSpans() {
-	sd, d := &k.sd, &k.stats.Durations
+	sd, d := &k.rec.Spans, &k.stats.Durations
 	sd.Wall = d[metrics.Parse] + d[metrics.Compute] + d[metrics.Send] + d[metrics.Sync]
 	k.runWall += sd.Wall
 	sd.ParseStart, sd.ComputeStart = k.starts[metrics.Parse], k.starts[metrics.Compute]

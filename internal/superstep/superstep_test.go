@@ -6,8 +6,12 @@ package superstep_test
 // fault → heal → restore → replay protocol with its recovery budget.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -19,16 +23,18 @@ import (
 	"cyclops/internal/transport"
 )
 
-// fakeLink is a transport whose only behaviour is the error the test plants.
+// fakeLink is a transport whose only behaviour is the error and the drain
+// provenance the test plants.
 type fakeLink struct {
 	matrix *transport.Matrix
 	err    error
+	last   []span.Delivery
 }
 
 func (l *fakeLink) Tag(int, span.Context)              {}
 func (l *fakeLink) SerializeNanos(int) int64           { return 0 }
 func (l *fakeLink) Matrix() *transport.Matrix          { return l.matrix }
-func (l *fakeLink) LastDeliveries(int) []span.Delivery { return nil }
+func (l *fakeLink) LastDeliveries(int) []span.Delivery { return l.last }
 func (l *fakeLink) Err() error                         { return l.err }
 
 // eventLog records every hook call (and, through the rig, every injector and
@@ -61,27 +67,19 @@ func (l *eventLog) index(event string) int {
 	return -1
 }
 
-func (l *eventLog) OnRunStart(obs.RunInfo)    { l.add("run-start") }
-func (l *eventLog) OnSuperstepStart(step int) { l.add("step-start %d", step) }
-func (l *eventLog) OnSpanStart(s span.Span)   { l.add("span-start %s %d", s.Kind, s.Step) }
-func (l *eventLog) OnSpanEnd(s span.Span) {
-	if s.Kind == span.Run || s.Kind == span.Superstep {
-		l.add("span-end %s %d", s.Kind, s.Step)
-	}
+func (l *eventLog) OnRunStart(info obs.RunInfo) { l.add("run-start %d", info.Run) }
+func (l *eventLog) OnSuperstepStart(step int)   { l.add("step-start %d", step) }
+func (l *eventLog) OnPhase(step int, p metrics.Phase, _ time.Duration) {
+	l.add("phase %d %s", step, p)
 }
-func (l *eventLog) OnPhase(step int, p metrics.Phase, _ time.Duration) { l.add("phase %d %s", step, p) }
-func (l *eventLog) OnWorkerStats(ws obs.WorkerStats) {
-	l.add("worker %d %d units=%d", ws.Step, ws.Worker, ws.ComputeUnits)
+func (l *eventLog) OnSuperstep(rec *obs.StepRecord) {
+	l.add("step %d units=%v comm=%d violations=%d", rec.Step, rec.Units, rec.Comm.Workers, len(rec.Violations))
 }
-func (l *eventLog) OnCommMatrix(step int, _ transport.MatrixSnapshot) { l.add("comm %d", step) }
-func (l *eventLog) OnViolation(v obs.Violation)                       { l.add("violation %d", v.Step) }
-func (l *eventLog) OnHeat(d obs.HeatStepData)                         { l.add("heat %d", d.Step) }
-func (l *eventLog) OnSuperstepEnd(step int, _ metrics.StepStats)      { l.add("step-end %d", step) }
 func (l *eventLog) OnRecovery(e obs.RecoveryEvent) {
 	l.add("recovery")
 	l.recoveries = append(l.recoveries, e)
 }
-func (l *eventLog) OnConverged(step int, reason string) { l.add("converged %d %s", step, reason) }
+func (l *eventLog) OnRunEnd(e obs.RunEnd) { l.add("run-end %d %s", e.Step, e.Reason) }
 
 // rig is a kernel over fakes. Its phase set runs bsp's PRS → CMP → SND order
 // with trivial bodies, stays "pending" forever, and restores to superstep 0;
@@ -134,28 +132,21 @@ func TestHookGrammarOnCleanRun(t *testing.T) {
 	if err := r.run(); err != nil {
 		t.Fatal(err)
 	}
-	var want []string
-	want = append(want, "run-start", "span-start run -1")
+	want := []string{"run-start 1"}
 	for step := 0; step < 2; step++ {
 		want = append(want,
 			fmt.Sprintf("arm %d", step),
 			fmt.Sprintf("step-start %d", step),
-			fmt.Sprintf("span-start superstep %d", step),
 			fmt.Sprintf("phase %d PRS", step),
 			fmt.Sprintf("phase %d CMP", step),
 			fmt.Sprintf("phase %d SND", step),
 			fmt.Sprintf("phase %d SYN", step),
 			// Three rounds each added w+1: the per-worker rows are zeroed
 			// between supersteps, not between phases.
-			fmt.Sprintf("worker %d 0 units=3", step),
-			fmt.Sprintf("worker %d 1 units=6", step),
-			fmt.Sprintf("comm %d", step),
-			fmt.Sprintf("heat %d", step),
-			fmt.Sprintf("step-end %d", step),
-			fmt.Sprintf("span-end superstep %d", step),
+			fmt.Sprintf("step %d units=[3 6] comm=2 violations=0", step),
 		)
 	}
-	want = append(want, "span-end run -1", "converged 2 "+obs.ReasonMaxSupersteps)
+	want = append(want, "run-end 2 "+obs.ReasonMaxSupersteps)
 	if got := strings.Join(r.log.events, "\n"); got != strings.Join(want, "\n") {
 		t.Fatalf("hook sequence:\n%s\nwant:\n%s", got, strings.Join(want, "\n"))
 	}
@@ -170,7 +161,7 @@ func TestPendingAndHaltStopAfterTheBarrier(t *testing.T) {
 	if err := r.run(); err != nil {
 		t.Fatal(err)
 	}
-	if r.log.index("converged 2 "+obs.ReasonNoActive) < 0 {
+	if r.log.index("run-end 2 "+obs.ReasonNoActive) < 0 {
 		t.Fatalf("want no-active after superstep 1:\n%s", strings.Join(r.log.events, "\n"))
 	}
 
@@ -179,7 +170,7 @@ func TestPendingAndHaltStopAfterTheBarrier(t *testing.T) {
 	if err := r.run(); err != nil {
 		t.Fatal(err)
 	}
-	if r.log.index("converged 3 "+obs.ReasonHalt) < 0 {
+	if r.log.index("run-end 3 "+obs.ReasonHalt) < 0 {
 		t.Fatalf("want halt after superstep 2:\n%s", strings.Join(r.log.events, "\n"))
 	}
 }
@@ -193,7 +184,7 @@ func TestBeginStopsBeforeAnnouncing(t *testing.T) {
 	}
 	// Superstep 1 was armed but never announced, and the counter did not move.
 	if r.log.index("arm 1") < 0 || r.log.index("step-start 1") >= 0 ||
-		r.log.index("converged 1 "+obs.ReasonNoActive) < 0 {
+		r.log.index("run-end 1 "+obs.ReasonNoActive) < 0 || r.log.count("run-end") != 1 {
 		t.Fatalf("hook sequence:\n%s", strings.Join(r.log.events, "\n"))
 	}
 }
@@ -213,13 +204,11 @@ func TestAuditViolationFailsTheRun(t *testing.T) {
 	if !errors.As(err, &ae) || len(ae.Violations) != 2 || !strings.HasPrefix(err.Error(), "fake: ") {
 		t.Fatalf("want a wrapped *obs.AuditError with 2 violations, got %v", err)
 	}
+	// The violating superstep still reports in full — its record carries the
+	// violations — and then the run closes, once.
 	log := r.log
-	if log.count("violation 1") != 2 || log.count("span-end run") != 1 || log.count("converged") != 1 {
-		t.Fatalf("hook sequence:\n%s", strings.Join(log.events, "\n"))
-	}
-	// The violating superstep still reports in full before the run closes.
-	end, converged := log.index("step-end 1"), log.index("converged 1 "+obs.ReasonAuditFailed)
-	if end < 0 || converged != len(log.events)-1 || log.index("span-end run -1") != converged-1 {
+	record, end := log.index("step 1 units=[3 6] comm=2 violations=2"), log.index("run-end 1 "+obs.ReasonAuditFailed)
+	if record < 0 || end != record+1 || end != len(log.events)-1 || log.count("run-end") != 1 {
 		t.Fatalf("hook sequence:\n%s", strings.Join(log.events, "\n"))
 	}
 }
@@ -242,7 +231,7 @@ func TestCheckpointCadenceAndSinkError(t *testing.T) {
 	if fmt.Sprint(taken) != "[1 3]" {
 		t.Fatalf("checkpoints at supersteps %v, want [1 3]", taken)
 	}
-	if r.log.index("converged 3 "+obs.ReasonFault) != len(r.log.events)-1 {
+	if r.log.index("run-end 3 "+obs.ReasonFault) != len(r.log.events)-1 || r.log.count("run-end") != 1 {
 		t.Fatalf("hook sequence:\n%s", strings.Join(r.log.events, "\n"))
 	}
 }
@@ -281,10 +270,10 @@ func TestTransientFaultHealsRestoresAndReplays(t *testing.T) {
 	}
 	// The faulty superstep still reported in full, then the run replayed from
 	// superstep 0 and went on to finish.
-	if log.count("step-end 2") != 2 || log.count("step-start 0") != 2 || log.count("step-end 3") != 1 {
+	if log.count("step 2 ") != 2 || log.count("step-start 0") != 2 || log.count("step 3 ") != 1 {
 		t.Fatalf("replay:\n%s", strings.Join(log.events, "\n"))
 	}
-	if log.index("converged 4 "+obs.ReasonMaxSupersteps) != len(log.events)-1 {
+	if log.index("run-end 4 "+obs.ReasonMaxSupersteps) != len(log.events)-1 || log.count("run-end") != 1 {
 		t.Fatalf("hook sequence:\n%s", strings.Join(log.events, "\n"))
 	}
 }
@@ -312,7 +301,7 @@ func TestRecoveryBudgetExhausted(t *testing.T) {
 			if got := len(r.log.recoveries); got != tc.budget || r.log.recoveries[got-1].Attempt != tc.budget {
 				t.Fatalf("recovery events %+v, want %d", r.log.recoveries, tc.budget)
 			}
-			if r.log.index("converged 1 "+obs.ReasonFault) != len(r.log.events)-1 || r.log.count("span-end run") != 1 {
+			if r.log.index("run-end 1 "+obs.ReasonFault) != len(r.log.events)-1 || r.log.count("run-end") != 1 {
 				t.Fatalf("hook sequence:\n%s", strings.Join(r.log.events, "\n"))
 			}
 		})
@@ -350,7 +339,8 @@ func TestUnrecoverableFaults(t *testing.T) {
 			if got := r.log.count("restore"); got != tc.calls {
 				t.Fatalf("%d Recover calls, want %d", got, tc.calls)
 			}
-			if r.log.count("recovery") != 0 || r.log.index("converged 0 "+obs.ReasonFault) != len(r.log.events)-1 {
+			if r.log.count("recovery") != 0 || r.log.index("run-end 0 "+obs.ReasonFault) != len(r.log.events)-1 ||
+				r.log.count("run-end") != 1 {
 				t.Fatalf("hook sequence:\n%s", strings.Join(r.log.events, "\n"))
 			}
 		})
@@ -388,16 +378,100 @@ func TestFoldedSendShare(t *testing.T) {
 	}
 }
 
+// spanLog materialises each record's span view.
 type spanLog struct {
 	*eventLog
 	kinds map[span.Kind]int
 	spans []span.Span
 }
 
-func (l *spanLog) OnSpanEnd(s span.Span) {
+func (l *spanLog) OnSuperstep(rec *obs.StepRecord) {
 	if l.kinds == nil {
 		l.kinds = map[span.Kind]int{}
 	}
-	l.kinds[s.Kind]++
-	l.spans = append(l.spans, s)
+	from := len(l.spans)
+	l.spans = obs.AppendStepSpans(l.spans, rec.Spans)
+	for _, s := range l.spans[from:] {
+		l.kinds[s.Kind]++
+	}
+}
+
+// TestRecordScratchAliasing is TestFrameScratchAliasing for the StepRecord:
+// the record is the kernel's scratch, so superstep 1 overwrites every
+// per-worker row, the traffic delta and the drain provenance superstep 0
+// reported. A consumer that kept a reference instead of a copy would see its
+// superstep 0 change. The Recorder's deterministic files and the Log's views
+// of superstep 0 must be the same whether or not a superstep 1 followed.
+func TestRecordScratchAliasing(t *testing.T) {
+	record := func(steps int) (*obs.Recorder, string) {
+		dir := t.TempDir()
+		rec, err := obs.NewRecorder(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := newRig(steps, func(c *superstep.Config) { c.Hooks = rec })
+		r.ps.Step = func() []obs.Violation {
+			n := int64(r.step + 1) // every value differs between the supersteps
+			r.link.last = []span.Delivery{{From: r.step, Ctx: span.Context{Run: 1, Step: int32(r.step), Worker: 1}, Msgs: n}}
+			r.k.Phase(metrics.Compute, func(w int) {
+				r.k.Units[w], r.k.Active[w], r.k.Sync[w] = 10*n+int64(w), 20*n+int64(w), 30*n+int64(w)
+				r.k.HeatMsgs[w] += n
+				r.k.Sent[w] = 40*n + int64(w)
+				r.link.matrix.Add(w, 1-w, n, 8*n)
+				r.link.matrix.AddWire(w, 1-w, 9*n)
+			})
+			r.k.Phase(metrics.Parse, func(w int) { r.k.Drained(w, 50*n+int64(w), n) })
+			return nil
+		}
+		if err := r.run(); err != nil {
+			t.Fatal(err)
+		}
+		if err := rec.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return rec, filepath.Join(dir, rec.Manifests()[0].Run)
+	}
+	lines := func(dir, name string) []string {
+		blob, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Split(strings.TrimSpace(string(blob)), "\n")
+	}
+	one, oneDir := record(1)
+	two, twoDir := record(2)
+
+	for _, name := range []string{"series.csv", "heat.csv", "spans.csv"} {
+		want, got := lines(oneDir, name), lines(twoDir, name)
+		if name == "spans.csv" {
+			want = want[:len(want)-1] // the one-superstep run's closing run span
+		}
+		if len(got) <= len(want) || len(want) < 2 {
+			t.Fatalf("%s: %d lines for one superstep, %d for two", name, len(want), len(got))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s line %d changed once superstep 1 ran:\n%s\nwas:\n%s", name, i, got[i], want[i])
+			}
+		}
+		if last := len(want); got[last] == want[last-1] {
+			t.Errorf("%s: superstep 1's first line repeats superstep 0's last: %s", name, got[last])
+		}
+	}
+	var oneCSV, twoCSV bytes.Buffer
+	if err := one.WriteCommCSV(&oneCSV); err != nil {
+		t.Fatal(err)
+	}
+	if err := two.WriteCommCSV(&twoCSV); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(twoCSV.String(), oneCSV.String()) || twoCSV.Len() == oneCSV.Len() {
+		t.Errorf("comm CSV of superstep 0 changed:\n%s\nwas:\n%s", twoCSV.String(), oneCSV.String())
+	}
+	if rows, want := two.Rows(), one.Rows(); !reflect.DeepEqual(rows[:len(want)], want) || rows[0].ComputeUnits != 10 {
+		t.Errorf("heat rows of superstep 0: %+v, were %+v", rows[:len(want)], want)
+	}
+	if cum := two.Cumulative(); cum.Messages[0][1] != 3 || cum.Bytes[1][0] != 24 || cum.Wire[0][1] != 27 {
+		t.Errorf("cumulative matrix %+v, want superstep 0's delta plus superstep 1's", cum)
+	}
 }

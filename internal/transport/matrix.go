@@ -62,6 +62,21 @@ func (m *Matrix) Snapshot() MatrixSnapshot {
 	return s
 }
 
+// Advance writes the traffic since prev into delta and moves prev up to now:
+// the per-barrier form of Snapshot + Sub, over two n×n snapshots the caller
+// reuses (a Snapshot and its Clone), so it allocates nothing.
+func (m *Matrix) Advance(prev, delta MatrixSnapshot) {
+	for f := 0; f < m.n; f++ {
+		for t := 0; t < m.n; t++ {
+			i := f*m.n + t
+			msgs, b, w := m.messages[i].Load(), m.bytes[i].Load(), m.wire[i].Load()
+			delta.Messages[f][t], prev.Messages[f][t] = msgs-prev.Messages[f][t], msgs
+			delta.Bytes[f][t], prev.Bytes[f][t] = b-prev.Bytes[f][t], b
+			delta.Wire[f][t], prev.Wire[f][t] = w-prev.Wire[f][t], w
+		}
+	}
+}
+
 // MatrixSnapshot is a point-in-time copy of a Matrix: Messages[from][to],
 // Bytes[from][to] (payload estimate) and Wire[from][to] (encoded frame
 // bytes). The zero value acts as an all-zero matrix in Sub. Wire may be nil
