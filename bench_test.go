@@ -139,7 +139,8 @@ func BenchmarkGASPageRank(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e, err := gas.New[algorithms.PRValue, float64](g,
 			algorithms.NewPageRankGAS(g, 10, 0),
-			gas.Config[algorithms.PRValue, float64]{Cluster: cluster.Flat(6, 1), MaxSupersteps: 10})
+			gas.Config[algorithms.PRValue, float64]{Cluster: cluster.Flat(6, 1), MaxSupersteps: 10,
+				ValCodec: algorithms.PRValueCodec{}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -245,13 +246,32 @@ func BenchmarkCalibrateComputeUnit(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumEdges()), "ns/edge")
 }
 
+// pairCodec prices the calibration benches' (vertex, value) pairs as two
+// 8-byte words, the 16 bytes the payload estimate charges.
+type pairCodec struct{}
+
+func (pairCodec) EncodedSize([2]float64) int { return 16 }
+
+func (pairCodec) Append(dst []byte, m [2]float64) []byte {
+	return graph.Float64Codec{}.Append(graph.Float64Codec{}.Append(dst, m[0]), m[1])
+}
+
+func (pairCodec) Decode(src []byte) (m [2]float64, n int, err error) {
+	if len(src) < 16 {
+		return m, 0, graph.ErrShortBuffer
+	}
+	m[0], _, _ = graph.Float64Codec{}.Decode(src)
+	m[1], _, _ = graph.Float64Codec{}.Decode(src[8:])
+	return m, 16, nil
+}
+
 // BenchmarkCalibrateSendMsg measures batching + enqueueing through the
 // per-sender transport (SendMsg ≈ ns per message).
 func BenchmarkCalibrateSendMsg(b *testing.B) {
 	const n = 100_000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr := transport.NewLocal[[2]float64](2, transport.PerSenderQueue, nil)
+		tr := transport.NewLocal[[2]float64](2, transport.PerSenderQueue, nil, pairCodec{})
 		batch := make([][2]float64, 0, 1024)
 		for m := 0; m < n; m++ {
 			batch = append(batch, [2]float64{float64(m), 1})
@@ -275,7 +295,7 @@ func BenchmarkCalibrateParseMsg(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		tr := transport.NewLocal[[2]float64](2, transport.GlobalQueue, nil)
+		tr := transport.NewLocal[[2]float64](2, transport.GlobalQueue, nil, pairCodec{})
 		batch := make([][2]float64, n)
 		for m := range batch {
 			batch[m] = [2]float64{float64(m % vertices), 1}

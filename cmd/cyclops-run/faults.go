@@ -1,8 +1,8 @@
 package main
 
 // Fault-injection support for cyclops-run: -fault-seed / -fault-plan arm a
-// deterministic fault schedule at the transport boundary and wire periodic
-// checkpoints plus recovery into whichever engine the run uses, so a faulted
+// deterministic fault schedule, which harness.RunWorkload injects at the
+// transport boundary with periodic checkpoints plus recovery, so a faulted
 // run finishes with the same values as a clean one (§3.6). The checkpoint
 // directory is temporary and removed after the run.
 
@@ -11,24 +11,14 @@ import (
 	"io"
 	"os"
 
-	"cyclops/internal/bsp"
-	"cyclops/internal/checkpoint"
-	"cyclops/internal/cyclops"
 	"cyclops/internal/fault"
-	"cyclops/internal/gas"
+	"cyclops/internal/harness"
 )
 
-// faultOpts carries the armed plan and checkpoint settings into run().
-type faultOpts struct {
-	plan  fault.Plan
-	every int    // checkpoint cadence in supersteps
-	dir   string // checkpoint directory (temporary)
-}
-
-// newFaultOpts resolves the -fault-seed/-fault-plan/-checkpoint-every flags.
-// A plan file wins over a seed; both unset means no injection (nil). workers
-// bounds the generated plan's worker ids.
-func newFaultOpts(planPath string, seed int64, every, workers int, stderr io.Writer) (*faultOpts, func(), error) {
+// newFaultSpec resolves the -fault-seed/-fault-plan/-checkpoint-every flags
+// into the harness's fault spec. A plan file wins over a seed; both unset
+// means no injection (nil). workers bounds the generated plan's worker ids.
+func newFaultSpec(planPath string, seed int64, every, workers int, stderr io.Writer) (*harness.FaultSpec, func(), error) {
 	if planPath == "" && seed == 0 {
 		return nil, func() {}, nil
 	}
@@ -53,66 +43,6 @@ func newFaultOpts(planPath string, seed int64, every, workers int, stderr io.Wri
 	for _, f := range plan.Faults {
 		fmt.Fprintf(stderr, "  %s\n", f)
 	}
-	return &faultOpts{plan: plan, every: every, dir: dir},
+	return &harness.FaultSpec{Plan: plan, Every: every, Dir: dir},
 		func() { os.RemoveAll(dir) }, nil
-}
-
-// The arm helpers wire a fault plan, periodic checkpoints and recovery into
-// an engine config; with fo == nil they are the identity.
-
-func armCyclops[V, M any](cfg cyclops.Config[V, M], fo *faultOpts) cyclops.Config[V, M] {
-	if fo == nil {
-		return cfg
-	}
-	cfg.FaultPlan = &fo.plan
-	cfg.CheckpointEvery = fo.every
-	cfg.Checkpoints = func(s cyclops.State[V, M]) error {
-		return checkpoint.Save(fo.dir, s.Step, s)
-	}
-	cfg.Recover = func() (cyclops.State[V, M], error) {
-		s, _, err := checkpoint.LoadLatest[cyclops.State[V, M]](fo.dir)
-		return s, err
-	}
-	return cfg
-}
-
-func armBSP[V, M any](cfg bsp.Config[V, M], fo *faultOpts) bsp.Config[V, M] {
-	if fo == nil {
-		return cfg
-	}
-	cfg.FaultPlan = &fo.plan
-	cfg.CheckpointEvery = fo.every
-	cfg.Checkpoints = func(s bsp.State[V, M]) error {
-		return checkpoint.Save(fo.dir, s.Step, s)
-	}
-	cfg.Recover = func() (bsp.State[V, M], error) {
-		s, _, err := checkpoint.LoadLatest[bsp.State[V, M]](fo.dir)
-		return s, err
-	}
-	return cfg
-}
-
-func armGAS[V, G any](cfg gas.Config[V, G], fo *faultOpts) gas.Config[V, G] {
-	if fo == nil {
-		return cfg
-	}
-	cfg.FaultPlan = &fo.plan
-	cfg.CheckpointEvery = fo.every
-	cfg.Checkpoints = func(s gas.State[V]) error {
-		return checkpoint.Save(fo.dir, s.Step, s)
-	}
-	cfg.Recover = func() (gas.State[V], error) {
-		s, _, err := checkpoint.LoadLatest[gas.State[V]](fo.dir)
-		return s, err
-	}
-	return cfg
-}
-
-// saveBaseline writes the pre-run state as a step-0 checkpoint so a fault
-// earlier than the first periodic checkpoint is still recoverable.
-func saveBaseline[S any](fo *faultOpts, snap func() S) error {
-	if fo == nil {
-		return nil
-	}
-	return checkpoint.Save(fo.dir, 0, snap())
 }

@@ -19,14 +19,10 @@ import (
 	"sort"
 	"strings"
 
-	"cyclops/internal/aggregate"
-	"cyclops/internal/algorithms"
-	"cyclops/internal/bsp"
 	"cyclops/internal/cluster"
-	"cyclops/internal/cyclops"
-	"cyclops/internal/gas"
 	"cyclops/internal/gen"
 	"cyclops/internal/graph"
+	"cyclops/internal/harness"
 	"cyclops/internal/metrics"
 	"cyclops/internal/obs"
 	"cyclops/internal/partition"
@@ -129,19 +125,34 @@ func cliMain(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fo, cleanup, err := newFaultOpts(*faultPlan, *faultSeed, *ckptEvery, cc.Workers(), stderr)
+	faults, cleanup, err := newFaultSpec(*faultPlan, *faultSeed, *ckptEvery, cc.Workers(), stderr)
 	if err != nil {
 		return err
 	}
 	defer cleanup()
 
-	values, summary, trace, err := run(*engine, *algo, g, cc, part, *eps, *steps,
-		graph.ID(*source), sess.Hooks, *audit, fo)
+	// The run itself is the harness's (engine, algorithm) row — the same
+	// program, codec, Equal/Residual/Halt and accounting every experiment and
+	// the perf gate use, so this CLI's records diff against theirs.
+	r, err := harness.RunWorkload(*engine, *algo, g, cc, part, harness.Params{
+		MaxSteps: *steps, Eps: *eps, Source: graph.ID(*source),
+		Hooks: sess.Hooks, Audit: *audit, Faults: faults,
+	})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(stdout, summary)
-	printTop(stdout, values, *top)
+	fmt.Fprintln(stdout, r.Trace)
+	if r.Replication > 0 {
+		fmt.Fprintf(stdout, "replication factor: %.2f\n", r.Replication)
+	}
+	if *algo == "CC" {
+		components := map[float64]struct{}{}
+		for _, label := range r.Values {
+			components[label] = struct{}{}
+		}
+		fmt.Fprintf(stdout, "components: %d\n", len(components))
+	}
+	printTop(stdout, r.Values, *top)
 	if *skewFlag {
 		for _, rep := range sess.Log.SkewReports() {
 			if err := rep.WriteTable(stdout); err != nil {
@@ -149,9 +160,9 @@ func cliMain(args []string, stdout, stderr io.Writer) error {
 			}
 		}
 	}
-	if *traceCSV != "" && trace != nil {
+	if *traceCSV != "" {
 		if err := writeFile(*traceCSV, func(f io.Writer) error {
-			return metrics.WriteCSV(f, trace)
+			return metrics.WriteCSV(f, r.Trace)
 		}); err != nil {
 			return err
 		}
@@ -223,201 +234,6 @@ func pickPartitioner(name string, seed int64) (partition.Partitioner, error) {
 	default:
 		return nil, fmt.Errorf("unknown partitioner %q", name)
 	}
-}
-
-func run(engine, algo string, g *graph.Graph, cc cluster.Config,
-	part partition.Partitioner, eps float64, steps int, source graph.ID,
-	hooks obs.Hooks, audit bool, fo *faultOpts) ([]float64, string, *metrics.Trace, error) {
-
-	switch engine + "/" + algo {
-	case "cyclops/PR":
-		e, err := cyclops.New[float64, float64](g, algorithms.PageRankCyclops{Eps: eps},
-			armCyclops(cyclops.Config[float64, float64]{Cluster: cc, Partitioner: part, MaxSupersteps: steps,
-				Hooks: hooks, Audit: audit, Residual: scalarResid}, fo))
-		if err != nil {
-			return nil, "", nil, err
-		}
-		if err := saveBaseline(fo, e.Snapshot); err != nil {
-			return nil, "", nil, err
-		}
-		tr, err := e.Run()
-		if err != nil {
-			return nil, "", nil, err
-		}
-		return e.Values(), fmt.Sprintf("%v\nreplication factor: %.2f", tr, e.ReplicationFactor()), tr, nil
-	case "cyclops/SSSP":
-		e, err := cyclops.New[float64, float64](g, algorithms.SSSPCyclops{Source: source},
-			armCyclops(cyclops.Config[float64, float64]{Cluster: cc, Partitioner: part, MaxSupersteps: steps,
-				Hooks: hooks, Audit: audit, Residual: scalarResid}, fo))
-		if err != nil {
-			return nil, "", nil, err
-		}
-		if err := saveBaseline(fo, e.Snapshot); err != nil {
-			return nil, "", nil, err
-		}
-		tr, err := e.Run()
-		if err != nil {
-			return nil, "", nil, err
-		}
-		return e.Values(), tr.String(), tr, nil
-	case "cyclops/CD":
-		e, err := cyclops.New[int64, int64](g, algorithms.CDCyclops{},
-			armCyclops(cyclops.Config[int64, int64]{Cluster: cc, Partitioner: part, MaxSupersteps: steps,
-				Hooks: hooks, Audit: audit, Residual: labelResid}, fo))
-		if err != nil {
-			return nil, "", nil, err
-		}
-		if err := saveBaseline(fo, e.Snapshot); err != nil {
-			return nil, "", nil, err
-		}
-		tr, err := e.Run()
-		if err != nil {
-			return nil, "", nil, err
-		}
-		return toFloats(e.Values()), tr.String(), tr, nil
-	case "hama/PR":
-		e, err := bsp.New[float64, float64](g, algorithms.PageRankBSP{Eps: eps},
-			armBSP(bsp.Config[float64, float64]{
-				Cluster: cc, Partitioner: part, MaxSupersteps: steps, Hooks: hooks, Audit: audit,
-				Residual: scalarResid,
-				Halt:     aggregate.GlobalErrorHalt(algorithms.ErrorAggregator, g.NumVertices(), eps),
-			}, fo))
-		if err != nil {
-			return nil, "", nil, err
-		}
-		if err := saveBaseline(fo, e.Snapshot); err != nil {
-			return nil, "", nil, err
-		}
-		tr, err := e.Run()
-		if err != nil {
-			return nil, "", nil, err
-		}
-		return e.Values(), tr.String(), tr, nil
-	case "hama/SSSP":
-		e, err := bsp.New[float64, float64](g, algorithms.SSSPBSP{Source: source},
-			armBSP(bsp.Config[float64, float64]{Cluster: cc, Partitioner: part, MaxSupersteps: steps,
-				Hooks: hooks, Audit: audit, Residual: scalarResid}, fo))
-		if err != nil {
-			return nil, "", nil, err
-		}
-		if err := saveBaseline(fo, e.Snapshot); err != nil {
-			return nil, "", nil, err
-		}
-		tr, err := e.Run()
-		if err != nil {
-			return nil, "", nil, err
-		}
-		return e.Values(), tr.String(), tr, nil
-	case "cyclops/CC":
-		e, err := cyclops.New[int64, int64](g, algorithms.CCCyclops{},
-			armCyclops(cyclops.Config[int64, int64]{Cluster: cc, Partitioner: part, MaxSupersteps: steps,
-				Hooks: hooks, Audit: audit, Residual: labelResid}, fo))
-		if err != nil {
-			return nil, "", nil, err
-		}
-		if err := saveBaseline(fo, e.Snapshot); err != nil {
-			return nil, "", nil, err
-		}
-		tr, err := e.Run()
-		if err != nil {
-			return nil, "", nil, err
-		}
-		labels := e.Values()
-		return toFloats(labels),
-			fmt.Sprintf("%v\ncomponents: %d", tr, algorithms.ComponentCount(labels)), tr, nil
-	case "hama/CC":
-		e, err := bsp.New[int64, int64](g, algorithms.CCBSP{},
-			armBSP(bsp.Config[int64, int64]{Cluster: cc, Partitioner: part, MaxSupersteps: steps,
-				Hooks: hooks, Audit: audit, Residual: labelResid}, fo))
-		if err != nil {
-			return nil, "", nil, err
-		}
-		if err := saveBaseline(fo, e.Snapshot); err != nil {
-			return nil, "", nil, err
-		}
-		tr, err := e.Run()
-		if err != nil {
-			return nil, "", nil, err
-		}
-		labels := e.Values()
-		return toFloats(labels),
-			fmt.Sprintf("%v\ncomponents: %d", tr, algorithms.ComponentCount(labels)), tr, nil
-	case "hama/CD":
-		e, err := bsp.New[int64, int64](g, algorithms.CDBSP{},
-			armBSP(bsp.Config[int64, int64]{Cluster: cc, Partitioner: part, MaxSupersteps: steps,
-				Hooks: hooks, Audit: audit, Residual: labelResid, Halt: algorithms.CDHalt()}, fo))
-		if err != nil {
-			return nil, "", nil, err
-		}
-		if err := saveBaseline(fo, e.Snapshot); err != nil {
-			return nil, "", nil, err
-		}
-		tr, err := e.Run()
-		if err != nil {
-			return nil, "", nil, err
-		}
-		return toFloats(e.Values()), tr.String(), tr, nil
-	case "powergraph/PR":
-		e, err := gas.New[algorithms.PRValue, float64](g, algorithms.NewPageRankGAS(g, steps, eps),
-			armGAS(gas.Config[algorithms.PRValue, float64]{Cluster: cc, MaxSupersteps: steps,
-				Hooks: hooks, Audit: audit,
-				Residual: func(old, new algorithms.PRValue) float64 { return scalarResid(old.Rank, new.Rank) }}, fo))
-		if err != nil {
-			return nil, "", nil, err
-		}
-		if err := saveBaseline(fo, e.Snapshot); err != nil {
-			return nil, "", nil, err
-		}
-		tr, err := e.Run()
-		if err != nil {
-			return nil, "", nil, err
-		}
-		return algorithms.Ranks(e.Values()),
-			fmt.Sprintf("%v\nreplication factor: %.2f", tr, e.ReplicationFactor()), tr, nil
-	case "powergraph/SSSP":
-		e, err := gas.New[float64, float64](g, algorithms.SSSPGAS{Source: source},
-			armGAS(gas.Config[float64, float64]{Cluster: cc, MaxSupersteps: steps,
-				Hooks: hooks, Audit: audit, Residual: scalarResid}, fo))
-		if err != nil {
-			return nil, "", nil, err
-		}
-		if err := saveBaseline(fo, e.Snapshot); err != nil {
-			return nil, "", nil, err
-		}
-		tr, err := e.Run()
-		if err != nil {
-			return nil, "", nil, err
-		}
-		return e.Values(), tr.String(), tr, nil
-	default:
-		return nil, "", nil, fmt.Errorf("unsupported engine/algorithm pair %s/%s", engine, algo)
-	}
-}
-
-// scalarResid is the |Δ| convergence distance for float64-valued algorithms;
-// labelResid counts a relabel as distance 1 (labels are ids, not a metric
-// space), so the recorded residual quantiles read as the changed fraction.
-func scalarResid(old, new float64) float64 {
-	d := old - new
-	if d < 0 {
-		return -d
-	}
-	return d
-}
-
-func labelResid(old, new int64) float64 {
-	if old == new {
-		return 0
-	}
-	return 1
-}
-
-func toFloats(in []int64) []float64 {
-	out := make([]float64, len(in))
-	for i, v := range in {
-		out[i] = float64(v)
-	}
-	return out
 }
 
 func printTop(w io.Writer, values []float64, n int) {

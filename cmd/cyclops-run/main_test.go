@@ -6,12 +6,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"cyclops/internal/obs"
+	"cyclops/internal/report"
 )
 
 func TestCLISmokePageRank(t *testing.T) {
@@ -118,6 +120,92 @@ func TestCLISmokePageRank(t *testing.T) {
 	}
 	if lines := strings.Count(string(comm), "\n"); lines < 2 {
 		t.Errorf("comm CSV has %d lines, want a header plus traffic rows", lines)
+	}
+}
+
+// TestCLIRunsEveryPair drives the CLI over every (engine, algorithm) pair it
+// accepts, and once per engine under a seeded fault plan: the faulted run
+// must print the same result vertices as the clean one.
+func TestCLIRunsEveryPair(t *testing.T) {
+	datasets := map[string]string{"PR": "gweb", "SSSP": "roadca", "CD": "dblp", "CC": "dblp"}
+	run := func(t *testing.T, args ...string) string {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		if err := cliMain(args, &stdout, &stderr); err != nil {
+			t.Fatalf("cliMain %v: %v\nstderr:\n%s", args, err, stderr.String())
+		}
+		_, top, ok := strings.Cut(stdout.String(), "top 5 vertices:")
+		if !ok || strings.Count(top, "vertex") != 5 {
+			t.Fatalf("cliMain %v printed no result vertices:\n%s", args, stdout.String())
+		}
+		return top
+	}
+	for engine, algos := range map[string][]string{
+		"hama":       {"PR", "SSSP", "CD", "CC"},
+		"cyclops":    {"PR", "SSSP", "CD", "CC"},
+		"powergraph": {"PR", "SSSP"},
+	} {
+		for i, algo := range algos {
+			t.Run(engine+"/"+algo, func(t *testing.T) {
+				args := []string{"-engine", engine, "-algo", algo, "-dataset", datasets[algo],
+					"-scale", "0.02", "-machines", "2", "-workers", "2", "-source", "1"}
+				clean := run(t, args...)
+				if i == 0 {
+					if faulted := run(t, append(args, "-fault-seed", "1")...); faulted != clean {
+						t.Errorf("-fault-seed 1 changed the result:\nclean:%s\nfaulted:%s", clean, faulted)
+					}
+				}
+			})
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	for _, pair := range [][2]string{{"powergraph", "CD"}, {"cyclops", "ALS"}} {
+		if err := cliMain([]string{"-engine", pair[0], "-algo", pair[1], "-dataset", "dblp", "-scale", "0.02"},
+			&stdout, &stderr); err == nil {
+			t.Errorf("%s/%s is not a row of the table and must be refused", pair[0], pair[1])
+		}
+	}
+}
+
+// TestCLIMatchesGateRow pins the CLI to the harness's rows: the perf gate's
+// graph, cluster and eps, run through cyclops-run, must record the counts the
+// committed baseline holds for that engine — so a cyclops-run record can be
+// diffed against a cyclops-bench one.
+func TestCLIMatchesGateRow(t *testing.T) {
+	base, err := report.Load(filepath.Join("..", "..", "BENCH_baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range []string{"cyclops", "hama"} {
+		t.Run(engine, func(t *testing.T) {
+			recDir := t.TempDir()
+			var stdout, stderr bytes.Buffer
+			if err := cliMain([]string{"-algo", "PR", "-dataset", "gweb", "-scale", "0.25",
+				"-machines", "6", "-workers", "8", "-engine", engine, "-eps", "1e-9", "-steps", "200",
+				"-record", recDir}, &stdout, &stderr); err != nil {
+				t.Fatalf("cliMain: %v\nstderr:\n%s", err, stderr.String())
+			}
+			blob, err := os.ReadFile(filepath.Join(recDir, "run-001-"+engine, "manifest.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m obs.Manifest
+			if err := json.Unmarshal(blob, &m); err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range base.Entries {
+				if e.Engine != engine {
+					continue
+				}
+				got := [5]int64{int64(m.Supersteps), m.Messages, m.Bytes, m.WireBytes, m.Replicas}
+				want := [5]int64{int64(e.Supersteps), e.Messages, e.Bytes, e.WireBytes, e.Replicas}
+				if got != want {
+					t.Errorf("supersteps/messages/bytes/wire_bytes/replicas = %v, gate row %v", got, want)
+				}
+				return
+			}
+			t.Fatalf("BENCH_baseline.json has no %s entry", engine)
+		})
 	}
 }
 

@@ -74,6 +74,7 @@ func TestPageRankAllEnginesMatchReference(t *testing.T) {
 	ge, err := gas.New[PRValue, float64](g, NewPageRankGAS(g, prIters, 0), gas.Config[PRValue, float64]{
 		Cluster:       cluster.Flat(4, 1),
 		MaxSupersteps: prIters,
+		ValCodec:      PRValueCodec{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -279,6 +280,7 @@ func TestALSEnginesMatchReference(t *testing.T) {
 	be, err := bsp.New[[]float64, ALSMsg](g, ALSBSP{Cfg: cfg}, bsp.Config[[]float64, ALSMsg]{
 		Cluster:       cluster.Flat(2, 2),
 		MaxSupersteps: cfg.TotalSupersteps() + 4,
+		MsgCodec:      ALSMsgCodec{},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -42,6 +42,34 @@ func TestTrianglesRefKnown(t *testing.T) {
 	}
 }
 
+// idListCodec frames the adjacency lists the triangle programs publish: a
+// 4-byte count, then 4 bytes per id. The graph package owns no codec for
+// []graph.ID, so the tests name this one.
+type idListCodec struct{}
+
+func (idListCodec) EncodedSize(m []graph.ID) int { return 4 + 4*len(m) }
+
+func (idListCodec) Append(dst []byte, m []graph.ID) []byte {
+	dst = graph.AppendUint32(dst, uint32(len(m)))
+	for _, id := range m {
+		dst = graph.AppendUint32(dst, uint32(id))
+	}
+	return dst
+}
+
+func (idListCodec) Decode(src []byte) ([]graph.ID, int, error) {
+	n, err := graph.Uint32At(src)
+	if err != nil || len(src) < 4+4*int(n) {
+		return nil, 0, graph.ErrShortBuffer
+	}
+	out := make([]graph.ID, n)
+	for i := range out {
+		v, _ := graph.Uint32At(src[4+4*i:])
+		out[i] = graph.ID(v)
+	}
+	return out, 4 + 4*int(n), nil
+}
+
 func TestTrianglesEnginesMatch(t *testing.T) {
 	g := symmetrize(gen.ErdosRenyi(200, 900, 33))
 	want := TrianglesRef(g)
@@ -52,6 +80,7 @@ func TestTrianglesEnginesMatch(t *testing.T) {
 	ce, err := cyclops.New[int64, []graph.ID](g, TrianglesCyclops{}, cyclops.Config[int64, []graph.ID]{
 		Cluster:   cluster.Flat(3, 2),
 		SizeOfMsg: func(m []graph.ID) int64 { return int64(4 * len(m)) },
+		MsgCodec:  idListCodec{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,6 +100,7 @@ func TestTrianglesEnginesMatch(t *testing.T) {
 	be, err := bsp.New[int64, []graph.ID](g, TrianglesBSP{}, bsp.Config[int64, []graph.ID]{
 		Cluster:   cluster.Flat(3, 2),
 		SizeOfMsg: func(m []graph.ID) int64 { return int64(4 * len(m)) },
+		MsgCodec:  idListCodec{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +119,7 @@ func TestTrianglesProperty(t *testing.T) {
 		g := symmetrize(gen.ErdosRenyi(50, 250, seed))
 		want := TrianglesRef(g)
 		e, err := cyclops.New[int64, []graph.ID](g, TrianglesCyclops{}, cyclops.Config[int64, []graph.ID]{
-			Cluster: cluster.Flat(2, 2),
+			Cluster: cluster.Flat(2, 2), MsgCodec: idListCodec{},
 		})
 		if err != nil {
 			return false

@@ -60,11 +60,12 @@ type Config[V, M any] struct {
 	Residual func(old, new V) float64
 	// SizeOfMsg estimates a message's wire size; nil means 16 bytes.
 	SizeOfMsg func(M) int64
-	// MsgCodec, when set, selects the hand-rolled binary wire format for
-	// message envelopes: the TCP transport frames batches with it instead
-	// of gob (arena-encoded, zero allocations per message), and the
-	// in-process transport charges its exact encoded sizes to the wire
-	// books. Payload accounting (SizeOfMsg) is unaffected. Optional.
+	// MsgCodec encodes a message on the wire: the TCP transport frames
+	// envelopes with it (arena-encoded, zero allocations per message) and
+	// the in-process transport charges its exact encoded sizes to the wire
+	// books. Payload accounting (SizeOfMsg) is unaffected. Nil derives it
+	// from M (graph.CodecFor: float64, int64, []float64); New fails for any
+	// other message type until one is named here.
 	MsgCodec graph.Codec[M]
 	// CostModel overrides the default model constants.
 	CostModel *metrics.CostModel
@@ -72,9 +73,9 @@ type Config[V, M any] struct {
 	// contention-free per-sender slots. It is an ablation knob (experiment
 	// "ablation.queue"), not something Hama offers.
 	PerSenderQueues bool
-	// Network selects in-process queues (default) or real gob-over-TCP
-	// loopback sockets. Checkpointing requires InProcess (sockets hold
-	// in-flight state a snapshot cannot capture).
+	// Network selects in-process queues (default) or the same binary frames
+	// over real loopback TCP sockets. Checkpointing requires InProcess
+	// (sockets hold in-flight state a snapshot cannot capture).
 	Network transport.Network
 	// OnStep is called after each barrier with the engine (values are
 	// consistent then); used by the harness for L1-norm tracking.
@@ -200,8 +201,13 @@ func New[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[V, M]) (*Engin
 	if err != nil {
 		return nil, fmt.Errorf("bsp: partition: %w", err)
 	}
-	tr, err := transport.New[envelope[M]](cfg.Network, workers,
-		queueMode(cfg.PerSenderQueues), wrapSize[M](cfg.SizeOfMsg), wrapCodec[M](cfg.MsgCodec))
+	if cfg.MsgCodec == nil {
+		if cfg.MsgCodec, err = graph.CodecFor[M](); err != nil {
+			return nil, fmt.Errorf("bsp: %w", err)
+		}
+	}
+	tr, err := transport.New[envelope[M]](cfg.Network, workers, queueMode(cfg.PerSenderQueues),
+		wrapSize[M](cfg.SizeOfMsg), envelopeCodec[M]{inner: cfg.MsgCodec})
 	if err != nil {
 		return nil, fmt.Errorf("bsp: transport: %w", err)
 	}
@@ -302,13 +308,6 @@ func (c envelopeCodec[M]) Decode(src []byte) (envelope[M], int, error) {
 	}
 	env.Msg = msg
 	return env, 4 + n, nil
-}
-
-func wrapCodec[M any](inner graph.Codec[M]) graph.Codec[envelope[M]] {
-	if inner == nil {
-		return nil
-	}
-	return envelopeCodec[M]{inner: inner}
 }
 
 // Graph returns the input graph.

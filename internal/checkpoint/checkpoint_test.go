@@ -225,6 +225,7 @@ func TestGASCrashRecoveryRoundTrip(t *testing.T) {
 				Cluster:         cluster.Flat(2, 2),
 				Partitioner:     gas.RandomVertexCut{},
 				MaxSupersteps:   maxSteps,
+				ValCodec:        algorithms.PRValueCodec{},
 				CheckpointEvery: ckptEvery,
 				Checkpoints: func(s gas.State[algorithms.PRValue]) error {
 					if ckptEvery == 0 {

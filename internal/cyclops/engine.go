@@ -74,13 +74,14 @@ type Config[V, M any] struct {
 	Residual func(old, new M) float64
 	// SizeOfMsg estimates a published value's wire size (nil = 16 bytes).
 	SizeOfMsg func(M) int64
-	// MsgCodec, when set, switches the transport to the hand-rolled binary
-	// frame format: sync messages are encoded as 4B slot + 1B activation +
-	// codec-encoded value instead of gob, and wire accounting charges the
-	// exact frame bytes on every network. Nil keeps the legacy gob frames.
+	// MsgCodec encodes a published value on the wire: sync messages are
+	// framed as 4B slot + 1B activation + codec-encoded value, and wire
+	// accounting charges the exact frame bytes on every network. Nil derives
+	// it from M (graph.CodecFor: float64, int64, []float64); New fails for
+	// any other message type until one is named here.
 	MsgCodec graph.Codec[M]
-	// Network selects in-process queues (default) or real gob-over-TCP
-	// loopback sockets. Checkpointing requires InProcess.
+	// Network selects in-process queues (default) or the same binary frames
+	// over real loopback TCP sockets. Checkpointing requires InProcess.
 	Network transport.Network
 	// CostModel overrides the default model constants.
 	CostModel *metrics.CostModel
@@ -219,8 +220,13 @@ func New[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[V, M]) (*Engin
 	if err != nil {
 		return nil, fmt.Errorf("cyclops: partition: %w", err)
 	}
-	tr, err := transport.New[syncMsg[M]](cfg.Network, workers,
-		transport.PerSenderQueue, wrapSize[M](cfg.SizeOfMsg), wrapCodec[M](cfg.MsgCodec))
+	if cfg.MsgCodec == nil {
+		if cfg.MsgCodec, err = graph.CodecFor[M](); err != nil {
+			return nil, fmt.Errorf("cyclops: %w", err)
+		}
+	}
+	tr, err := transport.New[syncMsg[M]](cfg.Network, workers, transport.PerSenderQueue,
+		wrapSize[M](cfg.SizeOfMsg), syncCodec[M]{inner: cfg.MsgCodec})
 	if err != nil {
 		return nil, fmt.Errorf("cyclops: transport: %w", err)
 	}
@@ -301,13 +307,6 @@ func (c syncCodec[M]) Decode(src []byte) (syncMsg[M], int, error) {
 	}
 	m.Val = val
 	return m, 5 + n, nil
-}
-
-func wrapCodec[M any](inner graph.Codec[M]) graph.Codec[syncMsg[M]] {
-	if inner == nil {
-		return nil
-	}
-	return syncCodec[M]{inner: inner}
 }
 
 // buildView performs the replica-creation ingress phase (§4.3): every vertex

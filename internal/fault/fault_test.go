@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cyclops/internal/fault"
+	"cyclops/internal/graph"
 	"cyclops/internal/transport"
 )
 
@@ -86,16 +87,16 @@ func TestErrorIsTransient(t *testing.T) {
 }
 
 // newLocal builds the in-process transport the injector tests wrap.
-func newLocal(t *testing.T, n int) transport.Interface[int] {
+func newLocal(t *testing.T, n int) transport.Interface[int64] {
 	t.Helper()
-	tr, err := transport.New[int](transport.InProcess, n, transport.PerSenderQueue, nil, nil)
+	tr, err := transport.New[int64](transport.InProcess, n, transport.PerSenderQueue, nil, graph.Int64Codec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tr
 }
 
-func drainCount(tr transport.Interface[int], to int) int {
+func drainCount(tr transport.Interface[int64], to int) int {
 	total := 0
 	for _, b := range tr.Drain(to) {
 		total += len(b)
@@ -109,7 +110,7 @@ func TestInjectorCrashDropsAllSends(t *testing.T) {
 	}})
 
 	inj.BeginStep(0)
-	inj.Send(0, 1, []int{1, 2})
+	inj.Send(0, 1, []int64{1, 2})
 	if inj.Err() != nil {
 		t.Fatal("no fault armed at step 0")
 	}
@@ -118,9 +119,9 @@ func TestInjectorCrashDropsAllSends(t *testing.T) {
 	}
 
 	inj.BeginStep(1)
-	inj.Send(0, 1, []int{1, 2})
-	inj.Send(0, 2, []int{3})
-	inj.Send(1, 2, []int{4}) // another worker is unaffected
+	inj.Send(0, 1, []int64{1, 2})
+	inj.Send(0, 2, []int64{3})
+	inj.Send(1, 2, []int64{4}) // another worker is unaffected
 	if got := drainCount(inj, 1); got != 0 {
 		t.Fatalf("crashed worker's batch arrived: %d msgs", got)
 	}
@@ -140,8 +141,8 @@ func TestInjectorDropIsConnectionScoped(t *testing.T) {
 		{Kind: fault.Drop, Step: 0, Worker: 0, Peer: 1},
 	}})
 	inj.BeginStep(0)
-	inj.Send(0, 1, []int{1})
-	inj.Send(0, 2, []int{2})
+	inj.Send(0, 1, []int64{1})
+	inj.Send(0, 2, []int64{2})
 	if got := drainCount(inj, 1); got != 0 {
 		t.Fatalf("dropped connection delivered %d msgs", got)
 	}
@@ -155,7 +156,7 @@ func TestInjectorCorruptTruncates(t *testing.T) {
 		{Kind: fault.Corrupt, Step: 0, Worker: 0, Peer: 1},
 	}})
 	inj.BeginStep(0)
-	inj.Send(0, 1, []int{1, 2, 3, 4})
+	inj.Send(0, 1, []int64{1, 2, 3, 4})
 	if got := drainCount(inj, 1); got != 2 {
 		t.Fatalf("corrupt batch: %d msgs, want 2 (truncated half)", got)
 	}
@@ -169,7 +170,7 @@ func TestInjectorFaultsAreOneShot(t *testing.T) {
 		{Kind: fault.Drop, Step: 2, Worker: 0, Peer: 1},
 	}})
 	inj.BeginStep(2)
-	inj.Send(0, 1, []int{1})
+	inj.Send(0, 1, []int64{1})
 	if got := drainCount(inj, 1); got != 0 {
 		t.Fatal("fault did not fire")
 	}
@@ -179,7 +180,7 @@ func TestInjectorFaultsAreOneShot(t *testing.T) {
 	}
 	// The replayed superstep (same number, after recovery) sees no fault.
 	inj.BeginStep(2)
-	inj.Send(0, 1, []int{1})
+	inj.Send(0, 1, []int64{1})
 	if got := drainCount(inj, 1); got != 1 {
 		t.Fatalf("replayed step re-dropped the batch: %d msgs, want 1", got)
 	}
@@ -196,7 +197,7 @@ func TestInjectorHealDisarmsCurrentStep(t *testing.T) {
 	// Heal before any send: restore-path traffic (e.g. re-sent pending
 	// messages) must not be afflicted by the fault being recovered from.
 	inj.Heal()
-	inj.Send(0, 1, []int{1})
+	inj.Send(0, 1, []int64{1})
 	if got := drainCount(inj, 1); got != 1 {
 		t.Fatalf("restore-path send dropped: %d msgs, want 1", got)
 	}
@@ -207,7 +208,7 @@ func TestInjectorSlowPerturbsTimingOnly(t *testing.T) {
 		{Kind: fault.Slow, Step: 0, Worker: 0, Peer: -1, DelayMs: 1},
 	}})
 	inj.BeginStep(0)
-	inj.Send(0, 1, []int{1})
+	inj.Send(0, 1, []int64{1})
 	if err := inj.Err(); err != nil {
 		t.Fatalf("slow must not report an error, got %v", err)
 	}

@@ -166,7 +166,7 @@ func runGAS(t *testing.T, g *graph.Graph, plan *fault.Plan, rec *recoveryCounter
 	t.Helper()
 	cfg := gas.Config[algorithms.PRValue, float64]{
 		Cluster: cluster.Flat(2, 2), Partitioner: gas.RandomVertexCut{},
-		MaxSupersteps: recoverySteps,
+		MaxSupersteps: recoverySteps, ValCodec: algorithms.PRValueCodec{},
 	}
 	if plan != nil {
 		dir := t.TempDir()

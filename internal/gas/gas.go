@@ -138,14 +138,17 @@ type Config[V, G any] struct {
 	// StepStats carries the quantiles of this distribution over all Apply
 	// calls — the convergence telemetry behind Figure 3. Optional.
 	Residual func(old, new V) float64
-	// ValCodec/AccCodec, when both set, switch the transport to the
-	// hand-rolled binary frame format: a gasMsg is framed as 1B kind + 4B
-	// slot + a kind-dependent payload (apply pushes carry Val, gather
-	// partials carry Has+Acc, the request/activation kinds are payload-free),
-	// and wire accounting charges the exact frame bytes. Nil keeps gob.
+	// ValCodec/AccCodec encode vertex values and gather accumulators on the
+	// wire: a gasMsg is framed as 1B kind + 4B slot + a kind-dependent
+	// payload (apply pushes carry Val, gather partials carry Has+Acc, the
+	// request/activation kinds are payload-free), and wire accounting
+	// charges the exact frame bytes. Nil derives each from its type
+	// (graph.CodecFor: float64, int64, []float64); New fails for any other
+	// type until one is named here.
 	ValCodec graph.Codec[V]
 	AccCodec graph.Codec[G]
-	// Network selects in-process queues (default) or gob-over-TCP loopback.
+	// Network selects in-process queues (default) or the same binary frames
+	// over loopback TCP.
 	Network   transport.Network
 	CostModel *metrics.CostModel
 	OnStep    func(step int, e *Engine[V, G])
@@ -269,13 +272,6 @@ func (c gasCodec[V, G]) Decode(src []byte) (gasMsg[V, G], int, error) {
 	return m, n, nil
 }
 
-func gasWrapCodec[V, G any](val graph.Codec[V], acc graph.Codec[G]) graph.Codec[gasMsg[V, G]] {
-	if val == nil || acc == nil {
-		return nil
-	}
-	return gasCodec[V, G]{val: val, acc: acc}
-}
-
 // localVertex is one worker's copy of a vertex. Its adjacency (in-edges,
 // out-slots, mirror refs) lives in the workerState CSRs, indexed by slot.
 type localVertex[V any] struct {
@@ -372,8 +368,19 @@ func New[V, G any](g *graph.Graph, prog Program[V, G], cfg Config[V, G]) (*Engin
 	if cfg.Network != transport.InProcess && cfg.Recover != nil {
 		return nil, errors.New("gas: recovery requires the in-process network")
 	}
+	var err error
+	if cfg.ValCodec == nil {
+		if cfg.ValCodec, err = graph.CodecFor[V](); err != nil {
+			return nil, fmt.Errorf("gas: value: %w", err)
+		}
+	}
+	if cfg.AccCodec == nil {
+		if cfg.AccCodec, err = graph.CodecFor[G](); err != nil {
+			return nil, fmt.Errorf("gas: accumulator: %w", err)
+		}
+	}
 	tr, err := transport.New[gasMsg[V, G]](cfg.Network, k, transport.GlobalQueue, nil,
-		gasWrapCodec[V, G](cfg.ValCodec, cfg.AccCodec))
+		gasCodec[V, G]{val: cfg.ValCodec, acc: cfg.AccCodec})
 	if err != nil {
 		return nil, fmt.Errorf("gas: transport: %w", err)
 	}

@@ -3,11 +3,12 @@ package graph
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 )
 
-// Codec is the hand-rolled binary wire codec that replaces gob on the hot
-// path. A codec encodes one message into a caller-owned buffer (arena-style:
+// Codec is the hand-rolled binary wire codec every run has (see CodecFor).
+// A codec encodes one message into a caller-owned buffer (arena-style:
 // the transport reuses one buffer per peer across supersteps, so Append must
 // not retain dst) and decodes it back. Encoding is little-endian and
 // self-delimiting: EncodedSize(m) is exactly the number of bytes Append
@@ -36,6 +37,25 @@ type Codec[M any] interface {
 // fmt.Errorf: the message has no verbs, the identity must stay stable for
 // errors.Is, and sentinel construction should owe nothing to fmt at init.
 var ErrShortBuffer = errors.New("graph: codec: short buffer")
+
+// CodecFor returns the codec this package owns for message type M: float64,
+// int64 or []float64. It is how an engine whose Config names no codec gets
+// one — every run has a wire format — and the error any other message type
+// gets until its Config names one.
+func CodecFor[M any]() (Codec[M], error) {
+	var c any
+	switch any((*M)(nil)).(type) {
+	case *float64:
+		c = Float64Codec{}
+	case *int64:
+		c = Int64Codec{}
+	case *[]float64:
+		c = Float64SliceCodec{}
+	default:
+		return nil, fmt.Errorf("graph: no built-in codec for message type %T: name one in the engine Config", *new(M))
+	}
+	return c.(Codec[M]), nil
+}
 
 // AppendUint32 appends v little-endian.
 //

@@ -30,11 +30,11 @@ func AblationQueue(o Options, w io.Writer) error {
 	}
 	t := newTable("queue-discipline", "model-ms", "locked-enqueues", "messages", "steps")
 	for _, perSender := range []bool{false, true} {
-		e, err := bsp.New[float64, float64](ctx.graph, algorithms.PageRankBSP{Eps: ctx.params.eps},
+		e, err := bsp.New[float64, float64](ctx.graph, algorithms.PageRankBSP{Eps: ctx.params.Eps},
 			bsp.Config[float64, float64]{
 				Cluster:         o.flat(),
-				MaxSupersteps:   ctx.params.maxSteps,
-				Halt:            haltForPR(ctx.graph.NumVertices(), ctx.params.eps),
+				MaxSupersteps:   ctx.params.MaxSteps,
+				Halt:            haltForPR(ctx.graph.NumVertices(), ctx.params.Eps),
 				PerSenderQueues: perSender,
 			})
 		if err != nil {
@@ -68,13 +68,13 @@ func AblationCombiner(o Options, w io.Writer) error {
 	for _, combine := range []bool{false, true} {
 		cfg := bsp.Config[float64, float64]{
 			Cluster:       o.flat(),
-			MaxSupersteps: ctx.params.maxSteps,
-			Halt:          haltForPR(ctx.graph.NumVertices(), ctx.params.eps),
+			MaxSupersteps: ctx.params.MaxSteps,
+			Halt:          haltForPR(ctx.graph.NumVertices(), ctx.params.Eps),
 		}
 		if combine {
 			cfg.Combiner = func(a, b float64) float64 { return a + b }
 		}
-		e, err := bsp.New[float64, float64](ctx.graph, algorithms.PageRankBSP{Eps: ctx.params.eps}, cfg)
+		e, err := bsp.New[float64, float64](ctx.graph, algorithms.PageRankBSP{Eps: ctx.params.Eps}, cfg)
 		if err != nil {
 			return err
 		}
@@ -106,11 +106,11 @@ func AblationActivation(o Options, w io.Writer) error {
 	}
 	ref := algorithms.PageRankRef(ctx.graph, 200)
 	t := newTable("activation", "vertex-steps", "messages", "steps", "L1-vs-offline")
-	for _, eps := range []float64{0, ctx.params.eps} {
+	for _, eps := range []float64{0, ctx.params.Eps} {
 		e, err := cyclops.New[float64, float64](ctx.graph, algorithms.PageRankCyclops{Eps: eps},
 			cyclops.Config[float64, float64]{
 				Cluster:       o.flat(),
-				MaxSupersteps: ctx.params.maxSteps,
+				MaxSupersteps: ctx.params.MaxSteps,
 			})
 		if err != nil {
 			return err

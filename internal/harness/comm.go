@@ -25,7 +25,7 @@ func Comm(o Options, w io.Writer) error {
 	for _, engine := range []string{"hama", "cyclops", "powergraph"} {
 		log := obs.NewLog()
 		p := ctx.params
-		p.hooks = obs.Multi(o.Hooks, log)
+		p.Hooks = obs.Multi(o.Hooks, log)
 		r, err := RunWorkload(engine, "PR", ctx.graph, o.flat(), partition.Hash{}, p)
 		if err != nil {
 			return err

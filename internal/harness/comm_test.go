@@ -24,8 +24,8 @@ func TestCommMatrixMatchesTransportStats(t *testing.T) {
 		t.Run(engine, func(t *testing.T) {
 			log := obs.NewLog()
 			p := ctx.params
-			p.hooks = log
-			p.audit = true // a clean run must stay clean under audit
+			p.Hooks = log
+			p.Audit = true // a clean run must stay clean under audit
 			r, err := RunWorkload(engine, "PR", ctx.graph, o.flat(), partition.Hash{}, p)
 			if err != nil {
 				t.Fatalf("audited run failed: %v", err)

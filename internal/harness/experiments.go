@@ -28,14 +28,23 @@ func paperWorkloads() []workloadSpec {
 
 func (w workloadSpec) label() string { return w.Algo + "/" + w.Dataset }
 
-// prepare loads the dataset and derives run parameters.
+// prepare loads the dataset and derives run parameters, including the
+// algorithm's superstep budget: 60 for PageRank, ten times that for SSSP
+// (the frontier advances one hop per superstep across a road network) and 20
+// rounds for CD (synchronous label propagation may legitimately oscillate).
 func (w workloadSpec) prepare(o Options) (*runCtx, error) {
 	g, meta, err := dataset(o, w.Dataset)
 	if err != nil {
 		return nil, err
 	}
 	p := defaultParams(o)
-	p.maxSteps = 60
+	p.MaxSteps = 60
+	switch w.Algo {
+	case "SSSP":
+		p.MaxSteps = 600
+	case "CD":
+		p.MaxSteps = 20
+	}
 	p.alsUsers = meta.Users
 	return &runCtx{spec: w, meta: meta, graph: g, params: p}, nil
 }
@@ -45,7 +54,18 @@ type runCtx struct {
 	spec   workloadSpec
 	meta   gen.Meta
 	graph  *graph.Graph
-	params runParams
+	params Params
+}
+
+// hamaParams is params for the BSP engine, which spends superstep 0
+// broadcasting the initial labels and so takes one more superstep than
+// Cyclops for the same number of CD rounds.
+func (c *runCtx) hamaParams() Params {
+	p := c.params
+	if c.spec.Algo == "CD" {
+		p.MaxSteps++
+	}
+	return p
 }
 
 // ---------------------------------------------------------------------------
@@ -67,8 +87,8 @@ func Fig3(o Options, w io.Writer) error {
 
 	var history [][]float64
 	p := defaultParams(o)
-	p.maxSteps = 80
-	p.eps = eps
+	p.MaxSteps = 80
+	p.Eps = eps
 	p.onValues = func(step int, values []float64) {
 		history = append(history, append([]float64(nil), values...))
 	}
@@ -164,7 +184,7 @@ func runTriple(o Options, w workloadSpec, part partition.Partitioner) (hama, cyc
 	if err != nil {
 		return hama, cyc, mt, err
 	}
-	if hama, err = RunWorkload("hama", w.Algo, ctx.graph, o.flat(), part, ctx.params); err != nil {
+	if hama, err = RunWorkload("hama", w.Algo, ctx.graph, o.flat(), part, ctx.hamaParams()); err != nil {
 		return hama, cyc, mt, err
 	}
 	if cyc, err = RunWorkload("cyclops", w.Algo, ctx.graph, o.flat(), part, ctx.params); err != nil {
@@ -220,7 +240,7 @@ func Fig9Scalability(o Options, w io.Writer) error {
 		for _, wpm := range scales {
 			flat := cluster.Flat(o.Machines, wpm)
 			mtc := cluster.MT(o.Machines, wpm, 2)
-			hama, err := RunWorkload("hama", spec.Algo, ctx.graph, flat, partition.Hash{}, ctx.params)
+			hama, err := RunWorkload("hama", spec.Algo, ctx.graph, flat, partition.Hash{}, ctx.hamaParams())
 			if err != nil {
 				return err
 			}

@@ -228,7 +228,7 @@ func Fig13Convergence(o Options, w io.Writer) error {
 	series := map[string][]point{}
 	run := func(engine string, cc cluster.Config) error {
 		p := defaultParams(o)
-		p.maxSteps = 60
+		p.MaxSteps = 60
 		var pts []point
 		p.onValues = func(step int, values []float64) {
 			pts = append(pts, point{l1: algorithms.L1Distance(values, ref)})
@@ -363,13 +363,14 @@ func Table4PowerGraph(o Options, w io.Writer) error {
 				return err
 			}
 			p := defaultParams(o)
-			p.maxSteps = 30 // fixed-round comparison, as in §6.12
-			p.eps = 0
+			p.MaxSteps = 30 // fixed-round comparison, as in §6.12
+			p.Eps = 0
+			p.cut = cut
 			cycRes, err := RunWorkload("cyclops", "PR", g, o.mt(), part, p)
 			if err != nil {
 				return err
 			}
-			pgRes, err := runGASWithCut("PR", g, o.flat(), cut, p)
+			pgRes, err := RunWorkload("powergraph", "PR", g, o.flat(), nil, p)
 			if err != nil {
 				return err
 			}

@@ -5,13 +5,8 @@ import (
 	"io"
 	"os"
 
-	"cyclops/internal/algorithms"
-	"cyclops/internal/bsp"
-	"cyclops/internal/checkpoint"
 	"cyclops/internal/cluster"
-	"cyclops/internal/cyclops"
 	"cyclops/internal/fault"
-	"cyclops/internal/gas"
 	"cyclops/internal/graph"
 	"cyclops/internal/obs"
 	"cyclops/internal/partition"
@@ -92,7 +87,7 @@ func (r *recoveryStats) OnRecovery(e obs.RecoveryEvent) {
 	r.replayed += e.Replayed()
 }
 
-// runFaulted runs one engine's PageRank baseline and faulted runs and
+// runFaulted runs one engine's PageRank row clean and under the plan and
 // compares their final values exactly: recovery restores a barrier
 // checkpoint and replays deterministic supersteps, so even floating-point
 // results must match to the last bit.
@@ -104,177 +99,24 @@ func runFaulted(engine string, g *graph.Graph, cc cluster.Config, o Options,
 		return faultOutcome{}, err
 	}
 	defer os.RemoveAll(dir)
-	switch engine {
-	case "hama":
-		return faultsHama(g, cc, o, plan, dir)
-	case "cyclops":
-		return faultsCyclops(g, cc, o, plan, dir)
-	case "powergraph":
-		return faultsGAS(g, cc, o, plan, dir)
-	}
-	return faultOutcome{}, fmt.Errorf("unknown engine %q", engine)
-}
 
-func faultsHama(g *graph.Graph, cc cluster.Config, o Options, plan fault.Plan,
-	dir string) (faultOutcome, error) {
-
-	eps := o.Eps
-	build := func(pl *fault.Plan, every int, rec *recoveryStats) (*bsp.Engine[float64, float64], error) {
-		cfg := bsp.Config[float64, float64]{
-			Cluster: cc, Partitioner: partition.Hash{}, MaxSupersteps: 200,
-			Halt:  haltForPR(g.NumVertices(), eps),
-			Equal: func(a, b float64) bool { return abs64(a-b) < eps },
-			Hooks: o.Hooks,
-		}
-		if pl != nil {
-			cfg.FaultPlan = pl
-			cfg.CheckpointEvery = every
-			cfg.Checkpoints = func(s bsp.State[float64, float64]) error {
-				return checkpoint.Save(dir, s.Step, s)
-			}
-			cfg.Recover = func() (bsp.State[float64, float64], error) {
-				s, _, err := checkpoint.LoadLatest[bsp.State[float64, float64]](dir)
-				return s, err
-			}
-			cfg.Hooks = obs.Multi(o.Hooks, rec)
-		}
-		return bsp.New[float64, float64](g, algorithms.PageRankBSP{Eps: eps}, cfg)
-	}
-
-	base, err := build(nil, 0, nil)
+	p := defaultParams(o)
+	base, err := RunWorkload(engine, "PR", g, cc, partition.Hash{}, p)
 	if err != nil {
 		return faultOutcome{}, err
 	}
-	baseTrace, err := base.Run()
-	if err != nil {
-		return faultOutcome{}, err
-	}
-
 	rec := &recoveryStats{}
-	faulted, err := build(&plan, 2, rec)
-	if err != nil {
-		return faultOutcome{}, err
-	}
-	if err := checkpoint.Save(dir, 0, faulted.Snapshot()); err != nil {
-		return faultOutcome{}, err
-	}
-	faultTrace, err := faulted.Run()
+	p.Hooks = obs.Multi(o.Hooks, rec)
+	p.Faults = &FaultSpec{Plan: plan, Every: 2, Dir: dir}
+	faulted, err := RunWorkload(engine, "PR", g, cc, partition.Hash{}, p)
 	if err != nil {
 		return faultOutcome{}, err
 	}
 	return faultOutcome{
-		baseSteps: len(baseTrace.Steps), faultSteps: len(faultTrace.Steps),
-		baseMsgs: baseTrace.TotalMessages(), faultMsgs: faultTrace.TotalMessages(),
+		baseSteps: base.Supersteps, faultSteps: faulted.Supersteps,
+		baseMsgs: base.Messages, faultMsgs: faulted.Messages,
 		recoveries: rec.recoveries, replayed: rec.replayed,
-		equal: floatsEqual(base.Values(), faulted.Values()),
-	}, nil
-}
-
-func faultsCyclops(g *graph.Graph, cc cluster.Config, o Options, plan fault.Plan,
-	dir string) (faultOutcome, error) {
-
-	eps := o.Eps
-	build := func(pl *fault.Plan, every int, rec *recoveryStats) (*cyclops.Engine[float64, float64], error) {
-		cfg := cyclops.Config[float64, float64]{
-			Cluster: cc, Partitioner: partition.Hash{}, MaxSupersteps: 200,
-			Equal: func(a, b float64) bool { return abs64(a-b) < eps },
-			Hooks: o.Hooks,
-		}
-		if pl != nil {
-			cfg.FaultPlan = pl
-			cfg.CheckpointEvery = every
-			cfg.Checkpoints = func(s cyclops.State[float64, float64]) error {
-				return checkpoint.Save(dir, s.Step, s)
-			}
-			cfg.Recover = func() (cyclops.State[float64, float64], error) {
-				s, _, err := checkpoint.LoadLatest[cyclops.State[float64, float64]](dir)
-				return s, err
-			}
-			cfg.Hooks = obs.Multi(o.Hooks, rec)
-		}
-		return cyclops.New[float64, float64](g, algorithms.PageRankCyclops{Eps: eps}, cfg)
-	}
-
-	base, err := build(nil, 0, nil)
-	if err != nil {
-		return faultOutcome{}, err
-	}
-	baseTrace, err := base.Run()
-	if err != nil {
-		return faultOutcome{}, err
-	}
-
-	rec := &recoveryStats{}
-	faulted, err := build(&plan, 2, rec)
-	if err != nil {
-		return faultOutcome{}, err
-	}
-	if err := checkpoint.Save(dir, 0, faulted.Snapshot()); err != nil {
-		return faultOutcome{}, err
-	}
-	faultTrace, err := faulted.Run()
-	if err != nil {
-		return faultOutcome{}, err
-	}
-	return faultOutcome{
-		baseSteps: len(baseTrace.Steps), faultSteps: len(faultTrace.Steps),
-		baseMsgs: baseTrace.TotalMessages(), faultMsgs: faultTrace.TotalMessages(),
-		recoveries: rec.recoveries, replayed: rec.replayed,
-		equal: floatsEqual(base.Values(), faulted.Values()),
-	}, nil
-}
-
-func faultsGAS(g *graph.Graph, cc cluster.Config, o Options, plan fault.Plan,
-	dir string) (faultOutcome, error) {
-
-	maxSteps := 200
-	build := func(pl *fault.Plan, every int, rec *recoveryStats) (*gas.Engine[algorithms.PRValue, float64], error) {
-		cfg := gas.Config[algorithms.PRValue, float64]{
-			Cluster: cc, Partitioner: gas.RandomVertexCut{}, MaxSupersteps: maxSteps,
-			Hooks: o.Hooks,
-		}
-		if pl != nil {
-			cfg.FaultPlan = pl
-			cfg.CheckpointEvery = every
-			cfg.Checkpoints = func(s gas.State[algorithms.PRValue]) error {
-				return checkpoint.Save(dir, s.Step, s)
-			}
-			cfg.Recover = func() (gas.State[algorithms.PRValue], error) {
-				s, _, err := checkpoint.LoadLatest[gas.State[algorithms.PRValue]](dir)
-				return s, err
-			}
-			cfg.Hooks = obs.Multi(o.Hooks, rec)
-		}
-		return gas.New[algorithms.PRValue, float64](g,
-			algorithms.NewPageRankGAS(g, maxSteps, o.Eps), cfg)
-	}
-
-	base, err := build(nil, 0, nil)
-	if err != nil {
-		return faultOutcome{}, err
-	}
-	baseTrace, err := base.Run()
-	if err != nil {
-		return faultOutcome{}, err
-	}
-
-	rec := &recoveryStats{}
-	faulted, err := build(&plan, 2, rec)
-	if err != nil {
-		return faultOutcome{}, err
-	}
-	if err := checkpoint.Save(dir, 0, faulted.Snapshot()); err != nil {
-		return faultOutcome{}, err
-	}
-	faultTrace, err := faulted.Run()
-	if err != nil {
-		return faultOutcome{}, err
-	}
-	return faultOutcome{
-		baseSteps: len(baseTrace.Steps), faultSteps: len(faultTrace.Steps),
-		baseMsgs: baseTrace.TotalMessages(), faultMsgs: faultTrace.TotalMessages(),
-		recoveries: rec.recoveries, replayed: rec.replayed,
-		equal: floatsEqual(algorithms.Ranks(base.Values()), algorithms.Ranks(faulted.Values())),
+		equal: floatsEqual(base.Values, faulted.Values),
 	}, nil
 }
 

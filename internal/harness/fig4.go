@@ -72,7 +72,8 @@ func Fig4Models(o Options, w io.Writer) error {
 	// PowerGraph: mirrors, five messages per mirror per iteration.
 	ge, err := gas.New[algorithms.PRValue, float64](g,
 		algorithms.NewPageRankGAS(g, 100, eps),
-		gas.Config[algorithms.PRValue, float64]{Cluster: o.flat(), MaxSupersteps: 100})
+		gas.Config[algorithms.PRValue, float64]{Cluster: o.flat(), MaxSupersteps: 100,
+			ValCodec: algorithms.PRValueCodec{}})
 	if err != nil {
 		return err
 	}

@@ -23,7 +23,6 @@ import (
 	"cyclops/internal/graph"
 	"cyclops/internal/metrics"
 	"cyclops/internal/obs"
-	"cyclops/internal/partition"
 	"cyclops/internal/transport"
 )
 
@@ -169,8 +168,9 @@ type RunResult struct {
 	Messages    int64
 	Replication float64
 	Supersteps  int
-	// Values holds the scalar per-vertex results for PR and SSSP (nil for
-	// CD and ALS, whose results are not scalar).
+	// Values is the row's []float64 projection of the per-vertex results:
+	// ranks, distances, labels widened to float64, or ALS's latent vectors
+	// laid end to end.
 	Values []float64
 	// Ingress carries Cyclops' replica-creation breakdown.
 	Ingress cyclops.IngressStats
@@ -183,25 +183,13 @@ type RunResult struct {
 	GCPause  uint64
 }
 
-// runParams tunes a workload run.
-type runParams struct {
-	maxSteps    int
-	eps         float64
-	cdIters     int
-	alsSweeps   int
-	alsUsers    int
-	trackMemory bool
-	forceGC     bool
-	audit       bool
-	onValues    func(step int, values []float64)
-	hooks       obs.Hooks
-	traceSink   func(*metrics.Trace)
-}
-
-func defaultParams(o Options) runParams {
-	return runParams{
-		maxSteps: 200, eps: o.Eps, cdIters: 20, alsSweeps: 3,
-		hooks: o.Hooks, traceSink: o.TraceSink, audit: o.Audit,
+// defaultParams is the experiments' starting point: PageRank's 200-step
+// budget and three ALS sweeps. Experiments that run other algorithms choose
+// their budgets where they choose the algorithm (workloadSpec.prepare).
+func defaultParams(o Options) Params {
+	return Params{
+		MaxSteps: 200, Eps: o.Eps, alsSweeps: 3,
+		Hooks: o.Hooks, traceSink: o.TraceSink, Audit: o.Audit,
 	}
 }
 
@@ -257,30 +245,6 @@ func (t *heapTracker) finish(r *RunResult) {
 	r.HeapPeak = t.peak
 	r.GCs = ms.NumGC - t.gcs0
 	r.GCPause = ms.PauseTotalNs - t.pause0
-}
-
-// RunWorkload runs one (engine, algorithm) pair over a dataset. engine is
-// "hama", "cyclops" (flat or MT depending on cc) or "powergraph"; algo is
-// the Table 1 pairing ("PR", "ALS", "CD", "SSSP").
-func RunWorkload(engine, algo string, g *graph.Graph, cc cluster.Config,
-	part partition.Partitioner, p runParams) (RunResult, error) {
-
-	var r RunResult
-	var err error
-	switch engine {
-	case "hama":
-		r, err = runHama(algo, g, cc, part, p)
-	case "cyclops":
-		r, err = runCyclops(algo, g, cc, part, p)
-	case "powergraph":
-		r, err = runGAS(algo, g, cc, p)
-	default:
-		return RunResult{}, fmt.Errorf("harness: unknown engine %q", engine)
-	}
-	if err == nil && p.traceSink != nil && r.Trace != nil {
-		p.traceSink(r.Trace)
-	}
-	return r, err
 }
 
 // ---------------------------------------------------------------------------
@@ -351,13 +315,4 @@ func speedup(base, x float64) float64 {
 // haltForPR builds the BSP global-error halt of Figure 2.
 func haltForPR(n int, eps float64) aggregate.HaltFunc {
 	return aggregate.GlobalErrorHalt(algorithms.ErrorAggregator, n, eps)
-}
-
-// int64sToFloats widens CD labels for the scalar Values slot.
-func int64sToFloats(in []int64) []float64 {
-	out := make([]float64, len(in))
-	for i, v := range in {
-		out[i] = float64(v)
-	}
-	return out
 }

@@ -6,27 +6,167 @@ import (
 
 	"cyclops/internal/algorithms"
 	"cyclops/internal/bsp"
+	"cyclops/internal/checkpoint"
 	"cyclops/internal/cluster"
 	"cyclops/internal/cyclops"
+	"cyclops/internal/fault"
 	"cyclops/internal/gas"
 	"cyclops/internal/graph"
 	"cyclops/internal/metrics"
+	"cyclops/internal/obs"
 	"cyclops/internal/partition"
 	"cyclops/internal/transport"
 )
 
-// The engine runners instantiate the right generic engine/program pair for
-// each Table 1 workload. ALS hyper-parameters follow the SYN-GL setup at
-// laptop scale (d=8, λ=0.05), SSSP uses source 0, CD caps at cdIters rounds
-// (synchronous label propagation may legitimately oscillate).
+// Params tunes one RunWorkload call. The exported fields are what a caller
+// outside this package (cmd/cyclops-run) chooses; the rest belong to the
+// experiments.
+type Params struct {
+	// MaxSteps is the superstep budget, handed to the engine verbatim. ALS
+	// ignores it: its length is 2 × alsSweeps by construction.
+	MaxSteps int
+	// Eps is PageRank's convergence bound: the Halt threshold on Hama, the
+	// per-vertex activation bound elsewhere, and the width of "same value"
+	// for redundant-message accounting.
+	Eps float64
+	// Source is the SSSP source vertex.
+	Source graph.ID
+	Audit  bool
+	Hooks  obs.Hooks
+	// Faults, when set, runs the workload under a fault plan with periodic
+	// checkpoints and recovery (§3.6).
+	Faults *FaultSpec
 
-// runEngine runs a constructed engine and books what every engine reports
-// the same way — trace, transport counters, wall time and the totals derived
-// from the trace — leaving each caller only its engine-specific fields.
-func runEngine(r *RunResult, e interface {
+	alsSweeps   int
+	alsUsers    int
+	cut         gas.EdgePartitioner // powergraph's vertex-cut; nil = random
+	trackMemory bool
+	forceGC     bool
+	onValues    func(step int, values []float64)
+	traceSink   func(*metrics.Trace)
+}
+
+// FaultSpec arms a run for fault injection: Plan is injected at the transport
+// boundary, the engine checkpoints into Dir every Every supersteps (after a
+// step-0 baseline, so a fault earlier than the first periodic checkpoint is
+// still recoverable) and rolls back to the latest checkpoint on a transient
+// fault. The caller owns Dir.
+type FaultSpec struct {
+	Plan  fault.Plan
+	Every int
+	Dir   string
+}
+
+// checkpointIO is the Checkpoints/Recover pair every engine Config gets
+// under a FaultSpec; step reads the superstep out of the engine's State.
+func checkpointIO[S any](f *FaultSpec, step func(S) int) (func(S) error, func() (S, error)) {
+	return func(s S) error { return checkpoint.Save(f.Dir, step(s), s) },
+		func() (S, error) {
+			s, _, err := checkpoint.LoadLatest[S](f.Dir)
+			return s, err
+		}
+}
+
+// RunWorkload runs one (engine, algorithm) row. It is the one place that
+// pairs an algorithm with an engine: the vertex program, the message codec
+// (scalar messages get theirs from graph.CodecFor inside the engine; ALSMsg
+// and PRValue name one here), Equal/Residual/Halt, and the projection of the
+// result onto []float64. cyclops-run, every experiment and the faults
+// experiment run these rows, so their records are comparable by
+// construction. engine is "hama", "cyclops" (flat or MT depending on cc) or
+// "powergraph"; algo is "PR", "SSSP", "CD", "CC" or "ALS". part is ignored
+// by powergraph, which cuts edges (Params.cut).
+func RunWorkload(engine, algo string, g *graph.Graph, cc cluster.Config,
+	part partition.Partitioner, p Params) (RunResult, error) {
+
+	r := RunResult{Engine: engine, Config: cc}
+	if n := cc.Normalize(); engine == "cyclops" && (n.Threads > 1 || n.Receivers > 1) {
+		r.Engine = "cyclopsmt"
+	}
+	als := alsConfig(p.alsUsers, p.alsSweeps)
+	if algo == "ALS" && p.alsUsers <= 0 {
+		return r, fmt.Errorf("harness: ALS needs the bipartite graph's user count, which only the experiments supply")
+	}
+	// "Same value" at the working epsilon: the redundant-message metric of
+	// Figure 3(2) counts re-sends of converged ranks.
+	sameRank := func(a, b float64) bool { return abs64(a-b) < p.Eps }
+
+	var err error
+	switch engine + "/" + algo {
+	case "hama/PR":
+		err = runBSP(&r, g, part, p, algorithms.PageRankBSP{Eps: p.Eps}, bsp.Config[float64, float64]{
+			Halt: haltForPR(g.NumVertices(), p.Eps), Equal: sameRank, Residual: scalarResidual}, floats)
+	case "hama/SSSP":
+		err = runBSP(&r, g, part, p, algorithms.SSSPBSP{Source: p.Source}, bsp.Config[float64, float64]{
+			Residual: scalarResidual}, floats)
+	case "hama/CD":
+		err = runBSP(&r, g, part, p, algorithms.CDBSP{}, bsp.Config[int64, int64]{
+			Halt: algorithms.CDHalt(), Residual: labelResidual}, int64sToFloats)
+	case "hama/CC":
+		err = runBSP(&r, g, part, p, algorithms.CCBSP{}, bsp.Config[int64, int64]{
+			Residual: labelResidual}, int64sToFloats)
+	case "hama/ALS":
+		p.MaxSteps = als.TotalSupersteps() + 4
+		err = runBSP(&r, g, part, p, algorithms.ALSBSP{Cfg: als}, bsp.Config[[]float64, algorithms.ALSMsg]{
+			SizeOfMsg: func(m algorithms.ALSMsg) int64 { return int64(8*len(m.Vec)) + 8 },
+			MsgCodec:  algorithms.ALSMsgCodec{}}, flatten)
+	case "cyclops/PR":
+		err = runCyclops(&r, g, part, p, algorithms.PageRankCyclops{Eps: p.Eps}, cyclops.Config[float64, float64]{
+			Equal: sameRank, Residual: scalarResidual}, floats)
+	case "cyclops/SSSP":
+		err = runCyclops(&r, g, part, p, algorithms.SSSPCyclops{Source: p.Source}, cyclops.Config[float64, float64]{
+			Residual: scalarResidual}, floats)
+	case "cyclops/CD":
+		err = runCyclops(&r, g, part, p, algorithms.CDCyclops{}, cyclops.Config[int64, int64]{
+			Residual: labelResidual}, int64sToFloats)
+	case "cyclops/CC":
+		err = runCyclops(&r, g, part, p, algorithms.CCCyclops{}, cyclops.Config[int64, int64]{
+			Residual: labelResidual}, int64sToFloats)
+	case "cyclops/ALS":
+		p.MaxSteps = als.TotalSupersteps()
+		err = runCyclops(&r, g, part, p, algorithms.ALSCyclops{Cfg: als}, cyclops.Config[[]float64, []float64]{
+			SizeOfMsg: func(m []float64) int64 { return int64(8 * len(m)) }}, flatten)
+	case "powergraph/PR":
+		err = runGAS(&r, g, p, algorithms.NewPageRankGAS(g, p.MaxSteps, p.Eps), gas.Config[algorithms.PRValue, float64]{
+			ValCodec: algorithms.PRValueCodec{},
+			Residual: func(old, new algorithms.PRValue) float64 { return abs64(old.Rank - new.Rank) }},
+			algorithms.Ranks)
+	case "powergraph/SSSP":
+		err = runGAS(&r, g, p, algorithms.SSSPGAS{Source: p.Source}, gas.Config[float64, float64]{
+			Residual: scalarResidual}, floats)
+	default:
+		return r, fmt.Errorf("harness: no row for engine %q running algorithm %q", engine, algo)
+	}
+	if err == nil && p.traceSink != nil {
+		p.traceSink(r.Trace)
+	}
+	return r, err
+}
+
+// alsConfig is the SYN-GL setup at laptop scale (d=8, λ=0.05).
+func alsConfig(users, sweeps int) algorithms.ALSConfig {
+	return algorithms.ALSConfig{Users: users, D: 8, Lambda: 0.05, Sweeps: sweeps}
+}
+
+// runnable is what finish needs of a constructed engine, whatever its type
+// parameters: V is the vertex value, S the checkpointable state.
+type runnable[V, S any] interface {
 	Run() (*metrics.Trace, error)
 	TransportStats() transport.Snapshot
-}) error {
+	Values() []V
+	Snapshot() S
+}
+
+// finish runs a constructed engine — after saving the FaultSpec's step-0
+// baseline — and books what every engine reports the same way: trace,
+// transport counters, wall time, the totals derived from the trace and the
+// projected values.
+func finish[V, S any](r *RunResult, e runnable[V, S], p Params, project func([]V) []float64) error {
+	if p.Faults != nil {
+		if err := checkpoint.Save(p.Faults.Dir, 0, e.Snapshot()); err != nil {
+			return err
+		}
+	}
 	start := time.Now()
 	trace, err := e.Run()
 	if err != nil {
@@ -38,258 +178,109 @@ func runEngine(r *RunResult, e interface {
 	r.ModelMs = trace.ModelTime() / 1e6
 	r.Messages = trace.TotalMessages()
 	r.Supersteps = len(trace.Steps)
+	r.Values = project(e.Values())
 	return nil
 }
 
-func alsConfig(users, sweeps int) algorithms.ALSConfig {
-	return algorithms.ALSConfig{Users: users, D: 8, Lambda: 0.05, Sweeps: sweeps}
-}
+// The three run* helpers fill in what every row of one engine shares — the
+// cluster, budget, observers, per-barrier sampling and the fault wiring —
+// around the row's own Config fields.
 
-func runHama(algo string, g *graph.Graph, cc cluster.Config,
-	part partition.Partitioner, p runParams) (RunResult, error) {
+func runBSP[V, M any](r *RunResult, g *graph.Graph, part partition.Partitioner, p Params,
+	prog bsp.Program[V, M], cfg bsp.Config[V, M], project func([]V) []float64) error {
 
-	r := RunResult{Engine: "hama", Config: cc}
 	mem := newHeapTracker(p.trackMemory, p.forceGC)
-	switch algo {
-	case "PR":
-		e, err := bsp.New[float64, float64](g, algorithms.PageRankBSP{Eps: p.eps},
-			bsp.Config[float64, float64]{
-				Cluster:       cc,
-				Partitioner:   part,
-				MaxSupersteps: p.maxSteps,
-				Hooks:         p.hooks,
-				Audit:         p.audit,
-				Halt:          haltForPR(g.NumVertices(), p.eps),
-				MsgCodec:      graph.Float64Codec{},
-				// "Same value" at the working epsilon: the redundant-message
-				// metric of Figure 3(2) counts re-sends of converged ranks.
-				Equal:    func(a, b float64) bool { return abs64(a-b) < p.eps },
-				Residual: scalarResidual,
-				OnStep: func(step int, e *bsp.Engine[float64, float64]) {
-					mem.sample()
-					if p.onValues != nil {
-						p.onValues(step, e.Values())
-					}
-				},
-			})
-		if err != nil {
-			return r, err
+	cfg.Cluster, cfg.Partitioner, cfg.MaxSupersteps = r.Config, part, p.MaxSteps
+	cfg.Hooks, cfg.Audit = p.Hooks, p.Audit
+	cfg.OnStep = func(step int, e *bsp.Engine[V, M]) {
+		mem.sample()
+		if p.onValues != nil {
+			p.onValues(step, project(e.Values()))
 		}
-		if err := runEngine(&r, e); err != nil {
-			return r, err
-		}
-		r.Values = append([]float64(nil), e.Values()...)
-	case "SSSP":
-		e, err := bsp.New[float64, float64](g, algorithms.SSSPBSP{Source: 0},
-			bsp.Config[float64, float64]{
-				Cluster: cc, Partitioner: part, MaxSupersteps: p.maxSteps * 10,
-				Hooks:    p.hooks,
-				Audit:    p.audit,
-				MsgCodec: graph.Float64Codec{},
-				Residual: scalarResidual,
-				OnStep:   func(int, *bsp.Engine[float64, float64]) { mem.sample() },
-			})
-		if err != nil {
-			return r, err
-		}
-		if err := runEngine(&r, e); err != nil {
-			return r, err
-		}
-		r.Values = append([]float64(nil), e.Values()...)
-	case "CD":
-		e, err := bsp.New[int64, int64](g, algorithms.CDBSP{},
-			bsp.Config[int64, int64]{
-				Cluster: cc, Partitioner: part, MaxSupersteps: p.cdIters + 1,
-				Hooks:    p.hooks,
-				Audit:    p.audit,
-				Halt:     algorithms.CDHalt(),
-				MsgCodec: graph.Int64Codec{},
-				Residual: labelResidual,
-				OnStep:   func(int, *bsp.Engine[int64, int64]) { mem.sample() },
-			})
-		if err != nil {
-			return r, err
-		}
-		if err := runEngine(&r, e); err != nil {
-			return r, err
-		}
-		r.Values = int64sToFloats(e.Values())
-	case "ALS":
-		cfg := alsConfig(p.alsUsers, p.alsSweeps)
-		e, err := bsp.New[[]float64, algorithms.ALSMsg](g, algorithms.ALSBSP{Cfg: cfg},
-			bsp.Config[[]float64, algorithms.ALSMsg]{
-				Cluster: cc, Partitioner: part, MaxSupersteps: cfg.TotalSupersteps() + 4,
-				Hooks:     p.hooks,
-				Audit:     p.audit,
-				SizeOfMsg: func(m algorithms.ALSMsg) int64 { return int64(8*len(m.Vec)) + 8 },
-				MsgCodec:  algorithms.ALSMsgCodec{},
-				OnStep:    func(int, *bsp.Engine[[]float64, algorithms.ALSMsg]) { mem.sample() },
-			})
-		if err != nil {
-			return r, err
-		}
-		if err := runEngine(&r, e); err != nil {
-			return r, err
-		}
-	default:
-		return r, fmt.Errorf("harness: unknown algorithm %q", algo)
 	}
-	mem.finish(&r)
-	return r, nil
+	if f := p.Faults; f != nil {
+		cfg.FaultPlan, cfg.CheckpointEvery = &f.Plan, f.Every
+		cfg.Checkpoints, cfg.Recover = checkpointIO(f, func(s bsp.State[V, M]) int { return s.Step })
+	}
+	e, err := bsp.New(g, prog, cfg)
+	if err != nil {
+		return err
+	}
+	if err := finish(r, e, p, project); err != nil {
+		return err
+	}
+	mem.finish(r)
+	return nil
 }
 
-func runCyclops(algo string, g *graph.Graph, cc cluster.Config,
-	part partition.Partitioner, p runParams) (RunResult, error) {
+func runCyclops[V, M any](r *RunResult, g *graph.Graph, part partition.Partitioner, p Params,
+	prog cyclops.Program[V, M], cfg cyclops.Config[V, M], project func([]V) []float64) error {
 
-	r := RunResult{Engine: "cyclops", Config: cc}
-	if cc.Normalize().Threads > 1 || cc.Normalize().Receivers > 1 {
-		r.Engine = "cyclopsmt"
-	}
 	mem := newHeapTracker(p.trackMemory, p.forceGC)
-	switch algo {
-	case "PR":
-		e, err := cyclops.New[float64, float64](g, algorithms.PageRankCyclops{Eps: p.eps},
-			cyclops.Config[float64, float64]{
-				Cluster: cc, Partitioner: part, MaxSupersteps: p.maxSteps,
-				Hooks:    p.hooks,
-				Audit:    p.audit,
-				MsgCodec: graph.Float64Codec{},
-				Equal:    func(a, b float64) bool { return abs64(a-b) < p.eps },
-				Residual: scalarResidual,
-				OnStep: func(step int, e *cyclops.Engine[float64, float64]) {
-					mem.sample()
-					if p.onValues != nil {
-						p.onValues(step, e.Values())
-					}
-				},
-			})
-		if err != nil {
-			return r, err
+	cfg.Cluster, cfg.Partitioner, cfg.MaxSupersteps = r.Config, part, p.MaxSteps
+	cfg.Hooks, cfg.Audit = p.Hooks, p.Audit
+	cfg.OnStep = func(step int, e *cyclops.Engine[V, M]) {
+		mem.sample()
+		if p.onValues != nil {
+			p.onValues(step, project(e.Values()))
 		}
-		if err := runEngine(&r, e); err != nil {
-			return r, err
-		}
-		r.Values = e.Values()
-		r.Replication = e.ReplicationFactor()
-		r.Ingress = e.Ingress()
-	case "SSSP":
-		e, err := cyclops.New[float64, float64](g, algorithms.SSSPCyclops{Source: 0},
-			cyclops.Config[float64, float64]{
-				Cluster: cc, Partitioner: part, MaxSupersteps: p.maxSteps * 10,
-				Hooks:    p.hooks,
-				Audit:    p.audit,
-				MsgCodec: graph.Float64Codec{},
-				Residual: scalarResidual,
-				OnStep:   func(int, *cyclops.Engine[float64, float64]) { mem.sample() },
-			})
-		if err != nil {
-			return r, err
-		}
-		if err := runEngine(&r, e); err != nil {
-			return r, err
-		}
-		r.Values = e.Values()
-		r.Replication = e.ReplicationFactor()
-		r.Ingress = e.Ingress()
-	case "CD":
-		e, err := cyclops.New[int64, int64](g, algorithms.CDCyclops{},
-			cyclops.Config[int64, int64]{
-				Cluster: cc, Partitioner: part, MaxSupersteps: p.cdIters,
-				Hooks:    p.hooks,
-				Audit:    p.audit,
-				MsgCodec: graph.Int64Codec{},
-				Residual: labelResidual,
-				OnStep:   func(int, *cyclops.Engine[int64, int64]) { mem.sample() },
-			})
-		if err != nil {
-			return r, err
-		}
-		if err := runEngine(&r, e); err != nil {
-			return r, err
-		}
-		r.Values = int64sToFloats(e.Values())
-		r.Replication = e.ReplicationFactor()
-		r.Ingress = e.Ingress()
-	case "ALS":
-		cfg := alsConfig(p.alsUsers, p.alsSweeps)
-		e, err := cyclops.New[[]float64, []float64](g, algorithms.ALSCyclops{Cfg: cfg},
-			cyclops.Config[[]float64, []float64]{
-				Cluster: cc, Partitioner: part, MaxSupersteps: cfg.TotalSupersteps(),
-				Hooks:     p.hooks,
-				Audit:     p.audit,
-				SizeOfMsg: func(m []float64) int64 { return int64(8 * len(m)) },
-				MsgCodec:  graph.Float64SliceCodec{},
-				OnStep:    func(int, *cyclops.Engine[[]float64, []float64]) { mem.sample() },
-			})
-		if err != nil {
-			return r, err
-		}
-		if err := runEngine(&r, e); err != nil {
-			return r, err
-		}
-		r.Replication = e.ReplicationFactor()
-		r.Ingress = e.Ingress()
-	default:
-		return r, fmt.Errorf("harness: unknown algorithm %q", algo)
 	}
-	mem.finish(&r)
-	return r, nil
+	if f := p.Faults; f != nil {
+		cfg.FaultPlan, cfg.CheckpointEvery = &f.Plan, f.Every
+		cfg.Checkpoints, cfg.Recover = checkpointIO(f, func(s cyclops.State[V, M]) int { return s.Step })
+	}
+	e, err := cyclops.New(g, prog, cfg)
+	if err != nil {
+		return err
+	}
+	if err := finish(r, e, p, project); err != nil {
+		return err
+	}
+	r.Replication, r.Ingress = e.ReplicationFactor(), e.Ingress()
+	mem.finish(r)
+	return nil
 }
 
-// runGAS supports the workloads the paper compares against PowerGraph (PR
-// and SSSP).
-func runGAS(algo string, g *graph.Graph, cc cluster.Config, p runParams) (RunResult, error) {
-	return runGASWithCut(algo, g, cc, gas.RandomVertexCut{}, p)
+func runGAS[V, G any](r *RunResult, g *graph.Graph, p Params,
+	prog gas.Program[V, G], cfg gas.Config[V, G], project func([]V) []float64) error {
+
+	cfg.Cluster, cfg.Partitioner, cfg.MaxSupersteps = r.Config, p.cut, p.MaxSteps
+	cfg.Hooks, cfg.Audit = p.Hooks, p.Audit
+	if f := p.Faults; f != nil {
+		cfg.FaultPlan, cfg.CheckpointEvery = &f.Plan, f.Every
+		cfg.Checkpoints, cfg.Recover = checkpointIO(f, func(s gas.State[V]) int { return s.Step })
+	}
+	e, err := gas.New(g, prog, cfg)
+	if err != nil {
+		return err
+	}
+	if err := finish(r, e, p, project); err != nil {
+		return err
+	}
+	r.Replication = e.ReplicationFactor()
+	return nil
 }
 
-func runGASWithCut(algo string, g *graph.Graph, cc cluster.Config,
-	cut gas.EdgePartitioner, p runParams) (RunResult, error) {
+// The []float64 projections of RunResult.Values.
 
-	r := RunResult{Engine: "powergraph", Config: cc}
-	switch algo {
-	case "PR":
-		e, err := gas.New[algorithms.PRValue, float64](g,
-			algorithms.NewPageRankGAS(g, p.maxSteps, p.eps),
-			gas.Config[algorithms.PRValue, float64]{
-				Cluster: cc, Partitioner: cut, MaxSupersteps: p.maxSteps,
-				Hooks:    p.hooks,
-				Audit:    p.audit,
-				ValCodec: algorithms.PRValueCodec{},
-				AccCodec: graph.Float64Codec{},
-				Residual: func(old, new algorithms.PRValue) float64 {
-					return abs64(old.Rank - new.Rank)
-				},
-			})
-		if err != nil {
-			return r, err
-		}
-		if err := runEngine(&r, e); err != nil {
-			return r, err
-		}
-		r.Values = algorithms.Ranks(e.Values())
-		r.Replication = e.ReplicationFactor()
-	case "SSSP":
-		e, err := gas.New[float64, float64](g, algorithms.SSSPGAS{Source: 0},
-			gas.Config[float64, float64]{
-				Cluster: cc, Partitioner: cut, MaxSupersteps: p.maxSteps * 10,
-				Hooks:    p.hooks,
-				Audit:    p.audit,
-				ValCodec: graph.Float64Codec{},
-				AccCodec: graph.Float64Codec{},
-				Residual: scalarResidual,
-			})
-		if err != nil {
-			return r, err
-		}
-		if err := runEngine(&r, e); err != nil {
-			return r, err
-		}
-		r.Values = e.Values()
-		r.Replication = e.ReplicationFactor()
-	default:
-		return r, fmt.Errorf("harness: algorithm %q not implemented on the GAS engine", algo)
+func floats(v []float64) []float64 { return v }
+
+// int64sToFloats widens CD/CC labels.
+func int64sToFloats(in []int64) []float64 {
+	out := make([]float64, len(in))
+	for i, v := range in {
+		out[i] = float64(v)
 	}
-	return r, nil
+	return out
+}
+
+// flatten lays ALS's per-vertex latent vectors end to end.
+func flatten(vecs [][]float64) []float64 {
+	var out []float64
+	for _, v := range vecs {
+		out = append(out, v...)
+	}
+	return out
 }
 
 func abs64(x float64) float64 {

@@ -130,8 +130,8 @@ func (c *Collector) WatchTransport(fn func() transport.Snapshot) {
 		"Estimated payload bytes through the transport layer (Table 4).",
 		func() float64 { return float64(fn().Bytes) })
 	c.reg.CounterFunc(MetricTransportWireBytes,
-		"Encoded wire bytes through the transport layer (== payload bytes "+
-			"when nothing serialises; the excess is the gob envelope).",
+		"Binary-frame wire bytes through the transport layer (29-byte header "+
+			"plus encoded messages per batch; priced in-process, written over TCP).",
 		func() float64 { return float64(fn().WireBytes) })
 	c.reg.CounterFunc(MetricTransportEncodes,
 		"Frame encode operations performed by the transport layer.",

@@ -52,11 +52,12 @@ type Manifest struct {
 	// per-superstep comm-matrix deltas).
 	Messages int64 `json:"messages"`
 	Bytes    int64 `json:"bytes"`
-	// WireBytes is the encoded on-the-wire total (sum of the per-superstep
-	// wire deltas): equal to Bytes on in-process transports, strictly larger
-	// on the gob RPC transport — the difference is the serialisation
-	// envelope. Deterministic, so diffed exactly. Omitted when zero to keep
-	// earlier manifests byte-stable.
+	// WireBytes is the on-the-wire total (sum of the per-superstep wire
+	// deltas): the binary frames that carry Bytes — a header plus each
+	// message's encoded size per batch — priced identically on both
+	// networks, plus one header per round marker over TCP. Deterministic, so
+	// diffed exactly. Omitted when zero to keep earlier manifests
+	// byte-stable.
 	WireBytes int64 `json:"wire_bytes,omitempty"`
 	// ReplicaValueBytes is the replicated view's value memory (Replicas ×
 	// sizeof(value)): the deterministic half of the paper's Table 4/5 memory

@@ -25,6 +25,7 @@ import (
 	"cyclops/internal/graph"
 	"cyclops/internal/obs"
 	"cyclops/internal/obs/span"
+	"cyclops/internal/transport"
 )
 
 // heatCounters keeps a copy of the latest record's cumulative per-vertex heat
@@ -87,6 +88,7 @@ func recordOne(t *testing.T, dir, engine string, g *graph.Graph, extra ...obs.Ho
 	case "powergraph":
 		e, err := gas.New[algorithms.PRValue, float64](g, algorithms.NewPageRankGAS(g, 30, 1e-6),
 			gas.Config[algorithms.PRValue, float64]{Cluster: cc, MaxSupersteps: 30, Hooks: rec,
+				ValCodec: algorithms.PRValueCodec{},
 				Residual: func(old, new algorithms.PRValue) float64 { return abs(old.Rank - new.Rank) }})
 		if err != nil {
 			t.Fatal(err)
@@ -194,11 +196,17 @@ func TestRecorderArtifacts(t *testing.T) {
 		t.Errorf("mem.csv has %d rows, want one per %d supersteps", len(memSteps), m.Supersteps)
 	}
 
-	// The deterministic wire accounting made it into the manifest: local
-	// transport wire bytes equal payload bytes (nothing serialises
-	// in-process), and replica storage cost is attributed for cyclops.
-	if m.WireBytes != m.Bytes {
-		t.Errorf("local-transport wire bytes %d != payload bytes %d", m.WireBytes, m.Bytes)
+	// The deterministic wire accounting made it into the manifest: in-process
+	// wire bytes are the frames a socket run would write — 13 B per float64
+	// sync message (4 slot + 1 activation + 8 value, against the 16 B payload
+	// estimate) plus a whole number of frame headers — and replica storage
+	// cost is attributed for cyclops.
+	if m.Bytes != 16*m.Messages {
+		t.Errorf("payload bytes %d, want 16 B × %d messages", m.Bytes, m.Messages)
+	}
+	if hdr := m.WireBytes - 13*m.Messages; hdr <= 0 || hdr%transport.FrameHeaderBytes != 0 {
+		t.Errorf("wire bytes %d are not 13 B × %d messages + n × %d-byte frame headers",
+			m.WireBytes, m.Messages, transport.FrameHeaderBytes)
 	}
 	if m.ReplicaValueBytes <= 0 {
 		t.Errorf("cyclops manifest missing replica_value_bytes: %+v", m)

@@ -166,7 +166,8 @@ func runCyclops(g *graph.Graph, cc cluster.Config, sc scenario, h obs.Hooks) err
 }
 
 func runPowerGraph(g *graph.Graph, cc cluster.Config, sc scenario, h obs.Hooks) error {
-	cfg := gas.Config[algorithms.PRValue, float64]{Cluster: cc, MaxSupersteps: tableSteps, Hooks: h, Audit: sc.audit}
+	cfg := gas.Config[algorithms.PRValue, float64]{Cluster: cc, MaxSupersteps: tableSteps, Hooks: h, Audit: sc.audit,
+		ValCodec: algorithms.PRValueCodec{}}
 	var store memCheckpoints[gas.State[algorithms.PRValue]]
 	if sc.plan != nil {
 		cfg.FaultPlan, cfg.CheckpointEvery = sc.plan, 2

@@ -7,8 +7,8 @@ import (
 	"cyclops/internal/obs/span"
 )
 
-// Binary frame format — the hand-rolled replacement for gob on the RPC hot
-// path. A frame is one Send batch (or a round-end marker) with a fixed
+// Binary frame format — the one wire format: the RPC transport writes it,
+// the in-process transport prices it. A frame is one Send batch (or a round-end marker) with a fixed
 // header, little-endian throughout:
 //
 //	[4B length]  bytes that follow the prefix (flags..messages)

@@ -39,6 +39,21 @@ func (msgCodec) Decode(src []byte) (msg, int, error) {
 	return m, 4 + n, nil
 }
 
+// intCodec carries the int payloads of the matrix and hardening tests as
+// fixed 8-byte words.
+type intCodec struct{}
+
+func (intCodec) EncodedSize(int) int { return 8 }
+
+func (intCodec) Append(dst []byte, m int) []byte {
+	return graph.Int64Codec{}.Append(dst, int64(m))
+}
+
+func (intCodec) Decode(src []byte) (int, int, error) {
+	v, n, err := graph.Int64Codec{}.Decode(src)
+	return int(v), n, err
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -180,7 +195,7 @@ func TestFrameRoundTripZeroAlloc(t *testing.T) {
 // on the sizeOf estimate.
 func TestLocalCodecWireAccounting(t *testing.T) {
 	codec := msgCodec{}
-	tr := NewLocalCodec[msg](3, PerSenderQueue, nil, codec)
+	tr := NewLocal[msg](3, PerSenderQueue, nil, codec)
 	batches := []struct {
 		from, to int
 		batch    []msg
@@ -212,12 +227,12 @@ func TestLocalCodecWireAccounting(t *testing.T) {
 }
 
 // TestRPCBinaryRoundTrip drives real batches through real sockets with the
-// binary codec and checks both delivery and the measured wire bytes — which,
-// unlike gob's, must equal the computed frame sizes exactly (no stream state,
-// no type descriptors).
+// binary codec and checks both delivery and the booked wire bytes — which
+// must equal the computed frame sizes exactly (no stream state, no type
+// descriptors).
 func TestRPCBinaryRoundTrip(t *testing.T) {
 	codec := msgCodec{}
-	tr, err := NewRPCCodec[msg](2, codec)
+	tr, err := NewRPC[msg](2, nil, codec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +241,7 @@ func TestRPCBinaryRoundTrip(t *testing.T) {
 	tr.Tag(0, span.Context{Run: 5, Step: 1, Worker: 0})
 	remote := []msg{{1, 1}, {2, 2}, {3, 3}}
 	tr.Send(0, 1, remote)
-	tr.Send(0, 0, []msg{{5, 5}}) // self-send: loopback, no frame
+	tr.Send(0, 0, []msg{{5, 5}}) // self-send: loopback, priced as the frame it would be
 	tr.Send(1, 0, []msg{{6, 6}})
 	tr.FinishRound(0)
 	tr.FinishRound(1)
@@ -254,11 +269,12 @@ func TestRPCBinaryRoundTrip(t *testing.T) {
 
 	// Binary frames are stateless, so the measured socket bytes equal the
 	// computed frame sizes exactly: one data frame 0→1, one 1→0, plus one
-	// round-end marker per remote direction. The self-send charges payload.
+	// round-end marker per remote direction. The self-send is charged the
+	// frame it would have been, as the in-process transport charges it.
 	wantWire := frameWireBytes(remote, codec) +
 		frameWireBytes([]msg{{6, 6}}, codec) +
 		2*int64(FrameHeaderBytes) + // two round-end markers
-		16 // self-send payload
+		frameWireBytes([]msg{{5, 5}}, codec)
 	s := tr.Stats().Snapshot()
 	if s.WireBytes != wantWire {
 		t.Errorf("wire bytes %d, want exactly %d (header %d × frames + encoded messages)",

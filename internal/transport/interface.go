@@ -1,11 +1,16 @@
 package transport
 
 import (
+	"errors"
+
 	"cyclops/internal/graph"
 	"cyclops/internal/obs/span"
 )
 
-// Network selects how a simulated cluster's workers exchange messages.
+// Network selects how a simulated cluster's workers exchange messages. Both
+// networks speak one wire format — the binary frames of frame.go — and book
+// the same payload and wire bytes for the same batch; over TCP the frames are
+// materialized and each round marker adds one FrameHeaderBytes.
 type Network int
 
 const (
@@ -13,7 +18,7 @@ const (
 	// with exact byte/message accounting. The default, and the only mode
 	// that supports checkpoint Restore (no in-flight socket state).
 	InProcess Network = iota
-	// TCPLoopback uses the RPC transport: real gob-encoded frames over
+	// TCPLoopback uses the RPC transport: codec-encoded binary frames over
 	// loopback TCP sockets, exercising serialisation and the round
 	// protocol end to end.
 	TCPLoopback
@@ -72,10 +77,11 @@ type Interface[M any] interface {
 	// only valid until the next Drain(to).
 	LastDeliveries(to int) []span.Delivery
 	// SerializeNanos reports the cumulative wire-serialisation time charged
-	// to sender `from`, in nanoseconds. Zero for transports that never
-	// encode (Local); the RPC transport times its gob encoding. Differences
-	// of this counter across a phase feed the Serialize span — measured
-	// wall clock, quarantined like every span duration.
+	// to sender `from`, in nanoseconds. Zero for Local, which prices frames
+	// without materializing them; the RPC transport times its frame
+	// encoding. Differences of this counter across a phase feed the
+	// Serialize span — measured wall clock, quarantined like every span
+	// duration.
 	SerializeNanos(from int) int64
 }
 
@@ -95,20 +101,19 @@ var _ Interface[int] = (*Local[int])(nil)
 
 // New constructs a transport for the requested network. mode selects the
 // receive-queue discipline for InProcess (the TCP transport always uses a
-// locked inbox; its contention is real, not simulated). codec, when
-// non-nil, selects the hand-rolled binary frame format: the TCP transport
-// frames with it instead of gob, and the in-process transport charges its
-// exact encoded sizes to the wire books. Nil keeps the legacy behaviour
-// (gob frames; wire == payload in-process).
+// locked inbox; its contention is real, not simulated). sizeOf prices the
+// payload (nil = 16 bytes/message) and codec the wire, identically on both
+// networks; a nil codec is an error — there is one wire format and nothing
+// to fall back to.
 func New[M any](network Network, n int, mode QueueMode, sizeOf func(M) int64, codec graph.Codec[M]) (Interface[M], error) {
+	if codec == nil {
+		return nil, errors.New("transport: a message codec is required")
+	}
 	switch network {
 	case InProcess:
-		return NewLocalCodec[M](n, mode, sizeOf, codec), nil
+		return NewLocal[M](n, mode, sizeOf, codec), nil
 	case TCPLoopback:
-		if codec != nil {
-			return NewRPCCodec[M](n, codec)
-		}
-		return NewRPC[M](n)
+		return NewRPC[M](n, sizeOf, codec)
 	default:
 		return nil, errUnknownNetwork(int(network))
 	}

@@ -39,10 +39,9 @@ func (m *Matrix) Add(from, to int, msgs, b int64) {
 	m.bytes[i].Add(b)
 }
 
-// AddWire records b encoded wire bytes sent from `from` to `to`. Transports
-// that do not serialise call it with the payload estimate so wire == payload
-// holds for them; the RPC transport calls it with the measured socket bytes
-// of each gob frame (the envelope cost becomes WireBytes − Bytes).
+// AddWire records b binary-frame wire bytes sent from `from` to `to`: the
+// in-process transport calls it with the frame size it computes, the RPC
+// transport with the length of the frame it wrote.
 func (m *Matrix) AddWire(from, to int, b int64) {
 	m.wire[from*m.n+to].Add(b)
 }

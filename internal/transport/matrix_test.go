@@ -82,19 +82,19 @@ func checkMatrixAgainstStats(t *testing.T, tr Interface[int], want [][]int64) {
 }
 
 func TestMatrixMatchesStatsLocalGlobal(t *testing.T) {
-	tr := NewLocal[int](4, GlobalQueue, nil)
+	tr := NewLocal[int](4, GlobalQueue, nil, intCodec{})
 	want := driveRandomTraffic(t, tr, 4, 8)
 	checkMatrixAgainstStats(t, tr, want)
 }
 
 func TestMatrixMatchesStatsLocalPerSender(t *testing.T) {
-	tr := NewLocal[int](4, PerSenderQueue, nil)
+	tr := NewLocal[int](4, PerSenderQueue, nil, intCodec{})
 	want := driveRandomTraffic(t, tr, 4, 8)
 	checkMatrixAgainstStats(t, tr, want)
 }
 
 func TestMatrixMatchesStatsRPC(t *testing.T) {
-	tr, err := NewRPC[int](3)
+	tr, err := NewRPC[int](3, nil, intCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestMicroSenderMessagesSumToTotal(t *testing.T) {
 // per batch — amortised over batch size it is noise; this benchmark guards
 // against that regressing (e.g. per-message counting sneaking in).
 func BenchmarkLocalSendPerPeer(b *testing.B) {
-	tr := NewLocal[int](4, PerSenderQueue, nil)
+	tr := NewLocal[int](4, PerSenderQueue, nil, intCodec{})
 	batch := make([]int, 64)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math/rand"
@@ -15,49 +14,17 @@ import (
 	"cyclops/internal/obs/span"
 )
 
-// RPCOptions tunes the failure handling of the RPC transport. The zero value
-// selects conservative defaults suitable for loopback tests; a field left
-// zero gets its default.
-type RPCOptions struct {
-	// WriteTimeout bounds each frame write. Default 10s.
-	WriteTimeout time.Duration
-	// ReadTimeout bounds the idle time between received frames. Zero (the
-	// default) disables it: a long compute phase between supersteps is
-	// indistinguishable from a stalled peer at the socket level, so read
-	// deadlines are opt-in for deployments that know their step budget.
-	ReadTimeout time.Duration
-	// DialTimeout bounds the initial and reconnect dials. Default 5s.
-	DialTimeout time.Duration
-	// MaxRetries bounds how many times a failed send is retried over a fresh
-	// connection before the error is surfaced through Err. Default 3.
-	MaxRetries int
-	// BackoffBase is the first reconnect backoff; it doubles per attempt up
-	// to BackoffMax, with jitter. Defaults 10ms / 500ms.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// Seed drives the backoff jitter, keeping retry schedules reproducible
-	// under the fault-injection harness.
-	Seed int64
-}
-
-func (o RPCOptions) withDefaults() RPCOptions {
-	if o.WriteTimeout == 0 {
-		o.WriteTimeout = 10 * time.Second
-	}
-	if o.DialTimeout == 0 {
-		o.DialTimeout = 5 * time.Second
-	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 3
-	}
-	if o.BackoffBase == 0 {
-		o.BackoffBase = 10 * time.Millisecond
-	}
-	if o.BackoffMax == 0 {
-		o.BackoffMax = 500 * time.Millisecond
-	}
-	return o
-}
+// Failure handling of the RPC transport is fixed, not configured: no caller
+// has a reason to choose differently on loopback. There is no read deadline —
+// a long compute phase between supersteps is indistinguishable from a stalled
+// peer at the socket level.
+const (
+	writeTimeout = 10 * time.Second       // bounds each frame write
+	dialTimeout  = 5 * time.Second        // bounds the initial and reconnect dials
+	maxRetries   = 3                      // fresh-connection retries before a send error surfaces
+	backoffBase  = 10 * time.Millisecond  // first reconnect backoff; doubles per attempt, with jitter
+	backoffMax   = 500 * time.Millisecond // backoff ceiling
+)
 
 // maxRoundLag bounds how many unconsumed round markers one sender may have
 // pending at one receiver. Senders legitimately run ahead of receivers
@@ -70,10 +37,11 @@ func (o RPCOptions) withDefaults() RPCOptions {
 const maxRoundLag = 64
 
 // RPC is a real networked transport: n endpoints fully connected by TCP
-// loopback sockets carrying gob-encoded frames, mirroring Hama's use of
-// Hadoop RPC. It exists to keep the engines honest about serialisation —
-// the Table 3 microbenchmark and the transport tests drive real bytes
-// through real sockets — while the large experiments use Local for speed.
+// loopback sockets carrying the binary frames of frame.go, standing where
+// Hama uses Hadoop RPC. It exists to keep the engines honest about
+// serialisation — the transport tests and the pr-web-cyclops-tcp benchmark
+// drive real bytes through real sockets — while the large experiments use
+// Local, which books the same bytes without materializing them.
 //
 // The round protocol matches BSP supersteps: each endpoint Sends any number
 // of batches, then calls FinishRound exactly once per round; Drain blocks
@@ -86,39 +54,29 @@ const maxRoundLag = 64
 //
 // Failure handling: writes carry deadlines, a failed send is retried over a
 // freshly dialled connection with exponential backoff + jitter (bounded by
-// MaxRetries), and errors surfaced through Err are typed *Error values whose
-// Transient flag tells the engines whether checkpoint recovery may apply.
+// maxRetries), a frame that does not decode is a transient recv error, and
+// errors surfaced through Err are typed *Error values whose Transient flag
+// tells the engines whether checkpoint recovery may apply.
 type RPC[M any] struct {
-	n      int
-	opts   RPCOptions
-	stats  Stats
-	matrix *Matrix
+	n int
+	books[M]
 
-	// codec, when non-nil, selects the hand-rolled binary frame format
-	// instead of gob: frames encode into encBufs and decode without
-	// per-message allocations. Nil keeps the legacy gob streams.
-	codec graph.Codec[M]
 	// encBufs[from][to] is the arena-style per-peer encode buffer, reused
 	// across supersteps so steady-state encoding allocates nothing. Guarded
-	// by encMu[from], like the gob encoder it replaces.
+	// by encMu[from].
 	encBufs [][][]byte
 
 	listeners []net.Listener
 	// conns[from][to] is the client-side connection used by `from` to send
 	// to `to`; nil on the diagonal (self-sends short-circuit).
-	conns    [][]net.Conn
-	encoders [][]*gob.Encoder
-	// counters[from][to] sits between the encoder and the socket, counting
-	// the encoded frame bytes each gob Encode actually writes. Guarded by
-	// encMu[from], like the encoder it feeds.
-	counters [][]*countingWriter
-	encMu    []sync.Mutex // one per sender: engines may send from several goroutines
-	rngs     []*rand.Rand // per-sender jitter source, guarded by encMu
+	conns [][]net.Conn
+	encMu []sync.Mutex // one per sender: engines may send from several goroutines
+	rngs  []*rand.Rand // per-sender jitter source, guarded by encMu
 
 	inboxes []rpcInbox[M]
 
 	// tags[from] and serNs[from] are guarded by encMu[from], like the
-	// encoder they describe. tagged flips once on the first Tag call.
+	// buffers they describe. tagged flips once on the first Tag call.
 	tagged atomic.Bool
 	tags   []span.Context
 	serNs  []int64
@@ -141,7 +99,11 @@ type rpcInbox[M any] struct {
 	// endsFrom[i] counts unconsumed round markers from sender i. Drain
 	// consumes exactly one from every sender per round.
 	endsFrom []int
-	closed   bool
+	// torn is set when an inbound stream desynced mid-round: the marker it
+	// may have carried is gone, so the next Drain returns what arrived
+	// instead of waiting for it, and the barrier reports the recv error.
+	torn   bool
+	closed bool
 }
 
 // rpcBatch is one received batch plus its provenance: the sender and the
@@ -152,65 +114,16 @@ type rpcBatch[M any] struct {
 	batch []M
 }
 
-type frame[M any] struct {
-	From  int
-	End   bool
-	Tag   span.Context
-	Batch []M
-}
-
-// countingWriter counts the bytes flowing through it to the underlying
-// connection — the ground truth for wire-overhead accounting. The per-frame
-// byte sequence of a (from, to) gob stream is deterministic for a fixed
-// message sequence (gob emits type descriptors once per stream, then
-// identical frame encodings), so cumulative wire bytes are as reproducible
-// as the payload counts the perf gate already diffs exactly.
-type countingWriter struct {
-	w io.Writer
-	n int64 // guarded by the owning sender's encMu
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// NewRPC creates a fully connected loopback transport between n endpoints
-// with default failure-handling options, carrying gob frames.
-func NewRPC[M any](n int) (*RPC[M], error) {
-	return newRPC[M](n, RPCOptions{}, nil)
-}
-
-// NewRPCOpts creates a fully connected loopback transport with explicit
-// deadline/retry options, carrying gob frames.
-func NewRPCOpts[M any](n int, opts RPCOptions) (*RPC[M], error) {
-	return newRPC[M](n, opts, nil)
-}
-
-// NewRPCCodec creates a fully connected loopback transport whose frames use
-// the hand-rolled binary format (see frame.go) with the given message codec
-// instead of gob.
-func NewRPCCodec[M any](n int, codec graph.Codec[M]) (*RPC[M], error) {
-	return newRPC[M](n, RPCOptions{}, codec)
-}
-
-// NewRPCCodecOpts is NewRPCCodec with explicit deadline/retry options.
-func NewRPCCodecOpts[M any](n int, opts RPCOptions, codec graph.Codec[M]) (*RPC[M], error) {
-	return newRPC[M](n, opts, codec)
-}
-
-func newRPC[M any](n int, opts RPCOptions, codec graph.Codec[M]) (*RPC[M], error) {
-	opts = opts.withDefaults()
+// NewRPC creates a fully connected loopback transport between n endpoints.
+// sizeOf and codec price payload and wire exactly as NewLocal's do; codec
+// also encodes every frame, so it is required (New rejects a missing one).
+func NewRPC[M any](n int, sizeOf func(M) int64, codec graph.Codec[M]) (*RPC[M], error) {
 	t := &RPC[M]{
 		n:         n,
-		opts:      opts,
-		codec:     codec,
-		matrix:    NewMatrix(n),
+		books:     books[M]{sizeOf: sizeOf, codec: codec, matrix: NewMatrix(n)},
+		encBufs:   make([][][]byte, n),
 		listeners: make([]net.Listener, n),
 		conns:     make([][]net.Conn, n),
-		encoders:  make([][]*gob.Encoder, n),
-		counters:  make([][]*countingWriter, n),
 		encMu:     make([]sync.Mutex, n),
 		rngs:      make([]*rand.Rand, n),
 		inboxes:   make([]rpcInbox[M], n),
@@ -220,13 +133,10 @@ func newRPC[M any](n int, opts RPCOptions, codec graph.Codec[M]) (*RPC[M], error
 	for i := range t.inboxes {
 		t.inboxes[i].cond = sync.NewCond(&t.inboxes[i].mu)
 		t.inboxes[i].endsFrom = make([]int, n)
-		t.rngs[i] = rand.New(rand.NewSource(opts.Seed*1099511628211 + int64(i)))
-	}
-	if codec != nil {
-		t.encBufs = make([][][]byte, n)
-		for i := range t.encBufs {
-			t.encBufs[i] = make([][]byte, n)
-		}
+		// A fixed per-sender seed keeps retry schedules reproducible under
+		// the fault-injection harness.
+		t.rngs[i] = rand.New(rand.NewSource(int64(i)))
+		t.encBufs[i] = make([][]byte, n)
 	}
 	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -260,86 +170,38 @@ func newRPC[M any](n int, opts RPCOptions, codec graph.Codec[M]) (*RPC[M], error
 	}
 	for from := 0; from < n; from++ {
 		t.conns[from] = make([]net.Conn, n)
-		t.encoders[from] = make([]*gob.Encoder, n)
-		t.counters[from] = make([]*countingWriter, n)
 		for to := 0; to < n; to++ {
 			if to == from {
 				continue
 			}
-			conn, err := net.DialTimeout("tcp", t.listeners[to].Addr().String(), opts.DialTimeout)
+			conn, err := net.DialTimeout("tcp", t.listeners[to].Addr().String(), dialTimeout)
 			if err != nil {
 				_ = t.Close() // best-effort teardown; the dial error is what matters
 				return nil, fmt.Errorf("transport: dial %d→%d: %w", from, to, err)
 			}
 			t.conns[from][to] = conn
-			t.counters[from][to] = &countingWriter{w: conn}
-			if codec == nil {
-				t.encoders[from][to] = gob.NewEncoder(t.counters[from][to])
-			}
 		}
 	}
 	return t, nil
 }
 
-func (t *RPC[M]) receiveLoop(to int, conn net.Conn) {
-	defer conn.Close()
-	if t.codec != nil {
-		t.receiveLoopBinary(to, conn)
-		return
-	}
-	dec := gob.NewDecoder(conn)
-	for {
-		if t.opts.ReadTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(t.opts.ReadTimeout)) //nolint:errcheck
-		}
-		var f frame[M]
-		err := dec.Decode(&f)
-		if err == nil {
-			t.stats.countDecode()
-		}
-		if err != nil {
-			// EOF is the normal end of a replaced or closed connection; a
-			// deadline expiry means the peer stalled past ReadTimeout.
-			if ne, ok := err.(net.Error); ok && ne.Timeout() && !t.closed.Load() {
-				t.recordErr(&Error{Op: "recv", Peer: to, Retryable: true, Err: err})
-			}
-			return
-		}
-		if f.End {
-			t.depositEnd(to, f.From)
-			continue
-		}
-		in := &t.inboxes[to]
-		in.mu.Lock()
-		in.batches = append(in.batches, rpcBatch[M]{from: f.From, ctx: f.Tag, batch: f.Batch})
-		in.cond.Broadcast()
-		in.mu.Unlock()
-	}
-}
-
-// maxFrameBytes bounds a binary frame's declared length. A desynchronized
-// or corrupted stream would otherwise turn a garbage length prefix into an
+// maxFrameBytes bounds a frame's declared length. A desynchronized or
+// corrupted stream would otherwise turn a garbage length prefix into an
 // arbitrarily large allocation; past this bound the stream is dead anyway.
 const maxFrameBytes = 1 << 30
 
-// receiveLoopBinary is receiveLoop for the binary frame format: a 4-byte
-// length prefix, then the frame body decoded by the codec. The body buffer
-// is reused across frames (grown once to the high-water mark); the only
+// receiveLoop reads frames off one inbound connection: a 4-byte length
+// prefix, then the frame body decoded by the codec. The body buffer is
+// reused across frames (grown once to the high-water mark); the only
 // steady-state allocation is the []M handed to the inbox — one per frame,
 // zero per message.
-func (t *RPC[M]) receiveLoopBinary(to int, conn net.Conn) {
+func (t *RPC[M]) receiveLoop(to int, conn net.Conn) {
+	defer conn.Close()
 	var hdr [4]byte
 	var body []byte
 	for {
-		if t.opts.ReadTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(t.opts.ReadTimeout)) //nolint:errcheck
-		}
+		// A read error is the normal end of a replaced or closed connection.
 		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			// EOF is the normal end of a replaced or closed connection; a
-			// deadline expiry means the peer stalled past ReadTimeout.
-			if ne, ok := err.(net.Error); ok && ne.Timeout() && !t.closed.Load() {
-				t.recordErr(&Error{Op: "recv", Peer: to, Retryable: true, Err: err})
-			}
 			return
 		}
 		n := binary.LittleEndian.Uint32(hdr[:])
@@ -352,38 +214,47 @@ func (t *RPC[M]) receiveLoopBinary(to int, conn net.Conn) {
 		}
 		body = body[:n]
 		if _, err := io.ReadFull(conn, body); err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() && !t.closed.Load() {
-				t.recordErr(&Error{Op: "recv", Peer: to, Retryable: true, Err: err})
-			}
 			return
 		}
-		t.stats.countDecode()
+		t.stats.decodes.Add(1)
 		from, end, tag, batch, err := decodeFrameBody(body, t.codec, nil)
+		if err == nil && (from < 0 || from >= t.n) {
+			err = fmt.Errorf("%w: sender %d outside [0,%d)", ErrFrameCorrupt, from, t.n)
+		}
 		if err != nil {
-			// A malformed body means the stream is desynced; drop the
-			// connection like a gob decode failure would. The sender's next
-			// write fails and retries over a fresh dial.
+			// The stream is desynced and whatever else it carried this round
+			// is lost, so the barrier must see it: a transient fault a
+			// checkpointed run rolls back from and any other run fails on,
+			// typed. Dropping the connection makes the sender's next write
+			// fail and retry over a fresh dial.
+			t.recordErr(&Error{Op: "recv", Peer: to, Retryable: true, Err: err})
+			in := &t.inboxes[to]
+			in.mu.Lock()
+			in.torn = true
+			in.cond.Broadcast()
+			in.mu.Unlock()
 			return
 		}
 		if end {
 			t.depositEnd(to, from)
 			continue
 		}
-		in := &t.inboxes[to]
-		in.mu.Lock()
-		in.batches = append(in.batches, rpcBatch[M]{from: from, ctx: tag, batch: batch})
-		in.cond.Broadcast()
-		in.mu.Unlock()
+		t.deposit(to, rpcBatch[M]{from: from, ctx: tag, batch: batch})
 	}
+}
+
+// deposit hands a received (or self-sent) batch to `to`'s inbox.
+func (t *RPC[M]) deposit(to int, rb rpcBatch[M]) {
+	in := &t.inboxes[to]
+	in.mu.Lock()
+	in.batches = append(in.batches, rb)
+	in.cond.Broadcast()
+	in.mu.Unlock()
 }
 
 // depositEnd credits a round marker from `from` at `to`'s inbox, enforcing
 // the FinishRound contract via the marker-lag bound.
 func (t *RPC[M]) depositEnd(to, from int) {
-	if from < 0 || from >= t.n {
-		t.recordErr(&Error{Op: "recv", Peer: to, Err: fmt.Errorf("round marker from unknown endpoint %d", from)})
-		return
-	}
 	in := &t.inboxes[to]
 	in.mu.Lock()
 	in.endsFrom[from]++
@@ -397,15 +268,6 @@ func (t *RPC[M]) depositEnd(to, from int) {
 
 // NumEndpoints reports the number of endpoints.
 func (t *RPC[M]) NumEndpoints() int { return t.n }
-
-// Stats exposes the traffic counters. Bytes are counted as 16/message to
-// stay comparable with Local; WireBytes carries the measured socket bytes of
-// every gob frame, so WireBytes − Bytes is the real envelope cost.
-func (t *RPC[M]) Stats() *Stats { return &t.stats }
-
-// Matrix exposes the per-peer traffic counters (payload at the same
-// 16 bytes/message estimate as Stats, wire at measured socket bytes).
-func (t *RPC[M]) Matrix() *Matrix { return t.matrix }
 
 // recordErr keeps the first asynchronous failure for Err. A fatal error also
 // breaks every blocked Drain: once the round protocol is dead, waiting for
@@ -460,86 +322,61 @@ func (t *RPC[M]) ClearErr() {
 // backoff returns the jittered delay before retry attempt `attempt` (0-based)
 // by sender `from`. Caller holds encMu[from].
 func (t *RPC[M]) backoff(from, attempt int) time.Duration {
-	d := t.opts.BackoffBase << attempt
-	if d > t.opts.BackoffMax || d <= 0 {
-		d = t.opts.BackoffMax
+	d := backoffBase << attempt
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
 	// Half fixed, half jitter: spreads reconnect storms without ever
 	// returning a zero sleep.
 	return d/2 + time.Duration(t.rngs[from].Int63n(int64(d/2)+1))
 }
 
-// sendFrame encodes one frame from→to, re-dialling with backoff on failure.
-// Caller holds encMu[from]. Returns the final error after retries.
-func (t *RPC[M]) sendFrame(from, to int, f frame[M]) error {
+// sendFrame encodes one frame from→to into the per-peer arena buffer and
+// writes it with a single Write, re-dialling with backoff on failure. Caller
+// holds encMu[from]. Returns the final error after retries.
+func (t *RPC[M]) sendFrame(from, to int, end bool, tag span.Context, batch []M) error {
+	encStart := time.Now()
+	buf := appendFrame(t.encBufs[from][to][:0], from, end, tag, batch, t.codec)
+	t.encBufs[from][to] = buf
+	t.serNs[from] += time.Since(encStart).Nanoseconds() //lint:allow determinism serialisation time feeds the Serialize span, quarantined like timings.csv
 	var lastErr error
-	for attempt := 0; attempt <= t.opts.MaxRetries; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if t.closed.Load() {
 			return &Error{Op: "send", Peer: to, Err: ErrClosed}
 		}
 		if attempt > 0 {
 			time.Sleep(t.backoff(from, attempt-1))
-			conn, err := net.DialTimeout("tcp", t.listeners[to].Addr().String(), t.opts.DialTimeout)
+			conn, err := net.DialTimeout("tcp", t.listeners[to].Addr().String(), dialTimeout)
 			if err != nil {
 				lastErr = err
 				continue
 			}
-			if old := t.conns[from][to]; old != nil {
-				old.Close()
-			}
+			t.conns[from][to].Close()
 			t.conns[from][to] = conn
-			// A fresh gob stream re-sends its type descriptors; the new
-			// counting writer charges them to the wire like any other bytes
-			// (under a seed-deterministic fault plan the resend is part of
-			// the replayable byte sequence). Binary frames carry no stream
-			// state, so their reconnect resends are byte-identical.
-			t.counters[from][to] = &countingWriter{w: conn}
-			if t.codec == nil {
-				t.encoders[from][to] = gob.NewEncoder(t.counters[from][to])
-			}
 			t.stats.reconnects.Add(1)
 		}
 		conn := t.conns[from][to]
-		if t.opts.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout)) //nolint:errcheck
-		}
-		wire0 := t.counters[from][to].n
-		var err error
-		if t.codec != nil {
-			// Binary path: encode into the reusable per-peer arena buffer,
-			// then write the whole frame through the counting writer. One
-			// Write per frame, zero allocations per message in steady state.
-			encStart := time.Now()
-			buf := appendFrame(t.encBufs[from][to][:0], f.From, f.End, f.Tag, f.Batch, t.codec)
-			t.encBufs[from][to] = buf
-			t.serNs[from] += time.Since(encStart).Nanoseconds() //lint:allow determinism serialisation time feeds the Serialize span, quarantined like timings.csv
-			_, err = t.counters[from][to].Write(buf)
-		} else {
-			encStart := time.Now()
-			err = t.encoders[from][to].Encode(f)
-			t.serNs[from] += time.Since(encStart).Nanoseconds() //lint:allow determinism serialisation time feeds the Serialize span, quarantined like timings.csv
-		}
-		if err != nil {
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
+		if _, err := conn.Write(buf); err != nil {
 			lastErr = err
 			t.stats.retries.Add(1)
 			continue
 		}
-		// Wire accounting only on success: a failed attempt's partial bytes
-		// are retried in full over a fresh stream, so the counted sequence
-		// stays the deterministic one the perf gate can diff exactly.
-		wire := t.counters[from][to].n - wire0
-		t.stats.countWire(wire)
-		t.stats.countEncode()
-		t.matrix.AddWire(from, to, wire)
+		// Wire accounting only on success, and frames carry no stream state:
+		// a failed attempt's partial bytes are resent in full, byte for byte,
+		// so the counted sequence stays the deterministic one the perf gate
+		// can diff exactly.
+		t.bookWire(from, to, int64(len(buf)))
+		t.stats.encodes.Add(1)
 		return nil
 	}
 	return &Error{Op: "send", Peer: to, Retryable: true, Err: lastErr}
 }
 
-// Send delivers a batch from `from` to `to`. Self-sends bypass the network.
-// Failures are reported through Err (the Interface contract keeps the send
-// path non-blocking for engines); transient ones are first retried over a
-// fresh connection.
+// Send delivers a batch from `from` to `to`. Self-sends bypass the network
+// but are booked like any other batch. Failures are reported through Err (the
+// Interface contract keeps the send path non-blocking for engines); transient
+// ones are first retried over a fresh connection.
 func (t *RPC[M]) Send(from, to int, batch []M) {
 	if len(batch) == 0 {
 		return
@@ -548,31 +385,15 @@ func (t *RPC[M]) Send(from, to int, batch []M) {
 		t.recordErr(&Error{Op: "send", Peer: to, Err: ErrClosed})
 		return
 	}
-	payload := int64(len(batch)) * 16
-	t.stats.count(int64(len(batch)), payload, true)
-	t.matrix.Add(from, to, int64(len(batch)), payload)
-	if from == to {
-		// A self-send never crosses a socket: wire == payload, same as the
-		// in-process transports, so the aggregate wire/payload ratio isolates
-		// the gob envelope paid on the remote paths.
-		t.stats.countWire(payload)
-		t.matrix.AddWire(from, to, payload)
-		var ctx span.Context
-		if t.tagged.Load() {
-			t.encMu[from].Lock()
-			ctx = t.tags[from]
-			t.encMu[from].Unlock()
-		}
-		in := &t.inboxes[to]
-		in.mu.Lock()
-		in.batches = append(in.batches, rpcBatch[M]{from: from, ctx: ctx, batch: batch})
-		in.cond.Broadcast()
-		in.mu.Unlock()
-		return
-	}
+	t.bookBatch(from, to, batch, true)
 	t.encMu[from].Lock()
 	defer t.encMu[from].Unlock()
-	t.recordErr(t.sendFrame(from, to, frame[M]{From: from, Tag: t.tags[from], Batch: batch}))
+	if from == to {
+		t.bookWire(from, to, frameWireBytes(batch, t.codec))
+		t.deposit(to, rpcBatch[M]{from: from, ctx: t.tags[from], batch: batch})
+		return
+	}
+	t.recordErr(t.sendFrame(from, to, false, t.tags[from], batch))
 }
 
 // FinishRound marks the end of `from`'s sends for the current round. It must
@@ -593,7 +414,7 @@ func (t *RPC[M]) FinishRound(from int) {
 			t.depositEnd(to, from)
 			continue
 		}
-		if err := t.sendFrame(from, to, frame[M]{From: from, End: true}); err != nil {
+		if err := t.sendFrame(from, to, true, span.Context{}, nil); err != nil {
 			t.recordErr(err)
 			t.depositEnd(to, from)
 		}
@@ -602,14 +423,15 @@ func (t *RPC[M]) FinishRound(from int) {
 
 // Drain blocks until one round marker from every endpoint has arrived, then
 // returns all batches received by `to` and consumes the markers. A closed
-// transport or a fatal protocol error unblocks it immediately.
+// transport, a fatal protocol error or a torn inbound stream unblocks it
+// immediately.
 //
 //lint:hotpath
 func (t *RPC[M]) Drain(to int) [][]M {
 	in := &t.inboxes[to]
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	for !in.closed {
+	for !in.closed && !in.torn {
 		ready := true
 		for _, e := range in.endsFrom {
 			if e == 0 {
@@ -624,9 +446,12 @@ func (t *RPC[M]) Drain(to int) [][]M {
 	}
 	received := in.batches
 	in.batches = nil
+	in.torn = false
 	if !in.closed {
 		for i := range in.endsFrom {
-			in.endsFrom[i]--
+			if in.endsFrom[i] > 0 {
+				in.endsFrom[i]--
+			}
 		}
 	}
 	record := t.tagged.Load()
@@ -667,7 +492,7 @@ func (t *RPC[M]) LastDeliveries(to int) []span.Delivery {
 	return in.lastDeliv
 }
 
-// SerializeNanos implements Interface: cumulative gob-encoding time charged
+// SerializeNanos implements Interface: cumulative frame-encoding time charged
 // to sender `from`.
 func (t *RPC[M]) SerializeNanos(from int) int64 {
 	t.encMu[from].Lock()

@@ -2,15 +2,19 @@ package transport
 
 // Hardening tests for the RPC transport: idempotent/concurrent Close, typed
 // fail-fast errors after Close, the FinishRound once-per-round contract
-// surfacing as ErrRoundViolation instead of a hang, and transparent reconnect
-// with retry/reconnect accounting. These run in-package so the reconnect test
-// can sever a live connection directly.
+// surfacing as ErrRoundViolation instead of a hang, transparent reconnect
+// with retry/reconnect accounting and a byte-identical resend, and a corrupt
+// frame surfacing as a typed transient error instead of a silent divergence.
+// These run in-package so they can sever or write to a live connection
+// directly.
 
 import (
 	"errors"
 	"sync"
 	"testing"
 	"time"
+
+	"cyclops/internal/obs/span"
 )
 
 // drainOrTimeout guards against the exact regression these tests exist for:
@@ -29,7 +33,7 @@ func drainOrTimeout(t *testing.T, tr *RPC[int], to int) [][]int {
 }
 
 func TestRPCCloseIdempotentConcurrent(t *testing.T) {
-	tr, err := NewRPC[int](3)
+	tr, err := NewRPC[int](3, nil, intCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +81,7 @@ func TestRPCCloseIdempotentConcurrent(t *testing.T) {
 }
 
 func TestRPCSendAfterCloseFailsFastTyped(t *testing.T) {
-	tr, err := NewRPC[int](2)
+	tr, err := NewRPC[int](2, nil, intCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +111,7 @@ func TestRPCSendAfterCloseFailsFastTyped(t *testing.T) {
 }
 
 func TestRPCFinishRoundOveruseIsTypedViolation(t *testing.T) {
-	tr, err := NewRPC[int](2)
+	tr, err := NewRPC[int](2, nil, intCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +135,7 @@ func TestRPCFinishRoundOveruseIsTypedViolation(t *testing.T) {
 }
 
 func TestRPCReconnectRedeliversAndCounts(t *testing.T) {
-	tr, err := NewRPC[int](2)
+	tr, err := NewRPC[int](2, nil, intCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,12 +151,18 @@ func TestRPCReconnectRedeliversAndCounts(t *testing.T) {
 	drainOrTimeout(t, tr, 0)
 
 	// Sever 0→1 under the sender's lock, as a mid-run connection failure
-	// would. The next Send's encode fails and must transparently re-dial.
+	// would. The next Send's write fails and must transparently re-dial.
 	tr.encMu[0].Lock()
 	tr.conns[0][1].Close()
 	tr.encMu[0].Unlock()
 
+	wire0 := tr.Matrix().Snapshot().WireAt(0, 1)
 	tr.Send(0, 1, []int{3, 4, 5})
+	// Frames carry no stream state, so the resent frame is the failed one byte
+	// for byte and is charged once, at exactly its computed size.
+	if got, want := tr.Matrix().Snapshot().WireAt(0, 1)-wire0, frameWireBytes([]int{3, 4, 5}, intCodec{}); got != want {
+		t.Fatalf("resent frame charged %d wire bytes, want the frame's %d", got, want)
+	}
 	tr.FinishRound(0)
 	tr.FinishRound(1)
 	if got := countMsgs(drainOrTimeout(t, tr, 1)); got != 3 {
@@ -166,6 +176,69 @@ func TestRPCReconnectRedeliversAndCounts(t *testing.T) {
 	}
 	if tr.Stats().Reconnects() == 0 {
 		t.Fatal("severed connection produced no reconnect count")
+	}
+}
+
+// TestRPCCorruptFrameIsTypedTransient is the reproduction of a silent
+// divergence: a frame with undefined flag bits lands on 0→1, the receiver
+// drops the stream, and the batches written behind it are lost. Whatever
+// subset survives, the barrier must see a typed transient error — a
+// checkpointed run rolls back, any other fails — never Err() == nil.
+func TestRPCCorruptFrameIsTypedTransient(t *testing.T) {
+	tr, err := NewRPC[int](2, nil, intCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+
+	bad := appendFrame(nil, 0, false, span.Context{}, []int{9}, intCodec{})
+	bad[4] = 0x80 // flags byte: a bit this dialect does not define
+	tr.encMu[0].Lock()
+	_, werr := tr.conns[0][1].Write(bad)
+	tr.encMu[0].Unlock()
+	if werr != nil {
+		t.Fatal(werr)
+	}
+
+	tr.Send(0, 1, []int{1, 2})
+	tr.Send(0, 1, []int{3})
+	tr.FinishRound(0)
+	tr.FinishRound(1)
+	got := countMsgs(drainOrTimeout(t, tr, 1)) // must not hang on a marker the torn stream swallowed
+	drainOrTimeout(t, tr, 0)
+
+	rerr := tr.Err()
+	if !errors.Is(rerr, ErrFrameCorrupt) || !IsTransient(rerr) {
+		t.Fatalf("delivered %d of 3 messages with Err() = %v; want a transient ErrFrameCorrupt", got, rerr)
+	}
+	var te *Error
+	if !errors.As(rerr, &te) || te.Op != "recv" || te.Peer != 1 {
+		t.Fatalf("want a typed recv error at peer 1, got %#v", rerr)
+	}
+}
+
+// TestRPCBatchFromUnknownSenderRejected: a well-formed batch frame naming a
+// sender outside [0,n) must be refused like a marker from one, before its
+// provenance reaches code that indexes by sender.
+func TestRPCBatchFromUnknownSenderRejected(t *testing.T) {
+	tr, err := NewRPC[int](2, nil, intCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	tr.encMu[0].Lock()
+	_, werr := tr.conns[0][1].Write(appendFrame(nil, 7, false, span.Context{}, []int{9}, intCodec{}))
+	tr.encMu[0].Unlock()
+	if werr != nil {
+		t.Fatal(werr)
+	}
+	tr.FinishRound(0)
+	tr.FinishRound(1)
+	if got := countMsgs(drainOrTimeout(t, tr, 1)); got != 0 {
+		t.Fatalf("a batch from endpoint 7 of 2 was delivered (%d msgs)", got)
+	}
+	if rerr := tr.Err(); !errors.Is(rerr, ErrFrameCorrupt) {
+		t.Fatalf("want ErrFrameCorrupt, got %v", rerr)
 	}
 }
 

@@ -3,16 +3,62 @@
 // communication structures compared in the paper — Hama's locked global
 // in-queue (every sender contends on one mutex per receiver, §2.2.2) and
 // Cyclops' per-sender sub-queues (each slot has a single writer, so enqueue
-// is contention-free, §4.1) — plus a real gob-over-TCP RPC transport and the
-// Table 3 message-passing microbenchmark. All transports count messages,
-// batches and estimated bytes so the harness can report the communication
-// volumes of Figures 10(3) and Table 4 exactly.
+// is contention-free, §4.1) — plus a real TCP transport carrying the same
+// length-prefixed binary frames and the Table 3 message-passing
+// microbenchmark. Every transport takes a message codec and books traffic the
+// same way: payload from sizeOf, wire from the frame format, so the harness
+// reports the communication volumes of Figures 10(3) and Table 4 exactly and
+// a run costs the same bytes whichever network carries it.
 package transport
 
 import (
 	"fmt"
 	"sync/atomic"
+
+	"cyclops/internal/graph"
 )
+
+// books is the traffic accounting both transports embed: the two functions
+// every batch is priced by (payload, frameWireBytes) and the two ledgers
+// (Stats, Matrix) that are always bumped together.
+type books[M any] struct {
+	sizeOf func(M) int64
+	codec  graph.Codec[M]
+	stats  Stats
+	matrix *Matrix
+}
+
+// Stats exposes the traffic counters.
+func (b *books[M]) Stats() *Stats { return &b.stats }
+
+// Matrix exposes the per-peer traffic counters.
+func (b *books[M]) Matrix() *Matrix { return b.matrix }
+
+// payload estimates a batch's logical size: sizeOf per message, or a flat 16
+// bytes (two words: vertex id + value) without one.
+func (b *books[M]) payload(batch []M) int64 {
+	if b.sizeOf == nil {
+		return int64(len(batch)) * 16
+	}
+	var n int64
+	for i := range batch {
+		n += b.sizeOf(batch[i])
+	}
+	return n
+}
+
+// bookBatch records one batch from→to on both ledgers.
+func (b *books[M]) bookBatch(from, to int, batch []M, locked bool) {
+	msgs, bytes := int64(len(batch)), b.payload(batch)
+	b.stats.count(msgs, bytes, locked)
+	b.matrix.Add(from, to, msgs, bytes)
+}
+
+// bookWire records n frame bytes from→to on both ledgers.
+func (b *books[M]) bookWire(from, to int, n int64) {
+	b.stats.wireBytes.Add(n)
+	b.matrix.AddWire(from, to, n)
+}
 
 // Stats accumulates traffic counters. All fields are updated atomically and
 // may be read concurrently with traffic.
@@ -20,8 +66,8 @@ type Stats struct {
 	messages   atomic.Int64
 	batches    atomic.Int64
 	bytes      atomic.Int64
-	wireBytes  atomic.Int64 // encoded frame bytes (== payload when no encoding)
-	encodes    atomic.Int64 // frame encode operations (gob / manual binary)
+	wireBytes  atomic.Int64 // binary frame bytes, computed from the codec
+	encodes    atomic.Int64 // frame encode operations
 	decodes    atomic.Int64 // frame decode operations
 	enqueues   atomic.Int64 // enqueue operations that took the shared lock
 	retries    atomic.Int64 // send attempts repeated after a transient failure
@@ -38,17 +84,6 @@ func (s *Stats) count(n, b int64, locked bool) {
 	}
 }
 
-// countWire records b encoded bytes on the wire. In-process transports call
-// it with the payload estimate (memory hand-off has no envelope); the RPC
-// transport with the gob frame's true socket byte count, so WireBytes-Bytes
-// is exactly the serialisation envelope the paper's Table 3 charges Hama for.
-func (s *Stats) countWire(b int64) { s.wireBytes.Add(b) }
-
-// countEncode / countDecode record one frame encode / decode operation.
-// Always zero for in-process transports, which never serialise.
-func (s *Stats) countEncode() { s.encodes.Add(1) }
-func (s *Stats) countDecode() { s.decodes.Add(1) }
-
 // Messages reports the total messages sent.
 func (s *Stats) Messages() int64 { return s.messages.Load() }
 
@@ -58,9 +93,9 @@ func (s *Stats) Batches() int64 { return s.batches.Load() }
 // Bytes reports the total estimated payload bytes sent.
 func (s *Stats) Bytes() int64 { return s.bytes.Load() }
 
-// WireBytes reports the total encoded bytes sent. Equal to Bytes on
-// transports that do not serialise; strictly larger on the gob RPC transport
-// (frame envelope + type descriptors).
+// WireBytes reports the total binary-frame bytes sent: header + Σ EncodedSize
+// per batch on both transports (computed in-process, len(frame) over TCP),
+// plus one header per round marker over TCP.
 func (s *Stats) WireBytes() int64 { return s.wireBytes.Load() }
 
 // Encodes reports the number of frame encode operations performed.
@@ -122,13 +157,4 @@ func (s *Stats) Snapshot() Snapshot {
 func (s Snapshot) String() string {
 	return fmt.Sprintf("msgs=%d batches=%d bytes=%d wire=%d locked=%d",
 		s.Messages, s.Batches, s.Bytes, s.WireBytes, s.LockedEnqueues)
-}
-
-// WireOverhead reports the wire/payload byte ratio — the serialisation
-// envelope factor. Zero when nothing was sent.
-func (s Snapshot) WireOverhead() float64 {
-	if s.Bytes == 0 {
-		return 0
-	}
-	return float64(s.WireBytes) / float64(s.Bytes)
 }

@@ -13,7 +13,7 @@ type msg struct {
 
 func TestLocalDeliversBothModes(t *testing.T) {
 	for _, mode := range []QueueMode{GlobalQueue, PerSenderQueue} {
-		tr := NewLocal[msg](3, mode, nil)
+		tr := NewLocal[msg](3, mode, nil, msgCodec{})
 		tr.Send(0, 2, []msg{{1, 1.5}, {2, 2.5}})
 		tr.Send(1, 2, []msg{{3, 3.5}})
 		tr.Send(0, 1, []msg{{9, 9}})
@@ -36,7 +36,7 @@ func TestLocalDeliversBothModes(t *testing.T) {
 }
 
 func TestLocalEmptyBatchDropped(t *testing.T) {
-	tr := NewLocal[msg](2, GlobalQueue, nil)
+	tr := NewLocal[msg](2, GlobalQueue, nil, msgCodec{})
 	tr.Send(0, 1, nil)
 	if tr.Stats().Batches() != 0 || tr.Pending(1) {
 		t.Fatal("empty batch must be dropped entirely")
@@ -44,12 +44,12 @@ func TestLocalEmptyBatchDropped(t *testing.T) {
 }
 
 func TestLocalStatsAndLockAccounting(t *testing.T) {
-	g := NewLocal[msg](2, GlobalQueue, nil)
+	g := NewLocal[msg](2, GlobalQueue, nil, msgCodec{})
 	g.Send(0, 1, []msg{{1, 1}, {2, 2}})
 	if s := g.Stats().Snapshot(); s.Messages != 2 || s.Batches != 1 || s.Bytes != 32 || s.LockedEnqueues != 1 {
 		t.Fatalf("global stats = %+v", s)
 	}
-	p := NewLocal[msg](2, PerSenderQueue, func(m msg) int64 { return 12 })
+	p := NewLocal[msg](2, PerSenderQueue, func(m msg) int64 { return 12 }, msgCodec{})
 	p.Send(0, 1, []msg{{1, 1}, {2, 2}, {3, 3}})
 	if s := p.Stats().Snapshot(); s.Messages != 3 || s.Bytes != 36 || s.LockedEnqueues != 0 {
 		t.Fatalf("per-sender stats = %+v", s)
@@ -62,7 +62,7 @@ func TestLocalStatsAndLockAccounting(t *testing.T) {
 
 func TestLocalConcurrentSenders(t *testing.T) {
 	for _, mode := range []QueueMode{GlobalQueue, PerSenderQueue} {
-		tr := NewLocal[msg](8, mode, nil)
+		tr := NewLocal[msg](8, mode, nil, msgCodec{})
 		const per = 500
 		var wg sync.WaitGroup
 		for from := 0; from < 8; from++ {
@@ -94,7 +94,7 @@ func TestLocalConservationProperty(t *testing.T) {
 			mode = PerSenderQueue
 		}
 		const n = 4
-		tr := NewLocal[msg](n, mode, nil)
+		tr := NewLocal[msg](n, mode, nil, msgCodec{})
 		sent := 0
 		for i, p := range plan {
 			from, to := int(p)%n, int(p/4)%n
@@ -116,7 +116,7 @@ func TestLocalConservationProperty(t *testing.T) {
 }
 
 func TestRPCRoundTrip(t *testing.T) {
-	tr, err := NewRPC[msg](3)
+	tr, err := NewRPC[msg](3, nil, msgCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestRPCRoundTrip(t *testing.T) {
 }
 
 func TestRPCMultipleRounds(t *testing.T) {
-	tr, err := NewRPC[msg](2)
+	tr, err := NewRPC[msg](2, nil, msgCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestMicroLinkedBatches(t *testing.T) {
 }
 
 func TestRPCErrNilOnHealthyRun(t *testing.T) {
-	tr, err := NewRPC[msg](2)
+	tr, err := NewRPC[msg](2, nil, msgCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,14 +252,14 @@ func TestRPCErrNilOnHealthyRun(t *testing.T) {
 }
 
 func TestNewFactory(t *testing.T) {
-	l, err := New[msg](InProcess, 2, GlobalQueue, nil, nil)
+	l, err := New[msg](InProcess, 2, GlobalQueue, nil, msgCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := l.(*Local[msg]); !ok {
 		t.Fatal("InProcess must build a Local transport")
 	}
-	r, err := New[msg](TCPLoopback, 2, GlobalQueue, nil, nil)
+	r, err := New[msg](TCPLoopback, 2, GlobalQueue, nil, msgCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,8 +267,14 @@ func TestNewFactory(t *testing.T) {
 	if _, ok := r.(*RPC[msg]); !ok {
 		t.Fatal("TCPLoopback must build an RPC transport")
 	}
-	if _, err := New[msg](Network(99), 2, GlobalQueue, nil, nil); err == nil {
+	if _, err := New[msg](Network(99), 2, GlobalQueue, nil, msgCodec{}); err == nil {
 		t.Fatal("unknown network must error")
+	}
+	for _, network := range []Network{InProcess, TCPLoopback} {
+		if tr, err := New[msg](network, 2, GlobalQueue, nil, nil); err == nil {
+			tr.Close()
+			t.Fatalf("%v: a nil codec must be rejected — there is no second wire format", network)
+		}
 	}
 	if InProcess.String() == "" || TCPLoopback.String() == "" || Network(99).String() == "" {
 		t.Fatal("Network.String must render")

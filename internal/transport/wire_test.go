@@ -1,39 +1,35 @@
 package transport
 
-// Wire-overhead accounting tests: the invariants the memory observatory's
-// wire/payload ratio gate stands on. The local transport never serialises, so
-// wire == payload by definition; the RPC transport measures the bytes gob
-// actually writes to the socket, so wire > payload by exactly the envelope
-// cost; and the two books (Stats and Matrix) agree on the grand total because
-// they are bumped on the same send path.
+// Wire accounting tests: the invariants the memory observatory's wire/payload
+// ratio gate stands on. Both transports price a batch with the same two
+// functions — payload from sizeOf, wire from the frame format (header + Σ
+// EncodedSize) — the local one by computing it, the RPC one by writing it;
+// and the two books (Stats and Matrix) agree on the grand total because they
+// are bumped on the same send path.
 
 import (
-	"encoding/gob"
-	"io"
 	"testing"
 )
 
-func TestLocalWireEqualsPayload(t *testing.T) {
-	tr := NewLocal[msg](3, PerSenderQueue, nil)
+func TestLocalWireIsHeaderPlusEncodedSize(t *testing.T) {
+	tr := NewLocal[msg](3, PerSenderQueue, nil, msgCodec{})
 	tr.Send(0, 2, []msg{{1, 1.5}, {2, 2.5}})
+	tr.Send(0, 2, []msg{{7, 7.5}})
 	tr.Send(1, 2, []msg{{3, 3.5}})
 	tr.Send(0, 0, []msg{{4, 4.5}})
 
 	s := tr.Stats().Snapshot()
-	if s.Bytes == 0 || s.WireBytes != s.Bytes {
-		t.Errorf("in-process wire %d != payload %d (nothing serialises)", s.WireBytes, s.Bytes)
-	}
 	if s.Encodes != 0 || s.Decodes != 0 {
 		t.Errorf("in-process transport performed %d encodes / %d decodes", s.Encodes, s.Decodes)
 	}
-	if o := s.WireOverhead(); o != 1 {
-		t.Errorf("in-process wire overhead = %v, want exactly 1", o)
-	}
 	m := tr.Matrix().Snapshot()
+	batches := [3][3]int64{{1, 0, 2}, {0, 0, 1}}
 	for f := 0; f < 3; f++ {
 		for to := 0; to < 3; to++ {
-			if m.WireAt(f, to) != m.Bytes[f][to] {
-				t.Errorf("cell (%d,%d): wire %d != payload %d", f, to, m.WireAt(f, to), m.Bytes[f][to])
+			want := batches[f][to]*FrameHeaderBytes + m.Messages[f][to]*12
+			if m.WireAt(f, to) != want {
+				t.Errorf("cell (%d,%d): wire %d, want %d headers + 12 B × %d msgs = %d",
+					f, to, m.WireAt(f, to), batches[f][to], m.Messages[f][to], want)
 			}
 		}
 	}
@@ -42,51 +38,57 @@ func TestLocalWireEqualsPayload(t *testing.T) {
 	}
 }
 
+// TestRPCWireAccounting pins the two transports to one price list: the same
+// sends cost the same payload everywhere and the same wire on every cell, the
+// self-send included; over sockets each round marker adds one header to its
+// remote cell and nothing else differs.
 func TestRPCWireAccounting(t *testing.T) {
-	tr, err := NewRPC[msg](2)
+	sizeOf := func(m msg) int64 { return 12 }
+	tr, err := NewRPC[msg](2, sizeOf, msgCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
+	local := NewLocal[msg](2, PerSenderQueue, sizeOf, msgCodec{})
 
-	tr.Send(0, 1, []msg{{1, 1}, {2, 2}, {3, 3}})
-	tr.Send(0, 1, []msg{{4, 4}})
-	tr.Send(0, 0, []msg{{5, 5}}) // self-send: loopback, no serialisation
-	tr.Send(1, 0, []msg{{6, 6}})
-	tr.FinishRound(0)
-	tr.FinishRound(1)
-	tr.Drain(0)
-	tr.Drain(1)
-	if err := tr.Err(); err != nil {
-		t.Fatal(err)
-	}
-
-	s := tr.Stats().Snapshot()
-	if s.Encodes == 0 || s.Decodes == 0 {
-		t.Errorf("socket frames not counted: %d encodes, %d decodes", s.Encodes, s.Decodes)
-	}
-	// Remote frames carry the gob envelope (type descriptors + field framing),
-	// so measured wire bytes strictly exceed the payload estimate; the excess
-	// is exactly what the observatory calls wire overhead.
-	if s.WireBytes <= s.Bytes {
-		t.Errorf("rpc wire %d <= payload %d: envelope cost lost", s.WireBytes, s.Bytes)
-	}
-	if o := s.WireOverhead(); o <= 1 {
-		t.Errorf("rpc wire overhead = %v, want > 1", o)
+	for _, tr := range []Interface[msg]{tr, local} {
+		tr.Send(0, 1, []msg{{1, 1}, {2, 2}, {3, 3}})
+		tr.Send(0, 1, []msg{{4, 4}})
+		tr.Send(0, 0, []msg{{5, 5}})
+		tr.Send(1, 0, []msg{{6, 6}})
+		tr.FinishRound(0)
+		tr.FinishRound(1)
+		tr.Drain(0)
+		tr.Drain(1)
+		if err := tr.Err(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	m := tr.Matrix().Snapshot()
-	if m.WireAt(0, 0) != m.Bytes[0][0] {
-		t.Errorf("self-send cell: wire %d != payload %d", m.WireAt(0, 0), m.Bytes[0][0])
+	s, ls := tr.Stats().Snapshot(), local.Stats().Snapshot()
+	if s.Encodes != 5 || s.Decodes != 5 {
+		t.Errorf("socket frames: %d encodes / %d decodes, want 5/5 (3 data + 2 markers)", s.Encodes, s.Decodes)
 	}
-	if m.WireAt(0, 1) <= m.Bytes[0][1] {
-		t.Errorf("remote cell (0,1): wire %d <= payload %d", m.WireAt(0, 1), m.Bytes[0][1])
+	if s.Messages != ls.Messages || s.Bytes != ls.Bytes || s.Bytes != 6*12 {
+		t.Errorf("payload books differ: rpc %d msgs / %d B, local %d msgs / %d B (want sizeOf's 72 B on both)",
+			s.Messages, s.Bytes, ls.Messages, ls.Bytes)
 	}
-	if m.TotalWireBytes() != s.WireBytes {
-		t.Errorf("matrix wire total %d != stats wire total %d", m.TotalWireBytes(), s.WireBytes)
+	m, lm := tr.Matrix().Snapshot(), local.Matrix().Snapshot()
+	for f := 0; f < 2; f++ {
+		for to := 0; to < 2; to++ {
+			want := lm.WireAt(f, to)
+			if f != to {
+				want += FrameHeaderBytes // f's round marker to `to`
+			}
+			if m.WireAt(f, to) != want {
+				t.Errorf("cell (%d,%d): rpc wire %d, want local %d + marker = %d",
+					f, to, m.WireAt(f, to), lm.WireAt(f, to), want)
+			}
+		}
 	}
-	if m.TotalBytes() != s.Bytes {
-		t.Errorf("matrix payload total %d != stats payload total %d", m.TotalBytes(), s.Bytes)
+	if m.TotalWireBytes() != s.WireBytes || m.TotalBytes() != s.Bytes {
+		t.Errorf("matrix totals (%d wire / %d payload) != stats totals (%d / %d)",
+			m.TotalWireBytes(), m.TotalBytes(), s.WireBytes, s.Bytes)
 	}
 }
 
@@ -143,34 +145,4 @@ func TestMicroEncodeDecodeSymmetry(t *testing.T) {
 		t.Errorf("cyclops micro: %d encode / %d decode ops, want 0/0 (direct writes)",
 			c.EncodeOps, c.DecodeOps)
 	}
-}
-
-// BenchmarkFrameEncodeAllocs measures the steady-state allocation cost of
-// encoding one wire frame through the counting writer — the per-batch cost
-// every remote send pays. Type descriptors are emitted once before the timer
-// starts, so the loop sees only the per-frame envelope. CI tracks allocs/op:
-// a regression here multiplies across every batch of every superstep.
-func BenchmarkFrameEncodeAllocs(b *testing.B) {
-	batch := make([]msg, 512)
-	for i := range batch {
-		batch[i] = msg{uint32(i), float64(i)}
-	}
-	cw := &countingWriter{w: io.Discard}
-	enc := gob.NewEncoder(cw)
-	f := frame[msg]{From: 0, Batch: batch}
-	if err := enc.Encode(&f); err != nil { // prime the type descriptors
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := enc.Encode(&f); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if cw.n == 0 {
-		b.Fatal("counting writer saw no bytes")
-	}
-	b.SetBytes(cw.n / int64(b.N+1))
 }
