@@ -1,7 +1,8 @@
 // Command cyclops-run executes one graph algorithm over one graph on a
 // chosen engine and prints summary statistics (and optionally the result
 // values). The graph comes either from a named synthetic dataset or from an
-// edge-list file in the SNAP text format.
+// edge-list file in the SNAP text format, whose vertex ids may be any
+// non-negative integers: -source and the printed results speak the file's ids.
 //
 // Examples:
 //
@@ -44,7 +45,6 @@ func cliMain(args []string, stdout, stderr io.Writer) error {
 		algo      = fs.String("algo", "PR", "algorithm: PR, SSSP, CD, CC")
 		dsName    = fs.String("dataset", "", "synthetic dataset name (see graphgen -list)")
 		graphFile = fs.String("graph", "", "edge-list file (alternative to -dataset; .bin files use the binary CSR format)")
-		loaders   = fs.Int("loaders", 4, "parallel parser goroutines for text edge lists")
 		engine    = fs.String("engine", "cyclops", "engine: hama, cyclops, powergraph")
 		scale     = fs.Float64("scale", 1.0, "dataset scale factor")
 		seed      = fs.Int64("seed", 1, "dataset seed")
@@ -55,7 +55,7 @@ func cliMain(args []string, stdout, stderr io.Writer) error {
 		partName  = fs.String("partitioner", "hash", "partitioner: hash, metis, range")
 		eps       = fs.Float64("eps", 1e-9, "convergence bound (PR)")
 		steps     = fs.Int("steps", 100, "max supersteps")
-		source    = fs.Uint("source", 0, "source vertex (SSSP)")
+		source    = fs.Uint("source", 0, "source vertex (SSSP), as the graph file names it")
 		top       = fs.Int("top", 5, "print the top-N result vertices")
 		traceCSV  = fs.String("trace", "", "write per-superstep statistics to this CSV file")
 		commCSV   = fs.String("comm", "", "write the per-superstep worker×worker traffic matrix to this CSV file")
@@ -109,11 +109,18 @@ func cliMain(args []string, stdout, stderr io.Writer) error {
 	}
 	defer sess.Close()
 
-	g, err := loadGraph(*dsName, *graphFile, *scale, *seed, *loaders)
+	g, ids, err := loadGraph(*dsName, *graphFile, *scale, *seed)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "graph: %s\n", graph.ComputeStats(g))
+	src := graph.ID(*source)
+	if ids != nil && *algo == "SSSP" {
+		var ok bool
+		if src, ok = ids[int64(*source)]; !ok {
+			return fmt.Errorf("-source %d: %s has no vertex with that id", *source, *graphFile)
+		}
+	}
 
 	cc := cluster.Config{
 		Machines:          *machines,
@@ -135,7 +142,7 @@ func cliMain(args []string, stdout, stderr io.Writer) error {
 	// program, codec, Equal/Residual/Halt and accounting every experiment and
 	// the perf gate use, so this CLI's records diff against theirs.
 	r, err := harness.RunWorkload(*engine, *algo, g, cc, part, harness.Params{
-		MaxSteps: *steps, Eps: *eps, Source: graph.ID(*source),
+		MaxSteps: *steps, Eps: *eps, Source: src,
 		Hooks: sess.Hooks, Audit: *audit, Faults: faults,
 	})
 	if err != nil {
@@ -152,7 +159,7 @@ func cliMain(args []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "components: %d\n", len(components))
 	}
-	printTop(stdout, r.Values, *top)
+	printTop(stdout, r.Values, *top, ids)
 	if *skewFlag {
 		for _, rep := range sess.Log.SkewReports() {
 			if err := rep.WriteTable(stdout); err != nil {
@@ -207,19 +214,21 @@ func writeFile(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-func loadGraph(dsName, graphFile string, scale float64, seed int64, loaders int) (*graph.Graph, error) {
+// loadGraph also returns a relabelled text file's id → vertex mapping.
+func loadGraph(dsName, graphFile string, scale float64, seed int64) (*graph.Graph, map[int64]graph.ID, error) {
 	switch {
 	case dsName != "" && graphFile != "":
-		return nil, fmt.Errorf("use -dataset or -graph, not both")
+		return nil, nil, fmt.Errorf("use -dataset or -graph, not both")
 	case dsName != "":
 		g, _, err := gen.Dataset(dsName, scale, seed)
-		return g, err
+		return g, nil, err
 	case strings.HasSuffix(graphFile, ".bin"):
-		return graph.ReadBinaryFile(graphFile)
+		g, err := graph.ReadBinaryFile(graphFile)
+		return g, nil, err
 	case graphFile != "":
-		return graph.LoadFileParallel(graphFile, loaders)
+		return graph.LoadFile(graphFile)
 	default:
-		return nil, fmt.Errorf("one of -dataset or -graph is required")
+		return nil, nil, fmt.Errorf("one of -dataset or -graph is required")
 	}
 }
 
@@ -236,14 +245,18 @@ func pickPartitioner(name string, seed int64) (partition.Partitioner, error) {
 	}
 }
 
-func printTop(w io.Writer, values []float64, n int) {
+// printTop names vertices as the input does: ids is nil or file id → vertex.
+func printTop(w io.Writer, values []float64, n int, ids map[int64]graph.ID) {
 	type kv struct {
-		v   int
+		v   int64
 		val float64
 	}
 	order := make([]kv, len(values))
 	for i, v := range values {
-		order[i] = kv{i, v}
+		order[i] = kv{int64(i), v}
+	}
+	for raw, v := range ids {
+		order[v].v = raw
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i].val > order[j].val })
 	if n > len(order) {

@@ -209,6 +209,50 @@ func TestCLIMatchesGateRow(t *testing.T) {
 	}
 }
 
+// TestCLIGraphFileSpeaksTheFilesIDs: a text edge list may name its vertices
+// by any integers. The loader relabels them; -source and the printed results
+// must not show that — the user keeps speaking the file's ids.
+func TestCLIGraphFileSpeaksTheFilesIDs(t *testing.T) {
+	// A weighted path 5000000000 → 700 → 42 → 9 plus a far shortcut, ids
+	// sparse and past 32 bits, CRLF line ends.
+	path := filepath.Join(t.TempDir(), "path.txt")
+	text := "# src dst w\r\n5000000000 700 2\r\n700 42 3\r\n42 9 4\r\n5000000000 9 100\r\n"
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	run := func(args ...string) error {
+		stdout.Reset()
+		stderr.Reset()
+		return cliMain(append([]string{"-graph", path, "-machines", "2"}, args...), &stdout, &stderr)
+	}
+
+	if err := run("-algo", "SSSP", "-source", "700", "-top", "4"); err != nil {
+		t.Fatalf("cliMain: %v\nstderr:\n%s", err, stderr.String())
+	}
+	out := stdout.String()
+	if !strings.Contains(out, "|V|=4") {
+		t.Errorf("the four ids the file names must load as four vertices:\n%s", out)
+	}
+	// Distances from 700: itself 0, 42 at 3, 9 at 7; 5000000000 is unreachable.
+	for _, want := range []string{"vertex 5000000000 +Inf", "vertex 9        7", "vertex 42       3", "vertex 700      0"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("top-N lacks %q:\n%s", want, out)
+		}
+	}
+
+	if err := run("-algo", "SSSP", "-source", "1"); err == nil || !strings.Contains(err.Error(), "-source 1") {
+		t.Errorf("-source 1 names no vertex of the file; err = %v", err)
+	}
+	// Algorithms without a source do not care that the default 0 names none.
+	if err := run("-algo", "PR"); err != nil {
+		t.Errorf("PR over the file: %v", err)
+	}
+	if err := run("-algo", "PR", "-loaders", "2"); err == nil || !strings.Contains(stderr.String(), "-loaders") {
+		t.Errorf("-loaders is gone and must be refused by flag parsing; err = %v", err)
+	}
+}
+
 func TestSlowPhaseFlagParsing(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	// A malformed factor must fail in flag parsing, before any run starts.

@@ -67,8 +67,6 @@ type Config[V, M any] struct {
 	// from M (graph.CodecFor: float64, int64, []float64); New fails for any
 	// other message type until one is named here.
 	MsgCodec graph.Codec[M]
-	// CostModel overrides the default model constants.
-	CostModel *metrics.CostModel
 	// PerSenderQueues replaces Hama's locked global in-queue with Cyclops'
 	// contention-free per-sender slots. It is an ablation knob (experiment
 	// "ablation.queue"), not something Hama offers.
@@ -102,9 +100,6 @@ type Config[V, M any] struct {
 	// values, halted flags and pending messages and replays; when nil, any
 	// transport fault fails the run. Requires InProcess.
 	Recover func() (State[V, M], error)
-	// MaxRecoveries bounds recovery attempts per run (default 3); a fault
-	// beyond the budget fails the run with the underlying transport error.
-	MaxRecoveries int
 	// FaultPlan injects a deterministic fault schedule at the transport
 	// boundary (testing/chaos only). Same plan ⇒ same faults.
 	FaultPlan *fault.Plan
@@ -157,7 +152,6 @@ type Engine[V, M any] struct {
 	inj   superstep.Injector // nil without a FaultPlan
 	agg   *aggregate.Registry
 	trace *metrics.Trace
-	model metrics.CostModel
 
 	step   int
 	primed bool
@@ -229,12 +223,8 @@ func New[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[V, M]) (*Engin
 		inj:    inj,
 		agg:    aggregate.NewRegistry(),
 		trace:  &metrics.Trace{Engine: "hama", Workers: workers},
-		model:  metrics.DefaultCostModel(),
 
 		auditPrevSent: -1,
-	}
-	if cfg.CostModel != nil {
-		e.model = *cfg.CostModel
 	}
 	// The slot layout is built once at partition time: owned[w] aliases the
 	// layout's flat CSR of master ids (ascending within each worker, same
@@ -436,7 +426,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		Name: "bsp", Workers: workers, Vertices: e.g.NumVertices(),
 		Hooks: e.cfg.Hooks, Link: e.tr, Injector: e.inj, Trace: e.trace,
 		Step: &e.step, RunSeq: &e.runSeq, MaxSupersteps: e.cfg.MaxSupersteps,
-		CheckpointEvery: e.cfg.CheckpointEvery, MaxRecoveries: e.cfg.MaxRecoveries,
+		CheckpointEvery: e.cfg.CheckpointEvery,
 		Info: func() obs.RunInfo {
 			return obs.RunInfo{
 				Engine:   e.trace.Engine,
@@ -534,6 +524,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		k.Wire[w] = wire
 	}
 
+	model := metrics.DefaultCostModel()
 	ps := superstep.PhaseSet{
 		Step: func() []obs.Violation {
 			k.Phase(metrics.Parse, parse)
@@ -566,9 +557,9 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 				stats.SetResiduals(residuals)
 			}
 			stats.RecvMax = e.nextRecvMax()
-			stats.ModelNanos = e.model.StepCost(
+			stats.ModelNanos = model.StepCost(
 				stats.ComputeUnitsMax, stats.SendMax, stats.RecvMax,
-				1, 1, workers, !e.cfg.PerSenderQueues, e.model.FlatBarrier(workers))
+				1, 1, workers, !e.cfg.PerSenderQueues, model.FlatBarrier(workers))
 		},
 		Checkpoint: func() error {
 			if e.cfg.Checkpoints == nil {

@@ -101,8 +101,8 @@ func newAuditEngine(t *testing.T, hooks obs.Hooks, onStep func(int, *Engine[floa
 	return e
 }
 
-// replicaSlot locates vertex id's replica slot on worker w.
-func replicaSlot(t *testing.T, e *Engine[float64, float64], w int, id graph.ID) int32 {
+// findReplica locates vertex id's replica slot on worker w.
+func findReplica(t *testing.T, e *Engine[float64, float64], w int, id graph.ID) int32 {
 	t.Helper()
 	ws := e.ws[w]
 	for r, rid := range ws.replicaIDs {
@@ -136,7 +136,7 @@ func TestAuditCatchesReplicaDesync(t *testing.T) {
 			// Corrupt vertex 0's replica on worker 1. Its master is inactive
 			// and will never republish, so nothing repairs the divergence —
 			// only the auditor can see it.
-			e.ws[1].view[replicaSlot(t, e, 1, 0)] = 999
+			e.ws[1].view[findReplica(t, e, 1, 0)] = 999
 		}
 	})
 	_, err := e.Run()
@@ -167,7 +167,7 @@ func TestAuditCatchesDoubleDelivery(t *testing.T) {
 			// Deliver vertex 0's replica value twice. The value matches the
 			// master's, so the view stays consistent — only the at-most-one-
 			// message invariant is broken.
-			s := replicaSlot(t, e, 1, 0)
+			s := findReplica(t, e, 1, 0)
 			e.tr.Send(1, 1, []syncMsg[float64]{{Slot: s, Val: 0.5}, {Slot: s, Val: 0.5}})
 		}
 	})

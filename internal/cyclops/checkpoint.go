@@ -89,16 +89,10 @@ func (e *Engine[V, M]) MasterWorker(id graph.ID) int { return e.assign.Of[id] }
 // ReplicaWorkers reports the workers holding a replica of vertex id, in no
 // particular order (test helper for the replica-wiring invariants).
 func (e *Engine[V, M]) ReplicaWorkers(id graph.ID) []int {
-	w := e.assign.Of[id]
-	ws := e.ws[w]
-	for i, m := range ws.masters {
-		if m == id {
-			out := make([]int, 0, ws.replicas.RowLen(i))
-			for _, ref := range ws.replicas.Row(i) {
-				out = append(out, int(ref.worker))
-			}
-			return out
-		}
+	refs := e.ws[e.assign.Of[id]].replicas.Row(int(e.layout.Slot[id]))
+	out := make([]int, 0, len(refs))
+	for _, ref := range refs {
+		out = append(out, int(ref.worker))
 	}
-	return nil
+	return out
 }

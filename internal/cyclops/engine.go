@@ -83,8 +83,6 @@ type Config[V, M any] struct {
 	// Network selects in-process queues (default) or the same binary frames
 	// over real loopback TCP sockets. Checkpointing requires InProcess.
 	Network transport.Network
-	// CostModel overrides the default model constants.
-	CostModel *metrics.CostModel
 	// OnStep runs after each barrier (values consistent).
 	OnStep func(step int, e *Engine[V, M])
 	// Hooks receives live instrumentation events (run/superstep/phase spans
@@ -110,9 +108,6 @@ type Config[V, M any] struct {
 	// state, rebuilds every replica from its master (§3.6), and replays;
 	// when nil, any transport fault fails the run. Requires InProcess.
 	Recover func() (State[V, M], error)
-	// MaxRecoveries bounds recovery attempts per run (default 3); a fault
-	// beyond the budget fails the run with the underlying transport error.
-	MaxRecoveries int
 	// FaultPlan injects a deterministic fault schedule at the transport
 	// boundary (testing/chaos only). Same plan ⇒ same faults.
 	FaultPlan *fault.Plan
@@ -181,12 +176,12 @@ type Engine[V, M any] struct {
 	prog    Program[V, M]
 	cfg     Config[V, M]
 	assign  *partition.Assignment
+	layout  *partition.Layout // vertex → master slot on its owner
 	ws      []*workerState[V, M]
 	tr      transport.Interface[syncMsg[M]]
 	inj     superstep.Injector // nil without a FaultPlan
 	agg     *aggregate.Registry
 	trace   *metrics.Trace
-	model   metrics.CostModel
 	ingress IngressStats
 	step    int
 
@@ -250,10 +245,6 @@ func New[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[V, M]) (*Engin
 		inj:    inj,
 		agg:    aggregate.NewRegistry(),
 		trace:  &metrics.Trace{Engine: name, Workers: workers},
-		model:  metrics.DefaultCostModel(),
-	}
-	if cfg.CostModel != nil {
-		e.model = *cfg.CostModel
 	}
 	if err := e.buildView(); err != nil {
 		return nil, fmt.Errorf("cyclops: %w", err)
@@ -314,9 +305,10 @@ func (c syncCodec[M]) Decode(src []byte) (syncMsg[M], int, error) {
 // replica for each remote source, wires an in-edge from it, and records a
 // local out-edge so the replica can activate the target later.
 //
-// Adjacency is assembled in per-slot rows first (insertion order) and then
-// flattened into immutable CSR arrays, preserving the exact neighbor order
-// of the old slice-of-slices layout — the flight recorder's byte-identical
+// The edge walk runs twice over the graph's CSR — the assemblers count on
+// the first run and store on the second — and discovers replicas in the same
+// order both times, so replica slots and every row's neighbor order are
+// those of one append-driven pass; the flight recorder's byte-identical
 // series depend on that order.
 func (e *Engine[V, M]) buildView() error {
 	workers := e.cfg.Cluster.Workers()
@@ -327,11 +319,13 @@ func (e *Engine[V, M]) buildView() error {
 	if err != nil {
 		return err
 	}
-	masterSlot := layout.Slot // global id → master slot on its owner
-	inRows := make([][][]int32, workers)
-	inWRows := make([][][]float64, workers)
-	outRows := make([][][]int32, workers) // grows past masters as replicas appear
-	repRows := make([][][]replicaRef, workers)
+	e.layout = layout
+	in := make([]graph.CSRAssembler[int32], workers)
+	inW := make([]graph.CSRAssembler[float64], workers)
+	out := make([]graph.CSRAssembler[int32], workers) // grows past masters as replicas appear
+	reps := make([]graph.CSRAssembler[replicaRef], workers)
+	var replicaIDs graph.CSRAssembler[graph.ID] // per worker: its replicas in slot order
+	replicaIDs.Grow(workers)
 	for w := 0; w < workers; w++ {
 		ws := &workerState[V, M]{masters: layout.Masters(w)}
 		e.ws[w] = ws
@@ -346,70 +340,65 @@ func (e *Engine[V, M]) buildView() error {
 			ws.outDeg[i] = int32(e.g.OutDegree(id))
 			ws.inUnits[i] = int32(e.g.InDegree(id))
 		}
-		inRows[w] = make([][]int32, m)
-		inWRows[w] = make([][]float64, m)
-		outRows[w] = make([][]int32, m)
-		repRows[w] = make([][]replicaRef, m)
+		in[w].Grow(m)
+		inW[w].Grow(m)
+		out[w].Grow(m)
+		reps[w].Grow(m)
 	}
 
-	// replicaSlot[w][id] is id's replica slot on w, or -1 — a dense array
-	// instead of a map: ingress touches it once per spanning edge.
-	replicaSlot := make([][]int32, workers)
-	for w := range replicaSlot {
-		rs := make([]int32, n)
-		for i := range rs {
-			rs[i] = -1
+	// A replica of u is only ever discovered while scanning u's own
+	// out-edges, so "does w hold u yet" is one stamp per worker, not a
+	// workers×|V| table.
+	heldFor := make([]int, workers)    // heldFor[w] == u+1: w holds a replica of the u being scanned
+	heldSlot := make([]int32, workers) // ... in this slot
+	nextSlot := make([]int32, workers) // the next replica slot w hands out
+	walk := func() {
+		clear(heldFor)
+		for w := range nextSlot {
+			nextSlot[w] = int32(layout.NumMasters(w))
 		}
-		replicaSlot[w] = rs
-	}
-	ensureReplica := func(w int, id graph.ID) int32 {
-		if s := replicaSlot[w][id]; s >= 0 {
-			return s
-		}
-		ws := e.ws[w]
-		s := int32(ws.numMasters() + len(ws.replicaIDs))
-		replicaSlot[w][id] = s
-		ws.replicaIDs = append(ws.replicaIDs, id)
-		outRows[w] = append(outRows[w], nil)
-		owner := e.assign.Of[id]
-		repRows[owner][masterSlot[id]] = append(
-			repRows[owner][masterSlot[id]],
-			replicaRef{worker: int32(w), slot: s})
-		e.ingress.Replicas++
-		return s
-	}
-
-	for u := 0; u < n; u++ {
-		wu := e.assign.Of[u]
-		su := masterSlot[u]
-		ns := e.g.OutNeighbors(graph.ID(u))
-		wts := e.g.OutWeights(graph.ID(u))
-		for i, v := range ns {
-			wv := e.assign.Of[v]
-			sv := masterSlot[v]
-			if wu == wv {
-				// Local edge: direct shared-memory in-edge + local
-				// activation edge.
-				inRows[wv][sv] = append(inRows[wv][sv], su)
-				inWRows[wv][sv] = append(inWRows[wv][sv], wts[i])
-				outRows[wu][su] = append(outRows[wu][su], sv)
-			} else {
-				// Spanning edge: the target worker gets a replica of u,
-				// the in-edge points at the replica, and the replica
-				// carries the activation edge to v.
-				r := ensureReplica(wv, graph.ID(u))
-				inRows[wv][sv] = append(inRows[wv][sv], r)
-				inWRows[wv][sv] = append(inWRows[wv][sv], wts[i])
-				outRows[wv][r] = append(outRows[wv][r], sv)
+		for u := 0; u < n; u++ {
+			wu, su := e.assign.Of[u], layout.Slot[u]
+			wts := e.g.OutWeights(graph.ID(u))
+			for i, v := range e.g.OutNeighbors(graph.ID(u)) {
+				wv, sv, src := e.assign.Of[v], layout.Slot[v], su
+				if wu != wv {
+					// Spanning edge: the target worker gets a replica of u,
+					// the in-edge points at the replica, and the replica
+					// carries the activation edge to v.
+					if heldFor[wv] != u+1 {
+						heldFor[wv], heldSlot[wv] = u+1, nextSlot[wv]
+						nextSlot[wv]++
+						replicaIDs.Add(wv, graph.ID(u))
+						reps[wu].Add(int(su), replicaRef{worker: int32(wv), slot: heldSlot[wv]})
+					}
+					src = heldSlot[wv]
+				}
+				// Either way v reads u through src, and src's row carries
+				// the activation edge to v.
+				in[wv].Add(int(sv), src)
+				inW[wv].Add(int(sv), wts[i])
+				out[wv].Add(int(src), sv)
 			}
 		}
 	}
-	for w := 0; w < workers; w++ {
-		ws := e.ws[w]
-		ws.in = graph.CSRFromRows(inRows[w])
-		ws.inWeights = graph.CSRFromRows(inWRows[w])
-		ws.localOut = graph.CSRFromRows(outRows[w])
-		ws.replicas = graph.CSRFromRows(repRows[w])
+	walk()
+	replicaIDs.Fill()
+	for w := range e.ws {
+		in[w].Fill()
+		inW[w].Fill()
+		out[w].Fill()
+		reps[w].Fill()
+	}
+	walk()
+	ids := replicaIDs.Build()
+	e.ingress.Replicas = int64(ids.NumItems())
+	for w, ws := range e.ws {
+		ws.in = in[w].Build()
+		ws.inWeights = inW[w].Build()
+		ws.localOut = out[w].Build()
+		ws.replicas = reps[w].Build()
+		ws.replicaIDs = ids.Row(w)
 	}
 	e.ingress.Replication = time.Since(repStart)
 
@@ -476,14 +465,7 @@ func (e *Engine[V, M]) Values() []V {
 // ViewOf returns the published value of vertex id as stored at its master
 // (what neighbors read next superstep). Test/diagnostic helper.
 func (e *Engine[V, M]) ViewOf(id graph.ID) M {
-	w := e.assign.Of[id]
-	ws := e.ws[w]
-	for i, m := range ws.masters {
-		if m == id {
-			return ws.view[i]
-		}
-	}
-	panic("cyclops: vertex not found at its owner")
+	return e.ws[e.assign.Of[id]].view[e.layout.Slot[id]]
 }
 
 // TransportStats exposes raw traffic counters.

@@ -30,14 +30,7 @@ func (e *Engine[V, M]) Evolve(added []graph.Edge) (*Engine[V, M], error) {
 	}
 
 	// Build the grown graph: existing edges plus the batch.
-	b := graph.NewBuilder(e.g.NumVertices())
-	for _, edge := range e.g.Edges() {
-		b.AddWeightedEdge(edge.Src, edge.Dst, edge.Weight)
-	}
-	for _, edge := range added {
-		b.AddWeightedEdge(edge.Src, edge.Dst, edge.Weight)
-	}
-	grown, err := b.Build()
+	grown, err := graph.FromEdges(e.g.NumVertices(), append(e.g.Edges(), added...))
 	if err != nil {
 		return nil, fmt.Errorf("cyclops: evolve: %w", err)
 	}
@@ -95,11 +88,5 @@ func (e *Engine[V, M]) Evolve(added []graph.Edge) (*Engine[V, M], error) {
 
 // activateMaster sets the activation flag of id's master slot.
 func (e *Engine[V, M]) activateMaster(id graph.ID) {
-	ws := e.ws[e.assign.Of[id]]
-	for i, m := range ws.masters {
-		if m == id {
-			ws.active[i] = 1
-			return
-		}
-	}
+	e.ws[e.assign.Of[id]].active[e.layout.Slot[id]] = 1
 }

@@ -1,0 +1,133 @@
+package cyclops
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"cyclops/internal/cluster"
+	"cyclops/internal/graph"
+	"cyclops/internal/partition"
+)
+
+// referenceView is the ingress buildView used to be, kept as the oracle: one
+// pass over the edges that appends to a Go slice per row and remembers every
+// replica in a workers×|V| table. It returns, per worker, the replica ids in
+// slot order and the four adjacency relations as rows.
+type referenceView struct {
+	replicaIDs []graph.ID
+	in         [][]int32
+	inWeights  [][]float64
+	localOut   [][]int32
+	replicas   [][]replicaRef
+}
+
+func buildReferenceView(g *graph.Graph, assign *partition.Assignment, workers int) []referenceView {
+	n := g.NumVertices()
+	masterSlot := make([]int32, n)
+	masters := make([]int32, workers)
+	for v := 0; v < n; v++ {
+		masterSlot[v] = masters[assign.Of[v]]
+		masters[assign.Of[v]]++
+	}
+	view := make([]referenceView, workers)
+	slotOn := make([][]int32, workers)
+	for w := range view {
+		m := int(masters[w])
+		view[w] = referenceView{
+			in: make([][]int32, m), inWeights: make([][]float64, m),
+			localOut: make([][]int32, m), replicas: make([][]replicaRef, m),
+		}
+		slotOn[w] = make([]int32, n)
+		for i := range slotOn[w] {
+			slotOn[w][i] = -1
+		}
+	}
+	for u := 0; u < n; u++ {
+		wu, su := assign.Of[u], masterSlot[u]
+		wts := g.OutWeights(graph.ID(u))
+		for i, v := range g.OutNeighbors(graph.ID(u)) {
+			wv, sv := assign.Of[v], masterSlot[v]
+			src := su
+			if wu != wv {
+				if slotOn[wv][u] < 0 {
+					slotOn[wv][u] = masters[wv] + int32(len(view[wv].replicaIDs))
+					view[wv].replicaIDs = append(view[wv].replicaIDs, graph.ID(u))
+					view[wv].localOut = append(view[wv].localOut, nil)
+					view[wu].replicas[su] = append(view[wu].replicas[su],
+						replicaRef{worker: int32(wv), slot: slotOn[wv][u]})
+				}
+				src = slotOn[wv][u]
+			}
+			view[wv].in[sv] = append(view[wv].in[sv], src)
+			view[wv].inWeights[sv] = append(view[wv].inWeights[sv], wts[i])
+			view[wv].localOut[src] = append(view[wv].localOut[src], sv)
+		}
+	}
+	return view
+}
+
+// rowsOf reads a CSR back as rows, nil for an empty row as append leaves it.
+func rowsOf[T any](c graph.CSR[T]) [][]T {
+	rows := make([][]T, c.NumRows())
+	for r := range rows {
+		if c.RowLen(r) > 0 {
+			rows[r] = c.Row(r)
+		}
+	}
+	return rows
+}
+
+// randomMultigraph draws n vertices and m weighted edges, self-loops and
+// parallel edges included, leaving some vertices isolated.
+func randomMultigraph(rng *rand.Rand) *graph.Graph {
+	n := rng.Intn(120) + 1
+	b := graph.NewBuilder(n)
+	for i, m := 0, rng.Intn(6*n); i < m; i++ {
+		b.AddWeightedEdge(graph.ID(rng.Intn(n)), graph.ID(rng.Intn(n)), float64(rng.Intn(9)+1))
+	}
+	return b.MustBuild()
+}
+
+// TestIngressMatchesAppendRowsReference: the two-pass, stamp-driven ingress
+// must wire exactly the view the one-pass append-driven ingress did — same
+// replica ids in the same slots, same rows in the same order — for every
+// partitioner and from one worker to more workers than most partitions have
+// vertices. The flight-recorder gate's byte-identity rests on this.
+func TestIngressMatchesAppendRowsReference(t *testing.T) {
+	parts := []partition.Partitioner{partition.Hash{}, partition.Range{}, partition.Multilevel{Seed: 1}}
+	shapes := []cluster.Config{cluster.Flat(1, 1), cluster.Flat(2, 1), cluster.Flat(7, 1), cluster.Flat(6, 8)}
+	for seed := int64(0); seed < 12; seed++ {
+		g := randomMultigraph(rand.New(rand.NewSource(seed)))
+		for _, part := range parts {
+			for _, cc := range shapes {
+				name := fmt.Sprintf("seed %d, %s, %d workers", seed, part.Name(), cc.Workers())
+				e, err := New[float64, float64](g, maxProg{}, Config[float64, float64]{Cluster: cc, Partitioner: part})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				want := buildReferenceView(g, e.assign, cc.Workers())
+				var replicas int64
+				for w, ws := range e.ws {
+					got := referenceView{
+						replicaIDs: ws.replicaIDs,
+						in:         rowsOf(ws.in), inWeights: rowsOf(ws.inWeights),
+						localOut: rowsOf(ws.localOut), replicas: rowsOf(ws.replicas),
+					}
+					if len(got.replicaIDs) == 0 {
+						got.replicaIDs = nil
+					}
+					if !reflect.DeepEqual(got, want[w]) {
+						t.Fatalf("%s: worker %d\n got  %+v\n want %+v", name, w, got, want[w])
+					}
+					replicas += int64(len(ws.replicaIDs))
+				}
+				if e.Ingress().Replicas != replicas {
+					t.Fatalf("%s: Ingress().Replicas = %d, workers hold %d", name, e.Ingress().Replicas, replicas)
+				}
+				e.Close()
+			}
+		}
+	}
+}

@@ -36,7 +36,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		Name: "cyclops", Workers: workers, Vertices: e.g.NumVertices(),
 		Hooks: e.cfg.Hooks, Link: e.tr, Injector: e.inj, Trace: e.trace,
 		Step: &e.step, RunSeq: &e.runSeq, MaxSupersteps: e.cfg.MaxSupersteps,
-		CheckpointEvery: e.cfg.CheckpointEvery, MaxRecoveries: e.cfg.MaxRecoveries,
+		CheckpointEvery: e.cfg.CheckpointEvery,
 		Info: func() obs.RunInfo {
 			return obs.RunInfo{
 				Engine:   e.trace.Engine,
@@ -235,6 +235,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		superstep.Fan(receivers, nil, appliers[w])
 	}
 
+	model := metrics.DefaultCostModel()
 	ps := superstep.PhaseSet{
 		Step: func() []obs.Violation {
 			k.Phase(metrics.Compute, compute)
@@ -286,11 +287,11 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 			if e.cfg.Residual != nil {
 				stats.SetResiduals(resAll)
 			}
-			barrier := e.model.FlatBarrier(workers)
+			barrier := model.FlatBarrier(workers)
 			if e.trace.Engine == "cyclopsmt" {
-				barrier = e.model.HierarchicalBarrier(e.cfg.Cluster.Machines, threads)
+				barrier = model.HierarchicalBarrier(e.cfg.Cluster.Machines, threads)
 			}
-			stats.ModelNanos = e.model.StepCost(
+			stats.ModelNanos = model.StepCost(
 				stats.ComputeUnitsMax, stats.SendMax, stats.RecvMax,
 				threads, receivers, workers, false, barrier)
 		},

@@ -116,7 +116,11 @@ func TestAuditCatchesMirrorDivergence(t *testing.T) {
 			// Corrupt vertex 0's mirror cache on worker 1. Its master is
 			// inactive and will never push again, so nothing repairs the
 			// divergence — only the auditor can see it.
-			e.ws[1].verts[e.ws[1].slotOf[0]].cache = 999
+			for s := range e.ws[1].verts {
+				if e.ws[1].verts[s].id == 0 {
+					e.ws[1].verts[s].cache = 999
+				}
+			}
 		}
 	})
 	_, err := e.Run()

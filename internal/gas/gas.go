@@ -149,9 +149,8 @@ type Config[V, G any] struct {
 	AccCodec graph.Codec[G]
 	// Network selects in-process queues (default) or the same binary frames
 	// over loopback TCP.
-	Network   transport.Network
-	CostModel *metrics.CostModel
-	OnStep    func(step int, e *Engine[V, G])
+	Network transport.Network
+	OnStep  func(step int, e *Engine[V, G])
 	// Hooks receives live instrumentation events (run/superstep/phase spans
 	// and per-worker stats). nil disables observation.
 	Hooks obs.Hooks
@@ -173,9 +172,6 @@ type Config[V, G any] struct {
 	// state, rebuilds every mirror from its master, and replays; when nil,
 	// any transport fault fails the run. Requires InProcess.
 	Recover func() (State[V], error)
-	// MaxRecoveries bounds recovery attempts per run (default 3); a fault
-	// beyond the budget fails the run with the underlying transport error.
-	MaxRecoveries int
 	// FaultPlan injects a deterministic fault schedule at the transport
 	// boundary (testing/chaos only). Same plan ⇒ same faults.
 	FaultPlan *fault.Plan
@@ -296,8 +292,7 @@ type gasEdge struct {
 }
 
 type workerState[V, G any] struct {
-	verts  []localVertex[V]
-	slotOf []int32 // global id → local slot, -1 when the worker has no copy
+	verts []localVertex[V]
 
 	// Immutable CSR adjacency, flattened once after edge placement: per slot,
 	// the local in-edges, the local out-slots, and (masters only) the mirror
@@ -333,7 +328,6 @@ type Engine[V, G any] struct {
 	tr    transport.Interface[gasMsg[V, G]]
 	inj   superstep.Injector // nil without a FaultPlan
 	trace *metrics.Trace
-	model metrics.CostModel
 
 	mirrors     int64   // total mirror count (replication metric)
 	mirrorsPerW []int64 // mirrors hosted per worker (skew reporting)
@@ -397,102 +391,88 @@ func New[V, G any](g *graph.Graph, prog Program[V, G], cfg Config[V, G]) (*Engin
 		tr:          tr,
 		inj:         inj,
 		trace:       &metrics.Trace{Engine: "powergraph", Workers: k},
-		model:       metrics.DefaultCostModel(),
 		mirrorsPerW: make([]int64, k),
 	}
-	if cfg.CostModel != nil {
-		e.model = *cfg.CostModel
-	}
 	n := g.NumVertices()
+	// slotOf[w][id] is id's local slot on w, -1 when w has no copy. Only
+	// construction reads it: the superstep addresses copies by slot.
+	slotOf := make([][]int32, k)
+	inEdges := make([]graph.CSRAssembler[gasEdge], k)
+	outSlots := make([]graph.CSRAssembler[int32], k)
+	mirrors := make([]graph.CSRAssembler[mirrorRef], k)
 	for w := range e.ws {
-		slotOf := make([]int32, n)
-		for i := range slotOf {
-			slotOf[i] = -1
+		slotOf[w] = make([]int32, n)
+		for i := range slotOf[w] {
+			slotOf[w][i] = -1
 		}
-		e.ws[w] = &workerState[V, G]{slotOf: slotOf}
+		e.ws[w] = &workerState[V, G]{}
 	}
-
-	// Adjacency is accumulated in per-slot rows and flattened into immutable
-	// CSR arrays below, preserving insertion order exactly.
-	inRows := make([][][]gasEdge, k)
-	outRows := make([][][]int32, k)
-	mirRows := make([][][]mirrorRef, k)
 	ensure := func(w int, id graph.ID) int32 {
-		ws := e.ws[w]
-		if s := ws.slotOf[id]; s >= 0 {
-			return s
+		if slotOf[w][id] < 0 {
+			slotOf[w][id] = int32(len(e.ws[w].verts))
+			e.ws[w].verts = append(e.ws[w].verts, localVertex[V]{id: id})
 		}
-		s := int32(len(ws.verts))
-		ws.slotOf[id] = s
-		ws.verts = append(ws.verts, localVertex[V]{id: id, masterWorker: -1})
-		inRows[w] = append(inRows[w], nil)
-		outRows[w] = append(outRows[w], nil)
-		mirRows[w] = append(mirRows[w], nil)
-		return s
+		return slotOf[w][id]
 	}
 
-	// Place edges; create local copies of both endpoints.
+	// walk places every edge on its worker, creating local copies of both
+	// endpoints in first-touch order, then elects each vertex's master (the
+	// lowest worker id hosting it, as a stand-in for PowerGraph's arbitrary
+	// election; an isolated vertex gets its only copy here) and wires its
+	// mirrors. It runs twice: the assemblers count on the first run and
+	// store on the second, so rows hold their items in placement order.
 	assign := cfg.Partitioner.PartitionEdges(g, k)
-	i := 0
-	for v := 0; v < n; v++ {
-		ns := g.OutNeighbors(graph.ID(v))
-		wts := g.OutWeights(graph.ID(v))
-		for j, u := range ns {
-			w := assign[i]
-			i++
-			sv := ensure(w, graph.ID(v))
-			su := ensure(w, u)
-			inRows[w][su] = append(inRows[w][su], gasEdge{srcSlot: sv, weight: wts[j]})
-			outRows[w][sv] = append(outRows[w][sv], su)
-		}
-	}
-	// Isolated vertices still need a master somewhere.
-	for v := 0; v < n; v++ {
-		hosted := false
-		for w := 0; w < k; w++ {
-			if e.ws[w].slotOf[v] >= 0 {
-				hosted = true
-				break
+	walk := func() {
+		i := 0
+		for v := 0; v < n; v++ {
+			wts := g.OutWeights(graph.ID(v))
+			for j, u := range g.OutNeighbors(graph.ID(v)) {
+				w := assign[i]
+				i++
+				sv, su := ensure(w, graph.ID(v)), ensure(w, u)
+				inEdges[w].Add(int(su), gasEdge{srcSlot: sv, weight: wts[j]})
+				outSlots[w].Add(int(sv), su)
 			}
 		}
-		if !hosted {
-			ensure(int(uint64(v)%uint64(k)), graph.ID(v))
-		}
-	}
-
-	// Elect masters (lowest worker id hosting the vertex, as a stand-in for
-	// PowerGraph's arbitrary election) and wire mirrors.
-	for v := 0; v < n; v++ {
-		masterW := -1
-		for w := 0; w < k; w++ {
-			if e.ws[w].slotOf[v] >= 0 {
-				masterW = w
-				break
+		for v := 0; v < n; v++ {
+			masterW := 0
+			for masterW < k && slotOf[masterW][v] < 0 {
+				masterW++
 			}
-		}
-		ms := e.ws[masterW].slotOf[v]
-		master := &e.ws[masterW].verts[ms]
-		master.master = true
-		master.masterWorker = int32(masterW)
-		master.masterSlot = ms
-		for w := masterW + 1; w < k; w++ {
-			if s := e.ws[w].slotOf[v]; s >= 0 {
-				mirror := &e.ws[w].verts[s]
-				mirror.masterWorker = int32(masterW)
-				mirror.masterSlot = ms
-				mirRows[masterW][ms] = append(mirRows[masterW][ms], mirrorRef{worker: int32(w), slot: s})
-				e.mirrors++
-				e.mirrorsPerW[w]++
+			if masterW == k {
+				masterW = v % k
+				ensure(masterW, graph.ID(v))
+			}
+			masterSlot := slotOf[masterW][v]
+			for w := masterW; w < k; w++ {
+				s := slotOf[w][v]
+				if s < 0 {
+					continue
+				}
+				c := &e.ws[w].verts[s]
+				c.master, c.masterWorker, c.masterSlot = w == masterW, int32(masterW), masterSlot
+				if !c.master {
+					mirrors[masterW].Add(int(masterSlot), mirrorRef{worker: int32(w), slot: s})
+				}
 			}
 		}
 	}
+	walk()
+	for w, ws := range e.ws {
+		inEdges[w].Grow(len(ws.verts))
+		outSlots[w].Grow(len(ws.verts))
+		mirrors[w].Grow(len(ws.verts))
+		inEdges[w].Fill()
+		outSlots[w].Fill()
+		mirrors[w].Fill()
+	}
+	walk()
 
 	// Flatten adjacency and allocate the superstep scratch once.
-	for w := range e.ws {
-		ws := e.ws[w]
-		ws.inEdges = graph.CSRFromRows(inRows[w])
-		ws.outSlots = graph.CSRFromRows(outRows[w])
-		ws.mirrors = graph.CSRFromRows(mirRows[w])
+	for w, ws := range e.ws {
+		ws.inEdges = inEdges[w].Build()
+		ws.outSlots = outSlots[w].Build()
+		ws.mirrors = mirrors[w].Build()
 		nv := len(ws.verts)
 		ws.accVal = make([]G, nv)
 		ws.accHas = make([]bool, nv)
@@ -505,13 +485,16 @@ func New[V, G any](g *graph.Graph, prog Program[V, G], cfg Config[V, G]) (*Engin
 		ws.outB = make([][]gasMsg[V, G], k)
 	}
 
-	// Seed values on every copy.
-	for _, ws := range e.ws {
+	// Seed values on every copy; every copy that is not a master is a mirror.
+	for w, ws := range e.ws {
 		for s := range ws.verts {
 			val, act := prog.Init(ws.verts[s].id, g)
 			ws.verts[s].cache = val
 			if ws.verts[s].master {
 				ws.verts[s].active = act
+			} else {
+				e.mirrors++
+				e.mirrorsPerW[w]++
 			}
 		}
 	}
@@ -599,7 +582,7 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 		Name: "gas", Workers: workers, Vertices: e.g.NumVertices(),
 		Hooks: e.cfg.Hooks, Link: e.tr, Injector: e.inj, Trace: e.trace,
 		Step: &e.step, RunSeq: &e.runSeq, MaxSupersteps: e.cfg.MaxSupersteps,
-		CheckpointEvery: e.cfg.CheckpointEvery, MaxRecoveries: e.cfg.MaxRecoveries,
+		CheckpointEvery: e.cfg.CheckpointEvery,
 		Info: func() obs.RunInfo {
 			return obs.RunInfo{
 				Engine:   e.trace.Engine,
@@ -859,6 +842,7 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 	rounds := []func(w int){gatherReq, drain, gather, drain, apply, drain,
 		scatterReq, drain, scatter, drain, activation}
 
+	model := metrics.DefaultCostModel()
 	ps := superstep.PhaseSet{
 		// gas decides termination before announcing a superstep: it counts
 		// the active masters at the top and stops when there are none.
@@ -911,9 +895,9 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 			stats.ComputeUnitsMax = units / int64(workers)
 			stats.SendMax = stats.Messages / int64(workers)
 			stats.RecvMax = stats.Messages / int64(workers)
-			stats.ModelNanos = e.model.StepCost(
+			stats.ModelNanos = model.StepCost(
 				stats.ComputeUnitsMax, stats.SendMax, stats.RecvMax,
-				e.cfg.Cluster.Threads, 1, workers, true, e.model.FlatBarrier(workers))
+				e.cfg.Cluster.Threads, 1, workers, true, model.FlatBarrier(workers))
 		},
 		Checkpoint: func() error {
 			if e.cfg.Checkpoints == nil {

@@ -149,26 +149,12 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		}
 	}
 
-	// Rebuild the in-CSR by counting sort, as the Builder does.
 	for _, to := range g.outTo {
 		if int(to) >= n {
 			return nil, fmt.Errorf("graph binary: edge target %d out of range", to)
 		}
-		g.inIndex[to+1]++
 	}
-	for v := 0; v < n; v++ {
-		g.inIndex[v+1] += g.inIndex[v]
-	}
-	cursor := make([]int64, n)
-	copy(cursor, g.inIndex[:n])
-	for src := 0; src < n; src++ {
-		for i := g.outIndex[src]; i < g.outIndex[src+1]; i++ {
-			to := g.outTo[i]
-			g.inFrom[cursor[to]] = ID(src)
-			g.inW[cursor[to]] = g.outW[i]
-			cursor[to]++
-		}
-	}
+	g.transpose()
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("graph binary: %w", err)
 	}

@@ -3,123 +3,10 @@ package graph
 import (
 	"bytes"
 	"math/rand"
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"testing/quick"
 )
-
-func writeTemp(t *testing.T, content string) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "g.txt")
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestLoadFileParallelBasic(t *testing.T) {
-	path := writeTemp(t, "# header\n0 1\n1 2 2.5\n2 0\n\n3 1\n")
-	g, err := LoadFileParallel(path, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices() != 4 || g.NumEdges() != 4 {
-		t.Fatalf("|V|=%d |E|=%d", g.NumVertices(), g.NumEdges())
-	}
-	if !g.HasEdge(1, 2) || g.OutWeights(1)[0] != 2.5 {
-		t.Fatal("weighted edge lost")
-	}
-}
-
-func TestLoadFileParallelMatchesSequential(t *testing.T) {
-	// A graph large enough that every worker gets a real range. Build the
-	// expected graph directly from the same edges (LoadFile remaps ids in
-	// first-appearance order, which would relabel vertices).
-	var sb strings.Builder
-	rng := rand.New(rand.NewSource(5))
-	eb := NewBuilder(300)
-	for i := 0; i < 5000; i++ {
-		src, dst := rng.Intn(300), rng.Intn(300)
-		sb.WriteString(itoa(src))
-		sb.WriteByte(' ')
-		sb.WriteString(itoa(dst))
-		sb.WriteByte('\n')
-		eb.AddEdge(ID(src), ID(dst))
-	}
-	path := writeTemp(t, sb.String())
-	seq := eb.MustBuild()
-	for _, workers := range []int{1, 2, 4, 7} {
-		par, err := LoadFileParallel(path, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if par.NumVertices() != seq.NumVertices() || par.NumEdges() != seq.NumEdges() {
-			t.Fatalf("workers=%d: %d/%d vs %d/%d", workers,
-				par.NumVertices(), par.NumEdges(), seq.NumVertices(), seq.NumEdges())
-		}
-		// The builder sorts, so adjacency must be identical.
-		for v := 0; v < seq.NumVertices(); v++ {
-			sn, pn := seq.OutNeighbors(ID(v)), par.OutNeighbors(ID(v))
-			if len(sn) != len(pn) {
-				t.Fatalf("workers=%d vertex %d: degree %d vs %d", workers, v, len(pn), len(sn))
-			}
-			for i := range sn {
-				if sn[i] != pn[i] {
-					t.Fatalf("workers=%d vertex %d: adjacency differs", workers, v)
-				}
-			}
-		}
-	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}
-
-func TestLoadFileParallelEmptyAndMissing(t *testing.T) {
-	path := writeTemp(t, "")
-	g, err := LoadFileParallel(path, 4)
-	if err != nil || g.NumVertices() != 0 {
-		t.Fatalf("empty file: %v %v", g, err)
-	}
-	if _, err := LoadFileParallel(filepath.Join(t.TempDir(), "nope"), 2); err == nil {
-		t.Fatal("missing file must error")
-	}
-}
-
-func TestLoadFileParallelBadInput(t *testing.T) {
-	for _, bad := range []string{"0\n", "a b\n", "0 1 x\n", "1 2 3 4\n"} {
-		path := writeTemp(t, bad)
-		if _, err := LoadFileParallel(path, 2); err == nil {
-			t.Errorf("input %q must fail", bad)
-		}
-	}
-}
-
-func TestLoadFileParallelMoreWorkersThanLines(t *testing.T) {
-	path := writeTemp(t, "0 1\n")
-	g, err := LoadFileParallel(path, 16)
-	if err != nil || g.NumEdges() != 1 {
-		t.Fatalf("tiny file: %v %v", g, err)
-	}
-	// workers < 1 clamps.
-	g, err = LoadFileParallel(path, 0)
-	if err != nil || g.NumEdges() != 1 {
-		t.Fatalf("clamped workers: %v %v", g, err)
-	}
-}
 
 func TestBinaryRoundTrip(t *testing.T) {
 	g := mustGraph(t, 5, []Edge{{0, 1, 1}, {1, 2, 3.5}, {4, 0, 1}, {2, 2, 0.25}})

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Builder accumulates edges and produces an immutable Graph. It tolerates
 // unsorted input and, optionally, duplicate edges and self-loops (both kept
@@ -44,35 +41,23 @@ func (b *Builder) AddWeightedEdge(src, dst ID, w float64) {
 	b.edges = append(b.edges, Edge{Src: src, Dst: dst, Weight: w})
 }
 
-// NumPendingEdges reports how many edges have been added so far.
-func (b *Builder) NumPendingEdges() int { return len(b.edges) }
-
 // Build produces the immutable CSR graph. The builder may be reused after
-// Build (it retains its edges); Build itself does not mutate builder state
-// beyond sorting its edge slice.
+// Build: it retains its edges and Build does not touch them.
 func (b *Builder) Build() (*Graph, error) {
-	edges := b.edges
-	if b.noloop {
-		kept := edges[:0:0]
+	// Sort by (src, dst) in O(V+E): two stable counting passes, least
+	// significant key first, so parallel edges keep their input order.
+	edges := b.sortedBy(b.edges, func(e Edge) ID { return e.Dst })
+	edges = b.sortedBy(edges, func(e Edge) ID { return e.Src })
+	if b.noloop || b.dedup {
+		// The sorted slab is Build's own, so the filters compact it in place;
+		// duplicates are adjacent and the first of each run is the first added.
+		kept := edges[:0]
 		for _, e := range edges {
-			if e.Src != e.Dst {
-				kept = append(kept, e)
+			repeat := len(kept) > 0 && e.Src == kept[len(kept)-1].Src && e.Dst == kept[len(kept)-1].Dst
+			if (b.noloop && e.Src == e.Dst) || (b.dedup && repeat) {
+				continue
 			}
-		}
-		edges = kept
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Src != edges[j].Src {
-			return edges[i].Src < edges[j].Src
-		}
-		return edges[i].Dst < edges[j].Dst
-	})
-	if b.dedup {
-		kept := edges[:0:0]
-		for i, e := range edges {
-			if i == 0 || e.Src != edges[i-1].Src || e.Dst != edges[i-1].Dst {
-				kept = append(kept, e)
-			}
+			kept = append(kept, e)
 		}
 		edges = kept
 	}
@@ -96,27 +81,48 @@ func (b *Builder) Build() (*Graph, error) {
 	for v := 0; v < b.n; v++ {
 		g.outIndex[v+1] += g.outIndex[v]
 	}
-
-	// In-CSR: counting sort by destination keeps ingress O(V+E).
-	for _, e := range edges {
-		g.inIndex[e.Dst+1]++
-	}
-	for v := 0; v < b.n; v++ {
-		g.inIndex[v+1] += g.inIndex[v]
-	}
-	cursor := make([]int64, b.n)
-	copy(cursor, g.inIndex[:b.n])
-	for _, e := range edges {
-		i := cursor[e.Dst]
-		g.inFrom[i] = e.Src
-		g.inW[i] = e.Weight
-		cursor[e.Dst]++
-	}
+	g.transpose()
 
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("graph build: %w", err)
 	}
 	return g, nil
+}
+
+// transpose fills the in-CSR from the out-CSR in one counting pass (O(V+E)):
+// a vertex's in-edges come out ordered by source, ties in out-edge order.
+func (g *Graph) transpose() {
+	for _, to := range g.outTo {
+		g.inIndex[to+1]++
+	}
+	for v := 0; v < g.n; v++ {
+		g.inIndex[v+1] += g.inIndex[v]
+	}
+	cursor := make([]int64, g.n)
+	copy(cursor, g.inIndex)
+	for src := 0; src < g.n; src++ {
+		for i := g.outIndex[src]; i < g.outIndex[src+1]; i++ {
+			to := g.outTo[i]
+			g.inFrom[cursor[to]] = ID(src)
+			g.inW[cursor[to]] = g.outW[i]
+			cursor[to]++
+		}
+	}
+}
+
+// sortedBy returns a copy of edges in ascending key order, ties in input
+// order: a CSR whose rows are the keys, read back flat.
+func (b *Builder) sortedBy(edges []Edge, key func(Edge) ID) []Edge {
+	var a CSRAssembler[Edge]
+	a.Grow(b.n)
+	for _, e := range edges {
+		a.Add(int(key(e)), e)
+	}
+	a.Fill()
+	for _, e := range edges {
+		a.Add(int(key(e)), e)
+	}
+	return a.Build().items
 }
 
 // MustBuild is Build for graphs known to be well-formed (generators, tests).

@@ -58,47 +58,64 @@ func (c *CSR[T]) Validate() error {
 	return nil
 }
 
-// CSRBuilder accumulates rows and flattens them into a CSR. Build-time
-// storage is row-sliced (this runs once, at partition time); the result is
-// the flat immutable layout the hot loops iterate.
-type CSRBuilder[T any] struct {
-	rows [][]T
+// CSRAssembler builds a CSR from one walk run twice: the caller Adds every
+// (row, item) it has, calls Fill, and Adds the same sequence again. The first
+// run only counts; Fill turns the counts into offsets and makes the one item
+// allocation; the second run stores. Within a row, items land in the order
+// they were added, duplicates included. Ingress runs once per engine, so
+// walking the edges twice is cheaper than growing a slice per row, and
+// because both runs are the same code they cannot disagree. The zero
+// CSRAssembler is ready to use and has no rows.
+type CSRAssembler[T any] struct {
+	offsets []int64 // before Fill: offsets[r+1] = items added to row r; after: row starts
+	cursor  []int64 // per row: where its next item lands; nil before Fill
+	items   []T
 }
 
-// NewCSRBuilder returns a builder for a CSR with the given number of rows.
-// Rows never appended to come out empty — an empty partition or an isolated
-// vertex is a zero-length row, not an error.
-func NewCSRBuilder[T any](rows int) *CSRBuilder[T] {
-	return &CSRBuilder[T]{rows: make([][]T, rows)}
-}
-
-// Append adds item to row. Items within a row keep insertion order;
-// duplicates are kept (a multigraph edge appears as many times as it was
-// added).
-func (b *CSRBuilder[T]) Append(row int, item T) {
-	b.rows[row] = append(b.rows[row], item)
-}
-
-// Build flattens the accumulated rows. The builder must not be used after
-// Build.
-func (b *CSRBuilder[T]) Build() CSR[T] {
-	return CSRFromRows(b.rows)
-}
-
-// CSRFromRows flattens row slices into a CSR, preserving row and
-// within-row order.
-func CSRFromRows[T any](rows [][]T) CSR[T] {
-	total := 0
-	for _, r := range rows {
-		total += len(r)
+// Grow makes the CSR at least rows long, before Fill; called ahead of the
+// first Add it saves counting from regrowing the offsets row by row. Rows
+// nothing is added to come out empty: zero-length rows, not errors.
+func (a *CSRAssembler[T]) Grow(rows int) {
+	if missing := rows + 1 - len(a.offsets); missing > 0 {
+		a.offsets = append(a.offsets, make([]int64, missing)...)
 	}
-	c := CSR[T]{
-		offsets: make([]int64, len(rows)+1),
-		items:   make([]T, 0, total),
+}
+
+// Add appends item to row. Before Fill it only counts, growing the CSR to
+// hold the row; after Fill it stores, and must replay an Add made before.
+func (a *CSRAssembler[T]) Add(row int, item T) {
+	if a.cursor == nil {
+		a.Grow(row + 1)
+		a.offsets[row+1]++
+		return
 	}
-	for i, r := range rows {
-		c.items = append(c.items, r...)
-		c.offsets[i+1] = int64(len(c.items))
+	a.items[a.cursor[row]] = item
+	a.cursor[row]++
+}
+
+// Fill ends the counting run.
+func (a *CSRAssembler[T]) Fill() {
+	a.Grow(0)
+	for r := 1; r < len(a.offsets); r++ {
+		a.offsets[r] += a.offsets[r-1]
 	}
-	return c
+	a.cursor = make([]int64, len(a.offsets)-1)
+	copy(a.cursor, a.offsets)
+	a.items = make([]T, a.offsets[len(a.offsets)-1])
+}
+
+// Build returns the assembled CSR. It panics unless every row received
+// exactly the items counted for it: a walk that differs between its two
+// runs is a bug in the caller, not an input condition.
+func (a *CSRAssembler[T]) Build() CSR[T] {
+	if a.cursor == nil {
+		a.Fill()
+	}
+	for r, end := range a.cursor {
+		if end != a.offsets[r+1] {
+			panic(fmt.Sprintf("graph: CSRAssembler: row %d counted %d items, got %d",
+				r, a.offsets[r+1]-a.offsets[r], end-a.offsets[r]))
+		}
+	}
+	return CSR[T]{offsets: a.offsets, items: a.items}
 }

@@ -1,13 +1,25 @@
 package graph
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
+
+// assemble drives a CSRAssembler the way ingress does: the same emission
+// walk twice with one Fill between.
+func assemble[T any](rows int, walk func(emit func(row int, item T))) CSR[T] {
+	var a CSRAssembler[T]
+	a.Grow(rows)
+	walk(a.Add)
+	a.Fill()
+	walk(a.Add)
+	return a.Build()
+}
 
 // TestCSREmptyRows covers the empty-partition shape: a CSR whose rows were
-// never appended to must validate and iterate as zero-length rows.
+// never counted must validate and iterate as zero-length rows.
 func TestCSREmptyRows(t *testing.T) {
-	b := NewCSRBuilder[int32](4)
-	b.Append(2, 7)
-	c := b.Build()
+	c := assemble(4, func(emit func(int, int32)) { emit(2, 7) })
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +40,7 @@ func TestCSREmptyRows(t *testing.T) {
 
 	// A fully empty CSR (all rows empty — the empty-partition case) is
 	// valid too.
-	empty := NewCSRBuilder[int32](3).Build()
+	empty := assemble(3, func(func(int, int32)) {})
 	if err := empty.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +49,7 @@ func TestCSREmptyRows(t *testing.T) {
 	}
 
 	// Zero rows entirely.
-	none := NewCSRBuilder[int32](0).Build()
+	none := new(CSRAssembler[int32]).Build()
 	if err := none.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -57,13 +69,13 @@ func TestCSRIsolatedVertices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewCSRBuilder[ID](int(g.NumVertices()))
-	for v := ID(0); v < ID(g.NumVertices()); v++ {
-		for _, u := range g.OutNeighbors(v) {
-			b.Append(int(v), u)
+	c := assemble(g.NumVertices(), func(emit func(int, ID)) {
+		for v := ID(0); v < ID(g.NumVertices()); v++ {
+			for _, u := range g.OutNeighbors(v) {
+				emit(int(v), u)
+			}
 		}
-	}
-	c := b.Build()
+	})
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -81,14 +93,14 @@ func TestCSRIsolatedVertices(t *testing.T) {
 	}
 }
 
-// TestCSRDuplicateEdges: a multigraph edge appended twice appears twice, in
-// insertion order — the CSR must not dedupe or sort.
+// TestCSRDuplicateEdges: a multigraph edge emitted twice appears twice, in
+// emission order — the CSR must not dedupe or sort.
 func TestCSRDuplicateEdges(t *testing.T) {
-	b := NewCSRBuilder[ID](2)
-	b.Append(0, 3)
-	b.Append(0, 1)
-	b.Append(0, 3)
-	c := b.Build()
+	c := assemble(2, func(emit func(int, ID)) {
+		emit(0, 3)
+		emit(0, 1)
+		emit(0, 3)
+	})
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -102,6 +114,58 @@ func TestCSRDuplicateEdges(t *testing.T) {
 			t.Fatalf("row 0 = %v, want %v (insertion order, duplicates kept)", got, want)
 		}
 	}
+}
+
+// TestCSRRowsDiscoveredWhileCounting: ingress learns of replica rows only as
+// it walks the edges, so rows past the initial count appear mid-count, out of
+// order and interleaved; rows named only by Grow, or skipped over by a later
+// row, exist and are empty.
+func TestCSRRowsDiscoveredWhileCounting(t *testing.T) {
+	var a CSRAssembler[string]
+	emissions := []struct {
+		row  int
+		item string
+	}{{0, "a"}, {3, "b"}, {0, "c"}, {5, "d"}, {3, "e"}, {1, "f"}, {3, "g"}}
+	for _, e := range emissions {
+		a.Add(e.row, e.item)
+	}
+	a.Grow(8) // rows 6 and 7: never added to
+	a.Grow(2) // never shrinks
+	a.Fill()
+	for _, e := range emissions {
+		a.Add(e.row, e.item)
+	}
+	c := a.Build()
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{{"a", "c"}, {"f"}, {}, {"b", "e", "g"}, {}, {"d"}, {}, {}}
+	if c.NumRows() != len(want) || c.NumItems() != len(emissions) {
+		t.Fatalf("rows=%d items=%d, want %d/%d", c.NumRows(), c.NumItems(), len(want), len(emissions))
+	}
+	for r, w := range want {
+		if got := c.Row(r); len(got) != len(w) || (len(w) > 0 && !reflect.DeepEqual(got, w)) {
+			t.Fatalf("row %d = %v, want %v", r, got, w)
+		}
+	}
+}
+
+// TestCSRAssemblerRejectsUnequalPasses: a second run that does not replay the
+// first is a caller bug Build must not turn into a silently wrong CSR.
+func TestCSRAssemblerRejectsUnequalPasses(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Build accepted a row that was counted twice and stored once")
+		}
+	}()
+	var a CSRAssembler[int32]
+	a.Add(0, 1)
+	a.Add(0, 1)
+	a.Add(1, 2)
+	a.Fill()
+	a.Add(0, 1)
+	a.Add(1, 2)
+	a.Build()
 }
 
 // TestCSROrderMatchesAdjacency is the determinism property test: for a
@@ -131,16 +195,20 @@ func TestCSROrderMatchesAdjacency(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	outs := NewCSRBuilder[ID](n)
-	ws := NewCSRBuilder[float64](n)
-	for v := ID(0); v < ID(n); v++ {
-		ns, wts := g.OutNeighbors(v), g.OutWeights(v)
-		for i := range ns {
-			outs.Append(int(v), ns[i])
-			ws.Append(int(v), wts[i])
+	co := assemble(n, func(emit func(int, ID)) {
+		for v := ID(0); v < ID(n); v++ {
+			for _, u := range g.OutNeighbors(v) {
+				emit(int(v), u)
+			}
 		}
-	}
-	co, cw := outs.Build(), ws.Build()
+	})
+	cw := assemble(n, func(emit func(int, float64)) {
+		for v := ID(0); v < ID(n); v++ {
+			for _, w := range g.OutWeights(v) {
+				emit(int(v), w)
+			}
+		}
+	})
 	if err := co.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -164,13 +232,13 @@ func TestCSROrderMatchesAdjacency(t *testing.T) {
 // The CI perf gate asserts 0 allocs/op: traversal must never allocate.
 func BenchmarkCSRTraversal(b *testing.B) {
 	const n, deg = 4096, 16
-	cb := NewCSRBuilder[int32](n)
-	for v := 0; v < n; v++ {
-		for i := 0; i < deg; i++ {
-			cb.Append(v, int32((v*deg+i*2654435761)%n))
+	c := assemble(n, func(emit func(int, int32)) {
+		for v := 0; v < n; v++ {
+			for i := 0; i < deg; i++ {
+				emit(v, int32((v*deg+i*2654435761)%n))
+			}
 		}
-	}
-	c := cb.Build()
+	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sum int64
@@ -189,13 +257,13 @@ func BenchmarkCSRTraversal(b *testing.B) {
 // TestCSRTraversalAllocs enforces the benchmark's invariant in the plain
 // test run: row iteration performs zero allocations.
 func TestCSRTraversalAllocs(t *testing.T) {
-	cb := NewCSRBuilder[int32](64)
-	for v := 0; v < 64; v++ {
-		for i := 0; i < 4; i++ {
-			cb.Append(v, int32(v+i))
+	c := assemble(64, func(emit func(int, int32)) {
+		for v := 0; v < 64; v++ {
+			for i := 0; i < 4; i++ {
+				emit(v, int32(v+i))
+			}
 		}
-	}
-	c := cb.Build()
+	})
 	var sum int64
 	allocs := testing.AllocsPerRun(100, func() {
 		for v := 0; v < 64; v++ {

@@ -92,6 +92,51 @@ func TestBuilderDedup(t *testing.T) {
 	}
 }
 
+// TestBuildKeepsInputOrderAmongParallelEdges: Build sorts by (src, dst) with
+// stable passes, so edges that tie keep the order they were added in — in
+// both adjacency directions — Dedup's survivor is the first one added, and
+// the builder's own edge list is left as the caller wrote it.
+func TestBuildKeepsInputOrderAmongParallelEdges(t *testing.T) {
+	const n, m = 7, 600 // ~12 parallel edges per (src, dst) pair
+	rng := rand.New(rand.NewSource(11))
+	b := NewBuilder(n)
+	added := make([]Edge, m)
+	for i := range added {
+		added[i] = Edge{Src: ID(rng.Intn(n)), Dst: ID(rng.Intn(n)), Weight: float64(i)}
+		b.AddWeightedEdge(added[i].Src, added[i].Dst, added[i].Weight)
+	}
+	g := b.MustBuild()
+	if !reflect.DeepEqual(b.edges, added) {
+		t.Fatal("Build reordered the builder's edges")
+	}
+	for v := ID(0); v < n; v++ {
+		for _, dir := range []struct {
+			ns []ID
+			ws []float64
+		}{{g.OutNeighbors(v), g.OutWeights(v)}, {g.InNeighbors(v), g.InWeights(v)}} {
+			for i := 1; i < len(dir.ns); i++ {
+				if dir.ns[i-1] > dir.ns[i] || (dir.ns[i-1] == dir.ns[i] && dir.ws[i-1] > dir.ws[i]) {
+					t.Fatalf("vertex %d: neighbours %v weights %v: want ascending ids, ties in input order",
+						v, dir.ns, dir.ws)
+				}
+			}
+		}
+	}
+	first := map[[2]ID]float64{}
+	for i := m - 1; i >= 0; i-- {
+		first[[2]ID{added[i].Src, added[i].Dst}] = added[i].Weight
+	}
+	d := b.Dedup().MustBuild()
+	if d.NumEdges() != len(first) {
+		t.Fatalf("Dedup kept %d edges of %d distinct pairs", d.NumEdges(), len(first))
+	}
+	for _, e := range d.Edges() {
+		if want := first[[2]ID{e.Src, e.Dst}]; e.Weight != want {
+			t.Fatalf("Dedup kept %d→%d weight %g, the first added was %g", e.Src, e.Dst, e.Weight, want)
+		}
+	}
+}
+
 func TestBuilderNoSelfLoops(t *testing.T) {
 	b := NewBuilder(2).NoSelfLoops()
 	b.AddEdge(0, 0)

@@ -2,10 +2,26 @@ package graph
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
+
+func writeTemp(t *testing.T, content string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "g.txt")
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
 
 func TestLoadBasic(t *testing.T) {
 	input := `# a comment
@@ -61,6 +77,241 @@ func TestLoadErrors(t *testing.T) {
 	}
 }
 
+// loadCases are the inputs on which the two loaders this package used to
+// have disagreed, plus the lexical corners of the format. errLine > 0 wants a
+// *SyntaxError naming that line of the input; otherwise the text must load to
+// exactly the listed edges, given in the file's own ids. They double as
+// FuzzLoad's seed corpus.
+var loadCases = []struct {
+	name    string
+	in      string
+	n       int
+	edges   []rawEdge
+	errLine int
+}{
+	{name: "sparse ids are interned, not used as indices", in: "100 200\n200 300",
+		n: 3, edges: []rawEdge{{100, 200, 1}, {200, 300, 1}}},
+	{name: "ids past 32 bits are interned", in: "4294967296 1\n1 9223372036854775807\n",
+		n: 3, edges: []rawEdge{{4294967296, 1, 1}, {1, 9223372036854775807, 1}}},
+	{name: "dense ids out of first-appearance order are relabelled", in: "0 2\n1 2\n",
+		n: 3, edges: []rawEdge{{0, 2, 1}, {1, 2, 1}}},
+	{name: "CRLF, tabs, blanks, comments", in: "# c\r\n\r\n \t# indented comment\n0\t1\r\n  1   2\t0.5  \r\n",
+		n: 3, edges: []rawEdge{{0, 1, 1}, {1, 2, 0.5}}},
+	{name: "last line without newline", in: "0 1\n1 0 2", n: 2, edges: []rawEdge{{0, 1, 1}, {1, 0, 2}}},
+	{name: "weights ParseFloat accepts", in: "0 1 -2.5e-3\n1 0 +Inf\n",
+		n: 2, edges: []rawEdge{{0, 1, -2.5e-3}, {1, 0, math.Inf(1)}}},
+	{name: "leading zeros", in: "007 0000000000000000000000001\n", n: 2, edges: []rawEdge{{7, 1, 1}}},
+	{name: "a line longer than a 1 MiB scanner buffer", in: "# " + strings.Repeat("x", 1<<20+1) + "\n3 4\n",
+		n: 2, edges: []rawEdge{{3, 4, 1}}},
+	{name: "empty", in: "", n: 0},
+	{name: "only comments", in: "# nothing\n\n", n: 0},
+
+	{name: "signed id", in: "0 1\n+1 2\n", errLine: 2},
+	{name: "negative id", in: "# h\n\n-1 2\n", errLine: 3},
+	{name: "hex id", in: "0 1\n1 2\n2 3\n0x1 2\n", errLine: 4},
+	{name: "id past int64", in: "9223372036854775808 1\n", errLine: 1},
+	{name: "one field", in: "0 1\n\n7\n", errLine: 3},
+	{name: "four fields", in: "0 1 2 3\n", errLine: 1},
+	{name: "bad weight", in: "0 1\n0 1 heavy\n", errLine: 2},
+	{name: "id glued to junk", in: "0 1\n1 2x\n", errLine: 2},
+	{name: "first bad line wins", in: "0 1\nbad\nworse\n", errLine: 2},
+}
+
+func TestLoadCases(t *testing.T) {
+	for _, tc := range loadCases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Every chunk count must agree, errors and their absolute line
+			// numbers included.
+			for k := 1; k <= 5; k++ {
+				g, remap, err := loadText([]byte(tc.in), k)
+				if tc.errLine > 0 {
+					var se *SyntaxError
+					if !errors.As(err, &se) || se.Line != tc.errLine {
+						t.Fatalf("k=%d: err = %v, want a SyntaxError at line %d", k, err, tc.errLine)
+					}
+					if want := fmt.Sprintf("line %d:", tc.errLine); !strings.Contains(err.Error(), want) {
+						t.Fatalf("k=%d: %q does not name %q", k, err, want)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("k=%d: %v", k, err)
+				}
+				if g.NumVertices() != tc.n || g.NumEdges() != len(tc.edges) {
+					t.Fatalf("k=%d: |V|=%d |E|=%d, want %d/%d", k, g.NumVertices(), g.NumEdges(), tc.n, len(tc.edges))
+				}
+				label := func(raw int64) ID {
+					if remap == nil {
+						return ID(raw)
+					}
+					id, ok := remap[raw]
+					if !ok {
+						t.Fatalf("k=%d: id %v missing from the mapping %v", k, raw, remap)
+					}
+					return id
+				}
+				want := NewBuilder(tc.n)
+				for _, e := range tc.edges {
+					want.AddWeightedEdge(label(e.src), label(e.dst), e.weight)
+				}
+				if !reflect.DeepEqual(g, want.MustBuild()) {
+					t.Fatalf("k=%d: loaded %v, want %v", k, g.Edges(), want.MustBuild().Edges())
+				}
+			}
+		})
+	}
+}
+
+// TestLoadLabelsByFirstAppearance pins the labelling policy bench/ relies on:
+// vertices are numbered in order of first appearance whatever the file calls
+// them, so dense ids are relabelled too unless they already appear in order,
+// and the mapping is nil exactly when the labelling is the identity.
+func TestLoadLabelsByFirstAppearance(t *testing.T) {
+	g, remap, err := Load(strings.NewReader("0 2\n1 2\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (map[int64]ID{0: 0, 2: 1, 1: 2}); !reflect.DeepEqual(remap, want) {
+		t.Fatalf("mapping %v, want %v", remap, want)
+	}
+	if want := []Edge{{0, 1, 1}, {2, 1, 1}}; !reflect.DeepEqual(g.Edges(), want) {
+		t.Fatalf("edges %v, want %v", g.Edges(), want)
+	}
+	// Any relabelling of the same text loads to the same graph.
+	h, _, err := Load(strings.NewReader("70 5\n31 5\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(g, h) {
+		t.Fatalf("relabelled text loaded %v, want %v", h.Edges(), g.Edges())
+	}
+	if _, remap, _ = Load(strings.NewReader("0 1\n2 1\n")); remap != nil {
+		t.Fatalf("ids in first-appearance order returned mapping %v, want nil", remap)
+	}
+}
+
+// randomEdgeList draws an edge list over sparse 40-bit ids with comments,
+// blank lines, weights and CRLFs mixed in, and returns it with its edges.
+func randomEdgeList(rng *rand.Rand) (string, [][3]int64) {
+	ids := make([]int64, rng.Intn(60)+1)
+	for i := range ids {
+		ids[i] = rng.Int63n(1 << 40)
+	}
+	var sb strings.Builder
+	var edges [][3]int64
+	for i, m := 0, rng.Intn(400); i < m; i++ {
+		switch rng.Intn(8) {
+		case 0:
+			sb.WriteString("# comment\n")
+		case 1:
+			sb.WriteString("\n")
+		default:
+			e := [3]int64{ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))], 1}
+			if rng.Intn(3) == 0 {
+				e[2] = int64(rng.Intn(9) + 2)
+				fmt.Fprintf(&sb, "%d\t%d %d\r\n", e[0], e[1], e[2])
+			} else {
+				fmt.Fprintf(&sb, "%d %d\n", e[0], e[1])
+			}
+			edges = append(edges, e)
+		}
+	}
+	return sb.String(), edges
+}
+
+// TestLoadFileParallelMatchesSequential is the chunk-invariance property: on
+// random edge lists, parsing in k = 1…16 concurrent chunks gives the same
+// graph and the same mapping as the single sequential pass, and that graph
+// is the one the edges describe.
+func TestLoadFileParallelMatchesSequential(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		text, edges := randomEdgeList(rand.New(rand.NewSource(seed)))
+		seq, seqMap, err := loadText([]byte(text), 1)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		want := NewBuilder(len(seqMap))
+		for _, e := range edges {
+			want.AddWeightedEdge(seqMap[e[0]], seqMap[e[1]], float64(e[2]))
+		}
+		if !reflect.DeepEqual(seq, want.MustBuild()) {
+			t.Fatalf("seed %d: sequential load differs from the edges written", seed)
+		}
+		for k := 2; k <= 16; k++ {
+			par, parMap, err := loadText([]byte(text), k)
+			if err != nil {
+				t.Fatalf("seed %d k=%d: %v", seed, k, err)
+			}
+			if !reflect.DeepEqual(par, seq) || !reflect.DeepEqual(parMap, seqMap) {
+				t.Fatalf("seed %d: %d chunks load a different graph or mapping than 1", seed, k)
+			}
+		}
+	}
+}
+
+func TestLoadFileParallelBasic(t *testing.T) {
+	g, _, err := loadText([]byte("# header\n0 1\n1 2 2.5\n2 0\n\n3 1\n"), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumVertices() != 4 || g.NumEdges() != 4 {
+		t.Fatalf("|V|=%d |E|=%d", g.NumVertices(), g.NumEdges())
+	}
+	if !g.HasEdge(1, 2) || g.OutWeights(1)[0] != 2.5 {
+		t.Fatal("weighted edge lost")
+	}
+}
+
+func TestLoadFileParallelEmptyAndMissing(t *testing.T) {
+	g, _, err := LoadFile(writeTemp(t, ""))
+	if err != nil || g.NumVertices() != 0 {
+		t.Fatalf("empty file: %v %v", g, err)
+	}
+	if g, _, err = loadText(nil, 4); err != nil || g.NumVertices() != 0 {
+		t.Fatalf("empty text in 4 chunks: %v %v", g, err)
+	}
+	if _, _, err := LoadFile(filepath.Join(t.TempDir(), "nope")); err == nil {
+		t.Fatal("missing file must error")
+	}
+}
+
+// TestLoadFileParallelBadInput: a bad line is reported under its line number
+// in the file, not in the chunk that lexed it.
+func TestLoadFileParallelBadInput(t *testing.T) {
+	for _, bad := range []string{"0", "a b", "0 1 x", "1 2 3 4"} {
+		text := strings.Repeat("0 1\n", 9) + bad + "\n" + strings.Repeat("1 0\n", 3)
+		for k := 1; k <= 6; k++ {
+			_, _, err := loadText([]byte(text), k)
+			var se *SyntaxError
+			if !errors.As(err, &se) || se.Line != 10 {
+				t.Errorf("input %q in %d chunks: err = %v, want a SyntaxError at line 10", bad, k, err)
+			}
+		}
+	}
+}
+
+func TestLoadFileParallelMoreWorkersThanLines(t *testing.T) {
+	g, _, err := loadText([]byte("0 1\n"), 16)
+	if err != nil || g.NumEdges() != 1 {
+		t.Fatalf("tiny file: %v %v", g, err)
+	}
+}
+
+// TestChunksFor: the chunk count is derived, never more than the Ps the
+// process has and never a chunk under 1 MiB — so bench/'s one P, and
+// every input under 1 MiB, parse on the calling goroutine.
+func TestChunksFor(t *testing.T) {
+	if got := chunksFor(0); got != 1 {
+		t.Fatalf("chunksFor(0) = %d, want 1", got)
+	}
+	if got := chunksFor(1<<20 - 1); got != 1 {
+		t.Fatalf("chunksFor(just under a chunk) = %d, want 1", got)
+	}
+	if got, max := chunksFor(1<<40), runtime.GOMAXPROCS(0); got != max {
+		t.Fatalf("chunksFor(1 TiB) = %d, want GOMAXPROCS = %d", got, max)
+	}
+}
+
 func TestWriteLoadRoundTrip(t *testing.T) {
 	g := mustGraph(t, 4, []Edge{{0, 1, 1}, {1, 2, 3.5}, {3, 0, 1}, {2, 2, 0.25}})
 	var buf bytes.Buffer
@@ -102,4 +353,32 @@ func TestLoadFileMissing(t *testing.T) {
 	if _, _, err := LoadFile(filepath.Join(t.TempDir(), "absent.txt")); err == nil {
 		t.Fatal("loading a missing file must fail")
 	}
+}
+
+// FuzzLoad: whatever the bytes, Load never panics, cannot create a vertex no
+// line names (|V| ≤ 2 × lines, however large the ids), and gives the same
+// answer — graph, mapping or error — for every chunk count.
+func FuzzLoad(f *testing.F) {
+	for _, tc := range loadCases {
+		if len(tc.in) < 1<<16 {
+			f.Add([]byte(tc.in))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, remap, err := loadText(data, 1)
+		if err == nil {
+			if lines := bytes.Count(data, []byte{'\n'}) + 1; g.NumVertices() > 2*lines {
+				t.Fatalf("%d vertices from %d lines", g.NumVertices(), lines)
+			}
+			if verr := g.Validate(); verr != nil {
+				t.Fatal(verr)
+			}
+		}
+		for _, k := range []int{2, 3, 7} {
+			gk, remapK, errK := loadText(data, k)
+			if !reflect.DeepEqual(err, errK) || !reflect.DeepEqual(g, gk) || !reflect.DeepEqual(remap, remapK) {
+				t.Fatalf("%d chunks: (%v, %v, %v), one chunk: (%v, %v, %v)", k, gk, remapK, errK, g, remap, err)
+			}
+		}
+	})
 }

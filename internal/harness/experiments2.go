@@ -138,7 +138,7 @@ func Fig13Ingress(o Options, w io.Writer) error {
 	t := newTable("dataset", "LD-ms", "H-REP/INIT-ms", "C-REP/INIT-ms", "H-TOT", "C-TOT")
 	for _, name := range gen.Names() {
 		ldStart := time.Now()
-		g, meta, err := dataset(o, name)
+		g, _, err := dataset(o, name)
 		if err != nil {
 			return err
 		}
@@ -146,12 +146,10 @@ func Fig13Ingress(o Options, w io.Writer) error {
 
 		// Hama ingress = partition + value init (no replicas).
 		hStart := time.Now()
-		he, err := bsp.New[float64, float64](g, algorithms.PageRankBSP{},
-			bsp.Config[float64, float64]{Cluster: o.flat()})
-		if err != nil {
+		if _, err := bsp.New[float64, float64](g, algorithms.PageRankBSP{},
+			bsp.Config[float64, float64]{Cluster: o.flat()}); err != nil {
 			return err
 		}
-		_ = he
 		hInit := time.Since(hStart)
 
 		// Cyclops ingress = partition + replica creation + init.
@@ -163,7 +161,6 @@ func Fig13Ingress(o Options, w io.Writer) error {
 		}
 		cTot := time.Since(cStart)
 		ing := ce.Ingress()
-		_ = meta
 
 		t.addf("%s|%.0f|0/%.0f|%.0f/%.0f|%.0f|%.0f", name,
 			ms(ld), ms(hInit),

@@ -139,17 +139,6 @@ func Lookup(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// RunAll executes every experiment in order.
-func RunAll(o Options, w io.Writer) error {
-	for _, e := range Experiments() {
-		fmt.Fprintf(w, "\n================ %s — %s ================\n", e.ID, e.Title)
-		if err := e.Run(o, w); err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-	}
-	return nil
-}
-
 // dataset builds a scaled dataset or fails loudly.
 func dataset(o Options, name string) (*graph.Graph, gen.Meta, error) {
 	return gen.Dataset(name, o.Scale, o.Seed)

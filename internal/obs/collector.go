@@ -7,7 +7,6 @@ import (
 
 	"cyclops/internal/metrics"
 	"cyclops/internal/obs/span"
-	"cyclops/internal/transport"
 )
 
 // Metric names exported by the Collector. The DESIGN.md observability
@@ -24,16 +23,6 @@ const (
 	MetricReplication = "cyclops_replication_factor"
 	MetricRuns        = "cyclops_runs_total"
 	MetricRunsDone    = "cyclops_runs_completed_total"
-
-	MetricTransportMessages   = "cyclops_transport_messages_total"
-	MetricTransportBatches    = "cyclops_transport_batches_total"
-	MetricTransportBytes      = "cyclops_transport_bytes_total"
-	MetricTransportWireBytes  = "cyclops_transport_wire_bytes_total"
-	MetricTransportEncodes    = "cyclops_transport_encodes_total"
-	MetricTransportDecodes    = "cyclops_transport_decodes_total"
-	MetricTransportLocked     = "cyclops_transport_locked_enqueues_total"
-	MetricTransportRetries    = "cyclops_transport_retries_total"
-	MetricTransportReconnects = "cyclops_transport_reconnects_total"
 
 	// Fault-tolerance series (§3.6 recovery).
 	MetricRecoveries         = "cyclops_recoveries_total"
@@ -115,40 +104,6 @@ func NewCollector(reg *Registry) *Collector {
 
 // Registry returns the registry the collector writes into.
 func (c *Collector) Registry() *Registry { return c.reg }
-
-// WatchTransport registers scrape-time counters over a transport snapshot
-// source (typically Engine.TransportStats). Call once per engine; repeated
-// calls rebind the source to the newest engine.
-func (c *Collector) WatchTransport(fn func() transport.Snapshot) {
-	c.reg.CounterFunc(MetricTransportMessages,
-		"Messages through the transport layer.",
-		func() float64 { return float64(fn().Messages) })
-	c.reg.CounterFunc(MetricTransportBatches,
-		"Batches through the transport layer.",
-		func() float64 { return float64(fn().Batches) })
-	c.reg.CounterFunc(MetricTransportBytes,
-		"Estimated payload bytes through the transport layer (Table 4).",
-		func() float64 { return float64(fn().Bytes) })
-	c.reg.CounterFunc(MetricTransportWireBytes,
-		"Binary-frame wire bytes through the transport layer (29-byte header "+
-			"plus encoded messages per batch; priced in-process, written over TCP).",
-		func() float64 { return float64(fn().WireBytes) })
-	c.reg.CounterFunc(MetricTransportEncodes,
-		"Frame encode operations performed by the transport layer.",
-		func() float64 { return float64(fn().Encodes) })
-	c.reg.CounterFunc(MetricTransportDecodes,
-		"Frame decode operations performed by the transport layer.",
-		func() float64 { return float64(fn().Decodes) })
-	c.reg.CounterFunc(MetricTransportLocked,
-		"Enqueues that serialised on a shared lock (zero for per-sender queues).",
-		func() float64 { return float64(fn().LockedEnqueues) })
-	c.reg.CounterFunc(MetricTransportRetries,
-		"Send attempts repeated after a transient transport failure.",
-		func() float64 { return float64(fn().Retries) })
-	c.reg.CounterFunc(MetricTransportReconnects,
-		"Connections re-established after a transport failure.",
-		func() float64 { return float64(fn().Reconnects) })
-}
 
 // OnRunStart implements Hooks: the per-run gauges restart here.
 func (c *Collector) OnRunStart(info RunInfo) {

@@ -152,15 +152,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	f.fmu.Unlock()
 }
 
-// CounterFunc registers a counter evaluated at scrape time (for sources that
-// already keep their own monotonic counters, like transport.Stats).
-func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	f := r.family(name, help, "counter")
-	f.fmu.Lock()
-	f.fns[""] = fn
-	f.fmu.Unlock()
-}
-
 // histogram is a cumulative Prometheus histogram.
 type histogram struct {
 	mu     sync.Mutex

@@ -83,7 +83,6 @@ func TestServerLiveDuringRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	collector.WatchTransport(e.TransportStats)
 
 	done := make(chan error, 1)
 	go func() {
@@ -120,7 +119,6 @@ func TestServerLiveDuringRun(t *testing.T) {
 			obs.MetricMessages,
 			obs.MetricPhase + `_bucket{phase="CMP"`,
 			obs.MetricReplication,
-			obs.MetricTransportMessages,
 			obs.MetricWorkerEgress + `{worker="0"}`,
 			obs.MetricWorkerIngress + `{worker="3"}`,
 			obs.MetricWorkers + " 4",

@@ -31,7 +31,8 @@ func NewLayout(a *Assignment, n int) (*Layout, error) {
 	if len(a.Of) != n {
 		return nil, fmt.Errorf("partition: layout: assignment covers %d of %d vertices", len(a.Of), n)
 	}
-	b := graph.NewCSRBuilder[graph.ID](a.K)
+	var masters graph.CSRAssembler[graph.ID]
+	masters.Grow(a.K)
 	slot := make([]int32, n)
 	counts := make([]int32, a.K)
 	for v, p := range a.Of {
@@ -40,9 +41,13 @@ func NewLayout(a *Assignment, n int) (*Layout, error) {
 		}
 		slot[v] = counts[p]
 		counts[p]++
-		b.Append(p, graph.ID(v))
+		masters.Add(p, graph.ID(v))
 	}
-	return &Layout{K: a.K, Slot: slot, masters: b.Build()}, nil
+	masters.Fill()
+	for v, p := range a.Of {
+		masters.Add(p, graph.ID(v))
+	}
+	return &Layout{K: a.K, Slot: slot, masters: masters.Build()}, nil
 }
 
 // Masters returns partition p's master vertex ids in ascending order. The

@@ -14,7 +14,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -539,15 +538,4 @@ func frel(r float64) string {
 	default:
 		return fmt.Sprintf("%+.2f%%", r*100)
 	}
-}
-
-// SortEntries orders entries canonically (experiment, engine, run order kept
-// within pairs is the caller's job — this is for stable baseline files).
-func SortEntries(b *Baseline) {
-	sort.SliceStable(b.Entries, func(i, j int) bool {
-		if b.Entries[i].Experiment != b.Entries[j].Experiment {
-			return b.Entries[i].Experiment < b.Entries[j].Experiment
-		}
-		return false // keep run order within an experiment
-	})
 }

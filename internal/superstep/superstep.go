@@ -34,6 +34,10 @@ type Injector interface {
 	Heal()
 }
 
+// maxRecoveries bounds recovery attempts per run; a fault beyond the budget
+// fails the run with the underlying transport error.
+const maxRecoveries = 3
+
 // Config is what an engine knows about a run before its first superstep.
 type Config struct {
 	Name              string // prefixes the run's errors: "bsp", "cyclops", "gas"
@@ -49,7 +53,6 @@ type Config struct {
 	RunSeq          *int64
 	MaxSupersteps   int
 	CheckpointEvery int
-	MaxRecoveries   int                // recovery attempts per run; default 3
 	Info            func() obs.RunInfo // for OnRunStart; only called with Hooks set
 	Owner           func(v int) int    // vertex → its master's worker (hot-set rows)
 }
@@ -226,10 +229,7 @@ func (k *Kernel) begin() {
 // OnSuperstepStart and OnSuperstep there is no exit, so the pair cannot break.
 func (k *Kernel) loop(ps PhaseSet) (reason string, err error) {
 	cfg, h, step := &k.cfg, k.cfg.Hooks, k.cfg.Step
-	maxRecoveries, recoveries := cfg.MaxRecoveries, 0
-	if cfg.MaxRecoveries <= 0 {
-		maxRecoveries = 3
-	}
+	recoveries := 0
 	for *step < cfg.MaxSupersteps {
 		if cfg.Injector != nil {
 			cfg.Injector.BeginStep(*step)

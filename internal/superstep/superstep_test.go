@@ -279,33 +279,25 @@ func TestTransientFaultHealsRestoresAndReplays(t *testing.T) {
 }
 
 func TestRecoveryBudgetExhausted(t *testing.T) {
-	for _, tc := range []struct {
-		name               string
-		configured, budget int
-	}{
-		{"default", 0, 3},
-		{"negative-means-default", -1, 3},
-		{"explicit", 1, 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			r := newRig(4, func(c *superstep.Config) { c.MaxRecoveries = tc.configured })
-			r.transientAt(1, 100) // faults on every replay
-			err := r.run()
-			var te *transport.Error
-			if !errors.As(err, &te) || !strings.HasPrefix(err.Error(), "fake: transport: ") {
-				t.Fatalf("want the wrapped transport error, got %v", err)
-			}
-			if got := r.log.count("restore"); got != tc.budget {
-				t.Fatalf("%d Recover calls, want %d", got, tc.budget)
-			}
-			if got := len(r.log.recoveries); got != tc.budget || r.log.recoveries[got-1].Attempt != tc.budget {
-				t.Fatalf("recovery events %+v, want %d", r.log.recoveries, tc.budget)
-			}
-			if r.log.index("run-end 1 "+obs.ReasonFault) != len(r.log.events)-1 || r.log.count("run-end") != 1 {
-				t.Fatalf("hook sequence:\n%s", strings.Join(r.log.events, "\n"))
-			}
-		})
-	}
+	const budget = 3 // the kernel's maxRecoveries
+	t.Run("default", func(t *testing.T) {
+		r := newRig(4, nil)
+		r.transientAt(1, 100) // faults on every replay
+		err := r.run()
+		var te *transport.Error
+		if !errors.As(err, &te) || !strings.HasPrefix(err.Error(), "fake: transport: ") {
+			t.Fatalf("want the wrapped transport error, got %v", err)
+		}
+		if got := r.log.count("restore"); got != budget {
+			t.Fatalf("%d Recover calls, want %d", got, budget)
+		}
+		if got := len(r.log.recoveries); got != budget || r.log.recoveries[got-1].Attempt != budget {
+			t.Fatalf("recovery events %+v, want %d", r.log.recoveries, budget)
+		}
+		if r.log.index("run-end 1 "+obs.ReasonFault) != len(r.log.events)-1 || r.log.count("run-end") != 1 {
+			t.Fatalf("hook sequence:\n%s", strings.Join(r.log.events, "\n"))
+		}
+	})
 }
 
 func TestUnrecoverableFaults(t *testing.T) {

@@ -114,9 +114,6 @@ func NewLocal[M any](n int, mode QueueMode, sizeOf func(M) int64, codec graph.Co
 // NumEndpoints reports the number of workers the transport connects.
 func (t *Local[M]) NumEndpoints() int { return t.n }
 
-// Mode reports the queue discipline.
-func (t *Local[M]) Mode() QueueMode { return t.mode }
-
 // Send delivers a batch from worker `from` to worker `to`. Empty batches are
 // dropped. The batch slice is owned by the transport afterwards.
 func (t *Local[M]) Send(from, to int, batch []M) {
