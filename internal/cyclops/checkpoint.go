@@ -41,7 +41,7 @@ func (e *Engine[V, M]) snapshot() State[V, M] {
 		for i, id := range ws.masters {
 			s.Values[id] = ws.values[i]
 			s.View[id] = ws.view[i]
-			s.Active[id] = ws.active[i] != 0
+			s.Active[id] = ws.frontier.Has(i)
 		}
 	}
 	return s
@@ -62,12 +62,7 @@ func (e *Engine[V, M]) Restore(s State[V, M]) error {
 		for i, id := range ws.masters {
 			ws.values[i] = s.Values[id]
 			ws.view[i] = s.View[id]
-			if s.Active[id] {
-				ws.active[i] = 1
-			} else {
-				ws.active[i] = 0
-			}
-			ws.next[i] = 0 //lint:allow atomicmix Restore runs single-threaded between supersteps; no worker goroutine is live
+			ws.frontier.Set(i, s.Active[id])
 			// Replica refresh: one unidirectional update per replica,
 			// exactly like a superstep's sync but without activation.
 			for _, ref := range ws.replicas.Row(i) {

@@ -74,7 +74,7 @@ func (c *Context[V, M]) OutDegree() int { return int(c.ws.outDeg[c.slot]) }
 
 // Publish sets the vertex's published value, visible to all neighbors next
 // superstep. If activate is true, all out-neighbors are activated — locally
-// by a lock-free flag set, remotely by the replica that receives the sync
+// by a bit in the worker's frontier, remotely by the replica that receives the sync
 // message (distributed activation, §3.4). The paper's
 // activateNeighbors(value) is Publish(value, true).
 //

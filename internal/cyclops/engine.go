@@ -146,8 +146,7 @@ type workerState[V, M any] struct {
 	inUnits    []int32               // per master: in-degree (compute units)
 	replicaIDs []graph.ID            // per replica slot (offset by numMasters): global id
 
-	active []uint32 // per master: computes this superstep (0/1)
-	next   []uint32 // per master: activated for next superstep (atomic sets)
+	frontier superstep.Frontier // over master slots: who computes now, who next
 
 	// out holds the SND phase's per-destination batches. The backing arrays
 	// are reused across supersteps ([:0] reset): the transport hands every
@@ -333,8 +332,7 @@ func (e *Engine[V, M]) buildView() error {
 		ws.values = make([]V, m)
 		ws.outDeg = make([]int32, m)
 		ws.inUnits = make([]int32, m)
-		ws.active = make([]uint32, m)
-		ws.next = make([]uint32, m) //lint:allow atomicmix construction happens before any worker goroutine starts
+		ws.frontier = superstep.NewFrontier(m)
 		ws.out = make([][]syncMsg[M], workers)
 		for i, id := range ws.masters {
 			ws.outDeg[i] = int32(e.g.OutDegree(id))
@@ -412,9 +410,7 @@ func (e *Engine[V, M]) buildView() error {
 			v, m, act := e.prog.Init(id, e.g)
 			ws.values[i] = v
 			ws.view[i] = m
-			if act {
-				ws.active[i] = 1
-			}
+			ws.frontier.Set(i, act)
 		}
 		for r, id := range ws.replicaIDs {
 			_, m, _ := e.prog.Init(id, e.g)

@@ -53,7 +53,7 @@ func (e *Engine[V, M]) Evolve(added []graph.Edge) (*Engine[V, M], error) {
 		for i, id := range ws.masters {
 			values[id] = ws.values[i]
 			views[id] = ws.view[i]
-			active[id] = ws.active[i] != 0
+			active[id] = ws.frontier.Has(i)
 		}
 	}
 	for _, ws := range next.ws {
@@ -64,7 +64,7 @@ func (e *Engine[V, M]) Evolve(added []graph.Edge) (*Engine[V, M], error) {
 			ws.values[i] = values[id]
 			ws.view[i] = views[id]
 			if active[id] {
-				ws.active[i] = 1
+				ws.frontier.Set(i, true)
 			}
 			// Refresh this master's replicas with the carried-over view —
 			// the same unidirectional sync a checkpoint restore performs.
@@ -88,5 +88,5 @@ func (e *Engine[V, M]) Evolve(added []graph.Edge) (*Engine[V, M], error) {
 
 // activateMaster sets the activation flag of id's master slot.
 func (e *Engine[V, M]) activateMaster(id graph.ID) {
-	e.ws[e.assign.Of[id]].active[e.layout.Slot[id]] = 1
+	e.ws[e.assign.Of[id]].frontier.Set(int(e.layout.Slot[id]), true)
 }

@@ -77,6 +77,44 @@ func TestEvolveShortcutsUpdateDistances(t *testing.T) {
 	}
 }
 
+// TestEvolveActivatesEndpointsAcrossFrontierWords adds two shortcuts whose four
+// endpoints sit in four different 64-slot words of their workers' frontiers
+// (600 vertices over 3 hash-partitioned workers: 200 master slots each).
+func TestEvolveActivatesEndpointsAcrossFrontierWords(t *testing.T) {
+	const n = 600
+	g := pathGraph(n)
+	e := runSSSP(t, g)
+	added := []graph.Edge{{Src: 0, Dst: 399, Weight: 2}, {Src: 210, Dst: 597, Weight: 3}}
+	slots := map[int32]bool{}
+	for _, edge := range added {
+		slots[e.layout.Slot[edge.Src]>>6] = true
+		slots[e.layout.Slot[edge.Dst]>>6] = true
+	}
+	if len(slots) != 4 {
+		t.Fatalf("endpoints fall in %d frontier words, want 4", len(slots))
+	}
+	next, err := e.Evolve(added)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, edge := range added {
+		for _, id := range []graph.ID{edge.Src, edge.Dst} {
+			if !next.ws[next.assign.Of[id]].frontier.Has(int(next.layout.Slot[id])) {
+				t.Fatalf("endpoint %d not activated by Evolve", id)
+			}
+		}
+	}
+	if _, err := next.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := evolveSSSPRef(append(g.Edges(), added...), n, 0)
+	for v, got := range next.Values() {
+		if got != want[v] {
+			t.Fatalf("dist[%d] = %g, want %g", v, got, want[v])
+		}
+	}
+}
+
 func TestEvolveAddsNewVertices(t *testing.T) {
 	g := pathGraph(5)
 	e := runSSSP(t, g)

@@ -13,6 +13,7 @@ package cyclops_test
 // internal/superstep's TestHookSequenceOnRealRuns.
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -138,6 +139,43 @@ func BenchmarkObserverOverhead(b *testing.B) {
 		if err := recorder.Err(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSparseSuperstep prices a superstep that has almost nothing to do:
+// SSSP along a weighted path, one active vertex per superstep, at two sizes
+// 32× apart. The ns/superstep it reports is the per-superstep fixed cost, and
+// it must not grow with |V| the way a dense activity scan does.
+func BenchmarkSparseSuperstep(b *testing.B) {
+	const steps = 256
+	for _, lg := range []int{15, 20} {
+		b.Run(fmt.Sprintf("V=2^%d", lg), func(b *testing.B) {
+			n := 1 << lg
+			gb := graph.NewBuilder(n)
+			for v := 0; v+1 < n; v++ {
+				gb.AddWeightedEdge(graph.ID(v), graph.ID(v+1), float64(1+v%7))
+			}
+			e, err := cyclops.New[float64, float64](gb.MustBuild(), algorithms.SSSPCyclops{Source: 0},
+				cyclops.Config[float64, float64]{Cluster: cluster.Flat(2, 1), Partitioner: partition.Range{},
+					MaxSupersteps: steps})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.Close()
+			start := e.Snapshot()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := e.Restore(start); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := e.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/superstep")
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package cyclops
 
 import (
 	"fmt"
-	"sync/atomic"
 	"unsafe"
 
 	"cyclops/internal/aggregate"
@@ -90,8 +89,8 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 	var nextActive int64
 
 	// CMP: active masters compute over the immutable view, striped across T
-	// threads per worker. Threads stride disjoint slots, so every per-slot
-	// write below (pend, heat) has exactly one writer.
+	// threads per worker. Thread t visits the frontier's slots ≡ t (mod T), so
+	// every per-slot write below (pend, heat) has exactly one writer.
 	stripes := make([]func(t int), workers)
 	for w := range stripes {
 		ws := e.ws[w]
@@ -99,26 +98,25 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 			ctx := ctxs[w][t]
 			clear(ctx.local)
 			var units, computed int64
-			for s := t; s < ws.numMasters(); s += threads {
-				if ws.active[s] == 0 {
-					continue
-				}
+			heat, vals, flags := k.HeatUnits, pend[w].val, pend[w].flags
+			c := ws.frontier.Stripe(t, threads)
+			for s := c.Next(); s >= 0; s = c.Next() {
 				ctx.setSlot(s)
 				ctx.published = false
 				ctx.pubActivate = false
 				e.prog.Compute(ctx)
 				computed++
 				units += int64(ws.inUnits[s])
-				if k.HeatUnits != nil {
-					k.HeatUnits[ws.masters[s]] += int64(ws.inUnits[s])
+				if heat != nil {
+					heat[ws.masters[s]] += int64(ws.inUnits[s])
 				}
 				if ctx.published {
-					pend[w].val[s] = ctx.pubVal
+					vals[s] = ctx.pubVal
 					f := uint8(flagPublish)
 					if ctx.pubActivate {
 						f |= flagActivate
 					}
-					pend[w].flags[s] = f
+					flags[s] = f
 				}
 			}
 			partials[w][t] = ctx.local
@@ -134,10 +132,11 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		}
 	}
 
-	// SND: apply publishes to the local view, perform lock-free local
-	// activation, and send one sync message per replica of each
-	// changed/activating master (§3.5). Private per-destination out-queues
-	// avoid any shared-lock contention.
+	// SND: apply publishes to the local view, activate local out-neighbors, and
+	// send one sync message per replica of each changed/activating master
+	// (§3.5). Only computed masters can have published, so CMP's worklist is
+	// SND's; worker w's send goroutine is the frontier's only writer here, and
+	// private per-destination out-queues avoid any shared-lock contention.
 	send := func(w int) {
 		ws := e.ws[w]
 		// Reuse the per-destination batch buffers: last superstep's batches
@@ -149,13 +148,15 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		}
 		residuals[w] = residuals[w][:0]
 		var sent, changedW, redundantW int64
-		for s := 0; s < ws.numMasters(); s++ {
-			f := pend[w].flags[s]
+		heat, vals, flags := k.HeatMsgs, pend[w].val, pend[w].flags
+		c := ws.frontier.Stripe(0, 1)
+		for s := c.Next(); s >= 0; s = c.Next() {
+			f := flags[s]
 			if f == 0 {
 				continue
 			}
-			pend[w].flags[s] = 0
-			val := pend[w].val[s]
+			flags[s] = 0
+			val := vals[s]
 			activate := f&flagActivate != 0
 			if e.cfg.Residual != nil {
 				residuals[w] = append(residuals[w], e.cfg.Residual(ws.view[s], val))
@@ -175,7 +176,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 			}
 			if activate {
 				for _, ls := range ws.localOut.Row(s) {
-					atomic.StoreUint32(&ws.next[ls], 1)
+					ws.frontier.Activate(int(ls))
 				}
 			}
 			// Send the view value, not the raw publish: when Equal suppressed
@@ -187,8 +188,8 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 					syncMsg[M]{Slot: ref.slot, Val: ws.view[s], Activate: activate})
 			}
 			sent += int64(len(reps))
-			if k.HeatMsgs != nil {
-				k.HeatMsgs[ws.masters[s]] += int64(len(reps))
+			if heat != nil {
+				heat[ws.masters[s]] += int64(len(reps))
 			}
 		}
 		for to := range out {
@@ -204,7 +205,8 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 
 	// RECV: replica updates, parallel across R receivers per worker. Each
 	// replica has exactly one writer per superstep, so updates are lock-free
-	// and there is no parse phase (§4.1); the time is reported as PRS.
+	// and there is no parse phase (§4.1); the time is reported as PRS. Two
+	// receivers may activate the same master, hence ActivateShared.
 	appliers := make([]func(r int), workers)
 	for w := range appliers {
 		ws := e.ws[w]
@@ -214,7 +216,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 					ws.view[m.Slot] = m.Val
 					if m.Activate {
 						for _, ls := range ws.localOut.Row(int(m.Slot)) {
-							atomic.StoreUint32(&ws.next[ls], 1)
+							ws.frontier.ActivateShared(int(ls))
 						}
 					}
 				}
@@ -252,8 +254,8 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 			}
 			return append(violations, e.auditViewConsistency()...)
 		},
-		// SYN: hierarchical or flat barrier — fold aggregates, swap
-		// activation buffers, account the superstep.
+		// SYN: hierarchical or flat barrier — fold aggregates, advance the
+		// frontiers, account the superstep.
 		Sync: func(stats *metrics.StepStats) {
 			flat = flat[:0]
 			for w := range partials {
@@ -264,17 +266,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 			nextActive = 0
 			resAll = resAll[:0]
 			for w, ws := range e.ws {
-				// The kernel's phase join is the happens-before edge: every
-				// atomic store to ws.next happened in a worker goroutine that
-				// has since exited, so the barrier may read and reset the
-				// flags plainly.
-				copy(ws.active, ws.next) //lint:allow atomicmix post-barrier, workers joined via WaitGroup
-				for s := range ws.next { //lint:allow atomicmix post-barrier, workers joined via WaitGroup
-					if ws.next[s] != 0 { //lint:allow atomicmix post-barrier, workers joined via WaitGroup
-						nextActive++
-						ws.next[s] = 0 //lint:allow atomicmix post-barrier, workers joined via WaitGroup
-					}
-				}
+				nextActive += int64(ws.frontier.Advance())
 				stats.Active += k.Active[w]
 				stats.Changed += changed[w]
 				stats.Messages += k.Sent[w]

@@ -39,7 +39,7 @@ func (e *Engine[V, G]) snapshot() State[V] {
 			lv := &ws.verts[i]
 			if lv.master {
 				s.Values[lv.id] = lv.cache
-				s.Active[lv.id] = lv.active
+				s.Active[lv.id] = ws.frontier.Has(i)
 			}
 		}
 	}
@@ -65,7 +65,7 @@ func (e *Engine[V, G]) Restore(s State[V]) error {
 			// checkpointed value.
 			lv.cache = s.Values[lv.id]
 			if lv.master {
-				lv.active = s.Active[lv.id]
+				ws.frontier.Set(i, s.Active[lv.id])
 			}
 		}
 	}

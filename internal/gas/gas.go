@@ -277,8 +277,6 @@ type localVertex[V any] struct {
 	// masterWorker/masterSlot route mirror→master messages.
 	masterWorker int32
 	masterSlot   int32
-	// active is master-side activation for the current superstep.
-	active bool
 }
 
 type mirrorRef struct {
@@ -301,17 +299,18 @@ type workerState[V, G any] struct {
 	outSlots graph.CSR[int32]
 	mirrors  graph.CSR[mirrorRef]
 
-	// Superstep scratch: epoch-stamped dense arrays replacing the per-step
-	// maps. An acc/scat entry is live iff its stamp equals the engine's
-	// current epoch; ascending-slot sweeps over the stamped entries visit
-	// exactly the slots the old sorted-map iteration did, in the same order.
+	// frontier is the worker's activity over all its slots; only master slots
+	// are ever set. Every round walks it instead of scanning the copies.
+	frontier superstep.Frontier
+
+	// Superstep scratch, dense by slot. An acc/scat entry is live iff its slot
+	// is on the frontier: gather overwrites acc and apply overwrites scat for
+	// every active master before anything reads them, so stale entries at idle
+	// slots are never seen.
 	accVal      []G
 	accHas      []bool
-	accStamp    []uint32
-	scat        []bool // activate out-neighbors in scatter?
-	scatStamp   []uint32
-	queuedStamp []uint32 // activation return already queued this epoch
-	nextActive  []bool   // master slots activated for the next superstep
+	scat        []bool   // activate out-neighbors in scatter?
+	queuedStamp []uint32 // == Engine.epoch: activation return already queued
 
 	// outA/outB are the per-destination send batches, alternating by round
 	// parity: a round's batches are still being read while the next round
@@ -332,7 +331,7 @@ type Engine[V, G any] struct {
 	mirrors     int64   // total mirror count (replication metric)
 	mirrorsPerW []int64 // mirrors hosted per worker (skew reporting)
 	step        int
-	// epoch stamps the workers' dense superstep scratch; it increments at the
+	// epoch stamps the workers' queuedStamp dedup set; it increments at the
 	// top of every superstep (including replays after recovery), so stale
 	// entries from earlier steps never read as live.
 	epoch uint32
@@ -476,11 +475,9 @@ func New[V, G any](g *graph.Graph, prog Program[V, G], cfg Config[V, G]) (*Engin
 		nv := len(ws.verts)
 		ws.accVal = make([]G, nv)
 		ws.accHas = make([]bool, nv)
-		ws.accStamp = make([]uint32, nv)
 		ws.scat = make([]bool, nv)
-		ws.scatStamp = make([]uint32, nv)
 		ws.queuedStamp = make([]uint32, nv)
-		ws.nextActive = make([]bool, nv)
+		ws.frontier = superstep.NewFrontier(nv)
 		ws.outA = make([][]gasMsg[V, G], k)
 		ws.outB = make([][]gasMsg[V, G], k)
 	}
@@ -491,7 +488,7 @@ func New[V, G any](g *graph.Graph, prog Program[V, G], cfg Config[V, G]) (*Engin
 			val, act := prog.Init(ws.verts[s].id, g)
 			ws.verts[s].cache = val
 			if ws.verts[s].master {
-				ws.verts[s].active = act
+				ws.frontier.Set(s, act)
 			} else {
 				e.mirrors++
 				e.mirrorsPerW[w]++
@@ -650,27 +647,23 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 	gatherReq := func(w int) {
 		ws := e.ws[w]
 		out := resetOut(ws.outA)
-		for s := range ws.verts {
-			lv := &ws.verts[s]
-			if !lv.master || !lv.active {
-				continue
-			}
+		c := ws.frontier.Stripe(0, 1)
+		for s := c.Next(); s >= 0; s = c.Next() {
 			mirs := ws.mirrors.Row(s)
 			for _, m := range mirs {
 				out[m.worker] = append(out[m.worker], gasMsg[V, G]{Kind: kindGatherReq, Slot: m.slot})
 			}
 			if k.HeatMsgs != nil {
-				k.HeatMsgs[lv.id] += int64(len(mirs))
+				k.HeatMsgs[ws.verts[s].id] += int64(len(mirs))
 			}
 		}
 		flush(w, out)
 	}
 
-	// Round 2 — mirrors compute partial gathers and reply; masters add their
-	// own local partials, stamping their accumulator slots live for this
-	// epoch.
+	// Round 2 — mirrors compute partial gathers and reply; masters start their
+	// accumulators from their own local partials.
 	gather := func(w int) {
-		ws, epoch := e.ws[w], e.epoch
+		ws := e.ws[w]
 		out := resetOut(ws.outB)
 		var units int64
 		gatherLocal := func(s int32) (G, bool) {
@@ -697,13 +690,9 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 					gasMsg[V, G]{Kind: kindGatherPartial, Slot: lv.masterSlot, Acc: sum, Has: has})
 			}
 		}
-		for s := range ws.verts {
-			lv := &ws.verts[s]
-			if !lv.master || !lv.active {
-				continue
-			}
+		c := ws.frontier.Stripe(0, 1)
+		for s := c.Next(); s >= 0; s = c.Next() {
 			ws.accVal[s], ws.accHas[s] = gatherLocal(int32(s))
-			ws.accStamp[s] = epoch
 		}
 		k.Units[w] += units
 		flush(w, out)
@@ -711,7 +700,7 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 
 	// Round 3 — masters fold partials, apply, and push new values to mirrors.
 	apply := func(w int) {
-		ws, epoch := e.ws[w], e.epoch
+		ws := e.ws[w]
 		residPerW[w] = residPerW[w][:0]
 		for _, batch := range inbound[w] {
 			for _, m := range batch {
@@ -724,22 +713,18 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 				if !m.Has {
 					continue
 				}
-				if ws.accStamp[m.Slot] != epoch || !ws.accHas[m.Slot] {
-					ws.accStamp[m.Slot] = epoch
-					ws.accVal[m.Slot] = m.Acc
-					ws.accHas[m.Slot] = true
+				if !ws.accHas[m.Slot] {
+					ws.accVal[m.Slot], ws.accHas[m.Slot] = m.Acc, true
 				} else {
 					ws.accVal[m.Slot] = e.prog.Sum(ws.accVal[m.Slot], m.Acc)
 				}
 			}
 		}
 		out := resetOut(ws.outA)
-		// Ascending-slot sweep over the stamped accumulators — a fixed visit
-		// order, so the per-step message series stay byte-identical.
-		for s := range ws.verts {
-			if ws.accStamp[s] != epoch {
-				continue
-			}
+		// Ascending-slot sweep over the active masters — a fixed visit order, so
+		// the per-step message series stay byte-identical.
+		c := ws.frontier.Stripe(0, 1)
+		for s := c.Next(); s >= 0; s = c.Next() {
 			lv := &ws.verts[s]
 			newVal, activate := e.prog.Apply(lv.id, lv.cache, ws.accVal[s], ws.accHas[s], e.step)
 			if e.cfg.Residual != nil {
@@ -747,7 +732,6 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 			}
 			lv.cache = newVal
 			ws.scat[s] = activate
-			ws.scatStamp[s] = epoch
 			mirs := ws.mirrors.Row(s)
 			for _, m := range mirs {
 				out[m.worker] = append(out[m.worker], gasMsg[V, G]{Kind: kindApplyPush, Slot: m.slot, Val: newVal})
@@ -766,7 +750,7 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 
 	// Round 4 — mirrors refresh caches; masters send scatter requests.
 	scatterReq := func(w int) {
-		ws, epoch := e.ws[w], e.epoch
+		ws := e.ws[w]
 		for _, batch := range inbound[w] {
 			for _, m := range batch {
 				expectKind(m.Kind, kindApplyPush, "push")
@@ -774,8 +758,9 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 			}
 		}
 		out := resetOut(ws.outB)
-		for s := range ws.verts {
-			if ws.scatStamp[s] != epoch || !ws.scat[s] {
+		c := ws.frontier.Stripe(0, 1)
+		for s := c.Next(); s >= 0; s = c.Next() {
+			if !ws.scat[s] {
 				continue
 			}
 			mirs := ws.mirrors.Row(s)
@@ -791,8 +776,8 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 
 	// Round 5 — scatter: mirrors (and masters locally) activate the local
 	// copies' out-neighbors; remote activations return to the masters of the
-	// activated vertices. ws.nextActive is only written by worker w's
-	// goroutine in this round and the next, so no locking is needed.
+	// activated vertices. Worker w's goroutine is its frontier's only writer
+	// in this round and the next, so the plain Activate is enough.
 	scatter := func(w int) {
 		ws, epoch := e.ws[w], e.epoch
 		out := resetOut(ws.outA)
@@ -803,7 +788,7 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 			for _, dst := range ws.outSlots.Row(int(s)) {
 				dlv := &ws.verts[dst]
 				if dlv.master {
-					ws.nextActive[dst] = true
+					ws.frontier.Activate(int(dst))
 				} else if ws.queuedStamp[dst] != epoch {
 					ws.queuedStamp[dst] = epoch
 					out[dlv.masterWorker] = append(out[dlv.masterWorker],
@@ -817,8 +802,9 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 				activateLocalOuts(m.Slot)
 			}
 		}
-		for s := range ws.verts {
-			if ws.scatStamp[s] == epoch && ws.scat[s] {
+		c := ws.frontier.Stripe(0, 1)
+		for s := c.Next(); s >= 0; s = c.Next() {
+			if ws.scat[s] {
 				activateLocalOuts(int32(s))
 			}
 		}
@@ -835,7 +821,7 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 					// Activation returns land at the master's worker.
 					k.HeatMsgs[ws.verts[m.Slot].id]++
 				}
-				ws.nextActive[m.Slot] = true
+				ws.frontier.Activate(int(m.Slot))
 			}
 		}
 	}
@@ -847,19 +833,12 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 		// gas decides termination before announcing a superstep: it counts
 		// the active masters at the top and stops when there are none.
 		Begin: func() bool {
-			// The epoch stamps the workers' dense superstep scratch; advancing
-			// it here covers replays after recovery too.
+			// Advancing the epoch here covers replays after recovery too.
 			e.epoch++
 			active = 0
 			for w, ws := range e.ws {
-				var n int64
-				for s := range ws.verts {
-					if ws.verts[s].master && ws.verts[s].active {
-						n++
-					}
-				}
-				k.Active[w] = n
-				active += n
+				k.Active[w] = int64(ws.frontier.Count())
+				active += k.Active[w]
 			}
 			return active > 0
 		},
@@ -873,17 +852,12 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 			// master exactly.
 			return e.auditMirrors()
 		},
-		// SYN: set next activation, clear the flags, account the superstep.
+		// SYN: advance the frontiers, account the superstep.
 		Sync: func(stats *metrics.StepStats) {
 			resAll = resAll[:0]
 			var units int64
 			for w, ws := range e.ws {
-				for s := range ws.verts {
-					if ws.verts[s].master {
-						ws.verts[s].active = ws.nextActive[s]
-					}
-					ws.nextActive[s] = false
-				}
+				ws.frontier.Advance()
 				stats.Messages += k.Sent[w]
 				units += k.Units[w]
 				resAll = append(resAll, residPerW[w]...)

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"cyclops/internal/lint/analysis"
 )
@@ -12,13 +13,13 @@ import (
 // variable whose address is ever passed to a sync/atomic function must be
 // accessed through sync/atomic everywhere. Mixed access is a data race the
 // race detector only sees on exercised interleavings — the engines'
-// lock-free activation flags (ws.next) and the transport counters are
-// exactly the places where a missed racy read silently corrupts a recorded
-// series.
+// activity frontier and the transport counters are exactly the places where
+// a missed racy read silently corrupts a recorded series.
 //
 // Composite-literal field keys are exempt (construction happens-before
-// everything), and barrier-protected plain access is annotated in source
-// with //lint:allow atomicmix <why the happens-before edge exists>.
+// everything), the phase-ordered methods named in phaseOrdered are exempt,
+// and any other barrier-protected plain access is annotated in source with
+// //lint:allow atomicmix <why the happens-before edge exists>.
 var AtomicMix = &analysis.Analyzer{
 	Name: "atomicmix",
 	Doc: "flag plain reads/writes of variables that are elsewhere accessed via sync/atomic " +
@@ -40,6 +41,13 @@ var atomicFuncs = map[string]bool{
 	"CompareAndSwapUint32": true, "CompareAndSwapUint64": true,
 	"CompareAndSwapUintptr": true, "CompareAndSwapPointer": true,
 }
+
+// phaseOrdered names, as Type.Method, the methods whose plain access to an
+// atomically written field is ordered by the superstep kernel's phase joins
+// (DESIGN.md §4.1): Activate runs where the frontier has one writer, Advance
+// at the barrier where it has none, ActivateShared — the only atomic site —
+// in neither. By name, so a plain access anywhere else is still a finding.
+var phaseOrdered = map[string]bool{"Frontier.Activate": true, "Frontier.Advance": true}
 
 func runAtomicMix(pass *analysis.Pass) (any, error) {
 	// Pass 1: collect every variable whose address feeds sync/atomic,
@@ -83,7 +91,7 @@ func runAtomicMix(pass *analysis.Pass) (any, error) {
 			if !isAtomic {
 				return true
 			}
-			if usedInsideAtomicCall(pass, stack) || isCompositeLitKey(id, stack) {
+			if usedInsideAtomicCall(pass, stack) || isCompositeLitKey(id, stack) || phaseOrdered[enclosingMethod(stack)] {
 				return true
 			}
 			pass.Reportf(id.Pos(),
@@ -148,4 +156,15 @@ func isCompositeLitKey(id *ast.Ident, stack []ast.Node) bool {
 	}
 	_, ok = stack[len(stack)-3].(*ast.CompositeLit)
 	return ok
+}
+
+// enclosingMethod names the method declaration stack sits in as Type.Method;
+// "" outside a method.
+func enclosingMethod(stack []ast.Node) string {
+	for _, n := range stack {
+		if fd, ok := n.(*ast.FuncDecl); ok && fd.Recv != nil && len(fd.Recv.List) == 1 {
+			return strings.TrimPrefix(types.ExprString(fd.Recv.List[0].Type), "*") + "." + fd.Name.Name
+		}
+	}
+	return ""
 }

@@ -31,23 +31,23 @@ func construction() *counters {
 }
 
 type workerState struct {
-	next []uint32 // atomic element stores during the parallel phase
+	flags []uint32 // atomic element stores during the parallel phase
 }
 
 func activate(ws *workerState, ls int) {
-	atomic.StoreUint32(&ws.next[ls], 1)
+	atomic.StoreUint32(&ws.flags[ls], 1)
 }
 
 func barrier(ws *workerState) int {
 	var n int
-	for s := range ws.next { // want `non-atomic access of next`
-		if ws.next[s] != 0 { // want `non-atomic access of next`
+	for s := range ws.flags { // want `non-atomic access of flags`
+		if ws.flags[s] != 0 { // want `non-atomic access of flags`
 			n++
-			ws.next[s] = 0 // want `non-atomic access of next`
+			ws.flags[s] = 0 // want `non-atomic access of flags`
 		}
 	}
 	//lint:allow atomicmix single-threaded after the superstep barrier (golden-test allow)
-	ws.next[0] = 0
+	ws.flags[0] = 0
 	return n
 }
 
@@ -58,4 +58,37 @@ type otherCounters struct{ hits uint32 }
 func otherIsFine(o *otherCounters) uint32 {
 	o.hits++
 	return o.hits
+}
+
+// Frontier mirrors superstep.Frontier: the analyzer knows by name that
+// Activate and Advance are ordered against ActivateShared by phase joins.
+type Frontier struct{ cur, next []uint64 }
+
+func (f *Frontier) ActivateShared(s int) {
+	for {
+		old := atomic.LoadUint64(&f.next[s>>6])
+		if atomic.CompareAndSwapUint64(&f.next[s>>6], old, old|1<<(s&63)) {
+			return
+		}
+	}
+}
+
+func (f *Frontier) Activate(s int) { f.next[s>>6] |= 1 << (s & 63) } // phase-ordered by name: legal
+
+func (f *Frontier) Advance() {
+	f.cur, f.next = f.next, f.cur // phase-ordered by name: legal
+	clear(f.next)
+}
+
+func (f *Frontier) Peek(s int) bool {
+	return f.next[s>>6]&(1<<(s&63)) != 0 // want `non-atomic access of next`
+}
+
+// otherType's Advance is not in the table: the exemption is per type.
+type otherFrontier struct{ next []uint64 }
+
+func (o *otherFrontier) Shared(s int) { atomic.StoreUint64(&o.next[s], 1) }
+
+func (o *otherFrontier) Advance() {
+	clear(o.next) // want `non-atomic access of next`
 }

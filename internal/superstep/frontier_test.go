@@ -1,0 +1,167 @@
+package superstep_test
+
+import (
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"cyclops/internal/superstep"
+)
+
+var frontierSizes = []int{0, 1, 63, 64, 65, 4097}
+
+// collect drains one stripe of f's current set.
+func collect(f *superstep.Frontier, t, of int) []int {
+	var out []int
+	c := f.Stripe(t, of)
+	for s := c.Next(); s >= 0; s = c.Next() {
+		out = append(out, s)
+	}
+	return out
+}
+
+// randomSet draws a set over [0, n): empty, full, the two ends, or a random
+// density — the shapes that exercise word boundaries.
+func randomSet(rng *rand.Rand, n int) []int {
+	var set []int
+	switch mode := rng.Intn(5); {
+	case n == 0 || mode == 0:
+	case mode == 1:
+		for s := 0; s < n; s++ {
+			set = append(set, s)
+		}
+	case mode == 2:
+		set = append(set, 0)
+		if n > 1 {
+			set = append(set, n-1)
+		}
+	default:
+		p := rng.Float64()
+		for s := 0; s < n; s++ {
+			if rng.Float64() < p {
+				set = append(set, s)
+			}
+		}
+	}
+	return set
+}
+
+func TestFrontierIterationIsTheActivatedSetAscending(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, n := range frontierSizes {
+		for trial := 0; trial < 40; trial++ {
+			want := randomSet(rng, n)
+			f := superstep.NewFrontier(n)
+			// Activate in a shuffled order, some slots twice: idempotent.
+			for _, i := range rng.Perm(len(want)) {
+				f.Activate(want[i])
+				if rng.Intn(3) == 0 {
+					f.Activate(want[i])
+				}
+			}
+			if got := collect(&f, 0, 1); len(got) != 0 {
+				t.Fatalf("n=%d: activations visible before Advance: %v", n, got)
+			}
+			if got := f.Advance(); got != len(want) {
+				t.Fatalf("n=%d: Advance = %d, want popcount %d", n, got, len(want))
+			}
+			if got := collect(&f, 0, 1); !slices.Equal(got, want) {
+				t.Fatalf("n=%d: iteration %v, want %v", n, got, want)
+			}
+			if got := f.Count(); got != len(want) {
+				t.Fatalf("n=%d: Count = %d, want %d", n, got, len(want))
+			}
+			// Advance left next empty: a second barrier with no activation
+			// in between empties the frontier.
+			if got := f.Advance(); got != 0 || len(collect(&f, 0, 1)) != 0 {
+				t.Fatalf("n=%d: next not empty after Advance: %d pending", n, got)
+			}
+		}
+	}
+}
+
+func TestFrontierStripesPartitionLikeTheStrideLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, n := range frontierSizes {
+		for _, of := range []int{1, 2, 3, 8} {
+			for trial := 0; trial < 10; trial++ {
+				set := randomSet(rng, n)
+				f := superstep.NewFrontier(n)
+				for _, s := range set {
+					f.Set(s, true)
+				}
+				for th := 0; th < of; th++ {
+					var want []int
+					for _, s := range set {
+						if s%of == th {
+							want = append(want, s)
+						}
+					}
+					if got := collect(&f, th, of); !slices.Equal(got, want) {
+						t.Fatalf("n=%d stripe %d of %d: %v, want %v", n, th, of, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestFrontierActivateSharedLosesNoBit(t *testing.T) {
+	const n, writers = 4097, 8
+	rng := rand.New(rand.NewSource(23))
+	f := superstep.NewFrontier(n)
+	want := make([]bool, n)
+	lists := make([][]int, writers)
+	for g := range lists {
+		// Overlapping slots, clustered so writers collide on the same words.
+		base := rng.Intn(n - 256)
+		for i := 0; i < 2000; i++ {
+			s := base + rng.Intn(256)
+			lists[g] = append(lists[g], s)
+			want[s] = true
+		}
+	}
+	var wg sync.WaitGroup
+	for _, list := range lists {
+		wg.Add(1)
+		go func(list []int) {
+			defer wg.Done()
+			for _, s := range list {
+				f.ActivateShared(s)
+			}
+		}(list)
+	}
+	wg.Wait()
+	f.Advance()
+	for s, on := range want {
+		if f.Has(s) != on {
+			t.Fatalf("slot %d: Has = %v, want %v", s, f.Has(s), on)
+		}
+	}
+}
+
+// TestFrontierSeedQueryRoundTrip drives Set/Has the way snapshot and Restore
+// do: through a []bool of the checkpoint's shape, including clearing slots
+// that were active before the restore.
+func TestFrontierSeedQueryRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for _, n := range frontierSizes {
+		f := superstep.NewFrontier(n)
+		for _, s := range randomSet(rng, n) {
+			f.Set(s, true) // stale state the restore must overwrite
+		}
+		saved := make([]bool, n)
+		for _, s := range randomSet(rng, n) {
+			saved[s] = true
+		}
+		for s, on := range saved {
+			f.Set(s, on)
+		}
+		for s, on := range saved {
+			if f.Has(s) != on {
+				t.Fatalf("n=%d slot %d: Has = %v, want %v", n, s, f.Has(s), on)
+			}
+		}
+	}
+}
