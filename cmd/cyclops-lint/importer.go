@@ -14,8 +14,7 @@ import (
 )
 
 // newExportImporter resolves imports from compiler export data files: the
-// map from import path to .a/.x file comes from `go list -export` in
-// standalone mode or from the vet.cfg PackageFile map in vettool mode. The
+// map from import path to .a/.x file comes from `go list -export`. The
 // "unsafe" pseudo-package is served directly.
 func newExportImporter(fset *token.FileSet, exportFiles map[string]string) types.Importer {
 	lookup := func(path string) (io.ReadCloser, error) {

@@ -8,8 +8,8 @@
 // are in internal/algorithms, the Metis-like partitioner in
 // internal/partition, synthetic substitutions of the paper's datasets in
 // internal/gen, and the runners that regenerate every evaluation table and
-// figure in internal/harness (driven by cmd/cyclops-bench and by
-// bench_test.go in this directory).
+// figure in internal/harness (driven by cmd/cyclops-bench). The wall-clock
+// benchmark suite BENCHMARK.json declares is the nested module in bench/.
 //
 // See README.md for a guided tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.

@@ -227,17 +227,14 @@ func L1Distance(a, b []float64) float64 {
 	return sum
 }
 
-// PageRankGraphLab is the asynchronous formulation for the GraphLab-like
-// engine (§2.3): the vertex value is the share rank/outDegree so neighbors
-// can read it directly from shared memory, and an update reschedules the
-// out-neighbors only while its own rank is still moving.
+// PageRankGraphLab is the asynchronous formulation for the GraphLab model
+// (§2.3): the vertex value is the share rank/outDegree so neighbors can read
+// it in place, and an update reschedules the out-neighbors only while its own
+// rank is still moving.
 type PageRankGraphLab struct {
 	// Eps is the per-vertex tolerance below which a vertex stops
 	// rescheduling its neighbors.
 	Eps float64
-	// N is the vertex count (captured at construction; the scope exposes it
-	// too, but keeping it here makes Update allocation-free).
-	N int
 }
 
 // Init implements graphlab.Program.
@@ -249,14 +246,11 @@ func (p PageRankGraphLab) Init(id graph.ID, g *graph.Graph) (float64, bool) {
 // Update implements graphlab.Program.
 func (p PageRankGraphLab) Update(ctx *graphlab.Scope[float64]) (float64, bool) {
 	var sum float64
-	for i := 0; i < ctx.InDegree(); i++ {
-		sum += ctx.NeighborValue(i)
+	for _, u := range ctx.G.InNeighbors(ctx.ID) {
+		sum += ctx.Values[u]
 	}
-	rank := 0.15/float64(p.N) + Damping*sum
-	d := float64(ctx.OutDegree())
-	if d == 0 {
-		d = 1
-	}
-	oldRank := ctx.Value() * d
+	rank := 0.15/float64(ctx.G.NumVertices()) + Damping*sum
+	d := outDeg1(ctx.G, ctx.ID)
+	oldRank := ctx.Values[ctx.ID] * d
 	return rank / d, abs(rank-oldRank) > p.Eps
 }

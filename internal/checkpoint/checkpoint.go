@@ -7,6 +7,7 @@ package checkpoint
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,9 +16,9 @@ import (
 	"strings"
 )
 
-// Save writes one snapshot to dir as step-<n>.ckpt (atomically, via a
-// temporary file, so a crash mid-write never corrupts the latest
-// checkpoint).
+// Save writes one snapshot to dir as step-<n>.ckpt: into a temporary file,
+// synced to storage, then renamed — so a crash mid-write never leaves a
+// half-written file under a checkpoint's name.
 func Save[S any](dir string, step int, state S) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
@@ -31,7 +32,7 @@ func Save[S any](dir string, step int, state S) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("checkpoint: encode: %w", err)
 	}
-	if err := tmp.Close(); err != nil {
+	if err := errors.Join(tmp.Sync(), tmp.Close()); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("checkpoint: %w", err)
 	}
@@ -82,7 +83,11 @@ func Steps(dir string) ([]int, error) {
 	return steps, nil
 }
 
-// LoadLatest restores the most recent checkpoint in dir.
+// LoadLatest restores the most recent checkpoint in dir that decodes and
+// returns the superstep it loaded: a newest file the storage layer tore falls
+// back to the one before it (the engines rewind to the State they are handed,
+// so recovery just replays more). The error is the newest file's when none
+// decodes.
 func LoadLatest[S any](dir string) (S, int, error) {
 	var zero S
 	steps, err := Steps(dir)
@@ -92,7 +97,15 @@ func LoadLatest[S any](dir string) (S, int, error) {
 	if len(steps) == 0 {
 		return zero, 0, fmt.Errorf("checkpoint: no checkpoints in %s", dir)
 	}
-	last := steps[len(steps)-1]
-	state, err := Load[S](dir, last)
-	return state, last, err
+	var newest error
+	for i := len(steps) - 1; i >= 0; i-- {
+		state, err := Load[S](dir, steps[i])
+		if err == nil {
+			return state, steps[i], nil
+		}
+		if newest == nil {
+			newest = err
+		}
+	}
+	return zero, 0, newest
 }

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,8 +10,10 @@ import (
 	"cyclops/internal/bsp"
 	"cyclops/internal/cluster"
 	"cyclops/internal/cyclops"
+	"cyclops/internal/fault"
 	"cyclops/internal/gas"
 	"cyclops/internal/gen"
+	"cyclops/internal/obs"
 )
 
 type demoState struct {
@@ -344,5 +347,97 @@ func TestStepsIgnoresForeignFiles(t *testing.T) {
 	}
 	if len(steps) != 1 || steps[0] != 7 {
 		t.Fatalf("steps = %v", steps)
+	}
+}
+
+// TestLoadLatestFallsBackPastTornCheckpoint: a newest checkpoint that does not
+// decode (truncated to nothing, as a crash between rename and data reaching
+// the disk leaves it) is skipped for the next-older good one, and the step
+// returned is the one actually loaded.
+func TestLoadLatestFallsBackPastTornCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	for _, s := range []int{2, 4, 6} {
+		if err := Save(dir, s, demoState{Step: s}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Truncate(filepath.Join(dir, "step-000006.ckpt"), 0); err != nil {
+		t.Fatal(err)
+	}
+	st, at, err := LoadLatest[demoState](dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at != 4 || st.Step != 4 {
+		t.Fatalf("latest = %d (%+v), want the step-4 checkpoint", at, st)
+	}
+	// Nothing left that decodes: the error names the newest file's failure.
+	for _, s := range []int{2, 4} {
+		if err := os.Truncate(filepath.Join(dir, fmt.Sprintf("step-%06d.ckpt", s)), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := LoadLatest[demoState](dir); err == nil {
+		t.Fatal("LoadLatest over only torn checkpoints must error")
+	}
+}
+
+// rewinds records how far each recovery rewound.
+type rewinds struct {
+	obs.Nop
+	resumedAt []int
+}
+
+func (r *rewinds) OnRecovery(e obs.RecoveryEvent) { r.resumedAt = append(r.resumedAt, e.ResumedAt) }
+
+// TestRecoveredRunSurvivesTornLatestCheckpoint is the faults experiment's
+// shape with a damaged directory: a worker dies at superstep 5, and by the
+// time the engine asks for its state back the newest checkpoint has been torn.
+// Recovery rewinds to the older one instead and the run still ends on exactly
+// the fault-free values.
+func TestRecoveredRunSurvivesTornLatestCheckpoint(t *testing.T) {
+	g := gen.PowerLaw(300, 4, 8)
+	cfg := cyclops.Config[float64, float64]{Cluster: cluster.Flat(2, 2), MaxSupersteps: 12}
+	clean, err := cyclops.New[float64, float64](g, algorithms.PageRankCyclops{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := clean.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	var tornAt int
+	seen := &rewinds{}
+	cfg.Hooks, cfg.CheckpointEvery = seen, 2
+	cfg.FaultPlan = &fault.Plan{Faults: []fault.Fault{{Kind: fault.Crash, Step: 5, Worker: 0, Peer: -1}}}
+	cfg.Checkpoints = func(s cyclops.State[float64, float64]) error { return Save(dir, s.Step, s) }
+	cfg.Recover = func() (cyclops.State[float64, float64], error) {
+		steps, err := Steps(dir)
+		if err != nil || len(steps) < 2 {
+			t.Fatalf("checkpoints at the fault: %v, %v", steps, err)
+		}
+		tornAt = steps[len(steps)-1]
+		if err := os.Truncate(filepath.Join(dir, fmt.Sprintf("step-%06d.ckpt", tornAt)), 0); err != nil {
+			t.Fatal(err)
+		}
+		s, _, err := LoadLatest[cyclops.State[float64, float64]](dir)
+		return s, err
+	}
+	faulted, err := cyclops.New[float64, float64](g, algorithms.PageRankCyclops{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := faulted.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen.resumedAt) != 1 || seen.resumedAt[0] >= tornAt {
+		t.Fatalf("recoveries resumed at %v; the torn checkpoint was superstep %d's", seen.resumedAt, tornAt)
+	}
+	want, got := clean.Values(), faulted.Values()
+	for v := range want {
+		if want[v] != got[v] {
+			t.Fatalf("vertex %d: %g vs %g after recovering past the torn checkpoint", v, want[v], got[v])
+		}
 	}
 }

@@ -1,369 +1,148 @@
-// Package graphlab implements the third prior system the paper analyses
-// (§2.3): a GraphLab-like asynchronous shared-memory engine. Vertices are
-// updated by a distributed scheduler without global barriers; an update
-// locks the vertex's whole scope (itself plus all neighbors) before reading
-// and writing, exactly the pattern Figure 4 charges with bidirectional
-// traffic: every spanning edge needs *two* replicas (one per direction), a
-// master's update must be pushed to its replicas, and activations travel
-// from replicas back to masters — which is why the paper's Figure 4 shows
-// GraphLab needing locks and two-way messages where Cyclops needs one
-// unidirectional sync.
+// Package graphlab accounts for the third prior system the paper analyses
+// (§2.3): GraphLab's asynchronous model, where an update locks the vertex's
+// whole scope (itself plus all neighbors) before reading and writing. Figure 4
+// charges that with bidirectional traffic: every spanning edge needs *two*
+// replicas (one per direction), a master's update is pushed to its replicas,
+// and activations travel from replicas back to masters.
 //
-// The engine here is deliberately faithful to those accounting properties —
-// scope locking (in canonical order, so it cannot deadlock), per-worker task
-// queues, remote lock request/grant counting, replica sync and activation
-// messages — while running in one process. Results are convergent but not
-// deterministic, which is itself one of the paper's §2.3 complaints.
+// Those costs are static per vertex, so this is not a fourth engine: New
+// computes each vertex's message bill once from (graph, assignment) and Run
+// drives a single-threaded FIFO worklist that reads neighbors in place, so
+// the counts are a function of the input.
 package graphlab
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
 
-	"cyclops/internal/cluster"
 	"cyclops/internal/graph"
 	"cyclops/internal/partition"
 )
 
-// Program is an asynchronous vertex program. Update may read the scope
-// (its own value and every neighbor's current value) and write its own
-// value; returning activate=true reschedules the out-neighbors.
+// Program is an asynchronous vertex program.
 type Program[V any] interface {
-	// Init returns the initial value and whether the vertex is initially
-	// scheduled.
+	// Init returns the initial value and whether the vertex starts scheduled.
 	Init(id graph.ID, g *graph.Graph) (V, bool)
-	// Update computes the vertex's new value from its scope. It returns the
-	// new value and whether to activate the out-neighbors.
+	// Update reads the scope and returns the vertex's new value and whether
+	// to reschedule its out-neighbors.
 	Update(ctx *Scope[V]) (V, bool)
 }
 
-// Config tunes an engine run.
-type Config[V any] struct {
-	// Cluster supplies the worker count (Workers()); the async engine runs
-	// one scheduler goroutine per worker.
-	Cluster cluster.Config
-	// Partitioner assigns vertices to workers (default hash).
-	Partitioner partition.Partitioner
-	// MaxUpdates bounds the total update count as a runaway guard
-	// (default 100·|V|).
-	MaxUpdates int64
-}
-
-// Stats counts the §2.3 communication: value syncs to replicas, activation
-// messages from replicas back to masters, and remote lock request/grant
-// round trips.
+// Stats counts §2.3 communication: of a run, or — in the cost table — of one
+// update of one vertex.
 type Stats struct {
-	Updates         int64
-	SyncMessages    int64 // master → replica value propagation
-	ActivationMsgs  int64 // replica → remote master activation
-	LockMessages    int64 // request+grant pairs for remote scope members
-	LocalActivation int64
+	Updates        int64
+	SyncMessages   int64 // master → replica value push, one per distinct remote worker in the scope
+	ActivationMsgs int64 // replica → master, one per remote out-edge when the update activates
+	LockMessages   int64 // a request and a grant per remote scope member
 }
 
-// Messages is the total §2.3 message count (everything but local work).
+// Messages is the total §2.3 message count.
 func (s Stats) Messages() int64 { return s.SyncMessages + s.ActivationMsgs + s.LockMessages }
 
-// Scope is the locked neighborhood view handed to Update.
+// Scope is the locked neighborhood handed to Update: vertex ID of G, and the
+// live value array — every neighbor's *current* value, written in place by
+// earlier updates, not a superstep snapshot: asynchronous semantics.
 type Scope[V any] struct {
-	e   *Engine[V]
-	vid graph.ID
+	ID     graph.ID
+	G      *graph.Graph
+	Values []V
 }
 
-// Vertex returns the vertex being updated.
-func (s *Scope[V]) Vertex() graph.ID { return s.vid }
-
-// Value returns the vertex's current value.
-func (s *Scope[V]) Value() V { return s.e.values[s.vid] }
-
-// InDegree returns the number of in-neighbors.
-func (s *Scope[V]) InDegree() int { return s.e.g.InDegree(s.vid) }
-
-// NeighborValue reads the i-th in-neighbor's *current* value — live shared
-// memory, not a superstep snapshot: asynchronous semantics.
-func (s *Scope[V]) NeighborValue(i int) V {
-	return s.e.values[s.e.g.InNeighbors(s.vid)[i]]
-}
-
-// InWeight returns the weight of the i-th in-edge.
-func (s *Scope[V]) InWeight(i int) float64 { return s.e.g.InWeights(s.vid)[i] }
-
-// OutDegree returns the vertex's out-degree.
-func (s *Scope[V]) OutDegree() int { return s.e.g.OutDegree(s.vid) }
-
-// NumVertices returns the graph's vertex count.
-func (s *Scope[V]) NumVertices() int { return s.e.g.NumVertices() }
-
-// Engine is the asynchronous scheduler.
+// Engine is the worklist and the per-vertex cost table.
 type Engine[V any] struct {
-	g      *graph.Graph
-	prog   Program[V]
-	cfg    Config[V]
-	assign *partition.Assignment
-
-	values []V
-	locks  []sync.Mutex // per-vertex scope locks
-	queued []atomic.Bool
-
-	queues  []workQueue
-	pending atomic.Int64
-	updates atomic.Int64
-
-	// scope[v] is v plus its neighbors, sorted and deduplicated, locked in
-	// canonical order to keep the distributed locking deadlock-free.
-	scope [][]graph.ID
-
+	prog     Program[V]
+	scope    Scope[V] // the graph, the live values, the vertex in update
+	bills    []Stats  // what one update of each vertex costs
 	replicas int64
-	stats    Stats
+	queued   []bool
+	work     []graph.ID
 }
 
-// workQueue is one worker's task list.
-type workQueue struct {
-	mu    sync.Mutex
-	tasks []graph.ID
-}
-
-func (q *workQueue) push(v graph.ID) {
-	q.mu.Lock()
-	q.tasks = append(q.tasks, v)
-	q.mu.Unlock()
-}
-
-func (q *workQueue) pop() (graph.ID, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.tasks) == 0 {
-		return 0, false
-	}
-	v := q.tasks[len(q.tasks)-1]
-	q.tasks = q.tasks[:len(q.tasks)-1]
-	return v, true
-}
-
-// New builds the engine and computes the §2.3 replica accounting: a vertex
-// is replicated on every remote worker that holds a neighbor on *either*
-// side of an edge (duplicate replicas per spanning edge).
-func New[V any](g *graph.Graph, prog Program[V], cfg Config[V]) (*Engine[V], error) {
-	if g == nil || prog == nil {
-		return nil, errors.New("graphlab: graph and program are required")
-	}
-	cfg.Cluster = cfg.Cluster.Normalize()
-	if cfg.Partitioner == nil {
-		cfg.Partitioner = partition.Hash{}
-	}
-	if cfg.MaxUpdates <= 0 {
-		// Async schedules are interleaving-dependent; leave generous
-		// headroom before declaring a program non-convergent.
-		cfg.MaxUpdates = int64(2000 * max(g.NumVertices(), 1))
-	}
-	workers := cfg.Cluster.Workers()
-	assign, err := cfg.Partitioner.Partition(g, workers)
-	if err != nil {
-		return nil, fmt.Errorf("graphlab: partition: %w", err)
+// New computes the cost table of g under assign (which must cover g) and
+// seeds the worklist, in vertex-id order, with the vertices Init schedules. A
+// vertex is replicated on every remote worker that holds a neighbor on *either*
+// side of an edge — the duplicate replicas per spanning edge of §2.3.
+func New[V any](g *graph.Graph, prog Program[V], assign *partition.Assignment) (*Engine[V], error) {
+	if g == nil || prog == nil || assign == nil {
+		return nil, errors.New("graphlab: graph, program and assignment are required")
 	}
 	n := g.NumVertices()
-	e := &Engine[V]{
-		g:      g,
-		prog:   prog,
-		cfg:    cfg,
-		assign: assign,
-		values: make([]V, n),
-		locks:  make([]sync.Mutex, n),
-		queued: make([]atomic.Bool, n),
-		queues: make([]workQueue, workers),
-		scope:  make([][]graph.ID, n),
-	}
-
-	// Precompute canonical scopes and count duplicate replicas.
-	seen := make([]int, workers)
+	e := &Engine[V]{prog: prog, scope: Scope[V]{G: g, Values: make([]V, n)},
+		bills: make([]Stats, n), queued: make([]bool, n)}
+	// member[u] == v+1 and worker[w] == v+1 mark what v's scope already counted.
+	member, worker := make([]int, n), make([]int, assign.K)
 	for v := 0; v < n; v++ {
-		id := graph.ID(v)
-		members := append([]graph.ID{id}, g.InNeighbors(id)...)
-		members = append(members, g.OutNeighbors(id)...)
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-		dedup := members[:0]
-		for i, m := range members {
-			if i == 0 || m != members[i-1] {
-				dedup = append(dedup, m)
+		id, home, b := graph.ID(v), assign.Of[v], &e.bills[v]
+		for dir, nbrs := range [2][]graph.ID{g.InNeighbors(id), g.OutNeighbors(id)} {
+			for _, u := range nbrs {
+				w := assign.Of[u]
+				if w == home {
+					continue
+				}
+				if dir == 1 {
+					b.ActivationMsgs++
+				}
+				if member[u] != v+1 {
+					member[u] = v + 1
+					b.LockMessages += 2
+				}
+				if worker[w] != v+1 {
+					worker[w] = v + 1
+					b.SyncMessages++
+				}
 			}
 		}
-		e.scope[v] = dedup
-
-		// Replicas of v: one per distinct remote worker holding any
-		// neighbor of v (access or activation direction — both, per §2.3).
-		home := assign.Of[v]
-		for _, m := range dedup {
-			if m == id {
-				continue
-			}
-			w := assign.Of[m]
-			if w != home && seen[w] != v+1 {
-				seen[w] = v + 1
-				e.replicas++
-			}
-		}
-	}
-
-	for v := 0; v < n; v++ {
-		val, active := prog.Init(graph.ID(v), g)
-		e.values[v] = val
-		if active {
-			e.schedule(graph.ID(v))
+		e.replicas += b.SyncMessages // a replica per remote worker in the scope
+		var active bool
+		if e.scope.Values[v], active = prog.Init(id, g); active {
+			e.schedule(id)
 		}
 	}
 	return e, nil
 }
 
-// schedule enqueues v at its owner if not already queued.
 func (e *Engine[V]) schedule(v graph.ID) {
-	if e.queued[v].CompareAndSwap(false, true) {
-		e.pending.Add(1)
-		e.queues[e.assign.Of[v]].push(v)
+	if !e.queued[v] {
+		e.queued[v] = true
+		e.work = append(e.work, v)
 	}
 }
 
-// Graph returns the input graph.
-func (e *Engine[V]) Graph() *graph.Graph { return e.g }
-
-// Values returns the vertex values (consistent after Run).
-func (e *Engine[V]) Values() []V { return e.values }
-
-// Replicas returns the duplicate-replica count of §2.3.
-func (e *Engine[V]) Replicas() int64 { return e.replicas }
-
-// ReplicationFactor returns replicas per vertex.
+// ReplicationFactor returns the duplicate-replica count of §2.3 per vertex.
 func (e *Engine[V]) ReplicationFactor() float64 {
-	if e.g.NumVertices() == 0 {
-		return 0
-	}
-	return float64(e.replicas) / float64(e.g.NumVertices())
+	return float64(e.replicas) / float64(max(len(e.bills), 1))
 }
 
-// Stats returns the communication counters of the finished run.
-func (e *Engine[V]) Stats() Stats { return e.stats }
-
-// Run drives the asynchronous schedulers until no vertex is scheduled (or
-// the update budget is exhausted) and returns the final stats.
-func (e *Engine[V]) Run() (Stats, error) {
-	workers := e.cfg.Cluster.Workers()
-	var wg sync.WaitGroup
-	locals := make([]Stats, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			e.worker(w, &locals[w])
-		}(w)
-	}
-	wg.Wait()
-	e.stats.Updates = min64(e.updates.Load(), e.cfg.MaxUpdates)
-	for w := range locals {
-		e.stats.SyncMessages += locals[w].SyncMessages
-		e.stats.ActivationMsgs += locals[w].ActivationMsgs
-		e.stats.LockMessages += locals[w].LockMessages
-		e.stats.LocalActivation += locals[w].LocalActivation
-	}
-	if e.updates.Load() >= e.cfg.MaxUpdates {
-		return e.stats, fmt.Errorf("graphlab: update budget %d exhausted (non-convergent program?)", e.cfg.MaxUpdates)
-	}
-	return e.stats, nil
-}
-
-// worker is one scheduler loop. It spins until the global pending count
-// drains — the distributed termination detection the paper's §2.3 calls
-// scheduling overhead.
-func (e *Engine[V]) worker(w int, st *Stats) {
-	backoff := 0
-	for {
-		v, ok := e.queues[w].pop()
-		if !ok {
-			if e.pending.Load() == 0 || e.updates.Load() >= e.cfg.MaxUpdates {
-				return
+// Run updates scheduled vertices in FIFO order until none is scheduled,
+// charging each update its vertex's bill. maxUpdates is the runaway guard: a
+// program still scheduling after that many updates is an error.
+func (e *Engine[V]) Run(maxUpdates int64) (Stats, error) {
+	var st Stats
+	for len(e.work) > 0 {
+		batch := e.work
+		e.work = nil
+		for _, v := range batch {
+			if st.Updates == maxUpdates {
+				return st, fmt.Errorf("graphlab: update budget %d exhausted (non-convergent program?)", maxUpdates)
 			}
-			backoff++
-			if backoff > 16 {
-				backoff = 0
+			var activate bool
+			e.scope.ID, e.queued[v] = v, false
+			e.scope.Values[v], activate = e.prog.Update(&e.scope)
+			b := e.bills[v]
+			st.Updates++
+			st.LockMessages += b.LockMessages
+			st.SyncMessages += b.SyncMessages
+			if !activate {
+				continue
 			}
-			// Yield so producers can run even on GOMAXPROCS=1 hosts.
-			runtime.Gosched()
-			continue
-		}
-		backoff = 0
-		e.queued[v].Store(false)
-		if e.updates.Add(1) > e.cfg.MaxUpdates {
-			e.pending.Add(-1)
-			return
-		}
-		e.update(w, v, st)
-		// Decrement only after the update (and its re-activations) finish:
-		// pending counts queued *plus in-flight* work, so a zero reading
-		// really means global quiescence — no task can appear afterwards.
-		e.pending.Add(-1)
-	}
-}
-
-// update performs one scope-locked vertex update.
-func (e *Engine[V]) update(w int, v graph.ID, st *Stats) {
-	home := e.assign.Of[v]
-	// Acquire the scope in canonical order (deadlock-free); remote members
-	// cost a lock request + grant round trip each (2 messages, §2.3).
-	for _, m := range e.scope[v] {
-		e.locks[m].Lock()
-		if e.assign.Of[m] != home {
-			st.LockMessages += 2
+			st.ActivationMsgs += b.ActivationMsgs
+			for _, u := range e.scope.G.OutNeighbors(v) {
+				if u != v {
+					e.schedule(u)
+				}
+			}
 		}
 	}
-	ctx := &Scope[V]{e: e, vid: v}
-	newVal, activate := e.prog.Update(ctx)
-	e.values[v] = newVal
-	for i := len(e.scope[v]) - 1; i >= 0; i-- {
-		e.locks[e.scope[v][i]].Unlock()
-	}
-
-	// Propagate the new value to v's replicas: one sync message per remote
-	// worker holding a neighbor of v.
-	remote := map[int]bool{}
-	for _, m := range e.scope[v] {
-		if mw := e.assign.Of[m]; mw != home && !remote[mw] {
-			remote[mw] = true
-			st.SyncMessages++
-		}
-	}
-
-	if !activate {
-		return
-	}
-	for _, u := range e.g.OutNeighbors(v) {
-		if u == v {
-			continue
-		}
-		if e.assign.Of[u] == home {
-			st.LocalActivation++
-		} else {
-			// Activation travels replica → master (the backward direction
-			// Cyclops eliminates); it may race with other activators, which
-			// is why the paper notes vertex 1 needs a lock to coordinate
-			// message receiving (Figure 4).
-			st.ActivationMsgs++
-		}
-		e.schedule(u)
-	}
-	_ = w
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
+	return st, nil
 }

@@ -10,6 +10,7 @@ import (
 	"cyclops/internal/bsp"
 	"cyclops/internal/cyclops"
 	"cyclops/internal/graph"
+	"cyclops/internal/partition"
 )
 
 // Ablations isolate the individual design decisions the paper bundles
@@ -30,27 +31,20 @@ func AblationQueue(o Options, w io.Writer) error {
 	}
 	t := newTable("queue-discipline", "model-ms", "locked-enqueues", "messages", "steps")
 	for _, perSender := range []bool{false, true} {
-		e, err := bsp.New[float64, float64](ctx.graph, algorithms.PageRankBSP{Eps: ctx.params.Eps},
+		r := RunResult{Engine: "hama", Config: o.flat()}
+		if err := runBSP(&r, ctx.graph, partition.Hash{}, ctx.params, algorithms.PageRankBSP{Eps: ctx.params.Eps},
 			bsp.Config[float64, float64]{
-				Cluster:         o.flat(),
-				MaxSupersteps:   ctx.params.MaxSteps,
 				Halt:            haltForPR(ctx.graph.NumVertices(), ctx.params.Eps),
 				PerSenderQueues: perSender,
-			})
-		if err != nil {
-			return err
-		}
-		trace, err := e.Run()
-		if err != nil {
+			}, floats); err != nil {
 			return err
 		}
 		name := "global-locked (Hama)"
 		if perSender {
 			name = "per-sender (Cyclops-style)"
 		}
-		st := e.TransportStats()
 		t.addf("%s|%.1f|%d|%d|%d", name,
-			trace.ModelTime()/1e6, st.LockedEnqueues, st.Messages, len(trace.Steps))
+			r.ModelMs, r.Transport.LockedEnqueues, r.Transport.Messages, r.Supersteps)
 	}
 	t.write(w)
 	return nil
@@ -66,28 +60,20 @@ func AblationCombiner(o Options, w io.Writer) error {
 	}
 	t := newTable("combiner", "messages", "bytes", "model-ms")
 	for _, combine := range []bool{false, true} {
-		cfg := bsp.Config[float64, float64]{
-			Cluster:       o.flat(),
-			MaxSupersteps: ctx.params.MaxSteps,
-			Halt:          haltForPR(ctx.graph.NumVertices(), ctx.params.Eps),
-		}
+		cfg := bsp.Config[float64, float64]{Halt: haltForPR(ctx.graph.NumVertices(), ctx.params.Eps)}
 		if combine {
 			cfg.Combiner = func(a, b float64) float64 { return a + b }
 		}
-		e, err := bsp.New[float64, float64](ctx.graph, algorithms.PageRankBSP{Eps: ctx.params.Eps}, cfg)
-		if err != nil {
-			return err
-		}
-		trace, err := e.Run()
-		if err != nil {
+		r := RunResult{Engine: "hama", Config: o.flat()}
+		if err := runBSP(&r, ctx.graph, partition.Hash{}, ctx.params,
+			algorithms.PageRankBSP{Eps: ctx.params.Eps}, cfg, floats); err != nil {
 			return err
 		}
 		name := "off"
 		if combine {
 			name = "sum"
 		}
-		st := e.TransportStats()
-		t.addf("%s|%d|%d|%.1f", name, st.Messages, st.Bytes, trace.ModelTime()/1e6)
+		t.addf("%s|%d|%d|%.1f", name, r.Transport.Messages, r.Transport.Bytes, r.ModelMs)
 	}
 	t.write(w)
 	fmt.Fprintln(w, "\n(combining helps Hama but cannot remove per-edge traffic from live")
@@ -107,29 +93,17 @@ func AblationActivation(o Options, w io.Writer) error {
 	ref := algorithms.PageRankRef(ctx.graph, 200)
 	t := newTable("activation", "vertex-steps", "messages", "steps", "L1-vs-offline")
 	for _, eps := range []float64{0, ctx.params.Eps} {
-		e, err := cyclops.New[float64, float64](ctx.graph, algorithms.PageRankCyclops{Eps: eps},
-			cyclops.Config[float64, float64]{
-				Cluster:       o.flat(),
-				MaxSupersteps: ctx.params.MaxSteps,
-			})
-		if err != nil {
+		r := RunResult{Engine: "cyclops", Config: o.flat()}
+		if err := runCyclops(&r, ctx.graph, partition.Hash{}, ctx.params, algorithms.PageRankCyclops{Eps: eps},
+			cyclops.Config[float64, float64]{}, floats); err != nil {
 			return err
-		}
-		trace, err := e.Run()
-		if err != nil {
-			return err
-		}
-		var vertexSteps int64
-		for _, s := range trace.Steps {
-			vertexSteps += s.Active
 		}
 		name := fmt.Sprintf("dynamic (eps=%.0e)", eps)
 		if eps == 0 {
 			name = "eager (all active)"
 		}
 		t.addf("%s|%d|%d|%d|%.2e", name,
-			vertexSteps, trace.TotalMessages(), len(trace.Steps),
-			algorithms.L1Distance(e.Values(), ref))
+			vertexUpdates(r.Trace), r.Messages, r.Supersteps, algorithms.L1Distance(r.Values, ref))
 	}
 	t.write(w)
 	return nil
@@ -152,11 +126,11 @@ func AblationDetectors(o Options, w io.Writer) error {
 
 	t := newTable("detector", "steps", "messages", "L1-vs-offline", "top10%-unconverged")
 	type vr struct{ rank, err float64 }
-	report := func(name string, values []float64, steps int, msgs int64) {
+	report := func(name string, r *RunResult) {
 		// Count top-decile vertices (by offline rank) whose error exceeds eps.
 		vs := make([]vr, n)
 		for v := 0; v < n; v++ {
-			vs[v] = vr{rank: ref[v], err: abs64(values[v] - ref[v])}
+			vs[v] = vr{rank: ref[v], err: abs64(r.Values[v] - ref[v])}
 		}
 		sort.Slice(vs, func(i, j int) bool { return vs[i].rank > vs[j].rank })
 		top := n / 10
@@ -169,52 +143,38 @@ func AblationDetectors(o Options, w io.Writer) error {
 				bad++
 			}
 		}
-		t.addf("%s|%d|%d|%.2e|%.1f%%", name, steps, msgs,
-			algorithms.L1Distance(values, ref), 100*float64(bad)/float64(top))
+		t.addf("%s|%d|%d|%.2e|%.1f%%", name, r.Supersteps, r.Messages,
+			algorithms.L1Distance(r.Values, ref), 100*float64(bad)/float64(top))
 	}
+	p := ctx.params
+	p.MaxSteps = 120
 
 	// 1. Hama + global-error aggregate (the paper's problematic default).
-	he, err := bsp.New[float64, float64](g, algorithms.PageRankBSP{Eps: eps},
-		bsp.Config[float64, float64]{
-			Cluster: o.flat(), MaxSupersteps: 120,
-			Halt: aggregate.GlobalErrorHalt(algorithms.ErrorAggregator, n, eps),
-		})
-	if err != nil {
+	hr := RunResult{Engine: "hama", Config: o.flat()}
+	if err := runBSP(&hr, g, partition.Hash{}, p, algorithms.PageRankBSP{Eps: eps},
+		bsp.Config[float64, float64]{Halt: haltForPR(n, eps)}, floats); err != nil {
 		return err
 	}
-	htr, err := he.Run()
-	if err != nil {
-		return err
-	}
-	report("global error (Hama)", he.Values(), len(htr.Steps), htr.TotalMessages())
+	report("global error (Hama)", &hr)
 
 	// 2. Cyclops local error: each vertex stops on its own |Δ|.
-	ce, err := cyclops.New[float64, float64](g, algorithms.PageRankCyclops{Eps: eps},
-		cyclops.Config[float64, float64]{Cluster: o.flat(), MaxSupersteps: 120})
-	if err != nil {
+	cr := RunResult{Engine: "cyclops", Config: o.flat()}
+	if err := runCyclops(&cr, g, partition.Hash{}, p, algorithms.PageRankCyclops{Eps: eps},
+		cyclops.Config[float64, float64]{}, floats); err != nil {
 		return err
 	}
-	ctr, err := ce.Run()
-	if err != nil {
-		return err
-	}
-	report("local error (Cyclops)", ce.Values(), len(ctr.Steps), ctr.TotalMessages())
+	report("local error (Cyclops)", &cr)
 
 	// 3. Cyclops + converged-proportion (§4.4): stop when 99% of vertices
 	// report local convergence, whatever the laggards do.
-	pe, err := cyclops.New[float64, float64](g, proportionPR{eps: eps},
+	pr := RunResult{Engine: "cyclops", Config: o.flat()}
+	if err := runCyclops(&pr, g, partition.Hash{}, p, proportionPR{eps: eps},
 		cyclops.Config[float64, float64]{
-			Cluster: o.flat(), MaxSupersteps: 120,
 			Halt: aggregate.ConvergedProportionHalt(convergedAggregator, n, 0.99),
-		})
-	if err != nil {
+		}, floats); err != nil {
 		return err
 	}
-	ptr, err := pe.Run()
-	if err != nil {
-		return err
-	}
-	report("converged-proportion 99%", pe.Values(), len(ptr.Steps), ptr.TotalMessages())
+	report("converged-proportion 99%", &pr)
 
 	t.write(w)
 	fmt.Fprintln(w, "\n(the global detector stops earliest but leaves high-rank vertices")

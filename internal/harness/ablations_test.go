@@ -3,8 +3,12 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
+
+	"cyclops/internal/metrics"
+	"cyclops/internal/obs"
 )
 
 // Shape assertions for the ablation experiments: each must demonstrate the
@@ -100,7 +104,14 @@ func TestFig4ModelOrdering(t *testing.T) {
 	if err := Fig4Models(tiny(), &buf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
+	assertFig4Ordering(t, buf.String())
+}
+
+// assertFig4Ordering checks the paper's Figure 4 ordering of messages per
+// vertex-update: Cyclops cheapest, GraphLab (locks + bidirectional traffic)
+// most expensive.
+func assertFig4Ordering(t *testing.T, out string) {
+	t.Helper()
 	perUpdate := func(prefix string) float64 {
 		for _, line := range strings.Split(out, "\n") {
 			if !strings.HasPrefix(line, prefix) {
@@ -115,14 +126,58 @@ func TestFig4ModelOrdering(t *testing.T) {
 		t.Fatalf("no row for %q in:\n%s", prefix, out)
 		return 0
 	}
-	cyc := perUpdate("cyclops")
-	bspV := perUpdate("pregel/bsp")
-	pg := perUpdate("powergraph")
-	gl := perUpdate("graphlab")
-	// The paper's Figure 4 ordering: Cyclops cheapest, GraphLab (locks +
-	// bidirectional traffic) most expensive.
+	cyc, bspV := perUpdate("cyclops"), perUpdate("pregel/bsp")
+	pg, gl := perUpdate("powergraph"), perUpdate("graphlab")
 	if !(cyc < bspV && bspV < pg && pg < gl) {
 		t.Fatalf("per-update ordering broken: cyclops=%.2f bsp=%.2f pg=%.2f graphlab=%.2f",
 			cyc, bspV, pg, gl)
+	}
+}
+
+// TestFig4Deterministic: every line of Fig 4 — the GraphLab one included, now
+// that its counts come from a static cost table and a FIFO worklist — is a
+// function of (scale, seed): two runs print the same bytes.
+func TestFig4Deterministic(t *testing.T) {
+	var first, second bytes.Buffer
+	for _, buf := range []*bytes.Buffer{&first, &second} {
+		if err := Fig4Models(tiny(), buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if first.String() != second.String() {
+		t.Fatalf("two Fig 4 runs differ:\n%s\n---\n%s", first.String(), second.String())
+	}
+	assertFig4Ordering(t, first.String())
+}
+
+// runCounter counts the engine runs an experiment's observers are shown.
+type runCounter struct {
+	obs.Nop
+	starts, ends int
+}
+
+func (c *runCounter) OnRunStart(obs.RunInfo) { c.starts++ }
+func (c *runCounter) OnRunEnd(obs.RunEnd)    { c.ends++ }
+
+// TestEveryExperimentRunIsObserved: the experiments that configure an engine
+// themselves still run it through the harness's one wiring, so -verbose,
+// -record, -audit and -trace see every run they print.
+func TestEveryExperimentRunIsObserved(t *testing.T) {
+	for id, runs := range map[string]int{"fig4": 3, "ablation.queue": 2, "ablation.combiner": 2,
+		"ablation.activation": 2, "ablation.detect": 3} {
+		e, ok := Lookup(id)
+		if !ok {
+			t.Fatalf("no experiment %q", id)
+		}
+		o, hooks, traces := tiny(), &runCounter{}, 0
+		o.Hooks, o.Audit = hooks, true
+		o.TraceSink = func(*metrics.Trace) { traces++ }
+		if err := e.Run(o, io.Discard); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if hooks.starts != runs || hooks.ends != runs || traces != runs {
+			t.Errorf("%s: %d run starts, %d run ends, %d traces; it prints %d engine runs",
+				id, hooks.starts, hooks.ends, traces, runs)
+		}
 	}
 }

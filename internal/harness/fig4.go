@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"io"
 
-	"cyclops/internal/aggregate"
 	"cyclops/internal/algorithms"
 	"cyclops/internal/bsp"
 	"cyclops/internal/cyclops"
 	"cyclops/internal/gas"
 	"cyclops/internal/graphlab"
+	"cyclops/internal/metrics"
 	"cyclops/internal/partition"
 )
 
@@ -26,41 +26,31 @@ func Fig4Models(o Options, w io.Writer) error {
 		return err
 	}
 	n := g.NumVertices()
-	eps := 1e-7 // loose enough for the async engine to settle quickly
+	eps := 1e-7 // loose enough for the async model to settle quickly
+	p := defaultParams(o)
+	p.MaxSteps = 100
 
 	t := newTable("model", "replicas/vertex", "messages", "msg-detail", "per vertex-update")
 
 	// Pregel/BSP: no replicas, one message per edge per superstep.
-	be, err := bsp.New[float64, float64](g, algorithms.PageRankBSP{Eps: eps},
-		bsp.Config[float64, float64]{
-			Cluster: o.flat(), MaxSupersteps: 100,
-			Halt: aggregate.GlobalErrorHalt(algorithms.ErrorAggregator, n, eps),
-		})
-	if err != nil {
+	br := RunResult{Engine: "hama", Config: o.flat()}
+	if err := runBSP(&br, g, partition.Hash{}, p, algorithms.PageRankBSP{Eps: eps},
+		bsp.Config[float64, float64]{Halt: haltForPR(n, eps)}, floats); err != nil {
 		return err
 	}
-	btr, err := be.Run()
-	if err != nil {
-		return err
-	}
-	var bUpdates int64
-	for _, s := range btr.Steps {
-		bUpdates += s.Active
-	}
-	t.addf("pregel/bsp|0.00|%d|all data+activation|%.2f",
-		btr.TotalMessages(), perUpdate(btr.TotalMessages(), bUpdates))
+	t.addf("pregel/bsp|0.00|%d|all data+activation|%.2f", br.Messages, perUpdate(br.Messages, vertexUpdates(br.Trace)))
 
-	// GraphLab: duplicate replicas, locks + sync + backward activation.
-	le, err := graphlab.New[float64](g,
-		algorithms.PageRankGraphLab{Eps: eps, N: n},
-		graphlab.Config[float64]{
-			Cluster:    o.flat(),
-			MaxUpdates: int64(20000 * n),
-		})
+	// GraphLab: duplicate replicas, locks + sync + backward activation, charged
+	// per update from the static §2.3 cost table over the same hash assignment.
+	assign, err := partition.Hash{}.Partition(g, o.flat().Workers())
 	if err != nil {
 		return err
 	}
-	lst, err := le.Run()
+	le, err := graphlab.New[float64](g, algorithms.PageRankGraphLab{Eps: eps}, assign)
+	if err != nil {
+		return err
+	}
+	lst, err := le.Run(int64(20000 * n))
 	if err != nil {
 		return err
 	}
@@ -70,46 +60,35 @@ func Fig4Models(o Options, w io.Writer) error {
 		perUpdate(lst.Messages(), lst.Updates))
 
 	// PowerGraph: mirrors, five messages per mirror per iteration.
-	ge, err := gas.New[algorithms.PRValue, float64](g,
-		algorithms.NewPageRankGAS(g, 100, eps),
-		gas.Config[algorithms.PRValue, float64]{Cluster: o.flat(), MaxSupersteps: 100,
-			ValCodec: algorithms.PRValueCodec{}})
-	if err != nil {
+	gr := RunResult{Engine: "powergraph", Config: o.flat()}
+	if err := runGAS(&gr, g, p, algorithms.NewPageRankGAS(g, p.MaxSteps, eps),
+		gas.Config[algorithms.PRValue, float64]{ValCodec: algorithms.PRValueCodec{}}, algorithms.Ranks); err != nil {
 		return err
-	}
-	gtr, err := ge.Run()
-	if err != nil {
-		return err
-	}
-	var gUpdates int64
-	for _, s := range gtr.Steps {
-		gUpdates += s.Active
 	}
 	t.addf("powergraph|%.2f|%d|gather 2 + apply 1 + scatter 2 per mirror|%.2f",
-		ge.ReplicationFactor(), gtr.TotalMessages(), perUpdate(gtr.TotalMessages(), gUpdates))
+		gr.Replication, gr.Messages, perUpdate(gr.Messages, vertexUpdates(gr.Trace)))
 
 	// Cyclops: read-only replicas, at most one unidirectional sync each.
-	ce, err := cyclops.New[float64, float64](g, algorithms.PageRankCyclops{Eps: eps},
-		cyclops.Config[float64, float64]{Cluster: o.flat(), MaxSupersteps: 100,
-			Partitioner: partition.Hash{}})
-	if err != nil {
+	cr := RunResult{Engine: "cyclops", Config: o.flat()}
+	if err := runCyclops(&cr, g, partition.Hash{}, p, algorithms.PageRankCyclops{Eps: eps},
+		cyclops.Config[float64, float64]{}, floats); err != nil {
 		return err
-	}
-	ctr, err := ce.Run()
-	if err != nil {
-		return err
-	}
-	var cUpdates int64
-	for _, s := range ctr.Steps {
-		cUpdates += s.Active
 	}
 	t.addf("cyclops|%.2f|%d|1 unidirectional sync+activate per replica|%.2f",
-		ce.ReplicationFactor(), ctr.TotalMessages(), perUpdate(ctr.TotalMessages(), cUpdates))
+		cr.Replication, cr.Messages, perUpdate(cr.Messages, vertexUpdates(cr.Trace)))
 
 	t.write(w)
 	fmt.Fprintln(w, "\n(per vertex-update = total messages / vertex updates executed;")
 	fmt.Fprintln(w, " the paper's Figure 4 walks through the same four patterns for one vertex)")
 	return nil
+}
+
+// vertexUpdates is the number of vertex updates a synchronous run executed.
+func vertexUpdates(t *metrics.Trace) (n int64) {
+	for _, s := range t.Steps {
+		n += s.Active
+	}
+	return n
 }
 
 func perUpdate(msgs, updates int64) float64 {

@@ -2,8 +2,8 @@
 // evaluation (§6). Each experiment is a named runner that builds the scaled
 // synthetic datasets, runs the relevant engines, and prints the same rows or
 // series the paper reports. The per-experiment index in DESIGN.md maps each
-// runner to its paper artifact; cmd/cyclops-bench and bench_test.go are thin
-// wrappers around this package.
+// runner to its paper artifact; cmd/cyclops-bench is a thin wrapper around
+// this package.
 package harness
 
 import (

@@ -3,11 +3,12 @@ package metrics
 import "math"
 
 // CostModel converts per-superstep counts into a modelled superstep time in
-// nanoseconds. The constants encode the *ratios* measured by the
-// calibration benchmarks in bench_test.go (BenchmarkCalibrate*: direct
-// apply ≪ parse < send per message, ~1-2 ns per scanned edge on the
-// reference host), scaled up to include the serialisation and wire costs a
-// real cluster pays on top of the raw memory operations. The ratios are
+// nanoseconds. The constants encode the *ratios* bench/'s per-layer probes
+// measure (transport.micro_cyclops_ns_per_msg ≪ transport.micro_hama_ns_per_msg:
+// direct apply ≪ queue-and-parse per message; graph.csr_scan_ns_per_edge:
+// ~1-2 ns per scanned edge on the reference host), scaled up to include the
+// serialisation and wire costs a real cluster pays on top of the raw memory
+// operations. The ratios are
 // what give Figures 9/11/12 their shape:
 //
 //   - parsing a message through a locked global queue costs more than

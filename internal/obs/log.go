@@ -17,10 +17,11 @@ import (
 
 // Log is the one run log behind every CSV and endpoint: the latest run's
 // RunInfo, the rows it retains from each StepRecord, the superstep in flight
-// and a done flag, under one mutex with one allocation sampler. /comm, /spans,
-// /mem and /heat, the -comm CSV, the -skew table and the Recorder's files are
-// render functions over it. It keeps the last run's rows after OnRunEnd so the
-// endpoints stay useful between runs; a new run resets it.
+// and a done flag, under one mutex with one allocation sampler. /metrics,
+// /comm, /spans, /mem and /heat, the -comm CSV, the -skew table and the
+// Recorder's files are render functions over it. It keeps the last run's rows
+// after OnRunEnd so the endpoints stay useful between runs; a new run resets
+// everything but the totals /metrics counts across runs.
 type Log struct {
 	mu sync.Mutex
 
@@ -53,6 +54,7 @@ type Log struct {
 	hotAt    time.Time
 
 	skews []SkewReport // one per completed run
+	tot   totals
 }
 
 // logStep is what the log keeps of one StepRecord besides its heat rows,
@@ -81,7 +83,10 @@ const hotRefresh = time.Second
 
 // NewLog returns an empty log. Register it in the engine's Hooks (typically
 // via Multi) to populate it.
-func NewLog() *Log { return &Log{attrib: newMemAttrib()} }
+func NewLog() *Log {
+	return &Log{attrib: newMemAttrib(),
+		tot: totals{violations: map[string]int64{}, ended: map[string]int64{}}}
+}
 
 // HeatTracker is the name bench/ knows the Log by.
 type HeatTracker = Log
@@ -111,9 +116,10 @@ func (l *Log) OnSuperstepStart(step int) {
 
 // OnPhase implements Hooks: attributes the allocation since the previous
 // phase boundary to the phase that just ended.
-func (l *Log) OnPhase(_ int, phase metrics.Phase, _ time.Duration) {
+func (l *Log) OnPhase(_ int, phase metrics.Phase, d time.Duration) {
 	l.mu.Lock()
 	l.attrib.phase(phase)
+	l.tot.observePhase(phase, d)
 	l.mu.Unlock()
 }
 
@@ -141,7 +147,17 @@ func (l *Log) OnSuperstep(rec *StepRecord) {
 	l.cum = l.cum.AddInto(rec.Comm)
 	l.steps = append(l.steps, st)
 	l.heat = rec.AppendHeat(l.heat)
+	emitted := len(l.spans)
 	l.spans = AppendStepSpans(l.spans, rec.Spans)
+	for i := emitted; i < len(l.spans); i++ {
+		l.tot.spans[l.spans[i].Kind]++
+	}
+	l.tot.supersteps++
+	l.tot.messages += rec.Stats.Messages
+	l.tot.redundant += rec.Stats.RedundantMessages
+	for _, v := range rec.Violations {
+		l.tot.violations[v.Kind]++
+	}
 	if !l.allSpans && len(l.spans) > spanLimit {
 		l.spans = append(l.spans[:0], l.spans[len(l.spans)/2:]...)
 	}
@@ -156,6 +172,8 @@ func (l *Log) OnRecovery(e RecoveryEvent) {
 	l.mu.Lock()
 	l.recoveries++
 	l.replayed += e.Replayed()
+	l.tot.recoveries++
+	l.tot.replayed += int64(e.Replayed())
 	l.mu.Unlock()
 }
 
@@ -171,6 +189,8 @@ func (l *Log) end(e RunEnd) {
 	l.spans = append(l.spans, RunSpan(l.info.Run, e.Wall))
 	l.hot, l.done, l.inStep = e.Hot, true, false
 	l.skews = append(l.skews, l.skewReport())
+	l.tot.spans[span.Run]++
+	l.tot.ended[e.Reason]++
 }
 
 // skewReport renders the current run's skew profile. Caller holds mu.
@@ -257,20 +277,15 @@ func (l *Log) WriteCommCSV(w io.Writer) error {
 // writePromMatrix renders one matrix in the Prometheus text exposition format
 // (zero cells omitted to bound output size).
 func writePromMatrix(w io.Writer, name, help string, m [][]int64) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name); err != nil {
-		return err
-	}
+	var cells []promSample
 	for f, row := range m {
 		for t, v := range row {
-			if v == 0 {
-				continue
-			}
-			if _, err := fmt.Fprintf(w, "%s{from=\"%d\",to=\"%d\"} %d\n", name, f, t, v); err != nil {
-				return err
+			if v != 0 {
+				cells = append(cells, promSample{fmt.Sprintf("{from=\"%d\",to=\"%d\"}", f, t), itoa(v)})
 			}
 		}
 	}
-	return nil
+	return writeProm(w, name, help, "counter", cells...)
 }
 
 // ServeComm implements the /comm endpoint — the live counterpart of the

@@ -221,35 +221,68 @@ func TestMemTrackerAttribution(t *testing.T) {
 	}
 }
 
-// TestRegisterRuntime pins the process-level gauges: registering twice is the
-// caller's bug, but one registration must expose live goroutine and heap
-// numbers at every scrape.
-func TestRegisterRuntime(t *testing.T) {
-	reg := obs.NewRegistry()
-	obs.RegisterRuntime(reg)
-
+// TestMetricsRuntimeGauges pins the process-level gauges: every scrape, even
+// of a log no run has touched, exposes live goroutine and heap numbers.
+func TestMetricsRuntimeGauges(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := reg.WriteTo(&buf); err != nil {
+	if err := obs.NewLog().WriteMetrics(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{
-		"# TYPE go_goroutines gauge",
-		"# TYPE go_heap_alloc_bytes gauge",
-		"# TYPE go_heap_sys_bytes gauge",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("runtime metrics missing %q:\n%s", want, out)
+	for _, name := range []string{"go_goroutines", "go_heap_alloc_bytes", "go_heap_sys_bytes"} {
+		if !strings.Contains(out, "# TYPE "+name+" gauge") {
+			t.Errorf("runtime metrics missing %s:\n%s", name, out)
 		}
 	}
 	// The gauges evaluate at scrape time and a live process always has at
-	// least one goroutine and a non-empty heap: no sample line may be zero.
+	// least one goroutine and a non-empty heap: no go_ sample may be zero.
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		if strings.HasSuffix(line, " 0") {
+		if strings.HasPrefix(line, "go_") && strings.HasSuffix(line, " 0") {
 			t.Errorf("runtime gauge scraped as zero: %q", line)
+		}
+	}
+}
+
+// TestMetricsPerRunGaugesResetOnRunStart pins the signal the "cumulative over
+// the latest run" egress/ingress gauges restart on: the run start — not
+// superstep 0, which a restored engine's second Run never sees and a recovery
+// that rewinds to it sees mid-run.
+func TestMetricsPerRunGaugesResetOnRunStart(t *testing.T) {
+	l := obs.NewLog()
+	sample := func(line string) bool {
+		var buf bytes.Buffer
+		l.WriteMetrics(&buf)
+		return strings.Contains(buf.String(), line+"\n")
+	}
+	step := func(n int) *obs.StepRecord {
+		rec := stepRecord(n, []int64{1, 1}, []int64{5, 2}, []int64{3, 4}, []int64{1, 1})
+		rec.Comm = transport.MatrixSnapshot{Workers: 2,
+			Messages: [][]int64{{1, 4}, {2, 0}}, Bytes: [][]int64{{8, 32}, {16, 0}}}
+		return rec
+	}
+
+	l.OnRunStart(obs.RunInfo{Engine: "cyclops", Workers: 2})
+	l.OnSuperstep(step(0))
+	l.OnSuperstep(step(1))
+	// A recovery rewinds to superstep 0: the replay adds to the run's totals.
+	l.OnRecovery(obs.RecoveryEvent{Step: 1, ResumedAt: 0, Attempt: 1})
+	l.OnSuperstep(step(0))
+	if want := obs.MetricWorkerEgress + `{worker="0"} 15`; !sample(want) {
+		t.Errorf("after a replay from superstep 0: no %q (three supersteps of 5)", want)
+	}
+	l.OnRunEnd(obs.RunEnd{Step: 2, Reason: obs.ReasonHalt})
+
+	// A restored engine's second Run starts past superstep 0.
+	l.OnRunStart(obs.RunInfo{Engine: "cyclops", Workers: 2})
+	l.OnSuperstep(step(7))
+	for _, want := range []string{
+		obs.MetricWorkerEgress + `{worker="0"} 5`,
+		obs.MetricWorkerIngress + `{worker="1"} 4`,
+		obs.MetricSupersteps + " 4", // the cross-run counters do not restart
+		obs.MetricReplayedSupersteps + " 2",
+	} {
+		if !sample(want) {
+			t.Errorf("second run starting at superstep 7: no %q", want)
 		}
 	}
 }

@@ -1,7 +1,8 @@
 // Package obs is the live observability layer: engine-agnostic
 // instrumentation hooks, a structured (slog/JSONL) superstep tracer with a
-// slow-phase detector, a small Prometheus-text-format metrics registry, and
-// an HTTP diagnostics server exposing /metrics, /trace and /debug/pprof.
+// slow-phase detector, one run log (Log) that every CSV and endpoint renders
+// from, and an HTTP diagnostics server exposing /metrics (Prometheus text),
+// /trace, /comm, /mem, /heat, /spans and /debug/pprof.
 //
 // The paper's evaluation (Figures 9–13) is entirely observational — phase
 // breakdowns, message counts, active-vertex curves — but internal/metrics

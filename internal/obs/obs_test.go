@@ -12,7 +12,6 @@ import (
 
 	"cyclops/internal/metrics"
 	"cyclops/internal/obs/span"
-	"cyclops/internal/transport"
 )
 
 func TestRingEvictsOldest(t *testing.T) {
@@ -151,113 +150,6 @@ func TestMulti(t *testing.T) {
 	m.OnRunStart(RunInfo{Engine: "x", Workers: 1})
 	if !strings.Contains(buf.String(), "run-start") {
 		t.Error("Multi did not fan out to the tracer")
-	}
-}
-
-func TestRegistryPrometheusFormat(t *testing.T) {
-	reg := NewRegistry()
-	c := reg.Counter("test_total", "A counter.")
-	c.Add(3)
-	g := reg.Gauge("test_gauge", "A gauge.")
-	g.Set(1.5)
-	reg.GaugeFunc("test_fn", "A gauge func.", func() float64 { return 42 })
-	h := reg.Histogram("test_seconds", "A histogram.", "phase", []float64{0.1, 1})
-	h.Observe("CMP", 0.05)
-	h.Observe("CMP", 0.5)
-	h.Observe("CMP", 5)
-	reg.LabeledCounter("test_labeled_total", "Labeled.", "reason", "halt").Inc()
-
-	var buf bytes.Buffer
-	if _, err := reg.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"# TYPE test_total counter",
-		"test_total 3",
-		"test_gauge 1.5",
-		"test_fn 42",
-		`test_labeled_total{reason="halt"} 1`,
-		`test_seconds_bucket{phase="CMP",le="0.1"} 1`,
-		`test_seconds_bucket{phase="CMP",le="1"} 2`,
-		`test_seconds_bucket{phase="CMP",le="+Inf"} 3`,
-		`test_seconds_count{phase="CMP"} 3`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestCollectorFoldsSteps(t *testing.T) {
-	reg := NewRegistry()
-	c := NewCollector(reg)
-	c.OnRunStart(RunInfo{Engine: "cyclops", Workers: 4, Vertices: 100, Replicas: 250})
-	c.OnSuperstepStart(0)
-	c.OnPhase(0, metrics.Compute, time.Millisecond)
-	c.OnSuperstep(&StepRecord{Stats: metrics.StepStats{Active: 100, Changed: 90, Messages: 40, RedundantMessages: 3},
-		Units: []int64{30, 10, 0, 0}, Sync: []int64{5, 6, 0, 0},
-		Violations: []Violation{{Kind: ViolationDoubleDelivery}}})
-	c.OnSuperstep(&StepRecord{Step: 1, Stats: metrics.StepStats{Active: 50, Changed: 20, Messages: 10}})
-	c.OnRunEnd(RunEnd{Step: 2, Reason: ReasonNoActive})
-
-	var buf bytes.Buffer
-	reg.WriteTo(&buf)
-	out := buf.String()
-	for _, want := range []string{
-		MetricSupersteps + " 2",
-		MetricActive + " 50",
-		MetricMessages + " 50",
-		MetricRedundant + " 3",
-		MetricReplication + " 2.5",
-		MetricRunsDone + `{reason="no-active"} 1`,
-		MetricAuditViolations + `{kind="double-delivery"} 1`,
-		MetricSpans + `{kind="superstep"} 2`,
-		MetricSpans + `{kind="run"} 1`,
-		MetricSkew + `{metric="compute"} 1`, // the latest superstep was idle: balanced
-		MetricHeatReplicaSync + " 0",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("collector output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestCollectorPerRunGaugesResetOnRunStart pins the signal the "cumulative
-// over the latest run" egress/ingress gauges restart on: the run start — not
-// superstep 0, which a restored engine's second Run never sees and a recovery
-// that rewinds to it sees mid-run.
-func TestCollectorPerRunGaugesResetOnRunStart(t *testing.T) {
-	reg := NewRegistry()
-	c := NewCollector(reg)
-	egress0 := func() float64 {
-		return reg.LabeledGauge(MetricWorkerEgress, "", "worker", "0").Value()
-	}
-	step := func(n int) *StepRecord {
-		return &StepRecord{Step: n, Active: []int64{1, 1}, Units: []int64{1, 1},
-			Comm: transport.MatrixSnapshot{Workers: 2,
-				Messages: [][]int64{{1, 4}, {2, 0}}, Bytes: [][]int64{{8, 32}, {16, 0}}}}
-	}
-
-	c.OnRunStart(RunInfo{Engine: "cyclops", Workers: 2})
-	c.OnSuperstep(step(0))
-	c.OnSuperstep(step(1))
-	// A recovery rewinds to superstep 0: the replay adds to the run's totals.
-	c.OnRecovery(RecoveryEvent{Step: 1, ResumedAt: 0, Attempt: 1})
-	c.OnSuperstep(step(0))
-	if got := egress0(); got != 15 {
-		t.Errorf("egress after a replay from superstep 0 = %v, want 15 (three supersteps of 5)", got)
-	}
-	c.OnRunEnd(RunEnd{Step: 2, Reason: ReasonHalt})
-
-	// A restored engine's second Run starts past superstep 0.
-	c.OnRunStart(RunInfo{Engine: "cyclops", Workers: 2})
-	c.OnSuperstep(step(7))
-	if got := egress0(); got != 5 {
-		t.Errorf("egress in a second run starting at superstep 7 = %v, want 5", got)
-	}
-	if got := reg.LabeledGauge(MetricWorkerIngress, "", "worker", "1").Value(); got != 4 {
-		t.Errorf("ingress of worker 1 = %v, want 4", got)
 	}
 }
 

@@ -54,9 +54,9 @@ func serveFormat(w http.ResponseWriter, r *http.Request, variants map[string]for
 // Sources is what the diagnostics server reads from. Any field may be left
 // zero; the corresponding endpoints then report 404.
 type Sources struct {
-	Registry *Registry // /metrics
-	Ring     *Ring     // /trace
-	// Log backs /comm (the worker×worker traffic matrix), /mem (per-superstep,
+	Ring *Ring // /trace
+	// Log backs /metrics (Prometheus text, rendered from the log at scrape
+	// time), /comm (the worker×worker traffic matrix), /mem (per-superstep,
 	// per-phase allocation telemetry), /heat (per-partition rows and the hot
 	// set) and /spans (the live causal-span waterfall) of the latest run.
 	Log *Log
@@ -77,12 +77,6 @@ func (src Sources) mux() *http.ServeMux {
 		}
 		fmt.Fprint(w, "cyclops diagnostics\n\n/metrics\n/trace\n/comm\n/mem\n/heat\n/spans\n/runs\n/profiles\n/debug/pprof/\n")
 	})
-	if reg := src.Registry; reg != nil {
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			reg.WriteTo(w)
-		})
-	}
 	if ring := src.Ring; ring != nil {
 		mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/x-ndjson")
@@ -90,6 +84,10 @@ func (src Sources) mux() *http.ServeMux {
 		})
 	}
 	if log := src.Log; log != nil {
+		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+			log.WriteMetrics(w) //nolint:errcheck // best-effort HTTP response
+		})
 		mux.HandleFunc("/comm", log.ServeComm)
 		mux.HandleFunc("/mem", log.ServeMem)
 		mux.HandleFunc("/heat", log.ServeHeat)

@@ -57,9 +57,6 @@ func TestServerLiveDuringRun(t *testing.T) {
 	}
 
 	tracer := obs.NewTracer(nil, obs.TracerOptions{})
-	reg := obs.NewRegistry()
-	obs.RegisterRuntime(reg)
-	collector := obs.NewCollector(reg)
 	log := obs.NewLog()
 	gt := &gate{at: 2, reached: make(chan struct{}), release: make(chan struct{})}
 	recDir := t.TempDir()
@@ -68,7 +65,7 @@ func TestServerLiveDuringRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, err := obs.Serve("127.0.0.1:0", obs.Sources{Registry: reg, Ring: tracer.Ring(), Log: log, RunsDir: recDir})
+	srv, err := obs.Serve("127.0.0.1:0", obs.Sources{Ring: tracer.Ring(), Log: log, RunsDir: recDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +75,7 @@ func TestServerLiveDuringRun(t *testing.T) {
 		cyclops.Config[float64, float64]{
 			Cluster:       cluster.Flat(2, 2),
 			MaxSupersteps: 20,
-			Hooks:         obs.Multi(tracer, collector, log, rec, gt),
+			Hooks:         obs.Multi(tracer, log, rec, gt),
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +353,7 @@ func TestRunsListsOnlyCompleteRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := obs.Serve("127.0.0.1:0", obs.Sources{Registry: obs.NewRegistry(), Ring: obs.NewRing(4),
+	srv, err := obs.Serve("127.0.0.1:0", obs.Sources{Ring: obs.NewRing(4),
 		Log: obs.NewLog(), RunsDir: recDir})
 	if err != nil {
 		t.Fatal(err)
@@ -453,7 +450,7 @@ func TestRunsListsOnlyCompleteRuns(t *testing.T) {
 
 // TestServeEphemeralPort keeps ":0" usable for tests and CLIs.
 func TestServeEphemeralPort(t *testing.T) {
-	srv, err := obs.Serve("127.0.0.1:0", obs.Sources{Registry: obs.NewRegistry(), Ring: obs.NewRing(4), Log: obs.NewLog()})
+	srv, err := obs.Serve("127.0.0.1:0", obs.Sources{Ring: obs.NewRing(4), Log: obs.NewLog()})
 	if err != nil {
 		t.Fatal(err)
 	}

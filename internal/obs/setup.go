@@ -55,12 +55,6 @@ func Setup(o Options) (*Session, error) {
 		s.Tracer = NewTracer(sink, TracerOptions{SlowFactor: o.SlowPhase})
 		hooks = append(hooks, s.Tracer)
 	}
-	var reg *Registry
-	if o.DebugAddr != "" {
-		reg = NewRegistry()
-		RegisterRuntime(reg)
-		hooks = append(hooks, NewCollector(reg))
-	}
 	if o.ProfileDir != "" {
 		var err error
 		if s.harvester, err = NewHarvester(o.ProfileDir, HarvesterOptions{}); err != nil {
@@ -84,7 +78,7 @@ func Setup(o Options) (*Session, error) {
 	}
 	if o.DebugAddr != "" {
 		var err error
-		s.server, err = Serve(o.DebugAddr, Sources{Registry: reg, Ring: s.Tracer.Ring(),
+		s.server, err = Serve(o.DebugAddr, Sources{Ring: s.Tracer.Ring(),
 			Log: s.Log, RunsDir: o.RecordDir, ProfileDir: o.ProfileDir})
 		if err != nil {
 			return nil, err
