@@ -1,14 +1,11 @@
 // Command cyclops-lint runs the internal/lint analyzer suite — the static
-// half of the repo's correctness story. The analyzers prove structural
-// invariants over every call site that the runtime machinery (replica
-// auditor, flight recorder, chaos tests) can only check on executed paths:
-// §3.6 replay determinism, the PR 4 transport-error taxonomy, single-mode
-// atomic access, obs.Hooks begin/end pairing, no sends under locks, and the
-// four hot-path contracts behind the binary wire overhaul — arena buffers
-// must not escape their round (bufretain), codec Append/EncodedSize/Decode
-// must agree byte for byte (codecsym), engine supersteps must address CSR
-// slots rather than probe ID-keyed maps (slotaddr), and //lint:hotpath
-// functions must not allocate (allocfree).
+// half of the repo's correctness story. Its three analyzers prove, over every
+// call site, invariants no runtime test reaches completely: §3.6 replay
+// determinism (determinism), the PR 4 transport-error taxonomy
+// (transporterr), and the arena contract that a round's buffers do not escape
+// it (bufretain). Contracts a runtime check settles — codec wire exactness
+// and allocation-freedom, the Frontier's access discipline — are tested, not
+// linted: see internal/lint/README.md, "Retired analyzers".
 //
 // Usage:
 //
@@ -24,8 +21,9 @@
 //
 //	//lint:allow <analyzer> <reason>
 //
-// on the finding's line or the line above; used allows are counted in the
-// summary and stale ones (suppressing nothing) are themselves findings.
+// on the finding's line or the line above — the only directive there is; used
+// allows are counted in the summary, and stale ones (suppressing nothing) and
+// reason-less ones are themselves findings.
 package main
 
 import "os"

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -37,15 +39,74 @@ func TestListAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exit = %d, want 0", code)
 	}
-	for _, name := range []string{
-		"determinism", "transporterr", "atomicmix", "sendlocked",
-		"bufretain", "codecsym", "slotaddr", "allocfree",
-	} {
-		if !strings.Contains(out, name) {
-			t.Errorf("-list output lacks analyzer %q:\n%s", name, out)
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		names = append(names, strings.Fields(line)[0])
+	}
+	if got, want := strings.Join(names, " "), "determinism transporterr bufretain"; got != want {
+		t.Errorf("-list names %q, want exactly %q", got, want)
+	}
+}
+
+// TestAllowDirectiveFindings: a directive that does not earn its keep is a
+// finding. A reason-less one never suppresses and is reported as such; one
+// that names a retired (or unknown) analyzer suppresses nothing and is
+// reported stale — so neither can sit in the tree with the driver exiting 0.
+func TestAllowDirectiveFindings(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if n := strings.Count(strings.TrimSpace(out), "\n") + 1; n != 8 {
-		t.Errorf("-list names %d analyzers, want eight:\n%s", n, out)
+	write("go.mod", "module scratch\n\ngo 1.22\n")
+	retired := []string{"atomicmix", "sendlocked", "slotaddr", "codecsym", "allocfree"}
+	src := "package scratch\n\n//lint:allow determinism\nvar bare int\n\n"
+	for i, name := range retired {
+		src += fmt.Sprintf("var v%d = make([]byte, 8) //lint:allow %s left behind when the analyzer went\n", i, name)
+	}
+	write("scratch.go", src)
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd) //nolint:errcheck // best-effort restore; the next test would fail loudly
+
+	jsonPath := filepath.Join(dir, "report.json")
+	code, out, stderr := capture(t, "-json", jsonPath, "./...")
+	if code != 2 {
+		t.Fatalf("exit = %d, want 2\nstdout:\n%s\nstderr:\n%s", code, out, stderr)
+	}
+	wants := []string{"scratch.go:3:0: //lint:allow determinism is missing its reason"}
+	for i, name := range retired {
+		wants = append(wants, fmt.Sprintf("scratch.go:%d:0: stale //lint:allow %s directive", 6+i, name))
+	}
+	for _, want := range wants {
+		if !strings.Contains(out, want) {
+			t.Errorf("stdout lacks %q:\n%s", want, out)
+		}
+	}
+	var rep report
+	data, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Findings) != len(wants) || !strings.Contains(rep.Findings[0].Message, "missing its reason") {
+		t.Errorf("-json findings = %+v, want the missing reason, then %d stale allows", rep.Findings, len(retired))
+	}
+	for _, f := range rep.Findings {
+		if f.Analyzer != "allow" {
+			t.Errorf("-json finding %+v is not booked under \"allow\"", f)
+		}
+	}
+	if len(rep.StaleAllows) != len(retired) || len(rep.AllowsUsed) != 0 {
+		t.Errorf("-json stale_allows = %+v, allows_used = %+v, want the %d retired names stale and none used",
+			rep.StaleAllows, rep.AllowsUsed, len(retired))
 	}
 }

@@ -181,8 +181,19 @@ func checkPackage(fset *token.FileSet, imp types.Importer, importPath, dir strin
 // analyzePackage runs the full suite over one type-checked package and
 // applies the //lint:allow suppression filter.
 func analyzePackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]finding, []analysis.Allow, []analysis.Allow, error) {
-	sup := analysis.NewSuppressor(analysis.ParseAllows(fset, files))
+	allows := analysis.ParseAllows(fset, files)
+	sup := analysis.NewSuppressor(allows)
 	var out []finding
+	for _, a := range allows {
+		if a.Reason == "" {
+			out = append(out, finding{
+				Analyzer: "allow",
+				File:     a.File,
+				Line:     a.Line,
+				Message:  fmt.Sprintf("//lint:allow %s is missing its reason and suppresses nothing; say why the exception is safe", a.Analyzer),
+			})
+		}
+	}
 	for _, a := range lint.Analyzers() {
 		var diags []analysis.Diagnostic
 		pass := &analysis.Pass{

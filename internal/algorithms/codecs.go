@@ -14,23 +14,17 @@ type ALSMsgCodec struct{}
 var alsVec = graph.Float64SliceCodec{}
 
 // EncodedSize implements graph.Codec.
-//
-//lint:hotpath
 func (ALSMsgCodec) EncodedSize(m ALSMsg) int {
 	return alsVec.EncodedSize(m.Vec) + 8
 }
 
 // Append implements graph.Codec.
-//
-//lint:hotpath
 func (ALSMsgCodec) Append(dst []byte, m ALSMsg) []byte {
 	dst = alsVec.Append(dst, m.Vec)
 	return graph.Float64Codec{}.Append(dst, m.Rating)
 }
 
 // Decode implements graph.Codec.
-//
-//lint:hotpath
 func (ALSMsgCodec) Decode(src []byte) (ALSMsg, int, error) {
 	var m ALSMsg
 	vec, n, err := alsVec.Decode(src)
@@ -50,21 +44,15 @@ func (ALSMsgCodec) Decode(src []byte) (ALSMsg, int, error) {
 type PRValueCodec struct{}
 
 // EncodedSize implements graph.Codec.
-//
-//lint:hotpath
 func (PRValueCodec) EncodedSize(PRValue) int { return 16 }
 
 // Append implements graph.Codec.
-//
-//lint:hotpath
 func (PRValueCodec) Append(dst []byte, v PRValue) []byte {
 	dst = graph.Float64Codec{}.Append(dst, v.Rank)
 	return graph.Float64Codec{}.Append(dst, v.Share)
 }
 
 // Decode implements graph.Codec.
-//
-//lint:hotpath
 func (PRValueCodec) Decode(src []byte) (PRValue, int, error) {
 	var v PRValue
 	rank, n, err := graph.Float64Codec{}.Decode(src)

@@ -273,18 +273,15 @@ func wrapSize[M any](sizeOf func(M) int64) func(envelope[M]) int64 {
 // the message's own encoding.
 type envelopeCodec[M any] struct{ inner graph.Codec[M] }
 
-//lint:hotpath
 func (c envelopeCodec[M]) EncodedSize(env envelope[M]) int {
 	return 4 + c.inner.EncodedSize(env.Msg)
 }
 
-//lint:hotpath
 func (c envelopeCodec[M]) Append(dst []byte, env envelope[M]) []byte {
 	dst = graph.AppendUint32(dst, uint32(env.Dst))
 	return c.inner.Append(dst, env.Msg)
 }
 
-//lint:hotpath
 func (c envelopeCodec[M]) Decode(src []byte) (envelope[M], int, error) {
 	var env envelope[M]
 	d, err := graph.Uint32At(src)

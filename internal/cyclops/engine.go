@@ -263,12 +263,10 @@ func wrapSize[M any](sizeOf func(M) int64) func(syncMsg[M]) int64 {
 // describe the same bytes.
 type syncCodec[M any] struct{ inner graph.Codec[M] }
 
-//lint:hotpath
 func (c syncCodec[M]) EncodedSize(m syncMsg[M]) int {
 	return 5 + c.inner.EncodedSize(m.Val)
 }
 
-//lint:hotpath
 func (c syncCodec[M]) Append(dst []byte, m syncMsg[M]) []byte {
 	dst = graph.AppendUint32(dst, uint32(m.Slot))
 	var act byte
@@ -279,7 +277,6 @@ func (c syncCodec[M]) Append(dst []byte, m syncMsg[M]) []byte {
 	return c.inner.Append(dst, m.Val)
 }
 
-//lint:hotpath
 func (c syncCodec[M]) Decode(src []byte) (syncMsg[M], int, error) {
 	var m syncMsg[M]
 	if len(src) < 5 {

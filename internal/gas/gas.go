@@ -202,7 +202,6 @@ type gasCodec[V, G any] struct {
 	acc graph.Codec[G]
 }
 
-//lint:hotpath
 func (c gasCodec[V, G]) EncodedSize(m gasMsg[V, G]) int {
 	switch m.Kind {
 	case kindApplyPush:
@@ -214,7 +213,6 @@ func (c gasCodec[V, G]) EncodedSize(m gasMsg[V, G]) int {
 	}
 }
 
-//lint:hotpath
 func (c gasCodec[V, G]) Append(dst []byte, m gasMsg[V, G]) []byte {
 	dst = append(dst, byte(m.Kind))
 	dst = graph.AppendUint32(dst, uint32(m.Slot))
@@ -232,7 +230,6 @@ func (c gasCodec[V, G]) Append(dst []byte, m gasMsg[V, G]) []byte {
 	return dst
 }
 
-//lint:hotpath
 func (c gasCodec[V, G]) Decode(src []byte) (gasMsg[V, G], int, error) {
 	var m gasMsg[V, G]
 	if len(src) < 5 {

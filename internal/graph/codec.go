@@ -16,7 +16,8 @@ import (
 // bearing — the in-process transport charges wire bytes from EncodedSize
 // without materializing frames, and those charges are exact-diffed by the
 // flight-recorder gate, so any drift between Append and EncodedSize shows up
-// as a wire-accounting regression.
+// as a wire-accounting regression. codectest.Check is the contract's test:
+// every implementation goes through it in its package's TestCodecContract.
 type Codec[M any] interface {
 	// EncodedSize returns the exact number of bytes Append writes for m.
 	// It is always at least 1: every message costs wire bytes, and the
@@ -58,22 +59,16 @@ func CodecFor[M any]() (Codec[M], error) {
 }
 
 // AppendUint32 appends v little-endian.
-//
-//lint:hotpath
 func AppendUint32(dst []byte, v uint32) []byte {
 	return binary.LittleEndian.AppendUint32(dst, v)
 }
 
 // AppendUint64 appends v little-endian.
-//
-//lint:hotpath
 func AppendUint64(dst []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, v)
 }
 
 // Uint32At reads a little-endian uint32 from the front of src.
-//
-//lint:hotpath
 func Uint32At(src []byte) (uint32, error) {
 	if len(src) < 4 {
 		return 0, ErrShortBuffer
@@ -82,8 +77,6 @@ func Uint32At(src []byte) (uint32, error) {
 }
 
 // Uint64At reads a little-endian uint64 from the front of src.
-//
-//lint:hotpath
 func Uint64At(src []byte) (uint64, error) {
 	if len(src) < 8 {
 		return 0, ErrShortBuffer
@@ -94,15 +87,12 @@ func Uint64At(src []byte) (uint64, error) {
 // Float64Codec encodes a float64 as its 8-byte IEEE 754 bit pattern.
 type Float64Codec struct{}
 
-//lint:hotpath
 func (Float64Codec) EncodedSize(float64) int { return 8 }
 
-//lint:hotpath
 func (Float64Codec) Append(dst []byte, m float64) []byte {
 	return AppendUint64(dst, math.Float64bits(m))
 }
 
-//lint:hotpath
 func (Float64Codec) Decode(src []byte) (float64, int, error) {
 	u, err := Uint64At(src)
 	if err != nil {
@@ -114,15 +104,12 @@ func (Float64Codec) Decode(src []byte) (float64, int, error) {
 // Int64Codec encodes an int64 as 8 fixed little-endian bytes.
 type Int64Codec struct{}
 
-//lint:hotpath
 func (Int64Codec) EncodedSize(int64) int { return 8 }
 
-//lint:hotpath
 func (Int64Codec) Append(dst []byte, m int64) []byte {
 	return AppendUint64(dst, uint64(m))
 }
 
-//lint:hotpath
 func (Int64Codec) Decode(src []byte) (int64, int, error) {
 	u, err := Uint64At(src)
 	if err != nil {
@@ -135,10 +122,8 @@ func (Int64Codec) Decode(src []byte) (int64, int, error) {
 // by the elements' bit patterns.
 type Float64SliceCodec struct{}
 
-//lint:hotpath
 func (Float64SliceCodec) EncodedSize(m []float64) int { return 4 + 8*len(m) }
 
-//lint:hotpath
 func (Float64SliceCodec) Append(dst []byte, m []float64) []byte {
 	dst = AppendUint32(dst, uint32(len(m)))
 	for _, v := range m {
@@ -147,7 +132,6 @@ func (Float64SliceCodec) Append(dst []byte, m []float64) []byte {
 	return dst
 }
 
-//lint:hotpath
 func (Float64SliceCodec) Decode(src []byte) ([]float64, int, error) {
 	n, err := Uint32At(src)
 	if err != nil {
@@ -159,7 +143,7 @@ func (Float64SliceCodec) Decode(src []byte) ([]float64, int, error) {
 	}
 	var out []float64
 	if n > 0 {
-		out = make([]float64, n) //lint:allow allocfree the decoded vector escapes into the ALS message by design; only fixed-width codecs decode in place
+		out = make([]float64, n)
 		for i := range out {
 			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[4+8*i:]))
 		}

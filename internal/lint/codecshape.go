@@ -8,7 +8,7 @@ import (
 	"cyclops/internal/lint/analysis"
 )
 
-// Codec-shape detection shared by bufretain and codecsym.
+// Codec-shape detection for bufretain.
 //
 // A codec-shaped type is a named type declared in the analyzed package whose
 // method set carries the graph.Codec triple:
@@ -28,10 +28,6 @@ type codecImpl struct {
 	size     *ast.FuncDecl // EncodedSize
 	app      *ast.FuncDecl // Append
 	dec      *ast.FuncDecl // Decode
-}
-
-func (c *codecImpl) methods() []*ast.FuncDecl {
-	return []*ast.FuncDecl{c.size, c.app, c.dec}
 }
 
 // codecImpls finds every codec-shaped type in the package, sorted by type

@@ -3,8 +3,7 @@
 // invariants this repo otherwise checks at runtime — the paper's §3.4
 // unidirectional master→replica sync contract, §3.6 replay determinism (the
 // flight recorder's byte-identical-run gate), the PR 4 typed transport-error
-// taxonomy, and the PR 9 hot-path contracts (arena buffer reuse, codec wire
-// exactness, CSR slot addressing, and the 0 allocs/op steady state).
+// taxonomy, and the PR 9 arena contract (a round's buffers do not outlive it).
 //
 // Each analyzer is documented in its own file and mapped to the contract it
 // enforces in internal/lint/README.md. Intentional exceptions are annotated
@@ -36,12 +35,7 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Determinism,
 		TransportErr,
-		AtomicMix,
-		SendLocked,
 		BufRetain,
-		CodecSym,
-		SlotAddr,
-		AllocFree,
 	}
 }
 

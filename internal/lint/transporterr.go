@@ -2,8 +2,10 @@ package lint
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"cyclops/internal/lint/analysis"
 )
@@ -123,4 +125,46 @@ func checkErrStringContains(pass *analysis.Pass, call *ast.CallExpr) {
 			return
 		}
 	}
+}
+
+// checkSentinelStyle flags package-level error sentinels built with a
+// verb-less fmt.Errorf: errors.New keeps the sentinel's identity out of
+// fmt's hands and allocates nothing beyond the error itself at init.
+func checkSentinelStyle(pass *analysis.Pass, f *ast.File) {
+	for _, d := range f.Decls {
+		gd, ok := d.(*ast.GenDecl)
+		if !ok || gd.Tok != token.VAR {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs, ok := spec.(*ast.ValueSpec)
+			if !ok {
+				continue
+			}
+			for _, v := range vs.Values {
+				call, ok := ast.Unparen(v).(*ast.CallExpr)
+				if !ok || len(call.Args) != 1 {
+					continue
+				}
+				fn := calleeFunc(pass.TypesInfo, call)
+				if fn == nil || funcPkgPath(fn) != "fmt" || fn.Name() != "Errorf" {
+					continue
+				}
+				format, known := constStringValue(pass, call.Args[0])
+				if known && !strings.Contains(format, "%") {
+					pass.Reportf(call.Pos(),
+						"package-level error sentinel built with verb-less fmt.Errorf: use errors.New — "+
+							"same message, identity-stable, and nothing owed to fmt at init")
+				}
+			}
+		}
+	}
+}
+
+func constStringValue(pass *analysis.Pass, e ast.Expr) (string, bool) {
+	tv, ok := pass.TypesInfo.Types[e]
+	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
+		return "", false
+	}
+	return constant.StringVal(tv.Value), true
 }

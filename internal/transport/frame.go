@@ -32,8 +32,6 @@ const (
 
 // frameWireBytes is the exact number of bytes appendFrame puts on the wire
 // for this batch.
-//
-//lint:hotpath
 func frameWireBytes[M any](batch []M, codec graph.Codec[M]) int64 {
 	n := int64(FrameHeaderBytes)
 	for i := range batch {
@@ -45,8 +43,6 @@ func frameWireBytes[M any](batch []M, codec graph.Codec[M]) int64 {
 // appendFrame encodes one frame onto dst and returns the extended slice.
 // dst is an arena-style per-peer buffer: steady-state calls reuse its
 // capacity and allocate nothing.
-//
-//lint:hotpath
 func appendFrame[M any](dst []byte, from int, end bool, tag span.Context, batch []M, codec graph.Codec[M]) []byte {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // length, backpatched below
@@ -73,8 +69,6 @@ func appendFrame[M any](dst []byte, from int, end bool, tag span.Context, batch 
 // that hand the batch off (the receive loop transfers ownership to the inbox)
 // pass nil scratch; callers that recycle batches get true zero-alloc
 // steady-state decoding.
-//
-//lint:hotpath
 func decodeFrameBody[M any](body []byte, codec graph.Codec[M], scratch []M) (from int, end bool, tag span.Context, batch []M, err error) {
 	if len(body) < FrameHeaderBytes-4 {
 		return 0, false, tag, nil, graph.ErrShortBuffer
@@ -103,7 +97,7 @@ func decodeFrameBody[M any](body []byte, codec graph.Codec[M], scratch []M) (fro
 		if cap(scratch) >= count {
 			batch = scratch[:count]
 		} else {
-			batch = make([]M, count) //lint:allow allocfree cold path: grows only until scratch capacity catches up, and nil-scratch callers transfer ownership
+			batch = make([]M, count)
 		}
 		for i := 0; i < count; i++ {
 			var n int

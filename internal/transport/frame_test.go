@@ -7,9 +7,11 @@ package transport
 // zero-allocation steady state the arena-style buffers exist for.
 
 import (
+	"math"
 	"testing"
 
 	"cyclops/internal/graph"
+	"cyclops/internal/graph/codectest"
 	"cyclops/internal/obs/span"
 )
 
@@ -52,6 +54,16 @@ func (intCodec) Append(dst []byte, m int) []byte {
 func (intCodec) Decode(src []byte) (int, int, error) {
 	v, n, err := graph.Int64Codec{}.Decode(src)
 	return int(v), n, err
+}
+
+// TestCodecContract: the frame, accounting and hardening tests below lean on
+// these two codecs being exact, so they go through the same check as the
+// production ones.
+func TestCodecContract(t *testing.T) {
+	codectest.Check(t, msgCodec{},
+		func(a, b msg) bool { return a.V == b.V && math.Float64bits(a.X) == math.Float64bits(b.X) },
+		msg{}, msg{V: 1, X: 1.5}, msg{V: math.MaxUint32, X: math.NaN()}, msg{V: 7, X: math.Copysign(0, -1)})
+	codectest.Check(t, intCodec{}, func(a, b int) bool { return a == b }, 0, 1, -1, math.MaxInt64, math.MinInt64)
 }
 
 func TestFrameRoundTrip(t *testing.T) {

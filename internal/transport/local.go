@@ -92,7 +92,7 @@ type slot[M any] struct {
 // that rejects a missing one.
 func NewLocal[M any](n int, mode QueueMode, sizeOf func(M) int64, codec graph.Codec[M]) *Local[M] {
 	t := &Local[M]{n: n, mode: mode,
-		books: books[M]{sizeOf: sizeOf, codec: codec, matrix: NewMatrix(n)},
+		books: books[M]{sizeOf: sizeOf, codec: codec, stats: Stats{matrix: NewMatrix(n)}},
 		tags:  make([]span.Context, n), lastDeliv: make([][]span.Delivery, n)}
 	switch mode {
 	case GlobalQueue:
@@ -151,8 +151,6 @@ func (t *Local[M]) Send(from, to int, batch []M) {
 // (sender, send-order) order regardless of goroutine scheduling, so engines
 // that fold message values in drain order produce bit-identical results on
 // every same-seed run.
-//
-//lint:hotpath
 func (t *Local[M]) Drain(to int) [][]M {
 	record := t.tagged.Load()
 	if record {
@@ -168,14 +166,13 @@ func (t *Local[M]) Drain(to int) [][]M {
 		// is in flight — makes this the per-sender slot reuse's twin).
 		q.batches = q.batches[:0]
 		q.mu.Unlock()
-		//lint:allow allocfree once-per-round canonical ordering: sort.Slice boxes the slice and its comparator, not per-message work
 		sort.Slice(tagged, func(i, j int) bool {
 			if tagged[i].from != tagged[j].from {
 				return tagged[i].from < tagged[j].from
 			}
 			return tagged[i].seq < tagged[j].seq
 		})
-		out := make([][]M, len(tagged)) //lint:allow allocfree the batch-header slice is handed to the engine each round; reusing it would alias consecutive rounds
+		out := make([][]M, len(tagged))
 		for i := range tagged {
 			out[i] = tagged[i].batch
 			if record {

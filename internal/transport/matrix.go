@@ -7,11 +7,11 @@ import (
 
 // Matrix accumulates per-peer traffic: messages[from][to] and
 // bytes[from][to], flattened row-major over n×n cells of atomics. It is the
-// per-worker refinement of Stats — the row sums are a worker's egress, the
-// column sums its ingress, and the grand total equals the Stats counters by
-// construction (both are bumped on the same Send path). Cells are updated
-// once per batch with two atomic adds, so the hot-path cost is fixed and
-// contention-free (distinct sender/receiver pairs touch distinct cells).
+// transport's one ledger of messages, payload and wire bytes — the row sums
+// are a worker's egress, the column sums its ingress, and the grand totals
+// are what Stats reports. Cells are updated once per batch with two atomic
+// adds, so the hot-path cost is fixed and contention-free (distinct
+// sender/receiver pairs touch distinct cells).
 type Matrix struct {
 	n        int
 	messages []atomic.Int64
@@ -44,6 +44,14 @@ func (m *Matrix) Add(from, to int, msgs, b int64) {
 // transport with the length of the frame it wrote.
 func (m *Matrix) AddWire(from, to int, b int64) {
 	m.wire[from*m.n+to].Add(b)
+}
+
+// total sums one of the matrix's ledgers over every (from, to) cell.
+func total(cells []atomic.Int64) (n int64) {
+	for i := range cells {
+		n += cells[i].Load()
+	}
+	return n
 }
 
 // Snapshot returns a plain-struct copy of the cumulative matrix, safe to

@@ -120,7 +120,7 @@ type rpcBatch[M any] struct {
 func NewRPC[M any](n int, sizeOf func(M) int64, codec graph.Codec[M]) (*RPC[M], error) {
 	t := &RPC[M]{
 		n:         n,
-		books:     books[M]{sizeOf: sizeOf, codec: codec, matrix: NewMatrix(n)},
+		books:     books[M]{sizeOf: sizeOf, codec: codec, stats: Stats{matrix: NewMatrix(n)}},
 		encBufs:   make([][][]byte, n),
 		listeners: make([]net.Listener, n),
 		conns:     make([][]net.Conn, n),
@@ -425,8 +425,6 @@ func (t *RPC[M]) FinishRound(from int) {
 // returns all batches received by `to` and consumes the markers. A closed
 // transport, a fatal protocol error or a torn inbound stream unblocks it
 // immediately.
-//
-//lint:hotpath
 func (t *RPC[M]) Drain(to int) [][]M {
 	in := &t.inboxes[to]
 	in.mu.Lock()
@@ -458,7 +456,7 @@ func (t *RPC[M]) Drain(to int) [][]M {
 	if record {
 		in.lastDeliv = in.lastDeliv[:0]
 	}
-	out := make([][]M, len(received)) //lint:allow allocfree the batch-header slice is handed to the engine each round; reusing it would alias consecutive rounds
+	out := make([][]M, len(received))
 	for i, rb := range received {
 		out[i] = rb.batch
 		if record {

@@ -19,20 +19,20 @@ import (
 )
 
 // books is the traffic accounting both transports embed: the two functions
-// every batch is priced by (payload, frameWireBytes) and the two ledgers
-// (Stats, Matrix) that are always bumped together.
+// every batch is priced by (payload, frameWireBytes) and Stats, which holds
+// the one ledger they are booked on — the Matrix, per (from, to) pair —
+// beside the handful of transport-wide counters it keeps for itself.
 type books[M any] struct {
 	sizeOf func(M) int64
 	codec  graph.Codec[M]
 	stats  Stats
-	matrix *Matrix
 }
 
 // Stats exposes the traffic counters.
 func (b *books[M]) Stats() *Stats { return &b.stats }
 
 // Matrix exposes the per-peer traffic counters.
-func (b *books[M]) Matrix() *Matrix { return b.matrix }
+func (b *books[M]) Matrix() *Matrix { return b.stats.matrix }
 
 // payload estimates a batch's logical size: sizeOf per message, or a flat 16
 // bytes (two words: vertex id + value) without one.
@@ -47,26 +47,27 @@ func (b *books[M]) payload(batch []M) int64 {
 	return n
 }
 
-// bookBatch records one batch from→to on both ledgers.
+// bookBatch records one batch from→to.
 func (b *books[M]) bookBatch(from, to int, batch []M, locked bool) {
-	msgs, bytes := int64(len(batch)), b.payload(batch)
-	b.stats.count(msgs, bytes, locked)
-	b.matrix.Add(from, to, msgs, bytes)
+	b.stats.matrix.Add(from, to, int64(len(batch)), b.payload(batch))
+	b.stats.batches.Add(1)
+	if locked {
+		b.stats.enqueues.Add(1)
+	}
 }
 
-// bookWire records n frame bytes from→to on both ledgers.
+// bookWire records n frame bytes from→to.
 func (b *books[M]) bookWire(from, to int, n int64) {
-	b.stats.wireBytes.Add(n)
-	b.matrix.AddWire(from, to, n)
+	b.stats.matrix.AddWire(from, to, n)
 }
 
-// Stats accumulates traffic counters. All fields are updated atomically and
-// may be read concurrently with traffic.
+// Stats is the transport-wide view of the traffic. Messages, payload bytes
+// and wire bytes are the Matrix's totals — booked once, per (from, to) pair —
+// and Stats counts only what has no cell to live in. All of it is updated
+// atomically and may be read concurrently with traffic.
 type Stats struct {
-	messages   atomic.Int64
+	matrix     *Matrix
 	batches    atomic.Int64
-	bytes      atomic.Int64
-	wireBytes  atomic.Int64 // binary frame bytes, computed from the codec
 	encodes    atomic.Int64 // frame encode operations
 	decodes    atomic.Int64 // frame decode operations
 	enqueues   atomic.Int64 // enqueue operations that took the shared lock
@@ -74,29 +75,19 @@ type Stats struct {
 	reconnects atomic.Int64 // connections re-established after a failure
 }
 
-// Count records a delivered batch of n messages totalling b bytes.
-func (s *Stats) count(n, b int64, locked bool) {
-	s.messages.Add(n)
-	s.batches.Add(1)
-	s.bytes.Add(b)
-	if locked {
-		s.enqueues.Add(1)
-	}
-}
-
 // Messages reports the total messages sent.
-func (s *Stats) Messages() int64 { return s.messages.Load() }
+func (s *Stats) Messages() int64 { return total(s.matrix.messages) }
 
 // Batches reports the total batches sent.
 func (s *Stats) Batches() int64 { return s.batches.Load() }
 
 // Bytes reports the total estimated payload bytes sent.
-func (s *Stats) Bytes() int64 { return s.bytes.Load() }
+func (s *Stats) Bytes() int64 { return total(s.matrix.bytes) }
 
 // WireBytes reports the total binary-frame bytes sent: header + Σ EncodedSize
 // per batch on both transports (computed in-process, len(frame) over TCP),
 // plus one header per round marker over TCP.
-func (s *Stats) WireBytes() int64 { return s.wireBytes.Load() }
+func (s *Stats) WireBytes() int64 { return total(s.matrix.wire) }
 
 // Encodes reports the number of frame encode operations performed.
 func (s *Stats) Encodes() int64 { return s.encodes.Load() }
@@ -115,20 +106,6 @@ func (s *Stats) Retries() int64 { return s.retries.Load() }
 // Reconnects reports how many connections were re-established after a
 // failure. Always zero for the in-process transports.
 func (s *Stats) Reconnects() int64 { return s.reconnects.Load() }
-
-// Reset zeroes all counters (used between supersteps when per-step counts
-// are wanted).
-func (s *Stats) Reset() {
-	s.messages.Store(0)
-	s.batches.Store(0)
-	s.bytes.Store(0)
-	s.wireBytes.Store(0)
-	s.encodes.Store(0)
-	s.decodes.Store(0)
-	s.enqueues.Store(0)
-	s.retries.Store(0)
-	s.reconnects.Store(0)
-}
 
 // Snapshot is a plain-struct copy of the counters for reporting.
 type Snapshot struct {
