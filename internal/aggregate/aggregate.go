@@ -21,72 +21,74 @@ const (
 	Min
 )
 
-// Values holds one worker's (or the folded global) aggregator values.
-type Values map[string]float64
+// Partial holds named aggregator values in first-contribution order: a
+// compute thread's contributions in a superstep, or the folded values. A
+// program aggregates a name or two, so a short scan finds the entry — no map
+// operation per Aggregate call. The zero Partial is empty and ready to use.
+type Partial struct{ entries []partialEntry }
+
+type partialEntry struct {
+	name string
+	op   Op
+	v    float64
+}
+
+// Reset empties p, keeping its capacity for the next superstep.
+func (p *Partial) Reset() { p.entries = p.entries[:0] }
 
 // Registry defines the aggregators of a job and holds the folded values of
 // the previous superstep. It is written only at barriers (single goroutine)
 // and read during compute, so it needs no locking.
 type Registry struct {
 	ops  map[string]Op
-	prev Values
+	prev Partial
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{ops: make(map[string]Op), prev: make(Values)}
-}
+func NewRegistry() *Registry { return &Registry{ops: make(map[string]Op)} }
 
 // Define registers an aggregator. Redefining a name replaces its op.
 func (r *Registry) Define(name string, op Op) { r.ops[name] = op }
 
-// Combine folds contribution v into a worker-local partial under the
-// aggregator's op. Unknown names behave as Sum, so programs can aggregate ad
-// hoc. Combine is called concurrently from worker threads and therefore
-// never mutates the registry — Define all non-Sum aggregators before Run.
-func (r *Registry) Combine(local Values, name string, v float64) {
-	op, ok := r.ops[name]
-	if !ok {
-		op = Sum
-	}
-	cur, exists := local[name]
-	if !exists {
-		local[name] = v
-		return
-	}
-	switch op {
-	case Sum:
-		local[name] = cur + v
-	case Max:
-		if v > cur {
-			local[name] = v
+// Combine folds contribution v into p under the aggregator's op; unknown
+// names behave as Sum, so programs can aggregate ad hoc. Worker threads call
+// it concurrently, so it never mutates the registry — Define before Run.
+func (r *Registry) Combine(p *Partial, name string, v float64) {
+	for i := range p.entries {
+		if e := &p.entries[i]; e.name == name {
+			switch {
+			case e.op == Sum:
+				e.v += v
+			case e.op == Max && v > e.v, e.op == Min && v < e.v:
+				e.v = v
+			case e.op != Max && e.op != Min:
+				panic(fmt.Sprintf("aggregate: unknown op %d", e.op))
+			}
+			return
 		}
-	case Min:
-		if v < cur {
-			local[name] = v
-		}
-	default:
-		panic(fmt.Sprintf("aggregate: unknown op %d", op))
 	}
+	p.entries = append(p.entries, partialEntry{name: name, op: r.ops[name], v: v}) // absent: Sum
 }
 
-// Fold merges worker partials into the registry, making them the values
-// visible in the next superstep. Partials are consumed (callers pass fresh
-// maps each superstep).
-func (r *Registry) Fold(partials []Values) {
-	folded := make(Values)
+// Fold combines thread partials, in order, into the values visible in the
+// next superstep.
+func (r *Registry) Fold(partials []*Partial) {
+	r.prev.Reset()
 	for _, p := range partials {
-		for name, v := range p {
-			r.Combine(folded, name, v)
+		for _, e := range p.entries {
+			r.Combine(&r.prev, e.name, e.v)
 		}
 	}
-	r.prev = folded
 }
 
 // Value returns the folded value of the previous superstep.
 func (r *Registry) Value(name string) (float64, bool) {
-	v, ok := r.prev[name]
-	return v, ok
+	for _, e := range r.prev.entries {
+		if e.name == name {
+			return e.v, true
+		}
+	}
+	return 0, false
 }
 
 // HaltFunc decides, at the end of a superstep, whether the job should stop.

@@ -2,29 +2,48 @@ package aggregate
 
 import "testing"
 
+// partial contributes vals to a fresh Partial, one Combine per name.
+func partial(r *Registry, vals map[string]float64) *Partial {
+	var p Partial
+	for name, v := range vals {
+		r.Combine(&p, name, v)
+	}
+	return &p
+}
+
 func TestCombineOps(t *testing.T) {
 	r := NewRegistry()
 	r.Define("sum", Sum)
 	r.Define("max", Max)
 	r.Define("min", Min)
-	local := make(Values)
+	var local Partial
 	for _, v := range []float64{3, 1, 2} {
-		r.Combine(local, "sum", v)
-		r.Combine(local, "max", v)
-		r.Combine(local, "min", v)
+		r.Combine(&local, "sum", v)
+		r.Combine(&local, "max", v)
+		r.Combine(&local, "min", v)
 	}
-	if local["sum"] != 6 || local["max"] != 3 || local["min"] != 1 {
-		t.Fatalf("local = %v", local)
+	r.Fold([]*Partial{&local})
+	for name, want := range map[string]float64{"sum": 6, "max": 3, "min": 1} {
+		if got, _ := r.Value(name); got != want {
+			t.Fatalf("%s = %v, want %v", name, got, want)
+		}
+	}
+	// Reset empties the partial for the next superstep.
+	local.Reset()
+	r.Fold([]*Partial{&local})
+	if _, ok := r.Value("sum"); ok {
+		t.Fatal("a reset partial still contributes")
 	}
 }
 
 func TestCombineUnknownNameDefaultsToSum(t *testing.T) {
 	r := NewRegistry()
-	local := make(Values)
-	r.Combine(local, "adhoc", 2)
-	r.Combine(local, "adhoc", 3)
-	if local["adhoc"] != 5 {
-		t.Fatalf("adhoc = %g", local["adhoc"])
+	var local Partial
+	r.Combine(&local, "adhoc", 2)
+	r.Combine(&local, "adhoc", 3)
+	r.Fold([]*Partial{&local})
+	if v, _ := r.Value("adhoc"); v != 5 {
+		t.Fatalf("adhoc = %g", v)
 	}
 }
 
@@ -32,9 +51,9 @@ func TestFoldAcrossWorkers(t *testing.T) {
 	r := NewRegistry()
 	r.Define("err", Sum)
 	r.Define("peak", Max)
-	p1 := Values{"err": 1.5, "peak": 10}
-	p2 := Values{"err": 2.5, "peak": 4}
-	r.Fold([]Values{p1, p2})
+	p1 := partial(r, map[string]float64{"err": 1.5, "peak": 10})
+	p2 := partial(r, map[string]float64{"err": 2.5, "peak": 4})
+	r.Fold([]*Partial{p1, p2})
 	if v, ok := r.Value("err"); !ok || v != 4 {
 		t.Fatalf("err = %v %v", v, ok)
 	}
@@ -45,7 +64,7 @@ func TestFoldAcrossWorkers(t *testing.T) {
 		t.Fatal("absent name must report !ok")
 	}
 	// A later fold replaces, not accumulates.
-	r.Fold([]Values{{"err": 1}})
+	r.Fold([]*Partial{partial(r, map[string]float64{"err": 1})})
 	if v, _ := r.Value("err"); v != 1 {
 		t.Fatalf("refolded err = %v", v)
 	}
@@ -68,11 +87,11 @@ func TestGlobalErrorHalt(t *testing.T) {
 	if h(0, agg, 10) {
 		t.Error("must not halt at step 0")
 	}
-	r.Fold([]Values{{"err": 1.0}}) // avg 0.01 > eps
+	r.Fold([]*Partial{partial(r, map[string]float64{"err": 1.0})}) // avg 0.01 > eps
 	if h(1, agg, 10) {
 		t.Error("must not halt above eps")
 	}
-	r.Fold([]Values{{"err": 0.05}}) // avg 5e-4 < eps
+	r.Fold([]*Partial{partial(r, map[string]float64{"err": 0.05})}) // avg 5e-4 < eps
 	if !h(2, agg, 10) {
 		t.Error("must halt below eps")
 	}
@@ -88,11 +107,11 @@ func TestConvergedProportionHalt(t *testing.T) {
 	if h(0, r.Value, 10) {
 		t.Error("step 0 must not halt")
 	}
-	r.Fold([]Values{{"conv": 100}})
+	r.Fold([]*Partial{partial(r, map[string]float64{"conv": 100})})
 	if h(1, r.Value, 10) {
 		t.Error("50% converged must not halt at target 95%")
 	}
-	r.Fold([]Values{{"conv": 191}})
+	r.Fold([]*Partial{partial(r, map[string]float64{"conv": 191})})
 	if !h(2, r.Value, 10) {
 		t.Error("95.5% converged must halt")
 	}

@@ -324,7 +324,7 @@ type Context[V, M any] struct {
 	vid     graph.ID
 	changed bool
 	sent    int64
-	local   aggregate.Values
+	local   aggregate.Partial
 	resid   []float64       // residual samples, when cfg.Residual is set
 	out     [][]envelope[M] // per destination worker, reused across supersteps
 	// Combiner coalescing state (allocated once when cfg.Combiner is set):
@@ -396,7 +396,7 @@ func (c *Context[V, M]) VoteToHalt() { c.e.halted[c.vid] = true }
 
 // Aggregate contributes v to the named aggregator (visible next superstep).
 func (c *Context[V, M]) Aggregate(name string, v float64) {
-	c.e.agg.Combine(c.local, name, v)
+	c.e.agg.Combine(&c.local, name, v)
 }
 
 // AggregateValue reads the previous superstep's folded aggregate.
@@ -445,7 +445,10 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 	k.Wire = make([]int64, workers)
 	changed := make([]int64, workers)
 	redundant := make([]int64, workers)
-	partials := make([]aggregate.Values, workers)
+	partials := make([]*aggregate.Partial, workers)
+	for w := range partials {
+		partials[w] = &e.ctxs[w].local
+	}
 	var residuals []float64
 	var sentTotal int64
 
@@ -468,10 +471,9 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 	compute := func(w int) {
 		// Reuse the persistent context: out buffers keep their capacity (PRS
 		// consumed last step's batches before this barrier), the combiner
-		// table resets by stamp advance, and the aggregate map is rebuilt
-		// because Fold consumed it.
+		// table resets by stamp advance, and the aggregate partial by Reset.
 		ctx := e.ctxs[w]
-		ctx.local = make(aggregate.Values)
+		ctx.local.Reset()
 		ctx.resid = ctx.resid[:0]
 		ctx.stamp++
 		for to := range ctx.out {
@@ -506,7 +508,6 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		}
 		k.Units[w], k.Active[w], k.Sent[w] = units, computed, sent
 		changed[w], redundant[w] = changedW, redundantW
-		partials[w] = ctx.local
 	}
 
 	// SND: flush per-worker bundles through the transport. Senders from all

@@ -2,8 +2,8 @@ package cyclops
 
 import (
 	"fmt"
-	"sort"
 
+	"cyclops/internal/graph"
 	"cyclops/internal/obs"
 )
 
@@ -30,42 +30,35 @@ func (e *Engine[V, M]) auditDeliveries(w int, batches [][]syncMsg[M]) []obs.Viol
 	ws := e.ws[w]
 	numMasters := ws.numMasters()
 	var out []obs.Violation
-	seen := make(map[int32]int)
+	seen := make([]int, ws.numReplicas()) // deliveries per replica, in slot order
 	for _, b := range batches {
 		for _, m := range b {
-			if int(m.Slot) < numMasters {
-				if len(out) < auditMaxViolations {
-					out = append(out, obs.Violation{
-						Engine: e.trace.Engine,
-						Step:   e.step,
-						Worker: w,
-						Vertex: int64(ws.masters[m.Slot]),
-						Kind:   obs.ViolationReplicaToMaster,
-						Detail: fmt.Sprintf("sync message targeted master slot %d", m.Slot),
-					})
-				}
-				continue
+			if int(m.Slot) >= numMasters {
+				seen[int(m.Slot)-numMasters]++
+			} else if len(out) < auditMaxViolations {
+				out = append(out, obs.Violation{
+					Engine: e.trace.Engine,
+					Step:   e.step,
+					Worker: w,
+					Vertex: int64(ws.masters[m.Slot]),
+					Kind:   obs.ViolationReplicaToMaster,
+					Detail: fmt.Sprintf("sync message targeted master slot %d", m.Slot),
+				})
 			}
-			seen[m.Slot]++
 		}
 	}
-	// Emit double-delivery violations in slot order: the violation list feeds
-	// StepRecord.Violations and the audit error, which replay comparison expects
-	// to be stable run to run.
-	dup := make([]int32, 0, len(seen))
-	for slot := range seen {
-		dup = append(dup, slot)
-	}
-	sort.Slice(dup, func(i, j int) bool { return dup[i] < dup[j] })
-	for _, slot := range dup {
-		if n := seen[slot]; n > 1 && len(out) < auditMaxViolations {
+	// Double deliveries come out in slot order: the violation list feeds
+	// StepRecord.Violations and the audit error, which replay comparison
+	// expects to be stable run to run.
+	for r, n := range seen {
+		if n > 1 && len(out) < auditMaxViolations {
 			out = append(out, obs.Violation{
 				Engine: e.trace.Engine,
 				Step:   e.step,
 				Worker: w,
-				Vertex: int64(ws.replicaIDs[int(slot)-numMasters]),
+				Vertex: int64(e.replicaVertex(w, int32(numMasters+r))),
 				Kind:   obs.ViolationDoubleDelivery,
-				Detail: fmt.Sprintf("replica slot %d received %d sync messages", slot, n),
+				Detail: fmt.Sprintf("replica slot %d received %d sync messages", numMasters+r, n),
 			})
 		}
 	}
@@ -78,20 +71,20 @@ func (e *Engine[V, M]) auditDeliveries(w int, batches [][]syncMsg[M]) []obs.Viol
 func (e *Engine[V, M]) auditViewConsistency() []obs.Violation {
 	var out []obs.Violation
 	for w, ws := range e.ws {
-		for s := range ws.masters {
-			for _, ref := range ws.replicas.Row(s) {
-				if obs.ExactEqual(ws.view[s], e.ws[ref.worker].view[ref.slot]) {
+		for p, peer := range e.ws {
+			for _, pe := range e.plan[w].Row(p) {
+				if obs.ExactEqual(ws.view[pe.master], peer.view[pe.replica]) {
 					continue
 				}
 				out = append(out, obs.Violation{
 					Engine: e.trace.Engine,
 					Step:   e.step,
-					Worker: int(ref.worker),
-					Vertex: int64(ws.masters[s]),
+					Worker: p,
+					Vertex: int64(ws.masters[pe.master]),
 					Kind:   obs.ViolationReplicaDesync,
 					Detail: fmt.Sprintf(
 						"replica at worker %d slot %d diverges from master at worker %d slot %d",
-						ref.worker, ref.slot, w, s),
+						p, pe.replica, w, pe.master),
 				})
 				if len(out) >= auditMaxViolations {
 					return out
@@ -100,4 +93,17 @@ func (e *Engine[V, M]) auditViewConsistency() []obs.Violation {
 		}
 	}
 	return out
+}
+
+// replicaVertex is the global id of the replica in slot s of worker w: the
+// master some sender's plan refreshes it from.
+func (e *Engine[V, M]) replicaVertex(w int, s int32) graph.ID {
+	for p, ws := range e.ws {
+		for _, pe := range e.plan[p].Row(w) {
+			if pe.replica == s {
+				return ws.masters[pe.master]
+			}
+		}
+	}
+	panic(fmt.Sprintf("cyclops: worker %d slot %d holds no replica", w, s))
 }

@@ -104,10 +104,9 @@ func newAuditEngine(t *testing.T, hooks obs.Hooks, onStep func(int, *Engine[floa
 // findReplica locates vertex id's replica slot on worker w.
 func findReplica(t *testing.T, e *Engine[float64, float64], w int, id graph.ID) int32 {
 	t.Helper()
-	ws := e.ws[w]
-	for r, rid := range ws.replicaIDs {
+	for r, rid := range e.replicaIDs(w) {
 		if rid == id {
-			return int32(ws.numMasters() + r)
+			return int32(e.ws[w].numMasters() + r)
 		}
 	}
 	t.Fatalf("vertex %d has no replica on worker %d", id, w)

@@ -3,7 +3,6 @@ package cyclops
 import (
 	"errors"
 
-	"cyclops/internal/graph"
 	"cyclops/internal/transport"
 )
 
@@ -63,13 +62,9 @@ func (e *Engine[V, M]) Restore(s State[V, M]) error {
 			ws.values[i] = s.Values[id]
 			ws.view[i] = s.View[id]
 			ws.frontier.Set(i, s.Active[id])
-			// Replica refresh: one unidirectional update per replica,
-			// exactly like a superstep's sync but without activation.
-			for _, ref := range ws.replicas.Row(i) {
-				e.ws[ref.worker].view[ref.slot] = s.View[id]
-			}
 		}
 	}
+	e.refreshReplicas()
 	// Discard any undelivered sync messages from the aborted superstep.
 	for w := 0; w < e.cfg.Cluster.Workers(); w++ {
 		e.tr.Drain(w)
@@ -78,16 +73,14 @@ func (e *Engine[V, M]) Restore(s State[V, M]) error {
 	return nil
 }
 
-// MasterWorker reports which worker owns vertex id (test helper).
-func (e *Engine[V, M]) MasterWorker(id graph.ID) int { return e.assign.Of[id] }
-
-// ReplicaWorkers reports the workers holding a replica of vertex id, in no
-// particular order (test helper for the replica-wiring invariants).
-func (e *Engine[V, M]) ReplicaWorkers(id graph.ID) []int {
-	refs := e.ws[e.assign.Of[id]].replicas.Row(int(e.layout.Slot[id]))
-	out := make([]int, 0, len(refs))
-	for _, ref := range refs {
-		out = append(out, int(ref.worker))
+// refreshReplicas copies every master's view value to its replicas: a
+// superstep's unidirectional sync, without activation.
+func (e *Engine[V, M]) refreshReplicas() {
+	for w, ws := range e.ws {
+		for p, peer := range e.ws {
+			for _, pe := range e.plan[w].Row(p) {
+				peer.view[pe.replica] = ws.view[pe.master]
+			}
+		}
 	}
-	return out
 }

@@ -1,18 +1,21 @@
 package cyclops
 
 import (
+	"errors"
 	"math"
 	"slices"
 	"testing"
 
 	"cyclops/internal/graph"
 	"cyclops/internal/graph/codectest"
+	"cyclops/internal/transport"
 )
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // TestCodecContract: the sync message every replica update travels in keeps
-// graph.Codec's contract over a fixed-width and a variable-width value.
+// graph.Codec's contract over a fixed-width and a variable-width value, and
+// the sync frame body keeps transport.BodyCodec's.
 func TestCodecContract(t *testing.T) {
 	type fm = syncMsg[float64]
 	codectest.Check(t, syncCodec[float64]{inner: graph.Float64Codec{}},
@@ -32,4 +35,42 @@ func TestCodecContract(t *testing.T) {
 		},
 		vm{}, vm{Slot: math.MaxInt32, Val: []float64{}, Activate: true},
 		vm{Slot: 9, Val: []float64{math.NaN(), math.Copysign(0, -1)}}, vm{Slot: 0, Val: long, Activate: true})
+
+	// As a frame-body codec over testPlan: BodySize is what AppendBody
+	// writes, each batch takes the layout it should, the smaller of the two,
+	// and every batch the plan can address decodes back bit for bit — into a
+	// grown buffer and a reused batch with no allocation.
+	for _, tc := range bodyCases {
+		t.Run("body/"+tc.name, func(t *testing.T) {
+			c := testCodec
+			body := c.AppendBody(nil, tc.from, tc.to, tc.batch)
+			if len(body) != c.BodySize(tc.from, tc.to, tc.batch) {
+				t.Fatalf("AppendBody wrote %d bytes, BodySize says %d", len(body), c.BodySize(tc.from, tc.to, tc.batch))
+			}
+			if got := body[0] != bodyBySlot; got != tc.positional {
+				t.Fatalf("positional = %v, want %v (mode %#x)", got, tc.positional, body[0])
+			}
+			bySlot := 1 + 13*len(tc.batch)
+			if tc.positional && len(body) > bySlot || !tc.positional && len(body) != bySlot {
+				t.Fatalf("%d-byte body, slot form is %d bytes", len(body), bySlot)
+			}
+			got := make([]fmsg, len(tc.batch))
+			err := c.DecodeBody(body, tc.from, tc.to, got)
+			if foreign := tc.name == "foreign master slot" || tc.name == "self-send"; foreign {
+				if !errors.Is(err, transport.ErrFrameCorrupt) {
+					t.Fatalf("slot outside the plan decoded: err %v", err)
+				}
+				return
+			}
+			if err != nil || !sameMsgs(got, tc.batch) {
+				t.Fatalf("decode = %+v, %v; want %+v", got, err, tc.batch)
+			}
+			if a := testing.AllocsPerRun(20, func() { body = c.AppendBody(body[:0], tc.from, tc.to, tc.batch) }); a != 0 {
+				t.Errorf("AppendBody into a grown buffer allocates %v objects", a)
+			}
+			if a := testing.AllocsPerRun(20, func() { _ = c.DecodeBody(body, tc.from, tc.to, got) }); a != 0 {
+				t.Errorf("DecodeBody into a reused batch allocates %v objects", a)
+			}
+		})
+	}
 }

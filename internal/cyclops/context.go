@@ -23,7 +23,9 @@ type Context[V, M any] struct {
 	pubVal      M
 	pubActivate bool
 
-	local aggregate.Values
+	// The owning thread's aggregates and compute counters this superstep.
+	local           aggregate.Partial
+	units, computed int64
 }
 
 // setSlot points the context at a master slot and refreshes the cached
@@ -89,7 +91,7 @@ func (c *Context[V, M]) Publish(m M, activate bool) {
 
 // Aggregate contributes v to the named aggregator (visible next superstep).
 func (c *Context[V, M]) Aggregate(name string, v float64) {
-	c.e.agg.Combine(c.local, name, v)
+	c.e.agg.Combine(&c.local, name, v)
 }
 
 // AggregateValue reads the previous superstep's folded aggregate.

@@ -74,11 +74,11 @@ type Config[V, M any] struct {
 	Residual func(old, new M) float64
 	// SizeOfMsg estimates a published value's wire size (nil = 16 bytes).
 	SizeOfMsg func(M) int64
-	// MsgCodec encodes a published value on the wire: sync messages are
-	// framed as 4B slot + 1B activation + codec-encoded value, and wire
-	// accounting charges the exact frame bytes on every network. Nil derives
-	// it from M (graph.CodecFor: float64, int64, []float64); New fails for
-	// any other message type until one is named here.
+	// MsgCodec encodes a published value on the wire, inside sync frames
+	// addressed by the send plan (syncCodec); wire accounting charges the
+	// exact frame bytes on every network. Nil derives it from M
+	// (graph.CodecFor: float64, int64, []float64); New fails for any other
+	// message type until one is named here.
 	MsgCodec graph.Codec[M]
 	// Network selects in-process queues (default) or the same binary frames
 	// over real loopback TCP sockets. Checkpointing requires InProcess.
@@ -113,12 +113,6 @@ type Config[V, M any] struct {
 	FaultPlan *fault.Plan
 }
 
-// replicaRef locates one replica of a master.
-type replicaRef struct {
-	worker int32
-	slot   int32
-}
-
 // syncMsg refreshes one replica and optionally activates its local
 // out-neighbors. Each replica receives at most one syncMsg per superstep.
 type syncMsg[M any] struct {
@@ -135,16 +129,14 @@ type syncMsg[M any] struct {
 // inner loop walks contiguous memory with no pointer chasing and the whole
 // layout costs two allocations per relation instead of one per vertex.
 type workerState[V, M any] struct {
-	masters    []graph.ID            // slot → global id
-	values     []V                   // master state, len = numMasters
-	view       []M                   // the immutable view, len = numSlots
-	in         graph.CSR[int32]      // per master: local slots of in-neighbors
-	inWeights  graph.CSR[float64]    // parallel to in
-	localOut   graph.CSR[int32]      // per slot: local master slots to activate
-	replicas   graph.CSR[replicaRef] // per master: replica locations
-	outDeg     []int32               // per master: global out-degree
-	inUnits    []int32               // per master: in-degree (compute units)
-	replicaIDs []graph.ID            // per replica slot (offset by numMasters): global id
+	masters   []graph.ID         // slot → global id
+	values    []V                // master state, len = numMasters
+	view      []M                // the immutable view, len = numSlots
+	in        graph.CSR[int32]   // per master: local slots of in-neighbors
+	inWeights graph.CSR[float64] // parallel to in
+	localOut  graph.CSR[int32]   // per slot: local master slots to activate
+	outDeg    []int32            // per master: global out-degree
+	inUnits   []int32            // per master: in-degree (compute units)
 
 	frontier superstep.Frontier // over master slots: who computes now, who next
 
@@ -155,7 +147,8 @@ type workerState[V, M any] struct {
 	out [][]syncMsg[M]
 }
 
-func (ws *workerState[V, M]) numMasters() int { return len(ws.masters) }
+func (ws *workerState[V, M]) numMasters() int  { return len(ws.masters) }
+func (ws *workerState[V, M]) numReplicas() int { return len(ws.view) - len(ws.masters) }
 
 // IngressStats reports the Figure 13(1) breakdown of graph ingress.
 type IngressStats struct {
@@ -175,7 +168,8 @@ type Engine[V, M any] struct {
 	prog    Program[V, M]
 	cfg     Config[V, M]
 	assign  *partition.Assignment
-	layout  *partition.Layout // vertex → master slot on its owner
+	layout  *partition.Layout      // vertex → master slot on its owner
+	plan    []graph.CSR[planEntry] // per worker, one row per peer: the replica topology
 	ws      []*workerState[V, M]
 	tr      transport.Interface[syncMsg[M]]
 	inj     superstep.Injector // nil without a FaultPlan
@@ -219,17 +213,6 @@ func New[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[V, M]) (*Engin
 			return nil, fmt.Errorf("cyclops: %w", err)
 		}
 	}
-	tr, err := transport.New[syncMsg[M]](cfg.Network, workers, transport.PerSenderQueue,
-		wrapSize[M](cfg.SizeOfMsg), syncCodec[M]{inner: cfg.MsgCodec})
-	if err != nil {
-		return nil, fmt.Errorf("cyclops: transport: %w", err)
-	}
-	var inj superstep.Injector
-	if cfg.FaultPlan != nil {
-		wrapped := fault.Wrap(tr, *cfg.FaultPlan)
-		tr, inj = wrapped, wrapped
-	}
-
 	name := "cyclops"
 	if cfg.Cluster.Threads > 1 || cfg.Cluster.Receivers > 1 {
 		name = "cyclopsmt"
@@ -240,14 +223,23 @@ func New[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[V, M]) (*Engin
 		cfg:    cfg,
 		assign: assign,
 		ws:     make([]*workerState[V, M], workers),
-		tr:     tr,
-		inj:    inj,
 		agg:    aggregate.NewRegistry(),
 		trace:  &metrics.Trace{Engine: name, Workers: workers},
 	}
 	if err := e.buildView(); err != nil {
 		return nil, fmt.Errorf("cyclops: %w", err)
 	}
+	// The sync codec addresses replicas through the plan buildView fixed.
+	tr, err := transport.New[syncMsg[M]](cfg.Network, workers, transport.PerSenderQueue,
+		wrapSize[M](cfg.SizeOfMsg), syncCodec[M]{inner: cfg.MsgCodec, plan: e.plan})
+	if err != nil {
+		return nil, fmt.Errorf("cyclops: transport: %w", err)
+	}
+	if cfg.FaultPlan != nil {
+		wrapped := fault.Wrap(tr, *cfg.FaultPlan)
+		tr, e.inj = wrapped, wrapped
+	}
+	e.tr = tr
 	return e, nil
 }
 
@@ -258,48 +250,11 @@ func wrapSize[M any](sizeOf func(M) int64) func(syncMsg[M]) int64 {
 	return func(m syncMsg[M]) int64 { return 5 + sizeOf(m.Val) }
 }
 
-// syncCodec frames a syncMsg as 4B slot + 1B activation flag + value — the
-// same 5-byte envelope wrapSize charges, so payload and wire accounting
-// describe the same bytes.
-type syncCodec[M any] struct{ inner graph.Codec[M] }
-
-func (c syncCodec[M]) EncodedSize(m syncMsg[M]) int {
-	return 5 + c.inner.EncodedSize(m.Val)
-}
-
-func (c syncCodec[M]) Append(dst []byte, m syncMsg[M]) []byte {
-	dst = graph.AppendUint32(dst, uint32(m.Slot))
-	var act byte
-	if m.Activate {
-		act = 1
-	}
-	dst = append(dst, act)
-	return c.inner.Append(dst, m.Val)
-}
-
-func (c syncCodec[M]) Decode(src []byte) (syncMsg[M], int, error) {
-	var m syncMsg[M]
-	if len(src) < 5 {
-		return m, 0, graph.ErrShortBuffer
-	}
-	slot, err := graph.Uint32At(src)
-	if err != nil {
-		return m, 0, err
-	}
-	m.Slot = int32(slot)
-	m.Activate = src[4] != 0
-	val, n, err := c.inner.Decode(src[5:])
-	if err != nil {
-		return m, 0, err
-	}
-	m.Val = val
-	return m, 5 + n, nil
-}
-
 // buildView performs the replica-creation ingress phase (§4.3): every vertex
 // "sends a message" along its out-edges; the receiving worker creates a
 // replica for each remote source, wires an in-edge from it, and records a
-// local out-edge so the replica can activate the target later.
+// local out-edge so the replica can activate the target later; the source's
+// worker appends the (master, replica) pair to its send plan for that peer.
 //
 // The edge walk runs twice over the graph's CSR — the assemblers count on
 // the first run and store on the second — and discovers replicas in the same
@@ -319,9 +274,7 @@ func (e *Engine[V, M]) buildView() error {
 	in := make([]graph.CSRAssembler[int32], workers)
 	inW := make([]graph.CSRAssembler[float64], workers)
 	out := make([]graph.CSRAssembler[int32], workers) // grows past masters as replicas appear
-	reps := make([]graph.CSRAssembler[replicaRef], workers)
-	var replicaIDs graph.CSRAssembler[graph.ID] // per worker: its replicas in slot order
-	replicaIDs.Grow(workers)
+	plan := make([]graph.CSRAssembler[planEntry], workers)
 	for w := 0; w < workers; w++ {
 		ws := &workerState[V, M]{masters: layout.Masters(w)}
 		e.ws[w] = ws
@@ -338,7 +291,7 @@ func (e *Engine[V, M]) buildView() error {
 		in[w].Grow(m)
 		inW[w].Grow(m)
 		out[w].Grow(m)
-		reps[w].Grow(m)
+		plan[w].Grow(workers)
 	}
 
 	// A replica of u is only ever discovered while scanning u's own
@@ -364,8 +317,7 @@ func (e *Engine[V, M]) buildView() error {
 					if heldFor[wv] != u+1 {
 						heldFor[wv], heldSlot[wv] = u+1, nextSlot[wv]
 						nextSlot[wv]++
-						replicaIDs.Add(wv, graph.ID(u))
-						reps[wu].Add(int(su), replicaRef{worker: int32(wv), slot: heldSlot[wv]})
+						plan[wu].Add(wv, planEntry{master: su, replica: heldSlot[wv]})
 					}
 					src = heldSlot[wv]
 				}
@@ -378,42 +330,35 @@ func (e *Engine[V, M]) buildView() error {
 		}
 	}
 	walk()
-	replicaIDs.Fill()
 	for w := range e.ws {
 		in[w].Fill()
 		inW[w].Fill()
 		out[w].Fill()
-		reps[w].Fill()
+		plan[w].Fill()
 	}
 	walk()
-	ids := replicaIDs.Build()
-	e.ingress.Replicas = int64(ids.NumItems())
+	e.plan = make([]graph.CSR[planEntry], workers)
 	for w, ws := range e.ws {
 		ws.in = in[w].Build()
 		ws.inWeights = inW[w].Build()
 		ws.localOut = out[w].Build()
-		ws.replicas = reps[w].Build()
-		ws.replicaIDs = ids.Row(w)
+		e.plan[w] = plan[w].Build()
+		ws.view = make([]M, nextSlot[w]) // masters, then the replicas walk handed out
+		e.ingress.Replicas += int64(ws.numReplicas())
 	}
 	e.ingress.Replication = time.Since(repStart)
 
-	// Seed values and views. Init must be deterministic so replica seeds
-	// agree with master seeds.
+	// Seed values and views. Init is deterministic, so a replica's seed is
+	// its master's: one unidirectional copy, as every later sync.
 	initStart := time.Now()
-	for w := 0; w < workers; w++ {
-		ws := e.ws[w]
-		ws.view = make([]M, ws.numMasters()+len(ws.replicaIDs))
+	for _, ws := range e.ws {
 		for i, id := range ws.masters {
 			v, m, act := e.prog.Init(id, e.g)
-			ws.values[i] = v
-			ws.view[i] = m
+			ws.values[i], ws.view[i] = v, m
 			ws.frontier.Set(i, act)
 		}
-		for r, id := range ws.replicaIDs {
-			_, m, _ := e.prog.Init(id, e.g)
-			ws.view[ws.numMasters()+r] = m
-		}
 	}
+	e.refreshReplicas()
 	e.ingress.Init = time.Since(initStart)
 	return nil
 }
@@ -455,12 +400,6 @@ func (e *Engine[V, M]) Values() []V {
 	return out
 }
 
-// ViewOf returns the published value of vertex id as stored at its master
-// (what neighbors read next superstep). Test/diagnostic helper.
-func (e *Engine[V, M]) ViewOf(id graph.ID) M {
-	return e.ws[e.assign.Of[id]].view[e.layout.Slot[id]]
-}
-
 // TransportStats exposes raw traffic counters.
 func (e *Engine[V, M]) TransportStats() transport.Snapshot { return e.tr.Stats().Snapshot() }
 
@@ -469,7 +408,7 @@ func (e *Engine[V, M]) TransportStats() transport.Snapshot { return e.tr.Stats()
 func (e *Engine[V, M]) workerReplicas() []int64 {
 	out := make([]int64, len(e.ws))
 	for w, ws := range e.ws {
-		out[w] = int64(len(ws.replicaIDs))
+		out[w] = int64(ws.numReplicas())
 	}
 	return out
 }

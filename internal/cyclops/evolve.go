@@ -45,34 +45,21 @@ func (e *Engine[V, M]) Evolve(added []graph.Edge) (*Engine[V, M], error) {
 	// separate computations, as in Kineograph).
 
 	// Transfer master state: values, published views, activation.
-	oldN := e.g.NumVertices()
-	values := make([]V, oldN)
-	views := make([]M, oldN)
-	active := make([]bool, oldN)
-	for _, ws := range e.ws {
-		for i, id := range ws.masters {
-			values[id] = ws.values[i]
-			views[id] = ws.view[i]
-			active[id] = ws.frontier.Has(i)
-		}
-	}
+	old := e.snapshot()
 	for _, ws := range next.ws {
 		for i, id := range ws.masters {
-			if int(id) >= oldN {
+			if int(id) >= len(old.Values) {
 				continue // new vertex: keep its Init state
 			}
-			ws.values[i] = values[id]
-			ws.view[i] = views[id]
-			if active[id] {
+			ws.values[i] = old.Values[id]
+			ws.view[i] = old.View[id]
+			if old.Active[id] {
 				ws.frontier.Set(i, true)
-			}
-			// Refresh this master's replicas with the carried-over view —
-			// the same unidirectional sync a checkpoint restore performs.
-			for _, ref := range ws.replicas.Row(i) {
-				next.ws[ref.worker].view[ref.slot] = views[id]
 			}
 		}
 	}
+	// Carry the views over to the replicas, as a checkpoint restore does.
+	next.refreshReplicas()
 
 	// Activate the endpoints of the new edges: the targets see new
 	// in-neighbors, and the sources must publish so brand-new replicas of

@@ -14,14 +14,19 @@ import (
 // referenceView is the ingress buildView used to be, kept as the oracle: one
 // pass over the edges that appends to a Go slice per row and remembers every
 // replica in a workers×|V| table. It returns, per worker, the replica ids in
-// slot order and the four adjacency relations as rows.
+// slot order, the three adjacency relations as rows, and the send plan as
+// the per-peer rows of the replica locations it kept per master.
 type referenceView struct {
 	replicaIDs []graph.ID
 	in         [][]int32
 	inWeights  [][]float64
 	localOut   [][]int32
-	replicas   [][]replicaRef
+	plan       [][]planEntry
 }
+
+// replicaRef locates one replica of a master, as the per-master replica
+// lists the send plan replaced did.
+type replicaRef struct{ worker, slot int32 }
 
 func buildReferenceView(g *graph.Graph, assign *partition.Assignment, workers int) []referenceView {
 	n := g.NumVertices()
@@ -32,13 +37,15 @@ func buildReferenceView(g *graph.Graph, assign *partition.Assignment, workers in
 		masters[assign.Of[v]]++
 	}
 	view := make([]referenceView, workers)
+	replicas := make([][][]replicaRef, workers) // per worker, per master
 	slotOn := make([][]int32, workers)
 	for w := range view {
 		m := int(masters[w])
 		view[w] = referenceView{
 			in: make([][]int32, m), inWeights: make([][]float64, m),
-			localOut: make([][]int32, m), replicas: make([][]replicaRef, m),
+			localOut: make([][]int32, m), plan: make([][]planEntry, workers),
 		}
+		replicas[w] = make([][]replicaRef, m)
 		slotOn[w] = make([]int32, n)
 		for i := range slotOn[w] {
 			slotOn[w][i] = -1
@@ -55,14 +62,20 @@ func buildReferenceView(g *graph.Graph, assign *partition.Assignment, workers in
 					slotOn[wv][u] = masters[wv] + int32(len(view[wv].replicaIDs))
 					view[wv].replicaIDs = append(view[wv].replicaIDs, graph.ID(u))
 					view[wv].localOut = append(view[wv].localOut, nil)
-					view[wu].replicas[su] = append(view[wu].replicas[su],
-						replicaRef{worker: int32(wv), slot: slotOn[wv][u]})
+					replicas[wu][su] = append(replicas[wu][su], replicaRef{worker: int32(wv), slot: slotOn[wv][u]})
 				}
 				src = slotOn[wv][u]
 			}
 			view[wv].in[sv] = append(view[wv].in[sv], src)
 			view[wv].inWeights[sv] = append(view[wv].inWeights[sv], wts[i])
 			view[wv].localOut[src] = append(view[wv].localOut[src], sv)
+		}
+	}
+	for w := range view {
+		for su, refs := range replicas[w] {
+			for _, ref := range refs {
+				view[w].plan[ref.worker] = append(view[w].plan[ref.worker], planEntry{master: int32(su), replica: ref.slot})
+			}
 		}
 	}
 	return view
@@ -111,17 +124,14 @@ func TestIngressMatchesAppendRowsReference(t *testing.T) {
 				var replicas int64
 				for w, ws := range e.ws {
 					got := referenceView{
-						replicaIDs: ws.replicaIDs,
+						replicaIDs: e.replicaIDs(w),
 						in:         rowsOf(ws.in), inWeights: rowsOf(ws.inWeights),
-						localOut: rowsOf(ws.localOut), replicas: rowsOf(ws.replicas),
-					}
-					if len(got.replicaIDs) == 0 {
-						got.replicaIDs = nil
+						localOut: rowsOf(ws.localOut), plan: rowsOf(e.plan[w]),
 					}
 					if !reflect.DeepEqual(got, want[w]) {
 						t.Fatalf("%s: worker %d\n got  %+v\n want %+v", name, w, got, want[w])
 					}
-					replicas += int64(len(ws.replicaIDs))
+					replicas += int64(len(got.replicaIDs))
 				}
 				if e.Ingress().Replicas != replicas {
 					t.Fatalf("%s: Ingress().Replicas = %d, workers hold %d", name, e.Ingress().Replicas, replicas)

@@ -1,0 +1,131 @@
+package cyclops
+
+import (
+	"errors"
+	"math"
+	"testing"
+
+	"cyclops/internal/graph"
+	"cyclops/internal/transport"
+)
+
+// testPlan is a fixed three-worker send plan, four masters per worker
+// (replica slots start at 4): 0→1 has 11 entries and 0→2 three, so their
+// presence bitmaps end mid-byte; 1→0 has 45, so one message ships cheaper by
+// slot; 2→0 has 72, so two messages sit just inside the bitmap's side of the
+// choice (9 ≤ 2×5 bytes); 2→1 and every self row are empty.
+func testPlan() []graph.CSR[planEntry] {
+	rows := map[[2]int][]planEntry{
+		{0, 1}: {{0, 4}, {0, 5}, {1, 6}, {1, 7}, {2, 9}, {2, 10}, {3, 11}, {3, 12}, {3, 14}, {3, 15}, {3, 20}},
+		{0, 2}: {{1, 4}, {2, 5}, {3, 6}},
+	}
+	for i := int32(0); i < 45; i++ {
+		rows[[2]int{1, 0}] = append(rows[[2]int{1, 0}], planEntry{master: i * 4 / 45, replica: 4 + i})
+	}
+	for i := int32(0); i < 72; i++ {
+		rows[[2]int{2, 0}] = append(rows[[2]int{2, 0}], planEntry{master: i * 4 / 72, replica: 49 + i})
+	}
+	plan := make([]graph.CSR[planEntry], 3)
+	for w := range plan {
+		var a graph.CSRAssembler[planEntry]
+		a.Grow(3)
+		add := func() {
+			for p := 0; p < 3; p++ {
+				for _, pe := range rows[[2]int{w, p}] {
+					a.Add(p, pe)
+				}
+			}
+		}
+		add()
+		a.Fill()
+		add()
+		plan[w] = a.Build()
+	}
+	return plan
+}
+
+var testCodec = syncCodec[float64]{inner: graph.Float64Codec{}, plan: testPlan()}
+
+type fmsg = syncMsg[float64]
+
+func sameMsgs(a, b []fmsg) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Slot != b[i].Slot || a[i].Activate != b[i].Activate || !sameBits(a[i].Val, b[i].Val) {
+			return false
+		}
+	}
+	return true
+}
+
+// bodyCases are frames of every layout: (from, to, batch, positional).
+var bodyCases = []struct {
+	name       string
+	from, to   int
+	batch      []fmsg
+	positional bool
+}{
+	{"dense, uniform activation", 0, 1, []fmsg{{4, 1, true}, {5, 2, true}, {6, 3, true}, {7, 4, true},
+		{9, 5, true}, {10, 6, true}, {11, 7, true}, {12, 8, true}, {14, 9, true}, {15, 10, true}, {20, math.NaN(), true}}, true},
+	{"subsequence, mixed activation", 1, 0, []fmsg{{4, 1, true}, {6, -0.0, false}, {7, 3, true},
+		{12, math.Inf(1), false}, {21, 5, true}}, true},
+	{"one of three, no activation", 0, 2, []fmsg{{5, 0.5, false}}, true},
+	{"sparse: slots beat the bitmap", 1, 0, []fmsg{{21, 1, false}}, false},
+	{"two of 72: the bitmap still wins", 2, 0, []fmsg{{49, 1, false}, {120, 2, false}}, true},
+	{"out of plan order", 0, 2, []fmsg{{6, 1, false}, {4, 2, false}}, false},
+	{"repeated replica", 0, 1, []fmsg{{4, 1, false}, {4, 1, false}, {5, 2, false}}, false},
+	{"foreign master slot", 0, 1, []fmsg{{0, 777, false}}, false},
+	{"self-send", 1, 1, []fmsg{{5, 1, true}, {6, 2, true}}, false},
+}
+
+// FuzzSyncFrameDecode: arbitrary bytes against testPlan never panic the
+// decoder and never yield a slot outside the from→to plan (so never a
+// master slot); whatever it accepts re-encodes to a body that decodes to the
+// same batch.
+func FuzzSyncFrameDecode(f *testing.F) {
+	for _, tc := range bodyCases {
+		f.Add(uint8(tc.from), uint8(tc.to), uint8(len(tc.batch)), testCodec.AppendBody(nil, tc.from, tc.to, tc.batch))
+	}
+	dense := testCodec.AppendBody(nil, 0, 1, bodyCases[0].batch)
+	f.Add(uint8(0), uint8(1), uint8(11), dense[:2])                                       // torn bitmap
+	f.Add(uint8(0), uint8(1), uint8(10), dense)                                           // count ≠ popcount
+	f.Add(uint8(0), uint8(1), uint8(11), append([]byte{2, 0xFF, 0x0F}, dense[3:]...))     // a bit past the plan
+	f.Add(uint8(0), uint8(1), uint8(11), append([]byte{0x10}, dense[1:]...))              // undefined mode bit
+	f.Add(uint8(0), uint8(1), uint8(11), append([]byte{bodyActOn}, dense[1:]...))         // on without uniform
+	f.Add(uint8(3), uint8(1), uint8(1), []byte{1, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}) // unknown sender
+	f.Fuzz(func(t *testing.T, from, to, count uint8, body []byte) {
+		if count == 0 || int(count) > len(body) {
+			return // the frame decoder never asks for these
+		}
+		fw, pw := int(from)%4, int(to)%4 // 3 names no worker
+		batch := make([]fmsg, count)
+		if err := testCodec.DecodeBody(body, fw, pw, batch); err != nil {
+			if !errors.Is(err, graph.ErrShortBuffer) && !errors.Is(err, transport.ErrFrameCorrupt) {
+				t.Fatalf("untyped decode error %v", err)
+			}
+			return
+		}
+		row := testCodec.plan[fw].Row(pw)
+		for _, m := range batch {
+			in := false
+			for _, pe := range row {
+				in = in || pe.replica == m.Slot
+			}
+			if !in {
+				t.Fatalf("decoded slot %d outside the %d→%d plan %v", m.Slot, fw, pw, row)
+			}
+		}
+		// Append → Decode round-trips, and the encoder's layout is never
+		// larger than one the decoder accepted for the same batch.
+		again := testCodec.AppendBody(nil, fw, pw, batch)
+		back := make([]fmsg, count)
+		if err := testCodec.DecodeBody(again, fw, pw, back); err != nil || !sameMsgs(back, batch) {
+			t.Fatalf("re-encoded body %x decodes to %+v, %v; want %+v", again, back, err, batch)
+		}
+		if len(again) > len(body) {
+			t.Fatalf("re-encoding grew the body from %d to %d bytes", len(body), len(again))
+		}
+	})
+}

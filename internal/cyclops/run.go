@@ -15,12 +15,13 @@ import (
 // it), so publishes are staged here and applied after the compute barrier.
 type pending[M any] struct {
 	val   []M
-	flags []uint8 // bit 0: publish; bit 1: activate
+	flags []uint8 // bit 0: publish (after SND's frontier pass: sync); bit 1: activate; bit 2: redundant
 }
 
 const (
-	flagPublish  = 1
-	flagActivate = 2
+	flagPublish   = 1
+	flagActivate  = 2
+	flagRedundant = 4
 )
 
 // Run executes supersteps until no vertex is active, the Halt function
@@ -56,27 +57,23 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 	})
 
 	// Steady-state scratch, allocated once and reused every superstep: the
-	// publish staging, aggregator partials, compute contexts and per-thread
-	// counters below are either fully overwritten each step or reset with
-	// [:0]/clear. Nothing downstream retains them — the aggregate registry
-	// folds partials into its own map and SetResiduals reduces to scalars —
-	// so the superstep loop allocates nothing for bookkeeping.
+	// publish staging, compute contexts (with their aggregator partials) and
+	// per-thread counters below are either fully overwritten each step or
+	// reset with [:0]/Reset. Nothing downstream retains them — the aggregate
+	// registry folds partials into its own and SetResiduals reduces to
+	// scalars — so the superstep loop allocates nothing for bookkeeping.
 	pend := make([]pending[M], workers)
-	partials := make([][]aggregate.Values, workers)
-	threadUnits := make([][]int64, workers)
-	threadActive := make([][]int64, workers)
 	ctxs := make([][]*Context[V, M], workers)
+	var partials []*aggregate.Partial // every context's, in (worker, thread) order
 	for w := 0; w < workers; w++ {
 		pend[w] = pending[M]{
 			val:   make([]M, e.ws[w].numMasters()),
 			flags: make([]uint8, e.ws[w].numMasters()),
 		}
-		partials[w] = make([]aggregate.Values, threads)
-		threadUnits[w] = make([]int64, threads)
-		threadActive[w] = make([]int64, threads)
 		ctxs[w] = make([]*Context[V, M], threads)
 		for t := 0; t < threads; t++ {
-			ctxs[w][t] = &Context[V, M]{e: e, ws: e.ws[w], local: make(aggregate.Values)}
+			ctxs[w][t] = &Context[V, M]{e: e, ws: e.ws[w]}
+			partials = append(partials, &ctxs[w][t].local)
 		}
 	}
 	changed := make([]int64, workers)
@@ -85,7 +82,6 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 	inbound := make([][][]syncMsg[M], workers)
 	auditPerW := make([][]obs.Violation, workers)
 	var resAll []float64
-	var flat []aggregate.Values
 	var nextActive int64
 
 	// CMP: active masters compute over the immutable view, striped across T
@@ -96,7 +92,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		ws := e.ws[w]
 		stripes[w] = func(t int) {
 			ctx := ctxs[w][t]
-			clear(ctx.local)
+			ctx.local.Reset()
 			var units, computed int64
 			heat, vals, flags := k.HeatUnits, pend[w].val, pend[w].flags
 			c := ws.frontier.Stripe(t, threads)
@@ -119,33 +115,26 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 					flags[s] = f
 				}
 			}
-			partials[w][t] = ctx.local
-			threadUnits[w][t] = units
-			threadActive[w][t] = computed
+			ctx.units, ctx.computed = units, computed
 		}
 	}
 	compute := func(w int) {
 		superstep.Fan(threads, nil, stripes[w])
 		for t := 0; t < threads; t++ {
-			k.Units[w] += threadUnits[w][t]
-			k.Active[w] += threadActive[w][t]
+			k.Units[w] += ctxs[w][t].units
+			k.Active[w] += ctxs[w][t].computed
 		}
 	}
 
 	// SND: apply publishes to the local view, activate local out-neighbors, and
 	// send one sync message per replica of each changed/activating master
 	// (§3.5). Only computed masters can have published, so CMP's worklist is
-	// SND's; worker w's send goroutine is the frontier's only writer here, and
-	// private per-destination out-queues avoid any shared-lock contention.
+	// the frontier pass's, which marks the masters to sync; one pass per peer
+	// over the send plan emits them. Worker w's send goroutine is the
+	// frontier's only writer here, and private per-destination out-queues
+	// avoid any shared-lock contention.
 	send := func(w int) {
 		ws := e.ws[w]
-		// Reuse the per-destination batch buffers: last superstep's batches
-		// were drained and applied before its barrier, so their backing
-		// arrays are free again.
-		out := ws.out
-		for to := range out {
-			out[to] = out[to][:0]
-		}
 		residuals[w] = residuals[w][:0]
 		var sent, changedW, redundantW int64
 		heat, vals, flags := k.HeatMsgs, pend[w].val, pend[w].flags
@@ -155,47 +144,53 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 			if f == 0 {
 				continue
 			}
-			flags[s] = 0
 			val := vals[s]
 			activate := f&flagActivate != 0
 			if e.cfg.Residual != nil {
 				residuals[w] = append(residuals[w], e.cfg.Residual(ws.view[s], val))
 			}
-			valueChanged := e.cfg.Equal == nil || !e.cfg.Equal(ws.view[s], val)
-			reps := ws.replicas.Row(s)
-			if !valueChanged && !activate {
-				// Republishing an identical value with no activation is the
-				// redundant traffic BSP cannot avoid; Cyclops suppresses it
-				// entirely.
-				redundantW += int64(len(reps))
-				continue
-			}
-			if valueChanged {
+			if valueChanged := e.cfg.Equal == nil || !e.cfg.Equal(ws.view[s], val); valueChanged {
 				ws.view[s] = val
 				changedW++
+			} else if !activate {
+				// Republishing an identical value with no activation is the
+				// redundant traffic BSP cannot avoid; Cyclops suppresses it
+				// entirely (the plan pass counts what it would have cost).
+				flags[s] = flagRedundant
+				continue
 			}
 			if activate {
 				for _, ls := range ws.localOut.Row(s) {
 					ws.frontier.Activate(int(ls))
 				}
 			}
-			// Send the view value, not the raw publish: when Equal suppressed
-			// a sub-epsilon change the master's view kept the old value, and
-			// replicas must match it exactly (§3.4's consistency invariant,
-			// checked by Audit).
-			for _, ref := range reps {
-				out[ref.worker] = append(out[ref.worker],
-					syncMsg[M]{Slot: ref.slot, Val: ws.view[s], Activate: activate})
-			}
-			sent += int64(len(reps))
-			if heat != nil {
-				heat[ws.masters[s]] += int64(len(reps))
-			}
 		}
-		for to := range out {
-			e.tr.Send(w, to, out[to])
+		// Send the view value, not the raw publish: when Equal suppressed a
+		// sub-epsilon change the master's view kept the old value, and
+		// replicas must match it exactly (§3.4's consistency invariant,
+		// checked by Audit). The batch buffers are reused ([:0]): last
+		// superstep's were drained and applied before its barrier.
+		for to, out := range ws.out {
+			out = out[:0]
+			for _, pe := range e.plan[w].Row(to) {
+				if f := flags[pe.master]; f&flagPublish != 0 {
+					out = append(out, syncMsg[M]{Slot: pe.replica, Val: ws.view[pe.master], Activate: f&flagActivate != 0})
+					if heat != nil {
+						heat[ws.masters[pe.master]]++
+					}
+				} else if f == flagRedundant {
+					redundantW++
+				}
+			}
+			ws.out[to] = out
+			sent += int64(len(out))
+			e.tr.Send(w, to, out)
 		}
 		e.tr.FinishRound(w)
+		c = ws.frontier.Stripe(0, 1)
+		for s := c.Next(); s >= 0; s = c.Next() {
+			flags[s] = 0
+		}
 		// Every Cyclops message is a replica sync (local edges read shared
 		// memory; replicas exist only for spanning edges), so the heat rows'
 		// sync column is the full send count.
@@ -257,11 +252,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		// SYN: hierarchical or flat barrier — fold aggregates, advance the
 		// frontiers, account the superstep.
 		Sync: func(stats *metrics.StepStats) {
-			flat = flat[:0]
-			for w := range partials {
-				flat = append(flat, partials[w]...)
-			}
-			e.agg.Fold(flat)
+			e.agg.Fold(partials)
 
 			nextActive = 0
 			resAll = resAll[:0]

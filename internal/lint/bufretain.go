@@ -136,14 +136,15 @@ func isTransportDrainCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 }
 
 // isScratchDecodeCall matches decodeFrameBody calls whose scratch argument
-// (the third) is non-nil: only those hand back a buffer the caller is
-// lending, not receiving.
+// (the last) is non-nil: only those hand back a buffer the caller is
+// lending, not receiving. TestBufRetainMatchesTransportDecode holds the real
+// function to this shape: scratch last, the batch fourth of five results.
 func isScratchDecodeCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	fn := calleeFunc(pass.TypesInfo, call)
-	if fn == nil || fn.Name() != "decodeFrameBody" || len(call.Args) != 3 {
+	if fn == nil || fn.Name() != "decodeFrameBody" || len(call.Args) == 0 {
 		return false
 	}
-	if id, ok := ast.Unparen(call.Args[2]).(*ast.Ident); ok && id.Name == "nil" {
+	if id, ok := ast.Unparen(call.Args[len(call.Args)-1]).(*ast.Ident); ok && id.Name == "nil" {
 		return false
 	}
 	return true

@@ -16,10 +16,10 @@ import (
 //	[4B from]    sender worker id
 //	[16B tag]    span context: run int64, step int32, worker int32
 //	[4B count]   number of messages
-//	[count × M]  messages, each encoded by the graph.Codec
+//	[body]       the count messages, encoded by the BodyCodec (none if 0)
 //
 // The header is fixed-size even when untagged (a zero context) so a frame's
-// wire size is a pure function of its batch — that is what lets the
+// wire size is a pure function of its (from, to, batch) — that is what lets the
 // in-process transport charge identical byte counts without materializing
 // frames, keeping PR 7's exact-diffed wire accounting deterministic across
 // transports.
@@ -30,20 +30,67 @@ const (
 	FrameHeaderBytes = 4 + 1 + 4 + 16 + 4
 )
 
-// frameWireBytes is the exact number of bytes appendFrame puts on the wire
-// for this batch.
-func frameWireBytes[M any](batch []M, codec graph.Codec[M]) int64 {
-	n := int64(FrameHeaderBytes)
+// BodyCodec encodes the non-empty batch of one from→to frame as a whole: a
+// graph.Codec through perMessage (Σ Append, as bsp and gas ship), or a codec
+// whose two ends share state fixed at ingress, like cyclops' send plan.
+// BodySize is what AppendBody writes; AppendBody must not retain dst;
+// DecodeBody fills batch (the frame's count long) from all of src or errs.
+type BodyCodec[M any] interface {
+	BodySize(from, to int, batch []M) int
+	AppendBody(dst []byte, from, to int, batch []M) []byte
+	DecodeBody(src []byte, from, to int, batch []M) error
+}
+
+// bodyOf is codec's frame-body form.
+func bodyOf[M any](codec graph.Codec[M]) BodyCodec[M] {
+	if b, ok := codec.(BodyCodec[M]); ok {
+		return b
+	}
+	return perMessage[M]{codec}
+}
+
+// perMessage encodes a body as the batch's messages back to back.
+type perMessage[M any] struct{ graph.Codec[M] }
+
+func (c perMessage[M]) BodySize(_, _ int, batch []M) int {
+	n := 0
 	for i := range batch {
-		n += int64(codec.EncodedSize(batch[i]))
+		n += c.EncodedSize(batch[i])
 	}
 	return n
 }
 
-// appendFrame encodes one frame onto dst and returns the extended slice.
-// dst is an arena-style per-peer buffer: steady-state calls reuse its
+func (c perMessage[M]) AppendBody(dst []byte, _, _ int, batch []M) []byte {
+	for i := range batch {
+		dst = c.Append(dst, batch[i])
+	}
+	return dst
+}
+
+func (c perMessage[M]) DecodeBody(src []byte, _, _ int, batch []M) error {
+	for i := range batch {
+		m, n, err := c.Decode(src)
+		if err != nil {
+			return err
+		}
+		batch[i], src = m, src[n:]
+	}
+	if len(src) != 0 {
+		return graph.ErrShortBuffer
+	}
+	return nil
+}
+
+// frameWireBytes is the exact number of bytes appendFrame puts on the wire
+// for this non-empty batch.
+func frameWireBytes[M any](from, to int, batch []M, codec BodyCodec[M]) int64 {
+	return FrameHeaderBytes + int64(codec.BodySize(from, to, batch))
+}
+
+// appendFrame encodes one from→to frame onto dst and returns the extended
+// slice. dst is an arena-style per-peer buffer: steady-state calls reuse its
 // capacity and allocate nothing.
-func appendFrame[M any](dst []byte, from int, end bool, tag span.Context, batch []M, codec graph.Codec[M]) []byte {
+func appendFrame[M any](dst []byte, from, to int, end bool, tag span.Context, batch []M, codec BodyCodec[M]) []byte {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // length, backpatched below
 	var flags byte
@@ -56,20 +103,18 @@ func appendFrame[M any](dst []byte, from int, end bool, tag span.Context, batch 
 	dst = graph.AppendUint32(dst, uint32(tag.Step))
 	dst = graph.AppendUint32(dst, uint32(tag.Worker))
 	dst = graph.AppendUint32(dst, uint32(len(batch)))
-	for i := range batch {
-		dst = codec.Append(dst, batch[i])
+	if len(batch) > 0 {
+		dst = codec.AppendBody(dst, from, to, batch)
 	}
 	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
 	return dst
 }
 
-// decodeFrameBody parses a frame body (everything after the length prefix).
-// The batch is decoded into scratch when its capacity suffices, else into a
-// fresh slice; either way decoding is allocation-free per message. Callers
-// that hand the batch off (the receive loop transfers ownership to the inbox)
-// pass nil scratch; callers that recycle batches get true zero-alloc
-// steady-state decoding.
-func decodeFrameBody[M any](body []byte, codec graph.Codec[M], scratch []M) (from int, end bool, tag span.Context, batch []M, err error) {
+// decodeFrameBody parses a frame body (everything after the length prefix)
+// received by `to`, into scratch when its capacity suffices, else into a
+// fresh slice; either way allocation-free per message. scratch stays the last
+// argument: that is how the bufretain analyzer finds it.
+func decodeFrameBody[M any](body []byte, to int, codec BodyCodec[M], scratch []M) (from int, end bool, tag span.Context, batch []M, err error) {
 	if len(body) < FrameHeaderBytes-4 {
 		return 0, false, tag, nil, graph.ErrShortBuffer
 	}
@@ -93,23 +138,16 @@ func decodeFrameBody[M any](body []byte, codec graph.Codec[M], scratch []M) (fro
 		// an attacker-controlled header field.
 		return 0, false, tag, nil, graph.ErrShortBuffer
 	}
-	if count > 0 {
-		if cap(scratch) >= count {
-			batch = scratch[:count]
-		} else {
-			batch = make([]M, count)
-		}
-		for i := 0; i < count; i++ {
-			var n int
-			batch[i], n, err = codec.Decode(rest)
-			if err != nil {
-				return 0, false, tag, nil, err
-			}
-			rest = rest[n:]
-		}
+	if cap(scratch) < count {
+		scratch = make([]M, count)
 	}
-	if len(rest) != 0 {
-		return 0, false, tag, nil, graph.ErrShortBuffer
+	if batch = scratch[:count]; count > 0 {
+		err = codec.DecodeBody(rest, from, to, batch)
+	} else if len(rest) != 0 {
+		err = graph.ErrShortBuffer
+	}
+	if err != nil {
+		return 0, false, tag, nil, err
 	}
 	return from, end, tag, batch, nil
 }

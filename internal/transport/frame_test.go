@@ -80,14 +80,14 @@ func TestFrameRoundTrip(t *testing.T) {
 		{"round-end marker", 2, true, span.Context{Run: 1, Step: 0, Worker: 2}, nil},
 		{"empty batch", 1, false, span.Context{}, nil},
 	}
-	codec := msgCodec{}
+	codec := perMessage[msg]{msgCodec{}}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			wire := appendFrame(nil, tc.from, tc.end, tc.tag, tc.batch, codec)
-			if got, want := int64(len(wire)), frameWireBytes(tc.batch, codec); got != want {
+			wire := appendFrame(nil, tc.from, 0, tc.end, tc.tag, tc.batch, codec)
+			if got, want := int64(len(wire)), frameWireBytes(0, 1, tc.batch, codec); got != want {
 				t.Fatalf("materialised %d bytes, frameWireBytes computed %d", got, want)
 			}
-			from, end, tag, batch, err := decodeFrameBody(wire[4:], codec, nil)
+			from, end, tag, batch, err := decodeFrameBody(wire[4:], 0, codec, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,24 +108,24 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameDecodeRejectsCorruption(t *testing.T) {
-	codec := msgCodec{}
-	wire := appendFrame(nil, 1, false, span.Context{}, []msg{{1, 1}, {2, 2}}, codec)
+	codec := perMessage[msg]{msgCodec{}}
+	wire := appendFrame(nil, 1, 0, false, span.Context{}, []msg{{1, 1}, {2, 2}}, codec)
 	// Truncated body: the last message is cut short.
-	if _, _, _, _, err := decodeFrameBody(wire[4:len(wire)-3], codec, nil); err == nil {
+	if _, _, _, _, err := decodeFrameBody(wire[4:len(wire)-3], 0, codec, nil); err == nil {
 		t.Error("truncated frame decoded without error")
 	}
 	// Trailing garbage: bytes past the declared message count.
-	if _, _, _, _, err := decodeFrameBody(append(wire[4:], 0xFF), codec, nil); err == nil {
+	if _, _, _, _, err := decodeFrameBody(append(wire[4:], 0xFF), 0, codec, nil); err == nil {
 		t.Error("frame with trailing bytes decoded without error")
 	}
 	// Shorter than the fixed header.
-	if _, _, _, _, err := decodeFrameBody(wire[4:10], codec, nil); err == nil {
+	if _, _, _, _, err := decodeFrameBody(wire[4:10], 0, codec, nil); err == nil {
 		t.Error("sub-header frame decoded without error")
 	}
 	// Undefined flag bits: a different frame dialect, not a torn read.
 	bent := append([]byte(nil), wire[4:]...)
 	bent[0] |= 0x80
-	if _, _, _, _, err := decodeFrameBody(bent, codec, nil); err != ErrFrameCorrupt {
+	if _, _, _, _, err := decodeFrameBody(bent, 0, codec, nil); err != ErrFrameCorrupt {
 		t.Errorf("frame with undefined flag bits: err = %v, want ErrFrameCorrupt", err)
 	}
 	// A message count larger than the remaining bytes: the decoder must
@@ -133,7 +133,7 @@ func TestFrameDecodeRejectsCorruption(t *testing.T) {
 	// allocation from the attacker-controlled header field.
 	huge := append([]byte(nil), wire[4:]...)
 	huge[21], huge[22], huge[23], huge[24] = 0xFF, 0xFF, 0xFF, 0x7F
-	if _, _, _, _, err := decodeFrameBody(huge, codec, nil); err != graph.ErrShortBuffer {
+	if _, _, _, _, err := decodeFrameBody(huge, 0, codec, nil); err != graph.ErrShortBuffer {
 		t.Errorf("frame with outsized count: err = %v, want ErrShortBuffer", err)
 	}
 }
@@ -144,13 +144,13 @@ func TestFrameDecodeRejectsCorruption(t *testing.T) {
 // the first batch across rounds observes the second round's values — exactly
 // the bug class the analyzer flags at compile time.
 func TestFrameScratchAliasing(t *testing.T) {
-	codec := msgCodec{}
+	codec := perMessage[msg]{msgCodec{}}
 	first := []msg{{1, 1.0}, {2, 2.0}}
 	second := []msg{{7, 7.0}, {8, 8.0}}
 	scratch := make([]msg, 0, 2)
 
-	wire1 := appendFrame(nil, 0, false, span.Context{}, first, codec)
-	_, _, _, batch1, err := decodeFrameBody(wire1[4:], codec, scratch)
+	wire1 := appendFrame(nil, 0, 0, false, span.Context{}, first, codec)
+	_, _, _, batch1, err := decodeFrameBody(wire1[4:], 0, codec, scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +158,8 @@ func TestFrameScratchAliasing(t *testing.T) {
 		t.Fatalf("first decode: got %+v, want %+v", batch1, first)
 	}
 
-	wire2 := appendFrame(nil, 0, false, span.Context{}, second, codec)
-	_, _, _, batch2, err := decodeFrameBody(wire2[4:], codec, scratch)
+	wire2 := appendFrame(nil, 0, 0, false, span.Context{}, second, codec)
+	_, _, _, batch2, err := decodeFrameBody(wire2[4:], 0, codec, scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,17 +178,17 @@ func TestFrameScratchAliasing(t *testing.T) {
 // per-peer arena buffer and a receive-side scratch batch have grown to their
 // high-water mark, encoding and decoding a frame allocate nothing at all.
 func TestFrameRoundTripZeroAlloc(t *testing.T) {
-	codec := msgCodec{}
+	codec := bodyOf[msg](msgCodec{})
 	batch := make([]msg, 512)
 	for i := range batch {
 		batch[i] = msg{uint32(i), float64(i)}
 	}
 	tag := span.Context{Run: 1, Step: 2, Worker: 3}
-	buf := appendFrame(nil, 0, false, tag, batch, codec) // grow the arena
+	buf := appendFrame(nil, 0, 0, false, tag, batch, codec) // grow the arena
 	scratch := make([]msg, 0, len(batch))
 	allocs := testing.AllocsPerRun(100, func() {
-		buf = appendFrame(buf[:0], 0, false, tag, batch, codec)
-		_, _, _, out, err := decodeFrameBody(buf[4:], codec, scratch)
+		buf = appendFrame(buf[:0], 0, 0, false, tag, batch, codec)
+		_, _, _, out, err := decodeFrameBody(buf[4:], 0, codec, scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func TestFrameRoundTripZeroAlloc(t *testing.T) {
 // materialise: frame header + per-message encoded sizes, while payload stays
 // on the sizeOf estimate.
 func TestLocalCodecWireAccounting(t *testing.T) {
-	codec := msgCodec{}
+	codec := perMessage[msg]{msgCodec{}}
 	tr := NewLocal[msg](3, PerSenderQueue, nil, codec)
 	batches := []struct {
 		from, to int
@@ -219,7 +219,7 @@ func TestLocalCodecWireAccounting(t *testing.T) {
 	var wantWire, wantPayload int64
 	for _, b := range batches {
 		tr.Send(b.from, b.to, b.batch)
-		wire := appendFrame(nil, b.from, false, span.Context{}, b.batch, codec)
+		wire := appendFrame(nil, b.from, 0, false, span.Context{}, b.batch, codec)
 		wantWire += int64(len(wire))
 		wantPayload += int64(len(b.batch)) * 16
 	}
@@ -243,7 +243,7 @@ func TestLocalCodecWireAccounting(t *testing.T) {
 // must equal the computed frame sizes exactly (no stream state, no type
 // descriptors).
 func TestRPCBinaryRoundTrip(t *testing.T) {
-	codec := msgCodec{}
+	codec := perMessage[msg]{msgCodec{}}
 	tr, err := NewRPC[msg](2, nil, codec)
 	if err != nil {
 		t.Fatal(err)
@@ -283,10 +283,10 @@ func TestRPCBinaryRoundTrip(t *testing.T) {
 	// computed frame sizes exactly: one data frame 0→1, one 1→0, plus one
 	// round-end marker per remote direction. The self-send is charged the
 	// frame it would have been, as the in-process transport charges it.
-	wantWire := frameWireBytes(remote, codec) +
-		frameWireBytes([]msg{{6, 6}}, codec) +
+	wantWire := frameWireBytes(0, 1, remote, codec) +
+		frameWireBytes(0, 1, []msg{{6, 6}}, codec) +
 		2*int64(FrameHeaderBytes) + // two round-end markers
-		frameWireBytes([]msg{{5, 5}}, codec)
+		frameWireBytes(0, 1, []msg{{5, 5}}, codec)
 	s := tr.Stats().Snapshot()
 	if s.WireBytes != wantWire {
 		t.Errorf("wire bytes %d, want exactly %d (header %d × frames + encoded messages)",
@@ -302,20 +302,20 @@ func TestRPCBinaryRoundTrip(t *testing.T) {
 // it back into a reused scratch batch. CI asserts 0 allocs/op — the
 // steady-state contract every remote send relies on.
 func BenchmarkFrameRoundTrip(b *testing.B) {
-	codec := msgCodec{}
+	codec := bodyOf[msg](msgCodec{})
 	batch := make([]msg, 512)
 	for i := range batch {
 		batch[i] = msg{uint32(i), float64(i)}
 	}
 	tag := span.Context{Run: 1, Step: 2, Worker: 3}
-	buf := appendFrame(nil, 0, false, tag, batch, codec)
+	buf := appendFrame(nil, 0, 0, false, tag, batch, codec)
 	scratch := make([]msg, 0, len(batch))
 	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = appendFrame(buf[:0], 0, false, tag, batch, codec)
-		_, _, _, out, err := decodeFrameBody(buf[4:], codec, scratch)
+		buf = appendFrame(buf[:0], 0, 0, false, tag, batch, codec)
+		_, _, _, out, err := decodeFrameBody(buf[4:], 0, codec, scratch)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -25,26 +25,26 @@ import (
 )
 
 func FuzzDecodeFrameBody(f *testing.F) {
-	codec := msgCodec{}
+	codec := perMessage[msg]{msgCodec{}}
 	for _, batch := range [][]msg{
 		nil,
 		{{1, 1.5}},
 		{{1, 1}, {2, 2}, {4294967295, -0.5}},
 	} {
-		wire := appendFrame(nil, 3, false, span.Context{Run: 9, Step: 2, Worker: 3}, batch, codec)
+		wire := appendFrame(nil, 3, 0, false, span.Context{Run: 9, Step: 2, Worker: 3}, batch, codec)
 		f.Add(wire[4:])
 	}
-	end := appendFrame(nil, 1, true, span.Context{Run: 1, Step: 4, Worker: 1}, nil, codec)
+	end := appendFrame(nil, 1, 0, true, span.Context{Run: 1, Step: 4, Worker: 1}, nil, codec)
 	f.Add(end[4:])
-	torn := appendFrame(nil, 0, false, span.Context{}, []msg{{5, 5}}, codec)
+	torn := appendFrame(nil, 0, 0, false, span.Context{}, []msg{{5, 5}}, codec)
 	f.Add(torn[4 : len(torn)-3])
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		from, endFlag, tag, batch, err := decodeFrameBody(body, codec, nil)
+		from, endFlag, tag, batch, err := decodeFrameBody(body, 0, codec, nil)
 		if err != nil {
 			return // rejected: the only requirement on bad input is no panic
 		}
-		wire := appendFrame(nil, from, endFlag, tag, batch, codec)
+		wire := appendFrame(nil, from, 0, endFlag, tag, batch, codec)
 		if got := binary.LittleEndian.Uint32(wire); int(got) != len(body) {
 			t.Fatalf("re-encoded length prefix %d, decoded body was %d bytes", got, len(body))
 		}
@@ -52,7 +52,7 @@ func FuzzDecodeFrameBody(f *testing.F) {
 			t.Fatalf("accepted body is not canonical:\ndecoded  %x\nreencoded %x", body, wire[4:])
 		}
 		scratch := make([]msg, 0, len(batch))
-		_, _, _, again, err := decodeFrameBody(body, codec, scratch)
+		_, _, _, again, err := decodeFrameBody(body, 0, codec, scratch)
 		if err != nil {
 			t.Fatalf("scratch decode failed where fresh decode succeeded: %v", err)
 		}

@@ -53,7 +53,8 @@ type Interface[M any] interface {
 	// FinishRound marks the end of `from`'s sends for the current round.
 	FinishRound(from int)
 	// Drain returns and clears all batches addressed to `to` for the
-	// current round.
+	// current round. They are valid until the next Drain(to), which may
+	// reuse their memory.
 	Drain(to int) [][]M
 	// Stats exposes the traffic counters.
 	Stats() *Stats
@@ -104,7 +105,8 @@ var _ Interface[int] = (*Local[int])(nil)
 // locked inbox; its contention is real, not simulated). sizeOf prices the
 // payload (nil = 16 bytes/message) and codec the wire, identically on both
 // networks; a nil codec is an error — there is one wire format and nothing
-// to fall back to.
+// to fall back to. A codec that is also a BodyCodec encodes whole frame
+// bodies; any other is applied message by message.
 func New[M any](network Network, n int, mode QueueMode, sizeOf func(M) int64, codec graph.Codec[M]) (Interface[M], error) {
 	if codec == nil {
 		return nil, errors.New("transport: a message codec is required")

@@ -39,9 +39,9 @@ func (m QueueMode) String() string {
 // Local is an in-process transport between n workers. Send is synchronous:
 // when it returns, the batch is visible to the receiver's next Drain. The
 // caller transfers ownership of the batch slice. No frame is materialized:
-// the wire charge is frameWireBytes, a pure function of the batch, so it is
-// deterministic, exact-diffable by the perf gate, and equal to what the TCP
-// transport writes for the same batch.
+// the wire charge is frameWireBytes, a pure function of the batch and its
+// endpoints, so it is deterministic, exact-diffable by the perf gate, and
+// equal to what the TCP transport writes for the same batch.
 type Local[M any] struct {
 	n    int
 	mode QueueMode
@@ -92,7 +92,7 @@ type slot[M any] struct {
 // that rejects a missing one.
 func NewLocal[M any](n int, mode QueueMode, sizeOf func(M) int64, codec graph.Codec[M]) *Local[M] {
 	t := &Local[M]{n: n, mode: mode,
-		books: books[M]{sizeOf: sizeOf, codec: codec, stats: Stats{matrix: NewMatrix(n)}},
+		books: books[M]{sizeOf: sizeOf, codec: bodyOf(codec), stats: Stats{matrix: NewMatrix(n)}},
 		tags:  make([]span.Context, n), lastDeliv: make([][]span.Delivery, n)}
 	switch mode {
 	case GlobalQueue:
@@ -124,7 +124,7 @@ func (t *Local[M]) Send(from, to int, batch []M) {
 		panic(fmt.Sprintf("transport: send %d→%d outside [0,%d)", from, to, t.n))
 	}
 	t.bookBatch(from, to, batch, t.mode == GlobalQueue)
-	t.bookWire(from, to, frameWireBytes(batch, t.codec))
+	t.bookWire(from, to, frameWireBytes(from, to, batch, t.codec))
 	var ctx span.Context
 	if t.tagged.Load() {
 		ctx = t.tags[from]

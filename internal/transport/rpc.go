@@ -99,6 +99,9 @@ type rpcInbox[M any] struct {
 	// endsFrom[i] counts unconsumed round markers from sender i. Drain
 	// consumes exactly one from every sender per round.
 	endsFrom []int
+	// out is the last Drain's result and lent its decoded (not self-sent)
+	// batches, valid until the next Drain(to) frees lent for receiveLoop.
+	out, lent, free [][]M
 	// torn is set when an inbound stream desynced mid-round: the marker it
 	// may have carried is gone, so the next Drain returns what arrived
 	// instead of waiting for it, and the barrier reports the recv error.
@@ -120,7 +123,7 @@ type rpcBatch[M any] struct {
 func NewRPC[M any](n int, sizeOf func(M) int64, codec graph.Codec[M]) (*RPC[M], error) {
 	t := &RPC[M]{
 		n:         n,
-		books:     books[M]{sizeOf: sizeOf, codec: codec, stats: Stats{matrix: NewMatrix(n)}},
+		books:     books[M]{sizeOf: sizeOf, codec: bodyOf(codec), stats: Stats{matrix: NewMatrix(n)}},
 		encBufs:   make([][][]byte, n),
 		listeners: make([]net.Listener, n),
 		conns:     make([][]net.Conn, n),
@@ -192,10 +195,11 @@ const maxFrameBytes = 1 << 30
 
 // receiveLoop reads frames off one inbound connection: a 4-byte length
 // prefix, then the frame body decoded by the codec. The body buffer is
-// reused across frames (grown once to the high-water mark); the only
-// steady-state allocation is the []M handed to the inbox — one per frame,
-// zero per message.
+// reused across frames (grown once to the high-water mark) and each batch is
+// decoded into one the inbox recycled, so the steady state allocates only
+// when a frame outgrows every recycled batch.
 func (t *RPC[M]) receiveLoop(to int, conn net.Conn) {
+	in := &t.inboxes[to]
 	defer conn.Close()
 	var hdr [4]byte
 	var body []byte
@@ -217,7 +221,13 @@ func (t *RPC[M]) receiveLoop(to int, conn net.Conn) {
 			return
 		}
 		t.stats.decodes.Add(1)
-		from, end, tag, batch, err := decodeFrameBody(body, t.codec, nil)
+		in.mu.Lock()
+		var scratch []M
+		if k := len(in.free); k > 0 {
+			scratch, in.free = in.free[k-1], in.free[:k-1]
+		}
+		in.mu.Unlock()
+		from, end, tag, batch, err := decodeFrameBody(body, to, t.codec, scratch)
 		if err == nil && (from < 0 || from >= t.n) {
 			err = fmt.Errorf("%w: sender %d outside [0,%d)", ErrFrameCorrupt, from, t.n)
 		}
@@ -228,7 +238,6 @@ func (t *RPC[M]) receiveLoop(to int, conn net.Conn) {
 			// typed. Dropping the connection makes the sender's next write
 			// fail and retry over a fresh dial.
 			t.recordErr(&Error{Op: "recv", Peer: to, Retryable: true, Err: err})
-			in := &t.inboxes[to]
 			in.mu.Lock()
 			in.torn = true
 			in.cond.Broadcast()
@@ -336,7 +345,7 @@ func (t *RPC[M]) backoff(from, attempt int) time.Duration {
 // holds encMu[from]. Returns the final error after retries.
 func (t *RPC[M]) sendFrame(from, to int, end bool, tag span.Context, batch []M) error {
 	encStart := time.Now()
-	buf := appendFrame(t.encBufs[from][to][:0], from, end, tag, batch, t.codec)
+	buf := appendFrame(t.encBufs[from][to][:0], from, to, end, tag, batch, t.codec)
 	t.encBufs[from][to] = buf
 	t.serNs[from] += time.Since(encStart).Nanoseconds() //lint:allow determinism serialisation time feeds the Serialize span, quarantined like timings.csv
 	var lastErr error
@@ -389,7 +398,7 @@ func (t *RPC[M]) Send(from, to int, batch []M) {
 	t.encMu[from].Lock()
 	defer t.encMu[from].Unlock()
 	if from == to {
-		t.bookWire(from, to, frameWireBytes(batch, t.codec))
+		t.bookWire(from, to, frameWireBytes(from, to, batch, t.codec))
 		t.deposit(to, rpcBatch[M]{from: from, ctx: t.tags[from], batch: batch})
 		return
 	}
@@ -443,7 +452,7 @@ func (t *RPC[M]) Drain(to int) [][]M {
 		in.cond.Wait()
 	}
 	received := in.batches
-	in.batches = nil
+	in.batches = in.batches[:0] // read below, before the lock is released
 	in.torn = false
 	if !in.closed {
 		for i := range in.endsFrom {
@@ -456,18 +465,19 @@ func (t *RPC[M]) Drain(to int) [][]M {
 	if record {
 		in.lastDeliv = in.lastDeliv[:0]
 	}
-	out := make([][]M, len(received))
-	for i, rb := range received {
-		out[i] = rb.batch
+	in.free = append(in.free, in.lent...) // dead now, by the Drain contract
+	in.out, in.lent = in.out[:0], in.lent[:0]
+	for _, rb := range received {
+		in.out = append(in.out, rb.batch)
+		if rb.from != to {
+			in.lent = append(in.lent, rb.batch)
+		}
 		if record {
 			in.lastDeliv = span.AddDelivery(in.lastDeliv,
 				span.Delivery{From: rb.from, Ctx: rb.ctx, Msgs: int64(len(rb.batch))})
 		}
 	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	return in.out
 }
 
 // Tag implements Interface: stamps the span context carried on `from`'s

@@ -14,17 +14,15 @@ package transport
 import (
 	"fmt"
 	"sync/atomic"
-
-	"cyclops/internal/graph"
 )
 
 // books is the traffic accounting both transports embed: the two functions
-// every batch is priced by (payload, frameWireBytes) and Stats, which holds
+// every batch is priced by (payload, frameWireBytes over codec) and Stats, which holds
 // the one ledger they are booked on — the Matrix, per (from, to) pair —
 // beside the handful of transport-wide counters it keeps for itself.
 type books[M any] struct {
 	sizeOf func(M) int64
-	codec  graph.Codec[M]
+	codec  BodyCodec[M]
 	stats  Stats
 }
 
