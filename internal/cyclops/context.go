@@ -24,8 +24,8 @@ type Context[V, M any] struct {
 	pubActivate bool
 
 	// The owning thread's aggregates and compute counters this superstep.
-	local           aggregate.Partial
-	units, computed int64
+	local                      aggregate.Partial
+	units, computed, activated int64
 }
 
 // setSlot points the context at a master slot and refreshes the cached

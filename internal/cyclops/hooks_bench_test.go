@@ -155,28 +155,46 @@ func BenchmarkSparseSuperstep(b *testing.B) {
 			for v := 0; v+1 < n; v++ {
 				gb.AddWeightedEdge(graph.ID(v), graph.ID(v+1), float64(1+v%7))
 			}
-			e, err := cyclops.New[float64, float64](gb.MustBuild(), algorithms.SSSPCyclops{Source: 0},
-				cyclops.Config[float64, float64]{Cluster: cluster.Flat(2, 1), Partitioner: partition.Range{},
-					MaxSupersteps: steps})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer e.Close()
-			start := e.Snapshot()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				if err := e.Restore(start); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if _, err := e.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/superstep")
+			benchSupersteps(b, gb.MustBuild(), algorithms.SSSPCyclops{Source: 0}, partition.Range{}, steps)
 		})
 	}
+}
+
+// BenchmarkDenseSuperstep is its dense twin, the shape of bench/'s
+// pr-web-cyclops: fixed-iteration PageRank on gweb@0.5 over Flat(2,1) and a
+// hash cut, where every vertex with an in-edge computes, publishes and
+// activates every superstep. Run it with -cpu 1, as bench/ runs on one P.
+func BenchmarkDenseSuperstep(b *testing.B) {
+	g, _, err := gen.Dataset("gweb", 0.5, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchSupersteps(b, g, algorithms.PageRankCyclops{}, partition.Hash{}, 20)
+}
+
+// benchSupersteps times steps supersteps of prog on Flat(2,1) per iteration,
+// restoring the engine's initial state untimed in between, and reports
+// ns/superstep.
+func benchSupersteps(b *testing.B, g *graph.Graph, prog cyclops.Program[float64, float64], part partition.Partitioner, steps int) {
+	e, err := cyclops.New[float64, float64](g, prog,
+		cyclops.Config[float64, float64]{Cluster: cluster.Flat(2, 1), Partitioner: part, MaxSupersteps: steps})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	start := e.Snapshot()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := e.Restore(start); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/superstep")
 }
 
 // TestSpanEmissionZeroAlloc pins the other half of the overhead contract:

@@ -81,8 +81,10 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 	residuals := make([][]float64, workers)
 	inbound := make([][][]syncMsg[M], workers)
 	auditPerW := make([][]obs.Violation, workers)
+	activating := make([]int64, workers) // CMP's publishes with activation, per worker
 	var resAll []float64
 	var nextActive int64
+	var steady, fullLast bool
 
 	// CMP: active masters compute over the immutable view, striped across T
 	// threads per worker. Thread t visits the frontier's slots ≡ t (mod T), so
@@ -93,7 +95,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		stripes[w] = func(t int) {
 			ctx := ctxs[w][t]
 			ctx.local.Reset()
-			var units, computed int64
+			var units, computed, activated int64
 			heat, vals, flags := k.HeatUnits, pend[w].val, pend[w].flags
 			c := ws.frontier.Stripe(t, threads)
 			for s := c.Next(); s >= 0; s = c.Next() {
@@ -111,18 +113,21 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 					f := uint8(flagPublish)
 					if ctx.pubActivate {
 						f |= flagActivate
+						activated++
 					}
 					flags[s] = f
 				}
 			}
-			ctx.units, ctx.computed = units, computed
+			ctx.units, ctx.computed, ctx.activated = units, computed, activated
 		}
 	}
 	compute := func(w int) {
 		superstep.Fan(threads, nil, stripes[w])
+		activating[w] = 0
 		for t := 0; t < threads; t++ {
 			k.Units[w] += ctxs[w][t].units
 			k.Active[w] += ctxs[w][t].computed
+			activating[w] += ctxs[w][t].activated
 		}
 	}
 
@@ -132,12 +137,16 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 	// the frontier pass's, which marks the masters to sync; one pass per peer
 	// over the send plan emits them. Worker w's send goroutine is the
 	// frontier's only writer here, and private per-destination out-queues
-	// avoid any shared-lock contention.
+	// avoid any shared-lock contention. A steady superstep activates exactly
+	// the current set (DESIGN.md §4.3): one Repeat instead of the edge walks.
 	send := func(w int) {
 		ws := e.ws[w]
 		residuals[w] = residuals[w][:0]
 		var sent, changedW, redundantW int64
 		heat, vals, flags := k.HeatMsgs, pend[w].val, pend[w].flags
+		if steady {
+			ws.frontier.Repeat()
+		}
 		c := ws.frontier.Stripe(0, 1)
 		for s := c.Next(); s >= 0; s = c.Next() {
 			f := flags[s]
@@ -159,7 +168,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 				flags[s] = flagRedundant
 				continue
 			}
-			if activate {
+			if activate && !steady {
 				for _, ls := range ws.localOut.Row(s) {
 					ws.frontier.Activate(int(ls))
 				}
@@ -209,7 +218,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 			for bi := r; bi < len(inbound[w]); bi += receivers {
 				for _, m := range inbound[w][bi] {
 					ws.view[m.Slot] = m.Val
-					if m.Activate {
+					if m.Activate && !steady {
 						for _, ls := range ws.localOut.Row(int(m.Slot)) {
 							ws.frontier.ActivateShared(int(ls))
 						}
@@ -236,6 +245,15 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 	ps := superstep.PhaseSet{
 		Step: func() []obs.Violation {
 			k.Phase(metrics.Compute, compute)
+			// Steady: every computed master activated, now and last superstep,
+			// and no frontier changed at the barrier in between — so this
+			// superstep activates what the last one did, the current set.
+			full, unchanged := true, true
+			for w, ws := range e.ws {
+				full = full && activating[w] == k.Active[w]
+				unchanged = unchanged && ws.frontier.Unchanged()
+			}
+			steady, fullLast = full && fullLast && unchanged, full
 			k.Phase(metrics.Send, send)
 			k.Phase(metrics.Parse, recv)
 			if !e.cfg.Audit {

@@ -10,10 +10,11 @@ import (
 // as two bitmaps. Visiting the current set costs one word test per 64 idle
 // slots plus the active ones, so a near-empty superstep does not pay for the
 // partition's size. DESIGN.md §4.1 states who may call what in which phase;
-// in short: Set/Has/Count between supersteps, Stripe and the two Activates
-// inside phases, Advance at the barrier.
+// in short: Set/Has/Count between supersteps, Unchanged between phases,
+// Stripe, Repeat and the two Activates inside phases, Advance at the barrier.
 type Frontier struct {
 	cur, next []uint64
+	unchanged bool // the last Advance reproduced the set it replaced; Set clears it
 }
 
 // NewFrontier returns an empty frontier over slots [0, n).
@@ -24,8 +25,9 @@ func NewFrontier(n int) Frontier {
 }
 
 // Set seeds or clears slot s in the current set — Init, Restore and Evolve,
-// with no phase running.
+// with no phase running. It clears Unchanged: a seeded set has no history.
 func (f *Frontier) Set(s int, on bool) {
+	f.unchanged = false
 	if on {
 		f.cur[s>>6] |= 1 << (s & 63)
 	} else {
@@ -62,14 +64,30 @@ func (f *Frontier) ActivateShared(s int) {
 	}
 }
 
+// Repeat makes the next set a copy of the current one: the whole activation
+// of a superstep known to activate exactly what it computes. Like Activate,
+// only for a phase in which this frontier has a single writer.
+func (f *Frontier) Repeat() { copy(f.next, f.cur) }
+
+// Unchanged reports whether the last Advance produced exactly the set it
+// replaced, with no Set since.
+func (f *Frontier) Unchanged() bool { return f.unchanged }
+
 // Advance is the barrier: next becomes current, next is emptied, and the new
-// current set's size — the pending count — is returned. The caller must have
-// joined every goroutine that activated; that join is the happens-before edge
-// that lets Advance, and the following superstep's readers, use plain loads.
+// current set's size — the pending count — is returned; the same pass records
+// Unchanged. The caller must have joined every goroutine that activated; that
+// join is the happens-before edge that lets Advance, and the following
+// superstep's readers, use plain loads.
 func (f *Frontier) Advance() int {
 	f.cur, f.next = f.next, f.cur
-	clear(f.next)
-	return f.Count()
+	n, diff, old := 0, uint64(0), f.next[:len(f.cur)]
+	for i, w := range f.cur {
+		n += bits.OnesCount64(w)
+		diff |= w ^ old[i]
+		old[i] = 0
+	}
+	f.unchanged = diff == 0
+	return n
 }
 
 // Cursor walks one stripe of a frontier's current set in ascending slot order.

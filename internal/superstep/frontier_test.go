@@ -81,6 +81,53 @@ func TestFrontierIterationIsTheActivatedSetAscending(t *testing.T) {
 	}
 }
 
+// TestFrontierUnchangedAndRepeat drives the steady shortcut's primitives:
+// Unchanged is true iff Advance produced the set it replaced, Set clears it
+// whatever it writes, and Repeat makes next equal current, leaving current be.
+func TestFrontierUnchangedAndRepeat(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for _, n := range frontierSizes {
+		for trial := 0; trial < 40; trial++ {
+			f := superstep.NewFrontier(n)
+			if f.Unchanged() {
+				t.Fatalf("n=%d: a new frontier reports Unchanged", n)
+			}
+			old := randomSet(rng, n)
+			for _, s := range old {
+				f.Set(s, true)
+			}
+			next := old
+			if trial%2 == 1 {
+				next = randomSet(rng, n)
+			}
+			for _, s := range next {
+				f.Activate(s)
+			}
+			if got := f.Advance(); got != len(next) {
+				t.Fatalf("n=%d: Advance = %d, want popcount %d", n, got, len(next))
+			}
+			if got, want := f.Unchanged(), slices.Equal(old, next); got != want {
+				t.Fatalf("n=%d: Unchanged = %v after %v → %v", n, got, old, next)
+			}
+			f.Repeat()
+			if got := collect(&f, 0, 1); !slices.Equal(got, next) {
+				t.Fatalf("n=%d: Repeat moved the current set to %v, want %v", n, got, next)
+			}
+			if got := f.Advance(); got != len(next) || !f.Unchanged() || !slices.Equal(collect(&f, 0, 1), next) {
+				t.Fatalf("n=%d: after Repeat, Advance = %d (unchanged %v) over %v, want %v",
+					n, got, f.Unchanged(), collect(&f, 0, 1), next)
+			}
+			if n > 0 {
+				s := rng.Intn(n)
+				f.Set(s, f.Has(s)) // writes the bit it read: no change, still a seed
+				if f.Unchanged() {
+					t.Fatalf("n=%d: Set(%d) left Unchanged set", n, s)
+				}
+			}
+		}
+	}
+}
+
 func TestFrontierStripesPartitionLikeTheStrideLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, n := range frontierSizes {

@@ -175,21 +175,30 @@ func (k *Kernel) Phase(p metrics.Phase, rounds ...func(w int)) {
 
 // Fan runs fn(0..n-1) concurrently and waits — the one place a superstep
 // spawns goroutines: Phase's workers, and the stripes inside one (cyclops' T
-// threads and R receivers). busy, when non-nil, accumulates time inside fn.
+// threads and R receivers). n == 1 runs on the caller's goroutine, which would
+// only wait anyway. busy, when non-nil, accumulates time inside fn.
 func Fan(n int, busy []time.Duration, fn func(i int)) {
+	if n == 1 {
+		timed(busy, fn, 0)
+		return
+	}
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			defer wg.Done()
-			t0 := time.Now()
-			fn(i)
-			if busy != nil {
-				busy[i] += time.Since(t0)
-			}
+			timed(busy, fn, i)
 		}(i)
 	}
 	wg.Wait()
+}
+
+func timed(busy []time.Duration, fn func(i int), i int) {
+	t0 := time.Now()
+	fn(i)
+	if busy != nil {
+		busy[i] += time.Since(t0)
+	}
 }
 
 // Run executes supersteps until the phase set stops, MaxSupersteps is
