@@ -10,18 +10,18 @@
 //	cyclops-bench -exp all
 //	cyclops-bench -exp fig10.1 -verbose               # narrate supersteps (JSONL on stderr)
 //	cyclops-bench -exp fig9.2 -debug-addr :6060       # live /metrics, /trace, /debug/pprof
-//	cyclops-bench -exp fig10.2 -trace steps.csv       # per-superstep CSV of every run
+//	cyclops-bench -exp fig10.2 -record rec            # flight record of every run
 package main
 
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 
 	"cyclops/internal/fault"
 	"cyclops/internal/harness"
-	"cyclops/internal/metrics"
 	"cyclops/internal/obs"
 	"cyclops/internal/report"
 )
@@ -35,12 +35,11 @@ func main() {
 		mach      = flag.Int("machines", 6, "simulated machines (paper: 6)")
 		workers   = flag.Int("workers", 8, "workers per machine (paper: 8)")
 		eps       = flag.Float64("eps", 1e-9, "PageRank convergence bound")
-		traceCSV  = flag.String("trace", "", "write per-superstep statistics of every engine run to this CSV file")
 		commCSV   = flag.String("comm", "", "write the last engine run's per-superstep worker×worker traffic matrix to this CSV file")
 		record    = flag.String("record", "", "record every engine run as a flight-record directory under this path, plus a normalized BENCH_baseline.json")
 		skew      = flag.Bool("skew", false, "print each run's load-imbalance profile after the experiments")
 		audit     = flag.Bool("audit", false, "verify engine invariants each superstep; a violation fails the experiment")
-		debugAddr = flag.String("debug-addr", "", "serve live diagnostics (/metrics, /trace, /comm, /spans, /profiles, /debug/pprof) on this address")
+		debugAddr = flag.String("debug-addr", "", "serve live diagnostics (/metrics, /trace, /comm, /mem, /heat, /spans, /runs, /profiles, /debug/pprof) on this address")
 		slowPhase = flag.Float64("slow-phase", 3, "warn when a phase runs slower than this factor times its trailing mean (<=1 disables the detector)")
 		profDir   = flag.String("profile-dir", "", "continuously harvest pprof CPU/heap captures into this directory, tagged with the superstep in flight")
 		verbose   = flag.Bool("verbose", false, "narrate each experiment's supersteps as JSONL events on stderr")
@@ -60,13 +59,8 @@ func main() {
 		return
 	}
 
-	// Fail fast on unusable output paths: a typo'd -trace/-comm/-record must
-	// abort before the experiments run, not after.
-	if *traceCSV != "" {
-		if err := obs.EnsureWritableFile(*traceCSV); err != nil {
-			fatal(fmt.Errorf("-trace %s: %w", *traceCSV, err))
-		}
-	}
+	// Fail fast on unusable output paths: a typo'd -comm/-record must abort
+	// before the experiments run, not after.
 	if *commCSV != "" {
 		if err := obs.EnsureWritableFile(*commCSV); err != nil {
 			fatal(fmt.Errorf("-comm %s: %w", *commCSV, err))
@@ -91,11 +85,10 @@ func main() {
 		o.FaultPlan = &p
 	}
 
-	// Live observability: a tracer narrates supersteps (to stderr when
-	// -verbose, ring-buffer-only otherwise), a collector feeds /metrics and
-	// one run log backs the traffic matrix, the skew profiles, the flight
-	// record and the live endpoints. With no flags set, Hooks stays nil and
-	// engines keep their fast path.
+	// Live observability: one run log narrates supersteps under -verbose and
+	// backs the traffic matrix, the skew profiles, the flight record and the
+	// live endpoints. With no flags set, Hooks stays nil and engines keep
+	// their fast path.
 	sess, err := obs.Setup(obs.Options{
 		Prog: "cyclops-bench", Stderr: os.Stderr,
 		Verbose: *verbose, DebugAddr: *debugAddr, SlowPhase: *slowPhase,
@@ -107,11 +100,11 @@ func main() {
 	}
 	defer sess.Close()
 	o.Hooks = sess.Hooks
-	rec, tracer := sess.Recorder, sess.Tracer
-
-	var traces []*metrics.Trace
-	if *traceCSV != "" {
-		o.TraceSink = func(t *metrics.Trace) { traces = append(traces, t) }
+	rec := sess.Recorder
+	// -verbose brackets each experiment's runs in the narration.
+	narrate := func(string, ...any) {}
+	if *verbose {
+		narrate = slog.New(slog.NewJSONHandler(os.Stderr, nil)).Info
 	}
 
 	runOne := func(e harness.Experiment) error {
@@ -120,13 +113,9 @@ func main() {
 			// so cyclops-report can match them against a baseline.
 			rec.SetExperiment(e.ID)
 		}
-		if tracer != nil {
-			tracer.Logger().Info("experiment-start", "span", "experiment", "id", e.ID, "title", e.Title)
-		}
+		narrate("experiment-start", "span", "experiment", "id", e.ID, "title", e.Title)
 		err := e.Run(o, os.Stdout)
-		if tracer != nil {
-			tracer.Logger().Info("experiment-end", "span", "experiment", "id", e.ID, "err", err != nil)
-		}
+		narrate("experiment-end", "span", "experiment", "id", e.ID, "err", err != nil)
 		return err
 	}
 	run := func() error {
@@ -166,20 +155,6 @@ func main() {
 		fmt.Printf("recorded %d runs under %s, baseline at %s\n", len(ms), *record, baseline)
 	}
 
-	if *traceCSV != "" {
-		f, err := os.Create(*traceCSV)
-		if err != nil {
-			fatal(err)
-		}
-		if err := metrics.WriteCSVAll(f, traces...); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %d run traces to %s\n", len(traces), *traceCSV)
-	}
 	if *skew {
 		fmt.Println("\nskew profiles (imbalance = max/mean across workers, peak over supersteps):")
 		for _, rep := range sess.Log.SkewReports() {

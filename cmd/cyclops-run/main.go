@@ -24,7 +24,6 @@ import (
 	"cyclops/internal/gen"
 	"cyclops/internal/graph"
 	"cyclops/internal/harness"
-	"cyclops/internal/metrics"
 	"cyclops/internal/obs"
 	"cyclops/internal/partition"
 )
@@ -57,12 +56,11 @@ func cliMain(args []string, stdout, stderr io.Writer) error {
 		steps     = fs.Int("steps", 100, "max supersteps")
 		source    = fs.Uint("source", 0, "source vertex (SSSP), as the graph file names it")
 		top       = fs.Int("top", 5, "print the top-N result vertices")
-		traceCSV  = fs.String("trace", "", "write per-superstep statistics to this CSV file")
 		commCSV   = fs.String("comm", "", "write the per-superstep worker×worker traffic matrix to this CSV file")
 		record    = fs.String("record", "", "record the run as a flight-record directory (manifest.json, series.csv, timings.csv) under this path")
 		skewFlag  = fs.Bool("skew", false, "print the per-superstep load-imbalance profile after the run")
 		audit     = fs.Bool("audit", false, "verify the engine's structural invariants each superstep (replica consistency, message conservation, mirror coherence); a violation fails the run")
-		debugAddr = fs.String("debug-addr", "", "serve live diagnostics (/metrics, /trace, /comm, /spans, /profiles, /debug/pprof) on this address")
+		debugAddr = fs.String("debug-addr", "", "serve live diagnostics (/metrics, /trace, /comm, /mem, /heat, /spans, /runs, /profiles, /debug/pprof) on this address")
 		slowPhase = fs.Float64("slow-phase", 3, "warn when a phase runs slower than this factor times its trailing mean (<=1 disables the detector)")
 		profDir   = fs.String("profile-dir", "", "continuously harvest pprof CPU/heap captures into this directory, tagged with the superstep in flight")
 		verbose   = fs.Bool("verbose", false, "narrate supersteps as JSONL events on stderr")
@@ -74,13 +72,8 @@ func cliMain(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	// Fail fast on unusable output paths: a typo'd -trace/-comm/-record must
-	// abort now, not after the run has burned its minutes.
-	if *traceCSV != "" {
-		if err := obs.EnsureWritableFile(*traceCSV); err != nil {
-			return fmt.Errorf("-trace %s: %w", *traceCSV, err)
-		}
-	}
+	// Fail fast on unusable output paths: a typo'd -comm/-record must abort
+	// now, not after the run has burned its minutes.
 	if *commCSV != "" {
 		if err := obs.EnsureWritableFile(*commCSV); err != nil {
 			return fmt.Errorf("-comm %s: %w", *commCSV, err)
@@ -166,14 +159,6 @@ func cliMain(args []string, stdout, stderr io.Writer) error {
 				return err
 			}
 		}
-	}
-	if *traceCSV != "" {
-		if err := writeFile(*traceCSV, func(f io.Writer) error {
-			return metrics.WriteCSV(f, r.Trace)
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, "wrote trace to", *traceCSV)
 	}
 	if *commCSV != "" {
 		if err := writeFile(*commCSV, sess.Log.WriteCommCSV); err != nil {

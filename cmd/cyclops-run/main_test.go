@@ -1,8 +1,9 @@
 package main
 
 // End-to-end smoke test: the CLI must run a tiny PageRank job to completion
-// with tracing, traffic-matrix export, skew profiling and the invariant
-// auditor all on, exit cleanly, and leave non-empty CSV artifacts behind.
+// with flight recording, traffic-matrix export, skew profiling and the
+// invariant auditor all on, exit cleanly, and leave non-empty CSV artifacts
+// behind.
 
 import (
 	"bytes"
@@ -18,7 +19,6 @@ import (
 
 func TestCLISmokePageRank(t *testing.T) {
 	dir := t.TempDir()
-	traceCSV := filepath.Join(dir, "trace.csv")
 	commCSV := filepath.Join(dir, "comm.csv")
 	recDir := filepath.Join(dir, "rec")
 
@@ -27,7 +27,7 @@ func TestCLISmokePageRank(t *testing.T) {
 		"-dataset", "wiki", "-scale", "0.02", "-algo", "PR", "-engine", "cyclops",
 		"-machines", "2", "-workers", "2", "-steps", "30",
 		"-audit", "-skew",
-		"-trace", traceCSV, "-comm", commCSV, "-record", recDir,
+		"-comm", commCSV, "-record", recDir,
 	}, &stdout, &stderr)
 	if err != nil {
 		t.Fatalf("cliMain failed: %v\nstderr:\n%s", err, stderr.String())
@@ -41,7 +41,6 @@ func TestCLISmokePageRank(t *testing.T) {
 		"replication factor:",   // engine-specific summary
 		"top 5 vertices:",       // result rendering
 		"skew profile: cyclops", // -skew report
-		"wrote trace to",
 		"wrote traffic matrix to",
 		"recorded run-001-cyclops", // -record flight record
 	} {
@@ -101,14 +100,6 @@ func TestCLISmokePageRank(t *testing.T) {
 	}
 	if !populated {
 		t.Errorf("residual telemetry never populated:\n%s", series)
-	}
-
-	trace, err := os.ReadFile(traceCSV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(string(trace), "\n"); lines < 2 {
-		t.Errorf("trace CSV has %d lines, want a header plus supersteps", lines)
 	}
 
 	comm, err := os.ReadFile(commCSV)
@@ -264,8 +255,8 @@ func TestSlowPhaseFlagParsing(t *testing.T) {
 		t.Errorf("parse error does not name the flag:\n%s", stderr.String())
 	}
 
-	// A valid factor parses and reaches the tracer; <=1 disables the slow-phase
-	// detector, so a tiny run completes without slow-phase warnings even under
+	// A valid factor parses and reaches the run log; <=1 disables the
+	// slow-phase detector, so a tiny run completes without slow-phase warnings even under
 	// a noisy test machine.
 	stdout.Reset()
 	stderr.Reset()

@@ -18,8 +18,8 @@ import (
 // result many supersteps later.
 
 // auditMaxViolations caps how many violations one check collects per
-// superstep, so a systemic fault doesn't flood the tracer: the run fails on
-// the first violation regardless.
+// superstep, so a systemic fault doesn't flood the run log and its narration:
+// the run fails on the first violation regardless.
 const auditMaxViolations = 64
 
 // auditDeliveries verifies invariants 2 and 3 on one worker's drained

@@ -126,11 +126,15 @@ func TestAuditCleanRun(t *testing.T) {
 
 func TestAuditCatchesReplicaDesync(t *testing.T) {
 	var trace bytes.Buffer
-	tracer := obs.NewTracer(&trace, obs.TracerOptions{})
+	sess, err := obs.Setup(obs.Options{Verbose: true, Stderr: &trace})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
 	log := &violationLog{}
 
 	var e *Engine[float64, float64]
-	e = newAuditEngine(t, obs.Multi(tracer, log), func(step int, _ *Engine[float64, float64]) {
+	e = newAuditEngine(t, obs.Multi(sess.Hooks, log), func(step int, _ *Engine[float64, float64]) {
 		if step == 2 {
 			// Corrupt vertex 0's replica on worker 1. Its master is inactive
 			// and will never republish, so nothing repairs the divergence —
@@ -138,7 +142,7 @@ func TestAuditCatchesReplicaDesync(t *testing.T) {
 			e.ws[1].view[findReplica(t, e, 1, 0)] = 999
 		}
 	})
-	_, err := e.Run()
+	_, err = e.Run()
 
 	var audit *obs.AuditError
 	if !errors.As(err, &audit) {
@@ -151,7 +155,8 @@ func TestAuditCatchesReplicaDesync(t *testing.T) {
 	if log.kinds()[obs.ViolationReplicaDesync] == 0 {
 		t.Fatalf("no record carried a violation: %v", log.kinds())
 	}
-	// The tracer must have rendered the violation as a structured event.
+	// The -verbose narration must have rendered the violation as a
+	// structured event.
 	if !strings.Contains(trace.String(), `"msg":"invariant-violation"`) ||
 		!strings.Contains(trace.String(), `"kind":"replica-desync"`) {
 		t.Fatalf("trace lacks structured violation event:\n%s", trace.String())

@@ -14,6 +14,7 @@ package cyclops_test
 
 import (
 	"fmt"
+	"io"
 	"testing"
 	"time"
 
@@ -57,17 +58,6 @@ func runPRAudit(tb testing.TB, g *graph.Graph, hooks obs.Hooks, audit bool) {
 	}
 }
 
-// BenchmarkHooksTracer prices the full ring-only tracer, for context (this
-// is what -debug-addr without -verbose costs).
-func BenchmarkHooksTracer(b *testing.B) {
-	g := benchGraph(b)
-	tracer := obs.NewTracer(nil, obs.TracerOptions{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runPR(b, g, tracer)
-	}
-}
-
 // BenchmarkAuditOff prices the default Audit=false path. The auditor adds
 // one branch per superstep and one per receive phase when disabled, so this
 // must stay within noise of BenchmarkObserverOverhead/dense/nil (which also
@@ -100,7 +90,9 @@ func BenchmarkAuditOn(b *testing.B) {
 // where the per-barrier fixed cost is all there is. "nil" is the default path
 // (hook sites reduce to nil checks; no record, span or heat bookkeeping is even
 // allocated); "nop" takes every call and fills the record; "log" adds the
-// store's copy-out and view evaluation; "recorder" adds the flush to disk.
+// store's copy-out and view evaluation (what -debug-addr costs: /trace renders
+// at scrape time); "verbose" adds -verbose's narration, one JSON line per
+// superstep plus the slow-phase check; "recorder" adds the flush to disk.
 func BenchmarkObserverOverhead(b *testing.B) {
 	wiki, lattice := benchGraph(b), gen.Road(32, 256, 0, 1)
 	shapes := []struct {
@@ -125,10 +117,14 @@ func BenchmarkObserverOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		verbose, err := obs.Setup(obs.Options{Verbose: true, SlowPhase: 3, Stderr: io.Discard})
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, o := range []struct {
 			name  string
 			hooks obs.Hooks
-		}{{"nil", nil}, {"nop", obs.Nop{}}, {"log", obs.NewLog()}, {"recorder", recorder}} {
+		}{{"nil", nil}, {"nop", obs.Nop{}}, {"log", obs.NewLog()}, {"verbose", verbose.Hooks}, {"recorder", recorder}} {
 			b.Run(shape.name+"/"+o.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

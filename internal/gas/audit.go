@@ -14,8 +14,8 @@ import (
 // of band — the GAS counterpart of Cyclops' replica desync.
 
 // auditMaxViolations caps how many violations one sweep collects, so a
-// systemic fault doesn't flood the tracer: the run fails on the first
-// violation regardless.
+// systemic fault doesn't flood the run log and its narration: the run fails
+// on the first violation regardless.
 const auditMaxViolations = 64
 
 // auditMirrors verifies, after the superstep's rounds complete, that every

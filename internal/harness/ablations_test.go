@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"cyclops/internal/metrics"
 	"cyclops/internal/obs"
 )
 
@@ -161,7 +160,7 @@ func (c *runCounter) OnRunEnd(obs.RunEnd)    { c.ends++ }
 
 // TestEveryExperimentRunIsObserved: the experiments that configure an engine
 // themselves still run it through the harness's one wiring, so -verbose,
-// -record, -audit and -trace see every run they print.
+// -record and -audit see every run they print.
 func TestEveryExperimentRunIsObserved(t *testing.T) {
 	for id, runs := range map[string]int{"fig4": 3, "ablation.queue": 2, "ablation.combiner": 2,
 		"ablation.activation": 2, "ablation.detect": 3} {
@@ -169,15 +168,14 @@ func TestEveryExperimentRunIsObserved(t *testing.T) {
 		if !ok {
 			t.Fatalf("no experiment %q", id)
 		}
-		o, hooks, traces := tiny(), &runCounter{}, 0
+		o, hooks := tiny(), &runCounter{}
 		o.Hooks, o.Audit = hooks, true
-		o.TraceSink = func(*metrics.Trace) { traces++ }
 		if err := e.Run(o, io.Discard); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		if hooks.starts != runs || hooks.ends != runs || traces != runs {
-			t.Errorf("%s: %d run starts, %d run ends, %d traces; it prints %d engine runs",
-				id, hooks.starts, hooks.ends, traces, runs)
+		if hooks.starts != runs || hooks.ends != runs {
+			t.Errorf("%s: %d run starts, %d run ends; it prints %d engine runs",
+				id, hooks.starts, hooks.ends, runs)
 		}
 	}
 }

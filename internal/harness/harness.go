@@ -41,13 +41,9 @@ type Options struct {
 	// Eps is the PageRank convergence bound.
 	Eps float64
 	// Hooks, when set, is installed in every engine an experiment runs —
-	// the harness's -verbose mode wires an obs.Tracer here so each
-	// experiment's supersteps are narrated live instead of silently
-	// spinning.
+	// cyclops-bench wires its obs.Session here, so -verbose narrates each
+	// experiment's supersteps live and -record files every run.
 	Hooks obs.Hooks
-	// TraceSink, when set, receives each finished run's per-superstep
-	// trace (cyclops-bench -trace collects these into one CSV).
-	TraceSink func(*metrics.Trace)
 	// Audit turns on each engine's invariant auditor (replica consistency on
 	// Cyclops, message conservation on Hama, mirror coherence on PowerGraph).
 	// A violation fails the experiment with *obs.AuditError.
@@ -178,7 +174,7 @@ type RunResult struct {
 func defaultParams(o Options) Params {
 	return Params{
 		MaxSteps: 200, Eps: o.Eps, alsSweeps: 3,
-		Hooks: o.Hooks, traceSink: o.TraceSink, Audit: o.Audit,
+		Hooks: o.Hooks, Audit: o.Audit,
 	}
 }
 

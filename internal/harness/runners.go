@@ -43,7 +43,6 @@ type Params struct {
 	trackMemory bool
 	forceGC     bool
 	onValues    func(step int, values []float64)
-	traceSink   func(*metrics.Trace)
 }
 
 // FaultSpec arms a run for fault injection: Plan is injected at the transport
@@ -155,9 +154,9 @@ type runnable[V, S any] interface {
 }
 
 // finish runs a constructed engine — after saving the FaultSpec's step-0
-// baseline — and books what every engine reports the same way: trace (also
-// handed to the trace sink), transport counters, wall time, the totals derived
-// from the trace and the projected values.
+// baseline — and books what every engine reports the same way: trace,
+// transport counters, wall time, the totals derived from the trace and the
+// projected values.
 func finish[V, S any](r *RunResult, e runnable[V, S], p Params, project func([]V) []float64) error {
 	if p.Faults != nil {
 		if err := checkpoint.Save(p.Faults.Dir, 0, e.Snapshot()); err != nil {
@@ -176,9 +175,6 @@ func finish[V, S any](r *RunResult, e runnable[V, S], p Params, project func([]V
 	r.Messages = trace.TotalMessages()
 	r.Supersteps = len(trace.Steps)
 	r.Values = project(e.Values())
-	if p.traceSink != nil {
-		p.traceSink(trace)
-	}
 	return nil
 }
 

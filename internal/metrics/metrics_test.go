@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"time"
 )
@@ -150,26 +149,5 @@ func TestSummarizeResiduals(t *testing.T) {
 	}
 	if s := (StepStats{}); s.RedundantRatio() != 0 {
 		t.Fatalf("RedundantRatio of empty step = %g, want 0", s.RedundantRatio())
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	tr := &Trace{Engine: "hama", Workers: 3}
-	tr.Append(StepStats{Step: 0, Active: 7, Messages: 42, ModelNanos: 1500,
-		Durations: [4]time.Duration{1, 2, 3, 4}})
-	tr.Append(StepStats{Step: 1, Active: 3, Messages: 5})
-	var buf strings.Builder
-	if err := WriteCSV(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("csv lines = %d:\n%s", len(lines), buf.String())
-	}
-	if !strings.HasPrefix(lines[0], "engine,workers,step,") {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "hama,3,0,7,") || !strings.Contains(lines[1], ",42,") {
-		t.Fatalf("row 1 = %q", lines[1])
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,24 +18,36 @@ import (
 )
 
 // Log is the one run log behind every CSV and endpoint: the latest run's
-// RunInfo, the rows it retains from each StepRecord, the superstep in flight
-// and a done flag, under one mutex with one allocation sampler. /metrics,
-// /comm, /spans, /mem and /heat, the -comm CSV, the -skew table and the
-// Recorder's files are render functions over it. It keeps the last run's rows
-// after OnRunEnd so the endpoints stay useful between runs; a new run resets
-// everything but the totals /metrics counts across runs.
+// RunInfo, the rows it retains from each StepRecord, its recoveries, the
+// superstep in flight and its end, under one mutex with one allocation
+// sampler. /metrics, /trace, /comm, /spans, /mem and /heat, the -verbose
+// narration, the -comm CSV, the -skew table and the Recorder's files are
+// render functions over it. It keeps the last run's rows after OnRunEnd so the
+// endpoints stay useful between runs; a new run resets everything but the
+// totals /metrics counts across runs.
 type Log struct {
 	mu sync.Mutex
 
-	runs    int64 // runs seen so far: the /spans "run" field
+	runs    int64 // runs seen so far: the /spans and /trace "run" field
 	info    RunInfo
 	started time.Time
 	done    bool
-	// recoveries and replayed count the run's checkpoint rollbacks. The
-	// replayed supersteps appear again in every retained row — the log shows
-	// the replay, which is what makes a recovered run diffable against its
-	// fault-free twin.
-	recoveries, replayed int
+	ended   RunEnd // once done; its Hot is hot's
+	endedAt time.Time
+	// recoveries are the run's checkpoint rollbacks and replayed the supersteps
+	// they re-executed. The replayed supersteps appear again in every retained
+	// row — the log shows the replay, which is what makes a recovered run
+	// diffable against its fault-free twin.
+	recoveries []recovery
+	replayed   int
+
+	// verbose, when set, narrates each event as it is logged (-verbose), under
+	// mu, so a /trace scrape never sees a line stderr has not; slow is the
+	// slow-phase factor (≤ 1 disables the detector); order lists the run's
+	// phases in the order OnPhase first reported them.
+	verbose slog.Handler
+	slow    float64
+	order   []metrics.Phase
 
 	// The superstep in flight.
 	inStep bool
@@ -41,6 +55,7 @@ type Log struct {
 	stepAt time.Time
 	attrib *memAttrib
 
+	stats []metrics.StepStats // one per superstep, parallel to steps
 	steps []logStep
 	mem   []MemStep
 	heat  []HeatPartition
@@ -57,13 +72,22 @@ type Log struct {
 	tot   totals
 }
 
-// logStep is what the log keeps of one StepRecord besides its heat rows,
-// traffic cells, spans and memory row.
+// logStep is what the log keeps of one StepRecord besides its stats, heat
+// rows, traffic cells, spans and memory row.
 type logStep struct {
-	stats             metrics.StepStats
+	at                time.Time     // the barrier
 	wall              time.Duration // OnSuperstepStart → OnSuperstep
 	skew              SkewStep
 	msgs, bytes, wire int64 // the traffic delta's totals
+	violations        []Violation
+}
+
+// recovery is one rollback; rows is how many rows the log held when it
+// happened, so it narrates after their events.
+type recovery struct {
+	RecoveryEvent
+	at   time.Time
+	rows int
 }
 
 // commCell is one (superstep, sender, receiver) cell with traffic.
@@ -100,10 +124,13 @@ func (l *Log) OnRunStart(info RunInfo) {
 	defer l.mu.Unlock()
 	l.runs++
 	l.info, l.started = info, time.Now()
-	l.done, l.recoveries, l.replayed, l.inStep = false, 0, 0, false
-	l.steps, l.mem, l.heat, l.cells = l.steps[:0], l.mem[:0], l.heat[:0], l.cells[:0]
-	l.spans, l.cum = l.spans[:0], transport.MatrixSnapshot{}
+	l.done, l.recoveries, l.replayed, l.inStep, l.cur = false, l.recoveries[:0], 0, false, 0
+	l.stats, l.steps, l.mem, l.heat, l.cells = l.stats[:0], l.steps[:0], l.mem[:0], l.heat[:0], l.cells[:0]
+	l.spans, l.cum, l.order = l.spans[:0], transport.MatrixSnapshot{}, l.order[:0]
 	l.hot, l.hotAt = nil, time.Time{}
+	if l.verbose != nil {
+		l.narrateStart(l.verbose)
+	}
 }
 
 // OnSuperstepStart implements Hooks.
@@ -115,11 +142,15 @@ func (l *Log) OnSuperstepStart(step int) {
 }
 
 // OnPhase implements Hooks: attributes the allocation since the previous
-// phase boundary to the phase that just ended.
+// phase boundary to the phase that just ended and files the duration in the
+// phase histogram.
 func (l *Log) OnPhase(_ int, phase metrics.Phase, d time.Duration) {
 	l.mu.Lock()
 	l.attrib.phase(phase)
 	l.tot.observePhase(phase, d)
+	if !slices.Contains(l.order, phase) {
+		l.order = append(l.order, phase)
+	}
 	l.mu.Unlock()
 }
 
@@ -131,7 +162,7 @@ func (l *Log) OnSuperstep(rec *StepRecord) {
 	// own bookkeeping, not the superstep's.
 	l.mem = append(l.mem, l.attrib.endStep())
 	now := time.Now()
-	st := logStep{stats: rec.Stats, skew: rec.Skew()}
+	st := logStep{at: now, skew: rec.Skew(), violations: slices.Clone(rec.Violations)}
 	if l.inStep {
 		st.wall = now.Sub(l.stepAt)
 	}
@@ -145,7 +176,7 @@ func (l *Log) OnSuperstep(rec *StepRecord) {
 		}
 	}
 	l.cum = l.cum.AddInto(rec.Comm)
-	l.steps = append(l.steps, st)
+	l.stats, l.steps = append(l.stats, rec.Stats), append(l.steps, st)
 	l.heat = rec.AppendHeat(l.heat)
 	emitted := len(l.spans)
 	l.spans = AppendStepSpans(l.spans, rec.Spans)
@@ -165,15 +196,22 @@ func (l *Log) OnSuperstep(rec *StepRecord) {
 		l.hot, l.hotAt = rec.Hot(), now
 	}
 	l.inStep = false
+	if l.verbose != nil {
+		l.narrateStep(l.verbose, len(l.steps)-1)
+	}
 }
 
 // OnRecovery implements Hooks.
 func (l *Log) OnRecovery(e RecoveryEvent) {
 	l.mu.Lock()
-	l.recoveries++
+	r := recovery{e, time.Now(), len(l.steps)}
+	l.recoveries = append(l.recoveries, r)
 	l.replayed += e.Replayed()
 	l.tot.recoveries++
 	l.tot.replayed += int64(e.Replayed())
+	if l.verbose != nil {
+		l.narrateRecovery(l.verbose, r)
+	}
 	l.mu.Unlock()
 }
 
@@ -185,12 +223,17 @@ func (l *Log) OnRunEnd(e RunEnd) {
 	l.mu.Unlock()
 }
 
+// end closes the run. Caller holds mu.
 func (l *Log) end(e RunEnd) {
 	l.spans = append(l.spans, RunSpan(l.info.Run, e.Wall))
 	l.hot, l.done, l.inStep = e.Hot, true, false
+	l.ended, l.endedAt = e, time.Now()
 	l.skews = append(l.skews, l.skewReport())
 	l.tot.spans[span.Run]++
 	l.tot.ended[e.Reason]++
+	if l.verbose != nil {
+		l.narrateEnd(l.verbose)
+	}
 }
 
 // skewReport renders the current run's skew profile. Caller holds mu.
@@ -445,12 +488,12 @@ func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 func itoa(v int64) string { return strconv.FormatInt(v, 10) }
 
 // csvRows renders a header and one comma-joined row per step.
-func (l *Log) csvRows(header []string, row func(s *logStep) []string) []byte {
+func (l *Log) csvRows(header []string, row func(s *metrics.StepStats, st *logStep) []string) []byte {
 	var b strings.Builder
 	b.WriteString(strings.Join(header, ","))
 	b.WriteByte('\n')
 	for i := range l.steps {
-		b.WriteString(strings.Join(row(&l.steps[i]), ","))
+		b.WriteString(strings.Join(row(&l.stats[i], &l.steps[i]), ","))
 		b.WriteByte('\n')
 	}
 	return []byte(b.String())
@@ -458,8 +501,7 @@ func (l *Log) csvRows(header []string, row func(s *logStep) []string) []byte {
 
 // seriesCSV renders series.csv. Caller holds mu.
 func (l *Log) seriesCSV() []byte {
-	return l.csvRows(seriesHeader, func(st *logStep) []string {
-		s := &st.stats
+	return l.csvRows(seriesHeader, func(s *metrics.StepStats, st *logStep) []string {
 		return []string{
 			strconv.Itoa(s.Step), itoa(s.Active), itoa(s.Changed), itoa(s.Messages),
 			itoa(s.RedundantMessages), ftoa(s.RedundantRatio()), itoa(st.bytes), itoa(st.wire),
@@ -473,10 +515,10 @@ func (l *Log) seriesCSV() []byte {
 
 // timingsCSV renders timings.csv. Caller holds mu.
 func (l *Log) timingsCSV() []byte {
-	return l.csvRows(timingsHeader, func(st *logStep) []string {
-		d := &st.stats.Durations
+	return l.csvRows(timingsHeader, func(s *metrics.StepStats, st *logStep) []string {
+		d := &s.Durations
 		return []string{
-			strconv.Itoa(st.stats.Step),
+			strconv.Itoa(s.Step),
 			itoa(d[metrics.Parse].Nanoseconds()), itoa(d[metrics.Compute].Nanoseconds()),
 			itoa(d[metrics.Send].Nanoseconds()), itoa(d[metrics.Sync].Nanoseconds()),
 			itoa(st.wall.Nanoseconds()),

@@ -287,6 +287,25 @@ func TestMetricsPerRunGaugesResetOnRunStart(t *testing.T) {
 	}
 }
 
+// TestSuperstepGaugeResetsOnRunStart: between a run's start and its first
+// superstep, the current-superstep gauge reads 0 like every other per-run
+// gauge, not the previous run's last superstep.
+func TestSuperstepGaugeResetsOnRunStart(t *testing.T) {
+	l := obs.NewLog()
+	l.OnRunStart(obs.RunInfo{Engine: "cyclops", Workers: 1})
+	for n := 0; n < 3; n++ {
+		l.OnSuperstepStart(n)
+		l.OnSuperstep(stepRecord(n, []int64{1}, []int64{0}, []int64{0}, []int64{1}))
+	}
+	l.OnRunEnd(obs.RunEnd{Step: 3, Reason: obs.ReasonHalt})
+	l.OnRunStart(obs.RunInfo{Engine: "hama", Workers: 1})
+	var buf bytes.Buffer
+	l.WriteMetrics(&buf)
+	if want := "\n" + obs.MetricSuperstep + " 0\n"; !strings.Contains(buf.String(), want) {
+		t.Errorf("after run 2's start, /metrics lacks %q:\n%s", strings.TrimSpace(want), buf.String())
+	}
+}
+
 // BenchmarkPhaseSamplerOverhead measures one full superstep of memory
 // observation (start + four phase boundaries + end = six runtime/metrics
 // batch reads). CI runs this to watch the observatory's cost: the budget is

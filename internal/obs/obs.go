@@ -1,8 +1,8 @@
 // Package obs is the live observability layer: engine-agnostic
-// instrumentation hooks, a structured (slog/JSONL) superstep tracer with a
-// slow-phase detector, one run log (Log) that every CSV and endpoint renders
-// from, and an HTTP diagnostics server exposing /metrics (Prometheus text),
-// /trace, /comm, /mem, /heat, /spans and /debug/pprof.
+// instrumentation hooks, one run log (Log) that every CSV, endpoint and the
+// -verbose JSONL narration (with its slow-phase warnings) renders from, and an
+// HTTP diagnostics server exposing /metrics (Prometheus text), /trace, /comm,
+// /mem, /heat, /spans, /runs and /debug/pprof.
 //
 // The paper's evaluation (Figures 9–13) is entirely observational — phase
 // breakdowns, message counts, active-vertex curves — but internal/metrics
@@ -159,8 +159,8 @@ type Hooks interface {
 	// OnSuperstepStart fires at the top of each superstep.
 	OnSuperstepStart(step int)
 	// OnPhase fires after each timed phase of a superstep, at the phase
-	// boundary itself: allocation attribution samples there, and the
-	// slow-phase detector warns at the phase rather than at the barrier.
+	// boundary itself, where allocation attribution samples; d equals the
+	// record's Stats.Durations[phase].
 	OnPhase(step int, phase metrics.Phase, d time.Duration)
 	// OnSuperstep fires once per superstep after the barrier with everything
 	// the kernel knows about it. rec is valid only during the call.

@@ -1,137 +1,14 @@
 package obs
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"log/slog"
 	"math"
-	"strings"
+	"slices"
 	"testing"
 	"time"
 
 	"cyclops/internal/metrics"
 	"cyclops/internal/obs/span"
 )
-
-func TestRingEvictsOldest(t *testing.T) {
-	r := NewRing(3)
-	for i := 0; i < 5; i++ {
-		r.Append([]byte(fmt.Sprintf("line-%d", i)))
-	}
-	if got := r.Len(); got != 3 {
-		t.Fatalf("Len = %d, want 3", got)
-	}
-	lines := r.Lines()
-	want := []string{"line-2", "line-3", "line-4"}
-	for i, w := range want {
-		if string(lines[i]) != w {
-			t.Errorf("lines[%d] = %q, want %q", i, lines[i], w)
-		}
-	}
-}
-
-func TestRingWriteTo(t *testing.T) {
-	r := NewRing(8)
-	r.Append([]byte("a"))
-	r.Append([]byte("b"))
-	var buf bytes.Buffer
-	if _, err := r.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != "a\nb\n" {
-		t.Fatalf("WriteTo = %q", buf.String())
-	}
-}
-
-func TestTracerEmitsJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTracer(&buf, TracerOptions{Level: slog.LevelDebug})
-
-	tr.OnRunStart(RunInfo{Engine: "cyclops", Workers: 4, Vertices: 100, Edges: 400, Replicas: 37})
-	tr.OnSuperstepStart(0)
-	tr.OnPhase(0, metrics.Compute, 3*time.Millisecond)
-	tr.OnSuperstep(&StepRecord{Step: 0, Stats: metrics.StepStats{Step: 0, Active: 100, Messages: 37},
-		Units: []int64{10}, Sent: []int64{5}, Recv: []int64{2}, Active: []int64{100}, Batches: []int64{1},
-		Violations: []Violation{{Engine: "cyclops", Kind: ViolationReplicaDesync}}})
-	tr.OnRunEnd(RunEnd{Step: 1, Reason: ReasonNoActive})
-
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 8 {
-		t.Fatalf("got %d event lines, want 8:\n%s", len(lines), buf.String())
-	}
-	// Every line must be valid JSON with msg + span fields.
-	msgs := make([]string, 0, len(lines))
-	for _, l := range lines {
-		var ev map[string]any
-		if err := json.Unmarshal([]byte(l), &ev); err != nil {
-			t.Fatalf("invalid JSONL line %q: %v", l, err)
-		}
-		if _, ok := ev["span"]; !ok {
-			t.Errorf("event %q has no span field", l)
-		}
-		msgs = append(msgs, ev["msg"].(string))
-	}
-	want := []string{"run-start", "superstep-start", "phase", "worker", "comm",
-		"invariant-violation", "superstep", "run-end"}
-	for i, w := range want {
-		if msgs[i] != w {
-			t.Errorf("event %d = %q, want %q", i, msgs[i], w)
-		}
-	}
-	// The ring must hold the same events.
-	if tr.Ring().Len() != 8 {
-		t.Errorf("ring holds %d events, want 8", tr.Ring().Len())
-	}
-}
-
-func TestTracerSlowPhaseDetector(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTracer(&buf, TracerOptions{
-		Level: slog.LevelWarn, SlowFactor: 2, SlowMinSamples: 3,
-	})
-	tr.OnRunStart(RunInfo{Engine: "cyclops", Workers: 1})
-	buf.Reset()
-
-	// Steady phases: no warning.
-	for i := 0; i < 5; i++ {
-		tr.OnPhase(i, metrics.Compute, 10*time.Millisecond)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("steady phases produced output: %s", buf.String())
-	}
-	// A 10x outlier beyond the warm-up must warn.
-	tr.OnPhase(5, metrics.Compute, 100*time.Millisecond)
-	if !strings.Contains(buf.String(), "slow-phase") {
-		t.Fatalf("outlier did not trigger slow-phase: %s", buf.String())
-	}
-	var ev map[string]any
-	if err := json.Unmarshal([]byte(strings.TrimSpace(buf.String())), &ev); err != nil {
-		t.Fatalf("slow-phase event not JSON: %v", err)
-	}
-	if ev["phase"] != "CMP" {
-		t.Errorf("slow-phase phase = %v, want CMP", ev["phase"])
-	}
-	if f, _ := ev["factor"].(float64); f < 2 {
-		t.Errorf("slow-phase factor = %v, want >= 2", ev["factor"])
-	}
-}
-
-func TestTracerSeparateRunsResetDetector(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTracer(&buf, TracerOptions{Level: slog.LevelWarn, SlowFactor: 2, SlowMinSamples: 3})
-	tr.OnRunStart(RunInfo{Engine: "a"})
-	for i := 0; i < 5; i++ {
-		tr.OnPhase(i, metrics.Compute, time.Millisecond)
-	}
-	// New run: the old trailing mean must not leak into this run.
-	tr.OnRunStart(RunInfo{Engine: "b"})
-	buf.Reset()
-	tr.OnPhase(0, metrics.Compute, 100*time.Millisecond)
-	if strings.Contains(buf.String(), "slow-phase") {
-		t.Fatalf("detector state leaked across runs: %s", buf.String())
-	}
-}
 
 func TestMulti(t *testing.T) {
 	if Multi() != nil {
@@ -144,12 +21,65 @@ func TestMulti(t *testing.T) {
 	if Multi(nil, n) != Hooks(n) {
 		t.Error("Multi with one non-nil hook should return it unwrapped")
 	}
-	var buf bytes.Buffer
-	tr := NewTracer(&buf, TracerOptions{})
-	m := Multi(tr, Nop{})
-	m.OnRunStart(RunInfo{Engine: "x", Workers: 1})
-	if !strings.Contains(buf.String(), "run-start") {
-		t.Error("Multi did not fan out to the tracer")
+	a, b := NewLog(), NewLog()
+	Multi(a, Nop{}, b).OnRunStart(RunInfo{Engine: "x", Workers: 1})
+	if a.runs != 1 || b.runs != 1 {
+		t.Errorf("Multi fanned OnRunStart out to %d and %d logs, want 1 and 1", a.runs, b.runs)
+	}
+}
+
+// TestSlowPhases pins the slow-phase detector: a phase warns when it ran more
+// than the factor times its trailing mean over the 32 rows before, once 4 of
+// them ran it; a zero duration is neither a sample nor a candidate.
+func TestSlowPhases(t *testing.T) {
+	const ms = time.Millisecond
+	// rows gives phase p the durations ds, one row each.
+	rows := func(p metrics.Phase, ds ...time.Duration) []metrics.StepStats {
+		out := make([]metrics.StepStats, len(ds))
+		for i, d := range ds {
+			out[i].Step, out[i].Durations[p] = i, d
+		}
+		return out
+	}
+	repeat := func(d time.Duration, n int) []time.Duration {
+		out := make([]time.Duration, n)
+		for i := range out {
+			out[i] = d
+		}
+		return out
+	}
+	all := []metrics.Phase{metrics.Parse, metrics.Compute, metrics.Send, metrics.Sync}
+	cmp := metrics.Compute
+	both := rows(cmp, ms, ms, ms, ms, 10*ms)
+	for i := range both {
+		both[i].Durations[metrics.Parse] = both[i].Durations[cmp] / 10
+	}
+	cases := []struct {
+		name   string
+		rows   []metrics.StepStats
+		order  []metrics.Phase
+		factor float64
+		want   []slowPhase
+	}{
+		{"warm-up", rows(cmp, ms, ms, ms, 10*ms), all, 3, nil},
+		{"steady", rows(cmp, repeat(ms, 40)...), all, 3, nil},
+		{"outlier", rows(cmp, ms, ms, 2*ms, 2*ms, 15*ms), all, 3, []slowPhase{{cmp, 15 * ms, 1500 * time.Microsecond}}},
+		{"factor-1", rows(cmp, ms, ms, ms, ms, 10*ms), all, 1, nil},
+		{"factor-negative", rows(cmp, ms, ms, ms, ms, 10*ms), all, -2, nil},
+		{"32-rows-back-counts", rows(cmp, append(append([]time.Duration{100 * ms}, repeat(ms, 31)...), 4*ms)...), all, 3, nil},
+		{"33-rows-back-left", rows(cmp, append(append([]time.Duration{100 * ms}, repeat(ms, 32)...), 4*ms)...), all, 3,
+			[]slowPhase{{cmp, 4 * ms, ms}}},
+		{"zero-not-a-sample", rows(cmp, 0, 0, 0, ms, 10*ms), all, 3, nil},
+		{"zeros-skipped-in-mean", rows(cmp, ms, 0, ms, 0, ms, 0, ms, 0, 4*ms), all, 3, []slowPhase{{cmp, 4 * ms, ms}}},
+		{"zero-not-a-candidate", rows(cmp, ms, ms, ms, ms, 0), all, 3, nil},
+		{"call-order", both, []metrics.Phase{cmp, metrics.Parse}, 3,
+			[]slowPhase{{cmp, 10 * ms, ms}, {metrics.Parse, ms, ms / 10}}},
+	}
+	for _, c := range cases {
+		got := slowPhases(c.rows, len(c.rows)-1, c.order, c.factor)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s: slowPhases = %+v, want %+v", c.name, got, c.want)
+		}
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 // EnsureWritableDir creates dir (and parents) if needed and proves it is
 // writable by creating and removing a probe file. CLIs call it at flag-parse
-// time so a bad -record/-trace/-comm path fails before a long run, not after.
+// time so a bad -record/-comm path fails before a long run, not after.
 func EnsureWritableDir(dir string) error {
 	if dir == "" {
 		return fmt.Errorf("empty path")

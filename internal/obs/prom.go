@@ -128,15 +128,16 @@ func (l *Log) WriteMetrics(w io.Writer) error {
 	l.mu.Lock()
 	t := &l.tot
 	var last logStep
+	var lastStats metrics.StepStats
 	if n := len(l.steps); n > 0 {
-		last = l.steps[n-1]
+		last, lastStats = l.steps[n-1], l.stats[n-1]
 	}
 	one(MetricActive, "Vertices that computed in the last superstep (Figure 10(2)).", "gauge",
-		float64(last.stats.Active))
+		float64(lastStats.Active))
 	labeled(MetricAuditViolations, "Replica-invariant violations found by the auditor, by kind.", "counter",
 		byLabel("kind", t.violations))
 	one(MetricChanged, "Computed vertices whose value changed in the last superstep.", "gauge",
-		float64(last.stats.Changed))
+		float64(lastStats.Changed))
 	// The latest record's heat rows end the slice, in worker order from 0; the
 	// run's rows sum to each worker's cumulative traffic.
 	egress, ingress := map[string]int64{}, map[string]int64{}

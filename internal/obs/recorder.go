@@ -207,7 +207,7 @@ func (r *Recorder) OnRunEnd(e RunEnd) {
 		Replicas:          info.Replicas,
 		Supersteps:        len(r.steps),
 		StopReason:        e.Reason,
-		Recoveries:        r.recoveries,
+		Recoveries:        len(r.recoveries),
 		Replayed:          r.replayed,
 		ReplicaValueBytes: info.ReplicaValueBytes,
 		EdgeCut:           info.EdgeCut,
@@ -226,11 +226,11 @@ func (r *Recorder) OnRunEnd(e RunEnd) {
 		m.ReplicaWorkerMed = sorted[n/2]
 		m.ReplicaWorkerMax = sorted[n-1]
 	}
-	for _, s := range r.steps {
+	for i, s := range r.steps {
 		m.Messages += s.msgs
 		m.Bytes += s.bytes
 		m.WireBytes += s.wire
-		m.ModelNanos += s.stats.ModelNanos
+		m.ModelNanos += r.stats[i].ModelNanos
 	}
 	if h := r.harvester; h != nil {
 		m.ProfileDir, m.Profiles = h.Dir(), strings.Join(h.Files(), ",")

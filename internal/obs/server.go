@@ -12,8 +12,8 @@ import (
 )
 
 // Server is the live diagnostics endpoint: Prometheus-text /metrics, JSONL
-// /trace, the worker×worker traffic matrix on /comm, recorded runs on /runs,
-// and net/http/pprof under /debug/pprof/. It is opt-in (the -debug-addr flag
+// /trace, the worker×worker traffic matrix on /comm, /mem, /heat and /spans,
+// recorded runs on /runs, and net/http/pprof under /debug/pprof/. It is opt-in (the -debug-addr flag
 // on cmd/cyclops-run and cmd/cyclops-bench) and serves while supersteps
 // advance, so a stuck or slow run can be inspected instead of silently
 // spinning.
@@ -54,11 +54,11 @@ func serveFormat(w http.ResponseWriter, r *http.Request, variants map[string]for
 // Sources is what the diagnostics server reads from. Any field may be left
 // zero; the corresponding endpoints then report 404.
 type Sources struct {
-	Ring *Ring // /trace
-	// Log backs /metrics (Prometheus text, rendered from the log at scrape
-	// time), /comm (the worker×worker traffic matrix), /mem (per-superstep,
+	// Log backs /metrics (Prometheus text), /trace (the JSONL narration),
+	// /comm (the worker×worker traffic matrix), /mem (per-superstep,
 	// per-phase allocation telemetry), /heat (per-partition rows and the hot
-	// set) and /spans (the live causal-span waterfall) of the latest run.
+	// set) and /spans (the live causal-span waterfall) of the latest run, each
+	// rendered from the log at scrape time.
 	Log *Log
 	// RunsDir is a Recorder's root: /runs lists the recorded manifests as JSON
 	// and /runs/<run>/<file> serves the flight-record artifacts.
@@ -77,16 +77,14 @@ func (src Sources) mux() *http.ServeMux {
 		}
 		fmt.Fprint(w, "cyclops diagnostics\n\n/metrics\n/trace\n/comm\n/mem\n/heat\n/spans\n/runs\n/profiles\n/debug/pprof/\n")
 	})
-	if ring := src.Ring; ring != nil {
-		mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			ring.WriteTo(w)
-		})
-	}
 	if log := src.Log; log != nil {
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 			log.WriteMetrics(w) //nolint:errcheck // best-effort HTTP response
+		})
+		mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			log.WriteTrace(w) //nolint:errcheck // best-effort HTTP response
 		})
 		mux.HandleFunc("/comm", log.ServeComm)
 		mux.HandleFunc("/mem", log.ServeMem)

@@ -9,6 +9,7 @@ package obs_test
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -56,7 +57,6 @@ func TestServerLiveDuringRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tracer := obs.NewTracer(nil, obs.TracerOptions{})
 	log := obs.NewLog()
 	gt := &gate{at: 2, reached: make(chan struct{}), release: make(chan struct{})}
 	recDir := t.TempDir()
@@ -65,7 +65,7 @@ func TestServerLiveDuringRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, err := obs.Serve("127.0.0.1:0", obs.Sources{Ring: tracer.Ring(), Log: log, RunsDir: recDir})
+	srv, err := obs.Serve("127.0.0.1:0", obs.Sources{Log: log, RunsDir: recDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestServerLiveDuringRun(t *testing.T) {
 		cyclops.Config[float64, float64]{
 			Cluster:       cluster.Flat(2, 2),
 			MaxSupersteps: 20,
-			Hooks:         obs.Multi(tracer, log, rec, gt),
+			Hooks:         obs.Multi(log, rec, gt),
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -323,6 +323,63 @@ func TestServerLiveDuringRun(t *testing.T) {
 	})
 }
 
+// TestTraceMatchesVerbose: -verbose and /trace are two renders of one log, so
+// with a real run gated after superstep 2, /trace serves exactly the lines
+// stderr has printed for the run so far, and once the run ends all of them.
+func TestTraceMatchesVerbose(t *testing.T) {
+	g, _, err := gen.Dataset("wiki", 0.02, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	sess, err := obs.Setup(obs.Options{Prog: "trace", Stderr: &stderr, Verbose: true,
+		DebugAddr: "127.0.0.1:0", SlowPhase: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	banner, _, _ := strings.Cut(stderr.String(), "\n")
+	url := strings.TrimPrefix(banner, "trace: diagnostics at ")
+	printed := func() string { return strings.TrimPrefix(stderr.String(), banner+"\n") }
+
+	gt := &gate{at: 2, reached: make(chan struct{}), release: make(chan struct{})}
+	e, err := cyclops.New[float64, float64](g, algorithms.PageRankCyclops{Eps: 1e-9},
+		cyclops.Config[float64, float64]{Cluster: cluster.Flat(2, 2), MaxSupersteps: 20,
+			Hooks: obs.Multi(sess.Hooks, gt)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.Run()
+		done <- err
+	}()
+	select {
+	case <-gt.reached:
+	case <-time.After(30 * time.Second):
+		t.Fatal("run never reached superstep 2")
+	}
+	mid := printed()
+	if n := strings.Count(mid, `"msg":"superstep"`); !strings.HasPrefix(mid, "{") || n != 3 {
+		t.Fatalf("stderr mid-run: %d superstep lines, want 3:\n%s", n, mid)
+	}
+	if body := get(t, url+"/trace", "application/x-ndjson"); body != mid {
+		t.Errorf("/trace mid-run differs from -verbose at: %s", firstDiffLine([]byte(body), []byte(mid)))
+	}
+
+	close(gt.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	all := printed()
+	if !strings.Contains(all, `"msg":"run-end"`) {
+		t.Fatalf("stderr after the run lacks run-end:\n%s", all)
+	}
+	if body := get(t, url+"/trace", ""); body != all {
+		t.Errorf("/trace after the run differs from -verbose at: %s", firstDiffLine([]byte(body), []byte(all)))
+	}
+}
+
 func get(t *testing.T, url, wantCT string) string {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -353,8 +410,7 @@ func TestRunsListsOnlyCompleteRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := obs.Serve("127.0.0.1:0", obs.Sources{Ring: obs.NewRing(4),
-		Log: obs.NewLog(), RunsDir: recDir})
+	srv, err := obs.Serve("127.0.0.1:0", obs.Sources{Log: obs.NewLog(), RunsDir: recDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +506,7 @@ func TestRunsListsOnlyCompleteRuns(t *testing.T) {
 
 // TestServeEphemeralPort keeps ":0" usable for tests and CLIs.
 func TestServeEphemeralPort(t *testing.T) {
-	srv, err := obs.Serve("127.0.0.1:0", obs.Sources{Ring: obs.NewRing(4), Log: obs.NewLog()})
+	srv, err := obs.Serve("127.0.0.1:0", obs.Sources{Log: obs.NewLog()})
 	if err != nil {
 		t.Fatal(err)
 	}

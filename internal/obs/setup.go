@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"time"
 )
 
@@ -14,9 +15,9 @@ type Options struct {
 	Prog   string
 	Stderr io.Writer
 
-	Verbose    bool    // -verbose: narrate supersteps as JSONL on Stderr
+	Verbose    bool    // -verbose: narrate the run log as JSONL on Stderr
 	DebugAddr  string  // -debug-addr: serve live diagnostics here
-	SlowPhase  float64 // -slow-phase: the tracer's slow-phase factor
+	SlowPhase  float64 // -slow-phase: the slow-phase factor (≤ 1 disables)
 	ProfileDir string  // -profile-dir: harvest pprof captures here
 	RecordDir  string  // -record: flight-record root
 	Meta       RunMeta // stamped into recorded manifests
@@ -30,10 +31,9 @@ type Session struct {
 	// Hooks is every observer composed; nil when no flag asked for one, so
 	// engines keep their fast path.
 	Hooks Hooks
-	// Tracer is set under -verbose or -debug-addr, Recorder under -record, and
-	// Log (the Recorder's own, when there is one) whenever -comm, -skew,
-	// -record or -debug-addr needs the run log.
-	Tracer   *Tracer
+	// Recorder is set under -record, and Log (the Recorder's own, when there
+	// is one) whenever -verbose, -comm, -skew, -record or -debug-addr needs
+	// the run log.
 	Log      *Log
 	Recorder *Recorder
 
@@ -47,14 +47,6 @@ type Session struct {
 func Setup(o Options) (*Session, error) {
 	s := &Session{}
 	var hooks []Hooks
-	if o.Verbose || o.DebugAddr != "" {
-		sink := o.Stderr
-		if !o.Verbose {
-			sink = nil // ring buffer only, for /trace
-		}
-		s.Tracer = NewTracer(sink, TracerOptions{SlowFactor: o.SlowPhase})
-		hooks = append(hooks, s.Tracer)
-	}
 	if o.ProfileDir != "" {
 		var err error
 		if s.harvester, err = NewHarvester(o.ProfileDir, HarvesterOptions{}); err != nil {
@@ -72,14 +64,19 @@ func Setup(o Options) (*Session, error) {
 		s.Recorder.harvester = s.harvester
 		s.Log = s.Recorder.Log
 		hooks = append(hooks, s.Recorder)
-	case o.Comm || o.Skew || o.DebugAddr != "":
+	case o.Verbose || o.Comm || o.Skew || o.DebugAddr != "":
 		s.Log = NewLog()
 		hooks = append(hooks, s.Log)
 	}
+	if s.Log != nil {
+		s.Log.slow = o.SlowPhase
+		if o.Verbose {
+			s.Log.verbose = slog.NewJSONHandler(o.Stderr, nil)
+		}
+	}
 	if o.DebugAddr != "" {
 		var err error
-		s.server, err = Serve(o.DebugAddr, Sources{Ring: s.Tracer.Ring(),
-			Log: s.Log, RunsDir: o.RecordDir, ProfileDir: o.ProfileDir})
+		s.server, err = Serve(o.DebugAddr, Sources{Log: s.Log, RunsDir: o.RecordDir, ProfileDir: o.ProfileDir})
 		if err != nil {
 			return nil, err
 		}

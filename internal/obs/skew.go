@@ -13,7 +13,7 @@ import (
 // means the most loaded worker carries k× the average — the quantity behind
 // the paper's load-balance discussion (Fig 10(3) per-worker) and Ammar &
 // Özsu's per-worker breakdown methodology. The Log keeps one SkewReport per
-// run; the Collector exports the latest coefficients on /metrics as
+// run; /metrics renders the latest coefficients as
 // cyclops_skew_imbalance{metric=...}.
 
 // SkewStep holds one superstep's imbalance coefficients (max/mean across
