@@ -173,6 +173,67 @@ func TestSSSPUnreachableStaysInfinite(t *testing.T) {
 	}
 }
 
+// TestSSSPWeightEdgeCases pins that every engine's min keeps SSSPRef's
+// d < best semantics bit for bit: a NaN-weighted edge is never taken — vertex
+// 3 hears NaN and 3 in the same superstep and keeps 3, vertex 4 stays +Inf —
+// and a −0 weight ties with a +0 path to the same +0 distance (vertex 5).
+func TestSSSPWeightEdgeCases(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	b := graph.NewBuilder(7)
+	b.AddWeightedEdge(0, 1, 1)
+	b.AddWeightedEdge(0, 2, 1)
+	b.AddWeightedEdge(1, 3, math.NaN())
+	b.AddWeightedEdge(2, 3, 2)
+	b.AddWeightedEdge(0, 4, math.NaN())
+	b.AddWeightedEdge(0, 5, negZero)
+	b.AddWeightedEdge(0, 6, 0)
+	b.AddWeightedEdge(6, 5, 0)
+	b.AddWeightedEdge(4, 6, 1)
+	g := b.MustBuild()
+	want := SSSPRef(g, 0)
+	if want[3] != 3 || !math.IsInf(want[4], 1) || want[5] != 0 || math.Signbit(want[5]) {
+		t.Fatalf("SSSPRef = %v: the graph no longer exercises the edge cases", want)
+	}
+
+	bitEqual := func(name string, got []float64) {
+		t.Helper()
+		for v := range want {
+			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+				t.Fatalf("%s: vertex %d = %g (%#x), want %g (%#x)",
+					name, v, got[v], math.Float64bits(got[v]), want[v], math.Float64bits(want[v]))
+			}
+		}
+	}
+	for _, shape := range []cluster.Config{cluster.Flat(1, 1), cluster.Flat(3, 1), cluster.MT(2, 2, 2)} {
+		be, err := bsp.New[float64, float64](g, SSSPBSP{Source: 0}, bsp.Config[float64, float64]{Cluster: shape})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := be.Run(); err != nil {
+			t.Fatal(err)
+		}
+		bitEqual("bsp", be.Values())
+
+		ce, err := cyclops.New[float64, float64](g, SSSPCyclops{Source: 0}, cyclops.Config[float64, float64]{Cluster: shape})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ce.Run(); err != nil {
+			t.Fatal(err)
+		}
+		bitEqual("cyclops", ce.Values())
+
+		ge, err := gas.New[float64, float64](g, SSSPGAS{Source: 0}, gas.Config[float64, float64]{Cluster: shape})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ge.Run(); err != nil {
+			t.Fatal(err)
+		}
+		bitEqual("gas", ge.Values())
+	}
+}
+
 const cdIters = 15
 
 func TestCDAllEnginesExact(t *testing.T) {

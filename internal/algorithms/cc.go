@@ -64,14 +64,10 @@ func (CCBSP) Init(id graph.ID, _ *graph.Graph) int64 { return int64(id) }
 // Compute implements bsp.Program.
 func (CCBSP) Compute(ctx *bsp.Context[int64, int64], msgs []int64) {
 	best := ctx.Value()
-	improved := ctx.Superstep() == 0
 	for _, m := range msgs {
-		if m < best {
-			best = m
-			improved = true
-		}
+		best = min(best, m)
 	}
-	if improved {
+	if best < ctx.Value() || ctx.Superstep() == 0 {
 		ctx.SetValue(best)
 		ctx.SendToNeighbors(best)
 	}
@@ -91,9 +87,7 @@ func (CCCyclops) Init(id graph.ID, _ *graph.Graph) (int64, int64, bool) {
 func (CCCyclops) Compute(ctx *cyclops.Context[int64, int64]) {
 	best := ctx.Value()
 	for i := 0; i < ctx.InDegree(); i++ {
-		if m := ctx.NeighborMessage(i); m < best {
-			best = m
-		}
+		best = min(best, ctx.NeighborMessage(i))
 	}
 	if best < ctx.Value() {
 		ctx.SetValue(best)

@@ -66,8 +66,8 @@ func (s SSSPBSP) Init(id graph.ID, _ *graph.Graph) float64 {
 func (s SSSPBSP) Compute(ctx *bsp.Context[float64, float64], msgs []float64) {
 	best := ctx.Value()
 	for _, m := range msgs {
-		if m < best {
-			best = m
+		if m == m { // the NaN-skipping, branch-free min of SSSPCyclops
+			best = min(best, m)
 		}
 	}
 	if best < ctx.Value() || (ctx.Superstep() == 0 && ctx.Vertex() == s.Source) {
@@ -100,8 +100,10 @@ func (s SSSPCyclops) Init(id graph.ID, _ *graph.Graph) (float64, float64, bool) 
 func (s SSSPCyclops) Compute(ctx *cyclops.Context[float64, float64]) {
 	best := ctx.Value()
 	for i := 0; i < ctx.InDegree(); i++ {
-		if d := ctx.NeighborMessage(i) + ctx.InWeight(i); d < best {
-			best = d
+		// A branch-free min; d == d skips NaN as d < best did, and no distance
+		// is ever −0 (x + y is −0 only if both are), so −0 < +0 never matters.
+		if d := ctx.NeighborMessage(i) + ctx.InWeight(i); d == d {
+			best = min(best, d)
 		}
 	}
 	if best < ctx.Value() {
@@ -126,9 +128,13 @@ func (s SSSPGAS) Init(id graph.ID, _ *graph.Graph) (float64, bool) {
 	return math.Inf(1), false
 }
 
-// Gather implements gas.Program.
+// Gather implements gas.Program. A NaN path is no path: SSSPRef's d < dist
+// skips it, and as +Inf it cannot poison Sum's min of the other candidates.
 func (s SSSPGAS) Gather(_ graph.ID, srcVal float64, weight float64) float64 {
-	return srcVal + weight
+	if d := srcVal + weight; d == d {
+		return d
+	}
+	return math.Inf(1)
 }
 
 // Sum implements gas.Program.

@@ -23,7 +23,9 @@ type Context[V, M any] struct {
 	pubVal      M
 	pubActivate bool
 
-	// The owning thread's aggregates and compute counters this superstep.
+	// The owning thread's frontier stripe (superstep.StripeMasks), and its
+	// aggregates and compute counters this superstep.
+	stripe                     []uint64
 	local                      aggregate.Partial
 	units, computed, activated int64
 }

@@ -2,6 +2,7 @@ package cyclops
 
 import (
 	"fmt"
+	"math/bits"
 	"unsafe"
 
 	"cyclops/internal/aggregate"
@@ -72,7 +73,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		}
 		ctxs[w] = make([]*Context[V, M], threads)
 		for t := 0; t < threads; t++ {
-			ctxs[w][t] = &Context[V, M]{e: e, ws: e.ws[w]}
+			ctxs[w][t] = &Context[V, M]{e: e, ws: e.ws[w], stripe: superstep.StripeMasks(t, threads)}
 			partials = append(partials, &ctxs[w][t].local)
 		}
 	}
@@ -88,7 +89,8 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 
 	// CMP: active masters compute over the immutable view, striped across T
 	// threads per worker. Thread t visits the frontier's slots ≡ t (mod T), so
-	// every per-slot write below (pend, heat) has exactly one writer.
+	// every per-slot write below (pend, heat) has exactly one writer. Every
+	// frontier walk in this file is a word loop over Words() (DESIGN.md §4.1).
 	stripes := make([]func(t int), workers)
 	for w := range stripes {
 		ws := e.ws[w]
@@ -97,25 +99,30 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 			ctx.local.Reset()
 			var units, computed, activated int64
 			heat, vals, flags := k.HeatUnits, pend[w].val, pend[w].flags
-			c := ws.frontier.Stripe(t, threads)
-			for s := c.Next(); s >= 0; s = c.Next() {
-				ctx.setSlot(s)
-				ctx.published = false
-				ctx.pubActivate = false
-				e.prog.Compute(ctx)
-				computed++
-				units += int64(ws.inUnits[s])
-				if heat != nil {
-					heat[ws.masters[s]] += int64(ws.inUnits[s])
+			for wi, word := range ws.frontier.Words() {
+				if threads > 1 {
+					word &= ctx.stripe[wi%threads]
 				}
-				if ctx.published {
-					vals[s] = ctx.pubVal
-					f := uint8(flagPublish)
-					if ctx.pubActivate {
-						f |= flagActivate
-						activated++
+				for ; word != 0; word &= word - 1 {
+					s := wi<<6 | bits.TrailingZeros64(word)
+					ctx.setSlot(s)
+					ctx.published = false
+					ctx.pubActivate = false
+					e.prog.Compute(ctx)
+					computed++
+					units += int64(ws.inUnits[s])
+					if heat != nil {
+						heat[ws.masters[s]] += int64(ws.inUnits[s])
 					}
-					flags[s] = f
+					if ctx.published {
+						vals[s] = ctx.pubVal
+						f := uint8(flagPublish)
+						if ctx.pubActivate {
+							f |= flagActivate
+							activated++
+						}
+						flags[s] = f
+					}
 				}
 			}
 			ctx.units, ctx.computed, ctx.activated = units, computed, activated
@@ -147,30 +154,30 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		if steady {
 			ws.frontier.Repeat()
 		}
-		c := ws.frontier.Stripe(0, 1)
-		for s := c.Next(); s >= 0; s = c.Next() {
-			f := flags[s]
-			if f == 0 {
-				continue
-			}
-			val := vals[s]
-			activate := f&flagActivate != 0
-			if e.cfg.Residual != nil {
-				residuals[w] = append(residuals[w], e.cfg.Residual(ws.view[s], val))
-			}
-			if valueChanged := e.cfg.Equal == nil || !e.cfg.Equal(ws.view[s], val); valueChanged {
-				ws.view[s] = val
-				changedW++
-			} else if !activate {
-				// Republishing an identical value with no activation is the
-				// redundant traffic BSP cannot avoid; Cyclops suppresses it
-				// entirely (the plan pass counts what it would have cost).
-				flags[s] = flagRedundant
-				continue
-			}
-			if activate && !steady {
-				for _, ls := range ws.localOut.Row(s) {
-					ws.frontier.Activate(int(ls))
+		for wi, word := range ws.frontier.Words() {
+			for ; word != 0; word &= word - 1 {
+				s := wi<<6 | bits.TrailingZeros64(word)
+				f := flags[s]
+				if f == 0 {
+					continue
+				}
+				val := vals[s]
+				activate := f&flagActivate != 0
+				if e.cfg.Residual != nil {
+					residuals[w] = append(residuals[w], e.cfg.Residual(ws.view[s], val))
+				}
+				if valueChanged := e.cfg.Equal == nil || !e.cfg.Equal(ws.view[s], val); valueChanged {
+					ws.view[s] = val
+					changedW++
+				} else if !activate {
+					// Republishing an identical value with no activation is the
+					// redundant traffic BSP cannot avoid; Cyclops suppresses it
+					// entirely (the plan pass counts what it would have cost).
+					flags[s] = flagRedundant
+					continue
+				}
+				if activate && !steady {
+					ws.frontier.ActivateRow(ws.localOut.Row(s))
 				}
 			}
 		}
@@ -196,9 +203,10 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 			e.tr.Send(w, to, out)
 		}
 		e.tr.FinishRound(w)
-		c = ws.frontier.Stripe(0, 1)
-		for s := c.Next(); s >= 0; s = c.Next() {
-			flags[s] = 0
+		for wi, word := range ws.frontier.Words() {
+			for ; word != 0; word &= word - 1 {
+				flags[wi<<6|bits.TrailingZeros64(word)] = 0
+			}
 		}
 		// Every Cyclops message is a replica sync (local edges read shared
 		// memory; replicas exist only for spanning edges), so the heat rows'
@@ -210,7 +218,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 	// RECV: replica updates, parallel across R receivers per worker. Each
 	// replica has exactly one writer per superstep, so updates are lock-free
 	// and there is no parse phase (§4.1); the time is reported as PRS. Two
-	// receivers may activate the same master, hence ActivateShared.
+	// receivers may activate the same master, hence ActivateRowShared.
 	appliers := make([]func(r int), workers)
 	for w := range appliers {
 		ws := e.ws[w]
@@ -219,9 +227,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 				for _, m := range inbound[w][bi] {
 					ws.view[m.Slot] = m.Val
 					if m.Activate && !steady {
-						for _, ls := range ws.localOut.Row(int(m.Slot)) {
-							ws.frontier.ActivateShared(int(ls))
-						}
+						ws.frontier.ActivateRowShared(ws.localOut.Row(int(m.Slot)))
 					}
 				}
 			}

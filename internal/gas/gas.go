@@ -12,6 +12,7 @@ package gas
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 	"unsafe"
 
@@ -644,14 +645,16 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 	gatherReq := func(w int) {
 		ws := e.ws[w]
 		out := resetOut(ws.outA)
-		c := ws.frontier.Stripe(0, 1)
-		for s := c.Next(); s >= 0; s = c.Next() {
-			mirs := ws.mirrors.Row(s)
-			for _, m := range mirs {
-				out[m.worker] = append(out[m.worker], gasMsg[V, G]{Kind: kindGatherReq, Slot: m.slot})
-			}
-			if k.HeatMsgs != nil {
-				k.HeatMsgs[ws.verts[s].id] += int64(len(mirs))
+		for wi, word := range ws.frontier.Words() {
+			for ; word != 0; word &= word - 1 {
+				s := wi<<6 | bits.TrailingZeros64(word)
+				mirs := ws.mirrors.Row(s)
+				for _, m := range mirs {
+					out[m.worker] = append(out[m.worker], gasMsg[V, G]{Kind: kindGatherReq, Slot: m.slot})
+				}
+				if k.HeatMsgs != nil {
+					k.HeatMsgs[ws.verts[s].id] += int64(len(mirs))
+				}
 			}
 		}
 		flush(w, out)
@@ -687,9 +690,11 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 					gasMsg[V, G]{Kind: kindGatherPartial, Slot: lv.masterSlot, Acc: sum, Has: has})
 			}
 		}
-		c := ws.frontier.Stripe(0, 1)
-		for s := c.Next(); s >= 0; s = c.Next() {
-			ws.accVal[s], ws.accHas[s] = gatherLocal(int32(s))
+		for wi, word := range ws.frontier.Words() {
+			for ; word != 0; word &= word - 1 {
+				s := wi<<6 | bits.TrailingZeros64(word)
+				ws.accVal[s], ws.accHas[s] = gatherLocal(int32(s))
+			}
 		}
 		k.Units[w] += units
 		flush(w, out)
@@ -720,24 +725,26 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 		out := resetOut(ws.outA)
 		// Ascending-slot sweep over the active masters — a fixed visit order, so
 		// the per-step message series stay byte-identical.
-		c := ws.frontier.Stripe(0, 1)
-		for s := c.Next(); s >= 0; s = c.Next() {
-			lv := &ws.verts[s]
-			newVal, activate := e.prog.Apply(lv.id, lv.cache, ws.accVal[s], ws.accHas[s], e.step)
-			if e.cfg.Residual != nil {
-				residPerW[w] = append(residPerW[w], e.cfg.Residual(lv.cache, newVal))
-			}
-			lv.cache = newVal
-			ws.scat[s] = activate
-			mirs := ws.mirrors.Row(s)
-			for _, m := range mirs {
-				out[m.worker] = append(out[m.worker], gasMsg[V, G]{Kind: kindApplyPush, Slot: m.slot, Val: newVal})
-			}
-			if k.HeatMsgs != nil {
-				k.HeatMsgs[lv.id] += int64(len(mirs))
-				// The vertex's gather scanned its full in-edge set, wherever
-				// those edges live — its global in-degree.
-				k.HeatUnits[lv.id] += int64(e.g.InDegree(lv.id))
+		for wi, word := range ws.frontier.Words() {
+			for ; word != 0; word &= word - 1 {
+				s := wi<<6 | bits.TrailingZeros64(word)
+				lv := &ws.verts[s]
+				newVal, activate := e.prog.Apply(lv.id, lv.cache, ws.accVal[s], ws.accHas[s], e.step)
+				if e.cfg.Residual != nil {
+					residPerW[w] = append(residPerW[w], e.cfg.Residual(lv.cache, newVal))
+				}
+				lv.cache = newVal
+				ws.scat[s] = activate
+				mirs := ws.mirrors.Row(s)
+				for _, m := range mirs {
+					out[m.worker] = append(out[m.worker], gasMsg[V, G]{Kind: kindApplyPush, Slot: m.slot, Val: newVal})
+				}
+				if k.HeatMsgs != nil {
+					k.HeatMsgs[lv.id] += int64(len(mirs))
+					// The vertex's gather scanned its full in-edge set, wherever
+					// those edges live — its global in-degree.
+					k.HeatUnits[lv.id] += int64(e.g.InDegree(lv.id))
+				}
 			}
 		}
 		// This round's out queues hold only apply pushes — the mirror value
@@ -755,17 +762,19 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 			}
 		}
 		out := resetOut(ws.outB)
-		c := ws.frontier.Stripe(0, 1)
-		for s := c.Next(); s >= 0; s = c.Next() {
-			if !ws.scat[s] {
-				continue
-			}
-			mirs := ws.mirrors.Row(s)
-			for _, m := range mirs {
-				out[m.worker] = append(out[m.worker], gasMsg[V, G]{Kind: kindScatterReq, Slot: m.slot})
-			}
-			if k.HeatMsgs != nil {
-				k.HeatMsgs[ws.verts[s].id] += int64(len(mirs))
+		for wi, word := range ws.frontier.Words() {
+			for ; word != 0; word &= word - 1 {
+				s := wi<<6 | bits.TrailingZeros64(word)
+				if !ws.scat[s] {
+					continue
+				}
+				mirs := ws.mirrors.Row(s)
+				for _, m := range mirs {
+					out[m.worker] = append(out[m.worker], gasMsg[V, G]{Kind: kindScatterReq, Slot: m.slot})
+				}
+				if k.HeatMsgs != nil {
+					k.HeatMsgs[ws.verts[s].id] += int64(len(mirs))
+				}
 			}
 		}
 		flush(w, out)
@@ -799,10 +808,12 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 				activateLocalOuts(m.Slot)
 			}
 		}
-		c := ws.frontier.Stripe(0, 1)
-		for s := c.Next(); s >= 0; s = c.Next() {
-			if ws.scat[s] {
-				activateLocalOuts(int32(s))
+		for wi, word := range ws.frontier.Words() {
+			for ; word != 0; word &= word - 1 {
+				s := wi<<6 | bits.TrailingZeros64(word)
+				if ws.scat[s] {
+					activateLocalOuts(int32(s))
+				}
 			}
 		}
 		flush(w, out)

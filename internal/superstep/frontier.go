@@ -11,7 +11,9 @@ import (
 // slots plus the active ones, so a near-empty superstep does not pay for the
 // partition's size. DESIGN.md §4.1 states who may call what in which phase;
 // in short: Set/Has/Count between supersteps, Unchanged between phases,
-// Stripe, Repeat and the two Activates inside phases, Advance at the barrier.
+// Words, Repeat and the Activates inside phases, Advance at the barrier.
+// Engines walk Words inline: their generic instances, compiled where they are
+// instantiated, cannot inline a method of this package (DESIGN.md §4.1).
 type Frontier struct {
 	cur, next []uint64
 	unchanged bool // the last Advance reproduced the set it replaced; Set clears it
@@ -47,19 +49,48 @@ func (f *Frontier) Count() int {
 	return n
 }
 
+// Words is the current set, slot s at bit s&63 of word s>>6, for a phase to
+// walk in place: read-only, and valid until the next Advance or Set.
+func (f *Frontier) Words() []uint64 { return f.cur }
+
+// StripeMasks splits a walk over Words among `of` threads (of ≥ 1): thread t
+// keeps word wi's bits under masks[wi%of], which are exactly its slots
+// s ≡ t (mod of) — what a stride loop from t would visit, in the same order.
+func StripeMasks(t, of int) []uint64 {
+	masks := make([]uint64, of)
+	for i := range masks {
+		for b := 0; b < 64; b++ {
+			if (i<<6+b)%of == t {
+				masks[i] |= 1 << b
+			}
+		}
+	}
+	return masks
+}
+
 // Activate adds slot s to the next set. Plain read-modify-write: only for a
 // phase in which this frontier has a single writer.
 func (f *Frontier) Activate(s int) { f.next[s>>6] |= 1 << (s & 63) }
 
-// ActivateShared is Activate for a phase with concurrent writers. It tests
-// before it swaps, so re-activating an already set slot — the common case on
-// a dense frontier — is a load and no bus-locked instruction.
-func (f *Frontier) ActivateShared(s int) {
-	bit := uint64(1) << (s & 63)
-	for {
-		old := atomic.LoadUint64(&f.next[s>>6])
-		if old&bit != 0 || atomic.CompareAndSwapUint64(&f.next[s>>6], old, old|bit) {
-			return
+// ActivateRow is Activate for every slot of row — one call per activating
+// vertex rather than one per out-edge.
+func (f *Frontier) ActivateRow(row []int32) {
+	for _, s := range row {
+		f.next[s>>6] |= 1 << (s & 63)
+	}
+}
+
+// ActivateRowShared is ActivateRow for a phase with concurrent writers. It
+// tests before it swaps, so re-activating an already set slot — the common
+// case on a dense frontier — is a load and no bus-locked instruction.
+func (f *Frontier) ActivateRowShared(row []int32) {
+	for _, s := range row {
+		word, bit := &f.next[s>>6], uint64(1)<<(s&63)
+		for {
+			old := atomic.LoadUint64(word)
+			if old&bit != 0 || atomic.CompareAndSwapUint64(word, old, old|bit) {
+				break
+			}
 		}
 	}
 }
@@ -88,44 +119,4 @@ func (f *Frontier) Advance() int {
 	}
 	f.unchanged = diff == 0
 	return n
-}
-
-// Cursor walks one stripe of a frontier's current set in ascending slot order.
-type Cursor struct {
-	words   []uint64
-	word    uint64 // unvisited bits of words[wi], stripe mask applied
-	wi      int
-	t, of   int
-	pattern uint64 // bits b with b ≡ 0 (mod of)
-}
-
-// Stripe returns a cursor over the current slots s with s%of == t (of ≥ 1):
-// thread t of `of` visits exactly what a stride loop from t would, and
-// Stripe(0, 1) is the whole set. The set must not change while cursors are open.
-func (f *Frontier) Stripe(t, of int) Cursor {
-	c := Cursor{words: f.cur, wi: -1, t: t, of: of}
-	for b := 0; b < 64; b += of {
-		c.pattern |= 1 << b
-	}
-	return c
-}
-
-// Next returns the stripe's next slot, or -1 when it is exhausted.
-// It sits exactly at the compiler's inlining budget (go build -gcflags=-m);
-// keep it there, the engines call it once per active slot.
-func (c *Cursor) Next() int {
-	for c.word == 0 {
-		if c.wi++; c.wi >= len(c.words) {
-			return -1
-		}
-		c.word = c.words[c.wi]
-		if c.of > 1 && c.word != 0 {
-			// The word's first slot is 64·wi, so the stripe's bits are those
-			// b ≡ t − 64·wi (mod of): the base pattern shifted by that residue.
-			c.word &= c.pattern << ((c.t - (c.wi<<6)%c.of + c.of) % c.of)
-		}
-	}
-	s := c.wi<<6 | bits.TrailingZeros64(c.word)
-	c.word &= c.word - 1
-	return s
 }

@@ -1,6 +1,7 @@
 package superstep_test
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sync"
@@ -11,12 +12,18 @@ import (
 
 var frontierSizes = []int{0, 1, 63, 64, 65, 4097}
 
-// collect drains one stripe of f's current set.
+// collect walks one stripe of f's current set the way the engines do: a word
+// loop over Words, masked by StripeMasks when there is more than one thread.
 func collect(f *superstep.Frontier, t, of int) []int {
 	var out []int
-	c := f.Stripe(t, of)
-	for s := c.Next(); s >= 0; s = c.Next() {
-		out = append(out, s)
+	masks := superstep.StripeMasks(t, of)
+	for wi, word := range f.Words() {
+		if of > 1 {
+			word &= masks[wi%of]
+		}
+		for ; word != 0; word &= word - 1 {
+			out = append(out, wi<<6|bits.TrailingZeros64(word))
+		}
 	}
 	return out
 }
@@ -128,6 +135,8 @@ func TestFrontierUnchangedAndRepeat(t *testing.T) {
 	}
 }
 
+// TestFrontierStripesPartitionLikeTheStrideLoop: the engines' word walk under
+// StripeMasks(t, of) visits exactly what a stride loop from t would.
 func TestFrontierStripesPartitionLikeTheStrideLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, n := range frontierSizes {
@@ -154,36 +163,69 @@ func TestFrontierStripesPartitionLikeTheStrideLoop(t *testing.T) {
 	}
 }
 
-func TestFrontierActivateSharedLosesNoBit(t *testing.T) {
-	const n, writers = 4097, 8
-	rng := rand.New(rand.NewSource(23))
-	f := superstep.NewFrontier(n)
-	want := make([]bool, n)
-	lists := make([][]int, writers)
-	for g := range lists {
-		// Overlapping slots, clustered so writers collide on the same words.
-		base := rng.Intn(n - 256)
-		for i := 0; i < 2000; i++ {
-			s := base + rng.Intn(256)
-			lists[g] = append(lists[g], s)
-			want[s] = true
+// TestFrontierActivateRowIsActivateLoop: ActivateRow sets exactly the bits a
+// loop of Activate over the same row would, duplicates and all.
+func TestFrontierActivateRowIsActivateLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for _, n := range frontierSizes[1:] {
+		for trial := 0; trial < 20; trial++ {
+			byRow, bySlot := superstep.NewFrontier(n), superstep.NewFrontier(n)
+			for r := rng.Intn(4); r >= 0; r-- {
+				row := make([]int32, rng.Intn(2*n+1))
+				for i := range row {
+					row[i] = int32(rng.Intn(n))
+				}
+				byRow.ActivateRow(row)
+				for _, s := range row {
+					bySlot.Activate(int(s))
+				}
+			}
+			byRow.Advance()
+			bySlot.Advance()
+			if got, want := collect(&byRow, 0, 1), collect(&bySlot, 0, 1); !slices.Equal(got, want) {
+				t.Fatalf("n=%d: ActivateRow set %v, Activate loop %v", n, got, want)
+			}
 		}
 	}
-	var wg sync.WaitGroup
-	for _, list := range lists {
-		wg.Add(1)
-		go func(list []int) {
-			defer wg.Done()
-			for _, s := range list {
-				f.ActivateShared(s)
+}
+
+// TestFrontierActivateSharedLosesNoBit runs ActivateRowShared from eight
+// writers colliding on the same words, once a slot per call and once a long
+// row per call; under -race a plain store in it is a reported race.
+func TestFrontierActivateSharedLosesNoBit(t *testing.T) {
+	const n, writers = 4097, 8
+	for _, rowLen := range []int{1, 64} {
+		rng := rand.New(rand.NewSource(23))
+		f := superstep.NewFrontier(n)
+		want := make([]bool, n)
+		lists := make([][]int32, writers)
+		for g := range lists {
+			// Overlapping slots, clustered so writers collide on the same words.
+			base := rng.Intn(n - 256)
+			for i := 0; i < 2000; i++ {
+				s := base + rng.Intn(256)
+				lists[g] = append(lists[g], int32(s))
+				want[s] = true
 			}
-		}(list)
-	}
-	wg.Wait()
-	f.Advance()
-	for s, on := range want {
-		if f.Has(s) != on {
-			t.Fatalf("slot %d: Has = %v, want %v", s, f.Has(s), on)
+		}
+		var wg sync.WaitGroup
+		for _, list := range lists {
+			wg.Add(1)
+			go func(list []int32) {
+				defer wg.Done()
+				for len(list) > 0 {
+					row := list[:min(rowLen, len(list))]
+					f.ActivateRowShared(row)
+					list = list[len(row):]
+				}
+			}(list)
+		}
+		wg.Wait()
+		f.Advance()
+		for s, on := range want {
+			if f.Has(s) != on {
+				t.Fatalf("rows of %d, slot %d: Has = %v, want %v", rowLen, s, f.Has(s), on)
+			}
 		}
 	}
 }
