@@ -31,9 +31,6 @@ func newFaultSpec(planPath string, seed int64, every, workers int, stderr io.Wri
 	} else {
 		plan = fault.NewPlan(seed, workers, 2, 8, 3)
 	}
-	if every <= 0 {
-		every = 2
-	}
 	dir, err := os.MkdirTemp("", "cyclops-ckpt-*")
 	if err != nil {
 		return nil, nil, err

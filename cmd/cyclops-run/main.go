@@ -66,7 +66,7 @@ func cliMain(args []string, stdout, stderr io.Writer) error {
 		verbose   = fs.Bool("verbose", false, "narrate supersteps as JSONL events on stderr")
 		faultSeed = fs.Int64("fault-seed", 0, "inject a deterministic fault plan derived from this seed; the engine checkpoints and recovers (0 disables)")
 		faultPlan = fs.String("fault-plan", "", "inject the fault plan from this JSON file (overrides -fault-seed; format: internal/fault)")
-		ckptEvery = fs.Int("checkpoint-every", 2, "checkpoint cadence in supersteps while fault injection is on")
+		ckptEvery = fs.Int("checkpoint-every", 2, "checkpoint cadence in supersteps while fault injection is on (0: the step-0 baseline only)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -3,7 +3,10 @@
 // checkpoint into a fresh engine. Cyclops checkpoints exclude replicas and
 // in-flight messages — replicas are re-synchronised from their masters at
 // restore time — so the snapshot is smaller than a Pregel checkpoint, and
-// recovery still reproduces the uninterrupted run bit for bit.
+// recovery still reproduces the uninterrupted run bit for bit. The engine
+// owns its checkpoint directory: it saves a step-0 baseline when the run
+// starts and then every CheckpointEvery supersteps, so the printed list of
+// checkpoints starts at superstep 0.
 //
 //	go run ./examples/fault-tolerance
 package main
@@ -12,7 +15,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 
 	"cyclops/internal/algorithms"
 	"cyclops/internal/checkpoint"
@@ -34,18 +36,13 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	newEngine := func(maxSteps, ckptEvery int) *cyclops.Engine[float64, float64] {
+	newEngine := func(maxSteps int, dir string, ckptEvery int) *cyclops.Engine[float64, float64] {
 		e, err := cyclops.New[float64, float64](g, algorithms.PageRankCyclops{},
 			cyclops.Config[float64, float64]{
 				Cluster:         cluster.Flat(3, 2),
 				MaxSupersteps:   maxSteps,
+				CheckpointDir:   dir,
 				CheckpointEvery: ckptEvery,
-				Checkpoints: func(s cyclops.State[float64, float64]) error {
-					if ckptEvery == 0 {
-						return nil
-					}
-					return checkpoint.Save(dir, s.Step, s)
-				},
 			})
 		if err != nil {
 			log.Fatal(err)
@@ -54,24 +51,24 @@ func main() {
 	}
 
 	// Ground truth: an uninterrupted run.
-	truth := newEngine(totalSupersteps, 0)
+	truth := newEngine(totalSupersteps, "", 0)
 	if _, err := truth.Run(); err != nil {
 		log.Fatal(err)
 	}
 
-	// The "production" run checkpoints every 5 supersteps and dies at 13.
-	doomed := newEngine(13, 5)
+	// The "production" run checkpoints into dir every 5 supersteps (after its
+	// step-0 baseline) and dies at 13.
+	doomed := newEngine(13, dir, 5)
 	if _, err := doomed.Run(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("cluster crashed at superstep 13 💥")
 
-	files, _ := filepath.Glob(filepath.Join(dir, "*.ckpt"))
 	steps, err := checkpoint.Steps(dir)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("checkpoints on stable storage: %d files, supersteps %v\n", len(files), steps)
+	fmt.Printf("checkpoints on stable storage: %d files, supersteps %v\n", len(steps), steps)
 
 	// Recovery: fresh engine, restore the latest checkpoint, continue.
 	state, at, err := checkpoint.LoadLatest[cyclops.State[float64, float64]](dir)
@@ -79,7 +76,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("recovering from superstep %d (replicas will re-sync from masters)\n", at)
-	recovered := newEngine(totalSupersteps, 0)
+	recovered := newEngine(totalSupersteps, "", 0)
 	if err := recovered.Restore(state); err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"cyclops/internal/gas"
 	"cyclops/internal/gen"
 	"cyclops/internal/graph"
+	"cyclops/internal/superstep"
 	"cyclops/internal/transport"
 )
 
@@ -196,23 +198,45 @@ func TestEnginesRejectUncodedMessageType(t *testing.T) {
 	}
 }
 
-func TestCheckpointRequiresInProcess(t *testing.T) {
+// TestCheckpointConfig: every engine takes a checkpoint directory with or
+// without a cadence (none: the baseline only), rejects a cadence with nowhere
+// to save as a typed error, and rejects checkpointing over TCP.
+func TestCheckpointConfig(t *testing.T) {
 	g := gen.PowerLaw(50, 3, 2)
-	_, err := cyclops.New[float64, float64](g, PageRankCyclops{}, cyclops.Config[float64, float64]{
-		Network:         transport.TCPLoopback,
-		CheckpointEvery: 2,
-		Checkpoints:     func(cyclops.State[float64, float64]) error { return nil },
-	})
-	if err == nil {
-		t.Error("cyclops: checkpointing over TCP must be rejected")
+	closing := func(e interface{ Close() error }, err error) error {
+		if err == nil {
+			e.Close()
+		}
+		return err
 	}
-	_, err = bsp.New[float64, float64](g, PageRankBSP{}, bsp.Config[float64, float64]{
-		Network:         transport.TCPLoopback,
-		CheckpointEvery: 2,
-		Checkpoints:     func(bsp.State[float64, float64]) error { return nil },
-	})
-	if err == nil {
-		t.Error("bsp: checkpointing over TCP must be rejected")
+	engines := map[string]func(net transport.Network, dir string, every int) error{
+		"cyclops": func(net transport.Network, dir string, every int) error {
+			e, err := cyclops.New[float64, float64](g, PageRankCyclops{}, cyclops.Config[float64, float64]{
+				Network: net, CheckpointDir: dir, CheckpointEvery: every})
+			return closing(e, err)
+		},
+		"bsp": func(net transport.Network, dir string, every int) error {
+			e, err := bsp.New[float64, float64](g, PageRankBSP{}, bsp.Config[float64, float64]{
+				Network: net, CheckpointDir: dir, CheckpointEvery: every})
+			return closing(e, err)
+		},
+		"gas": func(net transport.Network, dir string, every int) error {
+			e, err := gas.New[PRValue, float64](g, NewPageRankGAS(g, 5, 0), gas.Config[PRValue, float64]{
+				Network: net, CheckpointDir: dir, CheckpointEvery: every, ValCodec: PRValueCodec{}})
+			return closing(e, err)
+		},
+	}
+	for name, build := range engines {
+		dir := t.TempDir()
+		if err := build(transport.InProcess, dir, 0); err != nil {
+			t.Errorf("%s: a directory with no cadence (baseline only) must construct: %v", name, err)
+		}
+		if err := build(transport.InProcess, "", 2); !errors.Is(err, superstep.ErrNoCheckpointDir) {
+			t.Errorf("%s: CheckpointEvery with no CheckpointDir: %v, want ErrNoCheckpointDir", name, err)
+		}
+		if err := build(transport.TCPLoopback, dir, 2); err == nil || errors.Is(err, superstep.ErrNoCheckpointDir) {
+			t.Errorf("%s: checkpointing over TCP: %v, want the in-process refusal", name, err)
+		}
 	}
 }
 

@@ -78,12 +78,13 @@ type Config[V, M any] struct {
 	// OnStep is called after each barrier with the engine (values are
 	// consistent then); used by the harness for L1-norm tracking.
 	OnStep func(step int, e *Engine[V, M])
-	// CheckpointEvery saves engine state every k supersteps into Checkpoints
-	// when k > 0 (§3.6 fault tolerance: Hama persists values and messages).
-	CheckpointEvery int
-	// Checkpoints receives the snapshots (in-memory sink; cmd tools wrap it
-	// with file persistence).
-	Checkpoints func(State[V, M]) error
+	// CheckpointDir is where the engine checkpoints values, halted flags and
+	// pending messages (§3.6: Hama must persist messages): a step-0 baseline
+	// as Run starts, then every CheckpointEvery supersteps. A transient
+	// transport fault rolls back to the newest checkpoint that loads and
+	// replays; with no directory it fails the run. InProcess only.
+	CheckpointDir   string
+	CheckpointEvery int // 0: the baseline only; > 0 needs a CheckpointDir
 	// Hooks receives live instrumentation events (run/superstep/phase spans
 	// and per-worker stats). nil disables observation; the hot path then
 	// pays only a nil-check per phase.
@@ -94,12 +95,6 @@ type Config[V, M any] struct {
 	// A violation fails the run with *obs.AuditError. Off by default; when
 	// off the loop pays one branch per phase.
 	Audit bool
-	// Recover loads the state to roll back to after a transient transport
-	// fault at a barrier (typically checkpoint.LoadLatest over the same
-	// directory Checkpoints writes into). When set, the engine restores
-	// values, halted flags and pending messages and replays; when nil, any
-	// transport fault fails the run. Requires InProcess.
-	Recover func() (State[V, M], error)
 	// FaultPlan injects a deterministic fault schedule at the transport
 	// boundary (testing/chaos only). Same plan ⇒ same faults.
 	FaultPlan *fault.Plan
@@ -185,11 +180,11 @@ func New[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[V, M]) (*Engin
 		cfg.MaxSupersteps = 100
 	}
 	workers := cfg.Cluster.Workers()
-	if cfg.Network != transport.InProcess && cfg.CheckpointEvery > 0 {
-		return nil, errors.New("bsp: checkpointing requires the in-process network")
+	if cfg.CheckpointEvery > 0 && cfg.CheckpointDir == "" {
+		return nil, fmt.Errorf("bsp: %w", superstep.ErrNoCheckpointDir)
 	}
-	if cfg.Network != transport.InProcess && cfg.Recover != nil {
-		return nil, errors.New("bsp: recovery requires the in-process network")
+	if cfg.Network != transport.InProcess && cfg.CheckpointDir != "" {
+		return nil, errors.New("bsp: checkpointing requires the in-process network")
 	}
 	assign, err := cfg.Partitioner.Partition(g, workers)
 	if err != nil {
@@ -424,6 +419,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		Hooks: e.cfg.Hooks, Link: e.tr, Injector: e.inj, Trace: e.trace,
 		Step: &e.step, RunSeq: &e.runSeq, MaxSupersteps: e.cfg.MaxSupersteps,
 		CheckpointEvery: e.cfg.CheckpointEvery,
+		Checkpoints:     superstep.Dir(e.cfg.CheckpointDir, e.snapshot, e.Restore),
 		Info: func() obs.RunInfo {
 			return obs.RunInfo{
 				Engine:   e.trace.Engine,
@@ -559,12 +555,6 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 				stats.ComputeUnitsMax, stats.SendMax, stats.RecvMax,
 				1, 1, workers, !e.cfg.PerSenderQueues, model.FlatBarrier(workers))
 		},
-		Checkpoint: func() error {
-			if e.cfg.Checkpoints == nil {
-				return nil
-			}
-			return e.cfg.Checkpoints(e.snapshot())
-		},
 		OnStep: func(step int) {
 			if e.cfg.OnStep != nil {
 				e.cfg.OnStep(step, e)
@@ -576,15 +566,6 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		Halt: func(step int, pending int64) bool {
 			return e.cfg.Halt != nil && e.cfg.Halt(step, e.agg.Value, pending)
 		},
-	}
-	if e.cfg.Recover != nil {
-		ps.Recover = func() error {
-			st, err := e.cfg.Recover()
-			if err != nil {
-				return fmt.Errorf("load checkpoint: %w", err)
-			}
-			return e.Restore(st)
-		}
 	}
 	return e.trace, k.Run(ps)
 }
@@ -642,20 +623,11 @@ func (e *Engine[V, M]) countActive() int64 {
 // TransportStats exposes the raw traffic counters.
 func (e *Engine[V, M]) TransportStats() transport.Snapshot { return e.tr.Stats().Snapshot() }
 
-// Snapshot captures the engine's state before Run as a step-0 baseline
-// checkpoint, so a fault earlier than the first periodic checkpoint is still
-// recoverable. (Mid-run checkpoints are taken by the engine itself through
-// Config.Checkpoints.)
-func (e *Engine[V, M]) Snapshot() State[V, M] {
-	s := e.snapshot()
-	s.Step = e.step
-	return s
-}
-
-// snapshot captures restartable state, including undelivered messages.
-func (e *Engine[V, M]) snapshot() State[V, M] {
+// snapshot captures the state superstep step starts from, including
+// undelivered messages (called between supersteps only).
+func (e *Engine[V, M]) snapshot(step int) State[V, M] {
 	s := State[V, M]{
-		Step:   e.step + 1,
+		Step:   step,
 		Values: append([]V(nil), e.values...),
 		Halted: append([]bool(nil), e.halted...),
 	}
@@ -678,6 +650,13 @@ func (e *Engine[V, M]) Restore(s State[V, M]) error {
 	}
 	if len(s.Values) != len(e.values) || len(s.Halted) != len(e.halted) {
 		return errors.New("bsp: checkpoint shape does not match engine")
+	}
+	for _, p := range s.Pending { // an empty batch is never sent
+		for _, env := range p.Batch {
+			if int(env.Dst) >= len(e.values) || e.assign.Of[env.Dst] != p.To {
+				return errors.New("bsp: checkpoint holds a message its worker cannot deliver")
+			}
+		}
 	}
 	copy(e.values, s.Values)
 	copy(e.halted, s.Halted)

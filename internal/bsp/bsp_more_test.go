@@ -2,9 +2,13 @@ package bsp
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"cyclops/internal/checkpoint"
 	"cyclops/internal/cluster"
 	"cyclops/internal/gen"
 	"cyclops/internal/graph"
@@ -160,40 +164,34 @@ func TestEngineAccessors(t *testing.T) {
 
 func TestCheckpointEveryStep(t *testing.T) {
 	g := ringGraph(10)
-	var got []int
+	dir := t.TempDir()
 	e, _ := New[float64, float64](g, maxProg{}, Config[float64, float64]{
 		Cluster:         cluster.Flat(1, 2),
 		MaxSupersteps:   5,
+		CheckpointDir:   dir,
 		CheckpointEvery: 1,
-		Checkpoints: func(s State[float64, float64]) error {
-			got = append(got, s.Step)
-			return nil
-		},
 	})
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 5 {
-		t.Fatalf("checkpoints at %v, want one per superstep", got)
+	if got, err := checkpoint.Steps(dir); err != nil || !slices.Equal(got, []int{0, 1, 2, 3, 4, 5}) {
+		t.Fatalf("checkpoints at %v (%v), want the baseline and one per superstep", got, err)
 	}
 }
 
 func TestCheckpointErrorPropagates(t *testing.T) {
+	// A directory under a regular file cannot be created, even by root.
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	g := ringGraph(10)
 	e, _ := New[float64, float64](g, maxProg{}, Config[float64, float64]{
 		Cluster:         cluster.Flat(1, 1),
+		CheckpointDir:   filepath.Join(file, "ckpt"),
 		CheckpointEvery: 1,
-		Checkpoints: func(State[float64, float64]) error {
-			return errSink
-		},
 	})
 	if _, err := e.Run(); err == nil {
-		t.Fatal("checkpoint sink error must abort the run")
+		t.Fatal("checkpoint write error must abort the run")
 	}
 }
-
-var errSink = errTest("sink failed")
-
-type errTest string
-
-func (e errTest) Error() string { return string(e) }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cyclops/internal/aggregate"
+	"cyclops/internal/checkpoint"
 	"cyclops/internal/cluster"
 	"cyclops/internal/graph"
 	"cyclops/internal/partition"
@@ -249,24 +250,18 @@ func TestVertexReactivationByMessage(t *testing.T) {
 
 func TestCheckpointRestoreIdenticalResult(t *testing.T) {
 	g := ringGraph(30)
-	var snap State[float64, float64]
-	captured := false
+	dir := t.TempDir()
 	e1, _ := New[float64, float64](g, maxProg{}, Config[float64, float64]{
 		Cluster:         cluster.Flat(2, 2),
+		CheckpointDir:   dir,
 		CheckpointEvery: 7,
-		Checkpoints: func(s State[float64, float64]) error {
-			if !captured {
-				snap = s
-				captured = true
-			}
-			return nil
-		},
 	})
 	if _, err := e1.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !captured {
-		t.Fatal("no checkpoint captured")
+	snap, err := checkpoint.Load[State[float64, float64]](dir, 7)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if snap.Step != 7 {
 		t.Fatalf("checkpoint at step %d, want 7", snap.Step)
@@ -297,6 +292,18 @@ func TestRestoreShapeMismatch(t *testing.T) {
 	err := e.Restore(State[float64, float64]{Step: 1, Values: make([]float64, 99), Halted: make([]bool, 99)})
 	if err == nil {
 		t.Fatal("mismatched checkpoint must be rejected")
+	}
+	// Pending messages must be deliverable where the checkpoint queues them:
+	// to a vertex that exists, on the worker that owns it.
+	owner := e.Assignment().Of[0]
+	for _, p := range []PendingBatch[float64]{
+		{To: owner, Batch: []envelope[float64]{{Dst: 99}}},
+		{To: 1 - owner, Batch: []envelope[float64]{{Dst: 0}}},
+	} {
+		bad := State[float64, float64]{Values: make([]float64, 5), Halted: make([]bool, 5), Pending: []PendingBatch[float64]{p}}
+		if e.Restore(bad) == nil {
+			t.Errorf("pending batch %+v must be rejected", p)
+		}
 	}
 }
 

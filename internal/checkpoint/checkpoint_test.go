@@ -1,4 +1,4 @@
-package checkpoint
+package checkpoint_test
 
 import (
 	"fmt"
@@ -8,6 +8,7 @@ import (
 
 	"cyclops/internal/algorithms"
 	"cyclops/internal/bsp"
+	"cyclops/internal/checkpoint"
 	"cyclops/internal/cluster"
 	"cyclops/internal/cyclops"
 	"cyclops/internal/fault"
@@ -24,10 +25,10 @@ type demoState struct {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	want := demoState{Step: 4, Values: []float64{1, 2, 3}}
-	if err := Save(dir, 4, want); err != nil {
+	if err := checkpoint.Save(dir, 4, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load[demoState](dir, 4)
+	got, err := checkpoint.Load[demoState](dir, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadMissing(t *testing.T) {
-	if _, err := Load[demoState](t.TempDir(), 1); err == nil {
+	if _, err := checkpoint.Load[demoState](t.TempDir(), 1); err == nil {
 		t.Fatal("missing checkpoint must error")
 	}
 }
@@ -45,18 +46,18 @@ func TestLoadMissing(t *testing.T) {
 func TestStepsAndLatest(t *testing.T) {
 	dir := t.TempDir()
 	for _, s := range []int{10, 2, 7} {
-		if err := Save(dir, s, demoState{Step: s}); err != nil {
+		if err := checkpoint.Save(dir, s, demoState{Step: s}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	steps, err := Steps(dir)
+	steps, err := checkpoint.Steps(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(steps) != 3 || steps[0] != 2 || steps[2] != 10 {
 		t.Fatalf("steps = %v", steps)
 	}
-	st, at, err := LoadLatest[demoState](dir)
+	st, at, err := checkpoint.LoadLatest[demoState](dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,15 +68,15 @@ func TestStepsAndLatest(t *testing.T) {
 
 func TestStepsEmptyAndAbsentDir(t *testing.T) {
 	dir := t.TempDir()
-	steps, err := Steps(dir)
+	steps, err := checkpoint.Steps(dir)
 	if err != nil || steps != nil {
 		t.Fatalf("empty dir: %v %v", steps, err)
 	}
-	steps, err = Steps(filepath.Join(dir, "missing"))
+	steps, err = checkpoint.Steps(filepath.Join(dir, "missing"))
 	if err != nil || steps != nil {
 		t.Fatalf("absent dir: %v %v", steps, err)
 	}
-	if _, _, err := LoadLatest[demoState](dir); err == nil {
+	if _, _, err := checkpoint.LoadLatest[demoState](dir); err == nil {
 		t.Fatal("LoadLatest on empty dir must error")
 	}
 }
@@ -88,23 +89,18 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	const iters = 12
 
-	mk := func(maxSteps, ckptEvery int) (*cyclops.Engine[float64, float64], error) {
+	mk := func(maxSteps int, dir string, ckptEvery int) (*cyclops.Engine[float64, float64], error) {
 		return cyclops.New[float64, float64](g, algorithms.PageRankCyclops{},
 			cyclops.Config[float64, float64]{
 				Cluster:         cluster.Flat(2, 2),
 				MaxSupersteps:   maxSteps,
+				CheckpointDir:   dir,
 				CheckpointEvery: ckptEvery,
-				Checkpoints: func(s cyclops.State[float64, float64]) error {
-					if ckptEvery == 0 {
-						return nil
-					}
-					return Save(dir, s.Step, s)
-				},
 			})
 	}
 
 	// Uninterrupted run → ground truth.
-	full, err := mk(iters, 0)
+	full, err := mk(iters, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +108,10 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// "Crashing" run: checkpoint every 4 steps, die at step 7 (after the
-	// step-4 checkpoint) and abandon the engine, as a machine failure would.
-	crash, err := mk(7, 4)
+	// "Crashing" run: checkpoint every 4 steps after the step-0 baseline, die
+	// at step 7 (after the step-4 checkpoint) and abandon the engine, as a
+	// machine failure would.
+	crash, err := mk(7, dir, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,14 +120,14 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	}
 
 	// Recover into a fresh engine and finish.
-	state, at, err := LoadLatest[cyclops.State[float64, float64]](dir)
+	state, at, err := checkpoint.LoadLatest[cyclops.State[float64, float64]](dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if at != 4 {
 		t.Fatalf("latest checkpoint at %d, want 4", at)
 	}
-	rec, err := mk(iters, 0)
+	rec, err := mk(iters, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,22 +154,17 @@ func TestBSPCrashRecoveryRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	const iters = 12
 
-	mk := func(maxSteps, ckptEvery int) (*bsp.Engine[float64, float64], error) {
+	mk := func(maxSteps int, dir string, ckptEvery int) (*bsp.Engine[float64, float64], error) {
 		return bsp.New[float64, float64](g, algorithms.PageRankBSP{},
 			bsp.Config[float64, float64]{
 				Cluster:         cluster.Flat(2, 2),
 				MaxSupersteps:   maxSteps,
+				CheckpointDir:   dir,
 				CheckpointEvery: ckptEvery,
-				Checkpoints: func(s bsp.State[float64, float64]) error {
-					if ckptEvery == 0 {
-						return nil
-					}
-					return Save(dir, s.Step, s)
-				},
 			})
 	}
 
-	full, err := mk(iters, 0)
+	full, err := mk(iters, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +172,7 @@ func TestBSPCrashRecoveryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	crash, err := mk(7, 4)
+	crash, err := mk(7, dir, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,14 +180,14 @@ func TestBSPCrashRecoveryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	state, at, err := LoadLatest[bsp.State[float64, float64]](dir)
+	state, at, err := checkpoint.LoadLatest[bsp.State[float64, float64]](dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if at != 4 {
 		t.Fatalf("latest checkpoint at %d, want 4", at)
 	}
-	rec, err := mk(iters, 0)
+	rec, err := mk(iters, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +213,7 @@ func TestGASCrashRecoveryRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	const iters = 12
 
-	mk := func(maxSteps, ckptEvery int) (*gas.Engine[algorithms.PRValue, float64], error) {
+	mk := func(maxSteps int, dir string, ckptEvery int) (*gas.Engine[algorithms.PRValue, float64], error) {
 		return gas.New[algorithms.PRValue, float64](g,
 			algorithms.NewPageRankGAS(g, iters, 1e-12),
 			gas.Config[algorithms.PRValue, float64]{
@@ -229,17 +221,12 @@ func TestGASCrashRecoveryRoundTrip(t *testing.T) {
 				Partitioner:     gas.RandomVertexCut{},
 				MaxSupersteps:   maxSteps,
 				ValCodec:        algorithms.PRValueCodec{},
+				CheckpointDir:   dir,
 				CheckpointEvery: ckptEvery,
-				Checkpoints: func(s gas.State[algorithms.PRValue]) error {
-					if ckptEvery == 0 {
-						return nil
-					}
-					return Save(dir, s.Step, s)
-				},
 			})
 	}
 
-	full, err := mk(iters, 0)
+	full, err := mk(iters, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +234,7 @@ func TestGASCrashRecoveryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	crash, err := mk(7, 4)
+	crash, err := mk(7, dir, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,14 +242,14 @@ func TestGASCrashRecoveryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	state, at, err := LoadLatest[gas.State[algorithms.PRValue]](dir)
+	state, at, err := checkpoint.LoadLatest[gas.State[algorithms.PRValue]](dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if at != 4 {
 		t.Fatalf("latest checkpoint at %d, want 4", at)
 	}
-	rec, err := mk(iters, 0)
+	rec, err := mk(iters, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,21 +272,21 @@ func TestGASCrashRecoveryRoundTrip(t *testing.T) {
 // only trust fully renamed step-NNNNNN.ckpt files.
 func TestStrayTempFileIgnored(t *testing.T) {
 	dir := t.TempDir()
-	if err := Save(dir, 3, demoState{Step: 3, Values: []float64{1}}); err != nil {
+	if err := checkpoint.Save(dir, 3, demoState{Step: 3, Values: []float64{1}}); err != nil {
 		t.Fatal(err)
 	}
 	// Half-written temp from a crashed writer, exactly as CreateTemp names it.
 	if err := os.WriteFile(filepath.Join(dir, "ckpt-1234567890"), []byte("partial gob"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	steps, err := Steps(dir)
+	steps, err := checkpoint.Steps(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(steps) != 1 || steps[0] != 3 {
 		t.Fatalf("steps = %v, want [3]", steps)
 	}
-	st, at, err := LoadLatest[demoState](dir)
+	st, at, err := checkpoint.LoadLatest[demoState](dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +302,7 @@ func TestSaveErrorPaths(t *testing.T) {
 	if err := os.WriteFile(f, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := Save(filepath.Join(f, "sub"), 1, demoState{}); err == nil {
+	if err := checkpoint.Save(filepath.Join(f, "sub"), 1, demoState{}); err == nil {
 		t.Fatal("mkdir under a file must fail")
 	}
 }
@@ -326,7 +313,7 @@ func TestLoadCorruptCheckpoint(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not gob"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load[demoState](dir, 2); err == nil {
+	if _, err := checkpoint.Load[demoState](dir, 2); err == nil {
 		t.Fatal("corrupt checkpoint must fail to decode")
 	}
 }
@@ -338,10 +325,10 @@ func TestStepsIgnoresForeignFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := Save(dir, 7, demoState{Step: 7}); err != nil {
+	if err := checkpoint.Save(dir, 7, demoState{Step: 7}); err != nil {
 		t.Fatal(err)
 	}
-	steps, err := Steps(dir)
+	steps, err := checkpoint.Steps(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,14 +344,14 @@ func TestStepsIgnoresForeignFiles(t *testing.T) {
 func TestLoadLatestFallsBackPastTornCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	for _, s := range []int{2, 4, 6} {
-		if err := Save(dir, s, demoState{Step: s}); err != nil {
+		if err := checkpoint.Save(dir, s, demoState{Step: s}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := os.Truncate(filepath.Join(dir, "step-000006.ckpt"), 0); err != nil {
 		t.Fatal(err)
 	}
-	st, at, err := LoadLatest[demoState](dir)
+	st, at, err := checkpoint.LoadLatest[demoState](dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,18 +364,38 @@ func TestLoadLatestFallsBackPastTornCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := LoadLatest[demoState](dir); err == nil {
+	if _, _, err := checkpoint.LoadLatest[demoState](dir); err == nil {
 		t.Fatal("LoadLatest over only torn checkpoints must error")
 	}
 }
 
-// rewinds records how far each recovery rewound.
-type rewinds struct {
+// tearer tears the newest checkpoint once, at the barrier of the superstep
+// the fault is planted in — after it ran, before the engine asks for its
+// state back — and records how far each recovery rewound.
+type tearer struct {
 	obs.Nop
+	t         *testing.T
+	dir       string
+	faultAt   int
+	tornAt    int
 	resumedAt []int
 }
 
-func (r *rewinds) OnRecovery(e obs.RecoveryEvent) { r.resumedAt = append(r.resumedAt, e.ResumedAt) }
+func (r *tearer) OnSuperstep(rec *obs.StepRecord) {
+	if rec.Step != r.faultAt || r.tornAt != 0 {
+		return
+	}
+	steps, err := checkpoint.Steps(r.dir)
+	if err != nil || len(steps) < 2 {
+		r.t.Fatalf("checkpoints at the fault: %v, %v", steps, err)
+	}
+	r.tornAt = steps[len(steps)-1]
+	if err := os.Truncate(filepath.Join(r.dir, fmt.Sprintf("step-%06d.ckpt", r.tornAt)), 0); err != nil {
+		r.t.Fatal(err)
+	}
+}
+
+func (r *tearer) OnRecovery(e obs.RecoveryEvent) { r.resumedAt = append(r.resumedAt, e.ResumedAt) }
 
 // TestRecoveredRunSurvivesTornLatestCheckpoint is the faults experiment's
 // shape with a damaged directory: a worker dies at superstep 5, and by the
@@ -406,24 +413,9 @@ func TestRecoveredRunSurvivesTornLatestCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dir := t.TempDir()
-	var tornAt int
-	seen := &rewinds{}
-	cfg.Hooks, cfg.CheckpointEvery = seen, 2
-	cfg.FaultPlan = &fault.Plan{Faults: []fault.Fault{{Kind: fault.Crash, Step: 5, Worker: 0, Peer: -1}}}
-	cfg.Checkpoints = func(s cyclops.State[float64, float64]) error { return Save(dir, s.Step, s) }
-	cfg.Recover = func() (cyclops.State[float64, float64], error) {
-		steps, err := Steps(dir)
-		if err != nil || len(steps) < 2 {
-			t.Fatalf("checkpoints at the fault: %v, %v", steps, err)
-		}
-		tornAt = steps[len(steps)-1]
-		if err := os.Truncate(filepath.Join(dir, fmt.Sprintf("step-%06d.ckpt", tornAt)), 0); err != nil {
-			t.Fatal(err)
-		}
-		s, _, err := LoadLatest[cyclops.State[float64, float64]](dir)
-		return s, err
-	}
+	seen := &tearer{t: t, dir: t.TempDir(), faultAt: 5}
+	cfg.Hooks, cfg.CheckpointDir, cfg.CheckpointEvery = seen, seen.dir, 2
+	cfg.FaultPlan = &fault.Plan{Faults: []fault.Fault{{Kind: fault.Crash, Step: seen.faultAt, Worker: 0, Peer: -1}}}
 	faulted, err := cyclops.New[float64, float64](g, algorithms.PageRankCyclops{}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -431,8 +423,8 @@ func TestRecoveredRunSurvivesTornLatestCheckpoint(t *testing.T) {
 	if _, err := faulted.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(seen.resumedAt) != 1 || seen.resumedAt[0] >= tornAt {
-		t.Fatalf("recoveries resumed at %v; the torn checkpoint was superstep %d's", seen.resumedAt, tornAt)
+	if len(seen.resumedAt) != 1 || seen.resumedAt[0] >= seen.tornAt {
+		t.Fatalf("recoveries resumed at %v; the torn checkpoint was superstep %d's", seen.resumedAt, seen.tornAt)
 	}
 	want, got := clean.Values(), faulted.Values()
 	for v := range want {

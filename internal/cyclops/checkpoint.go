@@ -17,21 +17,15 @@ type State[V, M any] struct {
 	Active []bool // activation flags, indexed by global vertex id
 }
 
-// Snapshot captures the engine's state before Run as a step-0 baseline
-// checkpoint, so a fault earlier than the first periodic checkpoint is still
-// recoverable. (Mid-run checkpoints are taken by the engine itself through
-// Config.Checkpoints.)
-func (e *Engine[V, M]) Snapshot() State[V, M] {
-	s := e.snapshot()
-	s.Step = e.step
-	return s
-}
+// Snapshot captures the engine's current state, as a checkpoint of it would.
+func (e *Engine[V, M]) Snapshot() State[V, M] { return e.snapshot(e.step) }
 
-// snapshot captures the current state (called at barriers only).
-func (e *Engine[V, M]) snapshot() State[V, M] {
+// snapshot captures the state superstep step starts from (called between
+// supersteps only).
+func (e *Engine[V, M]) snapshot(step int) State[V, M] {
 	n := e.g.NumVertices()
 	s := State[V, M]{
-		Step:   e.step + 1,
+		Step:   step,
 		Values: make([]V, n),
 		View:   make([]M, n),
 		Active: make([]bool, n),

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"cyclops/internal/aggregate"
+	"cyclops/internal/checkpoint"
 	"cyclops/internal/cluster"
 	"cyclops/internal/gen"
 	"cyclops/internal/graph"
@@ -405,23 +406,18 @@ func TestHaltFuncStops(t *testing.T) {
 
 func TestCheckpointRestore(t *testing.T) {
 	g := ringGraph(32)
-	var snap State[float64, float64]
-	captured := false
+	dir := t.TempDir()
 	e1, _ := New[float64, float64](g, maxProg{}, Config[float64, float64]{
 		Cluster:         cluster.Flat(2, 2),
+		CheckpointDir:   dir,
 		CheckpointEvery: 5,
-		Checkpoints: func(s State[float64, float64]) error {
-			if !captured {
-				snap, captured = s, true
-			}
-			return nil
-		},
 	})
 	if _, err := e1.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !captured || snap.Step != 5 {
-		t.Fatalf("checkpoint: captured=%v step=%d", captured, snap.Step)
+	snap, err := checkpoint.Load[State[float64, float64]](dir, 5)
+	if err != nil || snap.Step != 5 {
+		t.Fatalf("checkpoint: step=%d err=%v", snap.Step, err)
 	}
 	e2, _ := New[float64, float64](g, maxProg{}, Config[float64, float64]{
 		Cluster: cluster.Flat(2, 2),

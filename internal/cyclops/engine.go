@@ -97,17 +97,13 @@ type Config[V, M any] struct {
 	// fail the run with an *obs.AuditError. Off by default: auditing scans
 	// every replica each superstep.
 	Audit bool
-	// CheckpointEvery saves state every k supersteps to Checkpoints (k>0).
-	// Per §3.6, checkpoints exclude replicas and messages.
-	CheckpointEvery int
-	// Checkpoints receives snapshots.
-	Checkpoints func(State[V, M]) error
-	// Recover loads the state to roll back to after a transient transport
-	// fault at a barrier (typically checkpoint.LoadLatest over the same
-	// directory Checkpoints writes into). When set, the engine restores the
-	// state, rebuilds every replica from its master (§3.6), and replays;
-	// when nil, any transport fault fails the run. Requires InProcess.
-	Recover func() (State[V, M], error)
+	// CheckpointDir is where the engine checkpoints its masters (§3.6: no
+	// replicas, no messages): a step-0 baseline as Run starts, then every
+	// CheckpointEvery supersteps. A transient transport fault rolls back to
+	// the newest checkpoint that loads, re-syncs every replica from its
+	// master and replays; with no directory it fails the run. InProcess only.
+	CheckpointDir   string
+	CheckpointEvery int // 0: the baseline only; > 0 needs a CheckpointDir
 	// FaultPlan injects a deterministic fault schedule at the transport
 	// boundary (testing/chaos only). Same plan ⇒ same faults.
 	FaultPlan *fault.Plan
@@ -198,11 +194,11 @@ func New[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[V, M]) (*Engin
 		cfg.MaxSupersteps = 100
 	}
 	workers := cfg.Cluster.Workers()
-	if cfg.Network != transport.InProcess && cfg.CheckpointEvery > 0 {
-		return nil, errors.New("cyclops: checkpointing requires the in-process network")
+	if cfg.CheckpointEvery > 0 && cfg.CheckpointDir == "" {
+		return nil, fmt.Errorf("cyclops: %w", superstep.ErrNoCheckpointDir)
 	}
-	if cfg.Network != transport.InProcess && cfg.Recover != nil {
-		return nil, errors.New("cyclops: recovery requires the in-process network")
+	if cfg.Network != transport.InProcess && cfg.CheckpointDir != "" {
+		return nil, errors.New("cyclops: checkpointing requires the in-process network")
 	}
 	assign, err := cfg.Partitioner.Partition(g, workers)
 	if err != nil {

@@ -36,7 +36,7 @@ func (e *Engine[V, M]) Evolve(added []graph.Edge) (*Engine[V, M], error) {
 	}
 
 	// Reuse the old configuration (partitioner included) for the new epoch.
-	// Checkpoint sinks and hooks carry over untouched.
+	// The checkpoint directory and hooks carry over untouched.
 	next, err := New[V, M](grown, e.prog, e.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("cyclops: evolve: %w", err)
@@ -45,7 +45,7 @@ func (e *Engine[V, M]) Evolve(added []graph.Edge) (*Engine[V, M], error) {
 	// separate computations, as in Kineograph).
 
 	// Transfer master state: values, published views, activation.
-	old := e.snapshot()
+	old := e.Snapshot()
 	for _, ws := range next.ws {
 		for i, id := range ws.masters {
 			if int(id) >= len(old.Values) {

@@ -1,7 +1,6 @@
 package cyclops
 
 import (
-	"fmt"
 	"math/bits"
 	"unsafe"
 
@@ -38,6 +37,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		Hooks: e.cfg.Hooks, Link: e.tr, Injector: e.inj, Trace: e.trace,
 		Step: &e.step, RunSeq: &e.runSeq, MaxSupersteps: e.cfg.MaxSupersteps,
 		CheckpointEvery: e.cfg.CheckpointEvery,
+		Checkpoints:     superstep.Dir(e.cfg.CheckpointDir, e.snapshot, e.Restore),
 		Info: func() obs.RunInfo {
 			return obs.RunInfo{
 				Engine:   e.trace.Engine,
@@ -302,12 +302,6 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 				stats.ComputeUnitsMax, stats.SendMax, stats.RecvMax,
 				threads, receivers, workers, false, barrier)
 		},
-		Checkpoint: func() error {
-			if e.cfg.Checkpoints == nil {
-				return nil
-			}
-			return e.cfg.Checkpoints(e.snapshot())
-		},
 		OnStep: func(step int) {
 			if e.cfg.OnStep != nil {
 				e.cfg.OnStep(step, e)
@@ -317,15 +311,6 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		Halt: func(step int, pending int64) bool {
 			return e.cfg.Halt != nil && e.cfg.Halt(step, e.agg.Value, pending)
 		},
-	}
-	if e.cfg.Recover != nil {
-		ps.Recover = func() error {
-			st, err := e.cfg.Recover()
-			if err != nil {
-				return fmt.Errorf("load checkpoint: %w", err)
-			}
-			return e.Restore(st)
-		}
 	}
 	return e.trace, k.Run(ps)
 }

@@ -7,15 +7,20 @@ package cyclops_test
 // Restore must make, to the point where skipping it changes the series.
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
 	"cyclops/internal/algorithms"
+	"cyclops/internal/checkpoint"
 	"cyclops/internal/cluster"
 	"cyclops/internal/cyclops"
 	"cyclops/internal/fault"
 	"cyclops/internal/graph"
 	"cyclops/internal/metrics"
+	"cyclops/internal/obs"
 	"cyclops/internal/partition"
 )
 
@@ -98,9 +103,36 @@ func TestSteadyFrontierShortcut(t *testing.T) {
 
 // TestRecoveryAfterSteadyFrontier: PageRank over a five-vertex chain feeding a
 // three-cycle loses one chain vertex per superstep until superstep 5 and is
-// steady from superstep 6. The crash at 9 rolls back to superstep 2, where
+// steady from superstep 6. The crash at 9 rolls back to superstep 2 (the
+// newer checkpoints are pruned before recovery looks), where
 // the frontier still shrinks: a decision carried over from superstep 9 would
 // replay superstep 2 with next = current.
+// pruneAt deletes, at the barrier of superstep step, every checkpoint in dir
+// newer than superstep keep, so a fault planted at step rolls back to keep.
+type pruneAt struct {
+	obs.Nop
+	t          *testing.T
+	dir        string
+	step, keep int
+}
+
+func (p pruneAt) OnSuperstep(rec *obs.StepRecord) {
+	if rec.Step != p.step {
+		return
+	}
+	steps, err := checkpoint.Steps(p.dir)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	for _, s := range steps {
+		if s > p.keep {
+			if err := os.Remove(filepath.Join(p.dir, fmt.Sprintf("step-%06d.ckpt", s))); err != nil {
+				p.t.Fatal(err)
+			}
+		}
+	}
+}
+
 func TestRecoveryAfterSteadyFrontier(t *testing.T) {
 	b := graph.NewBuilder(8)
 	for v := 0; v < 7; v++ {
@@ -123,15 +155,9 @@ func TestRecoveryAfterSteadyFrontier(t *testing.T) {
 			t.Fatalf("%v: uninterrupted Active per superstep %v, want %v", shape, got, wantActive)
 		}
 
-		var snap cyclops.State[float64, float64]
-		cfg.CheckpointEvery = 2
-		cfg.Checkpoints = func(s cyclops.State[float64, float64]) error {
-			if s.Step == 2 { // keep only the checkpoint taken at superstep 1
-				snap = s
-			}
-			return nil
-		}
-		cfg.Recover = func() (cyclops.State[float64, float64], error) { return snap, nil }
+		dir := t.TempDir()
+		cfg.CheckpointDir, cfg.CheckpointEvery = dir, 2
+		cfg.Hooks = pruneAt{t: t, dir: dir, step: 9, keep: 2}
 		cfg.FaultPlan = &fault.Plan{Faults: []fault.Fault{{Kind: fault.Crash, Step: 9, Worker: 0, Peer: -1}}}
 		faulted, err := cyclops.New[float64, float64](g, algorithms.PageRankCyclops{}, cfg)
 		if err != nil {

@@ -16,7 +16,6 @@ import (
 	"cyclops/internal/aggregate"
 	"cyclops/internal/algorithms"
 	"cyclops/internal/bsp"
-	"cyclops/internal/checkpoint"
 	"cyclops/internal/cluster"
 	"cyclops/internal/cyclops"
 	"cyclops/internal/fault"
@@ -71,45 +70,25 @@ func requireEqualValues(t *testing.T, base, got []float64) {
 		t.Fatalf("value lengths differ: %d vs %d", len(base), len(got))
 	}
 	for v := range base {
-		if base[v] != got[v] {
+		if math.Float64bits(base[v]) != math.Float64bits(got[v]) {
 			t.Fatalf("vertex %d diverged after recovery: %g vs %g", v, base[v], got[v])
 		}
 	}
 }
 
-// Each runXxx runs PageRank on the engine; with a nil plan it is the
-// fault-free baseline, otherwise the plan is injected with checkpoints every
-// 2 supersteps (plus a step-0 baseline) and recovery from the latest one.
+// Each runXxx runs PageRank on the engine under cluster shape cc; with a nil
+// plan it is the fault-free baseline, otherwise the plan is injected and the
+// engine checkpoints into a fresh directory every 2 supersteps (after its own
+// step-0 baseline) and recovers from the latest checkpoint.
 
-func runCyclops(t *testing.T, g *graph.Graph, plan *fault.Plan, rec *recoveryCounter) []float64 {
+func runCyclops(t *testing.T, g *graph.Graph, cc cluster.Config, plan *fault.Plan, rec *recoveryCounter) []float64 {
 	t.Helper()
 	cfg := cyclops.Config[float64, float64]{
-		Cluster: cluster.Flat(2, 2), MaxSupersteps: recoverySteps,
+		Cluster: cc, MaxSupersteps: recoverySteps,
 		Equal: func(a, b float64) bool { return math.Abs(a-b) < recoveryEps },
 	}
 	if plan != nil {
-		dir := t.TempDir()
-		cfg.FaultPlan = plan
-		cfg.CheckpointEvery = 2
-		cfg.Checkpoints = func(s cyclops.State[float64, float64]) error {
-			return checkpoint.Save(dir, s.Step, s)
-		}
-		cfg.Recover = func() (cyclops.State[float64, float64], error) {
-			s, _, err := checkpoint.LoadLatest[cyclops.State[float64, float64]](dir)
-			return s, err
-		}
-		cfg.Hooks = rec
-		e, err := cyclops.New[float64, float64](g, algorithms.PageRankCyclops{Eps: recoveryEps}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := checkpoint.Save(dir, 0, e.Snapshot()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return e.Values()
+		cfg.FaultPlan, cfg.CheckpointDir, cfg.CheckpointEvery, cfg.Hooks = plan, t.TempDir(), 2, rec
 	}
 	e, err := cyclops.New[float64, float64](g, algorithms.PageRankCyclops{Eps: recoveryEps}, cfg)
 	if err != nil {
@@ -121,36 +100,15 @@ func runCyclops(t *testing.T, g *graph.Graph, plan *fault.Plan, rec *recoveryCou
 	return e.Values()
 }
 
-func runBSP(t *testing.T, g *graph.Graph, plan *fault.Plan, rec *recoveryCounter) []float64 {
+func runBSP(t *testing.T, g *graph.Graph, cc cluster.Config, plan *fault.Plan, rec *recoveryCounter) []float64 {
 	t.Helper()
 	cfg := bsp.Config[float64, float64]{
-		Cluster: cluster.Flat(2, 2), MaxSupersteps: recoverySteps,
+		Cluster: cc, MaxSupersteps: recoverySteps,
 		Halt:  aggregate.GlobalErrorHalt(algorithms.ErrorAggregator, g.NumVertices(), recoveryEps),
 		Equal: func(a, b float64) bool { return math.Abs(a-b) < recoveryEps },
 	}
 	if plan != nil {
-		dir := t.TempDir()
-		cfg.FaultPlan = plan
-		cfg.CheckpointEvery = 2
-		cfg.Checkpoints = func(s bsp.State[float64, float64]) error {
-			return checkpoint.Save(dir, s.Step, s)
-		}
-		cfg.Recover = func() (bsp.State[float64, float64], error) {
-			s, _, err := checkpoint.LoadLatest[bsp.State[float64, float64]](dir)
-			return s, err
-		}
-		cfg.Hooks = rec
-		e, err := bsp.New[float64, float64](g, algorithms.PageRankBSP{Eps: recoveryEps}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := checkpoint.Save(dir, 0, e.Snapshot()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return e.Values()
+		cfg.FaultPlan, cfg.CheckpointDir, cfg.CheckpointEvery, cfg.Hooks = plan, t.TempDir(), 2, rec
 	}
 	e, err := bsp.New[float64, float64](g, algorithms.PageRankBSP{Eps: recoveryEps}, cfg)
 	if err != nil {
@@ -162,36 +120,14 @@ func runBSP(t *testing.T, g *graph.Graph, plan *fault.Plan, rec *recoveryCounter
 	return e.Values()
 }
 
-func runGAS(t *testing.T, g *graph.Graph, plan *fault.Plan, rec *recoveryCounter) []float64 {
+func runGAS(t *testing.T, g *graph.Graph, cc cluster.Config, plan *fault.Plan, rec *recoveryCounter) []float64 {
 	t.Helper()
 	cfg := gas.Config[algorithms.PRValue, float64]{
-		Cluster: cluster.Flat(2, 2), Partitioner: gas.RandomVertexCut{},
+		Cluster: cc, Partitioner: gas.RandomVertexCut{},
 		MaxSupersteps: recoverySteps, ValCodec: algorithms.PRValueCodec{},
 	}
 	if plan != nil {
-		dir := t.TempDir()
-		cfg.FaultPlan = plan
-		cfg.CheckpointEvery = 2
-		cfg.Checkpoints = func(s gas.State[algorithms.PRValue]) error {
-			return checkpoint.Save(dir, s.Step, s)
-		}
-		cfg.Recover = func() (gas.State[algorithms.PRValue], error) {
-			s, _, err := checkpoint.LoadLatest[gas.State[algorithms.PRValue]](dir)
-			return s, err
-		}
-		cfg.Hooks = rec
-		e, err := gas.New[algorithms.PRValue, float64](g,
-			algorithms.NewPageRankGAS(g, recoverySteps, recoveryEps), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := checkpoint.Save(dir, 0, e.Snapshot()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return algorithms.Ranks(e.Values())
+		cfg.FaultPlan, cfg.CheckpointDir, cfg.CheckpointEvery, cfg.Hooks = plan, t.TempDir(), 2, rec
 	}
 	e, err := gas.New[algorithms.PRValue, float64](g,
 		algorithms.NewPageRankGAS(g, recoverySteps, recoveryEps), cfg)
@@ -204,13 +140,16 @@ func runGAS(t *testing.T, g *graph.Graph, plan *fault.Plan, rec *recoveryCounter
 	return algorithms.Ranks(e.Values())
 }
 
-var engines = []struct {
+type engine struct {
 	name string
-	run  func(*testing.T, *graph.Graph, *fault.Plan, *recoveryCounter) []float64
-}{
-	{"cyclops", runCyclops},
-	{"bsp", runBSP},
-	{"gas", runGAS},
+	cc   cluster.Config
+	run  func(*testing.T, *graph.Graph, cluster.Config, *fault.Plan, *recoveryCounter) []float64
+}
+
+var engines = []engine{
+	{"cyclops", cluster.Flat(2, 2), runCyclops},
+	{"bsp", cluster.Flat(2, 2), runBSP},
+	{"gas", cluster.Flat(2, 2), runGAS},
 }
 
 func TestKillAtStepKRecoversExactly(t *testing.T) {
@@ -218,15 +157,38 @@ func TestKillAtStepKRecoversExactly(t *testing.T) {
 	for _, eng := range engines {
 		eng := eng
 		t.Run(eng.name, func(t *testing.T) {
-			base := eng.run(t, g, nil, nil)
+			base := eng.run(t, g, eng.cc, nil, nil)
 			for _, k := range []int{1, 2, 3} {
 				k := k
 				t.Run("k="+strconv.Itoa(k), func(t *testing.T) {
 					plan := killPlan(k)
 					rec := &recoveryCounter{}
-					got := eng.run(t, g, &plan, rec)
+					got := eng.run(t, g, eng.cc, &plan, rec)
 					if rec.recoveries == 0 {
 						t.Fatal("crash never fired: recovery path untested")
+					}
+					requireEqualValues(t, base, got)
+				})
+			}
+		})
+	}
+}
+
+// TestFaultBeforeFirstCheckpointRecovers crashes a worker at superstep 0 or 1,
+// before the first periodic checkpoint (at superstep 2): the run rolls back
+// to the step-0 baseline the engine saved itself, with no caller-side save.
+func TestFaultBeforeFirstCheckpointRecovers(t *testing.T) {
+	g := chaosGraph()
+	for _, eng := range append(engines, engine{"cyclopsmt", cluster.MT(2, 2, 2), runCyclops}) {
+		t.Run(eng.name, func(t *testing.T) {
+			base := eng.run(t, g, eng.cc, nil, nil)
+			for _, k := range []int{0, 1} {
+				t.Run("k="+strconv.Itoa(k), func(t *testing.T) {
+					plan := killPlan(k)
+					rec := &recoveryCounter{}
+					got := eng.run(t, g, eng.cc, &plan, rec)
+					if rec.recoveries != 1 {
+						t.Fatalf("%d recoveries, want 1", rec.recoveries)
 					}
 					requireEqualValues(t, base, got)
 				})
@@ -247,9 +209,9 @@ func TestChaosSeededRecovery(t *testing.T) {
 	for _, eng := range engines {
 		eng := eng
 		t.Run(eng.name, func(t *testing.T) {
-			base := eng.run(t, g, nil, nil)
+			base := eng.run(t, g, eng.cc, nil, nil)
 			rec := &recoveryCounter{}
-			got := eng.run(t, g, &plan, rec)
+			got := eng.run(t, g, eng.cc, &plan, rec)
 			t.Logf("%s: %d recoveries", eng.name, rec.recoveries)
 			requireEqualValues(t, base, got)
 		})

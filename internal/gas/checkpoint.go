@@ -16,21 +16,12 @@ type State[V any] struct {
 	Active []bool // master activation flags, indexed by global vertex id
 }
 
-// Snapshot captures the engine's state before Run as a step-0 baseline
-// checkpoint, so a fault earlier than the first periodic checkpoint is still
-// recoverable. (Mid-run checkpoints are taken by the engine itself through
-// Config.Checkpoints.)
-func (e *Engine[V, G]) Snapshot() State[V] {
-	s := e.snapshot()
-	s.Step = e.step
-	return s
-}
-
-// snapshot captures the current state (called at barriers only).
-func (e *Engine[V, G]) snapshot() State[V] {
+// snapshot captures the state superstep step starts from (called between
+// supersteps only).
+func (e *Engine[V, G]) snapshot(step int) State[V] {
 	n := e.g.NumVertices()
 	s := State[V]{
-		Step:   e.step + 1,
+		Step:   step,
 		Values: make([]V, n),
 		Active: make([]bool, n),
 	}

@@ -13,9 +13,11 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cyclops/internal/algorithms"
+	"cyclops/internal/checkpoint"
 	"cyclops/internal/cluster"
 	"cyclops/internal/fault"
 	"cyclops/internal/gas"
@@ -195,21 +197,8 @@ func TestRestoreMidFrontier(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var snap gas.State[float64]
-	cfg.CheckpointEvery = 5
-	cfg.Checkpoints = func(s gas.State[float64]) error { snap = s; return nil }
-	cfg.Recover = func() (gas.State[float64], error) {
-		n := 0
-		for _, on := range snap.Active {
-			if on {
-				n++
-			}
-		}
-		if snap.Step != 10 || n == 0 {
-			t.Errorf("recovering from step %d with %d active vertices, want step 10 mid-wave", snap.Step, n)
-		}
-		return snap, nil
-	}
+	dir := t.TempDir()
+	cfg.CheckpointDir, cfg.CheckpointEvery = dir, 5
 	cfg.FaultPlan = &fault.Plan{Faults: []fault.Fault{{Kind: fault.Crash, Step: 12, Worker: 0, Peer: -1}}}
 	faulted, err := gas.New[float64, float64](g, algorithms.SSSPGAS{Source: 0}, cfg)
 	if err != nil {
@@ -221,6 +210,12 @@ func TestRestoreMidFrontier(t *testing.T) {
 	}
 	if len(faultedTrace.Steps) != len(cleanTrace.Steps)+3 {
 		t.Fatalf("faulted run took %d supersteps, want %d + 3 replayed", len(faultedTrace.Steps), len(cleanTrace.Steps))
+	}
+	// The 3 replayed supersteps rolled back to the step-10 checkpoint, taken
+	// mid-wave.
+	snap, err := checkpoint.Load[gas.State[float64]](dir, 10)
+	if err != nil || !slices.Contains(snap.Active, true) {
+		t.Fatalf("step-10 checkpoint: %v, active %v", err, snap.Active)
 	}
 	h1, h2 := fnv.New64a(), fnv.New64a()
 	hashSeries(h1, cleanTrace)

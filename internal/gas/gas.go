@@ -161,18 +161,13 @@ type Config[V, G any] struct {
 	// channel, so a divergent mirror means a lost or corrupted push). A
 	// violation fails the run with *obs.AuditError. Off by default.
 	Audit bool
-	// CheckpointEvery saves state every k supersteps to Checkpoints (k>0).
-	// Mirrors and messages are excluded: mirrors are rebuilt from masters on
-	// recovery, the vertex-cut analogue of §3.6.
-	CheckpointEvery int
-	// Checkpoints receives snapshots.
-	Checkpoints func(State[V]) error
-	// Recover loads the state to roll back to after a transient transport
-	// fault at a barrier (typically checkpoint.LoadLatest over the same
-	// directory Checkpoints writes into). When set, the engine restores the
-	// state, rebuilds every mirror from its master, and replays; when nil,
-	// any transport fault fails the run. Requires InProcess.
-	Recover func() (State[V], error)
+	// CheckpointDir is where the engine checkpoints its masters (no mirrors,
+	// no messages: the vertex-cut analogue of §3.6): a step-0 baseline as Run
+	// starts, then every CheckpointEvery supersteps. A transient transport
+	// fault rolls back to the newest checkpoint that loads, rebuilds every
+	// mirror from its master and replays; with no directory it fails the run.
+	CheckpointDir   string
+	CheckpointEvery int // 0: the baseline only; > 0 needs a CheckpointDir
 	// FaultPlan injects a deterministic fault schedule at the transport
 	// boundary (testing/chaos only). Same plan ⇒ same faults.
 	FaultPlan *fault.Plan
@@ -353,11 +348,11 @@ func New[V, G any](g *graph.Graph, prog Program[V, G], cfg Config[V, G]) (*Engin
 		cfg.MaxSupersteps = 100
 	}
 	k := cfg.Cluster.Workers()
-	if cfg.Network != transport.InProcess && cfg.CheckpointEvery > 0 {
-		return nil, errors.New("gas: checkpointing requires the in-process network")
+	if cfg.CheckpointEvery > 0 && cfg.CheckpointDir == "" {
+		return nil, fmt.Errorf("gas: %w", superstep.ErrNoCheckpointDir)
 	}
-	if cfg.Network != transport.InProcess && cfg.Recover != nil {
-		return nil, errors.New("gas: recovery requires the in-process network")
+	if cfg.Network != transport.InProcess && cfg.CheckpointDir != "" {
+		return nil, errors.New("gas: checkpointing requires the in-process network")
 	}
 	var err error
 	if cfg.ValCodec == nil {
@@ -578,6 +573,7 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 		Hooks: e.cfg.Hooks, Link: e.tr, Injector: e.inj, Trace: e.trace,
 		Step: &e.step, RunSeq: &e.runSeq, MaxSupersteps: e.cfg.MaxSupersteps,
 		CheckpointEvery: e.cfg.CheckpointEvery,
+		Checkpoints:     superstep.Dir(e.cfg.CheckpointDir, e.snapshot, e.Restore),
 		Info: func() obs.RunInfo {
 			return obs.RunInfo{
 				Engine:   e.trace.Engine,
@@ -881,26 +877,11 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 				stats.ComputeUnitsMax, stats.SendMax, stats.RecvMax,
 				e.cfg.Cluster.Threads, 1, workers, true, model.FlatBarrier(workers))
 		},
-		Checkpoint: func() error {
-			if e.cfg.Checkpoints == nil {
-				return nil
-			}
-			return e.cfg.Checkpoints(e.snapshot())
-		},
 		OnStep: func(step int) {
 			if e.cfg.OnStep != nil {
 				e.cfg.OnStep(step, e)
 			}
 		},
-	}
-	if e.cfg.Recover != nil {
-		ps.Recover = func() error {
-			st, err := e.cfg.Recover()
-			if err != nil {
-				return fmt.Errorf("load checkpoint: %w", err)
-			}
-			return e.Restore(st)
-		}
 	}
 	return e.trace, k.Run(ps)
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"cyclops/internal/cluster"
@@ -128,7 +129,7 @@ func floatsEqual(a, b []float64) bool {
 		return false
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			return false
 		}
 	}

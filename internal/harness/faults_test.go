@@ -2,6 +2,7 @@ package harness
 
 import (
 	"io"
+	"math"
 	"testing"
 
 	"cyclops/internal/obs"
@@ -40,5 +41,17 @@ func TestFaultsRecordsEveryRun(t *testing.T) {
 		if faulted && m.Supersteps != ms[i-1].Supersteps+m.Replayed {
 			t.Errorf("%s: %d supersteps, baseline %d + %d replayed", m.Run, m.Supersteps, ms[i-1].Supersteps, m.Replayed)
 		}
+	}
+}
+
+// TestFloatsEqualIsBitwise: −0 and +0 compare equal under ==, and a NaN never
+// equals itself; recovery is held to the exact bits.
+func TestFloatsEqualIsBitwise(t *testing.T) {
+	nan := math.NaN()
+	if floatsEqual([]float64{0}, []float64{math.Copysign(0, -1)}) {
+		t.Error("+0 and −0 must differ")
+	}
+	if !floatsEqual([]float64{1, nan}, []float64{1, nan}) {
+		t.Error("a NaN must equal the same NaN")
 	}
 }

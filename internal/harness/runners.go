@@ -6,7 +6,6 @@ import (
 
 	"cyclops/internal/algorithms"
 	"cyclops/internal/bsp"
-	"cyclops/internal/checkpoint"
 	"cyclops/internal/cluster"
 	"cyclops/internal/cyclops"
 	"cyclops/internal/fault"
@@ -46,24 +45,13 @@ type Params struct {
 }
 
 // FaultSpec arms a run for fault injection: Plan is injected at the transport
-// boundary, the engine checkpoints into Dir every Every supersteps (after a
-// step-0 baseline, so a fault earlier than the first periodic checkpoint is
-// still recoverable) and rolls back to the latest checkpoint on a transient
+// boundary, the engine checkpoints into Dir every Every supersteps (after its
+// own step-0 baseline) and rolls back to the latest checkpoint on a transient
 // fault. The caller owns Dir.
 type FaultSpec struct {
 	Plan  fault.Plan
 	Every int
 	Dir   string
-}
-
-// checkpointIO is the Checkpoints/Recover pair every engine Config gets
-// under a FaultSpec; step reads the superstep out of the engine's State.
-func checkpointIO[S any](f *FaultSpec, step func(S) int) (func(S) error, func() (S, error)) {
-	return func(s S) error { return checkpoint.Save(f.Dir, step(s), s) },
-		func() (S, error) {
-			s, _, err := checkpoint.LoadLatest[S](f.Dir)
-			return s, err
-		}
 }
 
 // RunWorkload runs one (engine, algorithm) row. It is the one place that
@@ -145,24 +133,17 @@ func alsConfig(users, sweeps int) algorithms.ALSConfig {
 }
 
 // runnable is what finish needs of a constructed engine, whatever its type
-// parameters: V is the vertex value, S the checkpointable state.
-type runnable[V, S any] interface {
+// parameters: V is the vertex value.
+type runnable[V any] interface {
 	Run() (*metrics.Trace, error)
 	TransportStats() transport.Snapshot
 	Values() []V
-	Snapshot() S
 }
 
-// finish runs a constructed engine — after saving the FaultSpec's step-0
-// baseline — and books what every engine reports the same way: trace,
-// transport counters, wall time, the totals derived from the trace and the
-// projected values.
-func finish[V, S any](r *RunResult, e runnable[V, S], p Params, project func([]V) []float64) error {
-	if p.Faults != nil {
-		if err := checkpoint.Save(p.Faults.Dir, 0, e.Snapshot()); err != nil {
-			return err
-		}
-	}
+// finish runs a constructed engine and books what every engine reports the
+// same way: trace, transport counters, wall time, the totals derived from the
+// trace and the projected values.
+func finish[V any](r *RunResult, e runnable[V], project func([]V) []float64) error {
 	start := time.Now()
 	trace, err := e.Run()
 	if err != nil {
@@ -195,14 +176,13 @@ func runBSP[V, M any](r *RunResult, g *graph.Graph, part partition.Partitioner, 
 		}
 	}
 	if f := p.Faults; f != nil {
-		cfg.FaultPlan, cfg.CheckpointEvery = &f.Plan, f.Every
-		cfg.Checkpoints, cfg.Recover = checkpointIO(f, func(s bsp.State[V, M]) int { return s.Step })
+		cfg.FaultPlan, cfg.CheckpointDir, cfg.CheckpointEvery = &f.Plan, f.Dir, f.Every
 	}
 	e, err := bsp.New(g, prog, cfg)
 	if err != nil {
 		return err
 	}
-	if err := finish(r, e, p, project); err != nil {
+	if err := finish(r, e, project); err != nil {
 		return err
 	}
 	mem.finish(r)
@@ -222,14 +202,13 @@ func runCyclops[V, M any](r *RunResult, g *graph.Graph, part partition.Partition
 		}
 	}
 	if f := p.Faults; f != nil {
-		cfg.FaultPlan, cfg.CheckpointEvery = &f.Plan, f.Every
-		cfg.Checkpoints, cfg.Recover = checkpointIO(f, func(s cyclops.State[V, M]) int { return s.Step })
+		cfg.FaultPlan, cfg.CheckpointDir, cfg.CheckpointEvery = &f.Plan, f.Dir, f.Every
 	}
 	e, err := cyclops.New(g, prog, cfg)
 	if err != nil {
 		return err
 	}
-	if err := finish(r, e, p, project); err != nil {
+	if err := finish(r, e, project); err != nil {
 		return err
 	}
 	r.Replication, r.Ingress = e.ReplicationFactor(), e.Ingress()
@@ -243,14 +222,13 @@ func runGAS[V, G any](r *RunResult, g *graph.Graph, p Params,
 	cfg.Cluster, cfg.Partitioner, cfg.MaxSupersteps = r.Config, p.cut, p.MaxSteps
 	cfg.Hooks, cfg.Audit = p.Hooks, p.Audit
 	if f := p.Faults; f != nil {
-		cfg.FaultPlan, cfg.CheckpointEvery = &f.Plan, f.Every
-		cfg.Checkpoints, cfg.Recover = checkpointIO(f, func(s gas.State[V]) int { return s.Step })
+		cfg.FaultPlan, cfg.CheckpointDir, cfg.CheckpointEvery = &f.Plan, f.Dir, f.Every
 	}
 	e, err := gas.New(g, prog, cfg)
 	if err != nil {
 		return err
 	}
-	if err := finish(r, e, p, project); err != nil {
+	if err := finish(r, e, project); err != nil {
 		return err
 	}
 	r.Replication = e.ReplicationFactor()

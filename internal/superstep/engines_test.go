@@ -115,52 +115,43 @@ func (g *grammarHooks) OnRunEnd(e obs.RunEnd) {
 	g.end = e
 }
 
-// scenario is one column of the table: how the run is perturbed.
+// scenario is one column of the table: how the run is perturbed. A plan
+// comes with a checkpoint directory.
 type scenario struct {
 	name  string
 	audit bool
 	plan  *fault.Plan
+	dir   string
 }
-
-// memCheckpoints is an in-memory checkpoint directory: the latest snapshot.
-type memCheckpoints[S any] struct{ latest S }
-
-func (m *memCheckpoints[S]) save(s S) error   { m.latest = s; return nil }
-func (m *memCheckpoints[S]) load() (S, error) { return m.latest, nil }
 
 const tableSteps = 12
 
 // Each engine runner builds the engine for the scenario (checkpoints every 2
-// supersteps plus a step-0 baseline when a plan is injected) and runs it.
+// supersteps into the scenario's directory when a plan is injected) and runs
+// it.
 
 func runHama(g *graph.Graph, cc cluster.Config, sc scenario, h obs.Hooks) error {
 	cfg := bsp.Config[float64, float64]{Cluster: cc, MaxSupersteps: tableSteps, Hooks: h, Audit: sc.audit}
-	var store memCheckpoints[bsp.State[float64, float64]]
 	if sc.plan != nil {
-		cfg.FaultPlan, cfg.CheckpointEvery = sc.plan, 2
-		cfg.Checkpoints, cfg.Recover = store.save, store.load
+		cfg.FaultPlan, cfg.CheckpointDir, cfg.CheckpointEvery = sc.plan, sc.dir, 2
 	}
 	e, err := bsp.New[float64, float64](g, algorithms.PageRankBSP{Eps: 1e-4}, cfg)
 	if err != nil {
 		return err
 	}
-	store.latest = e.Snapshot()
 	_, err = e.Run()
 	return err
 }
 
 func runCyclops(g *graph.Graph, cc cluster.Config, sc scenario, h obs.Hooks) error {
 	cfg := cyclops.Config[float64, float64]{Cluster: cc, MaxSupersteps: tableSteps, Hooks: h, Audit: sc.audit}
-	var store memCheckpoints[cyclops.State[float64, float64]]
 	if sc.plan != nil {
-		cfg.FaultPlan, cfg.CheckpointEvery = sc.plan, 2
-		cfg.Checkpoints, cfg.Recover = store.save, store.load
+		cfg.FaultPlan, cfg.CheckpointDir, cfg.CheckpointEvery = sc.plan, sc.dir, 2
 	}
 	e, err := cyclops.New[float64, float64](g, algorithms.PageRankCyclops{Eps: 1e-4}, cfg)
 	if err != nil {
 		return err
 	}
-	store.latest = e.Snapshot()
 	_, err = e.Run()
 	return err
 }
@@ -168,16 +159,13 @@ func runCyclops(g *graph.Graph, cc cluster.Config, sc scenario, h obs.Hooks) err
 func runPowerGraph(g *graph.Graph, cc cluster.Config, sc scenario, h obs.Hooks) error {
 	cfg := gas.Config[algorithms.PRValue, float64]{Cluster: cc, MaxSupersteps: tableSteps, Hooks: h, Audit: sc.audit,
 		ValCodec: algorithms.PRValueCodec{}}
-	var store memCheckpoints[gas.State[algorithms.PRValue]]
 	if sc.plan != nil {
-		cfg.FaultPlan, cfg.CheckpointEvery = sc.plan, 2
-		cfg.Checkpoints, cfg.Recover = store.save, store.load
+		cfg.FaultPlan, cfg.CheckpointDir, cfg.CheckpointEvery = sc.plan, sc.dir, 2
 	}
 	e, err := gas.New[algorithms.PRValue, float64](g, algorithms.NewPageRankGAS(g, tableSteps, 1e-4), cfg)
 	if err != nil {
 		return err
 	}
-	store.latest = e.Snapshot()
 	_, err = e.Run()
 	return err
 }
@@ -215,7 +203,7 @@ func TestHookSequenceOnRealRuns(t *testing.T) {
 		for _, sc := range []scenario{{name: "clean"}, {name: "audit", audit: true}, {name: "faults"}} {
 			t.Run(fmt.Sprintf("%s/%s", eng.name, sc.name), func(t *testing.T) {
 				if sc.name == "faults" {
-					sc.plan = seededPlan(t, eng.cc.Workers())
+					sc.plan, sc.dir = seededPlan(t, eng.cc.Workers()), t.TempDir()
 				}
 				workers := eng.cc.Workers()
 				h := &grammarHooks{t: t, workers: workers, phases: eng.phases}

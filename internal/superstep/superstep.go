@@ -2,17 +2,19 @@
 // engines. What the paper contributes lives inside each engine's PRS / CMP /
 // SND / SYN phase bodies; everything around them is written here once: the
 // OnRunStart…OnRunEnd bracket, the superstep loop, the per-worker fan-out with
-// wall and busy timing, the barrier-time fault → restore → replay protocol of
-// §3.6, audit failure, checkpoint cadence, and the single point that hands a
-// superstep's counters, traffic-matrix delta and span measurements to the
-// observers as one obs.StepRecord. DESIGN.md §4.1 is the contract.
+// wall and busy timing, the engine's checkpoints and the barrier-time fault →
+// restore → replay protocol of §3.6, audit failure, and the single point that
+// hands a superstep's counters, traffic-matrix delta and span measurements to
+// the observers as one obs.StepRecord. DESIGN.md §4.1 is the contract.
 package superstep
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
+	"cyclops/internal/checkpoint"
 	"cyclops/internal/metrics"
 	"cyclops/internal/obs"
 	"cyclops/internal/obs/span"
@@ -53,6 +55,7 @@ type Config struct {
 	RunSeq          *int64
 	MaxSupersteps   int
 	CheckpointEvery int
+	Checkpoints     Checkpoints        // nil: none, and any transport fault fails the run
 	Info            func() obs.RunInfo // for OnRunStart; only called with Hooks set
 	Owner           func(v int) int    // vertex → its master's worker (hot-set rows)
 }
@@ -70,17 +73,48 @@ type PhaseSet struct {
 	// Sync is the barrier's sequential bookkeeping, timed as the SYN phase:
 	// fold aggregates, swap activation, fill stats.
 	Sync func(stats *metrics.StepStats)
-	// Checkpoint snapshots the engine into its sink (every CheckpointEvery
-	// supersteps); Recover loads the latest one and restores the engine,
-	// rewinding *Config.Step — nil means any transport fault fails the run.
-	Checkpoint func() error
-	Recover    func() error
 	// OnStep runs after each barrier, once the superstep is known good.
 	OnStep func(step int)
 	// Pending reports how many vertices are due next superstep; zero ends
 	// the run with ReasonNoActive. Halt is the engine's extra test on top.
 	Pending func() int64
 	Halt    func(step int, pending int64) bool
+}
+
+// Checkpoints is a run's checkpoint store as the kernel drives it (§3.6):
+// Save persists the engine's state as of the start of superstep step, Recover
+// restores the newest save that loads, rewinding *Config.Step.
+type Checkpoints interface {
+	Save(step int) error
+	Recover() error
+}
+
+// ErrNoCheckpointDir is New's error for CheckpointEvery > 0 with nowhere to save.
+var ErrNoCheckpointDir = errors.New("CheckpointEvery > 0 needs a CheckpointDir")
+
+// Dir is the Checkpoints over an engine's CheckpointDir, nil for "": files
+// step-N.ckpt (internal/checkpoint) of snapshot(N), restored through restore.
+func Dir[S any](dir string, snapshot func(step int) S, restore func(S) error) Checkpoints {
+	if dir == "" {
+		return nil
+	}
+	return ckptDir[S]{dir, snapshot, restore}
+}
+
+type ckptDir[S any] struct {
+	dir      string
+	snapshot func(step int) S
+	restore  func(S) error
+}
+
+func (d ckptDir[S]) Save(step int) error { return checkpoint.Save(d.dir, step, d.snapshot(step)) }
+
+func (d ckptDir[S]) Recover() error {
+	s, _, err := checkpoint.LoadLatest[S](d.dir)
+	if err != nil {
+		return fmt.Errorf("load checkpoint: %w", err)
+	}
+	return d.restore(s)
 }
 
 // Counters is a run's scratch block: phase bodies write slot w from worker
@@ -204,7 +238,12 @@ func timed(busy []time.Duration, fn func(i int), i int) {
 // Run executes supersteps until the phase set stops, MaxSupersteps is
 // reached, or a fault, audit violation or checkpoint failure ends the run. It
 // is the run bracket: loop may return from anywhere and OnRunEnd still fires.
+// With Checkpoints set it first saves the baseline the run can always roll
+// back to, so a fault before the first periodic save is still recoverable.
 func (k *Kernel) Run(ps PhaseSet) error {
+	if err := k.save(*k.cfg.Step); err != nil {
+		return err
+	}
 	k.begin()
 	reason, err := k.loop(ps)
 	if h := k.cfg.Hooks; h != nil {
@@ -268,14 +307,14 @@ func (k *Kernel) loop(ps PhaseSet) (reason string, err error) {
 		// persisted: a transient transport fault rolls the run back to the
 		// latest checkpoint (§3.6) and replays; anything else fails the run.
 		if ferr := cfg.Link.Err(); ferr != nil {
-			if !transport.IsTransient(ferr) || ps.Recover == nil || recoveries >= maxRecoveries {
+			if !transport.IsTransient(ferr) || cfg.Checkpoints == nil || recoveries >= maxRecoveries {
 				return obs.ReasonFault, fmt.Errorf("%s: transport: %w", cfg.Name, ferr)
 			}
 			faultStep := *step
 			if cfg.Injector != nil {
 				cfg.Injector.Heal()
 			}
-			if rerr := ps.Recover(); rerr != nil {
+			if rerr := cfg.Checkpoints.Recover(); rerr != nil {
 				return obs.ReasonFault, fmt.Errorf("%s: recovery: %w", cfg.Name, rerr)
 			}
 			recoveries++
@@ -288,9 +327,9 @@ func (k *Kernel) loop(ps PhaseSet) (reason string, err error) {
 		if len(violations) > 0 {
 			return obs.ReasonAuditFailed, fmt.Errorf("%s: %w", cfg.Name, &obs.AuditError{Violations: violations})
 		}
-		if ps.Checkpoint != nil && cfg.CheckpointEvery > 0 && (*step+1)%cfg.CheckpointEvery == 0 {
-			if cerr := ps.Checkpoint(); cerr != nil {
-				return obs.ReasonFault, fmt.Errorf("%s: checkpoint at step %d: %w", cfg.Name, *step, cerr)
+		if cfg.CheckpointEvery > 0 && (*step+1)%cfg.CheckpointEvery == 0 {
+			if cerr := k.save(*step + 1); cerr != nil {
+				return obs.ReasonFault, cerr
 			}
 		}
 		if ps.OnStep != nil {
@@ -310,6 +349,16 @@ func (k *Kernel) loop(ps PhaseSet) (reason string, err error) {
 		}
 	}
 	return obs.ReasonMaxSupersteps, nil
+}
+
+// save persists the state superstep step starts from, when checkpointing.
+func (k *Kernel) save(step int) error {
+	if c := k.cfg.Checkpoints; c != nil {
+		if err := c.Save(step); err != nil {
+			return fmt.Errorf("%s: checkpoint at step %d: %w", k.cfg.Name, step, err)
+		}
+	}
+	return nil
 }
 
 // beginSpans resets the superstep's span bookkeeping and tags its sends, so

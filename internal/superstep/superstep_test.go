@@ -82,8 +82,9 @@ func (l *eventLog) OnRecovery(e obs.RecoveryEvent) {
 func (l *eventLog) OnRunEnd(e obs.RunEnd) { l.add("run-end %d %s", e.Step, e.Reason) }
 
 // rig is a kernel over fakes. Its phase set runs bsp's PRS → CMP → SND order
-// with trivial bodies, stays "pending" forever, and restores to superstep 0;
-// tests override the members they script.
+// with trivial bodies and stays "pending" forever; it is its own checkpoint
+// store, which restores to superstep 0. Tests override the members they
+// script.
 type rig struct {
 	log    *eventLog
 	link   *fakeLink
@@ -91,16 +92,36 @@ type rig struct {
 	runSeq int64
 	k      *superstep.Kernel
 	ps     superstep.PhaseSet
+	// saveErr and restoreErr script the checkpoint store's failures.
+	saveErr    func(step int) error
+	restoreErr error
 }
 
 func (r *rig) BeginStep(step int) { r.log.add("arm %d", step) }
 func (r *rig) Heal()              { r.log.add("heal"); r.link.err = nil }
 
+func (r *rig) Save(step int) error {
+	r.log.add("save %d", step)
+	if r.saveErr != nil {
+		return r.saveErr(step)
+	}
+	return nil
+}
+
+func (r *rig) Recover() error {
+	r.log.add("restore")
+	if r.restoreErr != nil {
+		return r.restoreErr
+	}
+	r.step = 0
+	return nil
+}
+
 func newRig(maxSteps int, tune func(*superstep.Config)) *rig {
 	const workers = 2
 	r := &rig{log: &eventLog{}, link: &fakeLink{matrix: transport.NewMatrix(workers)}}
 	cfg := superstep.Config{
-		Name: "fake", Workers: workers, Vertices: 4, Hooks: r.log, Link: r.link, Injector: r,
+		Name: "fake", Workers: workers, Vertices: 4, Hooks: r.log, Link: r.link, Injector: r, Checkpoints: r,
 		Trace: &metrics.Trace{Engine: "fake", Workers: workers},
 		Step:  &r.step, RunSeq: &r.runSeq, MaxSupersteps: maxSteps,
 		Info:  func() obs.RunInfo { return obs.RunInfo{Engine: "fake", Workers: workers} },
@@ -120,7 +141,6 @@ func newRig(maxSteps int, tune func(*superstep.Config)) *rig {
 		},
 		Sync:    func(stats *metrics.StepStats) { stats.Active = 1 },
 		Pending: func() int64 { return 1 },
-		Recover: func() error { r.log.add("restore"); r.step = 0; return nil },
 	}
 	return r
 }
@@ -132,7 +152,8 @@ func TestHookGrammarOnCleanRun(t *testing.T) {
 	if err := r.run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"run-start 1"}
+	// The baseline is saved before the run is announced.
+	want := []string{"save 0", "run-start 1"}
 	for step := 0; step < 2; step++ {
 		want = append(want,
 			fmt.Sprintf("arm %d", step),
@@ -214,24 +235,39 @@ func TestAuditViolationFailsTheRun(t *testing.T) {
 }
 
 func TestCheckpointCadenceAndSinkError(t *testing.T) {
-	var taken []int
 	sinkErr := errors.New("disk full")
 	r := newRig(10, func(c *superstep.Config) { c.CheckpointEvery = 2 })
-	r.ps.Checkpoint = func() error {
-		taken = append(taken, r.step)
-		if r.step == 3 {
+	r.saveErr = func(step int) error {
+		if step == 4 {
 			return sinkErr
 		}
 		return nil
 	}
 	err := r.run()
-	if !errors.Is(err, sinkErr) || !strings.Contains(err.Error(), "fake: checkpoint at step 3") {
+	if !errors.Is(err, sinkErr) || !strings.Contains(err.Error(), "fake: checkpoint at step 4") {
 		t.Fatalf("want the wrapped sink error, got %v", err)
 	}
-	if fmt.Sprint(taken) != "[1 3]" {
-		t.Fatalf("checkpoints at supersteps %v, want [1 3]", taken)
+	// The baseline, then one save per two supersteps, each named by the
+	// superstep it starts.
+	if got := r.log.count("save "); got != 3 || r.log.index("save 2") < 0 || r.log.index("save 4") < 0 {
+		t.Fatalf("saves:\n%s", strings.Join(r.log.events, "\n"))
 	}
 	if r.log.index("run-end 3 "+obs.ReasonFault) != len(r.log.events)-1 || r.log.count("run-end") != 1 {
+		t.Fatalf("hook sequence:\n%s", strings.Join(r.log.events, "\n"))
+	}
+}
+
+// TestBaselineFailureOpensNoRun: a baseline that cannot be saved fails Run
+// before anything is announced, so no observer sees a half-open run.
+func TestBaselineFailureOpensNoRun(t *testing.T) {
+	sinkErr := errors.New("disk full")
+	r := newRig(10, nil)
+	r.saveErr = func(int) error { return sinkErr }
+	err := r.run()
+	if !errors.Is(err, sinkErr) || !strings.HasPrefix(err.Error(), "fake: checkpoint at step 0") {
+		t.Fatalf("want the wrapped sink error, got %v", err)
+	}
+	if strings.Join(r.log.events, "\n") != "save 0" {
 		t.Fatalf("hook sequence:\n%s", strings.Join(r.log.events, "\n"))
 	}
 }
@@ -304,24 +340,22 @@ func TestUnrecoverableFaults(t *testing.T) {
 	fatal := &transport.Error{Op: "send", Peer: -1, Err: transport.ErrClosed}
 	transient := &transport.Error{Op: "send", Peer: 1, Retryable: true, Err: errors.New("dropped")}
 	restoreFailed := errors.New("checkpoint shape does not match engine")
+	noCheckpoints := func(c *superstep.Config) { c.Checkpoints = nil }
 	for _, tc := range []struct {
-		name    string
-		planted error
-		recover func(r *rig) func() error
-		want    string
-		calls   int
+		name       string
+		planted    error
+		tune       func(*superstep.Config)
+		restoreErr error
+		want       string
+		calls      int
 	}{
-		{"fatal-error-never-recovers", fatal, nil, "fake: transport: ", 0},
-		{"no-recover-configured", transient, func(*rig) func() error { return nil }, "fake: transport: ", 0},
-		{"restore-fails", transient, func(r *rig) func() error {
-			return func() error { r.log.add("restore"); return restoreFailed }
-		}, "fake: recovery: ", 1},
+		{"fatal-error-never-recovers", fatal, nil, nil, "fake: transport: ", 0},
+		{"no-recover-configured", transient, noCheckpoints, nil, "fake: transport: ", 0},
+		{"restore-fails", transient, nil, restoreFailed, "fake: recovery: ", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := newRig(4, nil)
-			if tc.recover != nil {
-				r.ps.Recover = tc.recover(r)
-			}
+			r := newRig(4, tc.tune)
+			r.restoreErr = tc.restoreErr
 			step := r.ps.Step
 			r.ps.Step = func() []obs.Violation { r.link.err = tc.planted; return step() }
 			err := r.run()
