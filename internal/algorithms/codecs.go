@@ -3,9 +3,9 @@ package algorithms
 import "cyclops/internal/graph"
 
 // Binary codecs for the composite message types the workloads ship over the
-// wire. Like the scalar codecs in internal/graph, EncodedSize must be exact
-// — the transports charge it to the wire books without materializing frames —
-// and Append must not retain dst.
+// wire. Like the scalar codecs in internal/graph, EncodedSize and FixedSize
+// must be exact — the transports charge them to the wire books without
+// materializing frames — and Append must not retain dst.
 
 // ALSMsgCodec frames an ALSMsg as the latent vector (4B length + 8B per
 // element) followed by the 8-byte edge rating.
@@ -45,6 +45,9 @@ type PRValueCodec struct{}
 
 // EncodedSize implements graph.Codec.
 func (PRValueCodec) EncodedSize(PRValue) int { return 16 }
+
+// FixedSize implements graph.FixedSize: every PRValue is 16 bytes.
+func (PRValueCodec) FixedSize() int { return 16 }
 
 // Append implements graph.Codec.
 func (PRValueCodec) Append(dst []byte, v PRValue) []byte {

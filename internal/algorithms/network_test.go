@@ -138,6 +138,74 @@ func TestGASSSSPOverTCP(t *testing.T) {
 	checkSameBooks(t, run(transport.InProcess), run(transport.TCPLoopback), 3, 5, 0)
 }
 
+// TestGASPageRankOverTCP is pr-web-gas' shape: PRValueCodec values and
+// float64 accumulators, both fixed-width, so in-process every frame is priced
+// by gas' one-pass BodySize and over TCP by the bytes it writes.
+func TestGASPageRankOverTCP(t *testing.T) {
+	g := gen.PowerLaw(300, 4, 17)
+	run := func(network transport.Network) ([]float64, books) {
+		e, err := gas.New[PRValue, float64](g, NewPageRankGAS(g, 8, 0), gas.Config[PRValue, float64]{
+			Cluster:       cluster.Flat(3, 1),
+			MaxSupersteps: 8,
+			Network:       network,
+			ValCodec:      PRValueCodec{},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		tr, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Ranks(e.Values()), books{e.TransportStats(), len(tr.Steps)}
+	}
+	local, lb := run(transport.InProcess)
+	tcp, tb := run(transport.TCPLoopback)
+	for v := range local {
+		// Masters fold partials in arrival order, which differs between the
+		// transports; allow last-ulp noise only.
+		if math.Abs(local[v]-tcp[v]) > 1e-15 {
+			t.Fatalf("vertex %d: in-process %g vs tcp %g", v, local[v], tcp[v])
+		}
+	}
+	checkSameBooks(t, lb, tb, 3, 5, 0)
+}
+
+// TestBSPALSOverTCP: ALSMsgCodec has no fixed width, so both networks price
+// its envelopes message by message.
+func TestBSPALSOverTCP(t *testing.T) {
+	g := gen.Bipartite(40, 8, 4, 7)
+	cfg := ALSConfig{Users: 40, D: 3, Lambda: 0.05, Sweeps: 2}
+	want := ALSRef(g, cfg)
+	run := func(network transport.Network) books {
+		e, err := bsp.New[[]float64, ALSMsg](g, ALSBSP{Cfg: cfg}, bsp.Config[[]float64, ALSMsg]{
+			Cluster:       cluster.Flat(3, 1),
+			MaxSupersteps: cfg.TotalSupersteps() + 4,
+			Network:       network,
+			MsgCodec:      ALSMsgCodec{},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		tr, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := e.Values()
+		for v := range want {
+			for i := range want[v] {
+				if math.Abs(got[v][i]-want[v][i]) > 1e-9 {
+					t.Fatalf("%v vertex %d dim %d: %g vs %g", network, v, i, got[v][i], want[v][i])
+				}
+			}
+		}
+		return books{e.TransportStats(), len(tr.Steps)}
+	}
+	checkSameBooks(t, run(transport.InProcess), run(transport.TCPLoopback), 3, 1, 1)
+}
+
 func TestCyclopsMTALSOverTCP(t *testing.T) {
 	g := gen.Bipartite(40, 8, 4, 6)
 	cfg := ALSConfig{Users: 40, D: 3, Lambda: 0.05, Sweeps: 2}

@@ -272,6 +272,14 @@ func (c envelopeCodec[M]) EncodedSize(env envelope[M]) int {
 	return 4 + c.inner.EncodedSize(env.Msg)
 }
 
+// FixedSize is 4 + the inner codec's width when that is fixed, else 0.
+func (c envelopeCodec[M]) FixedSize() int {
+	if n := graph.FixedSize(c.inner); n > 0 {
+		return 4 + n
+	}
+	return 0
+}
+
 func (c envelopeCodec[M]) Append(dst []byte, env envelope[M]) []byte {
 	dst = graph.AppendUint32(dst, uint32(env.Dst))
 	return c.inner.Append(dst, env.Msg)

@@ -7,6 +7,7 @@ import (
 
 	"cyclops/internal/graph"
 	"cyclops/internal/graph/codectest"
+	"cyclops/internal/transport"
 )
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -29,4 +30,33 @@ func TestCodecContract(t *testing.T) {
 		func(a, b ve) bool { return a.Dst == b.Dst && slices.EqualFunc(a.Msg, b.Msg, sameBits) },
 		ve{}, ve{Dst: math.MaxInt32, Msg: []float64{}},
 		ve{Dst: 9, Msg: []float64{math.NaN(), math.Copysign(0, -1)}}, ve{Dst: 0, Msg: long})
+
+	// As a frame body, priced by the in-process transport: 12 bytes an
+	// envelope over float64, and over []float64 — no fixed width — each
+	// envelope at its own size.
+	if f, v := graph.FixedSize[fe](envelopeCodec[float64]{inner: graph.Float64Codec{}}),
+		graph.FixedSize[ve](envelopeCodec[[]float64]{inner: graph.Float64SliceCodec{}}); f != 12 || v != 0 {
+		t.Errorf("FixedSize over float64 = %d, over []float64 = %d; want 12 and 0", f, v)
+	}
+	checkBodyPrice(t, envelopeCodec[float64]{inner: graph.Float64Codec{}},
+		[]fe{{Dst: 1, Msg: 0.5}, {Dst: 2, Msg: math.NaN()}, {Dst: 3}})
+	checkBodyPrice(t, envelopeCodec[[]float64]{inner: graph.Float64SliceCodec{}},
+		[]ve{{Dst: 1}, {Dst: 2, Msg: []float64{1, 2, 3}}, {Dst: 3, Msg: long}, {Dst: 4, Msg: []float64{}}})
+}
+
+// checkBodyPrice sends batch, and every prefix of it, through an in-process
+// transport and compares the wire bytes it books to the frame it would build.
+func checkBodyPrice[M any](t *testing.T, c graph.Codec[M], batch []M) {
+	t.Helper()
+	for n := 1; n <= len(batch); n++ {
+		tr := transport.NewLocal[M](2, transport.GlobalQueue, nil, c)
+		tr.Send(0, 1, batch[:n])
+		var body []byte
+		for _, m := range batch[:n] {
+			body = c.Append(body, m)
+		}
+		if got := tr.Stats().WireBytes() - transport.FrameHeaderBytes; got != int64(len(body)) {
+			t.Fatalf("%T: %d-message body priced at %d bytes, encodes to %d", c, n, got, len(body))
+		}
+	}
 }

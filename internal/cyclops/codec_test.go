@@ -37,15 +37,17 @@ func TestCodecContract(t *testing.T) {
 		vm{Slot: 9, Val: []float64{math.NaN(), math.Copysign(0, -1)}}, vm{Slot: 0, Val: long, Activate: true})
 
 	// As a frame-body codec over testPlan: BodySize is what AppendBody
-	// writes, each batch takes the layout it should, the smaller of the two,
-	// and every batch the plan can address decodes back bit for bit — into a
+	// writes, with the values' width multiplied out or summed per message,
+	// each batch takes the layout it should, the smaller of the two, and
+	// every batch the plan can address decodes back bit for bit — into a
 	// grown buffer and a reused batch with no allocation.
 	for _, tc := range bodyCases {
 		t.Run("body/"+tc.name, func(t *testing.T) {
-			c := testCodec
+			c, summed := testCodec, testCodec
+			summed.width = 0
 			body := c.AppendBody(nil, tc.from, tc.to, tc.batch)
-			if len(body) != c.BodySize(tc.from, tc.to, tc.batch) {
-				t.Fatalf("AppendBody wrote %d bytes, BodySize says %d", len(body), c.BodySize(tc.from, tc.to, tc.batch))
+			if n, m := c.BodySize(tc.from, tc.to, tc.batch), summed.BodySize(tc.from, tc.to, tc.batch); len(body) != n || n != m {
+				t.Fatalf("AppendBody wrote %d bytes, BodySize says %d (%d summed per message)", len(body), n, m)
 			}
 			if got := body[0] != bodyBySlot; got != tc.positional {
 				t.Fatalf("positional = %v, want %v (mode %#x)", got, tc.positional, body[0])

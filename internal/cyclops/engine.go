@@ -227,7 +227,7 @@ func New[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[V, M]) (*Engin
 	}
 	// The sync codec addresses replicas through the plan buildView fixed.
 	tr, err := transport.New[syncMsg[M]](cfg.Network, workers, transport.PerSenderQueue,
-		wrapSize[M](cfg.SizeOfMsg), syncCodec[M]{inner: cfg.MsgCodec, plan: e.plan})
+		wrapSize[M](cfg.SizeOfMsg), syncCodec[M]{inner: cfg.MsgCodec, width: graph.FixedSize(cfg.MsgCodec), plan: e.plan})
 	if err != nil {
 		return nil, fmt.Errorf("cyclops: transport: %w", err)
 	}

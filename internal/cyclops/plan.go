@@ -25,6 +25,7 @@ type planEntry struct{ master, replica int32 }
 // address, like the audit tests'). Dense PageRank ships 8 B a replica, not 13.
 type syncCodec[M any] struct {
 	inner graph.Codec[M]
+	width int                    // graph.FixedSize(inner)
 	plan  []graph.CSR[planEntry] // per sending worker, one row per peer
 }
 
@@ -83,6 +84,9 @@ func (c syncCodec[M]) layout(from, to int, batch []syncMsg[M]) (row []planEntry,
 
 func (c syncCodec[M]) BodySize(from, to int, batch []syncMsg[M]) int {
 	_, _, _, n := c.layout(from, to, batch)
+	if c.width > 0 {
+		return 1 + n + c.width*len(batch)
+	}
 	for i := range batch {
 		n += c.inner.EncodedSize(batch[i].Val)
 	}

@@ -44,7 +44,7 @@ func testPlan() []graph.CSR[planEntry] {
 	return plan
 }
 
-var testCodec = syncCodec[float64]{inner: graph.Float64Codec{}, plan: testPlan()}
+var testCodec = syncCodec[float64]{inner: graph.Float64Codec{}, width: 8, plan: testPlan()}
 
 type fmsg = syncMsg[float64]
 

@@ -7,6 +7,7 @@ import (
 
 	"cyclops/internal/graph"
 	"cyclops/internal/graph/codectest"
+	"cyclops/internal/transport"
 )
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -42,7 +43,7 @@ func TestCodecContract(t *testing.T) {
 				fm{Kind: kind, Slot: math.MaxInt32, Val: math.NaN(), Acc: math.Inf(-1), Has: has})
 		}
 	}
-	codectest.Check(t, gasCodec[float64, float64]{val: graph.Float64Codec{}, acc: graph.Float64Codec{}},
+	codectest.Check(t, newGasCodec[float64, float64](graph.Float64Codec{}, graph.Float64Codec{}),
 		sameGasMsg(sameBits, sameBits), fixed...)
 
 	type vm = gasMsg[[]float64, []float64]
@@ -59,6 +60,33 @@ func TestCodecContract(t *testing.T) {
 				vm{Kind: kind, Slot: math.MaxInt32, Val: long, Acc: long[:3], Has: has})
 		}
 	}
-	codectest.Check(t, gasCodec[[]float64, []float64]{val: graph.Float64SliceCodec{}, acc: graph.Float64SliceCodec{}},
+	codectest.Check(t, newGasCodec[[]float64, []float64](graph.Float64SliceCodec{}, graph.Float64SliceCodec{}),
 		sameGasMsg(sameVec, sameVec), vecs...)
+
+	// As a frame body: the in-process transport prices a batch mixing all
+	// five kinds at exactly the bytes its messages encode to, with the
+	// widths multiplied out (float64) or asked per message ([]float64).
+	checkBodyPrice(t, newGasCodec[float64, float64](graph.Float64Codec{}, graph.Float64Codec{}), fixed)
+	checkBodyPrice(t, newGasCodec[[]float64, []float64](graph.Float64SliceCodec{}, graph.Float64SliceCodec{}), vecs)
+	type mixed = gasMsg[float64, []float64]
+	checkBodyPrice(t, newGasCodec[float64, []float64](graph.Float64Codec{}, graph.Float64SliceCodec{}), []mixed{
+		{Kind: kindGatherReq}, {Kind: kindGatherPartial, Acc: long[:5], Has: true}, {Kind: kindApplyPush, Val: 1},
+		{Kind: kindScatterReq}, {Kind: kindActivate}, {Kind: kindGatherPartial}, {Kind: kindApplyPush}})
+}
+
+// checkBodyPrice sends batch, and every prefix of it, through an in-process
+// transport and compares the wire bytes it books to the frame it would build.
+func checkBodyPrice[M any](t *testing.T, c graph.Codec[M], batch []M) {
+	t.Helper()
+	for n := 1; n <= len(batch); n++ {
+		tr := transport.NewLocal[M](2, transport.GlobalQueue, nil, c)
+		tr.Send(0, 1, batch[:n])
+		var body []byte
+		for _, m := range batch[:n] {
+			body = c.Append(body, m)
+		}
+		if got := tr.Stats().WireBytes() - transport.FrameHeaderBytes; got != int64(len(body)) {
+			t.Fatalf("%T: %d-message body priced at %d bytes, encodes to %d", c, n, got, len(body))
+		}
+	}
 }

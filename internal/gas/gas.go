@@ -194,19 +194,34 @@ type gasMsg[V, G any] struct {
 // so the three payload-free request kinds cost 5 bytes instead of a full
 // message estimate — the framing behind the Table 4 wire comparison.
 type gasCodec[V, G any] struct {
-	val graph.Codec[V]
-	acc graph.Codec[G]
+	val        graph.Codec[V]
+	acc        graph.Codec[G]
+	valW, accW int // graph.FixedSize of val and acc
 }
 
-func (c gasCodec[V, G]) EncodedSize(m gasMsg[V, G]) int {
-	switch m.Kind {
-	case kindApplyPush:
-		return 5 + c.val.EncodedSize(m.Val)
-	case kindGatherPartial:
-		return 6 + c.acc.EncodedSize(m.Acc)
-	default:
-		return 5
+func newGasCodec[V, G any](val graph.Codec[V], acc graph.Codec[G]) gasCodec[V, G] {
+	return gasCodec[V, G]{val: val, acc: acc, valW: graph.FixedSize(val), accW: graph.FixedSize(acc)}
+}
+
+func (c gasCodec[V, G]) EncodedSize(m gasMsg[V, G]) int { return c.BodySize(0, 0, []gasMsg[V, G]{m}) }
+
+// BodySize prices a body in one pass over the kinds: a fixed value or
+// accumulator width is added as is, a variable one asked of its codec.
+func (c gasCodec[V, G]) BodySize(_, _ int, batch []gasMsg[V, G]) int {
+	n := 5 * len(batch)
+	for i := range batch {
+		switch m := &batch[i]; m.Kind {
+		case kindApplyPush:
+			if n += c.valW; c.valW == 0 {
+				n += c.val.EncodedSize(m.Val)
+			}
+		case kindGatherPartial:
+			if n += 1 + c.accW; c.accW == 0 {
+				n += c.acc.EncodedSize(m.Acc)
+			}
+		}
 	}
+	return n
 }
 
 func (c gasCodec[V, G]) Append(dst []byte, m gasMsg[V, G]) []byte {
@@ -366,7 +381,7 @@ func New[V, G any](g *graph.Graph, prog Program[V, G], cfg Config[V, G]) (*Engin
 		}
 	}
 	tr, err := transport.New[gasMsg[V, G]](cfg.Network, k, transport.GlobalQueue, nil,
-		gasCodec[V, G]{val: cfg.ValCodec, acc: cfg.AccCodec})
+		newGasCodec(cfg.ValCodec, cfg.AccCodec))
 	if err != nil {
 		return nil, fmt.Errorf("gas: transport: %w", err)
 	}

@@ -13,11 +13,12 @@ import (
 // not retain dst) and decodes it back. Encoding is little-endian and
 // self-delimiting: EncodedSize(m) is exactly the number of bytes Append
 // writes, and Decode consumes exactly that many. That exactness is load
-// bearing — the in-process transport charges wire bytes from EncodedSize
-// without materializing frames, and those charges are exact-diffed by the
-// flight-recorder gate, so any drift between Append and EncodedSize shows up
-// as a wire-accounting regression. codectest.Check is the contract's test:
-// every implementation goes through it in its package's TestCodecContract.
+// bearing — the in-process transport prices each frame without materializing
+// it (len(batch) × FixedSize when the codec has one, else Σ EncodedSize), and
+// those charges are exact-diffed by the flight-recorder gate, so any drift
+// between Append and the sizes shows up as a wire-accounting regression.
+// codectest.Check is the contract's test: every implementation goes through
+// it in its package's TestCodecContract.
 type Codec[M any] interface {
 	// EncodedSize returns the exact number of bytes Append writes for m.
 	// It is always at least 1: every message costs wire bytes, and the
@@ -58,6 +59,16 @@ func CodecFor[M any]() (Codec[M], error) {
 	return c.(Codec[M]), nil
 }
 
+// FixedSize is the width n ≥ 1 every message of c encodes to, declared by an
+// optional FixedSize() int method, or 0 when sizes vary (or c does not say).
+// A transport prices a fixed-width batch as len(batch) × n, not per message.
+func FixedSize[M any](c Codec[M]) int {
+	if f, ok := c.(interface{ FixedSize() int }); ok {
+		return f.FixedSize()
+	}
+	return 0
+}
+
 // AppendUint32 appends v little-endian.
 func AppendUint32(dst []byte, v uint32) []byte {
 	return binary.LittleEndian.AppendUint32(dst, v)
@@ -88,6 +99,7 @@ func Uint64At(src []byte) (uint64, error) {
 type Float64Codec struct{}
 
 func (Float64Codec) EncodedSize(float64) int { return 8 }
+func (Float64Codec) FixedSize() int          { return 8 }
 
 func (Float64Codec) Append(dst []byte, m float64) []byte {
 	return AppendUint64(dst, math.Float64bits(m))
@@ -105,6 +117,7 @@ func (Float64Codec) Decode(src []byte) (float64, int, error) {
 type Int64Codec struct{}
 
 func (Int64Codec) EncodedSize(int64) int { return 8 }
+func (Int64Codec) FixedSize() int        { return 8 }
 
 func (Int64Codec) Append(dst []byte, m int64) []byte {
 	return AppendUint64(dst, uint64(m))

@@ -11,20 +11,25 @@ import (
 	"cyclops/internal/graph"
 )
 
-// Check asserts, per sample, that Append writes exactly EncodedSize bytes and
-// leaves what dst already held alone, that Decode returns an equal value and
-// consumes exactly those bytes with more behind them, that every strict
-// prefix of the encoding is an error (a panic fails the test on its own), that
-// Append into a grown buffer allocates nothing, and that Decode allocates no
-// more than the value owns: one object per non-empty slice field.
+// Check asserts, per sample, that Append writes exactly EncodedSize bytes (a
+// declared FixedSize, if any) and leaves what dst already held alone, that
+// Decode returns an equal value and consumes exactly those bytes with more
+// behind them, that every strict prefix of the encoding is an error (a panic
+// fails the test on its own), that Append into a grown buffer allocates
+// nothing, and that Decode allocates no more than the value owns: one object
+// per non-empty slice field.
 func Check[M any](t testing.TB, c graph.Codec[M], eq func(a, b M) bool, samples ...M) {
 	t.Helper()
+	fixed := graph.FixedSize(c)
 	for i, m := range samples {
 		id := fmt.Sprintf("%T sample %d (%.40s)", c, i, fmt.Sprintf("%+v", m))
 		size, enc := c.EncodedSize(m), c.Append(nil, m)
 		if len(enc) != size {
 			t.Errorf("%s: Append wrote %d bytes, EncodedSize says %d", id, len(enc), size)
 			continue
+		}
+		if fixed != 0 && (fixed != size || fixed < 1) {
+			t.Errorf("%s: FixedSize says %d, EncodedSize %d", id, fixed, size)
 		}
 		buf := c.Append([]byte{0xA5, 0x5A}, m)
 		if !bytes.Equal(buf, append([]byte{0xA5, 0x5A}, enc...)) {

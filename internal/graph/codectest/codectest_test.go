@@ -122,6 +122,27 @@ func TestCheckRejectsBrokenCodecs(t *testing.T) {
 			t.Errorf("%s: Check reported %q, want a message containing %q", tc.name, got, tc.want)
 		}
 	}
+
+	// A declared fixed width is part of the contract: the transport prices a
+	// batch by it without asking EncodedSize.
+	for _, tc := range []struct {
+		width int
+		want  string
+	}{{4, ""}, {5, "FixedSize says 5, EncodedSize 4"}, {3, "FixedSize says 3"}, {-4, "FixedSize says -4"}} {
+		var rec recorder
+		Check(&rec, fixedCodec{good(), tc.width}, eq, samples...)
+		if got := strings.Join(rec.errs, "\n"); tc.want == "" && got != "" || !strings.Contains(got, tc.want) {
+			t.Errorf("FixedSize %d: Check reported %q, want %q", tc.width, got, tc.want)
+		}
+	}
 }
+
+// fixedCodec declares a fixed width, true or not.
+type fixedCodec struct {
+	fnCodec
+	width int
+}
+
+func (c fixedCodec) FixedSize() int { return c.width }
 
 var sink []byte

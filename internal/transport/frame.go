@@ -41,18 +41,35 @@ type BodyCodec[M any] interface {
 	DecodeBody(src []byte, from, to int, batch []M) error
 }
 
-// bodyOf is codec's frame-body form.
+// bodyOf is codec's frame-body form, with how it prices a body resolved once.
 func bodyOf[M any](codec graph.Codec[M]) BodyCodec[M] {
 	if b, ok := codec.(BodyCodec[M]); ok {
 		return b
 	}
-	return perMessage[M]{codec}
+	sizer, _ := codec.(bodySizer[M])
+	return perMessage[M]{Codec: codec, fixed: graph.FixedSize(codec), sizer: sizer}
 }
 
-// perMessage encodes a body as the batch's messages back to back.
-type perMessage[M any] struct{ graph.Codec[M] }
+// bodySizer is a graph.Codec that prices a body in one pass (gas' codec).
+type bodySizer[M any] interface {
+	BodySize(from, to int, batch []M) int
+}
 
-func (c perMessage[M]) BodySize(_, _ int, batch []M) int {
+// perMessage encodes a body as the batch's messages back to back, priced as
+// len(batch) × the codec's fixed width, else by its BodySize, else Σ EncodedSize.
+type perMessage[M any] struct {
+	graph.Codec[M]
+	fixed int
+	sizer bodySizer[M]
+}
+
+func (c perMessage[M]) BodySize(from, to int, batch []M) int {
+	if c.fixed > 0 {
+		return c.fixed * len(batch)
+	}
+	if c.sizer != nil {
+		return c.sizer.BodySize(from, to, batch)
+	}
 	n := 0
 	for i := range batch {
 		n += c.EncodedSize(batch[i])

@@ -80,7 +80,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{"round-end marker", 2, true, span.Context{Run: 1, Step: 0, Worker: 2}, nil},
 		{"empty batch", 1, false, span.Context{}, nil},
 	}
-	codec := perMessage[msg]{msgCodec{}}
+	codec := bodyOf[msg](msgCodec{})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			wire := appendFrame(nil, tc.from, 0, tc.end, tc.tag, tc.batch, codec)
@@ -108,7 +108,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameDecodeRejectsCorruption(t *testing.T) {
-	codec := perMessage[msg]{msgCodec{}}
+	codec := bodyOf[msg](msgCodec{})
 	wire := appendFrame(nil, 1, 0, false, span.Context{}, []msg{{1, 1}, {2, 2}}, codec)
 	// Truncated body: the last message is cut short.
 	if _, _, _, _, err := decodeFrameBody(wire[4:len(wire)-3], 0, codec, nil); err == nil {
@@ -144,7 +144,7 @@ func TestFrameDecodeRejectsCorruption(t *testing.T) {
 // the first batch across rounds observes the second round's values — exactly
 // the bug class the analyzer flags at compile time.
 func TestFrameScratchAliasing(t *testing.T) {
-	codec := perMessage[msg]{msgCodec{}}
+	codec := bodyOf[msg](msgCodec{})
 	first := []msg{{1, 1.0}, {2, 2.0}}
 	second := []msg{{7, 7.0}, {8, 8.0}}
 	scratch := make([]msg, 0, 2)
@@ -206,8 +206,8 @@ func TestFrameRoundTripZeroAlloc(t *testing.T) {
 // materialise: frame header + per-message encoded sizes, while payload stays
 // on the sizeOf estimate.
 func TestLocalCodecWireAccounting(t *testing.T) {
-	codec := perMessage[msg]{msgCodec{}}
-	tr := NewLocal[msg](3, PerSenderQueue, nil, codec)
+	codec := bodyOf[msg](msgCodec{})
+	tr := NewLocal[msg](3, PerSenderQueue, nil, msgCodec{})
 	batches := []struct {
 		from, to int
 		batch    []msg
@@ -243,8 +243,8 @@ func TestLocalCodecWireAccounting(t *testing.T) {
 // must equal the computed frame sizes exactly (no stream state, no type
 // descriptors).
 func TestRPCBinaryRoundTrip(t *testing.T) {
-	codec := perMessage[msg]{msgCodec{}}
-	tr, err := NewRPC[msg](2, nil, codec)
+	codec := bodyOf[msg](msgCodec{})
+	tr, err := NewRPC[msg](2, nil, msgCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}

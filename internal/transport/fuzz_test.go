@@ -25,7 +25,7 @@ import (
 )
 
 func FuzzDecodeFrameBody(f *testing.F) {
-	codec := perMessage[msg]{msgCodec{}}
+	codec := bodyOf[msg](msgCodec{})
 	for _, batch := range [][]msg{
 		nil,
 		{{1, 1.5}},

@@ -105,8 +105,8 @@ var _ Interface[int] = (*Local[int])(nil)
 // locked inbox; its contention is real, not simulated). sizeOf prices the
 // payload (nil = 16 bytes/message) and codec the wire, identically on both
 // networks; a nil codec is an error — there is one wire format and nothing
-// to fall back to. A codec that is also a BodyCodec encodes whole frame
-// bodies; any other is applied message by message.
+// to fall back to. A BodyCodec encodes whole frame bodies; any other codec
+// goes message by message, priced per batch when it has FixedSize/BodySize.
 func New[M any](network Network, n int, mode QueueMode, sizeOf func(M) int64, codec graph.Codec[M]) (Interface[M], error) {
 	if codec == nil {
 		return nil, errors.New("transport: a message codec is required")

@@ -1,8 +1,9 @@
 package transport
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -51,6 +52,8 @@ type Local[M any] struct {
 	global []lockedQueue[M]
 	// PerSenderQueue state: slot [to][from], single writer each.
 	slots [][]slot[M]
+	// out[to] is what Drain(to) returns, reused by the next Drain(to).
+	out [][][]M
 
 	// Span tagging. tagged flips once on the first Tag call; until then the
 	// send path skips all span bookkeeping (the nil-Hooks fast path). tags
@@ -93,7 +96,7 @@ type slot[M any] struct {
 func NewLocal[M any](n int, mode QueueMode, sizeOf func(M) int64, codec graph.Codec[M]) *Local[M] {
 	t := &Local[M]{n: n, mode: mode,
 		books: books[M]{sizeOf: sizeOf, codec: bodyOf(codec), stats: Stats{matrix: NewMatrix(n)}},
-		tags:  make([]span.Context, n), lastDeliv: make([][]span.Delivery, n)}
+		tags:  make([]span.Context, n), lastDeliv: make([][]span.Delivery, n), out: make([][][]M, n)}
 	switch mode {
 	case GlobalQueue:
 		t.global = make([]lockedQueue[M], n)
@@ -150,12 +153,13 @@ func (t *Local[M]) Send(from, to int, batch []M) {
 // is how the BSP superstep structure uses it. Batches come back in canonical
 // (sender, send-order) order regardless of goroutine scheduling, so engines
 // that fold message values in drain order produce bit-identical results on
-// every same-seed run.
+// every same-seed run. The returned slice is reused by the next Drain(to).
 func (t *Local[M]) Drain(to int) [][]M {
 	record := t.tagged.Load()
 	if record {
 		t.lastDeliv[to] = t.lastDeliv[to][:0]
 	}
+	out := t.out[to][:0]
 	switch t.mode {
 	case GlobalQueue:
 		q := &t.global[to]
@@ -166,48 +170,38 @@ func (t *Local[M]) Drain(to int) [][]M {
 		// is in flight — makes this the per-sender slot reuse's twin).
 		q.batches = q.batches[:0]
 		q.mu.Unlock()
-		sort.Slice(tagged, func(i, j int) bool {
-			if tagged[i].from != tagged[j].from {
-				return tagged[i].from < tagged[j].from
-			}
-			return tagged[i].seq < tagged[j].seq
+		slices.SortFunc(tagged, func(a, b taggedBatch[M]) int { // (from, seq) is unique
+			return cmp.Or(cmp.Compare(a.from, b.from), cmp.Compare(a.seq, b.seq))
 		})
-		out := make([][]M, len(tagged))
 		for i := range tagged {
-			out[i] = tagged[i].batch
+			out = append(out, tagged[i].batch)
 			if record {
 				t.lastDeliv[to] = span.AddDelivery(t.lastDeliv[to],
 					span.Delivery{From: tagged[i].from, Ctx: tagged[i].ctx, Msgs: int64(len(tagged[i].batch))})
 			}
 		}
-		if len(out) == 0 {
-			return nil
-		}
-		return out
 	default:
-		var out [][]M
 		for from := range t.slots[to] {
 			s := &t.slots[to][from]
 			s.mu.Lock()
-			if len(s.batches) > 0 {
-				out = append(out, s.batches...)
-				if record {
-					for i, b := range s.batches {
-						t.lastDeliv[to] = span.AddDelivery(t.lastDeliv[to],
-							span.Delivery{From: from, Ctx: s.ctxs[i], Msgs: int64(len(b))})
-					}
+			out = append(out, s.batches...)
+			if record {
+				for i, b := range s.batches {
+					t.lastDeliv[to] = span.AddDelivery(t.lastDeliv[to],
+						span.Delivery{From: from, Ctx: s.ctxs[i], Msgs: int64(len(b))})
 				}
-				// Truncate, don't nil: out copied the batch headers, so the
-				// containers' backing arrays are free to take next superstep's
-				// sends — the slot reaches steady state with zero allocations
-				// per Send, like the engines' arena buffers it carries.
-				s.batches = s.batches[:0]
-				s.ctxs = s.ctxs[:0]
 			}
+			// Truncate, don't nil: out copied the batch headers, so the
+			// containers' backing arrays are free to take next superstep's
+			// sends — the slot reaches steady state with zero allocations
+			// per Send, like the engines' arena buffers it carries.
+			s.batches = s.batches[:0]
+			s.ctxs = s.ctxs[:0]
 			s.mu.Unlock()
 		}
-		return out
 	}
+	t.out[to] = out
+	return out
 }
 
 // Tag implements Interface: stamps the span context carried on `from`'s

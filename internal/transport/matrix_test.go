@@ -165,23 +165,3 @@ func TestMicroSenderMessagesSumToTotal(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkLocalSendPerPeer prices the Send hot path including the two
-// per-batch matrix atomics, for comparison against the PR 1 transport (which
-// had Stats counting only). The per-peer cost is two uncontended atomic adds
-// per batch — amortised over batch size it is noise; this benchmark guards
-// against that regressing (e.g. per-message counting sneaking in).
-func BenchmarkLocalSendPerPeer(b *testing.B) {
-	tr := NewLocal[int](4, PerSenderQueue, nil, intCodec{})
-	batch := make([]int, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Send(0, 1, batch)
-		if i%1024 == 1023 {
-			b.StopTimer()
-			tr.Drain(1)
-			b.StartTimer()
-		}
-	}
-}

@@ -160,7 +160,7 @@ func TestRPCReconnectRedeliversAndCounts(t *testing.T) {
 	tr.Send(0, 1, []int{3, 4, 5})
 	// Frames carry no stream state, so the resent frame is the failed one byte
 	// for byte and is charged once, at exactly its computed size.
-	if got, want := tr.Matrix().Snapshot().WireAt(0, 1)-wire0, frameWireBytes(0, 1, []int{3, 4, 5}, perMessage[int]{intCodec{}}); got != want {
+	if got, want := tr.Matrix().Snapshot().WireAt(0, 1)-wire0, frameWireBytes(0, 1, []int{3, 4, 5}, bodyOf[int](intCodec{})); got != want {
 		t.Fatalf("resent frame charged %d wire bytes, want the frame's %d", got, want)
 	}
 	tr.FinishRound(0)
@@ -191,7 +191,7 @@ func TestRPCCorruptFrameIsTypedTransient(t *testing.T) {
 	}
 	defer tr.Close()
 
-	bad := appendFrame(nil, 0, 1, false, span.Context{}, []int{9}, perMessage[int]{intCodec{}})
+	bad := appendFrame(nil, 0, 1, false, span.Context{}, []int{9}, bodyOf[int](intCodec{}))
 	bad[4] = 0x80 // flags byte: a bit this dialect does not define
 	tr.encMu[0].Lock()
 	_, werr := tr.conns[0][1].Write(bad)
@@ -227,7 +227,7 @@ func TestRPCBatchFromUnknownSenderRejected(t *testing.T) {
 	}
 	defer tr.Close()
 	tr.encMu[0].Lock()
-	_, werr := tr.conns[0][1].Write(appendFrame(nil, 7, 1, false, span.Context{}, []int{9}, perMessage[int]{intCodec{}}))
+	_, werr := tr.conns[0][1].Write(appendFrame(nil, 7, 1, false, span.Context{}, []int{9}, bodyOf[int](intCodec{})))
 	tr.encMu[0].Unlock()
 	if werr != nil {
 		t.Fatal(werr)

@@ -82,9 +82,10 @@ func (s *Stats) Batches() int64 { return s.batches.Load() }
 // Bytes reports the total estimated payload bytes sent.
 func (s *Stats) Bytes() int64 { return total(s.matrix.bytes) }
 
-// WireBytes reports the total binary-frame bytes sent: header + Σ EncodedSize
-// per batch on both transports (computed in-process, len(frame) over TCP),
-// plus one header per round marker over TCP.
+// WireBytes reports the total binary-frame bytes sent: header + body per
+// batch on both transports — priced in-process per batch (len(batch) ×
+// FixedSize, else the codec's BodySize or Σ EncodedSize), len(frame) over
+// TCP — plus one header per round marker over TCP.
 func (s *Stats) WireBytes() int64 { return total(s.matrix.wire) }
 
 // Encodes reports the number of frame encode operations performed.

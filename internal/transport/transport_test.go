@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"cyclops/internal/graph"
 )
 
 type msg struct {
@@ -71,13 +73,94 @@ func TestLocalConcurrentSenders(t *testing.T) {
 			}(from)
 		}
 		wg.Wait()
-		total := 0
+		// Whatever the arrival order, batches drain by sender, then in the
+		// order each sender sent them.
+		var got []msg
 		for _, b := range tr.Drain(3) {
-			total += len(b)
+			got = append(got, b...)
 		}
-		if total != 8*per {
-			t.Fatalf("%v: delivered %d, want %d", mode, total, 8*per)
+		if len(got) != 8*per {
+			t.Fatalf("%v: delivered %d, want %d", mode, len(got), 8*per)
 		}
+		for i, m := range got {
+			if m != (msg{uint32(i / per), float64(i % per)}) {
+				t.Fatalf("%v: message %d is %+v, out of (sender, send) order", mode, i, m)
+			}
+		}
+	}
+}
+
+// TestLocalDrainZeroAlloc: once the queues and the receiver's out slice have
+// grown, a send-send-drain round allocates nothing in either mode.
+func TestLocalDrainZeroAlloc(t *testing.T) {
+	a, b := []msg{{1, 1}}, []msg{{2, 2}}
+	for _, mode := range []QueueMode{GlobalQueue, PerSenderQueue} {
+		tr := NewLocal[msg](2, mode, nil, msgCodec{})
+		allocs := testing.AllocsPerRun(100, func() {
+			tr.Send(1, 0, b)
+			tr.Send(0, 0, a)
+			if got := tr.Drain(0); len(got) != 2 || got[0][0] != a[0] || got[1][0] != b[0] {
+				t.Fatalf("%v: drained %v", mode, got)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v: send-send-drain allocates %v objects in steady state, want 0", mode, allocs)
+		}
+	}
+}
+
+// countingCodec is intCodec counting its EncodedSize calls; fixedCounting
+// also declares its width.
+type countingCodec struct {
+	intCodec
+	calls *int
+}
+
+func (c countingCodec) EncodedSize(m int) int { *c.calls++; return c.intCodec.EncodedSize(m) }
+
+type fixedCounting struct{ countingCodec }
+
+func (fixedCounting) FixedSize() int { return 8 }
+
+// TestLocalPricesFixedWidthPerFrame: a fixed-width batch is priced at the
+// bytes its frame would hold without one EncodedSize call per message.
+func TestLocalPricesFixedWidthPerFrame(t *testing.T) {
+	batch := make([]int, 4096)
+	var calls int
+	counted := countingCodec{calls: &calls}
+	for _, tc := range []struct {
+		codec graph.Codec[int]
+		calls int
+	}{{fixedCounting{counted}, 0}, {counted, len(batch)}} {
+		calls = 0
+		tr := NewLocal[int](2, PerSenderQueue, nil, tc.codec)
+		tr.Send(0, 1, batch)
+		if wire := tr.Stats().WireBytes(); calls != tc.calls || wire != FrameHeaderBytes+8*int64(len(batch)) {
+			t.Errorf("%T: %d EncodedSize calls and %d wire bytes, want %d calls and %d bytes",
+				tc.codec, calls, wire, tc.calls, FrameHeaderBytes+8*len(batch))
+		}
+	}
+}
+
+// BenchmarkLocalSend prices the in-process path per message: one
+// 4096-float64 batch sent (booked on the matrix, wire priced) and drained, in
+// each queue mode. Every cost on it is per batch, so ns/msg is a few
+// hundredths of a nanosecond; a per-message cost creeping back in shows here.
+func BenchmarkLocalSend(b *testing.B) {
+	batch := make([]float64, 4096)
+	for _, mode := range []QueueMode{GlobalQueue, PerSenderQueue} {
+		b.Run(mode.String(), func(b *testing.B) {
+			tr := NewLocal[float64](2, mode, nil, graph.Float64Codec{})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr.Send(0, 1, batch)
+				if len(tr.Drain(1)) != 1 {
+					b.Fatal("batch lost")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/msg")
+		})
 	}
 }
 
