@@ -20,6 +20,7 @@ package cyclops
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"cyclops/internal/aggregate"
@@ -246,17 +247,17 @@ func wrapSize[M any](sizeOf func(M) int64) func(syncMsg[M]) int64 {
 	return func(m syncMsg[M]) int64 { return 5 + sizeOf(m.Val) }
 }
 
-// buildView performs the replica-creation ingress phase (§4.3): every vertex
-// "sends a message" along its out-edges; the receiving worker creates a
-// replica for each remote source, wires an in-edge from it, and records a
-// local out-edge so the replica can activate the target later; the source's
-// worker appends the (master, replica) pair to its send plan for that peer.
+// buildView performs the replica-creation ingress phase (§4.3): a worker
+// holds a replica of every remote vertex with an out-edge into its
+// partition, reads each in-edge through its source's master or replica slot,
+// and activates along every out-edge that reaches one of its masters; the
+// source's worker pairs master and replica in its send plan for that peer.
 //
-// The edge walk runs twice over the graph's CSR — the assemblers count on
-// the first run and store on the second — and discovers replicas in the same
-// order both times, so replica slots and every row's neighbor order are
-// those of one append-driven pass; the flight recorder's byte-identical
-// series depend on that order.
+// Each worker's rows are gathered in slot order from the graph's CSR, in the
+// order one append-driven pass over the out-edges (u ascending) leaves them:
+// an in-row is InNeighbors, by source with ties in out-edge order; replica
+// slots, activation rows and plan rows follow ascending vertex ids. The flight
+// recorder's byte-identical series depend on that order.
 func (e *Engine[V, M]) buildView() error {
 	workers := e.cfg.Cluster.Workers()
 	n := e.g.NumVertices()
@@ -267,10 +268,21 @@ func (e *Engine[V, M]) buildView() error {
 		return err
 	}
 	e.layout = layout
-	in := make([]graph.CSRAssembler[int32], workers)
-	inW := make([]graph.CSRAssembler[float64], workers)
-	out := make([]graph.CSRAssembler[int32], workers) // grows past masters as replicas appear
-	plan := make([]graph.CSRAssembler[planEntry], workers)
+	of := e.assign.Of
+	// Scratch every worker reuses in turn: local[u] is u's slot on the worker
+	// being built, -1 for a vertex it does not hold (and between workers);
+	// held marks its replicas, and reps lists them in ascending order.
+	local := make([]int32, n)
+	for u := range local {
+		local[u] = -1
+	}
+	held := make([]uint64, (n+63)/64)
+	var reps []graph.ID
+	plans := make([][]planEntry, workers) // per sender: rows filled peer by peer
+	planOff := make([][]int64, workers)
+	for w := range planOff {
+		planOff[w] = make([]int64, workers+1)
+	}
 	for w := 0; w < workers; w++ {
 		ws := &workerState[V, M]{masters: layout.Masters(w)}
 		e.ws[w] = ws
@@ -280,67 +292,69 @@ func (e *Engine[V, M]) buildView() error {
 		ws.inUnits = make([]int32, m)
 		ws.frontier = superstep.NewFrontier(m)
 		ws.out = make([][]syncMsg[M], workers)
-		for i, id := range ws.masters {
-			ws.outDeg[i] = int32(e.g.OutDegree(id))
-			ws.inUnits[i] = int32(e.g.InDegree(id))
+		inOff := make([]int64, m+1) // shared by in and inWeights
+		for i, v := range ws.masters {
+			ws.outDeg[i] = int32(e.g.OutDegree(v))
+			ws.inUnits[i] = int32(e.g.InDegree(v))
+			inOff[i+1] = inOff[i] + int64(ws.inUnits[i])
+			local[v] = int32(i)
 		}
-		in[w].Grow(m)
-		inW[w].Grow(m)
-		out[w].Grow(m)
-		plan[w].Grow(workers)
-	}
-
-	// A replica of u is only ever discovered while scanning u's own
-	// out-edges, so "does w hold u yet" is one stamp per worker, not a
-	// workers×|V| table.
-	heldFor := make([]int, workers)    // heldFor[w] == u+1: w holds a replica of the u being scanned
-	heldSlot := make([]int32, workers) // ... in this slot
-	nextSlot := make([]int32, workers) // the next replica slot w hands out
-	walk := func() {
-		clear(heldFor)
-		for w := range nextSlot {
-			nextSlot[w] = int32(layout.NumMasters(w))
-		}
-		for u := 0; u < n; u++ {
-			wu, su := e.assign.Of[u], layout.Slot[u]
-			wts := e.g.OutWeights(graph.ID(u))
-			for i, v := range e.g.OutNeighbors(graph.ID(u)) {
-				wv, sv, src := e.assign.Of[v], layout.Slot[v], su
-				if wu != wv {
-					// Spanning edge: the target worker gets a replica of u,
-					// the in-edge points at the replica, and the replica
-					// carries the activation edge to v.
-					if heldFor[wv] != u+1 {
-						heldFor[wv], heldSlot[wv] = u+1, nextSlot[wv]
-						nextSlot[wv]++
-						plan[wu].Add(wv, planEntry{master: su, replica: heldSlot[wv]})
-					}
-					src = heldSlot[wv]
-				}
-				// Either way v reads u through src, and src's row carries
-				// the activation edge to v.
-				in[wv].Add(int(sv), src)
-				inW[wv].Add(int(sv), wts[i])
-				out[wv].Add(int(src), sv)
+		// Every in-neighbour that w does not master is a replica; the sign bit
+		// of local marks it without a branch.
+		for _, v := range ws.masters {
+			for _, u := range e.g.InNeighbors(v) {
+				held[u/64] |= uint64(local[u]>>31&1) << (u % 64)
 			}
 		}
+		reps = reps[:0]
+		for i, word := range held {
+			for ; word != 0; word &= word - 1 {
+				u := graph.ID(i*64 + bits.TrailingZeros64(word))
+				local[u] = int32(m + len(reps))
+				reps = append(reps, u)
+				plans[of[u]] = append(plans[of[u]], planEntry{master: layout.Slot[u], replica: local[u]})
+			}
+			held[i] = 0
+		}
+		for p := range planOff {
+			planOff[p][w+1] = int64(len(plans[p]))
+		}
+
+		in, inW := make([]int32, inOff[m]), make([]float64, inOff[m])
+		for i, v := range ws.masters {
+			row := in[inOff[i]:inOff[i+1]]
+			for j, u := range e.g.InNeighbors(v) {
+				row[j] = local[u]
+			}
+			copy(inW[inOff[i]:], e.g.InWeights(v))
+		}
+		// A slot's activation row: its vertex's out-neighbours mastered here,
+		// one per in-edge of a master. With the replicas out of local, a
+		// non-negative local[v] keeps v, without a branch.
+		for _, u := range reps {
+			local[u] = -1
+		}
+		out, outOff, k := make([]int32, inOff[m]+1), make([]int64, 1, m+len(reps)+1), int64(0)
+		for _, slots := range [][]graph.ID{ws.masters, reps} {
+			for _, u := range slots {
+				for _, v := range e.g.OutNeighbors(u) {
+					out[k] = local[v]
+					k += int64(^local[v] >> 31 & 1)
+				}
+				outOff = append(outOff, k)
+			}
+		}
+		for _, v := range ws.masters {
+			local[v] = -1
+		}
+		ws.in, ws.inWeights = graph.NewCSR(inOff, in), graph.NewCSR(inOff, inW)
+		ws.localOut = graph.NewCSR(outOff, out[:k])
+		ws.view = make([]M, m+len(reps))
+		e.ingress.Replicas += int64(len(reps))
 	}
-	walk()
-	for w := range e.ws {
-		in[w].Fill()
-		inW[w].Fill()
-		out[w].Fill()
-		plan[w].Fill()
-	}
-	walk()
 	e.plan = make([]graph.CSR[planEntry], workers)
-	for w, ws := range e.ws {
-		ws.in = in[w].Build()
-		ws.inWeights = inW[w].Build()
-		ws.localOut = out[w].Build()
-		e.plan[w] = plan[w].Build()
-		ws.view = make([]M, nextSlot[w]) // masters, then the replicas walk handed out
-		e.ingress.Replicas += int64(ws.numReplicas())
+	for w := range e.plan {
+		e.plan[w] = graph.NewCSR(planOff[w], plans[w])
 	}
 	e.ingress.Replication = time.Since(repStart)
 

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"cyclops/internal/cluster"
+	"cyclops/internal/gen"
 	"cyclops/internal/graph"
 	"cyclops/internal/partition"
 )
@@ -103,11 +105,13 @@ func randomMultigraph(rng *rand.Rand) *graph.Graph {
 	return b.MustBuild()
 }
 
-// TestIngressMatchesAppendRowsReference: the two-pass, stamp-driven ingress
-// must wire exactly the view the one-pass append-driven ingress did — same
-// replica ids in the same slots, same rows in the same order — for every
-// partitioner and from one worker to more workers than most partitions have
-// vertices. The flight-recorder gate's byte-identity rests on this.
+// TestIngressMatchesAppendRowsReference: the gather-built ingress must wire
+// exactly the view the one-pass append-driven ingress did — same replica ids
+// in the same slots, same rows in the same order — for every partitioner and
+// from one worker to more workers than most partitions have vertices, on
+// bench/'s power-law graph under the hash cut, on a road lattice under the
+// multilevel cut, and with a worker that masters nothing. The
+// flight-recorder gate's byte-identity rests on this.
 func TestIngressMatchesAppendRowsReference(t *testing.T) {
 	parts := []partition.Partitioner{partition.Hash{}, partition.Range{}, partition.Multilevel{Seed: 1}}
 	shapes := []cluster.Config{cluster.Flat(1, 1), cluster.Flat(2, 1), cluster.Flat(7, 1), cluster.Flat(6, 8)}
@@ -115,29 +119,96 @@ func TestIngressMatchesAppendRowsReference(t *testing.T) {
 		g := randomMultigraph(rand.New(rand.NewSource(seed)))
 		for _, part := range parts {
 			for _, cc := range shapes {
-				name := fmt.Sprintf("seed %d, %s, %d workers", seed, part.Name(), cc.Workers())
-				e, err := New[float64, float64](g, maxProg{}, Config[float64, float64]{Cluster: cc, Partitioner: part})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				want := buildReferenceView(g, e.assign, cc.Workers())
-				var replicas int64
-				for w, ws := range e.ws {
-					got := referenceView{
-						replicaIDs: e.replicaIDs(w),
-						in:         rowsOf(ws.in), inWeights: rowsOf(ws.inWeights),
-						localOut: rowsOf(ws.localOut), plan: rowsOf(e.plan[w]),
-					}
-					if !reflect.DeepEqual(got, want[w]) {
-						t.Fatalf("%s: worker %d\n got  %+v\n want %+v", name, w, got, want[w])
-					}
-					replicas += int64(len(got.replicaIDs))
-				}
-				if e.Ingress().Replicas != replicas {
-					t.Fatalf("%s: Ingress().Replicas = %d, workers hold %d", name, e.Ingress().Replicas, replicas)
-				}
-				e.Close()
+				checkIngress(t, fmt.Sprintf("seed %d, %s, %d workers", seed, part.Name(), cc.Workers()), g, part, cc)
 			}
 		}
 	}
+	web, _, err := gen.Dataset("gweb", 0.05, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkIngress(t, "gweb@0.05, hash, 2 workers", web, partition.Hash{}, cluster.Flat(2, 1))
+	checkIngress(t, "road 8x64, multilevel, 6 workers", gen.Road(8, 64, 0, 1), partition.Multilevel{Seed: 1}, cluster.Flat(6, 1))
+	g := randomMultigraph(rand.New(rand.NewSource(3)))
+	idle := make([]int, g.NumVertices()) // worker 1 masters nothing
+	for v := range idle {
+		idle[v] = []int{0, 2}[v%2]
+	}
+	checkIngress(t, "worker 1 of 3 masters nothing", g, fixedPart{of: idle}, cluster.Flat(3, 1))
+}
+
+// checkIngress builds the engine and compares its view with the reference's.
+func checkIngress(t *testing.T, name string, g *graph.Graph, part partition.Partitioner, cc cluster.Config) {
+	t.Helper()
+	e, err := New[float64, float64](g, maxProg{}, Config[float64, float64]{Cluster: cc, Partitioner: part})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	defer e.Close()
+	want := buildReferenceView(g, e.assign, cc.Workers())
+	var replicas int64
+	for w, ws := range e.ws {
+		got := referenceView{
+			replicaIDs: e.replicaIDs(w),
+			in:         rowsOf(ws.in), inWeights: rowsOf(ws.inWeights),
+			localOut: rowsOf(ws.localOut), plan: rowsOf(e.plan[w]),
+		}
+		if !reflect.DeepEqual(got, want[w]) {
+			t.Fatalf("%s: worker %d\n got  %+v\n want %+v", name, w, got, want[w])
+		}
+		replicas += int64(len(got.replicaIDs))
+	}
+	if e.Ingress().Replicas != replicas {
+		t.Fatalf("%s: Ingress().Replicas = %d, workers hold %d", name, e.Ingress().Replicas, replicas)
+	}
+}
+
+// TestIngressScratchIsNotWorkersByV: from 2 workers to 64 on one graph, the
+// bytes New allocates grow by less than a workers×|V| int32 table would add
+// on its own — ingress keeps one |V| table, reused worker by worker.
+func TestIngressScratchIsNotWorkersByV(t *testing.T) {
+	g := gen.PowerLaw(1<<14, 4, 1)
+	allocated := func(workers int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e, err := New[float64, float64](g, maxProg{}, Config[float64, float64]{Cluster: cluster.Flat(workers, 1)})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Close()
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	few, many := allocated(2), allocated(64)
+	t.Logf("New allocates %d B on 2 workers, %d B on 64", few, many)
+	if table := uint64(64-2) * uint64(g.NumVertices()) * 4; many > few+table {
+		t.Fatalf("New allocates %d B on 2 workers and %d B on 64: grew %d B, a workers×|V| table's %d or more",
+			few, many, many-few, table)
+	}
+}
+
+// BenchmarkIngress prices New — layout, replicas, view, plan and Init — on
+// bench/'s pr-web-cyclops shape: gweb@0.5 over Flat(2,1), with a hash
+// assignment computed once, outside the timer. Run it with -cpu 1, as bench/
+// runs on one P.
+func BenchmarkIngress(b *testing.B) {
+	g, _, err := gen.Dataset("gweb", 0.5, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := partition.Hash{}.Partition(g, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config[float64, float64]{Cluster: cluster.Flat(2, 1), Partitioner: fixedPart{of: a.Of}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		e, err := New[float64, float64](g, maxProg{}, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e.Close()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*g.NumEdges()), "ns/edge")
 }

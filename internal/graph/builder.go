@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Builder accumulates edges and produces an immutable Graph. It tolerates
 // unsorted input and, optionally, duplicate edges and self-loops (both kept
@@ -10,7 +13,8 @@ import "fmt"
 // The zero Builder is ready to use.
 type Builder struct {
 	n      int
-	edges  []Edge
+	ends   []ID // edge i runs from ends[2i] to ends[2i+1], weighted w[i]
+	w      []float64
 	dedup  bool
 	noloop bool
 }
@@ -32,55 +36,71 @@ func (b *Builder) AddEdge(src, dst ID) { b.AddWeightedEdge(src, dst, 1) }
 // AddWeightedEdge appends a directed weighted edge, growing the vertex count
 // to cover both endpoints.
 func (b *Builder) AddWeightedEdge(src, dst ID, w float64) {
-	if int(src) >= b.n {
-		b.n = int(src) + 1
-	}
-	if int(dst) >= b.n {
-		b.n = int(dst) + 1
-	}
-	b.edges = append(b.edges, Edge{Src: src, Dst: dst, Weight: w})
+	b.n = max(b.n, int(src)+1, int(dst)+1)
+	b.ends = append(b.ends, src, dst)
+	b.w = append(b.w, w)
 }
 
 // Build produces the immutable CSR graph. The builder may be reused after
 // Build: it retains its edges and Build does not touch them.
-func (b *Builder) Build() (*Graph, error) {
-	// Sort by (src, dst) in O(V+E): two stable counting passes, least
-	// significant key first, so parallel edges keep their input order.
-	edges := b.sortedBy(b.edges, func(e Edge) ID { return e.Dst })
-	edges = b.sortedBy(edges, func(e Edge) ID { return e.Src })
-	if b.noloop || b.dedup {
-		// The sorted slab is Build's own, so the filters compact it in place;
-		// duplicates are adjacent and the first of each run is the first added.
-		kept := edges[:0]
-		for _, e := range edges {
-			repeat := len(kept) > 0 && e.Src == kept[len(kept)-1].Src && e.Dst == kept[len(kept)-1].Dst
-			if (b.noloop && e.Src == e.Dst) || (b.dedup && repeat) {
-				continue
-			}
-			kept = append(kept, e)
-		}
-		edges = kept
-	}
+func (b *Builder) Build() (*Graph, error) { return build(b.n, b.ends, b.w, b.dedup, b.noloop) }
 
+// build makes the graph of the edges ends[2i] → ends[2i+1] (ids below n; the
+// loader passes its int64 ids, relabelled in place), weighted w[i], sorted by
+// (src, dst) in O(V+E): edge indices go through one stable counting sort by
+// dst, then scatter stably by src straight into the out-CSR, so parallel
+// edges keep their input order. The filters then compact the out-CSR in
+// place: duplicates are adjacent, the first of a run the first added.
+func build[E ID | int64](n int, ends []E, w []float64, dedup, noloop bool) (*Graph, error) {
+	m := len(w)
+	if uint64(m) > math.MaxUint32 {
+		return nil, fmt.Errorf("graph build: %d edges exceed the 32-bit edge index", m)
+	}
 	g := &Graph{
-		n:        b.n,
-		outIndex: make([]int64, b.n+1),
-		outTo:    make([]ID, len(edges)),
-		outW:     make([]float64, len(edges)),
-		inIndex:  make([]int64, b.n+1),
-		inFrom:   make([]ID, len(edges)),
-		inW:      make([]float64, len(edges)),
+		n:        n,
+		outIndex: make([]int64, n+1),
+		outTo:    make([]ID, m),
+		outW:     make([]float64, m),
+		inIndex:  make([]int64, n+1),
 	}
-
-	// Out-CSR: edges are sorted by (src, dst), so a single pass fills it.
-	for i, e := range edges {
-		g.outIndex[e.Src+1]++
-		g.outTo[i] = e.Dst
-		g.outW[i] = e.Weight
+	at := make([]int64, n+1)
+	for i := 0; i < 2*m; i += 2 {
+		g.outIndex[ends[i]+1]++
+		at[ends[i+1]+1]++
 	}
-	for v := 0; v < b.n; v++ {
+	for v := 0; v < n; v++ {
+		at[v+1] += at[v]
 		g.outIndex[v+1] += g.outIndex[v]
 	}
+	byDst := make([]uint32, m)
+	for i := 0; i < m; i++ {
+		d := ends[2*i+1]
+		byDst[at[d]] = uint32(i)
+		at[d]++
+	}
+	copy(at, g.outIndex)
+	for _, i := range byDst {
+		s := ends[2*i]
+		g.outTo[at[s]], g.outW[at[s]] = ID(ends[2*i+1]), w[i]
+		at[s]++
+	}
+	if noloop || dedup {
+		k, start := int64(0), int64(0)
+		for v := 0; v < n; v++ {
+			row, end := k, g.outIndex[v+1]
+			for i := start; i < end; i++ {
+				d := g.outTo[i]
+				if (noloop && d == ID(v)) || (dedup && k > row && g.outTo[k-1] == d) {
+					continue
+				}
+				g.outTo[k], g.outW[k] = d, g.outW[i]
+				k++
+			}
+			g.outIndex[v+1], start = k, end
+		}
+		g.outTo, g.outW = g.outTo[:k], g.outW[:k]
+	}
+	g.inFrom, g.inW = make([]ID, len(g.outTo)), make([]float64, len(g.outTo))
 	g.transpose()
 
 	if err := g.Validate(); err != nil {
@@ -108,21 +128,6 @@ func (g *Graph) transpose() {
 			cursor[to]++
 		}
 	}
-}
-
-// sortedBy returns a copy of edges in ascending key order, ties in input
-// order: a CSR whose rows are the keys, read back flat.
-func (b *Builder) sortedBy(edges []Edge, key func(Edge) ID) []Edge {
-	var a CSRAssembler[Edge]
-	a.Grow(b.n)
-	for _, e := range edges {
-		a.Add(int(key(e)), e)
-	}
-	a.Fill()
-	for _, e := range edges {
-		a.Add(int(key(e)), e)
-	}
-	return a.Build().items
 }
 
 // MustBuild is Build for graphs known to be well-formed (generators, tests).

@@ -19,6 +19,10 @@ type CSR[T any] struct {
 	items   []T     // len = offsets[rows]
 }
 
+// NewCSR returns the CSR whose row i is items[offsets[i]:offsets[i+1]]: rows
+// built in order, offsets as Validate wants them.
+func NewCSR[T any](offsets []int64, items []T) CSR[T] { return CSR[T]{offsets, items} }
+
 // NumRows returns the number of rows.
 func (c *CSR[T]) NumRows() int { return len(c.offsets) - 1 }
 

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 )
@@ -54,12 +55,6 @@ func LoadFile(path string) (*Graph, map[int64]ID, error) {
 
 var newline = []byte{'\n'}
 
-// rawEdge is one lexed line: ids as the file spells them.
-type rawEdge struct {
-	src, dst int64
-	weight   float64
-}
-
 // chunksFor sizes the paper's parallel ingress (§6.7: "splits the file into
 // multiple blocks") from what the process has: one chunk per P, none under
 // chunkBytes — the least text worth a parser goroutine of its own.
@@ -80,9 +75,8 @@ func loadText(data []byte, k int) (*Graph, map[int64]ID, error) {
 		_, rest, _ := bytes.Cut(data[max(len(data)/k*c, cuts[c-1]):], newline)
 		cuts[c] = len(data) - len(rest)
 	}
-	parts := make([][]rawEdge, k)
-	errs := make([]*SyntaxError, k)
-	lex := func(c int) { parts[c], errs[c] = lexEdges(data[cuts[c]:cuts[c+1]]) }
+	parts := make([]lexed, k)
+	lex := func(c int) { parts[c] = lexEdges(data[cuts[c]:cuts[c+1]]) }
 	var wg sync.WaitGroup
 	for c := 0; c < k-1; c++ {
 		wg.Add(1)
@@ -93,123 +87,194 @@ func loadText(data []byte, k int) (*Graph, map[int64]ID, error) {
 	}
 	lex(k - 1) // the last chunk — with one chunk, the only one — needs no goroutine
 	wg.Wait()
-	total := 0
-	for c, err := range errs {
-		if err != nil {
+	maxID, idss, ws := int64(-1), make([][]int64, k), make([][]float64, k)
+	for c, p := range parts {
+		if p.err != nil {
 			// The first failing chunk holds the file's first bad line.
-			err.Line += bytes.Count(data[:cuts[c]], newline)
-			return nil, nil, err
+			p.err.Line += bytes.Count(data[:cuts[c]], newline)
+			return nil, nil, p.err
 		}
-		total += len(parts[c])
+		maxID, idss[c], ws[c] = max(maxID, p.maxID), p.ids, p.w
+	}
+	ids, w := parts[0].ids, parts[0].w
+	if k > 1 { // each allocated once, at the total size
+		ids, w = slices.Concat(idss...), slices.Concat(ws...)
 	}
 
-	// One labelling pass, in file order: first appearance names the vertex.
-	remap := make(map[int64]ID)
-	identity := true
-	intern := func(raw int64) ID {
-		id, ok := remap[raw]
-		if !ok {
-			id = ID(len(remap))
-			remap[raw] = id
-			identity = identity && int64(id) == raw
+	// One labelling pass, in file order and in place: first appearance names
+	// the vertex. A table costs 4 B per id up to the largest, the ids 16 B per
+	// edge: it is used while no larger than they are (maxID+1 ≤ 4 per edge),
+	// a map for sparser ids.
+	var raws []int64 // each vertex's id, by label
+	if len(w) < math.MaxUint32/2 && maxID < 4*int64(len(w)) {
+		label := make([]ID, maxID+1) // 1 + the vertex an id names; 0 until it appears
+		for j, raw := range ids {
+			l := label[raw]
+			if l == 0 {
+				raws = append(raws, raw)
+				l = ID(len(raws))
+				label[raw] = l
+			}
+			ids[j] = int64(l - 1)
 		}
-		return id
-	}
-	edges := make([]Edge, 0, total)
-	for _, part := range parts {
-		for _, e := range part {
-			edges = append(edges, Edge{Src: intern(e.src), Dst: intern(e.dst), Weight: e.weight})
+	} else {
+		label := make(map[int64]ID)
+		for j, raw := range ids {
+			l, ok := label[raw]
+			if !ok {
+				l = ID(len(raws))
+				label[raw], raws = l, append(raws, raw)
+			}
+			ids[j] = int64(l)
 		}
 	}
-	if uint64(len(remap)) > math.MaxUint32 {
-		return nil, nil, fmt.Errorf("graph load: %d distinct vertex ids exceed the 32-bit vertex space", len(remap))
+	if uint64(len(raws)) > math.MaxUint32 {
+		return nil, nil, fmt.Errorf("graph load: %d distinct vertex ids exceed the 32-bit vertex space", len(raws))
 	}
-	g, err := (&Builder{n: len(remap), edges: edges}).Build()
+	g, err := build(len(raws), ids, w, false, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	if identity {
-		remap = nil
+	// Distinct, ascending and ending at n-1, the ids are 0…n-1: the identity.
+	if slices.IsSorted(raws) && (len(raws) == 0 || raws[len(raws)-1] == int64(len(raws)-1)) {
+		return g, nil, nil
+	}
+	remap := make(map[int64]ID, len(raws))
+	for v, raw := range raws {
+		remap[raw] = ID(v)
 	}
 	return g, remap, nil
 }
 
-// lexEdges turns edge-list text into raw edges, one per line that is neither
-// blank nor a '#' comment. It stops at the first malformed line, numbered
-// from the start of text.
-func lexEdges(text []byte) ([]rawEdge, *SyntaxError) {
-	edges := make([]rawEdge, 0, bytes.Count(text, newline)+1)
-	for line := 1; len(text) > 0; line++ {
-		var rest []byte
-		rest, text, _ = bytes.Cut(text, newline)
-		if rest = skipBlanks(rest); len(rest) == 0 || rest[0] == '#' {
-			continue
-		}
-		e, msg := lexLine(rest)
-		if msg != "" {
-			return nil, &SyntaxError{Line: line, Msg: msg}
-		}
-		edges = append(edges, e)
-	}
-	return edges, nil
+// lexed is one chunk of text, lexed: its edges' ids as the file spells them
+// (src, dst, src, dst, …), their weights and the largest id, or the chunk's
+// first malformed line.
+type lexed struct {
+	ids   []int64
+	w     []float64
+	maxID int64
+	err   *SyntaxError
 }
 
-// lexLine reads `[0-9]+ [0-9]+ [float]`, fields separated and optionally
-// followed by blanks; msg says what is wrong with any other line.
-func lexLine(b []byte) (e rawEdge, msg string) {
-	var ok bool
-	if e.src, b, ok = lexID(b); !ok {
-		return e, "bad src: want a decimal vertex id below 2^63"
+// lexEdges lexes text in one pass over its bytes. Every line that is neither
+// blank nor a '#' comment must read `[0-9]+ [0-9]+ [weight]`, fields
+// separated and optionally followed by blanks; lexing stops at the first line
+// that does not, numbered from the start of text.
+func lexEdges(text []byte) lexed {
+	lines := bytes.Count(text, newline) + 1
+	p := lexed{ids: make([]int64, 0, 2*lines), w: make([]float64, 0, lines), maxID: -1}
+	for i, line := 0, 1; i < len(text); {
+		switch c := text[i]; {
+		case c == '\n':
+			line++
+			i++
+		case isBlank(c):
+			i++
+		case c == '#':
+			if j := bytes.IndexByte(text[i:], '\n'); j >= 0 {
+				i += j
+			} else {
+				i = len(text)
+			}
+		default:
+			var msg string
+			if i, msg = p.edge(text, i); msg != "" {
+				p.err = &SyntaxError{Line: line, Msg: msg}
+				return p
+			}
+		}
 	}
-	if b = skipBlanks(b); len(b) == 0 {
-		return e, "want 2 or 3 fields, got 1"
-	}
-	if e.dst, b, ok = lexID(b); !ok {
-		return e, "bad dst: want a decimal vertex id below 2^63"
-	}
-	e.weight = 1
-	if b = skipBlanks(b); len(b) == 0 {
-		return e, ""
-	}
-	end := 0
-	for end < len(b) && !isBlank(b[end]) {
-		end++
-	}
-	if len(skipBlanks(b[end:])) > 0 {
-		return e, "want 2 or 3 fields, got 4 or more"
-	}
-	var err error
-	if e.weight, err = strconv.ParseFloat(string(b[:end]), 64); err != nil {
-		return e, fmt.Sprintf("bad weight %q", b[:end])
-	}
-	return e, ""
+	return p
 }
 
-// lexID reads a run of decimal digits ended by a blank or the end of the
-// line.
-func lexID(b []byte) (id int64, rest []byte, ok bool) {
-	const cutoff = math.MaxInt64 / 10
-	i := 0
-	for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
-		d := int64(b[i] - '0')
-		if id > cutoff || (id == cutoff && d > math.MaxInt64%10) {
-			return 0, nil, false
+// edge lexes the line that starts at text[i] into p and returns where it
+// ends, or what is wrong with it.
+func (p *lexed) edge(text []byte, i int) (int, string) {
+	src, i, ok := lexID(text, i)
+	if !ok {
+		return i, "bad src: want a decimal vertex id below 2^63"
+	}
+	if i = skipBlanks(text, i); i == len(text) || text[i] == '\n' {
+		return i, "want 2 or 3 fields, got 1"
+	}
+	dst, i, ok := lexID(text, i)
+	if !ok {
+		return i, "bad dst: want a decimal vertex id below 2^63"
+	}
+	w := 1.0
+	if i = skipBlanks(text, i); i < len(text) && text[i] != '\n' {
+		tok := i
+		for i < len(text) && text[i] != '\n' && !isBlank(text[i]) {
+			i++
 		}
-		id = id*10 + d
+		weight := text[tok:i]
+		if i = skipBlanks(text, i); i < len(text) && text[i] != '\n' {
+			return i, "want 2 or 3 fields, got 4 or more"
+		}
+		if w, ok = parseWeight(weight); !ok {
+			return i, fmt.Sprintf("bad weight %q", weight)
+		}
 	}
-	if i == 0 || (i < len(b) && !isBlank(b[i])) {
-		return 0, nil, false
+	p.ids = append(p.ids, src, dst)
+	p.w = append(p.w, w)
+	p.maxID = max(p.maxID, src, dst)
+	return i, ""
+}
+
+// lexID reads the run of decimal digits at text[i], which a blank or the end
+// of the line must end.
+func lexID(text []byte, i int) (id int64, end int, ok bool) {
+	start := i
+	for ; i < len(text) && text[i]-'0' < 10; i++ {
+		id = id*10 + int64(text[i]-'0')
 	}
-	return id, b[i:], true
+	ok = i > start && (i == len(text) || text[i] == '\n' || isBlank(text[i]))
+	if ok && i-start > 18 { // 19 digits can overflow: strconv checks them
+		id, err := strconv.ParseInt(string(text[start:i]), 10, 64)
+		return id, i, err == nil
+	}
+	return id, i, ok
 }
 
 func isBlank(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f' }
 
-func skipBlanks(b []byte) []byte {
-	for len(b) > 0 && isBlank(b[0]) {
-		b = b[1:]
+func skipBlanks(text []byte, i int) int {
+	for i < len(text) && isBlank(text[i]) {
+		i++
 	}
-	return b
+	return i
+}
+
+// parseWeight returns strconv.ParseFloat(tok, 64) and whether it succeeded,
+// without strconv for a plain decimal `[+-]digits[.digits]` whose digits, read
+// as an integer m, stay below 2⁵³ with k ≤ 22 of them after the point. Then m
+// and 10^k are exact float64s (math.Pow10 returns 1e0…1e22 exactly), so the
+// one correctly rounded division m / 10^k is the correctly rounded value of
+// the decimal: ParseFloat's own exact case (Clinger's), without its cost.
+// About half of the lattice's %g-printed weights take this path.
+func parseWeight(tok []byte) (float64, bool) {
+	i, m, digits, point := 0, uint64(0), 0, math.MaxInt // point: digits before the '.'
+	if len(tok) > 0 && (tok[0] == '+' || tok[0] == '-') {
+		i = 1
+	}
+	for ; i < len(tok) && m < 1<<53; i++ {
+		if c := tok[i]; c >= '0' && c <= '9' {
+			m, digits = m*10+uint64(c-'0'), digits+1
+		} else if c == '.' && point == math.MaxInt {
+			point = digits
+		} else {
+			break
+		}
+	}
+	if k := max(digits-point, 0); i == len(tok) && digits > 0 && m < 1<<53 && k <= 22 {
+		f := float64(m) / math.Pow10(k)
+		if tok[0] == '-' {
+			f = -f
+		}
+		return f, true
+	}
+	f, err := strconv.ParseFloat(string(tok), 64)
+	return f, err == nil
 }
 
 // Write emits the graph in the text edge-list format read by Load. Weights

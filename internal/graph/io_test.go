@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -10,6 +11,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -105,6 +108,18 @@ var loadCases = []struct {
 		n: 2, edges: []rawEdge{{3, 4, 1}}},
 	{name: "empty", in: "", n: 0},
 	{name: "only comments", in: "# nothing\n\n", n: 0},
+	{name: "CRLF throughout", in: "0 1\r\n1 2 0.5\r\n2 0 3\r\n",
+		n: 3, edges: []rawEdge{{0, 1, 1}, {1, 2, 0.5}, {2, 0, 3}}},
+	{name: "16 and 17 significant digits", in: "0 1 0.1234567890123456\n1 0 0.12345678901234567\n",
+		n: 2, edges: []rawEdge{{0, 1, 0.1234567890123456}, {1, 0, 0.12345678901234567}}},
+	{name: "mantissas around 2^53", in: "0 1 9007199254740991\n0 1 0.9007199254740991\n0 1 9007199254740992\n0 1 0.9007199254740993\n",
+		n: 2, edges: []rawEdge{{0, 1, 9007199254740991}, {0, 1, 0.9007199254740991}, {0, 1, 9007199254740992}, {0, 1, 0.9007199254740993}}},
+	{name: "22 and 23 fraction digits", in: "0 1 0.0000000000000000000001\n0 1 0.00000000000000000000001\n0 1 0.3000000000000000000007\n0 1 0.30000000000000000000007\n",
+		n: 2, edges: []rawEdge{{0, 1, 1e-22}, {0, 1, 1e-23}, {0, 1, 0.3000000000000000000007}, {0, 1, 0.30000000000000000000007}}},
+	{name: "odd weight forms", in: "0 1 1.\n0 1 .5\n0 1 1e5\n0 1 -0\n0 1 +1\n0 1 0x1p-2\n0 1 1_0\n0 1 inf\n",
+		n: 2, edges: []rawEdge{{0, 1, 1}, {0, 1, 0.5}, {0, 1, 1e5}, {0, 1, math.Copysign(0, -1)}, {0, 1, 1}, {0, 1, 0.25}, {0, 1, 10}, {0, 1, math.Inf(1)}}},
+	{name: "ids just inside the dense table", in: "0 1\n2 7\n", n: 4, edges: []rawEdge{{0, 1, 1}, {2, 7, 1}}},
+	{name: "ids just past the dense table", in: "0 1\n2 8\n", n: 4, edges: []rawEdge{{0, 1, 1}, {2, 8, 1}}},
 
 	{name: "signed id", in: "0 1\n+1 2\n", errLine: 2},
 	{name: "negative id", in: "# h\n\n-1 2\n", errLine: 3},
@@ -115,6 +130,7 @@ var loadCases = []struct {
 	{name: "bad weight", in: "0 1\n0 1 heavy\n", errLine: 2},
 	{name: "id glued to junk", in: "0 1\n1 2x\n", errLine: 2},
 	{name: "first bad line wins", in: "0 1\nbad\nworse\n", errLine: 2},
+	{name: "lone point", in: "0 1 .\n", errLine: 1},
 }
 
 func TestLoadCases(t *testing.T) {
@@ -154,7 +170,7 @@ func TestLoadCases(t *testing.T) {
 				for _, e := range tc.edges {
 					want.AddWeightedEdge(label(e.src), label(e.dst), e.weight)
 				}
-				if !reflect.DeepEqual(g, want.MustBuild()) {
+				if !sameGraph(g, want.MustBuild()) {
 					t.Fatalf("k=%d: loaded %v, want %v", k, g.Edges(), want.MustBuild().Edges())
 				}
 			}
@@ -356,8 +372,8 @@ func TestLoadFileMissing(t *testing.T) {
 }
 
 // FuzzLoad: whatever the bytes, Load never panics, cannot create a vertex no
-// line names (|V| ≤ 2 × lines, however large the ids), and gives the same
-// answer — graph, mapping or error — for every chunk count.
+// line names (|V| ≤ 2 × lines, however large the ids), and gives exactly
+// referenceLoad's answer — graph, mapping or error — for every chunk count.
 func FuzzLoad(f *testing.F) {
 	for _, tc := range loadCases {
 		if len(tc.in) < 1<<16 {
@@ -365,20 +381,151 @@ func FuzzLoad(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, remap, err := loadText(data, 1)
-		if err == nil {
-			if lines := bytes.Count(data, []byte{'\n'}) + 1; g.NumVertices() > 2*lines {
-				t.Fatalf("%d vertices from %d lines", g.NumVertices(), lines)
+		want, wantMap, wantErr := referenceLoad(data)
+		for _, k := range []int{1, 2, 3, 7} {
+			g, remap, err := loadText(data, k)
+			if !reflect.DeepEqual(err, wantErr) || !sameGraph(g, want) || !reflect.DeepEqual(remap, wantMap) {
+				t.Fatalf("%d chunks: (%v, %v, %v), reference: (%v, %v, %v)", k, g, remap, err, want, wantMap, wantErr)
 			}
-			if verr := g.Validate(); verr != nil {
+		}
+		if wantErr == nil {
+			if lines := bytes.Count(data, []byte{'\n'}) + 1; want.NumVertices() > 2*lines {
+				t.Fatalf("%d vertices from %d lines", want.NumVertices(), lines)
+			}
+			if verr := want.Validate(); verr != nil {
 				t.Fatal(verr)
 			}
 		}
-		for _, k := range []int{2, 3, 7} {
-			gk, remapK, errK := loadText(data, k)
-			if !reflect.DeepEqual(err, errK) || !reflect.DeepEqual(g, gk) || !reflect.DeepEqual(remap, remapK) {
-				t.Fatalf("%d chunks: (%v, %v, %v), one chunk: (%v, %v, %v)", k, gk, remapK, errK, g, remap, err)
-			}
-		}
 	})
+}
+
+// sameGraph reports whether a and b hold the same graph, weights compared bit
+// for bit: reflect.DeepEqual calls a NaN weight unequal to itself and -0 equal
+// to 0.
+func sameGraph(a, b *Graph) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	bits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	return a.n == b.n && slices.Equal(a.outIndex, b.outIndex) && slices.Equal(a.outTo, b.outTo) &&
+		slices.Equal(a.inIndex, b.inIndex) && slices.Equal(a.inFrom, b.inFrom) &&
+		slices.EqualFunc(a.outW, b.outW, bits) && slices.EqualFunc(a.inW, b.inW, bits)
+}
+
+// rawEdge is one lexed line: ids as the file spells them.
+type rawEdge struct {
+	src, dst int64
+	weight   float64
+}
+
+// referenceLoad is the loader as it was before it lexed in one pass, kept as
+// the oracle: the text cut line by line, each line lexed into a raw edge,
+// every endpoint labelled through a map, and the labelled edges stably sorted
+// by (src, dst). loadText must give exactly its graph, mapping and
+// *SyntaxError, line and message.
+func referenceLoad(data []byte) (*Graph, map[int64]ID, error) {
+	var edges []rawEdge
+	for line := 1; len(data) > 0; line++ {
+		var rest []byte
+		rest, data, _ = bytes.Cut(data, newline)
+		if rest = refSkipBlanks(rest); len(rest) == 0 || rest[0] == '#' {
+			continue
+		}
+		e, msg := refLexLine(rest)
+		if msg != "" {
+			return nil, nil, &SyntaxError{Line: line, Msg: msg}
+		}
+		edges = append(edges, e)
+	}
+	remap := make(map[int64]ID)
+	identity := true
+	intern := func(raw int64) ID {
+		id, ok := remap[raw]
+		if !ok {
+			id = ID(len(remap))
+			remap[raw] = id
+			identity = identity && int64(id) == raw
+		}
+		return id
+	}
+	labelled := make([]Edge, len(edges))
+	for i, e := range edges {
+		labelled[i].Src = intern(e.src)
+		labelled[i].Dst = intern(e.dst)
+		labelled[i].Weight = e.weight
+	}
+	slices.SortStableFunc(labelled, func(a, b Edge) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+	})
+	n, m := len(remap), len(labelled)
+	g := &Graph{n: n, outIndex: make([]int64, n+1), outTo: make([]ID, m), outW: make([]float64, m),
+		inIndex: make([]int64, n+1), inFrom: make([]ID, m), inW: make([]float64, m)}
+	for i, e := range labelled {
+		g.outIndex[e.Src+1]++
+		g.outTo[i], g.outW[i] = e.Dst, e.Weight
+	}
+	for v := 0; v < n; v++ {
+		g.outIndex[v+1] += g.outIndex[v]
+	}
+	g.transpose()
+	if identity {
+		remap = nil
+	}
+	return g, remap, nil
+}
+
+// refLexLine reads `[0-9]+ [0-9]+ [float]`, fields separated and optionally
+// followed by blanks; msg says what is wrong with any other line.
+func refLexLine(b []byte) (e rawEdge, msg string) {
+	var ok bool
+	if e.src, b, ok = refLexID(b); !ok {
+		return e, "bad src: want a decimal vertex id below 2^63"
+	}
+	if b = refSkipBlanks(b); len(b) == 0 {
+		return e, "want 2 or 3 fields, got 1"
+	}
+	if e.dst, b, ok = refLexID(b); !ok {
+		return e, "bad dst: want a decimal vertex id below 2^63"
+	}
+	e.weight = 1
+	if b = refSkipBlanks(b); len(b) == 0 {
+		return e, ""
+	}
+	end := 0
+	for end < len(b) && !isBlank(b[end]) {
+		end++
+	}
+	if len(refSkipBlanks(b[end:])) > 0 {
+		return e, "want 2 or 3 fields, got 4 or more"
+	}
+	var err error
+	if e.weight, err = strconv.ParseFloat(string(b[:end]), 64); err != nil {
+		return e, fmt.Sprintf("bad weight %q", b[:end])
+	}
+	return e, ""
+}
+
+// refLexID reads a run of decimal digits ended by a blank or the end of the
+// line.
+func refLexID(b []byte) (id int64, rest []byte, ok bool) {
+	const cutoff = math.MaxInt64 / 10
+	i := 0
+	for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
+		d := int64(b[i] - '0')
+		if id > cutoff || (id == cutoff && d > math.MaxInt64%10) {
+			return 0, nil, false
+		}
+		id = id*10 + d
+	}
+	if i == 0 || (i < len(b) && !isBlank(b[i])) {
+		return 0, nil, false
+	}
+	return id, b[i:], true
+}
+
+func refSkipBlanks(b []byte) []byte {
+	for len(b) > 0 && isBlank(b[0]) {
+		b = b[1:]
+	}
+	return b
 }
