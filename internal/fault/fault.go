@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -74,6 +75,8 @@ func (f Fault) String() string {
 	return s
 }
 
+var kinds = []Kind{Crash, Drop, Corrupt, Stall, Slow} // every Kind, in NewPlan's draw order
+
 // Error is the typed transient failure the Injector reports through Err when
 // a fault fires. It satisfies transport.IsTransient, so a checkpointed
 // engine recovers from it like from any real transient transport fault.
@@ -100,7 +103,6 @@ type Plan struct {
 // produce the same plan; Encode renders it byte-identically.
 func NewPlan(seed int64, workers, minStep, maxStep, n int) Plan {
 	rng := rand.New(rand.NewSource(seed))
-	kinds := []Kind{Crash, Drop, Corrupt, Stall, Slow}
 	p := Plan{Seed: seed}
 	if workers < 1 || maxStep < minStep || n < 1 {
 		return p
@@ -159,7 +161,16 @@ func (p Plan) Encode() []byte {
 	return append(b, '\n')
 }
 
-// Load reads a plan written by Encode (or by hand) from path.
+// PlanError reports a fault in a plan file that no run can fire.
+type PlanError struct {
+	Index int // the fault's position in the file's list
+	Msg   string
+}
+
+func (e *PlanError) Error() string { return fmt.Sprintf("fault %d: %s", e.Index, e.Msg) }
+
+// Load reads a plan written by Encode (or by hand) from path. Malformed JSON
+// fails with encoding/json's error, an impossible fault with a *PlanError.
 func Load(path string) (Plan, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -169,11 +180,18 @@ func Load(path string) (Plan, error) {
 	if err := json.Unmarshal(b, &p); err != nil {
 		return Plan{}, fmt.Errorf("fault: parse plan %s: %w", path, err)
 	}
-	for i := range p.Faults {
-		switch k := p.Faults[i].Kind; k {
-		case Crash, Drop, Corrupt, Stall, Slow:
-		default:
-			return Plan{}, fmt.Errorf("fault: plan %s: unknown kind %q", path, k)
+	for i, f := range p.Faults {
+		msg := ""
+		switch {
+		case !slices.Contains(kinds, f.Kind):
+			msg = fmt.Sprintf("unknown kind %q", f.Kind)
+		case f.Step < 0 || f.Worker < 0 || f.DelayMs < 0:
+			msg = fmt.Sprintf("negative step, worker or delay_ms in %+v", f)
+		case f.Peer < -1 || f.Peer == f.Worker:
+			msg = fmt.Sprintf("peer %d is neither -1 nor another worker than %d", f.Peer, f.Worker)
+		}
+		if msg != "" {
+			return Plan{}, fmt.Errorf("fault: plan %s: %w", path, &PlanError{Index: i, Msg: msg})
 		}
 	}
 	p.normalize()

@@ -2,6 +2,8 @@ package fault_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -77,6 +79,74 @@ func TestLoadRejectsUnknownKind(t *testing.T) {
 	if _, err := fault.Load(path); err == nil {
 		t.Fatal("unknown kind must be rejected")
 	}
+}
+
+// rejectedPlans are hand-written plans whose second fault no run can fire.
+var rejectedPlans = map[string]string{
+	"unknown kind":   `{"seed":1,"faults":[{"kind":"crash","step":1,"worker":0,"peer":-1},{"kind":"meteor","step":2,"worker":0,"peer":-1}]}`,
+	"negative step":  `{"seed":1,"faults":[{"kind":"crash","step":1,"worker":0,"peer":-1},{"kind":"crash","step":-2,"worker":0,"peer":-1}]}`,
+	"negative wkr":   `{"seed":1,"faults":[{"kind":"crash","step":1,"worker":0,"peer":-1},{"kind":"crash","step":2,"worker":-1,"peer":-1}]}`,
+	"negative delay": `{"seed":1,"faults":[{"kind":"crash","step":1,"worker":0,"peer":-1},{"kind":"slow","step":2,"worker":0,"peer":-1,"delay_ms":-5}]}`,
+	"peer below -1":  `{"seed":1,"faults":[{"kind":"crash","step":1,"worker":0,"peer":-1},{"kind":"drop","step":2,"worker":0,"peer":-2}]}`,
+	"peer is worker": `{"seed":1,"faults":[{"kind":"crash","step":1,"worker":0,"peer":-1},{"kind":"drop","step":2,"worker":3,"peer":3}]}`,
+}
+
+func TestLoadRejectsImpossibleFaults(t *testing.T) {
+	for name, plan := range rejectedPlans {
+		path := filepath.Join(t.TempDir(), "plan.json")
+		if err := os.WriteFile(path, []byte(plan), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := fault.Load(path)
+		var pe *fault.PlanError
+		if !errors.As(err, &pe) || pe.Index != 1 {
+			t.Errorf("%s: Load = %v, want a *PlanError naming fault 1", name, err)
+		}
+	}
+}
+
+// FuzzPlanLoad: any bytes as a plan file either fail to load with a typed
+// error — encoding/json's for malformed JSON, *PlanError for an impossible
+// fault — or load a plan that Encode → Load → Encode reproduces byte for byte.
+func FuzzPlanLoad(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		f.Add(fault.NewPlan(seed, int(seed)+1, 1, 9, int(2*seed)).Encode())
+	}
+	for _, plan := range rejectedPlans {
+		f.Add([]byte(plan))
+	}
+	f.Add([]byte(`{"seed":1,"faults":[{"kind":"crash","step":1e2,"worker":0,"peer":-1}]}`))
+	f.Add([]byte(`{"seed":1,"faults":null}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "plan.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		p, err := fault.Load(path)
+		if err != nil {
+			var (
+				pe  *fault.PlanError
+				se  *json.SyntaxError
+				ute *json.UnmarshalTypeError
+			)
+			if !errors.As(err, &pe) && !errors.As(err, &se) && !errors.As(err, &ute) {
+				t.Fatalf("untyped error %T: %v", errors.Unwrap(err), err)
+			}
+			return
+		}
+		enc := p.Encode()
+		if err := os.WriteFile(path, enc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		q, err := fault.Load(path)
+		if err != nil {
+			t.Fatalf("Load rejects Encode's own output: %v\n%s", err, enc)
+		}
+		if again := q.Encode(); !bytes.Equal(enc, again) {
+			t.Fatalf("Encode → Load → Encode changed the plan:\n%s\n%s", enc, again)
+		}
+	})
 }
 
 func TestErrorIsTransient(t *testing.T) {

@@ -63,8 +63,9 @@ func (g *Graph) OutNeighbors(v ID) []ID { return g.outTo[g.outIndex[v]:g.outInde
 // OutWeights returns the weights of v's out-edges, parallel to OutNeighbors.
 func (g *Graph) OutWeights(v ID) []float64 { return g.outW[g.outIndex[v]:g.outIndex[v+1]] }
 
-// InNeighbors returns the sources of v's in-edges. The returned slice aliases
-// internal storage and must not be modified.
+// InNeighbors returns the sources of v's in-edges, sorted by source
+// (Validate checks it). The returned slice aliases internal storage and must
+// not be modified.
 func (g *Graph) InNeighbors(v ID) []ID { return g.inFrom[g.inIndex[v]:g.inIndex[v+1]] }
 
 // InWeights returns the weights of v's in-edges, parallel to InNeighbors.
@@ -127,9 +128,13 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("graph: out-neighbors of %d not sorted", v)
 			}
 		}
-		for _, u := range g.InNeighbors(ID(v)) {
+		ns = g.InNeighbors(ID(v))
+		for i, u := range ns {
 			if int(u) >= g.n {
 				return fmt.Errorf("graph: in-neighbor %d of %d out of range", u, v)
+			}
+			if i > 0 && ns[i-1] > u {
+				return fmt.Errorf("graph: in-neighbors of %d not sorted by source", v)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -23,6 +24,25 @@ func TestEmptyGraph(t *testing.T) {
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatalf("empty graph invalid: %v", err)
+	}
+}
+
+// TestValidateRejectsUnsortedInRow: a hand-built graph whose in-row lists its
+// sources out of order fails Validate, as an unsorted out-row does; consumers
+// such as the multilevel partitioner merge the two rows and rely on both
+// orders. The same graph with the row in order validates.
+func TestValidateRejectsUnsortedInRow(t *testing.T) {
+	build := func(inFrom []ID) *Graph {
+		return &Graph{n: 3,
+			outIndex: []int64{0, 1, 2, 2}, outTo: []ID{2, 2}, outW: []float64{1, 1},
+			inIndex: []int64{0, 0, 0, 2}, inFrom: inFrom, inW: []float64{1, 1}}
+	}
+	if err := build([]ID{0, 1}).Validate(); err != nil {
+		t.Fatalf("sorted in-row: %v", err)
+	}
+	err := build([]ID{1, 0}).Validate()
+	if err == nil || !strings.Contains(err.Error(), "in-neighbors of 2 not sorted") {
+		t.Fatalf("unsorted in-row: Validate = %v, want an in-row order error", err)
 	}
 }
 

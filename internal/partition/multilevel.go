@@ -3,7 +3,6 @@ package partition
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"cyclops/internal/graph"
 )
@@ -40,59 +39,62 @@ type ugraph struct {
 
 func (u *ugraph) n() int { return len(u.xadj) - 1 }
 
-// toUndirected symmetrises the directed input and merges parallel edges.
+// toUndirected symmetrises the directed input in one pass: v's row merges its
+// out-row (sorted by destination) and in-row (sorted by source), one entry per
+// neighbour, weighted by the edges either way; self-loops never affect cut.
 func toUndirected(g *graph.Graph) *ugraph {
 	n := g.NumVertices()
-	type half struct {
-		u, v int32
-	}
-	halves := make([]half, 0, 2*g.NumEdges())
-	for v := 0; v < n; v++ {
-		for _, w := range g.OutNeighbors(graph.ID(v)) {
-			if int(w) == v {
-				continue // self-loops never affect cut
+	ug := &ugraph{xadj: make([]int32, n+1), vwgt: make([]int64, n),
+		adj: make([]int32, 0, 2*g.NumEdges()), ewgt: make([]int64, 0, 2*g.NumEdges())}
+	for v := range n {
+		ug.vwgt[v] = 1
+		out, in := g.OutNeighbors(graph.ID(v)), g.InNeighbors(graph.ID(v))
+		for i, j := 0, 0; i < len(out) || j < len(in); {
+			var w graph.ID
+			if j == len(in) || i < len(out) && out[i] <= in[j] {
+				w = out[i]
+			} else {
+				w = in[j]
 			}
-			halves = append(halves, half{int32(v), int32(w)}, half{int32(w), int32(v)})
+			i0, j0 := i, j
+			for i < len(out) && out[i] == w {
+				i++
+			}
+			for j < len(in) && in[j] == w {
+				j++
+			}
+			if int(w) != v {
+				ug.adj = append(ug.adj, int32(w))
+				ug.ewgt = append(ug.ewgt, int64(i-i0+j-j0))
+			}
 		}
-	}
-	sort.Slice(halves, func(i, j int) bool {
-		if halves[i].u != halves[j].u {
-			return halves[i].u < halves[j].u
-		}
-		return halves[i].v < halves[j].v
-	})
-	ug := &ugraph{xadj: make([]int32, n+1), vwgt: make([]int64, n)}
-	for i := range ug.vwgt {
-		ug.vwgt[i] = 1
-	}
-	for i := 0; i < len(halves); {
-		j := i
-		var w int64
-		for j < len(halves) && halves[j] == halves[i] {
-			w++
-			j++
-		}
-		ug.adj = append(ug.adj, halves[i].v)
-		ug.ewgt = append(ug.ewgt, w)
-		ug.xadj[halves[i].u+1]++
-		i = j
-	}
-	for v := 0; v < n; v++ {
-		ug.xadj[v+1] += ug.xadj[v]
+		ug.xadj[v+1] = int32(len(ug.adj))
 	}
 	return ug
 }
 
-// coarsen performs one heavy-edge-matching round. It returns the coarse graph
-// and the fine→coarse vertex map.
-func coarsen(u *ugraph, rng *rand.Rand) (*ugraph, []int32) {
+// permInto draws exactly what rng.Perm(n) draws, into buf[:n].
+func permInto(rng *rand.Rand, n int, buf []int32) []int32 {
+	m := buf[:n]
+	for i := range m {
+		j := rng.Intn(i + 1)
+		m[i], m[j] = m[j], int32(i)
+	}
+	return m
+}
+
+// coarsen performs one heavy-edge-matching round, visiting vertices in an
+// order drawn into perm. It returns the coarse graph and the fine→coarse
+// vertex map.
+func coarsen(u *ugraph, rng *rand.Rand, perm []int32) (*ugraph, []int32) {
 	n := u.n()
-	order := rng.Perm(n)
+	order := permInto(rng, n, perm)
 	match := make([]int32, n)
 	for i := range match {
 		match[i] = -1
 	}
 	cmap := make([]int32, n)
+	members := make([][2]int32, 0, n) // a coarse vertex's fine ones, ascending; -1 if single
 	coarse := int32(0)
 	for _, v := range order {
 		if match[v] != -1 {
@@ -102,42 +104,29 @@ func coarsen(u *ugraph, rng *rand.Rand) (*ugraph, []int32) {
 		var bestW int64 = -1
 		for i := u.xadj[v]; i < u.xadj[v+1]; i++ {
 			nb := u.adj[i]
-			if match[nb] == -1 && int(nb) != v && u.ewgt[i] > bestW {
+			if match[nb] == -1 && nb != v && u.ewgt[i] > bestW {
 				best, bestW = nb, u.ewgt[i]
 			}
 		}
 		if best == -1 {
-			match[v] = int32(v)
+			match[v] = v
 			cmap[v] = coarse
+			members = append(members, [2]int32{v, -1})
 		} else {
-			match[v], match[best] = best, int32(v)
+			match[v], match[best] = best, v
 			cmap[v], cmap[best] = coarse, coarse
+			members = append(members, [2]int32{min(v, best), max(v, best)})
 		}
 		coarse++
 	}
 	// Build the coarse graph by aggregating fine adjacency through cmap,
 	// using a stamp array so each coarse vertex's neighbor set is merged in
-	// O(degree).
-	cg := &ugraph{xadj: make([]int32, coarse+1), vwgt: make([]int64, coarse)}
-	stamp := make([]int32, coarse)
+	// O(degree). Merging never adds entries: the fine sizes bound the coarse.
+	cg := &ugraph{xadj: make([]int32, coarse+1), vwgt: make([]int64, coarse),
+		adj: make([]int32, 0, len(u.adj)), ewgt: make([]int64, 0, len(u.adj))}
+	stamp := make([]int32, coarse) // stamp[nc] == c+1: row c holds nc, at slot[nc]
 	slot := make([]int32, coarse)
-	for i := range stamp {
-		stamp[i] = -1
-	}
-	members := make([][2]int32, coarse) // up to two fine vertices per coarse
-	for i := range members {
-		members[i] = [2]int32{-1, -1}
-	}
-	for v := 0; v < n; v++ {
-		c := cmap[v]
-		if members[c][0] == -1 {
-			members[c][0] = int32(v)
-		} else {
-			members[c][1] = int32(v)
-		}
-	}
 	for c := int32(0); c < coarse; c++ {
-		begin := int32(len(cg.adj))
 		for _, fv := range members[c] {
 			if fv == -1 {
 				continue
@@ -158,15 +147,15 @@ func coarsen(u *ugraph, rng *rand.Rand) (*ugraph, []int32) {
 				}
 			}
 		}
-		cg.xadj[c+1] = cg.xadj[c] + (int32(len(cg.adj)) - begin)
+		cg.xadj[c+1] = int32(len(cg.adj))
 	}
 	return cg, cmap
 }
 
 // growInitial produces a k-way partition of the coarsest graph by greedy
 // region growing: BFS from a fresh seed until the region reaches the target
-// weight, then start the next partition.
-func growInitial(u *ugraph, k int, rng *rand.Rand) []int32 {
+// weight, then start the next partition, seeding in an order drawn into perm.
+func growInitial(u *ugraph, k int, rng *rand.Rand, perm []int32) []int32 {
 	n := u.n()
 	part := make([]int32, n)
 	for i := range part {
@@ -180,7 +169,7 @@ func growInitial(u *ugraph, k int, rng *rand.Rand) []int32 {
 	if target < 1 {
 		target = 1
 	}
-	order := rng.Perm(n)
+	order := permInto(rng, n, perm)
 	next := 0
 	queue := make([]int32, 0, n)
 	for p := 0; p < k; p++ {
@@ -195,7 +184,7 @@ func growInitial(u *ugraph, k int, rng *rand.Rand) []int32 {
 				if next == n {
 					break
 				}
-				queue = append(queue, int32(order[next]))
+				queue = append(queue, order[next])
 				part[order[next]] = int32(p)
 				weight += u.vwgt[order[next]]
 			}
@@ -233,20 +222,31 @@ func growInitial(u *ugraph, k int, rng *rand.Rand) []int32 {
 	return part
 }
 
-// refine runs boundary FM passes: each pass visits vertices in random order
-// and moves a vertex to the neighboring partition with the highest positive
-// cut gain, subject to the balance bound.
-func refine(u *ugraph, part []int32, k int, maxWeight int64, passes int, rng *rand.Rand) {
+// refine runs boundary FM passes: each pass visits vertices in an order drawn
+// into perm and moves a vertex to the neighboring partition with the highest
+// positive cut gain, subject to the balance bound. It skips v when ext[v], the
+// count of its neighbours outside part[v], is 0: no gain is positive. It
+// returns ext.
+func refine(u *ugraph, part []int32, k int, maxWeight int64, passes int, rng *rand.Rand, perm []int32) []int32 {
 	n := u.n()
 	weights := make([]int64, k)
+	ext := make([]int32, n)
 	for v := 0; v < n; v++ {
 		weights[part[v]] += u.vwgt[v]
+		for _, nb := range u.adj[u.xadj[v]:u.xadj[v+1]] {
+			if part[nb] != part[v] {
+				ext[v]++
+			}
+		}
 	}
 	conn := make([]int64, k) // connection weight to each partition
 	touched := make([]int32, 0, 8)
 	for pass := 0; pass < passes; pass++ {
 		moved := 0
-		for _, v := range rng.Perm(n) {
+		for _, v := range permInto(rng, n, perm) {
+			if ext[v] == 0 {
+				continue
+			}
 			home := part[v]
 			touched = touched[:0]
 			for i := u.xadj[v]; i < u.xadj[v+1]; i++ {
@@ -273,6 +273,18 @@ func refine(u *ugraph, part []int32, k int, maxWeight int64, passes int, rng *ra
 				weights[home] -= u.vwgt[v]
 				weights[best] += u.vwgt[v]
 				part[v] = best
+				ext[v] = 0
+				for _, nb := range u.adj[u.xadj[v]:u.xadj[v+1]] {
+					switch part[nb] {
+					case home:
+						ext[nb]++
+						ext[v]++
+					case best:
+						ext[nb]--
+					default:
+						ext[v]++
+					}
+				}
 				moved++
 			}
 		}
@@ -280,6 +292,7 @@ func refine(u *ugraph, part []int32, k int, maxWeight int64, passes int, rng *ra
 			break
 		}
 	}
+	return ext
 }
 
 // Partition implements Partitioner.
@@ -304,13 +317,14 @@ func (m Multilevel) Partition(g *graph.Graph, k int) (*Assignment, error) {
 		passes = 4
 	}
 	rng := rand.New(rand.NewSource(m.Seed))
+	perm := make([]int32, n) // every level's permutations, drawn in turn
 
 	// Coarsening phase.
 	levels := []*ugraph{toUndirected(g)}
 	var cmaps [][]int32
 	for levels[len(levels)-1].n() > coarsenTo {
 		cur := levels[len(levels)-1]
-		coarse, cmap := coarsen(cur, rng)
+		coarse, cmap := coarsen(cur, rng, perm)
 		if coarse.n() > cur.n()*9/10 {
 			break // matching stalled (e.g. star graphs); stop coarsening
 		}
@@ -320,12 +334,12 @@ func (m Multilevel) Partition(g *graph.Graph, k int) (*Assignment, error) {
 
 	// Initial partition at the coarsest level.
 	coarsest := levels[len(levels)-1]
-	part := growInitial(coarsest, k, rng)
+	part := growInitial(coarsest, k, rng, perm)
 	maxWeight := int64(imbalance * float64(n) / float64(k))
 	if maxWeight < 1 {
 		maxWeight = 1
 	}
-	refine(coarsest, part, k, maxWeight, passes, rng)
+	refine(coarsest, part, k, maxWeight, passes, rng, perm)
 
 	// Uncoarsening with refinement at every level.
 	for lvl := len(levels) - 2; lvl >= 0; lvl-- {
@@ -335,7 +349,7 @@ func (m Multilevel) Partition(g *graph.Graph, k int) (*Assignment, error) {
 		for v := range finePart {
 			finePart[v] = part[cmap[v]]
 		}
-		refine(fine, finePart, k, maxWeight, passes, rng)
+		refine(fine, finePart, k, maxWeight, passes, rng, perm)
 		part = finePart
 	}
 

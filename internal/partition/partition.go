@@ -154,10 +154,3 @@ func (Range) Partition(g *graph.Graph, k int) (*Assignment, error) {
 	}
 	return &Assignment{K: k, Of: of}, nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
