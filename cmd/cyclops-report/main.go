@@ -7,11 +7,10 @@
 //
 // diff's sides are each either a record directory (its run-* manifests are
 // normalized) or a baseline JSON file (BENCH_baseline.json). Deterministic
-// counts — supersteps, messages, bytes, wire bytes, replicas, replica value
-// bytes — must match exactly (any wire/payload ratio change fails); model
-// time and allocations per superstep get relative tolerance bands. The exit
-// status is non-zero when any metric regresses, which is what the CI
-// perf-gate keys off.
+// counts — supersteps, messages, wire bytes, replicas, replica value bytes —
+// must match exactly; model time and allocations per superstep get relative
+// tolerance bands. The exit status is non-zero when any metric regresses,
+// which is what the CI perf-gate keys off.
 package main
 
 import (

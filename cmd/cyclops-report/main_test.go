@@ -22,9 +22,9 @@ func fixtureBaseline() report.Baseline {
 		Seed:  1,
 		Entries: []report.Entry{
 			{Experiment: "pagerank", Engine: "hama", Algorithm: "PR", Dataset: "gweb",
-				Supersteps: 42, Messages: 2519118, Bytes: 40305888, ModelMs: 110.18},
+				Supersteps: 42, Messages: 2519118, WireBytes: 33035688, ModelMs: 110.18},
 			{Experiment: "pagerank", Engine: "cyclops", Algorithm: "PR", Dataset: "gweb",
-				Supersteps: 45, Messages: 1329773, Bytes: 21276368, Replicas: 39040, ModelMs: 56.31},
+				Supersteps: 45, Messages: 1329773, WireBytes: 13579691, Replicas: 39040, ModelMs: 56.31},
 		},
 	}
 }
@@ -100,7 +100,7 @@ func TestDiffAgainstRecordDir(t *testing.T) {
 	dir := t.TempDir()
 	m := obs.Manifest{Run: "run-001-hama", Experiment: "pagerank", Engine: "hama",
 		Algorithm: "PR", Dataset: "gweb", Supersteps: 42, Messages: 2519118,
-		Bytes: 40305888, ModelNanos: 110.18e6}
+		WireBytes: 33035688, ModelNanos: 110.18e6}
 	recDir := filepath.Join(dir, "rec")
 	if err := os.MkdirAll(filepath.Join(recDir, m.Run), 0o755); err != nil {
 		t.Fatal(err)
@@ -274,7 +274,7 @@ func TestDiffHeatDigest(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := obs.Manifest{Run: "run-001-cyclops", Experiment: "pagerank", Engine: "cyclops",
-			Supersteps: 1, Messages: 100, Bytes: 800, ModelNanos: 1e6}
+			Supersteps: 1, Messages: 100, WireBytes: 1001, ModelNanos: 1e6}
 		blob, _ := json.Marshal(m)
 		files := map[string]string{
 			"manifest.json": string(blob),

@@ -188,10 +188,10 @@ func TestCLIMatchesGateRow(t *testing.T) {
 				if e.Engine != engine {
 					continue
 				}
-				got := [5]int64{int64(m.Supersteps), m.Messages, m.Bytes, m.WireBytes, m.Replicas}
-				want := [5]int64{int64(e.Supersteps), e.Messages, e.Bytes, e.WireBytes, e.Replicas}
+				got := [4]int64{int64(m.Supersteps), m.Messages, m.WireBytes, m.Replicas}
+				want := [4]int64{int64(e.Supersteps), e.Messages, e.WireBytes, e.Replicas}
 				if got != want {
-					t.Errorf("supersteps/messages/bytes/wire_bytes/replicas = %v, gate row %v", got, want)
+					t.Errorf("supersteps/messages/wire_bytes/replicas = %v, gate row %v", got, want)
 				}
 				return
 			}

@@ -37,7 +37,6 @@ func main() {
 		cyclops.Config[[]float64, []float64]{
 			Cluster:       cluster.MT(4, 4, 2),
 			MaxSupersteps: cfg.TotalSupersteps(),
-			SizeOfMsg:     func(m []float64) int64 { return int64(8 * len(m)) },
 		})
 	if err != nil {
 		log.Fatal(err)

@@ -27,15 +27,15 @@ type books struct {
 }
 
 // checkSameBooks asserts the two networks booked one run identically: same
-// messages, same payload bytes, and a socket wire total that exceeds the
+// messages, and a socket wire total that exceeds the
 // in-process one by exactly the round markers — one frame header from every
 // worker to every other, roundsPerStep times a superstep (plus any priming
 // rounds).
 func checkSameBooks(t *testing.T, local, tcp books, workers, roundsPerStep, priming int) {
 	t.Helper()
-	if tcp.steps != local.steps || tcp.stats.Messages != local.stats.Messages || tcp.stats.Bytes != local.stats.Bytes {
-		t.Fatalf("tcp ran %d steps / %d msgs / %d payload B, in-process %d / %d / %d",
-			tcp.steps, tcp.stats.Messages, tcp.stats.Bytes, local.steps, local.stats.Messages, local.stats.Bytes)
+	if tcp.steps != local.steps || tcp.stats.Messages != local.stats.Messages {
+		t.Fatalf("tcp ran %d steps / %d msgs, in-process %d / %d",
+			tcp.steps, tcp.stats.Messages, local.steps, local.stats.Messages)
 	}
 	markers := int64((roundsPerStep*tcp.steps + priming) * workers * (workers - 1))
 	if got := tcp.stats.WireBytes - local.stats.WireBytes; got != markers*transport.FrameHeaderBytes {
@@ -215,10 +215,9 @@ func TestCyclopsMTALSOverTCP(t *testing.T) {
 			cyclops.Config[[]float64, []float64]{
 				Cluster:       cluster.MT(2, 3, 2),
 				MaxSupersteps: cfg.TotalSupersteps(),
-				Network:       network,
-				// Variable-size messages, priced as the harness prices them:
-				// payload must not depend on the network either.
-				SizeOfMsg: func(m []float64) int64 { return int64(8 * len(m)) },
+				// Variable-size messages: the codec prices them the same on
+				// both networks.
+				Network: network,
 			})
 		if err != nil {
 			t.Fatal(err)
@@ -238,11 +237,7 @@ func TestCyclopsMTALSOverTCP(t *testing.T) {
 		}
 		return books{e.TransportStats(), len(tr.Steps)}
 	}
-	local, tcp := run(transport.InProcess), run(transport.TCPLoopback)
-	if want := (5 + 8*int64(cfg.D)) * local.stats.Messages; local.stats.Bytes != want {
-		t.Fatalf("payload %d B, want SizeOfMsg's (5 + 8×%d) × %d msgs = %d", local.stats.Bytes, cfg.D, local.stats.Messages, want)
-	}
-	checkSameBooks(t, local, tcp, 2, 1, 0)
+	checkSameBooks(t, run(transport.InProcess), run(transport.TCPLoopback), 2, 1, 0)
 }
 
 // TestEnginesRejectUncodedMessageType: every run has a wire format, so a

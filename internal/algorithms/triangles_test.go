@@ -78,9 +78,8 @@ func TestTrianglesEnginesMatch(t *testing.T) {
 	}
 
 	ce, err := cyclops.New[int64, []graph.ID](g, TrianglesCyclops{}, cyclops.Config[int64, []graph.ID]{
-		Cluster:   cluster.Flat(3, 2),
-		SizeOfMsg: func(m []graph.ID) int64 { return int64(4 * len(m)) },
-		MsgCodec:  idListCodec{},
+		Cluster:  cluster.Flat(3, 2),
+		MsgCodec: idListCodec{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,9 +97,8 @@ func TestTrianglesEnginesMatch(t *testing.T) {
 	}
 
 	be, err := bsp.New[int64, []graph.ID](g, TrianglesBSP{}, bsp.Config[int64, []graph.ID]{
-		Cluster:   cluster.Flat(3, 2),
-		SizeOfMsg: func(m []graph.ID) int64 { return int64(4 * len(m)) },
-		MsgCodec:  idListCodec{},
+		Cluster:  cluster.Flat(3, 2),
+		MsgCodec: idListCodec{},
 	})
 	if err != nil {
 		t.Fatal(err)

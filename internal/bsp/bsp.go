@@ -58,14 +58,12 @@ type Config[V, M any] struct {
 	// carries the quantiles of this distribution over all SetValue calls —
 	// the convergence telemetry behind Figure 3. Optional.
 	Residual func(old, new V) float64
-	// SizeOfMsg estimates a message's wire size; nil means 16 bytes.
-	SizeOfMsg func(M) int64
 	// MsgCodec encodes a message on the wire: the TCP transport frames
 	// envelopes with it (arena-encoded, zero allocations per message) and
 	// the in-process transport charges its exact encoded sizes to the wire
-	// books. Payload accounting (SizeOfMsg) is unaffected. Nil derives it
-	// from M (graph.CodecFor: float64, int64, []float64); New fails for any
-	// other message type until one is named here.
+	// books, the run's one byte count. Nil derives it from M
+	// (graph.CodecFor: float64, int64, []float64); New fails for any other
+	// message type until one is named here.
 	MsgCodec graph.Codec[M]
 	// PerSenderQueues replaces Hama's locked global in-queue with Cyclops'
 	// contention-free per-sender slots. It is an ablation knob (experiment
@@ -196,7 +194,7 @@ func New[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[V, M]) (*Engin
 		}
 	}
 	tr, err := transport.New[envelope[M]](cfg.Network, workers, queueMode(cfg.PerSenderQueues),
-		wrapSize[M](cfg.SizeOfMsg), envelopeCodec[M]{inner: cfg.MsgCodec})
+		nil, envelopeCodec[M]{inner: cfg.MsgCodec})
 	if err != nil {
 		return nil, fmt.Errorf("bsp: transport: %w", err)
 	}
@@ -255,13 +253,6 @@ func queueMode(perSender bool) transport.QueueMode {
 		return transport.PerSenderQueue
 	}
 	return transport.GlobalQueue
-}
-
-func wrapSize[M any](sizeOf func(M) int64) func(envelope[M]) int64 {
-	if sizeOf == nil {
-		return nil
-	}
-	return func(env envelope[M]) int64 { return 4 + sizeOf(env.Msg) }
 }
 
 // envelopeCodec frames an envelope as a 4-byte destination id followed by

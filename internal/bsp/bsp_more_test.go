@@ -12,6 +12,7 @@ import (
 	"cyclops/internal/cluster"
 	"cyclops/internal/gen"
 	"cyclops/internal/graph"
+	"cyclops/internal/transport"
 )
 
 // ancestorMax computes, for every vertex, the maximum id among vertices that
@@ -103,24 +104,50 @@ func TestPerSenderQueueModeEquivalent(t *testing.T) {
 	}
 }
 
-func TestSizeOfMsgAccounting(t *testing.T) {
-	b := graph.NewBuilder(4)
-	b.AddEdge(0, 2) // worker 0 → worker 1 under 2-way hashing? force with Range below
-	b.AddEdge(1, 3)
-	g := b.MustBuild()
-	e, err := New[float64, float64](g, maxProg{}, Config[float64, float64]{
-		Cluster:   cluster.Flat(2, 1),
-		SizeOfMsg: func(float64) int64 { return 100 },
-	})
-	if err != nil {
-		t.Fatal(err)
+// paddedCodec is Float64Codec followed by pad zero bytes. A run under it must
+// cost exactly pad more wire bytes per message than one under Float64Codec:
+// the codec, and nothing else, prices the traffic.
+type paddedCodec struct{ pad int }
+
+func (c paddedCodec) EncodedSize(float64) int { return 8 + c.pad }
+func (c paddedCodec) FixedSize() int          { return 8 + c.pad }
+
+func (c paddedCodec) Append(dst []byte, m float64) []byte {
+	return append(graph.Float64Codec{}.Append(dst, m), make([]byte, c.pad)...)
+}
+
+func (c paddedCodec) Decode(src []byte) (float64, int, error) {
+	if len(src) < 8+c.pad {
+		return 0, 0, graph.ErrShortBuffer
 	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
+	v, _, err := graph.Float64Codec{}.Decode(src)
+	return v, 8 + c.pad, err
+}
+
+func TestMsgCodecPricesWire(t *testing.T) {
+	g := ringGraph(12)
+	run := func(codec graph.Codec[float64]) transport.Snapshot {
+		e, err := New[float64, float64](g, maxProg{}, Config[float64, float64]{
+			Cluster: cluster.Flat(3, 1), MsgCodec: codec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return e.TransportStats()
 	}
-	st := e.TransportStats()
-	if st.Messages > 0 && st.Bytes != st.Messages*104 { // 4 routing + 100 payload
-		t.Fatalf("bytes = %d for %d messages, want %d", st.Bytes, st.Messages, st.Messages*104)
+	plain, wide := run(graph.Float64Codec{}), run(paddedCodec{pad: 5})
+	if plain.Messages == 0 || wide.Messages != plain.Messages || wide.Batches != plain.Batches {
+		t.Fatalf("runs differ in traffic: %v vs %v", plain, wide)
+	}
+	// Each frame is a header plus 4 routing bytes and the value per message.
+	if want := plain.Batches*transport.FrameHeaderBytes + plain.Messages*12; plain.WireBytes != want {
+		t.Errorf("wire %d B, want %d headers + 12 B × %d msgs = %d", plain.WireBytes, plain.Batches, plain.Messages, want)
+	}
+	if got, want := wide.WireBytes-plain.WireBytes, 5*plain.Messages; got != want {
+		t.Errorf("5 B wider codec moved wire by %d B, want 5 B × %d msgs = %d", got, plain.Messages, want)
 	}
 }
 

@@ -49,7 +49,7 @@ func TestCodecContract(t *testing.T) {
 func checkBodyPrice[M any](t *testing.T, c graph.Codec[M], batch []M) {
 	t.Helper()
 	for n := 1; n <= len(batch); n++ {
-		tr := transport.NewLocal[M](2, transport.GlobalQueue, nil, c)
+		tr := transport.NewLocal[M](2, transport.GlobalQueue, c)
 		tr.Send(0, 1, batch[:n])
 		var body []byte
 		for _, m := range batch[:n] {

@@ -9,6 +9,7 @@ import (
 	"cyclops/internal/gen"
 	"cyclops/internal/graph"
 	"cyclops/internal/partition"
+	"cyclops/internal/transport"
 )
 
 // ancestorMax is the reachability fixpoint maxProg converges to.
@@ -97,24 +98,48 @@ func TestTraceMatchesTransportProperty(t *testing.T) {
 	}
 }
 
-func TestSizeOfMsgAccounting(t *testing.T) {
+// paddedCodec is Float64Codec followed by pad zero bytes. A run under it must
+// cost exactly pad more wire bytes per message than one under Float64Codec:
+// the codec, and nothing else, prices the traffic.
+type paddedCodec struct{ pad int }
+
+func (c paddedCodec) EncodedSize(float64) int { return 8 + c.pad }
+func (c paddedCodec) FixedSize() int          { return 8 + c.pad }
+
+func (c paddedCodec) Append(dst []byte, m float64) []byte {
+	return append(graph.Float64Codec{}.Append(dst, m), make([]byte, c.pad)...)
+}
+
+func (c paddedCodec) Decode(src []byte) (float64, int, error) {
+	if len(src) < 8+c.pad {
+		return 0, 0, graph.ErrShortBuffer
+	}
+	v, _, err := graph.Float64Codec{}.Decode(src)
+	return v, 8 + c.pad, err
+}
+
+func TestMsgCodecPricesWire(t *testing.T) {
 	g := gen.PowerLaw(200, 4, 5)
-	e, err := New[float64, float64](g, maxProg{}, Config[float64, float64]{
-		Cluster:   cluster.Flat(3, 1),
-		SizeOfMsg: func(float64) int64 { return 11 },
-	})
-	if err != nil {
-		t.Fatal(err)
+	run := func(codec graph.Codec[float64]) transport.Snapshot {
+		e, err := New[float64, float64](g, maxProg{}, Config[float64, float64]{
+			Cluster: cluster.Flat(3, 1), MsgCodec: codec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return e.TransportStats()
 	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
+	plain, wide := run(graph.Float64Codec{}), run(paddedCodec{pad: 5})
+	if plain.Messages == 0 || wide.Messages != plain.Messages || wide.Batches != plain.Batches {
+		t.Fatalf("runs differ in traffic: %v vs %v", plain, wide)
 	}
-	st := e.TransportStats()
-	if st.Messages == 0 {
-		t.Fatal("expected traffic")
-	}
-	if st.Bytes != st.Messages*16 { // 5 header + 11 payload
-		t.Fatalf("bytes = %d for %d messages", st.Bytes, st.Messages)
+	// A sync frame's body is a mode byte, the plan bitmap and the values: only
+	// the values grow with the codec.
+	if got, want := wide.WireBytes-plain.WireBytes, 5*plain.Messages; got != want {
+		t.Errorf("5 B wider codec moved wire by %d B, want 5 B × %d msgs = %d", got, plain.Messages, want)
 	}
 }
 

@@ -73,8 +73,6 @@ type Config[V, M any] struct {
 	// publishing masters — the convergence telemetry behind Figure 3.
 	// Optional; nil skips the accounting entirely.
 	Residual func(old, new M) float64
-	// SizeOfMsg estimates a published value's wire size (nil = 16 bytes).
-	SizeOfMsg func(M) int64
 	// MsgCodec encodes a published value on the wire, inside sync frames
 	// addressed by the send plan (syncCodec); wire accounting charges the
 	// exact frame bytes on every network. Nil derives it from M
@@ -228,7 +226,7 @@ func New[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[V, M]) (*Engin
 	}
 	// The sync codec addresses replicas through the plan buildView fixed.
 	tr, err := transport.New[syncMsg[M]](cfg.Network, workers, transport.PerSenderQueue,
-		wrapSize[M](cfg.SizeOfMsg), syncCodec[M]{inner: cfg.MsgCodec, width: graph.FixedSize(cfg.MsgCodec), plan: e.plan})
+		nil, syncCodec[M]{inner: cfg.MsgCodec, width: graph.FixedSize(cfg.MsgCodec), plan: e.plan})
 	if err != nil {
 		return nil, fmt.Errorf("cyclops: transport: %w", err)
 	}
@@ -238,13 +236,6 @@ func New[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[V, M]) (*Engin
 	}
 	e.tr = tr
 	return e, nil
-}
-
-func wrapSize[M any](sizeOf func(M) int64) func(syncMsg[M]) int64 {
-	if sizeOf == nil {
-		return nil
-	}
-	return func(m syncMsg[M]) int64 { return 5 + sizeOf(m.Val) }
 }
 
 // buildView performs the replica-creation ingress phase (§4.3): a worker

@@ -60,13 +60,13 @@ type frameTap[V, M any] struct {
 }
 
 func (t frameTap[V, M]) Send(from, to int, batch []syncMsg[M]) {
-	before := t.Matrix().Snapshot().WireAt(from, to)
+	before := t.Matrix().Snapshot().Wire[from][to]
 	t.Interface.Send(from, to, batch)
 	if len(batch) == 0 {
 		return
 	}
 	f := Frame{Step: t.e.step, From: from, To: to, PlanLen: t.e.plan[from].RowLen(to),
-		Wire: t.Matrix().Snapshot().WireAt(from, to) - before}
+		Wire: t.Matrix().Snapshot().Wire[from][to] - before}
 	for _, m := range batch {
 		f.Vertices = append(f.Vertices, t.e.replicaVertex(to, m.Slot))
 		f.Activate = append(f.Activate, m.Activate)

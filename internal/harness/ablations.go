@@ -58,7 +58,7 @@ func AblationCombiner(o Options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	t := newTable("combiner", "messages", "bytes", "model-ms")
+	t := newTable("combiner", "messages", "wire-bytes", "model-ms")
 	for _, combine := range []bool{false, true} {
 		cfg := bsp.Config[float64, float64]{Halt: haltForPR(ctx.graph.NumVertices(), ctx.params.Eps)}
 		if combine {
@@ -73,7 +73,7 @@ func AblationCombiner(o Options, w io.Writer) error {
 		if combine {
 			name = "sum"
 		}
-		t.addf("%s|%d|%d|%.1f", name, r.Transport.Messages, r.Transport.Bytes, r.ModelMs)
+		t.addf("%s|%d|%d|%.1f", name, r.Transport.Messages, r.Transport.WireBytes, r.ModelMs)
 	}
 	t.write(w)
 	fmt.Fprintln(w, "\n(combining helps Hama but cannot remove per-edge traffic from live")

@@ -33,10 +33,10 @@ func Comm(o Options, w io.Writer) error {
 
 		cum := log.Cumulative()
 		fmt.Fprintf(w, "\n-- %s: %d supersteps, %d msgs / %d bytes on the wire\n",
-			r.Engine, r.Supersteps, cum.TotalMessages(), cum.TotalBytes())
-		if cum.TotalMessages() != r.Transport.Messages || cum.TotalBytes() != r.Transport.Bytes {
+			r.Engine, r.Supersteps, cum.TotalMessages(), cum.TotalWireBytes())
+		if cum.TotalMessages() != r.Transport.Messages || cum.TotalWireBytes() != r.Transport.WireBytes {
 			return fmt.Errorf("comm: %s traffic matrix (%d msgs / %d B) does not sum to transport stats (%v)",
-				r.Engine, cum.TotalMessages(), cum.TotalBytes(), r.Transport)
+				r.Engine, cum.TotalMessages(), cum.TotalWireBytes(), r.Transport)
 		}
 
 		egress, ingress := cum.Egress(), cum.Ingress()

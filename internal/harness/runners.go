@@ -95,8 +95,7 @@ func RunWorkload(engine, algo string, g *graph.Graph, cc cluster.Config,
 	case "hama/ALS":
 		p.MaxSteps = als.TotalSupersteps() + 4
 		err = runBSP(&r, g, part, p, algorithms.ALSBSP{Cfg: als}, bsp.Config[[]float64, algorithms.ALSMsg]{
-			SizeOfMsg: func(m algorithms.ALSMsg) int64 { return int64(8*len(m.Vec)) + 8 },
-			MsgCodec:  algorithms.ALSMsgCodec{}}, flatten)
+			MsgCodec: algorithms.ALSMsgCodec{}}, flatten)
 	case "cyclops/PR":
 		err = runCyclops(&r, g, part, p, algorithms.PageRankCyclops{Eps: p.Eps}, cyclops.Config[float64, float64]{
 			Equal: sameRank, Residual: scalarResidual}, floats)
@@ -111,8 +110,7 @@ func RunWorkload(engine, algo string, g *graph.Graph, cc cluster.Config,
 			Residual: labelResidual}, int64sToFloats)
 	case "cyclops/ALS":
 		p.MaxSteps = als.TotalSupersteps()
-		err = runCyclops(&r, g, part, p, algorithms.ALSCyclops{Cfg: als}, cyclops.Config[[]float64, []float64]{
-			SizeOfMsg: func(m []float64) int64 { return int64(8 * len(m)) }}, flatten)
+		err = runCyclops(&r, g, part, p, algorithms.ALSCyclops{Cfg: als}, cyclops.Config[[]float64, []float64]{}, flatten)
 	case "powergraph/PR":
 		err = runGAS(&r, g, p, algorithms.NewPageRankGAS(g, p.MaxSteps, p.Eps), gas.Config[algorithms.PRValue, float64]{
 			ValCodec: algorithms.PRValueCodec{},

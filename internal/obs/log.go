@@ -75,11 +75,11 @@ type Log struct {
 // logStep is what the log keeps of one StepRecord besides its stats, heat
 // rows, traffic cells, spans and memory row.
 type logStep struct {
-	at                time.Time     // the barrier
-	wall              time.Duration // OnSuperstepStart → OnSuperstep
-	skew              SkewStep
-	msgs, bytes, wire int64 // the traffic delta's totals
-	violations        []Violation
+	at         time.Time     // the barrier
+	wall       time.Duration // OnSuperstepStart → OnSuperstep
+	skew       SkewStep
+	msgs, wire int64 // the traffic delta's totals
+	violations []Violation
 }
 
 // recovery is one rollback; rows is how many rows the log held when it
@@ -92,8 +92,8 @@ type recovery struct {
 
 // commCell is one (superstep, sender, receiver) cell with traffic.
 type commCell struct {
-	step, from, to    int
-	msgs, bytes, wire int64
+	step, from, to int
+	msgs, wire     int64
 }
 
 // spanLimit bounds a Log's in-memory span stream unless a Recorder needs all
@@ -168,10 +168,10 @@ func (l *Log) OnSuperstep(rec *StepRecord) {
 	}
 	for f, row := range rec.Comm.Messages {
 		for t, msgs := range row {
-			bytes, wire := rec.Comm.Bytes[f][t], rec.Comm.WireAt(f, t)
-			st.msgs, st.bytes, st.wire = st.msgs+msgs, st.bytes+bytes, st.wire+wire
-			if msgs != 0 || bytes != 0 {
-				l.cells = append(l.cells, commCell{rec.Step, f, t, msgs, bytes, wire})
+			wire := rec.Comm.Wire[f][t]
+			st.msgs, st.wire = st.msgs+msgs, st.wire+wire
+			if msgs != 0 || wire != 0 {
+				l.cells = append(l.cells, commCell{rec.Step, f, t, msgs, wire})
 			}
 		}
 	}
@@ -294,7 +294,7 @@ func writeJSON(w io.Writer, v any) error {
 
 // CommCSVHeader is the stable column set of the comm CSV export: one row
 // per (superstep, sender, receiver) cell with non-zero traffic.
-const CommCSVHeader = "engine,workers,step,from,to,messages,bytes,wire_bytes"
+const CommCSVHeader = "engine,workers,step,from,to,messages,wire_bytes"
 
 // WriteCommCSV renders the run's per-superstep traffic cells as CSV (zero
 // cells omitted). It lives here rather than in internal/metrics because the
@@ -309,8 +309,8 @@ func (l *Log) WriteCommCSV(w io.Writer) error {
 		return err
 	}
 	for _, c := range cells {
-		if _, err := fmt.Fprintf(w, "%s,%d,%d,%d,%d,%d,%d,%d\n",
-			engine, workers, c.step, c.from, c.to, c.msgs, c.bytes, c.wire); err != nil {
+		if _, err := fmt.Fprintf(w, "%s,%d,%d,%d,%d,%d,%d\n",
+			engine, workers, c.step, c.from, c.to, c.msgs, c.wire); err != nil {
 			return err
 		}
 	}
@@ -347,19 +347,17 @@ func (l *Log) ServeComm(w http.ResponseWriter, r *http.Request) {
 				Workers         int       `json:"workers"`
 				Supersteps      int       `json:"supersteps"`
 				MessagesTotal   int64     `json:"messages_total"`
-				BytesTotal      int64     `json:"bytes_total"`
 				WireBytesTotal  int64     `json:"wire_bytes_total"`
 				EgressMessages  []int64   `json:"egress_messages"`
 				IngressMessages []int64   `json:"ingress_messages"`
-				EgressBytes     []int64   `json:"egress_bytes"`
-				IngressBytes    []int64   `json:"ingress_bytes"`
+				EgressBytes     []int64   `json:"egress_wire_bytes"`
+				IngressBytes    []int64   `json:"ingress_wire_bytes"`
 				Messages        [][]int64 `json:"messages"`
-				Bytes           [][]int64 `json:"bytes"`
-				Wire            [][]int64 `json:"wire,omitempty"`
+				Wire            [][]int64 `json:"wire"`
 			}{engine, workers, supersteps,
-				cum.TotalMessages(), cum.TotalBytes(), cum.TotalWireBytes(),
+				cum.TotalMessages(), cum.TotalWireBytes(),
 				cum.Egress(), cum.Ingress(), cum.EgressBytes(), cum.IngressBytes(),
-				cum.Messages, cum.Bytes, cum.Wire})
+				cum.Messages, cum.Wire})
 		}},
 		"prom": {"text/plain; version=0.0.4; charset=utf-8", func(w http.ResponseWriter) error {
 			for _, m := range []struct {
@@ -367,7 +365,6 @@ func (l *Log) ServeComm(w http.ResponseWriter, r *http.Request) {
 				cells      [][]int64
 			}{
 				{MetricCommMessages, "Messages sent between worker pairs, latest run.", cum.Messages},
-				{MetricCommBytes, "Estimated bytes sent between worker pairs, latest run.", cum.Bytes},
 				{MetricCommWireBytes, "Encoded wire bytes sent between worker pairs, latest run.", cum.Wire},
 			} {
 				if err := writePromMatrix(w, m.name, m.help, m.cells); err != nil {
@@ -471,7 +468,7 @@ func (l *Log) ServeSpans(w http.ResponseWriter, r *http.Request) {
 // residual quantiles; no wall-clock). Phase wall times go to timings.csv.
 var seriesHeader = []string{
 	"step", "active", "changed", "messages", "redundant_messages",
-	"redundant_ratio", "payload_bytes", "wire_bytes", "compute_units_max",
+	"redundant_ratio", "wire_bytes", "compute_units_max",
 	"send_max", "recv_max",
 	"residual_n", "residual_p50", "residual_p90", "residual_max",
 	"skew_compute", "skew_sent", "skew_recv", "skew_active",
@@ -504,7 +501,7 @@ func (l *Log) seriesCSV() []byte {
 	return l.csvRows(seriesHeader, func(s *metrics.StepStats, st *logStep) []string {
 		return []string{
 			strconv.Itoa(s.Step), itoa(s.Active), itoa(s.Changed), itoa(s.Messages),
-			itoa(s.RedundantMessages), ftoa(s.RedundantRatio()), itoa(st.bytes), itoa(st.wire),
+			itoa(s.RedundantMessages), ftoa(s.RedundantRatio()), itoa(st.wire),
 			itoa(s.ComputeUnitsMax), itoa(s.SendMax), itoa(s.RecvMax),
 			itoa(s.ResidualN), ftoa(s.ResidualP50), ftoa(s.ResidualP90), ftoa(s.ResidualMax),
 			ftoa(st.skew.Compute), ftoa(st.skew.Sent), ftoa(st.skew.Received), ftoa(st.skew.Active),

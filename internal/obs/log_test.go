@@ -257,7 +257,7 @@ func TestMetricsPerRunGaugesResetOnRunStart(t *testing.T) {
 	step := func(n int) *obs.StepRecord {
 		rec := stepRecord(n, []int64{1, 1}, []int64{5, 2}, []int64{3, 4}, []int64{1, 1})
 		rec.Comm = transport.MatrixSnapshot{Workers: 2,
-			Messages: [][]int64{{1, 4}, {2, 0}}, Bytes: [][]int64{{8, 32}, {16, 0}}}
+			Messages: [][]int64{{1, 4}, {2, 0}}, Wire: [][]int64{{37, 61}, {45, 0}}}
 		return rec
 	}
 
@@ -442,24 +442,25 @@ func TestSpansEndpointStepFilterAndText(t *testing.T) {
 
 // TestLogCommViews pins the traffic views against known deltas: the cumulative
 // matrix is their sum, the CSV lists exactly the cells with traffic in
-// (step, from, to) order, and /comm renders both.
+// (step, from, to) order, and /comm renders both. Cell 1→0 carries only a
+// round marker's wire bytes, as over TCP: it is traffic, so every view shows
+// it, and the views' byte totals stay the transport's.
 func TestLogCommViews(t *testing.T) {
 	l := obs.NewLog()
 	l.OnRunStart(obs.RunInfo{Engine: "cyclops", Workers: 2})
 	delta := transport.MatrixSnapshot{Workers: 2,
 		Messages: [][]int64{{3, 7}, {0, 2}},
-		Bytes:    [][]int64{{24, 56}, {0, 16}},
-		Wire:     [][]int64{{30, 60}, {0, 20}}}
+		Wire:     [][]int64{{30, 60}, {29, 20}}}
 	for step := 0; step < 2; step++ {
 		rec := stepRecord(step, []int64{1, 1}, []int64{10, 2}, []int64{3, 9}, []int64{1, 1})
 		rec.Comm = delta
 		l.OnSuperstep(rec)
 	}
 	// The record is the kernel's scratch: the log must not have kept it.
-	delta.Messages[0][1], delta.Bytes[0][1] = 999, 999
+	delta.Messages[0][1], delta.Wire[0][1] = 999, 999
 
 	cum := l.Cumulative()
-	if cum.TotalMessages() != 24 || cum.TotalBytes() != 192 || cum.TotalWireBytes() != 220 ||
+	if cum.TotalMessages() != 24 || cum.TotalWireBytes() != 278 ||
 		cum.Messages[0][1] != 14 {
 		t.Errorf("cumulative = %+v", cum)
 	}
@@ -468,8 +469,8 @@ func TestLogCommViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := obs.CommCSVHeader + "\n" +
-		"cyclops,2,0,0,0,3,24,30\ncyclops,2,0,0,1,7,56,60\ncyclops,2,0,1,1,2,16,20\n" +
-		"cyclops,2,1,0,0,3,24,30\ncyclops,2,1,0,1,7,56,60\ncyclops,2,1,1,1,2,16,20\n"
+		"cyclops,2,0,0,0,3,30\ncyclops,2,0,0,1,7,60\ncyclops,2,0,1,0,0,29\ncyclops,2,0,1,1,2,20\n" +
+		"cyclops,2,1,0,0,3,30\ncyclops,2,1,0,1,7,60\ncyclops,2,1,1,0,0,29\ncyclops,2,1,1,1,2,20\n"
 	if csv.String() != want {
 		t.Errorf("comm CSV:\n%s\nwant:\n%s", csv.String(), want)
 	}
@@ -477,16 +478,20 @@ func TestLogCommViews(t *testing.T) {
 	rr := httptest.NewRecorder()
 	l.ServeComm(rr, httptest.NewRequest("GET", "/comm", nil))
 	var doc struct {
-		Supersteps int     `json:"supersteps"`
-		Total      int64   `json:"messages_total"`
-		Egress     []int64 `json:"egress_messages"`
-		Ingress    []int64 `json:"ingress_messages"`
+		Supersteps  int     `json:"supersteps"`
+		Total       int64   `json:"messages_total"`
+		Egress      []int64 `json:"egress_messages"`
+		Ingress     []int64 `json:"ingress_messages"`
+		Wire        int64   `json:"wire_bytes_total"`
+		EgressWire  []int64 `json:"egress_wire_bytes"`
+		IngressWire []int64 `json:"ingress_wire_bytes"`
 	}
 	if err := json.Unmarshal(rr.Body.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
 	if doc.Supersteps != 2 || doc.Total != 24 || !reflect.DeepEqual(doc.Egress, []int64{20, 4}) ||
-		!reflect.DeepEqual(doc.Ingress, []int64{6, 18}) {
+		!reflect.DeepEqual(doc.Ingress, []int64{6, 18}) || doc.Wire != 278 ||
+		!reflect.DeepEqual(doc.EgressWire, []int64{180, 98}) || !reflect.DeepEqual(doc.IngressWire, []int64{118, 160}) {
 		t.Errorf("/comm = %+v", doc)
 	}
 	rr = httptest.NewRecorder()
@@ -497,7 +502,8 @@ func TestLogCommViews(t *testing.T) {
 	rr = httptest.NewRecorder()
 	l.ServeComm(rr, httptest.NewRequest("GET", "/comm?format=prom", nil))
 	if prom := rr.Body.String(); !strings.Contains(prom, obs.MetricCommMessages+`{from="0",to="1"} 14`) ||
-		strings.Contains(prom, `{from="1",to="0"}`) {
+		strings.Contains(prom, obs.MetricCommMessages+`{from="1",to="0"}`) ||
+		!strings.Contains(prom, obs.MetricCommWireBytes+`{from="1",to="0"} 58`) {
 		t.Errorf("/comm?format=prom:\n%s", prom)
 	}
 }

@@ -16,8 +16,8 @@ import (
 // record and the live /mem endpoint. Allocation and GC quantities are
 // inherently machine- and scheduling-dependent, so everything here follows
 // the timings.csv discipline: recorded alongside the deterministic artifacts,
-// never compared exactly. The deterministic counterparts — payload bytes,
-// wire bytes, replica value bytes — live in series.csv and the manifest.
+// never compared exactly. The deterministic counterparts — wire bytes and
+// replica value bytes — live in series.csv and the manifest.
 
 // memPhases is the number of attributable superstep phases (PRS/CMP/SND/SYN).
 const memPhases = int(intmetrics.Sync) + 1

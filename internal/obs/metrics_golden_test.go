@@ -56,7 +56,7 @@ func TestMetricsGolden(t *testing.T) {
 		rec.Sync = []int64{5 * scale, 2 * scale, 0}
 		rec.Comm = transport.MatrixSnapshot{Workers: 3,
 			Messages: [][]int64{{4 * scale, 6 * scale, 2 * scale}, {3 * scale, 0, 0}, {0, 0, 0}},
-			Bytes:    [][]int64{{32 * scale, 48 * scale, 16 * scale}, {24 * scale, 0, 0}, {0, 0, 0}}}
+			Wire:     [][]int64{{32 * scale, 48 * scale, 16 * scale}, {24 * scale, 0, 0}, {0, 0, 0}}}
 		rec.Spans.Deliveries[0] = []span.Delivery{{From: 1, Msgs: 3 * scale}}
 		if parse {
 			rec.Spans.Parse = []time.Duration{time.Millisecond, time.Millisecond, time.Millisecond}

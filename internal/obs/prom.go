@@ -34,7 +34,6 @@ const (
 
 	// Communication observatory series.
 	MetricCommMessages    = "cyclops_comm_messages_total"
-	MetricCommBytes       = "cyclops_comm_bytes_total"
 	MetricCommWireBytes   = "cyclops_comm_wire_bytes_total"
 	MetricWorkerEgress    = "cyclops_worker_egress_messages"
 	MetricWorkerIngress   = "cyclops_worker_ingress_messages"

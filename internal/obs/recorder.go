@@ -48,13 +48,12 @@ type Manifest struct {
 	// this addition).
 	Recoveries int `json:"recoveries,omitempty"`
 	Replayed   int `json:"replayed_supersteps,omitempty"`
-	// Messages and Bytes are the run's logical message totals (sum of the
-	// per-superstep comm-matrix deltas).
+	// Messages is the run's message total (sum of the per-superstep
+	// comm-matrix deltas).
 	Messages int64 `json:"messages"`
-	Bytes    int64 `json:"bytes"`
-	// WireBytes is the on-the-wire total (sum of the per-superstep wire
-	// deltas): the binary frames that carry Bytes — a header plus each
-	// message's encoded size per batch — priced identically on both
+	// WireBytes is the run's byte total (sum of the per-superstep wire
+	// deltas): the binary frames that carry the messages — a header plus
+	// each message's encoded size per batch — priced identically on both
 	// networks, plus one header per round marker over TCP. Deterministic, so
 	// diffed exactly. Omitted when zero to keep earlier manifests
 	// byte-stable.
@@ -228,7 +227,6 @@ func (r *Recorder) OnRunEnd(e RunEnd) {
 	}
 	for i, s := range r.steps {
 		m.Messages += s.msgs
-		m.Bytes += s.bytes
 		m.WireBytes += s.wire
 		m.ModelNanos += r.stats[i].ModelNanos
 	}

@@ -127,7 +127,7 @@ func TestRecorderArtifacts(t *testing.T) {
 	if m.Workers != 4 || m.Vertices != g.NumVertices() || m.Edges != g.NumEdges() {
 		t.Errorf("manifest shape = %+v", m)
 	}
-	if m.Supersteps <= 0 || m.Messages <= 0 || m.Bytes <= 0 || m.ModelNanos <= 0 ||
+	if m.Supersteps <= 0 || m.Messages <= 0 || m.WireBytes <= 0 || m.ModelNanos <= 0 ||
 		m.Replicas <= 0 || m.StopReason == "" {
 		t.Errorf("manifest totals = %+v", m)
 	}
@@ -160,7 +160,7 @@ func TestRecorderArtifacts(t *testing.T) {
 		t.Errorf("series header = %q", lines[0])
 	}
 	for _, col := range []string{"residual_p50", "skew_compute", "redundant_ratio",
-		"payload_bytes", "wire_bytes", "replica_value_bytes", "model_ns"} {
+		"wire_bytes", "replica_value_bytes", "model_ns"} {
 		if !strings.Contains(lines[0], col) {
 			t.Errorf("series header missing %q", col)
 		}
@@ -200,11 +200,8 @@ func TestRecorderArtifacts(t *testing.T) {
 	// wire bytes are the frames a socket run would write — positional sync
 	// frames, 8 B per float64 value plus a header, a mode byte and a presence
 	// bitmap each, under the 13 B per message (4 slot + 1 activation + 8
-	// value) of frames addressed by slot, against the 16 B payload estimate —
-	// and replica storage cost is attributed for cyclops.
-	if m.Bytes != 16*m.Messages {
-		t.Errorf("payload bytes %d, want 16 B × %d messages", m.Bytes, m.Messages)
-	}
+	// value) of frames addressed by slot — and replica storage cost is
+	// attributed for cyclops.
 	if m.WireBytes <= 8*m.Messages+transport.FrameHeaderBytes || m.WireBytes >= 13*m.Messages {
 		t.Errorf("wire bytes %d are not between 8 B and 13 B × %d messages", m.WireBytes, m.Messages)
 	}

@@ -1,7 +1,7 @@
 // Package report turns flight-record run directories (internal/obs.Recorder)
 // into normalized baselines and diffs them — the regression gate behind
 // cmd/cyclops-report and the CI perf-gate job. Deterministic counts
-// (supersteps, messages, bytes, replicas) must match exactly; the cost
+// (supersteps, messages, wire bytes, replicas) must match exactly; the cost
 // model's time estimate gets a relative tolerance band; wall time is never
 // compared (it belongs to the machine, not the code).
 package report
@@ -31,13 +31,10 @@ type Entry struct {
 	Dataset    string  `json:"dataset,omitempty"`
 	Supersteps int     `json:"supersteps"`
 	Messages   int64   `json:"messages"`
-	Bytes      int64   `json:"bytes"`
 	Replicas   int64   `json:"replicas"`
 	ModelMs    float64 `json:"model_ms"`
-	// WireBytes is the encoded on-the-wire byte total (Bytes is the payload
-	// estimate); both are deterministic, so the wire/payload ratio — the
-	// serialisation envelope — is gated exactly. Zero on baselines recorded
-	// before wire accounting existed, in which case diffs skip the gate.
+	// WireBytes is the run's traffic in bytes: the encoded frames on the
+	// wire, deterministic and gated exactly.
 	WireBytes int64 `json:"wire_bytes,omitempty"`
 	// ReplicaValueBytes is the replicated view's deterministic value memory
 	// (Replicas × sizeof(value)) — the Table 4/5 replica side.
@@ -86,7 +83,6 @@ func FromManifests(ms []obs.Manifest) Baseline {
 			Dataset:           m.Dataset,
 			Supersteps:        m.Supersteps,
 			Messages:          m.Messages,
-			Bytes:             m.Bytes,
 			Replicas:          m.Replicas,
 			ModelMs:           m.ModelNanos / 1e6,
 			WireBytes:         m.WireBytes,
@@ -383,7 +379,7 @@ func Diff(old, new Baseline, opts Options) Result {
 		res.Deltas = append(res.Deltas,
 			exact(k, "supersteps", float64(o.Supersteps), float64(n.Supersteps)),
 			exact(k, "messages", float64(o.Messages), float64(n.Messages)),
-			exact(k, "bytes", float64(o.Bytes), float64(n.Bytes)),
+			exact(k, "wire_bytes", float64(o.WireBytes), float64(n.WireBytes)),
 			exact(k, "replicas", float64(o.Replicas), float64(n.Replicas)),
 			banded(k, "model_ms", o.ModelMs, n.ModelMs, opts.ModelTol),
 		)
@@ -397,17 +393,6 @@ func Diff(old, new Baseline, opts Options) Result {
 		// it compares exactly under the same both-sides-present rule.
 		if o.Heat != "" && n.Heat != "" {
 			res.Deltas = append(res.Deltas, exactText(k, "heat", o.Heat, n.Heat))
-		}
-		// Wire bytes (and so the wire/payload envelope ratio) are as
-		// deterministic as the payload counts: any change at all fails. The
-		// skip-when-absent guard keeps pre-observatory baselines usable.
-		if o.WireBytes != 0 && n.WireBytes != 0 {
-			res.Deltas = append(res.Deltas,
-				exact(k, "wire_bytes", float64(o.WireBytes), float64(n.WireBytes)),
-				exact(k, "wire_ratio",
-					float64(o.WireBytes)/float64(o.Bytes),
-					float64(n.WireBytes)/float64(n.Bytes)),
-			)
 		}
 		if o.ReplicaValueBytes != 0 && n.ReplicaValueBytes != 0 {
 			res.Deltas = append(res.Deltas,

@@ -16,11 +16,11 @@ func baseline() Baseline {
 		Seed:  1,
 		Entries: []Entry{
 			{Experiment: "pagerank", Engine: "hama", Algorithm: "PR", Dataset: "gweb",
-				Supersteps: 42, Messages: 2519118, Bytes: 40305888, ModelMs: 110.18},
+				Supersteps: 42, Messages: 2519118, WireBytes: 33035688, ModelMs: 110.18},
 			{Experiment: "pagerank", Engine: "cyclops", Algorithm: "PR", Dataset: "gweb",
-				Supersteps: 45, Messages: 1329773, Bytes: 21276368, Replicas: 39040, ModelMs: 56.31},
+				Supersteps: 45, Messages: 1329773, WireBytes: 13579691, Replicas: 39040, ModelMs: 56.31},
 			{Experiment: "pagerank", Engine: "cyclopsmt", Algorithm: "PR", Dataset: "gweb",
-				Supersteps: 45, Messages: 790967, Bytes: 12655472, Replicas: 23615, ModelMs: 14.44},
+				Supersteps: 45, Messages: 790967, WireBytes: 6486776, Replicas: 23615, ModelMs: 14.44},
 		},
 	}
 }
@@ -142,7 +142,7 @@ func TestDiffUnmatchedRuns(t *testing.T) {
 
 	extra := baseline()
 	extra.Entries = append(extra.Entries, Entry{Experiment: "pagerank", Engine: "hama",
-		Supersteps: 42, Messages: 2519118, Bytes: 40305888, ModelMs: 110.18})
+		Supersteps: 42, Messages: 2519118, WireBytes: 33035688, ModelMs: 110.18})
 	res = Diff(baseline(), extra, Options{})
 	if len(res.MissingInOld) != 1 || res.MissingInOld[0] != "pagerank/hama#1" {
 		t.Errorf("MissingInOld = %v (repeated runs get ordinals)", res.MissingInOld)
@@ -189,7 +189,7 @@ func TestLoadFromRecordDir(t *testing.T) {
 	dir := t.TempDir()
 	// A record dir is run-* subdirectories with manifests.
 	m := obs.Manifest{Run: "run-001-cyclops", Experiment: "pagerank", Engine: "cyclops",
-		Supersteps: 45, Messages: 1329773, Bytes: 21276368, Replicas: 39040, ModelNanos: 56.31e6}
+		Supersteps: 45, Messages: 1329773, WireBytes: 13579691, Replicas: 39040, ModelNanos: 56.31e6}
 	writeManifest(t, dir, m)
 	b, err := Load(dir)
 	if err != nil {
@@ -213,7 +213,7 @@ func TestLoadFromRecordDir(t *testing.T) {
 
 func TestWriteMarkdownOrdersRegressionsFirst(t *testing.T) {
 	cur := baseline()
-	cur.Entries[2].Bytes += 1
+	cur.Entries[2].WireBytes += 1
 	cur.Entries = cur.Entries[:3]
 	res := Diff(baseline(), cur, Options{})
 	var sb strings.Builder
@@ -221,10 +221,10 @@ func TestWriteMarkdownOrdersRegressionsFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if !strings.Contains(out, "REGRESSION") || !strings.Contains(out, "bytes=") {
+	if !strings.Contains(out, "REGRESSION") || !strings.Contains(out, "wire_bytes=") {
 		t.Errorf("markdown missing regression row:\n%s", out)
 	}
-	first := strings.Index(out, "| pagerank/cyclopsmt#0 | bytes=")
+	first := strings.Index(out, "| pagerank/cyclopsmt#0 | wire_bytes=")
 	anyOK := strings.Index(out, "| ok |")
 	if first < 0 || (anyOK >= 0 && anyOK < first) {
 		t.Errorf("regression row not first:\n%s", out)

@@ -443,7 +443,7 @@ func TestRecordScratchAliasing(t *testing.T) {
 				r.k.Units[w], r.k.Active[w], r.k.Sync[w] = 10*n+int64(w), 20*n+int64(w), 30*n+int64(w)
 				r.k.HeatMsgs[w] += n
 				r.k.Sent[w] = 40*n + int64(w)
-				r.link.matrix.Add(w, 1-w, n, 8*n)
+				r.link.matrix.Add(w, 1-w, n)
 				r.link.matrix.AddWire(w, 1-w, 9*n)
 			})
 			r.k.Phase(metrics.Parse, func(w int) { r.k.Drained(w, 50*n+int64(w), n) })
@@ -497,7 +497,7 @@ func TestRecordScratchAliasing(t *testing.T) {
 	if rows, want := two.Rows(), one.Rows(); !reflect.DeepEqual(rows[:len(want)], want) || rows[0].ComputeUnits != 10 {
 		t.Errorf("heat rows of superstep 0: %+v, were %+v", rows[:len(want)], want)
 	}
-	if cum := two.Cumulative(); cum.Messages[0][1] != 3 || cum.Bytes[1][0] != 24 || cum.Wire[0][1] != 27 {
+	if cum := two.Cumulative(); cum.Messages[0][1] != 3 || cum.Wire[1][0] != 27 || cum.Wire[0][1] != 27 {
 		t.Errorf("cumulative matrix %+v, want superstep 0's delta plus superstep 1's", cum)
 	}
 }

@@ -203,11 +203,10 @@ func TestFrameRoundTripZeroAlloc(t *testing.T) {
 
 // TestLocalCodecWireAccounting verifies the in-process transport's computed
 // wire charge is exactly what a socket run of the same batches would
-// materialise: frame header + per-message encoded sizes, while payload stays
-// on the sizeOf estimate.
+// materialise: frame header + per-message encoded sizes.
 func TestLocalCodecWireAccounting(t *testing.T) {
 	codec := bodyOf[msg](msgCodec{})
-	tr := NewLocal[msg](3, PerSenderQueue, nil, msgCodec{})
+	tr := NewLocal[msg](3, PerSenderQueue, msgCodec{})
 	batches := []struct {
 		from, to int
 		batch    []msg
@@ -216,19 +215,15 @@ func TestLocalCodecWireAccounting(t *testing.T) {
 		{1, 2, []msg{{3, 3.5}}},
 		{0, 0, []msg{{4, 4.5}}},
 	}
-	var wantWire, wantPayload int64
+	var wantWire int64
 	for _, b := range batches {
 		tr.Send(b.from, b.to, b.batch)
 		wire := appendFrame(nil, b.from, 0, false, span.Context{}, b.batch, codec)
 		wantWire += int64(len(wire))
-		wantPayload += int64(len(b.batch)) * 16
 	}
 	s := tr.Stats().Snapshot()
 	if s.WireBytes != wantWire {
 		t.Errorf("wire bytes %d, want the materialised frame total %d", s.WireBytes, wantWire)
-	}
-	if s.Bytes != wantPayload {
-		t.Errorf("payload bytes %d, want flat 16/message %d", s.Bytes, wantPayload)
 	}
 	if s.Encodes != 0 || s.Decodes != 0 {
 		t.Errorf("in-process codec transport performed %d encodes / %d decodes", s.Encodes, s.Decodes)
@@ -244,7 +239,7 @@ func TestLocalCodecWireAccounting(t *testing.T) {
 // descriptors).
 func TestRPCBinaryRoundTrip(t *testing.T) {
 	codec := bodyOf[msg](msgCodec{})
-	tr, err := NewRPC[msg](2, nil, msgCodec{})
+	tr, err := NewRPC[msg](2, msgCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 
 // Network selects how a simulated cluster's workers exchange messages. Both
 // networks speak one wire format — the binary frames of frame.go — and book
-// the same payload and wire bytes for the same batch; over TCP the frames are
+// the same wire bytes for the same batch; over TCP the frames are
 // materialized and each round marker adds one FrameHeaderBytes.
 type Network int
 
@@ -58,8 +58,8 @@ type Interface[M any] interface {
 	Drain(to int) [][]M
 	// Stats exposes the traffic counters.
 	Stats() *Stats
-	// Matrix exposes the per-peer traffic counters: messages and bytes per
-	// (sender, receiver) pair. Its grand totals equal Stats exactly.
+	// Matrix exposes the per-peer traffic counters: messages and wire bytes
+	// per (sender, receiver) pair. Its grand totals equal Stats exactly.
 	Matrix() *Matrix
 	// Err reports the first asynchronous transport failure, if any.
 	Err() error
@@ -102,20 +102,25 @@ var _ Interface[int] = (*Local[int])(nil)
 
 // New constructs a transport for the requested network. mode selects the
 // receive-queue discipline for InProcess (the TCP transport always uses a
-// locked inbox; its contention is real, not simulated). sizeOf prices the
-// payload (nil = 16 bytes/message) and codec the wire, identically on both
-// networks; a nil codec is an error — there is one wire format and nothing
-// to fall back to. A BodyCodec encodes whole frame bodies; any other codec
-// goes message by message, priced per batch when it has FixedSize/BodySize.
+// locked inbox; its contention is real, not simulated). codec encodes and
+// prices every frame, identically on both networks; a nil codec is an error —
+// there is one wire format and nothing to fall back to. A BodyCodec encodes
+// whole frame bodies; any other codec goes message by message, priced per
+// batch when it has FixedSize/BodySize. The codec is the only price: wire
+// bytes are the one byte count, so sizeOf, a per-message size estimate, must
+// be nil.
 func New[M any](network Network, n int, mode QueueMode, sizeOf func(M) int64, codec graph.Codec[M]) (Interface[M], error) {
 	if codec == nil {
 		return nil, errors.New("transport: a message codec is required")
 	}
+	if sizeOf != nil {
+		return nil, errors.New("transport: the codec prices traffic; pass a nil size estimate")
+	}
 	switch network {
 	case InProcess:
-		return NewLocal[M](n, mode, sizeOf, codec), nil
+		return NewLocal[M](n, mode, codec), nil
 	case TCPLoopback:
-		return NewRPC[M](n, sizeOf, codec)
+		return NewRPC[M](n, codec)
 	default:
 		return nil, errUnknownNetwork(int(network))
 	}

@@ -90,13 +90,11 @@ type slot[M any] struct {
 }
 
 // NewLocal creates a transport between n workers with the given queue mode.
-// sizeOf estimates a message's payload size (nil means a flat 16 bytes per
-// message); codec prices the wire and is required — New is the constructor
-// that rejects a missing one.
-func NewLocal[M any](n int, mode QueueMode, sizeOf func(M) int64, codec graph.Codec[M]) *Local[M] {
-	t := &Local[M]{n: n, mode: mode,
-		books: books[M]{sizeOf: sizeOf, codec: bodyOf(codec), stats: Stats{matrix: NewMatrix(n)}},
-		tags:  make([]span.Context, n), lastDeliv: make([][]span.Delivery, n), out: make([][][]M, n)}
+// codec prices the wire and is required — New is the constructor that
+// rejects a missing one.
+func NewLocal[M any](n int, mode QueueMode, codec graph.Codec[M]) *Local[M] {
+	t := &Local[M]{n: n, mode: mode, books: newBooks(n, codec),
+		tags: make([]span.Context, n), lastDeliv: make([][]span.Delivery, n), out: make([][][]M, n)}
 	switch mode {
 	case GlobalQueue:
 		t.global = make([]lockedQueue[M], n)
@@ -126,7 +124,7 @@ func (t *Local[M]) Send(from, to int, batch []M) {
 	if to < 0 || to >= t.n || from < 0 || from >= t.n {
 		panic(fmt.Sprintf("transport: send %d→%d outside [0,%d)", from, to, t.n))
 	}
-	t.bookBatch(from, to, batch, t.mode == GlobalQueue)
+	t.bookBatch(from, to, len(batch), t.mode == GlobalQueue)
 	t.bookWire(from, to, frameWireBytes(from, to, batch, t.codec))
 	var ctx span.Context
 	if t.tagged.Load() {

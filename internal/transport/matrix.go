@@ -5,17 +5,15 @@ import (
 	"sync/atomic"
 )
 
-// Matrix accumulates per-peer traffic: messages[from][to] and
-// bytes[from][to], flattened row-major over n×n cells of atomics. It is the
-// transport's one ledger of messages, payload and wire bytes — the row sums
-// are a worker's egress, the column sums its ingress, and the grand totals
-// are what Stats reports. Cells are updated once per batch with two atomic
-// adds, so the hot-path cost is fixed and contention-free (distinct
-// sender/receiver pairs touch distinct cells).
+// Matrix accumulates per-peer traffic: messages[from][to] and wire[from][to],
+// flattened row-major over n×n cells of atomics. It is the transport's one
+// ledger of messages and wire bytes — the row sums are a worker's egress, the
+// column sums its ingress, and the grand totals are what Stats reports.
+// Distinct sender/receiver pairs touch distinct cells, so booking a batch is a
+// fixed, contention-free cost.
 type Matrix struct {
 	n        int
 	messages []atomic.Int64
-	bytes    []atomic.Int64
 	wire     []atomic.Int64 // encoded frame bytes per (from, to) pair
 }
 
@@ -24,7 +22,6 @@ func NewMatrix(n int) *Matrix {
 	return &Matrix{
 		n:        n,
 		messages: make([]atomic.Int64, n*n),
-		bytes:    make([]atomic.Int64, n*n),
 		wire:     make([]atomic.Int64, n*n),
 	}
 }
@@ -32,11 +29,9 @@ func NewMatrix(n int) *Matrix {
 // Workers reports the matrix dimension.
 func (m *Matrix) Workers() int { return m.n }
 
-// Add records msgs messages totalling b bytes sent from `from` to `to`.
-func (m *Matrix) Add(from, to int, msgs, b int64) {
-	i := from*m.n + to
-	m.messages[i].Add(msgs)
-	m.bytes[i].Add(b)
+// Add records msgs messages sent from `from` to `to`.
+func (m *Matrix) Add(from, to int, msgs int64) {
+	m.messages[from*m.n+to].Add(msgs)
 }
 
 // AddWire records b binary-frame wire bytes sent from `from` to `to`: the
@@ -62,7 +57,6 @@ func (m *Matrix) Snapshot() MatrixSnapshot {
 	for f := 0; f < m.n; f++ {
 		for t := 0; t < m.n; t++ {
 			s.Messages[f][t] = m.messages[f*m.n+t].Load()
-			s.Bytes[f][t] = m.bytes[f*m.n+t].Load()
 			s.Wire[f][t] = m.wire[f*m.n+t].Load()
 		}
 	}
@@ -76,48 +70,33 @@ func (m *Matrix) Advance(prev, delta MatrixSnapshot) {
 	for f := 0; f < m.n; f++ {
 		for t := 0; t < m.n; t++ {
 			i := f*m.n + t
-			msgs, b, w := m.messages[i].Load(), m.bytes[i].Load(), m.wire[i].Load()
+			msgs, w := m.messages[i].Load(), m.wire[i].Load()
 			delta.Messages[f][t], prev.Messages[f][t] = msgs-prev.Messages[f][t], msgs
-			delta.Bytes[f][t], prev.Bytes[f][t] = b-prev.Bytes[f][t], b
 			delta.Wire[f][t], prev.Wire[f][t] = w-prev.Wire[f][t], w
 		}
 	}
 }
 
-// MatrixSnapshot is a point-in-time copy of a Matrix: Messages[from][to],
-// Bytes[from][to] (payload estimate) and Wire[from][to] (encoded frame
-// bytes). The zero value acts as an all-zero matrix in Sub. Wire may be nil
-// on snapshots built by hand (older tests, JSON without the field); all
-// arithmetic treats a nil Wire as all-zero.
+// MatrixSnapshot is a point-in-time copy of a Matrix: Messages[from][to] and
+// Wire[from][to], the encoded frame bytes. The zero value acts as an all-zero
+// matrix in Sub and AddInto.
 type MatrixSnapshot struct {
 	Workers  int       `json:"workers"`
 	Messages [][]int64 `json:"messages"`
-	Bytes    [][]int64 `json:"bytes"`
-	Wire     [][]int64 `json:"wire,omitempty"`
+	Wire     [][]int64 `json:"wire"`
 }
 
 func newMatrixSnapshot(n int) MatrixSnapshot {
 	s := MatrixSnapshot{
 		Workers:  n,
 		Messages: make([][]int64, n),
-		Bytes:    make([][]int64, n),
 		Wire:     make([][]int64, n),
 	}
 	for i := 0; i < n; i++ {
 		s.Messages[i] = make([]int64, n)
-		s.Bytes[i] = make([]int64, n)
 		s.Wire[i] = make([]int64, n)
 	}
 	return s
-}
-
-// WireAt reads a wire cell, treating a nil Wire matrix as all-zero (hand-built
-// snapshots and pre-wire JSON have no Wire field).
-func (s MatrixSnapshot) WireAt(f, t int) int64 {
-	if s.Wire == nil {
-		return 0
-	}
-	return s.Wire[f][t]
 }
 
 // Sub returns s - prev cell-wise: the traffic of the interval between the
@@ -134,8 +113,7 @@ func (s MatrixSnapshot) Sub(prev MatrixSnapshot) MatrixSnapshot {
 	for f := range s.Messages {
 		for t := range s.Messages[f] {
 			d.Messages[f][t] = s.Messages[f][t] - prev.Messages[f][t]
-			d.Bytes[f][t] = s.Bytes[f][t] - prev.Bytes[f][t]
-			d.Wire[f][t] = s.WireAt(f, t) - prev.WireAt(f, t)
+			d.Wire[f][t] = s.Wire[f][t] - prev.Wire[f][t]
 		}
 	}
 	return d
@@ -155,19 +133,10 @@ func (s MatrixSnapshot) AddInto(other MatrixSnapshot) MatrixSnapshot {
 		panic(fmt.Sprintf("transport: MatrixSnapshot.AddInto dimension mismatch %d vs %d",
 			s.Workers, other.Workers))
 	}
-	if s.Wire == nil && other.Wire != nil {
-		s.Wire = make([][]int64, s.Workers)
-		for i := range s.Wire {
-			s.Wire[i] = make([]int64, s.Workers)
-		}
-	}
 	for f := range s.Messages {
 		for t := range s.Messages[f] {
 			s.Messages[f][t] += other.Messages[f][t]
-			s.Bytes[f][t] += other.Bytes[f][t]
-			if s.Wire != nil {
-				s.Wire[f][t] += other.WireAt(f, t)
-			}
+			s.Wire[f][t] += other.Wire[f][t]
 		}
 	}
 	return s
@@ -178,10 +147,7 @@ func (s MatrixSnapshot) Clone() MatrixSnapshot {
 	c := newMatrixSnapshot(s.Workers)
 	for i := range s.Messages {
 		copy(c.Messages[i], s.Messages[i])
-		copy(c.Bytes[i], s.Bytes[i])
-		if s.Wire != nil {
-			copy(c.Wire[i], s.Wire[i])
-		}
+		copy(c.Wire[i], s.Wire[i])
 	}
 	return c
 }
@@ -206,50 +172,31 @@ func colSums(m [][]int64) []int64 {
 	return out
 }
 
+func grand(m [][]int64) (n int64) {
+	for _, row := range m {
+		for _, v := range row {
+			n += v
+		}
+	}
+	return n
+}
+
 // Egress returns per-worker sent messages (row sums).
 func (s MatrixSnapshot) Egress() []int64 { return rowSums(s.Messages) }
 
 // Ingress returns per-worker received messages (column sums).
 func (s MatrixSnapshot) Ingress() []int64 { return colSums(s.Messages) }
 
-// EgressBytes returns per-worker sent bytes (row sums).
-func (s MatrixSnapshot) EgressBytes() []int64 { return rowSums(s.Bytes) }
+// EgressBytes returns per-worker sent wire bytes (row sums).
+func (s MatrixSnapshot) EgressBytes() []int64 { return rowSums(s.Wire) }
 
-// IngressBytes returns per-worker received bytes (column sums).
-func (s MatrixSnapshot) IngressBytes() []int64 { return colSums(s.Bytes) }
+// IngressBytes returns per-worker received wire bytes (column sums).
+func (s MatrixSnapshot) IngressBytes() []int64 { return colSums(s.Wire) }
 
 // TotalMessages returns the grand total of the message matrix. On a
 // cumulative snapshot this equals Stats.Messages exactly.
-func (s MatrixSnapshot) TotalMessages() int64 {
-	var n int64
-	for _, row := range s.Messages {
-		for _, v := range row {
-			n += v
-		}
-	}
-	return n
-}
-
-// TotalBytes returns the grand total of the byte matrix. On a cumulative
-// snapshot this equals Stats.Bytes exactly.
-func (s MatrixSnapshot) TotalBytes() int64 {
-	var n int64
-	for _, row := range s.Bytes {
-		for _, v := range row {
-			n += v
-		}
-	}
-	return n
-}
+func (s MatrixSnapshot) TotalMessages() int64 { return grand(s.Messages) }
 
 // TotalWireBytes returns the grand total of the wire-byte matrix. On a
 // cumulative snapshot this equals Stats.WireBytes exactly.
-func (s MatrixSnapshot) TotalWireBytes() int64 {
-	var n int64
-	for _, row := range s.Wire {
-		for _, v := range row {
-			n += v
-		}
-	}
-	return n
-}
+func (s MatrixSnapshot) TotalWireBytes() int64 { return grand(s.Wire) }

@@ -2,7 +2,7 @@ package transport
 
 // Per-peer accounting tests: the worker×worker matrix must agree with the
 // global Stats counters on every transport — row sums are egress, column
-// sums ingress, and the grand totals equal Stats.Messages/Bytes exactly.
+// sums ingress, and the grand totals equal Stats.Messages/WireBytes exactly.
 // This is the property the /comm endpoint and the harness comm report build
 // on, so it is pinned here at the source.
 
@@ -66,8 +66,8 @@ func checkMatrixAgainstStats(t *testing.T, tr Interface[int], want [][]int64) {
 	if got := snap.TotalMessages(); got != st.Messages {
 		t.Errorf("matrix total %d messages, Stats %d", got, st.Messages)
 	}
-	if got := snap.TotalBytes(); got != st.Bytes {
-		t.Errorf("matrix total %d bytes, Stats %d", got, st.Bytes)
+	if got := snap.TotalWireBytes(); got != st.WireBytes {
+		t.Errorf("matrix total %d wire bytes, Stats %d", got, st.WireBytes)
 	}
 	var egress, ingress int64
 	for _, v := range snap.Egress() {
@@ -82,19 +82,19 @@ func checkMatrixAgainstStats(t *testing.T, tr Interface[int], want [][]int64) {
 }
 
 func TestMatrixMatchesStatsLocalGlobal(t *testing.T) {
-	tr := NewLocal[int](4, GlobalQueue, nil, intCodec{})
+	tr := NewLocal[int](4, GlobalQueue, intCodec{})
 	want := driveRandomTraffic(t, tr, 4, 8)
 	checkMatrixAgainstStats(t, tr, want)
 }
 
 func TestMatrixMatchesStatsLocalPerSender(t *testing.T) {
-	tr := NewLocal[int](4, PerSenderQueue, nil, intCodec{})
+	tr := NewLocal[int](4, PerSenderQueue, intCodec{})
 	want := driveRandomTraffic(t, tr, 4, 8)
 	checkMatrixAgainstStats(t, tr, want)
 }
 
 func TestMatrixMatchesStatsRPC(t *testing.T) {
-	tr, err := NewRPC[int](3, nil, intCodec{})
+	tr, err := NewRPC[int](3, intCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,14 +108,17 @@ func TestMatrixMatchesStatsRPC(t *testing.T) {
 
 func TestMatrixSnapshotSubAddClone(t *testing.T) {
 	m := NewMatrix(2)
-	m.Add(0, 1, 3, 48)
+	m.Add(0, 1, 3)
+	m.AddWire(0, 1, 48)
 	base := m.Snapshot()
-	m.Add(0, 1, 2, 32)
-	m.Add(1, 0, 1, 16)
+	m.Add(0, 1, 2)
+	m.AddWire(0, 1, 32)
+	m.Add(1, 0, 1)
+	m.AddWire(1, 0, 16)
 	cur := m.Snapshot()
 
 	d := cur.Sub(base)
-	if d.Messages[0][1] != 2 || d.Bytes[0][1] != 32 || d.Messages[1][0] != 1 {
+	if d.Messages[0][1] != 2 || d.Wire[0][1] != 32 || d.Messages[1][0] != 1 {
 		t.Fatalf("delta wrong: %+v", d)
 	}
 	// Sub against a zero-value snapshot is the identity (first superstep).
@@ -124,9 +127,9 @@ func TestMatrixSnapshotSubAddClone(t *testing.T) {
 	}
 	// Folding the base and the delta back together recovers the cumulative.
 	sum := MatrixSnapshot{}.AddInto(base).AddInto(d)
-	if sum.TotalMessages() != cur.TotalMessages() || sum.TotalBytes() != cur.TotalBytes() {
+	if sum.TotalMessages() != cur.TotalMessages() || sum.TotalWireBytes() != cur.TotalWireBytes() {
 		t.Fatalf("AddInto: %d/%d, want %d/%d",
-			sum.TotalMessages(), sum.TotalBytes(), cur.TotalMessages(), cur.TotalBytes())
+			sum.TotalMessages(), sum.TotalWireBytes(), cur.TotalMessages(), cur.TotalWireBytes())
 	}
 	// Clone must not alias.
 	c := cur.Clone()
@@ -140,6 +143,9 @@ func TestMatrixSnapshotSubAddClone(t *testing.T) {
 	}
 	if in := cur.Ingress(); in[0] != 1 || in[1] != 5 {
 		t.Fatalf("ingress %v", in)
+	}
+	if eg, in := cur.EgressBytes(), cur.IngressBytes(); eg[0] != 80 || eg[1] != 16 || in[0] != 16 || in[1] != 80 {
+		t.Fatalf("egress bytes %v, ingress bytes %v", eg, in)
 	}
 }
 

@@ -48,14 +48,11 @@ type MicroResult struct {
 	// Checksum guards against dead-code elimination and wrong results: it is
 	// the sum of the final array, identical across implementations.
 	Checksum float64
-	// PayloadBytes is the logical message volume at 12 bytes/message
-	// (uint32 index + float64 value), identical across implementations.
-	// WireBytes is what each implementation actually materialises to move
-	// that payload: gob frames for hama, header+records for powergraph, zero
-	// for cyclops (direct writes). WireBytes/PayloadBytes is Table 3's
-	// serialisation-envelope factor.
-	PayloadBytes int64
-	WireBytes    int64
+	// WireBytes is what each implementation materialises to move its
+	// messages (12 bytes of uint32 index + float64 value each): gob frames
+	// for hama, header+records for powergraph, zero for cyclops (direct
+	// writes).
+	WireBytes int64
 	// SenderMessages is the per-peer accounting for the microbenchmark: one
 	// count per sender. All traffic targets the single master, so the full
 	// worker×worker matrix collapses to this egress vector; its sum equals
@@ -111,10 +108,6 @@ func microRange(total, senders, s int) (lo, hi int) {
 	hi = (s + 1) * total / senders
 	return
 }
-
-// microPayloadBytes is the logical volume of one run: 12 bytes per (index,
-// value) message, independent of how an implementation encodes it.
-func microPayloadBytes(total int) int64 { return int64(total) * 12 }
 
 func microChecksum(arr []float64) float64 {
 	var sum float64
@@ -192,7 +185,6 @@ func MicroHama(total, senders int) MicroResult {
 		Impl: "hama", Messages: total,
 		Send: send, Parse: parse, Total: send + parse,
 		Checksum:       microChecksum(arr),
-		PayloadBytes:   microPayloadBytes(total),
 		WireBytes:      wire.Load(),
 		SenderMessages: microSenderCounts(total, senders),
 		LinkedBatches:  linked,
@@ -274,7 +266,6 @@ func MicroPowerGraph(total, senders int) MicroResult {
 		Impl: "powergraph", Messages: total,
 		Send: send, Parse: parse, Total: send + parse,
 		Checksum:       microChecksum(arr),
-		PayloadBytes:   microPayloadBytes(total),
 		WireBytes:      wire.Load(),
 		SenderMessages: microSenderCounts(total, senders),
 		LinkedBatches:  linked,
@@ -307,8 +298,7 @@ func MicroCyclops(total, senders int) MicroResult {
 	return MicroResult{
 		Impl: "cyclops", Messages: total,
 		Send: send, Parse: 0, Total: send,
-		Checksum:     microChecksum(arr),
-		PayloadBytes: microPayloadBytes(total),
+		Checksum: microChecksum(arr),
 		// WireBytes stays zero: direct writes materialise no frames at all,
 		// which is precisely the paper's point about the §3.4 one-message
 		// guarantee.

@@ -118,12 +118,12 @@ type rpcBatch[M any] struct {
 }
 
 // NewRPC creates a fully connected loopback transport between n endpoints.
-// sizeOf and codec price payload and wire exactly as NewLocal's do; codec
-// also encodes every frame, so it is required (New rejects a missing one).
-func NewRPC[M any](n int, sizeOf func(M) int64, codec graph.Codec[M]) (*RPC[M], error) {
+// codec prices the wire exactly as NewLocal's does and also encodes every
+// frame, so it is required (New rejects a missing one).
+func NewRPC[M any](n int, codec graph.Codec[M]) (*RPC[M], error) {
 	t := &RPC[M]{
 		n:         n,
-		books:     books[M]{sizeOf: sizeOf, codec: bodyOf(codec), stats: Stats{matrix: NewMatrix(n)}},
+		books:     newBooks(n, codec),
 		encBufs:   make([][][]byte, n),
 		listeners: make([]net.Listener, n),
 		conns:     make([][]net.Conn, n),
@@ -394,7 +394,7 @@ func (t *RPC[M]) Send(from, to int, batch []M) {
 		t.recordErr(&Error{Op: "send", Peer: to, Err: ErrClosed})
 		return
 	}
-	t.bookBatch(from, to, batch, true)
+	t.bookBatch(from, to, len(batch), true)
 	t.encMu[from].Lock()
 	defer t.encMu[from].Unlock()
 	if from == to {

@@ -33,7 +33,7 @@ func drainOrTimeout(t *testing.T, tr *RPC[int], to int) [][]int {
 }
 
 func TestRPCCloseIdempotentConcurrent(t *testing.T) {
-	tr, err := NewRPC[int](3, nil, intCodec{})
+	tr, err := NewRPC[int](3, intCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestRPCCloseIdempotentConcurrent(t *testing.T) {
 }
 
 func TestRPCSendAfterCloseFailsFastTyped(t *testing.T) {
-	tr, err := NewRPC[int](2, nil, intCodec{})
+	tr, err := NewRPC[int](2, intCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestRPCSendAfterCloseFailsFastTyped(t *testing.T) {
 }
 
 func TestRPCFinishRoundOveruseIsTypedViolation(t *testing.T) {
-	tr, err := NewRPC[int](2, nil, intCodec{})
+	tr, err := NewRPC[int](2, intCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestRPCFinishRoundOveruseIsTypedViolation(t *testing.T) {
 }
 
 func TestRPCReconnectRedeliversAndCounts(t *testing.T) {
-	tr, err := NewRPC[int](2, nil, intCodec{})
+	tr, err := NewRPC[int](2, intCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +156,11 @@ func TestRPCReconnectRedeliversAndCounts(t *testing.T) {
 	tr.conns[0][1].Close()
 	tr.encMu[0].Unlock()
 
-	wire0 := tr.Matrix().Snapshot().WireAt(0, 1)
+	wire0 := tr.Matrix().Snapshot().Wire[0][1]
 	tr.Send(0, 1, []int{3, 4, 5})
 	// Frames carry no stream state, so the resent frame is the failed one byte
 	// for byte and is charged once, at exactly its computed size.
-	if got, want := tr.Matrix().Snapshot().WireAt(0, 1)-wire0, frameWireBytes(0, 1, []int{3, 4, 5}, bodyOf[int](intCodec{})); got != want {
+	if got, want := tr.Matrix().Snapshot().Wire[0][1]-wire0, frameWireBytes(0, 1, []int{3, 4, 5}, bodyOf[int](intCodec{})); got != want {
 		t.Fatalf("resent frame charged %d wire bytes, want the frame's %d", got, want)
 	}
 	tr.FinishRound(0)
@@ -185,7 +185,7 @@ func TestRPCReconnectRedeliversAndCounts(t *testing.T) {
 // subset survives, the barrier must see a typed transient error — a
 // checkpointed run rolls back, any other fails — never Err() == nil.
 func TestRPCCorruptFrameIsTypedTransient(t *testing.T) {
-	tr, err := NewRPC[int](2, nil, intCodec{})
+	tr, err := NewRPC[int](2, intCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestRPCCorruptFrameIsTypedTransient(t *testing.T) {
 // sender outside [0,n) must be refused like a marker from one, before its
 // provenance reaches code that indexes by sender.
 func TestRPCBatchFromUnknownSenderRejected(t *testing.T) {
-	tr, err := NewRPC[int](2, nil, intCodec{})
+	tr, err := NewRPC[int](2, intCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}

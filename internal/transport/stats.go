@@ -6,24 +6,29 @@
 // is contention-free, §4.1) — plus a real TCP transport carrying the same
 // length-prefixed binary frames and the Table 3 message-passing
 // microbenchmark. Every transport takes a message codec and books traffic the
-// same way: payload from sizeOf, wire from the frame format, so the harness
-// reports the communication volumes of Figures 10(3) and Table 4 exactly and
-// a run costs the same bytes whichever network carries it.
+// same way: messages per batch, and wire bytes from the frame format, so the
+// harness reports the communication volumes of Figures 10(3) and Table 4
+// exactly and a run costs the same bytes whichever network carries it.
 package transport
 
 import (
 	"fmt"
 	"sync/atomic"
+
+	"cyclops/internal/graph"
 )
 
-// books is the traffic accounting both transports embed: the two functions
-// every batch is priced by (payload, frameWireBytes over codec) and Stats, which holds
-// the one ledger they are booked on — the Matrix, per (from, to) pair —
-// beside the handful of transport-wide counters it keeps for itself.
+// books is the traffic accounting both transports embed: the codec every
+// frame is priced by (frameWireBytes) and Stats, which holds the one ledger
+// batches are booked on — the Matrix, per (from, to) pair — beside the
+// handful of transport-wide counters it keeps for itself.
 type books[M any] struct {
-	sizeOf func(M) int64
-	codec  BodyCodec[M]
-	stats  Stats
+	codec BodyCodec[M]
+	stats Stats
+}
+
+func newBooks[M any](n int, codec graph.Codec[M]) books[M] {
+	return books[M]{codec: bodyOf(codec), stats: Stats{matrix: NewMatrix(n)}}
 }
 
 // Stats exposes the traffic counters.
@@ -32,22 +37,9 @@ func (b *books[M]) Stats() *Stats { return &b.stats }
 // Matrix exposes the per-peer traffic counters.
 func (b *books[M]) Matrix() *Matrix { return b.stats.matrix }
 
-// payload estimates a batch's logical size: sizeOf per message, or a flat 16
-// bytes (two words: vertex id + value) without one.
-func (b *books[M]) payload(batch []M) int64 {
-	if b.sizeOf == nil {
-		return int64(len(batch)) * 16
-	}
-	var n int64
-	for i := range batch {
-		n += b.sizeOf(batch[i])
-	}
-	return n
-}
-
-// bookBatch records one batch from→to.
-func (b *books[M]) bookBatch(from, to int, batch []M, locked bool) {
-	b.stats.matrix.Add(from, to, int64(len(batch)), b.payload(batch))
+// bookBatch records one batch of msgs messages from→to.
+func (b *books[M]) bookBatch(from, to, msgs int, locked bool) {
+	b.stats.matrix.Add(from, to, int64(msgs))
 	b.stats.batches.Add(1)
 	if locked {
 		b.stats.enqueues.Add(1)
@@ -59,8 +51,8 @@ func (b *books[M]) bookWire(from, to int, n int64) {
 	b.stats.matrix.AddWire(from, to, n)
 }
 
-// Stats is the transport-wide view of the traffic. Messages, payload bytes
-// and wire bytes are the Matrix's totals — booked once, per (from, to) pair —
+// Stats is the transport-wide view of the traffic. Messages and wire bytes
+// are the Matrix's totals — booked once, per (from, to) pair —
 // and Stats counts only what has no cell to live in. All of it is updated
 // atomically and may be read concurrently with traffic.
 type Stats struct {
@@ -78,9 +70,6 @@ func (s *Stats) Messages() int64 { return total(s.matrix.messages) }
 
 // Batches reports the total batches sent.
 func (s *Stats) Batches() int64 { return s.batches.Load() }
-
-// Bytes reports the total estimated payload bytes sent.
-func (s *Stats) Bytes() int64 { return total(s.matrix.bytes) }
 
 // WireBytes reports the total binary-frame bytes sent: header + body per
 // batch on both transports — priced in-process per batch (len(batch) ×
@@ -108,9 +97,10 @@ func (s *Stats) Reconnects() int64 { return s.reconnects.Load() }
 
 // Snapshot is a plain-struct copy of the counters for reporting.
 type Snapshot struct {
-	Messages, Batches, Bytes, LockedEnqueues int64
-	// WireBytes is the encoded on-the-wire byte count; Encodes and Decodes
-	// count frame serialisation operations (zero for in-process transports).
+	Messages, Batches, LockedEnqueues int64
+	// WireBytes is the encoded on-the-wire byte count, the run's one byte
+	// count; Encodes and Decodes count frame serialisation operations (zero
+	// for in-process transports).
 	WireBytes, Encodes, Decodes int64
 	Retries, Reconnects         int64
 }
@@ -120,7 +110,6 @@ func (s *Stats) Snapshot() Snapshot {
 	return Snapshot{
 		Messages:       s.Messages(),
 		Batches:        s.Batches(),
-		Bytes:          s.Bytes(),
 		WireBytes:      s.WireBytes(),
 		Encodes:        s.Encodes(),
 		Decodes:        s.Decodes(),
@@ -131,6 +120,6 @@ func (s *Stats) Snapshot() Snapshot {
 }
 
 func (s Snapshot) String() string {
-	return fmt.Sprintf("msgs=%d batches=%d bytes=%d wire=%d locked=%d",
-		s.Messages, s.Batches, s.Bytes, s.WireBytes, s.LockedEnqueues)
+	return fmt.Sprintf("msgs=%d batches=%d wire=%d locked=%d",
+		s.Messages, s.Batches, s.WireBytes, s.LockedEnqueues)
 }

@@ -15,7 +15,7 @@ type msg struct {
 
 func TestLocalDeliversBothModes(t *testing.T) {
 	for _, mode := range []QueueMode{GlobalQueue, PerSenderQueue} {
-		tr := NewLocal[msg](3, mode, nil, msgCodec{})
+		tr := NewLocal[msg](3, mode, msgCodec{})
 		tr.Send(0, 2, []msg{{1, 1.5}, {2, 2.5}})
 		tr.Send(1, 2, []msg{{3, 3.5}})
 		tr.Send(0, 1, []msg{{9, 9}})
@@ -38,7 +38,7 @@ func TestLocalDeliversBothModes(t *testing.T) {
 }
 
 func TestLocalEmptyBatchDropped(t *testing.T) {
-	tr := NewLocal[msg](2, GlobalQueue, nil, msgCodec{})
+	tr := NewLocal[msg](2, GlobalQueue, msgCodec{})
 	tr.Send(0, 1, nil)
 	if tr.Stats().Batches() != 0 || tr.Pending(1) {
 		t.Fatal("empty batch must be dropped entirely")
@@ -46,21 +46,21 @@ func TestLocalEmptyBatchDropped(t *testing.T) {
 }
 
 func TestLocalStatsAndLockAccounting(t *testing.T) {
-	g := NewLocal[msg](2, GlobalQueue, nil, msgCodec{})
+	g := NewLocal[msg](2, GlobalQueue, msgCodec{})
 	g.Send(0, 1, []msg{{1, 1}, {2, 2}})
-	if s := g.Stats().Snapshot(); s.Messages != 2 || s.Batches != 1 || s.Bytes != 32 || s.LockedEnqueues != 1 {
+	if s := g.Stats().Snapshot(); s.Messages != 2 || s.Batches != 1 || s.WireBytes != FrameHeaderBytes+2*12 || s.LockedEnqueues != 1 {
 		t.Fatalf("global stats = %+v", s)
 	}
-	p := NewLocal[msg](2, PerSenderQueue, func(m msg) int64 { return 12 }, msgCodec{})
+	p := NewLocal[msg](2, PerSenderQueue, msgCodec{})
 	p.Send(0, 1, []msg{{1, 1}, {2, 2}, {3, 3}})
-	if s := p.Stats().Snapshot(); s.Messages != 3 || s.Bytes != 36 || s.LockedEnqueues != 0 {
+	if s := p.Stats().Snapshot(); s.Messages != 3 || s.WireBytes != FrameHeaderBytes+3*12 || s.LockedEnqueues != 0 {
 		t.Fatalf("per-sender stats = %+v", s)
 	}
 }
 
 func TestLocalConcurrentSenders(t *testing.T) {
 	for _, mode := range []QueueMode{GlobalQueue, PerSenderQueue} {
-		tr := NewLocal[msg](8, mode, nil, msgCodec{})
+		tr := NewLocal[msg](8, mode, msgCodec{})
 		const per = 500
 		var wg sync.WaitGroup
 		for from := 0; from < 8; from++ {
@@ -95,7 +95,7 @@ func TestLocalConcurrentSenders(t *testing.T) {
 func TestLocalDrainZeroAlloc(t *testing.T) {
 	a, b := []msg{{1, 1}}, []msg{{2, 2}}
 	for _, mode := range []QueueMode{GlobalQueue, PerSenderQueue} {
-		tr := NewLocal[msg](2, mode, nil, msgCodec{})
+		tr := NewLocal[msg](2, mode, msgCodec{})
 		allocs := testing.AllocsPerRun(100, func() {
 			tr.Send(1, 0, b)
 			tr.Send(0, 0, a)
@@ -133,7 +133,7 @@ func TestLocalPricesFixedWidthPerFrame(t *testing.T) {
 		calls int
 	}{{fixedCounting{counted}, 0}, {counted, len(batch)}} {
 		calls = 0
-		tr := NewLocal[int](2, PerSenderQueue, nil, tc.codec)
+		tr := NewLocal[int](2, PerSenderQueue, tc.codec)
 		tr.Send(0, 1, batch)
 		if wire := tr.Stats().WireBytes(); calls != tc.calls || wire != FrameHeaderBytes+8*int64(len(batch)) {
 			t.Errorf("%T: %d EncodedSize calls and %d wire bytes, want %d calls and %d bytes",
@@ -150,7 +150,7 @@ func BenchmarkLocalSend(b *testing.B) {
 	batch := make([]float64, 4096)
 	for _, mode := range []QueueMode{GlobalQueue, PerSenderQueue} {
 		b.Run(mode.String(), func(b *testing.B) {
-			tr := NewLocal[float64](2, mode, nil, graph.Float64Codec{})
+			tr := NewLocal[float64](2, mode, graph.Float64Codec{})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -173,7 +173,7 @@ func TestLocalConservationProperty(t *testing.T) {
 			mode = PerSenderQueue
 		}
 		const n = 4
-		tr := NewLocal[msg](n, mode, nil, msgCodec{})
+		tr := NewLocal[msg](n, mode, msgCodec{})
 		sent := 0
 		for i, p := range plan {
 			from, to := int(p)%n, int(p/4)%n
@@ -195,7 +195,7 @@ func TestLocalConservationProperty(t *testing.T) {
 }
 
 func TestRPCRoundTrip(t *testing.T) {
-	tr, err := NewRPC[msg](3, nil, msgCodec{})
+	tr, err := NewRPC[msg](3, msgCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestRPCRoundTrip(t *testing.T) {
 }
 
 func TestRPCMultipleRounds(t *testing.T) {
-	tr, err := NewRPC[msg](2, nil, msgCodec{})
+	tr, err := NewRPC[msg](2, msgCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestMicroLinkedBatches(t *testing.T) {
 }
 
 func TestRPCErrNilOnHealthyRun(t *testing.T) {
-	tr, err := NewRPC[msg](2, nil, msgCodec{})
+	tr, err := NewRPC[msg](2, msgCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,18 +1,17 @@
 package transport
 
-// Wire accounting tests: the invariants the memory observatory's wire/payload
-// ratio gate stands on. Both transports price a batch with the same two
-// functions — payload from sizeOf, wire from the frame format (header + Σ
-// EncodedSize) — the local one by computing it, the RPC one by writing it;
-// and the two books (Stats and Matrix) agree on the grand total because they
-// are bumped on the same send path.
+// Wire accounting tests: the invariants the gate's exact wire_bytes stands
+// on. Both transports price a batch with one function — the frame format
+// (header + Σ EncodedSize) — the local one by computing it, the RPC one by
+// writing it; and the two books (Stats and Matrix) agree on the grand total
+// because they are bumped on the same send path.
 
 import (
 	"testing"
 )
 
 func TestLocalWireIsHeaderPlusEncodedSize(t *testing.T) {
-	tr := NewLocal[msg](3, PerSenderQueue, nil, msgCodec{})
+	tr := NewLocal[msg](3, PerSenderQueue, msgCodec{})
 	tr.Send(0, 2, []msg{{1, 1.5}, {2, 2.5}})
 	tr.Send(0, 2, []msg{{7, 7.5}})
 	tr.Send(1, 2, []msg{{3, 3.5}})
@@ -27,9 +26,9 @@ func TestLocalWireIsHeaderPlusEncodedSize(t *testing.T) {
 	for f := 0; f < 3; f++ {
 		for to := 0; to < 3; to++ {
 			want := batches[f][to]*FrameHeaderBytes + m.Messages[f][to]*12
-			if m.WireAt(f, to) != want {
+			if m.Wire[f][to] != want {
 				t.Errorf("cell (%d,%d): wire %d, want %d headers + 12 B × %d msgs = %d",
-					f, to, m.WireAt(f, to), batches[f][to], m.Messages[f][to], want)
+					f, to, m.Wire[f][to], batches[f][to], m.Messages[f][to], want)
 			}
 		}
 	}
@@ -39,17 +38,16 @@ func TestLocalWireIsHeaderPlusEncodedSize(t *testing.T) {
 }
 
 // TestRPCWireAccounting pins the two transports to one price list: the same
-// sends cost the same payload everywhere and the same wire on every cell, the
-// self-send included; over sockets each round marker adds one header to its
-// remote cell and nothing else differs.
+// sends cost the same messages everywhere and the same wire on every cell,
+// the self-send included; over sockets each round marker adds one header to
+// its remote cell and nothing else differs.
 func TestRPCWireAccounting(t *testing.T) {
-	sizeOf := func(m msg) int64 { return 12 }
-	tr, err := NewRPC[msg](2, sizeOf, msgCodec{})
+	tr, err := NewRPC[msg](2, msgCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	local := NewLocal[msg](2, PerSenderQueue, sizeOf, msgCodec{})
+	local := NewLocal[msg](2, PerSenderQueue, msgCodec{})
 
 	for _, tr := range []Interface[msg]{tr, local} {
 		tr.Send(0, 1, []msg{{1, 1}, {2, 2}, {3, 3}})
@@ -69,26 +67,39 @@ func TestRPCWireAccounting(t *testing.T) {
 	if s.Encodes != 5 || s.Decodes != 5 {
 		t.Errorf("socket frames: %d encodes / %d decodes, want 5/5 (3 data + 2 markers)", s.Encodes, s.Decodes)
 	}
-	if s.Messages != ls.Messages || s.Bytes != ls.Bytes || s.Bytes != 6*12 {
-		t.Errorf("payload books differ: rpc %d msgs / %d B, local %d msgs / %d B (want sizeOf's 72 B on both)",
-			s.Messages, s.Bytes, ls.Messages, ls.Bytes)
+	if s.Messages != ls.Messages || s.Messages != 6 {
+		t.Errorf("message books differ: rpc %d, local %d (want 6 on both)", s.Messages, ls.Messages)
+	}
+	if want := ls.WireBytes + 2*FrameHeaderBytes; s.WireBytes != want {
+		t.Errorf("rpc wire %d, want local %d + 2 markers = %d", s.WireBytes, ls.WireBytes, want)
 	}
 	m, lm := tr.Matrix().Snapshot(), local.Matrix().Snapshot()
 	for f := 0; f < 2; f++ {
 		for to := 0; to < 2; to++ {
-			want := lm.WireAt(f, to)
+			want := lm.Wire[f][to]
 			if f != to {
 				want += FrameHeaderBytes // f's round marker to `to`
 			}
-			if m.WireAt(f, to) != want {
+			if m.Wire[f][to] != want {
 				t.Errorf("cell (%d,%d): rpc wire %d, want local %d + marker = %d",
-					f, to, m.WireAt(f, to), lm.WireAt(f, to), want)
+					f, to, m.Wire[f][to], lm.Wire[f][to], want)
 			}
 		}
 	}
-	if m.TotalWireBytes() != s.WireBytes || m.TotalBytes() != s.Bytes {
-		t.Errorf("matrix totals (%d wire / %d payload) != stats totals (%d / %d)",
-			m.TotalWireBytes(), m.TotalBytes(), s.WireBytes, s.Bytes)
+	if m.TotalWireBytes() != s.WireBytes || lm.TotalWireBytes() != ls.WireBytes {
+		t.Errorf("matrix wire totals (rpc %d, local %d) != stats totals (%d, %d)",
+			m.TotalWireBytes(), lm.TotalWireBytes(), s.WireBytes, ls.WireBytes)
+	}
+}
+
+// TestNewRejectsSizeEstimate pins the one byte book: the codec prices every
+// frame, and a per-message size estimate is refused rather than ignored.
+func TestNewRejectsSizeEstimate(t *testing.T) {
+	for _, network := range []Network{InProcess, TCPLoopback} {
+		_, err := New[msg](network, 2, PerSenderQueue, func(msg) int64 { return 16 }, msgCodec{})
+		if err == nil {
+			t.Errorf("%v: New accepted a size estimate beside the codec", network)
+		}
 	}
 }
 
@@ -97,11 +108,6 @@ func TestMicroWireBytes(t *testing.T) {
 	h := MicroHama(total, senders)
 	p := MicroPowerGraph(total, senders)
 	c := MicroCyclops(total, senders)
-	if h.PayloadBytes != microPayloadBytes(total) || p.PayloadBytes != h.PayloadBytes ||
-		c.PayloadBytes != h.PayloadBytes {
-		t.Errorf("payload bytes disagree: hama %d powergraph %d cyclops %d",
-			h.PayloadBytes, p.PayloadBytes, c.PayloadBytes)
-	}
 	// Hama materialises gob frames; the exact size depends on gob's varint
 	// compression (integer-valued floats encode short, so wire can land under
 	// the 12-byte/message logical volume), but frames always exist.
@@ -115,10 +121,10 @@ func TestMicroWireBytes(t *testing.T) {
 		lo, hi := microRange(total, senders, s)
 		batches += int64((hi - lo + microBatch - 1) / microBatch)
 	}
-	if want := p.PayloadBytes + 16*batches; p.WireBytes != want {
-		t.Errorf("powergraph micro: wire %d, want payload+headers %d", p.WireBytes, want)
+	if want := 12*int64(total) + 16*batches; p.WireBytes != want {
+		t.Errorf("powergraph micro: wire %d, want records+headers %d", p.WireBytes, want)
 	}
-	// Cyclops writes replicas directly: payload moves, no frame exists.
+	// Cyclops writes replicas directly: values move, no frame exists.
 	if c.WireBytes != 0 {
 		t.Errorf("cyclops micro: wire %d, want 0 (replica sync serialises nothing)", c.WireBytes)
 	}
