@@ -85,8 +85,8 @@ func TestAuditCatchesMessageLoss(t *testing.T) {
 			// Discard everything in flight — messages superstep 1 put on the
 			// wire that superstep 2 will now never deliver. (At step 1 the max
 			// has propagated one hop, so exactly one envelope is queued.)
-			e.tr.Drain(0)
-			e.tr.Drain(1)
+			e.Tr.Drain(0)
+			e.Tr.Drain(1)
 		}
 	})
 	_, err := e.Run()
@@ -99,7 +99,7 @@ func TestAuditCatchesInjectedMessages(t *testing.T) {
 	e = newAuditEngine(t, log, func(step int, _ *Engine[float64, float64]) {
 		if step == 1 {
 			// Forge an envelope no SND phase accounted for.
-			e.tr.Send(0, 0, []envelope[float64]{{Dst: e.owned[0][0], Msg: 1}})
+			e.Tr.Send(0, 0, []envelope[float64]{{Dst: e.owned[0][0], Msg: 1}})
 		}
 	})
 	_, err := e.Run()

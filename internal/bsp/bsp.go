@@ -120,8 +120,10 @@ type PendingBatch[M any] struct {
 	Batch []envelope[M]
 }
 
-// Engine executes a Program over a partitioned graph.
+// Engine executes a Program over a partitioned graph. Its Shell holds the
+// transport, trace and superstep counter.
 type Engine[V, M any] struct {
+	superstep.Shell[envelope[M]]
 	g      *graph.Graph
 	prog   Program[V, M]
 	cfg    Config[V, M]
@@ -141,17 +143,8 @@ type Engine[V, M any] struct {
 	// touches the buffers again.
 	ctxs []*Context[V, M]
 
-	tr    transport.Interface[envelope[M]]
-	inj   superstep.Injector // nil without a FaultPlan
-	agg   *aggregate.Registry
-	trace *metrics.Trace
-
-	step   int
+	agg    *aggregate.Registry
 	primed bool
-
-	// runSeq numbers Run calls on this engine (1-based); it becomes the
-	// span stream's Run id, so restored engines keep distinct run spans.
-	runSeq int64
 
 	// auditPrevSent is the wire-level envelope count of the previous SND
 	// phase, compared against the next PRS delivery count when Audit is on.
@@ -160,9 +153,6 @@ type Engine[V, M any] struct {
 	// must be taken at flush time, and a restore replaces in-flight state.
 	auditPrevSent int64
 }
-
-// Close releases transport resources (sockets in TCPLoopback mode).
-func (e *Engine[V, M]) Close() error { return e.tr.Close() }
 
 // New builds an engine: partitions the graph, initialises vertex values and
 // wires the transport with Hama's locked global in-queues.
@@ -174,16 +164,7 @@ func New[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[V, M]) (*Engin
 	if cfg.Partitioner == nil {
 		cfg.Partitioner = partition.Hash{}
 	}
-	if cfg.MaxSupersteps <= 0 {
-		cfg.MaxSupersteps = 100
-	}
 	workers := cfg.Cluster.Workers()
-	if cfg.CheckpointEvery > 0 && cfg.CheckpointDir == "" {
-		return nil, fmt.Errorf("bsp: %w", superstep.ErrNoCheckpointDir)
-	}
-	if cfg.Network != transport.InProcess && cfg.CheckpointDir != "" {
-		return nil, errors.New("bsp: checkpointing requires the in-process network")
-	}
 	assign, err := cfg.Partitioner.Partition(g, workers)
 	if err != nil {
 		return nil, fmt.Errorf("bsp: partition: %w", err)
@@ -193,17 +174,27 @@ func New[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[V, M]) (*Engin
 			return nil, fmt.Errorf("bsp: %w", err)
 		}
 	}
-	tr, err := transport.New[envelope[M]](cfg.Network, workers, queueMode(cfg.PerSenderQueues),
-		nil, envelopeCodec[M]{inner: cfg.MsgCodec})
+	// The slot layout is built once at partition time: owned[w] aliases the
+	// layout's flat CSR of master ids (ascending within each worker, same
+	// order the append loop used to produce).
+	layout, err := partition.NewLayout(assign, g.NumVertices())
 	if err != nil {
-		return nil, fmt.Errorf("bsp: transport: %w", err)
+		return nil, fmt.Errorf("bsp: layout: %w", err)
 	}
-	var inj superstep.Injector
-	if cfg.FaultPlan != nil {
-		wrapped := fault.Wrap(tr, *cfg.FaultPlan)
-		tr, inj = wrapped, wrapped
+	mode := transport.GlobalQueue
+	if cfg.PerSenderQueues {
+		mode = transport.PerSenderQueue
+	}
+	sh, err := superstep.Open(superstep.Options{
+		Name: "bsp", Engine: "hama", Graph: g, Workers: workers,
+		Network: cfg.Network, MaxSupersteps: cfg.MaxSupersteps, CheckpointDir: cfg.CheckpointDir,
+		CheckpointEvery: cfg.CheckpointEvery, Hooks: cfg.Hooks, FaultPlan: cfg.FaultPlan,
+	}, mode, envelopeCodec[M]{inner: cfg.MsgCodec})
+	if err != nil {
+		return nil, err
 	}
 	e := &Engine[V, M]{
+		Shell:  sh,
 		g:      g,
 		prog:   prog,
 		cfg:    cfg,
@@ -212,19 +203,9 @@ func New[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[V, M]) (*Engin
 		values: make([]V, g.NumVertices()),
 		halted: make([]bool, g.NumVertices()),
 		inbox:  make([][]M, g.NumVertices()),
-		tr:     tr,
-		inj:    inj,
 		agg:    aggregate.NewRegistry(),
-		trace:  &metrics.Trace{Engine: "hama", Workers: workers},
 
 		auditPrevSent: -1,
-	}
-	// The slot layout is built once at partition time: owned[w] aliases the
-	// layout's flat CSR of master ids (ascending within each worker, same
-	// order the append loop used to produce).
-	layout, err := partition.NewLayout(assign, g.NumVertices())
-	if err != nil {
-		return nil, fmt.Errorf("bsp: layout: %w", err)
 	}
 	for w := 0; w < workers; w++ {
 		e.owned[w] = layout.Masters(w)
@@ -246,13 +227,6 @@ func New[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[V, M]) (*Engin
 		e.ctxs[w] = ctx
 	}
 	return e, nil
-}
-
-func queueMode(perSender bool) transport.QueueMode {
-	if perSender {
-		return transport.PerSenderQueue
-	}
-	return transport.GlobalQueue
 }
 
 // envelopeCodec frames an envelope as a 4-byte destination id followed by
@@ -291,9 +265,6 @@ func (c envelopeCodec[M]) Decode(src []byte) (envelope[M], int, error) {
 	return env, 4 + n, nil
 }
 
-// Graph returns the input graph.
-func (e *Engine[V, M]) Graph() *graph.Graph { return e.g }
-
 // Values returns the vertex values indexed by vertex id. Only consistent
 // between supersteps (i.e. inside OnStep or after Run).
 func (e *Engine[V, M]) Values() []V { return e.values }
@@ -304,12 +275,6 @@ func (e *Engine[V, M]) Assignment() *partition.Assignment { return e.assign }
 // Aggregates exposes the previous superstep's folded aggregator values.
 func (e *Engine[V, M]) Aggregates() *aggregate.Registry { return e.agg }
 
-// Trace returns the per-superstep statistics collected so far.
-func (e *Engine[V, M]) Trace() *metrics.Trace { return e.trace }
-
-// Superstep reports the current superstep index.
-func (e *Engine[V, M]) Superstep() int { return e.step }
-
 // Context is the per-vertex view handed to Compute. A Context is only valid
 // during the Compute call it is passed to.
 type Context[V, M any] struct {
@@ -319,7 +284,6 @@ type Context[V, M any] struct {
 	changed bool
 	sent    int64
 	local   aggregate.Partial
-	resid   []float64       // residual samples, when cfg.Residual is set
 	out     [][]envelope[M] // per destination worker, reused across supersteps
 	// Combiner coalescing state (allocated once when cfg.Combiner is set):
 	// combineIdx[dst] is the index of dst's envelope in out[owner(dst)],
@@ -334,7 +298,7 @@ type Context[V, M any] struct {
 func (c *Context[V, M]) Vertex() graph.ID { return c.vid }
 
 // Superstep returns the current superstep index.
-func (c *Context[V, M]) Superstep() int { return c.e.step }
+func (c *Context[V, M]) Superstep() int { return c.e.Superstep() }
 
 // NumVertices returns the graph's vertex count.
 func (c *Context[V, M]) NumVertices() int { return c.e.g.NumVertices() }
@@ -348,7 +312,8 @@ func (c *Context[V, M]) SetValue(v V) {
 		c.changed = true
 	}
 	if r := c.e.cfg.Residual; r != nil {
-		c.resid = append(c.resid, r(c.e.values[c.vid], v))
+		rows := c.e.Residuals
+		rows[c.worker] = append(rows[c.worker], r(c.e.values[c.vid], v))
 	}
 	c.e.values[c.vid] = v
 }
@@ -409,22 +374,13 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		// Establish round 0 so the first superstep's drain has markers to
 		// consume on round-based transports.
 		for w := 0; w < workers; w++ {
-			e.tr.FinishRound(w)
+			e.Tr.FinishRound(w)
 		}
 		e.primed = true
 	}
-	k := superstep.New(superstep.Config{
-		Name: "bsp", Workers: workers, Vertices: e.g.NumVertices(),
-		Hooks: e.cfg.Hooks, Link: e.tr, Injector: e.inj, Trace: e.trace,
-		Step: &e.step, RunSeq: &e.runSeq, MaxSupersteps: e.cfg.MaxSupersteps,
-		CheckpointEvery: e.cfg.CheckpointEvery,
-		Checkpoints:     superstep.Dir(e.cfg.CheckpointDir, e.snapshot, e.Restore),
-		Info: func() obs.RunInfo {
+	k := e.Kernel(
+		func() obs.RunInfo {
 			return obs.RunInfo{
-				Engine:   e.trace.Engine,
-				Workers:  workers,
-				Vertices: e.g.NumVertices(),
-				Edges:    e.g.NumEdges(),
 				// Replicas and ReplicaValueBytes stay zero: Hama has no
 				// replicated view — it pays in message buffers instead, which
 				// is exactly the memory trade Table 4/5 compares. Its heat
@@ -433,8 +389,8 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 				PartitionBalance: e.assign.Balance(),
 			}
 		},
-		Owner: func(v int) int { return e.assign.Of[v] },
-	})
+		func(v int) int { return e.assign.Of[v] },
+		superstep.Dir(e.snapshot, e.Restore))
 	// WorkerStats.Sent reports logical sends; the span stream weighs Send
 	// spans by the post-combiner envelopes that actually hit the wire.
 	k.Wire = make([]int64, workers)
@@ -444,13 +400,12 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 	for w := range partials {
 		partials[w] = &e.ctxs[w].local
 	}
-	var residuals []float64
 	var sentTotal int64
 
 	// PRS: drain the locked global in-queue, group messages per vertex,
 	// reactivate recipients. One thread per worker, as in Hama.
 	parse := func(w int) {
-		batches := e.tr.Drain(w)
+		batches := e.Tr.Drain(w)
 		var recv int64
 		for _, batch := range batches {
 			recv += int64(len(batch))
@@ -469,7 +424,6 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		// table resets by stamp advance, and the aggregate partial by Reset.
 		ctx := e.ctxs[w]
 		ctx.local.Reset()
-		ctx.resid = ctx.resid[:0]
 		ctx.stamp++
 		for to := range ctx.out {
 			ctx.out[to] = ctx.out[to][:0]
@@ -511,9 +465,9 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		var wire int64
 		for to, batch := range e.ctxs[w].out {
 			wire += int64(len(batch))
-			e.tr.Send(w, to, batch)
+			e.Tr.Send(w, to, batch)
 		}
-		e.tr.FinishRound(w)
+		e.Tr.FinishRound(w)
 		k.Wire[w] = wire
 	}
 
@@ -535,7 +489,6 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		// SYN: barrier — fold aggregates and account the superstep.
 		Sync: func(stats *metrics.StepStats) {
 			e.agg.Fold(partials)
-			residuals = residuals[:0]
 			for w := 0; w < workers; w++ {
 				stats.Active += k.Active[w]
 				stats.Changed += changed[w]
@@ -543,22 +496,14 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 				stats.RedundantMessages += redundant[w]
 				stats.ComputeUnitsMax = max(stats.ComputeUnitsMax, k.Units[w])
 				stats.SendMax = max(stats.SendMax, k.Sent[w])
-				residuals = append(residuals, e.ctxs[w].resid...)
 			}
 			sentTotal = stats.Messages
-			if e.cfg.Residual != nil {
-				stats.SetResiduals(residuals)
-			}
 			stats.RecvMax = e.nextRecvMax()
 			stats.ModelNanos = model.StepCost(
 				stats.ComputeUnitsMax, stats.SendMax, stats.RecvMax,
 				1, 1, workers, !e.cfg.PerSenderQueues, model.FlatBarrier(workers))
 		},
-		OnStep: func(step int) {
-			if e.cfg.OnStep != nil {
-				e.cfg.OnStep(step, e)
-			}
-		},
+		OnStep: superstep.Bind(e.cfg.OnStep, e),
 		// Nothing sent and nobody awake ends the run; any message in flight
 		// reactivates at least one vertex.
 		Pending: func() int64 { return e.countActive() + min(sentTotal, 1) },
@@ -566,7 +511,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 			return e.cfg.Halt != nil && e.cfg.Halt(step, e.agg.Value, pending)
 		},
 	}
-	return e.trace, k.Run(ps)
+	return e.Trace(), k.Run(ps)
 }
 
 // auditConservation checks (Audit on) that every envelope the previous SND
@@ -584,14 +529,14 @@ func (e *Engine[V, M]) auditConservation(recv []int64) []obs.Violation {
 		return nil
 	}
 	return []obs.Violation{{
-		Engine: e.trace.Engine,
-		Step:   e.step,
+		Engine: e.Trace().Engine,
+		Step:   e.Superstep(),
 		Worker: -1,
 		Vertex: -1,
 		Kind:   obs.ViolationMessageConservation,
 		Detail: fmt.Sprintf(
 			"superstep %d delivered %d envelopes but superstep %d put %d on the wire",
-			e.step, delivered, e.step-1, e.auditPrevSent),
+			e.Superstep(), delivered, e.Superstep()-1, e.auditPrevSent),
 	}}
 }
 
@@ -619,9 +564,6 @@ func (e *Engine[V, M]) countActive() int64 {
 	return n
 }
 
-// TransportStats exposes the raw traffic counters.
-func (e *Engine[V, M]) TransportStats() transport.Snapshot { return e.tr.Stats().Snapshot() }
-
 // snapshot captures the state superstep step starts from, including
 // undelivered messages (called between supersteps only).
 func (e *Engine[V, M]) snapshot(step int) State[V, M] {
@@ -633,9 +575,9 @@ func (e *Engine[V, M]) snapshot(step int) State[V, M] {
 	// Drain and re-send so the checkpoint owns a copy and the queue state
 	// is unchanged.
 	for w := 0; w < e.cfg.Cluster.Workers(); w++ {
-		for _, batch := range e.tr.Drain(w) {
+		for _, batch := range e.Tr.Drain(w) {
 			s.Pending = append(s.Pending, PendingBatch[M]{To: w, Batch: append([]envelope[M](nil), batch...)})
-			e.tr.Send(w, w, batch)
+			e.Tr.Send(w, w, batch)
 		}
 	}
 	return s
@@ -644,12 +586,6 @@ func (e *Engine[V, M]) snapshot(step int) State[V, M] {
 // Restore rewinds the engine to a checkpointed state (§3.6 recovery). The
 // engine must have been built over the same graph and configuration.
 func (e *Engine[V, M]) Restore(s State[V, M]) error {
-	if e.cfg.Network != transport.InProcess {
-		return errors.New("bsp: restore requires the in-process network")
-	}
-	if len(s.Values) != len(e.values) || len(s.Halted) != len(e.halted) {
-		return errors.New("bsp: checkpoint shape does not match engine")
-	}
 	for _, p := range s.Pending { // an empty batch is never sent
 		for _, env := range p.Batch {
 			if int(env.Dst) >= len(e.values) || e.assign.Of[env.Dst] != p.To {
@@ -657,18 +593,17 @@ func (e *Engine[V, M]) Restore(s State[V, M]) error {
 			}
 		}
 	}
+	if err := e.Rewind(s.Step, len(s.Values), len(s.Halted)); err != nil {
+		return err
+	}
 	copy(e.values, s.Values)
 	copy(e.halted, s.Halted)
-	for w := 0; w < e.cfg.Cluster.Workers(); w++ {
-		e.tr.Drain(w) // discard any in-flight state
-	}
 	for _, p := range s.Pending {
-		e.tr.Send(p.To, p.To, append([]envelope[M](nil), p.Batch...))
+		e.Tr.Send(p.To, p.To, append([]envelope[M](nil), p.Batch...))
 	}
 	for v := range e.inbox {
 		e.inbox[v] = e.inbox[v][:0]
 	}
-	e.step = s.Step
 	e.auditPrevSent = -1 // restored pending state has no audited SND phase
 	return nil
 }

@@ -58,6 +58,22 @@ func Load[S any](dir string, step int) (S, error) {
 	return state, nil
 }
 
+// Retire removes every checkpoint in dir newer than superstep after.
+func Retire(dir string, after int) error {
+	steps, err := Steps(dir)
+	if err != nil {
+		return err
+	}
+	for _, step := range steps {
+		if step > after {
+			if err := os.Remove(filepath.Join(dir, fmt.Sprintf("step-%06d.ckpt", step))); err != nil {
+				return fmt.Errorf("checkpoint: %w", err)
+			}
+		}
+	}
+	return nil
+}
+
 // Steps lists the supersteps with saved checkpoints, ascending.
 func Steps(dir string) ([]int, error) {
 	entries, err := os.ReadDir(dir)

@@ -64,6 +64,13 @@ func TestStepsAndLatest(t *testing.T) {
 	if at != 10 || st.Step != 10 {
 		t.Fatalf("latest = %d (%+v)", at, st)
 	}
+	// Retiring everything after 2 leaves 2 the latest.
+	if err := checkpoint.Retire(dir, 2); err != nil {
+		t.Fatal(err)
+	}
+	if steps, err := checkpoint.Steps(dir); err != nil || len(steps) != 1 || steps[0] != 2 {
+		t.Fatalf("after Retire(2): %v %v", steps, err)
+	}
 }
 
 func TestStepsEmptyAndAbsentDir(t *testing.T) {

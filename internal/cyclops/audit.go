@@ -37,8 +37,8 @@ func (e *Engine[V, M]) auditDeliveries(w int, batches [][]syncMsg[M]) []obs.Viol
 				seen[int(m.Slot)-numMasters]++
 			} else if len(out) < auditMaxViolations {
 				out = append(out, obs.Violation{
-					Engine: e.trace.Engine,
-					Step:   e.step,
+					Engine: e.Trace().Engine,
+					Step:   e.Superstep(),
 					Worker: w,
 					Vertex: int64(ws.masters[m.Slot]),
 					Kind:   obs.ViolationReplicaToMaster,
@@ -53,8 +53,8 @@ func (e *Engine[V, M]) auditDeliveries(w int, batches [][]syncMsg[M]) []obs.Viol
 	for r, n := range seen {
 		if n > 1 && len(out) < auditMaxViolations {
 			out = append(out, obs.Violation{
-				Engine: e.trace.Engine,
-				Step:   e.step,
+				Engine: e.Trace().Engine,
+				Step:   e.Superstep(),
 				Worker: w,
 				Vertex: int64(e.replicaVertex(w, int32(numMasters+r))),
 				Kind:   obs.ViolationDoubleDelivery,
@@ -77,8 +77,8 @@ func (e *Engine[V, M]) auditViewConsistency() []obs.Violation {
 					continue
 				}
 				out = append(out, obs.Violation{
-					Engine: e.trace.Engine,
-					Step:   e.step,
+					Engine: e.Trace().Engine,
+					Step:   e.Superstep(),
 					Worker: p,
 					Vertex: int64(ws.masters[pe.master]),
 					Kind:   obs.ViolationReplicaDesync,

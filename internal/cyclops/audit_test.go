@@ -172,7 +172,7 @@ func TestAuditCatchesDoubleDelivery(t *testing.T) {
 			// master's, so the view stays consistent — only the at-most-one-
 			// message invariant is broken.
 			s := findReplica(t, e, 1, 0)
-			e.tr.Send(1, 1, []syncMsg[float64]{{Slot: s, Val: 0.5}, {Slot: s, Val: 0.5}})
+			e.Tr.Send(1, 1, []syncMsg[float64]{{Slot: s, Val: 0.5}, {Slot: s, Val: 0.5}})
 		}
 	})
 	_, err := e.Run()
@@ -200,7 +200,7 @@ func TestAuditCatchesReplicaToMasterTraffic(t *testing.T) {
 		if step == 1 {
 			// Slot 0 on worker 1 is vertex 2's master slot: upward traffic,
 			// which the Cyclops communication structure forbids outright.
-			e.tr.Send(0, 1, []syncMsg[float64]{{Slot: 0, Val: 777}})
+			e.Tr.Send(0, 1, []syncMsg[float64]{{Slot: 0, Val: 777}})
 		}
 	})
 	_, err := e.Run()

@@ -1,11 +1,5 @@
 package cyclops
 
-import (
-	"errors"
-
-	"cyclops/internal/transport"
-)
-
 // State is the checkpointable engine state. Per §3.6, Cyclops checkpoints
 // are smaller than Hama's: replicas and messages are excluded — only master
 // values, published views and activation flags are saved, and replicas are
@@ -18,7 +12,7 @@ type State[V, M any] struct {
 }
 
 // Snapshot captures the engine's current state, as a checkpoint of it would.
-func (e *Engine[V, M]) Snapshot() State[V, M] { return e.snapshot(e.step) }
+func (e *Engine[V, M]) Snapshot() State[V, M] { return e.snapshot(e.Superstep()) }
 
 // snapshot captures the state superstep step starts from (called between
 // supersteps only).
@@ -44,27 +38,26 @@ func (e *Engine[V, M]) snapshot(step int) State[V, M] {
 // every replica from its master's published value (the recovery round that
 // replaces Hama's message replay).
 func (e *Engine[V, M]) Restore(s State[V, M]) error {
-	if e.cfg.Network != transport.InProcess {
-		return errors.New("cyclops: restore requires the in-process network")
+	if err := e.Rewind(s.Step, len(s.Values), len(s.View), len(s.Active)); err != nil {
+		return err
 	}
-	n := e.g.NumVertices()
-	if len(s.Values) != n || len(s.View) != n || len(s.Active) != n {
-		return errors.New("cyclops: checkpoint shape does not match engine")
-	}
+	e.load(s)
+	return nil
+}
+
+// load hands every master s covers its value, view entry and activation flag,
+// then re-syncs every replica from its master. A master beyond s (a vertex
+// Evolve added) keeps its Init state.
+func (e *Engine[V, M]) load(s State[V, M]) {
 	for _, ws := range e.ws {
 		for i, id := range ws.masters {
-			ws.values[i] = s.Values[id]
-			ws.view[i] = s.View[id]
-			ws.frontier.Set(i, s.Active[id])
+			if int(id) < len(s.Values) {
+				ws.values[i], ws.view[i] = s.Values[id], s.View[id]
+				ws.frontier.Set(i, s.Active[id])
+			}
 		}
 	}
 	e.refreshReplicas()
-	// Discard any undelivered sync messages from the aborted superstep.
-	for w := 0; w < e.cfg.Cluster.Workers(); w++ {
-		e.tr.Drain(w)
-	}
-	e.step = s.Step
-	return nil
 }
 
 // refreshReplicas copies every master's view value to its replicas: a

@@ -42,7 +42,7 @@ func (c *Context[V, M]) setSlot(s int) {
 func (c *Context[V, M]) Vertex() graph.ID { return c.ws.masters[c.slot] }
 
 // Superstep returns the current superstep index.
-func (c *Context[V, M]) Superstep() int { return c.e.step }
+func (c *Context[V, M]) Superstep() int { return c.e.Superstep() }
 
 // NumVertices returns the graph's vertex count.
 func (c *Context[V, M]) NumVertices() int { return c.e.g.NumVertices() }

@@ -27,7 +27,6 @@ import (
 	"cyclops/internal/cluster"
 	"cyclops/internal/fault"
 	"cyclops/internal/graph"
-	"cyclops/internal/metrics"
 	"cyclops/internal/obs"
 	"cyclops/internal/partition"
 	"cyclops/internal/superstep"
@@ -157,8 +156,10 @@ type IngressStats struct {
 	Replicas int64
 }
 
-// Engine executes a Program over the distributed immutable view.
+// Engine executes a Program over the distributed immutable view. Its Shell
+// holds the transport, trace and superstep counter.
 type Engine[V, M any] struct {
+	superstep.Shell[syncMsg[M]]
 	g       *graph.Graph
 	prog    Program[V, M]
 	cfg     Config[V, M]
@@ -166,16 +167,8 @@ type Engine[V, M any] struct {
 	layout  *partition.Layout      // vertex → master slot on its owner
 	plan    []graph.CSR[planEntry] // per worker, one row per peer: the replica topology
 	ws      []*workerState[V, M]
-	tr      transport.Interface[syncMsg[M]]
-	inj     superstep.Injector // nil without a FaultPlan
 	agg     *aggregate.Registry
-	trace   *metrics.Trace
 	ingress IngressStats
-	step    int
-
-	// runSeq numbers Run calls on this engine (1-based); it becomes the
-	// span stream's Run id, so restored engines keep distinct run spans.
-	runSeq int64
 }
 
 // New partitions the graph, creates the replicas that form the distributed
@@ -189,16 +182,7 @@ func New[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[V, M]) (*Engin
 	if cfg.Partitioner == nil {
 		cfg.Partitioner = partition.Hash{}
 	}
-	if cfg.MaxSupersteps <= 0 {
-		cfg.MaxSupersteps = 100
-	}
 	workers := cfg.Cluster.Workers()
-	if cfg.CheckpointEvery > 0 && cfg.CheckpointDir == "" {
-		return nil, fmt.Errorf("cyclops: %w", superstep.ErrNoCheckpointDir)
-	}
-	if cfg.Network != transport.InProcess && cfg.CheckpointDir != "" {
-		return nil, errors.New("cyclops: checkpointing requires the in-process network")
-	}
 	assign, err := cfg.Partitioner.Partition(g, workers)
 	if err != nil {
 		return nil, fmt.Errorf("cyclops: partition: %w", err)
@@ -219,22 +203,19 @@ func New[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[V, M]) (*Engin
 		assign: assign,
 		ws:     make([]*workerState[V, M], workers),
 		agg:    aggregate.NewRegistry(),
-		trace:  &metrics.Trace{Engine: name, Workers: workers},
 	}
 	if err := e.buildView(); err != nil {
 		return nil, fmt.Errorf("cyclops: %w", err)
 	}
 	// The sync codec addresses replicas through the plan buildView fixed.
-	tr, err := transport.New[syncMsg[M]](cfg.Network, workers, transport.PerSenderQueue,
-		nil, syncCodec[M]{inner: cfg.MsgCodec, width: graph.FixedSize(cfg.MsgCodec), plan: e.plan})
+	e.Shell, err = superstep.Open(superstep.Options{
+		Name: "cyclops", Engine: name, Graph: g, Workers: workers,
+		Network: cfg.Network, MaxSupersteps: cfg.MaxSupersteps, CheckpointDir: cfg.CheckpointDir,
+		CheckpointEvery: cfg.CheckpointEvery, Hooks: cfg.Hooks, FaultPlan: cfg.FaultPlan,
+	}, transport.PerSenderQueue, syncCodec[M]{inner: cfg.MsgCodec, width: graph.FixedSize(cfg.MsgCodec), plan: e.plan})
 	if err != nil {
-		return nil, fmt.Errorf("cyclops: transport: %w", err)
+		return nil, err
 	}
-	if cfg.FaultPlan != nil {
-		wrapped := fault.Wrap(tr, *cfg.FaultPlan)
-		tr, e.inj = wrapped, wrapped
-	}
-	e.tr = tr
 	return e, nil
 }
 
@@ -364,17 +345,11 @@ func (e *Engine[V, M]) buildView() error {
 	return nil
 }
 
-// Graph returns the input graph.
-func (e *Engine[V, M]) Graph() *graph.Graph { return e.g }
-
 // Assignment exposes the partition.
 func (e *Engine[V, M]) Assignment() *partition.Assignment { return e.assign }
 
 // Aggregates exposes the folded aggregator values of the last barrier.
 func (e *Engine[V, M]) Aggregates() *aggregate.Registry { return e.agg }
-
-// Trace returns per-superstep statistics.
-func (e *Engine[V, M]) Trace() *metrics.Trace { return e.trace }
 
 // Ingress returns the replica-creation statistics (Figure 13(1), Table 4).
 func (e *Engine[V, M]) Ingress() IngressStats { return e.ingress }
@@ -387,9 +362,6 @@ func (e *Engine[V, M]) ReplicationFactor() float64 {
 	return float64(e.ingress.Replicas) / float64(e.g.NumVertices())
 }
 
-// Superstep reports the current superstep index.
-func (e *Engine[V, M]) Superstep() int { return e.step }
-
 // Values assembles the global vertex state indexed by vertex id.
 func (e *Engine[V, M]) Values() []V {
 	out := make([]V, e.g.NumVertices())
@@ -401,9 +373,6 @@ func (e *Engine[V, M]) Values() []V {
 	return out
 }
 
-// TransportStats exposes raw traffic counters.
-func (e *Engine[V, M]) TransportStats() transport.Snapshot { return e.tr.Stats().Snapshot() }
-
 // workerReplicas reports how many replicas each worker hosts (the skew
 // profiler's replica-placement vector).
 func (e *Engine[V, M]) workerReplicas() []int64 {
@@ -413,6 +382,3 @@ func (e *Engine[V, M]) workerReplicas() []int64 {
 	}
 	return out
 }
-
-// Close releases transport resources (sockets in TCPLoopback mode).
-func (e *Engine[V, M]) Close() error { return e.tr.Close() }

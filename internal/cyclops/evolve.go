@@ -36,7 +36,8 @@ func (e *Engine[V, M]) Evolve(added []graph.Edge) (*Engine[V, M], error) {
 	}
 
 	// Reuse the old configuration (partitioner included) for the new epoch.
-	// The checkpoint directory and hooks carry over untouched.
+	// The checkpoint directory and hooks carry over untouched; the new
+	// epoch's baseline save retires the old epoch's later checkpoints.
 	next, err := New[V, M](grown, e.prog, e.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("cyclops: evolve: %w", err)
@@ -44,22 +45,9 @@ func (e *Engine[V, M]) Evolve(added []graph.Edge) (*Engine[V, M], error) {
 	// Each epoch gets a fresh superstep budget and trace (epochs are
 	// separate computations, as in Kineograph).
 
-	// Transfer master state: values, published views, activation.
-	old := e.Snapshot()
-	for _, ws := range next.ws {
-		for i, id := range ws.masters {
-			if int(id) >= len(old.Values) {
-				continue // new vertex: keep its Init state
-			}
-			ws.values[i] = old.Values[id]
-			ws.view[i] = old.View[id]
-			if old.Active[id] {
-				ws.frontier.Set(i, true)
-			}
-		}
-	}
-	// Carry the views over to the replicas, as a checkpoint restore does.
-	next.refreshReplicas()
+	// Transfer master state (values, published views, activation) and carry
+	// the views over to the replicas, as a checkpoint restore does.
+	next.load(e.Snapshot())
 
 	// Activate the endpoints of the new edges: the targets see new
 	// in-neighbors, and the sources must publish so brand-new replicas of

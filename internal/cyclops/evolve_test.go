@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"cyclops/internal/cluster"
+	"cyclops/internal/fault"
 	"cyclops/internal/gen"
 	"cyclops/internal/graph"
 )
@@ -48,16 +49,72 @@ func runSSSP(t *testing.T, g *graph.Graph) *Engine[float64, float64] {
 	return e
 }
 
+// TestEvolveShortcutsUpdateDistances also runs the evolved epoch under the
+// auditor: Evolve's transfer must leave every replica equal to its master
+// before the first superstep, and every superstep after it.
 func TestEvolveShortcutsUpdateDistances(t *testing.T) {
 	// A long path 0→1→…→19, then a shortcut 0→15 appears.
 	const n = 20
-	g := pathGraph(n)
-	e := runSSSP(t, g)
-	if got := e.Values()[15]; got != 15 {
-		t.Fatalf("pre-evolve dist[15] = %g", got)
-	}
+	for _, c := range []cluster.Config{cluster.Flat(3, 1), cluster.MT(2, 2, 2)} {
+		t.Run(c.String(), func(t *testing.T) {
+			g := pathGraph(n)
+			e, err := New[float64, float64](g, distProg{}, Config[float64, float64]{
+				Cluster: c, MaxSupersteps: 2000, Audit: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := e.Values()[15]; got != 15 {
+				t.Fatalf("pre-evolve dist[15] = %g", got)
+			}
 
-	added := []graph.Edge{{Src: 0, Dst: 15, Weight: 2}}
+			added := []graph.Edge{{Src: 0, Dst: 15, Weight: 2}}
+			next, err := e.Evolve(added)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if vs := next.auditViewConsistency(); len(vs) != 0 {
+				t.Fatalf("replicas diverge right after Evolve: %v", vs)
+			}
+			if _, err := next.Run(); err != nil {
+				t.Fatal(err)
+			}
+			want := evolveSSSPRef(append(g.Edges(), added...), n, 0)
+			got := next.Values()
+			for v := range want {
+				if got[v] != want[v] {
+					t.Fatalf("dist[%d] = %g, want %g", v, got[v], want[v])
+				}
+			}
+			if got[15] != 2 || got[19] != 6 {
+				t.Fatalf("shortcut not applied: dist[15]=%g dist[19]=%g", got[15], got[19])
+			}
+		})
+	}
+}
+
+// TestEvolveRecoversInItsOwnEpoch: an evolved engine keeps the checkpoint
+// directory, but its superstep counter restarts at 0. A fault in the new
+// epoch must roll back to that epoch's baseline, not to the newest file the
+// previous epoch left behind.
+func TestEvolveRecoversInItsOwnEpoch(t *testing.T) {
+	const n = 13
+	g := pathGraph(n)
+	e, err := New[float64, float64](g, distProg{}, Config[float64, float64]{
+		Cluster: cluster.Flat(2, 1), MaxSupersteps: 100,
+		CheckpointDir: t.TempDir(), CheckpointEvery: 2,
+		FaultPlan: &fault.Plan{Faults: []fault.Fault{{Kind: fault.Crash, Step: 2, Worker: 0, Peer: -1}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	added := []graph.Edge{{Src: 0, Dst: 10, Weight: 1}}
 	next, err := e.Evolve(added)
 	if err != nil {
 		t.Fatal(err)
@@ -66,14 +123,10 @@ func TestEvolveShortcutsUpdateDistances(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := evolveSSSPRef(append(g.Edges(), added...), n, 0)
-	got := next.Values()
-	for v := range want {
-		if got[v] != want[v] {
-			t.Fatalf("dist[%d] = %g, want %g", v, got[v], want[v])
+	for v, got := range next.Values() {
+		if got != want[v] {
+			t.Fatalf("dist[%d] = %g, want %g", v, got, want[v])
 		}
-	}
-	if got[15] != 2 || got[19] != 6 {
-		t.Fatalf("shortcut not applied: dist[15]=%g dist[19]=%g", got[15], got[19])
 	}
 }
 

@@ -50,7 +50,7 @@ type Frame struct {
 // TapFrames hands fn every non-empty frame the engine sends from now on;
 // call it before Run. fn runs on the sending workers' goroutines.
 func (e *Engine[V, M]) TapFrames(fn func(Frame)) {
-	e.tr = frameTap[V, M]{Interface: e.tr, e: e, fn: fn}
+	e.Tr = frameTap[V, M]{Interface: e.Tr, e: e, fn: fn}
 }
 
 type frameTap[V, M any] struct {
@@ -65,7 +65,7 @@ func (t frameTap[V, M]) Send(from, to int, batch []syncMsg[M]) {
 	if len(batch) == 0 {
 		return
 	}
-	f := Frame{Step: t.e.step, From: from, To: to, PlanLen: t.e.plan[from].RowLen(to),
+	f := Frame{Step: t.e.Superstep(), From: from, To: to, PlanLen: t.e.plan[from].RowLen(to),
 		Wire: t.Matrix().Snapshot().Wire[from][to] - before}
 	for _, m := range batch {
 		f.Vertices = append(f.Vertices, t.e.replicaVertex(to, m.Slot))

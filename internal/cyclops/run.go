@@ -32,18 +32,9 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 	workers := e.cfg.Cluster.Workers()
 	threads := e.cfg.Cluster.Normalize().Threads
 	receivers := e.cfg.Cluster.Normalize().Receivers
-	k := superstep.New(superstep.Config{
-		Name: "cyclops", Workers: workers, Vertices: e.g.NumVertices(),
-		Hooks: e.cfg.Hooks, Link: e.tr, Injector: e.inj, Trace: e.trace,
-		Step: &e.step, RunSeq: &e.runSeq, MaxSupersteps: e.cfg.MaxSupersteps,
-		CheckpointEvery: e.cfg.CheckpointEvery,
-		Checkpoints:     superstep.Dir(e.cfg.CheckpointDir, e.snapshot, e.Restore),
-		Info: func() obs.RunInfo {
+	k := e.Kernel(
+		func() obs.RunInfo {
 			return obs.RunInfo{
-				Engine:   e.trace.Engine,
-				Workers:  workers,
-				Vertices: e.g.NumVertices(),
-				Edges:    e.g.NumEdges(),
 				Replicas: e.ingress.Replicas,
 				// The distributed immutable view caches one M per replica
 				// slot, so the replicated values cost Replicas × sizeof(M) —
@@ -54,8 +45,8 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 				PartitionBalance:  e.assign.Balance(),
 			}
 		},
-		Owner: func(v int) int { return e.assign.Of[v] },
-	})
+		func(v int) int { return e.assign.Of[v] },
+		superstep.Dir(e.snapshot, e.Restore))
 
 	// Steady-state scratch, allocated once and reused every superstep: the
 	// publish staging, compute contexts (with their aggregator partials) and
@@ -79,11 +70,9 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 	}
 	changed := make([]int64, workers)
 	redundant := make([]int64, workers)
-	residuals := make([][]float64, workers)
 	inbound := make([][][]syncMsg[M], workers)
 	auditPerW := make([][]obs.Violation, workers)
 	activating := make([]int64, workers) // CMP's publishes with activation, per worker
-	var resAll []float64
 	var nextActive int64
 	var steady, fullLast bool
 
@@ -148,7 +137,6 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 	// the current set (DESIGN.md §4.3): one Repeat instead of the edge walks.
 	send := func(w int) {
 		ws := e.ws[w]
-		residuals[w] = residuals[w][:0]
 		var sent, changedW, redundantW int64
 		heat, vals, flags := k.HeatMsgs, pend[w].val, pend[w].flags
 		if steady {
@@ -164,7 +152,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 				val := vals[s]
 				activate := f&flagActivate != 0
 				if e.cfg.Residual != nil {
-					residuals[w] = append(residuals[w], e.cfg.Residual(ws.view[s], val))
+					e.Residuals[w] = append(e.Residuals[w], e.cfg.Residual(ws.view[s], val))
 				}
 				if valueChanged := e.cfg.Equal == nil || !e.cfg.Equal(ws.view[s], val); valueChanged {
 					ws.view[s] = val
@@ -200,9 +188,9 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 			}
 			ws.out[to] = out
 			sent += int64(len(out))
-			e.tr.Send(w, to, out)
+			e.Tr.Send(w, to, out)
 		}
-		e.tr.FinishRound(w)
+		e.Tr.FinishRound(w)
 		for wi, word := range ws.frontier.Words() {
 			for ; word != 0; word &= word - 1 {
 				flags[wi<<6|bits.TrailingZeros64(word)] = 0
@@ -234,7 +222,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		}
 	}
 	recv := func(w int) {
-		batches := e.tr.Drain(w)
+		batches := e.Tr.Drain(w)
 		var n int64
 		for _, b := range batches {
 			n += int64(len(b))
@@ -279,7 +267,6 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 			e.agg.Fold(partials)
 
 			nextActive = 0
-			resAll = resAll[:0]
 			for w, ws := range e.ws {
 				nextActive += int64(ws.frontier.Advance())
 				stats.Active += k.Active[w]
@@ -289,28 +276,20 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 				stats.ComputeUnitsMax = max(stats.ComputeUnitsMax, k.Units[w])
 				stats.SendMax = max(stats.SendMax, k.Sent[w])
 				stats.RecvMax = max(stats.RecvMax, k.Recv[w])
-				resAll = append(resAll, residuals[w]...)
-			}
-			if e.cfg.Residual != nil {
-				stats.SetResiduals(resAll)
 			}
 			barrier := model.FlatBarrier(workers)
-			if e.trace.Engine == "cyclopsmt" {
+			if e.Trace().Engine == "cyclopsmt" {
 				barrier = model.HierarchicalBarrier(e.cfg.Cluster.Machines, threads)
 			}
 			stats.ModelNanos = model.StepCost(
 				stats.ComputeUnitsMax, stats.SendMax, stats.RecvMax,
 				threads, receivers, workers, false, barrier)
 		},
-		OnStep: func(step int) {
-			if e.cfg.OnStep != nil {
-				e.cfg.OnStep(step, e)
-			}
-		},
+		OnStep:  superstep.Bind(e.cfg.OnStep, e),
 		Pending: func() int64 { return nextActive },
 		Halt: func(step int, pending int64) bool {
 			return e.cfg.Halt != nil && e.cfg.Halt(step, e.agg.Value, pending)
 		},
 	}
-	return e.trace, k.Run(ps)
+	return e.Trace(), k.Run(ps)
 }

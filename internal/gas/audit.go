@@ -34,8 +34,8 @@ func (e *Engine[V, G]) auditMirrors() []obs.Violation {
 					continue
 				}
 				out = append(out, obs.Violation{
-					Engine: e.trace.Engine,
-					Step:   e.step,
+					Engine: e.Trace().Engine,
+					Step:   e.Superstep(),
 					Worker: int(m.worker),
 					Vertex: int64(lv.id),
 					Kind:   obs.ViolationMirrorDivergence,

@@ -1,11 +1,5 @@
 package gas
 
-import (
-	"errors"
-
-	"cyclops/internal/transport"
-)
-
 // State is the checkpointable engine state. Like Cyclops (§3.6), the
 // vertex-cut engine checkpoints only master values and activation flags:
 // mirrors are caches and are rebuilt from their masters on recovery, and at a
@@ -42,12 +36,8 @@ func (e *Engine[V, G]) snapshot(step int) State[V] {
 // that replaces message replay (the vertex-cut analogue of §3.6's replica
 // re-synchronisation).
 func (e *Engine[V, G]) Restore(s State[V]) error {
-	if e.cfg.Network != transport.InProcess {
-		return errors.New("gas: restore requires the in-process network")
-	}
-	n := e.g.NumVertices()
-	if len(s.Values) != n || len(s.Active) != n {
-		return errors.New("gas: checkpoint shape does not match engine")
+	if err := e.Rewind(s.Step, len(s.Values), len(s.Active)); err != nil {
+		return err
 	}
 	for _, ws := range e.ws {
 		for i := range ws.verts {
@@ -60,10 +50,5 @@ func (e *Engine[V, G]) Restore(s State[V]) error {
 			}
 		}
 	}
-	// Discard any undelivered messages from the aborted superstep.
-	for w := 0; w < e.cfg.Cluster.Workers(); w++ {
-		e.tr.Drain(w)
-	}
-	e.step = s.Step
 	return nil
 }

@@ -326,27 +326,21 @@ type workerState[V, G any] struct {
 	outA, outB [][]gasMsg[V, G]
 }
 
-// Engine executes a GAS Program over a vertex-cut partition.
+// Engine executes a GAS Program over a vertex-cut partition. Its Shell holds
+// the transport, trace and superstep counter.
 type Engine[V, G any] struct {
-	g     *graph.Graph
-	prog  Program[V, G]
-	cfg   Config[V, G]
-	ws    []*workerState[V, G]
-	tr    transport.Interface[gasMsg[V, G]]
-	inj   superstep.Injector // nil without a FaultPlan
-	trace *metrics.Trace
+	superstep.Shell[gasMsg[V, G]]
+	g    *graph.Graph
+	prog Program[V, G]
+	cfg  Config[V, G]
+	ws   []*workerState[V, G]
 
 	mirrors     int64   // total mirror count (replication metric)
 	mirrorsPerW []int64 // mirrors hosted per worker (skew reporting)
-	step        int
 	// epoch stamps the workers' queuedStamp dedup set; it increments at the
 	// top of every superstep (including replays after recovery), so stale
 	// entries from earlier steps never read as live.
 	epoch uint32
-
-	// runSeq numbers Run calls on this engine (1-based); it becomes the
-	// span stream's Run id, so restored engines keep distinct run spans.
-	runSeq int64
 }
 
 // New builds the engine: cuts edges across workers, creates masters and
@@ -359,16 +353,7 @@ func New[V, G any](g *graph.Graph, prog Program[V, G], cfg Config[V, G]) (*Engin
 	if cfg.Partitioner == nil {
 		cfg.Partitioner = RandomVertexCut{}
 	}
-	if cfg.MaxSupersteps <= 0 {
-		cfg.MaxSupersteps = 100
-	}
 	k := cfg.Cluster.Workers()
-	if cfg.CheckpointEvery > 0 && cfg.CheckpointDir == "" {
-		return nil, fmt.Errorf("gas: %w", superstep.ErrNoCheckpointDir)
-	}
-	if cfg.Network != transport.InProcess && cfg.CheckpointDir != "" {
-		return nil, errors.New("gas: checkpointing requires the in-process network")
-	}
 	var err error
 	if cfg.ValCodec == nil {
 		if cfg.ValCodec, err = graph.CodecFor[V](); err != nil {
@@ -380,24 +365,20 @@ func New[V, G any](g *graph.Graph, prog Program[V, G], cfg Config[V, G]) (*Engin
 			return nil, fmt.Errorf("gas: accumulator: %w", err)
 		}
 	}
-	tr, err := transport.New[gasMsg[V, G]](cfg.Network, k, transport.GlobalQueue, nil,
-		newGasCodec(cfg.ValCodec, cfg.AccCodec))
+	sh, err := superstep.Open(superstep.Options{
+		Name: "gas", Engine: "powergraph", Graph: g, Workers: k,
+		Network: cfg.Network, MaxSupersteps: cfg.MaxSupersteps, CheckpointDir: cfg.CheckpointDir,
+		CheckpointEvery: cfg.CheckpointEvery, Hooks: cfg.Hooks, FaultPlan: cfg.FaultPlan,
+	}, transport.GlobalQueue, newGasCodec(cfg.ValCodec, cfg.AccCodec))
 	if err != nil {
-		return nil, fmt.Errorf("gas: transport: %w", err)
-	}
-	var inj superstep.Injector
-	if cfg.FaultPlan != nil {
-		wrapped := fault.Wrap(tr, *cfg.FaultPlan)
-		tr, inj = wrapped, wrapped
+		return nil, err
 	}
 	e := &Engine[V, G]{
+		Shell:       sh,
 		g:           g,
 		prog:        prog,
 		cfg:         cfg,
 		ws:          make([]*workerState[V, G], k),
-		tr:          tr,
-		inj:         inj,
-		trace:       &metrics.Trace{Engine: "powergraph", Workers: k},
 		mirrorsPerW: make([]int64, k),
 	}
 	n := g.NumVertices()
@@ -506,12 +487,6 @@ func New[V, G any](g *graph.Graph, prog Program[V, G], cfg Config[V, G]) (*Engin
 	return e, nil
 }
 
-// Graph returns the input graph.
-func (e *Engine[V, G]) Graph() *graph.Graph { return e.g }
-
-// Trace returns per-superstep statistics.
-func (e *Engine[V, G]) Trace() *metrics.Trace { return e.trace }
-
 // Mirrors returns the total mirror count; Mirrors()/|V| is PowerGraph's
 // replication factor (Table 4's "AVG #Replicas" column).
 func (e *Engine[V, G]) Mirrors() int64 { return e.mirrors }
@@ -545,9 +520,6 @@ func (e *Engine[V, G]) edgeBalance() float64 {
 	mean := float64(sum) / float64(len(e.ws))
 	return float64(max) / mean
 }
-
-// TransportStats exposes raw traffic counters.
-func (e *Engine[V, G]) TransportStats() transport.Snapshot { return e.tr.Stats().Snapshot() }
 
 // Values assembles the global vertex values from the masters.
 func (e *Engine[V, G]) Values() []V {
@@ -583,18 +555,9 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 			}
 		}
 	}
-	k := superstep.New(superstep.Config{
-		Name: "gas", Workers: workers, Vertices: e.g.NumVertices(),
-		Hooks: e.cfg.Hooks, Link: e.tr, Injector: e.inj, Trace: e.trace,
-		Step: &e.step, RunSeq: &e.runSeq, MaxSupersteps: e.cfg.MaxSupersteps,
-		CheckpointEvery: e.cfg.CheckpointEvery,
-		Checkpoints:     superstep.Dir(e.cfg.CheckpointDir, e.snapshot, e.Restore),
-		Info: func() obs.RunInfo {
+	k := e.Kernel(
+		func() obs.RunInfo {
 			return obs.RunInfo{
-				Engine:   e.trace.Engine,
-				Workers:  workers,
-				Vertices: e.g.NumVertices(),
-				Edges:    e.g.NumEdges(),
 				Replicas: e.mirrors,
 				// Every mirror caches its master's value V, so the vertex-cut's
 				// replicated-value memory is mirrors × sizeof(V) — the GAS side
@@ -607,15 +570,12 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 				PartitionBalance: e.edgeBalance(),
 			}
 		},
-		Owner: func(v int) int { return int(masterOf[v]) },
-	})
+		func(v int) int { return int(masterOf[v]) },
+		superstep.Dir(e.snapshot, e.Restore))
 
 	// Steady-state scratch, allocated once and reused every superstep: the
-	// inbound buffer only holds the transport's freshly drained batch slices,
-	// the residual rows reset with [:0]. Nothing downstream retains any of it.
+	// inbound buffer only holds the transport's freshly drained batch slices.
 	inbound := make([][][]gasMsg[V, G], workers)
-	residPerW := make([][]float64, workers)
-	var resAll []float64
 	var active int64
 
 	// flush sends worker w's per-destination batches and closes its
@@ -631,9 +591,9 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 				continue
 			}
 			sent += int64(len(batch))
-			e.tr.Send(w, to, batch)
+			e.Tr.Send(w, to, batch)
 		}
-		e.tr.FinishRound(w)
+		e.Tr.FinishRound(w)
 		k.Sent[w] += sent
 		if sendBusy != nil {
 			sendBusy[w] += time.Since(t0)
@@ -644,7 +604,7 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 	// fast worker's next-round sends can never race into a slow worker's
 	// current-round processing.
 	drain := func(w int) {
-		inbound[w] = e.tr.Drain(w) //lint:allow bufretain inbound is the round-scoped buffer, overwritten by the next drain before the batches are reused
+		inbound[w] = e.Tr.Drain(w) //lint:allow bufretain inbound is the round-scoped buffer, overwritten by the next drain before the batches are reused
 		var n int64
 		for _, b := range inbound[w] {
 			n += int64(len(b))
@@ -714,7 +674,6 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 	// Round 3 — masters fold partials, apply, and push new values to mirrors.
 	apply := func(w int) {
 		ws := e.ws[w]
-		residPerW[w] = residPerW[w][:0]
 		for _, batch := range inbound[w] {
 			for _, m := range batch {
 				expectKind(m.Kind, kindGatherPartial, "apply")
@@ -740,9 +699,9 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 			for ; word != 0; word &= word - 1 {
 				s := wi<<6 | bits.TrailingZeros64(word)
 				lv := &ws.verts[s]
-				newVal, activate := e.prog.Apply(lv.id, lv.cache, ws.accVal[s], ws.accHas[s], e.step)
+				newVal, activate := e.prog.Apply(lv.id, lv.cache, ws.accVal[s], ws.accHas[s], e.Superstep())
 				if e.cfg.Residual != nil {
-					residPerW[w] = append(residPerW[w], e.cfg.Residual(lv.cache, newVal))
+					e.Residuals[w] = append(e.Residuals[w], e.cfg.Residual(lv.cache, newVal))
 				}
 				lv.cache = newVal
 				ws.scat[s] = activate
@@ -873,18 +832,15 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 		},
 		// SYN: advance the frontiers, account the superstep.
 		Sync: func(stats *metrics.StepStats) {
-			resAll = resAll[:0]
 			var units int64
 			for w, ws := range e.ws {
 				ws.frontier.Advance()
 				stats.Messages += k.Sent[w]
 				units += k.Units[w]
-				resAll = append(resAll, residPerW[w]...)
 			}
 			stats.Active = active
-			if e.cfg.Residual != nil {
-				stats.SetResiduals(resAll)
-			}
+			// The "Max" columns hold per-worker means here, not maxima
+			// (metrics.StepStats), and the model time is priced on them.
 			stats.ComputeUnitsMax = units / int64(workers)
 			stats.SendMax = stats.Messages / int64(workers)
 			stats.RecvMax = stats.Messages / int64(workers)
@@ -892,13 +848,9 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 				stats.ComputeUnitsMax, stats.SendMax, stats.RecvMax,
 				e.cfg.Cluster.Threads, 1, workers, true, model.FlatBarrier(workers))
 		},
-		OnStep: func(step int) {
-			if e.cfg.OnStep != nil {
-				e.cfg.OnStep(step, e)
-			}
-		},
+		OnStep: superstep.Bind(e.cfg.OnStep, e),
 	}
-	return e.trace, k.Run(ps)
+	return e.Trace(), k.Run(ps)
 }
 
 // expectKind panics on a message of the wrong kind: the rounds are barriers,
@@ -919,6 +871,3 @@ func resetOut[V, G any](out [][]gasMsg[V, G]) [][]gasMsg[V, G] {
 	}
 	return out
 }
-
-// Close releases transport resources (sockets in TCPLoopback mode).
-func (e *Engine[V, G]) Close() error { return e.tr.Close() }

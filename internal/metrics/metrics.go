@@ -62,9 +62,12 @@ type StepStats struct {
 	// change — the wasted traffic of Figure 3(2).
 	RedundantMessages int64
 	// ComputeUnitsMax is the max over workers of edges scanned in compute;
-	// the critical path of the CMP phase.
+	// the critical path of the CMP phase. The gas engine fills it, SendMax
+	// and RecvMax with per-worker means instead (total / workers), and prices
+	// its model time on those means.
 	ComputeUnitsMax int64
-	// SendMax / RecvMax are the max over workers of messages sent/received.
+	// SendMax / RecvMax are the max over workers of messages sent/received
+	// (gas: the mean, see ComputeUnitsMax).
 	SendMax int64
 	RecvMax int64
 	// ResidualN, ResidualP50, ResidualP90 and ResidualMax summarise the

@@ -466,6 +466,8 @@ func (l *Log) ServeSpans(w http.ResponseWriter, r *http.Request) {
 // superstep, deterministic for a fixed run configuration — byte-identical
 // across same-seed runs (scheduling-independent counts, model costs and
 // residual quantiles; no wall-clock). Phase wall times go to timings.csv.
+// compute_units_max, send_max and recv_max are the StepStats maxima over
+// workers, except under powergraph (gas), which records per-worker means.
 var seriesHeader = []string{
 	"step", "active", "changed", "messages", "redundant_messages",
 	"redundant_ratio", "wire_bytes", "compute_units_max",

@@ -57,9 +57,10 @@ type RunInfo struct {
 
 // StepRecord is one superstep as the kernel saw it: the single value emitted
 // after the barrier, from which skew coefficients, heat rows, the span stream
-// and the hot set are views a consumer computes if it wants them. The record and everything it points at is the kernel's per-run
-// scratch, overwritten by the next superstep — valid only during the
-// OnSuperstep call. A consumer copies what it keeps.
+// and the hot set are views a consumer computes if it wants them. The record
+// and everything it points at is the kernel's per-run scratch, overwritten by
+// the next superstep — valid only during the OnSuperstep call. A consumer
+// copies what it keeps.
 type StepRecord struct {
 	Step  int
 	Stats metrics.StepStats

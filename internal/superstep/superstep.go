@@ -5,16 +5,15 @@
 // wall and busy timing, the engine's checkpoints and the barrier-time fault →
 // restore → replay protocol of §3.6, audit failure, and the single point that
 // hands a superstep's counters, traffic-matrix delta and span measurements to
-// the observers as one obs.StepRecord. DESIGN.md §4.1 is the contract.
+// the observers as one obs.StepRecord. Shell (shell.go) is the same for each
+// engine's construction and Restore. DESIGN.md §4.1 is the contract.
 package superstep
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
-	"cyclops/internal/checkpoint"
 	"cyclops/internal/metrics"
 	"cyclops/internal/obs"
 	"cyclops/internal/obs/span"
@@ -58,6 +57,10 @@ type Config struct {
 	Checkpoints     Checkpoints        // nil: none, and any transport fault fails the run
 	Info            func() obs.RunInfo // for OnRunStart; only called with Hooks set
 	Owner           func(v int) int    // vertex → its master's worker (hot-set rows)
+	// Residuals are the engine's per-worker residual samples: the kernel
+	// empties them before each superstep and folds them into
+	// StepStats.SetResiduals after Sync, inside the timed SYN.
+	Residuals [][]float64
 }
 
 // PhaseSet is what an engine supplies per Run, built once: closures over its
@@ -87,34 +90,6 @@ type PhaseSet struct {
 type Checkpoints interface {
 	Save(step int) error
 	Recover() error
-}
-
-// ErrNoCheckpointDir is New's error for CheckpointEvery > 0 with nowhere to save.
-var ErrNoCheckpointDir = errors.New("CheckpointEvery > 0 needs a CheckpointDir")
-
-// Dir is the Checkpoints over an engine's CheckpointDir, nil for "": files
-// step-N.ckpt (internal/checkpoint) of snapshot(N), restored through restore.
-func Dir[S any](dir string, snapshot func(step int) S, restore func(S) error) Checkpoints {
-	if dir == "" {
-		return nil
-	}
-	return ckptDir[S]{dir, snapshot, restore}
-}
-
-type ckptDir[S any] struct {
-	dir      string
-	snapshot func(step int) S
-	restore  func(S) error
-}
-
-func (d ckptDir[S]) Save(step int) error { return checkpoint.Save(d.dir, step, d.snapshot(step)) }
-
-func (d ckptDir[S]) Recover() error {
-	s, _, err := checkpoint.LoadLatest[S](d.dir)
-	if err != nil {
-		return fmt.Errorf("load checkpoint: %w", err)
-	}
-	return d.restore(s)
 }
 
 // Counters is a run's scratch block: phase bodies write slot w from worker
@@ -155,6 +130,7 @@ type Kernel struct {
 	starts   [metrics.Sync]time.Duration // and their offsets from runStart
 	serNs0   []int64
 	prevComm transport.MatrixSnapshot // cumulative traffic at the last barrier
+	resAll   []float64                // Residuals' rows, joined for SetResiduals
 }
 
 // New allocates a run's scratch; the loop allocates no bookkeeping after it.
@@ -284,6 +260,9 @@ func (k *Kernel) loop(ps PhaseSet) (reason string, err error) {
 		}
 		k.stats = metrics.StepStats{Step: *step}
 		clear(k.slab)
+		for w, row := range cfg.Residuals {
+			cfg.Residuals[w] = row[:0]
+		}
 		if ps.Begin != nil && !ps.Begin() {
 			return obs.ReasonNoActive, nil
 		}
@@ -294,6 +273,11 @@ func (k *Kernel) loop(ps PhaseSet) (reason string, err error) {
 		violations := ps.Step()
 		start := time.Now()
 		ps.Sync(&k.stats)
+		k.resAll = k.resAll[:0]
+		for _, row := range cfg.Residuals {
+			k.resAll = append(k.resAll, row...)
+		}
+		k.stats.SetResiduals(k.resAll)
 		k.stats.Durations[metrics.Sync] = time.Since(start)
 		cfg.Trace.Append(k.stats)
 		if h != nil {
