@@ -145,6 +145,9 @@ type Engine[V, M any] struct {
 
 	agg    *aggregate.Registry
 	primed bool
+	// restored is what Restore queued for the next PRS, which stands in for
+	// the last SND's batches until that PRS consumes it.
+	restored []PendingBatch[M]
 
 	// auditPrevSent is the wire-level envelope count of the previous SND
 	// phase, compared against the next PRS delivery count when Audit is on.
@@ -378,7 +381,8 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		}
 		e.primed = true
 	}
-	k := e.Kernel(
+	// PRS drains what the previous superstep's SND sent: a lag of one.
+	k := e.Kernel(1,
 		func() obs.RunInfo {
 			return obs.RunInfo{
 				// Replicas and ReplicaValueBytes stay zero: Hama has no
@@ -475,6 +479,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 	ps := superstep.PhaseSet{
 		Step: func() []obs.Violation {
 			k.Phase(metrics.Parse, parse)
+			e.restored = nil
 			violations := e.auditConservation(k.Recv)
 			k.Phase(metrics.Compute, compute)
 			k.Phase(metrics.Send, send)
@@ -565,19 +570,27 @@ func (e *Engine[V, M]) countActive() int64 {
 }
 
 // snapshot captures the state superstep step starts from, including
-// undelivered messages (called between supersteps only).
+// undelivered messages (called between supersteps only). Those are the
+// batches the engine still holds — what Restore queued, else the last SND's
+// out buffers — copied in the order Drain returns them (by receiver, then
+// sender), so the transport and its books are untouched.
 func (e *Engine[V, M]) snapshot(step int) State[V, M] {
 	s := State[V, M]{
 		Step:   step,
 		Values: append([]V(nil), e.values...),
 		Halted: append([]bool(nil), e.halted...),
 	}
-	// Drain and re-send so the checkpoint owns a copy and the queue state
-	// is unchanged.
-	for w := 0; w < e.cfg.Cluster.Workers(); w++ {
-		for _, batch := range e.Tr.Drain(w) {
-			s.Pending = append(s.Pending, PendingBatch[M]{To: w, Batch: append([]envelope[M](nil), batch...)})
-			e.Tr.Send(w, w, batch)
+	if e.restored != nil {
+		for _, p := range e.restored {
+			s.Pending = append(s.Pending, PendingBatch[M]{To: p.To, Batch: append([]envelope[M](nil), p.Batch...)})
+		}
+		return s
+	}
+	for to := range e.ctxs {
+		for _, ctx := range e.ctxs {
+			if batch := ctx.out[to]; len(batch) > 0 {
+				s.Pending = append(s.Pending, PendingBatch[M]{To: to, Batch: append([]envelope[M](nil), batch...)})
+			}
 		}
 	}
 	return s
@@ -598,8 +611,11 @@ func (e *Engine[V, M]) Restore(s State[V, M]) error {
 	}
 	copy(e.values, s.Values)
 	copy(e.halted, s.Halted)
+	e.restored = make([]PendingBatch[M], 0, len(s.Pending))
 	for _, p := range s.Pending {
-		e.Tr.Send(p.To, p.To, append([]envelope[M](nil), p.Batch...))
+		batch := append([]envelope[M](nil), p.Batch...)
+		e.restored = append(e.restored, PendingBatch[M]{To: p.To, Batch: batch})
+		e.Tr.Send(p.To, p.To, batch)
 	}
 	for v := range e.inbox {
 		e.inbox[v] = e.inbox[v][:0]

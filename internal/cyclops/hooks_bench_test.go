@@ -212,8 +212,7 @@ func TestSpanEmissionZeroAlloc(t *testing.T) {
 		Deliveries:  make([][]span.Delivery, workers),
 	}
 	for w := 0; w < workers; w++ {
-		d.Deliveries[w] = []span.Delivery{{From: (w + 1) % workers,
-			Ctx: span.Context{Run: 1, Step: 3, Worker: int32((w + 1) % workers)}, Msgs: 7}}
+		d.Deliveries[w] = []span.Delivery{{From: (w + 1) % workers, Msgs: 7}}
 	}
 	spans := obs.AppendStepSpans(nil, d)
 	if want := workers*6 + 1; len(spans) != want {

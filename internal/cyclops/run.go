@@ -32,7 +32,8 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 	workers := e.cfg.Cluster.Workers()
 	threads := e.cfg.Cluster.Normalize().Threads
 	receivers := e.cfg.Cluster.Normalize().Receivers
-	k := e.Kernel(
+	// RECV drains what this superstep's SND sent: no lag.
+	k := e.Kernel(0,
 		func() obs.RunInfo {
 			return obs.RunInfo{
 				Replicas: e.ingress.Replicas,

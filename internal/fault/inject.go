@@ -165,20 +165,10 @@ func (j *Injector[M]) Matrix() *transport.Matrix { return j.inner.Matrix() }
 // Close implements transport.Interface.
 func (j *Injector[M]) Close() error { return j.inner.Close() }
 
-// Tag implements transport.Interface: span tags pass through untouched, so a
-// batch that survives injection still carries its sender's causal context —
-// and a batch resent after Heal carries the replayed superstep's context,
-// which is what keeps receiver spans from orphaning across a recovery.
-func (j *Injector[M]) Tag(from int, sc span.Context) { j.inner.Tag(from, sc) }
-
 // LastDeliveries implements transport.Interface.
 func (j *Injector[M]) LastDeliveries(to int) []span.Delivery { return j.inner.LastDeliveries(to) }
 
 // SerializeNanos implements transport.Interface.
 func (j *Injector[M]) SerializeNanos(from int) int64 { return j.inner.SerializeNanos(from) }
-
-// Unwrap exposes the wrapped transport (checkpoint Restore needs the real
-// in-process transport underneath).
-func (j *Injector[M]) Unwrap() transport.Interface[M] { return j.inner }
 
 var _ transport.Interface[int] = (*Injector[int])(nil)

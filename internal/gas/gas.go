@@ -555,7 +555,8 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 			}
 		}
 	}
-	k := e.Kernel(
+	// Every round drains what the same round sent: no lag.
+	k := e.Kernel(0,
 		func() obs.RunInfo {
 			return obs.RunInfo{
 				Replicas: e.mirrors,

@@ -99,9 +99,9 @@ func seedRoundBuffers(pass *analysis.Pass, fd *ast.FuncDecl) {
 					seeded = true
 					rc.seedInto(n.Lhs[i], drainLabel, stack)
 				}
-				if isScratchDecodeCall(pass, call) && len(n.Lhs) == 5 {
+				if isScratchDecodeCall(pass, call) && len(n.Lhs) == 4 {
 					seeded = true
-					rc.seedInto(n.Lhs[3], scratchLabel, stack)
+					rc.seedInto(n.Lhs[2], scratchLabel, stack)
 				}
 			}
 		case *ast.RangeStmt:
@@ -138,7 +138,7 @@ func isTransportDrainCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 // isScratchDecodeCall matches decodeFrameBody calls whose scratch argument
 // (the last) is non-nil: only those hand back a buffer the caller is
 // lending, not receiving. TestBufRetainMatchesTransportDecode holds the real
-// function to this shape: scratch last, the batch fourth of five results.
+// function to this shape: scratch last, the batch third of four results.
 func isScratchDecodeCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	fn := calleeFunc(pass.TypesInfo, call)
 	if fn == nil || fn.Name() != "decodeFrameBody" || len(call.Args) == 0 {

@@ -21,7 +21,7 @@ func TestBufRetain(t *testing.T) {
 
 // TestBufRetainMatchesTransportDecode holds the real transport.decodeFrameBody
 // and its testdata mirror to the shape isScratchDecodeCall assumes — scratch
-// the last parameter, the batch the fourth of five results — so a signature
+// the last parameter, the batch the third of four results — so a signature
 // change fails here instead of silently disarming the scratch check.
 func TestBufRetainMatchesTransportDecode(t *testing.T) {
 	shape := func(path string) (params, results []string) {
@@ -48,8 +48,8 @@ func TestBufRetainMatchesTransportDecode(t *testing.T) {
 	}
 	real, realRes := shape(filepath.Join("..", "transport", "frame.go"))
 	mirror, mirrorRes := shape(filepath.Join("testdata", "src", "bufretain", "bufretain.go"))
-	if len(real) == 0 || real[len(real)-1] != "scratch" || len(realRes) != 5 || realRes[3] != "[]M" {
-		t.Fatalf("transport.decodeFrameBody(%v) (%v) no longer takes scratch last and returns the batch 4th of 5: update isScratchDecodeCall",
+	if len(real) == 0 || real[len(real)-1] != "scratch" || len(realRes) != 4 || realRes[2] != "[]M" {
+		t.Fatalf("transport.decodeFrameBody(%v) (%v) no longer takes scratch last and returns the batch 3rd of 4: update isScratchDecodeCall",
 			real, realRes)
 	}
 	if !reflect.DeepEqual(real, mirror) || len(mirrorRes) != len(realRes) {

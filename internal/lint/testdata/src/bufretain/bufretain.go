@@ -113,20 +113,18 @@ func (s *snapshot) capture2(tr transport.Interface[float64], w int) {
 	}
 }
 
-type frameTag struct{ Run int64 }
-
 // decodeFrameBody mirrors the real transport helper's shape (the lint
 // tests compare the two): the analyzer matches it by name, and only calls
 // lending a non-nil scratch — the last argument — taint the returned batch.
-func decodeFrameBody(body []byte, to int, codec int, scratch []float64) (int, bool, frameTag, []float64, error) {
-	return 0, false, frameTag{}, scratch[:0], nil
+func decodeFrameBody(body []byte, to int, codec int, scratch []float64) (int, bool, []float64, error) {
+	return 0, false, scratch[:0], nil
 }
 
 type receiver struct{ last []float64 }
 
 // scratchDecode stores a scratch-decoded batch into a field: true positive.
 func (r *receiver) scratchDecode(body []byte, scratch []float64) {
-	_, _, _, batch, err := decodeFrameBody(body, 1, 0, scratch)
+	_, _, batch, err := decodeFrameBody(body, 1, 0, scratch)
 	if err != nil {
 		return
 	}
@@ -136,14 +134,14 @@ func (r *receiver) scratchDecode(body []byte, scratch []float64) {
 // nilBody lends scratch beside a nil body: the matcher reads the last
 // argument, not a fixed position: true positive.
 func (r *receiver) nilBody(scratch []float64) {
-	_, _, _, batch, _ := decodeFrameBody(nil, 1, 0, scratch)
+	_, _, batch, _ := decodeFrameBody(nil, 1, 0, scratch)
 	r.last = batch // want `stored into field r\.last`
 }
 
 // nilScratch hands ownership to the callee — the returned batch is freshly
 // allocated, so keeping it is legal.
 func (r *receiver) nilScratch(body []byte) {
-	_, _, _, batch, _ := decodeFrameBody(body, 1, 0, nil)
+	_, _, batch, _ := decodeFrameBody(body, 1, 0, nil)
 	r.last = batch
 }
 

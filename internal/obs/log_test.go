@@ -338,11 +338,11 @@ func feedLog(t *testing.T) *obs.Log {
 	// Step 0: worker 0 dominates the deterministic weights.
 	l.OnSuperstepStart(0)
 	l.OnSuperstep(stepRecord(0, []int64{10, 1}, []int64{5, 0}, []int64{0, 0}, []int64{1, 1}))
-	// Step 1: worker 1 dominates, and receives a tagged batch from step 0's
-	// worker 0 send — the Deliver span must link back to that send.
+	// Step 1: worker 1 dominates, and drains a batch from step 0's worker 0
+	// send — the Deliver span must link back to that send.
 	rec := stepRecord(1, []int64{1, 20}, []int64{0, 2}, []int64{0, 5}, []int64{1, 1})
-	rec.Spans.Deliveries[1] = []span.Delivery{
-		{From: 0, Ctx: span.Context{Run: 1, Step: 0, Worker: 0}, Msgs: 5}}
+	rec.Spans.SendStep = 0
+	rec.Spans.Deliveries[1] = []span.Delivery{{From: 0, Msgs: 5}}
 	l.OnSuperstepStart(1)
 	l.OnSuperstep(rec)
 	l.OnSuperstepStart(2)
@@ -376,7 +376,7 @@ func TestSpansEndpointJSON(t *testing.T) {
 	if got, want := span.GatingSequence(got.CritPath), "0:0 1:1"; got != want {
 		t.Errorf("live critical path = %q, want %q", got, want)
 	}
-	// The tagged delivery links causally to step 0's send by worker 0.
+	// The delivery links causally to step 0's send by worker 0.
 	var deliver *span.Span
 	for i := range got.Spans {
 		if got.Spans[i].Kind == span.Deliver {

@@ -2,9 +2,10 @@
 // of every superstep of a run becomes a span with a deterministic structural
 // identity (kind, superstep, worker) and a parent link, so the span stream of
 // two same-seed runs is structurally byte-identical even though the measured
-// durations differ. Message batches carry the sending span's Context across
-// the transport, which lets the receive side link its delivery spans to the
-// sender causally — the cross-worker edge a wall-clock trace cannot provide.
+// durations differ. A delivery span links back to the sender's send span —
+// the cross-worker edge a wall-clock trace cannot provide — from what the
+// receiver already knows: who sent the batch (the transport's Delivery) and,
+// by the engine's phase order, in which superstep.
 //
 // The package deliberately imports nothing from the rest of the tree (only
 // the standard library), so the transports can depend on it without creating
@@ -12,7 +13,9 @@
 package span
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -37,7 +40,7 @@ const (
 	// superstep wall: the time the worker spent blocked on barriers.
 	BarrierWait
 	// Deliver covers one drained sender→receiver batch group on the receive
-	// side, parented by the *sender's* Send span via the frame tag.
+	// side, parented by the *sender's* Send span.
 	Deliver
 
 	numKinds
@@ -87,7 +90,7 @@ func RunID() int64 { return ID(Run, -1, -1, -1) }
 func StepID(step int) int64 { return ID(Superstep, step, -1, -1) }
 
 // SendID is the ID of worker `worker`'s send span in superstep `step` — the
-// parent the receive side assigns to a Deliver span from that worker's tag.
+// parent of a Deliver span from that worker.
 func SendID(step, worker int) int64 { return ID(Send, step, worker, -1) }
 
 // Span is one completed (or, for live views, still-open) span.
@@ -115,29 +118,16 @@ type Span struct {
 	Dur   time.Duration
 }
 
-// Context is the causal tag a sender stamps on outgoing frames: enough for
-// the receiver to reconstruct the sending span's identity. The zero Context
-// means "untagged" (engine runs number from 1, so Run==0 never collides).
-type Context struct {
-	Run    int64
-	Step   int32
-	Worker int32
-}
-
-// Tagged reports whether the context carries a real tag.
-func (c Context) Tagged() bool { return c.Run != 0 }
-
 // Delivery is the receive-side provenance of one drained sender→receiver
-// batch group: who sent it, under which span context, and how many messages.
+// batch group: who sent it and how many messages.
 type Delivery struct {
 	From int
-	Ctx  Context
 	Msgs int64
 }
 
 // MergeDeliveries folds `more` into `dst`, aggregating message counts by
-// (From, Ctx) and keeping the result sorted by sender (then step) so the
-// merged order is scheduling-independent. It owns and returns dst.
+// sender and keeping the result sorted by sender so the merged order is
+// scheduling-independent. It owns and returns dst.
 func MergeDeliveries(dst, more []Delivery) []Delivery {
 	for _, d := range more {
 		dst = AddDelivery(dst, d)
@@ -146,32 +136,15 @@ func MergeDeliveries(dst, more []Delivery) []Delivery {
 }
 
 // AddDelivery merges a single delivery into dst, which must already be
-// sorted by (From, Ctx.Step) — the order MergeDeliveries and AddDelivery
-// both maintain. This is the transports' per-batch hot path: unlike a
-// MergeDeliveries call with a one-element slice, it builds no temporary
-// slice and runs no sort, so folding a batch's provenance into a
-// capacity-reused deliveries list allocates nothing in steady state.
+// sorted by sender — the order MergeDeliveries and AddDelivery both
+// maintain. This is the transports' per-batch hot path: a binary search and,
+// for a new sender, an insert into dst's spare capacity, so folding a drain's
+// provenance into a capacity-reused list allocates nothing in steady state.
 func AddDelivery(dst []Delivery, d Delivery) []Delivery {
-	for i := range dst {
-		if dst[i].From == d.From && dst[i].Ctx == d.Ctx {
-			dst[i].Msgs += d.Msgs
-			return dst
-		}
+	i, found := slices.BinarySearchFunc(dst, d.From, func(e Delivery, from int) int { return cmp.Compare(e.From, from) })
+	if found {
+		dst[i].Msgs += d.Msgs
+		return dst
 	}
-	// Sorted insert. Distinct entries with equal (From, Step) keys cannot
-	// arise from one drain window (a sender stamps one context per step), so
-	// insertion position is unambiguous and the result matches what the old
-	// append-then-sort produced.
-	pos := len(dst)
-	for i := range dst {
-		if dst[i].From > d.From ||
-			(dst[i].From == d.From && dst[i].Ctx.Step > d.Ctx.Step) {
-			pos = i
-			break
-		}
-	}
-	dst = append(dst, Delivery{})
-	copy(dst[pos+1:], dst[pos:])
-	dst[pos] = d
-	return dst
+	return slices.Insert(dst, i, d)
 }

@@ -158,21 +158,20 @@ func TestCritPathCSVRoundTrip(t *testing.T) {
 }
 
 func TestMergeDeliveries(t *testing.T) {
-	ctx := func(step int32, w int32) span.Context { return span.Context{Run: 1, Step: step, Worker: w} }
-	// Same (From, Ctx) aggregates; distinct contexts stay separate; result is
-	// sorted by sender then step regardless of arrival order.
+	// Same sender aggregates; the result is sorted by sender regardless of
+	// arrival order.
 	got := span.MergeDeliveries(nil, []span.Delivery{
-		{From: 2, Ctx: ctx(0, 2), Msgs: 3},
-		{From: 0, Ctx: ctx(0, 0), Msgs: 1},
+		{From: 2, Msgs: 3},
+		{From: 0, Msgs: 1},
 	})
 	got = span.MergeDeliveries(got, []span.Delivery{
-		{From: 2, Ctx: ctx(0, 2), Msgs: 4},
-		{From: 2, Ctx: ctx(1, 2), Msgs: 5},
+		{From: 2, Msgs: 4},
+		{From: 1, Msgs: 5},
 	})
 	want := []span.Delivery{
-		{From: 0, Ctx: ctx(0, 0), Msgs: 1},
-		{From: 2, Ctx: ctx(0, 2), Msgs: 7},
-		{From: 2, Ctx: ctx(1, 2), Msgs: 5},
+		{From: 0, Msgs: 1},
+		{From: 1, Msgs: 5},
+		{From: 2, Msgs: 7},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("merged = %+v, want %+v", got, want)
@@ -199,14 +198,5 @@ func TestWriteWaterfallRendersStream(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("waterfall missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestContextTagged(t *testing.T) {
-	if (span.Context{}).Tagged() {
-		t.Error("zero context claims to be tagged")
-	}
-	if !(span.Context{Run: 1}).Tagged() {
-		t.Error("run-1 context claims to be untagged")
 	}
 }

@@ -55,15 +55,21 @@ type StepSpanData struct {
 	// Deliveries is each worker's drained batch provenance for the step
 	// (transport.LastDeliveries, merged across rounds where applicable).
 	Deliveries [][]span.Delivery
+	// SendStep is the superstep whose sends the step's drains returned, set
+	// by the kernel from the engine's phase order; -1 when that superstep
+	// did not run in this Run (a resumed or restored Run's first drains).
+	SendStep int
 }
 
 // AppendStepSpans appends one superstep's measurements to dst as the canonical
 // span stream: for each worker in ascending order its Deliver spans, then
 // Parse (when present), Compute, Serialize, Send and BarrierWait, and finally
-// the Superstep span itself. The order, IDs and parent links depend only on
-// deterministic quantities, so the structure of the stream is byte-identical
-// across same-seed runs; only Start/Dur carry wall clock. It reads d and
-// allocates only what dst needs to grow.
+// the Superstep span itself. A Deliver span's parent is its sender's Send span
+// in superstep SendStep, or the superstep's own span when SendStep is -1. The
+// order, IDs and parent links depend only on deterministic quantities, so the
+// structure of the stream is byte-identical across same-seed runs; only
+// Start/Dur carry wall clock. It reads d and allocates only what dst needs to
+// grow.
 func AppendStepSpans(dst []span.Span, d StepSpanData) []span.Span {
 	stepID := span.StepID(d.Step)
 	var totalUnits, totalSent int64
@@ -74,8 +80,8 @@ func AppendStepSpans(dst []span.Span, d StepSpanData) []span.Span {
 		}
 		for _, dl := range d.Deliveries[w] {
 			parent := stepID
-			if dl.Ctx.Tagged() {
-				parent = span.SendID(int(dl.Ctx.Step), dl.From)
+			if d.SendStep >= 0 {
+				parent = span.SendID(d.SendStep, dl.From)
 			}
 			dst = append(dst, span.Span{ID: span.ID(span.Deliver, d.Step, w, dl.From),
 				Parent: parent, Run: d.Run, Step: d.Step, Worker: w, From: dl.From,

@@ -77,13 +77,14 @@ func Open[M any](o Options, mode transport.QueueMode, codec graph.Codec[M]) (She
 	return sh, nil
 }
 
-// Kernel builds one Run's kernel over the shell. info supplies what the
-// engine alone knows of obs.RunInfo (the shell fills engine, workers,
-// vertices and edges); owner is Config.Owner; store is Dir over the engine's
-// snapshot and Restore.
-func (sh *Shell[M]) Kernel(info func() obs.RunInfo, owner func(v int) int, store func(dir string) Checkpoints) *Kernel {
+// Kernel builds one Run's kernel over the shell. lag is how many supersteps
+// the engine's drains trail its sends, fixed by its phase order; info supplies
+// what the engine alone knows of obs.RunInfo (the shell fills engine,
+// workers, vertices and edges); owner is Config.Owner; store is Dir over the
+// engine's snapshot and Restore.
+func (sh *Shell[M]) Kernel(lag int, info func() obs.RunInfo, owner func(v int) int, store func(dir string) Checkpoints) *Kernel {
 	o := &sh.opt
-	return New(Config{
+	k := New(Config{
 		Name: o.Name, Workers: o.Workers, Vertices: o.Graph.NumVertices(), Hooks: o.Hooks,
 		Link: sh.Tr, Injector: sh.inj, Trace: sh.trace, Step: &sh.step, RunSeq: &sh.runSeq,
 		MaxSupersteps: o.MaxSupersteps, CheckpointEvery: o.CheckpointEvery,
@@ -94,6 +95,8 @@ func (sh *Shell[M]) Kernel(info func() obs.RunInfo, owner func(v int) int, store
 			return i
 		},
 	})
+	k.lag = lag
+	return k
 }
 
 // Rewind is Restore's engine-independent half, called before the state is

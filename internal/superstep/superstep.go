@@ -22,7 +22,6 @@ import (
 
 // Link is the non-generic half of transport.Interface.
 type Link interface {
-	Tag(from int, sc span.Context)
 	SerializeNanos(from int) int64
 	Matrix() *transport.Matrix
 	LastDeliveries(to int) []span.Delivery
@@ -125,12 +124,17 @@ type Kernel struct {
 	stats    metrics.StepStats
 	// rec is the one value observers get per superstep, reused across the run;
 	// its per-worker rows alias Counters. nil with Hooks off.
-	rec      *obs.StepRecord
-	ran      [metrics.Sync]bool          // phases run this superstep
-	starts   [metrics.Sync]time.Duration // and their offsets from runStart
-	serNs0   []int64
-	prevComm transport.MatrixSnapshot // cumulative traffic at the last barrier
-	resAll   []float64                // Residuals' rows, joined for SetResiduals
+	rec    *obs.StepRecord
+	ran    [metrics.Sync]bool          // phases run this superstep
+	starts [metrics.Sync]time.Duration // and their offsets from runStart
+	serNs0 []int64
+	// lag is how many supersteps the engine's drains trail its sends (bsp's
+	// PRS drains the previous SND: 1; cyclops and gas drain within the
+	// superstep: 0); first is the lowest superstep this Run has begun. Both
+	// only place Deliver spans under their parent.
+	lag, first int
+	prevComm   transport.MatrixSnapshot // cumulative traffic at the last barrier
+	resAll     []float64                // Residuals' rows, joined for SetResiduals
 }
 
 // New allocates a run's scratch; the loop allocates no bookkeeping after it.
@@ -241,6 +245,7 @@ func (k *Kernel) begin() {
 	}
 	*cfg.RunSeq++
 	k.rec.Spans.Run = *cfg.RunSeq
+	k.first = *cfg.Step
 	info := cfg.Info()
 	info.Run = *cfg.RunSeq
 	cfg.Hooks.OnRunStart(info)
@@ -345,18 +350,22 @@ func (k *Kernel) save(step int) error {
 	return nil
 }
 
-// beginSpans resets the superstep's span bookkeeping and tags its sends, so
-// the receive side can link Deliver spans back to the sender's Send span.
+// beginSpans resets the superstep's span bookkeeping and names the superstep
+// whose sends its drains return, when that superstep ran in this Run.
 func (k *Kernel) beginSpans(step int) {
 	sd := &k.rec.Spans
 	sd.Step, sd.StepStart = step, time.Since(k.runStart)
+	k.first = min(k.first, step)
+	sd.SendStep = step - k.lag
+	if sd.SendStep < k.first {
+		sd.SendStep = -1
+	}
 	k.ran, k.starts = [metrics.Sync]bool{}, [metrics.Sync]time.Duration{}
 	for p := range k.Busy {
 		clear(k.Busy[p])
 	}
 	for w := 0; w < k.cfg.Workers; w++ {
 		sd.Deliveries[w] = sd.Deliveries[w][:0]
-		k.cfg.Link.Tag(w, span.Context{Run: sd.Run, Step: int32(step), Worker: int32(w)})
 		k.serNs0[w] = k.cfg.Link.SerializeNanos(w)
 	}
 }

@@ -31,7 +31,6 @@ type fakeLink struct {
 	last   []span.Delivery
 }
 
-func (l *fakeLink) Tag(int, span.Context)              {}
 func (l *fakeLink) SerializeNanos(int) int64           { return 0 }
 func (l *fakeLink) Matrix() *transport.Matrix          { return l.matrix }
 func (l *fakeLink) LastDeliveries(int) []span.Delivery { return l.last }
@@ -438,7 +437,7 @@ func TestRecordScratchAliasing(t *testing.T) {
 		r := newRig(steps, func(c *superstep.Config) { c.Hooks = rec })
 		r.ps.Step = func() []obs.Violation {
 			n := int64(r.step + 1) // every value differs between the supersteps
-			r.link.last = []span.Delivery{{From: r.step, Ctx: span.Context{Run: 1, Step: int32(r.step), Worker: 1}, Msgs: n}}
+			r.link.last = []span.Delivery{{From: r.step, Msgs: n}}
 			r.k.Phase(metrics.Compute, func(w int) {
 				r.k.Units[w], r.k.Active[w], r.k.Sync[w] = 10*n+int64(w), 20*n+int64(w), 30*n+int64(w)
 				r.k.HeatMsgs[w] += n

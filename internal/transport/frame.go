@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 
 	"cyclops/internal/graph"
-	"cyclops/internal/obs/span"
 )
 
 // Binary frame format — the one wire format: the RPC transport writes it,
@@ -14,20 +13,19 @@ import (
 //	[4B length]  bytes that follow the prefix (flags..messages)
 //	[1B flags]   bit 0 = round-end marker
 //	[4B from]    sender worker id
-//	[16B tag]    span context: run int64, step int32, worker int32
 //	[4B count]   number of messages
 //	[body]       the count messages, encoded by the BodyCodec (none if 0)
 //
-// The header is fixed-size even when untagged (a zero context) so a frame's
-// wire size is a pure function of its (from, to, batch) — that is what lets the
-// in-process transport charge identical byte counts without materializing
-// frames, keeping PR 7's exact-diffed wire accounting deterministic across
-// transports.
+// The header is fixed-size, so a frame's wire size is a pure function of its
+// (from, to, batch) — that is what lets the in-process transport charge
+// identical byte counts without materializing frames, keeping the exact-diffed
+// wire accounting deterministic across transports. Nothing else rides along:
+// the superstep that sent a frame is fixed by the engine's phase order.
 const (
 	frameFlagEnd byte = 1 << 0
 	// FrameHeaderBytes is the fixed per-frame overhead: length prefix,
-	// flags, sender, span tag, and message count.
-	FrameHeaderBytes = 4 + 1 + 4 + 16 + 4
+	// flags, sender and message count.
+	FrameHeaderBytes = 4 + 1 + 4 + 4
 )
 
 // BodyCodec encodes the non-empty batch of one from→to frame as a whole: a
@@ -107,7 +105,7 @@ func frameWireBytes[M any](from, to int, batch []M, codec BodyCodec[M]) int64 {
 // appendFrame encodes one from→to frame onto dst and returns the extended
 // slice. dst is an arena-style per-peer buffer: steady-state calls reuse its
 // capacity and allocate nothing.
-func appendFrame[M any](dst []byte, from, to int, end bool, tag span.Context, batch []M, codec BodyCodec[M]) []byte {
+func appendFrame[M any](dst []byte, from, to int, end bool, batch []M, codec BodyCodec[M]) []byte {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // length, backpatched below
 	var flags byte
@@ -116,9 +114,6 @@ func appendFrame[M any](dst []byte, from, to int, end bool, tag span.Context, ba
 	}
 	dst = append(dst, flags)
 	dst = graph.AppendUint32(dst, uint32(from))
-	dst = graph.AppendUint64(dst, uint64(tag.Run))
-	dst = graph.AppendUint32(dst, uint32(tag.Step))
-	dst = graph.AppendUint32(dst, uint32(tag.Worker))
 	dst = graph.AppendUint32(dst, uint32(len(batch)))
 	if len(batch) > 0 {
 		dst = codec.AppendBody(dst, from, to, batch)
@@ -131,29 +126,26 @@ func appendFrame[M any](dst []byte, from, to int, end bool, tag span.Context, ba
 // received by `to`, into scratch when its capacity suffices, else into a
 // fresh slice; either way allocation-free per message. scratch stays the last
 // argument: that is how the bufretain analyzer finds it.
-func decodeFrameBody[M any](body []byte, to int, codec BodyCodec[M], scratch []M) (from int, end bool, tag span.Context, batch []M, err error) {
+func decodeFrameBody[M any](body []byte, to int, codec BodyCodec[M], scratch []M) (from int, end bool, batch []M, err error) {
 	if len(body) < FrameHeaderBytes-4 {
-		return 0, false, tag, nil, graph.ErrShortBuffer
+		return 0, false, nil, graph.ErrShortBuffer
 	}
 	flags := body[0]
 	if flags&^frameFlagEnd != 0 {
 		// Undefined flag bits: a peer speaking a newer (or corrupted) frame
 		// dialect. Reject before trusting the rest of the header.
-		return 0, false, tag, nil, ErrFrameCorrupt
+		return 0, false, nil, ErrFrameCorrupt
 	}
 	end = flags&frameFlagEnd != 0
 	from = int(binary.LittleEndian.Uint32(body[1:]))
-	tag.Run = int64(binary.LittleEndian.Uint64(body[5:]))
-	tag.Step = int32(binary.LittleEndian.Uint32(body[13:]))
-	tag.Worker = int32(binary.LittleEndian.Uint32(body[17:]))
-	count := int(binary.LittleEndian.Uint32(body[21:]))
-	rest := body[25:]
+	count := int(binary.LittleEndian.Uint32(body[5:]))
+	rest := body[9:]
 	if count > len(rest) {
 		// Every codec encodes a message into at least one byte (the
 		// graph.Codec contract), so a count exceeding the remaining bytes is
 		// provably a lie — reject it before sizing the batch allocation to
 		// an attacker-controlled header field.
-		return 0, false, tag, nil, graph.ErrShortBuffer
+		return 0, false, nil, graph.ErrShortBuffer
 	}
 	if cap(scratch) < count {
 		scratch = make([]M, count)
@@ -164,7 +156,7 @@ func decodeFrameBody[M any](body []byte, to int, codec BodyCodec[M], scratch []M
 		err = graph.ErrShortBuffer
 	}
 	if err != nil {
-		return 0, false, tag, nil, err
+		return 0, false, nil, err
 	}
-	return from, end, tag, batch, nil
+	return from, end, batch, nil
 }

@@ -71,29 +71,28 @@ func TestFrameRoundTrip(t *testing.T) {
 		name  string
 		from  int
 		end   bool
-		tag   span.Context
 		batch []msg
 	}{
-		{"tagged batch", 3, false, span.Context{Run: 7, Step: 11, Worker: 3},
-			[]msg{{1, 1.5}, {2, -2.5}, {4294967295, 0}}},
-		{"untagged batch", 0, false, span.Context{}, []msg{{9, 9.25}}},
-		{"round-end marker", 2, true, span.Context{Run: 1, Step: 0, Worker: 2}, nil},
-		{"empty batch", 1, false, span.Context{}, nil},
+		// The sender id is the only stamp a frame carries: "tagged" has a
+		// non-zero one, "untagged" an all-zero header.
+		{"tagged batch", 3, false, []msg{{1, 1.5}, {2, -2.5}, {4294967295, 0}}},
+		{"untagged batch", 0, false, []msg{{9, 9.25}}},
+		{"round-end marker", 2, true, nil},
+		{"empty batch", 1, false, nil},
 	}
 	codec := bodyOf[msg](msgCodec{})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			wire := appendFrame(nil, tc.from, 0, tc.end, tc.tag, tc.batch, codec)
+			wire := appendFrame(nil, tc.from, 0, tc.end, tc.batch, codec)
 			if got, want := int64(len(wire)), frameWireBytes(0, 1, tc.batch, codec); got != want {
 				t.Fatalf("materialised %d bytes, frameWireBytes computed %d", got, want)
 			}
-			from, end, tag, batch, err := decodeFrameBody(wire[4:], 0, codec, nil)
+			from, end, batch, err := decodeFrameBody(wire[4:], 0, codec, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if from != tc.from || end != tc.end || tag != tc.tag {
-				t.Fatalf("header round-trip: got (%d,%v,%+v), want (%d,%v,%+v)",
-					from, end, tag, tc.from, tc.end, tc.tag)
+			if from != tc.from || end != tc.end {
+				t.Fatalf("header round-trip: got (%d,%v), want (%d,%v)", from, end, tc.from, tc.end)
 			}
 			if len(batch) != len(tc.batch) {
 				t.Fatalf("batch length %d, want %d", len(batch), len(tc.batch))
@@ -109,31 +108,31 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameDecodeRejectsCorruption(t *testing.T) {
 	codec := bodyOf[msg](msgCodec{})
-	wire := appendFrame(nil, 1, 0, false, span.Context{}, []msg{{1, 1}, {2, 2}}, codec)
+	wire := appendFrame(nil, 1, 0, false, []msg{{1, 1}, {2, 2}}, codec)
 	// Truncated body: the last message is cut short.
-	if _, _, _, _, err := decodeFrameBody(wire[4:len(wire)-3], 0, codec, nil); err == nil {
+	if _, _, _, err := decodeFrameBody(wire[4:len(wire)-3], 0, codec, nil); err == nil {
 		t.Error("truncated frame decoded without error")
 	}
 	// Trailing garbage: bytes past the declared message count.
-	if _, _, _, _, err := decodeFrameBody(append(wire[4:], 0xFF), 0, codec, nil); err == nil {
+	if _, _, _, err := decodeFrameBody(append(wire[4:], 0xFF), 0, codec, nil); err == nil {
 		t.Error("frame with trailing bytes decoded without error")
 	}
 	// Shorter than the fixed header.
-	if _, _, _, _, err := decodeFrameBody(wire[4:10], 0, codec, nil); err == nil {
+	if _, _, _, err := decodeFrameBody(wire[4:10], 0, codec, nil); err == nil {
 		t.Error("sub-header frame decoded without error")
 	}
 	// Undefined flag bits: a different frame dialect, not a torn read.
 	bent := append([]byte(nil), wire[4:]...)
 	bent[0] |= 0x80
-	if _, _, _, _, err := decodeFrameBody(bent, 0, codec, nil); err != ErrFrameCorrupt {
+	if _, _, _, err := decodeFrameBody(bent, 0, codec, nil); err != ErrFrameCorrupt {
 		t.Errorf("frame with undefined flag bits: err = %v, want ErrFrameCorrupt", err)
 	}
 	// A message count larger than the remaining bytes: the decoder must
 	// reject it up front (every message costs ≥ 1 byte) rather than size an
 	// allocation from the attacker-controlled header field.
 	huge := append([]byte(nil), wire[4:]...)
-	huge[21], huge[22], huge[23], huge[24] = 0xFF, 0xFF, 0xFF, 0x7F
-	if _, _, _, _, err := decodeFrameBody(huge, 0, codec, nil); err != graph.ErrShortBuffer {
+	huge[5], huge[6], huge[7], huge[8] = 0xFF, 0xFF, 0xFF, 0x7F
+	if _, _, _, err := decodeFrameBody(huge, 0, codec, nil); err != graph.ErrShortBuffer {
 		t.Errorf("frame with outsized count: err = %v, want ErrShortBuffer", err)
 	}
 }
@@ -149,8 +148,8 @@ func TestFrameScratchAliasing(t *testing.T) {
 	second := []msg{{7, 7.0}, {8, 8.0}}
 	scratch := make([]msg, 0, 2)
 
-	wire1 := appendFrame(nil, 0, 0, false, span.Context{}, first, codec)
-	_, _, _, batch1, err := decodeFrameBody(wire1[4:], 0, codec, scratch)
+	wire1 := appendFrame(nil, 0, 0, false, first, codec)
+	_, _, batch1, err := decodeFrameBody(wire1[4:], 0, codec, scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +157,8 @@ func TestFrameScratchAliasing(t *testing.T) {
 		t.Fatalf("first decode: got %+v, want %+v", batch1, first)
 	}
 
-	wire2 := appendFrame(nil, 0, 0, false, span.Context{}, second, codec)
-	_, _, _, batch2, err := decodeFrameBody(wire2[4:], 0, codec, scratch)
+	wire2 := appendFrame(nil, 0, 0, false, second, codec)
+	_, _, batch2, err := decodeFrameBody(wire2[4:], 0, codec, scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,12 +182,11 @@ func TestFrameRoundTripZeroAlloc(t *testing.T) {
 	for i := range batch {
 		batch[i] = msg{uint32(i), float64(i)}
 	}
-	tag := span.Context{Run: 1, Step: 2, Worker: 3}
-	buf := appendFrame(nil, 0, 0, false, tag, batch, codec) // grow the arena
+	buf := appendFrame(nil, 0, 0, false, batch, codec) // grow the arena
 	scratch := make([]msg, 0, len(batch))
 	allocs := testing.AllocsPerRun(100, func() {
-		buf = appendFrame(buf[:0], 0, 0, false, tag, batch, codec)
-		_, _, _, out, err := decodeFrameBody(buf[4:], 0, codec, scratch)
+		buf = appendFrame(buf[:0], 0, 0, false, batch, codec)
+		_, _, out, err := decodeFrameBody(buf[4:], 0, codec, scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +216,7 @@ func TestLocalCodecWireAccounting(t *testing.T) {
 	var wantWire int64
 	for _, b := range batches {
 		tr.Send(b.from, b.to, b.batch)
-		wire := appendFrame(nil, b.from, 0, false, span.Context{}, b.batch, codec)
+		wire := appendFrame(nil, b.from, 0, false, b.batch, codec)
 		wantWire += int64(len(wire))
 	}
 	s := tr.Stats().Snapshot()
@@ -245,7 +243,6 @@ func TestRPCBinaryRoundTrip(t *testing.T) {
 	}
 	defer tr.Close()
 
-	tr.Tag(0, span.Context{Run: 5, Step: 1, Worker: 0})
 	remote := []msg{{1, 1}, {2, 2}, {3, 3}}
 	tr.Send(0, 1, remote)
 	tr.Send(0, 0, []msg{{5, 5}}) // self-send: loopback, priced as the frame it would be
@@ -266,10 +263,14 @@ func TestRPCBinaryRoundTrip(t *testing.T) {
 			t.Fatalf("message %d: got %+v, want %+v", i, flat[i], remote[i])
 		}
 	}
-	if d := tr.LastDeliveries(1); len(d) != 1 || d[0].Ctx.Run != 5 {
-		t.Errorf("span tag lost on the binary wire: deliveries %+v", d)
+	if d := tr.LastDeliveries(1); len(d) != 1 || d[0] != (span.Delivery{From: 0, Msgs: 3}) {
+		t.Errorf("worker 1's deliveries %+v, want 3 messages from worker 0", d)
 	}
 	tr.Drain(0)
+	if d := tr.LastDeliveries(0); len(d) != 2 || d[0] != (span.Delivery{From: 0, Msgs: 1}) ||
+		d[1] != (span.Delivery{From: 1, Msgs: 1}) {
+		t.Errorf("worker 0's deliveries %+v, want one message each from itself and worker 1", d)
+	}
 	if err := tr.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -302,15 +303,14 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 	for i := range batch {
 		batch[i] = msg{uint32(i), float64(i)}
 	}
-	tag := span.Context{Run: 1, Step: 2, Worker: 3}
-	buf := appendFrame(nil, 0, 0, false, tag, batch, codec)
+	buf := appendFrame(nil, 0, 0, false, batch, codec)
 	scratch := make([]msg, 0, len(batch))
 	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = appendFrame(buf[:0], 0, 0, false, tag, batch, codec)
-		_, _, _, out, err := decodeFrameBody(buf[4:], 0, codec, scratch)
+		buf = appendFrame(buf[:0], 0, 0, false, batch, codec)
+		_, _, out, err := decodeFrameBody(buf[4:], 0, codec, scratch)
 		if err != nil {
 			b.Fatal(err)
 		}

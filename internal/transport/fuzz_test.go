@@ -10,8 +10,8 @@ package transport
 //  2. Scratch agreement: decoding into a recycled scratch batch yields the
 //     same messages as a fresh decode.
 //
-// Seed corpora live in testdata/fuzz/FuzzDecodeFrameBody: a tagged data
-// frame, a round-end marker, a torn frame, an undefined-flag frame, and an
+// Seed corpora live in testdata/fuzz/FuzzDecodeFrameBody: a data frame from
+// a non-zero sender, a round-end marker, a torn frame, an undefined-flag frame, and an
 // outsized-count frame, so CI's short fuzz budget starts from the
 // interesting corners instead of discovering them.
 
@@ -20,8 +20,6 @@ import (
 	"encoding/binary"
 	"math"
 	"testing"
-
-	"cyclops/internal/obs/span"
 )
 
 func FuzzDecodeFrameBody(f *testing.F) {
@@ -31,20 +29,20 @@ func FuzzDecodeFrameBody(f *testing.F) {
 		{{1, 1.5}},
 		{{1, 1}, {2, 2}, {4294967295, -0.5}},
 	} {
-		wire := appendFrame(nil, 3, 0, false, span.Context{Run: 9, Step: 2, Worker: 3}, batch, codec)
+		wire := appendFrame(nil, 3, 0, false, batch, codec)
 		f.Add(wire[4:])
 	}
-	end := appendFrame(nil, 1, 0, true, span.Context{Run: 1, Step: 4, Worker: 1}, nil, codec)
+	end := appendFrame(nil, 1, 0, true, nil, codec)
 	f.Add(end[4:])
-	torn := appendFrame(nil, 0, 0, false, span.Context{}, []msg{{5, 5}}, codec)
+	torn := appendFrame(nil, 0, 0, false, []msg{{5, 5}}, codec)
 	f.Add(torn[4 : len(torn)-3])
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		from, endFlag, tag, batch, err := decodeFrameBody(body, 0, codec, nil)
+		from, endFlag, batch, err := decodeFrameBody(body, 0, codec, nil)
 		if err != nil {
 			return // rejected: the only requirement on bad input is no panic
 		}
-		wire := appendFrame(nil, from, 0, endFlag, tag, batch, codec)
+		wire := appendFrame(nil, from, 0, endFlag, batch, codec)
 		if got := binary.LittleEndian.Uint32(wire); int(got) != len(body) {
 			t.Fatalf("re-encoded length prefix %d, decoded body was %d bytes", got, len(body))
 		}
@@ -52,7 +50,7 @@ func FuzzDecodeFrameBody(f *testing.F) {
 			t.Fatalf("accepted body is not canonical:\ndecoded  %x\nreencoded %x", body, wire[4:])
 		}
 		scratch := make([]msg, 0, len(batch))
-		_, _, _, again, err := decodeFrameBody(body, 0, codec, scratch)
+		_, _, again, err := decodeFrameBody(body, 0, codec, scratch)
 		if err != nil {
 			t.Fatalf("scratch decode failed where fresh decode succeeded: %v", err)
 		}

@@ -66,16 +66,9 @@ type Interface[M any] interface {
 	// Close releases sockets and wakes blocked Drains.
 	Close() error
 
-	// Tag stamps the causal span context carried on batches `from` sends
-	// from now on (until retagged). Like Drain, it must only be called when
-	// no Send by `from` is in flight — the engines tag from the coordinator
-	// between barriers. Engines that run without Hooks never tag, keeping
-	// the untraced send path free of span bookkeeping.
-	Tag(from int, sc span.Context)
 	// LastDeliveries reports the provenance of the batches the most recent
-	// Drain(to) returned, aggregated by (sender, span context) and sorted by
-	// sender. Nil when the transport has never been tagged. The slice is
-	// only valid until the next Drain(to).
+	// Drain(to) returned: messages per sender, sorted by sender. The slice
+	// is only valid until the next Drain(to).
 	LastDeliveries(to int) []span.Delivery
 	// SerializeNanos reports the cumulative wire-serialisation time charged
 	// to sender `from`, in nanoseconds. Zero for Local, which prices frames

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"cyclops/internal/graph"
 	"cyclops/internal/obs/span"
@@ -55,13 +54,8 @@ type Local[M any] struct {
 	// out[to] is what Drain(to) returns, reused by the next Drain(to).
 	out [][][]M
 
-	// Span tagging. tagged flips once on the first Tag call; until then the
-	// send path skips all span bookkeeping (the nil-Hooks fast path). tags
-	// and lastDeliv rely on the Tag/Drain contract for ordering: tags[from]
-	// is written by the coordinator between barriers, lastDeliv[to] only by
-	// Drain(to)'s caller.
-	tagged    atomic.Bool
-	tags      []span.Context
+	// lastDeliv[to] is the provenance of Drain(to)'s batches, written and
+	// read only by Drain(to)'s caller.
 	lastDeliv [][]span.Delivery
 }
 
@@ -79,14 +73,12 @@ type lockedQueue[M any] struct {
 type taggedBatch[M any] struct {
 	from  int
 	seq   int64
-	ctx   span.Context
 	batch []M
 }
 
 type slot[M any] struct {
 	mu      sync.Mutex // uncontended: single writer; keeps the race detector honest
 	batches [][]M
-	ctxs    []span.Context // span tag per batch, parallel to batches
 }
 
 // NewLocal creates a transport between n workers with the given queue mode.
@@ -94,7 +86,7 @@ type slot[M any] struct {
 // rejects a missing one.
 func NewLocal[M any](n int, mode QueueMode, codec graph.Codec[M]) *Local[M] {
 	t := &Local[M]{n: n, mode: mode, books: newBooks(n, codec),
-		tags: make([]span.Context, n), lastDeliv: make([][]span.Delivery, n), out: make([][][]M, n)}
+		lastDeliv: make([][]span.Delivery, n), out: make([][][]M, n)}
 	switch mode {
 	case GlobalQueue:
 		t.global = make([]lockedQueue[M], n)
@@ -126,22 +118,17 @@ func (t *Local[M]) Send(from, to int, batch []M) {
 	}
 	t.bookBatch(from, to, len(batch), t.mode == GlobalQueue)
 	t.bookWire(from, to, frameWireBytes(from, to, batch, t.codec))
-	var ctx span.Context
-	if t.tagged.Load() {
-		ctx = t.tags[from]
-	}
 	switch t.mode {
 	case GlobalQueue:
 		q := &t.global[to]
 		q.mu.Lock()
 		q.seq[from]++
-		q.batches = append(q.batches, taggedBatch[M]{from: from, seq: q.seq[from], ctx: ctx, batch: batch})
+		q.batches = append(q.batches, taggedBatch[M]{from: from, seq: q.seq[from], batch: batch})
 		q.mu.Unlock()
 	case PerSenderQueue:
 		s := &t.slots[to][from]
 		s.mu.Lock()
 		s.batches = append(s.batches, batch)
-		s.ctxs = append(s.ctxs, ctx)
 		s.mu.Unlock()
 	}
 }
@@ -153,69 +140,47 @@ func (t *Local[M]) Send(from, to int, batch []M) {
 // that fold message values in drain order produce bit-identical results on
 // every same-seed run. The returned slice is reused by the next Drain(to).
 func (t *Local[M]) Drain(to int) [][]M {
-	record := t.tagged.Load()
-	if record {
-		t.lastDeliv[to] = t.lastDeliv[to][:0]
-	}
+	deliv := t.lastDeliv[to][:0]
 	out := t.out[to][:0]
 	switch t.mode {
 	case GlobalQueue:
 		q := &t.global[to]
 		q.mu.Lock()
-		tagged := q.batches
-		// Truncate, don't nil: `tagged` aliases the backing array but is dead
+		queued := q.batches
+		// Truncate, don't nil: `queued` aliases the backing array but is dead
 		// before the next round's Sends reuse it (the Drain contract — no Send
 		// is in flight — makes this the per-sender slot reuse's twin).
 		q.batches = q.batches[:0]
 		q.mu.Unlock()
-		slices.SortFunc(tagged, func(a, b taggedBatch[M]) int { // (from, seq) is unique
+		slices.SortFunc(queued, func(a, b taggedBatch[M]) int { // (from, seq) is unique
 			return cmp.Or(cmp.Compare(a.from, b.from), cmp.Compare(a.seq, b.seq))
 		})
-		for i := range tagged {
-			out = append(out, tagged[i].batch)
-			if record {
-				t.lastDeliv[to] = span.AddDelivery(t.lastDeliv[to],
-					span.Delivery{From: tagged[i].from, Ctx: tagged[i].ctx, Msgs: int64(len(tagged[i].batch))})
-			}
+		for i := range queued {
+			out = append(out, queued[i].batch)
+			deliv = span.AddDelivery(deliv, span.Delivery{From: queued[i].from, Msgs: int64(len(queued[i].batch))})
 		}
 	default:
 		for from := range t.slots[to] {
 			s := &t.slots[to][from]
 			s.mu.Lock()
 			out = append(out, s.batches...)
-			if record {
-				for i, b := range s.batches {
-					t.lastDeliv[to] = span.AddDelivery(t.lastDeliv[to],
-						span.Delivery{From: from, Ctx: s.ctxs[i], Msgs: int64(len(b))})
-				}
+			for _, b := range s.batches {
+				deliv = span.AddDelivery(deliv, span.Delivery{From: from, Msgs: int64(len(b))})
 			}
 			// Truncate, don't nil: out copied the batch headers, so the
 			// containers' backing arrays are free to take next superstep's
 			// sends — the slot reaches steady state with zero allocations
 			// per Send, like the engines' arena buffers it carries.
 			s.batches = s.batches[:0]
-			s.ctxs = s.ctxs[:0]
 			s.mu.Unlock()
 		}
 	}
-	t.out[to] = out
+	t.out[to], t.lastDeliv[to] = out, deliv
 	return out
 }
 
-// Tag implements Interface: stamps the span context carried on `from`'s
-// subsequent sends. See the Interface contract for the concurrency rules.
-func (t *Local[M]) Tag(from int, sc span.Context) {
-	t.tags[from] = sc
-	t.tagged.Store(true)
-}
-
 // LastDeliveries implements Interface.
-func (t *Local[M]) LastDeliveries(to int) []span.Delivery {
-	if !t.tagged.Load() {
-		return nil
-	}
-	return t.lastDeliv[to]
-}
+func (t *Local[M]) LastDeliveries(to int) []span.Delivery { return t.lastDeliv[to] }
 
 // SerializeNanos implements Interface: the in-process transport never
 // encodes, so serialisation time is identically zero.

@@ -148,26 +148,3 @@ func TestMatrixSnapshotSubAddClone(t *testing.T) {
 		t.Fatalf("egress bytes %v, ingress bytes %v", eg, in)
 	}
 }
-
-func TestMicroSenderMessagesSumToTotal(t *testing.T) {
-	const total, senders = 1000, 7
-	for _, r := range []MicroResult{
-		MicroHama(total, senders),
-		MicroPowerGraph(total, senders),
-		MicroCyclops(total, senders),
-	} {
-		if err := VerifyMicro(r); err != nil {
-			t.Fatal(err)
-		}
-		if len(r.SenderMessages) != senders {
-			t.Fatalf("%s: %d sender counts, want %d", r.Impl, len(r.SenderMessages), senders)
-		}
-		var sum int64
-		for _, v := range r.SenderMessages {
-			sum += v
-		}
-		if sum != int64(r.Messages) {
-			t.Fatalf("%s: sender counts sum %d, want %d", r.Impl, sum, r.Messages)
-		}
-	}
-}

@@ -9,8 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"cyclops/internal/obs/span"
 )
 
 // This file implements the Table 3 message-passing microbenchmark (§6.11):
@@ -50,53 +48,9 @@ type MicroResult struct {
 	Checksum float64
 	// WireBytes is what each implementation materialises to move its
 	// messages (12 bytes of uint32 index + float64 value each): gob frames
-	// for hama, header+records for powergraph, zero for cyclops (direct
+	// for hama, bare records for powergraph, zero for cyclops (direct
 	// writes).
 	WireBytes int64
-	// SenderMessages is the per-peer accounting for the microbenchmark: one
-	// count per sender. All traffic targets the single master, so the full
-	// worker×worker matrix collapses to this egress vector; its sum equals
-	// Messages, mirroring the Matrix/Stats consistency of the engine
-	// transports.
-	SenderMessages []int64
-	// LinkedBatches counts the batches whose span tag survived the wire and
-	// resolved back to the sending worker in the parse phase — the
-	// microbenchmark's version of the causal sender→receiver span link. For
-	// the Cyclops implementation every sender's direct write is its own send
-	// span, so the count equals the sender count by construction.
-	LinkedBatches int64
-	// EncodeOps and DecodeOps count per-message serialisation work, so the
-	// gob leg and the binary leg report Table 3 like-for-like: hama counts
-	// each gob-encoded (and -decoded) message, powergraph each binary record,
-	// cyclops zero on both sides (direct writes serialise nothing). A
-	// serialising implementation decodes exactly what it encodes, so the two
-	// counters must match — the wire tests assert that symmetry.
-	EncodeOps int64
-	DecodeOps int64
-}
-
-// microCtx is the span tag a microbenchmark sender stamps on its frames.
-func microCtx(sender int) span.Context {
-	return span.Context{Run: 1, Step: 0, Worker: int32(sender)}
-}
-
-// microFrame is the Hama-style wire format: the gob envelope carries the
-// sender's span context alongside the batch, as the RPC transport's frames
-// do.
-type microFrame struct {
-	Tag   span.Context
-	Batch []IndexValue
-}
-
-// microSenderCounts returns how many messages each of the disjoint sender
-// ranges covers. The sum is total by construction.
-func microSenderCounts(total, senders int) []int64 {
-	out := make([]int64, senders)
-	for s := 0; s < senders; s++ {
-		lo, hi := microRange(total, senders, s)
-		out[s] = int64(hi - lo)
-	}
-	return out
 }
 
 const microBatch = 4096
@@ -126,13 +80,12 @@ func MicroHama(total, senders int) MicroResult {
 	arr := make([]float64, total)
 	var mu sync.Mutex
 	var queue [][]byte
-	var wire, encOps atomic.Int64
+	var wire atomic.Int64
 
 	start := time.Now()
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {
 		lo, hi := microRange(total, senders, s)
-		ctx := microCtx(s)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -142,11 +95,10 @@ func MicroHama(total, senders int) MicroResult {
 					return
 				}
 				var buf bytes.Buffer
-				if err := gob.NewEncoder(&buf).Encode(microFrame{Tag: ctx, Batch: batch}); err != nil {
+				if err := gob.NewEncoder(&buf).Encode(batch); err != nil {
 					panic(err) // cannot happen for a concrete struct type
 				}
 				wire.Add(int64(buf.Len()))
-				encOps.Add(int64(len(batch)))
 				mu.Lock()
 				queue = append(queue, buf.Bytes())
 				mu.Unlock()
@@ -165,17 +117,12 @@ func MicroHama(total, senders int) MicroResult {
 	send := time.Since(start) //lint:allow determinism wall-clock is the measurement in the Table 3 microbenchmark
 
 	parseStart := time.Now()
-	var linked, decOps int64
 	for _, raw := range queue {
-		var f microFrame
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&f); err != nil {
+		var batch []IndexValue
+		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&batch); err != nil {
 			panic(err)
 		}
-		if f.Tag.Tagged() {
-			linked++
-		}
-		decOps += int64(len(f.Batch))
-		for _, m := range f.Batch {
+		for _, m := range batch {
 			arr[m.Idx] = m.Val
 		}
 	}
@@ -184,12 +131,8 @@ func MicroHama(total, senders int) MicroResult {
 	return MicroResult{
 		Impl: "hama", Messages: total,
 		Send: send, Parse: parse, Total: send + parse,
-		Checksum:       microChecksum(arr),
-		WireBytes:      wire.Load(),
-		SenderMessages: microSenderCounts(total, senders),
-		LinkedBatches:  linked,
-		EncodeOps:      encOps.Load(),
-		DecodeOps:      decOps,
+		Checksum:  microChecksum(arr),
+		WireBytes: wire.Load(),
 	}
 }
 
@@ -199,45 +142,32 @@ func MicroPowerGraph(total, senders int) MicroResult {
 	arr := make([]float64, total)
 	var mu sync.Mutex
 	var queue [][]byte
-	var wire, encOps atomic.Int64
+	var wire atomic.Int64
 
-	// The span tag rides a fixed 16-byte binary header (run int64, step
-	// int32, worker int32), matching the implementation's hand-rolled
-	// encoding style.
-	const microHeader = 16
 	start := time.Now()
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {
 		lo, hi := microRange(total, senders, s)
-		ctx := microCtx(s)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			header := func() []byte {
-				buf := make([]byte, microHeader, microHeader+microBatch*12)
-				binary.LittleEndian.PutUint64(buf[0:8], uint64(ctx.Run))
-				binary.LittleEndian.PutUint32(buf[8:12], uint32(ctx.Step))
-				binary.LittleEndian.PutUint32(buf[12:16], uint32(ctx.Worker))
-				return buf
-			}
-			buf := header()
+			buf := make([]byte, 0, microBatch*12)
 			flush := func() {
-				if len(buf) == microHeader {
+				if len(buf) == 0 {
 					return
 				}
 				wire.Add(int64(len(buf)))
-				encOps.Add(int64((len(buf) - microHeader) / 12))
 				mu.Lock()
 				queue = append(queue, buf)
 				mu.Unlock()
-				buf = header()
+				buf = make([]byte, 0, microBatch*12)
 			}
 			for i := lo; i < hi; i++ {
 				var rec [12]byte
 				binary.LittleEndian.PutUint32(rec[0:4], uint32(i))
 				binary.LittleEndian.PutUint64(rec[4:12], math.Float64bits(float64(i+1)))
 				buf = append(buf, rec[:]...)
-				if len(buf) == microHeader+microBatch*12 {
+				if len(buf) == microBatch*12 {
 					flush()
 				}
 			}
@@ -248,16 +178,11 @@ func MicroPowerGraph(total, senders int) MicroResult {
 	send := time.Since(start) //lint:allow determinism wall-clock is the measurement in the Table 3 microbenchmark
 
 	parseStart := time.Now()
-	var linked, decOps int64
 	for _, raw := range queue {
-		if binary.LittleEndian.Uint64(raw[0:8]) != 0 {
-			linked++
-		}
-		for off := microHeader; off+12 <= len(raw); off += 12 {
+		for off := 0; off+12 <= len(raw); off += 12 {
 			idx := binary.LittleEndian.Uint32(raw[off : off+4])
 			val := math.Float64frombits(binary.LittleEndian.Uint64(raw[off+4 : off+12]))
 			arr[idx] = val
-			decOps++
 		}
 	}
 	parse := time.Since(parseStart) //lint:allow determinism wall-clock is the measurement in the Table 3 microbenchmark
@@ -265,12 +190,8 @@ func MicroPowerGraph(total, senders int) MicroResult {
 	return MicroResult{
 		Impl: "powergraph", Messages: total,
 		Send: send, Parse: parse, Total: send + parse,
-		Checksum:       microChecksum(arr),
-		WireBytes:      wire.Load(),
-		SenderMessages: microSenderCounts(total, senders),
-		LinkedBatches:  linked,
-		EncodeOps:      encOps.Load(),
-		DecodeOps:      decOps,
+		Checksum:  microChecksum(arr),
+		WireBytes: wire.Load(),
 	}
 }
 
@@ -302,10 +223,6 @@ func MicroCyclops(total, senders int) MicroResult {
 		// WireBytes stays zero: direct writes materialise no frames at all,
 		// which is precisely the paper's point about the §3.4 one-message
 		// guarantee.
-		SenderMessages: microSenderCounts(total, senders),
-		// No frames to tag: each sender's direct write carries its span
-		// context implicitly, so every sender is its own linked "batch".
-		LinkedBatches: int64(senders),
 	}
 }
 

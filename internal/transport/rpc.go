@@ -75,11 +75,8 @@ type RPC[M any] struct {
 
 	inboxes []rpcInbox[M]
 
-	// tags[from] and serNs[from] are guarded by encMu[from], like the
-	// buffers they describe. tagged flips once on the first Tag call.
-	tagged atomic.Bool
-	tags   []span.Context
-	serNs  []int64
+	// serNs[from] is guarded by encMu[from], like the buffers it describes.
+	serNs []int64
 
 	closed    atomic.Bool
 	closeOnce sync.Once
@@ -93,8 +90,8 @@ type rpcInbox[M any] struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	batches []rpcBatch[M]
-	// lastDeliv is the span provenance of the batches the last Drain
-	// returned; rebuilt per Drain, read by the same worker afterwards.
+	// lastDeliv is the provenance of the batches the last Drain returned;
+	// rebuilt per Drain, read by the same worker afterwards.
 	lastDeliv []span.Delivery
 	// endsFrom[i] counts unconsumed round markers from sender i. Drain
 	// consumes exactly one from every sender per round.
@@ -109,11 +106,9 @@ type rpcInbox[M any] struct {
 	closed bool
 }
 
-// rpcBatch is one received batch plus its provenance: the sender and the
-// causal span tag its frame carried.
+// rpcBatch is one received batch plus its sender.
 type rpcBatch[M any] struct {
 	from  int
-	ctx   span.Context
 	batch []M
 }
 
@@ -130,7 +125,6 @@ func NewRPC[M any](n int, codec graph.Codec[M]) (*RPC[M], error) {
 		encMu:     make([]sync.Mutex, n),
 		rngs:      make([]*rand.Rand, n),
 		inboxes:   make([]rpcInbox[M], n),
-		tags:      make([]span.Context, n),
 		serNs:     make([]int64, n),
 	}
 	for i := range t.inboxes {
@@ -227,7 +221,7 @@ func (t *RPC[M]) receiveLoop(to int, conn net.Conn) {
 			scratch, in.free = in.free[k-1], in.free[:k-1]
 		}
 		in.mu.Unlock()
-		from, end, tag, batch, err := decodeFrameBody(body, to, t.codec, scratch)
+		from, end, batch, err := decodeFrameBody(body, to, t.codec, scratch)
 		if err == nil && (from < 0 || from >= t.n) {
 			err = fmt.Errorf("%w: sender %d outside [0,%d)", ErrFrameCorrupt, from, t.n)
 		}
@@ -248,7 +242,7 @@ func (t *RPC[M]) receiveLoop(to int, conn net.Conn) {
 			t.depositEnd(to, from)
 			continue
 		}
-		t.deposit(to, rpcBatch[M]{from: from, ctx: tag, batch: batch})
+		t.deposit(to, rpcBatch[M]{from: from, batch: batch})
 	}
 }
 
@@ -343,9 +337,9 @@ func (t *RPC[M]) backoff(from, attempt int) time.Duration {
 // sendFrame encodes one frame from→to into the per-peer arena buffer and
 // writes it with a single Write, re-dialling with backoff on failure. Caller
 // holds encMu[from]. Returns the final error after retries.
-func (t *RPC[M]) sendFrame(from, to int, end bool, tag span.Context, batch []M) error {
+func (t *RPC[M]) sendFrame(from, to int, end bool, batch []M) error {
 	encStart := time.Now()
-	buf := appendFrame(t.encBufs[from][to][:0], from, to, end, tag, batch, t.codec)
+	buf := appendFrame(t.encBufs[from][to][:0], from, to, end, batch, t.codec)
 	t.encBufs[from][to] = buf
 	t.serNs[from] += time.Since(encStart).Nanoseconds() //lint:allow determinism serialisation time feeds the Serialize span, quarantined like timings.csv
 	var lastErr error
@@ -399,10 +393,10 @@ func (t *RPC[M]) Send(from, to int, batch []M) {
 	defer t.encMu[from].Unlock()
 	if from == to {
 		t.bookWire(from, to, frameWireBytes(from, to, batch, t.codec))
-		t.deposit(to, rpcBatch[M]{from: from, ctx: t.tags[from], batch: batch})
+		t.deposit(to, rpcBatch[M]{from: from, batch: batch})
 		return
 	}
-	t.recordErr(t.sendFrame(from, to, false, t.tags[from], batch))
+	t.recordErr(t.sendFrame(from, to, false, batch))
 }
 
 // FinishRound marks the end of `from`'s sends for the current round. It must
@@ -423,7 +417,7 @@ func (t *RPC[M]) FinishRound(from int) {
 			t.depositEnd(to, from)
 			continue
 		}
-		if err := t.sendFrame(from, to, true, span.Context{}, nil); err != nil {
+		if err := t.sendFrame(from, to, true, nil); err != nil {
 			t.recordErr(err)
 			t.depositEnd(to, from)
 		}
@@ -461,10 +455,7 @@ func (t *RPC[M]) Drain(to int) [][]M {
 			}
 		}
 	}
-	record := t.tagged.Load()
-	if record {
-		in.lastDeliv = in.lastDeliv[:0]
-	}
+	in.lastDeliv = in.lastDeliv[:0]
 	in.free = append(in.free, in.lent...) // dead now, by the Drain contract
 	in.out, in.lent = in.out[:0], in.lent[:0]
 	for _, rb := range received {
@@ -472,28 +463,13 @@ func (t *RPC[M]) Drain(to int) [][]M {
 		if rb.from != to {
 			in.lent = append(in.lent, rb.batch)
 		}
-		if record {
-			in.lastDeliv = span.AddDelivery(in.lastDeliv,
-				span.Delivery{From: rb.from, Ctx: rb.ctx, Msgs: int64(len(rb.batch))})
-		}
+		in.lastDeliv = span.AddDelivery(in.lastDeliv, span.Delivery{From: rb.from, Msgs: int64(len(rb.batch))})
 	}
 	return in.out
 }
 
-// Tag implements Interface: stamps the span context carried on `from`'s
-// subsequent frames.
-func (t *RPC[M]) Tag(from int, sc span.Context) {
-	t.encMu[from].Lock()
-	t.tags[from] = sc
-	t.encMu[from].Unlock()
-	t.tagged.Store(true)
-}
-
 // LastDeliveries implements Interface.
 func (t *RPC[M]) LastDeliveries(to int) []span.Delivery {
-	if !t.tagged.Load() {
-		return nil
-	}
 	in := &t.inboxes[to]
 	in.mu.Lock()
 	defer in.mu.Unlock()

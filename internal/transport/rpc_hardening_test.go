@@ -13,8 +13,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"cyclops/internal/obs/span"
 )
 
 // drainOrTimeout guards against the exact regression these tests exist for:
@@ -191,7 +189,7 @@ func TestRPCCorruptFrameIsTypedTransient(t *testing.T) {
 	}
 	defer tr.Close()
 
-	bad := appendFrame(nil, 0, 1, false, span.Context{}, []int{9}, bodyOf[int](intCodec{}))
+	bad := appendFrame(nil, 0, 1, false, []int{9}, bodyOf[int](intCodec{}))
 	bad[4] = 0x80 // flags byte: a bit this dialect does not define
 	tr.encMu[0].Lock()
 	_, werr := tr.conns[0][1].Write(bad)
@@ -227,7 +225,7 @@ func TestRPCBatchFromUnknownSenderRejected(t *testing.T) {
 	}
 	defer tr.Close()
 	tr.encMu[0].Lock()
-	_, werr := tr.conns[0][1].Write(appendFrame(nil, 7, 1, false, span.Context{}, []int{9}, bodyOf[int](intCodec{})))
+	_, werr := tr.conns[0][1].Write(appendFrame(nil, 7, 1, false, []int{9}, bodyOf[int](intCodec{})))
 	tr.encMu[0].Unlock()
 	if werr != nil {
 		t.Fatal(werr)

@@ -291,29 +291,6 @@ func TestMicroOrdering(t *testing.T) {
 	}
 }
 
-func TestMicroLinkedBatches(t *testing.T) {
-	// Every wire batch carries its sender's span tag, so the tag-survival
-	// count must equal the batch count exactly: per-sender ceil(range/batch)
-	// for the message-passing implementations, one virtual batch per sender
-	// for cyclops (replica flushes carry no frames to tag).
-	for _, tc := range []struct{ total, senders int }{{20000, 5}, {20000, 2}, {100, 3}} {
-		var wantBatches int64
-		for s := 0; s < tc.senders; s++ {
-			lo, hi := microRange(tc.total, tc.senders, s)
-			wantBatches += int64((hi - lo + microBatch - 1) / microBatch)
-		}
-		if got := MicroHama(tc.total, tc.senders).LinkedBatches; got != wantBatches {
-			t.Errorf("hama %d/%d: %d linked batches, want %d", tc.total, tc.senders, got, wantBatches)
-		}
-		if got := MicroPowerGraph(tc.total, tc.senders).LinkedBatches; got != wantBatches {
-			t.Errorf("powergraph %d/%d: %d linked batches, want %d", tc.total, tc.senders, got, wantBatches)
-		}
-		if got := MicroCyclops(tc.total, tc.senders).LinkedBatches; got != int64(tc.senders) {
-			t.Errorf("cyclops %d/%d: %d linked batches, want %d", tc.total, tc.senders, got, tc.senders)
-		}
-	}
-}
-
 func TestRPCErrNilOnHealthyRun(t *testing.T) {
 	tr, err := NewRPC[msg](2, msgCodec{})
 	if err != nil {
