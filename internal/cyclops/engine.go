@@ -212,7 +212,7 @@ func New[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[V, M]) (*Engin
 		Name: "cyclops", Engine: name, Graph: g, Workers: workers,
 		Network: cfg.Network, MaxSupersteps: cfg.MaxSupersteps, CheckpointDir: cfg.CheckpointDir,
 		CheckpointEvery: cfg.CheckpointEvery, Hooks: cfg.Hooks, FaultPlan: cfg.FaultPlan,
-	}, transport.PerSenderQueue, syncCodec[M]{inner: cfg.MsgCodec, width: graph.FixedSize(cfg.MsgCodec), plan: e.plan})
+	}, transport.PerSenderQueue, newSyncCodec(cfg.MsgCodec, e.plan))
 	if err != nil {
 		return nil, err
 	}

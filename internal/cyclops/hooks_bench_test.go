@@ -26,6 +26,7 @@ import (
 	"cyclops/internal/obs"
 	"cyclops/internal/obs/span"
 	"cyclops/internal/partition"
+	"cyclops/internal/transport"
 )
 
 func benchGraph(b *testing.B) *graph.Graph {
@@ -151,39 +152,57 @@ func BenchmarkSparseSuperstep(b *testing.B) {
 			for v := 0; v+1 < n; v++ {
 				gb.AddWeightedEdge(graph.ID(v), graph.ID(v+1), float64(1+v%7))
 			}
-			benchSupersteps(b, gb.MustBuild(), algorithms.SSSPCyclops{Source: 0}, partition.Range{}, steps)
+			benchSupersteps(b, gb.MustBuild(), algorithms.SSSPCyclops{Source: 0}, partition.Range{}, steps, transport.InProcess)
 		})
 	}
 }
 
 // BenchmarkDenseSuperstep is its dense twin, the shape of bench/'s
-// pr-web-cyclops: fixed-iteration PageRank on gweb@0.5 over Flat(2,1) and a
-// hash cut, where every vertex with an in-edge computes, publishes and
-// activates every superstep. Run it with -cpu 1, as bench/ runs on one P.
+// pr-web-cyclops and pr-web-cyclops-tcp: fixed-iteration PageRank on gweb@0.5
+// over Flat(2,1) and a hash cut, where every vertex with an in-edge computes,
+// publishes and activates every superstep, in process ("local") and over
+// loopback TCP ("tcp"); the difference is frames, codec and round markers.
+// Run it with -cpu 1, as bench/ runs on one P.
 func BenchmarkDenseSuperstep(b *testing.B) {
 	g, _, err := gen.Dataset("gweb", 0.5, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchSupersteps(b, g, algorithms.PageRankCyclops{}, partition.Hash{}, 20)
+	for _, net := range []transport.Network{transport.InProcess, transport.TCPLoopback} {
+		name := map[transport.Network]string{transport.InProcess: "local", transport.TCPLoopback: "tcp"}[net]
+		b.Run(name, func(b *testing.B) {
+			benchSupersteps(b, g, algorithms.PageRankCyclops{}, partition.Hash{}, 20, net)
+		})
+	}
 }
 
-// benchSupersteps times steps supersteps of prog on Flat(2,1) per iteration,
-// restoring the engine's initial state untimed in between, and reports
-// ns/superstep.
-func benchSupersteps(b *testing.B, g *graph.Graph, prog cyclops.Program[float64, float64], part partition.Partitioner, steps int) {
-	e, err := cyclops.New[float64, float64](g, prog,
-		cyclops.Config[float64, float64]{Cluster: cluster.Flat(2, 1), Partitioner: part, MaxSupersteps: steps})
-	if err != nil {
-		b.Fatal(err)
+// benchSupersteps times steps supersteps of prog on Flat(2,1) over net per
+// iteration and reports ns/superstep. In process it restores the engine's
+// initial state untimed in between; over TCP, where Restore is refused
+// (superstep.ErrInProcessOnly), it builds a fresh engine per iteration with
+// the timer stopped.
+func benchSupersteps(b *testing.B, g *graph.Graph, prog cyclops.Program[float64, float64], part partition.Partitioner, steps int, net transport.Network) {
+	build := func() *cyclops.Engine[float64, float64] {
+		e, err := cyclops.New[float64, float64](g, prog,
+			cyclops.Config[float64, float64]{Cluster: cluster.Flat(2, 1), Partitioner: part, MaxSupersteps: steps, Network: net})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return e
 	}
-	defer e.Close()
+	e := build()
+	defer func() { e.Close() }()
 	start := e.Snapshot()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		if err := e.Restore(start); err != nil {
-			b.Fatal(err)
+		if net == transport.InProcess {
+			if err := e.Restore(start); err != nil {
+				b.Fatal(err)
+			}
+		} else if i > 0 {
+			e.Close()
+			e = build()
 		}
 		b.StartTimer()
 		if _, err := e.Run(); err != nil {

@@ -25,12 +25,17 @@ func testPlan() []graph.CSR[planEntry] {
 	for i := int32(0); i < 72; i++ {
 		rows[[2]int{2, 0}] = append(rows[[2]int{2, 0}], planEntry{master: i * 4 / 72, replica: 49 + i})
 	}
-	plan := make([]graph.CSR[planEntry], 3)
+	return planOf(3, rows)
+}
+
+// planOf builds a send plan for workers workers from its rows by (from, to).
+func planOf(workers int, rows map[[2]int][]planEntry) []graph.CSR[planEntry] {
+	plan := make([]graph.CSR[planEntry], workers)
 	for w := range plan {
 		var a graph.CSRAssembler[planEntry]
-		a.Grow(3)
+		a.Grow(workers)
 		add := func() {
-			for p := 0; p < 3; p++ {
+			for p := 0; p < workers; p++ {
 				for _, pe := range rows[[2]int{w, p}] {
 					a.Add(p, pe)
 				}
@@ -44,7 +49,36 @@ func testPlan() []graph.CSR[planEntry] {
 	return plan
 }
 
-var testCodec = syncCodec[float64]{inner: graph.Float64Codec{}, width: 8, plan: testPlan()}
+// testCodec is the raw form: graph.Float64Codec declares its values raw, so
+// they are copied. genericCodec is the generic form, the same codec behind a
+// wrapper that hides the declaration, so every value goes through Append and
+// Decode; both must write and read the same bytes.
+var (
+	testCodec    = newSyncCodec[float64](graph.Float64Codec{}, testPlan())
+	genericCodec = newSyncCodec[float64](rawBlind[float64]{graph.Float64Codec{}, 8}, testCodec.plan)
+)
+
+// rawBlind hides a codec's Raw64 declaration and declares fixed as its
+// FixedSize (0: none).
+type rawBlind[M any] struct {
+	graph.Codec[M]
+	fixed int
+}
+
+func (c rawBlind[M]) FixedSize() int { return c.fixed }
+
+// errClass names an error as the frame decoder's callers tell them apart.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, graph.ErrShortBuffer):
+		return "short"
+	case errors.Is(err, transport.ErrFrameCorrupt):
+		return "corrupt"
+	}
+	return "untyped: " + err.Error()
+}
 
 type fmsg = syncMsg[float64]
 
@@ -81,9 +115,10 @@ var bodyCases = []struct {
 }
 
 // FuzzSyncFrameDecode: arbitrary bytes against testPlan never panic the
-// decoder and never yield a slot outside the from→to plan (so never a
-// master slot); whatever it accepts re-encodes to a body that decodes to the
-// same batch.
+// decoder, decode alike through the raw and the generic form (the same batch
+// or the same error class), and never yield a slot outside the from→to plan
+// (so never a master slot); whatever it accepts re-encodes to a body that
+// decodes to the same batch.
 func FuzzSyncFrameDecode(f *testing.F) {
 	for _, tc := range bodyCases {
 		f.Add(uint8(tc.from), uint8(tc.to), uint8(len(tc.batch)), testCodec.AppendBody(nil, tc.from, tc.to, tc.batch))
@@ -100,9 +135,13 @@ func FuzzSyncFrameDecode(f *testing.F) {
 			return // the frame decoder never asks for these
 		}
 		fw, pw := int(from)%4, int(to)%4 // 3 names no worker
-		batch := make([]fmsg, count)
-		if err := testCodec.DecodeBody(body, fw, pw, batch); err != nil {
-			if !errors.Is(err, graph.ErrShortBuffer) && !errors.Is(err, transport.ErrFrameCorrupt) {
+		batch, generic := make([]fmsg, count), make([]fmsg, count)
+		err, gerr := testCodec.DecodeBody(body, fw, pw, batch), genericCodec.DecodeBody(body, fw, pw, generic)
+		if errClass(err) != errClass(gerr) || err == nil && !sameMsgs(batch, generic) {
+			t.Fatalf("raw form decodes to %+v, %v; generic form to %+v, %v", batch, err, generic, gerr)
+		}
+		if err != nil {
+			if c := errClass(err); c != "short" && c != "corrupt" {
 				t.Fatalf("untyped decode error %v", err)
 			}
 			return

@@ -11,7 +11,7 @@ import (
 // header, little-endian throughout:
 //
 //	[4B length]  bytes that follow the prefix (flags..messages)
-//	[1B flags]   bit 0 = round-end marker
+//	[1B flags]   bit 0 = round-end marker (count 0, no body)
 //	[4B from]    sender worker id
 //	[4B count]   number of messages
 //	[body]       the count messages, encoded by the BodyCodec (none if 0)
@@ -140,6 +140,12 @@ func decodeFrameBody[M any](body []byte, to int, codec BodyCodec[M], scratch []M
 	from = int(binary.LittleEndian.Uint32(body[1:]))
 	count := int(binary.LittleEndian.Uint32(body[5:]))
 	rest := body[9:]
+	if end && count != 0 {
+		// A round-end marker carries nothing: FinishRound writes none with
+		// messages, and the receiver credits the marker without delivering a
+		// batch, so messages on one would be lost without a trace.
+		return 0, false, nil, ErrFrameCorrupt
+	}
 	if count > len(rest) {
 		// Every codec encodes a message into at least one byte (the
 		// graph.Codec contract), so a count exceeding the remaining bytes is

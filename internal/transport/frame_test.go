@@ -127,6 +127,12 @@ func TestFrameDecodeRejectsCorruption(t *testing.T) {
 	if _, _, _, err := decodeFrameBody(bent, 0, codec, nil); err != ErrFrameCorrupt {
 		t.Errorf("frame with undefined flag bits: err = %v, want ErrFrameCorrupt", err)
 	}
+	// A round-end marker that carries messages: the receiver would credit
+	// the marker and drop the batch, so it is a corrupt frame, not a marker.
+	ended := appendFrame(nil, 1, 0, true, []msg{{1, 1}}, codec)
+	if _, _, _, err := decodeFrameBody(ended[4:], 0, codec, nil); err != ErrFrameCorrupt {
+		t.Errorf("round-end frame with a message: err = %v, want ErrFrameCorrupt", err)
+	}
 	// A message count larger than the remaining bytes: the decoder must
 	// reject it up front (every message costs ≥ 1 byte) rather than size an
 	// allocation from the attacker-controlled header field.

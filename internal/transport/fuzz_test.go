@@ -2,18 +2,21 @@ package transport
 
 // Fuzz coverage for the binary frame decoder. The decoder sits on the trust
 // boundary — every byte it parses arrived from a socket — so beyond not
-// panicking it must uphold two properties on arbitrary input:
+// panicking it must uphold three properties on arbitrary input:
 //
 //  1. Canonical round-trip: any body it accepts re-encodes (via appendFrame)
 //     to exactly the bytes it decoded. There is one wire form per frame, the
 //     invariant the exact-diffed wire accounting depends on.
 //  2. Scratch agreement: decoding into a recycled scratch batch yields the
 //     same messages as a fresh decode.
+//  3. A round-end marker it accepts carries no messages: the receiver
+//     credits the marker and delivers nothing.
 //
 // Seed corpora live in testdata/fuzz/FuzzDecodeFrameBody: a data frame from
-// a non-zero sender, a round-end marker, a torn frame, an undefined-flag frame, and an
-// outsized-count frame, so CI's short fuzz budget starts from the
-// interesting corners instead of discovering them.
+// a non-zero sender, a round-end marker, a round-end marker with a body, a
+// torn frame, an undefined-flag frame, and an outsized-count frame, so CI's
+// short fuzz budget starts from the interesting corners instead of
+// discovering them.
 
 import (
 	"bytes"
@@ -41,6 +44,9 @@ func FuzzDecodeFrameBody(f *testing.F) {
 		from, endFlag, batch, err := decodeFrameBody(body, 0, codec, nil)
 		if err != nil {
 			return // rejected: the only requirement on bad input is no panic
+		}
+		if endFlag && len(batch) != 0 {
+			t.Fatalf("accepted a round-end marker carrying %d messages", len(batch))
 		}
 		wire := appendFrame(nil, from, 0, endFlag, batch, codec)
 		if got := binary.LittleEndian.Uint32(wire); int(got) != len(body) {

@@ -215,6 +215,33 @@ func TestRPCCorruptFrameIsTypedTransient(t *testing.T) {
 	}
 }
 
+// TestRPCRoundEndWithBodyIsTypedTransient: a round-end frame that carries
+// messages, written on a live connection, is reported by Err as a transient
+// ErrFrameCorrupt — not credited as a marker while its batch is dropped, which
+// would complete the round short without a word.
+func TestRPCRoundEndWithBodyIsTypedTransient(t *testing.T) {
+	tr, err := NewRPC[int](2, intCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	tr.encMu[0].Lock()
+	_, werr := tr.conns[0][1].Write(appendFrame(nil, 0, 1, true, []int{4, 5}, bodyOf[int](intCodec{})))
+	tr.encMu[0].Unlock()
+	if werr != nil {
+		t.Fatal(werr)
+	}
+	tr.FinishRound(0)
+	tr.FinishRound(1)
+	drainOrTimeout(t, tr, 1)
+	drainOrTimeout(t, tr, 0)
+	rerr := tr.Err()
+	var te *Error
+	if !errors.Is(rerr, ErrFrameCorrupt) || !IsTransient(rerr) || !errors.As(rerr, &te) || te.Op != "recv" || te.Peer != 1 {
+		t.Fatalf("Err() = %v after a round-end frame with 2 messages; want a transient recv ErrFrameCorrupt at peer 1", rerr)
+	}
+}
+
 // TestRPCBatchFromUnknownSenderRejected: a well-formed batch frame naming a
 // sender outside [0,n) must be refused like a marker from one, before its
 // provenance reaches code that indexes by sender.
