@@ -90,3 +90,27 @@ func TestCodecAppendReusesBuffer(t *testing.T) {
 		t.Fatalf("Append into preallocated buffer allocates %.1f per run, want 0", allocs)
 	}
 }
+
+// rawOnly declares Raw64 but no FixedSize.
+type rawOnly struct{ Int64Codec }
+
+func (rawOnly) FixedSize() int { return 0 }
+
+// TestRaw64: the raw declaration holds only with an 8-byte FixedSize and an
+// 8-byte message, and Word64 is then the bytes Append writes.
+func TestRaw64(t *testing.T) {
+	if !Raw64[float64](Float64Codec{}) || !Raw64[int64](Int64Codec{}) {
+		t.Fatal("Float64Codec and Int64Codec must read as raw")
+	}
+	if Raw64[int64](rawOnly{}) || Raw64[[]float64](Float64SliceCodec{}) {
+		t.Fatal("a codec without an 8-byte FixedSize reads as raw")
+	}
+	for _, v := range []float64{0, -0.15, math.Inf(-1), math.NaN()} {
+		if got, want := AppendUint64(nil, Word64(&v)), (Float64Codec{}).Append(nil, v); string(got) != string(want) {
+			t.Fatalf("Word64(%v) = % x, Append writes % x", v, got, want)
+		}
+		if back := FromWord64[float64](Word64(&v)); math.Float64bits(back) != math.Float64bits(v) {
+			t.Fatalf("FromWord64(Word64(%v)) = %v", v, back)
+		}
+	}
+}
