@@ -99,9 +99,9 @@ func TestBSPPageRankOverTCP(t *testing.T) {
 	local, lb := run(transport.InProcess)
 	tcp, tb := run(transport.TCPLoopback)
 	for v := range local {
-		// BSP sums messages in arrival order, which differs between the
-		// transports; allow last-ulp noise only.
-		if math.Abs(local[v]-tcp[v]) > 1e-15 {
+		// BSP sums messages in drain order, which both networks fix as
+		// (sender, send): the sums agree to the bit.
+		if math.Float64bits(local[v]) != math.Float64bits(tcp[v]) {
 			t.Fatalf("vertex %d: in-process %g vs tcp %g", v, local[v], tcp[v])
 		}
 	}
@@ -164,9 +164,9 @@ func TestGASPageRankOverTCP(t *testing.T) {
 	local, lb := run(transport.InProcess)
 	tcp, tb := run(transport.TCPLoopback)
 	for v := range local {
-		// Masters fold partials in arrival order, which differs between the
-		// transports; allow last-ulp noise only.
-		if math.Abs(local[v]-tcp[v]) > 1e-15 {
+		// Masters fold partials in drain order, which both networks fix as
+		// (sender, send): the ranks agree to the bit.
+		if math.Float64bits(local[v]) != math.Float64bits(tcp[v]) {
 			t.Fatalf("vertex %d: in-process %g vs tcp %g", v, local[v], tcp[v])
 		}
 	}

@@ -127,24 +127,17 @@ type Delivery struct {
 
 // MergeDeliveries folds `more` into `dst`, aggregating message counts by
 // sender and keeping the result sorted by sender so the merged order is
-// scheduling-independent. It owns and returns dst.
+// scheduling-independent. It owns and returns dst; a binary search per
+// delivery and inserts into dst's spare capacity mean a capacity-reused dst
+// allocates nothing in steady state.
 func MergeDeliveries(dst, more []Delivery) []Delivery {
 	for _, d := range more {
-		dst = AddDelivery(dst, d)
+		i, found := slices.BinarySearchFunc(dst, d.From, func(e Delivery, from int) int { return cmp.Compare(e.From, from) })
+		if found {
+			dst[i].Msgs += d.Msgs
+		} else {
+			dst = slices.Insert(dst, i, d)
+		}
 	}
 	return dst
-}
-
-// AddDelivery merges a single delivery into dst, which must already be
-// sorted by sender — the order MergeDeliveries and AddDelivery both
-// maintain. This is the transports' per-batch hot path: a binary search and,
-// for a new sender, an insert into dst's spare capacity, so folding a drain's
-// provenance into a capacity-reused list allocates nothing in steady state.
-func AddDelivery(dst []Delivery, d Delivery) []Delivery {
-	i, found := slices.BinarySearchFunc(dst, d.From, func(e Delivery, from int) int { return cmp.Compare(e.From, from) })
-	if found {
-		dst[i].Msgs += d.Msgs
-		return dst
-	}
-	return slices.Insert(dst, i, d)
 }

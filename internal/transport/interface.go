@@ -53,8 +53,10 @@ type Interface[M any] interface {
 	// FinishRound marks the end of `from`'s sends for the current round.
 	FinishRound(from int)
 	// Drain returns and clears all batches addressed to `to` for the
-	// current round. They are valid until the next Drain(to), which may
-	// reuse their memory.
+	// current round, by sender and then in each sender's send order, on
+	// both networks: engines that fold values in drain order get
+	// bit-identical results in-process and over TCP. They are valid until
+	// the next Drain(to), which may reuse their memory.
 	Drain(to int) [][]M
 	// Stats exposes the traffic counters.
 	Stats() *Stats
@@ -93,9 +95,9 @@ func (t *Local[M]) Close() error { return nil }
 
 var _ Interface[int] = (*Local[int])(nil)
 
-// New constructs a transport for the requested network. mode selects the
-// receive-queue discipline for InProcess (the TCP transport always uses a
-// locked inbox; its contention is real, not simulated). codec encodes and
+// New constructs a transport for the requested network. mode selects how
+// InProcess locks its inboxes (the TCP transport always takes one mutex per
+// inbox; its contention is real, not simulated). codec encodes and
 // prices every frame, identically on both networks; a nil codec is an error —
 // there is one wire format and nothing to fall back to. A BodyCodec encodes
 // whole frame bodies; any other codec goes message by message, priced per

@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sync"
 
 	"cyclops/internal/graph"
@@ -14,13 +12,13 @@ import (
 type QueueMode int
 
 const (
-	// GlobalQueue appends every incoming batch to one locked queue per
-	// receiver, as Hama does (§4.1): senders from different workers contend
-	// on the receiver's mutex.
+	// GlobalQueue guards each receiver's inbox with one lock that every
+	// sender's enqueue takes, as Hama's global in-queue does (§2.2.2):
+	// senders from different workers contend on the receiver's mutex.
 	GlobalQueue QueueMode = iota
-	// PerSenderQueue gives each (sender, receiver) pair its own slot, as
-	// Cyclops does: a slot has exactly one writer, so enqueueing never
-	// contends.
+	// PerSenderQueue gives each (sender, receiver) slot its own lock, as
+	// Cyclops' per-sender sub-queues do (§4.1): a slot has exactly one
+	// writer, so enqueueing never contends.
 	PerSenderQueue
 )
 
@@ -36,6 +34,52 @@ func (m QueueMode) String() string {
 	}
 }
 
+// inbox is one receiver's undrained batches, one slot per sender: slots[from]
+// holds what `from` sent, in send order. It has no lock of its own: Local
+// guards it per receiver or per slot (the queue modes), RPC with the inbox
+// mutex its receive loops share. Both transports fill and drain this one
+// type, so every network delivers in the same order.
+type inbox[M any] struct {
+	slots [][][]M
+	// out and deliv are the last drain's batches and their provenance, valid
+	// until the next drain, which reuses their memory.
+	out   [][]M
+	deliv []span.Delivery
+}
+
+func newInboxes[M any](n int) []inbox[M] {
+	ins := make([]inbox[M], n)
+	for i := range ins {
+		ins[i].slots = make([][][]M, n)
+	}
+	return ins
+}
+
+// drain returns every queued batch by sender, then in send order — a
+// canonical order whatever the goroutine or socket scheduling, so engines
+// that fold message values in drain order produce bit-identical results on
+// every network and every same-seed run. The same walk records the
+// provenance, messages per sender sorted by sender.
+func (in *inbox[M]) drain() [][]M {
+	in.out, in.deliv = in.out[:0], in.deliv[:0]
+	for from, s := range in.slots {
+		if len(s) == 0 {
+			continue
+		}
+		msgs := 0
+		for _, b := range s {
+			msgs += len(b)
+		}
+		in.out = append(in.out, s...)
+		in.deliv = append(in.deliv, span.Delivery{From: from, Msgs: int64(msgs)})
+		// Truncate, don't nil: out copied the batch headers, so the slot's
+		// backing array is free to take the next round's sends — steady state
+		// allocates nothing per Send.
+		in.slots[from] = s[:0]
+	}
+	return in.out
+}
+
 // Local is an in-process transport between n workers. Send is synchronous:
 // when it returns, the batch is visible to the receiver's next Drain. The
 // caller transfers ownership of the batch slice. No frame is materialized:
@@ -46,66 +90,40 @@ type Local[M any] struct {
 	n    int
 	mode QueueMode
 	books[M]
-
-	// GlobalQueue state: one locked queue per receiver.
-	global []lockedQueue[M]
-	// PerSenderQueue state: slot [to][from], single writer each.
-	slots [][]slot[M]
-	// out[to] is what Drain(to) returns, reused by the next Drain(to).
-	out [][][]M
-
-	// lastDeliv[to] is the provenance of Drain(to)'s batches, written and
-	// read only by Drain(to)'s caller.
-	lastDeliv [][]span.Delivery
-}
-
-type lockedQueue[M any] struct {
-	mu      sync.Mutex
-	batches []taggedBatch[M]
-	seq     []int64 // per-sender send counter, indexed by from
-}
-
-// taggedBatch remembers who enqueued a batch and in what per-sender order, so
-// Drain can return a canonical ordering instead of goroutine arrival order.
-// Arrival order depends on scheduling; sorting by (from, seq) makes the fold
-// order of non-commutative-in-floating-point reductions reproducible, which
-// the flight recorder's byte-identical series guarantee relies on.
-type taggedBatch[M any] struct {
-	from  int
-	seq   int64
-	batch []M
-}
-
-type slot[M any] struct {
-	mu      sync.Mutex // uncontended: single writer; keeps the race detector honest
-	batches [][]M
+	inboxes []inbox[M]
+	// locks guard the inboxes: GlobalQueue has one per receiver, which every
+	// sender's enqueue takes; PerSenderQueue one per (receiver, sender) slot,
+	// uncontended with its single writer but keeping the race detector honest.
+	locks []sync.Mutex
 }
 
 // NewLocal creates a transport between n workers with the given queue mode.
 // codec prices the wire and is required — New is the constructor that
 // rejects a missing one.
 func NewLocal[M any](n int, mode QueueMode, codec graph.Codec[M]) *Local[M] {
-	t := &Local[M]{n: n, mode: mode, books: newBooks(n, codec),
-		lastDeliv: make([][]span.Delivery, n), out: make([][][]M, n)}
+	locks := n
 	switch mode {
 	case GlobalQueue:
-		t.global = make([]lockedQueue[M], n)
-		for i := range t.global {
-			t.global[i].seq = make([]int64, n)
-		}
 	case PerSenderQueue:
-		t.slots = make([][]slot[M], n)
-		for i := range t.slots {
-			t.slots[i] = make([]slot[M], n)
-		}
+		locks = n * n
 	default:
 		panic(fmt.Sprintf("transport: unknown queue mode %d", mode))
 	}
-	return t
+	return &Local[M]{n: n, mode: mode, books: newBooks(n, codec),
+		inboxes: newInboxes[M](n), locks: make([]sync.Mutex, locks)}
 }
 
 // NumEndpoints reports the number of workers the transport connects.
 func (t *Local[M]) NumEndpoints() int { return t.n }
+
+// locksOf returns the locks guarding `to`'s inbox: its one lock, or its
+// slots' locks indexed by sender.
+func (t *Local[M]) locksOf(to int) []sync.Mutex {
+	if t.mode == GlobalQueue {
+		return t.locks[to : to+1]
+	}
+	return t.locks[to*t.n : (to+1)*t.n]
+}
 
 // Send delivers a batch from worker `from` to worker `to`. Empty batches are
 // dropped. The batch slice is owned by the transport afterwards.
@@ -118,69 +136,34 @@ func (t *Local[M]) Send(from, to int, batch []M) {
 	}
 	t.bookBatch(from, to, len(batch), t.mode == GlobalQueue)
 	t.bookWire(from, to, frameWireBytes(from, to, batch, t.codec))
-	switch t.mode {
-	case GlobalQueue:
-		q := &t.global[to]
-		q.mu.Lock()
-		q.seq[from]++
-		q.batches = append(q.batches, taggedBatch[M]{from: from, seq: q.seq[from], batch: batch})
-		q.mu.Unlock()
-	case PerSenderQueue:
-		s := &t.slots[to][from]
-		s.mu.Lock()
-		s.batches = append(s.batches, batch)
-		s.mu.Unlock()
+	mu := &t.locks[to]
+	if t.mode == PerSenderQueue {
+		mu = &t.locks[to*t.n+from]
 	}
+	mu.Lock()
+	in := &t.inboxes[to]
+	in.slots[from] = append(in.slots[from], batch)
+	mu.Unlock()
 }
 
-// Drain returns and clears all batches queued for worker `to`. It must only
-// be called when no Send to `to` is in flight (i.e. after a barrier), which
-// is how the BSP superstep structure uses it. Batches come back in canonical
-// (sender, send-order) order regardless of goroutine scheduling, so engines
-// that fold message values in drain order produce bit-identical results on
-// every same-seed run. The returned slice is reused by the next Drain(to).
+// Drain returns and clears all batches queued for worker `to`, in the
+// inbox's (sender, send) order. It must only be called when no Send to `to`
+// is in flight (i.e. after a barrier), which is how the BSP superstep
+// structure uses it. The returned slice is reused by the next Drain(to).
 func (t *Local[M]) Drain(to int) [][]M {
-	deliv := t.lastDeliv[to][:0]
-	out := t.out[to][:0]
-	switch t.mode {
-	case GlobalQueue:
-		q := &t.global[to]
-		q.mu.Lock()
-		queued := q.batches
-		// Truncate, don't nil: `queued` aliases the backing array but is dead
-		// before the next round's Sends reuse it (the Drain contract — no Send
-		// is in flight — makes this the per-sender slot reuse's twin).
-		q.batches = q.batches[:0]
-		q.mu.Unlock()
-		slices.SortFunc(queued, func(a, b taggedBatch[M]) int { // (from, seq) is unique
-			return cmp.Or(cmp.Compare(a.from, b.from), cmp.Compare(a.seq, b.seq))
-		})
-		for i := range queued {
-			out = append(out, queued[i].batch)
-			deliv = span.AddDelivery(deliv, span.Delivery{From: queued[i].from, Msgs: int64(len(queued[i].batch))})
-		}
-	default:
-		for from := range t.slots[to] {
-			s := &t.slots[to][from]
-			s.mu.Lock()
-			out = append(out, s.batches...)
-			for _, b := range s.batches {
-				deliv = span.AddDelivery(deliv, span.Delivery{From: from, Msgs: int64(len(b))})
-			}
-			// Truncate, don't nil: out copied the batch headers, so the
-			// containers' backing arrays are free to take next superstep's
-			// sends — the slot reaches steady state with zero allocations
-			// per Send, like the engines' arena buffers it carries.
-			s.batches = s.batches[:0]
-			s.mu.Unlock()
-		}
+	locks := t.locksOf(to)
+	for i := range locks {
+		locks[i].Lock()
 	}
-	t.out[to], t.lastDeliv[to] = out, deliv
+	out := t.inboxes[to].drain()
+	for i := range locks {
+		locks[i].Unlock()
+	}
 	return out
 }
 
 // LastDeliveries implements Interface.
-func (t *Local[M]) LastDeliveries(to int) []span.Delivery { return t.lastDeliv[to] }
+func (t *Local[M]) LastDeliveries(to int) []span.Delivery { return t.inboxes[to].deliv }
 
 // SerializeNanos implements Interface: the in-process transport never
 // encodes, so serialisation time is identically zero.
@@ -188,22 +171,15 @@ func (t *Local[M]) SerializeNanos(int) int64 { return 0 }
 
 // Pending reports whether worker `to` has undrained batches (test helper).
 func (t *Local[M]) Pending(to int) bool {
-	switch t.mode {
-	case GlobalQueue:
-		q := &t.global[to]
-		q.mu.Lock()
-		defer q.mu.Unlock()
-		return len(q.batches) > 0
-	default:
-		for from := range t.slots[to] {
-			s := &t.slots[to][from]
-			s.mu.Lock()
-			n := len(s.batches)
-			s.mu.Unlock()
-			if n > 0 {
-				return true
-			}
-		}
-		return false
+	locks := t.locksOf(to)
+	for i := range locks {
+		locks[i].Lock()
+		defer locks[i].Unlock()
 	}
+	for _, s := range t.inboxes[to].slots {
+		if len(s) > 0 {
+			return true
+		}
+	}
+	return false
 }

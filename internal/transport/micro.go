@@ -77,6 +77,45 @@ func wantChecksum(n int) float64 { return float64(n) * float64(n+1) / 2 }
 // MicroHama runs the Hama-style implementation: gob encoding + one locked
 // global queue + a separate parse phase.
 func MicroHama(total, senders int) MicroResult {
+	return microQueue("hama", total, senders, func(batch []IndexValue) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(batch); err != nil {
+			panic(err) // cannot happen for a concrete struct type
+		}
+		return buf.Bytes()
+	}, func(raw []byte, arr []float64) {
+		var batch []IndexValue
+		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&batch); err != nil {
+			panic(err)
+		}
+		for _, m := range batch {
+			arr[m.Idx] = m.Val
+		}
+	})
+}
+
+// MicroPowerGraph runs the PowerGraph-style implementation: compact manual
+// binary encoding (12 bytes/message) + locked queue + parse phase.
+func MicroPowerGraph(total, senders int) MicroResult {
+	return microQueue("powergraph", total, senders, func(batch []IndexValue) []byte {
+		buf := make([]byte, 0, 12*len(batch))
+		for _, m := range batch {
+			buf = binary.LittleEndian.AppendUint32(buf, m.Idx)
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Val))
+		}
+		return buf
+	}, func(raw []byte, arr []float64) {
+		for off := 0; off+12 <= len(raw); off += 12 {
+			arr[binary.LittleEndian.Uint32(raw[off:])] = math.Float64frombits(binary.LittleEndian.Uint64(raw[off+4:]))
+		}
+	})
+}
+
+// microQueue is the queue-and-parse structure Hama and PowerGraph share:
+// senders encode batches of microBatch updates and append each frame to one
+// locked global queue; a separate parse phase then decodes every frame and
+// applies its updates.
+func microQueue(impl string, total, senders int, encode func([]IndexValue) []byte, decode func([]byte, []float64)) MicroResult {
 	arr := make([]float64, total)
 	var mu sync.Mutex
 	var queue [][]byte
@@ -90,27 +129,17 @@ func MicroHama(total, senders int) MicroResult {
 		go func() {
 			defer wg.Done()
 			batch := make([]IndexValue, 0, microBatch)
-			flush := func() {
-				if len(batch) == 0 {
-					return
-				}
-				var buf bytes.Buffer
-				if err := gob.NewEncoder(&buf).Encode(batch); err != nil {
-					panic(err) // cannot happen for a concrete struct type
-				}
-				wire.Add(int64(buf.Len()))
-				mu.Lock()
-				queue = append(queue, buf.Bytes())
-				mu.Unlock()
-				batch = batch[:0]
-			}
 			for i := lo; i < hi; i++ {
 				batch = append(batch, IndexValue{Idx: uint32(i), Val: float64(i + 1)})
-				if len(batch) == microBatch {
-					flush()
+				if len(batch) == microBatch || i == hi-1 {
+					raw := encode(batch)
+					wire.Add(int64(len(raw)))
+					mu.Lock()
+					queue = append(queue, raw)
+					mu.Unlock()
+					batch = batch[:0]
 				}
 			}
-			flush()
 		}()
 	}
 	wg.Wait()
@@ -118,77 +147,12 @@ func MicroHama(total, senders int) MicroResult {
 
 	parseStart := time.Now()
 	for _, raw := range queue {
-		var batch []IndexValue
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&batch); err != nil {
-			panic(err)
-		}
-		for _, m := range batch {
-			arr[m.Idx] = m.Val
-		}
+		decode(raw, arr)
 	}
 	parse := time.Since(parseStart) //lint:allow determinism wall-clock is the measurement in the Table 3 microbenchmark
 
 	return MicroResult{
-		Impl: "hama", Messages: total,
-		Send: send, Parse: parse, Total: send + parse,
-		Checksum:  microChecksum(arr),
-		WireBytes: wire.Load(),
-	}
-}
-
-// MicroPowerGraph runs the PowerGraph-style implementation: compact manual
-// binary encoding (12 bytes/message) + locked queue + parse phase.
-func MicroPowerGraph(total, senders int) MicroResult {
-	arr := make([]float64, total)
-	var mu sync.Mutex
-	var queue [][]byte
-	var wire atomic.Int64
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for s := 0; s < senders; s++ {
-		lo, hi := microRange(total, senders, s)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := make([]byte, 0, microBatch*12)
-			flush := func() {
-				if len(buf) == 0 {
-					return
-				}
-				wire.Add(int64(len(buf)))
-				mu.Lock()
-				queue = append(queue, buf)
-				mu.Unlock()
-				buf = make([]byte, 0, microBatch*12)
-			}
-			for i := lo; i < hi; i++ {
-				var rec [12]byte
-				binary.LittleEndian.PutUint32(rec[0:4], uint32(i))
-				binary.LittleEndian.PutUint64(rec[4:12], math.Float64bits(float64(i+1)))
-				buf = append(buf, rec[:]...)
-				if len(buf) == microBatch*12 {
-					flush()
-				}
-			}
-			flush()
-		}()
-	}
-	wg.Wait()
-	send := time.Since(start) //lint:allow determinism wall-clock is the measurement in the Table 3 microbenchmark
-
-	parseStart := time.Now()
-	for _, raw := range queue {
-		for off := 0; off+12 <= len(raw); off += 12 {
-			idx := binary.LittleEndian.Uint32(raw[off : off+4])
-			val := math.Float64frombits(binary.LittleEndian.Uint64(raw[off+4 : off+12]))
-			arr[idx] = val
-		}
-	}
-	parse := time.Since(parseStart) //lint:allow determinism wall-clock is the measurement in the Table 3 microbenchmark
-
-	return MicroResult{
-		Impl: "powergraph", Messages: total,
+		Impl: impl, Messages: total,
 		Send: send, Parse: parse, Total: send + parse,
 		Checksum:  microChecksum(arr),
 		WireBytes: wire.Load(),

@@ -86,30 +86,24 @@ type RPC[M any] struct {
 	err   error
 }
 
+// rpcInbox is one receiver's inbox under the one mutex its receive loops,
+// self-sends and Drain share, plus the round state.
 type rpcInbox[M any] struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	batches []rpcBatch[M]
-	// lastDeliv is the provenance of the batches the last Drain returned;
-	// rebuilt per Drain, read by the same worker afterwards.
-	lastDeliv []span.Delivery
+	mu   sync.Mutex
+	cond *sync.Cond
+	inbox[M]
 	// endsFrom[i] counts unconsumed round markers from sender i. Drain
 	// consumes exactly one from every sender per round.
 	endsFrom []int
-	// out is the last Drain's result and lent its decoded (not self-sent)
-	// batches, valid until the next Drain(to) frees lent for receiveLoop.
-	out, lent, free [][]M
+	// lent is the last Drain's decoded batches — every slot but the
+	// receiver's own — valid until the next Drain(to) frees them for
+	// receiveLoop to decode into.
+	lent, free [][]M
 	// torn is set when an inbound stream desynced mid-round: the marker it
 	// may have carried is gone, so the next Drain returns what arrived
 	// instead of waiting for it, and the barrier reports the recv error.
 	torn   bool
 	closed bool
-}
-
-// rpcBatch is one received batch plus its sender.
-type rpcBatch[M any] struct {
-	from  int
-	batch []M
 }
 
 // NewRPC creates a fully connected loopback transport between n endpoints.
@@ -127,7 +121,8 @@ func NewRPC[M any](n int, codec graph.Codec[M]) (*RPC[M], error) {
 		inboxes:   make([]rpcInbox[M], n),
 		serNs:     make([]int64, n),
 	}
-	for i := range t.inboxes {
+	for i, in := range newInboxes[M](n) {
+		t.inboxes[i].inbox = in
 		t.inboxes[i].cond = sync.NewCond(&t.inboxes[i].mu)
 		t.inboxes[i].endsFrom = make([]int, n)
 		// A fixed per-sender seed keeps retry schedules reproducible under
@@ -242,15 +237,16 @@ func (t *RPC[M]) receiveLoop(to int, conn net.Conn) {
 			t.depositEnd(to, from)
 			continue
 		}
-		t.deposit(to, rpcBatch[M]{from: from, batch: batch})
+		t.deposit(from, to, batch)
 	}
 }
 
-// deposit hands a received (or self-sent) batch to `to`'s inbox.
-func (t *RPC[M]) deposit(to int, rb rpcBatch[M]) {
+// deposit puts a received (or self-sent) batch into the sender's slot of
+// `to`'s inbox.
+func (t *RPC[M]) deposit(from, to int, batch []M) {
 	in := &t.inboxes[to]
 	in.mu.Lock()
-	in.batches = append(in.batches, rb)
+	in.slots[from] = append(in.slots[from], batch)
 	in.cond.Broadcast()
 	in.mu.Unlock()
 }
@@ -393,7 +389,7 @@ func (t *RPC[M]) Send(from, to int, batch []M) {
 	defer t.encMu[from].Unlock()
 	if from == to {
 		t.bookWire(from, to, frameWireBytes(from, to, batch, t.codec))
-		t.deposit(to, rpcBatch[M]{from: from, batch: batch})
+		t.deposit(from, to, batch)
 		return
 	}
 	t.recordErr(t.sendFrame(from, to, false, batch))
@@ -425,7 +421,8 @@ func (t *RPC[M]) FinishRound(from int) {
 }
 
 // Drain blocks until one round marker from every endpoint has arrived, then
-// returns all batches received by `to` and consumes the markers. A closed
+// returns all batches received by `to` in the inbox's (sender, send) order —
+// the order Local drains — and consumes the markers. A closed
 // transport, a fatal protocol error or a torn inbound stream unblocks it
 // immediately.
 func (t *RPC[M]) Drain(to int) [][]M {
@@ -445,8 +442,6 @@ func (t *RPC[M]) Drain(to int) [][]M {
 		}
 		in.cond.Wait()
 	}
-	received := in.batches
-	in.batches = in.batches[:0] // read below, before the lock is released
 	in.torn = false
 	if !in.closed {
 		for i := range in.endsFrom {
@@ -455,17 +450,14 @@ func (t *RPC[M]) Drain(to int) [][]M {
 			}
 		}
 	}
-	in.lastDeliv = in.lastDeliv[:0]
 	in.free = append(in.free, in.lent...) // dead now, by the Drain contract
-	in.out, in.lent = in.out[:0], in.lent[:0]
-	for _, rb := range received {
-		in.out = append(in.out, rb.batch)
-		if rb.from != to {
-			in.lent = append(in.lent, rb.batch)
+	in.lent = in.lent[:0]
+	for from, s := range in.slots {
+		if from != to {
+			in.lent = append(in.lent, s...)
 		}
-		in.lastDeliv = span.AddDelivery(in.lastDeliv, span.Delivery{From: rb.from, Msgs: int64(len(rb.batch))})
 	}
-	return in.out
+	return in.drain()
 }
 
 // LastDeliveries implements Interface.
@@ -473,7 +465,7 @@ func (t *RPC[M]) LastDeliveries(to int) []span.Delivery {
 	in := &t.inboxes[to]
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return in.lastDeliv
+	return in.deliv
 }
 
 // SerializeNanos implements Interface: cumulative frame-encoding time charged

@@ -256,6 +256,57 @@ func TestRPCMultipleRounds(t *testing.T) {
 	}
 }
 
+// TestRPCDrainsInSenderOrder: over sockets, as in process, batches drain by
+// sender and then in send order, whatever order their frames arrive in —
+// self-sends land at once, remote ones after a socket hop.
+func TestRPCDrainsInSenderOrder(t *testing.T) {
+	const n, to, per = 3, 1, 4
+	tr, err := NewRPC[msg](n, msgCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	for round := 0; round < 20; round++ {
+		var wg sync.WaitGroup
+		for from := n - 1; from >= 0; from-- {
+			wg.Add(1)
+			go func(from int) {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					tr.Send(from, to, []msg{{uint32(from), float64(i)}, {uint32(from), float64(i)}})
+				}
+				tr.FinishRound(from)
+			}(from)
+		}
+		wg.Wait()
+		for w := 0; w < n; w++ {
+			if w == to {
+				continue
+			}
+			if got := tr.Drain(w); len(got) != 0 {
+				t.Fatalf("round %d: endpoint %d drained %v", round, w, got)
+			}
+		}
+		got := tr.Drain(to)
+		if len(got) != n*per {
+			t.Fatalf("round %d: drained %d batches, want %d", round, len(got), n*per)
+		}
+		for i, b := range got {
+			if b[0] != (msg{uint32(i / per), float64(i % per)}) {
+				t.Fatalf("round %d: batch %d is %+v, out of (sender, send) order", round, i, b[0])
+			}
+		}
+		for from, d := range tr.LastDeliveries(to) {
+			if d.From != from || d.Msgs != 2*per {
+				t.Fatalf("round %d: deliveries %+v", round, tr.LastDeliveries(to))
+			}
+		}
+	}
+	if err := tr.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMicroAllImplementationsCorrect(t *testing.T) {
 	const total, senders = 20000, 5
 	results := []MicroResult{
