@@ -106,7 +106,7 @@ func TestBSPPageRankOverTCP(t *testing.T) {
 		}
 	}
 	// BSP self-sends every superstep — priced as frames on both networks —
-	// and primes round 0 with one marker round before the first superstep.
+	// New primes round 0 with one marker round before the first superstep.
 	checkSameBooks(t, lb, tb, 3, 1, 1)
 }
 
@@ -308,32 +308,21 @@ func checkpointBuilds(g *graph.Graph) map[string]func(net transport.Network, dir
 }
 
 // TestCheckpointConfig: every engine takes a checkpoint directory with or
-// without a cadence (none: the baseline only), rejects a cadence with nowhere
-// to save as a typed error, and refuses checkpointing over TCP with the one
-// in-process sentinel.
+// without a cadence (none: the baseline only) on both networks and restores a
+// state there, and rejects a cadence with nowhere to save as a typed error
+// that names the engine.
 func TestCheckpointConfig(t *testing.T) {
 	for name, build := range checkpointBuilds(gen.PowerLaw(50, 3, 2)) {
 		dir := t.TempDir()
 		if err := build(transport.InProcess, dir, 0, true); err != nil {
 			t.Errorf("%s: a directory with no cadence (baseline only) must construct and restore: %v", name, err)
 		}
-		if err := build(transport.InProcess, "", 2, false); !errors.Is(err, superstep.ErrNoCheckpointDir) {
+		if err := build(transport.TCPLoopback, dir, 2, true); err != nil {
+			t.Errorf("%s: checkpointing over TCP must construct and restore: %v", name, err)
+		}
+		if err := build(transport.InProcess, "", 2, false); !errors.Is(err, superstep.ErrNoCheckpointDir) ||
+			!strings.HasPrefix(err.Error(), name+": ") {
 			t.Errorf("%s: CheckpointEvery with no CheckpointDir: %v, want ErrNoCheckpointDir", name, err)
-		}
-		if err := build(transport.TCPLoopback, dir, 2, false); !errors.Is(err, superstep.ErrInProcessOnly) ||
-			!strings.HasPrefix(err.Error(), name+": ") {
-			t.Errorf("%s: checkpointing over TCP: %v, want the in-process refusal", name, err)
-		}
-	}
-}
-
-// TestRestoreRequiresInProcess: every engine refuses Restore over TCP with the
-// same in-process sentinel that refuses checkpointing there.
-func TestRestoreRequiresInProcess(t *testing.T) {
-	for name, build := range checkpointBuilds(gen.PowerLaw(50, 3, 2)) {
-		if err := build(transport.TCPLoopback, "", 0, true); !errors.Is(err, superstep.ErrInProcessOnly) ||
-			!strings.HasPrefix(err.Error(), name+": ") {
-			t.Errorf("%s: Restore over TCP: %v, want the in-process refusal", name, err)
 		}
 	}
 }

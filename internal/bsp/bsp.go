@@ -70,8 +70,7 @@ type Config[V, M any] struct {
 	// "ablation.queue"), not something Hama offers.
 	PerSenderQueues bool
 	// Network selects in-process queues (default) or the same binary frames
-	// over real loopback TCP sockets. Checkpointing requires InProcess
-	// (sockets hold in-flight state a snapshot cannot capture).
+	// over real loopback TCP sockets. Checkpointing and Restore work on both.
 	Network transport.Network
 	// OnStep is called after each barrier with the engine (values are
 	// consistent then); used by the harness for L1-norm tracking.
@@ -80,7 +79,7 @@ type Config[V, M any] struct {
 	// pending messages (§3.6: Hama must persist messages): a step-0 baseline
 	// as Run starts, then every CheckpointEvery supersteps. A transient
 	// transport fault rolls back to the newest checkpoint that loads and
-	// replays; with no directory it fails the run. InProcess only.
+	// replays; with no directory it fails the run.
 	CheckpointDir   string
 	CheckpointEvery int // 0: the baseline only; > 0 needs a CheckpointDir
 	// Hooks receives live instrumentation events (run/superstep/phase spans
@@ -143,8 +142,7 @@ type Engine[V, M any] struct {
 	// touches the buffers again.
 	ctxs []*Context[V, M]
 
-	agg    *aggregate.Registry
-	primed bool
+	agg *aggregate.Registry
 	// restored is what Restore queued for the next PRS, which stands in for
 	// the last SND's batches until that PRS consumes it.
 	restored []PendingBatch[M]
@@ -229,7 +227,16 @@ func New[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[V, M]) (*Engin
 		}
 		e.ctxs[w] = ctx
 	}
+	e.finishRound() // round 0: the first PRS drains it
 	return e, nil
+}
+
+// finishRound ends the round on every worker. PRS drains the previous SND's
+// round, so one stays open between supersteps: New's, each SND's or Restore's.
+func (e *Engine[V, M]) finishRound() {
+	for w := range e.ctxs {
+		e.Tr.FinishRound(w)
+	}
 }
 
 // envelopeCodec frames an envelope as a 4-byte destination id followed by
@@ -373,14 +380,6 @@ func (c *Context[V, M]) AggregateValue(name string) (float64, bool) {
 // order PRS → CMP → SND → SYN.
 func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 	workers := e.cfg.Cluster.Workers()
-	if !e.primed {
-		// Establish round 0 so the first superstep's drain has markers to
-		// consume on round-based transports.
-		for w := 0; w < workers; w++ {
-			e.Tr.FinishRound(w)
-		}
-		e.primed = true
-	}
 	// PRS drains what the previous superstep's SND sent: a lag of one.
 	k := e.Kernel(1,
 		func() obs.RunInfo {
@@ -609,6 +608,11 @@ func (e *Engine[V, M]) Restore(s State[V, M]) error {
 	if err := e.Rewind(s.Step, len(s.Values), len(s.Halted)); err != nil {
 		return err
 	}
+	// The open round is the aborted superstep's SND (round 0 on a fresh
+	// engine): discard it, and stand the checkpoint's batches in its place.
+	for w := range e.ctxs {
+		e.Tr.Drain(w)
+	}
 	copy(e.values, s.Values)
 	copy(e.halted, s.Halted)
 	e.restored = make([]PendingBatch[M], 0, len(s.Pending))
@@ -617,6 +621,7 @@ func (e *Engine[V, M]) Restore(s State[V, M]) error {
 		e.restored = append(e.restored, PendingBatch[M]{To: p.To, Batch: batch})
 		e.Tr.Send(p.To, p.To, batch)
 	}
+	e.finishRound()
 	for v := range e.inbox {
 		e.inbox[v] = e.inbox[v][:0]
 	}

@@ -1,6 +1,7 @@
 package bsp
 
 import (
+	"math"
 	"testing"
 
 	"cyclops/internal/aggregate"
@@ -8,6 +9,7 @@ import (
 	"cyclops/internal/cluster"
 	"cyclops/internal/graph"
 	"cyclops/internal/partition"
+	"cyclops/internal/transport"
 )
 
 // maxProg is the classic max-propagation program: every vertex converges to
@@ -248,42 +250,63 @@ func TestVertexReactivationByMessage(t *testing.T) {
 	}
 }
 
+// TestCheckpointRestoreIdenticalResult restores a mid-run checkpoint into a
+// fresh engine on each network and requires the continued run to equal the
+// uninterrupted one. The checkpoint holds pending batches, so over TCP the
+// restored batches must land in the round the next PRS drains.
 func TestCheckpointRestoreIdenticalResult(t *testing.T) {
 	g := ringGraph(30)
-	dir := t.TempDir()
-	e1, _ := New[float64, float64](g, maxProg{}, Config[float64, float64]{
-		Cluster:         cluster.Flat(2, 2),
-		CheckpointDir:   dir,
-		CheckpointEvery: 7,
-	})
-	if _, err := e1.Run(); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := checkpoint.Load[State[float64, float64]](dir, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Step != 7 {
-		t.Fatalf("checkpoint at step %d, want 7", snap.Step)
-	}
+	for _, net := range []transport.Network{transport.InProcess, transport.TCPLoopback} {
+		t.Run(net.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			e1, err := New[float64, float64](g, maxProg{}, Config[float64, float64]{
+				Cluster:         cluster.Flat(2, 2),
+				Network:         net,
+				CheckpointDir:   dir,
+				CheckpointEvery: 7,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e1.Close()
+			if _, err := e1.Run(); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := checkpoint.Load[State[float64, float64]](dir, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.Step != 7 {
+				t.Fatalf("checkpoint at step %d, want 7", snap.Step)
+			}
+			if len(snap.Pending) == 0 {
+				t.Fatal("checkpoint holds no pending batches: nothing to re-send on restore")
+			}
 
-	// Fresh engine, restore mid-run state, continue: must agree with e1.
-	e2, _ := New[float64, float64](g, maxProg{}, Config[float64, float64]{
-		Cluster: cluster.Flat(2, 2),
-	})
-	if err := e2.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if e2.Superstep() != 7 {
-		t.Fatalf("restored superstep = %d", e2.Superstep())
-	}
-	if _, err := e2.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for v := range e1.Values() {
-		if e1.Values()[v] != e2.Values()[v] {
-			t.Fatalf("vertex %d: %g vs %g after restore", v, e1.Values()[v], e2.Values()[v])
-		}
+			// Fresh engine, restore mid-run state, continue: must agree with e1.
+			e2, err := New[float64, float64](g, maxProg{}, Config[float64, float64]{
+				Cluster: cluster.Flat(2, 2),
+				Network: net,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e2.Close()
+			if err := e2.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+			if e2.Superstep() != 7 {
+				t.Fatalf("restored superstep = %d", e2.Superstep())
+			}
+			if _, err := e2.Run(); err != nil {
+				t.Fatal(err)
+			}
+			for v := range e1.Values() {
+				if math.Float64bits(e1.Values()[v]) != math.Float64bits(e2.Values()[v]) {
+					t.Fatalf("vertex %d: %g vs %g after restore", v, e1.Values()[v], e2.Values()[v])
+				}
+			}
+		})
 	}
 }
 

@@ -79,7 +79,7 @@ type Config[V, M any] struct {
 	// message type until one is named here.
 	MsgCodec graph.Codec[M]
 	// Network selects in-process queues (default) or the same binary frames
-	// over real loopback TCP sockets. Checkpointing requires InProcess.
+	// over real loopback TCP sockets. Checkpointing and Restore work on both.
 	Network transport.Network
 	// OnStep runs after each barrier (values consistent).
 	OnStep func(step int, e *Engine[V, M])
@@ -99,7 +99,7 @@ type Config[V, M any] struct {
 	// replicas, no messages): a step-0 baseline as Run starts, then every
 	// CheckpointEvery supersteps. A transient transport fault rolls back to
 	// the newest checkpoint that loads, re-syncs every replica from its
-	// master and replays; with no directory it fails the run. InProcess only.
+	// master and replays; with no directory it fails the run.
 	CheckpointDir   string
 	CheckpointEvery int // 0: the baseline only; > 0 needs a CheckpointDir
 	// FaultPlan injects a deterministic fault schedule at the transport

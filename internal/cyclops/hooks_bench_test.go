@@ -177,32 +177,21 @@ func BenchmarkDenseSuperstep(b *testing.B) {
 }
 
 // benchSupersteps times steps supersteps of prog on Flat(2,1) over net per
-// iteration and reports ns/superstep. In process it restores the engine's
-// initial state untimed in between; over TCP, where Restore is refused
-// (superstep.ErrInProcessOnly), it builds a fresh engine per iteration with
-// the timer stopped.
+// iteration and reports ns/superstep, restoring the engine's initial state
+// untimed in between.
 func benchSupersteps(b *testing.B, g *graph.Graph, prog cyclops.Program[float64, float64], part partition.Partitioner, steps int, net transport.Network) {
-	build := func() *cyclops.Engine[float64, float64] {
-		e, err := cyclops.New[float64, float64](g, prog,
-			cyclops.Config[float64, float64]{Cluster: cluster.Flat(2, 1), Partitioner: part, MaxSupersteps: steps, Network: net})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return e
+	e, err := cyclops.New[float64, float64](g, prog,
+		cyclops.Config[float64, float64]{Cluster: cluster.Flat(2, 1), Partitioner: part, MaxSupersteps: steps, Network: net})
+	if err != nil {
+		b.Fatal(err)
 	}
-	e := build()
-	defer func() { e.Close() }()
+	defer e.Close()
 	start := e.Snapshot()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		if net == transport.InProcess {
-			if err := e.Restore(start); err != nil {
-				b.Fatal(err)
-			}
-		} else if i > 0 {
-			e.Close()
-			e = build()
+		if err := e.Restore(start); err != nil {
+			b.Fatal(err)
 		}
 		b.StartTimer()
 		if _, err := e.Run(); err != nil {

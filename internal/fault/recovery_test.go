@@ -2,7 +2,9 @@ package fault_test
 
 // End-to-end recovery tests: kill a worker at superstep k, recover from the
 // latest barrier checkpoint, and require the recovered run's final vertex
-// values to equal the fault-free run bit-for-bit on every engine (§3.6).
+// values to equal the fault-free in-process run bit-for-bit on every engine
+// (§3.6), with the faulted run on both networks: in process and over
+// loopback TCP.
 //
 // CHAOS_SEED varies the seeded chaos plan: CI's chaos matrix sets it per job,
 // and replaying a red seed locally is `CHAOS_SEED=n go test ./internal/fault/`.
@@ -23,6 +25,7 @@ import (
 	"cyclops/internal/gen"
 	"cyclops/internal/graph"
 	"cyclops/internal/obs"
+	"cyclops/internal/transport"
 )
 
 const (
@@ -76,15 +79,16 @@ func requireEqualValues(t *testing.T, base, got []float64) {
 	}
 }
 
-// Each runXxx runs PageRank on the engine under cluster shape cc; with a nil
-// plan it is the fault-free baseline, otherwise the plan is injected and the
-// engine checkpoints into a fresh directory every 2 supersteps (after its own
-// step-0 baseline) and recovers from the latest checkpoint.
+// Each runXxx runs PageRank on the engine under cluster shape cc over net;
+// with a nil plan it is the fault-free baseline, otherwise the plan is
+// injected and the engine checkpoints into a fresh directory every 2
+// supersteps (after its own step-0 baseline) and recovers from the latest
+// checkpoint.
 
-func runCyclops(t *testing.T, g *graph.Graph, cc cluster.Config, plan *fault.Plan, rec *recoveryCounter) []float64 {
+func runCyclops(t *testing.T, g *graph.Graph, cc cluster.Config, net transport.Network, plan *fault.Plan, rec *recoveryCounter) []float64 {
 	t.Helper()
 	cfg := cyclops.Config[float64, float64]{
-		Cluster: cc, MaxSupersteps: recoverySteps,
+		Cluster: cc, Network: net, MaxSupersteps: recoverySteps,
 		Equal: func(a, b float64) bool { return math.Abs(a-b) < recoveryEps },
 	}
 	if plan != nil {
@@ -94,16 +98,17 @@ func runCyclops(t *testing.T, g *graph.Graph, cc cluster.Config, plan *fault.Pla
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer e.Close()
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	return e.Values()
 }
 
-func runBSP(t *testing.T, g *graph.Graph, cc cluster.Config, plan *fault.Plan, rec *recoveryCounter) []float64 {
+func runBSP(t *testing.T, g *graph.Graph, cc cluster.Config, net transport.Network, plan *fault.Plan, rec *recoveryCounter) []float64 {
 	t.Helper()
 	cfg := bsp.Config[float64, float64]{
-		Cluster: cc, MaxSupersteps: recoverySteps,
+		Cluster: cc, Network: net, MaxSupersteps: recoverySteps,
 		Halt:  aggregate.GlobalErrorHalt(algorithms.ErrorAggregator, g.NumVertices(), recoveryEps),
 		Equal: func(a, b float64) bool { return math.Abs(a-b) < recoveryEps },
 	}
@@ -114,16 +119,17 @@ func runBSP(t *testing.T, g *graph.Graph, cc cluster.Config, plan *fault.Plan, r
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer e.Close()
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	return e.Values()
 }
 
-func runGAS(t *testing.T, g *graph.Graph, cc cluster.Config, plan *fault.Plan, rec *recoveryCounter) []float64 {
+func runGAS(t *testing.T, g *graph.Graph, cc cluster.Config, net transport.Network, plan *fault.Plan, rec *recoveryCounter) []float64 {
 	t.Helper()
 	cfg := gas.Config[algorithms.PRValue, float64]{
-		Cluster: cc, Partitioner: gas.RandomVertexCut{},
+		Cluster: cc, Network: net, Partitioner: gas.RandomVertexCut{},
 		MaxSupersteps: recoverySteps, ValCodec: algorithms.PRValueCodec{},
 	}
 	if plan != nil {
@@ -134,6 +140,7 @@ func runGAS(t *testing.T, g *graph.Graph, cc cluster.Config, plan *fault.Plan, r
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer e.Close()
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +150,11 @@ func runGAS(t *testing.T, g *graph.Graph, cc cluster.Config, plan *fault.Plan, r
 type engine struct {
 	name string
 	cc   cluster.Config
-	run  func(*testing.T, *graph.Graph, cluster.Config, *fault.Plan, *recoveryCounter) []float64
+	run  func(*testing.T, *graph.Graph, cluster.Config, transport.Network, *fault.Plan, *recoveryCounter) []float64
 }
+
+// networks are the faulted runs' networks; the baseline runs in process.
+var networks = []transport.Network{transport.InProcess, transport.TCPLoopback}
 
 var engines = []engine{
 	{"cyclops", cluster.Flat(2, 2), runCyclops},
@@ -155,19 +165,21 @@ var engines = []engine{
 func TestKillAtStepKRecoversExactly(t *testing.T) {
 	g := chaosGraph()
 	for _, eng := range engines {
-		eng := eng
 		t.Run(eng.name, func(t *testing.T) {
-			base := eng.run(t, g, eng.cc, nil, nil)
+			base := eng.run(t, g, eng.cc, transport.InProcess, nil, nil)
 			for _, k := range []int{1, 2, 3} {
-				k := k
 				t.Run("k="+strconv.Itoa(k), func(t *testing.T) {
-					plan := killPlan(k)
-					rec := &recoveryCounter{}
-					got := eng.run(t, g, eng.cc, &plan, rec)
-					if rec.recoveries == 0 {
-						t.Fatal("crash never fired: recovery path untested")
+					for _, net := range networks {
+						t.Run(net.String(), func(t *testing.T) {
+							plan := killPlan(k)
+							rec := &recoveryCounter{}
+							got := eng.run(t, g, eng.cc, net, &plan, rec)
+							if rec.recoveries == 0 {
+								t.Fatal("crash never fired: recovery path untested")
+							}
+							requireEqualValues(t, base, got)
+						})
 					}
-					requireEqualValues(t, base, got)
 				})
 			}
 		})
@@ -181,16 +193,20 @@ func TestFaultBeforeFirstCheckpointRecovers(t *testing.T) {
 	g := chaosGraph()
 	for _, eng := range append(engines, engine{"cyclopsmt", cluster.MT(2, 2, 2), runCyclops}) {
 		t.Run(eng.name, func(t *testing.T) {
-			base := eng.run(t, g, eng.cc, nil, nil)
+			base := eng.run(t, g, eng.cc, transport.InProcess, nil, nil)
 			for _, k := range []int{0, 1} {
 				t.Run("k="+strconv.Itoa(k), func(t *testing.T) {
-					plan := killPlan(k)
-					rec := &recoveryCounter{}
-					got := eng.run(t, g, eng.cc, &plan, rec)
-					if rec.recoveries != 1 {
-						t.Fatalf("%d recoveries, want 1", rec.recoveries)
+					for _, net := range networks {
+						t.Run(net.String(), func(t *testing.T) {
+							plan := killPlan(k)
+							rec := &recoveryCounter{}
+							got := eng.run(t, g, eng.cc, net, &plan, rec)
+							if rec.recoveries != 1 {
+								t.Fatalf("%d recoveries, want 1", rec.recoveries)
+							}
+							requireEqualValues(t, base, got)
+						})
 					}
-					requireEqualValues(t, base, got)
 				})
 			}
 		})
@@ -207,13 +223,16 @@ func TestChaosSeededRecovery(t *testing.T) {
 	plan := fault.NewPlan(seed, cluster.Flat(2, 2).Workers(), 1, 6, 3)
 	t.Logf("chaos plan (seed %d):\n%s", seed, plan.Encode())
 	for _, eng := range engines {
-		eng := eng
 		t.Run(eng.name, func(t *testing.T) {
-			base := eng.run(t, g, eng.cc, nil, nil)
-			rec := &recoveryCounter{}
-			got := eng.run(t, g, eng.cc, &plan, rec)
-			t.Logf("%s: %d recoveries", eng.name, rec.recoveries)
-			requireEqualValues(t, base, got)
+			base := eng.run(t, g, eng.cc, transport.InProcess, nil, nil)
+			for _, net := range networks {
+				t.Run(net.String(), func(t *testing.T) {
+					rec := &recoveryCounter{}
+					got := eng.run(t, g, eng.cc, net, &plan, rec)
+					t.Logf("%s over %s: %d recoveries", eng.name, net, rec.recoveries)
+					requireEqualValues(t, base, got)
+				})
+			}
 		})
 	}
 }

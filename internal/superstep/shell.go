@@ -30,11 +30,6 @@ type Options struct {
 // ErrNoCheckpointDir is Open's error for CheckpointEvery > 0 with nowhere to save.
 var ErrNoCheckpointDir = errors.New("CheckpointEvery > 0 needs a CheckpointDir")
 
-// ErrInProcessOnly refuses checkpointing (Open) and Restore (Rewind) over a
-// network whose in-flight state a checkpoint cannot capture: on TCP, Drain
-// blocks for round markers that never arrive.
-var ErrInProcessOnly = errors.New("checkpointing requires the in-process network")
-
 // Shell is what the three engines share around their phase bodies; each
 // Engine embeds one. It owns the transport, fault injector, trace, superstep
 // counter, checkpoint policy and residual rows, and builds each Run's Kernel.
@@ -60,9 +55,6 @@ func Open[M any](o Options, mode transport.QueueMode, codec graph.Codec[M]) (She
 	}
 	if o.CheckpointEvery > 0 && o.CheckpointDir == "" {
 		return Shell[M]{}, fmt.Errorf("%s: %w", o.Name, ErrNoCheckpointDir)
-	}
-	if o.CheckpointDir != "" && o.Network != transport.InProcess {
-		return Shell[M]{}, fmt.Errorf("%s: %w", o.Name, ErrInProcessOnly)
 	}
 	tr, err := transport.New[M](o.Network, o.Workers, mode, nil, codec)
 	if err != nil {
@@ -101,19 +93,14 @@ func (sh *Shell[M]) Kernel(lag int, info func() obs.RunInfo, owner func(v int) i
 
 // Rewind is Restore's engine-independent half, called before the state is
 // loaded: it checks that each of the state's vertex-indexed slabs (their
-// lengths are lens) covers the graph, refuses a network a checkpoint cannot
-// capture, discards the aborted superstep's traffic and sets the counter.
+// lengths are lens) covers the graph and sets the counter. Rounds are aligned
+// at every barrier (faults act at the Interface, markers always go out), so
+// it calls no transport method; bsp's Restore drains the round bsp keeps open.
 func (sh *Shell[M]) Rewind(step int, lens ...int) error {
 	for _, n := range lens {
 		if n != sh.opt.Graph.NumVertices() {
 			return fmt.Errorf("%s: checkpoint shape does not match engine", sh.opt.Name)
 		}
-	}
-	if sh.opt.Network != transport.InProcess {
-		return fmt.Errorf("%s: restore: %w", sh.opt.Name, ErrInProcessOnly)
-	}
-	for w := 0; w < sh.opt.Workers; w++ {
-		sh.Tr.Drain(w)
 	}
 	sh.step = step
 	return nil

@@ -8,8 +8,8 @@ import (
 // Typed transport failures. The engines' recovery path (§3.6) needs to tell
 // a fault it can roll back from (a dropped frame, a timed-out write, an
 // injected chaos fault) apart from one it cannot (a closed transport, a
-// protocol violation). Every asynchronous failure surfaced through Err is an
-// *Error; Transient says which side of that line it falls on.
+// protocol violation, an undecodable frame). Every asynchronous failure
+// surfaced through Err is an *Error; Transient says which side it falls on.
 
 // Sentinel causes wrapped by *Error.
 var (

@@ -15,8 +15,7 @@ type Network int
 
 const (
 	// InProcess uses the Local transport: goroutine-to-goroutine queues
-	// with exact byte/message accounting. The default, and the only mode
-	// that supports checkpoint Restore (no in-flight socket state).
+	// with exact byte/message accounting. The default.
 	InProcess Network = iota
 	// TCPLoopback uses the RPC transport: codec-encoded binary frames over
 	// loopback TCP sockets, exercising serialisation and the round

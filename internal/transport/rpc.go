@@ -54,9 +54,10 @@ const maxRoundLag = 64
 //
 // Failure handling: writes carry deadlines, a failed send is retried over a
 // freshly dialled connection with exponential backoff + jitter (bounded by
-// maxRetries), a frame that does not decode is a transient recv error, and
-// errors surfaced through Err are typed *Error values whose Transient flag
-// tells the engines whether checkpoint recovery may apply.
+// maxRetries) and stays transient, a frame that does not decode is fatal (the
+// rounds behind it cannot be trusted), and errors surfaced through Err are
+// typed *Error values whose Transient flag tells the engines whether
+// checkpoint recovery may apply.
 type RPC[M any] struct {
 	n int
 	books[M]
@@ -99,11 +100,7 @@ type rpcInbox[M any] struct {
 	// receiver's own — valid until the next Drain(to) frees them for
 	// receiveLoop to decode into.
 	lent, free [][]M
-	// torn is set when an inbound stream desynced mid-round: the marker it
-	// may have carried is gone, so the next Drain returns what arrived
-	// instead of waiting for it, and the barrier reports the recv error.
-	torn   bool
-	closed bool
+	closed     bool
 }
 
 // NewRPC creates a fully connected loopback transport between n endpoints.
@@ -221,16 +218,11 @@ func (t *RPC[M]) receiveLoop(to int, conn net.Conn) {
 			err = fmt.Errorf("%w: sender %d outside [0,%d)", ErrFrameCorrupt, from, t.n)
 		}
 		if err != nil {
-			// The stream is desynced and whatever else it carried this round
-			// is lost, so the barrier must see it: a transient fault a
-			// checkpointed run rolls back from and any other run fails on,
-			// typed. Dropping the connection makes the sender's next write
-			// fail and retry over a fresh dial.
-			t.recordErr(&Error{Op: "recv", Peer: to, Retryable: true, Err: err})
-			in.mu.Lock()
-			in.torn = true
-			in.cond.Broadcast()
-			in.mu.Unlock()
+			// The stream is desynced: whatever it carried after this frame,
+			// round markers included, is lost, and a marker resent over a
+			// fresh dial may land a round late. The error is fatal, so the
+			// run fails typed instead of replaying into misaligned rounds.
+			t.recordErr(&Error{Op: "recv", Peer: to, Err: err})
 			return
 		}
 		if end {
@@ -268,21 +260,21 @@ func (t *RPC[M]) depositEnd(to, from int) {
 // NumEndpoints reports the number of endpoints.
 func (t *RPC[M]) NumEndpoints() int { return t.n }
 
-// recordErr keeps the first asynchronous failure for Err. A fatal error also
-// breaks every blocked Drain: once the round protocol is dead, waiting for
-// markers that will never arrive is a hang, and the engines check Err at the
-// barrier anyway.
+// recordErr keeps the first asynchronous failure for Err, but a fatal error
+// replaces a transient one and breaks every blocked Drain: once the round
+// protocol is dead, waiting for markers that will never arrive is a hang,
+// and the engines check Err at the barrier anyway.
 func (t *RPC[M]) recordErr(err error) {
 	if err == nil {
 		return
 	}
+	fatal := !IsTransient(err)
 	t.errMu.Lock()
-	first := t.err == nil
-	if first {
+	if t.err == nil || fatal && IsTransient(t.err) {
 		t.err = err
 	}
 	t.errMu.Unlock()
-	if first && !IsTransient(err) {
+	if fatal {
 		t.breakRounds()
 	}
 }
@@ -422,14 +414,13 @@ func (t *RPC[M]) FinishRound(from int) {
 
 // Drain blocks until one round marker from every endpoint has arrived, then
 // returns all batches received by `to` in the inbox's (sender, send) order —
-// the order Local drains — and consumes the markers. A closed
-// transport, a fatal protocol error or a torn inbound stream unblocks it
-// immediately.
+// the order Local drains — and consumes the markers. A closed transport or
+// a fatal error unblocks it immediately.
 func (t *RPC[M]) Drain(to int) [][]M {
 	in := &t.inboxes[to]
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	for !in.closed && !in.torn {
+	for !in.closed {
 		ready := true
 		for _, e := range in.endsFrom {
 			if e == 0 {
@@ -442,12 +433,9 @@ func (t *RPC[M]) Drain(to int) [][]M {
 		}
 		in.cond.Wait()
 	}
-	in.torn = false
-	if !in.closed {
+	if !in.closed { // every sender's marker is here: consume one each
 		for i := range in.endsFrom {
-			if in.endsFrom[i] > 0 {
-				in.endsFrom[i]--
-			}
+			in.endsFrom[i]--
 		}
 	}
 	in.free = append(in.free, in.lent...) // dead now, by the Drain contract

@@ -4,11 +4,12 @@ package transport
 // fail-fast errors after Close, the FinishRound once-per-round contract
 // surfacing as ErrRoundViolation instead of a hang, transparent reconnect
 // with retry/reconnect accounting and a byte-identical resend, and a corrupt
-// frame surfacing as a typed transient error instead of a silent divergence.
+// frame surfacing as a typed fatal error instead of a silent divergence.
 // These run in-package so they can sever or write to a live connection
 // directly.
 
 import (
+	"encoding/binary"
 	"errors"
 	"sync"
 	"testing"
@@ -177,12 +178,13 @@ func TestRPCReconnectRedeliversAndCounts(t *testing.T) {
 	}
 }
 
-// TestRPCCorruptFrameIsTypedTransient is the reproduction of a silent
+// TestRPCCorruptFrameIsTypedFatal is the reproduction of a silent
 // divergence: a frame with undefined flag bits lands on 0→1, the receiver
-// drops the stream, and the batches written behind it are lost. Whatever
-// subset survives, the barrier must see a typed transient error — a
-// checkpointed run rolls back, any other fails — never Err() == nil.
-func TestRPCCorruptFrameIsTypedTransient(t *testing.T) {
+// drops the stream, and the batches and round marker written behind it are
+// lost. Whatever subset survives, the barrier must see a typed fatal error —
+// no later round can be trusted, so even a checkpointed run fails — never
+// Err() == nil, and no Drain may wait for the lost marker.
+func TestRPCCorruptFrameIsTypedFatal(t *testing.T) {
 	tr, err := NewRPC[int](2, intCodec{})
 	if err != nil {
 		t.Fatal(err)
@@ -206,8 +208,8 @@ func TestRPCCorruptFrameIsTypedTransient(t *testing.T) {
 	drainOrTimeout(t, tr, 0)
 
 	rerr := tr.Err()
-	if !errors.Is(rerr, ErrFrameCorrupt) || !IsTransient(rerr) {
-		t.Fatalf("delivered %d of 3 messages with Err() = %v; want a transient ErrFrameCorrupt", got, rerr)
+	if !errors.Is(rerr, ErrFrameCorrupt) || IsTransient(rerr) {
+		t.Fatalf("delivered %d of 3 messages with Err() = %v; want a fatal ErrFrameCorrupt", got, rerr)
 	}
 	var te *Error
 	if !errors.As(rerr, &te) || te.Op != "recv" || te.Peer != 1 {
@@ -215,11 +217,11 @@ func TestRPCCorruptFrameIsTypedTransient(t *testing.T) {
 	}
 }
 
-// TestRPCRoundEndWithBodyIsTypedTransient: a round-end frame that carries
-// messages, written on a live connection, is reported by Err as a transient
+// TestRPCRoundEndWithBodyIsTypedFatal: a round-end frame that carries
+// messages, written on a live connection, is reported by Err as a fatal
 // ErrFrameCorrupt — not credited as a marker while its batch is dropped, which
-// would complete the round short without a word.
-func TestRPCRoundEndWithBodyIsTypedTransient(t *testing.T) {
+// would complete the round short without a word — and Drain does not hang.
+func TestRPCRoundEndWithBodyIsTypedFatal(t *testing.T) {
 	tr, err := NewRPC[int](2, intCodec{})
 	if err != nil {
 		t.Fatal(err)
@@ -237,8 +239,35 @@ func TestRPCRoundEndWithBodyIsTypedTransient(t *testing.T) {
 	drainOrTimeout(t, tr, 0)
 	rerr := tr.Err()
 	var te *Error
-	if !errors.Is(rerr, ErrFrameCorrupt) || !IsTransient(rerr) || !errors.As(rerr, &te) || te.Op != "recv" || te.Peer != 1 {
-		t.Fatalf("Err() = %v after a round-end frame with 2 messages; want a transient recv ErrFrameCorrupt at peer 1", rerr)
+	if !errors.Is(rerr, ErrFrameCorrupt) || IsTransient(rerr) || !errors.As(rerr, &te) || te.Op != "recv" || te.Peer != 1 {
+		t.Fatalf("Err() = %v after a round-end frame with 2 messages; want a fatal recv ErrFrameCorrupt at peer 1", rerr)
+	}
+}
+
+// TestRPCFatalAfterTransientUnblocksDrain: a fatal error that follows a
+// recorded transient one replaces it and breaks the rounds. Here the fatal
+// error is an oversized length prefix on 0→1, which kills the stream before
+// endpoint 0's marker could arrive; were it dropped behind the transient
+// error, Drain(1) would wait for that marker forever.
+func TestRPCFatalAfterTransientUnblocksDrain(t *testing.T) {
+	tr, err := NewRPC[int](2, intCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	tr.recordErr(&Error{Op: "send", Peer: 1, Retryable: true, Err: errors.New("injected")})
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], maxFrameBytes+1)
+	tr.encMu[0].Lock()
+	_, werr := tr.conns[0][1].Write(hdr[:])
+	tr.encMu[0].Unlock()
+	if werr != nil {
+		t.Fatal(werr)
+	}
+	tr.FinishRound(1)
+	drainOrTimeout(t, tr, 1)
+	if rerr := tr.Err(); rerr == nil || IsTransient(rerr) {
+		t.Fatalf("Err() = %v after an oversized frame; want the fatal recv error, not the transient one", rerr)
 	}
 }
 
