@@ -3,9 +3,12 @@ package graph
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"math/big"
+	"math/bits"
 	"os"
 	"runtime"
 	"slices"
@@ -204,15 +207,16 @@ func (p *lexed) edge(text []byte, i int) (int, string) {
 	w := 1.0
 	if i = skipBlanks(text, i); i < len(text) && text[i] != '\n' {
 		tok := i
-		for i < len(text) && text[i] != '\n' && !isBlank(text[i]) {
-			i++
-		}
+		w, i, ok = lexWeight(text, i)
 		weight := text[tok:i]
 		if i = skipBlanks(text, i); i < len(text) && text[i] != '\n' {
 			return i, "want 2 or 3 fields, got 4 or more"
 		}
-		if w, ok = parseWeight(weight); !ok {
-			return i, fmt.Sprintf("bad weight %q", weight)
+		if !ok { // not a plain decimal, or a halfway case: strconv decides
+			var err error
+			if w, err = strconv.ParseFloat(string(weight), 64); err != nil {
+				return i, fmt.Sprintf("bad weight %q", weight)
+			}
 		}
 	}
 	p.ids = append(p.ids, src, dst)
@@ -245,36 +249,94 @@ func skipBlanks(text []byte, i int) int {
 	return i
 }
 
-// parseWeight returns strconv.ParseFloat(tok, 64) and whether it succeeded,
-// without strconv for a plain decimal `[+-]digits[.digits]` whose digits, read
-// as an integer m, stay below 2⁵³ with k ≤ 22 of them after the point. Then m
-// and 10^k are exact float64s (math.Pow10 returns 1e0…1e22 exactly), so the
-// one correctly rounded division m / 10^k is the correctly rounded value of
-// the decimal: ParseFloat's own exact case (Clinger's), without its cost.
-// About half of the lattice's %g-printed weights take this path.
-func parseWeight(tok []byte) (float64, bool) {
-	i, m, digits, point := 0, uint64(0), 0, math.MaxInt // point: digits before the '.'
-	if len(tok) > 0 && (tok[0] == '+' || tok[0] == '-') {
-		i = 1
+// lexWeight reads the weight token at text[i] in one pass and returns where
+// it ends. A plain decimal `[+-]digits[.digits]` of at most 19 digits, read as
+// m × 10^-k, comes back exact, bit for bit strconv.ParseFloat's value: below
+// 2⁵³ by Clinger's exact division, above by Eisel–Lemire (DESIGN.md §3). Any
+// other token, or a halfway case Eisel–Lemire refuses, comes back with exact
+// false, for the caller to hand to strconv whole.
+func lexWeight(text []byte, i int) (w float64, end int, exact bool) {
+	neg := text[i] == '-'
+	if neg || text[i] == '+' {
+		i++
 	}
-	for ; i < len(tok) && m < 1<<53; i++ {
-		if c := tok[i]; c >= '0' && c <= '9' {
-			m, digits = m*10+uint64(c-'0'), digits+1
-		} else if c == '.' && point == math.MaxInt {
+	m, digits, point := uint64(0), 0, math.MaxInt // point: digits before the '.'
+	for ; i < len(text); i++ {
+		if d := text[i] - '0'; d < 10 && digits < 19 {
+			m, digits = m*10+uint64(d), digits+1
+		} else if text[i] == '.' && point == math.MaxInt {
 			point = digits
 		} else {
 			break
 		}
 	}
-	if k := max(digits-point, 0); i == len(tok) && digits > 0 && m < 1<<53 && k <= 22 {
-		f := float64(m) / math.Pow10(k)
-		if tok[0] == '-' {
-			f = -f
+	if digits > 0 && (i == len(text) || text[i] == '\n' || isBlank(text[i])) {
+		k := max(digits-point, 0)
+		if m < 1<<53 {
+			w, exact = float64(m)/math.Pow10(k), true
+		} else {
+			w, exact = eiselLemire64(m, k)
 		}
-		return f, true
+		if neg {
+			w = -w
+		}
+		if exact {
+			return w, i, true
+		}
 	}
-	f, err := strconv.ParseFloat(string(tok), 64)
-	return f, err == nil
+	for i < len(text) && text[i] != '\n' && !isBlank(text[i]) {
+		i++
+	}
+	return 0, i, false
+}
+
+// tenToMinus[k] is 10^-k as a 128-bit mantissa {hi, lo}, top bit set,
+// rounded down: the rows of strconv's detailedPowersOfTen for 10^0…10^-19,
+// derived here rather than copied.
+var tenToMinus = func() (t [20][2]uint64) {
+	var b [16]byte
+	for k := range t {
+		p := new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(k)), nil)
+		q := new(big.Int).Lsh(big.NewInt(1), uint(127+p.BitLen()))
+		q.Quo(q, p)
+		q.Rsh(q, uint(q.BitLen()-128)).FillBytes(b[:]) // k = 0 gives 2^128: halve it
+		t[k] = [2]uint64{binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])}
+	}
+	return t
+}()
+
+// eiselLemire64 returns m × 10^-k correctly rounded, for 2⁵³ ≤ m < 2⁶⁴ and
+// k ≤ 19, or ok false where the 128-bit product cannot decide the rounding.
+// It is Go's strconv.eiselLemire64 (src/strconv/eisel_lemire.go, Copyright
+// 2020 The Go Authors, BSD-style licence) cut to that domain: m is never zero
+// and the result, between 2⁵³·10⁻¹⁹ and 2⁶⁴, is never subnormal or infinite.
+func eiselLemire64(m uint64, k int) (f float64, ok bool) {
+	pow := &tenToMinus[k]
+	clz := bits.LeadingZeros64(m)
+	m <<= uint(clz)
+	exp2 := uint64(217706*-k>>16+64+1023) - uint64(clz)
+	xHi, xLo := bits.Mul64(m, pow[0])
+	if xHi&0x1FF == 0x1FF && xLo+m < m { // the low half of 10^-k may carry
+		yHi, yLo := bits.Mul64(m, pow[1])
+		lo, carry := bits.Add64(xLo, yHi, 0)
+		hi := xHi + carry
+		if hi&0x1FF == 0x1FF && lo+1 == 0 && yLo+m < m {
+			return 0, false
+		}
+		xHi, xLo = hi, lo
+	}
+	msb := xHi >> 63
+	mant := xHi >> (msb + 9) // 54 bits
+	exp2 -= 1 ^ msb
+	if xLo == 0 && xHi&0x1FF == 0 && mant&3 == 1 { // looks halfway, and rounding up would make it odd
+		return 0, false
+	}
+	mant = (mant + mant&1) >> 1 // to nearest in 53 bits
+	if mant>>53 > 0 {
+		mant >>= 1
+		exp2++
+	}
+	return math.Float64frombits(exp2<<52 | mant&(1<<52-1)), true
 }
 
 // Write emits the graph in the text edge-list format read by Load. Weights

@@ -118,6 +118,10 @@ var loadCases = []struct {
 		n: 2, edges: []rawEdge{{0, 1, 1e-22}, {0, 1, 1e-23}, {0, 1, 0.3000000000000000000007}, {0, 1, 0.30000000000000000000007}}},
 	{name: "odd weight forms", in: "0 1 1.\n0 1 .5\n0 1 1e5\n0 1 -0\n0 1 +1\n0 1 0x1p-2\n0 1 1_0\n0 1 inf\n",
 		n: 2, edges: []rawEdge{{0, 1, 1}, {0, 1, 0.5}, {0, 1, 1e5}, {0, 1, math.Copysign(0, -1)}, {0, 1, 1}, {0, 1, 0.25}, {0, 1, 10}, {0, 1, math.Inf(1)}}},
+	{name: "19 and 20 digits around the one-pass lexer's limit", in: "0 1 1234567890123456789\n0 1 12345678901234567890\n0 1 0.9999999999999999999\n0 1 -99999999999999999.99\n0 1 0.12345678901234567890\n",
+		n: 2, edges: []rawEdge{{0, 1, 1234567890123456789}, {0, 1, 12345678901234567890}, {0, 1, 0.9999999999999999999}, {0, 1, -99999999999999999.99}, {0, 1, 0.12345678901234567890}}},
+	{name: "2^53+1 is halfway: Eisel-Lemire refuses, strconv rounds to even", in: "0 1 9007199254740993\n0 1 -0.0\n0 1 +3\n",
+		n: 2, edges: []rawEdge{{0, 1, 9007199254740992}, {0, 1, math.Copysign(0, -1)}, {0, 1, 3}}},
 	{name: "ids just inside the dense table", in: "0 1\n2 7\n", n: 4, edges: []rawEdge{{0, 1, 1}, {2, 7, 1}}},
 	{name: "ids just past the dense table", in: "0 1\n2 8\n", n: 4, edges: []rawEdge{{0, 1, 1}, {2, 8, 1}}},
 
@@ -131,6 +135,7 @@ var loadCases = []struct {
 	{name: "id glued to junk", in: "0 1\n1 2x\n", errLine: 2},
 	{name: "first bad line wins", in: "0 1\nbad\nworse\n", errLine: 2},
 	{name: "lone point", in: "0 1 .\n", errLine: 1},
+	{name: "two points", in: "0 1 1.5\n0 1 1.2.3\n", errLine: 2},
 }
 
 func TestLoadCases(t *testing.T) {

@@ -9,7 +9,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 	"strings"
 	"time"
 )
@@ -97,7 +97,7 @@ func (s StepStats) RedundantRatio() float64 {
 }
 
 // SetResiduals folds a sample set of per-vertex residuals into the stats.
-// It sorts samples in place; non-finite values (an SSSP vertex leaving its
+// It reorders samples in place; non-finite values (an SSSP vertex leaving its
 // +Inf initial distance, a NaN from a degenerate update) are ignored so the
 // quantiles stay meaningful and serialisable.
 func (s *StepStats) SetResiduals(samples []float64) {
@@ -105,28 +105,95 @@ func (s *StepStats) SetResiduals(samples []float64) {
 }
 
 // SummarizeResiduals reports the count, median, 90th percentile
-// (nearest-rank) and maximum of the finite values in samples, sorting the
-// slice in place. Everything is zero for an empty (or all-non-finite) set.
-func SummarizeResiduals(samples []float64) (n int64, p50, p90, max float64) {
-	finite := samples[:0]
+// (nearest-rank) and maximum of the finite values in samples, reordering the
+// slice in place: the values sorting would read, found by selection in O(n).
+// Everything is zero for an empty (or all-non-finite) set.
+func SummarizeResiduals(samples []float64) (n int64, p50, p90, pmax float64) {
+	finite, lo, hi := samples[:0], uint64(math.MaxUint64), uint64(0)
 	for _, x := range samples {
-		if !math.IsInf(x, 0) && !math.IsNaN(x) {
+		if x-x == 0 { // finite: ±Inf and NaN give NaN
 			finite = append(finite, x)
+			k := orderKey(x)
+			lo, hi = min(lo, k), max(hi, k)
 		}
 	}
 	if len(finite) == 0 {
 		return 0, 0, 0, 0
 	}
-	sort.Float64s(finite)
-	rank := func(q float64) float64 {
-		// Nearest-rank quantile: ceil(q*n) clamped into [1, n].
-		r := int(math.Ceil(q * float64(len(finite))))
-		if r < 1 {
-			r = 1
-		}
-		return finite[r-1]
+	// Nearest-rank quantile: ceil(q*n) clamped into [1, n], 0-based here.
+	rank := func(q float64) int { return int(math.Max(math.Ceil(q*float64(len(finite))), 1)) - 1 }
+	p50, p90 = selectRanks(finite, [2]uint64{lo, hi}, rank(0.50), rank(0.90))
+	return int64(len(finite)), p50, p90, fromOrderKey(hi)
+}
+
+// selectRanks returns the values sorting xs would put at ranks r0 ≤ r1,
+// reordering xs, given the least and greatest of their order keys: a radix
+// selection. Each level spreads [lo, hi] over up to 2048 buckets, counts them
+// and moves the bucket holding each rank aside, two passes whose branches are
+// predictable, then recurses into those buckets, each 2048 times narrower. A
+// run of equal values (zeros, community detection's 0/1) costs one level.
+func selectRanks(xs []float64, keys [2]uint64, r0, r1 int) (float64, float64) {
+	lo, hi := keys[0], keys[1]
+	if lo == hi {
+		return fromOrderKey(lo), fromOrderKey(lo)
 	}
-	return int64(len(finite)), rank(0.50), rank(0.90), finite[len(finite)-1]
+	shift := max(bits.Len64(hi-lo)-11, 0)
+	bucket := func(x float64) int { return int((orderKey(x) - lo) >> shift) }
+	var count [2048]int32
+	for _, x := range xs {
+		count[bucket(x)]++
+	}
+	d0, d1, below0, below1 := -1, -1, 0, 0 // the ranks' buckets, and the values below each
+	for d, below := 0, 0; d1 < 0; d++ {
+		next := below + int(count[d])
+		if d0 < 0 && r0 < next {
+			d0, below0 = d, below
+		}
+		if r1 < next {
+			d1, below1 = d, below
+		}
+		below = next
+	}
+	a, i, b := 0, 0, len(xs) // xs[:a] is bucket d0, xs[b:] bucket d1 ≠ d0
+	for i < b {
+		switch bucket(xs[i]) {
+		case d0:
+			xs[a], xs[i] = xs[i], xs[a]
+			a, i = a+1, i+1
+		case d1:
+			b--
+			xs[b], xs[i] = xs[i], xs[b]
+		default:
+			i++
+		}
+	}
+	if d0 == d1 {
+		return selectRanks(xs[:a], keyRange(xs[:a]), r0-below0, r1-below0)
+	}
+	v0, _ := selectRanks(xs[:a], keyRange(xs[:a]), r0-below0, r0-below0)
+	_, v1 := selectRanks(xs[b:], keyRange(xs[b:]), r1-below1, r1-below1)
+	return v0, v1
+}
+
+// keyRange returns the least and greatest order key in xs.
+func keyRange(xs []float64) [2]uint64 {
+	lo, hi := uint64(math.MaxUint64), uint64(0)
+	for _, x := range xs {
+		lo, hi = min(lo, orderKey(x)), max(hi, orderKey(x))
+	}
+	return [2]uint64{lo, hi}
+}
+
+// orderKey maps a finite float64 to a uint64 that orders as it does: the sign
+// bit set on a positive value, every bit flipped on a negative one.
+func orderKey(x float64) uint64 {
+	b := math.Float64bits(x)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// fromOrderKey inverts orderKey.
+func fromOrderKey(k uint64) float64 {
+	return math.Float64frombits(k ^ (uint64(int64(^k)>>63) | 1<<63))
 }
 
 // Trace collects a full run.

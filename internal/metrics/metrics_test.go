@@ -2,6 +2,9 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 )
@@ -144,10 +147,80 @@ func TestSummarizeResiduals(t *testing.T) {
 		t.Fatalf("with non-finite = %d/%g/%g/%g, want 2/2/4/4", n, p50, p90, max)
 	}
 
+	// n = 1 and n = 2: the median is the smaller value, p90 (rank ⌈1.8⌉ = 2)
+	// the larger.
+	if n, p50, p90, max = SummarizeResiduals([]float64{3}); n != 1 || p50 != 3 || p90 != 3 || max != 3 {
+		t.Fatalf("{3} = %d/%g/%g/%g, want 1/3/3/3", n, p50, p90, max)
+	}
+	if n, p50, p90, max = SummarizeResiduals([]float64{5, 2}); n != 2 || p50 != 2 || p90 != 5 || max != 5 {
+		t.Fatalf("{5, 2} = %d/%g/%g/%g, want 2/2/5/5", n, p50, p90, max)
+	}
+
 	if s := (StepStats{Messages: 10, RedundantMessages: 4}); s.RedundantRatio() != 0.4 {
 		t.Fatalf("RedundantRatio = %g, want 0.4", s.RedundantRatio())
 	}
 	if s := (StepStats{}); s.RedundantRatio() != 0 {
 		t.Fatalf("RedundantRatio of empty step = %g, want 0", s.RedundantRatio())
+	}
+}
+
+// TestSummarizeResidualsMatchesSort pins the selection against the sorting
+// summary it replaced, on random sets with many duplicates and zeros, sizes 1
+// to 200 plus a few large ones, with non-finite values mixed in.
+func TestSummarizeResidualsMatchesSort(t *testing.T) {
+	bySort := func(samples []float64) (int64, float64, float64, float64) {
+		var finite []float64
+		for _, x := range samples {
+			if !math.IsInf(x, 0) && !math.IsNaN(x) {
+				finite = append(finite, x)
+			}
+		}
+		if len(finite) == 0 {
+			return 0, 0, 0, 0
+		}
+		sort.Float64s(finite)
+		rank := func(q float64) float64 { return finite[max(int(math.Ceil(q*float64(len(finite)))), 1)-1] }
+		return int64(len(finite)), rank(0.50), rank(0.90), finite[len(finite)-1]
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := range 3000 {
+		size := 1 + trial%200
+		if trial%500 == 0 {
+			size = 10_000 + rng.Intn(10_000)
+		}
+		// At most size distinct values of either sign, often far fewer: runs
+		// of duplicates.
+		distinct, scale := 1+rng.Intn(size), rng.ExpFloat64()
+		xs := make([]float64, size)
+		for i := range xs {
+			switch rng.Intn(10) {
+			case 0:
+				xs[i] = 0
+			case 1:
+				xs[i] = []float64{math.Inf(1), math.NaN()}[rng.Intn(2)]
+			default:
+				xs[i] = float64(rng.Intn(distinct)-distinct/4) * scale
+			}
+		}
+		wn, w50, w90, wmax := bySort(slices.Clone(xs))
+		if n, p50, p90, max := SummarizeResiduals(slices.Clone(xs)); n != wn || p50 != w50 || p90 != w90 || max != wmax {
+			t.Fatalf("trial %d (%d samples): %d/%g/%g/%g, sorting reads %d/%g/%g/%g", trial, size, n, p50, p90, max, wn, w50, w90, wmax)
+		}
+	}
+}
+
+// BenchmarkSummarizeResiduals prices one superstep's summary over 20k
+// distinct residuals, the size of a gweb@0.5 PageRank step.
+func BenchmarkSummarizeResiduals(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	xs := make([]float64, 20_000)
+	for i := range xs {
+		xs[i] = rng.ExpFloat64() * 1e-6
+	}
+	buf := make([]float64, len(xs))
+	b.ResetTimer()
+	for range b.N {
+		copy(buf, xs)
+		SummarizeResiduals(buf)
 	}
 }

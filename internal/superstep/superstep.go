@@ -207,12 +207,15 @@ func Fan(n int, busy []time.Duration, fn func(i int)) {
 	wg.Wait()
 }
 
+// timed runs fn(i), reading the clock only when busy books the time.
 func timed(busy []time.Duration, fn func(i int), i int) {
+	if busy == nil {
+		fn(i)
+		return
+	}
 	t0 := time.Now()
 	fn(i)
-	if busy != nil {
-		busy[i] += time.Since(t0)
-	}
+	busy[i] += time.Since(t0)
 }
 
 // Run executes supersteps until the phase set stops, MaxSupersteps is
