@@ -17,6 +17,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -109,10 +110,11 @@ func cliMain(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "graph: %s\n", graph.ComputeStats(g))
 	src := graph.ID(*source)
 	if ids != nil && *algo == "SSSP" {
-		var ok bool
-		if src, ok = ids[int64(*source)]; !ok {
+		v := slices.Index(ids, int64(*source))
+		if v < 0 {
 			return fmt.Errorf("-source %d: %s has no vertex with that id", *source, *graphFile)
 		}
+		src = graph.ID(v)
 	}
 
 	cc := cluster.Config{
@@ -199,8 +201,8 @@ func writeFile(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-// loadGraph also returns a relabelled text file's id → vertex mapping.
-func loadGraph(dsName, graphFile string, scale float64, seed int64) (*graph.Graph, map[int64]graph.ID, error) {
+// loadGraph also returns a relabelled text file's ids, by vertex.
+func loadGraph(dsName, graphFile string, scale float64, seed int64) (*graph.Graph, []int64, error) {
 	switch {
 	case dsName != "" && graphFile != "":
 		return nil, nil, fmt.Errorf("use -dataset or -graph, not both")
@@ -230,8 +232,9 @@ func pickPartitioner(name string, seed int64) (partition.Partitioner, error) {
 	}
 }
 
-// printTop names vertices as the input does: ids is nil or file id → vertex.
-func printTop(w io.Writer, values []float64, n int, ids map[int64]graph.ID) {
+// printTop names vertices as the input does: ids is nil or the file's id of
+// each vertex.
+func printTop(w io.Writer, values []float64, n int, ids []int64) {
 	type kv struct {
 		v   int64
 		val float64
@@ -239,9 +242,9 @@ func printTop(w io.Writer, values []float64, n int, ids map[int64]graph.ID) {
 	order := make([]kv, len(values))
 	for i, v := range values {
 		order[i] = kv{int64(i), v}
-	}
-	for raw, v := range ids {
-		order[v].v = raw
+		if ids != nil {
+			order[i].v = ids[i]
+		}
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i].val > order[j].val })
 	if n > len(order) {

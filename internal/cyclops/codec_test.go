@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"cyclops/internal/graph"
 	"cyclops/internal/graph/codectest"
@@ -80,5 +81,13 @@ func TestCodecContract(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSyncMsgPacked pins the message's size: a batch holds one per replica,
+// so a field that re-pads it shows up here before it shows up as alloc_mb.
+func TestSyncMsgPacked(t *testing.T) {
+	if got := unsafe.Sizeof(syncMsg[float64]{}); got != 16 {
+		t.Fatalf("syncMsg[float64] is %d B, want 16", got)
 	}
 }

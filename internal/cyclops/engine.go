@@ -109,10 +109,11 @@ type Config[V, M any] struct {
 
 // syncMsg refreshes one replica and optionally activates its local
 // out-neighbors. Each replica receives at most one syncMsg per superstep.
+// Activate sits beside Slot so the two share one word (16 B for float64).
 type syncMsg[M any] struct {
 	Slot     int32
-	Val      M
 	Activate bool
+	Val      M
 }
 
 // workerState is one worker's share of the graph: master vertices in slots

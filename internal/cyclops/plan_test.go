@@ -101,17 +101,19 @@ var bodyCases = []struct {
 	batch      []fmsg
 	positional bool
 }{
-	{"dense, uniform activation", 0, 1, []fmsg{{4, 1, true}, {5, 2, true}, {6, 3, true}, {7, 4, true},
-		{9, 5, true}, {10, 6, true}, {11, 7, true}, {12, 8, true}, {14, 9, true}, {15, 10, true}, {20, math.NaN(), true}}, true},
-	{"subsequence, mixed activation", 1, 0, []fmsg{{4, 1, true}, {6, -0.0, false}, {7, 3, true},
-		{12, math.Inf(1), false}, {21, 5, true}}, true},
-	{"one of three, no activation", 0, 2, []fmsg{{5, 0.5, false}}, true},
-	{"sparse: slots beat the bitmap", 1, 0, []fmsg{{21, 1, false}}, false},
-	{"two of 72: the bitmap still wins", 2, 0, []fmsg{{49, 1, false}, {120, 2, false}}, true},
-	{"out of plan order", 0, 2, []fmsg{{6, 1, false}, {4, 2, false}}, false},
-	{"repeated replica", 0, 1, []fmsg{{4, 1, false}, {4, 1, false}, {5, 2, false}}, false},
-	{"foreign master slot", 0, 1, []fmsg{{0, 777, false}}, false},
-	{"self-send", 1, 1, []fmsg{{5, 1, true}, {6, 2, true}}, false},
+	{"dense, uniform activation", 0, 1, []fmsg{{Slot: 4, Val: 1, Activate: true}, {Slot: 5, Val: 2, Activate: true},
+		{Slot: 6, Val: 3, Activate: true}, {Slot: 7, Val: 4, Activate: true}, {Slot: 9, Val: 5, Activate: true},
+		{Slot: 10, Val: 6, Activate: true}, {Slot: 11, Val: 7, Activate: true}, {Slot: 12, Val: 8, Activate: true},
+		{Slot: 14, Val: 9, Activate: true}, {Slot: 15, Val: 10, Activate: true}, {Slot: 20, Val: math.NaN(), Activate: true}}, true},
+	{"subsequence, mixed activation", 1, 0, []fmsg{{Slot: 4, Val: 1, Activate: true}, {Slot: 6, Val: -0.0}, {Slot: 7, Val: 3, Activate: true},
+		{Slot: 12, Val: math.Inf(1)}, {Slot: 21, Val: 5, Activate: true}}, true},
+	{"one of three, no activation", 0, 2, []fmsg{{Slot: 5, Val: 0.5}}, true},
+	{"sparse: slots beat the bitmap", 1, 0, []fmsg{{Slot: 21, Val: 1}}, false},
+	{"two of 72: the bitmap still wins", 2, 0, []fmsg{{Slot: 49, Val: 1}, {Slot: 120, Val: 2}}, true},
+	{"out of plan order", 0, 2, []fmsg{{Slot: 6, Val: 1}, {Slot: 4, Val: 2}}, false},
+	{"repeated replica", 0, 1, []fmsg{{Slot: 4, Val: 1}, {Slot: 4, Val: 1}, {Slot: 5, Val: 2}}, false},
+	{"foreign master slot", 0, 1, []fmsg{{Slot: 0, Val: 777}}, false},
+	{"self-send", 1, 1, []fmsg{{Slot: 5, Val: 1, Activate: true}, {Slot: 6, Val: 2, Activate: true}}, false},
 }
 
 // FuzzSyncFrameDecode: arbitrary bytes against testPlan never panic the

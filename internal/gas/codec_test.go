@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"cyclops/internal/graph"
 	"cyclops/internal/graph/codectest"
@@ -88,5 +89,15 @@ func checkBodyPrice[M any](t *testing.T, c graph.Codec[M], batch []M) {
 		if got := tr.Stats().WireBytes() - transport.FrameHeaderBytes; got != int64(len(body)) {
 			t.Fatalf("%T: %d-message body priced at %d bytes, encodes to %d", c, n, got, len(body))
 		}
+	}
+}
+
+// TestGasMsgPacked pins the message's size for PageRank's payloads
+// (algorithms.PRValue's shape, float64): a field that re-pads it shows up
+// here before it shows up as alloc_mb.
+func TestGasMsgPacked(t *testing.T) {
+	type prValue struct{ Rank, Share float64 }
+	if got := unsafe.Sizeof(gasMsg[prValue, float64]{}); got != 32 {
+		t.Fatalf("gasMsg[PRValue, float64] is %d B, want 32", got)
 	}
 }

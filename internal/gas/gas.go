@@ -182,12 +182,14 @@ const (
 	kindActivate
 )
 
+// gasMsg is one of the five messages; the small fields lead so they share
+// one word (32 B for PRValue/float64).
 type gasMsg[V, G any] struct {
 	Kind int8
+	Has  bool  // accumulator non-empty
 	Slot int32 // local slot at the receiving worker
 	Val  V     // apply push payload
 	Acc  G     // gather partial payload
-	Has  bool  // accumulator non-empty
 }
 
 // gasCodec frames a gasMsg as 1B kind + 4B slot + a kind-dependent payload,

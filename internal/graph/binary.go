@@ -116,7 +116,7 @@ func readBinary(r io.Reader, size int64) (*Graph, error) {
 		return nil, fmt.Errorf("graph binary: weights: %w", err)
 	}
 	g.inIndex, g.inFrom, g.inW = make([]int64, n+1), make([]ID, m), make([]float64, m)
-	g.transpose()
+	g.transpose(false)
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("graph binary: %w", err)
 	}

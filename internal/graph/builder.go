@@ -47,43 +47,44 @@ func (b *Builder) Build() (*Graph, error) { return build(b.n, b.ends, b.w, b.ded
 
 // build makes the graph of the edges ends[2i] → ends[2i+1] (ids below n; the
 // loader passes its int64 ids, relabelled in place), weighted w[i], sorted by
-// (src, dst) in O(V+E): edge indices go through one stable counting sort by
-// dst, then scatter stably by src straight into the out-CSR, so parallel
-// edges keep their input order. The filters then compact the out-CSR in
-// place: duplicates are adjacent, the first of a run the first added.
+// (src, dst) in O(V+E). The in-CSR comes first: a counting scatter by dst
+// writes each edge's (src, w) into its in-row in input order. Walking those
+// rows dst by dst then scatters into the out-rows by src, so each out-row
+// comes out sorted by dst with parallel edges in input order. The filters
+// compact the out-CSR in place (duplicates are adjacent, the first of a run
+// the first added), and a transpose into the same in-arrays sorts the in-rows
+// by source.
 func build[E ID | int64](n int, ends []E, w []float64, dedup, noloop bool) (*Graph, error) {
 	m := len(w)
 	if uint64(m) > math.MaxUint32 {
 		return nil, fmt.Errorf("graph build: %d edges exceed the 32-bit edge index", m)
 	}
-	g := &Graph{
-		n:        n,
-		outIndex: make([]int64, n+1),
-		outTo:    make([]ID, m),
-		outW:     make([]float64, m),
-		inIndex:  make([]int64, n+1),
-	}
-	at := make([]int64, n+1)
+	outIndex, outTo, outW := make([]int64, n+1), make([]ID, m), make([]float64, m)
+	inIndex, inFrom, inW := make([]int64, n+1), make([]ID, m), make([]float64, m)
 	for i := 0; i < 2*m; i += 2 {
-		g.outIndex[ends[i]+1]++
-		at[ends[i+1]+1]++
+		outIndex[ends[i]+1]++
+		inIndex[ends[i+1]+1]++
 	}
 	for v := 0; v < n; v++ {
-		at[v+1] += at[v]
-		g.outIndex[v+1] += g.outIndex[v]
+		outIndex[v+1] += outIndex[v]
+		inIndex[v+1] += inIndex[v]
 	}
-	byDst := make([]uint32, m)
-	for i := 0; i < m; i++ {
+	at := make([]int64, n)
+	copy(at, inIndex)
+	for i, wi := range w {
 		d := ends[2*i+1]
-		byDst[at[d]] = uint32(i)
+		inFrom[at[d]], inW[at[d]] = ID(ends[2*i]), wi
 		at[d]++
 	}
-	copy(at, g.outIndex)
-	for _, i := range byDst {
-		s := ends[2*i]
-		g.outTo[at[s]], g.outW[at[s]] = ID(ends[2*i+1]), w[i]
-		at[s]++
+	copy(at, outIndex)
+	for d := range n {
+		lo, hi := inIndex[d], inIndex[d+1]
+		for j, s := range inFrom[lo:hi] {
+			outTo[at[s]], outW[at[s]] = ID(d), inW[lo+int64(j)]
+			at[s]++
+		}
 	}
+	g := &Graph{n: n, outIndex: outIndex, outTo: outTo, outW: outW, inIndex: inIndex, inFrom: inFrom, inW: inW}
 	if noloop || dedup {
 		k, start := int64(0), int64(0)
 		for v := 0; v < n; v++ {
@@ -98,10 +99,9 @@ func build[E ID | int64](n int, ends []E, w []float64, dedup, noloop bool) (*Gra
 			}
 			g.outIndex[v+1], start = k, end
 		}
-		g.outTo, g.outW = g.outTo[:k], g.outW[:k]
+		g.outTo, g.outW, g.inFrom, g.inW = g.outTo[:k], g.outW[:k], g.inFrom[:k], g.inW[:k]
 	}
-	g.inFrom, g.inW = make([]ID, len(g.outTo)), make([]float64, len(g.outTo))
-	g.transpose()
+	g.transpose(len(g.outTo) == m) // the in-degrees changed only if a filter removed edges
 
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("graph build: %w", err)
@@ -111,21 +111,25 @@ func build[E ID | int64](n int, ends []E, w []float64, dedup, noloop bool) (*Gra
 
 // transpose fills the in-CSR from the out-CSR in one counting pass (O(V+E)):
 // a vertex's in-edges come out ordered by source, ties in out-edge order.
-func (g *Graph) transpose() {
-	for _, to := range g.outTo {
-		g.inIndex[to+1]++
+// It counts the in-degrees first unless inIndex already holds the offsets.
+func (g *Graph) transpose(counted bool) {
+	if !counted {
+		clear(g.inIndex)
+		for _, to := range g.outTo {
+			g.inIndex[to+1]++
+		}
+		for v := 0; v < g.n; v++ {
+			g.inIndex[v+1] += g.inIndex[v]
+		}
 	}
-	for v := 0; v < g.n; v++ {
-		g.inIndex[v+1] += g.inIndex[v]
-	}
-	cursor := make([]int64, g.n)
-	copy(cursor, g.inIndex)
-	for src := 0; src < g.n; src++ {
-		for i := g.outIndex[src]; i < g.outIndex[src+1]; i++ {
-			to := g.outTo[i]
-			g.inFrom[cursor[to]] = ID(src)
-			g.inW[cursor[to]] = g.outW[i]
-			cursor[to]++
+	at := make([]int64, g.n)
+	copy(at, g.inIndex)
+	outW, inFrom, inW := g.outW, g.inFrom, g.inW
+	for src := range g.n {
+		lo, hi := g.outIndex[src], g.outIndex[src+1]
+		for i, to := range g.outTo[lo:hi] {
+			inFrom[at[to]], inW[at[to]] = ID(src), outW[lo+int64(i)]
+			at[to]++
 		}
 	}
 }

@@ -33,11 +33,10 @@ func (e *SyntaxError) Error() string {
 
 // Load reads an edge-list graph from r. Vertices are numbered 0..n-1 in the
 // order their ids first appear in the text (src before dst on a line), so
-// the loaded graph does not depend on how the file labels its vertices. The
-// returned mapping takes a file id to its vertex; it is nil when that
-// numbering is the identity, i.e. every id already equals its
-// first-appearance rank.
-func Load(r io.Reader) (*Graph, map[int64]ID, error) {
+// the loaded graph does not depend on how the file labels its vertices.
+// names[v] is vertex v's id in the file; names is nil when that numbering is
+// the identity, i.e. every id already equals its first-appearance rank.
+func Load(r io.Reader) (g *Graph, names []int64, err error) {
 	// io.Copy lets a reader that holds its bytes (bytes.Reader, bytes.Buffer,
 	// strings.Reader) hand them over in one write: one allocation, no growth.
 	var text bytes.Buffer
@@ -48,7 +47,7 @@ func Load(r io.Reader) (*Graph, map[int64]ID, error) {
 }
 
 // LoadFile reads an edge-list graph from a file path.
-func LoadFile(path string) (*Graph, map[int64]ID, error) {
+func LoadFile(path string) (g *Graph, names []int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
@@ -69,7 +68,7 @@ func chunksFor(size int) int {
 // loadText lexes data in k line-aligned chunks (concurrently when k > 1),
 // then labels the edges in file order and builds the graph. The result does
 // not depend on k.
-func loadText(data []byte, k int) (*Graph, map[int64]ID, error) {
+func loadText(data []byte, k int) (*Graph, []int64, error) {
 	// Each cut moves forward to the byte after the next '\n', so every line
 	// belongs to exactly one chunk.
 	cuts := make([]int, k+1)
@@ -104,49 +103,49 @@ func loadText(data []byte, k int) (*Graph, map[int64]ID, error) {
 		ids, w = slices.Concat(idss...), slices.Concat(ws...)
 	}
 
-	// One labelling pass, in file order and in place: first appearance names
-	// the vertex. A table costs 4 B per id up to the largest, the ids 16 B per
-	// edge: it is used while no larger than they are (maxID+1 ≤ 4 per edge),
-	// a map for sparser ids.
-	var raws []int64 // each vertex's id, by label
-	if len(w) < math.MaxUint32/2 && maxID < 4*int64(len(w)) {
-		label := make([]ID, maxID+1) // 1 + the vertex an id names; 0 until it appears
-		for j, raw := range ids {
-			l := label[raw]
-			if l == 0 {
-				raws = append(raws, raw)
-				l = ID(len(raws))
-				label[raw] = l
-			}
-			ids[j] = int64(l - 1)
-		}
-	} else {
-		label := make(map[int64]ID)
-		for j, raw := range ids {
-			l, ok := label[raw]
-			if !ok {
-				l = ID(len(raws))
-				label[raw], raws = l, append(raws, raw)
-			}
-			ids[j] = int64(l)
-		}
+	names := label(ids, maxID, len(w))
+	if uint64(len(names)) > math.MaxUint32 {
+		return nil, nil, fmt.Errorf("graph load: %d distinct vertex ids exceed the 32-bit vertex space", len(names))
 	}
-	if uint64(len(raws)) > math.MaxUint32 {
-		return nil, nil, fmt.Errorf("graph load: %d distinct vertex ids exceed the 32-bit vertex space", len(raws))
-	}
-	g, err := build(len(raws), ids, w, false, false)
+	g, err := build(len(names), ids, w, false, false)
 	if err != nil {
 		return nil, nil, err
 	}
 	// Distinct, ascending and ending at n-1, the ids are 0…n-1: the identity.
-	if slices.IsSorted(raws) && (len(raws) == 0 || raws[len(raws)-1] == int64(len(raws)-1)) {
+	if slices.IsSorted(names) && (len(names) == 0 || names[len(names)-1] == int64(len(names)-1)) {
 		return g, nil, nil
 	}
-	remap := make(map[int64]ID, len(raws))
-	for v, raw := range raws {
-		remap[raw] = ID(v)
+	return g, names, nil
+}
+
+// label renames the ids in place, in file order, by first appearance and
+// returns each vertex's id, by label. A table costs 4 B per id up to the
+// largest, the ids 16 B per edge: it is used while no larger than they are
+// (maxID+1 ≤ 4 per edge), a map for sparser ids.
+func label(ids []int64, maxID int64, m int) (names []int64) {
+	if m < math.MaxUint32/2 && maxID < 4*int64(m) {
+		rank := make([]ID, maxID+1) // 1 + the vertex an id names; 0 until it appears
+		for j, raw := range ids {
+			l := rank[raw]
+			if l == 0 {
+				names = append(names, raw)
+				l = ID(len(names))
+				rank[raw] = l
+			}
+			ids[j] = int64(l - 1)
+		}
+		return names
 	}
-	return g, remap, nil
+	rank := make(map[int64]ID)
+	for j, raw := range ids {
+		l, ok := rank[raw]
+		if !ok {
+			l = ID(len(names))
+			rank[raw], names = l, append(names, raw)
+		}
+		ids[j] = int64(l)
+	}
+	return names
 }
 
 // lexed is one chunk of text, lexed: its edges' ids as the file spells them
@@ -163,10 +162,38 @@ type lexed struct {
 // blank nor a '#' comment must read `[0-9]+ [0-9]+ [weight]`, fields
 // separated and optionally followed by blanks; lexing stops at the first line
 // that does not, numbered from the start of text.
+//
+// The common line, `digits ' ' digits` then '\n' or ' ' weight '\n' with ids
+// of at most 18 digits (no overflow), is lexed inline. Any other line goes to
+// edge from its first byte, so the grammar and its errors have one definition.
 func lexEdges(text []byte) lexed {
 	lines := bytes.Count(text, newline) + 1
-	p := lexed{ids: make([]int64, 0, 2*lines), w: make([]float64, 0, lines), maxID: -1}
+	ids, w, maxID := make([]int64, 0, 2*lines), make([]float64, 0, lines), int64(-1)
 	for i, line := 0, 1; i < len(text); {
+		if text[i]-'0' < 10 {
+			src, j := int64(0), i
+			for ; j < len(text) && text[j]-'0' < 10; j++ {
+				src = src*10 + int64(text[j]-'0')
+			}
+			if j-i <= 18 && j+1 < len(text) && text[j] == ' ' {
+				dst, k := int64(0), j+1
+				for ; k < len(text) && text[k]-'0' < 10; k++ {
+					dst = dst*10 + int64(text[k]-'0')
+				}
+				if k-j-1 <= 18 && k > j+1 && k < len(text) {
+					wt, end, ok := 1.0, k, text[k] == '\n'
+					if text[k] == ' ' && k+1 < len(text) {
+						wt, end, ok = lexWeight(text, k+1)
+						ok = ok && end < len(text) && text[end] == '\n'
+					}
+					if ok {
+						ids, w, maxID = append(ids, src, dst), append(w, wt), max(maxID, src, dst)
+						i, line = end+1, line+1
+						continue
+					}
+				}
+			}
+		}
 		switch c := text[i]; {
 		case c == '\n':
 			line++
@@ -180,49 +207,46 @@ func lexEdges(text []byte) lexed {
 				i = len(text)
 			}
 		default:
-			var msg string
-			if i, msg = p.edge(text, i); msg != "" {
-				p.err = &SyntaxError{Line: line, Msg: msg}
-				return p
+			src, dst, wt, end, msg := edge(text, i)
+			if msg != "" {
+				return lexed{err: &SyntaxError{Line: line, Msg: msg}}
 			}
+			ids, w, maxID, i = append(ids, src, dst), append(w, wt), max(maxID, src, dst), end
 		}
 	}
-	return p
+	return lexed{ids: ids, w: w, maxID: maxID}
 }
 
-// edge lexes the line that starts at text[i] into p and returns where it
-// ends, or what is wrong with it.
-func (p *lexed) edge(text []byte, i int) (int, string) {
+// edge lexes the line that starts at text[i] and returns its edge and where
+// it ends, or what is wrong with it.
+func edge(text []byte, i int) (src, dst int64, w float64, end int, msg string) {
 	src, i, ok := lexID(text, i)
 	if !ok {
-		return i, "bad src: want a decimal vertex id below 2^63"
+		return 0, 0, 0, i, "bad src: want a decimal vertex id below 2^63"
 	}
 	if i = skipBlanks(text, i); i == len(text) || text[i] == '\n' {
-		return i, "want 2 or 3 fields, got 1"
+		return 0, 0, 0, i, "want 2 or 3 fields, got 1"
 	}
-	dst, i, ok := lexID(text, i)
+	dst, i, ok = lexID(text, i)
 	if !ok {
-		return i, "bad dst: want a decimal vertex id below 2^63"
+		return 0, 0, 0, i, "bad dst: want a decimal vertex id below 2^63"
 	}
-	w := 1.0
+	w = 1.0
 	if i = skipBlanks(text, i); i < len(text) && text[i] != '\n' {
 		tok := i
 		w, i, ok = lexWeight(text, i)
 		weight := text[tok:i]
 		if i = skipBlanks(text, i); i < len(text) && text[i] != '\n' {
-			return i, "want 2 or 3 fields, got 4 or more"
+			return 0, 0, 0, i, "want 2 or 3 fields, got 4 or more"
 		}
 		if !ok { // not a plain decimal, or a halfway case: strconv decides
 			var err error
 			if w, err = strconv.ParseFloat(string(weight), 64); err != nil {
-				return i, fmt.Sprintf("bad weight %q", weight)
+				return 0, 0, 0, i, fmt.Sprintf("bad weight %q", weight)
 			}
 		}
 	}
-	p.ids = append(p.ids, src, dst)
-	p.w = append(p.w, w)
-	p.maxID = max(p.maxID, src, dst)
-	return i, ""
+	return src, dst, w, i, ""
 }
 
 // lexID reads the run of decimal digits at text[i], which a blank or the end

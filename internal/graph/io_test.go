@@ -33,12 +33,12 @@ func TestLoadBasic(t *testing.T) {
 
 1 2
 `
-	g, remap, err := Load(strings.NewReader(input))
+	g, names, err := Load(strings.NewReader(input))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if remap != nil {
-		t.Errorf("dense input should not return a remap, got %v", remap)
+	if names != nil {
+		t.Errorf("dense input should not return names, got %v", names)
 	}
 	if g.NumVertices() != 3 || g.NumEdges() != 3 {
 		t.Fatalf("got |V|=%d |E|=%d", g.NumVertices(), g.NumEdges())
@@ -49,18 +49,18 @@ func TestLoadBasic(t *testing.T) {
 }
 
 func TestLoadRemapsSparseIDs(t *testing.T) {
-	g, remap, err := Load(strings.NewReader("100 200\n200 300\n"))
+	g, names, err := Load(strings.NewReader("100 200\n200 300\n"))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	if g.NumVertices() != 3 {
 		t.Fatalf("|V| = %d, want 3", g.NumVertices())
 	}
-	if remap == nil {
-		t.Fatal("sparse ids must return a remap")
+	if !slices.Equal(names, []int64{100, 200, 300}) {
+		t.Fatalf("sparse ids must return their names, got %v", names)
 	}
-	if !g.HasEdge(remap[100], remap[200]) || !g.HasEdge(remap[200], remap[300]) {
-		t.Error("remapped edges missing")
+	if !g.HasEdge(0, 1) || !g.HasEdge(1, 2) {
+		t.Error("renamed edges missing")
 	}
 }
 
@@ -124,6 +124,20 @@ var loadCases = []struct {
 		n: 2, edges: []rawEdge{{0, 1, 9007199254740992}, {0, 1, math.Copysign(0, -1)}, {0, 1, 3}}},
 	{name: "ids just inside the dense table", in: "0 1\n2 7\n", n: 4, edges: []rawEdge{{0, 1, 1}, {2, 7, 1}}},
 	{name: "ids just past the dense table", in: "0 1\n2 8\n", n: 4, edges: []rawEdge{{0, 1, 1}, {2, 8, 1}}},
+	// The hot line path's exits: each line below leaves it for edge, and must
+	// load as if it had not.
+	{name: "18- and 19-digit ids", in: "123456789012345678 1\n1 1234567890123456789\n999999999999999999 9223372036854775807 2\n",
+		n: 5, edges: []rawEdge{{123456789012345678, 1, 1}, {1, 1234567890123456789, 1}, {999999999999999999, 9223372036854775807, 2}}},
+	{name: "a tab and two spaces", in: "0\t1\n1  2\n2 0\t3\n", n: 3, edges: []rawEdge{{0, 1, 1}, {1, 2, 1}, {2, 0, 3}}},
+	{name: "a trailing blank", in: "0 1 \n1 2 0.5 \n2 0\n", n: 3, edges: []rawEdge{{0, 1, 1}, {1, 2, 0.5}, {2, 0, 1}}},
+	{name: "CRLF after each form", in: "0 1\r\n1 2 0.5\r\n2 0\n", n: 3, edges: []rawEdge{{0, 1, 1}, {1, 2, 0.5}, {2, 0, 1}}},
+	{name: "a last plain line without newline", in: "0 1 0.5\n1 2", n: 3, edges: []rawEdge{{0, 1, 0.5}, {1, 2, 1}}},
+	{name: "a weight Eisel-Lemire refuses on a plain line", in: "0 1\n1 0 9007199254740993\n1 2\n",
+		n: 3, edges: []rawEdge{{0, 1, 1}, {1, 0, 9007199254740992}, {1, 2, 1}}},
+	{name: "a comment between edges", in: "0 1\n# 9 9\n1 2\n", n: 3, edges: []rawEdge{{0, 1, 1}, {1, 2, 1}}},
+	{name: "a signed id after plain lines", in: "0 1\n1 2\n+5 6\n", errLine: 3},
+	{name: "four fields after plain lines", in: "0 1\n1 2 0.5\n5 6 7 8\n", errLine: 3},
+	{name: "a signed dst", in: "0 1\n5 +6\n", errLine: 2},
 
 	{name: "signed id", in: "0 1\n+1 2\n", errLine: 2},
 	{name: "negative id", in: "# h\n\n-1 2\n", errLine: 3},
@@ -144,7 +158,7 @@ func TestLoadCases(t *testing.T) {
 			// Every chunk count must agree, errors and their absolute line
 			// numbers included.
 			for k := 1; k <= 5; k++ {
-				g, remap, err := loadText([]byte(tc.in), k)
+				g, names, err := loadText([]byte(tc.in), k)
 				if tc.errLine > 0 {
 					var se *SyntaxError
 					if !errors.As(err, &se) || se.Line != tc.errLine {
@@ -162,14 +176,14 @@ func TestLoadCases(t *testing.T) {
 					t.Fatalf("k=%d: |V|=%d |E|=%d, want %d/%d", k, g.NumVertices(), g.NumEdges(), tc.n, len(tc.edges))
 				}
 				label := func(raw int64) ID {
-					if remap == nil {
+					if names == nil {
 						return ID(raw)
 					}
-					id, ok := remap[raw]
-					if !ok {
-						t.Fatalf("k=%d: id %v missing from the mapping %v", k, raw, remap)
+					v := slices.Index(names, raw)
+					if v < 0 {
+						t.Fatalf("k=%d: id %v missing from the names %v", k, raw, names)
 					}
-					return id
+					return ID(v)
 				}
 				want := NewBuilder(tc.n)
 				for _, e := range tc.edges {
@@ -186,14 +200,14 @@ func TestLoadCases(t *testing.T) {
 // TestLoadLabelsByFirstAppearance pins the labelling policy bench/ relies on:
 // vertices are numbered in order of first appearance whatever the file calls
 // them, so dense ids are relabelled too unless they already appear in order,
-// and the mapping is nil exactly when the labelling is the identity.
+// and the names are nil exactly when the labelling is the identity.
 func TestLoadLabelsByFirstAppearance(t *testing.T) {
-	g, remap, err := Load(strings.NewReader("0 2\n1 2\n"))
+	g, names, err := Load(strings.NewReader("0 2\n1 2\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (map[int64]ID{0: 0, 2: 1, 1: 2}); !reflect.DeepEqual(remap, want) {
-		t.Fatalf("mapping %v, want %v", remap, want)
+	if want := []int64{0, 2, 1}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("names %v, want %v", names, want)
 	}
 	if want := []Edge{{0, 1, 1}, {2, 1, 1}}; !reflect.DeepEqual(g.Edges(), want) {
 		t.Fatalf("edges %v, want %v", g.Edges(), want)
@@ -206,8 +220,8 @@ func TestLoadLabelsByFirstAppearance(t *testing.T) {
 	if !reflect.DeepEqual(g, h) {
 		t.Fatalf("relabelled text loaded %v, want %v", h.Edges(), g.Edges())
 	}
-	if _, remap, _ = Load(strings.NewReader("0 1\n2 1\n")); remap != nil {
-		t.Fatalf("ids in first-appearance order returned mapping %v, want nil", remap)
+	if _, names, _ = Load(strings.NewReader("0 1\n2 1\n")); names != nil {
+		t.Fatalf("ids in first-appearance order returned names %v, want nil", names)
 	}
 }
 
@@ -242,29 +256,29 @@ func randomEdgeList(rng *rand.Rand) (string, [][3]int64) {
 
 // TestLoadFileParallelMatchesSequential is the chunk-invariance property: on
 // random edge lists, parsing in k = 1…16 concurrent chunks gives the same
-// graph and the same mapping as the single sequential pass, and that graph
+// graph and the same names as the single sequential pass, and that graph
 // is the one the edges describe.
 func TestLoadFileParallelMatchesSequential(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		text, edges := randomEdgeList(rand.New(rand.NewSource(seed)))
-		seq, seqMap, err := loadText([]byte(text), 1)
+		seq, seqNames, err := loadText([]byte(text), 1)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		want := NewBuilder(len(seqMap))
+		want := NewBuilder(len(seqNames))
 		for _, e := range edges {
-			want.AddWeightedEdge(seqMap[e[0]], seqMap[e[1]], float64(e[2]))
+			want.AddWeightedEdge(ID(slices.Index(seqNames, e[0])), ID(slices.Index(seqNames, e[1])), float64(e[2]))
 		}
 		if !reflect.DeepEqual(seq, want.MustBuild()) {
 			t.Fatalf("seed %d: sequential load differs from the edges written", seed)
 		}
 		for k := 2; k <= 16; k++ {
-			par, parMap, err := loadText([]byte(text), k)
+			par, parNames, err := loadText([]byte(text), k)
 			if err != nil {
 				t.Fatalf("seed %d k=%d: %v", seed, k, err)
 			}
-			if !reflect.DeepEqual(par, seq) || !reflect.DeepEqual(parMap, seqMap) {
-				t.Fatalf("seed %d: %d chunks load a different graph or mapping than 1", seed, k)
+			if !reflect.DeepEqual(par, seq) || !reflect.DeepEqual(parNames, seqNames) {
+				t.Fatalf("seed %d: %d chunks load a different graph or names than 1", seed, k)
 			}
 		}
 	}
@@ -378,7 +392,7 @@ func TestLoadFileMissing(t *testing.T) {
 
 // FuzzLoad: whatever the bytes, Load never panics, cannot create a vertex no
 // line names (|V| ≤ 2 × lines, however large the ids), and gives exactly
-// referenceLoad's answer — graph, mapping or error — for every chunk count.
+// referenceLoad's answer — graph, names or error — for every chunk count.
 func FuzzLoad(f *testing.F) {
 	for _, tc := range loadCases {
 		if len(tc.in) < 1<<16 {
@@ -386,11 +400,11 @@ func FuzzLoad(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		want, wantMap, wantErr := referenceLoad(data)
+		want, wantNames, wantErr := referenceLoad(data)
 		for _, k := range []int{1, 2, 3, 7} {
-			g, remap, err := loadText(data, k)
-			if !reflect.DeepEqual(err, wantErr) || !sameGraph(g, want) || !reflect.DeepEqual(remap, wantMap) {
-				t.Fatalf("%d chunks: (%v, %v, %v), reference: (%v, %v, %v)", k, g, remap, err, want, wantMap, wantErr)
+			g, names, err := loadText(data, k)
+			if !reflect.DeepEqual(err, wantErr) || !sameGraph(g, want) || !reflect.DeepEqual(names, wantNames) {
+				t.Fatalf("%d chunks: (%v, %v, %v), reference: (%v, %v, %v)", k, g, names, err, want, wantNames, wantErr)
 			}
 		}
 		if wantErr == nil {
@@ -426,9 +440,9 @@ type rawEdge struct {
 // referenceLoad is the loader as it was before it lexed in one pass, kept as
 // the oracle: the text cut line by line, each line lexed into a raw edge,
 // every endpoint labelled through a map, and the labelled edges stably sorted
-// by (src, dst). loadText must give exactly its graph, mapping and
+// by (src, dst). loadText must give exactly its graph, names and
 // *SyntaxError, line and message.
-func referenceLoad(data []byte) (*Graph, map[int64]ID, error) {
+func referenceLoad(data []byte) (*Graph, []int64, error) {
 	var edges []rawEdge
 	for line := 1; len(data) > 0; line++ {
 		var rest []byte
@@ -443,12 +457,13 @@ func referenceLoad(data []byte) (*Graph, map[int64]ID, error) {
 		edges = append(edges, e)
 	}
 	remap := make(map[int64]ID)
+	var names []int64
 	identity := true
 	intern := func(raw int64) ID {
 		id, ok := remap[raw]
 		if !ok {
 			id = ID(len(remap))
-			remap[raw] = id
+			remap[raw], names = id, append(names, raw)
 			identity = identity && int64(id) == raw
 		}
 		return id
@@ -472,11 +487,11 @@ func referenceLoad(data []byte) (*Graph, map[int64]ID, error) {
 	for v := 0; v < n; v++ {
 		g.outIndex[v+1] += g.outIndex[v]
 	}
-	g.transpose()
+	g.transpose(false)
 	if identity {
-		remap = nil
+		names = nil
 	}
-	return g, remap, nil
+	return g, names, nil
 }
 
 // refLexLine reads `[0-9]+ [0-9]+ [float]`, fields separated and optionally

@@ -37,6 +37,30 @@ func BenchmarkLoadText(b *testing.B) {
 	}
 }
 
+// BenchmarkBuild prices build alone, on the labelled edges BenchmarkLoadText's
+// loads hand it, and reports ns/edge. Run it with -cpu 1.
+func BenchmarkBuild(b *testing.B) {
+	web, _, err := gen.Dataset("gweb", 0.5, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, in := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"gweb", web}, {"lattice", gen.Road(64, 512, 0, 1)}} {
+		b.Run(in.name, func(b *testing.B) {
+			n, ends, w := graph.LabelledEdges(relabelled(in.g, 1))
+			b.ResetTimer()
+			for range b.N {
+				if _, err := graph.Build(n, ends, w); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(w)), "ns/edge")
+		})
+	}
+}
+
 // relabelled writes g as graph.Write does, but names vertex v base+perm[v],
 // perm drawn from seed and base the power of ten that gives every label the
 // same number of digits: the files bench/ generates.
