@@ -32,19 +32,12 @@ func testPlan() []graph.CSR[planEntry] {
 func planOf(workers int, rows map[[2]int][]planEntry) []graph.CSR[planEntry] {
 	plan := make([]graph.CSR[planEntry], workers)
 	for w := range plan {
-		var a graph.CSRAssembler[planEntry]
-		a.Grow(workers)
-		add := func() {
-			for p := 0; p < workers; p++ {
-				for _, pe := range rows[[2]int{w, p}] {
-					a.Add(p, pe)
-				}
-			}
+		offsets, items := make([]int64, workers+1), []planEntry(nil)
+		for p := 0; p < workers; p++ {
+			items = append(items, rows[[2]int{w, p}]...)
+			offsets[p+1] = int64(len(items))
 		}
-		add()
-		a.Fill()
-		add()
-		plan[w] = a.Build()
+		plan[w] = graph.NewCSR(offsets, items)
 	}
 	return plan
 }

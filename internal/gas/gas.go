@@ -85,8 +85,9 @@ func (GreedyVertexCut) PartitionEdges(g *graph.Graph, k int) []int {
 	// balance constraint the greedy rule degenerates (any connected graph
 	// would collapse onto the first worker).
 	maxLoad := int64(float64(g.NumEdges())/float64(k)*1.1) + 1
-	// present[v] is a bitset of workers already hosting v (k ≤ 64 workers
-	// fall in one word; larger k degrades to hashing the overflow).
+	// present[v] is a bitset of the workers below 64 already hosting v. A
+	// worker at 64 or above is never recorded, so past 64 workers an edge whose
+	// endpoints live only there goes to the least-loaded worker, as if fresh.
 	present := make([]uint64, g.NumVertices())
 	pick := func(mask uint64) int {
 		best, bestLoad := -1, int64(1<<62)
@@ -367,6 +368,16 @@ func New[V, G any](g *graph.Graph, prog Program[V, G], cfg Config[V, G]) (*Engin
 			return nil, fmt.Errorf("gas: accumulator: %w", err)
 		}
 	}
+	assign := cfg.Partitioner.PartitionEdges(g, k)
+	if len(assign) != g.NumEdges() {
+		return nil, fmt.Errorf("gas: %s: edge table has %d entries for %d edges (first mismatch at edge %d)",
+			cfg.Partitioner.Name(), len(assign), g.NumEdges(), min(len(assign), g.NumEdges()))
+	}
+	for i, w := range assign {
+		if w < 0 || w >= k {
+			return nil, fmt.Errorf("gas: %s: edge %d placed on worker %d, want [0, %d)", cfg.Partitioner.Name(), i, w, k)
+		}
+	}
 	sh, err := superstep.Open(superstep.Options{
 		Name: "gas", Engine: "powergraph", Graph: g, Workers: k,
 		Network: cfg.Network, MaxSupersteps: cfg.MaxSupersteps, CheckpointDir: cfg.CheckpointDir,
@@ -383,87 +394,113 @@ func New[V, G any](g *graph.Graph, prog Program[V, G], cfg Config[V, G]) (*Engin
 		ws:          make([]*workerState[V, G], k),
 		mirrorsPerW: make([]int64, k),
 	}
+
+	// The vertex-cut as a counting sort. One pass places every edge on its
+	// worker, numbering each endpoint's copy there in first-touch order and
+	// keeping the edge's two local slots in ends. The election then gives
+	// every vertex its master (the lowest worker hosting it, as a stand-in for
+	// PowerGraph's arbitrary election; an isolated vertex gets its only copy
+	// on v % k), and each row is counted, prefix-summed and filled in
+	// placement order, mirrors in ascending worker, so every array is made
+	// once at its exact size.
 	n := g.NumVertices()
 	// slotOf[w][id] is id's local slot on w, -1 when w has no copy. Only
 	// construction reads it: the superstep addresses copies by slot.
-	slotOf := make([][]int32, k)
-	inEdges := make([]graph.CSRAssembler[gasEdge], k)
-	outSlots := make([]graph.CSRAssembler[int32], k)
-	mirrors := make([]graph.CSRAssembler[mirrorRef], k)
+	slotOf, flat := make([][]int32, k), make([]int32, k*n)
+	for i := range flat {
+		flat[i] = -1
+	}
+	for w := range slotOf {
+		slotOf[w] = flat[w*n : (w+1)*n : (w+1)*n]
+	}
+	copies, ends := make([]int32, k), make([]int32, 2*len(assign))
+	for v, i := 0, 0; v < n; v++ {
+		for _, u := range g.OutNeighbors(graph.ID(v)) {
+			w := assign[i]
+			own := slotOf[w]
+			if own[v] < 0 {
+				own[v] = copies[w]
+				copies[w]++
+			}
+			if own[u] < 0 {
+				own[u] = copies[w]
+				copies[w]++
+			}
+			ends[2*i], ends[2*i+1] = own[v], own[u]
+			i++
+		}
+	}
+	masterOf := make([]int32, n)
+	for v := range masterOf {
+		w := 0
+		for w < k && slotOf[w][v] < 0 {
+			w++
+		}
+		if w == k {
+			w = v % k
+			slotOf[w][v] = copies[w]
+			copies[w]++
+		}
+		masterOf[v] = int32(w)
+	}
+
+	// An in- or out-row's count sits two places right of the row, so once
+	// summed off[r+1] is row r's start: the scatter's cursor, which it leaves
+	// at row r+1's start. A mirror row is filled whole, from off[r].
+	inOff, outOff, mirOff := make([][]int64, k), make([][]int64, k), make([][]int64, k)
 	for w := range e.ws {
-		slotOf[w] = make([]int32, n)
-		for i := range slotOf[w] {
-			slotOf[w][i] = -1
-		}
-		e.ws[w] = &workerState[V, G]{}
+		e.ws[w] = &workerState[V, G]{verts: make([]localVertex[V], copies[w])}
+		inOff[w], outOff[w], mirOff[w] = make([]int64, copies[w]+2), make([]int64, copies[w]+2), make([]int64, copies[w]+1)
 	}
-	ensure := func(w int, id graph.ID) int32 {
-		if slotOf[w][id] < 0 {
-			slotOf[w][id] = int32(len(e.ws[w].verts))
-			e.ws[w].verts = append(e.ws[w].verts, localVertex[V]{id: id})
+	for v, mw := range masterOf {
+		ms := slotOf[mw][v]
+		for w := int(mw); w < k; w++ {
+			if s := slotOf[w][v]; s >= 0 {
+				e.ws[w].verts[s] = localVertex[V]{id: graph.ID(v), master: w == int(mw), masterWorker: mw, masterSlot: ms}
+				mirOff[mw][ms+1]++
+			}
 		}
-		return slotOf[w][id]
+		mirOff[mw][ms+1]-- // the master is not its own mirror
+	}
+	for i, w := range assign {
+		outOff[w][ends[2*i]+2]++
+		inOff[w][ends[2*i+1]+2]++
+	}
+	inEdges, outSlots, mirrors := make([][]gasEdge, k), make([][]int32, k), make([][]mirrorRef, k)
+	for w := range e.ws {
+		prefix(inOff[w])
+		prefix(outOff[w])
+		prefix(mirOff[w])
+		inEdges[w], outSlots[w] = make([]gasEdge, inOff[w][copies[w]+1]), make([]int32, outOff[w][copies[w]+1])
+		mirrors[w] = make([]mirrorRef, mirOff[w][copies[w]])
+	}
+	for v, i := 0, 0; v < n; v++ {
+		for _, wt := range g.OutWeights(graph.ID(v)) {
+			w, sv, su := assign[i], ends[2*i], ends[2*i+1]
+			in, out := inOff[w], outOff[w]
+			inEdges[w][in[su+1]] = gasEdge{srcSlot: sv, weight: wt}
+			outSlots[w][out[sv+1]] = su
+			in[su+1]++
+			out[sv+1]++
+			i++
+		}
+	}
+	for v, mw := range masterOf {
+		at := mirOff[mw][slotOf[mw][v]]
+		for w := int(mw) + 1; w < k; w++ {
+			if s := slotOf[w][v]; s >= 0 {
+				mirrors[mw][at] = mirrorRef{worker: int32(w), slot: s}
+				at++
+			}
+		}
 	}
 
-	// walk places every edge on its worker, creating local copies of both
-	// endpoints in first-touch order, then elects each vertex's master (the
-	// lowest worker id hosting it, as a stand-in for PowerGraph's arbitrary
-	// election; an isolated vertex gets its only copy here) and wires its
-	// mirrors. It runs twice: the assemblers count on the first run and
-	// store on the second, so rows hold their items in placement order.
-	assign := cfg.Partitioner.PartitionEdges(g, k)
-	walk := func() {
-		i := 0
-		for v := 0; v < n; v++ {
-			wts := g.OutWeights(graph.ID(v))
-			for j, u := range g.OutNeighbors(graph.ID(v)) {
-				w := assign[i]
-				i++
-				sv, su := ensure(w, graph.ID(v)), ensure(w, u)
-				inEdges[w].Add(int(su), gasEdge{srcSlot: sv, weight: wts[j]})
-				outSlots[w].Add(int(sv), su)
-			}
-		}
-		for v := 0; v < n; v++ {
-			masterW := 0
-			for masterW < k && slotOf[masterW][v] < 0 {
-				masterW++
-			}
-			if masterW == k {
-				masterW = v % k
-				ensure(masterW, graph.ID(v))
-			}
-			masterSlot := slotOf[masterW][v]
-			for w := masterW; w < k; w++ {
-				s := slotOf[w][v]
-				if s < 0 {
-					continue
-				}
-				c := &e.ws[w].verts[s]
-				c.master, c.masterWorker, c.masterSlot = w == masterW, int32(masterW), masterSlot
-				if !c.master {
-					mirrors[masterW].Add(int(masterSlot), mirrorRef{worker: int32(w), slot: s})
-				}
-			}
-		}
-	}
-	walk()
+	// Wrap the rows and allocate the superstep scratch once.
 	for w, ws := range e.ws {
-		inEdges[w].Grow(len(ws.verts))
-		outSlots[w].Grow(len(ws.verts))
-		mirrors[w].Grow(len(ws.verts))
-		inEdges[w].Fill()
-		outSlots[w].Fill()
-		mirrors[w].Fill()
-	}
-	walk()
-
-	// Flatten adjacency and allocate the superstep scratch once.
-	for w, ws := range e.ws {
-		ws.inEdges = inEdges[w].Build()
-		ws.outSlots = outSlots[w].Build()
-		ws.mirrors = mirrors[w].Build()
 		nv := len(ws.verts)
+		ws.inEdges = graph.NewCSR(inOff[w][:nv+1], inEdges[w])
+		ws.outSlots = graph.NewCSR(outOff[w][:nv+1], outSlots[w])
+		ws.mirrors = graph.NewCSR(mirOff[w], mirrors[w])
 		ws.accVal = make([]G, nv)
 		ws.accHas = make([]bool, nv)
 		ws.scat = make([]bool, nv)
@@ -487,6 +524,13 @@ func New[V, G any](g *graph.Graph, prog Program[V, G], cfg Config[V, G]) (*Engin
 		}
 	}
 	return e, nil
+}
+
+// prefix turns per-row counts into row starts, in place.
+func prefix(off []int64) {
+	for r := 1; r < len(off); r++ {
+		off[r] += off[r-1]
+	}
 }
 
 // Mirrors returns the total mirror count; Mirrors()/|V| is PowerGraph's

@@ -139,21 +139,24 @@ func TestGreedyCutFewerMirrorsThanRandom(t *testing.T) {
 }
 
 func TestEdgePartitionersCoverAllEdges(t *testing.T) {
-	f := func(seed int64, kRaw uint8) bool {
-		k := int(kRaw)%8 + 1
-		g := gen.ErdosRenyi(60, 200, seed)
-		for _, p := range []EdgePartitioner{RandomVertexCut{}, GreedyVertexCut{}} {
-			out := p.PartitionEdges(g, k)
-			if len(out) != g.NumEdges() {
+	covers := func(p EdgePartitioner, g *graph.Graph, k int) bool {
+		out := p.PartitionEdges(g, k)
+		if len(out) != g.NumEdges() {
+			return false
+		}
+		for _, w := range out {
+			if w < 0 || w >= k {
 				return false
-			}
-			for _, w := range out {
-				if w < 0 || w >= k {
-					return false
-				}
 			}
 		}
 		return true
+	}
+	// Greedy also runs past the 64 workers its presence bitset records.
+	f := func(seed int64, kRaw uint8) bool {
+		k, wide := int(kRaw)%8+1, 65+int(kRaw)%16
+		g := gen.ErdosRenyi(60, 200, seed)
+		return covers(RandomVertexCut{}, g, k) && covers(GreedyVertexCut{}, g, k) &&
+			covers(GreedyVertexCut{}, g, wide)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)

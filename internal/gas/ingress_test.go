@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cyclops/internal/cluster"
+	"cyclops/internal/gen"
 	"cyclops/internal/graph"
 )
 
@@ -145,4 +147,80 @@ func TestIngressMatchesAppendRowsReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestNewRejectsBadEdgeTable: an edge table that does not give every edge
+// exactly one worker in [0, k) is refused before anything is built, with an
+// error naming the partitioner and the first bad edge.
+func TestNewRejectsBadEdgeTable(t *testing.T) {
+	g := gen.Road(4, 4, 0, 1)
+	good := RandomVertexCut{}.PartitionEdges(g, 2)
+	with := func(i, w int) []int {
+		bad := append([]int(nil), good...)
+		bad[i] = w
+		return bad
+	}
+	cases := []struct {
+		name  string
+		table []int
+		want  string
+	}{
+		{"one short", good[:len(good)-1], fmt.Sprintf("edge table has %d entries for %d edges (first mismatch at edge %d)", len(good)-1, len(good), len(good)-1)},
+		{"five long", append(append([]int(nil), good...), 0, 1, 0, 1, 0), fmt.Sprintf("edge table has %d entries for %d edges (first mismatch at edge %d)", len(good)+5, len(good), len(good))},
+		{"worker k", with(7, 2), "edge 7 placed on worker 2, want [0, 2)"},
+		{"worker -1", with(0, -1), "edge 0 placed on worker -1, want [0, 2)"},
+	}
+	for _, c := range cases {
+		_, err := New[float64, float64](g, prShare{n: g.NumVertices()}, Config[float64, float64]{
+			Cluster: cluster.Flat(2, 1), Partitioner: fixedCut{of: c.table},
+		})
+		if err == nil || !strings.Contains(err.Error(), "fixed-cut: "+c.want) {
+			t.Errorf("%s: New error %v, want one containing %q", c.name, err, "fixed-cut: "+c.want)
+		}
+	}
+}
+
+// TestIngressAllocsDoNotGrowWithGraph: construction makes each of its arrays
+// once at its exact size, so a graph five times larger costs no more
+// allocations. A row grown by append, or a map, would.
+func TestIngressAllocsDoNotGrowWithGraph(t *testing.T) {
+	allocs := func(scale float64) float64 {
+		g, _, err := gen.Dataset("gweb", scale, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config[float64, float64]{Cluster: cluster.Flat(2, 1), Partitioner: fixedCut{of: RandomVertexCut{}.PartitionEdges(g, 2)}}
+		return testing.AllocsPerRun(3, func() {
+			e, err := New[float64, float64](g, prShare{n: g.NumVertices()}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Close()
+		})
+	}
+	if small, large := allocs(0.1), allocs(0.5); large > small+2 {
+		t.Fatalf("New allocates %.0f times on gweb@0.5 but %.0f on gweb@0.1", large, small)
+	}
+}
+
+// BenchmarkIngress prices New — edge placement, election, rows and Init — on
+// bench/'s pr-web-gas shape: gweb@0.5 over Flat(2,1), with a random
+// vertex-cut table computed once, outside the timer. Run it with -cpu 1, as
+// bench/ runs on one P.
+func BenchmarkIngress(b *testing.B) {
+	g, _, err := gen.Dataset("gweb", 0.5, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config[float64, float64]{Cluster: cluster.Flat(2, 1), Partitioner: fixedCut{of: RandomVertexCut{}.PartitionEdges(g, 2)}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		e, err := New[float64, float64](g, prShare{n: g.NumVertices()}, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e.Close()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*g.NumEdges()), "ns/edge")
 }

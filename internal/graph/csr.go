@@ -8,8 +8,8 @@ import "fmt"
 // out-edges, replica placements) and then iterate Row slices in the
 // superstep inner loops with zero per-vertex allocations and no map lookups.
 //
-// Rows preserve insertion order exactly: Row(i) returns the items appended
-// to row i in the order they were appended, duplicates included. That
+// Rows preserve their builder's order exactly: Row(i) returns the items laid
+// out for row i in the order they were placed, duplicates included. That
 // property is what lets the flight-recorder gate prove the CSR migration
 // changed nothing — neighbor iteration order equals the seed adjacency-list
 // order, so message order, and therefore every exact-diffed counter, is
@@ -60,66 +60,4 @@ func (c *CSR[T]) Validate() error {
 		return fmt.Errorf("graph: CSR: offsets end at %d, want %d items", got, len(c.items))
 	}
 	return nil
-}
-
-// CSRAssembler builds a CSR from one walk run twice: the caller Adds every
-// (row, item) it has, calls Fill, and Adds the same sequence again. The first
-// run only counts; Fill turns the counts into offsets and makes the one item
-// allocation; the second run stores. Within a row, items land in the order
-// they were added, duplicates included. Ingress runs once per engine, so
-// walking the edges twice is cheaper than growing a slice per row, and
-// because both runs are the same code they cannot disagree. The zero
-// CSRAssembler is ready to use and has no rows.
-type CSRAssembler[T any] struct {
-	offsets []int64 // before Fill: offsets[r+1] = items added to row r; after: row starts
-	cursor  []int64 // per row: where its next item lands; nil before Fill
-	items   []T
-}
-
-// Grow makes the CSR at least rows long, before Fill; called ahead of the
-// first Add it saves counting from regrowing the offsets row by row. Rows
-// nothing is added to come out empty: zero-length rows, not errors.
-func (a *CSRAssembler[T]) Grow(rows int) {
-	if missing := rows + 1 - len(a.offsets); missing > 0 {
-		a.offsets = append(a.offsets, make([]int64, missing)...)
-	}
-}
-
-// Add appends item to row. Before Fill it only counts, growing the CSR to
-// hold the row; after Fill it stores, and must replay an Add made before.
-func (a *CSRAssembler[T]) Add(row int, item T) {
-	if a.cursor == nil {
-		a.Grow(row + 1)
-		a.offsets[row+1]++
-		return
-	}
-	a.items[a.cursor[row]] = item
-	a.cursor[row]++
-}
-
-// Fill ends the counting run.
-func (a *CSRAssembler[T]) Fill() {
-	a.Grow(0)
-	for r := 1; r < len(a.offsets); r++ {
-		a.offsets[r] += a.offsets[r-1]
-	}
-	a.cursor = make([]int64, len(a.offsets)-1)
-	copy(a.cursor, a.offsets)
-	a.items = make([]T, a.offsets[len(a.offsets)-1])
-}
-
-// Build returns the assembled CSR. It panics unless every row received
-// exactly the items counted for it: a walk that differs between its two
-// runs is a bug in the caller, not an input condition.
-func (a *CSRAssembler[T]) Build() CSR[T] {
-	if a.cursor == nil {
-		a.Fill()
-	}
-	for r, end := range a.cursor {
-		if end != a.offsets[r+1] {
-			panic(fmt.Sprintf("graph: CSRAssembler: row %d counted %d items, got %d",
-				r, a.offsets[r+1]-a.offsets[r], end-a.offsets[r]))
-		}
-	}
-	return CSR[T]{offsets: a.offsets, items: a.items}
 }

@@ -1,19 +1,18 @@
 package graph
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
-// assemble drives a CSRAssembler the way ingress does: the same emission
-// walk twice with one Fill between.
+// assemble collects walk's emissions into per-row slices, then lays the rows
+// end to end through NewCSR, as ingress gathers each row in order.
 func assemble[T any](rows int, walk func(emit func(row int, item T))) CSR[T] {
-	var a CSRAssembler[T]
-	a.Grow(rows)
-	walk(a.Add)
-	a.Fill()
-	walk(a.Add)
-	return a.Build()
+	per := make([][]T, rows)
+	walk(func(r int, item T) { per[r] = append(per[r], item) })
+	offsets, items := make([]int64, rows+1), []T(nil)
+	for r, row := range per {
+		items = append(items, row...)
+		offsets[r+1] = int64(len(items))
+	}
+	return NewCSR(offsets, items)
 }
 
 // TestCSREmptyRows covers the empty-partition shape: a CSR whose rows were
@@ -49,7 +48,7 @@ func TestCSREmptyRows(t *testing.T) {
 	}
 
 	// Zero rows entirely.
-	none := new(CSRAssembler[int32]).Build()
+	none := assemble(0, func(func(int, int32)) {})
 	if err := none.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -114,58 +113,6 @@ func TestCSRDuplicateEdges(t *testing.T) {
 			t.Fatalf("row 0 = %v, want %v (insertion order, duplicates kept)", got, want)
 		}
 	}
-}
-
-// TestCSRRowsDiscoveredWhileCounting: ingress learns of replica rows only as
-// it walks the edges, so rows past the initial count appear mid-count, out of
-// order and interleaved; rows named only by Grow, or skipped over by a later
-// row, exist and are empty.
-func TestCSRRowsDiscoveredWhileCounting(t *testing.T) {
-	var a CSRAssembler[string]
-	emissions := []struct {
-		row  int
-		item string
-	}{{0, "a"}, {3, "b"}, {0, "c"}, {5, "d"}, {3, "e"}, {1, "f"}, {3, "g"}}
-	for _, e := range emissions {
-		a.Add(e.row, e.item)
-	}
-	a.Grow(8) // rows 6 and 7: never added to
-	a.Grow(2) // never shrinks
-	a.Fill()
-	for _, e := range emissions {
-		a.Add(e.row, e.item)
-	}
-	c := a.Build()
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	want := [][]string{{"a", "c"}, {"f"}, {}, {"b", "e", "g"}, {}, {"d"}, {}, {}}
-	if c.NumRows() != len(want) || c.NumItems() != len(emissions) {
-		t.Fatalf("rows=%d items=%d, want %d/%d", c.NumRows(), c.NumItems(), len(want), len(emissions))
-	}
-	for r, w := range want {
-		if got := c.Row(r); len(got) != len(w) || (len(w) > 0 && !reflect.DeepEqual(got, w)) {
-			t.Fatalf("row %d = %v, want %v", r, got, w)
-		}
-	}
-}
-
-// TestCSRAssemblerRejectsUnequalPasses: a second run that does not replay the
-// first is a caller bug Build must not turn into a silently wrong CSR.
-func TestCSRAssemblerRejectsUnequalPasses(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Build accepted a row that was counted twice and stored once")
-		}
-	}()
-	var a CSRAssembler[int32]
-	a.Add(0, 1)
-	a.Add(0, 1)
-	a.Add(1, 2)
-	a.Fill()
-	a.Add(0, 1)
-	a.Add(1, 2)
-	a.Build()
 }
 
 // TestCSROrderMatchesAdjacency is the determinism property test: for a

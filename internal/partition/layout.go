@@ -31,23 +31,23 @@ func NewLayout(a *Assignment, n int) (*Layout, error) {
 	if len(a.Of) != n {
 		return nil, fmt.Errorf("partition: layout: assignment covers %d of %d vertices", len(a.Of), n)
 	}
-	var masters graph.CSRAssembler[graph.ID]
-	masters.Grow(a.K)
 	slot := make([]int32, n)
-	counts := make([]int32, a.K)
+	start := make([]int64, a.K+1) // counted one place right, then prefix-summed
 	for v, p := range a.Of {
 		if p < 0 || p >= a.K {
 			return nil, fmt.Errorf("partition: layout: vertex %d assigned to %d, K=%d", v, p, a.K)
 		}
-		slot[v] = counts[p]
-		counts[p]++
-		masters.Add(p, graph.ID(v))
+		slot[v] = int32(start[p+1])
+		start[p+1]++
 	}
-	masters.Fill()
+	for p := 1; p <= a.K; p++ {
+		start[p] += start[p-1]
+	}
+	ids := make([]graph.ID, n)
 	for v, p := range a.Of {
-		masters.Add(p, graph.ID(v))
+		ids[start[p]+int64(slot[v])] = graph.ID(v)
 	}
-	return &Layout{K: a.K, Slot: slot, masters: masters.Build()}, nil
+	return &Layout{K: a.K, Slot: slot, masters: graph.NewCSR(start, ids)}, nil
 }
 
 // Masters returns partition p's master vertex ids in ascending order. The
