@@ -105,7 +105,7 @@ type CCGAS struct{}
 func (CCGAS) Init(id graph.ID, _ *graph.Graph) (int64, bool) { return int64(id), true }
 
 // Gather implements gas.Program.
-func (CCGAS) Gather(_ graph.ID, srcVal int64, _ float64) int64 { return srcVal }
+func (CCGAS) Gather(srcVal int64, _ float64) int64 { return srcVal }
 
 // Sum implements gas.Program.
 func (CCGAS) Sum(a, b int64) int64 {

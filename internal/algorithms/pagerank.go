@@ -187,7 +187,7 @@ func (p *PageRankGAS) Init(id graph.ID, g *graph.Graph) (PRValue, bool) {
 }
 
 // Gather implements gas.Program.
-func (p *PageRankGAS) Gather(src graph.ID, srcVal PRValue, _ float64) float64 {
+func (p *PageRankGAS) Gather(srcVal PRValue, _ float64) float64 {
 	return srcVal.Share
 }
 

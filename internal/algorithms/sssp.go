@@ -130,7 +130,7 @@ func (s SSSPGAS) Init(id graph.ID, _ *graph.Graph) (float64, bool) {
 
 // Gather implements gas.Program. A NaN path is no path: SSSPRef's d < dist
 // skips it, and as +Inf it cannot poison Sum's min of the other candidates.
-func (s SSSPGAS) Gather(_ graph.ID, srcVal float64, weight float64) float64 {
+func (s SSSPGAS) Gather(srcVal float64, weight float64) float64 {
 	if d := srcVal + weight; d == d {
 		return d
 	}

@@ -135,10 +135,11 @@ type workerState[V, M any] struct {
 
 	frontier superstep.Frontier // over master slots: who computes now, who next
 
-	// out holds the SND phase's per-destination batches. The backing arrays
-	// are reused across supersteps ([:0] reset): the transport hands every
-	// batch to this worker's own RECV drain within the same superstep, so by
-	// the time SND runs again the previous batches are dead.
+	// out holds the SND phase's per-destination batches, each given its
+	// send-plan row's length as capacity by Run. The backing arrays are
+	// reused across supersteps ([:0] reset): the transport hands every batch
+	// to this worker's own RECV drain within the same superstep, so by the
+	// time SND runs again the previous batches are dead.
 	out [][]syncMsg[M]
 }
 

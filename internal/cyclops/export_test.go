@@ -1,6 +1,7 @@
 package cyclops
 
 import (
+	"fmt"
 	"slices"
 
 	"cyclops/internal/graph"
@@ -72,4 +73,17 @@ func (t frameTap[V, M]) Send(from, to int, batch []syncMsg[M]) {
 		f.Activate = append(f.Activate, m.Activate)
 	}
 	t.fn(f)
+}
+
+// BatchGrowth returns an error naming the first SND batch whose capacity is
+// not its send-plan row's length, or nil.
+func (e *Engine[V, M]) BatchGrowth() error {
+	for w, ws := range e.ws {
+		for to, out := range ws.out {
+			if n := e.plan[w].RowLen(to); cap(out) != n {
+				return fmt.Errorf("worker %d → %d: batch capacity %d, plan row %d", w, to, cap(out), n)
+			}
+		}
+	}
+	return nil
 }

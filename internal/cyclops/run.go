@@ -69,6 +69,14 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 			partials = append(partials, &ctxs[w][t].local)
 		}
 	}
+	// SND sends at most one message per plan entry: size each batch to its row.
+	for w, ws := range e.ws {
+		for to := range ws.out {
+			if n := e.plan[w].RowLen(to); cap(ws.out[to]) < n {
+				ws.out[to] = make([]syncMsg[M], 0, n)
+			}
+		}
+	}
 	changed := make([]int64, workers)
 	redundant := make([]int64, workers)
 	inbound := make([][][]syncMsg[M], workers)

@@ -30,7 +30,7 @@ func (e *Engine[V, G]) auditMirrors() []obs.Violation {
 				continue
 			}
 			for _, m := range ws.mirrors.Row(s) {
-				if obs.ExactEqual(lv.cache, e.ws[m.worker].verts[m.slot].cache) {
+				if obs.ExactEqual(ws.vals[s], e.ws[m.worker].vals[m.slot]) {
 					continue
 				}
 				out = append(out, obs.Violation{

@@ -23,7 +23,7 @@ type stepProg struct{}
 
 func (stepProg) Init(id graph.ID, _ *graph.Graph) (float64, bool) { return float64(id), true }
 
-func (stepProg) Gather(_ graph.ID, srcVal float64, _ float64) float64 { return srcVal }
+func (stepProg) Gather(srcVal float64, _ float64) float64 { return srcVal }
 
 func (stepProg) Sum(a, b float64) float64 { return a + b }
 
@@ -118,7 +118,7 @@ func TestAuditCatchesMirrorDivergence(t *testing.T) {
 			// divergence — only the auditor can see it.
 			for s := range e.ws[1].verts {
 				if e.ws[1].verts[s].id == 0 {
-					e.ws[1].verts[s].cache = 999
+					e.ws[1].vals[s] = 999
 				}
 			}
 		}

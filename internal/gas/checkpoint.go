@@ -23,7 +23,7 @@ func (e *Engine[V, G]) snapshot(step int) State[V] {
 		for i := range ws.verts {
 			lv := &ws.verts[i]
 			if lv.master {
-				s.Values[lv.id] = lv.cache
+				s.Values[lv.id] = ws.vals[i]
 				s.Active[lv.id] = ws.frontier.Has(i)
 			}
 		}
@@ -44,7 +44,7 @@ func (e *Engine[V, G]) Restore(s State[V]) error {
 			lv := &ws.verts[i]
 			// Every copy, master and mirror alike, resets to the master's
 			// checkpointed value.
-			lv.cache = s.Values[lv.id]
+			ws.vals[i] = s.Values[lv.id]
 			if lv.master {
 				ws.frontier.Set(i, s.Active[lv.id])
 			}

@@ -27,11 +27,13 @@ import (
 
 // Program is a GAS vertex program.
 type Program[V, G any] interface {
-	// Init returns the initial value and activation of vertex id.
+	// Init returns the initial value and activation of vertex id. It must be
+	// deterministic: New calls it on the master only and seeds every mirror
+	// with the master's value.
 	Init(id graph.ID, g *graph.Graph) (V, bool)
 	// Gather maps one in-edge (src → current vertex) to an accumulator
 	// contribution. srcVal is the locally cached value of src.
-	Gather(src graph.ID, srcVal V, weight float64) G
+	Gather(srcVal V, weight float64) G
 	// Sum combines two accumulator values (commutative and associative).
 	Sum(a, b G) G
 	// Apply computes the vertex's new value from the gathered accumulator.
@@ -279,11 +281,11 @@ func (c gasCodec[V, G]) Decode(src []byte) (gasMsg[V, G], int, error) {
 	return m, n, nil
 }
 
-// localVertex is one worker's copy of a vertex. Its adjacency (in-edges,
-// out-slots, mirror refs) lives in the workerState CSRs, indexed by slot.
-type localVertex[V any] struct {
+// localVertex is one worker's copy of a vertex, 16 B. Its value and its
+// adjacency (in-edges, out-slots, mirror refs) live in workerState's flat
+// arrays, indexed by slot.
+type localVertex struct {
 	id     graph.ID
-	cache  V
 	master bool
 	// masterWorker/masterSlot route mirror→master messages.
 	masterWorker int32
@@ -301,7 +303,12 @@ type gasEdge struct {
 }
 
 type workerState[V, G any] struct {
-	verts []localVertex[V]
+	verts []localVertex
+	// vals is every copy's value, dense by slot: a master's own, a mirror's
+	// cache of its master's. isMaster is verts[s].master as a bitmap, the one
+	// word scatter tests per activated out-neighbour.
+	vals     []V
+	isMaster []uint64
 
 	// Immutable CSR adjacency, flattened once after edge placement: per slot,
 	// the local in-edges, the local out-slots, and (masters only) the mirror
@@ -326,6 +333,7 @@ type workerState[V, G any] struct {
 	// outA/outB are the per-destination send batches, alternating by round
 	// parity: a round's batches are still being read while the next round
 	// refills its own set, but the round after that may safely reuse them.
+	// Run sizes each to its round's bound once, so none grows.
 	outA, outB [][]gasMsg[V, G]
 }
 
@@ -449,18 +457,19 @@ func New[V, G any](g *graph.Graph, prog Program[V, G], cfg Config[V, G]) (*Engin
 	// at row r+1's start. A mirror row is filled whole, from off[r].
 	inOff, outOff, mirOff := make([][]int64, k), make([][]int64, k), make([][]int64, k)
 	for w := range e.ws {
-		e.ws[w] = &workerState[V, G]{verts: make([]localVertex[V], copies[w])}
+		e.ws[w] = &workerState[V, G]{verts: make([]localVertex, copies[w]), isMaster: make([]uint64, (copies[w]+63)/64)}
 		inOff[w], outOff[w], mirOff[w] = make([]int64, copies[w]+2), make([]int64, copies[w]+2), make([]int64, copies[w]+1)
 	}
 	for v, mw := range masterOf {
 		ms := slotOf[mw][v]
 		for w := int(mw); w < k; w++ {
 			if s := slotOf[w][v]; s >= 0 {
-				e.ws[w].verts[s] = localVertex[V]{id: graph.ID(v), master: w == int(mw), masterWorker: mw, masterSlot: ms}
+				e.ws[w].verts[s] = localVertex{id: graph.ID(v), master: w == int(mw), masterWorker: mw, masterSlot: ms}
 				mirOff[mw][ms+1]++
 			}
 		}
 		mirOff[mw][ms+1]-- // the master is not its own mirror
+		e.ws[mw].isMaster[ms>>6] |= 1 << (ms & 63)
 	}
 	for i, w := range assign {
 		outOff[w][ends[2*i]+2]++
@@ -501,6 +510,7 @@ func New[V, G any](g *graph.Graph, prog Program[V, G], cfg Config[V, G]) (*Engin
 		ws.inEdges = graph.NewCSR(inOff[w][:nv+1], inEdges[w])
 		ws.outSlots = graph.NewCSR(outOff[w][:nv+1], outSlots[w])
 		ws.mirrors = graph.NewCSR(mirOff[w], mirrors[w])
+		ws.vals = make([]V, nv)
 		ws.accVal = make([]G, nv)
 		ws.accHas = make([]bool, nv)
 		ws.scat = make([]bool, nv)
@@ -510,14 +520,16 @@ func New[V, G any](g *graph.Graph, prog Program[V, G], cfg Config[V, G]) (*Engin
 		ws.outB = make([][]gasMsg[V, G], k)
 	}
 
-	// Seed values on every copy; every copy that is not a master is a mirror.
+	// Seed the masters from Init and every mirror from its master, which
+	// lives on a lower worker and so is already seeded.
 	for w, ws := range e.ws {
-		for s := range ws.verts {
-			val, act := prog.Init(ws.verts[s].id, g)
-			ws.verts[s].cache = val
-			if ws.verts[s].master {
+		for s, lv := range ws.verts {
+			if lv.master {
+				var act bool
+				ws.vals[s], act = prog.Init(lv.id, g)
 				ws.frontier.Set(s, act)
 			} else {
+				ws.vals[s] = e.ws[lv.masterWorker].vals[lv.masterSlot]
 				e.mirrors++
 				e.mirrorsPerW[w]++
 			}
@@ -549,22 +561,14 @@ func (e *Engine[V, G]) ReplicationFactor() float64 {
 // in-edge counts, ≥ 1). The vertex-cut balances edges, not vertices, so this —
 // not a vertex count — is the quality figure RunInfo.PartitionBalance carries.
 func (e *Engine[V, G]) edgeBalance() float64 {
-	if len(e.ws) == 0 {
-		return 1
-	}
-	var sum, max int64
+	var sum, most int
 	for _, ws := range e.ws {
-		load := int64(ws.inEdges.NumItems())
-		sum += load
-		if load > max {
-			max = load
-		}
+		sum, most = sum+ws.inEdges.NumItems(), max(most, ws.inEdges.NumItems())
 	}
 	if sum == 0 {
 		return 1
 	}
-	mean := float64(sum) / float64(len(e.ws))
-	return float64(max) / mean
+	return float64(most) / (float64(sum) / float64(len(e.ws)))
 }
 
 // Values assembles the global vertex values from the masters.
@@ -573,7 +577,7 @@ func (e *Engine[V, G]) Values() []V {
 	for _, ws := range e.ws {
 		for s := range ws.verts {
 			if ws.verts[s].master {
-				out[ws.verts[s].id] = ws.verts[s].cache
+				out[ws.verts[s].id] = ws.vals[s]
 			}
 		}
 	}
@@ -623,6 +627,25 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 	// Steady-state scratch, allocated once and reused every superstep: the
 	// inbound buffer only holds the transport's freshly drained batch slices.
 	inbound := make([][][]gasMsg[V, G], workers)
+	// A round sends at most one message per (master, mirror) pair: requests
+	// and pushes from master to mirror, partials and the deduplicated
+	// activation returns from mirror to master. So each batch gets, on first
+	// use, the larger of the two directions' pair counts and never grows.
+	pairs := make([]int, workers*workers) // [w*workers+p]: mirrors on p of w's masters
+	for p, ws := range e.ws {
+		for _, lv := range ws.verts {
+			if !lv.master {
+				pairs[int(lv.masterWorker)*workers+p]++
+			}
+		}
+	}
+	for w, ws := range e.ws {
+		for p := range ws.outA {
+			if n := max(pairs[w*workers+p], pairs[p*workers+w]); cap(ws.outA[p]) < n {
+				ws.outA[p], ws.outB[p] = make([]gasMsg[V, G], 0, n), make([]gasMsg[V, G], 0, n)
+			}
+		}
+	}
 	var active int64
 
 	// flush sends worker w's per-destination batches and closes its
@@ -683,21 +706,20 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 	gather := func(w int) {
 		ws := e.ws[w]
 		out := resetOut(ws.outB)
+		prog, vals := e.prog, ws.vals
 		var units int64
-		gatherLocal := func(s int32) (G, bool) {
-			var sum G
-			has := false
-			for _, edge := range ws.inEdges.Row(int(s)) {
-				src := &ws.verts[edge.srcSlot]
-				gv := e.prog.Gather(src.id, src.cache, edge.weight)
-				units++
-				if !has {
-					sum, has = gv, true
-				} else {
-					sum = e.prog.Sum(sum, gv)
-				}
+		// Folds Sum over the row left to right, as a sequential gather would.
+		gatherLocal := func(s int32) (sum G, has bool) {
+			row := ws.inEdges.Row(int(s))
+			if len(row) == 0 {
+				return sum, false
 			}
-			return sum, has
+			units += int64(len(row))
+			sum = prog.Gather(vals[row[0].srcSlot], row[0].weight)
+			for _, edge := range row[1:] {
+				sum = prog.Sum(sum, prog.Gather(vals[edge.srcSlot], edge.weight))
+			}
+			return sum, true
 		}
 		for _, batch := range inbound[w] {
 			for _, m := range batch {
@@ -745,22 +767,22 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 		for wi, word := range ws.frontier.Words() {
 			for ; word != 0; word &= word - 1 {
 				s := wi<<6 | bits.TrailingZeros64(word)
-				lv := &ws.verts[s]
-				newVal, activate := e.prog.Apply(lv.id, lv.cache, ws.accVal[s], ws.accHas[s], e.Superstep())
+				id := ws.verts[s].id
+				newVal, activate := e.prog.Apply(id, ws.vals[s], ws.accVal[s], ws.accHas[s], e.Superstep())
 				if e.cfg.Residual != nil {
-					e.Residuals[w] = append(e.Residuals[w], e.cfg.Residual(lv.cache, newVal))
+					e.Residuals[w] = append(e.Residuals[w], e.cfg.Residual(ws.vals[s], newVal))
 				}
-				lv.cache = newVal
+				ws.vals[s] = newVal
 				ws.scat[s] = activate
 				mirs := ws.mirrors.Row(s)
 				for _, m := range mirs {
 					out[m.worker] = append(out[m.worker], gasMsg[V, G]{Kind: kindApplyPush, Slot: m.slot, Val: newVal})
 				}
 				if k.HeatMsgs != nil {
-					k.HeatMsgs[lv.id] += int64(len(mirs))
+					k.HeatMsgs[id] += int64(len(mirs))
 					// The vertex's gather scanned its full in-edge set, wherever
 					// those edges live — its global in-degree.
-					k.HeatUnits[lv.id] += int64(e.g.InDegree(lv.id))
+					k.HeatUnits[id] += int64(e.g.InDegree(id))
 				}
 			}
 		}
@@ -775,7 +797,7 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 		for _, batch := range inbound[w] {
 			for _, m := range batch {
 				expectKind(m.Kind, kindApplyPush, "push")
-				ws.verts[m.Slot].cache = m.Val
+				ws.vals[m.Slot] = m.Val
 			}
 		}
 		out := resetOut(ws.outB)
@@ -800,20 +822,21 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 	// Round 5 — scatter: mirrors (and masters locally) activate the local
 	// copies' out-neighbors; remote activations return to the masters of the
 	// activated vertices. Worker w's goroutine is its frontier's only writer
-	// in this round and the next, so the plain Activate is enough.
+	// in this round and the next, so it sets next-set bits in place.
 	scatter := func(w int) {
 		ws, epoch := e.ws[w], e.epoch
+		isMaster, next := ws.isMaster, ws.frontier.Next()
 		out := resetOut(ws.outA)
 		// PowerGraph batches activation returns: at most one activate message
 		// per (activated vertex, worker) pair per superstep — the epoch stamp
-		// is the dedup set.
+		// is the dedup set. Only a mirror's copy is loaded, for its route.
 		activateLocalOuts := func(s int32) {
 			for _, dst := range ws.outSlots.Row(int(s)) {
-				dlv := &ws.verts[dst]
-				if dlv.master {
-					ws.frontier.Activate(int(dst))
+				if bit := uint64(1) << (dst & 63); isMaster[dst>>6]&bit != 0 {
+					next[dst>>6] |= bit
 				} else if ws.queuedStamp[dst] != epoch {
 					ws.queuedStamp[dst] = epoch
+					dlv := &ws.verts[dst]
 					out[dlv.masterWorker] = append(out[dlv.masterWorker],
 						gasMsg[V, G]{Kind: kindActivate, Slot: dlv.masterSlot})
 				}
@@ -838,7 +861,7 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 
 	// Final drain: deliver activation returns to masters.
 	activation := func(w int) {
-		ws := e.ws[w]
+		ws, next := e.ws[w], e.ws[w].frontier.Next()
 		for _, batch := range inbound[w] {
 			for _, m := range batch {
 				expectKind(m.Kind, kindActivate, "activation")
@@ -846,7 +869,7 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 					// Activation returns land at the master's worker.
 					k.HeatMsgs[ws.verts[m.Slot].id]++
 				}
-				ws.frontier.Activate(int(m.Slot))
+				next[m.Slot>>6] |= 1 << (m.Slot & 63)
 			}
 		}
 	}

@@ -24,16 +24,16 @@ func TestMirrorCachesCoherent(t *testing.T) {
 			for _, ws := range e.ws {
 				for s := range ws.verts {
 					if ws.verts[s].master {
-						master[ws.verts[s].id] = ws.verts[s].cache
+						master[ws.verts[s].id] = ws.vals[s]
 					}
 				}
 			}
 			for w, ws := range e.ws {
 				for s := range ws.verts {
 					lv := &ws.verts[s]
-					if !lv.master && lv.cache != master[lv.id] {
+					if !lv.master && ws.vals[s] != master[lv.id] {
 						t.Errorf("step %d worker %d: mirror of %d caches %g, master has %g",
-							step, w, lv.id, lv.cache, master[lv.id])
+							step, w, lv.id, ws.vals[s], master[lv.id])
 					}
 				}
 			}
@@ -171,8 +171,8 @@ func (distGAS) Init(id graph.ID, _ *graph.Graph) (float64, bool) {
 	}
 	return math.Inf(1), false
 }
-func (distGAS) Gather(_ graph.ID, srcVal float64, w float64) float64 { return srcVal + w }
-func (distGAS) Sum(a, b float64) float64                             { return math.Min(a, b) }
+func (distGAS) Gather(srcVal float64, w float64) float64 { return srcVal + w }
+func (distGAS) Sum(a, b float64) float64                 { return math.Min(a, b) }
 func (distGAS) Apply(id graph.ID, old, acc float64, hasAcc bool, step int) (float64, bool) {
 	best := old
 	if hasAcc && acc < best {

@@ -25,7 +25,7 @@ func (p prShare) Init(id graph.ID, g *graph.Graph) (float64, bool) {
 	return (1.0 / float64(g.NumVertices())) / float64(d), true
 }
 
-func (p prShare) Gather(src graph.ID, srcVal float64, _ float64) float64 { return srcVal }
+func (p prShare) Gather(srcVal float64, _ float64) float64 { return srcVal }
 
 func (prShare) Sum(a, b float64) float64 { return a + b }
 

@@ -2,6 +2,7 @@ package gas
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -139,6 +140,18 @@ func TestIngressMatchesAppendRowsReference(t *testing.T) {
 						t.Fatalf("%s: worker %d\n got  %+v\n want %+v", name, w, got, want[w])
 					}
 					perWorker += e.mirrorsPerW[w]
+					// The bitmap and the value array agree with the copies: a
+					// master holds Init's value, a mirror its master's.
+					for s, v := range ws.verts {
+						if bit := ws.isMaster[s>>6]>>(s&63)&1 == 1; bit != v.master {
+							t.Fatalf("%s: worker %d slot %d: isMaster bit %v, copy's master flag %v", name, w, s, bit, v.master)
+						}
+						seed, _ := prShare{n: n}.Init(v.id, g)
+						if got, master := ws.vals[s], e.ws[v.masterWorker].vals[v.masterSlot]; math.Float64bits(got) != math.Float64bits(master) ||
+							math.Float64bits(master) != math.Float64bits(seed) {
+							t.Fatalf("%s: worker %d slot %d (vertex %d): value %v, master's %v, Init %v", name, w, s, v.id, got, master, seed)
+						}
+					}
 				}
 				if e.Mirrors() != mirrors || perWorker != mirrors {
 					t.Fatalf("%s: Mirrors() = %d, per-worker sum %d, reference %d", name, e.Mirrors(), perWorker, mirrors)

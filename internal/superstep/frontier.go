@@ -11,9 +11,10 @@ import (
 // slots plus the active ones, so a near-empty superstep does not pay for the
 // partition's size. DESIGN.md §4.1 states who may call what in which phase;
 // in short: Set/Has/Count between supersteps, Unchanged between phases,
-// Words, Repeat and the Activates inside phases, Advance at the barrier.
-// Engines walk Words inline: their generic instances, compiled where they are
-// instantiated, cannot inline a method of this package (DESIGN.md §4.1).
+// Words, Next, Repeat and the ActivateRows inside phases, Advance at the
+// barrier. Engines walk Words (and gas sets bits in Next) inline: their
+// generic instances, compiled where they are instantiated, cannot inline a
+// method of this package (DESIGN.md §4.1).
 type Frontier struct {
 	cur, next []uint64
 	unchanged bool // the last Advance reproduced the set it replaced; Set clears it
@@ -68,12 +69,14 @@ func StripeMasks(t, of int) []uint64 {
 	return masks
 }
 
-// Activate adds slot s to the next set. Plain read-modify-write: only for a
-// phase in which this frontier has a single writer.
-func (f *Frontier) Activate(s int) { f.next[s>>6] |= 1 << (s & 63) }
+// Next is the next set, laid out as Words is, for a phase in which this
+// frontier has a single writer to set slot s with a plain
+// next[s>>6] |= 1<<(s&63). Valid until the next Advance.
+func (f *Frontier) Next() []uint64 { return f.next }
 
-// ActivateRow is Activate for every slot of row — one call per activating
-// vertex rather than one per out-edge.
+// ActivateRow adds every slot of row to the next set — one call per
+// activating vertex rather than one per out-edge. Plain read-modify-writes:
+// only for a phase in which this frontier has a single writer.
 func (f *Frontier) ActivateRow(row []int32) {
 	for _, s := range row {
 		f.next[s>>6] |= 1 << (s & 63)
@@ -96,7 +99,7 @@ func (f *Frontier) ActivateRowShared(row []int32) {
 }
 
 // Repeat makes the next set a copy of the current one: the whole activation
-// of a superstep known to activate exactly what it computes. Like Activate,
+// of a superstep known to activate exactly what it computes. Like ActivateRow,
 // only for a phase in which this frontier has a single writer.
 func (f *Frontier) Repeat() { copy(f.next, f.cur) }
 
