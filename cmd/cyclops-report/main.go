@@ -20,8 +20,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"cyclops/internal/obs"
 	"cyclops/internal/obs/span"
@@ -145,7 +143,7 @@ func showCritPath(dir, run string, w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("no critical-path data (was the run recorded with span tracing?): %w", err)
 	}
-	paths, err := span.ParseCritPathCSV(blob)
+	paths, err := obs.ParseCritPathCSV(blob)
 	if err != nil {
 		return err
 	}
@@ -198,35 +196,15 @@ func readPhaseWalls(path string) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	lines := strings.Split(strings.TrimSpace(string(blob)), "\n")
-	if len(lines) == 0 || !strings.HasPrefix(lines[0], "step,") {
-		return nil, fmt.Errorf("%s: unrecognised header", path)
+	rows, err := obs.ParseIntCSV(blob, "timings.csv", obs.TimingsCSVHeader)
+	if err != nil {
+		return nil, err
 	}
-	cols := strings.Split(lines[0], ",")
-	want := map[string]bool{"prs_ns": true, "cmp_ns": true, "snd_ns": true, "syn_ns": true}
-	var out []int64
-	for _, ln := range lines[1:] {
-		if ln == "" {
-			continue
-		}
-		f := strings.Split(ln, ",")
-		if len(f) != len(cols) {
-			return nil, fmt.Errorf("%s: %d columns, want %d", path, len(f), len(cols))
-		}
-		var sum int64
-		for i, name := range cols {
-			if !want[name] {
-				continue
-			}
-			v, err := strconv.ParseInt(f[i], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %s %q", path, name, f[i])
-			}
-			sum += v
-		}
-		out = append(out, sum)
+	walls := make([]int64, len(rows))
+	for i, r := range rows {
+		walls[i] = r[1] + r[2] + r[3] + r[4]
 	}
-	return out, nil
+	return walls, nil
 }
 
 // showMem renders a run's memory telemetry: the quarantined mem.csv rows plus
@@ -284,7 +262,7 @@ func showHeat(dir, run string, w io.Writer) error {
 	}
 	gating := make(map[int]int) // step → gating worker
 	if blob, err := os.ReadFile(filepath.Join(dir, run, "critpath.csv")); err == nil {
-		paths, err := span.ParseCritPathCSV(blob)
+		paths, err := obs.ParseCritPathCSV(blob)
 		if err != nil {
 			return err
 		}

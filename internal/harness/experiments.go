@@ -337,7 +337,7 @@ func Fig10Active(o Options, w io.Writer) error {
 		return err
 	}
 	t := newTable("superstep", "hama-active", "cyclops-active")
-	steps := max2(len(hama.Trace.Steps), len(cyc.Trace.Steps))
+	steps := max(len(hama.Trace.Steps), len(cyc.Trace.Steps))
 	for s := 0; s < steps; s++ {
 		t.addf("%d|%s|%s", s, stepActive(hama, s), stepActive(cyc, s))
 	}
@@ -353,14 +353,14 @@ func Fig10Messages(o Options, w io.Writer) error {
 		return err
 	}
 	t := newTable("superstep", "hama-msgs", "cyclops-msgs")
-	steps := max2(len(hama.Trace.Steps), len(cyc.Trace.Steps))
+	steps := max(len(hama.Trace.Steps), len(cyc.Trace.Steps))
 	for s := 0; s < steps; s++ {
 		t.addf("%d|%s|%s", s, stepMsgs(hama, s), stepMsgs(cyc, s))
 	}
 	t.write(w)
 	fmt.Fprintf(w, "\ntotals: hama=%d cyclops=%d (%.1fx fewer)\n",
 		hama.Messages, cyc.Messages,
-		float64(hama.Messages)/float64(max64(cyc.Messages, 1)))
+		float64(hama.Messages)/float64(max(cyc.Messages, 1)))
 	return nil
 }
 
@@ -376,18 +376,4 @@ func stepMsgs(r RunResult, s int) string {
 		return fmt.Sprint(r.Trace.Steps[s].Messages)
 	}
 	return "-"
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

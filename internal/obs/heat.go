@@ -12,12 +12,7 @@
 // timings.csv).
 package obs
 
-import (
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
-)
+import "sort"
 
 // HeatPartition is one worker's heat row for one superstep. All fields are
 // deterministic counts.
@@ -121,104 +116,4 @@ func TopHotVertices(msgs, units []int64, ownerOf func(v int) int, k int) []HotVe
 		}
 	}
 	return hot
-}
-
-// HeatCSVHeader is the schema of heat.csv: one row per (superstep, worker),
-// deterministic counts only.
-const HeatCSVHeader = "step,worker,active,compute_units,out_interior,out_boundary,in_interior,in_boundary,replica_sync"
-
-// EncodeHeatCSV renders heat rows as heat.csv. Same rows in, same bytes out.
-func EncodeHeatCSV(rows []HeatPartition) []byte {
-	var b strings.Builder
-	b.WriteString(HeatCSVHeader)
-	b.WriteByte('\n')
-	for _, r := range rows {
-		b.WriteString(strconv.Itoa(r.Step))
-		b.WriteByte(',')
-		b.WriteString(strconv.Itoa(r.Worker))
-		for _, v := range [...]int64{r.Active, r.ComputeUnits,
-			r.OutInterior, r.OutBoundary, r.InInterior, r.InBoundary, r.ReplicaSync} {
-			b.WriteByte(',')
-			b.WriteString(strconv.FormatInt(v, 10))
-		}
-		b.WriteByte('\n')
-	}
-	return []byte(b.String())
-}
-
-// parseIntCSV reads a CSV of integer columns back. Strict: the header and
-// every row's width must match exactly, so Encode/Parse round-trips
-// byte-for-byte.
-func parseIntCSV(blob []byte, name, header string) ([][]int64, error) {
-	lines := strings.Split(strings.TrimSuffix(string(blob), "\n"), "\n")
-	if lines[0] != header {
-		return nil, fmt.Errorf("obs: not a %s (header %q)", name, lines[0])
-	}
-	width := strings.Count(header, ",") + 1
-	rows := make([][]int64, 0, len(lines)-1)
-	for ln, line := range lines[1:] {
-		f := strings.Split(line, ",")
-		if len(f) != width {
-			return nil, fmt.Errorf("obs: %s row %d has %d fields, want %d", name, ln+2, len(f), width)
-		}
-		vals := make([]int64, width)
-		for i, s := range f {
-			v, err := strconv.ParseInt(s, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("obs: %s row %d field %d: %w", name, ln+2, i+1, err)
-			}
-			vals[i] = v
-		}
-		rows = append(rows, vals)
-	}
-	return rows, nil
-}
-
-// ParseHeatCSV reads heat.csv back.
-func ParseHeatCSV(blob []byte) ([]HeatPartition, error) {
-	table, err := parseIntCSV(blob, "heat.csv", HeatCSVHeader)
-	if err != nil {
-		return nil, err
-	}
-	var rows []HeatPartition
-	for _, v := range table {
-		rows = append(rows, HeatPartition{
-			Step: int(v[0]), Worker: int(v[1]), Active: v[2],
-			ComputeUnits: v[3], OutInterior: v[4], OutBoundary: v[5],
-			InInterior: v[6], InBoundary: v[7], ReplicaSync: v[8],
-		})
-	}
-	return rows, nil
-}
-
-// HotsetCSVHeader is the schema of hotset.csv: the run's final top-k
-// hot-vertex set, rank 1 first.
-const HotsetCSVHeader = "rank,vertex,worker,msgs,units"
-
-// EncodeHotsetCSV renders a hot-vertex set as hotset.csv.
-func EncodeHotsetCSV(hot []HotVertex) []byte {
-	var b strings.Builder
-	b.WriteString(HotsetCSVHeader)
-	b.WriteByte('\n')
-	for i, h := range hot {
-		fmt.Fprintf(&b, "%d,%d,%d,%d,%d\n", i+1, h.Vertex, h.Worker, h.Msgs, h.Units)
-	}
-	return []byte(b.String())
-}
-
-// ParseHotsetCSV reads hotset.csv back, verifying the rank column is the
-// contiguous 1..n sequence the encoder wrote.
-func ParseHotsetCSV(blob []byte) ([]HotVertex, error) {
-	table, err := parseIntCSV(blob, "hotset.csv", HotsetCSVHeader)
-	if err != nil {
-		return nil, err
-	}
-	var hot []HotVertex
-	for i, v := range table {
-		if v[0] != int64(i+1) {
-			return nil, fmt.Errorf("obs: hotset.csv row %d has rank %d, want %d", i+2, v[0], i+1)
-		}
-		hot = append(hot, HotVertex{Vertex: v[1], Worker: int(v[2]), Msgs: v[3], Units: v[4]})
-	}
-	return hot, nil
 }

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -292,31 +291,6 @@ func writeJSON(w io.Writer, v any) error {
 	return enc.Encode(v)
 }
 
-// CommCSVHeader is the stable column set of the comm CSV export: one row
-// per (superstep, sender, receiver) cell with non-zero traffic.
-const CommCSVHeader = "engine,workers,step,from,to,messages,wire_bytes"
-
-// WriteCommCSV renders the run's per-superstep traffic cells as CSV (zero
-// cells omitted). It lives here rather than in internal/metrics because the
-// matrix type belongs to the transport layer, which metrics does not depend on.
-func (l *Log) WriteCommCSV(w io.Writer) error {
-	l.mu.Lock()
-	engine, workers := l.info.Engine, l.info.Workers
-	cells := append([]commCell(nil), l.cells...)
-	l.mu.Unlock()
-
-	if _, err := fmt.Fprintln(w, CommCSVHeader); err != nil {
-		return err
-	}
-	for _, c := range cells {
-		if _, err := fmt.Fprintf(w, "%s,%d,%d,%d,%d,%d,%d\n",
-			engine, workers, c.step, c.from, c.to, c.msgs, c.wire); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // writePromMatrix renders one matrix in the Prometheus text exposition format
 // (zero cells omitted to bound output size).
 func writePromMatrix(w io.Writer, name, help string, m [][]int64) error {
@@ -459,68 +433,5 @@ func (l *Log) ServeSpans(w http.ResponseWriter, r *http.Request) {
 				Spans    []span.Span     `json:"spans"`
 			}{run, engine, open, span.CriticalPath(done), done})
 		}},
-	})
-}
-
-// seriesHeader is the column set of a record's series.csv: one row per
-// superstep, deterministic for a fixed run configuration — byte-identical
-// across same-seed runs (scheduling-independent counts, model costs and
-// residual quantiles; no wall-clock). Phase wall times go to timings.csv.
-// compute_units_max, send_max and recv_max are the StepStats maxima over
-// workers, except under powergraph (gas), which records per-worker means.
-var seriesHeader = []string{
-	"step", "active", "changed", "messages", "redundant_messages",
-	"redundant_ratio", "wire_bytes", "compute_units_max",
-	"send_max", "recv_max",
-	"residual_n", "residual_p50", "residual_p90", "residual_max",
-	"skew_compute", "skew_sent", "skew_recv", "skew_active",
-	"replicas", "replica_value_bytes", "model_ns",
-}
-
-// timingsHeader is the column set of timings.csv: the measured per-phase wall
-// durations, kept apart from series.csv so machine noise never touches the
-// deterministic artifact.
-var timingsHeader = []string{"step", "prs_ns", "cmp_ns", "snd_ns", "syn_ns", "wall_ns"}
-
-func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-func itoa(v int64) string { return strconv.FormatInt(v, 10) }
-
-// csvRows renders a header and one comma-joined row per step.
-func (l *Log) csvRows(header []string, row func(s *metrics.StepStats, st *logStep) []string) []byte {
-	var b strings.Builder
-	b.WriteString(strings.Join(header, ","))
-	b.WriteByte('\n')
-	for i := range l.steps {
-		b.WriteString(strings.Join(row(&l.stats[i], &l.steps[i]), ","))
-		b.WriteByte('\n')
-	}
-	return []byte(b.String())
-}
-
-// seriesCSV renders series.csv. Caller holds mu.
-func (l *Log) seriesCSV() []byte {
-	return l.csvRows(seriesHeader, func(s *metrics.StepStats, st *logStep) []string {
-		return []string{
-			strconv.Itoa(s.Step), itoa(s.Active), itoa(s.Changed), itoa(s.Messages),
-			itoa(s.RedundantMessages), ftoa(s.RedundantRatio()), itoa(st.wire),
-			itoa(s.ComputeUnitsMax), itoa(s.SendMax), itoa(s.RecvMax),
-			itoa(s.ResidualN), ftoa(s.ResidualP50), ftoa(s.ResidualP90), ftoa(s.ResidualMax),
-			ftoa(st.skew.Compute), ftoa(st.skew.Sent), ftoa(st.skew.Received), ftoa(st.skew.Active),
-			itoa(l.info.Replicas), itoa(l.info.ReplicaValueBytes), ftoa(s.ModelNanos),
-		}
-	})
-}
-
-// timingsCSV renders timings.csv. Caller holds mu.
-func (l *Log) timingsCSV() []byte {
-	return l.csvRows(timingsHeader, func(s *metrics.StepStats, st *logStep) []string {
-		d := &s.Durations
-		return []string{
-			strconv.Itoa(s.Step),
-			itoa(d[metrics.Parse].Nanoseconds()), itoa(d[metrics.Compute].Nanoseconds()),
-			itoa(d[metrics.Send].Nanoseconds()), itoa(d[metrics.Sync].Nanoseconds()),
-			itoa(st.wall.Nanoseconds()),
-		}
 	})
 }

@@ -3,9 +3,9 @@ package obs_test
 // Store tests: the Log is the one book behind /comm, /spans, /mem, /heat, the
 // -comm CSV, the -skew table and the Recorder's files, so everything the five
 // per-feature trackers used to be tested for is asserted here against records
-// fed the way the kernel feeds them — the views a StepRecord offers, the CSV
-// codecs' exact round-trips, and each endpoint's envelope and ?format= set.
-// The mid-run behaviour under a real engine is in server_test.go.
+// fed the way the kernel feeds them — the views a StepRecord offers and each
+// endpoint's envelope and ?format= set. The CSV formats' round trips are in
+// csv_test.go; the mid-run behaviour under a real engine is in server_test.go.
 
 import (
 	"bytes"
@@ -101,54 +101,6 @@ func TestSkewProfilerZeroMessageStep(t *testing.T) {
 	rs = l.SkewReports()
 	if len(rs) != 2 || rs[1].Engine != "cyclops" || rs[1].Steps[0].Compute != 2 {
 		t.Fatalf("second run's report = %+v", rs)
-	}
-}
-
-func TestMemCSVRoundTrip(t *testing.T) {
-	steps := []obs.MemStep{
-		{
-			Step:         0,
-			PhaseBytes:   [4]uint64{100, 2048, 333, 4},
-			PhaseObjects: [4]uint64{1, 20, 3, 0},
-			StepBytes:    2485, StepObjects: 24,
-			GCCycles: 2, GCPauseNs: 151000, HeapGoal: 4 << 20, HeapLive: 1 << 20,
-		},
-		{Step: 1}, // all-zero row survives too
-		{
-			Step:      2,
-			StepBytes: 1 << 40, StepObjects: 1 << 33, // >32-bit values
-			GCPauseNs: 1,
-		},
-	}
-	blob := obs.EncodeMemCSV(steps)
-	lines := strings.Split(strings.TrimSpace(string(blob)), "\n")
-	if lines[0] != obs.MemCSVHeader {
-		t.Errorf("header = %q, want MemCSVHeader", lines[0])
-	}
-	if len(lines) != 1+len(steps) {
-		t.Fatalf("encoded %d lines, want header + %d rows", len(lines), len(steps))
-	}
-	got, err := obs.ParseMemCSV(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(steps) {
-		t.Fatalf("parsed %d steps, want %d", len(got), len(steps))
-	}
-	for i := range steps {
-		if got[i] != steps[i] {
-			t.Errorf("step %d round-trip mismatch:\nin:  %+v\nout: %+v", i, steps[i], got[i])
-		}
-	}
-
-	if _, err := obs.ParseMemCSV([]byte("step,foreign\n0,1\n")); err == nil {
-		t.Error("foreign header accepted")
-	}
-	if _, err := obs.ParseMemCSV([]byte(obs.MemCSVHeader + "\n0,1,2\n")); err == nil {
-		t.Error("short row accepted")
-	}
-	if _, err := obs.ParseMemCSV([]byte(obs.MemCSVHeader + "\n" + strings.Repeat("x,", 14) + "x\n")); err == nil {
-		t.Error("non-numeric row accepted")
 	}
 }
 
@@ -505,76 +457,6 @@ func TestLogCommViews(t *testing.T) {
 		strings.Contains(prom, obs.MetricCommMessages+`{from="1",to="0"}`) ||
 		!strings.Contains(prom, obs.MetricCommWireBytes+`{from="1",to="0"} 58`) {
 		t.Errorf("/comm?format=prom:\n%s", prom)
-	}
-}
-
-func sampleHeatRows() []obs.HeatPartition {
-	return []obs.HeatPartition{
-		{Step: 0, Worker: 0, Active: 5, ComputeUnits: 12, OutInterior: 3,
-			OutBoundary: 7, InInterior: 3, InBoundary: 4, ReplicaSync: 7},
-		{Step: 0, Worker: 1, Active: 4, ComputeUnits: 9, OutInterior: 2,
-			OutBoundary: 4, InInterior: 2, InBoundary: 7, ReplicaSync: 4},
-		{Step: 1, Worker: 0, Active: 0, ComputeUnits: 0},
-		{Step: 1, Worker: 1, Active: 1, ComputeUnits: 3, OutBoundary: 1},
-	}
-}
-
-// TestHeatCSVRoundTrip pins the exact Encode/Parse contract: rows survive the
-// round trip unchanged, and re-encoding yields the identical bytes — the
-// property heat.csv's byte-identity guarantee is built on.
-func TestHeatCSVRoundTrip(t *testing.T) {
-	rows := sampleHeatRows()
-	blob := obs.EncodeHeatCSV(rows)
-	back, err := obs.ParseHeatCSV(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rows, back) {
-		t.Errorf("round trip changed rows:\nin:  %+v\nout: %+v", rows, back)
-	}
-	if again := obs.EncodeHeatCSV(back); !bytes.Equal(blob, again) {
-		t.Errorf("re-encode differs:\nfirst:\n%s\nsecond:\n%s", blob, again)
-	}
-
-	// Empty input still round-trips (a run with zero supersteps).
-	empty, err := obs.ParseHeatCSV(obs.EncodeHeatCSV(nil))
-	if err != nil || len(empty) != 0 {
-		t.Errorf("empty round trip = %v rows, err %v", empty, err)
-	}
-
-	// Strictness: wrong header, short rows and non-numeric fields all fail.
-	for name, blob := range map[string][]byte{
-		"bad-header": []byte("step,worker\n0,0\n"),
-		"short-row":  []byte(obs.HeatCSVHeader + "\n0,0,1\n"),
-		"non-int":    []byte(obs.HeatCSVHeader + "\n0,0,x,0,0,0,0,0,0\n"),
-	} {
-		if _, err := obs.ParseHeatCSV(blob); err == nil {
-			t.Errorf("%s accepted", name)
-		}
-	}
-}
-
-// TestHotsetCSVRoundTrip is the same contract for hotset.csv, including the
-// contiguous-rank check.
-func TestHotsetCSVRoundTrip(t *testing.T) {
-	hot := []obs.HotVertex{
-		{Vertex: 7, Worker: 1, Msgs: 30, Units: 12},
-		{Vertex: 2, Worker: 0, Msgs: 30, Units: 40},
-		{Vertex: 9, Worker: 3, Msgs: 1, Units: 0},
-	}
-	blob := obs.EncodeHotsetCSV(hot)
-	back, err := obs.ParseHotsetCSV(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(hot, back) {
-		t.Errorf("round trip changed hotset:\nin:  %+v\nout: %+v", hot, back)
-	}
-	if again := obs.EncodeHotsetCSV(back); !bytes.Equal(blob, again) {
-		t.Errorf("re-encode differs:\nfirst:\n%s\nsecond:\n%s", blob, again)
-	}
-	if _, err := obs.ParseHotsetCSV([]byte(obs.HotsetCSVHeader + "\n2,7,1,30,12\n")); err == nil {
-		t.Error("non-contiguous rank accepted")
 	}
 }
 

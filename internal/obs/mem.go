@@ -1,11 +1,8 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"runtime/metrics"
-	"strconv"
-	"strings"
 
 	intmetrics "cyclops/internal/metrics"
 )
@@ -162,86 +159,4 @@ func (a *memAttrib) endStep() MemStep {
 	a.cur.HeapLive = snap.heapLive
 	a.open = false
 	return a.cur
-}
-
-// MemCSVHeader is the column set of mem.csv: one row per superstep, all
-// quarantined (machine- and GC-schedule-dependent), mirroring timings.csv.
-const MemCSVHeader = "step,prs_alloc_bytes,prs_allocs,cmp_alloc_bytes,cmp_allocs," +
-	"snd_alloc_bytes,snd_allocs,syn_alloc_bytes,syn_allocs," +
-	"step_alloc_bytes,step_allocs,gc_cycles,gc_pause_ns,heap_goal_bytes,heap_live_bytes"
-
-// EncodeMemCSV renders the per-superstep memory telemetry as mem.csv bytes.
-func EncodeMemCSV(steps []MemStep) []byte {
-	var b strings.Builder
-	b.WriteString(MemCSVHeader)
-	b.WriteByte('\n')
-	for _, s := range steps {
-		cols := make([]string, 0, 15)
-		cols = append(cols, strconv.Itoa(s.Step))
-		for p := 0; p < memPhases; p++ {
-			cols = append(cols,
-				strconv.FormatUint(s.PhaseBytes[p], 10),
-				strconv.FormatUint(s.PhaseObjects[p], 10))
-		}
-		cols = append(cols,
-			strconv.FormatUint(s.StepBytes, 10),
-			strconv.FormatUint(s.StepObjects, 10),
-			strconv.FormatUint(s.GCCycles, 10),
-			strconv.FormatInt(s.GCPauseNs, 10),
-			strconv.FormatUint(s.HeapGoal, 10),
-			strconv.FormatUint(s.HeapLive, 10))
-		b.WriteString(strings.Join(cols, ","))
-		b.WriteByte('\n')
-	}
-	return []byte(b.String())
-}
-
-// ParseMemCSV parses mem.csv bytes back into MemSteps. It accepts exactly the
-// format EncodeMemCSV writes (the round-trip is tested), returning an error
-// on a foreign header or malformed row.
-func ParseMemCSV(blob []byte) ([]MemStep, error) {
-	lines := strings.Split(strings.TrimRight(string(blob), "\n"), "\n")
-	if len(lines) == 0 || lines[0] != MemCSVHeader {
-		return nil, fmt.Errorf("obs: mem.csv: unexpected header %q", lines[0])
-	}
-	var out []MemStep
-	for _, line := range lines[1:] {
-		if line == "" {
-			continue
-		}
-		cols := strings.Split(line, ",")
-		if len(cols) != 15 {
-			return nil, fmt.Errorf("obs: mem.csv: row has %d columns, want 15", len(cols))
-		}
-		var s MemStep
-		var err error
-		if s.Step, err = strconv.Atoi(cols[0]); err != nil {
-			return nil, fmt.Errorf("obs: mem.csv: step: %w", err)
-		}
-		u := func(i int) uint64 {
-			if err != nil {
-				return 0
-			}
-			var v uint64
-			v, err = strconv.ParseUint(cols[i], 10, 64)
-			return v
-		}
-		for p := 0; p < memPhases; p++ {
-			s.PhaseBytes[p] = u(1 + 2*p)
-			s.PhaseObjects[p] = u(2 + 2*p)
-		}
-		s.StepBytes = u(9)
-		s.StepObjects = u(10)
-		s.GCCycles = u(11)
-		s.HeapGoal = u(13)
-		s.HeapLive = u(14)
-		if err == nil {
-			s.GCPauseNs, err = strconv.ParseInt(cols[12], 10, 64)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("obs: mem.csv: row %d: %w", s.Step, err)
-		}
-		out = append(out, s)
-	}
-	return out, nil
 }

@@ -233,3 +233,7 @@ func (l *Log) WriteMetrics(w io.Writer) error {
 	_, err := io.WriteString(w, b.String())
 	return err
 }
+
+func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+func itoa(v int64) string { return strconv.FormatInt(v, 10) }

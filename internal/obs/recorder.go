@@ -266,8 +266,8 @@ func (r *Recorder) write(m Manifest) error {
 	put("series.csv", r.seriesCSV())
 	put("timings.csv", r.timingsCSV())
 	put("mem.csv", EncodeMemCSV(r.mem))
-	put("spans.csv", span.EncodeCSV(r.spans))
-	put("critpath.csv", span.EncodeCritPathCSV(span.CriticalPath(r.spans)))
+	put("spans.csv", EncodeSpansCSV(r.spans))
+	put("critpath.csv", EncodeCritPathCSV(span.CriticalPath(r.spans)))
 	put("heat.csv", EncodeHeatCSV(r.heat))
 	put("hotset.csv", EncodeHotsetCSV(r.hot))
 	if err != nil {

@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -429,7 +428,7 @@ func loadCritPath(t *testing.T, runDir string) []span.StepPath {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, err := span.ParseCritPathCSV(blob)
+	paths, err := obs.ParseCritPathCSV(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,22 +442,13 @@ func loadPhaseWalls(t *testing.T, path string) []int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(string(blob)), "\n")
-	var out []int64
-	for _, ln := range lines[1:] {
-		f := strings.Split(ln, ",")
-		if len(f) != 6 {
-			t.Fatalf("timings row %q", ln)
-		}
-		var sum int64
-		for _, col := range f[1:5] {
-			v, err := strconv.ParseInt(col, 10, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum += v
-		}
-		out = append(out, sum)
+	rows, err := obs.ParseIntCSV(blob, "timings.csv", obs.TimingsCSVHeader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]int64, len(rows))
+	for i, r := range rows {
+		out[i] = r[1] + r[2] + r[3] + r[4]
 	}
 	return out
 }

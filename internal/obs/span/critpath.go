@@ -3,7 +3,6 @@ package span
 import (
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -39,13 +38,14 @@ func (p StepPath) Wall() int64 { return p.ComputeNs + p.SerializeNs + p.SendNs +
 // series.csv). Spans must arrive in the canonical emission order: a
 // superstep's worker spans first, then its Superstep span.
 func CriticalPath(spans []Span) []StepPath {
+	// One superstep's per-worker sums, truncated at every Superstep span and
+	// re-zeroed by grow, so the stream reuses one set of slices.
 	type acc struct {
 		weight                   []int64
 		compute, serialize, send []int64
-		seen                     int
 	}
 	var out []StepPath
-	cur := acc{}
+	var cur acc
 	grow := func(w int) {
 		for len(cur.weight) <= w {
 			cur.weight = append(cur.weight, 0)
@@ -78,10 +78,7 @@ func CriticalPath(spans []Span) []StepPath {
 					gating, best = w, wt
 				}
 			}
-			p := StepPath{Step: s.Step, Gating: gating, Weight: best}
-			if best < 0 {
-				p.Weight = 0
-			}
+			p := StepPath{Step: s.Step, Gating: gating, Weight: max(best, 0)}
 			if gating < len(cur.weight) {
 				p.ComputeNs = cur.compute[gating]
 				p.SerializeNs = cur.serialize[gating]
@@ -89,105 +86,10 @@ func CriticalPath(spans []Span) []StepPath {
 			}
 			p.BarrierNs = s.Dur.Nanoseconds() - p.ComputeNs - p.SerializeNs - p.SendNs
 			out = append(out, p)
-			cur = acc{}
+			cur = acc{cur.weight[:0], cur.compute[:0], cur.serialize[:0], cur.send[:0]}
 		}
 	}
 	return out
-}
-
-// spansHeader is the column set of spans.csv: structure and deterministic
-// weights only — no durations, so the file is byte-identical across
-// same-seed runs.
-var spansHeader = []string{"id", "parent", "kind", "step", "worker", "from", "units", "msgs"}
-
-// EncodeCSV renders the deterministic spans.csv.
-func EncodeCSV(spans []Span) []byte {
-	var b strings.Builder
-	b.WriteString(strings.Join(spansHeader, ","))
-	b.WriteByte('\n')
-	for _, s := range spans {
-		cols := []string{
-			strconv.FormatInt(s.ID, 10),
-			strconv.FormatInt(s.Parent, 10),
-			s.Kind.String(),
-			strconv.Itoa(s.Step),
-			strconv.Itoa(s.Worker),
-			strconv.Itoa(s.From),
-			strconv.FormatInt(s.Units, 10),
-			strconv.FormatInt(s.Msgs, 10),
-		}
-		b.WriteString(strings.Join(cols, ","))
-		b.WriteByte('\n')
-	}
-	return []byte(b.String())
-}
-
-// critPathHeader is the column set of critpath.csv. The first three columns
-// are deterministic (structure); the *_ns columns are measured wall clock,
-// quarantined here exactly as timings.csv quarantines phase walls.
-var critPathHeader = []string{
-	"step", "gating_worker", "weight",
-	"compute_ns", "serialize_ns", "send_ns", "barrier_wait_ns",
-}
-
-// EncodeCritPathCSV renders critpath.csv from path rows.
-func EncodeCritPathCSV(paths []StepPath) []byte {
-	var b strings.Builder
-	b.WriteString(strings.Join(critPathHeader, ","))
-	b.WriteByte('\n')
-	for _, p := range paths {
-		cols := []string{
-			strconv.Itoa(p.Step),
-			strconv.Itoa(p.Gating),
-			strconv.FormatInt(p.Weight, 10),
-			strconv.FormatInt(p.ComputeNs, 10),
-			strconv.FormatInt(p.SerializeNs, 10),
-			strconv.FormatInt(p.SendNs, 10),
-			strconv.FormatInt(p.BarrierNs, 10),
-		}
-		b.WriteString(strings.Join(cols, ","))
-		b.WriteByte('\n')
-	}
-	return []byte(b.String())
-}
-
-// ParseCritPathCSV parses what EncodeCritPathCSV wrote (header required).
-func ParseCritPathCSV(blob []byte) ([]StepPath, error) {
-	lines := strings.Split(strings.TrimSpace(string(blob)), "\n")
-	if len(lines) == 0 || lines[0] != strings.Join(critPathHeader, ",") {
-		return nil, fmt.Errorf("span: critpath.csv: unrecognised header")
-	}
-	var out []StepPath
-	for _, ln := range lines[1:] {
-		if ln == "" {
-			continue
-		}
-		f := strings.Split(ln, ",")
-		if len(f) != len(critPathHeader) {
-			return nil, fmt.Errorf("span: critpath.csv: %d columns, want %d", len(f), len(critPathHeader))
-		}
-		var p StepPath
-		var err error
-		ints := []*int64{nil, nil, &p.Weight, &p.ComputeNs, &p.SerializeNs, &p.SendNs, &p.BarrierNs}
-		if p.Step, err = strconv.Atoi(f[0]); err != nil {
-			return nil, fmt.Errorf("span: critpath.csv: step %q", f[0])
-		}
-		if p.Gating, err = strconv.Atoi(f[1]); err != nil {
-			return nil, fmt.Errorf("span: critpath.csv: gating_worker %q", f[1])
-		}
-		for i := 2; i < len(f); i++ {
-			if ints[i] == nil {
-				continue
-			}
-			v, err := strconv.ParseInt(f[i], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("span: critpath.csv: %s %q", critPathHeader[i], f[i])
-			}
-			*ints[i] = v
-		}
-		out = append(out, p)
-	}
-	return out, nil
 }
 
 // GatingSequence compresses path rows to the structural signature diffs
@@ -218,24 +120,8 @@ func WriteWaterfall(w io.Writer, spans []Span) {
 				fmt.Fprintf(w, "  w%-3d %-12s %6d msgs  <- w%d@step%d\n",
 					s.Worker, s.Kind, s.Msgs, s.From, int((s.Parent>>32)&0xFFFFFF)-1)
 			default:
-				off := int(int64(width) * int64(s.Start-top.Start) / int64(wall))
-				n := int(int64(width) * int64(s.Dur) / int64(wall))
-				if off < 0 {
-					off = 0
-				}
-				if off > width {
-					off = width
-				}
-				if n < 1 {
-					n = 1
-				}
-				if off+n > width {
-					n = width - off
-					if n < 1 {
-						n = 1
-						off = width - 1
-					}
-				}
+				off := min(max(int(int64(width)*int64(s.Start-top.Start)/int64(wall)), 0), width-1)
+				n := min(max(int(int64(width)*int64(s.Dur)/int64(wall)), 1), width-off)
 				bar := strings.Repeat(" ", off) + strings.Repeat("#", n)
 				fmt.Fprintf(w, "  w%-3d %-12s |%-*s| %s\n", s.Worker, s.Kind, width, bar, s.Dur.Round(time.Microsecond))
 			}

@@ -1,7 +1,6 @@
 package span_test
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -110,50 +109,6 @@ func TestCriticalPathMultiStepAndGatingSequence(t *testing.T) {
 	}
 	if got, want := span.GatingSequence(paths), "0:0 1:1"; got != want {
 		t.Fatalf("GatingSequence = %q, want %q", got, want)
-	}
-}
-
-func TestSpansCSVDeterministicAndDurationFree(t *testing.T) {
-	spans := stepSpans(0, 3*time.Millisecond, 2,
-		[]int64{4, 2}, []int64{1, 1}, []time.Duration{time.Millisecond, time.Millisecond})
-	a := span.EncodeCSV(spans)
-	// Re-encode with every duration perturbed: the CSV must not move a byte.
-	for i := range spans {
-		spans[i].Dur *= 7
-		spans[i].Start += time.Second
-	}
-	b := span.EncodeCSV(spans)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("spans.csv depends on measured durations:\n%s\nvs\n%s", a, b)
-	}
-	if !strings.HasPrefix(string(a), "id,parent,kind,step,worker,from,units,msgs\n") {
-		t.Fatalf("spans.csv header = %q", strings.SplitN(string(a), "\n", 2)[0])
-	}
-}
-
-func TestCritPathCSVRoundTrip(t *testing.T) {
-	in := []span.StepPath{
-		{Step: 0, Gating: 1, Weight: 58, ComputeNs: 1000, SerializeNs: 100, SendNs: 250, BarrierNs: 8650},
-		{Step: 1, Gating: 0, Weight: 7, ComputeNs: 1, BarrierNs: 999},
-	}
-	out, err := span.ParseCritPathCSV(span.EncodeCritPathCSV(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("round trip: %d rows, want %d", len(out), len(in))
-	}
-	for i := range in {
-		if in[i] != out[i] {
-			t.Errorf("row %d changed: %+v -> %+v", i, in[i], out[i])
-		}
-	}
-	if _, err := span.ParseCritPathCSV([]byte("not,a,critpath\n")); err == nil {
-		t.Error("bogus header accepted")
-	}
-	if _, err := span.ParseCritPathCSV([]byte(
-		"step,gating_worker,weight,compute_ns,serialize_ns,send_ns,barrier_wait_ns\n1,2\n")); err == nil {
-		t.Error("short row accepted")
 	}
 }
 

@@ -185,7 +185,7 @@ func loadGatingSequence(runDir string) (string, error) {
 		}
 		return "", fmt.Errorf("report: %w", err)
 	}
-	paths, err := span.ParseCritPathCSV(blob)
+	paths, err := obs.ParseCritPathCSV(blob)
 	if err != nil {
 		return "", fmt.Errorf("report: %s: %w", runDir, err)
 	}

@@ -295,7 +295,7 @@ func TestLoadCritPathFromRecordDir(t *testing.T) {
 	dir := t.TempDir()
 	m := obs.Manifest{Run: "run-001-cyclops", Experiment: "pagerank", Engine: "cyclops"}
 	writeManifest(t, dir, m)
-	csv := span.EncodeCritPathCSV([]span.StepPath{
+	csv := obs.EncodeCritPathCSV([]span.StepPath{
 		{Step: 0, Gating: 1, Weight: 9, ComputeNs: 5, SerializeNs: 1, SendNs: 2, BarrierNs: 3},
 		{Step: 1, Gating: 0, Weight: 7, ComputeNs: 4, BarrierNs: 1},
 	})
