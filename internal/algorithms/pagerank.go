@@ -93,13 +93,14 @@ func (p PageRankBSP) Compute(ctx *bsp.Context[float64, float64], msgs []float64)
 	ctx.Aggregate(ErrorAggregator, abs(value-last))
 	// Figure 2: while the global error is above epsilon, keep sending; the
 	// global error of the previous superstep is all a BSP vertex can see.
-	globalErr, ok := ctx.AggregateValue(ErrorAggregator)
-	converged := p.Eps > 0 && ok && globalErr/float64(ctx.NumVertices()) < p.Eps
-	if !converged {
-		ctx.SendToNeighbors(value / outDegCtx(ctx))
-	} else {
-		ctx.VoteToHalt()
+	// Fixed-iteration mode (Eps ≤ 0) never reads it.
+	if p.Eps > 0 {
+		if globalErr, ok := ctx.AggregateValue(ErrorAggregator); ok && globalErr/float64(ctx.NumVertices()) < p.Eps {
+			ctx.VoteToHalt()
+			return
+		}
 	}
+	ctx.SendToNeighbors(value / outDegCtx(ctx))
 }
 
 func outDegCtx[V, M any](ctx *bsp.Context[V, M]) float64 {

@@ -131,16 +131,19 @@ type Engine[V, M any] struct {
 
 	values []V
 	halted []bool
-	inbox  [][]M
+	// inbox[v] is v's messages in drain order, carved by size from one array
+	// of |E| by in-degree; a vertex sent more spills to its own by append.
+	inbox [][]M
 
 	// ctxs are the persistent per-worker compute contexts. Their out
-	// buffers are arena-style: truncated to length zero at the top of each
-	// CMP phase and refilled, so steady-state supersteps append into
-	// already-grown backing arrays instead of re-allocating them. Reuse is
-	// safe because the batches sent at SND of step N are fully consumed by
-	// PRS of step N+1, which completes (barrier) before CMP of step N+1
-	// touches the buffers again.
+	// buffers are arena-style: sized once by Run to the worker's out-edges
+	// per destination, truncated to length zero at the top of each CMP
+	// phase and refilled. Reuse is safe because the batches sent at SND of
+	// step N are fully consumed by PRS of step N+1, which completes
+	// (barrier) before CMP of step N+1 touches the buffers again.
 	ctxs []*Context[V, M]
+	// sized: Run has called size (no cap probe: in-degree 0 means cap 0).
+	sized bool
 
 	agg *aggregate.Registry
 	// restored is what Restore queued for the next PRS, which stands in for
@@ -355,9 +358,18 @@ func (c *Context[V, M]) SendTo(dst graph.ID, m M) {
 
 // SendToNeighbors queues m for every out-neighbor.
 func (c *Context[V, M]) SendToNeighbors(m M) {
-	for _, u := range c.e.g.OutNeighbors(c.vid) {
-		c.SendTo(u, m)
+	ns := c.e.g.OutNeighbors(c.vid)
+	if c.e.cfg.Combiner != nil {
+		for _, u := range ns {
+			c.SendTo(u, m)
+		}
+		return
 	}
+	of, out := c.e.assign.Of, c.out
+	for _, u := range ns {
+		out[of[u]] = append(out[of[u]], envelope[M]{Dst: u, Msg: m})
+	}
+	c.sent += int64(len(ns))
 }
 
 // VoteToHalt deactivates the vertex until a message re-activates it.
@@ -380,6 +392,9 @@ func (c *Context[V, M]) AggregateValue(name string) (float64, bool) {
 // order PRS → CMP → SND → SYN.
 func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 	workers := e.cfg.Cluster.Workers()
+	if !e.sized {
+		e.size()
+	}
 	// PRS drains what the previous superstep's SND sent: a lag of one.
 	k := e.Kernel(1,
 		func() obs.RunInfo {
@@ -405,8 +420,8 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 	}
 	var sentTotal int64
 
-	// PRS: drain the locked global in-queue, group messages per vertex,
-	// reactivate recipients. One thread per worker, as in Hama.
+	// PRS: drain the locked global in-queue and group messages per vertex
+	// (CMP reactivates the recipients). One thread per worker, as in Hama.
 	parse := func(w int) {
 		batches := e.Tr.Drain(w)
 		var recv int64
@@ -414,7 +429,6 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 			recv += int64(len(batch))
 			for _, env := range batch {
 				e.inbox[env.Dst] = append(e.inbox[env.Dst], env.Msg)
-				e.halted[env.Dst] = false
 			}
 		}
 		k.Drained(w, recv, int64(len(batches)))
@@ -434,7 +448,9 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		var units, computed, changedW, sent, redundantW int64
 		for _, v := range e.owned[w] {
 			msgs := e.inbox[v]
-			if e.halted[v] && len(msgs) == 0 {
+			if len(msgs) > 0 {
+				e.halted[v] = false
+			} else if e.halted[v] {
 				continue
 			}
 			ctx.vid = v
@@ -516,6 +532,29 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		},
 	}
 	return e.Trace(), k.Run(ps)
+}
+
+// size gives each out buffer its worker's out-edge count to that destination
+// and each inbox row its in-degree, exact for a program that messages each
+// out-neighbour at most once per superstep; more sends grow them by append.
+func (e *Engine[V, M]) size() {
+	for w, ctx := range e.ctxs {
+		bound := make([]int, len(ctx.out))
+		for _, v := range e.owned[w] {
+			for _, u := range e.g.OutNeighbors(v) {
+				bound[e.assign.Of[u]]++
+			}
+		}
+		for to, n := range bound {
+			ctx.out[to] = make([]envelope[M], 0, n)
+		}
+	}
+	flat := make([]M, e.g.NumEdges())
+	for v := range e.inbox {
+		d := e.g.InDegree(graph.ID(v))
+		e.inbox[v], flat = flat[:0:d], flat[d:]
+	}
+	e.sized = true
 }
 
 // auditConservation checks (Audit on) that every envelope the previous SND
