@@ -104,8 +104,14 @@ type CCGAS struct{}
 // Init implements gas.Program.
 func (CCGAS) Init(id graph.ID, _ *graph.Graph) (int64, bool) { return int64(id), true }
 
-// Gather implements gas.Program.
-func (CCGAS) Gather(srcVal int64, _ float64) int64 { return srcVal }
+// Gather implements gas.Program: the least in-neighbour label.
+func (CCGAS) Gather(vals []int64, srcs []int32, _ []float64) int64 {
+	best := vals[srcs[0]]
+	for _, s := range srcs[1:] {
+		best = min(best, vals[s])
+	}
+	return best
+}
 
 // Sum implements gas.Program.
 func (CCGAS) Sum(a, b int64) int64 {

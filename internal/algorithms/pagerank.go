@@ -187,9 +187,13 @@ func (p *PageRankGAS) Init(id graph.ID, g *graph.Graph) (PRValue, bool) {
 	return PRValue{Rank: rank, Share: rank / outDeg1(g, id)}, true
 }
 
-// Gather implements gas.Program.
-func (p *PageRankGAS) Gather(srcVal PRValue, _ float64) float64 {
-	return srcVal.Share
+// Gather implements gas.Program: the sum of the in-neighbours' shares.
+func (p *PageRankGAS) Gather(vals []PRValue, srcs []int32, _ []float64) float64 {
+	sum := vals[srcs[0]].Share
+	for _, s := range srcs[1:] {
+		sum += vals[s].Share
+	}
+	return sum
 }
 
 // Sum implements gas.Program.

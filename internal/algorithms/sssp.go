@@ -128,13 +128,17 @@ func (s SSSPGAS) Init(id graph.ID, _ *graph.Graph) (float64, bool) {
 	return math.Inf(1), false
 }
 
-// Gather implements gas.Program. A NaN path is no path: SSSPRef's d < dist
-// skips it, and as +Inf it cannot poison Sum's min of the other candidates.
-func (s SSSPGAS) Gather(srcVal float64, weight float64) float64 {
-	if d := srcVal + weight; d == d {
-		return d
+// Gather implements gas.Program: the min-plus product over the in-edges. A
+// NaN path is no path: SSSPRef's d < dist skips it, and as +Inf it cannot
+// poison the min of the other candidates.
+func (s SSSPGAS) Gather(vals []float64, srcs []int32, weights []float64) float64 {
+	best := math.Inf(1)
+	for i, src := range srcs {
+		if d := vals[src] + weights[i]; d == d {
+			best = math.Min(best, d)
+		}
 	}
-	return math.Inf(1)
+	return best
 }
 
 // Sum implements gas.Program.

@@ -23,7 +23,13 @@ type stepProg struct{}
 
 func (stepProg) Init(id graph.ID, _ *graph.Graph) (float64, bool) { return float64(id), true }
 
-func (stepProg) Gather(srcVal float64, _ float64) float64 { return srcVal }
+func (p stepProg) Gather(vals []float64, srcs []int32, _ []float64) float64 {
+	sum := vals[srcs[0]]
+	for _, s := range srcs[1:] {
+		sum = p.Sum(sum, vals[s])
+	}
+	return sum
+}
 
 func (stepProg) Sum(a, b float64) float64 { return a + b }
 

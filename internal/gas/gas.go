@@ -31,10 +31,14 @@ type Program[V, G any] interface {
 	// deterministic: New calls it on the master only and seeds every mirror
 	// with the master's value.
 	Init(id graph.ID, g *graph.Graph) (V, bool)
-	// Gather maps one in-edge (src → current vertex) to an accumulator
-	// contribution. srcVal is the locally cached value of src.
-	Gather(srcVal V, weight float64) G
-	// Sum combines two accumulator values (commutative and associative).
+	// Gather folds one vertex's local in-edges, in placement order, into an
+	// accumulator: edge i runs from the copy at slot srcs[i], whose locally
+	// cached value is vals[srcs[i]], with weight weights[i]. The row is never
+	// empty. Fold it left to right, as Sum over the edges one by one would,
+	// and do not write to vals.
+	Gather(vals []V, srcs []int32, weights []float64) G
+	// Sum combines two accumulator values (commutative and associative): a
+	// master folds its mirrors' partials with it.
 	Sum(a, b G) G
 	// Apply computes the vertex's new value from the gathered accumulator.
 	// hasAcc is false when the vertex has no in-edges anywhere. It returns
@@ -297,11 +301,6 @@ type mirrorRef struct {
 	slot   int32
 }
 
-type gasEdge struct {
-	srcSlot int32
-	weight  float64
-}
-
 type workerState[V, G any] struct {
 	verts []localVertex
 	// vals is every copy's value, dense by slot: a master's own, a mirror's
@@ -311,11 +310,12 @@ type workerState[V, G any] struct {
 	isMaster []uint64
 
 	// Immutable CSR adjacency, flattened once after edge placement: per slot,
-	// the local in-edges, the local out-slots, and (masters only) the mirror
-	// locations.
-	inEdges  graph.CSR[gasEdge]
-	outSlots graph.CSR[int32]
-	mirrors  graph.CSR[mirrorRef]
+	// the local in-edges' source slots and (parallel, on the same offsets)
+	// weights, the local out-slots, and (masters only) the mirror locations.
+	in        graph.CSR[int32]
+	inWeights graph.CSR[float64]
+	outSlots  graph.CSR[int32]
+	mirrors   graph.CSR[mirrorRef]
 
 	// frontier is the worker's activity over all its slots; only master slots
 	// are ever set. Every round walks it instead of scanning the copies.
@@ -475,19 +475,20 @@ func New[V, G any](g *graph.Graph, prog Program[V, G], cfg Config[V, G]) (*Engin
 		outOff[w][ends[2*i]+2]++
 		inOff[w][ends[2*i+1]+2]++
 	}
-	inEdges, outSlots, mirrors := make([][]gasEdge, k), make([][]int32, k), make([][]mirrorRef, k)
+	srcs, wts, outSlots, mirrors := make([][]int32, k), make([][]float64, k), make([][]int32, k), make([][]mirrorRef, k)
 	for w := range e.ws {
 		prefix(inOff[w])
 		prefix(outOff[w])
 		prefix(mirOff[w])
-		inEdges[w], outSlots[w] = make([]gasEdge, inOff[w][copies[w]+1]), make([]int32, outOff[w][copies[w]+1])
+		m := inOff[w][copies[w]+1]
+		srcs[w], wts[w], outSlots[w] = make([]int32, m), make([]float64, m), make([]int32, outOff[w][copies[w]+1])
 		mirrors[w] = make([]mirrorRef, mirOff[w][copies[w]])
 	}
 	for v, i := 0, 0; v < n; v++ {
 		for _, wt := range g.OutWeights(graph.ID(v)) {
 			w, sv, su := assign[i], ends[2*i], ends[2*i+1]
 			in, out := inOff[w], outOff[w]
-			inEdges[w][in[su+1]] = gasEdge{srcSlot: sv, weight: wt}
+			srcs[w][in[su+1]], wts[w][in[su+1]] = sv, wt
 			outSlots[w][out[sv+1]] = su
 			in[su+1]++
 			out[sv+1]++
@@ -507,7 +508,7 @@ func New[V, G any](g *graph.Graph, prog Program[V, G], cfg Config[V, G]) (*Engin
 	// Wrap the rows and allocate the superstep scratch once.
 	for w, ws := range e.ws {
 		nv := len(ws.verts)
-		ws.inEdges = graph.NewCSR(inOff[w][:nv+1], inEdges[w])
+		ws.in, ws.inWeights = graph.NewCSR(inOff[w][:nv+1], srcs[w]), graph.NewCSR(inOff[w][:nv+1], wts[w])
 		ws.outSlots = graph.NewCSR(outOff[w][:nv+1], outSlots[w])
 		ws.mirrors = graph.NewCSR(mirOff[w], mirrors[w])
 		ws.vals = make([]V, nv)
@@ -563,7 +564,7 @@ func (e *Engine[V, G]) ReplicationFactor() float64 {
 func (e *Engine[V, G]) edgeBalance() float64 {
 	var sum, most int
 	for _, ws := range e.ws {
-		sum, most = sum+ws.inEdges.NumItems(), max(most, ws.inEdges.NumItems())
+		sum, most = sum+ws.in.NumItems(), max(most, ws.in.NumItems())
 	}
 	if sum == 0 {
 		return 1
@@ -708,18 +709,15 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 		out := resetOut(ws.outB)
 		prog, vals := e.prog, ws.vals
 		var units int64
-		// Folds Sum over the row left to right, as a sequential gather would.
+		// One Gather call per non-empty in-row: the program folds the row
+		// itself, so no edge pays an interface call.
 		gatherLocal := func(s int32) (sum G, has bool) {
-			row := ws.inEdges.Row(int(s))
-			if len(row) == 0 {
+			srcs := ws.in.Row(int(s))
+			if len(srcs) == 0 {
 				return sum, false
 			}
-			units += int64(len(row))
-			sum = prog.Gather(vals[row[0].srcSlot], row[0].weight)
-			for _, edge := range row[1:] {
-				sum = prog.Sum(sum, prog.Gather(vals[edge.srcSlot], edge.weight))
-			}
-			return sum, true
+			units += int64(len(srcs))
+			return prog.Gather(vals, srcs, ws.inWeights.Row(int(s))), true
 		}
 		for _, batch := range inbound[w] {
 			for _, m := range batch {

@@ -171,8 +171,14 @@ func (distGAS) Init(id graph.ID, _ *graph.Graph) (float64, bool) {
 	}
 	return math.Inf(1), false
 }
-func (distGAS) Gather(srcVal float64, w float64) float64 { return srcVal + w }
-func (distGAS) Sum(a, b float64) float64                 { return math.Min(a, b) }
+func (d distGAS) Gather(vals []float64, srcs []int32, weights []float64) float64 {
+	best := vals[srcs[0]] + weights[0]
+	for i, s := range srcs[1:] {
+		best = d.Sum(best, vals[s]+weights[i+1])
+	}
+	return best
+}
+func (distGAS) Sum(a, b float64) float64 { return math.Min(a, b) }
 func (distGAS) Apply(id graph.ID, old, acc float64, hasAcc bool, step int) (float64, bool) {
 	best := old
 	if hasAcc && acc < best {

@@ -25,7 +25,13 @@ func (p prShare) Init(id graph.ID, g *graph.Graph) (float64, bool) {
 	return (1.0 / float64(g.NumVertices())) / float64(d), true
 }
 
-func (p prShare) Gather(srcVal float64, _ float64) float64 { return srcVal }
+func (p prShare) Gather(vals []float64, srcs []int32, _ []float64) float64 {
+	sum := vals[srcs[0]]
+	for _, s := range srcs[1:] {
+		sum = p.Sum(sum, vals[s])
+	}
+	return sum
+}
 
 func (prShare) Sum(a, b float64) float64 { return a + b }
 

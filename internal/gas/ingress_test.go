@@ -16,13 +16,14 @@ import (
 // referenceCut is the vertex-cut construction New used to be, kept as the
 // oracle: one pass over the placed edges that appends to a Go slice per row.
 // Per worker it returns the local copies in slot order — id, whether the copy
-// is the master, and where its master lives — and the three adjacency
-// relations as rows.
+// is the master, and where its master lives — and the adjacency relations as
+// rows: in-edge sources and weights apart, out-slots and mirrors.
 type referenceCut struct {
-	verts    []referenceCopy
-	inEdges  [][]gasEdge
-	outSlots [][]int32
-	mirrors  [][]mirrorRef
+	verts     []referenceCopy
+	in        [][]int32
+	inWeights [][]float64
+	outSlots  [][]int32
+	mirrors   [][]mirrorRef
 }
 
 type referenceCopy struct {
@@ -46,7 +47,8 @@ func buildReferenceCut(g *graph.Graph, assign []int, k int) (cut []referenceCut,
 			c := &cut[w]
 			slotOf[w][id] = int32(len(c.verts))
 			c.verts = append(c.verts, referenceCopy{id: id})
-			c.inEdges = append(c.inEdges, nil)
+			c.in = append(c.in, nil)
+			c.inWeights = append(c.inWeights, nil)
 			c.outSlots = append(c.outSlots, nil)
 			c.mirrors = append(c.mirrors, nil)
 		}
@@ -59,7 +61,8 @@ func buildReferenceCut(g *graph.Graph, assign []int, k int) (cut []referenceCut,
 			w := assign[i]
 			i++
 			sv, su := ensure(w, graph.ID(v)), ensure(w, u)
-			cut[w].inEdges[su] = append(cut[w].inEdges[su], gasEdge{srcSlot: sv, weight: wts[j]})
+			cut[w].in[su] = append(cut[w].in[su], sv)
+			cut[w].inWeights[su] = append(cut[w].inWeights[su], wts[j])
 			cut[w].outSlots[sv] = append(cut[w].outSlots[sv], su)
 		}
 	}
@@ -127,7 +130,8 @@ func TestIngressMatchesAppendRowsReference(t *testing.T) {
 				want, mirrors := buildReferenceCut(g, part.PartitionEdges(g, cc.Workers()), cc.Workers())
 				var perWorker int64
 				for w, ws := range e.ws {
-					got := referenceCut{inEdges: rowsOf(ws.inEdges), outSlots: rowsOf(ws.outSlots), mirrors: rowsOf(ws.mirrors)}
+					got := referenceCut{in: rowsOf(ws.in), inWeights: rowsOf(ws.inWeights),
+						outSlots: rowsOf(ws.outSlots), mirrors: rowsOf(ws.mirrors)}
 					for _, v := range ws.verts {
 						got.verts = append(got.verts, referenceCopy{v.id, v.master, v.masterWorker, v.masterSlot})
 					}

@@ -135,6 +135,13 @@ type Kernel struct {
 	lag, first int
 	prevComm   transport.MatrixSnapshot // cumulative traffic at the last barrier
 	resAll     []float64                // Residuals' rows, joined for SetResiduals
+
+	// Phase's fan-out, built once: spawn[i-1] runs the current round fn on
+	// worker i, timed into busy, and signals wg; worker 0 runs on the caller.
+	wg    sync.WaitGroup
+	fn    func(w int)
+	busy  []time.Duration
+	spawn []func()
 }
 
 // New allocates a run's scratch; the loop allocates no bookkeeping after it.
@@ -156,6 +163,13 @@ func New(cfg Config) *Kernel {
 		k.rec.Spans.SerializeNs = make([]int64, n)
 		k.rec.Spans.Deliveries = make([][]span.Delivery, n)
 	}
+	k.spawn = make([]func(), max(n-1, 0))
+	for i := range k.spawn {
+		k.spawn[i] = func() {
+			defer k.wg.Done()
+			timed(k.busy, k.fn, i+1)
+		}
+	}
 	return k
 }
 
@@ -170,16 +184,24 @@ func (k *Kernel) Drained(w int, msgs, batches int64) {
 	}
 }
 
-// Phase runs each round on every worker behind its own barrier, times the
-// whole as phase p and reports it. Call it from PhaseSet.Step only.
+// Phase runs each round on every worker behind its own barrier, worker 0 on
+// the calling goroutine, times the whole as phase p and reports it. Call it
+// from PhaseSet.Step only.
 func (k *Kernel) Phase(p metrics.Phase, rounds ...func(w int)) {
 	if k.cfg.Hooks != nil {
 		k.ran[p] = true
 		k.starts[p] = time.Since(k.runStart)
 	}
 	start := time.Now()
+	k.busy = k.Busy[p]
 	for _, fn := range rounds {
-		Fan(k.cfg.Workers, k.Busy[p], fn)
+		k.fn = fn
+		k.wg.Add(len(k.spawn))
+		for _, f := range k.spawn {
+			go f()
+		}
+		timed(k.busy, fn, 0)
+		k.wg.Wait()
 	}
 	k.stats.Durations[p] = time.Since(start)
 	if k.cfg.Hooks != nil {
@@ -187,10 +209,10 @@ func (k *Kernel) Phase(p metrics.Phase, rounds ...func(w int)) {
 	}
 }
 
-// Fan runs fn(0..n-1) concurrently and waits — the one place a superstep
-// spawns goroutines: Phase's workers, and the stripes inside one (cyclops' T
-// threads and R receivers). n == 1 runs on the caller's goroutine, which would
-// only wait anyway. busy, when non-nil, accumulates time inside fn.
+// Fan runs fn(0..n-1) concurrently and waits: the stripes inside one worker's
+// round (cyclops' T threads and R receivers). n == 1 runs on the caller's
+// goroutine, which would only wait anyway. busy, when non-nil, accumulates time
+// inside fn. Phase fans its workers out the same way, over closures New built.
 func Fan(n int, busy []time.Duration, fn func(i int)) {
 	if n == 1 {
 		timed(busy, fn, 0)

@@ -500,3 +500,20 @@ func TestRecordScratchAliasing(t *testing.T) {
 		t.Errorf("cumulative matrix %+v, want superstep 0's delta plus superstep 1's", cum)
 	}
 }
+
+// TestPhaseAllocatesNothing: New builds Phase's worker closures once, so a
+// phase's fan-out allocates nothing per round, with observation off and on.
+func TestPhaseAllocatesNothing(t *testing.T) {
+	for _, workers := range []int{2, 3} {
+		for _, hooks := range []obs.Hooks{nil, obs.Nop{}} {
+			k := superstep.New(superstep.Config{Name: "fake", Workers: workers, Vertices: 4, Hooks: hooks})
+			body := func(w int) { k.Units[w]++ }
+			if a := testing.AllocsPerRun(100, func() { k.Phase(metrics.Compute, body, body) }); a != 0 {
+				t.Errorf("%d workers, hooks %T: %v allocations per Phase, want 0", workers, hooks, a)
+			}
+			if want := int64(2 * 101); k.Units[workers-1] != want {
+				t.Errorf("%d workers, hooks %T: last worker ran %d rounds, want %d", workers, hooks, k.Units[workers-1], want)
+			}
+		}
+	}
+}
