@@ -50,7 +50,7 @@ func cliMain(args []string, stdout, stderr io.Writer) error {
 		fs := flag.NewFlagSet("cyclops-report show", flag.ContinueOnError)
 		fs.SetOutput(stderr)
 		critpath := fs.Bool("critpath", false, "print the per-superstep critical-path breakdown instead of the raw record")
-		mem := fs.Bool("mem", false, "print the per-superstep memory telemetry (mem.csv) instead of the raw record")
+		mem := fs.Bool("mem", false, "print the per-superstep memory telemetry (mem.csv) and the run's allocation totals instead of the raw record")
 		heat := fs.Bool("heat", false, "print the partition heat map, hot-vertex set and straggler root causes instead of the raw record")
 		if err := fs.Parse(args[1:]); err != nil {
 			return err
@@ -112,14 +112,24 @@ func list(dir string, w io.Writer) error {
 	return nil
 }
 
-func show(dir, run string, w io.Writer) error {
+// readManifest reads and parses a run's manifest.json, returning its bytes
+// too.
+func readManifest(dir, run string) (obs.Manifest, []byte, error) {
 	blob, err := os.ReadFile(filepath.Join(dir, run, "manifest.json"))
 	if err != nil {
-		return err
+		return obs.Manifest{}, nil, err
 	}
 	var m obs.Manifest
 	if err := json.Unmarshal(blob, &m); err != nil {
-		return fmt.Errorf("parse manifest: %w", err)
+		return obs.Manifest{}, nil, fmt.Errorf("parse manifest: %w", err)
+	}
+	return m, blob, nil
+}
+
+func show(dir, run string, w io.Writer) error {
+	_, blob, err := readManifest(dir, run)
+	if err != nil {
+		return err
 	}
 	fmt.Fprintf(w, "%s", blob)
 	for _, name := range []string{"series.csv", "timings.csv", "mem.csv"} {
@@ -207,9 +217,10 @@ func readPhaseWalls(path string) ([]int64, error) {
 	return walls, nil
 }
 
-// showMem renders a run's memory telemetry: the quarantined mem.csv rows plus
-// a per-phase allocation summary. Every number here is machine-dependent —
-// the table is for reading trends, never for exact comparison.
+// showMem renders a run's memory telemetry: the quarantined mem.csv rows,
+// one per superstep, then the manifest's exact run totals. Every number here
+// is machine-dependent — the table is for reading trends, never for exact
+// comparison.
 func showMem(dir, run string, w io.Writer) error {
 	blob, err := os.ReadFile(filepath.Join(dir, run, "mem.csv"))
 	if err != nil {
@@ -219,23 +230,22 @@ func showMem(dir, run string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%4s %12s %10s %10s %10s %10s %4s %10s %12s\n",
-		"step", "alloc-bytes", "prs-kb", "cmp-kb", "snd-kb", "syn-kb", "gcs", "pause-us", "heap-live")
-	var totBytes, totObjs uint64
+	m, _, err := readManifest(dir, run)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "%4s %12s %4s %10s %12s %12s\n",
+		"step", "alloc-bytes", "gcs", "pause-us", "heap-goal", "heap-live")
 	for _, s := range steps {
-		fmt.Fprintf(w, "%4d %12d %10.1f %10.1f %10.1f %10.1f %4d %10.1f %12d\n",
-			s.Step, s.StepBytes,
-			float64(s.PhaseBytes[0])/1024, float64(s.PhaseBytes[1])/1024,
-			float64(s.PhaseBytes[2])/1024, float64(s.PhaseBytes[3])/1024,
-			s.GCCycles, float64(s.GCPauseNs)/1e3, s.HeapLive)
-		totBytes += s.StepBytes
-		totObjs += s.StepObjects
+		fmt.Fprintf(w, "%4d %12d %4d %10.1f %12d %12d\n",
+			s.Step, s.AllocBytes, s.GCCycles, float64(s.GCPauseNs)/1e3, s.HeapGoal, s.HeapLive)
 	}
-	if n := len(steps); n > 0 {
-		fmt.Fprintf(w, "total: %d bytes, %d objects over %d superstep(s); mean %.0f allocs/superstep\n",
-			totBytes, totObjs, n, float64(totObjs)/float64(n))
+	fmt.Fprintf(w, "run: %d allocs, %d bytes, %d GC cycle(s), %.1f us GC pause over %d superstep(s)",
+		m.Allocs, m.AllocBytes, m.GCCycles, float64(m.GCPauseNs)/1e3, m.Supersteps)
+	if m.Supersteps > 0 {
+		fmt.Fprintf(w, "; mean %.2f allocs/superstep", float64(m.Allocs)/float64(m.Supersteps))
 	}
-	fmt.Fprintln(w, "note: all columns are quarantined telemetry (machine- and GC-schedule-dependent)")
+	fmt.Fprintln(w, "\nnote: per-superstep rows are quarantined telemetry (the runtime books bytes when a span is refilled); the run totals are exact counts, observers included")
 	return nil
 }
 

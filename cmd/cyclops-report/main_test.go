@@ -212,6 +212,36 @@ func TestShowCritPath(t *testing.T) {
 	}
 }
 
+func TestShowMem(t *testing.T) {
+	dir := t.TempDir()
+	run := filepath.Join(dir, "run-001-hama")
+	if err := os.MkdirAll(run, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	steps := []obs.MemStep{{Step: 0, AllocBytes: 4096, HeapGoal: 4 << 20, HeapLive: 1 << 20},
+		{Step: 1, AllocBytes: 0, GCCycles: 1, GCPauseNs: 52_000, HeapGoal: 4 << 20, HeapLive: 1 << 20}}
+	if err := os.WriteFile(filepath.Join(run, "mem.csv"), obs.EncodeMemCSV(steps), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m := obs.Manifest{Run: "run-001-hama", Engine: "hama", Supersteps: 2,
+		MemRun: obs.MemRun{Allocs: 241, AllocBytes: 9000, GCCycles: 1, GCPauseNs: 52_000}}
+	blob, _ := json.Marshal(m)
+	if err := os.WriteFile(filepath.Join(run, "manifest.json"), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var out strings.Builder
+	if err := cliMain([]string{"show", "-mem", dir, "run-001-hama"}, &out, &out); err != nil {
+		t.Fatalf("show -mem failed: %v\n%s", err, out.String())
+	}
+	for _, want := range []string{"heap-live", "4096", "52.0",
+		"run: 241 allocs, 9000 bytes, 1 GC cycle(s)", "mean 120.50 allocs/superstep"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("mem output missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
 func TestShowHeat(t *testing.T) {
 	dir := t.TempDir()
 	run := filepath.Join(dir, "run-001-cyclops")

@@ -90,11 +90,12 @@ func (p PageRankBSP) Compute(ctx *bsp.Context[float64, float64], msgs []float64)
 	value := 0.15/float64(ctx.NumVertices()) + Damping*sum
 	last := ctx.Value()
 	ctx.SetValue(value)
-	ctx.Aggregate(ErrorAggregator, abs(value-last))
 	// Figure 2: while the global error is above epsilon, keep sending; the
 	// global error of the previous superstep is all a BSP vertex can see.
-	// Fixed-iteration mode (Eps ≤ 0) never reads it.
+	// Fixed-iteration mode (Eps ≤ 0) neither publishes nor reads it: a
+	// GlobalErrorHalt paired with it never fires, aggregate or not.
 	if p.Eps > 0 {
+		ctx.Aggregate(ErrorAggregator, abs(value-last))
 		if globalErr, ok := ctx.AggregateValue(ErrorAggregator); ok && globalErr/float64(ctx.NumVertices()) < p.Eps {
 			ctx.VoteToHalt()
 			return

@@ -39,9 +39,7 @@ const (
 	TimingsCSVHeader = "step,prs_ns,cmp_ns,snd_ns,syn_ns,wall_ns"
 	// MemCSVHeader is mem.csv: one row per superstep of allocation and GC
 	// telemetry, all machine- and GC-schedule-dependent.
-	MemCSVHeader = "step,prs_alloc_bytes,prs_allocs,cmp_alloc_bytes,cmp_allocs," +
-		"snd_alloc_bytes,snd_allocs,syn_alloc_bytes,syn_allocs," +
-		"step_alloc_bytes,step_allocs,gc_cycles,gc_pause_ns,heap_goal_bytes,heap_live_bytes"
+	MemCSVHeader = "step,alloc_bytes,gc_cycles,gc_pause_ns,heap_goal_bytes,heap_live_bytes"
 	// SpansCSVHeader is spans.csv: span structure and deterministic weights,
 	// no durations.
 	SpansCSVHeader = "id,parent,kind,step,worker,from,units,msgs"
@@ -144,10 +142,7 @@ func EncodeMemCSV(steps []MemStep) []byte {
 	b := newCSV(MemCSVHeader, len(steps))
 	for _, s := range steps {
 		b = ints(b, int64(s.Step))
-		for p := range memPhases {
-			b = uints(b, s.PhaseBytes[p], s.PhaseObjects[p])
-		}
-		b = uints(b, s.StepBytes, s.StepObjects, s.GCCycles)
+		b = uints(b, s.AllocBytes, s.GCCycles)
 		b = ints(b, s.GCPauseNs)
 		b = endRow(uints(b, s.HeapGoal, s.HeapLive))
 	}
@@ -243,16 +238,12 @@ func parseRows[T any](blob []byte, name, header string, row func(i int, v []int6
 func ParseMemCSV(blob []byte) ([]MemStep, error) {
 	return parseRows(blob, "mem.csv", MemCSVHeader, func(_ int, v []int64) (MemStep, error) {
 		for j, x := range v {
-			if x < 0 && j != 0 && j != 12 {
+			if x < 0 && j != 0 && j != 3 {
 				return MemStep{}, fmt.Errorf("field %d: negative count %d", j+1, x)
 			}
 		}
-		s := MemStep{Step: int(v[0]), StepBytes: uint64(v[9]), StepObjects: uint64(v[10]),
-			GCCycles: uint64(v[11]), GCPauseNs: v[12], HeapGoal: uint64(v[13]), HeapLive: uint64(v[14])}
-		for p := range memPhases {
-			s.PhaseBytes[p], s.PhaseObjects[p] = uint64(v[1+2*p]), uint64(v[2+2*p])
-		}
-		return s, nil
+		return MemStep{Step: int(v[0]), AllocBytes: uint64(v[1]), GCCycles: uint64(v[2]),
+			GCPauseNs: v[3], HeapGoal: uint64(v[4]), HeapLive: uint64(v[5])}, nil
 	})
 }
 

@@ -47,19 +47,9 @@ func timingsLog(n int) *Log {
 // the reader refuses anything the writer would not write.
 func TestCSVRoundTrip(t *testing.T) {
 	memSteps := []MemStep{
-		{
-			Step:         0,
-			PhaseBytes:   [4]uint64{100, 2048, 333, 4},
-			PhaseObjects: [4]uint64{1, 20, 3, 0},
-			StepBytes:    2485, StepObjects: 24,
-			GCCycles: 2, GCPauseNs: 151000, HeapGoal: 4 << 20, HeapLive: 1 << 20,
-		},
+		{Step: 0, AllocBytes: 2485, GCCycles: 2, GCPauseNs: 151000, HeapGoal: 4 << 20, HeapLive: 1 << 20},
 		{Step: 1}, // all-zero row survives too
-		{
-			Step:      2,
-			StepBytes: 1 << 40, StepObjects: 1 << 33, // >32-bit values
-			GCPauseNs: 1,
-		},
+		{Step: 2, AllocBytes: 1 << 40, GCCycles: 1 << 33, GCPauseNs: 1}, // >32-bit values
 	}
 	paths := []span.StepPath{
 		{Step: 0, Gating: 1, Weight: 58, ComputeNs: 1000, SerializeNs: 100, SendNs: 250, BarrierNs: 8650},
@@ -96,8 +86,8 @@ func TestCSVRoundTrip(t *testing.T) {
 			parse:  func(b []byte) (any, error) { return ParseMemCSV(b) },
 			encode: func(v any) []byte { return EncodeMemCSV(v.([]MemStep)) },
 			reject: map[string]string{
-				"negative unsigned cell": MemCSVHeader + "\n0,-1,0,0,0,0,0,0,0,0,0,0,0,0,0\n",
-				"negative heap_live":     MemCSVHeader + "\n0,0,0,0,0,0,0,0,0,0,0,0,0,0,-5\n",
+				"negative alloc_bytes": MemCSVHeader + "\n0,-1,0,0,0,0\n",
+				"negative heap_live":   MemCSVHeader + "\n0,0,0,0,0,-5\n",
 			},
 		},
 		{
@@ -237,9 +227,8 @@ func TestCSVWritersAllocatePerFile(t *testing.T) {
 		"mem.csv": func(n int) func() {
 			steps := make([]MemStep, n)
 			for i := range steps {
-				steps[i] = MemStep{Step: i, PhaseBytes: [4]uint64{1 << 20, 1 << 30, 77, 0},
-					PhaseObjects: [4]uint64{10, 2000, 1, 0}, StepBytes: 1<<30 + 1<<20 + 77,
-					StepObjects: 2011, GCCycles: 1, GCPauseNs: 45_000, HeapGoal: 1 << 32, HeapLive: 3 << 30}
+				steps[i] = MemStep{Step: i, AllocBytes: 1<<30 + 1<<20 + 77,
+					GCCycles: 1, GCPauseNs: 45_000, HeapGoal: 1 << 32, HeapLive: 3 << 30}
 			}
 			return func() { EncodeMemCSV(steps) }
 		},

@@ -19,9 +19,10 @@ import (
 // Log is the one run log behind every CSV and endpoint: the latest run's
 // RunInfo, the rows it retains from each StepRecord, its recoveries, the
 // superstep in flight and its end, under one mutex with one allocation
-// sampler. /metrics, /trace, /comm, /spans, /mem and /heat, the -verbose
-// narration, the -comm CSV, the -skew table and the Recorder's files are
-// render functions over it. It keeps the last run's rows after OnRunEnd so the
+// sampler (one runtime/metrics read per barrier, one runtime.ReadMemStats at
+// each end of a run). /metrics, /trace, /comm, /spans, /mem and /heat, the
+// -verbose narration, the -comm CSV, the -skew table and the Recorder's files
+// are render functions over it. It keeps the last run's rows after OnRunEnd so the
 // endpoints stay useful between runs; a new run resets everything but the
 // totals /metrics counts across runs.
 type Log struct {
@@ -54,13 +55,14 @@ type Log struct {
 	stepAt time.Time
 	attrib *memAttrib
 
-	stats []metrics.StepStats // one per superstep, parallel to steps
-	steps []logStep
-	mem   []MemStep
-	heat  []HeatPartition
-	cells []commCell               // non-zero traffic cells, in (step, from, to) order
-	cum   transport.MatrixSnapshot // Σ of the run's traffic deltas
-	spans []span.Span              // completed spans, in emission order
+	stats  []metrics.StepStats // one per superstep, parallel to steps
+	steps  []logStep
+	mem    []MemStep
+	memRun *MemRun // nil until the run is done
+	heat   []HeatPartition
+	cells  []commCell               // non-zero traffic cells, in (step, from, to) order
+	cum    transport.MatrixSnapshot // Σ of the run's traffic deltas
+	spans  []span.Span              // completed spans, in emission order
 	// allSpans keeps the whole stream (the Recorder's spans.csv needs it);
 	// otherwise the oldest half is discarded at spanLimit.
 	allSpans bool
@@ -126,26 +128,23 @@ func (l *Log) OnRunStart(info RunInfo) {
 	l.done, l.recoveries, l.replayed, l.inStep, l.cur = false, l.recoveries[:0], 0, false, 0
 	l.stats, l.steps, l.mem, l.heat, l.cells = l.stats[:0], l.steps[:0], l.mem[:0], l.heat[:0], l.cells[:0]
 	l.spans, l.cum, l.order = l.spans[:0], transport.MatrixSnapshot{}, l.order[:0]
-	l.hot, l.hotAt = nil, time.Time{}
+	l.hot, l.hotAt, l.memRun = nil, time.Time{}, nil
 	if l.verbose != nil {
 		l.narrateStart(l.verbose)
 	}
+	l.attrib.startRun()
 }
 
 // OnSuperstepStart implements Hooks.
 func (l *Log) OnSuperstepStart(step int) {
 	l.mu.Lock()
 	l.inStep, l.cur, l.stepAt = true, step, time.Now()
-	l.attrib.startStep(step)
 	l.mu.Unlock()
 }
 
-// OnPhase implements Hooks: attributes the allocation since the previous
-// phase boundary to the phase that just ended and files the duration in the
-// phase histogram.
+// OnPhase implements Hooks: files the duration in the phase histogram.
 func (l *Log) OnPhase(_ int, phase metrics.Phase, d time.Duration) {
 	l.mu.Lock()
-	l.attrib.phase(phase)
 	l.tot.observePhase(phase, d)
 	if !slices.Contains(l.order, phase) {
 		l.order = append(l.order, phase)
@@ -157,9 +156,9 @@ func (l *Log) OnPhase(_ int, phase metrics.Phase, d time.Duration) {
 func (l *Log) OnSuperstep(rec *StepRecord) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	// Close the allocation window first: what the log allocates below is its
-	// own bookkeeping, not the superstep's.
-	l.mem = append(l.mem, l.attrib.endStep())
+	// Close the allocation window first. What the log allocates below falls
+	// into the next superstep's window.
+	l.mem = append(l.mem, l.attrib.step(rec.Step))
 	now := time.Now()
 	st := logStep{at: now, skew: rec.Skew(), violations: slices.Clone(rec.Violations)}
 	if l.inStep {
@@ -214,16 +213,18 @@ func (l *Log) OnRecovery(e RecoveryEvent) {
 	l.mu.Unlock()
 }
 
-// OnRunEnd implements Hooks: closes the run span, takes the final hot set and
-// files the run's skew profile.
+// OnRunEnd implements Hooks: closes the allocation window, closes the run
+// span, takes the final hot set and files the run's skew profile.
 func (l *Log) OnRunEnd(e RunEnd) {
 	l.mu.Lock()
 	l.end(e)
 	l.mu.Unlock()
 }
 
-// end closes the run. Caller holds mu.
+// end closes the run, allocation window first. Caller holds mu.
 func (l *Log) end(e RunEnd) {
+	run := l.attrib.endRun()
+	l.memRun = &run
 	l.spans = append(l.spans, RunSpan(l.info.Run, e.Wall))
 	l.hot, l.done, l.inStep = e.Hot, true, false
 	l.ended, l.endedAt = e, time.Now()
@@ -351,15 +352,17 @@ func (l *Log) ServeComm(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// ServeMem implements the /mem endpoint: the run's per-superstep, per-phase
-// allocation telemetry as JSON by default, mem.csv with ?format=csv.
+// ServeMem implements the /mem endpoint: the run's per-superstep memory
+// telemetry, plus its exact totals once it is done, as JSON by default;
+// mem.csv with ?format=csv.
 func (l *Log) ServeMem(w http.ResponseWriter, r *http.Request) {
 	l.mu.Lock()
 	resp := struct {
 		Engine string    `json:"engine"`
 		Done   bool      `json:"done"`
+		Run    *MemRun   `json:"run,omitempty"`
 		Steps  []MemStep `json:"steps"`
-	}{l.info.Engine, l.done, append([]MemStep(nil), l.mem...)}
+	}{l.info.Engine, l.done, l.memRun, append([]MemStep(nil), l.mem...)}
 	l.mu.Unlock()
 	serveFormat(w, r, map[string]formatVariant{
 		"json": {"application/json", func(w http.ResponseWriter) error { return writeJSON(w, resp) }},

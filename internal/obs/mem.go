@@ -2,28 +2,24 @@ package obs
 
 import (
 	"math"
+	"runtime"
 	"runtime/metrics"
-
-	intmetrics "cyclops/internal/metrics"
 )
 
-// This file is the memory observatory: a per-superstep, per-phase allocation
-// sampler built on runtime/metrics (no stop-the-world, unlike
-// runtime.ReadMemStats), feeding the quarantined mem.csv of every flight
-// record and the live /mem endpoint. Allocation and GC quantities are
-// inherently machine- and scheduling-dependent, so everything here follows
-// the timings.csv discipline: recorded alongside the deterministic artifacts,
-// never compared exactly. The deterministic counterparts — wire bytes and
-// replica value bytes — live in series.csv and the manifest.
-
-// memPhases is the number of attributable superstep phases (PRS/CMP/SND/SYN).
-const memPhases = int(intmetrics.Sync) + 1
+// This file is the memory observatory, in two layers. Per run, one
+// runtime.ReadMemStats at each end of the run gives MemRun: each call stops
+// the world and flushes every mcache, so its allocation count is exact. Per
+// superstep, one runtime/metrics batch read at the barrier (no stop-the-world)
+// gives a MemStep, feeding the quarantined mem.csv and the live /mem endpoint.
+// Allocation and GC quantities are machine- and scheduling-dependent, so both
+// follow the timings.csv discipline: recorded alongside the deterministic
+// artifacts, never compared exactly. The deterministic counterparts — wire
+// bytes and replica value bytes — live in series.csv and the manifest.
 
 // memMetricNames are the runtime/metrics samples one memSnap reads, batched
 // into a single metrics.Read call.
 var memMetricNames = []string{
 	"/gc/heap/allocs:bytes",
-	"/gc/heap/allocs:objects",
 	"/gc/cycles/total:gc-cycles",
 	"/gc/heap/goal:bytes",
 	"/memory/classes/heap/objects:bytes",
@@ -31,15 +27,14 @@ var memMetricNames = []string{
 }
 
 // memSnap is one point-in-time sample of the allocation counters. The first
-// four fields are cumulative since process start (deltas between snapshots
+// three fields are cumulative since process start (deltas between snapshots
 // attribute allocation to an interval); the last two are instantaneous.
 type memSnap struct {
-	allocBytes   uint64 // cumulative heap bytes allocated
-	allocObjects uint64 // cumulative heap objects allocated
-	gcCycles     uint64 // cumulative completed GC cycles
-	pauseNs      int64  // cumulative GC stop-the-world pause (approx, from histogram)
-	heapGoal     uint64 // current GC pacer heap goal
-	heapLive     uint64 // current live heap object bytes
+	allocBytes uint64 // cumulative heap bytes allocated
+	gcCycles   uint64 // cumulative completed GC cycles
+	pauseNs    int64  // cumulative GC stop-the-world pause (approx, from histogram)
+	heapGoal   uint64 // current GC pacer heap goal
+	heapLive   uint64 // current live heap object bytes
 }
 
 func memUint64(s metrics.Sample) uint64 {
@@ -76,32 +71,40 @@ func histogramNanos(s metrics.Sample) int64 {
 	return int64(total * 1e9)
 }
 
-// MemStep is one superstep's memory telemetry: allocation attributed to each
-// phase (deltas between consecutive OnPhase boundaries), the step's totals,
-// and the GC state at the step's end. Attribution is approximate — background
-// goroutines allocate into whatever phase is open — which is one more reason
-// these columns are quarantined.
+// MemStep is one superstep's memory telemetry: the heap bytes allocated, GC
+// cycles completed and GC pause since the previous barrier (the run's start
+// for the first superstep), and the GC state at this barrier. The runtime
+// books a small-object span's allocations when the span is refilled or
+// flushed, so AllocBytes lands in whichever superstep that happens — one more
+// reason these columns are quarantined. MemRun holds the exact run totals.
 type MemStep struct {
-	Step         int               `json:"step"`
-	PhaseBytes   [memPhases]uint64 `json:"phase_alloc_bytes"`
-	PhaseObjects [memPhases]uint64 `json:"phase_allocs"`
-	StepBytes    uint64            `json:"step_alloc_bytes"`
-	StepObjects  uint64            `json:"step_allocs"`
-	GCCycles     uint64            `json:"gc_cycles"`
-	GCPauseNs    int64             `json:"gc_pause_ns"`
-	HeapGoal     uint64            `json:"heap_goal_bytes"`
-	HeapLive     uint64            `json:"heap_live_bytes"`
+	Step       int    `json:"step"`
+	AllocBytes uint64 `json:"alloc_bytes"`
+	GCCycles   uint64 `json:"gc_cycles"`
+	GCPauseNs  int64  `json:"gc_pause_ns"`
+	HeapGoal   uint64 `json:"heap_goal_bytes"`
+	HeapLive   uint64 `json:"heap_live_bytes"`
 }
 
-// memAttrib turns hook boundaries into MemSteps for the Log, which provides
-// the locking. It reads the counters via runtime/metrics into one reused
-// sample buffer, so a sample costs one metrics.Read and no allocation.
+// MemRun is a run's allocation totals: the deltas of runtime.MemStats'
+// Mallocs, TotalAlloc, NumGC and PauseTotalNs between the end of OnRunStart
+// and the top of OnRunEnd. The counts are exact, but the window holds
+// everything the process allocated meanwhile, the observers' own per-superstep
+// bookkeeping included, and GC work depends on the machine and the schedule.
+type MemRun struct {
+	Allocs     uint64 `json:"allocs"`
+	AllocBytes uint64 `json:"alloc_bytes"`
+	GCCycles   uint64 `json:"gc_cycles"`
+	GCPauseNs  uint64 `json:"gc_pause_ns"`
+}
+
+// memAttrib turns hook boundaries into MemSteps and a MemRun for the Log,
+// which provides the locking. Its reads go into buffers it owns, so none of
+// them allocates.
 type memAttrib struct {
-	samples   []metrics.Sample
-	stepBase  memSnap // sample at superstep start
-	phaseBase memSnap // sample at the last phase boundary
-	cur       MemStep
-	open      bool
+	samples    []metrics.Sample
+	base       memSnap          // sample at the previous barrier
+	start, end runtime.MemStats // the run window's two ends
 }
 
 func newMemAttrib() *memAttrib {
@@ -116,47 +119,35 @@ func newMemAttrib() *memAttrib {
 func (a *memAttrib) sample() memSnap {
 	metrics.Read(a.samples)
 	return memSnap{
-		allocBytes:   memUint64(a.samples[0]),
-		allocObjects: memUint64(a.samples[1]),
-		gcCycles:     memUint64(a.samples[2]),
-		heapGoal:     memUint64(a.samples[3]),
-		heapLive:     memUint64(a.samples[4]),
-		pauseNs:      histogramNanos(a.samples[5]),
+		allocBytes: memUint64(a.samples[0]),
+		gcCycles:   memUint64(a.samples[1]),
+		heapGoal:   memUint64(a.samples[2]),
+		heapLive:   memUint64(a.samples[3]),
+		pauseNs:    histogramNanos(a.samples[4]),
 	}
 }
 
-// startStep opens a superstep: both baselines move to now.
-func (a *memAttrib) startStep(step int) {
-	snap := a.sample()
-	a.stepBase, a.phaseBase = snap, snap
-	a.cur = MemStep{Step: step}
-	a.open = true
+// startRun opens the run window and the first superstep's.
+func (a *memAttrib) startRun() {
+	a.base = a.sample()
+	runtime.ReadMemStats(&a.start)
 }
 
-// phase closes the interval since the previous boundary and attributes its
-// allocation to p.
-func (a *memAttrib) phase(p intmetrics.Phase) {
-	if !a.open || int(p) < 0 || int(p) >= memPhases {
-		return
-	}
-	snap := a.sample()
-	a.cur.PhaseBytes[p] += snap.allocBytes - a.phaseBase.allocBytes
-	a.cur.PhaseObjects[p] += snap.allocObjects - a.phaseBase.allocObjects
-	a.phaseBase = snap
+// step closes the window since the previous barrier and returns its row.
+func (a *memAttrib) step(step int) MemStep {
+	s := a.sample()
+	row := MemStep{Step: step, AllocBytes: s.allocBytes - a.base.allocBytes,
+		GCCycles: s.gcCycles - a.base.gcCycles, GCPauseNs: s.pauseNs - a.base.pauseNs,
+		HeapGoal: s.heapGoal, HeapLive: s.heapLive}
+	a.base = s
+	return row
 }
 
-// endStep closes the superstep and returns its telemetry row.
-func (a *memAttrib) endStep() MemStep {
-	if !a.open {
-		return MemStep{}
-	}
-	snap := a.sample()
-	a.cur.StepBytes = snap.allocBytes - a.stepBase.allocBytes
-	a.cur.StepObjects = snap.allocObjects - a.stepBase.allocObjects
-	a.cur.GCCycles = snap.gcCycles - a.stepBase.gcCycles
-	a.cur.GCPauseNs = snap.pauseNs - a.stepBase.pauseNs
-	a.cur.HeapGoal = snap.heapGoal
-	a.cur.HeapLive = snap.heapLive
-	a.open = false
-	return a.cur
+// endRun closes the run window and returns its totals.
+func (a *memAttrib) endRun() MemRun {
+	runtime.ReadMemStats(&a.end)
+	return MemRun{Allocs: a.end.Mallocs - a.start.Mallocs,
+		AllocBytes: a.end.TotalAlloc - a.start.TotalAlloc,
+		GCCycles:   uint64(a.end.NumGC - a.start.NumGC),
+		GCPauseNs:  a.end.PauseTotalNs - a.start.PauseTotalNs}
 }

@@ -16,8 +16,8 @@ import (
 )
 
 // Manifest is a recorded run's identity and totals — the header of a flight
-// record. Everything in it except WallNanos is deterministic for a fixed
-// (experiment, engine, seed, scale, cluster) tuple, which is what lets
+// record. Everything in it except WallNanos and MemRun is deterministic for a
+// fixed (experiment, engine, seed, scale, cluster) tuple, which is what lets
 // cyclops-report diff manifests exactly.
 type Manifest struct {
 	// Run is the run directory's base name (run-NNN-<engine>).
@@ -76,8 +76,13 @@ type Manifest struct {
 	ReplicaWorkerMax  int64   `json:"replica_worker_max,omitempty"`
 	// ModelNanos is the cost model's deterministic run time estimate.
 	ModelNanos float64 `json:"model_ns"`
-	// WallNanos is measured wall time — the one machine-dependent field.
-	WallNanos int64  `json:"wall_ns"`
+	// WallNanos is measured wall time; machine-dependent.
+	WallNanos int64 `json:"wall_ns"`
+	// MemRun is the run's exact allocation count, bytes, GC cycles and GC
+	// pause, machine-dependent like WallNanos. Its window runs from the end
+	// of OnRunStart to the top of OnRunEnd, so it includes the observers' own
+	// bookkeeping as well as the engine's allocations.
+	MemRun
 	GoVersion string `json:"go_version"`
 	GitRev    string `json:"git_rev,omitempty"`
 	// ProfileDir and Profiles index the continuous-profiling harvest that
@@ -212,6 +217,7 @@ func (r *Recorder) OnRunEnd(e RunEnd) {
 		EdgeCut:           info.EdgeCut,
 		PartitionBalance:  info.PartitionBalance,
 		WallNanos:         int64(time.Since(r.started)),
+		MemRun:            *r.memRun,
 		GoVersion:         runtime.Version(),
 		GitRev:            gitRev(),
 	}

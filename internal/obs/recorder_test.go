@@ -241,9 +241,51 @@ func TestRecorderArtifacts(t *testing.T) {
 	}
 }
 
+// exactSink keeps TestRecorderCountsAllocationsExactly's objects live, so
+// none of them can be optimised away or freed before the count is read.
+var exactSink []*[4]int64
+
+// TestRecorderCountsAllocationsExactly runs a Recorder over a "run" that
+// allocates a known number of small heap objects — far fewer than a span
+// refill's booking granularity would show per superstep — and checks that
+// the manifest counts every one of them, plus at most the little the Log's
+// own barrier and the test's loop add.
+func TestRecorderCountsAllocationsExactly(t *testing.T) {
+	const n = 10_000
+	// slack covers the Log's first-barrier appends and whatever a runtime
+	// goroutine allocates meanwhile: 5 in each of 200 runs at GOMAXPROCS 1, 2,
+	// 4 and 8 and under -race.
+	const slack = 16
+	r, err := obs.NewRecorder(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	exactSink = make([]*[4]int64, n)
+	r.OnRunStart(obs.RunInfo{Engine: "exact", Workers: 1})
+	r.OnSuperstepStart(0)
+	for i := range exactSink {
+		exactSink[i] = new([4]int64)
+	}
+	r.OnSuperstep(&obs.StepRecord{Step: 0})
+	r.OnRunEnd(obs.RunEnd{Step: 1, Reason: obs.ReasonHalt})
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	m := r.Manifests()[0]
+	t.Logf("%d objects allocated, %d counted", n, m.Allocs)
+	if m.Allocs < n || m.Allocs > n+slack {
+		t.Errorf("manifest counts %d allocations, want %d..%d", m.Allocs, n, n+slack)
+	}
+	if want := uint64(n * 32); m.AllocBytes < want {
+		t.Errorf("manifest counts %d bytes, want >= %d", m.AllocBytes, want)
+	}
+	exactSink = nil
+}
+
 // TestRecorderDeterminism is the guarantee the perf gate stands on: two
 // same-seed runs of the same engine produce byte-identical series.csv files.
-// Wall-clock noise is confined to timings.csv and the manifest's wall_ns.
+// Wall-clock noise is confined to timings.csv and the manifest's wall_ns,
+// allocation noise to mem.csv and the manifest's run totals.
 func TestRecorderDeterminism(t *testing.T) {
 	for _, engine := range []string{"hama", "cyclops", "powergraph"} {
 		t.Run(engine, func(t *testing.T) {
@@ -269,8 +311,9 @@ func TestRecorderDeterminism(t *testing.T) {
 					firstDiffLine(a, b), firstDiffLine(b, a))
 			}
 			ma.WallNanos, mb.WallNanos = 0, 0
+			ma.MemRun, mb.MemRun = obs.MemRun{}, obs.MemRun{}
 			if ma != mb {
-				t.Errorf("manifests differ beyond wall time:\nA: %+v\nB: %+v", ma, mb)
+				t.Errorf("manifests differ beyond wall time and allocations:\nA: %+v\nB: %+v", ma, mb)
 			}
 
 			// The span stream carries no durations, so spans.csv is

@@ -55,9 +55,9 @@ func serveFormat(w http.ResponseWriter, r *http.Request, variants map[string]for
 // zero; the corresponding endpoints then report 404.
 type Sources struct {
 	// Log backs /metrics (Prometheus text), /trace (the JSONL narration),
-	// /comm (the worker×worker traffic matrix), /mem (per-superstep,
-	// per-phase allocation telemetry), /heat (per-partition rows and the hot
-	// set) and /spans (the live causal-span waterfall) of the latest run, each
+	// /comm (the worker×worker traffic matrix), /mem (per-superstep memory
+	// telemetry and the run's allocation totals), /heat (per-partition rows
+	// and the hot set) and /spans (the live causal-span waterfall) of the latest run, each
 	// rendered from the log at scrape time.
 	Log *Log
 	// RunsDir is a Recorder's root: /runs lists the recorded manifests as JSON

@@ -39,9 +39,10 @@ type Entry struct {
 	// ReplicaValueBytes is the replicated view's deterministic value memory
 	// (Replicas × sizeof(value)) — the Table 4/5 replica side.
 	ReplicaValueBytes int64 `json:"replica_value_bytes,omitempty"`
-	// AllocsPerStep is the run's mean heap allocations per superstep, read
-	// back from the quarantined mem.csv. Machine- and GC-schedule-dependent,
-	// so diffs band it (Options.AllocTol) and never compare it exactly.
+	// AllocsPerStep is the manifest's exact run allocation count divided by
+	// its supersteps. The count takes in whatever the process allocated
+	// during the run, observers included, so diffs cap it (Options.AllocTol)
+	// and never compare it exactly.
 	AllocsPerStep float64 `json:"allocs_per_superstep,omitempty"`
 	// CritPath is the run's critical-path structure: the gating-worker
 	// sequence from critpath.csv ("step:worker" pairs, durations excluded).
@@ -87,16 +88,27 @@ func FromManifests(ms []obs.Manifest) Baseline {
 			ModelMs:           m.ModelNanos / 1e6,
 			WireBytes:         m.WireBytes,
 			ReplicaValueBytes: m.ReplicaValueBytes,
+			AllocsPerStep:     allocsPerStep(m),
 		})
 	}
 	return b
 }
 
+// allocsPerStep is a manifest's mean allocations per superstep; zero when the
+// manifest has no count (a record made before run totals existed), which Diff
+// treats as "no alloc data on this side".
+func allocsPerStep(m obs.Manifest) float64 {
+	if m.Supersteps == 0 {
+		return 0
+	}
+	return float64(m.Allocs) / float64(m.Supersteps)
+}
+
 // FromManifestsDir normalizes recorded manifests and enriches each entry with
 // the per-run artifacts only the record directory holds: the critical-path
-// gating sequence (critpath.csv) and the mean allocations per superstep
-// (quarantined mem.csv). Artifacts a run directory lacks are skipped, so
-// records made by older binaries still normalize.
+// gating sequence (critpath.csv) and the heat digest (heat.csv, hotset.csv).
+// Artifacts a run directory lacks are skipped, so records made by older
+// binaries still normalize.
 func FromManifestsDir(root string, ms []obs.Manifest) Baseline {
 	b := FromManifests(ms)
 	for i, m := range ms {
@@ -107,29 +119,8 @@ func FromManifestsDir(root string, ms []obs.Manifest) Baseline {
 		if d, err := loadHeatDigest(runDir); err == nil {
 			b.Entries[i].Heat = d
 		}
-		b.Entries[i].AllocsPerStep = loadAllocsPerStep(runDir)
 	}
 	return b
-}
-
-// loadAllocsPerStep reads a run directory's mem.csv and returns the mean heap
-// allocations per superstep. Zero when the file is absent (a pre-observatory
-// record), unparsable, or empty — all of which Diff treats as "no alloc data
-// on this side".
-func loadAllocsPerStep(runDir string) float64 {
-	blob, err := os.ReadFile(filepath.Join(runDir, "mem.csv"))
-	if err != nil {
-		return 0
-	}
-	steps, err := obs.ParseMemCSV(blob)
-	if err != nil || len(steps) == 0 {
-		return 0
-	}
-	var total float64
-	for _, s := range steps {
-		total += float64(s.StepObjects)
-	}
-	return total / float64(len(steps))
 }
 
 // Load reads a comparison side: a directory is a flight-record root (its
@@ -270,9 +261,9 @@ type Options struct {
 	// count drift still fails exactly.
 	ModelTol float64
 	// AllocTol is the relative tolerance for allocs_per_superstep (default
-	// 0.25). Allocation counts are quarantined telemetry — GC scheduling and
-	// the Go version move them — so the band is wide: the gate exists to
-	// catch order-of-magnitude allocation regressions, not noise. Only a rise
+	// 0.25). The run count is exact, but GOMAXPROCS, the Go version and the
+	// runtime's own goroutines move it by a few percent, so the gate exists
+	// to catch allocation regressions, not to pin a count. Only a rise
 	// beyond it regresses; a drop of any size passes.
 	AllocTol float64
 }
@@ -398,8 +389,8 @@ func Diff(old, new Baseline, opts Options) Result {
 			res.Deltas = append(res.Deltas,
 				exact(k, "replica_value_bytes", float64(o.ReplicaValueBytes), float64(n.ReplicaValueBytes)))
 		}
-		// Allocation counts are quarantined: banded, never exact — and the
-		// band is one-sided, because allocating less is not a regression.
+		// Allocation counts are machine-dependent: capped, never exact — and
+		// the cap is one-sided, because allocating less is not a regression.
 		if o.AllocsPerStep != 0 && n.AllocsPerStep != 0 {
 			res.Deltas = append(res.Deltas,
 				capped(k, "allocs_per_superstep", o.AllocsPerStep, n.AllocsPerStep, opts.AllocTol))

@@ -199,7 +199,7 @@ func TestLoadFromRecordDir(t *testing.T) {
 		t.Fatalf("got %d entries", len(b.Entries))
 	}
 	e := b.Entries[0]
-	if e.Engine != "cyclops" || e.Messages != 1329773 || e.ModelMs != 56.31 {
+	if e.Engine != "cyclops" || e.Messages != 1329773 || e.ModelMs != 56.31 || e.AllocsPerStep != 100 {
 		t.Errorf("normalized entry = %+v", e)
 	}
 
@@ -330,7 +330,7 @@ func writeManifest(t *testing.T, root string, m obs.Manifest) {
 	}
 	blob := []byte(`{"run":"` + m.Run + `","experiment":"` + m.Experiment +
 		`","engine":"` + m.Engine + `","supersteps":45,"messages":1329773,` +
-		`"bytes":21276368,"replicas":39040,"model_ns":56310000}`)
+		`"bytes":21276368,"replicas":39040,"model_ns":56310000,"allocs":4500}`)
 	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
