@@ -7,7 +7,10 @@
 // finer converged-proportion detector Cyclops adds (§4.4).
 package aggregate
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Op is the combining operation of an aggregator.
 type Op int
@@ -25,7 +28,10 @@ const (
 // compute thread's contributions in a superstep, or the folded values. A
 // program aggregates a name or two, so a short scan finds the entry — no map
 // operation per Aggregate call. The zero Partial is empty and ready to use.
-type Partial struct{ entries []partialEntry }
+type Partial struct {
+	entries []partialEntry
+	hit     [2]uintptr // entries[0].name's header, length + 1, while it is a Sum; zero matches no name
+}
 
 type partialEntry struct {
 	name string
@@ -34,7 +40,7 @@ type partialEntry struct {
 }
 
 // Reset empties p, keeping its capacity for the next superstep.
-func (p *Partial) Reset() { p.entries = p.entries[:0] }
+func (p *Partial) Reset() { *p = Partial{entries: p.entries[:0]} }
 
 // Registry defines the aggregators of a job and holds the folded values of
 // the previous superstep. It is written only at barriers (single goroutine)
@@ -53,7 +59,16 @@ func (r *Registry) Define(name string, op Op) { r.ops[name] = op }
 // Combine folds contribution v into p under the aggregator's op; unknown
 // names behave as Sum, so programs can aggregate ad hoc. Worker threads call
 // it concurrently, so it never mutates the registry — Define before Run.
+//
+// The hit path is a Sum into p's first entry under the very same string, as
+// a program passing its constant name does: one compare of string headers
+// (data pointer and length) and an add. Equal headers are equal names, so no
+// memequal call is needed; an equal name at another address takes the scan.
 func (r *Registry) Combine(p *Partial, name string, v float64) {
+	if *(*[2]uintptr)(unsafe.Pointer(&name)) == [2]uintptr{p.hit[0], p.hit[1] - 1} {
+		p.entries[0].v += v
+		return
+	}
 	for i := range p.entries {
 		if e := &p.entries[i]; e.name == name {
 			switch {
@@ -68,6 +83,10 @@ func (r *Registry) Combine(p *Partial, name string, v float64) {
 		}
 	}
 	p.entries = append(p.entries, partialEntry{name: name, op: r.ops[name], v: v}) // absent: Sum
+	if len(p.entries) == 1 && p.entries[0].op == Sum {
+		p.hit = *(*[2]uintptr)(unsafe.Pointer(&name))
+		p.hit[1]++
+	}
 }
 
 // Fold combines thread partials, in order, into the values visible in the

@@ -1,6 +1,12 @@
 package aggregate
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+)
 
 // partial contributes vals to a fresh Partial, one Combine per name.
 func partial(r *Registry, vals map[string]float64) *Partial {
@@ -133,5 +139,110 @@ func TestMaxSteps(t *testing.T) {
 	}
 	if !MaxSteps(100, nil)(0, nil, 0) {
 		t.Error("nil inner must default to inactive halt")
+	}
+}
+
+// refEntry is one name of the reference fold: a slice in first-contribution
+// order, searched by content.
+type refEntry struct {
+	name string
+	v    float64
+}
+
+func refCombine(ref []refEntry, ops map[string]Op, name string, v float64) []refEntry {
+	for i := range ref {
+		if e := &ref[i]; e.name == name {
+			switch op := ops[name]; {
+			case op == Sum:
+				e.v += v
+			case op == Max && v > e.v, op == Min && v < e.v:
+				e.v = v
+			}
+			return ref
+		}
+	}
+	return append(ref, refEntry{name, v})
+}
+
+// TestCombineHitPathMatchesScan: whichever way Combine finds an entry — the
+// first entry's header compare or the scan — partials and folded values equal
+// a reference fold bit for bit. Contributions are random Sum/Max/Min
+// sequences, an undefined name (Sum) and the empty name, each passed as
+// itself, as an equal copy elsewhere in memory (strings.Clone), or as a prefix
+// sharing another name's data pointer; partials are reused through Reset. A
+// hit, on the first entry or a later one, allocates nothing.
+func TestCombineHitPathMatchesScan(t *testing.T) {
+	r := NewRegistry()
+	ops := map[string]Op{"sum": Sum, "max": Max, "min": Min}
+	for name, op := range ops {
+		r.Define(name, op)
+	}
+	long := strings.Repeat("ab", 2) // "ab" and "aba" share its data pointer
+	names := []string{"sum", "max", "min", "undefined", "", long[:2], long[:3]}
+	rng := rand.New(rand.NewSource(7))
+	value := func() float64 {
+		switch rng.Intn(12) {
+		case 0:
+			return math.NaN()
+		case 1:
+			return math.Copysign(0, -1)
+		case 2:
+			return math.Inf(rng.Intn(2)*2 - 1)
+		}
+		return rng.NormFloat64()
+	}
+	same := func(a, b []refEntry) bool {
+		return slices.EqualFunc(a, b, func(x, y refEntry) bool {
+			// NaN payloads depend on operand order, which the compiler may swap.
+			return x.name == y.name && (math.Float64bits(x.v) == math.Float64bits(y.v) || x.v != x.v && y.v != y.v)
+		})
+	}
+	partials := []*Partial{{}, {}, {}}
+	for round := 0; round < 500; round++ {
+		var folded []refEntry
+		for _, p := range partials {
+			p.Reset()
+			var ref []refEntry
+			for i := rng.Intn(30); i > 0; i-- {
+				name := names[rng.Intn(len(names))]
+				if rng.Intn(3) == 0 {
+					name = strings.Clone(name)
+				}
+				v := value()
+				r.Combine(p, name, v)
+				ref = refCombine(ref, ops, name, v)
+			}
+			var got []refEntry
+			for _, e := range p.entries {
+				got = append(got, refEntry{e.name, e.v})
+			}
+			if !same(got, ref) {
+				t.Fatalf("round %d: partial %v, reference %v", round, got, ref)
+			}
+			for _, e := range ref {
+				folded = refCombine(folded, ops, e.name, e.v)
+			}
+		}
+		r.Fold(partials)
+		var got []refEntry
+		for _, e := range folded {
+			v, ok := r.Value(e.name)
+			if !ok {
+				t.Fatalf("round %d: %q missing from the fold", round, e.name)
+			}
+			got = append(got, refEntry{e.name, v})
+		}
+		if !same(got, folded) || len(r.prev.entries) != len(folded) {
+			t.Fatalf("round %d: folded %v, reference %v", round, r.prev.entries, folded)
+		}
+	}
+
+	var p Partial
+	r.Combine(&p, "sum", 1)
+	r.Combine(&p, "max", 1)
+	for _, name := range []string{"sum", "max"} {
+		if n := testing.AllocsPerRun(100, func() { r.Combine(&p, name, 1) }); n != 0 {
+			t.Errorf("a hit on %q allocates %v objects", name, n)
+		}
 	}
 }

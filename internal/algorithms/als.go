@@ -134,12 +134,13 @@ func (p ALSCyclops) Init(id graph.ID, _ *graph.Graph) ([]float64, []float64, boo
 
 // Compute implements cyclops.Program.
 func (p ALSCyclops) Compute(ctx *cyclops.Context[[]float64, []float64]) {
-	if ctx.InDegree() == 0 {
+	view, srcs, weights := ctx.In()
+	if len(srcs) == 0 {
 		return
 	}
-	vec := solveSide(p.Cfg.D, p.Cfg.Lambda, ctx.InDegree(),
-		func(i int) []float64 { return ctx.NeighborMessage(i) },
-		func(i int) float64 { return ctx.InWeight(i) })
+	vec := solveSide(p.Cfg.D, p.Cfg.Lambda, len(srcs),
+		func(i int) []float64 { return view[srcs[i]] },
+		func(i int) float64 { return weights[i] })
 	ctx.SetValue(vec)
 	ctx.Publish(vec, ctx.Superstep()+1 < p.Cfg.TotalSupersteps())
 }

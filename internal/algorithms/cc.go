@@ -85,9 +85,10 @@ func (CCCyclops) Init(id graph.ID, _ *graph.Graph) (int64, int64, bool) {
 
 // Compute implements cyclops.Program.
 func (CCCyclops) Compute(ctx *cyclops.Context[int64, int64]) {
+	view, srcs, _ := ctx.In()
 	best := ctx.Value()
-	for i := 0; i < ctx.InDegree(); i++ {
-		best = min(best, ctx.NeighborMessage(i))
+	for _, s := range srcs {
+		best = min(best, view[s])
 	}
 	if best < ctx.Value() {
 		ctx.SetValue(best)

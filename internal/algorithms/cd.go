@@ -109,8 +109,8 @@ func (CDCyclops) Init(id graph.ID, _ *graph.Graph) (int64, int64, bool) {
 
 // Compute implements cyclops.Program.
 func (CDCyclops) Compute(ctx *cyclops.Context[int64, int64]) {
-	label := mostFrequent(ctx.Value(),
-		func(i int) int64 { return ctx.NeighborMessage(i) }, ctx.InDegree())
+	view, srcs, _ := ctx.In()
+	label := mostFrequent(ctx.Value(), func(i int) int64 { return view[srcs[i]] }, len(srcs))
 	if label != ctx.Value() {
 		ctx.SetValue(label)
 		ctx.Publish(label, true)

@@ -94,7 +94,8 @@ func (CorenessCyclops) Init(id graph.ID, g *graph.Graph) (int64, int64, bool) {
 
 // Compute implements cyclops.Program.
 func (CorenessCyclops) Compute(ctx *cyclops.Context[int64, int64]) {
-	h := hIndex(ctx.InDegree(), func(i int) int64 { return ctx.NeighborMessage(i) })
+	view, srcs, _ := ctx.In()
+	h := hIndex(len(srcs), func(i int) int64 { return view[srcs[i]] })
 	if h < ctx.Value() {
 		ctx.SetValue(h)
 		ctx.Publish(h, true)

@@ -137,9 +137,10 @@ func (PageRankCyclops) Init(id graph.ID, g *graph.Graph) (float64, float64, bool
 
 // Compute implements cyclops.Program.
 func (p PageRankCyclops) Compute(ctx *cyclops.Context[float64, float64]) {
+	view, srcs, _ := ctx.In()
 	var sum float64
-	for i := 0; i < ctx.InDegree(); i++ {
-		sum += ctx.NeighborMessage(i)
+	for _, s := range srcs {
+		sum += view[s]
 	}
 	value := 0.15/float64(ctx.NumVertices()) + Damping*sum
 	last := ctx.Value()

@@ -98,11 +98,12 @@ func (s SSSPCyclops) Init(id graph.ID, _ *graph.Graph) (float64, float64, bool) 
 
 // Compute implements cyclops.Program.
 func (s SSSPCyclops) Compute(ctx *cyclops.Context[float64, float64]) {
+	view, srcs, weights := ctx.In()
 	best := ctx.Value()
-	for i := 0; i < ctx.InDegree(); i++ {
+	for i, s := range srcs {
 		// A branch-free min; d == d skips NaN as d < best did, and no distance
 		// is ever −0 (x + y is −0 only if both are), so −0 < +0 never matters.
-		if d := ctx.NeighborMessage(i) + ctx.InWeight(i); d == d {
+		if d := view[s] + weights[i]; d == d {
 			best = min(best, d)
 		}
 	}

@@ -85,8 +85,9 @@ func (TrianglesCyclops) Compute(ctx *cyclops.Context[int64, []graph.ID]) {
 	// The engine deduplicates in-edges per source only as far as the input
 	// graph does; symmetric simple graphs give one in-edge per neighbor.
 	own := ctx.Message() // this vertex's own published higher list
-	for i := 0; i < ctx.InDegree(); i++ {
-		list := ctx.NeighborMessage(i)
+	view, srcs, _ := ctx.In()
+	for _, s := range srcs {
+		list := view[s]
 		// Only wedges arriving from lower-id neighbors count; orientation is
 		// read off the list itself (v < u iff u appears in v's higher list).
 		if containsID(list, u) {

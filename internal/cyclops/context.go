@@ -14,10 +14,17 @@ type Context[V, M any] struct {
 	ws   *workerState[V, M]
 	slot int32
 
-	// inRow/inWRow cache the vertex's CSR adjacency rows (set with slot by
-	// the compute loop), so the per-edge accessors are a single indexed load.
-	inRow  []int32
-	inWRow []float64
+	// The worker's flat arrays and |V|, bound at the start of every stripe
+	// call (bind), so no Restore, recovery or Evolve can leave them stale and
+	// every accessor is one indexed load off the context; srcs and weights
+	// are the current master's in-row (setSlot).
+	view         []M
+	values       []V
+	outDeg       []int32
+	inOff        []int64
+	inSrc, srcs  []int32
+	inW, weights []float64
+	n            int
 
 	published   bool
 	pubVal      M
@@ -30,12 +37,21 @@ type Context[V, M any] struct {
 	units, computed, activated int64
 }
 
-// setSlot points the context at a master slot and refreshes the cached
-// adjacency rows.
+// bind loads the worker's arrays into the context.
+func (c *Context[V, M]) bind() {
+	ws := c.ws
+	c.view, c.values, c.outDeg = ws.view, ws.values, ws.outDeg
+	c.inOff, c.inSrc = ws.in.Arrays()
+	_, c.inW = ws.inWeights.Arrays()
+	c.n = c.e.g.NumVertices()
+}
+
+// setSlot points the context at a master slot and slices its in-row and
+// weights from one offsets read.
 func (c *Context[V, M]) setSlot(s int) {
 	c.slot = int32(s)
-	c.inRow = c.ws.in.Row(s)
-	c.inWRow = c.ws.inWeights.Row(s)
+	lo, hi := c.inOff[s], c.inOff[s+1]
+	c.srcs, c.weights = c.inSrc[lo:hi], c.inW[lo:hi]
 }
 
 // Vertex returns the current vertex id.
@@ -45,36 +61,33 @@ func (c *Context[V, M]) Vertex() graph.ID { return c.ws.masters[c.slot] }
 func (c *Context[V, M]) Superstep() int { return c.e.Superstep() }
 
 // NumVertices returns the graph's vertex count.
-func (c *Context[V, M]) NumVertices() int { return c.e.g.NumVertices() }
+func (c *Context[V, M]) NumVertices() int { return c.n }
 
 // Value returns the master's private state.
-func (c *Context[V, M]) Value() V { return c.ws.values[c.slot] }
+func (c *Context[V, M]) Value() V { return c.values[c.slot] }
 
 // SetValue updates the master's private state. This does not touch the view
 // — neighbors only see what Publish publishes.
-func (c *Context[V, M]) SetValue(v V) { c.ws.values[c.slot] = v }
+func (c *Context[V, M]) SetValue(v V) { c.values[c.slot] = v }
 
 // Message returns the vertex's own currently published value (what its
 // neighbors read this superstep).
-func (c *Context[V, M]) Message() M { return c.ws.view[c.slot] }
+func (c *Context[V, M]) Message() M { return c.view[c.slot] }
 
-// InDegree returns the number of in-neighbors.
-func (c *Context[V, M]) InDegree() int { return len(c.inRow) }
-
-// NeighborMessage returns the i-th in-neighbor's published value, read
-// through shared memory from the immutable view of the previous superstep —
-// the paper's edges.next().vertex.getMessage() (Figure 5). It is valid even
-// if the neighbor converged and is inactive, which is what makes dynamic
-// computation work (§3.3).
-func (c *Context[V, M]) NeighborMessage(i int) M {
-	return c.ws.view[c.inRow[i]]
+// In returns the in-row: in-neighbor i's published value is view[srcs[i]],
+// read through shared memory from the immutable view of the previous
+// superstep, and its in-edge weighs weights[i] — the paper's
+// edges.next().vertex.getMessage() (Figure 5). A neighbor's value is
+// readable even if it converged and is inactive, which is what makes dynamic
+// computation work (§3.3). weights has len(srcs) elements; none of the three
+// slices may be written.
+func (c *Context[V, M]) In() (view []M, srcs []int32, weights []float64) {
+	srcs = c.srcs
+	return c.view, srcs, c.weights[:len(srcs)]
 }
 
-// InWeight returns the weight of the i-th in-edge.
-func (c *Context[V, M]) InWeight(i int) float64 { return c.inWRow[i] }
-
 // OutDegree returns the vertex's global out-degree.
-func (c *Context[V, M]) OutDegree() int { return int(c.ws.outDeg[c.slot]) }
+func (c *Context[V, M]) OutDegree() int { return int(c.outDeg[c.slot]) }
 
 // Publish sets the vertex's published value, visible to all neighbors next
 // superstep. If activate is true, all out-neighbors are activated — locally

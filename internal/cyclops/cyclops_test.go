@@ -22,9 +22,10 @@ func (maxProg) Init(id graph.ID, _ *graph.Graph) (float64, float64, bool) {
 }
 
 func (maxProg) Compute(ctx *Context[float64, float64]) {
+	view, srcs, _ := ctx.In()
 	best := ctx.Value()
-	for i := 0; i < ctx.InDegree(); i++ {
-		if m := ctx.NeighborMessage(i); m > best {
+	for _, s := range srcs {
+		if m := view[s]; m > best {
 			best = m
 		}
 	}
@@ -181,8 +182,9 @@ func (p lagProg) Init(id graph.ID, _ *graph.Graph) (float64, float64, bool) {
 
 func (p lagProg) Compute(ctx *Context[float64, float64]) {
 	step := float64(ctx.Superstep())
-	for i := 0; i < ctx.InDegree(); i++ {
-		if got := ctx.NeighborMessage(i); got != step-1 {
+	view, srcs, _ := ctx.In()
+	for _, s := range srcs {
+		if got := view[s]; got != step-1 {
 			p.t.Errorf("step %g: neighbor view = %g, want %g", step, got, step-1)
 		}
 	}
@@ -245,9 +247,10 @@ func (distProg) Init(id graph.ID, _ *graph.Graph) (float64, float64, bool) {
 }
 
 func (distProg) Compute(ctx *Context[float64, float64]) {
+	view, srcs, weights := ctx.In()
 	best := ctx.Value()
-	for i := 0; i < ctx.InDegree(); i++ {
-		if d := ctx.NeighborMessage(i) + ctx.InWeight(i); d < best {
+	for i, s := range srcs {
+		if d := view[s] + weights[i]; d < best {
 			best = d
 		}
 	}

@@ -131,7 +131,6 @@ type workerState[V, M any] struct {
 	inWeights graph.CSR[float64] // parallel to in
 	localOut  graph.CSR[int32]   // per slot: local master slots to activate
 	outDeg    []int32            // per master: global out-degree
-	inUnits   []int32            // per master: in-degree (compute units)
 
 	frontier superstep.Frontier // over master slots: who computes now, who next
 
@@ -263,14 +262,12 @@ func (e *Engine[V, M]) buildView() error {
 		m := ws.numMasters()
 		ws.values = make([]V, m)
 		ws.outDeg = make([]int32, m)
-		ws.inUnits = make([]int32, m)
 		ws.frontier = superstep.NewFrontier(m)
 		ws.out = make([][]syncMsg[M], workers)
 		inOff := make([]int64, m+1) // shared by in and inWeights
 		for i, v := range ws.masters {
 			ws.outDeg[i] = int32(e.g.OutDegree(v))
-			ws.inUnits[i] = int32(e.g.InDegree(v))
-			inOff[i+1] = inOff[i] + int64(ws.inUnits[i])
+			inOff[i+1] = inOff[i] + int64(e.g.InDegree(v))
 			local[v] = int32(i)
 		}
 		// Every in-neighbour that w does not master is a replica; the sign bit

@@ -18,9 +18,10 @@ func (degreeProg) Init(id graph.ID, g *graph.Graph) (float64, float64, bool) {
 }
 
 func (degreeProg) Compute(ctx *cyclops.Context[float64, float64]) {
+	view, srcs, _ := ctx.In()
 	var sum float64
-	for i := 0; i < ctx.InDegree(); i++ {
-		sum += ctx.NeighborMessage(i)
+	for _, s := range srcs {
+		sum += view[s]
 	}
 	ctx.SetValue(sum)
 	// No Publish: one superstep of reading the view suffices, and without

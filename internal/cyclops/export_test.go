@@ -87,3 +87,21 @@ func (e *Engine[V, M]) BatchGrowth() error {
 	}
 	return nil
 }
+
+// PageRankFloor runs one superstep of PageRank's arithmetic as a plain loop
+// over every worker's in-rows and view, into the master values: no Context,
+// no Program, no frontier, no publish — the gather floor CMP is measured
+// against.
+func PageRankFloor(e *Engine[float64, float64]) {
+	base := 0.15 / float64(e.g.NumVertices())
+	for _, ws := range e.ws {
+		off, srcs := ws.in.Arrays()
+		for s := range ws.values {
+			var sum float64
+			for _, u := range srcs[off[s]:off[s+1]] {
+				sum += ws.view[u]
+			}
+			ws.values[s] = base + 0.85*sum
+		}
+	}
+}

@@ -162,6 +162,8 @@ func BenchmarkSparseSuperstep(b *testing.B) {
 // over Flat(2,1) and a hash cut, where every vertex with an in-edge computes,
 // publishes and activates every superstep, in process ("local") and over
 // loopback TCP ("tcp"); the difference is frames, codec and round markers.
+// "floor" is CMP's gather floor on the same engine: PageRank's arithmetic as a
+// plain loop over the engine's in-rows and view (PageRankFloor), per superstep.
 // Run it with -cpu 1, as bench/ runs on one P.
 func BenchmarkDenseSuperstep(b *testing.B) {
 	g, _, err := gen.Dataset("gweb", 0.5, 1)
@@ -174,6 +176,19 @@ func BenchmarkDenseSuperstep(b *testing.B) {
 			benchSupersteps(b, g, algorithms.PageRankCyclops{}, partition.Hash{}, 20, net)
 		})
 	}
+	b.Run("floor", func(b *testing.B) {
+		e, err := cyclops.New[float64, float64](g, algorithms.PageRankCyclops{},
+			cyclops.Config[float64, float64]{Cluster: cluster.Flat(2, 1), Partitioner: partition.Hash{}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer e.Close()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cyclops.PageRankFloor(e)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/superstep")
+	})
 }
 
 // benchSupersteps times steps supersteps of prog on Flat(2,1) over net per

@@ -41,9 +41,10 @@ func (mixedProg) Init(id graph.ID, _ *graph.Graph) (float64, float64, bool) {
 }
 
 func (mixedProg) Compute(ctx *cyclops.Context[float64, float64]) {
+	view, srcs, _ := ctx.In()
 	best := ctx.Value()
-	for i := 0; i < ctx.InDegree(); i++ {
-		best = max(best, ctx.NeighborMessage(i))
+	for _, s := range srcs {
+		best = max(best, view[s])
 	}
 	switch {
 	case best > ctx.Value() || ctx.Superstep() == 0:

@@ -94,6 +94,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		ws := e.ws[w]
 		stripes[w] = func(t int) {
 			ctx := ctxs[w][t]
+			ctx.bind()
 			ctx.local.Reset()
 			var units, computed, activated int64
 			heat, vals, flags := k.HeatUnits, pend[w].val, pend[w].flags
@@ -108,9 +109,10 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 					ctx.pubActivate = false
 					e.prog.Compute(ctx)
 					computed++
-					units += int64(ws.inUnits[s])
+					u := int64(len(ctx.srcs))
+					units += u
 					if heat != nil {
-						heat[ws.masters[s]] += int64(ws.inUnits[s])
+						heat[ws.masters[s]] += u
 					}
 					if ctx.published {
 						vals[s] = ctx.pubVal

@@ -36,6 +36,10 @@ func (c *CSR[T]) Row(i int) []T {
 	return c.items[c.offsets[i]:c.offsets[i+1]]
 }
 
+// Arrays returns the offsets and the flat item array, for a loop that slices
+// rows itself. Both alias the CSR's storage and must not be mutated.
+func (c *CSR[T]) Arrays() (offsets []int64, items []T) { return c.offsets, c.items }
+
 // RowLen returns len(Row(i)) without materializing the slice header.
 func (c *CSR[T]) RowLen(i int) int {
 	return int(c.offsets[i+1] - c.offsets[i])

@@ -200,9 +200,10 @@ func (p proportionPR) Init(id graph.ID, g *graph.Graph) (float64, float64, bool)
 // stop the whole job at the target percentile — §4.4's "finer" policy trades
 // the stragglers' accuracy for bounded extra supersteps.
 func (p proportionPR) Compute(ctx *cyclops.Context[float64, float64]) {
+	view, srcs, _ := ctx.In()
 	var sum float64
-	for i := 0; i < ctx.InDegree(); i++ {
-		sum += ctx.NeighborMessage(i)
+	for _, s := range srcs {
+		sum += view[s]
 	}
 	value := 0.15/float64(ctx.NumVertices()) + algorithms.Damping*sum
 	last := ctx.Value()

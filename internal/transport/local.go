@@ -47,10 +47,20 @@ type inbox[M any] struct {
 	deliv []span.Delivery
 }
 
+// newInboxes carves every inbox from arrays made once, so a fresh transport's
+// first round allocates nothing: each slot has room for one batch (engines
+// send one per sender, receiver and round; more grow by append) and each
+// drain's scratch for one per sender.
 func newInboxes[M any](n int) []inbox[M] {
 	ins := make([]inbox[M], n)
+	slots, batches, deliv := make([][][]M, n*n), make([][]M, 2*n*n), make([]span.Delivery, n*n)
 	for i := range ins {
-		ins[i].slots = make([][][]M, n)
+		row := i * n
+		ins[i].slots = slots[row : row+n]
+		for from := range ins[i].slots {
+			ins[i].slots[from] = batches[row+from : row+from : row+from+1]
+		}
+		ins[i].out, ins[i].deliv = batches[n*n+row:n*n+row:n*n+row+n], deliv[row:row:row+n]
 	}
 	return ins
 }

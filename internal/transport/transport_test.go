@@ -109,6 +109,35 @@ func TestLocalDrainZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestFirstRoundAllocatesNothing: the inboxes are sized when the transport is
+// made, so a fresh transport's first round — every worker sends one batch to
+// every worker, then every worker drains — allocates nothing in either mode.
+func TestFirstRoundAllocatesNothing(t *testing.T) {
+	const n = 4
+	batch := []msg{{1, 1}}
+	for _, mode := range []QueueMode{GlobalQueue, PerSenderQueue} {
+		// One fresh transport per call: AllocsPerRun's warm-up call takes the first.
+		fresh := []*Local[msg]{NewLocal[msg](n, mode, msgCodec{}), NewLocal[msg](n, mode, msgCodec{})}
+		allocs := testing.AllocsPerRun(1, func() {
+			tr := fresh[0]
+			fresh = fresh[1:]
+			for from := 0; from < n; from++ {
+				for to := 0; to < n; to++ {
+					tr.Send(from, to, batch)
+				}
+			}
+			for to := 0; to < n; to++ {
+				if got, d := tr.Drain(to), tr.LastDeliveries(to); len(got) != n || len(d) != n {
+					t.Fatalf("%v: worker %d drained %d batches from %d senders, want %d", mode, to, len(got), len(d), n)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v: a fresh transport's first round allocates %v objects, want 0", mode, allocs)
+		}
+	}
+}
+
 // countingCodec is intCodec counting its EncodedSize calls; fixedCounting
 // also declares its width.
 type countingCodec struct {
