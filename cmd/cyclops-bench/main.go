@@ -36,7 +36,7 @@ func main() {
 		workers   = flag.Int("workers", 8, "workers per machine (paper: 8)")
 		eps       = flag.Float64("eps", 1e-9, "PageRank convergence bound")
 		commCSV   = flag.String("comm", "", "write the last engine run's per-superstep worker×worker traffic matrix to this CSV file")
-		record    = flag.String("record", "", "record every engine run as a flight-record directory under this path, plus a normalized BENCH_baseline.json")
+		record    = flag.String("record", "", "record every engine run as one flight-record file (run-NNN-<engine>.rec) under this directory, plus a normalized BENCH_baseline.json")
 		skew      = flag.Bool("skew", false, "print each run's load-imbalance profile after the experiments")
 		audit     = flag.Bool("audit", false, "verify engine invariants each superstep; a violation fails the experiment")
 		debugAddr = flag.String("debug-addr", "", "serve live diagnostics (/metrics, /trace, /comm, /mem, /heat, /spans, /runs, /profiles, /debug/pprof) on this address")
@@ -146,10 +146,11 @@ func main() {
 		}
 		ms := rec.Manifests()
 		baseline := filepath.Join(*record, "BENCH_baseline.json")
-		// FromManifestsDir (not FromManifests) so the baseline carries the
-		// critical-path and quarantined allocation fields read back from the
-		// run directories alongside the manifests' exact counters.
-		if err := report.Write(baseline, report.FromManifestsDir(*record, ms)); err != nil {
+		b, err := report.FromRecords(*record, ms)
+		if err != nil {
+			fatal(err)
+		}
+		if err := report.Write(baseline, b); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("recorded %d runs under %s, baseline at %s\n", len(ms), *record, baseline)

@@ -1,25 +1,26 @@
 // Command cyclops-report inspects and diffs flight records produced by
-// cyclops-run/cyclops-bench -record.
+// cyclops-run/cyclops-bench -record: one run-NNN-<engine>.rec file per run.
 //
 //	cyclops-report list <record-dir>
-//	cyclops-report show [-critpath] [-mem] <record-dir> <run-name>
+//	cyclops-report show [-critpath] [-mem] [-heat] <record-dir> <run-name>
 //	cyclops-report diff [-model-tol 0.05] [-alloc-tol 0.25] <baseline> <current>
 //
-// diff's sides are each either a record directory (its run-* manifests are
-// normalized) or a baseline JSON file (BENCH_baseline.json). Deterministic
-// counts — supersteps, messages, wire bytes, replicas, replica value bytes —
-// must match exactly; model time and allocations per superstep get relative
-// tolerance bands. The exit status is non-zero when any metric regresses,
-// which is what the CI perf-gate keys off.
+// show prints a run's whole record, or with -critpath its critical path
+// reconciled against the phase timers, with -mem its memory telemetry, with
+// -heat its heat map, hot set and straggler causes. A run name may carry the
+// .rec extension. diff's sides are each either a record directory (every run
+// record in it is normalized) or a baseline JSON file (BENCH_baseline.json).
+// Deterministic counts — supersteps, messages, wire bytes, replicas, replica
+// value bytes — must match exactly; model time and allocations per superstep
+// get relative tolerance bands. The exit status is non-zero when any metric
+// regresses, which is what the CI perf-gate keys off.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"cyclops/internal/obs"
 	"cyclops/internal/obs/span"
@@ -50,7 +51,7 @@ func cliMain(args []string, stdout, stderr io.Writer) error {
 		fs := flag.NewFlagSet("cyclops-report show", flag.ContinueOnError)
 		fs.SetOutput(stderr)
 		critpath := fs.Bool("critpath", false, "print the per-superstep critical-path breakdown instead of the raw record")
-		mem := fs.Bool("mem", false, "print the per-superstep memory telemetry (mem.csv) and the run's allocation totals instead of the raw record")
+		mem := fs.Bool("mem", false, "print the per-superstep memory telemetry and the run's allocation totals instead of the raw record")
 		heat := fs.Bool("heat", false, "print the partition heat map, hot-vertex set and straggler root causes instead of the raw record")
 		if err := fs.Parse(args[1:]); err != nil {
 			return err
@@ -58,16 +59,22 @@ func cliMain(args []string, stdout, stderr io.Writer) error {
 		if fs.NArg() != 2 {
 			return usageError()
 		}
-		if *critpath {
-			return showCritPath(fs.Arg(0), fs.Arg(1), stdout)
+		rec, err := obs.ReadRecord(fs.Arg(0), fs.Arg(1))
+		switch {
+		case err != nil:
+			return err
+		case *critpath:
+			return showCritPath(rec, stdout)
+		case *mem:
+			return showMem(rec, stdout)
+		case *heat:
+			return showHeat(rec, stdout)
 		}
-		if *mem {
-			return showMem(fs.Arg(0), fs.Arg(1), stdout)
+		fmt.Fprintf(stdout, "%s", rec.ManifestJSON)
+		for s, body := range rec.Raw {
+			fmt.Fprintf(stdout, "\n%s:\n%s", obs.Section(s), body)
 		}
-		if *heat {
-			return showHeat(fs.Arg(0), fs.Arg(1), stdout)
-		}
-		return show(fs.Arg(0), fs.Arg(1), stdout)
+		return nil
 	case "diff":
 		fs := flag.NewFlagSet("cyclops-report diff", flag.ContinueOnError)
 		fs.SetOutput(stderr)
@@ -112,60 +119,18 @@ func list(dir string, w io.Writer) error {
 	return nil
 }
 
-// readManifest reads and parses a run's manifest.json, returning its bytes
-// too.
-func readManifest(dir, run string) (obs.Manifest, []byte, error) {
-	blob, err := os.ReadFile(filepath.Join(dir, run, "manifest.json"))
-	if err != nil {
-		return obs.Manifest{}, nil, err
-	}
-	var m obs.Manifest
-	if err := json.Unmarshal(blob, &m); err != nil {
-		return obs.Manifest{}, nil, fmt.Errorf("parse manifest: %w", err)
-	}
-	return m, blob, nil
-}
-
-func show(dir, run string, w io.Writer) error {
-	_, blob, err := readManifest(dir, run)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%s", blob)
-	for _, name := range []string{"series.csv", "timings.csv", "mem.csv"} {
-		body, err := os.ReadFile(filepath.Join(dir, run, name))
-		if err != nil {
-			continue
-		}
-		fmt.Fprintf(w, "\n%s:\n%s", name, body)
-	}
-	return nil
-}
-
 // showCritPath renders a run's critical-path attribution: one row per
 // superstep naming the worker that gated the barrier and splitting its wall
 // into compute / serialize / send / barrier-wait. The row sum equals the
 // superstep's phase-wall total, so the footer reconciles the table against
-// timings.csv (prs+cmp+snd+syn summed over the run) and errors on mismatch —
-// the span stream and the phase timers must account for the same time.
-func showCritPath(dir, run string, w io.Writer) error {
-	blob, err := os.ReadFile(filepath.Join(dir, run, "critpath.csv"))
-	if err != nil {
-		return fmt.Errorf("no critical-path data (was the run recorded with span tracing?): %w", err)
-	}
-	paths, err := obs.ParseCritPathCSV(blob)
-	if err != nil {
-		return err
-	}
-	phaseWalls, err := readPhaseWalls(filepath.Join(dir, run, "timings.csv"))
-	if err != nil {
-		return err
-	}
-
+// the phase timers (prs+cmp+snd+syn summed over the run) and errors on
+// mismatch — the span stream and the phase timers must account for the same
+// time.
+func showCritPath(rec *obs.Record, w io.Writer) error {
 	fmt.Fprintf(w, "%4s %6s %10s %12s %12s %12s %12s %12s\n",
 		"step", "gating", "weight", "compute-ms", "serialize-ms", "send-ms", "barrier-ms", "wall-ms")
 	var tot span.StepPath
-	for _, p := range paths {
+	for _, p := range rec.CritPath {
 		fmt.Fprintf(w, "%4d %6s %10d %12.3f %12.3f %12.3f %12.3f %12.3f\n",
 			p.Step, fmt.Sprintf("w%d", p.Gating), p.Weight,
 			float64(p.ComputeNs)/1e6, float64(p.SerializeNs)/1e6,
@@ -182,61 +147,31 @@ func showCritPath(dir, run string, w io.Writer) error {
 		float64(tot.SendNs)/1e6, float64(tot.BarrierNs)/1e6, float64(tot.Wall())/1e6)
 
 	var timingsTotal int64
-	for _, v := range phaseWalls {
-		timingsTotal += v
+	for _, t := range rec.Timings {
+		timingsTotal += t.PRS + t.CMP + t.SND + t.SYN
 	}
-	fmt.Fprintf(w, "timings.csv phase total: %.3f ms over %d superstep(s)\n",
-		float64(timingsTotal)/1e6, len(phaseWalls))
-	if len(paths) != len(phaseWalls) {
-		return fmt.Errorf("critpath.csv has %d rows but timings.csv has %d", len(paths), len(phaseWalls))
+	fmt.Fprintf(w, "phase-timer total: %.3f ms over %d superstep(s)\n",
+		float64(timingsTotal)/1e6, len(rec.Timings))
+	if len(rec.CritPath) != len(rec.Timings) {
+		return fmt.Errorf("the critical path has %d rows but the phase timers %d", len(rec.CritPath), len(rec.Timings))
 	}
 	if tot.Wall() != timingsTotal {
-		return fmt.Errorf("critical-path wall %dns does not reconcile with timings.csv phase total %dns",
+		return fmt.Errorf("critical-path wall %dns does not reconcile with the phase-timer total %dns",
 			tot.Wall(), timingsTotal)
 	}
-	fmt.Fprintln(w, "reconciliation: OK (critical-path columns sum to the timings.csv phase totals)")
+	fmt.Fprintln(w, "reconciliation: OK (critical-path columns sum to the phase-timer totals)")
 	return nil
 }
 
-// readPhaseWalls parses timings.csv into per-row phase-wall totals
-// (prs+cmp+snd+syn — the superstep wall the span stream accounts for; the
-// wall_ns column is the recorder's own clock and is ignored here).
-func readPhaseWalls(path string) ([]int64, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := obs.ParseIntCSV(blob, "timings.csv", obs.TimingsCSVHeader)
-	if err != nil {
-		return nil, err
-	}
-	walls := make([]int64, len(rows))
-	for i, r := range rows {
-		walls[i] = r[1] + r[2] + r[3] + r[4]
-	}
-	return walls, nil
-}
-
-// showMem renders a run's memory telemetry: the quarantined mem.csv rows,
-// one per superstep, then the manifest's exact run totals. Every number here
-// is machine-dependent — the table is for reading trends, never for exact
+// showMem renders a run's memory telemetry: the quarantined per-superstep
+// rows, then the manifest's exact run totals. Every number here is
+// machine-dependent — the table is for reading trends, never for exact
 // comparison.
-func showMem(dir, run string, w io.Writer) error {
-	blob, err := os.ReadFile(filepath.Join(dir, run, "mem.csv"))
-	if err != nil {
-		return fmt.Errorf("no memory telemetry (was the run recorded by a pre-observatory binary?): %w", err)
-	}
-	steps, err := obs.ParseMemCSV(blob)
-	if err != nil {
-		return err
-	}
-	m, _, err := readManifest(dir, run)
-	if err != nil {
-		return err
-	}
+func showMem(rec *obs.Record, w io.Writer) error {
+	m := rec.Manifest
 	fmt.Fprintf(w, "%4s %12s %4s %10s %12s %12s\n",
 		"step", "alloc-bytes", "gcs", "pause-us", "heap-goal", "heap-live")
-	for _, s := range steps {
+	for _, s := range rec.Mem {
 		fmt.Fprintf(w, "%4d %12d %4d %10.1f %12d %12d\n",
 			s.Step, s.AllocBytes, s.GCCycles, float64(s.GCPauseNs)/1e3, s.HeapGoal, s.HeapLive)
 	}
@@ -249,48 +184,27 @@ func showMem(dir, run string, w io.Writer) error {
 	return nil
 }
 
-// showHeat renders a run's heat observatory: the per-(superstep, worker) heat
-// map from heat.csv, the final top-k hot-vertex set from hotset.csv, and a
-// straggler root-cause table joining each superstep's critpath.csv gating
-// worker against its heat row. The cause names which load dimension put that
-// worker on the critical path: compute volume, boundary messages, or
-// replica-sync traffic.
-func showHeat(dir, run string, w io.Writer) error {
-	heatBlob, err := os.ReadFile(filepath.Join(dir, run, "heat.csv"))
-	if err != nil {
-		return fmt.Errorf("no heat data (was the run recorded by a pre-heat-observatory binary?): %w", err)
-	}
-	rows, err := obs.ParseHeatCSV(heatBlob)
-	if err != nil {
-		return err
-	}
-	var hot []obs.HotVertex
-	if blob, err := os.ReadFile(filepath.Join(dir, run, "hotset.csv")); err == nil {
-		if hot, err = obs.ParseHotsetCSV(blob); err != nil {
-			return err
-		}
-	}
+// showHeat renders a run's heat observatory: the per-(superstep, worker)
+// heat map, the final top-k hot-vertex set, and a straggler root-cause table
+// joining each superstep's critical-path gating worker against its heat row.
+// The cause names which load dimension put that worker on the critical path:
+// compute volume, boundary messages, or replica-sync traffic.
+func showHeat(rec *obs.Record, w io.Writer) error {
 	gating := make(map[int]int) // step → gating worker
-	if blob, err := os.ReadFile(filepath.Join(dir, run, "critpath.csv")); err == nil {
-		paths, err := obs.ParseCritPathCSV(blob)
-		if err != nil {
-			return err
-		}
-		for _, p := range paths {
-			gating[p.Step] = int(p.Gating)
-		}
+	for _, p := range rec.CritPath {
+		gating[p.Step] = p.Gating
 	}
 
 	byStep := make(map[int][]obs.HeatPartition)
 	var steps []int
-	for _, r := range rows {
+	for _, r := range rec.Heat {
 		if _, seen := byStep[r.Step]; !seen {
 			steps = append(steps, r.Step)
 		}
 		byStep[r.Step] = append(byStep[r.Step], r)
 	}
 
-	fmt.Fprintf(w, "partition heat map: %s (* = gating worker)\n", run)
+	fmt.Fprintf(w, "partition heat map: %s (* = gating worker)\n", rec.Manifest.Run)
 	fmt.Fprintf(w, "%4s %7s %8s %10s %9s %9s %8s %8s %9s\n",
 		"step", "worker", "active", "units", "out-int", "out-bnd", "in-bnd", "sync", "")
 	for _, s := range steps {
@@ -305,18 +219,14 @@ func showHeat(dir, run string, w io.Writer) error {
 		}
 	}
 
-	if len(hot) > 0 {
+	if len(rec.Hot) > 0 {
 		fmt.Fprintf(w, "\nhot vertices (cumulative, msgs desc):\n")
 		fmt.Fprintf(w, "%4s %10s %7s %10s %10s\n", "rank", "vertex", "worker", "msgs", "units")
-		for i, h := range hot {
+		for i, h := range rec.Hot {
 			fmt.Fprintf(w, "%4d %10d %7s %10d %10d\n", i+1, h.Vertex, fmt.Sprintf("w%d", h.Worker), h.Msgs, h.Units)
 		}
 	}
 
-	if len(gating) == 0 {
-		fmt.Fprintln(w, "\nno critpath.csv: straggler root causes unavailable")
-		return nil
-	}
 	fmt.Fprintf(w, "\nstraggler root causes (gating worker's load vs the step mean):\n")
 	fmt.Fprintf(w, "%4s %7s %-24s %12s %12s %12s\n",
 		"step", "gating", "cause", "units/mean", "bnd/mean", "sync/mean")

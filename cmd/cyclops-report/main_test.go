@@ -102,16 +102,10 @@ func TestDiffAgainstRecordDir(t *testing.T) {
 		Algorithm: "PR", Dataset: "gweb", Supersteps: 42, Messages: 2519118,
 		WireBytes: 33035688, ModelNanos: 110.18e6}
 	recDir := filepath.Join(dir, "rec")
-	if err := os.MkdirAll(filepath.Join(recDir, m.Run), 0o755); err != nil {
+	if err := os.MkdirAll(recDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	blob, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(recDir, m.Run, "manifest.json"), blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeRecord(t, recDir, m)
 	b := fixtureBaseline()
 	b.Entries = b.Entries[:1]
 	base := writeBaseline(t, dir, "base.json", b)
@@ -124,20 +118,9 @@ func TestDiffAgainstRecordDir(t *testing.T) {
 
 func TestListAndShow(t *testing.T) {
 	dir := t.TempDir()
-	run := filepath.Join(dir, "run-001-cyclops")
-	if err := os.MkdirAll(run, 0o755); err != nil {
-		t.Fatal(err)
-	}
 	m := obs.Manifest{Run: "run-001-cyclops", Experiment: "pagerank", Engine: "cyclops",
 		Supersteps: 45, Messages: 1329773, ModelNanos: 56.31e6}
-	blob, _ := json.Marshal(m)
-	if err := os.WriteFile(filepath.Join(run, "manifest.json"), blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(run, "series.csv"),
-		[]byte("step,active\n1,10\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeRecord(t, dir, m)
 
 	var out strings.Builder
 	if err := cliMain([]string{"list", dir}, &out, &out); err != nil {
@@ -148,39 +131,33 @@ func TestListAndShow(t *testing.T) {
 		t.Errorf("list output:\n%s", out.String())
 	}
 
-	out.Reset()
-	if err := cliMain([]string{"show", dir, "run-001-cyclops"}, &out, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), `"engine": "cyclops"`) &&
-		!strings.Contains(out.String(), `"engine":"cyclops"`) {
-		t.Errorf("show output lacks manifest:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "series.csv") {
-		t.Errorf("show output lacks series:\n%s", out.String())
+	// show takes the run's name or its record file's.
+	for _, run := range []string{"run-001-cyclops", "run-001-cyclops.rec"} {
+		out.Reset()
+		if err := cliMain([]string{"show", dir, run}, &out, &out); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), `"engine":"cyclops"`) {
+			t.Errorf("show output lacks manifest:\n%s", out.String())
+		}
+		if !strings.Contains(out.String(), "series:\n"+obs.SeriesCSVHeader+"\n") {
+			t.Errorf("show output lacks series:\n%s", out.String())
+		}
 	}
 }
 
 func TestShowCritPath(t *testing.T) {
 	dir := t.TempDir()
-	run := filepath.Join(dir, "run-001-cyclops")
-	if err := os.MkdirAll(run, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	// Two supersteps whose path rows sum to exactly the timings.csv phase
-	// totals (prs+cmp+snd+syn): 100+200+300+400=1000 and 10+20+30+40=100.
+	m := obs.Manifest{Run: "run-001-cyclops", Engine: "cyclops", Supersteps: 2}
+	// Two supersteps whose path rows sum to exactly the timings section's
+	// phase totals (prs+cmp+snd+syn): 100+200+300+400=1000 and 10+20+30+40=100.
 	critpath := "step,gating_worker,weight,compute_ns,serialize_ns,send_ns,barrier_wait_ns\n" +
 		"0,1,9,600,100,200,100\n" +
 		"1,0,7,50,10,20,20\n"
 	timings := "step,prs_ns,cmp_ns,snd_ns,syn_ns,wall_ns\n" +
 		"0,100,500,300,100,1234\n" +
 		"1,10,40,30,20,567\n"
-	if err := os.WriteFile(filepath.Join(run, "critpath.csv"), []byte(critpath), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(run, "timings.csv"), []byte(timings), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeRecord(t, dir, m, critpath, timings)
 
 	var out strings.Builder
 	if err := cliMain([]string{"show", "-critpath", dir, "run-001-cyclops"}, &out, &out); err != nil {
@@ -194,41 +171,29 @@ func TestShowCritPath(t *testing.T) {
 
 	// Break the reconciliation: the command must fail, loudly.
 	bad := strings.Replace(critpath, "600", "601", 1)
-	if err := os.WriteFile(filepath.Join(run, "critpath.csv"), []byte(bad), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeRecord(t, dir, m, bad, timings)
 	out.Reset()
 	if err := cliMain([]string{"show", "-critpath", dir, "run-001-cyclops"}, &out, &out); err == nil ||
 		!strings.Contains(err.Error(), "reconcile") {
 		t.Errorf("unreconciled critpath accepted: %v\n%s", err, out.String())
 	}
 
-	// No span data at all: a helpful error, not a zero-row table.
-	if err := os.Remove(filepath.Join(run, "critpath.csv")); err != nil {
-		t.Fatal(err)
-	}
-	if err := cliMain([]string{"show", "-critpath", dir, "run-001-cyclops"}, &out, &out); err == nil {
-		t.Error("missing critpath.csv accepted")
+	// No critical path at all: an error naming the section, not a zero-row
+	// table.
+	dropSection(t, dir, m.Run, bad)
+	if err := cliMain([]string{"show", "-critpath", dir, "run-001-cyclops"}, &out, &out); err == nil ||
+		!strings.Contains(err.Error(), "critpath") {
+		t.Errorf("record without a critpath section accepted: %v", err)
 	}
 }
 
 func TestShowMem(t *testing.T) {
 	dir := t.TempDir()
-	run := filepath.Join(dir, "run-001-hama")
-	if err := os.MkdirAll(run, 0o755); err != nil {
-		t.Fatal(err)
-	}
 	steps := []obs.MemStep{{Step: 0, AllocBytes: 4096, HeapGoal: 4 << 20, HeapLive: 1 << 20},
 		{Step: 1, AllocBytes: 0, GCCycles: 1, GCPauseNs: 52_000, HeapGoal: 4 << 20, HeapLive: 1 << 20}}
-	if err := os.WriteFile(filepath.Join(run, "mem.csv"), obs.EncodeMemCSV(steps), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	m := obs.Manifest{Run: "run-001-hama", Engine: "hama", Supersteps: 2,
 		MemRun: obs.MemRun{Allocs: 241, AllocBytes: 9000, GCCycles: 1, GCPauseNs: 52_000}}
-	blob, _ := json.Marshal(m)
-	if err := os.WriteFile(filepath.Join(run, "manifest.json"), blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeRecord(t, dir, m, string(obs.EncodeMemCSV(steps)))
 
 	var out strings.Builder
 	if err := cliMain([]string{"show", "-mem", dir, "run-001-hama"}, &out, &out); err != nil {
@@ -244,10 +209,7 @@ func TestShowMem(t *testing.T) {
 
 func TestShowHeat(t *testing.T) {
 	dir := t.TempDir()
-	run := filepath.Join(dir, "run-001-cyclops")
-	if err := os.MkdirAll(run, 0o755); err != nil {
-		t.Fatal(err)
-	}
+	m := obs.Manifest{Run: "run-001-cyclops", Engine: "cyclops", Supersteps: 2}
 	// Two workers, two supersteps. Step 0's gating worker w1 is boundary-heavy
 	// (bnd 90+60 vs w0's 10+40, means 75); step 1's gating worker w0 is
 	// compute-heavy (600 vs mean 350).
@@ -262,13 +224,7 @@ func TestShowHeat(t *testing.T) {
 	critpath := "step,gating_worker,weight,compute_ns,serialize_ns,send_ns,barrier_wait_ns\n" +
 		"0,1,9,600,100,200,100\n" +
 		"1,0,7,50,10,20,20\n"
-	for name, body := range map[string]string{
-		"heat.csv": heat, "hotset.csv": hotset, "critpath.csv": critpath,
-	} {
-		if err := os.WriteFile(filepath.Join(run, name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	writeRecord(t, dir, m, heat, hotset, critpath)
 
 	var out strings.Builder
 	if err := cliMain([]string{"show", "-heat", dir, "run-001-cyclops"}, &out, &out); err != nil {
@@ -286,36 +242,25 @@ func TestShowHeat(t *testing.T) {
 		t.Errorf("complete record produced an unknown root cause:\n%s", out.String())
 	}
 
-	// No heat data at all: a helpful error, not a zero-row table.
-	if err := os.Remove(filepath.Join(run, "heat.csv")); err != nil {
-		t.Fatal(err)
-	}
-	if err := cliMain([]string{"show", "-heat", dir, "run-001-cyclops"}, &out, &out); err == nil {
-		t.Error("missing heat.csv accepted")
+	// No heat data at all: an error naming the section, not a zero-row
+	// table.
+	dropSection(t, dir, m.Run, heat)
+	if err := cliMain([]string{"show", "-heat", dir, "run-001-cyclops"}, &out, &out); err == nil ||
+		!strings.Contains(err.Error(), "heat") {
+		t.Errorf("record without a heat section accepted: %v", err)
 	}
 }
 
 func TestDiffHeatDigest(t *testing.T) {
-	// Two record dirs identical except for one count in heat.csv: the heat
-	// digest must flag the structural change exactly.
+	// Two record dirs identical except for one count in the heat section:
+	// the heat digest must flag the structural change exactly.
 	writeRec := func(t *testing.T, root, heatRow string) {
-		run := filepath.Join(root, "run-001-cyclops")
-		if err := os.MkdirAll(run, 0o755); err != nil {
+		if err := os.MkdirAll(root, 0o755); err != nil {
 			t.Fatal(err)
 		}
 		m := obs.Manifest{Run: "run-001-cyclops", Experiment: "pagerank", Engine: "cyclops",
 			Supersteps: 1, Messages: 100, WireBytes: 1001, ModelNanos: 1e6}
-		blob, _ := json.Marshal(m)
-		files := map[string]string{
-			"manifest.json": string(blob),
-			"heat.csv":      obs.HeatCSVHeader + "\n" + heatRow,
-			"hotset.csv":    obs.HotsetCSVHeader + "\n1,7,1,120,40\n",
-		}
-		for name, body := range files {
-			if err := os.WriteFile(filepath.Join(run, name), []byte(body), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
+		writeRecord(t, root, m, obs.HeatCSVHeader+"\n"+heatRow, obs.HotsetCSVHeader+"\n1,7,1,120,40\n")
 	}
 	dir := t.TempDir()
 	a, b, c := filepath.Join(dir, "a"), filepath.Join(dir, "b"), filepath.Join(dir, "c")
@@ -343,5 +288,46 @@ func TestUsageErrors(t *testing.T) {
 		if err := cliMain(args, &out, &out); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
+	}
+}
+
+// writeRecord writes m's run record under root: its JSON, then every section
+// in file order, each one of sections when it starts with that header, else
+// just the header.
+func writeRecord(t *testing.T, root string, m obs.Manifest, sections ...string) {
+	t.Helper()
+	blob, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob = append(blob, '\n')
+	for _, header := range []string{obs.SeriesCSVHeader, obs.TimingsCSVHeader, obs.MemCSVHeader,
+		obs.SpansCSVHeader, obs.CritPathCSVHeader, obs.HeatCSVHeader, obs.HotsetCSVHeader} {
+		section := header + "\n"
+		for _, s := range sections {
+			if strings.HasPrefix(s, section) {
+				section = s
+			}
+		}
+		blob = append(blob, section...)
+	}
+	if err := os.WriteFile(filepath.Join(root, m.Run+".rec"), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dropSection cuts section, header and rows, out of run's record.
+func dropSection(t *testing.T, root, run, section string) {
+	t.Helper()
+	path := filepath.Join(root, run+".rec")
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(blob), section) {
+		t.Fatalf("%s holds no %q", run, section)
+	}
+	if err := os.WriteFile(path, []byte(strings.Replace(string(blob), section, "", 1)), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

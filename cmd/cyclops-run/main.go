@@ -58,7 +58,7 @@ func cliMain(args []string, stdout, stderr io.Writer) error {
 		source    = fs.Uint("source", 0, "source vertex (SSSP), as the graph file names it")
 		top       = fs.Int("top", 5, "print the top-N result vertices")
 		commCSV   = fs.String("comm", "", "write the per-superstep worker×worker traffic matrix to this CSV file")
-		record    = fs.String("record", "", "record the run as a flight-record directory (manifest.json, series.csv, timings.csv) under this path")
+		record    = fs.String("record", "", "record the run as one flight-record file, run-NNN-<engine>.rec, under this directory (read it with cyclops-report)")
 		skewFlag  = fs.Bool("skew", false, "print the per-superstep load-imbalance profile after the run")
 		audit     = fs.Bool("audit", false, "verify the engine's structural invariants each superstep (replica consistency, message conservation, mirror coherence); a violation fails the run")
 		debugAddr = fs.String("debug-addr", "", "serve live diagnostics (/metrics, /trace, /comm, /mem, /heat, /spans, /runs, /profiles, /debug/pprof) on this address")

@@ -7,7 +7,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -50,9 +49,8 @@ func TestCLISmokePageRank(t *testing.T) {
 	}
 
 	// The flight record is complete: manifest with the CLI's metadata stamped
-	// in, plus both per-superstep CSVs.
-	run := filepath.Join(recDir, "run-001-cyclops")
-	manifest, err := os.ReadFile(filepath.Join(run, "manifest.json"))
+	// in, plus the per-superstep sections.
+	rec, err := obs.ReadRecord(recDir, "run-001-cyclops")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,26 +58,18 @@ func TestCLISmokePageRank(t *testing.T) {
 		`"engine": "cyclops"`, `"algorithm": "PR"`, `"dataset": "wiki"`,
 		`"machines": 2`, `"workers_per_machine": 2`,
 	} {
-		if !strings.Contains(string(manifest), want) {
-			t.Errorf("manifest missing %s:\n%s", want, manifest)
+		if !strings.Contains(string(rec.ManifestJSON), want) {
+			t.Errorf("manifest missing %s:\n%s", want, rec.ManifestJSON)
 		}
 	}
-	for _, name := range []string{"series.csv", "timings.csv"} {
-		body, err := os.ReadFile(filepath.Join(run, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lines := strings.Count(string(body), "\n"); lines < 2 {
-			t.Errorf("%s has %d lines, want a header plus supersteps", name, lines)
-		}
+	if len(rec.Series) == 0 || len(rec.Timings) != len(rec.Series) {
+		t.Errorf("record has %d series and %d timings rows, want one each per superstep",
+			len(rec.Series), len(rec.Timings))
 	}
 
 	// The convergence telemetry is live: the CLI wires Residual into the
 	// engine, so the recorded series carries non-empty residual quantiles.
-	series, err := os.ReadFile(filepath.Join(run, "series.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := rec.Raw[obs.SeriesSection]
 	rows := strings.Split(strings.TrimSpace(string(series)), "\n")
 	cols := strings.Split(rows[0], ",")
 	residN := -1
@@ -176,14 +166,11 @@ func TestCLIMatchesGateRow(t *testing.T) {
 				"-record", recDir}, &stdout, &stderr); err != nil {
 				t.Fatalf("cliMain: %v\nstderr:\n%s", err, stderr.String())
 			}
-			blob, err := os.ReadFile(filepath.Join(recDir, "run-001-"+engine, "manifest.json"))
+			rec, err := obs.ReadRecord(recDir, "run-001-"+engine)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var m obs.Manifest
-			if err := json.Unmarshal(blob, &m); err != nil {
-				t.Fatal(err)
-			}
+			m := rec.Manifest
 			for _, e := range base.Entries {
 				if e.Engine != engine {
 					continue

@@ -3,8 +3,6 @@ package algorithms
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"cyclops/internal/bsp"
@@ -210,11 +208,11 @@ func TestRestoredRunDeliversUnderItsSuperstep(t *testing.T) {
 
 // TestBSPCheckpointBooksNoTraffic: a bsp checkpoint copies the batches the
 // engine already holds, so checkpointing every superstep leaves the books —
-// transport counters, series.csv and the span stream — exactly as a run
+// transport counters, the series section and the span stream — exactly as a run
 // without checkpoints writes them.
 func TestBSPCheckpointBooksNoTraffic(t *testing.T) {
 	g := gen.PowerLaw(2000, 4, 16)
-	record := func(every int) (transport.Snapshot, map[string][]byte) {
+	record := func(every int) (transport.Snapshot, map[obs.Section][]byte) {
 		root := t.TempDir()
 		rec, err := obs.NewRecorder(root)
 		if err != nil {
@@ -234,15 +232,12 @@ func TestBSPCheckpointBooksNoTraffic(t *testing.T) {
 		if err := rec.Err(); err != nil {
 			t.Fatal(err)
 		}
-		files := map[string][]byte{}
-		for _, name := range []string{"series.csv", "spans.csv"} {
-			blob, err := os.ReadFile(filepath.Join(root, rec.Manifests()[0].Run, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			files[name] = blob
+		file, err := obs.ReadRecord(root, rec.Manifests()[0].Run)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return stats, files
+		return stats, map[obs.Section][]byte{
+			obs.SeriesSection: file.Raw[obs.SeriesSection], obs.SpansSection: file.Raw[obs.SpansSection]}
 	}
 	cleanStats, clean := record(0)
 	for _, every := range []int{1, 5} {

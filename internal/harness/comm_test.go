@@ -8,8 +8,6 @@ package harness
 // run.
 
 import (
-	"os"
-	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -71,7 +69,7 @@ func TestCommMatrixMatchesTransportStats(t *testing.T) {
 
 // TestOneByteBook pins the single byte count across every layer that reports
 // traffic: the transport's Stats, the run log's cumulative matrix and its
-// per-worker marginals, the comm CSV, series.csv and the manifest all carry
+// per-worker marginals, the comm CSV, the series section and the manifest all carry
 // the same wire bytes, to the byte.
 func TestOneByteBook(t *testing.T) {
 	o := tiny()
@@ -107,16 +105,16 @@ func TestOneByteBook(t *testing.T) {
 				t.Fatal(err)
 			}
 			m := rec.Manifests()[0]
-			series, err := os.ReadFile(filepath.Join(dir, m.Run, "series.csv"))
+			record, err := obs.ReadRecord(dir, m.Run)
 			if err != nil {
 				t.Fatal(err)
 			}
 			books := map[string]int64{
 				"log matrix":      cum.TotalWireBytes(),
 				"egress marginal": egress, "ingress marginal": ingress,
-				"comm CSV":   sumColumn(t, csv.String(), "wire_bytes"),
-				"series.csv": sumColumn(t, string(series), "wire_bytes"),
-				"manifest":   m.WireBytes,
+				"comm CSV": sumColumn(t, csv.String(), "wire_bytes"),
+				"series":   sumColumn(t, string(record.Raw[obs.SeriesSection]), "wire_bytes"),
+				"manifest": m.WireBytes,
 			}
 			for name, got := range books {
 				if got != want {

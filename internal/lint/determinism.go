@@ -15,7 +15,7 @@ import (
 //
 //   - wall-clock reads (time.Now / time.Since) whose value escapes the
 //     timings quarantine — durations are only legal when stored directly
-//     into a time.Duration field/element (the timings.csv side channel the
+//     into a time.Duration field/element (the timings-section side channel the
 //     recorder never diffs);
 //   - the global math/rand generator, which is seeded per-process — any
 //     randomness must come from an explicitly seeded *rand.Rand;
@@ -26,7 +26,7 @@ import (
 //     delete-all idioms);
 //   - allocator introspection (runtime.ReadMemStats, runtime/metrics.Read),
 //     whose values depend on GC schedule and machine — memory telemetry
-//     belongs to the obs layer's quarantined mem.csv, never to engine code
+//     belongs to the obs layer's quarantined mem section, never to engine code
 //     that could fold heap numbers into replayed state.
 var Determinism = &analysis.Analyzer{
 	Name: "determinism",
@@ -92,7 +92,7 @@ func checkDeterminismCall(pass *analysis.Pass, call *ast.CallExpr, stack []ast.N
 			if !legalTimeSince(pass, call, stack) {
 				pass.Reportf(call.Pos(),
 					"time.Since result must be stored directly into a time.Duration field or element "+
-						"(the timings.csv quarantine); anything else can leak wall-clock into recorded series (§3.6)")
+						"(the timings-section quarantine); anything else can leak wall-clock into recorded series (§3.6)")
 			}
 		}
 	case "math/rand", "math/rand/v2":
@@ -113,13 +113,13 @@ func checkDeterminismCall(pass *analysis.Pass, call *ast.CallExpr, stack []ast.N
 		if fn.Name() == "ReadMemStats" {
 			pass.Reportf(call.Pos(),
 				"runtime.ReadMemStats values are GC-schedule- and machine-dependent; engine code must not "+
-					"read them (§3.6) — memory telemetry flows through obs hooks into the quarantined mem.csv")
+					"read them (§3.6) — memory telemetry flows through obs hooks into the quarantined mem section")
 		}
 	case "runtime/metrics":
 		if fn.Name() == "Read" {
 			pass.Reportf(call.Pos(),
 				"runtime/metrics.Read values are GC-schedule- and machine-dependent; engine code must not "+
-					"read them (§3.6) — memory telemetry flows through obs hooks into the quarantined mem.csv")
+					"read them (§3.6) — memory telemetry flows through obs hooks into the quarantined mem section")
 		}
 	}
 }

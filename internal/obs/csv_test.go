@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,12 +14,25 @@ import (
 	"cyclops/internal/obs/span"
 )
 
-// intTable writes a parsed integer table back out, the re-encoder of the
-// files that have no typed writer of their own (timings.csv).
-func intTable(header string, rows [][]int64) []byte {
-	b := newCSV(header, len(rows))
-	for _, r := range rows {
-		b = endRow(ints(b, r...))
+// encodeSections re-encodes a record's rows section by section: the typed
+// writers, plus the row appends the Log's series and timings renderers use.
+func encodeSections(rec *Record) [numSections][]byte {
+	return [numSections][]byte{encodeSeries(rec.Series), encodeTimings(rec.Timings), EncodeMemCSV(rec.Mem),
+		EncodeSpansCSV(rec.Spans), EncodeCritPathCSV(rec.CritPath), EncodeHeatCSV(rec.Heat), EncodeHotsetCSV(rec.Hot)}
+}
+
+func encodeSeries(rows []SeriesRow) []byte {
+	b := newCSV(SeriesCSVHeader, len(rows))
+	for i := range rows {
+		b = appendSeriesRow(b, &rows[i])
+	}
+	return b
+}
+
+func encodeTimings(rows []Timing) []byte {
+	b := newCSV(TimingsCSVHeader, len(rows))
+	for _, t := range rows {
+		b = endRow(ints(b, int64(t.Step), t.PRS, t.CMP, t.SND, t.SYN, t.Wall))
 	}
 	return b
 }
@@ -40,22 +55,19 @@ func timingsLog(n int) *Log {
 	return l
 }
 
-// TestCSVRoundTrip pins every readable file's Encode/Parse contract: the
-// sample rows survive the round trip unchanged, re-encoding what the reader
-// returned yields the identical bytes (the property the byte-identity of
-// heat.csv and hotset.csv is built on), an empty file round-trips too, and
-// the reader refuses anything the writer would not write.
-func TestCSVRoundTrip(t *testing.T) {
-	memSteps := []MemStep{
+// Sample rows for every typed section.
+var (
+	sampleMem = []MemStep{
 		{Step: 0, AllocBytes: 2485, GCCycles: 2, GCPauseNs: 151000, HeapGoal: 4 << 20, HeapLive: 1 << 20},
 		{Step: 1}, // all-zero row survives too
 		{Step: 2, AllocBytes: 1 << 40, GCCycles: 1 << 33, GCPauseNs: 1}, // >32-bit values
+		{Step: 3, HeapGoal: 1<<63 + 5},                                  // >63-bit values
 	}
-	paths := []span.StepPath{
+	samplePaths = []span.StepPath{
 		{Step: 0, Gating: 1, Weight: 58, ComputeNs: 1000, SerializeNs: 100, SendNs: 250, BarrierNs: 8650},
 		{Step: 1, Gating: 0, Weight: 7, ComputeNs: 1, BarrierNs: 999},
 	}
-	heat := []HeatPartition{
+	sampleHeat = []HeatPartition{
 		{Step: 0, Worker: 0, Active: 5, ComputeUnits: 12, OutInterior: 3,
 			OutBoundary: 7, InInterior: 3, InBoundary: 4, ReplicaSync: 7},
 		{Step: 0, Worker: 1, Active: 4, ComputeUnits: 9, OutInterior: 2,
@@ -63,14 +75,29 @@ func TestCSVRoundTrip(t *testing.T) {
 		{Step: 1, Worker: 0, Active: 0, ComputeUnits: 0},
 		{Step: 1, Worker: 1, Active: 1, ComputeUnits: 3, OutBoundary: 1},
 	}
-	hot := []HotVertex{
+	sampleHot = []HotVertex{
 		{Vertex: 7, Worker: 1, Msgs: 30, Units: 12},
 		{Vertex: 2, Worker: 0, Msgs: 30, Units: 40},
 		{Vertex: 9, Worker: 3, Msgs: 1, Units: 0},
 	}
-	timings := [][]int64{
-		{0, 100, 2_500_000, 0, 1_000_000, 4_000_000},
-		{1, 101, 2_500_000, 31, 1_000_000, 4_000_000},
+)
+
+// TestCSVRoundTrip pins every section's Encode/Parse contract: the sample
+// rows survive the round trip unchanged, re-encoding what the reader returned
+// yields the identical bytes (the property the byte-identity of the heat and
+// hotset sections is built on), an empty section round-trips too, and the
+// reader refuses anything the writer would not write.
+func TestCSVRoundTrip(t *testing.T) {
+	timings := []Timing{
+		{Step: 0, PRS: 100, CMP: 2_500_000, SND: 0, SYN: 1_000_000, Wall: 4_000_000},
+		{Step: 1, PRS: 101, CMP: 2_500_000, SND: 31, SYN: 1_000_000, Wall: 4_000_000},
+	}
+	seriesLog := timingsLog(2)
+	var series []SeriesRow
+	for i, st := range seriesLog.stats {
+		st.Durations = [len(st.Durations)]time.Duration{} // durations live in the timings section
+		series = append(series, SeriesRow{Stats: st, Wire: seriesLog.steps[i].wire, Skew: seriesLog.steps[i].skew,
+			Replicas: seriesLog.info.Replicas, ReplicaValueBytes: seriesLog.info.ReplicaValueBytes})
 	}
 
 	for _, c := range []struct {
@@ -82,17 +109,22 @@ func TestCSVRoundTrip(t *testing.T) {
 		reject       map[string]string         // file-specific bodies the reader refuses
 	}{
 		{
-			name: "mem.csv", header: MemCSVHeader, want: memSteps, blob: EncodeMemCSV(memSteps),
+			name: "mem.csv", header: MemCSVHeader, want: sampleMem, blob: EncodeMemCSV(sampleMem),
 			parse:  func(b []byte) (any, error) { return ParseMemCSV(b) },
 			encode: func(v any) []byte { return EncodeMemCSV(v.([]MemStep)) },
 			reject: map[string]string{
+				"leading zero":         MemCSVHeader + "\n00,0,0,0,0,0\n",
+				"plus sign":            MemCSVHeader + "\n+1,0,0,0,0,0\n",
 				"negative alloc_bytes": MemCSVHeader + "\n0,-1,0,0,0,0\n",
 				"negative heap_live":   MemCSVHeader + "\n0,0,0,0,0,-5\n",
 			},
 		},
 		{
-			name: "critpath.csv", header: CritPathCSVHeader, want: paths, blob: EncodeCritPathCSV(paths),
-			parse:  func(b []byte) (any, error) { return ParseCritPathCSV(b) },
+			name: "critpath.csv", header: CritPathCSVHeader, want: samplePaths, blob: EncodeCritPathCSV(samplePaths),
+			parse: func(b []byte) (any, error) {
+				rec, err := parseSection(CritPathSection, b)
+				return rec.CritPath, err
+			},
 			encode: func(v any) []byte { return EncodeCritPathCSV(v.([]span.StepPath)) },
 			reject: map[string]string{
 				"leading whitespace":  "\n" + CritPathCSVHeader + "\n1,2,3,4,5,6,7\n",
@@ -100,20 +132,37 @@ func TestCSVRoundTrip(t *testing.T) {
 			},
 		},
 		{
-			name: "heat.csv", header: HeatCSVHeader, want: heat, blob: EncodeHeatCSV(heat),
+			name: "heat.csv", header: HeatCSVHeader, want: sampleHeat, blob: EncodeHeatCSV(sampleHeat),
 			parse:  func(b []byte) (any, error) { return ParseHeatCSV(b) },
 			encode: func(v any) []byte { return EncodeHeatCSV(v.([]HeatPartition)) },
 		},
 		{
-			name: "hotset.csv", header: HotsetCSVHeader, want: hot, blob: EncodeHotsetCSV(hot),
+			name: "hotset.csv", header: HotsetCSVHeader, want: sampleHot, blob: EncodeHotsetCSV(sampleHot),
 			parse:  func(b []byte) (any, error) { return ParseHotsetCSV(b) },
 			encode: func(v any) []byte { return EncodeHotsetCSV(v.([]HotVertex)) },
 			reject: map[string]string{"non-contiguous rank": HotsetCSVHeader + "\n2,7,1,30,12\n"},
 		},
 		{
 			name: "timings.csv", header: TimingsCSVHeader, want: timings, blob: timingsLog(2).timingsCSV(),
-			parse:  func(b []byte) (any, error) { return ParseIntCSV(b, "timings.csv", TimingsCSVHeader) },
-			encode: func(v any) []byte { return intTable(TimingsCSVHeader, v.([][]int64)) },
+			parse: func(b []byte) (any, error) {
+				rec, err := parseSection(TimingsSection, b)
+				return rec.Timings, err
+			},
+			encode: func(v any) []byte { return encodeTimings(v.([]Timing)) },
+		},
+		{
+			name: "series.csv", header: SeriesCSVHeader, want: series, blob: seriesLog.seriesCSV(),
+			parse: func(b []byte) (any, error) {
+				rec, err := parseSection(SeriesSection, b)
+				return rec.Series, err
+			},
+			encode: func(v any) []byte { return encodeSeries(v.([]SeriesRow)) },
+			reject: map[string]string{
+				"redundant_ratio not messages' share": SeriesCSVHeader + "\n" +
+					"1,1,1,4,1,0.5,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1\n",
+				"non-canonical float": SeriesCSVHeader + "\n" +
+					"1,1,1,1,1,1,1,1,1,1,1,1.0,1,1,1,1,1,1,1,1,1\n",
+			},
 		},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -135,12 +184,12 @@ func TestCSVRoundTrip(t *testing.T) {
 				t.Errorf("re-encode differs:\nfirst:\n%s\nsecond:\n%s", c.blob, again)
 			}
 
-			// An empty file (a run with zero supersteps) round-trips too.
+			// An empty section (a run with zero supersteps) round-trips too.
 			empty := []byte(c.header + "\n")
 			if got, err := c.parse(empty); err != nil || reflect.ValueOf(got).Len() != 0 {
-				t.Errorf("empty file parsed to %v, err %v", got, err)
+				t.Errorf("empty section parsed to %v, err %v", got, err)
 			} else if again := c.encode(got); !bytes.Equal(again, empty) {
-				t.Errorf("empty file re-encoded as %q", again)
+				t.Errorf("empty section re-encoded as %q", again)
 			}
 
 			// Strictness. ones is a valid row of the file's width.
@@ -153,6 +202,7 @@ func TestCSVRoundTrip(t *testing.T) {
 				"non-integer cell": c.header + "\n" + strings.TrimSuffix(ones, "1") + "x\n",
 				"blank line":       c.header + "\n" + ones + "\n\n" + ones + "\n",
 				"padded cell":      c.header + "\n" + ones + " \n",
+				"no last newline":  c.header + "\n" + ones,
 			}
 			for name, body := range c.reject {
 				bad[name] = body
@@ -209,11 +259,11 @@ func TestSpansCSVDeterministicAndDurationFree(t *testing.T) {
 // allocation per row or per cell.
 func TestCSVWritersAllocatePerFile(t *testing.T) {
 	writers := map[string]func(n int) func(){
-		"series.csv": func(n int) func() {
+		"series": func(n int) func() {
 			l := timingsLog(n)
 			return func() { l.seriesCSV() }
 		},
-		"timings.csv": func(n int) func() {
+		"timings": func(n int) func() {
 			l := timingsLog(n)
 			return func() { l.timingsCSV() }
 		},
@@ -224,7 +274,7 @@ func TestCSVWritersAllocatePerFile(t *testing.T) {
 			}
 			return func() { l.WriteCommCSV(io.Discard) }
 		},
-		"mem.csv": func(n int) func() {
+		"mem": func(n int) func() {
 			steps := make([]MemStep, n)
 			for i := range steps {
 				steps[i] = MemStep{Step: i, AllocBytes: 1<<30 + 1<<20 + 77,
@@ -232,7 +282,7 @@ func TestCSVWritersAllocatePerFile(t *testing.T) {
 			}
 			return func() { EncodeMemCSV(steps) }
 		},
-		"spans.csv": func(n int) func() {
+		"spans": func(n int) func() {
 			var spans []span.Span
 			for step := 0; len(spans) < n; step++ {
 				spans = append(spans, csvSpans(step, 4)...)
@@ -240,7 +290,7 @@ func TestCSVWritersAllocatePerFile(t *testing.T) {
 			spans = spans[:n]
 			return func() { EncodeSpansCSV(spans) }
 		},
-		"critpath.csv": func(n int) func() {
+		"critpath": func(n int) func() {
 			paths := make([]span.StepPath, n)
 			for i := range paths {
 				paths[i] = span.StepPath{Step: i, Gating: i % 4, Weight: 123_456,
@@ -248,7 +298,7 @@ func TestCSVWritersAllocatePerFile(t *testing.T) {
 			}
 			return func() { EncodeCritPathCSV(paths) }
 		},
-		"heat.csv": func(n int) func() {
+		"heat": func(n int) func() {
 			rows := make([]HeatPartition, n)
 			for i := range rows {
 				rows[i] = HeatPartition{Step: i / 4, Worker: i % 4, Active: 5000, ComputeUnits: 30_000,
@@ -256,7 +306,7 @@ func TestCSVWritersAllocatePerFile(t *testing.T) {
 			}
 			return func() { EncodeHeatCSV(rows) }
 		},
-		"hotset.csv": func(n int) func() {
+		"hotset": func(n int) func() {
 			hot := make([]HotVertex, n)
 			for i := range hot {
 				hot[i] = HotVertex{Vertex: int64(1_000_000 + i), Worker: i % 4, Msgs: 50_000, Units: 120_000}
@@ -272,4 +322,111 @@ func TestCSVWritersAllocatePerFile(t *testing.T) {
 			t.Errorf("%s: %.0f allocs at 100 rows, %.0f at 10 000: more than buffer growth", name, small, large)
 		}
 	}
+}
+
+// sampleRecord writes a record with rows in every section through the
+// Recorder's own writer and returns its bytes.
+func sampleRecord(t testing.TB) []byte {
+	dir := t.TempDir()
+	r, err := NewRecorder(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Log = timingsLog(2)
+	r.mem, r.heat, r.hot = sampleMem, sampleHeat, sampleHot
+	r.spans = append(csvSpans(0, 2), csvSpans(1, 2)...)
+	m := Manifest{Run: "run-001-cyclops", Engine: "cyclops", Workers: 2, Supersteps: 2}
+	if err := r.write(m); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(filepath.Join(dir, m.Run+".rec"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// TestRecordSections: a record is its manifest and its sections end to end,
+// each section's rows re-encode to its bytes, and a record whose sections
+// are missing, reordered, duplicated or malformed is refused with an error
+// that names the run and the section.
+func TestRecordSections(t *testing.T) {
+	blob := sampleRecord(t)
+	rec, err := ParseRecord("run-001-cyclops", blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := append([]byte(nil), rec.ManifestJSON...)
+	for s, raw := range encodeSections(rec) {
+		if !bytes.Equal(raw, rec.Raw[s]) {
+			t.Errorf("%s re-encodes differently:\nread:\n%s\nagain:\n%s", Section(s), rec.Raw[s], raw)
+		}
+		if bytes.Count(raw, []byte{'\n'}) < 2 {
+			t.Errorf("%s has no rows, so the checks below prove little", Section(s))
+		}
+		whole = append(whole, rec.Raw[s]...)
+	}
+	if !bytes.Equal(whole, blob) {
+		t.Error("manifest and sections do not add up to the record")
+	}
+	if rec.Manifest.Run != "run-001-cyclops" || rec.Manifest.Supersteps != 2 {
+		t.Errorf("manifest = %+v", rec.Manifest)
+	}
+
+	join := func(order ...Section) string {
+		out := string(rec.ManifestJSON)
+		for _, s := range order {
+			out += string(rec.Raw[s])
+		}
+		return out
+	}
+	all := []Section{SeriesSection, TimingsSection, MemSection, SpansSection, CritPathSection, HeatSection, HotsetSection}
+	for name, c := range map[string]struct{ blob, want string }{
+		"missing heat":    {join(all[:5]...) + join(HotsetSection)[len(rec.ManifestJSON):], "section heat missing"},
+		"missing hotset":  {join(all[:6]...), "section hotset missing"},
+		"swapped":         {join(all[:4]...) + join(HeatSection, CritPathSection, HotsetSection)[len(rec.ManifestJSON):], "section critpath out of order"},
+		"duplicated":      {join(SeriesSection, TimingsSection, TimingsSection, MemSection), "section timings duplicated"},
+		"duplicated last": {string(blob) + string(rec.Raw[HotsetSection]), "section hotset duplicated"},
+		"trailing bytes":  {string(blob) + "x\n", "section hotset: row 5"},
+		"truncated":       {string(blob[:len(blob)-3]), "section hotset: row 4"},
+		"malformed row":   {strings.Replace(string(blob), "0,2485,", "0,2485.0,", 1), "section mem: row 2: field 2"},
+		"no manifest":     {string(blob[len(rec.ManifestJSON):]), "manifest"},
+		"glued manifest":  {strings.TrimSuffix(string(rec.ManifestJSON), "\n") + string(blob[len(rec.ManifestJSON):]), "manifest not followed by a newline"},
+		"empty":           {"", "manifest"},
+	} {
+		_, err := ParseRecord("run-007-x", []byte(c.blob))
+		if err == nil || !strings.Contains(err.Error(), "run-007-x") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one naming run-007-x and %q", name, err, c.want)
+		}
+	}
+}
+
+// FuzzReadRecord feeds arbitrary bytes to the reader as a run's .rec file.
+// It returns a record or an error naming the run, never panics; a record it
+// accepts re-encodes section by section to the very bytes it read, and
+// ReadManifests lists the same manifest for it. The committed seeds are a
+// real record per engine, a truncated one and one with two sections swapped.
+func FuzzReadRecord(f *testing.F) {
+	f.Add(sampleRecord(f))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "run-001-fuzz.rec"), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := ReadRecord(dir, "run-001-fuzz")
+		if err != nil {
+			if !strings.Contains(err.Error(), "run-001-fuzz") {
+				t.Fatalf("error does not name the run: %v", err)
+			}
+			return
+		}
+		for s, raw := range encodeSections(rec) {
+			if !bytes.Equal(raw, rec.Raw[s]) {
+				t.Fatalf("%s re-encodes differently:\nread:  %q\nagain: %q", Section(s), rec.Raw[s], raw)
+			}
+		}
+		if ms, err := ReadManifests(dir); err != nil || len(ms) != 1 || ms[0] != rec.Manifest {
+			t.Fatalf("ReadManifests = %+v, %v; the record reads as %+v", ms, err, rec.Manifest)
+		}
+	})
 }

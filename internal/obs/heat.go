@@ -1,15 +1,15 @@
 // Heat observatory: per-partition and per-vertex hot-spot attribution.
 //
 // Every telemetry layer before this one (comm matrices, spans, critpath,
-// mem.csv) stops at worker granularity, so the flight recorder could say
+// mem section) stops at worker granularity, so the flight recorder could say
 // *which* worker gated a superstep but not *why*. The heat stream carries the
 // missing dimension: per-partition per-superstep rows splitting the traffic
 // into interior vs boundary and isolating replica-sync volume (the paper's
 // §3.4 accounting), plus a deterministic exact top-k hot-vertex set — the
 // per-vertex skew signal Fig 11 correlates with edge-cut and replica count.
-// Everything here is a count, never a clock: heat.csv and hotset.csv are
+// Everything here is a count, never a clock: the heat and hotset sections are
 // byte-identical across same-seed runs (wall time stays quarantined in
-// timings.csv).
+// timings section).
 package obs
 
 import "sort"

@@ -63,7 +63,7 @@ type Log struct {
 	cells  []commCell               // non-zero traffic cells, in (step, from, to) order
 	cum    transport.MatrixSnapshot // Σ of the run's traffic deltas
 	spans  []span.Span              // completed spans, in emission order
-	// allSpans keeps the whole stream (the Recorder's spans.csv needs it);
+	// allSpans keeps the whole stream (the Recorder's spans section needs it);
 	// otherwise the oldest half is discarded at spanLimit.
 	allSpans bool
 	hot      []HotVertex
@@ -354,7 +354,7 @@ func (l *Log) ServeComm(w http.ResponseWriter, r *http.Request) {
 
 // ServeMem implements the /mem endpoint: the run's per-superstep memory
 // telemetry, plus its exact totals once it is done, as JSON by default;
-// mem.csv with ?format=csv.
+// the mem section with ?format=csv.
 func (l *Log) ServeMem(w http.ResponseWriter, r *http.Request) {
 	l.mu.Lock()
 	resp := struct {
@@ -374,7 +374,7 @@ func (l *Log) ServeMem(w http.ResponseWriter, r *http.Request) {
 }
 
 // ServeHeat implements the /heat endpoint: per-partition rows plus the hot
-// set as JSON by default, heat.csv rows with ?format=csv, the hot set alone
+// set as JSON by default, the heat section with ?format=csv, the hot set alone
 // with ?format=hotcsv. Mid-run the hot set is at most hotRefresh stale.
 func (l *Log) ServeHeat(w http.ResponseWriter, r *http.Request) {
 	l.mu.Lock()

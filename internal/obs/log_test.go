@@ -126,7 +126,7 @@ func TestMemTrackerAttribution(t *testing.T) {
 	l.OnRunEnd(obs.RunEnd{Step: 1, Reason: obs.ReasonNoActive})
 	_ = sink
 
-	// /mem serves the rows: JSON envelope by default, mem.csv with ?format=csv.
+	// /mem serves the rows: JSON envelope by default, the mem section with ?format=csv.
 	rr := httptest.NewRecorder()
 	l.ServeMem(rr, httptest.NewRequest("GET", "/mem", nil))
 	var resp struct {

@@ -10,11 +10,11 @@ import (
 // runtime.ReadMemStats at each end of the run gives MemRun: each call stops
 // the world and flushes every mcache, so its allocation count is exact. Per
 // superstep, one runtime/metrics batch read at the barrier (no stop-the-world)
-// gives a MemStep, feeding the quarantined mem.csv and the live /mem endpoint.
+// gives a MemStep, feeding the quarantined mem section and the live /mem endpoint.
 // Allocation and GC quantities are machine- and scheduling-dependent, so both
-// follow the timings.csv discipline: recorded alongside the deterministic
+// follow the timings section discipline: recorded alongside the deterministic
 // artifacts, never compared exactly. The deterministic counterparts — wire
-// bytes and replica value bytes — live in series.csv and the manifest.
+// bytes and replica value bytes — live in the series section and the manifest.
 
 // memMetricNames are the runtime/metrics samples one memSnap reads, batched
 // into a single metrics.Read call.

@@ -115,7 +115,7 @@ type RunEnd struct {
 	Step   int
 	Reason string
 	// Wall is the sum of the run's superstep walls — the run span's duration,
-	// so it reconciles with the timings.csv totals.
+	// so it reconciles with the timings section totals.
 	Wall time.Duration
 	// Hot is the run's final cumulative top-k hot-vertex set, built once for
 	// this event; consumers share it read-only.

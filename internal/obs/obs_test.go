@@ -114,7 +114,7 @@ func TestImbalanceFinite(t *testing.T) {
 
 // TestLogSpanRingBound: a Log on its own keeps at most spanLimit spans,
 // discarding the oldest; a Recorder's Log keeps the whole stream, because
-// spans.csv is written from it.
+// the spans section is written from it.
 func TestLogSpanRingBound(t *testing.T) {
 	busy := []time.Duration{time.Microsecond, time.Microsecond}
 	rec := &StepRecord{Spans: StepSpanData{Run: 1, Compute: busy, Send: busy,

@@ -286,5 +286,5 @@ func (h *Harvester) writeIndexLocked() error {
 	if err != nil {
 		return fmt.Errorf("obs: profile index: %w", err)
 	}
-	return atomicWriteFile(filepath.Join(h.dir, "index.json"), append(blob, '\n'))
+	return atomicWrite(filepath.Join(h.dir, "index.json"), func() []byte { return append(blob, '\n') })
 }

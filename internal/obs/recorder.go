@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -20,7 +19,7 @@ import (
 // fixed (experiment, engine, seed, scale, cluster) tuple, which is what lets
 // cyclops-report diff manifests exactly.
 type Manifest struct {
-	// Run is the run directory's base name (run-NNN-<engine>).
+	// Run is the run's name (run-NNN-<engine>); its record is Run + ".rec".
 	Run string `json:"run"`
 	// Experiment is the harness experiment id ("pagerank", "fig10", ...) or
 	// the CLI's ad-hoc label; empty when unknown.
@@ -107,12 +106,11 @@ type RunMeta struct {
 	WorkersPerMachine int
 }
 
-// Recorder is the Log plus a flush at run end: every engine run becomes a
-// durable run directory under its root — manifest.json (identity + totals),
-// the deterministic series.csv, spans.csv, heat.csv and hotset.csv, and the
-// quarantined timings.csv, mem.csv and critpath.csv. One Recorder handles many
-// consecutive runs — each OnRunStart/OnRunEnd pair becomes run-NNN-<engine>.
-// Its Log is the store a diagnostics server reads while the run advances.
+// Recorder is the Log plus a flush at run end: every engine run becomes one
+// durable record file under its root, run-NNN-<engine>.rec — the manifest
+// (identity + totals) and the Log's sections (csv.go). One Recorder handles
+// many consecutive runs, each OnRunStart/OnRunEnd pair one record. Its Log is
+// the store a diagnostics server reads while the run advances.
 type Recorder struct {
 	*Log
 	root string
@@ -128,9 +126,12 @@ type Recorder struct {
 	err       error
 }
 
+// recordExt is a run record's file extension.
+const recordExt = ".rec"
+
 // NewRecorder creates the record root (if needed), verifies it is writable,
-// and numbers new runs after any run-* directories already present, so
-// recording into an existing root appends instead of overwriting.
+// and numbers new runs after any run-* entries already present, so recording
+// into an existing root appends instead of overwriting.
 func NewRecorder(root string) (*Recorder, error) {
 	if err := EnsureWritableDir(root); err != nil {
 		return nil, fmt.Errorf("obs: record dir: %w", err)
@@ -142,18 +143,16 @@ func NewRecorder(root string) (*Recorder, error) {
 		return nil, fmt.Errorf("obs: record dir: %w", err)
 	}
 	for _, e := range entries {
-		if !e.IsDir() || !strings.HasPrefix(e.Name(), "run-") {
-			continue
-		}
-		parts := strings.SplitN(e.Name(), "-", 3)
-		if len(parts) < 2 {
-			continue
-		}
-		if n, err := strconv.Atoi(parts[1]); err == nil && n > r.seq {
-			r.seq = n
-		}
+		r.seq = max(r.seq, runSeq(strings.TrimSuffix(e.Name(), recordExt)))
 	}
 	return r, nil
+}
+
+// runSeq is the number in a run name (run-NNN-<engine>); 0 or less for
+// other names.
+func runSeq(name string) (n int) {
+	fmt.Sscanf(name, "run-%d-", &n) //nolint:errcheck // n stays 0 on a foreign name
+	return n
 }
 
 // SetMeta sets the run context stamped into subsequent manifests.
@@ -187,7 +186,7 @@ func (r *Recorder) Manifests() []Manifest {
 }
 
 // OnRunEnd implements Hooks: closes the Log's run, stamps the manifest and
-// writes the run directory.
+// writes the run's record.
 func (r *Recorder) OnRunEnd(e RunEnd) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -248,57 +247,40 @@ func (r *Recorder) OnRunEnd(e RunEnd) {
 	r.manifests = append(r.manifests, m)
 }
 
-// write materialises the Log's run as a run directory. The data files are
-// written first and manifest.json last — atomically, via temp + fsync +
-// rename — because the /runs endpoint (and ReadManifests generally) treats
-// the manifest's presence as "this run is complete": a listing racing an
-// in-progress flush either sees the whole run or none of it, never a
-// half-written manifest or a manifest whose series is still missing.
-// timings.csv, mem.csv and critpath.csv carry machine-dependent columns, so
-// the perf gate reads but never exact-compares them; the others are counts
-// only — byte-identical across same-seed runs.
+// write stores the Log's run as its record: the manifest, then the sections
+// in Section order, one rendered at a time so only one rendering is alive at
+// once. The file appears whole or not at all (atomicWrite), so a run that
+// ReadManifests lists (and /runs with it) has every section on disk. The
+// timings, mem and critpath sections carry machine-dependent columns, so the
+// perf gate reads but never exact-compares them; the others are counts only —
+// byte-identical across same-seed runs.
 func (r *Recorder) write(m Manifest) error {
-	dir := filepath.Join(r.root, m.Run)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	// One file at a time, so only one rendering is alive at once.
-	var err error
-	put := func(name string, blob []byte) {
-		if err == nil {
-			err = os.WriteFile(filepath.Join(dir, name), blob, 0o644)
-		}
-	}
-	put("series.csv", r.seriesCSV())
-	put("timings.csv", r.timingsCSV())
-	put("mem.csv", EncodeMemCSV(r.mem))
-	put("spans.csv", EncodeSpansCSV(r.spans))
-	put("critpath.csv", EncodeCritPathCSV(span.CriticalPath(r.spans)))
-	put("heat.csv", EncodeHeatCSV(r.heat))
-	put("hotset.csv", EncodeHotsetCSV(r.hot))
-	if err != nil {
-		return err
-	}
 	blob, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
-	return atomicWriteFile(filepath.Join(dir, "manifest.json"), append(blob, '\n'))
+	return atomicWrite(filepath.Join(r.root, m.Run+recordExt), func() []byte { return append(blob, '\n') },
+		r.seriesCSV, r.timingsCSV, func() []byte { return EncodeMemCSV(r.mem) },
+		func() []byte { return EncodeSpansCSV(r.spans) },
+		func() []byte { return EncodeCritPathCSV(span.CriticalPath(r.spans)) },
+		func() []byte { return EncodeHeatCSV(r.heat) }, func() []byte { return EncodeHotsetCSV(r.hot) })
 }
 
-// atomicWriteFile writes path so readers only ever observe the old content
-// or the complete new content: the bytes land in a temp file in the same
-// directory, are fsynced, and the temp file is renamed over path.
-func atomicWriteFile(path string, blob []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-")
+// atomicWrite writes path so readers only ever observe the old content or
+// the complete new content: the parts, each rendered only when its turn
+// comes, fill a dot-named temp file in the same directory, which is fsynced
+// and renamed over path.
+func atomicWrite(path string, parts ...func() []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(blob); err != nil {
-		tmp.Close()
-		return err
+	for _, part := range parts {
+		if _, err := tmp.Write(part()); err != nil {
+			tmp.Close()
+			return err
+		}
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -313,35 +295,33 @@ func atomicWriteFile(path string, blob []byte) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// ReadManifests loads the manifests of every run-* directory under root,
-// sorted by run name (i.e. recording order).
+// ReadManifests decodes the manifest at the head of every run record under
+// root, in recording order (by run number), and nothing past it.
 func ReadManifests(root string) ([]Manifest, error) {
 	entries, err := os.ReadDir(root)
 	if err != nil {
 		return nil, fmt.Errorf("obs: read record dir: %w", err)
 	}
-	var out []Manifest
+	sort.SliceStable(entries, func(i, j int) bool { return runSeq(entries[i].Name()) < runSeq(entries[j].Name()) })
+	out := []Manifest{}
 	for _, e := range entries {
-		if !e.IsDir() || !strings.HasPrefix(e.Name(), "run-") {
+		run, ok := strings.CutSuffix(e.Name(), recordExt)
+		if !ok || runSeq(run) <= 0 || !e.Type().IsRegular() {
 			continue
 		}
-		blob, err := os.ReadFile(filepath.Join(root, e.Name(), "manifest.json"))
+		f, err := os.Open(filepath.Join(root, e.Name()))
 		if err != nil {
-			if os.IsNotExist(err) {
-				continue // a foreign or half-written directory; skip it
-			}
-			return nil, fmt.Errorf("obs: read manifest: %w", err)
+			return nil, fmt.Errorf("obs: %w", err)
 		}
 		var m Manifest
-		if err := json.Unmarshal(blob, &m); err != nil {
-			return nil, fmt.Errorf("obs: parse %s/manifest.json: %w", e.Name(), err)
+		err = json.NewDecoder(f).Decode(&m)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("obs: record %s: manifest: %w", run, err)
 		}
-		if m.Run == "" {
-			m.Run = e.Name()
-		}
+		m.Run = run // the file names the run, even one renamed since
 		out = append(out, m)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Run < out[j].Run })
 	return out, nil
 }
 

@@ -1,14 +1,13 @@
 package obs_test
 
-// Flight recorder tests: run directories carry a faithful manifest and a
-// deterministic series, same-seed runs of every engine produce byte-identical
-// series.csv files (the guarantee cyclops-report's exact diff relies on), and
-// the writable-path preflight helpers reject unusable paths at flag-parse
-// time instead of after a run.
+// Flight recorder tests: a run's one record file carries a faithful manifest
+// and a deterministic series, same-seed runs of every engine produce
+// byte-identical series sections (the guarantee cyclops-report's exact diff
+// relies on), and the writable-path preflight helpers reject unusable paths
+// at flag-parse time instead of after a run.
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -134,26 +133,20 @@ func TestRecorderArtifacts(t *testing.T) {
 		t.Error("manifest missing go version")
 	}
 
-	// The on-disk manifest round-trips and matches.
-	blob, err := os.ReadFile(filepath.Join(dir, m.Run, "manifest.json"))
-	if err != nil {
-		t.Fatal(err)
+	// The run left exactly one file, its record, and the record's manifest
+	// round-trips and matches.
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 1 || entries[0].Name() != m.Run+".rec" {
+		t.Fatalf("record root holds %v (err %v), want only %s.rec", entries, err, m.Run)
 	}
-	var onDisk obs.Manifest
-	if err := json.Unmarshal(blob, &onDisk); err != nil {
-		t.Fatal(err)
-	}
-	if onDisk != m {
-		t.Errorf("on-disk manifest %+v != returned %+v", onDisk, m)
+	rec := readRecord(t, dir, m.Run)
+	if rec.Manifest != m {
+		t.Errorf("on-disk manifest %+v != returned %+v", rec.Manifest, m)
 	}
 
-	series, err := os.ReadFile(filepath.Join(dir, m.Run, "series.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(series)), "\n")
+	lines := strings.Split(strings.TrimSpace(string(rec.Raw[obs.SeriesSection])), "\n")
 	if len(lines) != 1+m.Supersteps {
-		t.Fatalf("series.csv has %d lines, want header + %d steps", len(lines), m.Supersteps)
+		t.Fatalf("series has %d lines, want header + %d steps", len(lines), m.Supersteps)
 	}
 	if !strings.HasPrefix(lines[0], "step,active,changed,messages,") {
 		t.Errorf("series header = %q", lines[0])
@@ -170,29 +163,17 @@ func TestRecorderArtifacts(t *testing.T) {
 		t.Errorf("series row malformed: %q", lines[1])
 	}
 
-	timings, err := os.ReadFile(filepath.Join(dir, m.Run, "timings.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(timings), "step,prs_ns,cmp_ns,snd_ns,syn_ns,wall_ns") {
-		t.Errorf("timings header = %q", strings.SplitN(string(timings), "\n", 2)[0])
+	if timings := string(rec.Raw[obs.TimingsSection]); !strings.HasPrefix(timings, "step,prs_ns,cmp_ns,snd_ns,syn_ns,wall_ns") {
+		t.Errorf("timings header = %q", strings.SplitN(timings, "\n", 2)[0])
 	}
 
-	// Every run directory carries the quarantined memory telemetry: one
-	// mem.csv row per superstep, parseable back through the obs API.
-	memBlob, err := os.ReadFile(filepath.Join(dir, m.Run, "mem.csv"))
-	if err != nil {
-		t.Fatal(err)
+	// Every record carries the quarantined memory telemetry: one mem row per
+	// superstep, parsed back through the obs API.
+	if mem := string(rec.Raw[obs.MemSection]); !strings.HasPrefix(mem, obs.MemCSVHeader+"\n") {
+		t.Errorf("mem header = %q", strings.SplitN(mem, "\n", 2)[0])
 	}
-	if !strings.HasPrefix(string(memBlob), obs.MemCSVHeader+"\n") {
-		t.Errorf("mem.csv header = %q", strings.SplitN(string(memBlob), "\n", 2)[0])
-	}
-	memSteps, err := obs.ParseMemCSV(memBlob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(memSteps) != m.Supersteps {
-		t.Errorf("mem.csv has %d rows, want one per %d supersteps", len(memSteps), m.Supersteps)
+	if len(rec.Mem) != m.Supersteps {
+		t.Errorf("mem has %d rows, want one per %d supersteps", len(rec.Mem), m.Supersteps)
 	}
 
 	// The deterministic wire accounting made it into the manifest: in-process
@@ -221,13 +202,13 @@ func TestRecorderArtifacts(t *testing.T) {
 			m.ReplicaWorkerMin, m.ReplicaWorkerMed, m.ReplicaWorkerMax)
 	}
 
-	// The heat observatory artifacts are present and parse back exactly.
-	if rows := loadHeat(t, filepath.Join(dir, m.Run)); len(rows) != m.Supersteps*m.Workers {
-		t.Errorf("heat.csv has %d rows, want %d workers × %d supersteps",
-			len(rows), m.Workers, m.Supersteps)
+	// The heat observatory's sections are present and parse back exactly.
+	if len(rec.Heat) != m.Supersteps*m.Workers {
+		t.Errorf("heat has %d rows, want %d workers × %d supersteps",
+			len(rec.Heat), m.Workers, m.Supersteps)
 	}
-	if hot := loadHotset(t, filepath.Join(dir, m.Run)); len(hot) == 0 {
-		t.Error("hotset.csv empty after a PageRank run")
+	if len(rec.Hot) == 0 {
+		t.Error("hotset empty after a PageRank run")
 	}
 
 	// ReadManifests finds the run; a second recorder appends after it.
@@ -282,10 +263,48 @@ func TestRecorderCountsAllocationsExactly(t *testing.T) {
 	exactSink = nil
 }
 
+// TestRecorderNumbersPastExistingRuns: a recorder numbers its runs after
+// every run-* entry in its root, past three digits too, and ReadManifests
+// lists records in run order, ignoring the dot-named temp file a flush in
+// progress leaves and anything else that is not a record.
+func TestRecorderNumbersPastExistingRuns(t *testing.T) {
+	dir := t.TempDir()
+	run := func() obs.Manifest {
+		r, err := obs.NewRecorder(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.OnRunStart(obs.RunInfo{Engine: "exact", Workers: 1})
+		r.OnSuperstepStart(0)
+		r.OnSuperstep(&obs.StepRecord{Step: 0})
+		r.OnRunEnd(obs.RunEnd{Step: 1, Reason: obs.ReasonHalt})
+		if err := r.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return r.Manifests()[0]
+	}
+	first := run()
+	if err := os.Rename(filepath.Join(dir, first.Run+".rec"), filepath.Join(dir, "run-999-exact.rec")); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{".run-2000-exact.rec.tmp-1", "BENCH_baseline.json", "run-x.rec"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("{"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := run(); m.Run != "run-1000-exact" {
+		t.Errorf("run after run-999 is %s, want run-1000-exact", m.Run)
+	}
+	ms, err := obs.ReadManifests(dir)
+	if err != nil || len(ms) != 2 || ms[0].Run != "run-999-exact" || ms[1].Run != "run-1000-exact" {
+		t.Fatalf("ReadManifests = %+v, %v; want run-999-exact then run-1000-exact", ms, err)
+	}
+}
+
 // TestRecorderDeterminism is the guarantee the perf gate stands on: two
-// same-seed runs of the same engine produce byte-identical series.csv files.
-// Wall-clock noise is confined to timings.csv and the manifest's wall_ns,
-// allocation noise to mem.csv and the manifest's run totals.
+// same-seed runs of the same engine produce byte-identical series sections.
+// Wall-clock noise is confined to the timings section and the manifest's
+// wall_ns, allocation noise to the mem section and the manifest's run totals.
 func TestRecorderDeterminism(t *testing.T) {
 	for _, engine := range []string{"hama", "cyclops", "powergraph"} {
 		t.Run(engine, func(t *testing.T) {
@@ -298,16 +317,9 @@ func TestRecorderDeterminism(t *testing.T) {
 			ma := recordOne(t, dirA, engine, g, final)
 			mb := recordOne(t, dirB, engine, g)
 
-			a, err := os.ReadFile(filepath.Join(dirA, ma.Run, "series.csv"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := os.ReadFile(filepath.Join(dirB, mb.Run, "series.csv"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a, b) {
-				t.Errorf("series.csv differs between same-seed runs:\nA:\n%s\nB:\n%s",
+			ra, rb := readRecord(t, dirA, ma.Run), readRecord(t, dirB, mb.Run)
+			if a, b := ra.Raw[obs.SeriesSection], rb.Raw[obs.SeriesSection]; !bytes.Equal(a, b) {
+				t.Errorf("series differs between same-seed runs:\nA:\n%s\nB:\n%s",
 					firstDiffLine(a, b), firstDiffLine(b, a))
 			}
 			ma.WallNanos, mb.WallNanos = 0, 0
@@ -316,66 +328,42 @@ func TestRecorderDeterminism(t *testing.T) {
 				t.Errorf("manifests differ beyond wall time and allocations:\nA: %+v\nB: %+v", ma, mb)
 			}
 
-			// The span stream carries no durations, so spans.csv is
+			// The span stream carries no durations, so the spans section is
 			// byte-identical across same-seed runs — the structural guarantee
 			// the causal tracer stands on.
-			sa, err := os.ReadFile(filepath.Join(dirA, ma.Run, "spans.csv"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sb, err := os.ReadFile(filepath.Join(dirB, mb.Run, "spans.csv"))
-			if err != nil {
-				t.Fatal(err)
-			}
+			sa, sb := ra.Raw[obs.SpansSection], rb.Raw[obs.SpansSection]
 			if len(strings.Split(strings.TrimSpace(string(sa)), "\n")) < 1+ma.Supersteps {
-				t.Errorf("spans.csv too small:\n%s", sa)
+				t.Errorf("spans section too small:\n%s", sa)
 			}
 			if !bytes.Equal(sa, sb) {
-				t.Errorf("spans.csv differs between same-seed runs:\nA:\n%s\nB:\n%s",
+				t.Errorf("spans differ between same-seed runs:\nA:\n%s\nB:\n%s",
 					firstDiffLine(sa, sb), firstDiffLine(sb, sa))
 			}
 
-			// mem.csv is quarantined (alloc counts differ across runs), but
-			// both runs must have one parseable row per superstep.
-			for _, runDir := range []string{filepath.Join(dirA, ma.Run), filepath.Join(dirB, mb.Run)} {
-				blob, err := os.ReadFile(filepath.Join(runDir, "mem.csv"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				steps, err := obs.ParseMemCSV(blob)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(steps) != ma.Supersteps {
-					t.Errorf("%s: mem.csv has %d rows, want %d", runDir, len(steps), ma.Supersteps)
+			// The mem section is quarantined (alloc counts differ across
+			// runs), but both runs must have one row per superstep.
+			for _, r := range []*obs.Record{ra, rb} {
+				if len(r.Mem) != ma.Supersteps {
+					t.Errorf("%s: mem has %d rows, want %d", r.Manifest.Run, len(r.Mem), ma.Supersteps)
 				}
 			}
 
-			// heat.csv and hotset.csv carry counts only, so both are
+			// The heat and hotset sections carry counts only, so both are
 			// byte-identical across same-seed runs — the guarantee the
 			// report CLI's exact heat diff stands on.
-			for _, name := range []string{"heat.csv", "hotset.csv"} {
-				ha, err := os.ReadFile(filepath.Join(dirA, ma.Run, name))
-				if err != nil {
-					t.Fatal(err)
-				}
-				hb, err := os.ReadFile(filepath.Join(dirB, mb.Run, name))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(ha, hb) {
+			for _, s := range []obs.Section{obs.HeatSection, obs.HotsetSection} {
+				if ha, hb := ra.Raw[s], rb.Raw[s]; !bytes.Equal(ha, hb) {
 					t.Errorf("%s differs between same-seed runs:\nA:\n%s\nB:\n%s",
-						name, firstDiffLine(ha, hb), firstDiffLine(hb, ha))
+						s, firstDiffLine(ha, hb), firstDiffLine(hb, ha))
 				}
 			}
-			rows := loadHeat(t, filepath.Join(dirA, ma.Run))
-			if want := ma.Supersteps * ma.Workers; len(rows) != want {
-				t.Errorf("heat.csv has %d rows, want %d workers × %d supersteps",
-					len(rows), ma.Workers, ma.Supersteps)
+			if want := ma.Supersteps * ma.Workers; len(ra.Heat) != want {
+				t.Errorf("heat has %d rows, want %d workers × %d supersteps",
+					len(ra.Heat), ma.Workers, ma.Supersteps)
 			}
-			hot := loadHotset(t, filepath.Join(dirA, ma.Run))
+			hot := ra.Hot
 			if len(hot) == 0 {
-				t.Errorf("%s: hotset.csv empty after a run with traffic", engine)
+				t.Errorf("%s: hotset empty after a run with traffic", engine)
 			}
 			for _, h := range hot {
 				if h.Worker < 0 || h.Worker >= ma.Workers {
@@ -385,18 +373,17 @@ func TestRecorderDeterminism(t *testing.T) {
 			// The hot set is no longer built per barrier: the one the run-end
 			// event brings must be the exact top-k over the final counters.
 			if want := obs.TopHotVertices(final.msgs, final.units, final.owner, obs.DefaultHotK); !reflect.DeepEqual(hot, want) {
-				t.Errorf("hotset.csv is not the top-k of the final counters:\ngot  %+v\nwant %+v", hot, want)
+				t.Errorf("hotset is not the top-k of the final counters:\ngot  %+v\nwant %+v", hot, want)
 			}
 
-			// critpath.csv quarantines durations in its _ns columns; the
-			// structural columns (step, gating worker, weight) must agree.
-			pa := loadCritPath(t, filepath.Join(dirA, ma.Run))
-			pb := loadCritPath(t, filepath.Join(dirB, mb.Run))
+			// The critpath section quarantines durations in its _ns columns;
+			// the structural columns (step, gating worker, weight) must agree.
+			pa, pb := ra.CritPath, rb.CritPath
 			if ga, gb := span.GatingSequence(pa), span.GatingSequence(pb); ga != gb {
 				t.Errorf("gating sequence differs between same-seed runs:\nA: %s\nB: %s", ga, gb)
 			}
 			if len(pa) != ma.Supersteps {
-				t.Errorf("critpath.csv has %d rows, want one per %d supersteps", len(pa), ma.Supersteps)
+				t.Errorf("critpath has %d rows, want one per %d supersteps", len(pa), ma.Supersteps)
 			}
 			for i := range pa {
 				if pa[i].Weight != pb[i].Weight {
@@ -409,9 +396,9 @@ func TestRecorderDeterminism(t *testing.T) {
 }
 
 // TestCritPathReconcilesWithTimings pins the accounting identity the report
-// CLI checks: each critpath.csv row's four columns sum to the same superstep
-// wall timings.csv records as prs+cmp+snd+syn — the span stream and the phase
-// timers measure the same time, on every engine.
+// CLI checks: each critpath row's four columns sum to the same superstep wall
+// the timings section records as prs+cmp+snd+syn — the span stream and the
+// phase timers measure the same time, on every engine.
 func TestCritPathReconcilesWithTimings(t *testing.T) {
 	for _, engine := range []string{"hama", "cyclops", "powergraph"} {
 		t.Run(engine, func(t *testing.T) {
@@ -421,15 +408,15 @@ func TestCritPathReconcilesWithTimings(t *testing.T) {
 			}
 			dir := t.TempDir()
 			m := recordOne(t, dir, engine, g)
-			paths := loadCritPath(t, filepath.Join(dir, m.Run))
-			walls := loadPhaseWalls(t, filepath.Join(dir, m.Run, "timings.csv"))
-			if len(paths) != len(walls) {
-				t.Fatalf("critpath has %d rows, timings %d", len(paths), len(walls))
+			rec := readRecord(t, dir, m.Run)
+			paths, timings := rec.CritPath, rec.Timings
+			if len(paths) != len(timings) {
+				t.Fatalf("critpath has %d rows, timings %d", len(paths), len(timings))
 			}
 			for i, p := range paths {
-				if p.Wall() != walls[i] {
+				if tm := timings[i]; p.Wall() != tm.PRS+tm.CMP+tm.SND+tm.SYN {
 					t.Errorf("step %d: critpath wall %dns != timings phase sum %dns",
-						p.Step, p.Wall(), walls[i])
+						p.Step, p.Wall(), tm.PRS+tm.CMP+tm.SND+tm.SYN)
 				}
 				if p.Wall() <= 0 {
 					t.Errorf("step %d: non-positive critpath wall %d", p.Step, p.Wall())
@@ -439,61 +426,14 @@ func TestCritPathReconcilesWithTimings(t *testing.T) {
 	}
 }
 
-func loadHeat(t *testing.T, runDir string) []obs.HeatPartition {
+// readRecord reads a run's record through the strict reader.
+func readRecord(t *testing.T, dir, run string) *obs.Record {
 	t.Helper()
-	blob, err := os.ReadFile(filepath.Join(runDir, "heat.csv"))
+	rec, err := obs.ReadRecord(dir, run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := obs.ParseHeatCSV(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rows
-}
-
-func loadHotset(t *testing.T, runDir string) []obs.HotVertex {
-	t.Helper()
-	blob, err := os.ReadFile(filepath.Join(runDir, "hotset.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hot, err := obs.ParseHotsetCSV(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return hot
-}
-
-func loadCritPath(t *testing.T, runDir string) []span.StepPath {
-	t.Helper()
-	blob, err := os.ReadFile(filepath.Join(runDir, "critpath.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths, err := obs.ParseCritPathCSV(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return paths
-}
-
-// loadPhaseWalls reads timings.csv into per-step prs+cmp+snd+syn sums.
-func loadPhaseWalls(t *testing.T, path string) []int64 {
-	t.Helper()
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := obs.ParseIntCSV(blob, "timings.csv", obs.TimingsCSVHeader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]int64, len(rows))
-	for i, r := range rows {
-		out[i] = r[1] + r[2] + r[3] + r[4]
-	}
-	return out
+	return rec
 }
 
 func firstDiffLine(a, b []byte) string {

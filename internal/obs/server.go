@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -61,7 +62,7 @@ type Sources struct {
 	// rendered from the log at scrape time.
 	Log *Log
 	// RunsDir is a Recorder's root: /runs lists the recorded manifests as JSON
-	// and /runs/<run>/<file> serves the flight-record artifacts.
+	// and /runs/<run> serves that run's record file.
 	RunsDir string
 	// ProfileDir is a Harvester's directory: /profiles serves its index.json
 	// and the rotated pprof captures.
@@ -102,21 +103,17 @@ func (src Sources) mux() *http.ServeMux {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
 			}
-			if ms == nil {
-				ms = []Manifest{}
-			}
 			w.Header().Set("Content-Type", "application/json")
 			writeJSON(w, ms) //nolint:errcheck // best-effort HTTP response
 		})
-		files := http.StripPrefix("/runs/", http.FileServer(http.Dir(runsDir)))
 		mux.HandleFunc("/runs/", func(w http.ResponseWriter, r *http.Request) {
-			// Only run directories are exposed, not arbitrary siblings.
-			rest := strings.TrimPrefix(r.URL.Path, "/runs/")
-			if !strings.HasPrefix(rest, "run-") {
+			// Only run records are exposed, not arbitrary siblings.
+			run := strings.TrimPrefix(r.URL.Path, "/runs/")
+			if !strings.HasPrefix(run, "run-") || strings.Contains(run, "/") {
 				http.NotFound(w, r)
 				return
 			}
-			files.ServeHTTP(w, r)
+			http.ServeFile(w, r, filepath.Join(runsDir, run+recordExt))
 		})
 	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -310,15 +308,19 @@ func TestServerLiveDuringRun(t *testing.T) {
 		if len(ms) != 1 || ms[0].Engine != "cyclops" || ms[0].Supersteps < 3 {
 			t.Fatalf("/runs = %+v, want one cyclops run with ≥3 supersteps", ms)
 		}
-		series := get(t, srv.URL()+"/runs/"+ms[0].Run+"/series.csv", "")
-		if !strings.HasPrefix(series, "step,active,") {
-			t.Errorf("series.csv header = %q", strings.SplitN(series, "\n", 2)[0])
+		record := get(t, srv.URL()+"/runs/"+ms[0].Run, "")
+		if rec, err := obs.ParseRecord(ms[0].Run, []byte(record)); err != nil {
+			t.Errorf("/runs/%s does not read back: %v", ms[0].Run, err)
+		} else if rec.Manifest != ms[0] || len(rec.Series) != ms[0].Supersteps {
+			t.Errorf("/runs/%s = %+v with %d series rows, listed as %+v", ms[0].Run, rec.Manifest, len(rec.Series), ms[0])
 		}
-		if resp, err := http.Get(srv.URL() + "/runs/../secrets"); err == nil {
-			if resp.StatusCode == http.StatusOK {
-				t.Error("/runs/ must not serve paths outside run directories")
+		for _, path := range []string{"/runs/../secrets", "/runs/" + ms[0].Run + "/x", "/runs/other"} {
+			if resp, err := http.Get(srv.URL() + path); err == nil {
+				if resp.StatusCode == http.StatusOK {
+					t.Errorf("%s served: /runs/ must serve run records only", path)
+				}
+				resp.Body.Close()
 			}
-			resp.Body.Close()
 		}
 	})
 }
@@ -401,9 +403,9 @@ func get(t *testing.T, url, wantCT string) string {
 }
 
 // TestRunsListsOnlyCompleteRuns races /runs scrapes against an in-progress
-// Recorder flush. The recorder writes data files first and manifest.json last
-// (atomically), so any run a scrape lists must already have every artifact on
-// disk — a listing never observes a half-written run.
+// Recorder flush. The recorder fills a dot-named temp file and renames it
+// into place, so any run a scrape lists must already have its whole record
+// on disk — a listing never observes a half-written run.
 func TestRunsListsOnlyCompleteRuns(t *testing.T) {
 	recDir := t.TempDir()
 	rec, err := obs.NewRecorder(recDir)
@@ -457,12 +459,10 @@ func TestRunsListsOnlyCompleteRuns(t *testing.T) {
 						default:
 						}
 					}
-					for _, name := range []string{"series.csv", "timings.csv", "spans.csv", "critpath.csv"} {
-						if _, err := os.Stat(filepath.Join(recDir, m.Run, name)); err != nil {
-							select {
-							case errs <- fmt.Sprintf("%s listed before its %s existed: %v", m.Run, name, err):
-							default:
-							}
+					if _, err := obs.ReadRecord(recDir, m.Run); err != nil {
+						select {
+						case errs <- fmt.Sprintf("%s listed before its record was whole: %v", m.Run, err):
+						default:
 						}
 					}
 				}
@@ -494,7 +494,7 @@ func TestRunsListsOnlyCompleteRuns(t *testing.T) {
 	default:
 	}
 
-	// Quiescent state: every run visible, every artifact in place.
+	// Quiescent state: every run visible, every record whole.
 	var ms []obs.Manifest
 	if err := json.Unmarshal([]byte(get(t, srv.URL()+"/runs", "application/json")), &ms); err != nil {
 		t.Fatal(err)

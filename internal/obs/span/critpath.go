@@ -13,7 +13,7 @@ import (
 // messages received, ties to the lowest worker id), NOT by measured wall
 // clock — so the gating worker, like the span structure, is byte-identical
 // across same-seed runs. The _ns fields are the gating worker's measured
-// durations and are quarantined like timings.csv.
+// durations and are quarantined like the timings section.
 type StepPath struct {
 	Step   int
 	Gating int
@@ -23,7 +23,7 @@ type StepPath struct {
 	// "computation" side); SerializeNs and SendNs split its communication
 	// side; BarrierNs is the superstep wall minus the gating worker's busy
 	// time. The four columns sum to the superstep wall exactly — which is
-	// how `cyclops-report show --critpath` reconciles against timings.csv.
+	// how `cyclops-report show --critpath` reconciles against the timings section.
 	ComputeNs   int64
 	SerializeNs int64
 	SendNs      int64
@@ -35,7 +35,7 @@ func (p StepPath) Wall() int64 { return p.ComputeNs + p.SerializeNs + p.SendNs +
 
 // CriticalPath folds a span stream into per-superstep path rows, in stream
 // order (a recovered run's replayed supersteps appear again, mirroring
-// series.csv). Spans must arrive in the canonical emission order: a
+// the series section). Spans must arrive in the canonical emission order: a
 // superstep's worker spans first, then its Superstep span.
 func CriticalPath(spans []Span) []StepPath {
 	// One superstep's per-worker sums, truncated at every Superstep span and

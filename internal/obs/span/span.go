@@ -46,7 +46,7 @@ const (
 	numKinds
 )
 
-// String implements fmt.Stringer with the short names used in spans.csv.
+// String implements fmt.Stringer with the short names used in the spans section.
 func (k Kind) String() string {
 	switch k {
 	case Run:
@@ -113,7 +113,7 @@ type Span struct {
 	Msgs  int64
 	// Start is the span's monotonic offset from the run start; Dur its
 	// measured duration. Both are wall-clock derived and therefore
-	// quarantined: they never reach the deterministic spans.csv columns.
+	// quarantined: they never reach the deterministic spans section columns.
 	Start time.Duration
 	Dur   time.Duration
 }

@@ -8,7 +8,7 @@ import (
 
 // This file is the obs side of causal span tracing: the span measurements a
 // StepRecord carries and the pure function that turns them into the canonical
-// span stream. The Log keeps the stream for /spans and spans.csv.
+// span stream. The Log keeps the stream for /spans and the spans section.
 
 // RunSpan builds an engine run's root span; dur is zero while the run is
 // open. A consumer appends the closed one from the RunEnd event.
@@ -31,8 +31,8 @@ type StepSpanData struct {
 	Step int
 	// StepStart is the superstep's monotonic offset from the run start;
 	// Wall is its accounted duration — the sum of the engine's phase
-	// durations, i.e. exactly the numbers timings.csv records for the
-	// step, which is what lets critpath.csv columns reconcile with it.
+	// durations, i.e. exactly the numbers the timings section records for the
+	// step, which is what lets the critpath section's columns reconcile with it.
 	StepStart time.Duration
 	Wall      time.Duration
 	// Phase start offsets from the run start (zero when absent).

@@ -1,5 +1,5 @@
-// Package report turns flight-record run directories (internal/obs.Recorder)
-// into normalized baselines and diffs them — the regression gate behind
+// Package report turns flight records (internal/obs.Recorder) into
+// normalized baselines and diffs them — the regression gate behind
 // cmd/cyclops-report and the CI perf-gate job. Deterministic counts
 // (supersteps, messages, wire bytes, replicas) must match exactly; the cost
 // model's time estimate gets a relative tolerance band; wall time is never
@@ -7,13 +7,13 @@
 package report
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -45,14 +45,13 @@ type Entry struct {
 	// and never compare it exactly.
 	AllocsPerStep float64 `json:"allocs_per_superstep,omitempty"`
 	// CritPath is the run's critical-path structure: the gating-worker
-	// sequence from critpath.csv ("step:worker" pairs, durations excluded).
-	// Populated when loading a record directory that has span data; empty for
-	// baselines written before span tracing existed, in which case diffs skip
-	// the comparison (old baselines stay usable).
+	// sequence of its critical path ("step:worker" pairs, durations
+	// excluded). Empty in baselines written before span tracing existed, in
+	// which case diffs skip the comparison (old baselines stay usable).
 	CritPath string `json:"critpath,omitempty"`
-	// Heat digests the run's heat structure (heat.csv rows, hotset.csv
-	// entries, and a hash over both files' bytes). Heat data is all counts, so
-	// the digest compares exactly; empty for records made before the heat
+	// Heat digests the run's heat structure (heat rows, hot-set entries, and
+	// a hash over both sections' bytes). Heat data is all counts, so the
+	// digest compares exactly; empty in baselines written before the heat
 	// observatory, in which case diffs skip it.
 	Heat string `json:"heat,omitempty"`
 }
@@ -67,16 +66,27 @@ type Baseline struct {
 	Entries []Entry `json:"entries"`
 }
 
-// FromManifests normalizes recorded manifests into a Baseline.
-func FromManifests(ms []obs.Manifest) Baseline {
+// FromRecords normalizes the runs ms name, reading each run's record under
+// root strictly: the manifest's counts, the critical path's gating sequence
+// and the heat digest.
+func FromRecords(root string, ms []obs.Manifest) (Baseline, error) {
 	var b Baseline
-	for _, m := range ms {
-		if b.Scale == 0 {
-			b.Scale = m.Scale
+	for _, run := range ms {
+		rec, err := obs.ReadRecord(root, run.Run)
+		if err != nil {
+			return Baseline{}, fmt.Errorf("report: %w", err)
 		}
-		if b.Seed == 0 {
-			b.Seed = m.Seed
+		m := rec.Manifest
+		// The first run's scale and seed; no allocs per superstep ("no alloc
+		// data on this side") for a run without supersteps.
+		b.Scale, b.Seed = cmp.Or(b.Scale, m.Scale), cmp.Or(b.Seed, m.Seed)
+		var allocsPerStep float64
+		if m.Supersteps > 0 {
+			allocsPerStep = float64(m.Allocs) / float64(m.Supersteps)
 		}
+		h := fnv.New32a()
+		h.Write(rec.Raw[obs.HeatSection])   //nolint:errcheck // hash.Hash never errors
+		h.Write(rec.Raw[obs.HotsetSection]) //nolint:errcheck
 		b.Entries = append(b.Entries, Entry{
 			Experiment:        m.Experiment,
 			Engine:            m.Engine,
@@ -88,43 +98,16 @@ func FromManifests(ms []obs.Manifest) Baseline {
 			ModelMs:           m.ModelNanos / 1e6,
 			WireBytes:         m.WireBytes,
 			ReplicaValueBytes: m.ReplicaValueBytes,
-			AllocsPerStep:     allocsPerStep(m),
+			AllocsPerStep:     allocsPerStep,
+			CritPath:          span.GatingSequence(rec.CritPath),
+			Heat:              fmt.Sprintf("%dr/%dh:%08x", len(rec.Heat), len(rec.Hot), h.Sum32()),
 		})
 	}
-	return b
+	return b, nil
 }
 
-// allocsPerStep is a manifest's mean allocations per superstep; zero when the
-// manifest has no count (a record made before run totals existed), which Diff
-// treats as "no alloc data on this side".
-func allocsPerStep(m obs.Manifest) float64 {
-	if m.Supersteps == 0 {
-		return 0
-	}
-	return float64(m.Allocs) / float64(m.Supersteps)
-}
-
-// FromManifestsDir normalizes recorded manifests and enriches each entry with
-// the per-run artifacts only the record directory holds: the critical-path
-// gating sequence (critpath.csv) and the heat digest (heat.csv, hotset.csv).
-// Artifacts a run directory lacks are skipped, so records made by older
-// binaries still normalize.
-func FromManifestsDir(root string, ms []obs.Manifest) Baseline {
-	b := FromManifests(ms)
-	for i, m := range ms {
-		runDir := filepath.Join(root, m.Run)
-		if seq, err := loadGatingSequence(runDir); err == nil {
-			b.Entries[i].CritPath = seq
-		}
-		if d, err := loadHeatDigest(runDir); err == nil {
-			b.Entries[i].Heat = d
-		}
-	}
-	return b
-}
-
-// Load reads a comparison side: a directory is a flight-record root (its
-// run-* manifests are normalized), a file is a Baseline JSON.
+// Load reads a comparison side: a directory is a flight-record root (every
+// run record in it, through FromRecords), a file is a Baseline JSON.
 func Load(path string) (Baseline, error) {
 	fi, err := os.Stat(path)
 	if err != nil {
@@ -136,19 +119,9 @@ func Load(path string) (Baseline, error) {
 			return Baseline{}, err
 		}
 		if len(ms) == 0 {
-			return Baseline{}, fmt.Errorf("report: %s holds no run-* directories", path)
+			return Baseline{}, fmt.Errorf("report: %s holds no run records", path)
 		}
-		// Surface critpath/heat parse errors (FromManifestsDir is lenient so
-		// the bench CLI can always write a baseline; the gate should not be).
-		for _, m := range ms {
-			if _, err := loadGatingSequence(filepath.Join(path, m.Run)); err != nil {
-				return Baseline{}, err
-			}
-			if _, err := loadHeatDigest(filepath.Join(path, m.Run)); err != nil {
-				return Baseline{}, err
-			}
-		}
-		return FromManifestsDir(path, ms), nil
+		return FromRecords(path, ms)
 	}
 	blob, err := os.ReadFile(path)
 	if err != nil {
@@ -162,59 +135,6 @@ func Load(path string) (Baseline, error) {
 		return Baseline{}, fmt.Errorf("report: %s has no entries", path)
 	}
 	return b, nil
-}
-
-// loadGatingSequence reads a run directory's critpath.csv and compresses it
-// to the structural gating sequence. A missing file (a record made before
-// span tracing, or with spans disabled) is not an error — it yields the
-// empty sequence, which Diff treats as "no path data on this side".
-func loadGatingSequence(runDir string) (string, error) {
-	blob, err := os.ReadFile(filepath.Join(runDir, "critpath.csv"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return "", nil
-		}
-		return "", fmt.Errorf("report: %w", err)
-	}
-	paths, err := obs.ParseCritPathCSV(blob)
-	if err != nil {
-		return "", fmt.Errorf("report: %s: %w", runDir, err)
-	}
-	return span.GatingSequence(paths), nil
-}
-
-// loadHeatDigest compresses a run directory's heat artifacts into a compact,
-// exactly-comparable digest: row/entry counts plus an FNV-1a hash over the
-// verbatim bytes of heat.csv and hotset.csv. Any count anywhere in either
-// file changes the digest. Missing files (a pre-heat record) yield "" without
-// error; present-but-unparsable files are an error.
-func loadHeatDigest(runDir string) (string, error) {
-	heatBlob, err := os.ReadFile(filepath.Join(runDir, "heat.csv"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return "", nil
-		}
-		return "", fmt.Errorf("report: %w", err)
-	}
-	rows, err := obs.ParseHeatCSV(heatBlob)
-	if err != nil {
-		return "", fmt.Errorf("report: %s: %w", runDir, err)
-	}
-	hotBlob, err := os.ReadFile(filepath.Join(runDir, "hotset.csv"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return "", nil
-		}
-		return "", fmt.Errorf("report: %w", err)
-	}
-	hot, err := obs.ParseHotsetCSV(hotBlob)
-	if err != nil {
-		return "", fmt.Errorf("report: %s: %w", runDir, err)
-	}
-	h := fnv.New32a()
-	h.Write(heatBlob) //nolint:errcheck // hash.Hash never errors
-	h.Write(hotBlob)  //nolint:errcheck
-	return fmt.Sprintf("%dr/%dh:%08x", len(rows), len(hot), h.Sum32()), nil
 }
 
 // Write stores a Baseline as deterministic, committable JSON.
@@ -380,8 +300,8 @@ func Diff(old, new Baseline, opts Options) Result {
 		if o.CritPath != "" && n.CritPath != "" {
 			res.Deltas = append(res.Deltas, exactText(k, "critpath", o.CritPath, n.CritPath))
 		}
-		// The heat digest covers every count in heat.csv and hotset.csv, so
-		// it compares exactly under the same both-sides-present rule.
+		// The heat digest covers every count in the heat and hotset sections,
+		// so it compares exactly under the same both-sides-present rule.
 		if o.Heat != "" && n.Heat != "" {
 			res.Deltas = append(res.Deltas, exactText(k, "heat", o.Heat, n.Heat))
 		}
@@ -492,7 +412,7 @@ func okDeltas(ds []Delta) []Delta {
 }
 
 // ftext renders a string metric cell, truncated so long gating sequences
-// don't blow up the table (the full sequences live in critpath.csv).
+// don't blow up the table (the full sequences live in the records).
 func ftext(s string) string {
 	if s == "" {
 		return "—"

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -187,10 +188,11 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 
 func TestLoadFromRecordDir(t *testing.T) {
 	dir := t.TempDir()
-	// A record dir is run-* subdirectories with manifests.
+	// A record dir is one run-NNN-<engine>.rec file per run.
 	m := obs.Manifest{Run: "run-001-cyclops", Experiment: "pagerank", Engine: "cyclops",
-		Supersteps: 45, Messages: 1329773, WireBytes: 13579691, Replicas: 39040, ModelNanos: 56.31e6}
-	writeManifest(t, dir, m)
+		Supersteps: 45, Messages: 1329773, WireBytes: 13579691, Replicas: 39040, ModelNanos: 56.31e6,
+		MemRun: obs.MemRun{Allocs: 4500}}
+	writeRecord(t, dir, m)
 	b, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -294,14 +296,10 @@ func TestDiffCritPathStructure(t *testing.T) {
 func TestLoadCritPathFromRecordDir(t *testing.T) {
 	dir := t.TempDir()
 	m := obs.Manifest{Run: "run-001-cyclops", Experiment: "pagerank", Engine: "cyclops"}
-	writeManifest(t, dir, m)
-	csv := obs.EncodeCritPathCSV([]span.StepPath{
+	writeRecord(t, dir, m, string(obs.EncodeCritPathCSV([]span.StepPath{
 		{Step: 0, Gating: 1, Weight: 9, ComputeNs: 5, SerializeNs: 1, SendNs: 2, BarrierNs: 3},
 		{Step: 1, Gating: 0, Weight: 7, ComputeNs: 4, BarrierNs: 1},
-	})
-	if err := os.WriteFile(filepath.Join(dir, m.Run, "critpath.csv"), csv, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	})))
 	b, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -310,28 +308,67 @@ func TestLoadCritPathFromRecordDir(t *testing.T) {
 		t.Errorf("CritPath = %q, want %q", got, want)
 	}
 
-	// A run without critpath.csv loads with an empty sequence, not an error.
+	// A record without its critpath section is rejected, naming the run and
+	// the section: every recorder writes all seven, so a gap is damage.
 	m2 := obs.Manifest{Run: "run-002-hama", Experiment: "pagerank", Engine: "hama"}
-	writeManifest(t, dir, m2)
-	b, err = Load(dir)
+	writeRecord(t, dir, m2)
+	path := filepath.Join(dir, m2.Run+".rec")
+	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Entries[1].CritPath != "" {
-		t.Errorf("span-less run got CritPath %q", b.Entries[1].CritPath)
+	if err := os.WriteFile(path, []byte(strings.Replace(string(blob), obs.CritPathCSVHeader+"\n", "", 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Load(dir)
+	if err == nil || !strings.Contains(err.Error(), "run-002-hama") || !strings.Contains(err.Error(), "critpath") {
+		t.Errorf("record without a critpath section loaded: %v", err)
 	}
 }
 
-func writeManifest(t *testing.T, root string, m obs.Manifest) {
-	t.Helper()
-	dir := filepath.Join(root, m.Run)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// TestRunOrderPastNineHundredNinetyNine: run numbers outgrow their three
+// digits, and a root holding runs 999 and 1000 of one engine lists and diffs
+// in recording order, not in name order.
+func TestRunOrderPastNineHundredNinetyNine(t *testing.T) {
+	dir := t.TempDir()
+	writeRecord(t, dir, obs.Manifest{Run: "run-1000-hama", Experiment: "sweep", Engine: "hama", Messages: 2})
+	writeRecord(t, dir, obs.Manifest{Run: "run-999-hama", Experiment: "sweep", Engine: "hama", Messages: 1})
+	ms, err := obs.ReadManifests(dir)
+	if err != nil || len(ms) != 2 || ms[0].Run != "run-999-hama" || ms[1].Run != "run-1000-hama" {
+		t.Fatalf("ReadManifests = %+v, %v; want run-999-hama then run-1000-hama", ms, err)
+	}
+	got, err := Load(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	blob := []byte(`{"run":"` + m.Run + `","experiment":"` + m.Experiment +
-		`","engine":"` + m.Engine + `","supersteps":45,"messages":1329773,` +
-		`"bytes":21276368,"replicas":39040,"model_ns":56310000,"allocs":4500}`)
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), blob, 0o644); err != nil {
+	want := Baseline{Entries: []Entry{{Experiment: "sweep", Engine: "hama", Messages: 1},
+		{Experiment: "sweep", Engine: "hama", Messages: 2}}}
+	if res := Diff(want, got, Options{}); !res.OK() {
+		t.Errorf("runs 999 and 1000 diff out of order: %v", res.Err())
+	}
+}
+
+// writeRecord writes m's run record under root: its JSON, then every section
+// in file order, each one of sections when it starts with that header, else
+// just the header.
+func writeRecord(t *testing.T, root string, m obs.Manifest, sections ...string) {
+	t.Helper()
+	blob, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob = append(blob, '\n')
+	for _, header := range []string{obs.SeriesCSVHeader, obs.TimingsCSVHeader, obs.MemCSVHeader,
+		obs.SpansCSVHeader, obs.CritPathCSVHeader, obs.HeatCSVHeader, obs.HotsetCSVHeader} {
+		section := header + "\n"
+		for _, s := range sections {
+			if strings.HasPrefix(s, section) {
+				section = s
+			}
+		}
+		blob = append(blob, section...)
+	}
+	if err := os.WriteFile(filepath.Join(root, m.Run+".rec"), blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

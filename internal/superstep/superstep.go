@@ -261,7 +261,7 @@ func (k *Kernel) Run(ps PhaseSet) error {
 }
 
 // begin opens the run. runStart anchors span offsets; runWall accumulates the
-// sum of superstep walls, so the run span reconciles with timings.csv totals.
+// sum of superstep walls, so the run span reconciles with the timings section totals.
 func (k *Kernel) begin() {
 	cfg := &k.cfg
 	k.runStart = time.Now()
@@ -396,7 +396,7 @@ func (k *Kernel) beginSpans(step int) {
 }
 
 // endSpans completes the superstep's span data. Wall is the sum of the phase
-// durations — exactly what timings.csv records — so critpath.csv reconciles.
+// durations — exactly what the timings section records — so the critpath section reconciles.
 func (k *Kernel) endSpans() {
 	sd, d := &k.rec.Spans, &k.stats.Durations
 	sd.Wall = d[metrics.Parse] + d[metrics.Compute] + d[metrics.Send] + d[metrics.Sync]

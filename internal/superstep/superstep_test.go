@@ -9,8 +9,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -425,10 +423,10 @@ func (l *spanLog) OnSuperstep(rec *obs.StepRecord) {
 // the record is the kernel's scratch, so superstep 1 overwrites every
 // per-worker row, the traffic delta and the drain provenance superstep 0
 // reported. A consumer that kept a reference instead of a copy would see its
-// superstep 0 change. The Recorder's deterministic files and the Log's views
+// superstep 0 change. The Recorder's deterministic sections and the Log's views
 // of superstep 0 must be the same whether or not a superstep 1 followed.
 func TestRecordScratchAliasing(t *testing.T) {
-	record := func(steps int) (*obs.Recorder, string) {
+	record := func(steps int) (*obs.Recorder, *obs.Record) {
 		dir := t.TempDir()
 		rec, err := obs.NewRecorder(dir)
 		if err != nil {
@@ -454,33 +452,31 @@ func TestRecordScratchAliasing(t *testing.T) {
 		if err := rec.Err(); err != nil {
 			t.Fatal(err)
 		}
-		return rec, filepath.Join(dir, rec.Manifests()[0].Run)
-	}
-	lines := func(dir, name string) []string {
-		blob, err := os.ReadFile(filepath.Join(dir, name))
+		file, err := obs.ReadRecord(dir, rec.Manifests()[0].Run)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return strings.Split(strings.TrimSpace(string(blob)), "\n")
+		return rec, file
 	}
-	one, oneDir := record(1)
-	two, twoDir := record(2)
+	one, oneRec := record(1)
+	two, twoRec := record(2)
 
-	for _, name := range []string{"series.csv", "heat.csv", "spans.csv"} {
-		want, got := lines(oneDir, name), lines(twoDir, name)
-		if name == "spans.csv" {
+	for _, s := range []obs.Section{obs.SeriesSection, obs.HeatSection, obs.SpansSection} {
+		lines := func(r *obs.Record) []string { return strings.Split(strings.TrimSpace(string(r.Raw[s])), "\n") }
+		want, got := lines(oneRec), lines(twoRec)
+		if s == obs.SpansSection {
 			want = want[:len(want)-1] // the one-superstep run's closing run span
 		}
 		if len(got) <= len(want) || len(want) < 2 {
-			t.Fatalf("%s: %d lines for one superstep, %d for two", name, len(want), len(got))
+			t.Fatalf("%s: %d lines for one superstep, %d for two", s, len(want), len(got))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Errorf("%s line %d changed once superstep 1 ran:\n%s\nwas:\n%s", name, i, got[i], want[i])
+				t.Errorf("%s line %d changed once superstep 1 ran:\n%s\nwas:\n%s", s, i, got[i], want[i])
 			}
 		}
 		if last := len(want); got[last] == want[last-1] {
-			t.Errorf("%s: superstep 1's first line repeats superstep 0's last: %s", name, got[last])
+			t.Errorf("%s: superstep 1's first line repeats superstep 0's last: %s", s, got[last])
 		}
 	}
 	var oneCSV, twoCSV bytes.Buffer

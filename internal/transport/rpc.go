@@ -329,7 +329,7 @@ func (t *RPC[M]) sendFrame(from, to int, end bool, batch []M) error {
 	encStart := time.Now()
 	buf := appendFrame(t.encBufs[from][to][:0], from, to, end, batch, t.codec)
 	t.encBufs[from][to] = buf
-	t.serNs[from] += time.Since(encStart).Nanoseconds() //lint:allow determinism serialisation time feeds the Serialize span, quarantined like timings.csv
+	t.serNs[from] += time.Since(encStart).Nanoseconds() //lint:allow determinism serialisation time feeds the Serialize span, quarantined like the timings section
 	var lastErr error
 	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if t.closed.Load() {
