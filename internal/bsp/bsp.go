@@ -647,11 +647,8 @@ func (e *Engine[V, M]) Restore(s State[V, M]) error {
 	if err := e.Rewind(s.Step, len(s.Values), len(s.Halted)); err != nil {
 		return err
 	}
-	// The open round is the aborted superstep's SND (round 0 on a fresh
-	// engine): discard it, and stand the checkpoint's batches in its place.
-	for w := range e.ctxs {
-		e.Tr.Drain(w)
-	}
+	// Rewind emptied the open round (the aborted superstep's SND, round 0 on
+	// a fresh engine): stand the checkpoint's batches in its place.
 	copy(e.values, s.Values)
 	copy(e.halted, s.Halted)
 	e.restored = make([]PendingBatch[M], 0, len(s.Pending))

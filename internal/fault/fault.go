@@ -10,7 +10,7 @@
 //
 // The Injector wraps any transport.Interface and applies the plan at the
 // transport boundary. Faults surface as typed transient errors through Err,
-// exactly like a hardened RPC transport reports a dropped connection, so the
+// exactly as the RPC transport reports a dropped connection, so the
 // engines cannot tell injected chaos from the real thing.
 package fault
 

@@ -244,9 +244,11 @@ func TestInjectorFaultsAreOneShot(t *testing.T) {
 	if got := drainCount(inj, 1); got != 0 {
 		t.Fatal("fault did not fire")
 	}
-	inj.Heal()
+	if err := inj.Reset(); err != nil {
+		t.Fatal(err)
+	}
 	if inj.Err() != nil {
-		t.Fatal("Heal must clear the injected error")
+		t.Fatal("Reset must clear the injected error")
 	}
 	// The replayed superstep (same number, after recovery) sees no fault.
 	inj.BeginStep(2)
@@ -264,9 +266,11 @@ func TestInjectorHealDisarmsCurrentStep(t *testing.T) {
 		{Kind: fault.Crash, Step: 0, Worker: 0, Peer: -1},
 	}})
 	inj.BeginStep(0)
-	// Heal before any send: restore-path traffic (e.g. re-sent pending
+	// Reset before any send: restore-path traffic (e.g. re-sent pending
 	// messages) must not be afflicted by the fault being recovered from.
-	inj.Heal()
+	if err := inj.Reset(); err != nil {
+		t.Fatal(err)
+	}
 	inj.Send(0, 1, []int64{1})
 	if got := drainCount(inj, 1); got != 1 {
 		t.Fatalf("restore-path send dropped: %d msgs, want 1", got)

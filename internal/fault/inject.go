@@ -12,13 +12,14 @@ import (
 // transport.Interface: sends afflicted by an armed fault are dropped,
 // truncated, or delayed, and the fault is reported as a typed transient
 // error through Err — indistinguishable, from the engines' side, from a real
-// dropped connection on a hardened RPC transport.
+// dropped connection on the RPC transport.
 //
 // The engine arms the injector at the top of each superstep with BeginStep.
 // Each fault fires at most once: after recovery the engine replays the same
 // superstep number, and BeginStep must not re-arm a consumed fault or the
-// run would crash forever. Heal clears the injected error once the engine
-// has restored a checkpoint.
+// run would crash forever. Reset, which every Restore calls through
+// Shell.Rewind, clears the injected error and resets the transport
+// underneath.
 type Injector[M any] struct {
 	inner transport.Interface[M]
 
@@ -59,19 +60,16 @@ func (j *Injector[M]) BeginStep(step int) {
 	}
 }
 
-// Heal clears the injected transient error and disarms the current step's
-// faults — the engine calls it before restoring a checkpoint, so the
-// restore's own transport traffic (re-sent pending messages, replica
-// refreshes) is not afflicted by the fault being recovered from. Real
-// transport errors underneath are untouched unless transient.
-func (j *Injector[M]) Heal() {
+// Reset implements transport.Interface: it clears the injected error and
+// disarms the current step's faults, so the restore's own traffic (bsp's
+// re-sent pending messages) is not afflicted by the fault being recovered
+// from, then resets the transport underneath.
+func (j *Injector[M]) Reset() error {
 	j.mu.Lock()
 	j.err = nil
 	j.armed = j.armed[:0]
 	j.mu.Unlock()
-	if c, ok := j.inner.(interface{ ClearErr() }); ok {
-		c.ClearErr()
-	}
+	return j.inner.Reset()
 }
 
 // Fired reports how many scheduled faults have fired so far.

@@ -2,7 +2,7 @@ package fault_test
 
 // Delivery provenance under fault injection. A dropped connection loses the
 // batch but must not orphan receiver spans: the round's LastDeliveries simply
-// omits the dead sender, and after Heal + resend (what the engines do on
+// omits the dead sender, and after Reset + resend (what the engines do on
 // recovery) it names exactly the surviving and resending senders with their
 // message counts. Both real transports (in-process and TCP loopback) honour
 // the contract, and a full seeded fault plan replays to byte-identical
@@ -76,15 +76,17 @@ func TestDropDoesNotOrphanReceiverSpans(t *testing.T) {
 				t.Fatalf("drop must surface as a transient error, got %v", err)
 			}
 
-			// Heal and replay the superstep, as the recovery path does: the
-			// reconnected sender's resend resolves beside the survivor's.
-			inj.Heal()
+			// Reset and replay the superstep, as the recovery path does: the
+			// replayed sender's batch resolves beside the survivor's.
+			if err := inj.Reset(); err != nil {
+				t.Fatal(err)
+			}
 			inj.BeginStep(1)
 			if ds := roundTrip(inj, n, 1, send); !slices.Equal(ds, both) {
 				t.Fatalf("replayed round deliveries = %+v, want %+v", ds, both)
 			}
 			if inj.Err() != nil {
-				t.Fatalf("healed injector still errors: %v", inj.Err())
+				t.Fatalf("reset injector still errors: %v", inj.Err())
 			}
 		})
 	}
@@ -122,7 +124,10 @@ func TestSpanProvenanceSeedReplayable(t *testing.T) {
 				}
 			}
 			if inj.Err() != nil {
-				inj.Heal() // recover like the engines: heal, keep going
+				// Recover like the engines: reset, keep going.
+				if err := inj.Reset(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		return log.String()

@@ -93,14 +93,17 @@ func (sh *Shell[M]) Kernel(lag int, info func() obs.RunInfo, owner func(v int) i
 
 // Rewind is Restore's engine-independent half, called before the state is
 // loaded: it checks that each of the state's vertex-indexed slabs (their
-// lengths are lens) covers the graph and sets the counter. Rounds are aligned
-// at every barrier (faults act at the Interface, markers always go out), so
-// it calls no transport method; bsp's Restore drains the round bsp keeps open.
+// lengths are lens) covers the graph, resets the transport (empty inboxes and
+// rounds, no transient error, a fresh mesh over TCP, the fault injector
+// disarmed) and sets the counter. A failed Reset is returned, typed.
 func (sh *Shell[M]) Rewind(step int, lens ...int) error {
 	for _, n := range lens {
 		if n != sh.opt.Graph.NumVertices() {
 			return fmt.Errorf("%s: checkpoint shape does not match engine", sh.opt.Name)
 		}
+	}
+	if err := sh.Tr.Reset(); err != nil {
+		return fmt.Errorf("%s: transport: %w", sh.opt.Name, err)
 	}
 	sh.step = step
 	return nil

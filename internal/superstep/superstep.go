@@ -28,10 +28,10 @@ type Link interface {
 	Err() error
 }
 
-// Injector is the part of fault.Injector the kernel drives.
+// Injector is the part of fault.Injector the kernel drives. Its Reset is a
+// transport method, reached through every Restore's Shell.Rewind.
 type Injector interface {
 	BeginStep(step int)
-	Heal()
 }
 
 // maxRecoveries bounds recovery attempts per run; a fault beyond the budget
@@ -325,9 +325,6 @@ func (k *Kernel) loop(ps PhaseSet) (reason string, err error) {
 				return obs.ReasonFault, fmt.Errorf("%s: transport: %w", cfg.Name, ferr)
 			}
 			faultStep := *step
-			if cfg.Injector != nil {
-				cfg.Injector.Heal()
-			}
 			if rerr := cfg.Checkpoints.Recover(); rerr != nil {
 				return obs.ReasonFault, fmt.Errorf("%s: recovery: %w", cfg.Name, rerr)
 			}

@@ -3,7 +3,7 @@ package superstep_test
 // The kernel in isolation: a fake link, a fake injector and a scripted phase
 // set, no graph and no engine. These pin what the three engines rely on —
 // the hook grammar, the audit/checkpoint failure exits, and the §3.6
-// fault → heal → restore → replay protocol with its recovery budget.
+// fault → restore → replay protocol with its recovery budget.
 
 import (
 	"bytes"
@@ -95,7 +95,6 @@ type rig struct {
 }
 
 func (r *rig) BeginStep(step int) { r.log.add("arm %d", step) }
-func (r *rig) Heal()              { r.log.add("heal"); r.link.err = nil }
 
 func (r *rig) Save(step int) error {
 	r.log.add("save %d", step)
@@ -105,12 +104,14 @@ func (r *rig) Save(step int) error {
 	return nil
 }
 
+// Recover restores to superstep 0 and, as an engine's Restore does through
+// Shell.Rewind's transport Reset, clears the link's error.
 func (r *rig) Recover() error {
 	r.log.add("restore")
 	if r.restoreErr != nil {
 		return r.restoreErr
 	}
-	r.step = 0
+	r.step, r.link.err = 0, nil
 	return nil
 }
 
@@ -289,9 +290,9 @@ func TestTransientFaultHealsRestoresAndReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := r.log
-	heal, restore, recovery := log.index("heal"), log.index("restore"), log.index("recovery")
-	if heal < 0 || !(heal < restore && restore < recovery) {
-		t.Fatalf("want heal < restore < recovery:\n%s", strings.Join(log.events, "\n"))
+	restore, recovery := log.index("restore"), log.index("recovery")
+	if restore < 0 || restore > recovery {
+		t.Fatalf("want restore < recovery:\n%s", strings.Join(log.events, "\n"))
 	}
 	if len(log.recoveries) != 1 {
 		t.Fatalf("%d recoveries, want 1", len(log.recoveries))

@@ -33,8 +33,8 @@ var (
 // involved, whether the engines may recover from it, and the underlying
 // cause.
 type Error struct {
-	// Op is the operation that failed: "send", "recv", "dial",
-	// "finish-round".
+	// Op is the operation that failed: "send", "recv", "finish-round", or
+	// "dial" when NewRPC or Reset cannot listen or connect.
 	Op string
 	// Peer is the remote endpoint involved, -1 when not attributable.
 	Peer int
@@ -64,8 +64,8 @@ func (e *Error) Unwrap() error { return e.Err }
 func (e *Error) Transient() bool { return e.Retryable }
 
 // IsTransient reports whether err is a transport fault the engines may
-// recover from by restoring a checkpoint and replaying (a dropped or stalled
-// connection, a corrupted frame, an injected chaos fault). Any error exposing
+// recover from by restoring a checkpoint and replaying (a failed write, read
+// or EOF on a connection, an injected chaos fault). Any error exposing
 // a `Transient() bool` method participates; everything else is fatal.
 func IsTransient(err error) bool {
 	for err != nil {

@@ -64,6 +64,12 @@ type Interface[M any] interface {
 	Matrix() *Matrix
 	// Err reports the first asynchronous transport failure, if any.
 	Err() error
+	// Reset readies the transport for a replay from a checkpoint, the one
+	// recovery path (§3.6): it empties every inbox and round, clears a
+	// transient error and, over TCP, dials a fresh mesh. Every Restore calls
+	// it through Shell.Rewind; no Send, FinishRound or Drain may run beside
+	// it. A fatal error stays, and Reset returns it.
+	Reset() error
 	// Close releases sockets and wakes blocked Drains.
 	Close() error
 

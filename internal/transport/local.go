@@ -172,6 +172,14 @@ func (t *Local[M]) Drain(to int) [][]M {
 	return out
 }
 
+// Reset implements Interface: it empties every inbox.
+func (t *Local[M]) Reset() error {
+	for to := range t.inboxes {
+		t.Drain(to)
+	}
+	return nil
+}
+
 // LastDeliveries implements Interface.
 func (t *Local[M]) LastDeliveries(to int) []span.Delivery { return t.inboxes[to].deliv }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -14,16 +13,13 @@ import (
 	"cyclops/internal/obs/span"
 )
 
-// Failure handling of the RPC transport is fixed, not configured: no caller
-// has a reason to choose differently on loopback. There is no read deadline —
-// a long compute phase between supersteps is indistinguishable from a stalled
-// peer at the socket level.
+// The RPC transport's timeouts are fixed, not configured: no caller has a
+// reason to choose differently on loopback. There is no read deadline — a long
+// compute phase between supersteps is indistinguishable from a stalled peer at
+// the socket level.
 const (
-	writeTimeout = 10 * time.Second       // bounds each frame write
-	dialTimeout  = 5 * time.Second        // bounds the initial and reconnect dials
-	maxRetries   = 3                      // fresh-connection retries before a send error surfaces
-	backoffBase  = 10 * time.Millisecond  // first reconnect backoff; doubles per attempt, with jitter
-	backoffMax   = 500 * time.Millisecond // backoff ceiling
+	writeTimeout = 10 * time.Second // bounds each frame write
+	dialTimeout  = 5 * time.Second  // bounds each dial of NewRPC and Reset
 )
 
 // maxRoundLag bounds how many unconsumed round markers one sender may have
@@ -49,15 +45,15 @@ const maxRoundLag = 64
 // batches. Markers are tagged with their sender, so a duplicate marker from
 // a fast endpoint can never stand in for a missing one from another — the
 // skew that made a FinishRound contract breach corrupt every later barrier.
-// Breaches are surfaced as a fatal ErrRoundViolation through Err, and a
-// fatal error unblocks every Drain rather than leaving the engines hung.
+// Breaches are surfaced as a fatal ErrRoundViolation through Err.
 //
-// Failure handling: writes carry deadlines, a failed send is retried over a
-// freshly dialled connection with exponential backoff + jitter (bounded by
-// maxRetries) and stays transient, a frame that does not decode is fatal (the
-// rounds behind it cannot be trusted), and errors surfaced through Err are
-// typed *Error values whose Transient flag tells the engines whether
-// checkpoint recovery may apply.
+// Failure handling has one path, the engines' checkpoint recovery (§3.6). On
+// a live transport a failed write, a read error or an EOF records a transient
+// *Error; an undecodable frame or any use after Close is fatal. Every
+// recorded error breaks the rounds, so no Drain waits for a marker a failed
+// connection swallowed. Recovery's Rewind calls Reset: a fresh mesh, empty
+// inboxes. Nothing is resent: without acknowledgements a sender cannot know
+// which frames arrived.
 type RPC[M any] struct {
 	n int
 	books[M]
@@ -68,20 +64,23 @@ type RPC[M any] struct {
 	encBufs [][][]byte
 
 	listeners []net.Listener
-	// conns[from][to] is the client-side connection used by `from` to send
-	// to `to`; nil on the diagonal (self-sends short-circuit).
-	conns [][]net.Conn
-	encMu []sync.Mutex // one per sender: engines may send from several goroutines
-	rngs  []*rand.Rand // per-sender jitter source, guarded by encMu
+	// conns[from][to] is the dialled end `from` writes to `to` on, peers[from][to]
+	// the accepted end `to`'s receive loop reads; nil on the diagonal
+	// (self-sends short-circuit).
+	conns, peers [][]net.Conn
+	encMu        []sync.Mutex // one per sender: engines may send from several goroutines
 
 	inboxes []rpcInbox[M]
 
 	// serNs[from] is guarded by encMu[from], like the buffers it describes.
 	serNs []int64
 
-	closed    atomic.Bool
+	closed atomic.Bool
+	// hangingUp is set while Close or Reset takes the mesh down, so the
+	// receive loops it ends record nothing.
+	hangingUp atomic.Bool
 	closeOnce sync.Once
-	wg        sync.WaitGroup
+	loops     sync.WaitGroup // the running receive loops
 
 	errMu sync.Mutex
 	err   error
@@ -100,12 +99,15 @@ type rpcInbox[M any] struct {
 	// receiver's own — valid until the next Drain(to) frees them for
 	// receiveLoop to decode into.
 	lent, free [][]M
-	closed     bool
+	// broken makes every Drain return at once: set when an error is
+	// recorded, cleared by Reset.
+	broken bool
 }
 
 // NewRPC creates a fully connected loopback transport between n endpoints.
 // codec prices the wire exactly as NewLocal's does and also encodes every
-// frame, so it is required (New rejects a missing one).
+// frame, so it is required (New rejects a missing one). A failure to listen
+// or dial is a typed *Error.
 func NewRPC[M any](n int, codec graph.Codec[M]) (*RPC[M], error) {
 	t := &RPC[M]{
 		n:         n,
@@ -113,8 +115,8 @@ func NewRPC[M any](n int, codec graph.Codec[M]) (*RPC[M], error) {
 		encBufs:   make([][][]byte, n),
 		listeners: make([]net.Listener, n),
 		conns:     make([][]net.Conn, n),
+		peers:     make([][]net.Conn, n),
 		encMu:     make([]sync.Mutex, n),
-		rngs:      make([]*rand.Rand, n),
 		inboxes:   make([]rpcInbox[M], n),
 		serNs:     make([]int64, n),
 	}
@@ -122,56 +124,100 @@ func NewRPC[M any](n int, codec graph.Codec[M]) (*RPC[M], error) {
 		t.inboxes[i].inbox = in
 		t.inboxes[i].cond = sync.NewCond(&t.inboxes[i].mu)
 		t.inboxes[i].endsFrom = make([]int, n)
-		// A fixed per-sender seed keeps retry schedules reproducible under
-		// the fault-injection harness.
-		t.rngs[i] = rand.New(rand.NewSource(int64(i)))
 		t.encBufs[i] = make([][]byte, n)
+		t.conns[i], t.peers[i] = make([]net.Conn, n), make([]net.Conn, n)
 	}
-	for i := 0; i < n; i++ {
+	for i := range t.listeners {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			_ = t.Close() // best-effort teardown; the listen error is what matters
-			return nil, fmt.Errorf("transport: listen: %w", err)
+			return nil, &Error{Op: "dial", Peer: i, Err: err}
 		}
 		t.listeners[i] = ln
 	}
-	// Accept loops: every endpoint accepts inbound connections until its
-	// listener closes. Accepting forever (not just the initial n-1) is what
-	// lets a sender replace a failed connection mid-run: the reconnect dial
-	// lands here and a fresh receive loop takes over the stream.
-	for to := 0; to < n; to++ {
-		to := to
-		t.wg.Add(1)
-		go func() {
-			defer t.wg.Done()
-			for {
-				conn, err := t.listeners[to].Accept()
-				if err != nil {
-					return
-				}
-				t.wg.Add(1)
-				go func() {
-					defer t.wg.Done()
-					t.receiveLoop(to, conn)
-				}()
-			}
-		}()
+	if err := t.connect(); err != nil {
+		_ = t.Close()
+		return nil, err
 	}
-	for from := 0; from < n; from++ {
-		t.conns[from] = make([]net.Conn, n)
-		for to := 0; to < n; to++ {
+	return t, nil
+}
+
+// connect dials the mesh: for every ordered pair it dials the receiver's
+// listener, accepts the connection and starts the receive loop on it. No
+// other process dials these listeners, so each Accept returns the dial just
+// made.
+func (t *RPC[M]) connect() error {
+	for from, row := range t.conns {
+		for to := range row {
 			if to == from {
 				continue
 			}
-			conn, err := net.DialTimeout("tcp", t.listeners[to].Addr().String(), dialTimeout)
+			c, err := net.DialTimeout("tcp", t.listeners[to].Addr().String(), dialTimeout)
 			if err != nil {
-				_ = t.Close() // best-effort teardown; the dial error is what matters
-				return nil, fmt.Errorf("transport: dial %d→%d: %w", from, to, err)
+				return &Error{Op: "dial", Peer: to, Err: err}
 			}
-			t.conns[from][to] = conn
+			row[to] = c
+			p, err := t.listeners[to].Accept()
+			if err != nil {
+				return &Error{Op: "dial", Peer: to, Err: err}
+			}
+			t.peers[from][to] = p
+			t.loops.Add(1)
+			go t.receiveLoop(to, p)
 		}
 	}
-	return t, nil
+	return nil
+}
+
+// hangUp closes both ends of every connection and waits for every receive
+// loop to return; the loops it ends record nothing. Taking each sender's
+// lock orders it after any in-flight send on that sender's connections.
+func (t *RPC[M]) hangUp() {
+	t.hangingUp.Store(true)
+	for from := range t.conns {
+		t.encMu[from].Lock()
+		for to := range t.conns[from] {
+			for _, c := range []net.Conn{t.conns[from][to], t.peers[from][to]} {
+				if c != nil {
+					c.Close()
+				}
+			}
+		}
+		t.encMu[from].Unlock()
+	}
+	t.loops.Wait()
+}
+
+// Reset implements Interface: it takes the mesh down, empties every inbox and
+// marker count, clears a transient error and dials a fresh mesh, so the next
+// round holds only what is sent after it. A fatal error stays and is
+// returned; a failed dial is recorded and returned, fatal, with Op "dial".
+func (t *RPC[M]) Reset() error {
+	if t.closed.Load() {
+		return &Error{Op: "dial", Peer: -1, Err: ErrClosed}
+	}
+	t.hangUp()
+	t.hangingUp.Store(false)
+	t.errMu.Lock()
+	if IsTransient(t.err) {
+		t.err = nil
+	}
+	err := t.err
+	t.errMu.Unlock()
+	if err != nil {
+		return err
+	}
+	for i := range t.inboxes {
+		in := &t.inboxes[i]
+		in.mu.Lock()
+		in.drain() // discards what the rounds held
+		clear(in.endsFrom)
+		in.broken = false
+		in.mu.Unlock()
+	}
+	err = t.connect()
+	t.recordErr(err)
+	return err
 }
 
 // maxFrameBytes bounds a frame's declared length. A desynchronized or
@@ -185,13 +231,14 @@ const maxFrameBytes = 1 << 30
 // decoded into one the inbox recycled, so the steady state allocates only
 // when a frame outgrows every recycled batch.
 func (t *RPC[M]) receiveLoop(to int, conn net.Conn) {
-	in := &t.inboxes[to]
+	defer t.loops.Done()
 	defer conn.Close()
+	in := &t.inboxes[to]
 	var hdr [4]byte
 	var body []byte
 	for {
-		// A read error is the normal end of a replaced or closed connection.
 		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+			t.readFailed(to, err)
 			return
 		}
 		n := binary.LittleEndian.Uint32(hdr[:])
@@ -204,6 +251,7 @@ func (t *RPC[M]) receiveLoop(to int, conn net.Conn) {
 		}
 		body = body[:n]
 		if _, err := io.ReadFull(conn, body); err != nil {
+			t.readFailed(to, err)
 			return
 		}
 		t.stats.decodes.Add(1)
@@ -219,9 +267,8 @@ func (t *RPC[M]) receiveLoop(to int, conn net.Conn) {
 		}
 		if err != nil {
 			// The stream is desynced: whatever it carried after this frame,
-			// round markers included, is lost, and a marker resent over a
-			// fresh dial may land a round late. The error is fatal, so the
-			// run fails typed instead of replaying into misaligned rounds.
+			// round markers included, is lost. The error is fatal, so the run
+			// fails typed instead of replaying into misaligned rounds.
 			t.recordErr(&Error{Op: "recv", Peer: to, Err: err})
 			return
 		}
@@ -230,6 +277,14 @@ func (t *RPC[M]) receiveLoop(to int, conn net.Conn) {
 			continue
 		}
 		t.deposit(from, to, batch)
+	}
+}
+
+// readFailed records a receive loop's read error or EOF as transient, unless
+// Close or Reset ended the loop.
+func (t *RPC[M]) readFailed(to int, err error) {
+	if !t.hangingUp.Load() {
+		t.recordErr(&Error{Op: "recv", Peer: to, Retryable: true, Err: err})
 	}
 }
 
@@ -261,30 +316,27 @@ func (t *RPC[M]) depositEnd(to, from int) {
 func (t *RPC[M]) NumEndpoints() int { return t.n }
 
 // recordErr keeps the first asynchronous failure for Err, but a fatal error
-// replaces a transient one and breaks every blocked Drain: once the round
-// protocol is dead, waiting for markers that will never arrive is a hang,
+// replaces a transient one. Either kind breaks the rounds: the connection
+// that failed may have swallowed a marker, waiting for it would be a hang,
 // and the engines check Err at the barrier anyway.
 func (t *RPC[M]) recordErr(err error) {
 	if err == nil {
 		return
 	}
-	fatal := !IsTransient(err)
 	t.errMu.Lock()
-	if t.err == nil || fatal && IsTransient(t.err) {
+	if t.err == nil || !IsTransient(err) && IsTransient(t.err) {
 		t.err = err
 	}
 	t.errMu.Unlock()
-	if fatal {
-		t.breakRounds()
-	}
+	t.breakRounds()
 }
 
-// breakRounds wakes and permanently unblocks all Drains.
+// breakRounds wakes every Drain and makes it return at once until Reset.
 func (t *RPC[M]) breakRounds() {
 	for i := range t.inboxes {
 		in := &t.inboxes[i]
 		in.mu.Lock()
-		in.closed = true
+		in.broken = true
 		in.cond.Broadcast()
 		in.mu.Unlock()
 	}
@@ -299,75 +351,30 @@ func (t *RPC[M]) Err() error {
 	return t.err
 }
 
-// ClearErr drops a recorded transient error after the engines have recovered
-// from it. Fatal errors stick: recovery must not mask a closed transport or
-// a protocol violation.
-func (t *RPC[M]) ClearErr() {
-	t.errMu.Lock()
-	if t.err != nil && IsTransient(t.err) {
-		t.err = nil
-	}
-	t.errMu.Unlock()
-}
-
-// backoff returns the jittered delay before retry attempt `attempt` (0-based)
-// by sender `from`. Caller holds encMu[from].
-func (t *RPC[M]) backoff(from, attempt int) time.Duration {
-	d := backoffBase << attempt
-	if d > backoffMax || d <= 0 {
-		d = backoffMax
-	}
-	// Half fixed, half jitter: spreads reconnect storms without ever
-	// returning a zero sleep.
-	return d/2 + time.Duration(t.rngs[from].Int63n(int64(d/2)+1))
-}
-
 // sendFrame encodes one frame from→to into the per-peer arena buffer and
-// writes it with a single Write, re-dialling with backoff on failure. Caller
-// holds encMu[from]. Returns the final error after retries.
+// writes it with a single Write under a deadline. Caller holds encMu[from].
+// Wire bytes are booked only for a frame written whole.
 func (t *RPC[M]) sendFrame(from, to int, end bool, batch []M) error {
 	encStart := time.Now()
 	buf := appendFrame(t.encBufs[from][to][:0], from, to, end, batch, t.codec)
 	t.encBufs[from][to] = buf
 	t.serNs[from] += time.Since(encStart).Nanoseconds() //lint:allow determinism serialisation time feeds the Serialize span, quarantined like the timings section
-	var lastErr error
-	for attempt := 0; attempt <= maxRetries; attempt++ {
-		if t.closed.Load() {
-			return &Error{Op: "send", Peer: to, Err: ErrClosed}
-		}
-		if attempt > 0 {
-			time.Sleep(t.backoff(from, attempt-1))
-			conn, err := net.DialTimeout("tcp", t.listeners[to].Addr().String(), dialTimeout)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			t.conns[from][to].Close()
-			t.conns[from][to] = conn
-			t.stats.reconnects.Add(1)
-		}
-		conn := t.conns[from][to]
-		conn.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
-		if _, err := conn.Write(buf); err != nil {
-			lastErr = err
-			t.stats.retries.Add(1)
-			continue
-		}
-		// Wire accounting only on success, and frames carry no stream state:
-		// a failed attempt's partial bytes are resent in full, byte for byte,
-		// so the counted sequence stays the deterministic one the perf gate
-		// can diff exactly.
-		t.bookWire(from, to, int64(len(buf)))
-		t.stats.encodes.Add(1)
-		return nil
+	if t.closed.Load() {
+		return &Error{Op: "send", Peer: to, Err: ErrClosed}
 	}
-	return &Error{Op: "send", Peer: to, Retryable: true, Err: lastErr}
+	conn := t.conns[from][to]
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
+	if _, err := conn.Write(buf); err != nil {
+		return &Error{Op: "send", Peer: to, Retryable: true, Err: err}
+	}
+	t.bookWire(from, to, int64(len(buf)))
+	t.stats.encodes.Add(1)
+	return nil
 }
 
 // Send delivers a batch from `from` to `to`. Self-sends bypass the network
 // but are booked like any other batch. Failures are reported through Err (the
-// Interface contract keeps the send path non-blocking for engines); transient
-// ones are first retried over a fresh connection.
+// Interface contract keeps the send path non-blocking for engines).
 func (t *RPC[M]) Send(from, to int, batch []M) {
 	if len(batch) == 0 {
 		return
@@ -388,11 +395,9 @@ func (t *RPC[M]) Send(from, to int, batch []M) {
 }
 
 // FinishRound marks the end of `from`'s sends for the current round. It must
-// be called exactly once per round per endpoint. If a marker cannot be
-// written even after reconnect retries, it is credited to the receiver's
-// inbox directly (all endpoints share this process): the barrier still
-// completes and the engines observe the failure through Err at the barrier
-// instead of hanging in Drain.
+// be called exactly once per round per endpoint. A marker that cannot be
+// written is recorded through Err, which breaks the rounds, so the barrier
+// sees the failure instead of hanging in Drain.
 func (t *RPC[M]) FinishRound(from int) {
 	if t.closed.Load() {
 		t.recordErr(&Error{Op: "finish-round", Peer: -1, Err: ErrClosed})
@@ -405,22 +410,19 @@ func (t *RPC[M]) FinishRound(from int) {
 			t.depositEnd(to, from)
 			continue
 		}
-		if err := t.sendFrame(from, to, true, nil); err != nil {
-			t.recordErr(err)
-			t.depositEnd(to, from)
-		}
+		t.recordErr(t.sendFrame(from, to, true, nil))
 	}
 }
 
 // Drain blocks until one round marker from every endpoint has arrived, then
 // returns all batches received by `to` in the inbox's (sender, send) order —
-// the order Local drains — and consumes the markers. A closed transport or
-// a fatal error unblocks it immediately.
+// the order Local drains — and consumes the markers. A recorded error or a
+// closed transport unblocks it immediately.
 func (t *RPC[M]) Drain(to int) [][]M {
 	in := &t.inboxes[to]
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	for !in.closed {
+	for !in.broken {
 		ready := true
 		for _, e := range in.endsFrom {
 			if e == 0 {
@@ -433,7 +435,7 @@ func (t *RPC[M]) Drain(to int) [][]M {
 		}
 		in.cond.Wait()
 	}
-	if !in.closed { // every sender's marker is here: consume one each
+	if !in.broken { // every sender's marker is here: consume one each
 		for i := range in.endsFrom {
 			in.endsFrom[i]--
 		}
@@ -464,10 +466,10 @@ func (t *RPC[M]) SerializeNanos(from int) int64 {
 	return t.serNs[from]
 }
 
-// Close shuts down all sockets. It is idempotent and safe to call
-// concurrently with in-flight sends and other Close calls: later Sends and
-// FinishRounds fail fast with a typed ErrClosed error instead of writing to
-// dead sockets, and blocked Drains return.
+// Close shuts down all sockets and returns once every receive loop has. It
+// is idempotent and safe to call concurrently with in-flight sends and other
+// Close calls: later Sends and FinishRounds fail fast with a typed ErrClosed
+// error instead of writing to dead sockets, and blocked Drains return.
 func (t *RPC[M]) Close() error {
 	t.closeOnce.Do(func() {
 		t.closed.Store(true)
@@ -476,18 +478,7 @@ func (t *RPC[M]) Close() error {
 				ln.Close()
 			}
 		}
-		// Taking each sender's lock orders this Close after any in-flight
-		// send on that connection, so the encoder never writes to a conn
-		// being torn down concurrently.
-		for from, row := range t.conns {
-			t.encMu[from].Lock()
-			for _, c := range row {
-				if c != nil {
-					c.Close()
-				}
-			}
-			t.encMu[from].Unlock()
-		}
+		t.hangUp()
 		t.breakRounds()
 	})
 	return nil

@@ -56,13 +56,11 @@ func (b *books[M]) bookWire(from, to int, n int64) {
 // and Stats counts only what has no cell to live in. All of it is updated
 // atomically and may be read concurrently with traffic.
 type Stats struct {
-	matrix     *Matrix
-	batches    atomic.Int64
-	encodes    atomic.Int64 // frame encode operations
-	decodes    atomic.Int64 // frame decode operations
-	enqueues   atomic.Int64 // enqueue operations that took the shared lock
-	retries    atomic.Int64 // send attempts repeated after a transient failure
-	reconnects atomic.Int64 // connections re-established after a failure
+	matrix   *Matrix
+	batches  atomic.Int64
+	encodes  atomic.Int64 // frame encode operations
+	decodes  atomic.Int64 // frame decode operations
+	enqueues atomic.Int64 // enqueue operations that took the shared lock
 }
 
 // Messages reports the total messages sent.
@@ -87,14 +85,6 @@ func (s *Stats) Decodes() int64 { return s.decodes.Load() }
 // zero for the per-sender discipline, equal to Batches for the global queue.
 func (s *Stats) LockedEnqueues() int64 { return s.enqueues.Load() }
 
-// Retries reports how many send attempts were repeated after a transient
-// failure. Always zero for the in-process transports.
-func (s *Stats) Retries() int64 { return s.retries.Load() }
-
-// Reconnects reports how many connections were re-established after a
-// failure. Always zero for the in-process transports.
-func (s *Stats) Reconnects() int64 { return s.reconnects.Load() }
-
 // Snapshot is a plain-struct copy of the counters for reporting.
 type Snapshot struct {
 	Messages, Batches, LockedEnqueues int64
@@ -102,7 +92,6 @@ type Snapshot struct {
 	// count; Encodes and Decodes count frame serialisation operations (zero
 	// for in-process transports).
 	WireBytes, Encodes, Decodes int64
-	Retries, Reconnects         int64
 }
 
 // Snapshot returns a copy of the current counters.
@@ -114,8 +103,6 @@ func (s *Stats) Snapshot() Snapshot {
 		Encodes:        s.Encodes(),
 		Decodes:        s.Decodes(),
 		LockedEnqueues: s.LockedEnqueues(),
-		Retries:        s.Retries(),
-		Reconnects:     s.Reconnects(),
 	}
 }
 
