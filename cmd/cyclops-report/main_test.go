@@ -108,6 +108,7 @@ func TestDiffAgainstRecordDir(t *testing.T) {
 	writeRecord(t, recDir, m)
 	b := fixtureBaseline()
 	b.Entries = b.Entries[:1]
+	b.Entries[0].Heat = "0r/0h:d6f458eb" // the digest of writeRecord's empty heat and hotset sections
 	base := writeBaseline(t, dir, "base.json", b)
 
 	var out strings.Builder

@@ -412,8 +412,6 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 	// WorkerStats.Sent reports logical sends; the span stream weighs Send
 	// spans by the post-combiner envelopes that actually hit the wire.
 	k.Wire = make([]int64, workers)
-	changed := make([]int64, workers)
-	redundant := make([]int64, workers)
 	partials := make([]*aggregate.Partial, workers)
 	for w := range partials {
 		partials[w] = &e.ctxs[w].local
@@ -423,15 +421,12 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 	// PRS: drain the locked global in-queue and group messages per vertex
 	// (CMP reactivates the recipients). One thread per worker, as in Hama.
 	parse := func(w int) {
-		batches := e.Tr.Drain(w)
-		var recv int64
-		for _, batch := range batches {
-			recv += int64(len(batch))
+		for _, batch := range e.Tr.Drain(w) {
 			for _, env := range batch {
 				e.inbox[env.Dst] = append(e.inbox[env.Dst], env.Msg)
 			}
 		}
-		k.Drained(w, recv, int64(len(batches)))
+		k.Drained(w)
 	}
 
 	// CMP: run Compute on active vertices, one thread per worker.
@@ -475,7 +470,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 			}
 		}
 		k.Units[w], k.Active[w], k.Sent[w] = units, computed, sent
-		changed[w], redundant[w] = changedW, redundantW
+		k.Changed[w], k.Redundant[w] = changedW, redundantW
 	}
 
 	// SND: flush per-worker bundles through the transport. Senders from all
@@ -510,10 +505,6 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		Sync: func(stats *metrics.StepStats) {
 			e.agg.Fold(partials)
 			for w := 0; w < workers; w++ {
-				stats.Active += k.Active[w]
-				stats.Changed += changed[w]
-				stats.Messages += k.Sent[w]
-				stats.RedundantMessages += redundant[w]
 				stats.ComputeUnitsMax = max(stats.ComputeUnitsMax, k.Units[w])
 				stats.SendMax = max(stats.SendMax, k.Sent[w])
 			}

@@ -77,13 +77,19 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 			}
 		}
 	}
-	changed := make([]int64, workers)
-	redundant := make([]int64, workers)
 	inbound := make([][][]syncMsg[M], workers)
 	auditPerW := make([][]obs.Violation, workers)
 	activating := make([]int64, workers) // CMP's publishes with activation, per worker
 	var nextActive int64
 	var steady, fullLast bool
+
+	// Each worker fans its CMP stripes out on a Team of T and its RECV
+	// appliers on a Team of R, built once here.
+	stripeTeams := make([]*superstep.Team, workers)
+	recvTeams := make([]*superstep.Team, workers)
+	for w := range workers {
+		stripeTeams[w], recvTeams[w] = superstep.NewTeam(threads), superstep.NewTeam(receivers)
+	}
 
 	// CMP: active masters compute over the immutable view, striped across T
 	// threads per worker. Thread t visits the frontier's slots ≡ t (mod T), so
@@ -129,7 +135,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		}
 	}
 	compute := func(w int) {
-		superstep.Fan(threads, nil, stripes[w])
+		stripeTeams[w].Run(nil, stripes[w])
 		activating[w] = 0
 		for t := 0; t < threads; t++ {
 			k.Units[w] += ctxs[w][t].units
@@ -211,7 +217,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		// memory; replicas exist only for spanning edges), so the heat rows'
 		// sync column is the full send count.
 		k.Sent[w], k.Sync[w] = sent, sent
-		changed[w], redundant[w] = changedW, redundantW
+		k.Changed[w], k.Redundant[w] = changedW, redundantW
 	}
 
 	// RECV: replica updates, parallel across R receivers per worker. Each
@@ -234,16 +240,12 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 	}
 	recv := func(w int) {
 		batches := e.Tr.Drain(w)
-		var n int64
-		for _, b := range batches {
-			n += int64(len(b))
-		}
-		k.Drained(w, n, int64(len(batches)))
+		k.Drained(w)
 		if e.cfg.Audit {
 			auditPerW[w] = e.auditDeliveries(w, batches)
 		}
-		inbound[w] = batches //lint:allow bufretain the receivers reading inbound[w] are joined by Fan below, a full barrier before the next Drain
-		superstep.Fan(receivers, nil, appliers[w])
+		inbound[w] = batches //lint:allow bufretain the receivers reading inbound[w] are joined by the Team's Run below, a full barrier before the next Drain
+		recvTeams[w].Run(nil, appliers[w])
 	}
 
 	model := metrics.DefaultCostModel()
@@ -280,10 +282,6 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 			nextActive = 0
 			for w, ws := range e.ws {
 				nextActive += int64(ws.frontier.Advance())
-				stats.Active += k.Active[w]
-				stats.Changed += changed[w]
-				stats.Messages += k.Sent[w]
-				stats.RedundantMessages += redundant[w]
 				stats.ComputeUnitsMax = max(stats.ComputeUnitsMax, k.Units[w])
 				stats.SendMax = max(stats.SendMax, k.Sent[w])
 				stats.RecvMax = max(stats.RecvMax, k.Recv[w])

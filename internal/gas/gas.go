@@ -647,8 +647,6 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 			}
 		}
 	}
-	var active int64
-
 	// flush sends worker w's per-destination batches and closes its
 	// communication round so the next drain can proceed. The five rounds
 	// interleave send and compute, so the send share of each worker's busy
@@ -676,11 +674,7 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 	// current-round processing.
 	drain := func(w int) {
 		inbound[w] = e.Tr.Drain(w) //lint:allow bufretain inbound is the round-scoped buffer, overwritten by the next drain before the batches are reused
-		var n int64
-		for _, b := range inbound[w] {
-			n += int64(len(b))
-		}
-		k.Drained(w, n, int64(len(inbound[w])))
+		k.Drained(w)
 	}
 
 	// Round 1 — gather requests: masters ask mirrors for partials.
@@ -881,7 +875,7 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 		Begin: func() bool {
 			// Advancing the epoch here covers replays after recovery too.
 			e.epoch++
-			active = 0
+			var active int64
 			for w, ws := range e.ws {
 				k.Active[w] = int64(ws.frontier.Count())
 				active += k.Active[w]
@@ -903,10 +897,8 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 			var units int64
 			for w, ws := range e.ws {
 				ws.frontier.Advance()
-				stats.Messages += k.Sent[w]
 				units += k.Units[w]
 			}
-			stats.Active = active
 			// The "Max" columns hold per-worker means here, not maxima
 			// (metrics.StepStats), and the model time is priced on them.
 			stats.ComputeUnitsMax = units / int64(workers)

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"cyclops/internal/algorithms"
@@ -11,6 +12,7 @@ import (
 	"cyclops/internal/cyclops"
 	"cyclops/internal/gas"
 	"cyclops/internal/gen"
+	"cyclops/internal/obs"
 	"cyclops/internal/partition"
 	"cyclops/internal/transport"
 )
@@ -270,8 +272,11 @@ func Fig13Convergence(o Options, w io.Writer) error {
 // Tables 2–4.
 
 // Table2Memory reproduces Table 2: peak heap and GC counts for PageRank on
-// the wiki substitution under the three engine shapes. Runs share one Go
-// heap, so runtime.GC precedes each run and the numbers are per-run deltas.
+// the wiki substitution under the three engine shapes, read by an
+// obs.MemPeak: the peak live heap at a barrier and the run window's GC cycles
+// and pause (MemRun). MemPeak keeps no rows, so the peak is the engine's and
+// not an observer's. Runs share one Go heap, so runtime.GC precedes each row:
+// the peak compares the engines' live sets, not the previous row's garbage.
 func Table2Memory(o Options, w io.Writer) error {
 	o = o.normalize()
 	spec := workloadSpec{"PR", "wiki"}
@@ -279,12 +284,6 @@ func Table2Memory(o Options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	ctx.params.trackMemory = true
-	// Force a collection before each run so peak-heap-MB compares the
-	// engines' live sets, not leftover garbage from the previous row. This
-	// deliberately perturbs GC telemetry (extra cycle, pacer reset); runs
-	// that only want GC counts/pauses leave forceGC off.
-	ctx.params.forceGC = true
 	t := newTable("config", "peak-heap-MB", "GCs", "GC-pause-ms", "replicas/vertex", "messages")
 	for _, run := range []struct {
 		engine string
@@ -294,12 +293,16 @@ func Table2Memory(o Options, w io.Writer) error {
 		{"cyclops", o.flat()},
 		{"cyclops", o.mt()},
 	} {
-		r, err := RunWorkload(run.engine, "PR", ctx.graph, run.cc, partition.Hash{}, ctx.params)
+		mem := obs.NewMemPeak()
+		p := ctx.params
+		p.Hooks = obs.Multi(o.Hooks, mem)
+		runtime.GC()
+		r, err := RunWorkload(run.engine, "PR", ctx.graph, run.cc, partition.Hash{}, p)
 		if err != nil {
 			return err
 		}
 		t.addf("%s/%s|%.1f|%d|%.2f|%.2f|%d", r.Engine, run.cc.String(),
-			float64(r.HeapPeak)/(1<<20), r.GCs, float64(r.GCPause)/1e6,
+			float64(mem.Peak)/(1<<20), mem.Run.GCCycles, float64(mem.Run.GCPauseNs)/1e6,
 			r.Replication, r.Messages)
 	}
 	t.write(w)

@@ -9,7 +9,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -162,10 +161,6 @@ type RunResult struct {
 	// Transport holds the raw wire counters at the end of the run — the
 	// ground truth the /comm traffic matrix must sum to exactly.
 	Transport transport.Snapshot
-	// HeapPeak, GCs and GCPause (ns) are filled when memory tracking is on.
-	HeapPeak uint64
-	GCs      uint32
-	GCPause  uint64
 }
 
 // defaultParams is the experiments' starting point: PageRank's 200-step
@@ -176,60 +171,6 @@ func defaultParams(o Options) Params {
 		MaxSteps: 200, Eps: o.Eps, alsSweeps: 3,
 		Hooks: o.Hooks, Audit: o.Audit,
 	}
-}
-
-// heapTracker samples heap usage at barriers.
-type heapTracker struct {
-	active bool
-	peak   uint64
-	gcs0   uint32
-	pause0 uint64
-}
-
-// newHeapTracker starts heap tracking for one run. forceGC runs a full
-// collection before the baseline sample so HeapPeak measures this run's
-// allocations rather than the previous run's garbage — but the forced cycle
-// itself perturbs GC telemetry (it inflates NumGC/PauseTotalNs ambient state
-// and resets the pacer), so it is opt-in: only experiments that compare
-// heap peaks across engines (Table 2) ask for it, and its cost lands before
-// gcs0/pause0 are sampled so the run's own GC deltas stay clean.
-func newHeapTracker(active, forceGC bool) *heapTracker {
-	t := &heapTracker{active: active}
-	if active {
-		if forceGC {
-			runtime.GC()
-		}
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		t.gcs0 = ms.NumGC
-		t.pause0 = ms.PauseTotalNs
-	}
-	return t
-}
-
-func (t *heapTracker) sample() {
-	if !t.active {
-		return
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	if ms.HeapAlloc > t.peak {
-		t.peak = ms.HeapAlloc
-	}
-}
-
-func (t *heapTracker) finish(r *RunResult) {
-	if !t.active {
-		return
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	if ms.HeapAlloc > t.peak {
-		t.peak = ms.HeapAlloc
-	}
-	r.HeapPeak = t.peak
-	r.GCs = ms.NumGC - t.gcs0
-	r.GCPause = ms.PauseTotalNs - t.pause0
 }
 
 // ---------------------------------------------------------------------------

@@ -36,12 +36,10 @@ type Params struct {
 	// checkpoints and recovery (§3.6).
 	Faults *FaultSpec
 
-	alsSweeps   int
-	alsUsers    int
-	cut         gas.EdgePartitioner // powergraph's vertex-cut; nil = random
-	trackMemory bool
-	forceGC     bool
-	onValues    func(step int, values []float64)
+	alsSweeps int
+	alsUsers  int
+	cut       gas.EdgePartitioner // powergraph's vertex-cut; nil = random
+	onValues  func(step int, values []float64)
 }
 
 // FaultSpec arms a run for fault injection: Plan is injected at the transport
@@ -164,14 +162,10 @@ func finish[V any](r *RunResult, e runnable[V], project func([]V) []float64) err
 func runBSP[V, M any](r *RunResult, g *graph.Graph, part partition.Partitioner, p Params,
 	prog bsp.Program[V, M], cfg bsp.Config[V, M], project func([]V) []float64) error {
 
-	mem := newHeapTracker(p.trackMemory, p.forceGC)
 	cfg.Cluster, cfg.Partitioner, cfg.MaxSupersteps = r.Config, part, p.MaxSteps
 	cfg.Hooks, cfg.Audit = p.Hooks, p.Audit
-	cfg.OnStep = func(step int, e *bsp.Engine[V, M]) {
-		mem.sample()
-		if p.onValues != nil {
-			p.onValues(step, project(e.Values()))
-		}
+	if p.onValues != nil {
+		cfg.OnStep = func(step int, e *bsp.Engine[V, M]) { p.onValues(step, project(e.Values())) }
 	}
 	if f := p.Faults; f != nil {
 		cfg.FaultPlan, cfg.CheckpointDir, cfg.CheckpointEvery = &f.Plan, f.Dir, f.Every
@@ -180,24 +174,16 @@ func runBSP[V, M any](r *RunResult, g *graph.Graph, part partition.Partitioner, 
 	if err != nil {
 		return err
 	}
-	if err := finish(r, e, project); err != nil {
-		return err
-	}
-	mem.finish(r)
-	return nil
+	return finish(r, e, project)
 }
 
 func runCyclops[V, M any](r *RunResult, g *graph.Graph, part partition.Partitioner, p Params,
 	prog cyclops.Program[V, M], cfg cyclops.Config[V, M], project func([]V) []float64) error {
 
-	mem := newHeapTracker(p.trackMemory, p.forceGC)
 	cfg.Cluster, cfg.Partitioner, cfg.MaxSupersteps = r.Config, part, p.MaxSteps
 	cfg.Hooks, cfg.Audit = p.Hooks, p.Audit
-	cfg.OnStep = func(step int, e *cyclops.Engine[V, M]) {
-		mem.sample()
-		if p.onValues != nil {
-			p.onValues(step, project(e.Values()))
-		}
+	if p.onValues != nil {
+		cfg.OnStep = func(step int, e *cyclops.Engine[V, M]) { p.onValues(step, project(e.Values())) }
 	}
 	if f := p.Faults; f != nil {
 		cfg.FaultPlan, cfg.CheckpointDir, cfg.CheckpointEvery = &f.Plan, f.Dir, f.Every
@@ -210,7 +196,6 @@ func runCyclops[V, M any](r *RunResult, g *graph.Graph, part partition.Partition
 		return err
 	}
 	r.Replication, r.Ingress = e.ReplicationFactor(), e.Ingress()
-	mem.finish(r)
 	return nil
 }
 

@@ -34,7 +34,7 @@ func stepRecord(step int, units, sent, recv, active []int64) *obs.StepRecord {
 	return &obs.StepRecord{
 		Step: step, Stats: metrics.StepStats{Step: step},
 		Units: units, Active: active, Sent: sent, Recv: recv,
-		Batches: make([]int64, n), Sync: make([]int64, n),
+		Sync: make([]int64, n),
 		Spans: obs.StepSpanData{Run: 1, Step: step, Wall: 4 * time.Millisecond,
 			Compute: ms, Send: ms, Units: units, Sent: sent, Recv: recv,
 			Deliveries: make([][]span.Delivery, n)},

@@ -151,3 +151,37 @@ func (a *memAttrib) endRun() MemRun {
 		GCCycles:   uint64(a.end.NumGC - a.start.NumGC),
 		GCPauseNs:  a.end.PauseTotalNs - a.start.PauseTotalNs}
 }
+
+// MemPeak is a memory-only observer for experiments that compare engines'
+// heaps (Table 2): the largest live heap read at a barrier or at the run's
+// end, and the run's MemRun, through the same memAttrib as the Log's mem
+// section. It keeps no rows, so its own footprint is a few fixed buffers and
+// the peak it reads is the engine's, not an observer's. It describes the
+// newest run it saw; read it after the run has returned.
+type MemPeak struct {
+	Nop
+	attrib *memAttrib
+	Peak   uint64 // bytes
+	Run    MemRun
+}
+
+// NewMemPeak returns a MemPeak ready to attach as Hooks.
+func NewMemPeak() *MemPeak { return &MemPeak{attrib: newMemAttrib()} }
+
+// OnRunStart implements Hooks: resets the peak and opens the run window.
+func (m *MemPeak) OnRunStart(RunInfo) {
+	m.Peak, m.Run = 0, MemRun{}
+	m.attrib.startRun()
+}
+
+// OnSuperstep implements Hooks: one barrier read.
+func (m *MemPeak) OnSuperstep(rec *StepRecord) {
+	m.Peak = max(m.Peak, m.attrib.step(rec.Step).HeapLive)
+}
+
+// OnRunEnd implements Hooks: closes the run window, then reads the heap once
+// more, so a run with no superstep still has a peak.
+func (m *MemPeak) OnRunEnd(RunEnd) {
+	m.Run = m.attrib.endRun()
+	m.Peak = max(m.Peak, m.attrib.sample().heapLive)
+}

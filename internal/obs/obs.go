@@ -66,10 +66,9 @@ type StepRecord struct {
 	Stats metrics.StepStats
 	// Per-worker rows, indexed by worker — the per-worker visibility needed to
 	// spot stragglers and skewed partitions live: edges scanned in compute,
-	// vertices that computed, messages sent and received, batches drained (a
-	// proxy for receive-side pressure), and the replica-sync share of Sent
-	// (all zero without a replicated view).
-	Units, Active, Sent, Recv, Batches, Sync []int64
+	// vertices that computed, messages sent and received, and the
+	// replica-sync share of Sent (all zero without a replicated view).
+	Units, Active, Sent, Recv, Sync []int64
 	// Comm is the worker×worker traffic of this superstep. Summing a run's
 	// records reproduces the transport's cumulative Matrix — and therefore its
 	// Stats totals — exactly.

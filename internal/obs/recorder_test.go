@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -261,6 +262,44 @@ func TestRecorderCountsAllocationsExactly(t *testing.T) {
 		t.Errorf("manifest counts %d bytes, want >= %d", m.AllocBytes, want)
 	}
 	exactSink = nil
+}
+
+// TestMemPeakReadsTheEngineNotItself: MemPeak's peak covers what is live at
+// a barrier, its MemRun counts the run window like the recorder's, and its
+// barrier reads keep nothing, so a long run cannot grow its own peak.
+func TestMemPeakReadsTheEngineNotItself(t *testing.T) {
+	const n, slack = 10_000, 16
+	m := obs.NewMemPeak()
+	runtime.GC()
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+	exactSink = make([]*[4]int64, n)
+	m.OnRunStart(obs.RunInfo{Engine: "peak", Workers: 1})
+	for i := range exactSink {
+		exactSink[i] = new([4]int64)
+	}
+	rec := &obs.StepRecord{Step: 0}
+	m.OnSuperstep(rec)
+	m.OnRunEnd(obs.RunEnd{Step: 1, Reason: obs.ReasonHalt})
+	if want := before.HeapAlloc + n*32; m.Peak < want {
+		t.Errorf("peak %d bytes, want >= %d (heap before %d + %d live objects)", m.Peak, want, before.HeapAlloc, n)
+	}
+	if m.Run.Allocs < n || m.Run.Allocs > n+slack {
+		t.Errorf("run counts %d allocations, want %d..%d", m.Run.Allocs, n, n+slack)
+	}
+	exactSink = nil
+	m.OnRunStart(obs.RunInfo{Engine: "peak", Workers: 1})
+	if m.Peak != 0 || m.Run != (obs.MemRun{}) {
+		t.Errorf("a new run starts from peak %d, run %+v; want zero", m.Peak, m.Run)
+	}
+	for step := range 10_000 {
+		rec.Step = step
+		m.OnSuperstep(rec)
+	}
+	m.OnRunEnd(obs.RunEnd{Step: 10_000, Reason: obs.ReasonHalt})
+	if m.Run.AllocBytes > 4<<10 {
+		t.Errorf("10 000 barriers allocate %d bytes, want <= 4 KiB", m.Run.AllocBytes)
+	}
 }
 
 // TestRecorderNumbersPastExistingRuns: a recorder numbers its runs after

@@ -46,13 +46,11 @@ type Entry struct {
 	AllocsPerStep float64 `json:"allocs_per_superstep,omitempty"`
 	// CritPath is the run's critical-path structure: the gating-worker
 	// sequence of its critical path ("step:worker" pairs, durations
-	// excluded). Empty in baselines written before span tracing existed, in
-	// which case diffs skip the comparison (old baselines stay usable).
+	// excluded), compared exactly.
 	CritPath string `json:"critpath,omitempty"`
 	// Heat digests the run's heat structure (heat rows, hot-set entries, and
 	// a hash over both sections' bytes). Heat data is all counts, so the
-	// digest compares exactly; empty in baselines written before the heat
-	// observatory, in which case diffs skip it.
+	// digest compares exactly.
 	Heat string `json:"heat,omitempty"`
 }
 
@@ -293,22 +291,13 @@ func Diff(old, new Baseline, opts Options) Result {
 			exact(k, "wire_bytes", float64(o.WireBytes), float64(n.WireBytes)),
 			exact(k, "replicas", float64(o.Replicas), float64(n.Replicas)),
 			banded(k, "model_ms", o.ModelMs, n.ModelMs, opts.ModelTol),
+			// Every record carries the critical-path structure, the heat
+			// digest (every count in the heat and hotset sections) and the
+			// replicated value memory: all deterministic, all exact.
+			exactText(k, "critpath", o.CritPath, n.CritPath),
+			exactText(k, "heat", o.Heat, n.Heat),
+			exact(k, "replica_value_bytes", float64(o.ReplicaValueBytes), float64(n.ReplicaValueBytes)),
 		)
-		// The critical-path structure is deterministic, so it compares
-		// exactly — but only when both sides carry it, so baselines recorded
-		// before span tracing (or with spans off) still diff cleanly.
-		if o.CritPath != "" && n.CritPath != "" {
-			res.Deltas = append(res.Deltas, exactText(k, "critpath", o.CritPath, n.CritPath))
-		}
-		// The heat digest covers every count in the heat and hotset sections,
-		// so it compares exactly under the same both-sides-present rule.
-		if o.Heat != "" && n.Heat != "" {
-			res.Deltas = append(res.Deltas, exactText(k, "heat", o.Heat, n.Heat))
-		}
-		if o.ReplicaValueBytes != 0 && n.ReplicaValueBytes != 0 {
-			res.Deltas = append(res.Deltas,
-				exact(k, "replica_value_bytes", float64(o.ReplicaValueBytes), float64(n.ReplicaValueBytes)))
-		}
 		// Allocation counts are machine-dependent: capped, never exact — and
 		// the cap is one-sided, because allocating less is not a regression.
 		if o.AllocsPerStep != 0 && n.AllocsPerStep != 0 {

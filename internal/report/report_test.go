@@ -34,9 +34,9 @@ func TestDiffIdentical(t *testing.T) {
 	if err := res.Err(); err != nil {
 		t.Fatalf("Err() = %v for identical baselines", err)
 	}
-	// 3 runs × 5 metrics, all clean.
-	if len(res.Deltas) != 15 {
-		t.Errorf("got %d deltas, want 15", len(res.Deltas))
+	// 3 runs × 8 metrics, all clean.
+	if len(res.Deltas) != 24 {
+		t.Errorf("got %d deltas, want 24", len(res.Deltas))
 	}
 	if regs := res.Regressions(); len(regs) != 0 {
 		t.Errorf("regressions on identical input: %v", regs)
@@ -282,14 +282,28 @@ func TestDiffCritPathStructure(t *testing.T) {
 		t.Errorf("markdown lacks the critpath row:\n%s", sb.String())
 	}
 
-	// Old baselines have no path data: the comparison is skipped, not failed.
+	// Every record carries path data, so one side without it is a change.
 	old := with("0:1 1:2 2:0")
 	old.Entries[0].CritPath = ""
-	if res := Diff(old, with("0:1 1:3 2:0"), Options{}); !res.OK() {
-		t.Errorf("pre-span baseline vs spanned record flagged: %v", res.Err())
+	if res := Diff(old, with("0:1 1:3 2:0"), Options{}); res.OK() {
+		t.Error("pre-span baseline vs spanned record not flagged")
 	}
-	if res := Diff(with("0:1 1:2 2:0"), old, Options{}); !res.OK() {
-		t.Errorf("spanned baseline vs span-less record flagged: %v", res.Err())
+	if res := Diff(with("0:1 1:2 2:0"), old, Options{}); res.OK() {
+		t.Error("spanned baseline vs span-less record not flagged")
+	}
+	// The same holds for the heat digest and the replicated value memory.
+	heated := with("0:1 1:2 2:0")
+	heated.Entries[0].Heat, heated.Entries[0].ReplicaValueBytes = "2r/1h:0badf00d", 800
+	for _, strip := range []func(e *Entry){
+		func(e *Entry) { e.Heat = "" },
+		func(e *Entry) { e.ReplicaValueBytes = 0 },
+	} {
+		pre := with("0:1 1:2 2:0")
+		pre.Entries[0] = heated.Entries[0]
+		strip(&pre.Entries[0])
+		if res := Diff(pre, heated, Options{}); res.OK() || len(res.Regressions()) != 1 {
+			t.Errorf("baseline %+v vs %+v: %d regressions, want 1", pre.Entries[0], heated.Entries[0], len(res.Regressions()))
+		}
 	}
 }
 
@@ -341,12 +355,16 @@ func TestRunOrderPastNineHundredNinetyNine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Baseline{Entries: []Entry{{Experiment: "sweep", Engine: "hama", Messages: 1},
-		{Experiment: "sweep", Engine: "hama", Messages: 2}}}
+	want := Baseline{Entries: []Entry{{Experiment: "sweep", Engine: "hama", Messages: 1, Heat: emptyHeat},
+		{Experiment: "sweep", Engine: "hama", Messages: 2, Heat: emptyHeat}}}
 	if res := Diff(want, got, Options{}); !res.OK() {
 		t.Errorf("runs 999 and 1000 diff out of order: %v", res.Err())
 	}
 }
+
+// emptyHeat is the heat digest of a record whose heat and hotset sections
+// hold only their headers.
+const emptyHeat = "0r/0h:d6f458eb"
 
 // writeRecord writes m's run record under root: its JSON, then every section
 // in file order, each one of sections when it starts with that header, else

@@ -7,6 +7,8 @@ package superstep_test
 
 import (
 	"fmt"
+	"os"
+	"strconv"
 	"testing"
 	"time"
 
@@ -71,7 +73,7 @@ func (g *grammarHooks) OnSuperstep(rec *obs.StepRecord) {
 	if !g.inStep || g.phaseAt != len(g.phases) {
 		g.errorf("OnSuperstep(%d): inStep=%v after %d of %d phases", rec.Step, g.inStep, g.phaseAt, len(g.phases))
 	}
-	for _, row := range [][]int64{rec.Units, rec.Active, rec.Sent, rec.Recv, rec.Batches, rec.Sync} {
+	for _, row := range [][]int64{rec.Units, rec.Active, rec.Sent, rec.Recv, rec.Sync} {
 		if len(row) != g.workers {
 			g.errorf("OnSuperstep(%d): a per-worker row has %d entries, want %d", rec.Step, len(row), g.workers)
 		}
@@ -189,8 +191,15 @@ func TestHookSequenceOnRealRuns(t *testing.T) {
 	}
 	// A seeded plan: three faults over supersteps 1..6, at least one of which
 	// surfaces as a transient transport error (a Slow fault alone would not).
+	// CHAOS_SEED, when set (CI's chaos matrix), picks the seed; else 7.
+	seed := int64(7)
+	if s := os.Getenv("CHAOS_SEED"); s != "" {
+		if seed, err = strconv.ParseInt(s, 10, 64); err != nil {
+			t.Fatalf("CHAOS_SEED=%q: %v", s, err)
+		}
+	}
 	seededPlan := func(t *testing.T, workers int) *fault.Plan {
-		plan := fault.NewPlan(7, workers, 1, 6, 3)
+		plan := fault.NewPlan(seed, workers, 1, 6, 3)
 		for _, f := range plan.Faults {
 			if f.Kind != fault.Slow {
 				return &plan

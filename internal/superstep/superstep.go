@@ -73,7 +73,9 @@ type PhaseSet struct {
 	// engine's own order, filling Counters; it returns what its auditor found.
 	Step func() []obs.Violation
 	// Sync is the barrier's sequential bookkeeping, timed as the SYN phase:
-	// fold aggregates, swap activation, fill stats.
+	// fold aggregates, swap activation, price the superstep. stats arrives
+	// with Active, Changed, Messages and RedundantMessages summed from
+	// Counters; Sync fills what the engine prices its own way.
 	Sync func(stats *metrics.StepStats)
 	// OnStep runs after each barrier, once the superstep is known good.
 	OnStep func(step int)
@@ -91,16 +93,18 @@ type Checkpoints interface {
 	Recover() error
 }
 
-// Counters is a run's scratch block: phase bodies write slot w from worker
-// w's goroutine, the kernel zeroes the per-worker rows at the top of each
-// superstep and reads them after the barrier.
+// Counters is a run's one per-worker book: phase bodies write slot w from
+// worker w's goroutine, the kernel zeroes the per-worker rows at the top of
+// each superstep, folds Active, Changed, Sent and Redundant into StepStats
+// after the barrier and hands the rows to the observers.
 type Counters struct {
-	Units   []int64 // edges scanned in compute
-	Active  []int64 // vertices that computed
-	Sent    []int64 // messages sent (logical)
-	Recv    []int64 // messages drained (see Kernel.Drained)
-	Batches []int64 // batches drained
-	Sync    []int64 // replica-sync share of Sent (heat column)
+	Units     []int64 // edges scanned in compute
+	Active    []int64 // vertices that computed
+	Changed   []int64 // vertices whose value changed
+	Sent      []int64 // messages sent (logical)
+	Redundant []int64 // messages that re-sent an unchanged value
+	Recv      []int64 // messages drained (booked by Kernel.Drained)
+	Sync      []int64 // replica-sync share of Sent (heat column)
 	// Wire, when an engine allocates (and fills) it, replaces Sent as the span
 	// stream's send weight (bsp: post-combiner envelopes).
 	Wire []int64
@@ -117,7 +121,8 @@ type Counters struct {
 type Kernel struct {
 	Counters
 	cfg  Config
-	slab []int64 // backs the six always-present Counters rows
+	slab []int64 // backs the seven always-present Counters rows
+	team *Team   // Phase's fan-out over the workers
 
 	runStart time.Time
 	runWall  time.Duration
@@ -135,22 +140,15 @@ type Kernel struct {
 	lag, first int
 	prevComm   transport.MatrixSnapshot // cumulative traffic at the last barrier
 	resAll     []float64                // Residuals' rows, joined for SetResiduals
-
-	// Phase's fan-out, built once: spawn[i-1] runs the current round fn on
-	// worker i, timed into busy, and signals wg; worker 0 runs on the caller.
-	wg    sync.WaitGroup
-	fn    func(w int)
-	busy  []time.Duration
-	spawn []func()
 }
 
 // New allocates a run's scratch; the loop allocates no bookkeeping after it.
 func New(cfg Config) *Kernel {
-	k := &Kernel{cfg: cfg}
 	n := cfg.Workers
-	k.slab = make([]int64, 6*n)
+	k := &Kernel{cfg: cfg, team: NewTeam(n), slab: make([]int64, 7*n)}
 	row := func(i int) []int64 { return k.slab[i*n : (i+1)*n : (i+1)*n] }
-	k.Units, k.Active, k.Sent, k.Recv, k.Batches, k.Sync = row(0), row(1), row(2), row(3), row(4), row(5)
+	k.Units, k.Active, k.Changed, k.Sent = row(0), row(1), row(2), row(3)
+	k.Redundant, k.Recv, k.Sync = row(4), row(5), row(6)
 	if cfg.Hooks != nil {
 		k.HeatMsgs = make([]int64, cfg.Vertices)
 		k.HeatUnits = make([]int64, cfg.Vertices)
@@ -159,28 +157,24 @@ func New(cfg Config) *Kernel {
 		}
 		k.serNs0 = make([]int64, n)
 		k.rec = &obs.StepRecord{Units: k.Units, Active: k.Active, Sent: k.Sent, Recv: k.Recv,
-			Batches: k.Batches, Sync: k.Sync, HeatMsgs: k.HeatMsgs, HeatUnits: k.HeatUnits, Owner: cfg.Owner}
+			Sync: k.Sync, HeatMsgs: k.HeatMsgs, HeatUnits: k.HeatUnits, Owner: cfg.Owner}
 		k.rec.Spans.SerializeNs = make([]int64, n)
 		k.rec.Spans.Deliveries = make([][]span.Delivery, n)
-	}
-	k.spawn = make([]func(), max(n-1, 0))
-	for i := range k.spawn {
-		k.spawn[i] = func() {
-			defer k.wg.Done()
-			timed(k.busy, k.fn, i+1)
-		}
 	}
 	return k
 }
 
-// Drained books one Drain by worker w — call it from w's goroutine right
-// after the Drain, before the next one invalidates its provenance.
-func (k *Kernel) Drained(w int, msgs, batches int64) {
-	k.Recv[w] += msgs
-	k.Batches[w] += batches
+// Drained books one Drain by worker w into Recv from the provenance the
+// transport recorded — call it from w's goroutine right after the Drain,
+// before the next one invalidates that provenance.
+func (k *Kernel) Drained(w int) {
+	deliv := k.cfg.Link.LastDeliveries(w)
+	for _, d := range deliv {
+		k.Recv[w] += d.Msgs
+	}
 	if k.cfg.Hooks != nil {
 		sd := &k.rec.Spans
-		sd.Deliveries[w] = span.MergeDeliveries(sd.Deliveries[w], k.cfg.Link.LastDeliveries(w))
+		sd.Deliveries[w] = span.MergeDeliveries(sd.Deliveries[w], deliv)
 	}
 }
 
@@ -193,15 +187,8 @@ func (k *Kernel) Phase(p metrics.Phase, rounds ...func(w int)) {
 		k.starts[p] = time.Since(k.runStart)
 	}
 	start := time.Now()
-	k.busy = k.Busy[p]
 	for _, fn := range rounds {
-		k.fn = fn
-		k.wg.Add(len(k.spawn))
-		for _, f := range k.spawn {
-			go f()
-		}
-		timed(k.busy, fn, 0)
-		k.wg.Wait()
+		k.team.Run(k.Busy[p], fn)
 	}
 	k.stats.Durations[p] = time.Since(start)
 	if k.cfg.Hooks != nil {
@@ -209,24 +196,40 @@ func (k *Kernel) Phase(p metrics.Phase, rounds ...func(w int)) {
 	}
 }
 
-// Fan runs fn(0..n-1) concurrently and waits: the stripes inside one worker's
-// round (cyclops' T threads and R receivers). n == 1 runs on the caller's
-// goroutine, which would only wait anyway. busy, when non-nil, accumulates time
-// inside fn. Phase fans its workers out the same way, over closures New built.
-func Fan(n int, busy []time.Duration, fn func(i int)) {
-	if n == 1 {
-		timed(busy, fn, 0)
-		return
+// Team is the one fan-out: Kernel.Phase's W workers, and inside one worker's
+// round cyclops' T compute stripes and R receivers. Its goroutine bodies are
+// made once by NewTeam, so a Run allocates nothing. A Team runs one Run at a
+// time; nested fan-outs each have their own.
+type Team struct {
+	wg    sync.WaitGroup
+	fn    func(i int)
+	busy  []time.Duration
+	spawn []func() // spawn[i-1] runs fn(i), timed into busy, and signals wg
+}
+
+// NewTeam builds a fan-out of width n ≥ 1.
+func NewTeam(n int) *Team {
+	t := &Team{spawn: make([]func(), n-1)}
+	for i := range t.spawn {
+		t.spawn[i] = func() {
+			defer t.wg.Done()
+			timed(t.busy, t.fn, i+1)
+		}
 	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			timed(busy, fn, i)
-		}(i)
+	return t
+}
+
+// Run runs fn(0..n-1) concurrently and waits: fn(0) on the calling goroutine,
+// which would only wait anyway, so a Team of one is a plain call. busy, when
+// non-nil, accumulates each index's time inside fn.
+func (t *Team) Run(busy []time.Duration, fn func(i int)) {
+	t.fn, t.busy = fn, busy
+	t.wg.Add(len(t.spawn))
+	for _, f := range t.spawn {
+		go f()
 	}
-	wg.Wait()
+	timed(busy, fn, 0)
+	t.wg.Wait()
 }
 
 // timed runs fn(i), reading the clock only when busy books the time.
@@ -302,6 +305,12 @@ func (k *Kernel) loop(ps PhaseSet) (reason string, err error) {
 		}
 		violations := ps.Step()
 		start := time.Now()
+		for w := range cfg.Workers {
+			k.stats.Active += k.Active[w]
+			k.stats.Changed += k.Changed[w]
+			k.stats.Messages += k.Sent[w]
+			k.stats.RedundantMessages += k.Redundant[w]
+		}
 		ps.Sync(&k.stats)
 		k.resAll = k.resAll[:0]
 		for _, row := range cfg.Residuals {

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"cyclops/internal/graph"
 	"cyclops/internal/metrics"
 	"cyclops/internal/obs"
 	"cyclops/internal/obs/span"
@@ -22,17 +23,17 @@ import (
 )
 
 // fakeLink is a transport whose only behaviour is the error and the drain
-// provenance the test plants.
+// provenance the test plants, per receiver.
 type fakeLink struct {
 	matrix *transport.Matrix
 	err    error
-	last   []span.Delivery
+	last   [][]span.Delivery
 }
 
-func (l *fakeLink) SerializeNanos(int) int64           { return 0 }
-func (l *fakeLink) Matrix() *transport.Matrix          { return l.matrix }
-func (l *fakeLink) LastDeliveries(int) []span.Delivery { return l.last }
-func (l *fakeLink) Err() error                         { return l.err }
+func (l *fakeLink) SerializeNanos(int) int64              { return 0 }
+func (l *fakeLink) Matrix() *transport.Matrix             { return l.matrix }
+func (l *fakeLink) LastDeliveries(to int) []span.Delivery { return l.last[to] }
+func (l *fakeLink) Err() error                            { return l.err }
 
 // eventLog records every hook call (and, through the rig, every injector and
 // closure call) as one short string, in order.
@@ -436,7 +437,7 @@ func TestRecordScratchAliasing(t *testing.T) {
 		r := newRig(steps, func(c *superstep.Config) { c.Hooks = rec })
 		r.ps.Step = func() []obs.Violation {
 			n := int64(r.step + 1) // every value differs between the supersteps
-			r.link.last = []span.Delivery{{From: r.step, Msgs: n}}
+			r.link.last = [][]span.Delivery{{{From: r.step, Msgs: 50 * n}}, {{From: r.step, Msgs: 50*n + 1}}}
 			r.k.Phase(metrics.Compute, func(w int) {
 				r.k.Units[w], r.k.Active[w], r.k.Sync[w] = 10*n+int64(w), 20*n+int64(w), 30*n+int64(w)
 				r.k.HeatMsgs[w] += n
@@ -444,7 +445,7 @@ func TestRecordScratchAliasing(t *testing.T) {
 				r.link.matrix.Add(w, 1-w, n)
 				r.link.matrix.AddWire(w, 1-w, 9*n)
 			})
-			r.k.Phase(metrics.Parse, func(w int) { r.k.Drained(w, 50*n+int64(w), n) })
+			r.k.Phase(metrics.Parse, r.k.Drained)
 			return nil
 		}
 		if err := r.run(); err != nil {
@@ -498,9 +499,12 @@ func TestRecordScratchAliasing(t *testing.T) {
 	}
 }
 
-// TestPhaseAllocatesNothing: New builds Phase's worker closures once, so a
-// phase's fan-out allocates nothing per round, with observation off and on.
+// TestPhaseAllocatesNothing: a Team builds its goroutine bodies once, so a
+// phase's fan-out allocates nothing per round, with observation off and on,
+// and neither does a round whose body fans out again on a per-worker Team of
+// 3 (cyclops' T stripes and R receivers).
 func TestPhaseAllocatesNothing(t *testing.T) {
+	const stripes = 3
 	for _, workers := range []int{2, 3} {
 		for _, hooks := range []obs.Hooks{nil, obs.Nop{}} {
 			k := superstep.New(superstep.Config{Name: "fake", Workers: workers, Vertices: 4, Hooks: hooks})
@@ -511,6 +515,77 @@ func TestPhaseAllocatesNothing(t *testing.T) {
 			if want := int64(2 * 101); k.Units[workers-1] != want {
 				t.Errorf("%d workers, hooks %T: last worker ran %d rounds, want %d", workers, hooks, k.Units[workers-1], want)
 			}
+
+			hits := make([]int64, workers*stripes)
+			teams, inner := make([]*superstep.Team, workers), make([]func(i int), workers)
+			for w := range teams {
+				teams[w] = superstep.NewTeam(stripes)
+				inner[w] = func(i int) { hits[w*stripes+i]++ }
+			}
+			nested := func(w int) { teams[w].Run(nil, inner[w]) }
+			if a := testing.AllocsPerRun(100, func() { k.Phase(metrics.Compute, nested) }); a != 0 {
+				t.Errorf("%d workers × %d stripes, hooks %T: %v allocations per Phase, want 0", workers, stripes, hooks, a)
+			}
+			for i, n := range hits {
+				if n != 101 {
+					t.Fatalf("%d workers × %d stripes: stripe %d ran %d times, want 101", workers, stripes, i, n)
+				}
+			}
 		}
+	}
+}
+
+// TestDrainedBooksTheTransportsProvenance: Drained books into Recv exactly
+// the messages the drain returned, Σ len(batch), from the provenance the
+// transport recorded — on Local in both queue modes and over TCP.
+func TestDrainedBooksTheTransportsProvenance(t *testing.T) {
+	const workers = 3
+	for _, tc := range []struct {
+		name    string
+		network transport.Network
+		mode    transport.QueueMode
+	}{
+		{"local-global", transport.InProcess, transport.GlobalQueue},
+		{"local-per-sender", transport.InProcess, transport.PerSenderQueue},
+		{"tcp", transport.TCPLoopback, transport.PerSenderQueue},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			codec, err := graph.CodecFor[int64]()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := transport.New[int64](tc.network, workers, tc.mode, nil, codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			k := superstep.New(superstep.Config{Name: "fake", Workers: workers, Vertices: 4, Link: tr})
+			for round := range 3 {
+				for from := range workers {
+					for to := range workers {
+						// Uneven batches, some empty, two to one pair in round 1.
+						tr.Send(from, to, make([]int64, (from+2*to+round)%4))
+						if round == 1 && from == to {
+							tr.Send(from, to, make([]int64, 5))
+						}
+					}
+					tr.FinishRound(from)
+				}
+				for to := range workers {
+					before := k.Recv[to]
+					var want int64
+					for _, b := range tr.Drain(to) {
+						want += int64(len(b))
+					}
+					k.Drained(to)
+					if got := k.Recv[to] - before; got != want {
+						t.Errorf("round %d, worker %d: Drained booked %d messages, the drain returned %d", round, to, got, want)
+					}
+				}
+			}
+			if err := tr.Err(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
