@@ -17,31 +17,6 @@ func partial(r *Registry, vals map[string]float64) *Partial {
 	return &p
 }
 
-func TestCombineOps(t *testing.T) {
-	r := NewRegistry()
-	r.Define("sum", Sum)
-	r.Define("max", Max)
-	r.Define("min", Min)
-	var local Partial
-	for _, v := range []float64{3, 1, 2} {
-		r.Combine(&local, "sum", v)
-		r.Combine(&local, "max", v)
-		r.Combine(&local, "min", v)
-	}
-	r.Fold([]*Partial{&local})
-	for name, want := range map[string]float64{"sum": 6, "max": 3, "min": 1} {
-		if got, _ := r.Value(name); got != want {
-			t.Fatalf("%s = %v, want %v", name, got, want)
-		}
-	}
-	// Reset empties the partial for the next superstep.
-	local.Reset()
-	r.Fold([]*Partial{&local})
-	if _, ok := r.Value("sum"); ok {
-		t.Fatal("a reset partial still contributes")
-	}
-}
-
 func TestCombineUnknownNameDefaultsToSum(t *testing.T) {
 	r := NewRegistry()
 	var local Partial
@@ -55,16 +30,14 @@ func TestCombineUnknownNameDefaultsToSum(t *testing.T) {
 
 func TestFoldAcrossWorkers(t *testing.T) {
 	r := NewRegistry()
-	r.Define("err", Sum)
-	r.Define("peak", Max)
-	p1 := partial(r, map[string]float64{"err": 1.5, "peak": 10})
-	p2 := partial(r, map[string]float64{"err": 2.5, "peak": 4})
+	p1 := partial(r, map[string]float64{"err": 1.5, "conv": 10})
+	p2 := partial(r, map[string]float64{"err": 2.5, "conv": 4})
 	r.Fold([]*Partial{p1, p2})
 	if v, ok := r.Value("err"); !ok || v != 4 {
 		t.Fatalf("err = %v %v", v, ok)
 	}
-	if v, _ := r.Value("peak"); v != 10 {
-		t.Fatalf("peak = %v", v)
+	if v, _ := r.Value("conv"); v != 14 {
+		t.Fatalf("conv = %v", v)
 	}
 	if _, ok := r.Value("absent"); ok {
 		t.Fatal("absent name must report !ok")
@@ -73,16 +46,6 @@ func TestFoldAcrossWorkers(t *testing.T) {
 	r.Fold([]*Partial{partial(r, map[string]float64{"err": 1})})
 	if v, _ := r.Value("err"); v != 1 {
 		t.Fatalf("refolded err = %v", v)
-	}
-}
-
-func TestHaltWhenInactive(t *testing.T) {
-	h := HaltWhenInactive()
-	if h(3, nil, 5) {
-		t.Error("must not halt with active vertices")
-	}
-	if !h(3, nil, 0) {
-		t.Error("must halt with zero active")
 	}
 }
 
@@ -126,22 +89,6 @@ func TestConvergedProportionHalt(t *testing.T) {
 	}
 }
 
-func TestMaxSteps(t *testing.T) {
-	h := MaxSteps(3, HaltWhenInactive())
-	if h(0, nil, 5) || h(1, nil, 5) {
-		t.Error("must not halt before the budget with active vertices")
-	}
-	if !h(2, nil, 5) {
-		t.Error("must halt when budget reached")
-	}
-	if !h(0, nil, 0) {
-		t.Error("inner halt must still fire early")
-	}
-	if !MaxSteps(100, nil)(0, nil, 0) {
-		t.Error("nil inner must default to inactive halt")
-	}
-}
-
 // refEntry is one name of the reference fold: a slice in first-contribution
 // order, searched by content.
 type refEntry struct {
@@ -149,15 +96,10 @@ type refEntry struct {
 	v    float64
 }
 
-func refCombine(ref []refEntry, ops map[string]Op, name string, v float64) []refEntry {
+func refCombine(ref []refEntry, name string, v float64) []refEntry {
 	for i := range ref {
 		if e := &ref[i]; e.name == name {
-			switch op := ops[name]; {
-			case op == Sum:
-				e.v += v
-			case op == Max && v > e.v, op == Min && v < e.v:
-				e.v = v
-			}
+			e.v += v
 			return ref
 		}
 	}
@@ -166,19 +108,15 @@ func refCombine(ref []refEntry, ops map[string]Op, name string, v float64) []ref
 
 // TestCombineHitPathMatchesScan: whichever way Combine finds an entry — the
 // first entry's header compare or the scan — partials and folded values equal
-// a reference fold bit for bit. Contributions are random Sum/Max/Min
-// sequences, an undefined name (Sum) and the empty name, each passed as
-// itself, as an equal copy elsewhere in memory (strings.Clone), or as a prefix
-// sharing another name's data pointer; partials are reused through Reset. A
-// hit, on the first entry or a later one, allocates nothing.
+// a reference fold bit for bit. Contributions are random sums over named,
+// undefined and empty names, each passed as itself, as an equal copy
+// elsewhere in memory (strings.Clone), or as a prefix sharing another name's
+// data pointer; partials are reused through Reset. A hit, on the first entry
+// or a later one, allocates nothing.
 func TestCombineHitPathMatchesScan(t *testing.T) {
 	r := NewRegistry()
-	ops := map[string]Op{"sum": Sum, "max": Max, "min": Min}
-	for name, op := range ops {
-		r.Define(name, op)
-	}
 	long := strings.Repeat("ab", 2) // "ab" and "aba" share its data pointer
-	names := []string{"sum", "max", "min", "undefined", "", long[:2], long[:3]}
+	names := []string{"sum", "undefined", "", long[:2], long[:3]}
 	rng := rand.New(rand.NewSource(7))
 	value := func() float64 {
 		switch rng.Intn(12) {
@@ -210,7 +148,7 @@ func TestCombineHitPathMatchesScan(t *testing.T) {
 				}
 				v := value()
 				r.Combine(p, name, v)
-				ref = refCombine(ref, ops, name, v)
+				ref = refCombine(ref, name, v)
 			}
 			var got []refEntry
 			for _, e := range p.entries {
@@ -220,7 +158,7 @@ func TestCombineHitPathMatchesScan(t *testing.T) {
 				t.Fatalf("round %d: partial %v, reference %v", round, got, ref)
 			}
 			for _, e := range ref {
-				folded = refCombine(folded, ops, e.name, e.v)
+				folded = refCombine(folded, e.name, e.v)
 			}
 		}
 		r.Fold(partials)
@@ -239,8 +177,8 @@ func TestCombineHitPathMatchesScan(t *testing.T) {
 
 	var p Partial
 	r.Combine(&p, "sum", 1)
-	r.Combine(&p, "max", 1)
-	for _, name := range []string{"sum", "max"} {
+	r.Combine(&p, "undefined", 1)
+	for _, name := range []string{"sum", "undefined"} {
 		if n := testing.AllocsPerRun(100, func() { r.Combine(&p, name, 1) }); n != 0 {
 			t.Errorf("a hit on %q allocates %v objects", name, n)
 		}

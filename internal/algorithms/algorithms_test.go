@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"cyclops/internal/aggregate"
@@ -412,10 +413,31 @@ func TestL1Distance(t *testing.T) {
 	}
 }
 
+// smallWorld is a Watts–Strogatz graph: a ring lattice where every vertex
+// links to its k nearest neighbours on each side, each link rewired to a
+// random endpoint with probability beta. Edges are bidirectional.
+func smallWorld(n, k int, beta float64, seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	b := graph.NewBuilder(n).Dedup().NoSelfLoops()
+	for v := 0; v < n; v++ {
+		for j := 1; j <= k; j++ {
+			u := (v + j) % n
+			if rng.Float64() < beta {
+				if u = rng.Intn(n); u == v {
+					continue
+				}
+			}
+			b.AddEdge(graph.ID(v), graph.ID(u))
+			b.AddEdge(graph.ID(u), graph.ID(v))
+		}
+	}
+	return b.MustBuild()
+}
+
 // PageRank over a small-world graph: the third structural regime (high
 // clustering, low diameter) alongside power-law and lattice.
 func TestPageRankOnSmallWorld(t *testing.T) {
-	g := gen.SmallWorld(300, 3, 0.1, 12)
+	g := smallWorld(300, 3, 0.1, 12)
 	want := PageRankRef(g, prIters)
 	ce, err := cyclops.New[float64, float64](g, PageRankCyclops{}, cyclops.Config[float64, float64]{
 		Cluster:       cluster.MT(3, 2, 2),

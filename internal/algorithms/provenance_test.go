@@ -33,9 +33,10 @@ type spanStream struct {
 
 func (s *spanStream) OnSuperstep(rec *obs.StepRecord) {
 	s.spans = obs.AppendStepSpans(s.spans, rec.Spans)
+	if rec.Recovery != nil {
+		s.recoveries++
+	}
 }
-
-func (s *spanStream) OnRecovery(obs.RecoveryEvent) { s.recoveries++ }
 
 // runSetup is one observed engine run's settings.
 type runSetup struct {

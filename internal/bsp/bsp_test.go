@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"cyclops/internal/aggregate"
 	"cyclops/internal/checkpoint"
 	"cyclops/internal/cluster"
 	"cyclops/internal/graph"
@@ -133,7 +132,7 @@ func TestHaltFunc(t *testing.T) {
 	e, _ := New[float64, float64](g, aggProg{}, Config[float64, float64]{
 		Cluster:       cluster.Flat(1, 2),
 		MaxSupersteps: 50,
-		Halt:          aggregate.MaxSteps(4, nil),
+		Halt:          func(step int, _ func(string) (float64, bool), _ int64) bool { return step >= 3 },
 	})
 	trace, _ := e.Run()
 	if len(trace.Steps) != 4 {

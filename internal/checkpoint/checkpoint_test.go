@@ -376,9 +376,9 @@ func TestLoadLatestFallsBackPastTornCheckpoint(t *testing.T) {
 	}
 }
 
-// tearer tears the newest checkpoint once, at the barrier of the superstep
-// the fault is planted in — after it ran, before the engine asks for its
-// state back — and records how far each recovery rewound.
+// tearer tears the newest checkpoint once, as the superstep the fault is
+// planted in starts — after the last save before the fault, before the engine
+// asks for its state back — and records how far each recovery rewound.
 type tearer struct {
 	obs.Nop
 	t         *testing.T
@@ -388,8 +388,8 @@ type tearer struct {
 	resumedAt []int
 }
 
-func (r *tearer) OnSuperstep(rec *obs.StepRecord) {
-	if rec.Step != r.faultAt || r.tornAt != 0 {
+func (r *tearer) OnSuperstepStart(step int) {
+	if step != r.faultAt || r.tornAt != 0 {
 		return
 	}
 	steps, err := checkpoint.Steps(r.dir)
@@ -402,7 +402,11 @@ func (r *tearer) OnSuperstep(rec *obs.StepRecord) {
 	}
 }
 
-func (r *tearer) OnRecovery(e obs.RecoveryEvent) { r.resumedAt = append(r.resumedAt, e.ResumedAt) }
+func (r *tearer) OnSuperstep(rec *obs.StepRecord) {
+	if e := rec.Recovery; e != nil {
+		r.resumedAt = append(r.resumedAt, e.ResumedAt)
+	}
+}
 
 // TestRecoveredRunSurvivesTornLatestCheckpoint is the faults experiment's
 // shape with a damaged directory: a worker dies at superstep 5, and by the

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"cyclops/internal/aggregate"
 	"cyclops/internal/checkpoint"
 	"cyclops/internal/cluster"
 	"cyclops/internal/gen"
@@ -399,7 +398,7 @@ func TestHaltFuncStops(t *testing.T) {
 	g := ringGraph(30)
 	e, _ := New[float64, float64](g, maxProg{}, Config[float64, float64]{
 		Cluster: cluster.Flat(2, 1),
-		Halt:    aggregate.MaxSteps(3, nil),
+		Halt:    func(step int, _ func(string) (float64, bool), _ int64) bool { return step >= 2 },
 	})
 	trace, _ := e.Run()
 	if len(trace.Steps) != 3 {

@@ -223,7 +223,8 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 	// RECV: replica updates, parallel across R receivers per worker. Each
 	// replica has exactly one writer per superstep, so updates are lock-free
 	// and there is no parse phase (§4.1); the time is reported as PRS. Two
-	// receivers may activate the same master, hence ActivateRowShared.
+	// receivers may activate the same master, so activation waits for the
+	// join and runs on the worker's own goroutine, the frontier's one writer.
 	appliers := make([]func(r int), workers)
 	for w := range appliers {
 		ws := e.ws[w]
@@ -231,9 +232,6 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 			for bi := r; bi < len(inbound[w]); bi += receivers {
 				for _, m := range inbound[w][bi] {
 					ws.view[m.Slot] = m.Val
-					if m.Activate && !steady {
-						ws.frontier.ActivateRowShared(ws.localOut.Row(int(m.Slot)))
-					}
 				}
 			}
 		}
@@ -246,6 +244,17 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		}
 		inbound[w] = batches //lint:allow bufretain the receivers reading inbound[w] are joined by the Team's Run below, a full barrier before the next Drain
 		recvTeams[w].Run(nil, appliers[w])
+		if steady {
+			return
+		}
+		ws := e.ws[w]
+		for _, batch := range batches {
+			for _, m := range batch {
+				if m.Activate {
+					ws.frontier.ActivateRow(ws.localOut.Row(int(m.Slot)))
+				}
+			}
+		}
 	}
 
 	model := metrics.DefaultCostModel()

@@ -107,8 +107,8 @@ func TestSteadyFrontierShortcut(t *testing.T) {
 // newer checkpoints are pruned before recovery looks), where
 // the frontier still shrinks: a decision carried over from superstep 9 would
 // replay superstep 2 with next = current.
-// pruneAt deletes, at the barrier of superstep step, every checkpoint in dir
-// newer than superstep keep, so a fault planted at step rolls back to keep.
+// pruneAt deletes, as superstep step starts, every checkpoint in dir newer
+// than superstep keep, so a fault planted at step rolls back to keep.
 type pruneAt struct {
 	obs.Nop
 	t          *testing.T
@@ -116,8 +116,8 @@ type pruneAt struct {
 	step, keep int
 }
 
-func (p pruneAt) OnSuperstep(rec *obs.StepRecord) {
-	if rec.Step != p.step {
+func (p pruneAt) OnSuperstepStart(step int) {
+	if step != p.step {
 		return
 	}
 	steps, err := checkpoint.Steps(p.dir)

@@ -58,14 +58,19 @@ func killPlan(k int) fault.Plan {
 	}}
 }
 
-// recoveryCounter counts OnRecovery events so tests can assert the fault
-// actually fired and was recovered from, not silently skipped.
+// recoveryCounter counts the recoveries the run's records carry so tests can
+// assert the fault actually fired and was recovered from, not silently
+// skipped.
 type recoveryCounter struct {
 	obs.Nop
 	recoveries int
 }
 
-func (r *recoveryCounter) OnRecovery(obs.RecoveryEvent) { r.recoveries++ }
+func (r *recoveryCounter) OnSuperstep(rec *obs.StepRecord) {
+	if rec.Recovery != nil {
+		r.recoveries++
+	}
+}
 
 func requireEqualValues(t *testing.T, base, got []float64) {
 	t.Helper()

@@ -205,28 +205,3 @@ func Bipartite(users, items, ratingsPerUser int, seed int64) *graph.Graph {
 	}
 	return b.MustBuild()
 }
-
-// SmallWorld generates a Watts–Strogatz small-world graph: a ring lattice
-// where every vertex connects to its k nearest neighbors on each side, with
-// each edge rewired to a random endpoint with probability beta. Small
-// rewiring probabilities give the high-clustering / low-diameter regime
-// between the lattice (roadca-like) and random (er) extremes — useful for
-// partitioner and convergence studies. Edges are bidirectional.
-func SmallWorld(n, k int, beta float64, seed int64) *graph.Graph {
-	rng := rand.New(rand.NewSource(seed))
-	b := graph.NewBuilder(n).Dedup().NoSelfLoops()
-	for v := 0; v < n; v++ {
-		for j := 1; j <= k; j++ {
-			u := (v + j) % n
-			if rng.Float64() < beta {
-				u = rng.Intn(n)
-				if u == v {
-					continue
-				}
-			}
-			b.AddEdge(graph.ID(v), graph.ID(u))
-			b.AddEdge(graph.ID(u), graph.ID(v))
-		}
-	}
-	return b.MustBuild()
-}

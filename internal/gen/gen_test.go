@@ -214,32 +214,3 @@ func TestGeneratorsAlwaysValid(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSmallWorld(t *testing.T) {
-	// beta=0: pure ring lattice, every vertex has degree exactly 2k.
-	lattice := SmallWorld(100, 3, 0, 1)
-	for v := 0; v < 100; v++ {
-		if d := lattice.OutDegree(graph.ID(v)); d != 6 {
-			t.Fatalf("lattice degree of %d = %d, want 6", v, d)
-		}
-	}
-	// Symmetric.
-	for _, e := range lattice.Edges() {
-		if !lattice.HasEdge(e.Dst, e.Src) {
-			t.Fatal("small-world graph must be symmetric")
-		}
-	}
-	// beta=0.2: some rewiring; still valid, similar edge budget.
-	sw := SmallWorld(100, 3, 0.2, 1)
-	if err := sw.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if sw.NumEdges() < lattice.NumEdges()/2 {
-		t.Fatalf("rewired graph lost too many edges: %d vs %d", sw.NumEdges(), lattice.NumEdges())
-	}
-	// Determinism.
-	sw2 := SmallWorld(100, 3, 0.2, 1)
-	if sw.NumEdges() != sw2.NumEdges() {
-		t.Fatal("SmallWorld must be deterministic for a fixed seed")
-	}
-}

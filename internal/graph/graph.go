@@ -140,37 +140,3 @@ func (g *Graph) Validate() error {
 	}
 	return nil
 }
-
-// InducedSubgraph returns the subgraph over the given vertices (all edges
-// whose endpoints are both selected), plus the mapping from new ids to the
-// original ones. Duplicate ids in keep are collapsed; order is preserved.
-// It is the utility behind per-partition debugging and community extraction.
-func (g *Graph) InducedSubgraph(keep []ID) (*Graph, []ID, error) {
-	newID := make(map[ID]ID, len(keep))
-	original := make([]ID, 0, len(keep))
-	for _, v := range keep {
-		if int(v) >= g.n {
-			return nil, nil, fmt.Errorf("graph: subgraph vertex %d out of range", v)
-		}
-		if _, ok := newID[v]; ok {
-			continue
-		}
-		newID[v] = ID(len(original))
-		original = append(original, v)
-	}
-	b := NewBuilder(len(original))
-	for _, v := range original {
-		ns := g.OutNeighbors(v)
-		ws := g.OutWeights(v)
-		for i, u := range ns {
-			if nu, ok := newID[u]; ok {
-				b.AddWeightedEdge(newID[v], nu, ws[i])
-			}
-		}
-	}
-	sub, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	return sub, original, nil
-}

@@ -273,78 +273,3 @@ func TestDegreeSumProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestInducedSubgraph(t *testing.T) {
-	g := mustGraph(t, 5, []Edge{
-		{0, 1, 1}, {1, 2, 2}, {2, 3, 3}, {3, 0, 4}, {1, 4, 5},
-	})
-	sub, orig, err := g.InducedSubgraph([]ID{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.NumVertices() != 3 {
-		t.Fatalf("|V| = %d", sub.NumVertices())
-	}
-	// Kept edges: 1→2 and 1→4 (0 and 3 are dropped).
-	if sub.NumEdges() != 2 {
-		t.Fatalf("|E| = %d", sub.NumEdges())
-	}
-	if orig[0] != 1 || orig[1] != 2 || orig[2] != 4 {
-		t.Fatalf("mapping = %v", orig)
-	}
-	if !sub.HasEdge(0, 1) || !sub.HasEdge(0, 2) {
-		t.Fatal("remapped edges missing")
-	}
-	if sub.OutWeights(0)[0] != 2 {
-		t.Fatal("weights lost in subgraph")
-	}
-}
-
-func TestInducedSubgraphEdgeCases(t *testing.T) {
-	g := mustGraph(t, 3, []Edge{{0, 1, 1}})
-	// Duplicates collapse.
-	sub, orig, err := g.InducedSubgraph([]ID{0, 0, 1})
-	if err != nil || sub.NumVertices() != 2 || len(orig) != 2 {
-		t.Fatalf("dup collapse: %v %v %v", sub, orig, err)
-	}
-	// Out-of-range rejected.
-	if _, _, err := g.InducedSubgraph([]ID{9}); err == nil {
-		t.Fatal("out-of-range vertex must error")
-	}
-	// Empty selection.
-	sub, _, err = g.InducedSubgraph(nil)
-	if err != nil || sub.NumVertices() != 0 {
-		t.Fatalf("empty selection: %v %v", sub, err)
-	}
-}
-
-// Property: a subgraph over ALL vertices is edge-for-edge the original.
-func TestInducedSubgraphIdentityProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(30) + 1
-		b := NewBuilder(n)
-		for i := 0; i < rng.Intn(80); i++ {
-			b.AddEdge(ID(rng.Intn(n)), ID(rng.Intn(n)))
-		}
-		g := b.MustBuild()
-		all := make([]ID, n)
-		for i := range all {
-			all[i] = ID(i)
-		}
-		sub, _, err := g.InducedSubgraph(all)
-		if err != nil || sub.NumEdges() != g.NumEdges() {
-			return false
-		}
-		ea, eb := g.Edges(), sub.Edges()
-		for i := range ea {
-			if ea[i] != eb[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -66,26 +65,6 @@ func gini(xs []int) float64 {
 		return 0
 	}
 	return (2*cum)/(n*total) - (n+1)/n
-}
-
-// DegreeHistogram returns counts bucketed by powers of two of out-degree:
-// bucket i counts vertices with out-degree in [2^i, 2^(i+1)), bucket 0 also
-// includes degree-0 vertices for compactness of display.
-func DegreeHistogram(g *Graph) []int {
-	maxBucket := 0
-	counts := make([]int, 33)
-	for v := 0; v < g.NumVertices(); v++ {
-		d := g.OutDegree(ID(v))
-		b := 0
-		if d > 0 {
-			b = int(math.Log2(float64(d))) + 1
-		}
-		counts[b]++
-		if b > maxBucket {
-			maxBucket = b
-		}
-	}
-	return counts[:maxBucket+1]
 }
 
 // String renders a one-line summary, used by the graphgen CLI.

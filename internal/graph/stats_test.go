@@ -53,29 +53,6 @@ func TestGiniUniformVsSkewed(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	b := NewBuilder(4)
-	// Degrees: v0=1, v1=2, v2=4, v3=0.
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 0)
-	b.AddEdge(1, 2)
-	for i := 0; i < 4; i++ {
-		b.AddEdge(2, ID(i%3))
-	}
-	h := DegreeHistogram(b.MustBuild())
-	// Bucket 0: degree 0 (v3). Bucket 1: [1,2) → v0. Bucket 2: [2,4) → v1.
-	// Bucket 3: [4,8) → v2.
-	want := []int{1, 1, 1, 1}
-	if len(h) != len(want) {
-		t.Fatalf("histogram = %v", h)
-	}
-	for i := range want {
-		if h[i] != want[i] {
-			t.Fatalf("histogram = %v, want %v", h, want)
-		}
-	}
-}
-
 func TestStatsString(t *testing.T) {
 	s := ComputeStats(mustGraph(t, 2, []Edge{{0, 1, 1}}))
 	if s.String() == "" {

@@ -76,16 +76,18 @@ type faultOutcome struct {
 	equal                 bool
 }
 
-// recoveryStats counts OnRecovery events, next to whatever observers the
-// caller installed.
+// recoveryStats counts the recoveries the run's records carry, next to
+// whatever observers the caller installed.
 type recoveryStats struct {
 	obs.Nop
 	recoveries, replayed int
 }
 
-func (r *recoveryStats) OnRecovery(e obs.RecoveryEvent) {
-	r.recoveries++
-	r.replayed += e.Replayed()
+func (r *recoveryStats) OnSuperstep(rec *obs.StepRecord) {
+	if e := rec.Recovery; e != nil {
+		r.recoveries++
+		r.replayed += e.Replayed()
+	}
 }
 
 // runFaulted runs one engine's PageRank row clean and under the plan and

@@ -34,17 +34,16 @@ type Log struct {
 	done    bool
 	ended   RunEnd // once done; its Hot is hot's
 	endedAt time.Time
-	// recoveries are the run's checkpoint rollbacks and replayed the supersteps
-	// they re-executed. The replayed supersteps appear again in every retained
-	// row — the log shows the replay, which is what makes a recovered run
-	// diffable against its fault-free twin.
-	recoveries []recovery
-	replayed   int
+	// recoveries counts the run's checkpoint rollbacks and replayed the
+	// supersteps they re-executed. The replayed supersteps appear again in
+	// every retained row — the log shows the replay, which is what makes a
+	// recovered run diffable against its fault-free twin.
+	recoveries, replayed int
 
 	// verbose, when set, narrates each event as it is logged (-verbose), under
 	// mu, so a /trace scrape never sees a line stderr has not; slow is the
 	// slow-phase factor (≤ 1 disables the detector); order lists the run's
-	// phases in the order OnPhase first reported them.
+	// phases in the order its records first showed them running.
 	verbose slog.Handler
 	slow    float64
 	order   []metrics.Phase
@@ -81,14 +80,7 @@ type logStep struct {
 	skew       SkewStep
 	msgs, wire int64 // the traffic delta's totals
 	violations []Violation
-}
-
-// recovery is one rollback; rows is how many rows the log held when it
-// happened, so it narrates after their events.
-type recovery struct {
-	RecoveryEvent
-	at   time.Time
-	rows int
+	recovery   *RecoveryEvent // the barrier's rollback, if it had one
 }
 
 // commCell is one (superstep, sender, receiver) cell with traffic.
@@ -125,7 +117,7 @@ func (l *Log) OnRunStart(info RunInfo) {
 	defer l.mu.Unlock()
 	l.runs++
 	l.info, l.started = info, time.Now()
-	l.done, l.recoveries, l.replayed, l.inStep, l.cur = false, l.recoveries[:0], 0, false, 0
+	l.done, l.recoveries, l.replayed, l.inStep, l.cur = false, 0, 0, false, 0
 	l.stats, l.steps, l.mem, l.heat, l.cells = l.stats[:0], l.steps[:0], l.mem[:0], l.heat[:0], l.cells[:0]
 	l.spans, l.cum, l.order = l.spans[:0], transport.MatrixSnapshot{}, l.order[:0]
 	l.hot, l.hotAt, l.memRun = nil, time.Time{}, nil
@@ -142,16 +134,6 @@ func (l *Log) OnSuperstepStart(step int) {
 	l.mu.Unlock()
 }
 
-// OnPhase implements Hooks: files the duration in the phase histogram.
-func (l *Log) OnPhase(_ int, phase metrics.Phase, d time.Duration) {
-	l.mu.Lock()
-	l.tot.observePhase(phase, d)
-	if !slices.Contains(l.order, phase) {
-		l.order = append(l.order, phase)
-	}
-	l.mu.Unlock()
-}
-
 // OnSuperstep implements Hooks: copies what the log keeps out of the record.
 func (l *Log) OnSuperstep(rec *StepRecord) {
 	l.mu.Lock()
@@ -163,6 +145,21 @@ func (l *Log) OnSuperstep(rec *StepRecord) {
 	st := logStep{at: now, skew: rec.Skew(), violations: slices.Clone(rec.Violations)}
 	if l.inStep {
 		st.wall = now.Sub(l.stepAt)
+	}
+	ran, n := ranPhases(rec)
+	for _, p := range ran[:n] {
+		l.tot.observePhase(p, rec.Stats.Durations[p])
+		if !slices.Contains(l.order, p) {
+			l.order = append(l.order, p)
+		}
+	}
+	if r := rec.Recovery; r != nil {
+		e := *r
+		st.recovery = &e
+		l.recoveries++
+		l.replayed += r.Replayed()
+		l.tot.recoveries++
+		l.tot.replayed += int64(r.Replayed())
 	}
 	for f, row := range rec.Comm.Messages {
 		for t, msgs := range row {
@@ -199,18 +196,25 @@ func (l *Log) OnSuperstep(rec *StepRecord) {
 	}
 }
 
-// OnRecovery implements Hooks.
-func (l *Log) OnRecovery(e RecoveryEvent) {
-	l.mu.Lock()
-	r := recovery{e, time.Now(), len(l.steps)}
-	l.recoveries = append(l.recoveries, r)
-	l.replayed += e.Replayed()
-	l.tot.recoveries++
-	l.tot.replayed += int64(e.Replayed())
-	if l.verbose != nil {
-		l.narrateRecovery(l.verbose, r)
+// ranPhases lists the phases rec's superstep ran — those with a non-zero
+// duration — in the order they started, SYN last.
+func ranPhases(rec *StepRecord) (ran [metrics.Sync + 1]metrics.Phase, n int) {
+	sd, d := &rec.Spans, &rec.Stats.Durations
+	start := [metrics.Sync]time.Duration{sd.ParseStart, sd.ComputeStart, sd.SendStart}
+	for p := range metrics.Sync {
+		if d[p] == 0 {
+			continue
+		}
+		i := n
+		for ; i > 0 && start[ran[i-1]] > start[p]; i-- {
+			ran[i] = ran[i-1]
+		}
+		ran[i], n = p, n+1
 	}
-	l.mu.Unlock()
+	if d[metrics.Sync] != 0 {
+		ran[n], n = metrics.Sync, n+1
+	}
+	return ran, n
 }
 
 // OnRunEnd implements Hooks: closes the allocation window, closes the run

@@ -116,11 +116,7 @@ func TestMemTrackerAttribution(t *testing.T) {
 	var sink [][]byte
 	for step := 0; step < 2; step++ {
 		l.OnSuperstepStart(step)
-		l.OnPhase(step, metrics.Parse, 0)
 		sink = append(sink, make([]byte, 1<<20))
-		l.OnPhase(step, metrics.Compute, 0)
-		l.OnPhase(step, metrics.Send, 0)
-		l.OnPhase(step, metrics.Sync, 0)
 		l.OnSuperstep(&obs.StepRecord{Step: step})
 	}
 	l.OnRunEnd(obs.RunEnd{Step: 1, Reason: obs.ReasonNoActive})
@@ -222,9 +218,11 @@ func TestMetricsPerRunGaugesResetOnRunStart(t *testing.T) {
 
 	l.OnRunStart(obs.RunInfo{Engine: "cyclops", Workers: 2})
 	l.OnSuperstep(step(0))
-	l.OnSuperstep(step(1))
-	// A recovery rewinds to superstep 0: the replay adds to the run's totals.
-	l.OnRecovery(obs.RecoveryEvent{Step: 1, ResumedAt: 0, Attempt: 1})
+	// Superstep 1's barrier recovers to superstep 0: the replay adds to the
+	// run's totals.
+	faulty := step(1)
+	faulty.Recovery = &obs.RecoveryEvent{Step: 1, ResumedAt: 0, Attempt: 1}
+	l.OnSuperstep(faulty)
 	l.OnSuperstep(step(0))
 	if want := obs.MetricWorkerEgress + `{worker="0"} 15`; !sample(want) {
 		t.Errorf("after a replay from superstep 0: no %q (three supersteps of 5)", want)
@@ -266,23 +264,20 @@ func TestSuperstepGaugeResetsOnRunStart(t *testing.T) {
 }
 
 // BenchmarkPhaseSamplerOverhead measures one full superstep of observation
-// (start + four phase boundaries + end; one runtime/metrics batch read, at
-// the end). CI runs this to watch the observatory's cost: the budget is <2%
+// (start + end, whose record files four phase durations; one runtime/metrics
+// batch read, at the end). CI runs this to watch the observatory's cost: the budget is <2%
 // of per-superstep model time at scale 0.25, i.e. the superstep must stay in
 // the low microseconds. runtime/metrics reads take no stop-the-world pause,
 // so the cost is pure CPU.
 func BenchmarkPhaseSamplerOverhead(b *testing.B) {
 	l := obs.NewLog()
 	l.OnRunStart(obs.RunInfo{Engine: "bench"})
-	phases := []metrics.Phase{metrics.Parse, metrics.Compute, metrics.Send, metrics.Sync}
 	rec := &obs.StepRecord{}
+	rec.Stats.Durations = [4]time.Duration{time.Microsecond, time.Microsecond, time.Microsecond, time.Microsecond}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l.OnSuperstepStart(i)
-		for _, p := range phases {
-			l.OnPhase(i, p, time.Microsecond)
-		}
 		l.OnSuperstep(rec)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"cyclops/internal/metrics"
 	"cyclops/internal/obs"
 	"cyclops/internal/obs/span"
 	"cyclops/internal/transport"
@@ -24,7 +23,10 @@ var goRuntimeSample = regexp.MustCompile(`(?m)^(go_[a-z_]+) .*$`)
 // runs with one recovery and one audit violation, scraped after the first
 // run, in the middle of the second and after it. The golden file was recorded
 // through -debug-addr's own wiring (obs.Setup) before /metrics became a render
-// over the Log, so it holds the endpoint to what it served then.
+// over the Log, so it holds the endpoint to what it served then — except the
+// PRS histogram, re-recorded when the Log began to read phases from the
+// record: the cyclops run's script gives PRS no time, and a phase with a zero
+// duration did not run, where the old script reported it as run for 0 s.
 func TestMetricsGolden(t *testing.T) {
 	var stderr bytes.Buffer
 	sess, err := obs.Setup(obs.Options{Prog: "golden", Stderr: &stderr, DebugAddr: "127.0.0.1:0"})
@@ -40,17 +42,14 @@ func TestMetricsGolden(t *testing.T) {
 		body := goRuntimeSample.ReplaceAllString(get(t, url+"/metrics", "text/plain"), "$1 <wall-clock>")
 		got.WriteString("=== " + title + " ===\n" + body)
 	}
-	phases := func(step int, ds ...time.Duration) {
-		for p, d := range ds {
-			h.OnPhase(step, metrics.Phase(p), d)
-		}
-	}
 	// step is one barrier of a three-worker run: worker 0 sends 4 messages to
 	// itself and 6 + 2 across the cut, worker 1 sends 3 to worker 0, worker 2
-	// is idle; scale multiplies the traffic so the runs differ.
-	step := func(n int, scale int64, parse bool) *obs.StepRecord {
+	// is idle; scale multiplies the traffic so the runs differ, and ds are the
+	// PRS, CMP, SND and SYN durations.
+	step := func(n int, scale int64, parse bool, ds ...time.Duration) *obs.StepRecord {
 		rec := stepRecord(n, []int64{30 * scale, 10 * scale, 0}, []int64{12 * scale, 3 * scale, 0},
 			[]int64{7 * scale, 6 * scale, 2 * scale}, []int64{20, 10, 0})
+		copy(rec.Stats.Durations[:], ds)
 		rec.Stats.Active, rec.Stats.Changed = 30, 25-int64(n)
 		rec.Stats.Messages, rec.Stats.RedundantMessages = 15*scale, scale
 		rec.Sync = []int64{5 * scale, 2 * scale, 0}
@@ -70,14 +69,15 @@ func TestMetricsGolden(t *testing.T) {
 		Replicas: 250, WorkerReplicas: []int64{100, 90, 60}})
 	for _, n := range []int{0, 1} {
 		h.OnSuperstepStart(n)
-		phases(n, 0, 2*time.Millisecond, 300*time.Microsecond, 30*time.Millisecond)
-		h.OnSuperstep(step(n, 1, false))
+		rec := step(n, 1, false, 0, 2*time.Millisecond, 300*time.Microsecond, 30*time.Millisecond)
+		if n == 1 {
+			rec.Recovery = &obs.RecoveryEvent{Engine: "cyclops", Step: 1, ResumedAt: 0, Attempt: 1, Cause: "injected"}
+		}
+		h.OnSuperstep(rec)
 	}
-	h.OnRecovery(obs.RecoveryEvent{Engine: "cyclops", Step: 1, ResumedAt: 0, Attempt: 1, Cause: "injected"})
 	for _, n := range []int{0, 1, 2} {
 		h.OnSuperstepStart(n)
-		phases(n, 0, 5*time.Millisecond, 50*time.Microsecond, 2*time.Second)
-		rec := step(n, 1, false)
+		rec := step(n, 1, false, 0, 5*time.Millisecond, 50*time.Microsecond, 2*time.Second)
 		if n == 2 {
 			rec.Violations = []obs.Violation{
 				{Engine: "cyclops", Step: 2, Worker: 1, Vertex: 7, Kind: obs.ViolationReplicaDesync},
@@ -92,12 +92,10 @@ func TestMetricsGolden(t *testing.T) {
 	// Run 2: hama (a parse phase, no replicas), scraped with superstep 1 open.
 	h.OnRunStart(obs.RunInfo{Run: 1, Engine: "hama", Workers: 3, Vertices: 100, Edges: 400})
 	h.OnSuperstepStart(0)
-	phases(0, 700*time.Microsecond, 8*time.Millisecond, 90*time.Microsecond, 150*time.Millisecond)
-	h.OnSuperstep(step(0, 1000, true))
+	h.OnSuperstep(step(0, 1000, true, 700*time.Microsecond, 8*time.Millisecond, 90*time.Microsecond, 150*time.Millisecond))
 	h.OnSuperstepStart(1)
 	scrape("run 2, superstep 1 in flight")
-	phases(1, 700*time.Microsecond, 8*time.Millisecond, 90*time.Microsecond, 200*time.Second)
-	h.OnSuperstep(step(1, 100000, true))
+	h.OnSuperstep(step(1, 100000, true, 700*time.Microsecond, 8*time.Millisecond, 90*time.Microsecond, 200*time.Second))
 	h.OnRunEnd(obs.RunEnd{Step: 2, Reason: obs.ReasonHalt, Wall: 201 * time.Second})
 	scrape("after run 2")
 

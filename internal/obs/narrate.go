@@ -68,8 +68,8 @@ func event(h slog.Handler, at time.Time, level slog.Level, msg string, args ...a
 	h.Handle(context.Background(), r) //nolint:errcheck // best-effort narration
 }
 
-// narrateStart, narrateStep, narrateRecovery and narrateEnd tell one event
-// each. Caller holds mu.
+// narrateStart, narrateStep and narrateEnd tell one event each, narrateStep
+// with its superstep's warnings, errors and recovery. Caller holds mu.
 func (l *Log) narrateStart(h slog.Handler) {
 	i := &l.info
 	event(h, l.started, slog.LevelInfo, "run-start", "span", "run", "run", l.runs,
@@ -97,15 +97,14 @@ func (l *Log) narrateStep(h slog.Handler, i int) {
 		"messages", s.Messages, "redundant", s.RedundantMessages,
 		"prs_ns", d[metrics.Parse].Nanoseconds(), "cmp_ns", d[metrics.Compute].Nanoseconds(),
 		"snd_ns", d[metrics.Send].Nanoseconds(), "syn_ns", d[metrics.Sync].Nanoseconds())
-}
-
-// narrateRecovery: a fault absorbed by checkpoint rollback leaves the run
-// alive but degraded, so it is a warning.
-func (l *Log) narrateRecovery(h slog.Handler, r recovery) {
-	event(h, r.at, slog.LevelWarn, "recovery", "span", "run",
-		"run", l.runs, "engine", r.Engine, "step", r.Step,
-		"resumed_at", r.ResumedAt, "replayed", r.Replayed(),
-		"attempt", r.Attempt, "cause", r.Cause)
+	// A fault absorbed by checkpoint rollback leaves the run alive but
+	// degraded, so it is a warning.
+	if r := st.recovery; r != nil {
+		event(h, st.at, slog.LevelWarn, "recovery", "span", "run",
+			"run", l.runs, "engine", r.Engine, "step", r.Step,
+			"resumed_at", r.ResumedAt, "replayed", r.Replayed(),
+			"attempt", r.Attempt, "cause", r.Cause)
+	}
 }
 
 func (l *Log) narrateEnd(h slog.Handler) {
@@ -122,14 +121,8 @@ func (l *Log) WriteTrace(w io.Writer) error {
 	l.mu.Lock()
 	if l.runs > 0 {
 		l.narrateStart(h)
-		rec := l.recoveries
-		for i := 0; i <= len(l.steps); i++ {
-			for ; len(rec) > 0 && rec[0].rows == i; rec = rec[1:] {
-				l.narrateRecovery(h, rec[0])
-			}
-			if i < len(l.steps) {
-				l.narrateStep(h, i)
-			}
+		for i := range l.steps {
+			l.narrateStep(h, i)
 		}
 		if l.done {
 			l.narrateEnd(h)

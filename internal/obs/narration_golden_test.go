@@ -23,11 +23,10 @@ var (
 // their order, levels, and the order of events within a superstep — over a
 // fixed script of two runs: a cyclops run with a recovery, two slow phases in
 // one replayed superstep, and an audit failure; then a hama run whose phase
-// history starts afresh. Each superstep reports the phases in its engine's
-// call order and keeps the kernel's invariant that OnPhase carries the
-// record's own duration. The golden file was recorded through obs.Setup
-// before the narration became a render over the Log; after each run, /trace
-// must render the lines just printed.
+// history starts afresh. Each superstep's record starts its phases in its
+// engine's call order, as the kernel's start offsets do. The golden file was
+// recorded through obs.Setup before the narration became a render over the
+// Log; after each run, /trace must render the lines just printed.
 func TestNarrationGolden(t *testing.T) {
 	var stderr bytes.Buffer
 	sess, err := obs.Setup(obs.Options{Prog: "golden", Stderr: &stderr, Verbose: true, SlowPhase: 3})
@@ -39,15 +38,20 @@ func TestNarrationGolden(t *testing.T) {
 
 	cyclopsOrder := []metrics.Phase{metrics.Compute, metrics.Send, metrics.Parse, metrics.Sync}
 	hamaOrder := []metrics.Phase{metrics.Parse, metrics.Compute, metrics.Send, metrics.Sync}
+	var recovery *obs.RecoveryEvent // carried by the next superstep's record
 	superstep := func(n int, order []metrics.Phase, prs, cmp, snd, syn time.Duration, vs ...obs.Violation) {
 		h.OnSuperstepStart(n)
 		rec := stepRecord(n, []int64{30, 10, 0}, []int64{12, 3, 0}, []int64{7, 6, 2}, []int64{20, 10, 0})
 		rec.Stats.Durations = [4]time.Duration{prs, cmp, snd, syn}
 		rec.Stats.Active, rec.Stats.Changed = 30-int64(n), 25-int64(n)
 		rec.Stats.Messages, rec.Stats.RedundantMessages = 15+int64(n), int64(n%3)
-		rec.Violations = vs
-		for _, p := range order {
-			h.OnPhase(n, p, rec.Stats.Durations[p])
+		rec.Violations, rec.Recovery, recovery = vs, recovery, nil
+		// Each phase starts where the one before it in the engine's order ends.
+		var at time.Duration
+		starts := [...]*time.Duration{&rec.Spans.ParseStart, &rec.Spans.ComputeStart, &rec.Spans.SendStart}
+		for _, p := range order[:len(order)-1] {
+			*starts[p] = at
+			at += rec.Stats.Durations[p]
 		}
 		h.OnSuperstep(rec)
 	}
@@ -71,9 +75,11 @@ func TestNarrationGolden(t *testing.T) {
 	h.OnRunStart(obs.RunInfo{Run: 1, Engine: "cyclops", Workers: 3, Vertices: 100, Edges: 400,
 		Replicas: 250, WorkerReplicas: []int64{100, 90, 60}})
 	for n := 0; n < 6; n++ {
+		if n == 5 {
+			recovery = &obs.RecoveryEvent{Engine: "cyclops", Step: 5, ResumedAt: 4, Attempt: 1, Cause: "injected"}
+		}
 		superstep(n, cyclopsOrder, 100*us, 2*ms, 300*us, ms)
 	}
-	h.OnRecovery(obs.RecoveryEvent{Engine: "cyclops", Step: 5, ResumedAt: 4, Attempt: 1, Cause: "injected"})
 	superstep(4, cyclopsOrder, 100*us, 2*ms, 300*us, ms)
 	superstep(5, cyclopsOrder, ms, 20*ms, 300*us, ms)
 	superstep(6, cyclopsOrder, 100*us, 2*ms, 300*us, 5*ms,

@@ -77,6 +77,10 @@ type StepRecord struct {
 	// Config.Audit enabled); the run fails with an AuditError after this
 	// record is delivered.
 	Violations []Violation
+	// Recovery, when non-nil, is the checkpoint recovery this superstep's
+	// barrier performed after a transient fault: the run resumes at its
+	// ResumedAt and replays from there.
+	Recovery *RecoveryEvent
 	// Spans is the superstep's span measurements; AppendStepSpans turns it
 	// into the canonical span stream.
 	Spans StepSpanData
@@ -145,7 +149,7 @@ func (e RecoveryEvent) Replayed() int { return e.Step - e.ResumedAt + 1 }
 // Hooks observes an engine run. Every call comes from the engine's
 // coordinator goroutine, between barriers, in the grammar
 //
-//	OnRunStart { OnSuperstepStart OnPhase* OnSuperstep [OnRecovery] }* OnRunEnd
+//	OnRunStart { OnSuperstepStart OnSuperstep }* OnRunEnd
 //
 // which the superstep kernel makes structural: the run pair brackets a loop
 // that may return freely, and nothing between OnSuperstepStart and
@@ -158,16 +162,10 @@ type Hooks interface {
 	OnRunStart(info RunInfo)
 	// OnSuperstepStart fires at the top of each superstep.
 	OnSuperstepStart(step int)
-	// OnPhase fires after each timed phase of a superstep, at the phase
-	// boundary itself, where allocation attribution samples; d equals the
-	// record's Stats.Durations[phase].
-	OnPhase(step int, phase metrics.Phase, d time.Duration)
 	// OnSuperstep fires once per superstep after the barrier with everything
-	// the kernel knows about it. rec is valid only during the call.
+	// the kernel knows about it, its phase durations and any recovery
+	// included. rec is valid only during the call.
 	OnSuperstep(rec *StepRecord)
-	// OnRecovery fires after the engine has restored a checkpoint in
-	// response to a transient fault, before the replay resumes.
-	OnRecovery(e RecoveryEvent)
 	// OnRunEnd fires once when the run terminates, on every exit path.
 	OnRunEnd(e RunEnd)
 }
@@ -183,14 +181,8 @@ func (Nop) OnRunStart(RunInfo) {}
 // OnSuperstepStart implements Hooks.
 func (Nop) OnSuperstepStart(int) {}
 
-// OnPhase implements Hooks.
-func (Nop) OnPhase(int, metrics.Phase, time.Duration) {}
-
 // OnSuperstep implements Hooks.
 func (Nop) OnSuperstep(*StepRecord) {}
-
-// OnRecovery implements Hooks.
-func (Nop) OnRecovery(RecoveryEvent) {}
 
 // OnRunEnd implements Hooks.
 func (Nop) OnRunEnd(RunEnd) {}
@@ -229,21 +221,9 @@ func (m multi) OnSuperstepStart(step int) {
 	}
 }
 
-func (m multi) OnPhase(step int, phase metrics.Phase, d time.Duration) {
-	for _, h := range m {
-		h.OnPhase(step, phase, d)
-	}
-}
-
 func (m multi) OnSuperstep(rec *StepRecord) {
 	for _, h := range m {
 		h.OnSuperstep(rec)
-	}
-}
-
-func (m multi) OnRecovery(e RecoveryEvent) {
-	for _, h := range m {
-		h.OnRecovery(e)
 	}
 }
 

@@ -210,7 +210,7 @@ func (r *Recorder) OnRunEnd(e RunEnd) {
 		Replicas:          info.Replicas,
 		Supersteps:        len(r.steps),
 		StopReason:        e.Reason,
-		Recoveries:        len(r.recoveries),
+		Recoveries:        r.recoveries,
 		Replayed:          r.replayed,
 		ReplicaValueBytes: info.ReplicaValueBytes,
 		EdgeCut:           info.EdgeCut,

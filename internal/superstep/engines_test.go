@@ -2,12 +2,14 @@ package superstep_test
 
 // The engines through the kernel: every engine, on a clean run, with its
 // auditor on, and through a seeded fault plan with recovery, must speak the
-// same six-event hook grammar — differing only in the phase order each engine
-// reports (DESIGN.md §4.1).
+// same four-event hook grammar — differing only in the phase order each
+// engine's records show (DESIGN.md §4.1).
 
 import (
+	"cmp"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -25,16 +27,15 @@ import (
 	"cyclops/internal/obs/span"
 )
 
-// grammarHooks checks the six-event grammar as events arrive and counts them
+// grammarHooks checks the four-event grammar as events arrive and counts them
 // for the per-run totals. Hooks are only called from the coordinator, so no
 // locking.
 type grammarHooks struct {
 	t       *testing.T
 	workers int
-	phases  []metrics.Phase // the engine's OnPhase order within a superstep
+	phases  []metrics.Phase // the engine's phase order within a superstep
 
 	inRun, inStep      bool
-	phaseAt            int
 	runStarts, runEnds int
 	steps, violations  int
 	recoveries, spans  int
@@ -59,19 +60,30 @@ func (g *grammarHooks) OnSuperstepStart(step int) {
 	if !g.inRun || g.inStep {
 		g.errorf("OnSuperstepStart(%d): inRun=%v inStep=%v", step, g.inRun, g.inStep)
 	}
-	g.inStep, g.phaseAt = true, 0
+	g.inStep = true
 }
 
-func (g *grammarHooks) OnPhase(step int, p metrics.Phase, _ time.Duration) {
-	if !g.inStep || g.phaseAt >= len(g.phases) || g.phases[g.phaseAt] != p {
-		g.errorf("OnPhase(%d, %s) at position %d, want order %v", step, p, g.phaseAt, g.phases)
+// ranPhases is the phases rec's superstep ran — those with a non-zero
+// duration — in the order of their start offsets, SYN last.
+func ranPhases(rec *obs.StepRecord) []metrics.Phase {
+	sd := &rec.Spans
+	start := [metrics.Sync]time.Duration{sd.ParseStart, sd.ComputeStart, sd.SendStart}
+	var ran []metrics.Phase
+	for _, p := range []metrics.Phase{metrics.Parse, metrics.Compute, metrics.Send} {
+		if rec.Stats.Durations[p] != 0 {
+			ran = append(ran, p)
+		}
 	}
-	g.phaseAt++
+	slices.SortStableFunc(ran, func(a, b metrics.Phase) int { return cmp.Compare(start[a], start[b]) })
+	if rec.Stats.Durations[metrics.Sync] != 0 {
+		ran = append(ran, metrics.Sync)
+	}
+	return ran
 }
 
 func (g *grammarHooks) OnSuperstep(rec *obs.StepRecord) {
-	if !g.inStep || g.phaseAt != len(g.phases) {
-		g.errorf("OnSuperstep(%d): inStep=%v after %d of %d phases", rec.Step, g.inStep, g.phaseAt, len(g.phases))
+	if ran := ranPhases(rec); !g.inStep || !slices.Equal(ran, g.phases) {
+		g.errorf("OnSuperstep(%d): inStep=%v, phases %v, want %v", rec.Step, g.inStep, ran, g.phases)
 	}
 	for _, row := range [][]int64{rec.Units, rec.Active, rec.Sent, rec.Recv, rec.Sync} {
 		if len(row) != g.workers {
@@ -95,17 +107,16 @@ func (g *grammarHooks) OnSuperstep(rec *obs.StepRecord) {
 	if hot := rec.Hot(); len(hot) > obs.DefaultHotK {
 		g.errorf("OnSuperstep(%d): hot set of %d", rec.Step, len(hot))
 	}
+	if e := rec.Recovery; e != nil {
+		if e.Step != rec.Step || e.ResumedAt > e.Step || e.Attempt != g.recoveries+1 || e.Cause == "" {
+			g.errorf("OnSuperstep(%d): recovery %+v after %d recoveries", rec.Step, *e, g.recoveries)
+		}
+		g.recoveries++
+	}
 	g.spans += len(g.scratch)
 	g.violations += len(rec.Violations)
 	g.inStep = false
 	g.steps++
-}
-
-func (g *grammarHooks) OnRecovery(e obs.RecoveryEvent) {
-	if g.inStep || e.ResumedAt > e.Step || e.Attempt != g.recoveries+1 {
-		g.errorf("OnRecovery %+v: inStep=%v after %d recoveries", e, g.inStep, g.recoveries)
-	}
-	g.recoveries++
 }
 
 func (g *grammarHooks) OnRunEnd(e obs.RunEnd) {

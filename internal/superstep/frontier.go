@@ -1,9 +1,6 @@
 package superstep
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
 // Frontier is one worker's activity: which of its slots compute this
 // superstep (current) and which have been activated for the next one (next),
@@ -11,8 +8,8 @@ import (
 // slots plus the active ones, so a near-empty superstep does not pay for the
 // partition's size. DESIGN.md §4.1 states who may call what in which phase;
 // in short: Set/Has/Count between supersteps, Unchanged between phases,
-// Words, Next, Repeat and the ActivateRows inside phases, Advance at the
-// barrier. Engines walk Words (and gas sets bits in Next) inline: their
+// Words, Next, Repeat and ActivateRow inside phases, from the frontier's one
+// writer at a time, Advance at the barrier. Engines walk Words (and gas sets bits in Next) inline: their
 // generic instances, compiled where they are instantiated, cannot inline a
 // method of this package (DESIGN.md §4.1).
 type Frontier struct {
@@ -80,21 +77,6 @@ func (f *Frontier) Next() []uint64 { return f.next }
 func (f *Frontier) ActivateRow(row []int32) {
 	for _, s := range row {
 		f.next[s>>6] |= 1 << (s & 63)
-	}
-}
-
-// ActivateRowShared is ActivateRow for a phase with concurrent writers. It
-// tests before it swaps, so re-activating an already set slot — the common
-// case on a dense frontier — is a load and no bus-locked instruction.
-func (f *Frontier) ActivateRowShared(row []int32) {
-	for _, s := range row {
-		word, bit := &f.next[s>>6], uint64(1)<<(s&63)
-		for {
-			old := atomic.LoadUint64(word)
-			if old&bit != 0 || atomic.CompareAndSwapUint64(word, old, old|bit) {
-				break
-			}
-		}
 	}
 }
 

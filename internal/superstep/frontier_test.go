@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"cyclops/internal/superstep"
@@ -188,47 +187,6 @@ func TestFrontierActivateRowIsActivateLoop(t *testing.T) {
 			bySlot.Advance()
 			if got, want := collect(&byRow, 0, 1), collect(&bySlot, 0, 1); !slices.Equal(got, want) {
 				t.Fatalf("n=%d: ActivateRow set %v, Activate loop %v", n, got, want)
-			}
-		}
-	}
-}
-
-// TestFrontierActivateSharedLosesNoBit runs ActivateRowShared from eight
-// writers colliding on the same words, once a slot per call and once a long
-// row per call; under -race a plain store in it is a reported race.
-func TestFrontierActivateSharedLosesNoBit(t *testing.T) {
-	const n, writers = 4097, 8
-	for _, rowLen := range []int{1, 64} {
-		rng := rand.New(rand.NewSource(23))
-		f := superstep.NewFrontier(n)
-		want := make([]bool, n)
-		lists := make([][]int32, writers)
-		for g := range lists {
-			// Overlapping slots, clustered so writers collide on the same words.
-			base := rng.Intn(n - 256)
-			for i := 0; i < 2000; i++ {
-				s := base + rng.Intn(256)
-				lists[g] = append(lists[g], int32(s))
-				want[s] = true
-			}
-		}
-		var wg sync.WaitGroup
-		for _, list := range lists {
-			wg.Add(1)
-			go func(list []int32) {
-				defer wg.Done()
-				for len(list) > 0 {
-					row := list[:min(rowLen, len(list))]
-					f.ActivateRowShared(row)
-					list = list[len(row):]
-				}
-			}(list)
-		}
-		wg.Wait()
-		f.Advance()
-		for s, on := range want {
-			if f.Has(s) != on {
-				t.Fatalf("rows of %d, slot %d: Has = %v, want %v", rowLen, s, f.Has(s), on)
 			}
 		}
 	}

@@ -191,9 +191,6 @@ func (k *Kernel) Phase(p metrics.Phase, rounds ...func(w int)) {
 		k.team.Run(k.Busy[p], fn)
 	}
 	k.stats.Durations[p] = time.Since(start)
-	if k.cfg.Hooks != nil {
-		k.cfg.Hooks.OnPhase(k.stats.Step, p, k.stats.Durations[p])
-	}
 }
 
 // Team is the one fan-out: Kernel.Phase's W workers, and inside one worker's
@@ -283,7 +280,8 @@ func (k *Kernel) begin() {
 }
 
 // loop is the superstep loop; it returns why the run stopped. Between
-// OnSuperstepStart and OnSuperstep there is no exit, so the pair cannot break.
+// OnSuperstepStart and OnSuperstep there is no exit, so the pair cannot break:
+// a superstep that fails at its barrier still delivers its record first.
 func (k *Kernel) loop(ps PhaseSet) (reason string, err error) {
 	cfg, h, step := &k.cfg, k.cfg.Hooks, k.cfg.Step
 	recoveries := 0
@@ -320,28 +318,39 @@ func (k *Kernel) loop(ps PhaseSet) (reason string, err error) {
 		k.stats.Durations[metrics.Sync] = time.Since(start)
 		cfg.Trace.Append(k.stats)
 		if h != nil {
-			h.OnPhase(*step, metrics.Sync, k.stats.Durations[metrics.Sync])
-			k.rec.Step, k.rec.Stats, k.rec.Violations = *step, k.stats, violations
+			k.rec.Step, k.rec.Stats, k.rec.Violations, k.rec.Recovery = *step, k.stats, violations, nil
 			cfg.Link.Matrix().Advance(k.prevComm, k.rec.Comm)
 			k.endSpans()
-			h.OnSuperstep(k.rec)
 		}
 		// Fault check at the barrier, before anything from this superstep is
 		// persisted: a transient transport fault rolls the run back to the
 		// latest checkpoint (§3.6) and replays; anything else fails the run.
-		if ferr := cfg.Link.Err(); ferr != nil {
-			if !transport.IsTransient(ferr) || cfg.Checkpoints == nil || recoveries >= maxRecoveries {
-				return obs.ReasonFault, fmt.Errorf("%s: transport: %w", cfg.Name, ferr)
-			}
-			faultStep := *step
+		// Either way the superstep's record goes out first, carrying the
+		// recovery when there was one.
+		ferr := cfg.Link.Err()
+		var fail error
+		switch {
+		case ferr == nil:
+		case !transport.IsTransient(ferr) || cfg.Checkpoints == nil || recoveries >= maxRecoveries:
+			fail = fmt.Errorf("%s: transport: %w", cfg.Name, ferr)
+		default:
 			if rerr := cfg.Checkpoints.Recover(); rerr != nil {
-				return obs.ReasonFault, fmt.Errorf("%s: recovery: %w", cfg.Name, rerr)
+				fail = fmt.Errorf("%s: recovery: %w", cfg.Name, rerr)
+				break
 			}
 			recoveries++
 			if h != nil {
-				h.OnRecovery(obs.RecoveryEvent{Engine: cfg.Trace.Engine, Step: faultStep,
-					ResumedAt: *step, Attempt: recoveries, Cause: ferr.Error()})
+				k.rec.Recovery = &obs.RecoveryEvent{Engine: cfg.Trace.Engine, Step: k.rec.Step,
+					ResumedAt: *step, Attempt: recoveries, Cause: ferr.Error()}
 			}
+		}
+		if h != nil {
+			h.OnSuperstep(k.rec)
+		}
+		if fail != nil {
+			return obs.ReasonFault, fail
+		}
+		if ferr != nil {
 			continue
 		}
 		if len(violations) > 0 {

@@ -67,15 +67,15 @@ func (l *eventLog) index(event string) int {
 
 func (l *eventLog) OnRunStart(info obs.RunInfo) { l.add("run-start %d", info.Run) }
 func (l *eventLog) OnSuperstepStart(step int)   { l.add("step-start %d", step) }
-func (l *eventLog) OnPhase(step int, p metrics.Phase, _ time.Duration) {
-	l.add("phase %d %s", step, p)
-}
+
+// OnSuperstep logs the record, then the recovery it carries, if any, as an
+// event of its own.
 func (l *eventLog) OnSuperstep(rec *obs.StepRecord) {
 	l.add("step %d units=%v comm=%d violations=%d", rec.Step, rec.Units, rec.Comm.Workers, len(rec.Violations))
-}
-func (l *eventLog) OnRecovery(e obs.RecoveryEvent) {
-	l.add("recovery")
-	l.recoveries = append(l.recoveries, e)
+	if rec.Recovery != nil {
+		l.add("recovery")
+		l.recoveries = append(l.recoveries, *rec.Recovery)
+	}
 }
 func (l *eventLog) OnRunEnd(e obs.RunEnd) { l.add("run-end %d %s", e.Step, e.Reason) }
 
@@ -157,10 +157,6 @@ func TestHookGrammarOnCleanRun(t *testing.T) {
 		want = append(want,
 			fmt.Sprintf("arm %d", step),
 			fmt.Sprintf("step-start %d", step),
-			fmt.Sprintf("phase %d PRS", step),
-			fmt.Sprintf("phase %d CMP", step),
-			fmt.Sprintf("phase %d SND", step),
-			fmt.Sprintf("phase %d SYN", step),
 			// Three rounds each added w+1: the per-worker rows are zeroed
 			// between supersteps, not between phases.
 			fmt.Sprintf("step %d units=[3 6] comm=2 violations=0", step),
@@ -290,10 +286,12 @@ func TestTransientFaultHealsRestoresAndReplays(t *testing.T) {
 	if err := r.run(); err != nil {
 		t.Fatal(err)
 	}
+	// The faulty superstep's record goes out after the restore and carries
+	// the recovery.
 	log := r.log
-	restore, recovery := log.index("restore"), log.index("recovery")
-	if restore < 0 || restore > recovery {
-		t.Fatalf("want restore < recovery:\n%s", strings.Join(log.events, "\n"))
+	restore, record := log.index("restore"), log.index("step 2 units=[3 6] comm=2 violations=0")
+	if restore < 0 || record != restore+1 || log.events[record+1] != "recovery" {
+		t.Fatalf("want restore, then superstep 2's record with its recovery:\n%s", strings.Join(log.events, "\n"))
 	}
 	if len(log.recoveries) != 1 {
 		t.Fatalf("%d recoveries, want 1", len(log.recoveries))
@@ -364,8 +362,11 @@ func TestUnrecoverableFaults(t *testing.T) {
 			if got := r.log.count("restore"); got != tc.calls {
 				t.Fatalf("%d Recover calls, want %d", got, tc.calls)
 			}
-			if r.log.count("recovery") != 0 || r.log.index("run-end 0 "+obs.ReasonFault) != len(r.log.events)-1 ||
-				r.log.count("run-end") != 1 {
+			// The failed superstep's record is still delivered, without a
+			// recovery, and the run closes right after it.
+			end := r.log.index("run-end 0 " + obs.ReasonFault)
+			if r.log.count("recovery") != 0 || end != len(r.log.events)-1 || r.log.count("run-end") != 1 ||
+				r.log.events[end-1] != "step 0 units=[3 6] comm=2 violations=0" {
 				t.Fatalf("hook sequence:\n%s", strings.Join(r.log.events, "\n"))
 			}
 		})
