@@ -8,6 +8,8 @@
 package algorithms
 
 import (
+	"math"
+
 	"cyclops/internal/bsp"
 	"cyclops/internal/cyclops"
 	"cyclops/internal/graph"
@@ -67,8 +69,9 @@ type PageRankBSP struct {
 	Eps float64
 }
 
-// ErrorAggregator is the aggregator name PageRank programs publish |Δrank|
-// into; pair it with aggregate.GlobalErrorHalt.
+// ErrorAggregator is the aggregator name PageRankBSP (Figure 2) publishes
+// |Δrank| into in eps mode; no other program publishes into it. Pair it with
+// aggregate.GlobalErrorHalt.
 const ErrorAggregator = "pr-error"
 
 // Init implements bsp.Program.
@@ -95,7 +98,7 @@ func (p PageRankBSP) Compute(ctx *bsp.Context[float64, float64], msgs []float64)
 	// Fixed-iteration mode (Eps ≤ 0) neither publishes nor reads it: a
 	// GlobalErrorHalt paired with it never fires, aggregate or not.
 	if p.Eps > 0 {
-		ctx.Aggregate(ErrorAggregator, abs(value-last))
+		ctx.Aggregate(ErrorAggregator, math.Abs(value-last))
 		if globalErr, ok := ctx.AggregateValue(ErrorAggregator); ok && globalErr/float64(ctx.NumVertices()) < p.Eps {
 			ctx.VoteToHalt()
 			return
@@ -109,13 +112,6 @@ func outDegCtx[V, M any](ctx *bsp.Context[V, M]) float64 {
 		return float64(d)
 	}
 	return 1
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // PageRankCyclops is the paper's Figure 5 program: the same algorithm over
@@ -145,9 +141,7 @@ func (p PageRankCyclops) Compute(ctx *cyclops.Context[float64, float64]) {
 	value := 0.15/float64(ctx.NumVertices()) + Damping*sum
 	last := ctx.Value()
 	ctx.SetValue(value)
-	err := abs(value - last)
-	ctx.Aggregate(ErrorAggregator, err)
-	if p.Eps <= 0 || err > p.Eps {
+	if p.Eps <= 0 || math.Abs(value-last) > p.Eps {
 		ctx.Publish(value/outDegCyc(ctx), true)
 	}
 	// voteToHalt is implicit: without an activation a vertex sleeps.
@@ -209,7 +203,7 @@ func (p *PageRankGAS) Apply(id graph.ID, old PRValue, acc float64, hasAcc bool, 
 	}
 	rank := 0.15/float64(p.g.NumVertices()) + Damping*sum
 	activate := step+1 < p.Iters
-	if p.Eps > 0 && abs(rank-old.Rank) < p.Eps {
+	if p.Eps > 0 && math.Abs(rank-old.Rank) < p.Eps {
 		activate = false
 	}
 	return PRValue{Rank: rank, Share: rank / outDeg1(p.g, id)}, activate
@@ -229,7 +223,7 @@ func Ranks(vals []PRValue) []float64 {
 func L1Distance(a, b []float64) float64 {
 	var sum float64
 	for i := range a {
-		sum += abs(a[i] - b[i])
+		sum += math.Abs(a[i] - b[i])
 	}
 	return sum
 }
@@ -259,5 +253,5 @@ func (p PageRankGraphLab) Update(ctx *graphlab.Scope[float64]) (float64, bool) {
 	rank := 0.15/float64(ctx.G.NumVertices()) + Damping*sum
 	d := outDeg1(ctx.G, ctx.ID)
 	oldRank := ctx.Values[ctx.ID] * d
-	return rank / d, abs(rank-oldRank) > p.Eps
+	return rank / d, math.Abs(rank-oldRank) > p.Eps
 }

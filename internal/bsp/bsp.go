@@ -609,20 +609,34 @@ func (e *Engine[V, M]) snapshot(step int) State[V, M] {
 		Values: append([]V(nil), e.values...),
 		Halted: append([]bool(nil), e.halted...),
 	}
-	if e.restored != nil {
-		for _, p := range e.restored {
-			s.Pending = append(s.Pending, PendingBatch[M]{To: p.To, Batch: append([]envelope[M](nil), p.Batch...)})
-		}
-		return s
-	}
-	for to := range e.ctxs {
-		for _, ctx := range e.ctxs {
-			if batch := ctx.out[to]; len(batch) > 0 {
-				s.Pending = append(s.Pending, PendingBatch[M]{To: to, Batch: append([]envelope[M](nil), batch...)})
+	pending := e.restored
+	if pending == nil {
+		pending = make([]PendingBatch[M], 0, len(e.ctxs)*len(e.ctxs)) // a batch per (sender, receiver) at most
+		for to := range e.ctxs {
+			for _, ctx := range e.ctxs {
+				if batch := ctx.out[to]; len(batch) > 0 {
+					pending = append(pending, PendingBatch[M]{To: to, Batch: batch})
+				}
 			}
 		}
 	}
+	s.Pending = ownBatches(pending)
 	return s
+}
+
+// ownBatches copies ps with its batches in one slab, each capped at its own
+// end: a checkpoint allocates as often for W² batches as for one.
+func ownBatches[M any](ps []PendingBatch[M]) []PendingBatch[M] {
+	n := 0
+	for _, p := range ps {
+		n += len(p.Batch)
+	}
+	own, slab := make([]PendingBatch[M], len(ps)), make([]envelope[M], 0, n)
+	for i, p := range ps {
+		slab = append(slab, p.Batch...)
+		own[i] = PendingBatch[M]{To: p.To, Batch: slab[len(slab)-len(p.Batch) : len(slab) : len(slab)]}
+	}
+	return own
 }
 
 // Restore rewinds the engine to a checkpointed state (§3.6 recovery). The
@@ -642,11 +656,9 @@ func (e *Engine[V, M]) Restore(s State[V, M]) error {
 	// a fresh engine): stand the checkpoint's batches in its place.
 	copy(e.values, s.Values)
 	copy(e.halted, s.Halted)
-	e.restored = make([]PendingBatch[M], 0, len(s.Pending))
-	for _, p := range s.Pending {
-		batch := append([]envelope[M](nil), p.Batch...)
-		e.restored = append(e.restored, PendingBatch[M]{To: p.To, Batch: batch})
-		e.Tr.Send(p.To, p.To, batch)
+	e.restored = ownBatches(s.Pending) // never nil: snapshot reads it until the next PRS
+	for _, p := range e.restored {
+		e.Tr.Send(p.To, p.To, p.Batch)
 	}
 	e.finishRound()
 	for v := range e.inbox {

@@ -49,3 +49,7 @@ func (e *Engine[V, M]) InboxSpill() error {
 	}
 	return nil
 }
+
+// Snapshot captures the state the next superstep starts from, as a
+// checkpoint of it would.
+func (e *Engine[V, M]) Snapshot() State[V, M] { return e.snapshot(e.Superstep()) }

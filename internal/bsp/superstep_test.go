@@ -266,3 +266,40 @@ func BenchmarkRun(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs), "ns/msg")
 }
+
+// TestCheckpointAllocsDoNotGrowWithBatches: a checkpoint copies every pending
+// batch into one slab, so a snapshot allocates as often at Flat(6,8), with up
+// to 48² batches, as at Flat(2,1), with up to 4. The same holds after a
+// Restore, when the snapshot copies the batches Restore queued.
+func TestCheckpointAllocsDoNotGrowWithBatches(t *testing.T) {
+	g, _, err := gen.Dataset("gweb", 0.05, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(cc cluster.Config) (fresh, restored float64) {
+		e, err := bsp.New[float64, float64](g, algorithms.PageRankBSP{}, bsp.Config[float64, float64]{Cluster: cc, MaxSupersteps: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		s := e.Snapshot()
+		if len(s.Pending) < cc.Workers() {
+			t.Fatalf("%v: %d pending batches, want at least one per worker", cc, len(s.Pending))
+		}
+		fresh = testing.AllocsPerRun(10, func() { e.Snapshot() })
+		if err := e.Restore(s); err != nil {
+			t.Fatal(err)
+		}
+		restored = testing.AllocsPerRun(10, func() { e.Snapshot() })
+		return fresh, restored
+	}
+	small, smallRestored := allocs(cluster.Flat(2, 1))
+	large, largeRestored := allocs(cluster.Flat(6, 8))
+	if large != small || largeRestored != smallRestored {
+		t.Fatalf("allocations per snapshot: %v and %v after Restore at Flat(6,8), %v and %v at Flat(2,1)",
+			large, largeRestored, small, smallRestored)
+	}
+}

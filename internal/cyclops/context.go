@@ -16,15 +16,16 @@ type Context[V, M any] struct {
 
 	// The worker's flat arrays and |V|, bound at the start of every stripe
 	// call (bind), so no Restore, recovery or Evolve can leave them stale and
-	// every accessor is one indexed load off the context; srcs and weights
-	// are the current master's in-row (setSlot).
-	view         []M
-	values       []V
-	outDeg       []int32
-	inOff        []int64
-	inSrc, srcs  []int32
-	inW, weights []float64
-	n            int
+	// every accessor is one indexed load off the context; [lo, hi) is the
+	// current master's in-row in inSrc and inW (setSlot).
+	view   []M
+	values []V
+	outDeg []int32
+	inOff  []int64
+	inSrc  []int32
+	inW    []float64
+	lo, hi int64
+	n      int
 
 	published   bool
 	pubVal      M
@@ -46,12 +47,11 @@ func (c *Context[V, M]) bind() {
 	c.n = c.e.g.NumVertices()
 }
 
-// setSlot points the context at a master slot and slices its in-row and
-// weights from one offsets read.
+// setSlot points the context at a master slot and its in-row's offsets.
+// Two words, not two slice headers: In slices the row when a program asks.
 func (c *Context[V, M]) setSlot(s int) {
 	c.slot = int32(s)
-	lo, hi := c.inOff[s], c.inOff[s+1]
-	c.srcs, c.weights = c.inSrc[lo:hi], c.inW[lo:hi]
+	c.lo, c.hi = c.inOff[s], c.inOff[s+1]
 }
 
 // Vertex returns the current vertex id.
@@ -82,8 +82,8 @@ func (c *Context[V, M]) Message() M { return c.view[c.slot] }
 // computation work (§3.3). weights has len(srcs) elements; none of the three
 // slices may be written.
 func (c *Context[V, M]) In() (view []M, srcs []int32, weights []float64) {
-	srcs = c.srcs
-	return c.view, srcs, c.weights[:len(srcs)]
+	srcs = c.inSrc[c.lo:c.hi]
+	return c.view, srcs, c.inW[c.lo:][:len(srcs)]
 }
 
 // OutDegree returns the vertex's global out-degree.
@@ -107,9 +107,4 @@ func (c *Context[V, M]) Publish(m M, activate bool) {
 // Aggregate contributes v to the named aggregator (visible next superstep).
 func (c *Context[V, M]) Aggregate(name string, v float64) {
 	c.e.agg.Combine(&c.local, name, v)
-}
-
-// AggregateValue reads the previous superstep's folded aggregate.
-func (c *Context[V, M]) AggregateValue(name string) (float64, bool) {
-	return c.e.agg.Value(name)
 }

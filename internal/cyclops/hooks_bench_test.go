@@ -13,6 +13,7 @@ package cyclops_test
 // internal/superstep's TestHookSequenceOnRealRuns.
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"testing"
@@ -23,6 +24,7 @@ import (
 	"cyclops/internal/cyclops"
 	"cyclops/internal/gen"
 	"cyclops/internal/graph"
+	"cyclops/internal/metrics"
 	"cyclops/internal/obs"
 	"cyclops/internal/obs/span"
 	"cyclops/internal/partition"
@@ -164,9 +166,19 @@ func BenchmarkSparseSuperstep(b *testing.B) {
 // loopback TCP ("tcp"); the difference is frames, codec and round markers.
 // "floor" is CMP's gather floor on the same engine: PageRank's arithmetic as a
 // plain loop over the engine's in-rows and view (PageRankFloor), per superstep.
-// Run it with -cpu 1, as bench/ runs on one P.
+// The graph goes through graph.Write and graph.Load first, so its vertices
+// are numbered by first appearance in the edge list, the order bench/ runs
+// on every seed. Run it with -cpu 1, as bench/ runs on one P.
 func BenchmarkDenseSuperstep(b *testing.B) {
-	g, _, err := gen.Dataset("gweb", 0.5, 1)
+	gen0, _, err := gen.Dataset("gweb", 0.5, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var text bytes.Buffer
+	if err := graph.Write(&text, gen0); err != nil {
+		b.Fatal(err)
+	}
+	g, _, err := graph.Load(&text)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -192,8 +204,9 @@ func BenchmarkDenseSuperstep(b *testing.B) {
 }
 
 // benchSupersteps times steps supersteps of prog on Flat(2,1) over net per
-// iteration and reports ns/superstep, restoring the engine's initial state
-// untimed in between.
+// iteration and reports ns/superstep and, from the trace's phase durations,
+// CMP's share of it (cmp-ns/superstep, to read against the floor), restoring
+// the engine's initial state untimed in between.
 func benchSupersteps(b *testing.B, g *graph.Graph, prog cyclops.Program[float64, float64], part partition.Partitioner, steps int, net transport.Network) {
 	e, err := cyclops.New[float64, float64](g, prog,
 		cyclops.Config[float64, float64]{Cluster: cluster.Flat(2, 1), Partitioner: part, MaxSupersteps: steps, Network: net})
@@ -214,6 +227,7 @@ func benchSupersteps(b *testing.B, g *graph.Graph, prog cyclops.Program[float64,
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/superstep")
+	b.ReportMetric(float64(e.Trace().PhaseTotals()[metrics.Compute].Nanoseconds())/float64(b.N*steps), "cmp-ns/superstep")
 }
 
 // TestSpanEmissionZeroAlloc pins the other half of the overhead contract:

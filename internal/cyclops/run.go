@@ -115,7 +115,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 					ctx.pubActivate = false
 					e.prog.Compute(ctx)
 					computed++
-					u := int64(len(ctx.srcs))
+					u := ctx.hi - ctx.lo
 					units += u
 					if heat != nil {
 						heat[ws.masters[s]] += u

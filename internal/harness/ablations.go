@@ -208,11 +208,7 @@ func (p proportionPR) Compute(ctx *cyclops.Context[float64, float64]) {
 	value := 0.15/float64(ctx.NumVertices()) + algorithms.Damping*sum
 	last := ctx.Value()
 	ctx.SetValue(value)
-	err := value - last
-	if err < 0 {
-		err = -err
-	}
-	if err <= p.eps {
+	if abs64(value-last) <= p.eps {
 		ctx.Aggregate(convergedAggregator, 1)
 	}
 	d := ctx.OutDegree()
