@@ -3,6 +3,8 @@ package algorithms
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"cyclops/internal/bsp"
@@ -19,22 +21,89 @@ import (
 	"cyclops/internal/transport"
 )
 
-// Frames carry no span context: a Deliver span's parent is decided by the
-// kernel from the sender the transport reports and the engine's drain lag
-// (bsp's PRS drains the previous superstep's SND, cyclops' RECV and gas'
-// rounds the current one). These tests hold every engine to that rule.
+// Frames carry no span context and no receive-side book is kept: the
+// transport's Matrix counts every (sender, receiver) pair at send time, and
+// the kernel books only how many messages each worker's drains returned
+// (Recv). These tests hold every engine to a span stream that is closed under
+// Parent and grows with W, not W², and to a Recv that the per-pair book
+// accounts for: bsp's PRS drains the previous superstep's SND (a lag of 1),
+// cyclops' RECV and gas' rounds the current one (0).
 
-// spanStream collects a run's span stream and counts its recoveries.
+// stepBook is one superstep's record as the stream test reads it: the
+// superstep, the spans it emitted, what each worker drained and what the
+// Comm delta says each worker was sent.
+type stepBook struct {
+	step, spans, workers int
+	recv, ingress        []int64
+}
+
+// spanStream collects a run's span stream, closed by its run span, and one
+// stepBook per superstep record.
 type spanStream struct {
 	obs.Nop
+	run        int64
 	spans      []span.Span
+	books      []stepBook
 	recoveries int
 }
 
+func (s *spanStream) OnRunStart(info obs.RunInfo) { s.run = info.Run }
+
 func (s *spanStream) OnSuperstep(rec *obs.StepRecord) {
+	n := len(s.spans)
 	s.spans = obs.AppendStepSpans(s.spans, rec.Spans)
+	s.books = append(s.books, stepBook{step: rec.Step, spans: len(s.spans) - n, workers: len(rec.Recv),
+		recv: slices.Clone(rec.Recv), ingress: rec.Comm.Ingress()})
 	if rec.Recovery != nil {
 		s.recoveries++
+	}
+}
+
+func (s *spanStream) OnRunEnd(e obs.RunEnd) { s.spans = append(s.spans, obs.RunSpan(s.run, e.Wall)) }
+
+// check holds the stream to its shape: every span's Parent is a span of the
+// stream (the run span is the root) and each superstep emits W×(4 or 5) + 1
+// spans. On a clean run it also holds Recv to the per-pair book: worker w's
+// Recv in superstep s is column w of the Comm delta of superstep s − lag, or
+// zero before the run's first superstep.
+func (s *spanStream) check(t *testing.T, lag int, clean bool) {
+	t.Helper()
+	ids := map[int64]bool{}
+	for _, sp := range s.spans {
+		ids[sp.ID] = true
+	}
+	for _, sp := range s.spans {
+		if sp.Kind != span.Run && !ids[sp.Parent] {
+			t.Fatalf("%s span step %d w%d: parent %#x is no span of the stream", sp.Kind, sp.Step, sp.Worker, sp.Parent)
+		}
+	}
+	if len(s.books) == 0 || s.spans[len(s.spans)-1].Kind != span.Run {
+		t.Fatalf("%d superstep records and no closing run span", len(s.books))
+	}
+	sent := map[int][]int64{}
+	for _, b := range s.books {
+		if b.spans != b.workers*4+1 && b.spans != b.workers*5+1 {
+			t.Fatalf("superstep %d emitted %d spans, want %d×4+1 or %d×5+1", b.step, b.spans, b.workers, b.workers)
+		}
+		sent[b.step] = b.ingress
+	}
+	if !clean {
+		return
+	}
+	first := s.books[0].step
+	for _, b := range s.books {
+		want, ok := sent[b.step-lag]
+		switch {
+		case b.step-lag < 0:
+			want = make([]int64, b.workers)
+		case !ok && b.step-lag < first:
+			continue // sent before this Run began
+		case !ok:
+			t.Fatalf("superstep %d: no record of superstep %d, whose sends it drains", b.step, b.step-lag)
+		}
+		if !slices.Equal(b.recv, want) {
+			t.Fatalf("superstep %d: Recv %v, but the Comm delta of superstep %d sent %v", b.step, b.recv, b.step-lag, want)
+		}
 	}
 }
 
@@ -100,12 +169,13 @@ func runObserved[E observed](e E, err error) (transport.Snapshot, error) {
 	return e.TransportStats(), nil
 }
 
-// TestDeliverSpanParents: on every engine, clean, checkpointed every second
-// superstep and recovering from a seeded fault plan, every Deliver span's
-// parent is a Send or Superstep span of the same run's stream; on a clean
-// run, in-process or over TCP, it is the sender's Send span lag supersteps
-// back (the superstep span before the run's first send).
-func TestDeliverSpanParents(t *testing.T) {
+// TestSpanStream: on every engine, clean in-process and over TCP,
+// checkpointed every second superstep and recovering from a seeded fault
+// plan, the span stream is closed under Parent and each superstep emits
+// W×(4 or 5) + 1 spans; on the clean runs each worker's Recv is what the
+// Comm delta sent it lag supersteps back. hama/restored is a Run resumed from
+// a checkpoint, whose first drains were sent before it began.
+func TestSpanStream(t *testing.T) {
 	g := gen.PowerLaw(300, 4, 16)
 	plan := fault.NewPlan(7, 3, 1, 4, 3)
 	conditions := []struct {
@@ -130,81 +200,114 @@ func TestDeliverSpanParents(t *testing.T) {
 				if s.plan != nil && stream.recoveries == 0 {
 					t.Fatal("the fault plan never forced a recovery")
 				}
-				parents := map[int64]bool{}
-				for _, sp := range stream.spans {
-					if sp.Kind == span.Send || sp.Kind == span.Superstep {
-						parents[sp.ID] = true
-					}
-				}
-				delivers := 0
-				for _, sp := range stream.spans {
-					if sp.Kind != span.Deliver {
-						continue
-					}
-					delivers++
-					if !parents[sp.Parent] {
-						t.Fatalf("deliver span step %d w%d<-w%d: parent %#x is no send or superstep span of the run",
-							sp.Step, sp.Worker, sp.From, sp.Parent)
-					}
-					want := span.StepID(sp.Step)
-					if sp.Step >= eng.lag {
-						want = span.SendID(sp.Step-eng.lag, sp.From)
-					}
-					if c.clean && sp.Parent != want {
-						t.Fatalf("deliver span step %d w%d<-w%d: parent %#x, want %#x (lag %d)",
-							sp.Step, sp.Worker, sp.From, sp.Parent, want, eng.lag)
-					}
-				}
-				if delivers == 0 {
-					t.Fatal("no deliver spans: the run never drained a batch")
-				}
+				stream.check(t, eng.lag, c.clean)
 			})
 		}
 	}
+
+	t.Run("hama/restored", func(t *testing.T) {
+		dir := t.TempDir()
+		cfg := bsp.Config[float64, float64]{Cluster: cluster.Flat(3, 1), MaxSupersteps: 4,
+			CheckpointDir: dir, CheckpointEvery: 2}
+		if _, err := runObserved(bsp.New[float64, float64](g, PageRankBSP{}, cfg)); err != nil {
+			t.Fatal(err)
+		}
+		state, step, err := checkpoint.LoadLatest[bsp.State[float64, float64]](dir)
+		if err != nil || step != 4 {
+			t.Fatalf("latest checkpoint: step %d, %v; want step 4", step, err)
+		}
+		stream := &spanStream{}
+		cfg.MaxSupersteps, cfg.Hooks, cfg.CheckpointDir, cfg.CheckpointEvery = 6, stream, "", 0
+		e, err := bsp.New[float64, float64](g, PageRankBSP{}, cfg)
+		if err == nil {
+			err = e.Restore(state)
+		}
+		if _, err := runObserved(e, err); err != nil {
+			t.Fatal(err)
+		}
+		if len(stream.books) != 2 || stream.books[0].step != step {
+			t.Fatalf("restored run's records %+v: want supersteps %d and %d", stream.books, step, step+1)
+		}
+		var drained int64
+		for _, r := range stream.books[0].recv {
+			drained += r
+		}
+		if drained == 0 {
+			t.Fatal("the restored run's first superstep drained none of the checkpoint's batches")
+		}
+		stream.check(t, 1, true)
+	})
 }
 
-// TestRestoredRunDeliversUnderItsSuperstep: a Run that starts from a restored
-// checkpoint never ran the superstep that sent its first drains, so those
-// Deliver spans parent to their own superstep; later ones to the Send spans
-// one superstep back.
-func TestRestoredRunDeliversUnderItsSuperstep(t *testing.T) {
+// TestRestoredRunTraceHoldsItsOwnSupersteps: every Run returns a trace of its
+// own supersteps. A Run after Restore repeats the first Run's supersteps
+// into a new trace and leaves the first Run's trace as it was.
+func TestRestoredRunTraceHoldsItsOwnSupersteps(t *testing.T) {
 	g := gen.PowerLaw(300, 4, 16)
-	dir := t.TempDir()
-	cfg := bsp.Config[float64, float64]{Cluster: cluster.Flat(3, 1), MaxSupersteps: 4,
-		CheckpointDir: dir, CheckpointEvery: 2}
-	if _, err := runObserved(bsp.New[float64, float64](g, PageRankBSP{}, cfg)); err != nil {
-		t.Fatal(err)
+	const steps = 4
+	for _, eng := range []struct {
+		name string
+		runs func(dir string) (first *metrics.Trace, kept []metrics.StepStats, second *metrics.Trace, err error)
+	}{
+		{"hama", func(dir string) (*metrics.Trace, []metrics.StepStats, *metrics.Trace, error) {
+			e, err := bsp.New[float64, float64](g, PageRankBSP{}, bsp.Config[float64, float64]{
+				Cluster: cluster.Flat(3, 1), MaxSupersteps: steps, CheckpointDir: dir})
+			return runTwice[bsp.State[float64, float64]](e, err, dir)
+		}},
+		{"cyclops", func(dir string) (*metrics.Trace, []metrics.StepStats, *metrics.Trace, error) {
+			e, err := cyclops.New[float64, float64](g, PageRankCyclops{}, cyclops.Config[float64, float64]{
+				Cluster: cluster.Flat(3, 1), MaxSupersteps: steps, CheckpointDir: dir})
+			return runTwice[cyclops.State[float64, float64]](e, err, dir)
+		}},
+		{"powergraph", func(dir string) (*metrics.Trace, []metrics.StepStats, *metrics.Trace, error) {
+			e, err := gas.New[PRValue, float64](g, NewPageRankGAS(g, steps, 0), gas.Config[PRValue, float64]{
+				Cluster: cluster.Flat(3, 1), MaxSupersteps: steps, CheckpointDir: dir, ValCodec: PRValueCodec{}})
+			return runTwice[gas.State[PRValue]](e, err, dir)
+		}},
+	} {
+		t.Run(eng.name, func(t *testing.T) {
+			first, kept, second, err := eng.runs(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(first.Steps, kept) {
+				t.Errorf("the second Run changed the first Run's trace: %d supersteps, had %d", len(first.Steps), len(kept))
+			}
+			if len(second.Steps) != len(kept) || len(kept) != steps {
+				t.Fatalf("second Run's trace holds %d supersteps, the first's %d; want %d each", len(second.Steps), len(kept), steps)
+			}
+			for i, st := range second.Steps {
+				if st.Step != kept[i].Step || st.Messages != kept[i].Messages || st.Active != kept[i].Active {
+					t.Errorf("superstep %d of the second Run: %+v; the first Run's: %+v", i, st, kept[i])
+				}
+			}
+		})
 	}
-	state, step, err := checkpoint.LoadLatest[bsp.State[float64, float64]](dir)
-	if err != nil || step != 4 {
-		t.Fatalf("latest checkpoint: step %d, %v; want step 4", step, err)
+}
+
+// runTwice runs e, restores it from the step-0 checkpoint its first Run saved
+// under dir and runs it again. kept is a copy of the first Run's supersteps,
+// taken before the second Run.
+func runTwice[S any, E interface {
+	observed
+	Restore(S) error
+}](e E, err error, dir string) (first *metrics.Trace, kept []metrics.StepStats, second *metrics.Trace, _ error) {
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	stream := &spanStream{}
-	cfg.MaxSupersteps, cfg.Hooks, cfg.CheckpointDir, cfg.CheckpointEvery = 6, stream, "", 0
-	e, err := bsp.New[float64, float64](g, PageRankBSP{}, cfg)
+	defer e.Close()
+	if first, err = e.Run(); err != nil {
+		return nil, nil, nil, err
+	}
+	kept = slices.Clone(first.Steps)
+	state, err := checkpoint.Load[S](dir, 0)
 	if err == nil {
 		err = e.Restore(state)
 	}
-	if _, err := runObserved(e, err); err != nil {
-		t.Fatal(err)
+	if err == nil {
+		second, err = e.Run()
 	}
-	delivers := map[int]int{}
-	for _, sp := range stream.spans {
-		if sp.Kind != span.Deliver {
-			continue
-		}
-		delivers[sp.Step]++
-		want := span.SendID(sp.Step-1, sp.From)
-		if sp.Step == step {
-			want = span.StepID(step)
-		}
-		if sp.Parent != want {
-			t.Fatalf("deliver span step %d w%d<-w%d: parent %#x, want %#x", sp.Step, sp.Worker, sp.From, sp.Parent, want)
-		}
-	}
-	if delivers[step] == 0 || delivers[step+1] == 0 {
-		t.Fatalf("deliver spans per superstep %v: want some in supersteps %d and %d", delivers, step, step+1)
-	}
+	return first, kept, second, err
 }
 
 // TestBSPCheckpointBooksNoTraffic: a bsp checkpoint copies the batches the

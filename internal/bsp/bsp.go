@@ -395,8 +395,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 	if !e.sized {
 		e.size()
 	}
-	// PRS drains what the previous superstep's SND sent: a lag of one.
-	k := e.Kernel(1,
+	k := e.Kernel(
 		func() obs.RunInfo {
 			return obs.RunInfo{
 				// Replicas and ReplicaValueBytes stay zero: Hama has no
@@ -421,12 +420,11 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 	// PRS: drain the locked global in-queue and group messages per vertex
 	// (CMP reactivates the recipients). One thread per worker, as in Hama.
 	parse := func(w int) {
-		for _, batch := range e.Tr.Drain(w) {
+		for _, batch := range superstep.Drain(k, e.Tr, w) {
 			for _, env := range batch {
 				e.inbox[env.Dst] = append(e.inbox[env.Dst], env.Msg)
 			}
 		}
-		k.Drained(w)
 	}
 
 	// CMP: run Compute on active vertices, one thread per worker.

@@ -32,8 +32,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 	workers := e.cfg.Cluster.Workers()
 	threads := e.cfg.Cluster.Normalize().Threads
 	receivers := e.cfg.Cluster.Normalize().Receivers
-	// RECV drains what this superstep's SND sent: no lag.
-	k := e.Kernel(0,
+	k := e.Kernel(
 		func() obs.RunInfo {
 			return obs.RunInfo{
 				Replicas: e.ingress.Replicas,
@@ -237,8 +236,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 		}
 	}
 	recv := func(w int) {
-		batches := e.Tr.Drain(w)
-		k.Drained(w)
+		batches := superstep.Drain(k, e.Tr, w)
 		if e.cfg.Audit {
 			auditPerW[w] = e.auditDeliveries(w, batches)
 		}

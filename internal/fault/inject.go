@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"cyclops/internal/obs/span"
 	"cyclops/internal/transport"
 )
 
@@ -162,9 +161,6 @@ func (j *Injector[M]) Matrix() *transport.Matrix { return j.inner.Matrix() }
 
 // Close implements transport.Interface.
 func (j *Injector[M]) Close() error { return j.inner.Close() }
-
-// LastDeliveries implements transport.Interface.
-func (j *Injector[M]) LastDeliveries(to int) []span.Delivery { return j.inner.LastDeliveries(to) }
 
 // SerializeNanos implements transport.Interface.
 func (j *Injector[M]) SerializeNanos(from int) int64 { return j.inner.SerializeNanos(from) }

@@ -1,23 +1,23 @@
 package fault_test
 
-// Delivery provenance under fault injection. A dropped connection loses the
-// batch but must not orphan receiver spans: the round's LastDeliveries simply
-// omits the dead sender, and after Reset + resend (what the engines do on
-// recovery) it names exactly the surviving and resending senders with their
-// message counts. Both real transports (in-process and TCP loopback) honour
-// the contract, and a full seeded fault plan replays to byte-identical
-// delivery provenance. Which superstep a delivery belongs to is the kernel's
-// to decide (superstep.Kernel), not the wire's.
+// Delivery provenance under fault injection, read from the drained batches
+// themselves: every payload names its sender. A dropped connection loses the
+// batch and leaves no phantom in the receiver's drain; after Reset + resend
+// (what the engines do on recovery) the drain holds exactly the surviving
+// and resending senders' batches. Both real transports (in-process and TCP
+// loopback) honour the contract, and a full seeded fault plan replays to
+// byte-identical drains. Per-pair message counts are the transport Matrix's
+// to book, at send time; the kernel only books what a drain returned.
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"cyclops/internal/fault"
 	"cyclops/internal/graph"
-	"cyclops/internal/obs/span"
 	"cyclops/internal/transport"
 )
 
@@ -35,14 +35,26 @@ func newNet(t *testing.T, network transport.Network, n int) transport.Interface[
 }
 
 // roundTrip runs one complete round: the given sends, round markers from
-// every worker, then a drain of `to`, returning its delivery provenance.
-func roundTrip(tr transport.Interface[int64], n, to int, send func()) []span.Delivery {
+// every worker, then a drain of `to`, returning a copy of its batches.
+func roundTrip(tr transport.Interface[int64], n, to int, send func()) [][]int64 {
 	send()
 	for w := 0; w < n; w++ {
 		tr.FinishRound(w)
 	}
-	tr.Drain(to)
-	return tr.LastDeliveries(to)
+	var got [][]int64
+	for _, b := range tr.Drain(to) {
+		got = append(got, slices.Clone(b))
+	}
+	return got
+}
+
+// payload is a batch that names its sender: 100×sender + i for i < n.
+func payload(sender, n int) []int64 {
+	b := make([]int64, n)
+	for i := range b {
+		b[i] = int64(100*sender + i)
+	}
+	return b
 }
 
 func TestDropDoesNotOrphanReceiverSpans(t *testing.T) {
@@ -53,37 +65,37 @@ func TestDropDoesNotOrphanReceiverSpans(t *testing.T) {
 				{Kind: fault.Drop, Step: 1, Worker: 0, Peer: 1},
 			}})
 
-			both := []span.Delivery{{From: 0, Msgs: 2}, {From: 2, Msgs: 1}}
+			both := [][]int64{payload(0, 2), payload(2, 1)}
 			send := func() {
-				inj.Send(0, 1, []int64{4, 5})
-				inj.Send(2, 1, []int64{6})
+				inj.Send(0, 1, payload(0, 2))
+				inj.Send(2, 1, payload(2, 1))
 			}
 
-			// Step 0, fault-free: both senders' batches resolve.
+			// Step 0, fault-free: both senders' batches arrive.
 			inj.BeginStep(0)
-			if ds := roundTrip(inj, n, 1, send); !slices.Equal(ds, both) {
-				t.Fatalf("clean round deliveries = %+v, want %+v", ds, both)
+			if got := roundTrip(inj, n, 1, send); !reflect.DeepEqual(got, both) {
+				t.Fatalf("clean round drained %v, want %v", got, both)
 			}
 
 			// Step 1: the 0→1 connection drops. The receiver's round resolves
-			// with only the surviving sender — no phantom delivery from the
+			// with only the surviving sender's batch — no phantom from the
 			// dead connection.
 			inj.BeginStep(1)
-			if ds := roundTrip(inj, n, 1, send); !slices.Equal(ds, both[1:]) {
-				t.Fatalf("dropped round deliveries = %+v, want only %+v", ds, both[1:])
+			if got := roundTrip(inj, n, 1, send); !reflect.DeepEqual(got, both[1:]) {
+				t.Fatalf("dropped round drained %v, want only %v", got, both[1:])
 			}
 			if err := inj.Err(); err == nil || !transport.IsTransient(err) {
 				t.Fatalf("drop must surface as a transient error, got %v", err)
 			}
 
 			// Reset and replay the superstep, as the recovery path does: the
-			// replayed sender's batch resolves beside the survivor's.
+			// replayed sender's batch arrives beside the survivor's.
 			if err := inj.Reset(); err != nil {
 				t.Fatal(err)
 			}
 			inj.BeginStep(1)
-			if ds := roundTrip(inj, n, 1, send); !slices.Equal(ds, both) {
-				t.Fatalf("replayed round deliveries = %+v, want %+v", ds, both)
+			if got := roundTrip(inj, n, 1, send); !reflect.DeepEqual(got, both) {
+				t.Fatalf("replayed round drained %v, want %v", got, both)
 			}
 			if inj.Err() != nil {
 				t.Fatalf("reset injector still errors: %v", inj.Err())
@@ -94,8 +106,9 @@ func TestDropDoesNotOrphanReceiverSpans(t *testing.T) {
 
 // TestSpanProvenanceSeedReplayable drives a fixed send script through a full
 // seeded fault plan twice, on each transport, and requires byte-identical
-// delivery provenance: which batches arrived, from whom, how many messages.
-// This is the property that makes chaos-run span records diffable.
+// drains: which batches arrived, from whom (each payload names its sender)
+// and what they held. This is the property that makes chaos-run records
+// diffable.
 func TestSpanProvenanceSeedReplayable(t *testing.T) {
 	const (
 		n     = 4
@@ -111,16 +124,15 @@ func TestSpanProvenanceSeedReplayable(t *testing.T) {
 			// Each worker sends to its two neighbours; payload size varies by
 			// sender so corrupt-truncations change counts observably.
 			for w := 0; w < n; w++ {
-				inj.Send(w, (w+1)%n, make([]int64, w+1))
-				inj.Send(w, (w+2)%n, make([]int64, 1))
+				inj.Send(w, (w+1)%n, payload(w, w+1))
+				inj.Send(w, (w+2)%n, payload(w, 1))
 			}
 			for w := 0; w < n; w++ {
 				inj.FinishRound(w)
 			}
 			for w := 0; w < n; w++ {
-				inj.Drain(w)
-				for _, d := range inj.LastDeliveries(w) {
-					fmt.Fprintf(&log, "s%d w%d<-%d x%d\n", step, w, d.From, d.Msgs)
+				for _, b := range inj.Drain(w) {
+					fmt.Fprintf(&log, "s%d w%d <- %v\n", step, w, b)
 				}
 			}
 			if inj.Err() != nil {
@@ -140,7 +152,7 @@ func TestSpanProvenanceSeedReplayable(t *testing.T) {
 				t.Errorf("same-seed fault replays diverged:\nA:\n%s\nB:\n%s", a, b)
 			}
 			if a == "" {
-				t.Error("no deliveries recorded — script never exercised the transport")
+				t.Error("nothing drained — script never exercised the transport")
 			}
 		})
 	}

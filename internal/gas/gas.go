@@ -606,8 +606,7 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 			}
 		}
 	}
-	// Every round drains what the same round sent: no lag.
-	k := e.Kernel(0,
+	k := e.Kernel(
 		func() obs.RunInfo {
 			return obs.RunInfo{
 				Replicas: e.mirrors,
@@ -673,8 +672,7 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 	// fast worker's next-round sends can never race into a slow worker's
 	// current-round processing.
 	drain := func(w int) {
-		inbound[w] = e.Tr.Drain(w) //lint:allow bufretain inbound is the round-scoped buffer, overwritten by the next drain before the batches are reused
-		k.Drained(w)
+		inbound[w] = superstep.Drain(k, e.Tr, w) //lint:allow bufretain inbound is the round-scoped buffer, overwritten by the next drain before the batches are reused
 	}
 
 	// Round 1 — gather requests: masters ask mirrors for partials.

@@ -17,9 +17,9 @@ import (
 //     arena the transport recycles every round);
 //   - the src buffer a Codec.Decode implementation reads (the frame read
 //     buffer, overwritten by the next frame);
-//   - the batches transport.Drain returns and the batch decodeFrameBody
-//     fills from a non-nil scratch slice (containers truncated to [:0] and
-//     refilled next round).
+//   - the batches transport.Drain (or the engines' superstep.Drain, which
+//     wraps it) returns and the batch decodeFrameBody fills from a non-nil
+//     scratch slice (containers truncated to [:0] and refilled next round).
 //
 // Within each function that holds such a slice, the analyzer taints it and
 // every local alias (sub-slices, element reads of slice-of-slice, append
@@ -129,10 +129,15 @@ func (rc *retainCheck) seedInto(lhs ast.Expr, label string, stack []ast.Node) {
 }
 
 // isTransportDrainCall matches calls to a Drain method declared by the
-// transport package (Local, RPC, or the Interface the engines hold).
+// transport package (Local, RPC, or the Interface the engines hold) and to
+// superstep.Drain, the engines' booking wrapper around it.
 func isTransportDrainCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	fn := calleeFunc(pass.TypesInfo, call)
-	return fn != nil && fn.Name() == "Drain" && funcPkgPath(fn) == transportPkgPath
+	if fn == nil || fn.Name() != "Drain" {
+		return false
+	}
+	path := funcPkgPath(fn)
+	return path == transportPkgPath || path == superstepPkgPath
 }
 
 // isScratchDecodeCall matches decodeFrameBody calls whose scratch argument

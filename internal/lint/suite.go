@@ -28,7 +28,10 @@ import (
 // Import paths of the repo packages whose contracts the analyzers encode.
 // The analysistest suites reproduce these paths under testdata/src, so the
 // same package-identity checks hold in golden tests and production runs.
-const transportPkgPath = "cyclops/internal/transport"
+const (
+	transportPkgPath = "cyclops/internal/transport"
+	superstepPkgPath = "cyclops/internal/superstep"
+)
 
 // Analyzers returns the full cyclops-lint suite in stable order.
 func Analyzers() []*analysis.Analyzer {

@@ -1,10 +1,13 @@
 // Package bufretain exercises the bufretain analyzer: round-owned slices —
 // a Codec.Append implementation's dst, a Codec.Decode implementation's src,
-// transport.Drain's batches, and decodeFrameBody's scratch-decoded batch —
-// must not flow into memory that outlives the round.
+// transport.Drain's (and superstep.Drain's) batches, and decodeFrameBody's
+// scratch-decoded batch — must not flow into memory that outlives the round.
 package bufretain
 
-import "cyclops/internal/transport"
+import (
+	"cyclops/internal/superstep"
+	"cyclops/internal/transport"
+)
 
 type Msg struct{ Vec []float64 }
 
@@ -90,6 +93,12 @@ func drainAll(tr transport.Interface[float64], n int) [][][]float64 {
 		}(w)
 	}
 	return dst
+}
+
+// drainBooked stores the batches of the kernel's booking drain into a
+// field, as drainAll does through a container: true positive.
+func (in *inbox) drainBooked(k *superstep.Kernel, tr transport.Interface[float64], w int) {
+	in.held = superstep.Drain(k, tr, w) // want `stored into field in\.held`
 }
 
 // consume folds batches inside the round and keeps only scalar copies: the

@@ -46,7 +46,7 @@ const (
 	MemCSVHeader = "step,alloc_bytes,gc_cycles,gc_pause_ns,heap_goal_bytes,heap_live_bytes"
 	// SpansCSVHeader starts the spans section: span structure and
 	// deterministic weights, no durations.
-	SpansCSVHeader = "id,parent,kind,step,worker,from,units,msgs"
+	SpansCSVHeader = "id,parent,kind,step,worker,units,msgs"
 	// CritPathCSVHeader starts the critpath section: the first three columns
 	// are structure; the *_ns columns are the gating worker's measured time.
 	CritPathCSVHeader = "step,gating_worker,weight,compute_ns,serialize_ns,send_ns,barrier_wait_ns"
@@ -163,7 +163,7 @@ func EncodeSpansCSV(spans []span.Span) []byte {
 	b := newCSV(SpansCSVHeader, len(spans))
 	for _, s := range spans {
 		b = str(ints(b, s.ID, s.Parent), s.Kind.String())
-		b = endRow(ints(b, int64(s.Step), int64(s.Worker), int64(s.From), s.Units, s.Msgs))
+		b = endRow(ints(b, int64(s.Step), int64(s.Worker), s.Units, s.Msgs))
 	}
 	return b
 }
@@ -361,9 +361,9 @@ func (rec *Record) parse(s Section) (err error) {
 	case SpansSection:
 		rec.Spans, err = parseRows(b, SpansCSVHeader, func(_ int, c *cells) span.Span {
 			s := span.Span{ID: c.i(0), Parent: c.i(1), Step: int(c.i(3)), Worker: int(c.i(4)),
-				From: int(c.i(5)), Units: c.i(6), Msgs: c.i(7)}
+				Units: c.i(5), Msgs: c.i(6)}
 			for s.Kind = span.Run; s.Kind.String() != c.f[2]; s.Kind++ {
-				if s.Kind == span.Deliver {
+				if s.Kind == span.BarrierWait {
 					c.check(2, "", fmt.Errorf("unknown span kind %q", c.f[2]))
 					break
 				}

@@ -225,16 +225,16 @@ func csvSpans(step, workers int) []span.Span {
 	var out []span.Span
 	for w := range workers {
 		out = append(out,
-			span.Span{ID: span.ID(span.Compute, step, w, -1), Parent: span.StepID(step), Kind: span.Compute,
-				Step: step, Worker: w, From: -1, Units: int64(4 + w), Dur: time.Millisecond},
-			span.Span{ID: span.ID(span.Serialize, step, w, -1), Parent: span.SendID(step, w), Kind: span.Serialize,
-				Step: step, Worker: w, From: -1, Dur: time.Microsecond},
+			span.Span{ID: span.ID(span.Compute, step, w), Parent: span.StepID(step), Kind: span.Compute,
+				Step: step, Worker: w, Units: int64(4 + w), Dur: time.Millisecond},
+			span.Span{ID: span.ID(span.Serialize, step, w), Parent: span.SendID(step, w), Kind: span.Serialize,
+				Step: step, Worker: w, Dur: time.Microsecond},
 			span.Span{ID: span.SendID(step, w), Parent: span.StepID(step), Kind: span.Send,
-				Step: step, Worker: w, From: -1, Msgs: 1, Dur: 250 * time.Microsecond},
+				Step: step, Worker: w, Msgs: 1, Dur: 250 * time.Microsecond},
 		)
 	}
 	return append(out, span.Span{ID: span.StepID(step), Parent: span.RunID(), Kind: span.Superstep,
-		Step: step, Worker: -1, From: -1, Dur: 3 * time.Millisecond})
+		Step: step, Worker: -1, Dur: 3 * time.Millisecond})
 }
 
 func TestSpansCSVDeterministicAndDurationFree(t *testing.T) {
@@ -249,7 +249,7 @@ func TestSpansCSVDeterministicAndDurationFree(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("spans.csv depends on measured durations:\n%s\nvs\n%s", a, b)
 	}
-	if !strings.HasPrefix(string(a), "id,parent,kind,step,worker,from,units,msgs\n") {
+	if !strings.HasPrefix(string(a), "id,parent,kind,step,worker,units,msgs\n") {
 		t.Fatalf("spans.csv header = %q", strings.SplitN(string(a), "\n", 2)[0])
 	}
 }
@@ -390,6 +390,7 @@ func TestRecordSections(t *testing.T) {
 		"trailing bytes":  {string(blob) + "x\n", "section hotset: row 5"},
 		"truncated":       {string(blob[:len(blob)-3]), "section hotset: row 4"},
 		"malformed row":   {strings.Replace(string(blob), "0,2485,", "0,2485.0,", 1), "section mem: row 2: field 2"},
+		"deliver span":    {strings.Replace(string(blob), ",compute,", ",deliver,", 1), `section spans: row 2: field 3: unknown span kind "deliver"`},
 		"no manifest":     {string(blob[len(rec.ManifestJSON):]), "manifest"},
 		"glued manifest":  {strings.TrimSuffix(string(rec.ManifestJSON), "\n") + string(blob[len(rec.ManifestJSON):]), "manifest not followed by a newline"},
 		"empty":           {"", "manifest"},

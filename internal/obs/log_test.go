@@ -36,8 +36,7 @@ func stepRecord(step int, units, sent, recv, active []int64) *obs.StepRecord {
 		Units: units, Active: active, Sent: sent, Recv: recv,
 		Sync: make([]int64, n),
 		Spans: obs.StepSpanData{Run: 1, Step: step, Wall: 4 * time.Millisecond,
-			Compute: ms, Send: ms, Units: units, Sent: sent, Recv: recv,
-			Deliveries: make([][]span.Delivery, n)},
+			Compute: ms, Send: ms, Units: units, Sent: sent, Recv: recv},
 		Owner: func(int) int { return 0 },
 	}
 }
@@ -292,13 +291,9 @@ func feedLog(t *testing.T) *obs.Log {
 	// Step 0: worker 0 dominates the deterministic weights.
 	l.OnSuperstepStart(0)
 	l.OnSuperstep(stepRecord(0, []int64{10, 1}, []int64{5, 0}, []int64{0, 0}, []int64{1, 1}))
-	// Step 1: worker 1 dominates, and drains a batch from step 0's worker 0
-	// send — the Deliver span must link back to that send.
-	rec := stepRecord(1, []int64{1, 20}, []int64{0, 2}, []int64{0, 5}, []int64{1, 1})
-	rec.Spans.SendStep = 0
-	rec.Spans.Deliveries[1] = []span.Delivery{{From: 0, Msgs: 5}}
+	// Step 1: worker 1 dominates.
 	l.OnSuperstepStart(1)
-	l.OnSuperstep(rec)
+	l.OnSuperstep(stepRecord(1, []int64{1, 20}, []int64{0, 2}, []int64{0, 5}, []int64{1, 1}))
 	l.OnSuperstepStart(2)
 	return l
 }
@@ -330,18 +325,23 @@ func TestSpansEndpointJSON(t *testing.T) {
 	if got, want := span.GatingSequence(got.CritPath), "0:0 1:1"; got != want {
 		t.Errorf("live critical path = %q, want %q", got, want)
 	}
-	// The delivery links causally to step 0's send by worker 0.
-	var deliver *span.Span
-	for i := range got.Spans {
-		if got.Spans[i].Kind == span.Deliver {
-			deliver = &got.Spans[i]
+	// Two closed supersteps of two workers: 2×4 + 1 spans each, every one
+	// parented by a span of the stream or by the open run span, and worker
+	// 0's step-0 send weighs its 5 messages.
+	if len(got.Spans) != 2*(2*4+1) {
+		t.Fatalf("%d completed spans, want %d", len(got.Spans), 2*(2*4+1))
+	}
+	ids := map[int64]bool{span.RunID(): true}
+	for _, s := range got.Spans {
+		ids[s.ID] = true
+	}
+	for _, s := range got.Spans {
+		if !ids[s.Parent] {
+			t.Errorf("span %+v: parent %#x is no span of the stream", s, s.Parent)
 		}
-	}
-	if deliver == nil {
-		t.Fatal("no Deliver span in the stream")
-	}
-	if deliver.Parent != span.SendID(0, 0) {
-		t.Errorf("Deliver parent = %d, want SendID(0,0) = %d", deliver.Parent, span.SendID(0, 0))
+		if s.ID == span.SendID(0, 0) && s.Msgs != 5 {
+			t.Errorf("worker 0's step-0 send weighs %d messages, want 5", s.Msgs)
+		}
 	}
 
 	// The run-end event closes both: nothing stays open, and the run span

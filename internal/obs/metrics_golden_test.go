@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"cyclops/internal/obs"
-	"cyclops/internal/obs/span"
 	"cyclops/internal/transport"
 )
 
@@ -56,7 +55,6 @@ func TestMetricsGolden(t *testing.T) {
 		rec.Comm = transport.MatrixSnapshot{Workers: 3,
 			Messages: [][]int64{{4 * scale, 6 * scale, 2 * scale}, {3 * scale, 0, 0}, {0, 0, 0}},
 			Wire:     [][]int64{{32 * scale, 48 * scale, 16 * scale}, {24 * scale, 0, 0}, {0, 0, 0}}}
-		rec.Spans.Deliveries[0] = []span.Delivery{{From: 1, Msgs: 3 * scale}}
 		if parse {
 			rec.Spans.Parse = []time.Duration{time.Millisecond, time.Millisecond, time.Millisecond}
 		}

@@ -71,7 +71,9 @@ type StepRecord struct {
 	Units, Active, Sent, Recv, Sync []int64
 	// Comm is the worker×worker traffic of this superstep. Summing a run's
 	// records reproduces the transport's cumulative Matrix — and therefore its
-	// Stats totals — exactly.
+	// Stats totals — exactly. It is the one per-pair book: who sent what a
+	// worker drained (Recv) is its column in the superstep the engine drains
+	// (the same one for cyclops and gas, the one before for bsp).
 	Comm transport.MatrixSnapshot
 	// Violations is what the replica-invariant auditor found (engines with
 	// Config.Audit enabled); the run fails with an AuditError after this

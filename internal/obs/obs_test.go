@@ -118,7 +118,7 @@ func TestImbalanceFinite(t *testing.T) {
 func TestLogSpanRingBound(t *testing.T) {
 	busy := []time.Duration{time.Microsecond, time.Microsecond}
 	rec := &StepRecord{Spans: StepSpanData{Run: 1, Compute: busy, Send: busy,
-		Units: []int64{1, 1}, Sent: []int64{1, 1}, Recv: []int64{0, 0}, Deliveries: make([][]span.Delivery, 2)}}
+		Units: []int64{1, 1}, Sent: []int64{1, 1}, Recv: []int64{0, 0}}}
 	const perStep = 2*4 + 1
 	steps := spanLimit/perStep + 10
 

@@ -58,9 +58,9 @@ var phaseBuckets = [...]float64{1e-4, 4e-4, 1.6e-3, 6.4e-3, 2.56e-2, 0.1, 0.4, 1
 type totals struct {
 	supersteps, messages, redundant, recoveries, replayed int64
 
-	spans      [span.Deliver + 1]int64 // completed spans, by kind
-	violations map[string]int64        // audit violations, by kind
-	ended      map[string]int64        // completed runs, by termination reason
+	spans      [span.BarrierWait + 1]int64 // completed spans, by kind
+	violations map[string]int64            // audit violations, by kind
+	ended      map[string]int64            // completed runs, by termination reason
 	phases     [metrics.Sync + 1]struct {
 		buckets [len(phaseBuckets) + 1]uint64 // per bucket; cumulative at render
 		sum     float64

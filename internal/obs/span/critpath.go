@@ -104,7 +104,7 @@ func GatingSequence(paths []StepPath) string {
 
 // WriteWaterfall renders a plain-text per-superstep waterfall of a span
 // stream: one block per superstep, one bar per worker span, scaled to the
-// superstep wall. Deliver spans print as arrows under their receiver.
+// superstep wall.
 func WriteWaterfall(w io.Writer, spans []Span) {
 	const width = 40
 	var step []Span
@@ -115,16 +115,10 @@ func WriteWaterfall(w io.Writer, spans []Span) {
 			wall = 1
 		}
 		for _, s := range step {
-			switch s.Kind {
-			case Deliver:
-				fmt.Fprintf(w, "  w%-3d %-12s %6d msgs  <- w%d@step%d\n",
-					s.Worker, s.Kind, s.Msgs, s.From, int((s.Parent>>32)&0xFFFFFF)-1)
-			default:
-				off := min(max(int(int64(width)*int64(s.Start-top.Start)/int64(wall)), 0), width-1)
-				n := min(max(int(int64(width)*int64(s.Dur)/int64(wall)), 1), width-off)
-				bar := strings.Repeat(" ", off) + strings.Repeat("#", n)
-				fmt.Fprintf(w, "  w%-3d %-12s |%-*s| %s\n", s.Worker, s.Kind, width, bar, s.Dur.Round(time.Microsecond))
-			}
+			off := min(max(int(int64(width)*int64(s.Start-top.Start)/int64(wall)), 0), width-1)
+			n := min(max(int(int64(width)*int64(s.Dur)/int64(wall)), 1), width-off)
+			bar := strings.Repeat(" ", off) + strings.Repeat("#", n)
+			fmt.Fprintf(w, "  w%-3d %-12s |%-*s| %s\n", s.Worker, s.Kind, width, bar, s.Dur.Round(time.Microsecond))
 		}
 		step = step[:0]
 	}

@@ -2,20 +2,13 @@
 // of every superstep of a run becomes a span with a deterministic structural
 // identity (kind, superstep, worker) and a parent link, so the span stream of
 // two same-seed runs is structurally byte-identical even though the measured
-// durations differ. A delivery span links back to the sender's send span —
-// the cross-worker edge a wall-clock trace cannot provide — from what the
-// receiver already knows: who sent the batch (the transport's Delivery) and,
-// by the engine's phase order, in which superstep.
-//
-// The package deliberately imports nothing from the rest of the tree (only
-// the standard library), so the transports can depend on it without creating
-// a cycle with obs.
+// durations differ. Traffic between workers is not a span: the transport's
+// Matrix books it per (sender, receiver) pair, and the record's comm rows
+// carry it.
 package span
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"time"
 )
 
@@ -39,11 +32,6 @@ const (
 	// BarrierWait is the slack between a worker's busy time and the
 	// superstep wall: the time the worker spent blocked on barriers.
 	BarrierWait
-	// Deliver covers one drained sender→receiver batch group on the receive
-	// side, parented by the *sender's* Send span.
-	Deliver
-
-	numKinds
 )
 
 // String implements fmt.Stringer with the short names used in the spans section.
@@ -63,8 +51,6 @@ func (k Kind) String() string {
 		return "send"
 	case BarrierWait:
 		return "barrier-wait"
-	case Deliver:
-		return "deliver"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -72,26 +58,25 @@ func (k Kind) String() string {
 
 // ID packs a span's structural identity into one int64:
 //
-//	kind<<56 | (step+1)<<32 | (worker+1)<<16 | (from+1)
+//	kind<<56 | (step+1)<<32 | (worker+1)<<16
 //
 // Identity is purely structural — no sequence counters, no clocks — which is
 // what makes span IDs and parent links byte-identical across same-seed runs.
-// step, worker and from use -1 for "not applicable" (the run span has no
-// step; run and superstep spans have no worker; only Deliver spans have a
-// sending peer), so the packed fields stay non-negative.
-func ID(kind Kind, step, worker, from int) int64 {
-	return int64(kind)<<56 | int64(step+1)<<32 | int64(worker+1)<<16 | int64(from+1)
+// step and worker use -1 for "not applicable" (the run span has no step; run
+// and superstep spans have no worker), so the packed fields stay non-negative.
+func ID(kind Kind, step, worker int) int64 {
+	return int64(kind)<<56 | int64(step+1)<<32 | int64(worker+1)<<16
 }
 
 // RunID is the run root span's ID.
-func RunID() int64 { return ID(Run, -1, -1, -1) }
+func RunID() int64 { return ID(Run, -1, -1) }
 
 // StepID is superstep `step`'s span ID.
-func StepID(step int) int64 { return ID(Superstep, step, -1, -1) }
+func StepID(step int) int64 { return ID(Superstep, step, -1) }
 
 // SendID is the ID of worker `worker`'s send span in superstep `step` — the
-// parent of a Deliver span from that worker.
-func SendID(step, worker int) int64 { return ID(Send, step, worker, -1) }
+// parent of that worker's Serialize span.
+func SendID(step, worker int) int64 { return ID(Send, step, worker) }
 
 // Span is one completed (or, for live views, still-open) span.
 type Span struct {
@@ -104,11 +89,9 @@ type Span struct {
 	Step int
 	// Worker is the owning worker, -1 for run and superstep spans.
 	Worker int
-	// From is the sending worker of a Deliver span, -1 otherwise.
-	From int
-	Kind Kind
+	Kind   Kind
 	// Units and Msgs are the span's deterministic weights: edges scanned for
-	// Compute, messages for Parse/Send/Deliver.
+	// Compute, messages for Parse/Send.
 	Units int64
 	Msgs  int64
 	// Start is the span's monotonic offset from the run start; Dur its
@@ -116,28 +99,4 @@ type Span struct {
 	// quarantined: they never reach the deterministic spans section columns.
 	Start time.Duration
 	Dur   time.Duration
-}
-
-// Delivery is the receive-side provenance of one drained sender→receiver
-// batch group: who sent it and how many messages.
-type Delivery struct {
-	From int
-	Msgs int64
-}
-
-// MergeDeliveries folds `more` into `dst`, aggregating message counts by
-// sender and keeping the result sorted by sender so the merged order is
-// scheduling-independent. It owns and returns dst; a binary search per
-// delivery and inserts into dst's spare capacity mean a capacity-reused dst
-// allocates nothing in steady state.
-func MergeDeliveries(dst, more []Delivery) []Delivery {
-	for _, d := range more {
-		i, found := slices.BinarySearchFunc(dst, d.From, func(e Delivery, from int) int { return cmp.Compare(e.From, from) })
-		if found {
-			dst[i].Msgs += d.Msgs
-		} else {
-			dst = slices.Insert(dst, i, d)
-		}
-	}
-	return dst
 }

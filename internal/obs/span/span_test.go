@@ -9,35 +9,38 @@ import (
 )
 
 // TestIDStructuralAndUnique pins the ID packing: identity is a pure function
-// of (kind, step, worker, from) — no counters, no clocks — and distinct
-// structural positions never collide.
+// of (kind, step, worker) — no counters, no clocks — and distinct structural
+// positions never collide.
 func TestIDStructuralAndUnique(t *testing.T) {
-	if span.ID(span.Compute, 3, 2, -1) != span.ID(span.Compute, 3, 2, -1) {
+	if span.ID(span.Compute, 3, 2) != span.ID(span.Compute, 3, 2) {
 		t.Fatal("same structural position produced different IDs")
+	}
+	// The packing is pinned: recorded ids and parents are compared across
+	// runs and builds.
+	if got, want := span.ID(span.Send, 7, 2), int64(span.Send)<<56|8<<32|3<<16; got != want {
+		t.Fatalf("ID(Send, 7, 2) = %#x, want %#x", got, want)
 	}
 	seen := map[int64]string{}
 	for _, k := range []span.Kind{span.Run, span.Superstep, span.Parse, span.Compute,
-		span.Serialize, span.Send, span.BarrierWait, span.Deliver} {
+		span.Serialize, span.Send, span.BarrierWait} {
 		for _, step := range []int{-1, 0, 1, 100} {
 			for _, worker := range []int{-1, 0, 3} {
-				for _, from := range []int{-1, 0, 2} {
-					id := span.ID(k, step, worker, from)
-					key := k.String() + "/" + string(rune(step+2)) + "/" + string(rune(worker+2)) + "/" + string(rune(from+2))
-					if prev, dup := seen[id]; dup {
-						t.Fatalf("ID collision: %s and %s both pack to %d", prev, key, id)
-					}
-					seen[id] = key
+				id := span.ID(k, step, worker)
+				key := k.String() + "/" + string(rune(step+2)) + "/" + string(rune(worker+2))
+				if prev, dup := seen[id]; dup {
+					t.Fatalf("ID collision: %s and %s both pack to %d", prev, key, id)
 				}
+				seen[id] = key
 			}
 		}
 	}
-	if span.RunID() != span.ID(span.Run, -1, -1, -1) {
-		t.Error("RunID() diverged from ID(Run,-1,-1,-1)")
+	if span.RunID() != span.ID(span.Run, -1, -1) {
+		t.Error("RunID() diverged from ID(Run,-1,-1)")
 	}
-	if span.StepID(7) != span.ID(span.Superstep, 7, -1, -1) {
+	if span.StepID(7) != span.ID(span.Superstep, 7, -1) {
 		t.Error("StepID diverged")
 	}
-	if span.SendID(7, 2) != span.ID(span.Send, 7, 2, -1) {
+	if span.SendID(7, 2) != span.ID(span.Send, 7, 2) {
 		t.Error("SendID diverged")
 	}
 }
@@ -48,11 +51,11 @@ func stepSpans(step int, wall time.Duration, workers int, units, msgs []int64, d
 	var out []span.Span
 	for w := 0; w < workers; w++ {
 		out = append(out,
-			span.Span{ID: span.ID(span.Compute, step, w, -1), Kind: span.Compute,
+			span.Span{ID: span.ID(span.Compute, step, w), Kind: span.Compute,
 				Step: step, Worker: w, Units: units[w], Dur: durs[w]},
-			span.Span{ID: span.ID(span.Serialize, step, w, -1), Kind: span.Serialize,
+			span.Span{ID: span.ID(span.Serialize, step, w), Kind: span.Serialize,
 				Step: step, Worker: w, Dur: durs[w] / 10},
-			span.Span{ID: span.ID(span.Send, step, w, -1), Kind: span.Send,
+			span.Span{ID: span.ID(span.Send, step, w), Kind: span.Send,
 				Step: step, Worker: w, Msgs: msgs[w], Dur: durs[w] / 4},
 		)
 	}
@@ -112,44 +115,16 @@ func TestCriticalPathMultiStepAndGatingSequence(t *testing.T) {
 	}
 }
 
-func TestMergeDeliveries(t *testing.T) {
-	// Same sender aggregates; the result is sorted by sender regardless of
-	// arrival order.
-	got := span.MergeDeliveries(nil, []span.Delivery{
-		{From: 2, Msgs: 3},
-		{From: 0, Msgs: 1},
-	})
-	got = span.MergeDeliveries(got, []span.Delivery{
-		{From: 2, Msgs: 4},
-		{From: 1, Msgs: 5},
-	})
-	want := []span.Delivery{
-		{From: 0, Msgs: 1},
-		{From: 1, Msgs: 5},
-		{From: 2, Msgs: 7},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("merged = %+v, want %+v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("merged[%d] = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestWriteWaterfallRendersStream(t *testing.T) {
 	spans := []span.Span{
 		{ID: span.RunID(), Kind: span.Run, Run: 1, Step: -1, Dur: 10 * time.Millisecond},
 	}
-	spans = append(spans, span.Span{ID: span.ID(span.Deliver, 1, 0, 1), Kind: span.Deliver,
-		Parent: span.SendID(0, 1), Step: 1, Worker: 0, From: 1, Msgs: 12})
 	spans = append(spans, stepSpans(1, 2*time.Millisecond, 1,
 		[]int64{5}, []int64{3}, []time.Duration{time.Millisecond})...)
 	var sb strings.Builder
 	span.WriteWaterfall(&sb, spans)
 	out := sb.String()
-	for _, want := range []string{"run 1", "superstep 1", "compute", "send", "<- w1", "#"} {
+	for _, want := range []string{"run 1", "superstep 1", "compute", "send", "#"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("waterfall missing %q:\n%s", want, out)
 		}

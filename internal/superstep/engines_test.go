@@ -94,12 +94,13 @@ func (g *grammarHooks) OnSuperstep(rec *obs.StepRecord) {
 		g.errorf("OnSuperstep(%d): comm %d×%d, stats step %d, span step %d",
 			rec.Step, rec.Comm.Workers, rec.Comm.Workers, rec.Stats.Step, rec.Spans.Step)
 	}
-	// The views: per superstep and worker at least Compute, Serialize, Send
-	// and BarrierWait, closed by the superstep span itself; one heat row per
-	// worker; a hot set within bounds.
+	// The views: per superstep and worker Compute, Serialize, Send and
+	// BarrierWait, and Parse when the engine has one, closed by the superstep
+	// span itself; one heat row per worker; a hot set within bounds.
 	g.scratch = obs.AppendStepSpans(g.scratch[:0], rec.Spans)
-	if n := len(g.scratch); n < g.workers*4+1 || g.scratch[n-1].Kind != span.Superstep {
-		g.errorf("OnSuperstep(%d): %d spans, want at least %d ending in the superstep span", rec.Step, n, g.workers*4+1)
+	if n := len(g.scratch); (n != g.workers*4+1 && n != g.workers*5+1) || g.scratch[n-1].Kind != span.Superstep {
+		g.errorf("OnSuperstep(%d): %d spans, want %d or %d ending in the superstep span",
+			rec.Step, n, g.workers*4+1, g.workers*5+1)
 	}
 	if rows := rec.AppendHeat(nil); len(rows) != g.workers {
 		g.errorf("OnSuperstep(%d): %d heat rows", rec.Step, len(rows))

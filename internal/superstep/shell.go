@@ -69,14 +69,15 @@ func Open[M any](o Options, mode transport.QueueMode, codec graph.Codec[M]) (She
 	return sh, nil
 }
 
-// Kernel builds one Run's kernel over the shell. lag is how many supersteps
-// the engine's drains trail its sends, fixed by its phase order; info supplies
-// what the engine alone knows of obs.RunInfo (the shell fills engine,
-// workers, vertices and edges); owner is Config.Owner; store is Dir over the
-// engine's snapshot and Restore.
-func (sh *Shell[M]) Kernel(lag int, info func() obs.RunInfo, owner func(v int) int, store func(dir string) Checkpoints) *Kernel {
+// Kernel builds one Run's kernel over the shell, with a fresh trace: each
+// Run's trace holds its own supersteps only, and a trace an earlier Run
+// returned stays as it was. info supplies what the engine alone knows of
+// obs.RunInfo (the shell fills engine, workers, vertices and edges); owner
+// is Config.Owner; store is Dir over the engine's snapshot and Restore.
+func (sh *Shell[M]) Kernel(info func() obs.RunInfo, owner func(v int) int, store func(dir string) Checkpoints) *Kernel {
 	o := &sh.opt
-	k := New(Config{
+	sh.trace = &metrics.Trace{Engine: o.Engine, Workers: o.Workers}
+	return New(Config{
 		Name: o.Name, Workers: o.Workers, Vertices: o.Graph.NumVertices(), Hooks: o.Hooks,
 		Link: sh.Tr, Injector: sh.inj, Trace: sh.trace, Step: &sh.step, RunSeq: &sh.runSeq,
 		MaxSupersteps: o.MaxSupersteps, CheckpointEvery: o.CheckpointEvery,
@@ -87,8 +88,6 @@ func (sh *Shell[M]) Kernel(lag int, info func() obs.RunInfo, owner func(v int) i
 			return i
 		},
 	})
-	k.lag = lag
-	return k
 }
 
 // Rewind is Restore's engine-independent half, called before the state is
@@ -118,7 +117,8 @@ func (sh *Shell[M]) Close() error { return sh.Tr.Close() }
 // TransportStats exposes the raw traffic counters.
 func (sh *Shell[M]) TransportStats() transport.Snapshot { return sh.Tr.Stats().Snapshot() }
 
-// Trace returns the per-superstep statistics collected so far.
+// Trace returns the latest Run's per-superstep statistics (empty before the
+// first Run).
 func (sh *Shell[M]) Trace() *metrics.Trace { return sh.trace }
 
 // Superstep reports the current superstep index.

@@ -16,7 +16,6 @@ import (
 
 	"cyclops/internal/metrics"
 	"cyclops/internal/obs"
-	"cyclops/internal/obs/span"
 	"cyclops/internal/transport"
 )
 
@@ -24,7 +23,6 @@ import (
 type Link interface {
 	SerializeNanos(from int) int64
 	Matrix() *transport.Matrix
-	LastDeliveries(to int) []span.Delivery
 	Err() error
 }
 
@@ -103,7 +101,7 @@ type Counters struct {
 	Changed   []int64 // vertices whose value changed
 	Sent      []int64 // messages sent (logical)
 	Redundant []int64 // messages that re-sent an unchanged value
-	Recv      []int64 // messages drained (booked by Kernel.Drained)
+	Recv      []int64 // messages drained (booked by Drain)
 	Sync      []int64 // replica-sync share of Sent (heat column)
 	// Wire, when an engine allocates (and fills) it, replaces Sent as the span
 	// stream's send weight (bsp: post-combiner envelopes).
@@ -129,17 +127,12 @@ type Kernel struct {
 	stats    metrics.StepStats
 	// rec is the one value observers get per superstep, reused across the run;
 	// its per-worker rows alias Counters. nil with Hooks off.
-	rec    *obs.StepRecord
-	ran    [metrics.Sync]bool          // phases run this superstep
-	starts [metrics.Sync]time.Duration // and their offsets from runStart
-	serNs0 []int64
-	// lag is how many supersteps the engine's drains trail its sends (bsp's
-	// PRS drains the previous SND: 1; cyclops and gas drain within the
-	// superstep: 0); first is the lowest superstep this Run has begun. Both
-	// only place Deliver spans under their parent.
-	lag, first int
-	prevComm   transport.MatrixSnapshot // cumulative traffic at the last barrier
-	resAll     []float64                // Residuals' rows, joined for SetResiduals
+	rec      *obs.StepRecord
+	ran      [metrics.Sync]bool          // phases run this superstep
+	starts   [metrics.Sync]time.Duration // and their offsets from runStart
+	serNs0   []int64
+	prevComm transport.MatrixSnapshot // cumulative traffic at the last barrier
+	resAll   []float64                // Residuals' rows, joined for SetResiduals
 }
 
 // New allocates a run's scratch; the loop allocates no bookkeeping after it.
@@ -159,23 +152,20 @@ func New(cfg Config) *Kernel {
 		k.rec = &obs.StepRecord{Units: k.Units, Active: k.Active, Sent: k.Sent, Recv: k.Recv,
 			Sync: k.Sync, HeatMsgs: k.HeatMsgs, HeatUnits: k.HeatUnits, Owner: cfg.Owner}
 		k.rec.Spans.SerializeNs = make([]int64, n)
-		k.rec.Spans.Deliveries = make([][]span.Delivery, n)
 	}
 	return k
 }
 
-// Drained books one Drain by worker w into Recv from the provenance the
-// transport recorded — call it from w's goroutine right after the Drain,
-// before the next one invalidates that provenance.
-func (k *Kernel) Drained(w int) {
-	deliv := k.cfg.Link.LastDeliveries(w)
-	for _, d := range deliv {
-		k.Recv[w] += d.Msgs
+// Drain is worker w's one receive: it drains w's inbox on tr and books the
+// messages the batches hold into Recv. Call it from w's goroutine; the
+// batches are tr.Drain's, valid until w's next Drain. Who sent them is not
+// kept here: the transport's Matrix books every (sender, receiver) pair.
+func Drain[M any](k *Kernel, tr transport.Interface[M], w int) [][]M {
+	batches := tr.Drain(w)
+	for _, b := range batches {
+		k.Recv[w] += int64(len(b))
 	}
-	if k.cfg.Hooks != nil {
-		sd := &k.rec.Spans
-		sd.Deliveries[w] = span.MergeDeliveries(sd.Deliveries[w], deliv)
-	}
+	return batches
 }
 
 // Phase runs each round on every worker behind its own barrier, worker 0 on
@@ -270,7 +260,6 @@ func (k *Kernel) begin() {
 	}
 	*cfg.RunSeq++
 	k.rec.Spans.Run = *cfg.RunSeq
-	k.first = *cfg.Step
 	info := cfg.Info()
 	info.Run = *cfg.RunSeq
 	cfg.Hooks.OnRunStart(info)
@@ -390,22 +379,15 @@ func (k *Kernel) save(step int) error {
 	return nil
 }
 
-// beginSpans resets the superstep's span bookkeeping and names the superstep
-// whose sends its drains return, when that superstep ran in this Run.
+// beginSpans resets the superstep's span bookkeeping.
 func (k *Kernel) beginSpans(step int) {
 	sd := &k.rec.Spans
 	sd.Step, sd.StepStart = step, time.Since(k.runStart)
-	k.first = min(k.first, step)
-	sd.SendStep = step - k.lag
-	if sd.SendStep < k.first {
-		sd.SendStep = -1
-	}
 	k.ran, k.starts = [metrics.Sync]bool{}, [metrics.Sync]time.Duration{}
 	for p := range k.Busy {
 		clear(k.Busy[p])
 	}
 	for w := 0; w < k.cfg.Workers; w++ {
-		sd.Deliveries[w] = sd.Deliveries[w][:0]
 		k.serNs0[w] = k.cfg.Link.SerializeNanos(w)
 	}
 }

@@ -22,18 +22,15 @@ import (
 	"cyclops/internal/transport"
 )
 
-// fakeLink is a transport whose only behaviour is the error and the drain
-// provenance the test plants, per receiver.
+// fakeLink is a transport whose only behaviour is the error the test plants.
 type fakeLink struct {
 	matrix *transport.Matrix
 	err    error
-	last   [][]span.Delivery
 }
 
-func (l *fakeLink) SerializeNanos(int) int64              { return 0 }
-func (l *fakeLink) Matrix() *transport.Matrix             { return l.matrix }
-func (l *fakeLink) LastDeliveries(to int) []span.Delivery { return l.last[to] }
-func (l *fakeLink) Err() error                            { return l.err }
+func (l *fakeLink) SerializeNanos(int) int64  { return 0 }
+func (l *fakeLink) Matrix() *transport.Matrix { return l.matrix }
+func (l *fakeLink) Err() error                { return l.err }
 
 // eventLog records every hook call (and, through the rig, every injector and
 // closure call) as one short string, in order.
@@ -424,8 +421,7 @@ func (l *spanLog) OnSuperstep(rec *obs.StepRecord) {
 
 // TestRecordScratchAliasing is TestFrameScratchAliasing for the StepRecord:
 // the record is the kernel's scratch, so superstep 1 overwrites every
-// per-worker row, the traffic delta and the drain provenance superstep 0
-// reported. A consumer that kept a reference instead of a copy would see its
+// per-worker row and the traffic delta superstep 0 reported. A consumer that kept a reference instead of a copy would see its
 // superstep 0 change. The Recorder's deterministic sections and the Log's views
 // of superstep 0 must be the same whether or not a superstep 1 followed.
 func TestRecordScratchAliasing(t *testing.T) {
@@ -438,7 +434,6 @@ func TestRecordScratchAliasing(t *testing.T) {
 		r := newRig(steps, func(c *superstep.Config) { c.Hooks = rec })
 		r.ps.Step = func() []obs.Violation {
 			n := int64(r.step + 1) // every value differs between the supersteps
-			r.link.last = [][]span.Delivery{{{From: r.step, Msgs: 50 * n}}, {{From: r.step, Msgs: 50*n + 1}}}
 			r.k.Phase(metrics.Compute, func(w int) {
 				r.k.Units[w], r.k.Active[w], r.k.Sync[w] = 10*n+int64(w), 20*n+int64(w), 30*n+int64(w)
 				r.k.HeatMsgs[w] += n
@@ -446,7 +441,7 @@ func TestRecordScratchAliasing(t *testing.T) {
 				r.link.matrix.Add(w, 1-w, n)
 				r.link.matrix.AddWire(w, 1-w, 9*n)
 			})
-			r.k.Phase(metrics.Parse, r.k.Drained)
+			r.k.Phase(metrics.Parse, func(w int) { r.k.Recv[w] = 50*n + int64(w) })
 			return nil
 		}
 		if err := r.run(); err != nil {
@@ -536,10 +531,10 @@ func TestPhaseAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestDrainedBooksTheTransportsProvenance: Drained books into Recv exactly
-// the messages the drain returned, Σ len(batch), from the provenance the
-// transport recorded — on Local in both queue modes and over TCP.
-func TestDrainedBooksTheTransportsProvenance(t *testing.T) {
+// TestDrainBooksRecv: Drain books into Recv exactly the messages the drain
+// returned, Σ len(batch), which are exactly the messages sent to the worker
+// that round — on Local in both queue modes and over TCP.
+func TestDrainBooksRecv(t *testing.T) {
 	const workers = 3
 	for _, tc := range []struct {
 		name    string
@@ -562,25 +557,28 @@ func TestDrainedBooksTheTransportsProvenance(t *testing.T) {
 			defer tr.Close()
 			k := superstep.New(superstep.Config{Name: "fake", Workers: workers, Vertices: 4, Link: tr})
 			for round := range 3 {
+				sent := make([]int64, workers)
 				for from := range workers {
 					for to := range workers {
 						// Uneven batches, some empty, two to one pair in round 1.
 						tr.Send(from, to, make([]int64, (from+2*to+round)%4))
+						sent[to] += int64((from + 2*to + round) % 4)
 						if round == 1 && from == to {
 							tr.Send(from, to, make([]int64, 5))
+							sent[to] += 5
 						}
 					}
 					tr.FinishRound(from)
 				}
 				for to := range workers {
 					before := k.Recv[to]
-					var want int64
-					for _, b := range tr.Drain(to) {
-						want += int64(len(b))
+					var drained int64
+					for _, b := range superstep.Drain(k, tr, to) {
+						drained += int64(len(b))
 					}
-					k.Drained(to)
-					if got := k.Recv[to] - before; got != want {
-						t.Errorf("round %d, worker %d: Drained booked %d messages, the drain returned %d", round, to, got, want)
+					if got := k.Recv[to] - before; got != drained || got != sent[to] {
+						t.Errorf("round %d, worker %d: Drain booked %d messages, returned %d, %d were sent",
+							round, to, got, drained, sent[to])
 					}
 				}
 			}

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"cyclops/internal/graph"
-	"cyclops/internal/obs/span"
 )
 
 // Network selects how a simulated cluster's workers exchange messages. Both
@@ -72,11 +71,6 @@ type Interface[M any] interface {
 	Reset() error
 	// Close releases sockets and wakes blocked Drains.
 	Close() error
-
-	// LastDeliveries reports the provenance of the batches the most recent
-	// Drain(to) returned: messages per sender, sorted by sender. The slice
-	// is only valid until the next Drain(to).
-	LastDeliveries(to int) []span.Delivery
 	// SerializeNanos reports the cumulative wire-serialisation time charged
 	// to sender `from`, in nanoseconds. Zero for Local, which prices frames
 	// without materializing them; the RPC transport times its frame

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"cyclops/internal/graph"
-	"cyclops/internal/obs/span"
 )
 
 // QueueMode selects the receive-side queue discipline.
@@ -41,10 +40,9 @@ func (m QueueMode) String() string {
 // type, so every network delivers in the same order.
 type inbox[M any] struct {
 	slots [][][]M
-	// out and deliv are the last drain's batches and their provenance, valid
-	// until the next drain, which reuses their memory.
-	out   [][]M
-	deliv []span.Delivery
+	// out is the last drain's batches, valid until the next drain, which
+	// reuses its memory.
+	out [][]M
 }
 
 // newInboxes carves every inbox from arrays made once, so a fresh transport's
@@ -53,14 +51,14 @@ type inbox[M any] struct {
 // drain's scratch for one per sender.
 func newInboxes[M any](n int) []inbox[M] {
 	ins := make([]inbox[M], n)
-	slots, batches, deliv := make([][][]M, n*n), make([][]M, 2*n*n), make([]span.Delivery, n*n)
+	slots, batches := make([][][]M, n*n), make([][]M, 2*n*n)
 	for i := range ins {
 		row := i * n
 		ins[i].slots = slots[row : row+n]
 		for from := range ins[i].slots {
 			ins[i].slots[from] = batches[row+from : row+from : row+from+1]
 		}
-		ins[i].out, ins[i].deliv = batches[n*n+row:n*n+row:n*n+row+n], deliv[row:row:row+n]
+		ins[i].out = batches[n*n+row : n*n+row : n*n+row+n]
 	}
 	return ins
 }
@@ -68,20 +66,11 @@ func newInboxes[M any](n int) []inbox[M] {
 // drain returns every queued batch by sender, then in send order — a
 // canonical order whatever the goroutine or socket scheduling, so engines
 // that fold message values in drain order produce bit-identical results on
-// every network and every same-seed run. The same walk records the
-// provenance, messages per sender sorted by sender.
+// every network and every same-seed run.
 func (in *inbox[M]) drain() [][]M {
-	in.out, in.deliv = in.out[:0], in.deliv[:0]
+	in.out = in.out[:0]
 	for from, s := range in.slots {
-		if len(s) == 0 {
-			continue
-		}
-		msgs := 0
-		for _, b := range s {
-			msgs += len(b)
-		}
 		in.out = append(in.out, s...)
-		in.deliv = append(in.deliv, span.Delivery{From: from, Msgs: int64(msgs)})
 		// Truncate, don't nil: out copied the batch headers, so the slot's
 		// backing array is free to take the next round's sends — steady state
 		// allocates nothing per Send.
@@ -179,9 +168,6 @@ func (t *Local[M]) Reset() error {
 	}
 	return nil
 }
-
-// LastDeliveries implements Interface.
-func (t *Local[M]) LastDeliveries(to int) []span.Delivery { return t.inboxes[to].deliv }
 
 // SerializeNanos implements Interface: the in-process transport never
 // encodes, so serialisation time is identically zero.

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"cyclops/internal/graph"
-	"cyclops/internal/obs/span"
 )
 
 // The RPC transport's timeouts are fixed, not configured: no caller has a
@@ -448,14 +447,6 @@ func (t *RPC[M]) Drain(to int) [][]M {
 		}
 	}
 	return in.drain()
-}
-
-// LastDeliveries implements Interface.
-func (t *RPC[M]) LastDeliveries(to int) []span.Delivery {
-	in := &t.inboxes[to]
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.deliv
 }
 
 // SerializeNanos implements Interface: cumulative frame-encoding time charged

@@ -127,8 +127,8 @@ func TestFirstRoundAllocatesNothing(t *testing.T) {
 				}
 			}
 			for to := 0; to < n; to++ {
-				if got, d := tr.Drain(to), tr.LastDeliveries(to); len(got) != n || len(d) != n {
-					t.Fatalf("%v: worker %d drained %d batches from %d senders, want %d", mode, to, len(got), len(d), n)
+				if got := tr.Drain(to); len(got) != n || len(got[n-1]) != len(batch) {
+					t.Fatalf("%v: worker %d drained %v, want one batch from each of %d senders", mode, to, got, n)
 				}
 			}
 		})
@@ -320,14 +320,20 @@ func TestRPCDrainsInSenderOrder(t *testing.T) {
 		if len(got) != n*per {
 			t.Fatalf("round %d: drained %d batches, want %d", round, len(got), n*per)
 		}
+		// Every message names its sender: each sent 2×per, none were lost
+		// or duplicated, and they drain in (sender, send) order.
+		perSender := make([]int, n)
 		for i, b := range got {
-			if b[0] != (msg{uint32(i / per), float64(i % per)}) {
-				t.Fatalf("round %d: batch %d is %+v, out of (sender, send) order", round, i, b[0])
+			for _, m := range b {
+				if m != (msg{uint32(i / per), float64(i % per)}) {
+					t.Fatalf("round %d: batch %d holds %+v, out of (sender, send) order", round, i, m)
+				}
+				perSender[m.V]++
 			}
 		}
-		for from, d := range tr.LastDeliveries(to) {
-			if d.From != from || d.Msgs != 2*per {
-				t.Fatalf("round %d: deliveries %+v", round, tr.LastDeliveries(to))
+		for from, c := range perSender {
+			if c != 2*per {
+				t.Fatalf("round %d: %d messages from sender %d, want %d", round, c, from, 2*per)
 			}
 		}
 	}
